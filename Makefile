@@ -3,7 +3,7 @@ GO ?= go
 # the committed BENCH_*.json baselines.
 BENCH_SCRATCH ?= /tmp/microrec-bench
 
-.PHONY: build vet vet-custom fmt-check test test-noasm race bench bench-json loadtest-json bench-smoke benchdiff obs-smoke fuzz-smoke vulncheck ci
+.PHONY: build vet vet-custom fmt-check test test-noasm test-benchmark race bench bench-json loadtest-json bench-smoke benchdiff obs-smoke fuzz-smoke vulncheck ci
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,14 @@ test: build
 test-noasm:
 	$(GO) build -tags noasm ./...
 	$(GO) test -tags noasm ./...
+
+# test-benchmark vets and tests the repository benchmark. benchmark/ is its
+# own module (replace microrec => ../), so the root `./...` patterns above
+# never compile it: a change to the facade or the plane-stage methods it calls
+# would otherwise break it unseen.
+test-benchmark:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
 
 race:
 	$(GO) test -race ./...
@@ -110,4 +118,4 @@ obs-smoke:
 
 # ci mirrors the CI job sequence locally (lint job + test job, one leg), so a
 # red CI reproduces in one command.
-ci: build vet vet-custom fmt-check test test-noasm race bench-smoke benchdiff obs-smoke fuzz-smoke vulncheck
+ci: build vet vet-custom fmt-check test test-noasm test-benchmark race bench-smoke benchdiff obs-smoke fuzz-smoke vulncheck

@@ -233,13 +233,13 @@ func BenchmarkGatherBatch(b *testing.B) {
 	eng, qs := serveBenchSetup(b)
 	batch := qs[:64]
 	var scratch microrec.BatchScratch
-	if _, _, err := eng.GatherBatch(batch, &scratch); err != nil {
+	if _, err := eng.GatherBatch(batch, &scratch); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.GatherBatch(batch, &scratch); err != nil {
+		if _, err := eng.GatherBatch(batch, &scratch); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -166,6 +166,11 @@ func checkConversion(pass *analysis.Pass, fd *ast.FuncDecl, pos token.Pos, src, 
 	if src == nil || dst == nil {
 		return
 	}
+	// A type parameter's underlying type is its constraint interface, but a
+	// value of that type is stored at the instantiated width, not boxed.
+	if _, generic := dst.(*types.TypeParam); generic {
+		return
+	}
 	if types.IsInterface(dst) && !types.IsInterface(src) && boxingAllocates(src) {
 		pass.Reportf(pos, "%s boxes %s into interface in noalloc function %s", what, src.String(), fd.Name.Name)
 		return

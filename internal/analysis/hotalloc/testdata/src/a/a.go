@@ -107,6 +107,15 @@ func allowedGood(s *scratch, rows []int64, ch chan *scratch, v any) int64 {
 
 func fill(*[4]int64) {}
 
+// genericGood narrows into a type parameter: T's underlying type is its
+// constraint interface, but the store is at the instantiated width, not a
+// box.
+//
+//microrec:noalloc
+func genericGood[T int16 | int32](dst []T, v int64) {
+	dst[0] = T(v)
+}
+
 // unannotatedGood allocates freely: no directive, no reports.
 func unannotatedGood(n int) []int64 {
 	out := make([]int64, 0, n)

@@ -5,8 +5,6 @@ import (
 	"sync/atomic"
 
 	"microrec/internal/embedding"
-	"microrec/internal/fixedpoint"
-	"microrec/internal/kernels"
 )
 
 // The batched datapath below is the CPU-side analogue of the paper's
@@ -15,11 +13,12 @@ import (
 // across the whole batch. Features arrive already quantized from GatherBatch
 // (gather.go); the GEMM itself lives in internal/kernels — a column-blocked
 // fixed-point kernel over the transposed (out x in) weight layout, so every
-// weight access is sequential and each L2-resident block is reused by the
-// whole batch, with an AVX2 path selected at init where the host supports
-// it. The wide accumulators match the per-query GEMV exactly (and the
-// optimized kernels are property-tested bit-identical to the portable
-// reference), so batched predictions are bit-identical to InferOne.
+// weight access is sequential and each cache-resident block is reused by the
+// whole batch, with a per-width AVX2 path selected at init where the host
+// supports it. The wide accumulators match the per-query GEMV exactly (and
+// the optimized kernels are property-tested bit-identical to the portable
+// reference), so batched predictions are bit-identical to InferOne. The
+// width-native plane code these entry points forward to is in plane.go.
 
 // GatherObs is the per-batch gather observability record the flight recorder
 // folds into a request span: cold-tier faults suffered by the batch's gather,
@@ -37,8 +36,13 @@ type GatherObs struct {
 // scratches (the engine itself stays immutable and shareable). Scratches are
 // never copied by value — the embedded atomic pins that contract.
 type BatchScratch struct {
-	x []int64 // batch x width quantized activations (gathered features / layer input)
-	y []int64 // batch x width wide accumulators / layer output
+	// The activation plane, batch x stride at the engine's element width:
+	// gathered features, then each layer's output finished in place. Only
+	// the field matching the engine's format is sized.
+	x16 []int16
+	x32 []int32
+	// acc is the batch x stride plane of exact wide GEMM accumulators.
+	acc []int64
 
 	// coldFaults accumulates tiered-store cold reads across the gather's
 	// shard goroutines (atomic because shards of one batch add concurrently);
@@ -55,21 +59,11 @@ func (s *BatchScratch) GatherObs() GatherObs { return s.obs }
 // replace a partial-gather record with the merged scatter-wide one.
 func (s *BatchScratch) SetGatherObs(o GatherObs) { s.obs = o }
 
-// ensure grows the scratch to hold a batch of b queries for engine e.
-func (s *BatchScratch) ensure(e *Engine, b int) {
-	n := b * e.width
-	if cap(s.x) < n {
-		s.x = make([]int64, n)
-		s.y = make([]int64, n)
-	}
-	s.x = s.x[:n]
-	s.y = s.y[:n]
-}
-
-// EnsurePlane sizes a scratch to hold batches of up to b queries, so later
-// stage calls on it never allocate. The staged pipeline executor uses this to
+// EnsurePlane sizes a scratch (a zero value, or one last used by any other
+// engine) to hold batches of up to b queries on this engine, so later stage
+// calls on it never allocate. The staged pipeline executor uses this to
 // pre-allocate its ring of batch planes at construction.
-func (e *Engine) EnsurePlane(s *BatchScratch, b int) { s.ensure(e, b) }
+func (e *Engine) EnsurePlane(s *BatchScratch, b int) { e.dp.ensure(s, b) }
 
 // ValidateQuery checks a query's shape and index ranges against the model
 // without running inference, so servers can reject a malformed query at
@@ -144,7 +138,7 @@ func (e *Engine) inferBatchValidated(queries []embedding.Query, dst []float32, s
 	if scratch == nil {
 		scratch = &BatchScratch{}
 	}
-	scratch.ensure(e, b)
+	e.dp.ensure(scratch, b)
 	e.GatherIntoPlane(queries, scratch)
 	e.DenseFromPlane(b, scratch)
 	e.TailFromPlane(b, scratch, dst)
@@ -164,52 +158,15 @@ func (e *Engine) GatherIntoPlane(queries []embedding.Query, s *BatchScratch) {
 }
 
 // DenseFromPlane is the pipeline's second stage: the hidden FC tower as
-// blocked GEMMs over a gathered plane, ping-ponging the plane's x and y
-// buffers (bias add + ReLU per hidden layer). It touches only the plane, so
-// distinct planes can occupy the gather and GEMM stages concurrently.
+// blocked GEMMs over a gathered plane, each layer finished in place (bias
+// add + ReLU). It touches only the plane, so distinct planes can occupy the
+// gather and GEMM stages concurrently.
 //
 //microrec:noalloc
-func (e *Engine) DenseFromPlane(b int, s *BatchScratch) {
-	f := e.cfg.Precision
-	width := e.width
-	x, y := s.x, s.y
-	for l := 0; l < len(e.dims)-1; l++ {
-		in, out := e.dims[l][0], e.dims[l][1]
-		kernels.Gemm(x, y, b, in, out, width, e.qweightsT[l])
-		bias := e.qbiases[l]
-		for qi := 0; qi < b; qi++ {
-			yrow := y[qi*width : qi*width+out]
-			for j := range yrow {
-				yrow[j] = f.Add(f.Finish(yrow[j]), bias[j])
-			}
-			fixedpoint.ReLU(yrow)
-		}
-		x, y = y, x
-	}
-}
+func (e *Engine) DenseFromPlane(b int, s *BatchScratch) { e.dp.dense(b, s) }
 
 // TailFromPlane is the pipeline's final stage: the output FC layer (bias, no
 // ReLU) plus the sigmoid, dequantizing one prediction per query into dst.
-// The hidden tower left its activations in x or y depending on layer parity;
-// the same swap cadence recovers the right buffer.
 //
 //microrec:noalloc
-func (e *Engine) TailFromPlane(b int, s *BatchScratch, dst []float32) {
-	f := e.cfg.Precision
-	width := e.width
-	l := len(e.dims) - 1
-	x, y := s.x, s.y
-	if l%2 == 1 {
-		x, y = y, x
-	}
-	in, out := e.dims[l][0], e.dims[l][1]
-	kernels.Gemm(x, y, b, in, out, width, e.qweightsT[l])
-	bias := e.qbiases[l]
-	for qi := 0; qi < b; qi++ {
-		yrow := y[qi*width : qi*width+out]
-		for j := range yrow {
-			yrow[j] = f.Add(f.Finish(yrow[j]), bias[j])
-		}
-		dst[qi] = float32(f.Dequantize(f.Sigmoid(yrow[0])))
-	}
-}
+func (e *Engine) TailFromPlane(b int, s *BatchScratch, dst []float32) { e.dp.tail(b, s, dst) }

@@ -73,6 +73,49 @@ func TestInferBatchScratchReuse(t *testing.T) {
 	}
 }
 
+// TestScratchReuseAcrossEngines moves one scratch between a 16-bit and a
+// 32-bit engine of different plane strides, through the stage calls on a
+// zero-value scratch handed straight to EnsurePlane (as the pipeline ring and
+// the repository benchmark do). A plane must be sized by the engine in hand —
+// its element width and its stride — never by what a previous engine left
+// behind: the visit order below makes the wide engine return after a narrow
+// one needed less of every buffer, and then asks for more rows than before.
+// Predictions must match a fresh scratch bit for bit.
+func TestScratchReuseAcrossEngines(t *testing.T) {
+	wideSpec, narrowSpec := model.SmallProduction(), oddSpec()
+	wide := buildEngine(t, wideSpec, ConfigFor(wideSpec.Name, SmallFP16().Precision), true)
+	narrow := buildEngine(t, narrowSpec, ConfigFor(narrowSpec.Name, SmallFP32().Precision), true)
+	var shared BatchScratch
+	for step, v := range []struct {
+		e *Engine
+		b int
+	}{
+		{wide, 8}, {narrow, 3}, {wide, 8}, {narrow, 40}, {wide, 33}, {narrow, 40}, {wide, 1},
+	} {
+		qs := randomQueries(v.e.spec, v.b, int64(500+step))
+		for _, q := range qs {
+			if err := v.e.ValidateQuery(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := make([]float32, v.b)
+		v.e.EnsurePlane(&shared, v.b)
+		v.e.GatherIntoPlane(qs, &shared)
+		v.e.DenseFromPlane(v.b, &shared)
+		v.e.TailFromPlane(v.b, &shared, got)
+		want, err := v.e.InferBatch(qs, nil, &BatchScratch{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("step %d (%s, b=%d) query %d: shared scratch %v, fresh scratch %v",
+					step, v.e.spec.Name, v.b, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // TestInferBatchErrors covers argument validation and per-query failures.
 func TestInferBatchErrors(t *testing.T) {
 	spec := model.SmallProduction()

@@ -9,6 +9,7 @@ import (
 	"microrec/internal/cartesian"
 	"microrec/internal/embedding"
 	"microrec/internal/hotcache"
+	"microrec/internal/kernels"
 	"microrec/internal/model"
 	"microrec/internal/pipesim"
 	"microrec/internal/placement"
@@ -31,17 +32,12 @@ type Engine struct {
 	// the concatenated feature vector (spec order, lookup-minor).
 	featureOffset []int
 	featureLen    int
-	// width is the widest activation plane of the datapath (feature length
-	// or any layer output), the row stride of every batch buffer.
-	width int
 
-	// Quantized FC tower, held transposed (out x in row-major, i.e. one
-	// contiguous weight row per output) so both the per-query GEMV and the
-	// blocked batch GEMM stream weights sequentially; raw values in the
-	// engine's fixed-point format.
-	qweightsT [][]int64
-	qbiases   [][]int64
-	dims      [][2]int
+	// dp is the width-native datapath: the quantized FC tower and every
+	// loop that reads or writes an activation plane, instantiated at the
+	// format's storage width (see plane.go).
+	dp   datapath
+	dims [][2]int
 
 	// products holds the physically materialised Cartesian tables, one
 	// per physical table (nil for single tables and for products too
@@ -113,32 +109,17 @@ func Build(params *model.Parameters, plan *placement.Result, cfg Config) (*Engin
 	if got := spec.FeatureLen(); e.featureLen != got {
 		return nil, fmt.Errorf("core: feature length mismatch %d vs %d", e.featureLen, got)
 	}
-	e.width = e.featureLen
-	for _, d := range e.dims {
-		if d[1] > e.width {
-			e.width = d[1]
-		}
-	}
-	f := cfg.Precision
 	for l, w := range params.Weights {
-		in, out := e.dims[l][0], e.dims[l][1]
-		if len(w.Data) != in*out {
+		if in, out := e.dims[l][0], e.dims[l][1]; len(w.Data) != in*out {
 			return nil, fmt.Errorf("core: layer %d weights have %d values, want %d", l, len(w.Data), in*out)
 		}
-		// Transpose while quantizing: source is in x out row-major, the
-		// engine stores out x in so output j's weights are contiguous.
-		raw := make([]int64, len(w.Data))
-		for i := 0; i < in; i++ {
-			for j := 0; j < out; j++ {
-				raw[j*in+i] = f.Quantize(float64(w.Data[i*out+j]))
-			}
-		}
-		e.qweightsT = append(e.qweightsT, raw)
-		braw := make([]int64, len(params.Biases[l]))
-		for i, v := range params.Biases[l] {
-			braw[i] = f.Quantize(float64(v))
-		}
-		e.qbiases = append(e.qbiases, braw)
+	}
+	// The format's width selects the datapath, once: planes, weights and
+	// kernels are int16 for a 16-bit format and int32 for a 32-bit one.
+	if f := cfg.Precision; f.Bits == 16 {
+		e.dp = newFixedPath(f, spec, params, kernels.Gemm16, func(s *BatchScratch) *[]int16 { return &s.x16 })
+	} else {
+		e.dp = newFixedPath(f, spec, params, kernels.Gemm32, func(s *BatchScratch) *[]int32 { return &s.x32 })
 	}
 	// Physically materialise the (capacity-scaled) Cartesian products, as
 	// the DRAM image on the FPGA would hold them; oversized products keep

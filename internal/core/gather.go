@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"microrec/internal/embedding"
-	"microrec/internal/hotcache"
 	"microrec/internal/kernels"
 	"microrec/internal/memsim"
 	"microrec/internal/tieredstore"
@@ -18,7 +17,8 @@ import (
 // index scalers, channel-group shards) feeding GatherBatch, which resolves a
 // whole micro-batch's lookups table-major — one pass per physical table
 // across all queries — and quantizes each embedding vector directly into the
-// fixed-point batch buffer. That eliminates the per-query float feature
+// fixed-point batch buffer (the row loop itself is fixedPath.gatherTables in
+// plane.go, generic over the plane's element width). That eliminates the per-query float feature
 // vector of the original Gather→quantize pipeline and every per-call
 // allocation in the hot loop.
 //
@@ -85,8 +85,6 @@ type gatherPlan struct {
 	// shards groups physical-table indices by the placement plan's memory
 	// banks, balanced over at most maxGatherShards goroutines.
 	shards [][]int
-	// denseOff is where the dense tail starts in the feature vector.
-	denseOff int
 	// hitScale is the modeled on-chip/DRAM per-access latency ratio: a
 	// hot-row cache hit costs hitScale of a DRAM access, so the effective
 	// lookup latency is pipelineNS*(1 - hitRate*(1-hitScale)).
@@ -101,10 +99,7 @@ type gatherPlan struct {
 // the embedding store and the materialised products. Called once in Build.
 func (e *Engine) compileGatherPlan() (gatherPlan, error) {
 	layout := e.plan.Layout
-	p := gatherPlan{
-		tables:   make([]gatherTable, len(layout.Tables)),
-		denseOff: e.featureLen - e.spec.DenseDim,
-	}
+	p := gatherPlan{tables: make([]gatherTable, len(layout.Tables))}
 	cacheID := 0
 	var accBytes, accCount float64
 	for pi, pt := range layout.Tables {
@@ -281,23 +276,23 @@ func (e *Engine) GatherShards() int { return len(e.gplan.shards) }
 // one pass per physical table across all queries, sharded across goroutines
 // by the placement plan's channel groups for batches of at least
 // gatherParallelMinBatch — quantizing every vector directly into the
-// scratch's fixed-point feature rows. It returns the quantized feature
-// matrix backed by the scratch: row qi is feats[qi*stride : qi*stride+n]
-// where n is the model's feature length (the dense tail is zeroed). The
-// row values are bit-identical to quantizing Gather's float output.
-func (e *Engine) GatherBatch(queries []embedding.Query, scratch *BatchScratch) (feats []int64, stride int, err error) {
+// scratch's fixed-point feature rows. It returns a view of the quantized
+// feature matrix backed by the scratch (valid until the scratch's next use):
+// feats.At(qi, k) for k below the model's feature length, the dense tail
+// zeroed. The values are bit-identical to quantizing Gather's float output.
+func (e *Engine) GatherBatch(queries []embedding.Query, scratch *BatchScratch) (feats Features, err error) {
 	if len(queries) == 0 {
-		return nil, 0, fmt.Errorf("core: no queries")
+		return Features{}, fmt.Errorf("core: no queries")
 	}
 	if err := e.validateBatch(queries, 0); err != nil {
-		return nil, 0, err
+		return Features{}, err
 	}
 	if scratch == nil {
 		scratch = &BatchScratch{}
 	}
-	scratch.ensure(e, len(queries))
+	e.dp.ensure(scratch, len(queries))
 	e.gatherBatchValidated(queries, scratch)
-	return scratch.x, e.width, nil
+	return e.dp.features(scratch), nil
 }
 
 // gatherBatchValidated is the hot gather path. Queries must already have
@@ -310,7 +305,7 @@ func (e *Engine) gatherBatchValidated(queries []embedding.Query, s *BatchScratch
 	e.ZeroDenseTail(b, s)
 	if b < gatherParallelMinBatch || len(e.gplan.shards) <= 1 {
 		for _, shard := range e.gplan.shards {
-			e.gatherTables(shard, queries, s, e.cache)
+			e.dp.gatherTables(&e.gplan, shard, queries, s, e.cache)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -325,103 +320,7 @@ func (e *Engine) gatherBatchValidated(queries []embedding.Query, s *BatchScratch
 
 func (e *Engine) gatherShard(wg *sync.WaitGroup, tables []int, queries []embedding.Query, s *BatchScratch) {
 	defer wg.Done()
-	e.gatherTables(tables, queries, s, e.cache)
-}
-
-// gatherTables runs the table-major gather for one shard's physical tables:
-// for each table (and lookup round) it walks the whole batch, computes the
-// physical row, optionally records the access against the given live hot-row
-// cache, and quantizes the payload into each query's fixed-point feature row
-// with the batched row-quantize kernel (one precomputed scale per row
-// segment instead of a per-element Quantize call). The walk is
-// prefetch-ahead: while query q's row is being quantized, query q+1's row —
-// already index-resolved one step early — is hinted toward the cache
-// non-temporally, so the random-access row fetch overlaps the copy instead
-// of stalling it (the paper's data-movement thesis applied to a CPU gather).
-// Distinct tables write disjoint feature columns, so shards never overlap.
-// cache is a parameter (not always e.cache) because the cluster tier's
-// partial gathers account against per-shard caches.
-//
-//microrec:noalloc
-func (e *Engine) gatherTables(tables []int, queries []embedding.Query, s *BatchScratch, cache *hotcache.Live) {
-	f := e.cfg.Precision
-	w := e.width
-	// Cold-tier faults accumulate in a local and fold into the scratch once
-	// at the end: shards of one batch share the scratch concurrently, and one
-	// atomic add per shard beats one per row.
-	var cold int64
-	for _, ti := range tables {
-		gt := &e.gplan.tables[ti]
-		if gt.mat != nil {
-			dim := gt.dim
-			for r := 0; r < gt.lookups; r++ {
-				row := gt.matRow(queries[0], r)
-				for qi := range queries {
-					var next int64
-					if qi+1 < len(queries) {
-						next = gt.matRow(queries[qi+1], r)
-						gt.prefetchMatRow(next)
-					}
-					if cache != nil {
-						cache.Lookup(gt.cacheID, row, gt.vecBytes)
-					}
-					var payload []float32
-					if gt.tier != nil {
-						var wasCold bool
-						payload, wasCold = gt.tier.RowTagged(row)
-						if wasCold {
-							cold++
-						}
-					} else {
-						payload = gt.mat[row*dim : row*dim+dim]
-					}
-					out := s.x[qi*w : qi*w+e.featureLen]
-					seg := 0
-					for si := range gt.srcs {
-						src := &gt.srcs[si]
-						off := src.featOff + r*src.dim
-						kernels.QuantizeRow(f, payload[seg:seg+src.dim], out[off:off+src.dim])
-						seg += src.dim
-					}
-					row = next
-				}
-			}
-			continue
-		}
-		for si := range gt.srcs {
-			src := &gt.srcs[si]
-			d := src.dim
-			d64 := int64(d)
-			for r := 0; r < src.lookups; r++ {
-				off := src.featOff + r*d
-				for qi, q := range queries {
-					mrow := q[src.srcID][r] % src.actualRows
-					if qi+1 < len(queries) {
-						next := queries[qi+1][src.srcID][r] % src.actualRows
-						src.prefetchRow(next, d64)
-					}
-					if cache != nil {
-						cache.Lookup(src.cacheID, mrow, src.vecBytes)
-					}
-					var vec []float32
-					if src.tier != nil {
-						var wasCold bool
-						vec, wasCold = src.tier.RowTagged(mrow)
-						if wasCold {
-							cold++
-						}
-					} else {
-						vec = src.data[mrow*d64 : mrow*d64+d64]
-					}
-					out := s.x[qi*w+off : qi*w+off+d]
-					kernels.QuantizeRow(f, vec, out)
-				}
-			}
-		}
-	}
-	if cold != 0 {
-		s.coldFaults.Add(cold)
-	}
+	e.dp.gatherTables(&e.gplan, tables, queries, s, e.cache)
 }
 
 // matRow resolves one query's materialised-product row index for lookup

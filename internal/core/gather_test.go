@@ -42,24 +42,26 @@ func randomSpec(rng *rand.Rand, name string) *model.Spec {
 // TestGatherBatchMatchesGather checks that the batched table-major gather
 // produces, for every query and feature position, exactly the quantized
 // value of the per-query float Gather — the bit-identity contract the whole
-// batched datapath rests on.
+// batched datapath rests on — at both plane widths.
 func TestGatherBatchMatchesGather(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	specs := []*model.Spec{model.SmallProduction(), oddSpec()}
 	for i := 0; i < 4; i++ {
 		specs = append(specs, randomSpec(rng, fmt.Sprintf("rand-%d", i)))
 	}
-	for _, spec := range specs {
+	for si, spec := range specs {
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("%s: invalid spec: %v", spec.Name, err)
 		}
-		cfg := ConfigFor(spec.Name, SmallFP16().Precision)
-		e := buildEngine(t, spec, cfg, true)
-		f := e.cfg.Precision
+		f := SmallFP16().Precision
+		if si%2 == 1 {
+			f = SmallFP32().Precision
+		}
+		e := buildEngine(t, spec, ConfigFor(spec.Name, f), true)
 		var scratch BatchScratch
 		for _, b := range []int{1, 3, 33, 64} {
 			qs := randomQueries(spec, b, int64(100*b))
-			feats, stride, err := e.GatherBatch(qs, &scratch)
+			feats, err := e.GatherBatch(qs, &scratch)
 			if err != nil {
 				t.Fatalf("%s b=%d: %v", spec.Name, b, err)
 			}
@@ -68,11 +70,10 @@ func TestGatherBatchMatchesGather(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				row := feats[qi*stride : qi*stride+e.featureLen]
 				for k, v := range want {
-					if row[k] != f.Quantize(float64(v)) {
-						t.Fatalf("%s b=%d query %d feature %d: batched %d, quantized gather %d",
-							spec.Name, b, qi, k, row[k], f.Quantize(float64(v)))
+					if got := feats.At(qi, k); got != f.Quantize(float64(v)) {
+						t.Fatalf("%s %v b=%d query %d feature %d: batched %d, quantized gather %d",
+							spec.Name, f, b, qi, k, got, f.Quantize(float64(v)))
 					}
 				}
 			}
@@ -140,11 +141,11 @@ func TestGatherBatchSteadyStateAllocs(t *testing.T) {
 	var scratch BatchScratch
 
 	parallel := randomQueries(spec, 64, 4)
-	if _, _, err := e.GatherBatch(parallel, &scratch); err != nil {
+	if _, err := e.GatherBatch(parallel, &scratch); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, _, err := e.GatherBatch(parallel, &scratch); err != nil {
+		if _, err := e.GatherBatch(parallel, &scratch); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -200,7 +201,7 @@ func TestGatherBatchParallelShards(t *testing.T) {
 	b := 2 * gatherParallelMinBatch // well past the inline threshold
 	qs := randomQueries(spec, b, 23)
 	for rep := 0; rep < 3; rep++ {
-		feats, stride, err := e.GatherBatch(qs, &scratch)
+		feats, err := e.GatherBatch(qs, &scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,11 +210,10 @@ func TestGatherBatchParallelShards(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			row := feats[qi*stride : qi*stride+e.featureLen]
 			for k, v := range want {
-				if row[k] != f.Quantize(float64(v)) {
+				if got := feats.At(qi, k); got != f.Quantize(float64(v)) {
 					t.Fatalf("rep %d query %d feature %d: parallel %d, want %d",
-						rep, qi, k, row[k], f.Quantize(float64(v)))
+						rep, qi, k, got, f.Quantize(float64(v)))
 				}
 			}
 		}
@@ -228,12 +228,12 @@ func TestGatherBatchParallelShards(t *testing.T) {
 func TestGatherBatchValidation(t *testing.T) {
 	spec := model.SmallProduction()
 	e := buildEngine(t, spec, SmallFP16(), true)
-	if _, _, err := e.GatherBatch(nil, nil); err == nil {
+	if _, err := e.GatherBatch(nil, nil); err == nil {
 		t.Error("empty batch: want error")
 	}
 	qs := randomQueries(spec, 3, 1)
 	qs[2] = qs[2][:4]
-	_, _, err := e.GatherBatch(qs, nil)
+	_, err := e.GatherBatch(qs, nil)
 	if err == nil {
 		t.Fatal("malformed query: want error")
 	}

@@ -71,7 +71,7 @@ func (e *Engine) PartialSpans(tables []int) ([]ColSpan, error) {
 //microrec:noalloc
 func (e *Engine) GatherPartialIntoPlane(tables []int, queries []embedding.Query, s *BatchScratch, cache *hotcache.Live) {
 	s.coldFaults.Store(0)
-	e.gatherTables(tables, queries, s, cache)
+	e.dp.gatherTables(&e.gplan, tables, queries, s, cache)
 	s.obs = GatherObs{ColdFaults: s.coldFaults.Load()}
 }
 
@@ -81,28 +81,14 @@ func (e *Engine) GatherPartialIntoPlane(tables []int, queries []embedding.Query,
 // merged plane.
 //
 //microrec:noalloc
-func (e *Engine) ZeroDenseTail(b int, s *BatchScratch) {
-	w := e.width
-	for qi := 0; qi < b; qi++ {
-		row := s.x[qi*w+e.gplan.denseOff : qi*w+e.featureLen]
-		for i := range row {
-			row[i] = 0
-		}
-	}
-}
+func (e *Engine) ZeroDenseTail(b int, s *BatchScratch) { e.dp.zeroDenseTail(b, s) }
 
 // MergePartialPlane copies the given feature-column spans of the first b rows
 // from src into dst — the coordinator's fan-in step. Both planes must be
 // sized (EnsurePlane) for at least b. Spans from disjoint table subsets are
 // disjoint, so merges of different shards' partials into one plane commute.
 func (e *Engine) MergePartialPlane(b int, spans []ColSpan, src, dst *BatchScratch) {
-	w := e.width
-	for qi := 0; qi < b; qi++ {
-		base := qi * w
-		for _, sp := range spans {
-			copy(dst.x[base+sp.Off:base+sp.Off+sp.Len], src.x[base+sp.Off:base+sp.Off+sp.Len])
-		}
-	}
+	e.dp.mergePartial(b, spans, src, dst)
 }
 
 // CacheHitScale is the modeled on-chip/DRAM per-access latency ratio of the

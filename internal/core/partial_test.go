@@ -77,7 +77,11 @@ func TestPartialGatherMergeMatchesMonolithic(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 5; trial++ {
 		spec := randomSpec(rng, fmt.Sprintf("pmerge-%d", trial))
-		e := buildEngine(t, spec, ConfigFor(spec.Name, SmallFP16().Precision), true)
+		f := SmallFP16().Precision
+		if trial%2 == 1 {
+			f = SmallFP32().Precision
+		}
+		e := buildEngine(t, spec, ConfigFor(spec.Name, f), true)
 		nt := e.PhysicalTables()
 		for _, b := range []int{1, 5, 33} {
 			qs := randomQueries(spec, b, int64(trial*100+b))
@@ -89,9 +93,13 @@ func TestPartialGatherMergeMatchesMonolithic(t *testing.T) {
 			parts := randomPartition(rng, nt, k)
 			var merged BatchScratch
 			e.EnsurePlane(&merged, b)
-			// Poison the plane so untouched columns are caught.
-			for i := range merged.x {
-				merged.x[i] = -7777
+			// Poison the plane (whichever width it is) so untouched
+			// columns are caught.
+			for i := range merged.x16 {
+				merged.x16[i] = -7777
+			}
+			for i := range merged.x32 {
+				merged.x32[i] = -7777
 			}
 			e.ZeroDenseTail(b, &merged)
 			for _, tables := range parts {
@@ -104,12 +112,12 @@ func TestPartialGatherMergeMatchesMonolithic(t *testing.T) {
 				e.GatherPartialIntoPlane(tables, qs, &partial, nil)
 				e.MergePartialPlane(b, spans, &partial, &merged)
 			}
-			w := e.width
+			got, mono := e.dp.features(&merged), e.dp.features(&want)
 			for qi := 0; qi < b; qi++ {
 				for c := 0; c < e.featureLen; c++ {
-					if merged.x[qi*w+c] != want.x[qi*w+c] {
-						t.Fatalf("%s b=%d k=%d query %d col %d: merged %d, monolithic %d",
-							spec.Name, b, k, qi, c, merged.x[qi*w+c], want.x[qi*w+c])
+					if got.At(qi, c) != mono.At(qi, c) {
+						t.Fatalf("%s %v b=%d k=%d query %d col %d: merged %d, monolithic %d",
+							spec.Name, f, b, k, qi, c, got.At(qi, c), mono.At(qi, c))
 					}
 				}
 			}

@@ -134,6 +134,75 @@ func (f Format) Finish(acc int64) int64 {
 	return f.saturate(roundShift(acc, uint(f.Frac)))
 }
 
+// Raw is the storage type of a raw value at a format's width: int16 for a
+// 16-bit format, int32 for a 32-bit one. The scalar operations above work on
+// int64 so one signature serves both; bulk datapath storage (activation
+// planes, weights) is held at this width.
+type Raw interface{ int16 | int32 }
+
+// Epilogue is a format's accumulator-to-activation step — Finish, Add a
+// bias, optionally ReLU, store at the storage width — with the shift and the
+// saturation bounds derived once, so a row of accumulators is finished by
+// one loop over constants instead of two Format method calls and a second
+// ReLU pass per element.
+type Epilogue struct {
+	shift    uint
+	half     int64
+	max, min int64
+}
+
+// Epilogue hoists f's rescale and saturation constants.
+func (f Format) Epilogue() Epilogue {
+	return Epilogue{
+		shift: uint(f.Frac),
+		half:  int64(1) << uint(f.Frac) >> 1,
+		max:   f.maxRaw(),
+		min:   f.minRaw(),
+	}
+}
+
+// FinishRow finishes one row of wide accumulators into dst:
+//
+//	dst[j] = f.Add(f.Finish(acc[j]), bias[j]), clamped below at 0 when relu
+//
+// bit for bit (each step saturates exactly as the composed calls do). T must
+// be the format's storage width, so the saturated value always fits;
+// len(bias) and len(dst) must be at least len(acc).
+//
+//microrec:noalloc
+func FinishRow[T Raw](e *Epilogue, acc, bias []int64, relu bool, dst []T) {
+	shift, half, hi, lo := e.shift, e.half, e.max, e.min
+	// ReLU after a clamp to [lo, hi] is a clamp to [0, hi].
+	floor := lo
+	if relu {
+		floor = 0
+	}
+	bias = bias[:len(acc)]
+	dst = dst[:len(acc)]
+	for j, a := range acc {
+		// roundShift (round half away from zero) without a branch on the
+		// accumulator's sign, which is a coin flip per element: take |a|,
+		// round, restore the sign. sign is 0 or -1, and (x^sign)-sign
+		// negates x exactly when sign is -1.
+		sign := a >> 63
+		v := ((a^sign)-sign+half)>>shift ^ sign - sign
+		if v > hi {
+			v = hi
+		}
+		if v < lo {
+			v = lo
+		}
+		v += bias[j]
+		if v > hi {
+			v = hi
+		}
+		if v < floor {
+			v = floor
+		}
+		dst[j] = T(v)
+	}
+}
+
 // roundShift shifts v right by s bits rounding half away from zero.
 func roundShift(v int64, s uint) int64 {
 	if s == 0 {

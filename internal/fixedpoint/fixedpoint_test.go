@@ -298,3 +298,80 @@ func BenchmarkDot(b *testing.B) {
 		}
 	}
 }
+
+// finishRowCase checks FinishRow at storage width T against the composed
+// scalar calls it replaces — f.Add(f.Finish(acc), bias), then ReLU — for every
+// accumulator x bias pair, with and without ReLU.
+func finishRowCase[T Raw](t *testing.T, f Format, accs, biases []int64) {
+	t.Helper()
+	ep := f.Epilogue()
+	acc := make([]int64, 0, len(accs)*len(biases))
+	bias := make([]int64, 0, cap(acc))
+	for _, a := range accs {
+		for _, b := range biases {
+			acc = append(acc, a)
+			bias = append(bias, b)
+		}
+	}
+	for _, relu := range []bool{false, true} {
+		dst := make([]T, len(acc)+1)
+		dst[len(acc)] = 99 // one past the row: must not be written
+		FinishRow(&ep, acc, bias, relu, dst)
+		for j := range acc {
+			want := f.Add(f.Finish(acc[j]), bias[j])
+			if relu && want < 0 {
+				want = 0
+			}
+			if int64(dst[j]) != want {
+				t.Fatalf("%v relu=%v: acc %d bias %d -> %d, composed calls give %d",
+					f, relu, acc[j], bias[j], dst[j], want)
+			}
+		}
+		if dst[len(acc)] != 99 {
+			t.Fatalf("%v: FinishRow wrote past len(acc)", f)
+		}
+	}
+}
+
+// TestFinishRowMatchesComposedCalls is the table test of the row epilogue:
+// both saturation edges (of the Finish and of the bias Add, separately),
+// rounding ties half an LSB either side of zero and of each edge, and
+// negative accumulators, for both datapath formats at their storage widths.
+func TestFinishRowMatchesComposedCalls(t *testing.T) {
+	for _, f := range []Format{Fixed16, Fixed32, {Bits: 16, Frac: 1}, {Bits: 32, Frac: 30}} {
+		one := int64(1) << uint(f.Frac) // one raw LSB, in accumulator units
+		half := one / 2
+		hi, lo := f.maxRaw(), f.minRaw()
+		accs := []int64{
+			0, 1, -1,
+			half - 1, half, half + 1, // the tie rounds away from zero
+			-half + 1, -half, -half - 1,
+			one + half, -one - half, 3*one + half - 1, -3*one - half + 1,
+			hi * one, hi*one + half - 1, hi*one + half, (hi + 1) * one, // top edge
+			lo * one, lo*one - half + 1, lo*one - half, (lo - 1) * one, // bottom edge
+			hi * one * 1000, lo * one * 1000, // far past either edge
+			math.MaxInt64 - half, math.MinInt64 + half + 1, // widest accumulators Finish accepts
+		}
+		biases := []int64{0, 1, -1, 37, -37, hi, lo, hi - 1, lo + 1}
+		if f.Bits == 16 {
+			finishRowCase[int16](t, f, accs, biases)
+		} else {
+			finishRowCase[int32](t, f, accs, biases)
+		}
+	}
+	// Random accumulators around the representable range.
+	rng := rand.New(rand.NewSource(11))
+	for _, f := range []Format{Fixed16, Fixed32} {
+		span := int64(1) << uint(f.Bits+f.Frac)
+		accs := make([]int64, 500)
+		for i := range accs {
+			accs[i] = rng.Int63n(2*span) - span
+		}
+		biases := []int64{0, rng.Int63n(f.maxRaw()), -rng.Int63n(f.maxRaw())}
+		if f.Bits == 16 {
+			finishRowCase[int16](t, f, accs, biases)
+		} else {
+			finishRowCase[int32](t, f, accs, biases)
+		}
+	}
+}

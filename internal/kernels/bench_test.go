@@ -8,77 +8,80 @@ import (
 	"microrec/internal/fixedpoint"
 )
 
-// BenchmarkGEMMKernel measures the active GEMM against the reference on the
-// production-small layer shapes, so kernel wins (and regressions) are
-// visible independently of the serving stack. MACs/ns is the figure to
-// watch; the paper's per-core throughput argument lives or dies here.
-func BenchmarkGEMMKernel(b *testing.B) {
-	shapes := []struct{ batch, in, out int }{
-		{64, 352, 1024}, // production-small layer 1
-		{64, 1024, 512}, // layer 2
-		{64, 512, 256},  // layer 3
-		{1, 1024, 512},  // latency-bound single query
-	}
+// benchGemm times the reference and the dispatched GEMM of one element type
+// on the production-small layer shapes at the batch sizes the serving tier
+// really runs: one query, a ragged light-load batch, and a full batch.
+// MACs/ns counts logical multiply-accumulates (padding is overhead, not
+// work), so the two widths and the two paths are directly comparable.
+func benchGemm[T Elem](b *testing.B, k gemmKernel[T]) {
 	impls := []struct {
 		name string
-		fn   GemmFunc
+		fn   func(X []T, Acc []int64, b, stride int, w *Weights[T])
 	}{
-		{"ref", GemmRef},
-		{"active/" + Features(), Gemm},
+		{"ref", GemmRef[T]},
+		{"active/" + Features(), k.gemm},
 	}
-	for _, s := range shapes {
-		stride := s.in
-		if s.out > stride {
-			stride = s.out
-		}
+	for _, s := range []struct{ in, out int }{
+		{352, 1024}, // production-small layer 1
+		{1024, 512}, // layer 2
+		{512, 256},  // layer 3
+	} {
 		rng := rand.New(rand.NewSource(1))
-		X := make([]int64, s.batch*stride)
-		Y := make([]int64, s.batch*stride)
-		WT := make([]int64, s.out*s.in)
-		for i := range X {
-			X[i] = int64(int32(rng.Uint32() >> 16)) // small raws, as calibrated
-		}
-		for i := range WT {
-			WT[i] = int64(int32(rng.Uint32() >> 16))
-		}
-		macs := float64(s.batch) * float64(s.in) * float64(s.out)
-		for _, impl := range impls {
-			b.Run(fmt.Sprintf("%s/b%d_%dx%d", impl.name, s.batch, s.in, s.out), func(b *testing.B) {
-				b.ResetTimer()
-				for n := 0; n < b.N; n++ {
-					impl.fn(X, Y, s.batch, s.in, s.out, stride, WT)
-				}
-				b.ReportMetric(macs*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MACs/ns")
-			})
+		// Small raws, as calibrated: |w| < 64 keeps the 16-bit kernel on
+		// its one-widening cadence, like every layer of the real models.
+		w := Pack(s.in, s.out, func(i, j int) T { return T(rng.Intn(128) - 64) })
+		stride := max(w.InP, w.OutP)
+		for _, batch := range []int{1, 6, 64} {
+			X := make([]T, batch*stride)
+			Acc := make([]int64, batch*stride)
+			for i := range X {
+				X[i] = T(rng.Intn(1<<14) - 1<<13)
+			}
+			macs := float64(batch) * float64(s.in) * float64(s.out)
+			for _, impl := range impls {
+				b.Run(fmt.Sprintf("%s/%s/b%d_%dx%d", k.name, impl.name, batch, s.in, s.out), func(b *testing.B) {
+					for n := 0; n < b.N; n++ {
+						impl.fn(X, Acc, batch, stride, &w)
+					}
+					b.ReportMetric(macs*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MACs/ns")
+				})
+			}
 		}
 	}
 }
 
-// BenchmarkQuantizeRow measures the active row-quantize against the
-// reference at the gather path's working sizes (one embedding vector, one
-// materialised product row).
+// BenchmarkGEMMKernel measures both widths' kernels independently of the
+// serving stack. MACs/ns is the figure to watch; the paper's per-core
+// throughput argument lives or dies here.
+func BenchmarkGEMMKernel(b *testing.B) {
+	benchGemm(b, kernel16)
+	benchGemm(b, kernel32)
+}
+
+// BenchmarkQuantizeRow measures the row-quantize against the reference at
+// the gather path's working sizes (one embedding vector, one materialised
+// product row).
 func BenchmarkQuantizeRow(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{8, 32, 352} {
+	f := fixedpoint.Fixed16
+	q := NewQuantizer(f)
+	for _, n := range []int{4, 8, 32, 352} {
 		src := make([]float32, n)
-		dst := make([]int64, n)
+		dst := make([]int16, n)
 		for i := range src {
 			src[i] = rng.Float32()*16 - 8
 		}
-		impls := []struct {
-			name string
-			fn   QuantizeRowFunc
-		}{
-			{"ref", QuantizeRowRef},
-			{"active/" + Features(), QuantizeRow},
-		}
-		for _, impl := range impls {
-			b.Run(fmt.Sprintf("%s/n%d", impl.name, n), func(b *testing.B) {
-				b.SetBytes(int64(n * 4))
-				for i := 0; i < b.N; i++ {
-					impl.fn(fixedpoint.Fixed16, src, dst)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("ref/n%d", n), func(b *testing.B) {
+			b.SetBytes(int64(n * 4))
+			for i := 0; i < b.N; i++ {
+				QuantizeRowRef(f, src, dst)
+			}
+		})
+		b.Run(fmt.Sprintf("active/%s/n%d", Features(), n), func(b *testing.B) {
+			b.SetBytes(int64(n * 4))
+			for i := 0; i < b.N; i++ {
+				QuantizeRow(&q, src, dst)
+			}
+		})
 	}
 }

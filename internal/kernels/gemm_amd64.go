@@ -4,8 +4,9 @@ package kernels
 
 func init() {
 	if hasAVX2() {
-		Gemm = gemmAVX2
-		featureTags = append(featureTags, "avx2-gemm")
+		Gemm16 = gemm16AVX2
+		Gemm32 = gemm32AVX2
+		featureTags = append(featureTags, "avx2-vpmaddwd16", "avx2-vpmuldq32")
 	}
 	// The prefetch stub is plain SSE (PREFETCHNTA), available on every
 	// amd64; see prefetch_amd64.go.
@@ -42,57 +43,74 @@ func hasAVX2() bool {
 	return ebx7&avx2Bit != 0
 }
 
-// gemmDot4x8 is the AVX2 inner kernel (kernels_amd64.s): four dot products
-// of one activation row x against the four consecutive transposed weight
-// rows starting at w (each stride elements long), over the first n elements
-// (n > 0, n % 8 == 0), written to y[0..3]. Eight ymm accumulators — two per
-// weight row, four int64 lanes each — with VPMULDQ providing the exact
-// signed 32x32->64 products; lane sums are reduced at the end, which is
-// exact reassociation of the reference's ascending-i sum.
+// dot4x16 is the 16-bit inner kernel (kernels_amd64.s): four dot products of
+// the activation row at x against the four consecutive weight rows starting
+// at w (pitch elements apart), over blocks*Lane elements (blocks > 0),
+// written to acc[0..3]. VPMADDWD multiplies sixteen int16 pairs and sums
+// adjacent products into eight int32 lanes; each row keeps one int32
+// accumulator vector, which is sign-extended and added into that row's int64
+// lanes every cadence blocks (1 <= cadence) and once at the end. The caller
+// guarantees an int32 lane cannot overflow within cadence blocks.
 //
 //go:noescape
-func gemmDot4x8(x, w *int64, stride, n int, y *int64)
+func dot4x16(x, w *int16, pitch, blocks, cadence int, acc *int64)
 
-// gemmAVX2 is the optimized batch GEMM: the same column-blocked walk as
-// GemmRef (so weight-block cache residency is preserved), with the inner
-// product handed to the 4-row x 8-wide assembly kernel. Unroll tails — the
-// in%8 element remainder and the out%4 row remainder — run the reference
-// scalar loops; int64 addition commutes exactly, so the split cannot change
-// a single bit of the result.
+// dot4x32 is the 32-bit inner kernel (kernels_amd64.s): the same four dot
+// products over int32 rows. VPMULDQ gives the exact signed 32x32->64 product
+// of the even elements of eight; the odd elements come from a second,
+// odd-to-even-duplicating load (VMOVSHDUP) of the same addresses. Eight
+// int64 accumulator vectors — even and odd per row — are reduced at the end;
+// int64 lane sums commute exactly, so the reduction is bit-identical to the
+// scalar ascending-i sum even under wraparound.
+//
+//go:noescape
+func dot4x32(x, w *int32, pitch, blocks int, acc *int64)
+
+// gemm16AVX2 is the 16-bit batch GEMM: the same column-blocked walk as
+// GemmRef (so a weight block stays cache-resident across the batch), one
+// query row at a time — every row count takes this loop, there is no
+// multi-row fast path for a ragged batch to fall off — with each group of
+// four outputs handed to the VPMADDWD kernel over the whole padded row.
 //
 //microrec:noalloc
-func gemmAVX2(X, Y []int64, b, in, out, stride int, WT []int64) {
-	n8 := in &^ 7
-	for j0 := 0; j0 < out; j0 += gemmColBlock {
-		j1 := j0 + gemmColBlock
-		if j1 > out {
-			j1 = out
-		}
+func gemm16AVX2(X []int16, Acc []int64, b, stride int, w *Weights[int16]) {
+	if w.madd == 0 {
+		GemmRef(X, Acc, b, stride, w)
+		return
+	}
+	if b == 0 {
+		return
+	}
+	// The assembly is unchecked: prove the last row it touches is in range.
+	_, _ = X[(b-1)*stride+w.InP-1], Acc[(b-1)*stride+w.OutP-1]
+	blocks := w.InP / Lane
+	for j0 := 0; j0 < w.OutP; j0 += gemmColBlock {
+		j1 := min(j0+gemmColBlock, w.OutP)
 		for qi := 0; qi < b; qi++ {
-			x := X[qi*stride : qi*stride+in]
-			y := Y[qi*stride : qi*stride+out]
-			j := j0
-			for ; j+4 <= j1; j += 4 {
-				if n8 > 0 {
-					gemmDot4x8(&x[0], &WT[j*in], in, n8, &y[j])
-				} else {
-					y[j], y[j+1], y[j+2], y[j+3] = 0, 0, 0, 0
-				}
-				for i := n8; i < in; i++ {
-					v := x[i]
-					y[j+0] += v * WT[(j+0)*in+i]
-					y[j+1] += v * WT[(j+1)*in+i]
-					y[j+2] += v * WT[(j+2)*in+i]
-					y[j+3] += v * WT[(j+3)*in+i]
-				}
+			x := &X[qi*stride]
+			for j := j0; j < j1; j += outGroup {
+				dot4x16(x, &w.WT[j*w.InP], w.InP, blocks, w.madd, &Acc[qi*stride+j])
 			}
-			for ; j < j1; j++ {
-				var acc int64
-				w := WT[j*in : j*in+in]
-				for i := 0; i < in; i++ {
-					acc += x[i] * w[i]
-				}
-				y[j] = acc
+		}
+	}
+}
+
+// gemm32AVX2 is the 32-bit batch GEMM: gemm16AVX2's walk over the VPMULDQ
+// kernel. int64 accumulation needs no cadence.
+//
+//microrec:noalloc
+func gemm32AVX2(X []int32, Acc []int64, b, stride int, w *Weights[int32]) {
+	if b == 0 {
+		return
+	}
+	_, _ = X[(b-1)*stride+w.InP-1], Acc[(b-1)*stride+w.OutP-1]
+	blocks := w.InP / 8
+	for j0 := 0; j0 < w.OutP; j0 += gemmColBlock {
+		j1 := min(j0+gemmColBlock, w.OutP)
+		for qi := 0; qi < b; qi++ {
+			x := &X[qi*stride]
+			for j := j0; j < j1; j += outGroup {
+				dot4x32(x, &w.WT[j*w.InP], w.InP, blocks, &Acc[qi*stride+j])
 			}
 		}
 	}

@@ -1,96 +1,145 @@
 // Package kernels holds the innermost loops of the serving datapath — the
 // fixed-point batch GEMM, the embedding row-quantize, and software prefetch —
-// in two implementations selected once at init: a portable pure-Go reference
-// (the loops the engine has always run, kept verbatim) and a build-tagged
+// in two implementations: a portable pure-Go reference and a build-tagged
 // optimized path (AVX2 assembly on amd64, plus a batched pure-Go quantize).
+//
+// The datapath is width-native: activation planes and FC weights are stored
+// at the fixed-point format's width — int16 for a 16-bit format, int32 for a
+// 32-bit one — and everything here is generic over that element type. The
+// paper evaluates its 16- and 32-bit datapaths as different hardware; so does
+// this package: the 16-bit GEMM multiplies int16 pairs into int32 partial
+// sums (VPMADDWD, 16 MACs per instruction), the 32-bit GEMM multiplies int32
+// lanes into int64 (VPMULDQ, 4 per instruction), and a 16-bit model streams a
+// quarter of the bytes a one-size-fits-all int64 layout would.
 //
 // The paper's thesis is that recommendation inference is bounded by data
 // movement, not FLOPs, so the inner loops must be shaped for the hardware:
-// wide lanes for the GEMM inner product, one precomputed scale per embedding
-// row instead of a per-element quantize call, and prefetch of the next row
-// while the current one is being copied. Everything above this package — the
-// scalar engine, the staged pipeline, the cluster shards, the tiered store —
-// calls through the dispatch variables below and inherits whichever path the
-// host supports, with zero API change.
+// wide lanes for the GEMM inner product, one precomputed scale per engine
+// instead of a per-element quantize call, and prefetch of the next row while
+// the current one is being copied.
 //
 // Bit-identity is the contract, not an aspiration: every optimized kernel
-// must produce the exact int64 planes of the portable reference (property
-// tests run both side by side). For the GEMM this holds because int64
-// addition is associative and commutative even under wraparound, so lane
-// reassociation cannot change the sum, and because datapath operands are
-// format-saturated raws (|v| <= 2^31, Format.Bits <= 32) whose products are
-// exact in 64 bits. For the quantize it holds because scaling by a power of
-// two is exact in float64 and the bias trick below reproduces
-// round-half-to-even exactly inside the format's representable range.
+// must produce the exact int64 accumulators of the portable reference
+// (property tests run both side by side). For the 32-bit GEMM this holds
+// because int64 addition is associative and commutative even under
+// wraparound, so lane reassociation cannot change the sum. For the 16-bit
+// GEMM it holds because the int32 partial sums are widened into int64 lanes
+// before they can overflow — the cadence is derived from the layer's largest
+// weight when the layer is packed (Weights.madd) — so every partial sum is
+// exact and the same associativity argument applies. For the quantize it
+// holds because scaling by a power of two is exact in float64 and the bias
+// trick reproduces round-half-to-even exactly inside the format's range.
 //
 // Building with the `noasm` tag forces the reference path everywhere (a CI
 // leg keeps that fallback working); Features reports which path is live so
-// recorded baselines are attributable to the ISA that produced them.
+// recorded numbers are attributable to the ISA that produced them.
 package kernels
 
 import (
+	"math"
 	"strings"
 
 	"microrec/internal/fixedpoint"
 )
 
-// GemmFunc computes Y = X * W for a batch of b activation rows. X and Y are
-// flat with a fixed row stride (so the same buffers serve every layer); WT is
-// the transposed weight matrix, out x in row-major, so output j's weights are
-// the contiguous row WT[j*in : (j+1)*in]. Accumulation is exact wide int64.
-//
-// Contract: X and WT hold format-saturated raws of a validated
-// fixedpoint.Format (Bits <= 32), so every operand fits in a signed 32-bit
-// lane and every product is exact in int64. The engine guarantees this by
-// construction — activations come out of Quantize/Finish saturation and
-// weights out of calibration-time quantization.
-type GemmFunc func(X, Y []int64, b, in, out, stride int, WT []int64)
+// Elem is the storage type of one activation or weight: the fixed-point
+// format's width.
+type Elem = fixedpoint.Raw
 
-// QuantizeRowFunc converts one contiguous float32 row to fixed-point raws,
-// dst[i] = f.Quantize(float64(src[i])), len(dst) == len(src).
-type QuantizeRowFunc func(f fixedpoint.Format, src []float32, dst []int64)
+// Lane is the element count every stored row is padded to: one 256-bit
+// vector of int16, two of int32. Plane strides and a layer's stored input
+// length are multiples of Lane, so no kernel has an element remainder loop.
+const Lane = 16
 
-// Dispatch variables, assigned once by the build-tagged init functions below
-// (and never after), so the steady-state hot loops pay one indirect call and
-// no branches. Under the noasm tag no init runs and the references stay.
-var (
-	// Gemm is the active batch-GEMM kernel.
-	Gemm GemmFunc = GemmRef
-	// QuantizeRow is the active row-quantize kernel.
-	QuantizeRow QuantizeRowFunc = QuantizeRowRef
-)
+// outGroup is the number of outputs one inner-kernel call produces; a
+// layer's stored output count is padded to it with all-zero weight rows.
+const outGroup = 4
 
-// featureTags collects the optimized paths the init functions enabled, in
-// registration order; empty means the pure reference path.
-var featureTags []string
+// RoundUp rounds n up to a multiple of Lane.
+func RoundUp(n int) int { return (n + Lane - 1) &^ (Lane - 1) }
 
-// Features reports which kernel paths are live, e.g.
-// "avx2-gemm+batched-quantize+prefetch-nt", or "portable" when every
-// dispatch variable still points at the reference (the noasm build, or a
-// host without the required ISA). bench/loadtest record this string in their
-// JSON output so committed baselines name the path that produced them.
-func Features() string {
-	if len(featureTags) == 0 {
-		return "portable"
-	}
-	return strings.Join(featureTags, "+")
+// Weights is one FC layer laid out for the GEMM kernels: transposed (one
+// contiguous row per output, so every weight access is sequential), at the
+// format's width, and zero-padded to InP x OutP. A zero weight annihilates
+// whatever stale value sits in an activation row's padding lanes, so the
+// kernels run whole vectors over the padded shape and the result is the sum
+// over the logical shape.
+type Weights[T Elem] struct {
+	In, Out   int // logical shape
+	InP, OutP int // stored shape: In rounded up to Lane, Out to outGroup
+	WT        []T // OutP x InP row-major
+	// madd is the 16-bit kernel's widening cadence: how many Lane-wide
+	// VPMADDWD pair sums one int32 lane may absorb before it must be
+	// sign-extended into the int64 accumulators (see maddCadence). Zero
+	// sends the layer through the reference kernel.
+	madd int
 }
 
-// gemmColBlock is the number of output columns processed per weight pass; a
-// block of 16 contiguous transposed weight rows stays cache-resident while
-// every query in the batch reuses it. Shared by the reference and the
-// optimized wrapper so both walk memory in the same order.
-const gemmColBlock = 16
+// Pack lays out one layer. at(i, j) is the raw weight from input i to
+// output j.
+func Pack[T Elem](in, out int, at func(i, j int) T) Weights[T] {
+	w := Weights[T]{
+		In: in, Out: out,
+		InP:  RoundUp(in),
+		OutP: (out + outGroup - 1) &^ (outGroup - 1),
+	}
+	w.WT = make([]T, w.OutP*w.InP)
+	var maxAbs int64
+	for j := 0; j < out; j++ {
+		row := w.WT[j*w.InP : j*w.InP+in]
+		for i := range row {
+			v := at(i, j)
+			row[i] = v
+			if a := int64(v); a > maxAbs {
+				maxAbs = a
+			} else if -a > maxAbs {
+				maxAbs = -a
+			}
+		}
+	}
+	w.madd = maddCadence(maxAbs, w.InP/Lane)
+	return w
+}
 
-// GemmRef is the portable reference GEMM: the register-blocked (4 queries x
-// 2 outputs), column-blocked fixed-point loop the engine has always run,
-// moved here verbatim. Accumulation is exact wide int64 in ascending-i
-// order, identical to the per-query GEMV. The loop nest is column-blocked so
-// each cache-resident group of weight rows is reused by all b queries, and
-// register-blocked to amortize weight loads.
+// maddCadence returns how many consecutive VPMADDWD results an int32 lane can
+// accumulate exactly for a layer whose largest weight magnitude is maxAbs,
+// capped at blocks (the Lane-wide steps in one dot product).
+//
+// One VPMADDWD lane is x0*w0 + x1*w1 with |x| <= 2^15 (any int16, including
+// stale padding) and |w| <= maxAbs, so its magnitude is at most 2^16*maxAbs;
+// K of them sum to at most K*2^16*maxAbs, which fits an int32 while
+// K <= (2^31-1) / (2^16*maxAbs). A weight saturated at -32768 gives K = 0:
+// a single VPMADDWD can then wrap (-32768*-32768 twice is 2^31), and the
+// layer takes the reference kernel instead.
+func maddCadence(maxAbs int64, blocks int) int {
+	if maxAbs == 0 {
+		return blocks
+	}
+	k := math.MaxInt32 / (maxAbs << 16)
+	if k > int64(blocks) {
+		return blocks
+	}
+	return int(k)
+}
+
+// GemmRef is the portable reference GEMM and the semantic definition of the
+// operation: for every query row q < b and output j < w.Out,
+//
+//	Acc[q*stride+j] = sum over i < w.In of X[q*stride+i] * w.WT[j*w.InP+i]
+//
+// accumulated exactly in int64 (wrapping addition, which stays associative).
+// X and Acc are flat with a shared row stride >= max(w.InP, w.OutP), so the
+// same buffers serve every layer. It reads only the logical shape; the
+// optimized kernels read the padded one and must agree because the padding
+// weights are zero. Columns w.Out..w.OutP of Acc are unspecified.
+//
+// The loop nest is column-blocked so each cache-resident group of weight
+// rows is reused by all b queries, and register-blocked (4 queries x 2
+// outputs) to amortize weight loads.
 //
 //microrec:noalloc
-func GemmRef(X, Y []int64, b, in, out, stride int, WT []int64) {
+func GemmRef[T Elem](X []T, Acc []int64, b, stride int, w *Weights[T]) {
+	in, out, pitch, WT := w.In, w.Out, w.InP, w.WT
 	for j0 := 0; j0 < out; j0 += gemmColBlock {
 		j1 := j0 + gemmColBlock
 		if j1 > out {
@@ -102,19 +151,19 @@ func GemmRef(X, Y []int64, b, in, out, stride int, WT []int64) {
 			x1 := X[(qi+1)*stride : (qi+1)*stride+in]
 			x2 := X[(qi+2)*stride : (qi+2)*stride+in]
 			x3 := X[(qi+3)*stride : (qi+3)*stride+in]
-			y0 := Y[(qi+0)*stride : (qi+0)*stride+out]
-			y1 := Y[(qi+1)*stride : (qi+1)*stride+out]
-			y2 := Y[(qi+2)*stride : (qi+2)*stride+out]
-			y3 := Y[(qi+3)*stride : (qi+3)*stride+out]
+			y0 := Acc[(qi+0)*stride : (qi+0)*stride+out]
+			y1 := Acc[(qi+1)*stride : (qi+1)*stride+out]
+			y2 := Acc[(qi+2)*stride : (qi+2)*stride+out]
+			y3 := Acc[(qi+3)*stride : (qi+3)*stride+out]
 			j := j0
 			for ; j+2 <= j1; j += 2 {
 				var a00, a01, a10, a11, a20, a21, a30, a31 int64
-				w0 := WT[j*in : j*in+in]
-				w1 := WT[(j+1)*in : (j+1)*in+in]
+				w0 := WT[j*pitch : j*pitch+in]
+				w1 := WT[(j+1)*pitch : (j+1)*pitch+in]
 				for i := 0; i < in; i++ {
-					wa := w0[i]
-					wb := w1[i]
-					v0, v1, v2, v3 := x0[i], x1[i], x2[i], x3[i]
+					wa := int64(w0[i])
+					wb := int64(w1[i])
+					v0, v1, v2, v3 := int64(x0[i]), int64(x1[i]), int64(x2[i]), int64(x3[i])
 					a00 += v0 * wa
 					a01 += v0 * wb
 					a10 += v1 * wa
@@ -131,25 +180,25 @@ func GemmRef(X, Y []int64, b, in, out, stride int, WT []int64) {
 			}
 			for ; j < j1; j++ {
 				var a0, a1, a2, a3 int64
-				w0 := WT[j*in : j*in+in]
+				w0 := WT[j*pitch : j*pitch+in]
 				for i := 0; i < in; i++ {
-					wa := w0[i]
-					a0 += x0[i] * wa
-					a1 += x1[i] * wa
-					a2 += x2[i] * wa
-					a3 += x3[i] * wa
+					wa := int64(w0[i])
+					a0 += int64(x0[i]) * wa
+					a1 += int64(x1[i]) * wa
+					a2 += int64(x2[i]) * wa
+					a3 += int64(x3[i]) * wa
 				}
 				y0[j], y1[j], y2[j], y3[j] = a0, a1, a2, a3
 			}
 		}
 		for ; qi < b; qi++ {
 			xr := X[qi*stride : qi*stride+in]
-			yr := Y[qi*stride : qi*stride+out]
+			yr := Acc[qi*stride : qi*stride+out]
 			for j := j0; j < j1; j++ {
 				var acc int64
-				w0 := WT[j*in : j*in+in]
+				w0 := WT[j*pitch : j*pitch+in]
 				for i := 0; i < in; i++ {
-					acc += xr[i] * w0[i]
+					acc += int64(xr[i]) * int64(w0[i])
 				}
 				yr[j] = acc
 			}
@@ -157,12 +206,35 @@ func GemmRef(X, Y []int64, b, in, out, stride int, WT []int64) {
 	}
 }
 
-// QuantizeRowRef is the portable reference row-quantize: one Format.Quantize
-// call per element, exactly the loop the gather path has always run.
-//
-//microrec:noalloc
-func QuantizeRowRef(f fixedpoint.Format, src []float32, dst []int64) {
-	for i, x := range src {
-		dst[i] = f.Quantize(float64(x))
+// gemmColBlock is the number of output columns processed per weight pass; a
+// block of 16 contiguous transposed weight rows stays cache-resident while
+// every query in the batch reuses it. Shared by the reference and the
+// optimized wrappers so both walk memory in the same order.
+const gemmColBlock = 16
+
+// Dispatch variables, one per element width, assigned once by the
+// build-tagged init functions (and never after). An engine picks the one
+// matching its format's Bits at Build and calls it directly from then on.
+// Under the noasm tag no init runs and the references stay.
+var (
+	// Gemm16 is the active batch GEMM over int16 planes and weights.
+	Gemm16 = GemmRef[int16]
+	// Gemm32 is the active batch GEMM over int32 planes and weights.
+	Gemm32 = GemmRef[int32]
+)
+
+// featureTags collects the optimized paths the init functions enabled, in
+// registration order; empty means the pure reference path.
+var featureTags []string
+
+// Features reports which kernel paths are live, e.g.
+// "avx2-vpmaddwd16+avx2-vpmuldq32+prefetch-nt+batched-quantize",
+// or "portable" when every kernel is the reference (the noasm build, or a
+// host without the required ISA). Every recorded measurement carries this
+// string, so numbers name the path that produced them.
+func Features() string {
+	if len(featureTags) == 0 {
+		return "portable"
 	}
+	return strings.Join(featureTags, "+")
 }

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,114 +14,233 @@ import (
 // noasm CI leg proves the portable path itself keeps passing, while the
 // default leg proves the optimized path matches it bit for bit.
 
-// randRaw returns a random format-saturated raw value: the full signed
-// 32-bit domain the GEMM contract admits, not just the values a calibrated
-// model would produce, so lane-width mistakes in the optimized kernel
-// (e.g. a 32x32 multiply that loses sign or high bits) cannot hide.
-func randRaw(rng *rand.Rand) int64 {
-	return int64(int32(rng.Uint32()))
+// gemmKernel pairs an element type's dispatched GEMM with a generator of
+// random raws over that type's whole domain — not just the values a
+// calibrated model would produce — so lane-width mistakes in an optimized
+// kernel (a multiply that loses sign or high bits) cannot hide.
+type gemmKernel[T Elem] struct {
+	name string
+	gemm func(X []T, Acc []int64, b, stride int, w *Weights[T])
+	rnd  func(*rand.Rand) T
 }
 
-// gemmCase runs one shape through GemmRef and the dispatched Gemm and
-// demands identical Y planes.
-func gemmCase(t *testing.T, rng *rand.Rand, b, in, out, stride int) {
+// The gemm fields read the dispatch variables at call time, not here: package
+// variables are initialized before the init functions that install the
+// optimized kernels.
+var (
+	kernel16 = gemmKernel[int16]{"int16", func(X []int16, Acc []int64, b, stride int, w *Weights[int16]) {
+		Gemm16(X, Acc, b, stride, w)
+	}, func(r *rand.Rand) int16 { return int16(r.Uint32()) }}
+	kernel32 = gemmKernel[int32]{"int32", func(X []int32, Acc []int64, b, stride int, w *Weights[int32]) {
+		Gemm32(X, Acc, b, stride, w)
+	}, func(r *rand.Rand) int32 { return int32(r.Uint32()) }}
+)
+
+// compare runs one packed layer through GemmRef and the dispatched GEMM on
+// the same plane and demands identical accumulators over the logical shape.
+// X is b full rows of stride elements: the caller fills the padding lanes
+// past w.In with garbage, which the zero-padded weights must annihilate.
+func (k gemmKernel[T]) compare(t *testing.T, X []T, b, stride int, w *Weights[T]) {
 	t.Helper()
-	X := make([]int64, b*stride)
-	for i := range X {
-		X[i] = randRaw(rng)
+	// Poison both accumulator planes differently so stale values cannot
+	// fake a match.
+	ref := make([]int64, b*stride)
+	opt := make([]int64, b*stride)
+	for i := range ref {
+		ref[i] = 1<<62 + int64(i)
+		opt[i] = -(1<<61 + int64(i))
 	}
-	WT := make([]int64, out*in)
-	for i := range WT {
-		WT[i] = randRaw(rng)
-	}
-	// Poison both Y planes differently so stale values cannot fake a match.
-	Yref := make([]int64, b*stride)
-	Yopt := make([]int64, b*stride)
-	for i := range Yref {
-		Yref[i] = 1<<62 + int64(i)
-		Yopt[i] = -(1<<61 + int64(i))
-	}
-	GemmRef(X, Yref, b, in, out, stride, WT)
-	Gemm(X, Yopt, b, in, out, stride, WT)
+	GemmRef(X, ref, b, stride, w)
+	k.gemm(X, opt, b, stride, w)
 	for qi := 0; qi < b; qi++ {
-		for j := 0; j < out; j++ {
-			if Yref[qi*stride+j] != Yopt[qi*stride+j] {
-				t.Fatalf("b=%d in=%d out=%d stride=%d: Y[%d][%d] = %d (opt) want %d (ref)",
-					b, in, out, stride, qi, j, Yopt[qi*stride+j], Yref[qi*stride+j])
+		for j := 0; j < w.Out; j++ {
+			if ref[qi*stride+j] != opt[qi*stride+j] {
+				t.Fatalf("%s b=%d in=%d out=%d stride=%d madd=%d: Acc[%d][%d] = %d (opt) want %d (ref)",
+					k.name, b, w.In, w.Out, stride, w.madd, qi, j, opt[qi*stride+j], ref[qi*stride+j])
 			}
 		}
 	}
 }
 
-// TestGemmBitIdentityRandomShapes sweeps random shapes whose b, in and out
-// remainders exercise every unroll tail: the 8-wide element tail (in % 8),
-// the 4-row tail (out % 4 and out % gemmColBlock), and the 4-query tail of
-// the reference blocking (b % 4).
-func TestGemmBitIdentityRandomShapes(t *testing.T) {
+// randomCase packs a random in x out layer and compares on a random plane
+// whose row stride is the smallest legal one plus slack Lane-multiples.
+func (k gemmKernel[T]) randomCase(t *testing.T, rng *rand.Rand, b, in, out, slack int) {
+	t.Helper()
+	w := Pack(in, out, func(i, j int) T { return k.rnd(rng) })
+	stride := max(w.InP, w.OutP) + slack*Lane
+	X := make([]T, b*stride)
+	for i := range X {
+		X[i] = k.rnd(rng)
+	}
+	k.compare(t, X, b, stride, &w)
+}
+
+// TestPackLayout pins the stored layout: transposed, padded to Lane x
+// outGroup, padding all zero, logical values in place.
+func TestPackLayout(t *testing.T) {
+	const in, out = 19, 6
+	w := Pack(in, out, func(i, j int) int16 { return int16(100*i + j + 1) })
+	if w.In != in || w.Out != out || w.InP != 32 || w.OutP != 8 || len(w.WT) != 8*32 {
+		t.Fatalf("shape: %+v (len %d)", w, len(w.WT))
+	}
+	for j := 0; j < w.OutP; j++ {
+		for i := 0; i < w.InP; i++ {
+			want := int16(0)
+			if i < in && j < out {
+				want = int16(100*i + j + 1)
+			}
+			if got := w.WT[j*w.InP+i]; got != want {
+				t.Fatalf("WT[%d][%d] = %d, want %d", j, i, got, want)
+			}
+		}
+	}
+}
+
+// gemmShapes runs f over the random sweep and the pinned boundary shapes:
+// every ragged row count, input lengths on both sides of a Lane multiple,
+// output counts on both sides of the 4-output group and the 16-column block.
+func gemmShapes(f func(rng *rand.Rand, b, in, out, slack int)) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
-		b := 1 + rng.Intn(9)
-		in := 1 + rng.Intn(70)
-		out := 1 + rng.Intn(70)
-		stride := in
-		if out > stride {
-			stride = out
-		}
-		stride += rng.Intn(5) // slack between rows, as in real planes
-		gemmCase(t, rng, b, in, out, stride)
+		f(rng, 1+rng.Intn(9), 1+rng.Intn(70), 1+rng.Intn(70), rng.Intn(3))
 	}
-}
-
-// TestGemmBitIdentityEdgeShapes pins the boundary shapes: every unroll
-// boundary on both sides, single rows/columns, and a plane-sized case.
-func TestGemmBitIdentityEdgeShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	shapes := []struct{ b, in, out int }{
+	for _, s := range []struct{ b, in, out int }{
 		{1, 1, 1},
-		{1, 7, 1},   // below one 8-wide step
-		{1, 8, 1},   // exactly one step
-		{1, 9, 1},   // step plus tail
-		{3, 16, 3},  // out below the 4-row unroll
-		{4, 16, 4},  // exact 4-row block
-		{5, 17, 5},  // both tails
+		{1, 15, 1},  // below one vector
+		{1, 16, 1},  // exactly one
+		{1, 17, 1},  // one plus padding
+		{3, 16, 3},  // out below the 4-output group
+		{4, 16, 4},  // exact group
+		{5, 17, 5},  // both padded
 		{2, 8, 16},  // exact column block
-		{2, 8, 17},  // column block plus one row
-		{6, 24, 33}, // multiple column blocks plus tail
+		{2, 8, 17},  // column block plus one output
+		{6, 24, 33}, // ragged batch, several column blocks
+		{7, 100, 9},
 		{8, 352, 31},
-	}
-	for _, s := range shapes {
-		stride := s.in
-		if s.out > stride {
-			stride = s.out
-		}
-		gemmCase(t, rng, s.b, s.in, s.out, stride)
+		{6, 876, 5}, // the large model's feature width
+	} {
+		f(rng, s.b, s.in, s.out, 0)
 	}
 }
 
-// TestGemmWraparoundIdentity drives accumulators into int64 overflow: raws
+// TestGemmBitIdentityShapes is the identity property over shapes, for both
+// element types.
+func TestGemmBitIdentityShapes(t *testing.T) {
+	gemmShapes(func(rng *rand.Rand, b, in, out, slack int) {
+		kernel16.randomCase(t, rng, b, in, out, slack)
+		kernel32.randomCase(t, rng, b, in, out, slack)
+	})
+}
+
+// TestGemm32WraparoundIdentity drives int64 accumulators into overflow: raws
 // at the 32-bit extremes over a long row make partial sums wrap. Wrapping
 // addition still commutes, so the kernels must agree bit for bit even here.
-func TestGemmWraparoundIdentity(t *testing.T) {
+func TestGemm32WraparoundIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const b, in, out = 2, 2048, 4
-	X := make([]int64, b*in)
-	WT := make([]int64, out*in)
-	extremes := []int64{math.MinInt32, math.MaxInt32}
+	extremes := []int32{math.MinInt32, math.MaxInt32}
+	w := Pack(in, out, func(i, j int) int32 { return extremes[rng.Intn(2)] })
+	X := make([]int32, b*in)
 	for i := range X {
 		X[i] = extremes[rng.Intn(2)]
 	}
-	for i := range WT {
-		WT[i] = extremes[rng.Intn(2)]
-	}
-	Yref := make([]int64, b*in)
-	Yopt := make([]int64, b*in)
-	GemmRef(X, Yref, b, in, out, in, WT)
-	Gemm(X, Yopt, b, in, out, in, WT)
-	for i := 0; i < b*in; i++ {
-		if Yref[i] != Yopt[i] {
-			t.Fatalf("wraparound: Y[%d] = %d (opt) want %d (ref)", i, Yopt[i], Yref[i])
+	kernel32.compare(t, X, b, in, &w)
+}
+
+// TestMaddCadenceIsSafeAndTight checks the overflow proof numerically for
+// every weight magnitude: K worst-case pair sums fit an int32, K+1 do not
+// (unless K was capped by the row length), and a saturated negative weight
+// yields no safe cadence at all.
+func TestMaddCadenceIsSafeAndTight(t *testing.T) {
+	const blocks = 1 << 20 // never the binding cap for maxAbs >= 1
+	for maxAbs := int64(1); maxAbs <= 32768; maxAbs++ {
+		k := int64(maddCadence(maxAbs, blocks))
+		worstPair := 2 * 32768 * maxAbs // |x0*w0 + x1*w1| with |x| = 2^15
+		if k*worstPair > math.MaxInt32 {
+			t.Fatalf("maxAbs %d: cadence %d overflows (%d)", maxAbs, k, k*worstPair)
+		}
+		if (k+1)*worstPair <= math.MaxInt32 {
+			t.Fatalf("maxAbs %d: cadence %d is not tight", maxAbs, k)
 		}
 	}
+	if k := maddCadence(32768, blocks); k != 0 {
+		t.Fatalf("saturated weight: cadence %d, want 0 (reference kernel)", k)
+	}
+	if k := maddCadence(0, 22); k != 22 {
+		t.Fatalf("all-zero layer: cadence %d, want the row length 22", k)
+	}
+	if k := maddCadence(55, 22); k != 22 {
+		t.Fatalf("calibrated layer: cadence %d, want one widening per dot product", k)
+	}
+}
+
+// TestGemm16AdversarialSaturation is the overflow property test for the
+// VPMADDWD kernel: activations and weights at the int16 extremes, rows up to
+// 4096 long, and a weight magnitude chosen to land the widening cadence on
+// every interesting value — every block (K = 1), one short of the row
+// (K = blocks-1, so the last block alone forces a second widening), and no
+// safe cadence (K = 0, the reference fallback). Each case runs sign-aligned
+// planes that drive every int32 lane to its bound in both directions, then
+// random draws from the extreme set.
+func TestGemm16AdversarialSaturation(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	acts := []int16{-32768, -32767, 0, 32767}
+	for _, c := range []struct {
+		in       int
+		maxAbs   int16 // largest weight magnitude in the layer
+		wantMadd int
+	}{
+		{4096, 32767, 1},
+		{4096, 16384, 1},
+		{4096, 16383, 2},
+		{4096, 128, 255},  // blocks = 256
+		{4096, 127, 256},  // one widening, lanes within 2^23 of the bound
+		{1008, 521, 62},   // blocks = 63
+		{352, 55, 22},     // production-small layer 1 at its calibrated bound
+		{4096, -32768, 0}, // saturated negative weight: VPMADDWD itself can wrap
+		{48, -32768, 0},
+	} {
+		for _, b := range []int{1, 3, 6} {
+			const out = 7
+			for _, mode := range []string{"aligned+", "aligned-", "random"} {
+				weights := []int16{c.maxAbs, -c.maxAbs, 0}
+				if c.maxAbs == -32768 {
+					weights = []int16{-32768, 32767, 0}
+				}
+				at := func(i, j int) int16 { return weights[rng.Intn(len(weights))] }
+				x := func() int16 { return acts[rng.Intn(len(acts))] }
+				switch mode {
+				case "aligned+": // every product +2^15 * |w|
+					at = func(i, j int) int16 { return -abs16(c.maxAbs) }
+					x = func() int16 { return -32768 }
+				case "aligned-":
+					at = func(i, j int) int16 { return abs16(c.maxAbs) }
+					x = func() int16 { return -32768 }
+				}
+				w := Pack(c.in, out, at)
+				if w.madd != c.wantMadd {
+					t.Fatalf("in=%d maxAbs=%d: cadence %d, want %d", c.in, c.maxAbs, w.madd, c.wantMadd)
+				}
+				stride := w.InP
+				X := make([]int16, b*stride)
+				for i := range X {
+					X[i] = x()
+				}
+				t.Run(fmt.Sprintf("in%d_w%d_b%d_%s", c.in, c.maxAbs, b, mode), func(t *testing.T) {
+					kernel16.compare(t, X, b, stride, &w)
+				})
+			}
+		}
+	}
+}
+
+// abs16 is |v| saturated to int16 (-32768 stays -32768: the one magnitude
+// with no positive twin, which is exactly the K = 0 case).
+func abs16(v int16) int16 {
+	if v < 0 && v != -32768 {
+		return -v
+	}
+	return v
 }
 
 // quantFormats are the formats the identity tests sweep: the two datapath
@@ -134,10 +254,30 @@ var quantFormats = []fixedpoint.Format{
 	{Bits: 32, Frac: 30},
 }
 
-// TestQuantizeRowBitIdentity compares the dispatched QuantizeRow against the
-// reference over adversarial values: exact halves (the round-to-even
-// cases), saturation boundaries, NaN, infinities, subnormals, and random
-// magnitudes across the whole float32 exponent range.
+// quantizeIdentity compares QuantizeRow against the reference at one element
+// type.
+func quantizeIdentity[T Elem](t *testing.T, f fixedpoint.Format, src []float32) {
+	t.Helper()
+	q := NewQuantizer(f)
+	ref := make([]T, len(src))
+	opt := make([]T, len(src))
+	QuantizeRowRef(f, src, ref)
+	QuantizeRow(&q, src, opt)
+	for i := range src {
+		if ref[i] != opt[i] {
+			t.Fatalf("format %v: src[%d]=%v -> %d (opt) want %d (ref)", f, i, src[i], opt[i], ref[i])
+		}
+		if want := f.Quantize(float64(src[i])); int64(ref[i]) != want {
+			t.Fatalf("format %v: src[%d]=%v narrowed to %d, Format.Quantize gives %d", f, i, src[i], ref[i], want)
+		}
+	}
+}
+
+// TestQuantizeRowBitIdentity compares QuantizeRow against the reference over
+// adversarial values: exact halves (the round-to-even cases), saturation
+// boundaries, NaN, infinities, subnormals, and random magnitudes across the
+// whole float32 exponent range — each format at its own storage width, and
+// checks the narrow store loses nothing against the int64 Format.Quantize.
 func TestQuantizeRowBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, f := range quantFormats {
@@ -159,23 +299,19 @@ func TestQuantizeRowBitIdentity(t *testing.T) {
 			mag := math.Ldexp(rng.Float64()*2-1, rng.Intn(80)-40)
 			src = append(src, float32(mag))
 		}
-		ref := make([]int64, len(src))
-		opt := make([]int64, len(src))
-		QuantizeRowRef(f, src, ref)
-		QuantizeRow(f, src, opt)
-		for i := range src {
-			if ref[i] != opt[i] {
-				t.Fatalf("format %v: src[%d]=%v -> %d (opt) want %d (ref)",
-					f, i, src[i], opt[i], ref[i])
-			}
+		if f.Bits == 16 {
+			quantizeIdentity[int16](t, f, src)
+		} else {
+			quantizeIdentity[int32](t, f, src)
 		}
 	}
 }
 
 // TestQuantizeRowEmpty ensures the kernels accept zero-length rows.
 func TestQuantizeRowEmpty(t *testing.T) {
-	QuantizeRow(fixedpoint.Fixed16, nil, nil)
-	QuantizeRowRef(fixedpoint.Fixed16, nil, nil)
+	q := NewQuantizer(fixedpoint.Fixed16)
+	QuantizeRow[int16](&q, nil, nil)
+	QuantizeRowRef[int16](fixedpoint.Fixed16, nil, nil)
 }
 
 // TestPrefetchNT exercises the hint path (crash-freedom is the contract:

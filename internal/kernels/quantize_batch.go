@@ -2,10 +2,7 @@
 
 package kernels
 
-import "microrec/internal/fixedpoint"
-
 func init() {
-	QuantizeRow = quantizeRowBatch
 	featureTags = append(featureTags, "batched-quantize")
 }
 
@@ -17,9 +14,11 @@ func init() {
 // only work for non-negative v: sums just below 2^52 have a 0.5 ULP.)
 const rtBias = 1<<52 + 1<<51
 
-// quantizeRowBatch converts a whole row with one precomputed scale and clamp
-// pair, replacing the per-element Format.Quantize call (which re-derives the
-// scale, runs a NaN test through math, and rounds by exponent surgery).
+// QuantizeRow converts one contiguous float32 row straight into a plane row
+// at the format's width, len(dst) >= len(src). It is a direct call into a
+// loop over hoisted constants, replacing the per-element Format.Quantize
+// (which re-derives the scale, runs a NaN test through math, and rounds by
+// exponent surgery).
 //
 // Bit-identity with QuantizeRowRef:
 //   - float32→float64 conversion and scaling by 2^Frac are both exact, so v
@@ -30,16 +29,9 @@ const rtBias = 1<<52 + 1<<51
 //     validated format), so both paths saturate to the same raw;
 //   - NaN and ±Inf are handled before/by the clamps exactly as in Quantize.
 //
-// The loop is branch-light and inlines the whole format state into
-// registers; on amd64 it compiles to a multiply, two adds and two compares
-// per element.
-//
 //microrec:noalloc
-func quantizeRowBatch(f fixedpoint.Format, src []float32, dst []int64) {
-	scale := f.Scale()
-	maxRaw := int64(1)<<uint(f.Bits-1) - 1
-	minRaw := -(int64(1) << uint(f.Bits-1))
-	maxF, minF := float64(maxRaw), float64(minRaw)
+func QuantizeRow[T Elem](q *Quantizer, src []float32, dst []T) {
+	scale, maxF, minF := q.scale, q.maxF, q.minF
 	dst = dst[:len(src)]
 	for i, x := range src {
 		v := float64(x) * scale
@@ -49,13 +41,13 @@ func quantizeRowBatch(f fixedpoint.Format, src []float32, dst []int64) {
 		}
 		t := (v + rtBias) - rtBias
 		if t > maxF {
-			dst[i] = maxRaw
+			dst[i] = T(q.maxRaw)
 			continue
 		}
 		if t < minF {
-			dst[i] = minRaw
+			dst[i] = T(q.minRaw)
 			continue
 		}
-		dst[i] = int64(t)
+		dst[i] = T(t)
 	}
 }

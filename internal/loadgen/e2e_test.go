@@ -15,7 +15,7 @@ import (
 
 // TestLoadtestSmokeEndToEnd drives a real shedding server open-loop past
 // saturation: it calibrates the achievable rate with a deliberately
-// overloaded burst, sweeps a ladder through 2x that rate, and asserts the
+// overloaded burst, sweeps a ladder through 8x that rate, and asserts the
 // measured knee stays at or below the pipesim-predicted capacity while the
 // admitted tail holds through overload — the acceptance shape of the
 // `microrec loadtest` subcommand, in miniature.
@@ -74,8 +74,13 @@ func TestLoadtestSmokeEndToEnd(t *testing.T) {
 	}
 	capacity := calib.AdmittedQPS
 
+	// The burst is an estimate from below: it is over in 2-9 ms on the
+	// width-native datapath, a third of that is the pipeline filling and
+	// emptying, and single bursts read 11k-21k qps on a server that sustains
+	// 28k. Twice such a reading can sit under the real capacity, where
+	// nothing is shed, so the ladder ends on a rung no reading can put there.
 	sweep, err := Sweep(srv, qs, SweepOptions{
-		Loads:     []float64{0.25 * capacity, 0.6 * capacity, 2 * capacity},
+		Loads:     []float64{0.25 * capacity, 0.6 * capacity, 2 * capacity, 8 * capacity},
 		Requests:  300,
 		SLA:       sla,
 		Seed:      9,
@@ -99,17 +104,17 @@ func TestLoadtestSmokeEndToEnd(t *testing.T) {
 		t.Errorf("knee %v qps exceeds pipesim-predicted capacity %v qps", sweep.KneeQPS, predicted)
 	}
 
-	// Past-saturation behaviour: the 2x point must shed rather than let the
+	// Past-saturation behaviour: the top rung must shed rather than let the
 	// admitted tail collapse (the bounded queue caps queueing delay).
 	over := sweep.Points[len(sweep.Points)-1]
 	if over.Shed == 0 {
-		t.Errorf("2x-capacity point shed nothing: %+v", over.Result)
+		t.Errorf("8x-capacity point shed nothing: %+v", over.Result)
 	}
 	// Late completions resolve as expired, so every admitted latency is
 	// client-visibly within the deadline; 2% slack covers the histogram's
 	// bucket resolution.
 	if p99 := over.AdmittedLatencyUS.P99; p99 > 1.02*float64(sla)/float64(time.Microsecond) {
-		t.Errorf("admitted p99 %vµs exceeded the %v SLA under 2x overload", p99, sla)
+		t.Errorf("admitted p99 %vµs exceeded the %v SLA under overload", p99, sla)
 	}
 	// Shed requests never wait on the engine: their tail is scheduler noise,
 	// far below the SLA (the committed BENCH_loadtest.json shows sub-ms on

@@ -31,6 +31,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -353,11 +354,27 @@ func (x *Executor) gatherLoop() {
 
 // denseLoop drives stage 2: the hidden-layer blocked GEMM tower.
 //
+// The stage yields before it parks on an empty queue. A goroutine parked on a
+// channel is woken into the run-next slot of the P that sends to it, which
+// glues a replica's dense stage to the P running its gather stage, batcher
+// and clients; with a replica per core, a core the host slows down (a busy
+// sibling hyperthread, stolen time) then sets the pace of the whole closed
+// loop. Yielding first leaves the stage on the global run queue for whichever
+// P frees up. A stage whose queue is stocked never yields and keeps its core.
+// DESIGN.md, "The dense stage yields before it parks", has the measurements.
+//
 //microrec:noalloc
 func (x *Executor) denseLoop() {
 	defer x.wg.Done()
 	defer close(x.tailQ)
-	for p := range x.denseQ {
+	for {
+		if len(x.denseQ) == 0 {
+			runtime.Gosched()
+		}
+		p, ok := <-x.denseQ
+		if !ok {
+			return
+		}
 		if len(p.queries) == 0 {
 			x.tailQ <- p
 			continue

@@ -15,9 +15,11 @@ package microrec_test
 //   - TestNoallocFunctionsAllocationFree drives every row's runner under
 //     testing.AllocsPerRun and requires exactly zero allocations per run.
 //
-// Rows for build-gated kernels live in sibling files with matching
-// constraints (zeroalloc_asm_test.go, zeroalloc_amd64_test.go), so the table
-// reshapes itself with the build exactly as the source set does.
+// Rows for build-gated kernels live in a sibling file with a matching
+// constraint (zeroalloc_amd64_test.go), so the table reshapes itself with the
+// build exactly as the source set does. kernels.QuantizeRow has a body per
+// build (batched, or the reference under noasm) under one name, so its row
+// is portable.
 
 import (
 	"go/ast"
@@ -152,20 +154,11 @@ func zeroallocCases(t *testing.T) []allocCase {
 	pipeQs := allocQueries(spec, 16, 5)
 	payload := new(int)
 
-	const (
-		kb, kin, kout, kstride = 4, 16, 8, 32
-	)
-	gx := make([]int64, kb*kstride)
-	gy := make([]int64, kb*kstride)
-	wt := make([]int64, kout*kin)
-	for i := range gx {
-		gx[i] = int64(i%7 - 3)
-	}
-	for i := range wt {
-		wt[i] = int64(i%5 - 2)
-	}
+	k16, k32 := newKernelFixture[int16](), newKernelFixture[int32]()
+	quant := kernels.NewQuantizer(fixedpoint.Fixed16)
+	finish := fixedpoint.Fixed16.Epilogue()
 	qsrc := make([]float32, 48)
-	qdst := make([]int64, 48)
+	qdst := make([]int16, 48)
 	for i := range qsrc {
 		qsrc[i] = float32(i)/16 - 1
 	}
@@ -175,7 +168,7 @@ func zeroallocCases(t *testing.T) []allocCase {
 			name: "core/gather-inline",
 			covers: []string{
 				"internal/core.Engine.GatherIntoPlane",
-				"internal/core.Engine.gatherTables",
+				"internal/core.fixedPath.gatherTables",
 				"internal/core.gatherTable.matRow",
 				"internal/core.gatherTable.prefetchMatRow",
 				"internal/core.gatherSource.prefetchRow",
@@ -187,6 +180,9 @@ func zeroallocCases(t *testing.T) []allocCase {
 			covers: []string{
 				"internal/core.Engine.DenseFromPlane",
 				"internal/core.Engine.TailFromPlane",
+				"internal/core.fixedPath.dense",
+				"internal/core.fixedPath.tail",
+				"internal/core.fixedPath.layer",
 			},
 			run: func() {
 				eng.DenseFromPlane(b, &gatherScratch)
@@ -198,6 +194,7 @@ func zeroallocCases(t *testing.T) []allocCase {
 			covers: []string{
 				"internal/core.Engine.GatherPartialIntoPlane",
 				"internal/core.Engine.ZeroDenseTail",
+				"internal/core.fixedPath.zeroDenseTail",
 			},
 			run: func() {
 				eng.GatherPartialIntoPlane(tables, qs, &partialScratch, nil)
@@ -249,15 +246,43 @@ func zeroallocCases(t *testing.T) []allocCase {
 			covers: []string{
 				"internal/kernels.GemmRef",
 				"internal/kernels.QuantizeRowRef",
+				"internal/kernels.QuantizeRow",
 				"internal/kernels.PrefetchNT",
+				"internal/fixedpoint.FinishRow",
 			},
 			run: func() {
-				kernels.GemmRef(gx, gy, kb, kin, kout, kstride, wt)
+				kernels.GemmRef(k16.x, k16.acc, k16.b, k16.stride, &k16.w)
+				kernels.GemmRef(k32.x, k32.acc, k32.b, k32.stride, &k32.w)
 				kernels.QuantizeRowRef(fixedpoint.Fixed16, qsrc, qdst)
+				kernels.QuantizeRow(&quant, qsrc, qdst)
 				kernels.PrefetchNT(qsrc)
+				fixedpoint.FinishRow(&finish, k16.acc[:k16.w.Out], k16.acc[:k16.w.Out], true, k16.x)
 			},
 		},
 	}
+}
+
+// kernelFixture is one small packed layer and plane pair at element type T,
+// shared by the reference row above and the per-width dispatch rows in
+// zeroalloc_amd64_test.go. The shape is ragged on purpose (in past one
+// vector, out past one 4-output group).
+type kernelFixture[T kernels.Elem] struct {
+	b, stride int
+	x         []T
+	acc       []int64
+	w         kernels.Weights[T]
+}
+
+func newKernelFixture[T kernels.Elem]() *kernelFixture[T] {
+	const b, in, out = 5, 19, 6
+	k := &kernelFixture[T]{b: b, w: kernels.Pack(in, out, func(i, j int) T { return T((i+j)%5 - 2) })}
+	k.stride = max(k.w.InP, k.w.OutP)
+	k.x = make([]T, b*k.stride)
+	k.acc = make([]int64, b*k.stride)
+	for i := range k.x {
+		k.x[i] = T(i%7 - 3)
+	}
+	return k
 }
 
 // Sinks keep results live so the runners cannot be dead-code-eliminated.
