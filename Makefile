@@ -3,7 +3,7 @@ GO ?= go
 # the committed BENCH_*.json baselines.
 BENCH_SCRATCH ?= /tmp/microrec-bench
 
-.PHONY: build vet vet-custom fmt-check test test-noasm test-benchmark race bench bench-json loadtest-json bench-smoke benchdiff obs-smoke fuzz-smoke vulncheck ci
+.PHONY: build vet vet-custom fmt-check test test-kernels test-noasm test-benchmark race bench bench-json loadtest-json bench-smoke benchdiff obs-smoke fuzz-smoke vulncheck ci
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,16 @@ fmt-check:
 
 test: build
 	$(GO) test ./...
+
+# test-kernels names the kernel paths this host dispatched and runs the
+# kernel tests verbosely, one subtest per registered implementation: on a
+# host without AVX-512 VNNI (or AVX2) those cases print SKIP with the missing
+# feature instead of passing silently on a fallback.
+test-kernels:
+	$(GO) run ./cmd/microrec kernels
+	mkdir -p $(BENCH_SCRATCH)
+	$(GO) test -v -run 'Gemm|FinishRow|Features' ./internal/kernels > $(BENCH_SCRATCH)/kernel-tests.txt || { cat $(BENCH_SCRATCH)/kernel-tests.txt; exit 1; }
+	grep -E '^ *--- [A-Z]+: Test[^/ ]*(/[^/ ]*){0,2} |kernel features|^ok' $(BENCH_SCRATCH)/kernel-tests.txt
 
 # test-noasm forces the portable kernel path (the noasm build tag disables
 # every optimized kernel, Features() reports "portable") and reruns the whole
@@ -79,7 +89,7 @@ endif
 # ride along so the SIMD paths are exercised under the bench harness too.
 bench-smoke:
 	$(GO) test -run xxx -bench 'Gather|Serve|EngineInferOne|Pipeline' -benchtime 1x -benchmem .
-	$(GO) test -run xxx -bench 'GEMMKernel|QuantizeRow' -benchtime 1x -benchmem ./internal/kernels
+	$(GO) test -run xxx -bench 'GEMMKernel|FinishRow|QuantizeRow' -benchtime 1x -benchmem ./internal/kernels
 
 # benchdiff is the bench-regression gate: regenerate a smoke-scale serve
 # bench into the scratch dir and fail if ns/query regressed >25% against the
@@ -93,8 +103,11 @@ benchdiff:
 
 # fuzz-smoke gives each fuzz target a short budget (exactly the CI step):
 # enough to replay the corpus and catch shallow regressions in the histogram
-# quantile math and the obs trace/metrics writers without stalling the build.
+# quantile math, the obs trace/metrics writers and the 16-bit GEMM kernels
+# (every implementation the host can run against the reference) without
+# stalling the build.
 fuzz-smoke:
+	$(GO) test ./internal/kernels -fuzz FuzzGemm16Identity -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/metrics -fuzz FuzzHistogramQuantile -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/obs -fuzz FuzzSpanTraceEvents -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/obs -fuzz FuzzMetricWriter -fuzztime 10s -run '^$$'
@@ -118,4 +131,4 @@ obs-smoke:
 
 # ci mirrors the CI job sequence locally (lint job + test job, one leg), so a
 # red CI reproduces in one command.
-ci: build vet vet-custom fmt-check test test-noasm test-benchmark race bench-smoke benchdiff obs-smoke fuzz-smoke vulncheck
+ci: build vet vet-custom fmt-check test test-kernels test-noasm test-benchmark race bench-smoke benchdiff obs-smoke fuzz-smoke vulncheck

@@ -11,6 +11,7 @@ package microrec_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -322,7 +323,13 @@ func BenchmarkServePipelined(b *testing.B) {
 	})
 }
 
-// benchServeDrain is the shared harness of the two drain benchmarks.
+// benchServeDrain is the shared harness of the two drain benchmarks. It also
+// pins the serving tier's steady state at 0 allocs/op (what -benchmem
+// prints: fewer than one allocation per request): requests, their reply
+// channels and batches are pooled, and at the benchmark's rates anything
+// allocated per request becomes the garbage that sets the process's peak
+// resident set. Short runs (bench-smoke's 1x) are all warm-up and are not
+// judged; nor is a -race build, where sync.Pool drops items on purpose.
 func benchServeDrain(b *testing.B, opts microrec.ServerOptions) {
 	eng, qs := serveBenchSetup(b)
 	srv, err := microrec.NewServer(eng, opts)
@@ -333,6 +340,8 @@ func benchServeDrain(b *testing.B, opts microrec.ServerOptions) {
 	ctx := context.Background()
 	b.SetParallelism(128) // concurrent submitters feeding the batcher
 	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
@@ -344,6 +353,11 @@ func benchServeDrain(b *testing.B, opts microrec.ServerOptions) {
 			i++
 		}
 	})
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; b.N >= 10000 && !raceEnabled && allocs >= uint64(b.N) {
+		b.Errorf("%d allocations over %d requests: the serving tier allocates per request again", allocs, b.N)
+	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 	st := srv.Stats()
 	b.ReportMetric(st.MeanBatch, "mean-batch")

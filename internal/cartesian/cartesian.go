@@ -14,6 +14,7 @@ import (
 
 	"microrec/internal/embedding"
 	"microrec/internal/model"
+	"microrec/internal/offheap"
 )
 
 // PhysicalTable is a unit of memory allocation: either a single source table
@@ -293,7 +294,7 @@ func MaterializeProduct(pt PhysicalTable, sources []*embedding.Table) (*Material
 		return nil, fmt.Errorf("cartesian: product %q needs %d elements, exceeds materialisation cap %d",
 			pt.Name(), rows*dim, MaxMaterializeElements)
 	}
-	m := &Materialized{Table: pt, Data: make([]float32, rows*dim), srcRows: srcRows}
+	m := &Materialized{Table: pt, Data: offheap.Floats(int(rows * dim)), srcRows: srcRows}
 	idx := make([]int64, len(sources))
 	for r := int64(0); r < rows; r++ {
 		// Decompose r into materialised source indices.
@@ -306,6 +307,7 @@ func MaterializeProduct(pt PhysicalTable, sources []*embedding.Table) (*Material
 		for i, s := range sources {
 			v, err := s.Lookup(idx[i])
 			if err != nil {
+				m.Release()
 				return nil, err
 			}
 			copy(m.Data[off:off+int64(s.Dim)], v)
@@ -313,6 +315,14 @@ func MaterializeProduct(pt PhysicalTable, sources []*embedding.Table) (*Material
 		}
 	}
 	return m, nil
+}
+
+// Release hands the product's memory back: large products live outside the
+// Go heap (see internal/offheap). The owner — the engine that materialised it
+// — calls it once nothing reads the product any more; Data is nil afterwards.
+func (m *Materialized) Release() {
+	offheap.Free(m.Data)
+	m.Data = nil
 }
 
 // Lookup returns the materialised product row for per-source materialised

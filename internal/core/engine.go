@@ -59,6 +59,10 @@ type Engine struct {
 	onePool sync.Pool
 
 	pipelineNS float64 // cached cold-cache lookup latency from the plan
+
+	// ownsParams makes Close release params' embedding tables (see
+	// OwnParameters).
+	ownsParams bool
 }
 
 // oneScratch is the pooled state of one InferOne call.
@@ -70,7 +74,7 @@ type oneScratch struct {
 
 // Build assembles an engine from materialised parameters, a placement plan
 // for the same model, and an accelerator configuration.
-func Build(params *model.Parameters, plan *placement.Result, cfg Config) (*Engine, error) {
+func Build(params *model.Parameters, plan *placement.Result, cfg Config) (_ *Engine, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -117,14 +121,19 @@ func Build(params *model.Parameters, plan *placement.Result, cfg Config) (*Engin
 	// The format's width selects the datapath, once: planes, weights and
 	// kernels are int16 for a 16-bit format and int32 for a 32-bit one.
 	if f := cfg.Precision; f.Bits == 16 {
-		e.dp = newFixedPath(f, spec, params, kernels.Gemm16, func(s *BatchScratch) *[]int16 { return &s.x16 })
+		e.dp = newFixedPath(f, spec, params, kernels.Gemm16, kernels.FinishRow16, func(s *BatchScratch) *[]int16 { return &s.x16 })
 	} else {
-		e.dp = newFixedPath(f, spec, params, kernels.Gemm32, func(s *BatchScratch) *[]int32 { return &s.x32 })
+		e.dp = newFixedPath(f, spec, params, kernels.Gemm32, kernels.FinishRow32, func(s *BatchScratch) *[]int32 { return &s.x32 })
 	}
 	// Physically materialise the (capacity-scaled) Cartesian products, as
 	// the DRAM image on the FPGA would hold them; oversized products keep
 	// the virtual per-source path.
 	e.products = make([]*cartesian.Materialized, len(plan.Layout.Tables))
+	defer func() {
+		if err != nil {
+			e.releaseProducts() // they live outside the heap: nothing else would
+		}
+	}()
 	for pi, pt := range plan.Layout.Tables {
 		if !pt.IsProduct() {
 			continue
@@ -177,15 +186,39 @@ func Build(params *model.Parameters, plan *placement.Result, cfg Config) (*Engin
 	return e, nil
 }
 
-// Close releases the engine's tiered backing store (stopping its placement
-// sweep and removing the cold-tier file). A no-op for all-DRAM engines.
-// Callers must have stopped every in-flight inference first.
+// Close releases what the engine holds outside the Go heap: its tiered
+// backing store (stopping the placement sweep and removing the cold-tier
+// file), its materialised Cartesian products, and — if it was given them
+// with OwnParameters — its model parameters' embedding tables. Large tables
+// are not heap memory (see internal/offheap), so an engine that is never
+// closed keeps them mapped until the process exits. Callers must have
+// stopped every in-flight inference first, and must not use the engine
+// afterwards. Closing twice is harmless.
 func (e *Engine) Close() error {
+	var err error
 	if e.tier != nil {
-		return e.tier.Close()
+		err = e.tier.Close()
 	}
-	return nil
+	e.releaseProducts()
+	if e.ownsParams {
+		e.params.Release()
+	}
+	return err
 }
+
+func (e *Engine) releaseProducts() {
+	for _, m := range e.products {
+		if m != nil {
+			m.Release()
+		}
+	}
+}
+
+// OwnParameters declares that nothing but this engine uses the parameters it
+// was built from, so Close releases them too. The facade's NewEngine, which
+// materialises parameters only to build one engine, calls it; engines that
+// share parameters (NewEngineFromParams) leave them to their caller.
+func (e *Engine) OwnParameters() { e.ownsParams = true }
 
 // MaterializedProducts reports how many Cartesian products are physically
 // materialised (vs. served by the virtual per-source fallback).

@@ -47,17 +47,19 @@ type fixedPath[T kernels.Elem] struct {
 	layers []kernels.Weights[T] // transposed, zero-padded (see kernels.Pack)
 	biases [][]int64            // raw, added to finished accumulators
 
-	// gemm is this width's kernel (kernels.Gemm16 or kernels.Gemm32) and
-	// plane this width's activation buffer inside a scratch; both are bound
-	// at Build, so no hot loop dispatches on the width.
-	gemm  func(X []T, Acc []int64, b, stride int, w *kernels.Weights[T])
-	plane func(*BatchScratch) *[]T
+	// gemm and finishRow are this width's kernels (kernels.Gemm16 and
+	// kernels.FinishRow16, or the 32-bit pair) and plane this width's
+	// activation buffer inside a scratch; all are bound at Build, so no hot
+	// loop dispatches on the width.
+	gemm      kernels.GemmFunc[T]
+	finishRow kernels.FinishFunc[T]
+	plane     func(*BatchScratch) *[]T
 }
 
 // newFixedPath quantizes and packs the FC tower for element type T.
 func newFixedPath[T kernels.Elem](
 	f fixedpoint.Format, spec *model.Spec, params *model.Parameters,
-	gemm func(X []T, Acc []int64, b, stride int, w *kernels.Weights[T]),
+	gemm kernels.GemmFunc[T], finishRow kernels.FinishFunc[T],
 	plane func(*BatchScratch) *[]T,
 ) *fixedPath[T] {
 	d := &fixedPath[T]{
@@ -67,6 +69,7 @@ func newFixedPath[T kernels.Elem](
 		quant:      kernels.NewQuantizer(f),
 		finish:     f.Epilogue(),
 		gemm:       gemm,
+		finishRow:  finishRow,
 		plane:      plane,
 	}
 	width := d.featureLen
@@ -262,7 +265,7 @@ func (d *fixedPath[T]) layer(l, b int, s *BatchScratch, relu bool) {
 	d.gemm(x, s.acc, b, d.stride, w)
 	for qi := 0; qi < b; qi++ {
 		row := qi * d.stride
-		fixedpoint.FinishRow(&d.finish, s.acc[row:row+w.Out], d.biases[l], relu, x[row:row+w.Out])
+		d.finishRow(&d.finish, s.acc[row:row+w.Out], d.biases[l], relu, x[row:row+w.Out])
 	}
 }
 

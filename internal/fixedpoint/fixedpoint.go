@@ -144,21 +144,31 @@ type Raw interface{ int16 | int32 }
 // bias, optionally ReLU, store at the storage width — with the shift and the
 // saturation bounds derived once, so a row of accumulators is finished by
 // one loop over constants instead of two Format method calls and a second
-// ReLU pass per element.
+// ReLU pass per element. The fields are exported for the vector
+// implementations of FinishRow in internal/kernels.
 type Epilogue struct {
-	shift    uint
-	half     int64
-	max, min int64
+	Shift    uint  // Frac: the rescale is a rounding right shift by it
+	Half     int64 // 2^(Shift-1), added to the magnitude before the shift
+	Max, Min int64 // the storage width's saturation bounds
 }
 
 // Epilogue hoists f's rescale and saturation constants.
 func (f Format) Epilogue() Epilogue {
 	return Epilogue{
-		shift: uint(f.Frac),
-		half:  int64(1) << uint(f.Frac) >> 1,
-		max:   f.maxRaw(),
-		min:   f.minRaw(),
+		Shift: uint(f.Frac),
+		Half:  int64(1) << uint(f.Frac) >> 1,
+		Max:   f.maxRaw(),
+		Min:   f.minRaw(),
 	}
+}
+
+// Floor is the lower clamp FinishRow applies after the bias: ReLU after a
+// clamp to [Min, Max] is a clamp to [0, Max].
+func (e *Epilogue) Floor(relu bool) int64 {
+	if relu {
+		return 0
+	}
+	return e.Min
 }
 
 // FinishRow finishes one row of wide accumulators into dst:
@@ -171,12 +181,7 @@ func (f Format) Epilogue() Epilogue {
 //
 //microrec:noalloc
 func FinishRow[T Raw](e *Epilogue, acc, bias []int64, relu bool, dst []T) {
-	shift, half, hi, lo := e.shift, e.half, e.max, e.min
-	// ReLU after a clamp to [lo, hi] is a clamp to [0, hi].
-	floor := lo
-	if relu {
-		floor = 0
-	}
+	shift, half, hi, lo, floor := e.Shift, e.Half, e.Max, e.Min, e.Floor(relu)
 	bias = bias[:len(acc)]
 	dst = dst[:len(acc)]
 	for j, a := range acc {

@@ -1,0 +1,348 @@
+//go:build amd64 && !noasm
+
+#include "textflag.h"
+
+// All 512-bit register use in the package lives in the functions below:
+// assembly functions are never asynchronously preempted, so no zmm state is
+// ever live across a goroutine switch, and each ends in VZEROUPPER so the
+// SSE code after it pays no transition penalty.
+
+// ONES sets every int64 lane of Z31 to 1 (all-ones, then a logical shift
+// leaves the top bit at the bottom).
+#define ONES \
+	VPTERNLOGD $0xFF, Z31, Z31, Z31; \
+	VPSRLQ     $63, Z31, Z31
+
+// WIDEN turns the sixteen int32 lanes of a into eight int64 lanes, each the
+// sum of the two int32 it overlays: the odd element by an arithmetic shift,
+// the even element as VPMULDQ's sign-extended low-dword product with 1
+// (Z31). t is scratch.
+#define WIDEN(a, t) \
+	VPSRAQ  $32, a, t;  \
+	VPMULDQ Z31, a, a;  \
+	VPADDQ  t, a, a
+
+// REDUCE4 sums each of the int32 accumulators a, b, c, d exactly and leaves
+// the four int64 totals in a, split across its 128-bit lanes as
+// [a b | a' b' | c d | c' d'] with total(a) = a + a' and so on. Every add is
+// an int64 lane add, which commutes exactly. Scratch: Z16..Z19.
+#define REDUCE4(a, b, c, d) \
+	WIDEN(a, Z16);               \
+	WIDEN(b, Z17);               \
+	WIDEN(c, Z18);               \
+	WIDEN(d, Z19);               \
+	VPUNPCKLQDQ b, a, Z16;       \
+	VPUNPCKHQDQ b, a, Z17;       \
+	VPADDQ      Z17, Z16, a;     \
+	VPUNPCKLQDQ d, c, Z18;       \
+	VPUNPCKHQDQ d, c, Z19;       \
+	VPADDQ      Z19, Z18, c;     \
+	VSHUFI64X2  $0x44, c, a, Z16; \
+	VSHUFI64X2  $0xEE, c, a, Z17; \
+	VPADDQ      Z17, Z16, a
+
+// FOLD2 finishes two REDUCE4 results: the 128-bit lanes of p and q are
+// regrouped so one add leaves [p: a b c d | q: a b c d], which is added into
+// total. Scratch: Z16, Z17.
+#define FOLD2(p, q, total) \
+	VSHUFI64X2 $0x88, q, p, Z16;  \
+	VSHUFI64X2 $0xDD, q, p, Z17;  \
+	VPADDQ     Z17, Z16, Z16;     \
+	VPADDQ     Z16, total, total
+
+// func tile4x16(x, w *int16, stride, pitch, groups, blocks, cadence int, acc *int64)
+//
+// acc[r*stride + o] = sum_i x[r*stride + i] * w[o*pitch + i]
+// for r in 0..3, o in 0..4*groups, i in 0..32*blocks.
+//
+// Register map, per group of four outputs:
+//   Z(4r+o)   int32 partial sums of (row r, output o)      Z0..Z15
+//   Z16..Z19  the four weight vectors of this step (reduction scratch after)
+//   Z20..Z23  the four activation vectors of this step
+//   Z24, Z25  int64 totals: rows 0,1 and rows 2,3, four outputs each
+//   Z31       int64 ones (WIDEN)
+//   SI DI R14 R15  activation rows 0..3      R9..R12  weight rows 0..3
+//   AX  byte offset into every row           DX  pitch in bytes
+//   CX  blocks still to do                   BX  blocks left in this chunk
+//   R13 cadence                              R8  acc for this group
+// groups counts down in its argument slot.
+TEXT ·tile4x16(SB), NOSPLIT, $0-64
+	MOVQ x+0(FP), SI
+	MOVQ w+8(FP), R9
+	MOVQ stride+16(FP), BX
+	MOVQ pitch+24(FP), DX
+	MOVQ cadence+48(FP), R13
+	MOVQ acc+56(FP), R8
+
+	LEAQ (SI)(BX*2), DI
+	LEAQ (DI)(BX*2), R14
+	LEAQ (R14)(BX*2), R15
+	SHLQ $1, DX
+	LEAQ (R9)(DX*1), R10
+	LEAQ (R10)(DX*1), R11
+	LEAQ (R11)(DX*1), R12
+	ONES
+
+tgroup:
+	MOVQ   blocks+40(FP), CX
+	XORQ   AX, AX
+	VPXORQ Z24, Z24, Z24
+	VPXORQ Z25, Z25, Z25
+
+tchunk:
+	MOVQ    R13, BX          // this chunk: min(cadence, remaining) blocks
+	CMPQ    CX, BX
+	CMOVQLT CX, BX
+	SUBQ    BX, CX
+	VPXOR   X0, X0, X0       // VEX xmm writes zero the whole zmm
+	VPXOR   X1, X1, X1
+	VPXOR   X2, X2, X2
+	VPXOR   X3, X3, X3
+	VPXOR   X4, X4, X4
+	VPXOR   X5, X5, X5
+	VPXOR   X6, X6, X6
+	VPXOR   X7, X7, X7
+	VPXOR   X8, X8, X8
+	VPXOR   X9, X9, X9
+	VPXOR   X10, X10, X10
+	VPXOR   X11, X11, X11
+	VPXOR   X12, X12, X12
+	VPXOR   X13, X13, X13
+	VPXOR   X14, X14, X14
+	VPXOR   X15, X15, X15
+
+tloop:
+	VMOVDQU64 (R9)(AX*1), Z16
+	VMOVDQU64 (R10)(AX*1), Z17
+	VMOVDQU64 (R11)(AX*1), Z18
+	VMOVDQU64 (R12)(AX*1), Z19
+	VMOVDQU64 (SI)(AX*1), Z20
+	VMOVDQU64 (DI)(AX*1), Z21
+	VMOVDQU64 (R14)(AX*1), Z22
+	VMOVDQU64 (R15)(AX*1), Z23
+	VPDPWSSD  Z16, Z20, Z0
+	VPDPWSSD  Z17, Z20, Z1
+	VPDPWSSD  Z18, Z20, Z2
+	VPDPWSSD  Z19, Z20, Z3
+	VPDPWSSD  Z16, Z21, Z4
+	VPDPWSSD  Z17, Z21, Z5
+	VPDPWSSD  Z18, Z21, Z6
+	VPDPWSSD  Z19, Z21, Z7
+	VPDPWSSD  Z16, Z22, Z8
+	VPDPWSSD  Z17, Z22, Z9
+	VPDPWSSD  Z18, Z22, Z10
+	VPDPWSSD  Z19, Z22, Z11
+	VPDPWSSD  Z16, Z23, Z12
+	VPDPWSSD  Z17, Z23, Z13
+	VPDPWSSD  Z18, Z23, Z14
+	VPDPWSSD  Z19, Z23, Z15
+	ADDQ      $64, AX
+	DECQ      BX
+	JNZ       tloop
+
+	REDUCE4(Z0, Z1, Z2, Z3)
+	REDUCE4(Z4, Z5, Z6, Z7)
+	REDUCE4(Z8, Z9, Z10, Z11)
+	REDUCE4(Z12, Z13, Z14, Z15)
+	FOLD2(Z0, Z4, Z24)
+	FOLD2(Z8, Z12, Z25)
+	TESTQ CX, CX
+	JNZ   tchunk
+
+	MOVQ          stride+16(FP), BX
+	SHLQ          $3, BX     // acc row stride in bytes
+	LEAQ          (R8)(BX*2), AX
+	VEXTRACTI64X4 $0, Z24, (R8)
+	VEXTRACTI64X4 $1, Z24, (R8)(BX*1)
+	VEXTRACTI64X4 $0, Z25, (AX)
+	VEXTRACTI64X4 $1, Z25, (AX)(BX*1)
+
+	LEAQ (R9)(DX*4), R9      // next four weight rows
+	LEAQ (R10)(DX*4), R10
+	LEAQ (R11)(DX*4), R11
+	LEAQ (R12)(DX*4), R12
+	ADDQ $32, R8
+	DECQ groups+32(FP)
+	JNZ  tgroup
+
+	VZEROUPPER
+	RET
+
+// func row4x16(x, w *int16, pitch, groups, blocks, cadence int, acc *int64)
+//
+// acc[o] = sum_i x[i] * w[o*pitch + i] for o in 0..4*groups, i in 0..32*blocks.
+//
+// Z0..Z3 take output o's even blocks, Z4..Z7 its odd blocks; Z24's low half
+// holds the group's four int64 totals. Scalar registers as in tile4x16, with
+// groups in R14.
+TEXT ·row4x16(SB), NOSPLIT, $0-56
+	MOVQ x+0(FP), SI
+	MOVQ w+8(FP), R9
+	MOVQ pitch+16(FP), DX
+	MOVQ groups+24(FP), R14
+	MOVQ cadence+40(FP), R13
+	MOVQ acc+48(FP), R8
+
+	SHLQ $1, DX
+	LEAQ (R9)(DX*1), R10
+	LEAQ (R10)(DX*1), R11
+	LEAQ (R11)(DX*1), R12
+	ONES
+
+rgroup:
+	MOVQ   blocks+32(FP), CX
+	XORQ   AX, AX
+	VPXORQ Z24, Z24, Z24
+
+rchunk:
+	MOVQ    R13, BX
+	CMPQ    CX, BX
+	CMOVQLT CX, BX
+	SUBQ    BX, CX
+	VPXOR   X0, X0, X0
+	VPXOR   X1, X1, X1
+	VPXOR   X2, X2, X2
+	VPXOR   X3, X3, X3
+	VPXOR   X4, X4, X4
+	VPXOR   X5, X5, X5
+	VPXOR   X6, X6, X6
+	VPXOR   X7, X7, X7
+	CMPQ    BX, $2
+	JLT     rlast
+
+rpair:
+	VMOVDQU64 (SI)(AX*1), Z16
+	VMOVDQU64 64(SI)(AX*1), Z17
+	VPDPWSSD  (R9)(AX*1), Z16, Z0
+	VPDPWSSD  (R10)(AX*1), Z16, Z1
+	VPDPWSSD  (R11)(AX*1), Z16, Z2
+	VPDPWSSD  (R12)(AX*1), Z16, Z3
+	VPDPWSSD  64(R9)(AX*1), Z17, Z4
+	VPDPWSSD  64(R10)(AX*1), Z17, Z5
+	VPDPWSSD  64(R11)(AX*1), Z17, Z6
+	VPDPWSSD  64(R12)(AX*1), Z17, Z7
+	ADDQ      $128, AX
+	SUBQ      $2, BX
+	CMPQ      BX, $2
+	JGE       rpair
+
+rlast:
+	TESTQ     BX, BX
+	JZ        rwiden
+	VMOVDQU64 (SI)(AX*1), Z16
+	VPDPWSSD  (R9)(AX*1), Z16, Z0
+	VPDPWSSD  (R10)(AX*1), Z16, Z1
+	VPDPWSSD  (R11)(AX*1), Z16, Z2
+	VPDPWSSD  (R12)(AX*1), Z16, Z3
+	ADDQ      $64, AX
+
+rwiden:
+	// An output's two accumulators together hold what one would have after
+	// this chunk's blocks, so their int32 sum is inside the cadence bound.
+	VPADDD Z4, Z0, Z0
+	VPADDD Z5, Z1, Z1
+	VPADDD Z6, Z2, Z2
+	VPADDD Z7, Z3, Z3
+	REDUCE4(Z0, Z1, Z2, Z3)
+	FOLD2(Z0, Z0, Z24)
+	TESTQ CX, CX
+	JNZ   rchunk
+
+	VEXTRACTI64X4 $0, Z24, (R8)
+	LEAQ (R9)(DX*4), R9
+	LEAQ (R10)(DX*4), R10
+	LEAQ (R11)(DX*4), R11
+	LEAQ (R12)(DX*4), R12
+	ADDQ $32, R8
+	DECQ R14
+	JNZ  rgroup
+
+	VZEROUPPER
+	RET
+
+// FINISH8 is fixedpoint.FinishRow's arithmetic, operation for operation, on
+// the eight int64 accumulators in Z6 with their biases in Z8:
+//
+//	sign := a >> 63                                  VPSRAQ $63
+//	v := (a ^ sign) - sign                           VPABSQ (wraps alike at MinInt64)
+//	v = (v + half) >> shift                          VPADDQ, VPSRAQ
+//	v = (v ^ sign) - sign                            VPXORQ, VPSUBQ
+//	if v > hi { v = hi }; if v < lo { v = lo }       VPMINSQ, VPMAXSQ
+//	v += bias                                        VPADDQ
+//	if v > hi { v = hi }; if v < floor { v = floor } VPMINSQ, VPMAXSQ
+//
+// Constants: X1 shift, Z2 half, Z3 hi, Z4 lo, Z5 floor.
+#define FINISH8 \
+	VPSRAQ  $63, Z6, Z7; \
+	VPABSQ  Z6, Z6;      \
+	VPADDQ  Z2, Z6, Z6;  \
+	VPSRAQ  X1, Z6, Z6;  \
+	VPXORQ  Z7, Z6, Z6;  \
+	VPSUBQ  Z7, Z6, Z6;  \
+	VPMINSQ Z3, Z6, Z6;  \
+	VPMAXSQ Z4, Z6, Z6;  \
+	VPADDQ  Z8, Z6, Z6;  \
+	VPMINSQ Z3, Z6, Z6;  \
+	VPMAXSQ Z5, Z6, Z6
+
+// FINISHLOOP is the loop shared by the two storage widths: NARROW is the
+// truncating down-convert (exact: v is already inside the width's bounds),
+// DSTEP the bytes eight stored elements take. A final partial vector is
+// loaded, and stored, under the mask K1 of its n mod 8 low lanes. Expects
+// SI acc, BX bias, DI dst, CX n. (The argument loads are spelled out per
+// function: go vet checks their names against the enclosing TEXT, not
+// through a macro.)
+#define FINISHLOOP(NARROW, DSTEP) \
+	CMPQ        CX, $8;         \
+	JLT         tail;           \
+loop:                           \
+	VMOVDQU64   (SI), Z6;       \
+	VMOVDQU64   (BX), Z8;       \
+	FINISH8;                    \
+	NARROW      Z6, (DI);       \
+	ADDQ        $64, SI;        \
+	ADDQ        $64, BX;        \
+	ADDQ        DSTEP, DI;      \
+	SUBQ        $8, CX;         \
+	CMPQ        CX, $8;         \
+	JGE         loop;           \
+tail:                           \
+	TESTQ       CX, CX;         \
+	JZ          done;           \
+	MOVL        $1, AX;         \
+	SHLL        CX, AX;         \
+	DECL        AX;             \
+	KMOVW       AX, K1;         \
+	VMOVDQU64.Z (SI), K1, Z6;   \
+	VMOVDQU64.Z (BX), K1, Z8;   \
+	FINISH8;                    \
+	NARROW      Z6, K1, (DI);   \
+done:                           \
+	VZEROUPPER;                 \
+	RET
+
+// func finish8x16(acc, bias *int64, dst *int16, n int, shift uint64, half, hi, lo, floor int64)
+TEXT ·finish8x16(SB), NOSPLIT, $0-72
+	MOVQ         acc+0(FP), SI
+	MOVQ         bias+8(FP), BX
+	MOVQ         dst+16(FP), DI
+	MOVQ         n+24(FP), CX
+	MOVQ         shift+32(FP), X1
+	VPBROADCASTQ half+40(FP), Z2
+	VPBROADCASTQ hi+48(FP), Z3
+	VPBROADCASTQ lo+56(FP), Z4
+	VPBROADCASTQ floor+64(FP), Z5
+	FINISHLOOP(VPMOVQW, $16)
+
+// func finish8x32(acc, bias *int64, dst *int32, n int, shift uint64, half, hi, lo, floor int64)
+TEXT ·finish8x32(SB), NOSPLIT, $0-72
+	MOVQ         acc+0(FP), SI
+	MOVQ         bias+8(FP), BX
+	MOVQ         dst+16(FP), DI
+	MOVQ         n+24(FP), CX
+	MOVQ         shift+32(FP), X1
+	VPBROADCASTQ half+40(FP), Z2
+	VPBROADCASTQ hi+48(FP), Z3
+	VPBROADCASTQ lo+56(FP), Z4
+	VPBROADCASTQ floor+64(FP), Z5
+	FINISHLOOP(VPMOVQD, $32)

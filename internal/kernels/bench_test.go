@@ -8,27 +8,22 @@ import (
 	"microrec/internal/fixedpoint"
 )
 
-// benchGemm times the reference and the dispatched GEMM of one element type
-// on the production-small layer shapes at the batch sizes the serving tier
-// really runs: one query, a ragged light-load batch, and a full batch.
-// MACs/ns counts logical multiply-accumulates (padding is overhead, not
-// work), so the two widths and the two paths are directly comparable.
+// benchGemm times every registered GEMM of one element type — each under
+// its own name, so the paths are comparable on one host; the ones it cannot
+// run are skipped — on the production-small layer shapes at the batch sizes
+// the serving tier really runs: one query, a ragged light-load batch, and a
+// full batch. MACs/ns counts logical multiply-accumulates (padding is
+// overhead, not work), so the two widths and all paths are directly
+// comparable.
 func benchGemm[T Elem](b *testing.B, k gemmKernel[T]) {
-	impls := []struct {
-		name string
-		fn   func(X []T, Acc []int64, b, stride int, w *Weights[T])
-	}{
-		{"ref", GemmRef[T]},
-		{"active/" + Features(), k.gemm},
-	}
 	for _, s := range []struct{ in, out int }{
 		{352, 1024}, // production-small layer 1
 		{1024, 512}, // layer 2
 		{512, 256},  // layer 3
 	} {
 		rng := rand.New(rand.NewSource(1))
-		// Small raws, as calibrated: |w| < 64 keeps the 16-bit kernel on
-		// its one-widening cadence, like every layer of the real models.
+		// Small raws, as calibrated: |w| < 64 keeps the 16-bit kernels on
+		// their one-widening cadence, like every layer of the real models.
 		w := Pack(s.in, s.out, func(i, j int) T { return T(rng.Intn(128) - 64) })
 		stride := max(w.InP, w.OutP)
 		for _, batch := range []int{1, 6, 64} {
@@ -38,10 +33,13 @@ func benchGemm[T Elem](b *testing.B, k gemmKernel[T]) {
 				X[i] = T(rng.Intn(1<<14) - 1<<13)
 			}
 			macs := float64(batch) * float64(s.in) * float64(s.out)
-			for _, impl := range impls {
-				b.Run(fmt.Sprintf("%s/%s/b%d_%dx%d", k.name, impl.name, batch, s.in, s.out), func(b *testing.B) {
+			for _, impl := range *k.impls {
+				b.Run(fmt.Sprintf("%s/%s/b%d_%dx%d", k.name, impl.Name, batch, s.in, s.out), func(b *testing.B) {
+					if impl.Missing != "" {
+						b.Skipf("host lacks %s", impl.Missing)
+					}
 					for n := 0; n < b.N; n++ {
-						impl.fn(X, Acc, batch, stride, &w)
+						impl.Fn(X, Acc, batch, stride, &w)
 					}
 					b.ReportMetric(macs*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MACs/ns")
 				})
@@ -56,6 +54,42 @@ func benchGemm[T Elem](b *testing.B, k gemmKernel[T]) {
 func BenchmarkGEMMKernel(b *testing.B) {
 	benchGemm(b, kernel16)
 	benchGemm(b, kernel32)
+}
+
+// benchFinish times every registered row epilogue of one width at the
+// production-small layer widths; ns/elem is the figure to watch (the dense
+// stage finishes 1792 elements per query).
+func benchFinish[T Elem](b *testing.B, name string, f fixedpoint.Format, impls []Impl[FinishFunc[T]]) {
+	rng := rand.New(rand.NewSource(3))
+	e := f.Epilogue()
+	for _, n := range []int{1024, 512, 256} {
+		acc := make([]int64, n)
+		bias := make([]int64, n)
+		dst := make([]T, n)
+		for i := range acc {
+			// Accumulators across the format's whole range: the sign, which
+			// the reference's ReLU clamp branches on, is a coin flip.
+			acc[i] = (rng.Int63n(2*e.Max) - e.Max) << e.Shift
+			bias[i] = rng.Int63n(e.Max>>3) - e.Max>>4
+		}
+		for _, impl := range impls {
+			b.Run(fmt.Sprintf("%s/%s/n%d", name, impl.Name, n), func(b *testing.B) {
+				if impl.Missing != "" {
+					b.Skipf("host lacks %s", impl.Missing)
+				}
+				for i := 0; i < b.N; i++ {
+					impl.Fn(&e, acc, bias, true, dst)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
+			})
+		}
+	}
+}
+
+// BenchmarkFinishRow measures the row epilogue at both storage widths.
+func BenchmarkFinishRow(b *testing.B) {
+	benchFinish(b, "int16", fixedpoint.Fixed16, Finish16Impls)
+	benchFinish(b, "int32", fixedpoint.Fixed32, Finish32Impls)
 }
 
 // BenchmarkQuantizeRow measures the row-quantize against the reference at

@@ -2,12 +2,30 @@
 
 package kernels
 
+import "microrec/internal/fixedpoint"
+
 func init() {
-	if hasAVX2() {
-		Gemm16 = gemm16AVX2
-		Gemm32 = gemm32AVX2
-		featureTags = append(featureTags, "avx2-vpmaddwd16", "avx2-vpmuldq32")
+	cpu := cpuFeatures()
+	var noAVX2, noAVX512 string
+	if !cpu.avx2 {
+		noAVX2 = "AVX2 with OS-enabled ymm state"
 	}
+	if !cpu.avx512vnni {
+		noAVX512 = "AVX512F+BW+VL+VNNI with OS-enabled opmask and zmm state"
+	}
+	Gemm16Impls = append(Gemm16Impls,
+		Impl[GemmFunc[int16]]{"avx2-vpmaddwd16", gemm16AVX2, noAVX2},
+		Impl[GemmFunc[int16]]{"avx512-vnni16", gemm16VNNI, noAVX512})
+	Gemm32Impls = append(Gemm32Impls,
+		Impl[GemmFunc[int32]]{"avx2-vpmuldq32", gemm32AVX2, noAVX2})
+	Finish16Impls = append(Finish16Impls,
+		Impl[FinishFunc[int16]]{"avx512-epilogue", finishRow16AVX512, noAVX512})
+	Finish32Impls = append(Finish32Impls,
+		Impl[FinishFunc[int32]]{"avx512-epilogue", finishRow32AVX512, noAVX512})
+	Gemm16 = dispatch(Gemm16Impls)
+	Gemm32 = dispatch(Gemm32Impls)
+	FinishRow16 = dispatch(Finish16Impls)
+	FinishRow32 = dispatch(Finish32Impls)
 	// The prefetch stub is plain SSE (PREFETCHNTA), available on every
 	// amd64; see prefetch_amd64.go.
 	prefetchLine = prefetchNT
@@ -21,33 +39,51 @@ func cpuid(op, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv reads XCR0 (requires OSXSAVE); implemented in kernels_amd64.s.
 func xgetbv() (eax, edx uint32)
 
-// hasAVX2 reports whether the CPU supports AVX2 and the OS preserves the
-// YMM state across context switches (OSXSAVE set and XCR0 enabling both
-// SSE and AVX state), the standard dance before touching 256-bit registers.
-func hasAVX2() bool {
+// cpuFeatureSet is what the assembly paths need from the host, read once at
+// init.
+type cpuFeatureSet struct {
+	// avx2: the CPU supports AVX2 and the OS preserves the YMM state across
+	// context switches (OSXSAVE set, XCR0 enabling both SSE and AVX state) —
+	// the standard dance before touching 256-bit registers.
+	avx2 bool
+	// avx512vnni: additionally AVX512F, BW, VL and VNNI, with the opmask and
+	// both halves of the ZMM state (ZMM0-15 upper halves, ZMM16-31) enabled
+	// in XCR0 — the same dance for 512-bit registers.
+	avx512vnni bool
+}
+
+func cpuFeatures() (f cpuFeatureSet) {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
-		return false
+		return f
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
 	const osxsaveBit, avxBit = 1 << 27, 1 << 28
 	if ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
-		return false
+		return f
 	}
 	xcr0, _ := xgetbv()
-	if xcr0&6 != 6 { // XMM and YMM state both OS-managed
-		return false
+	if xcr0&0x06 != 0x06 { // XMM and YMM state both OS-managed
+		return f
 	}
-	_, ebx7, _, _ := cpuid(7, 0)
-	const avx2Bit = 1 << 5
-	return ebx7&avx2Bit != 0
+	_, ebx7, ecx7, _ := cpuid(7, 0)
+	const (
+		avx2Bit     = 1 << 5
+		avx512Bits  = 1<<16 | 1<<30 | 1<<31 // F, BW, VL
+		vnniBit     = 1 << 11
+		zmmStateSet = 0xE6 // XMM, YMM, opmask, ZMM_Hi256, Hi16_ZMM
+	)
+	f.avx2 = ebx7&avx2Bit != 0
+	f.avx512vnni = f.avx2 && xcr0&zmmStateSet == zmmStateSet &&
+		ebx7&avx512Bits == avx512Bits && ecx7&vnniBit != 0
+	return f
 }
 
-// dot4x16 is the 16-bit inner kernel (kernels_amd64.s): four dot products of
-// the activation row at x against the four consecutive weight rows starting
-// at w (pitch elements apart), over blocks*Lane elements (blocks > 0),
-// written to acc[0..3]. VPMADDWD multiplies sixteen int16 pairs and sums
-// adjacent products into eight int32 lanes; each row keeps one int32
+// dot4x16 is the AVX2 16-bit inner kernel (kernels_amd64.s): four dot
+// products of the activation row at x against the four consecutive weight
+// rows starting at w (pitch elements apart), over blocks*maddStep elements
+// (blocks > 0), written to acc[0..3]. VPMADDWD multiplies sixteen int16 pairs
+// and sums adjacent products into eight int32 lanes; each row keeps one int32
 // accumulator vector, which is sign-extended and added into that row's int64
 // lanes every cadence blocks (1 <= cadence) and once at the end. The caller
 // guarantees an int32 lane cannot overflow within cadence blocks.
@@ -66,6 +102,43 @@ func dot4x16(x, w *int16, pitch, blocks, cadence int, acc *int64)
 //go:noescape
 func dot4x32(x, w *int32, pitch, blocks int, acc *int64)
 
+// tile4x16 is the AVX-512 VNNI 16-bit tile kernel (avx512_amd64.s): for the
+// four activation rows starting at x (stride elements apart) and the
+// 4*groups consecutive weight rows starting at w (pitch elements apart), all
+// sixteen-per-group dot products over blocks*Lane elements (blocks > 0),
+// written to acc[r*stride+o] for row r and output o. Per group, sixteen zmm
+// registers each hold one (row, output) pair's int32 partial sums; one
+// VPDPWSSD multiplies thirty-two int16 pairs and adds adjacent products into
+// the pair's sixteen lanes, so a step of four weight loads and four
+// activation loads feeds sixteen of them. The partial sums are sign-extended
+// and reduced to int64 every cadence blocks (1 <= cadence) and once at the
+// end. The caller guarantees an int32 lane cannot overflow within cadence
+// blocks.
+//
+//go:noescape
+func tile4x16(x, w *int16, stride, pitch, groups, blocks, cadence int, acc *int64)
+
+// row4x16 is tile4x16 for a single activation row (the batch's b mod 4
+// remainder): 4*groups dot products written to acc[o]. Each output keeps two
+// int32 accumulators, fed by alternate blocks, so eight independent VPDPWSSD
+// chains hide the instruction's latency; the pair is summed (still within the
+// cadence bound: together they hold what one accumulator would) before it is
+// widened.
+//
+//go:noescape
+func row4x16(x, w *int16, pitch, groups, blocks, cadence int, acc *int64)
+
+// finish8x16 and finish8x32 are the AVX-512 row epilogue (avx512_amd64.s):
+// fixedpoint.FinishRow's arithmetic, eight int64 lanes per step, over n
+// accumulators (a final partial vector is masked), narrowed into int16 or
+// int32. floor is the lower clamp after the bias: lo, or 0 under ReLU.
+//
+//go:noescape
+func finish8x16(acc, bias *int64, dst *int16, n int, shift uint64, half, hi, lo, floor int64)
+
+//go:noescape
+func finish8x32(acc, bias *int64, dst *int32, n int, shift uint64, half, hi, lo, floor int64)
+
 // gemm16AVX2 is the 16-bit batch GEMM: the same column-blocked walk as
 // GemmRef (so a weight block stays cache-resident across the batch), one
 // query row at a time — every row count takes this loop, there is no
@@ -83,7 +156,7 @@ func gemm16AVX2(X []int16, Acc []int64, b, stride int, w *Weights[int16]) {
 	}
 	// The assembly is unchecked: prove the last row it touches is in range.
 	_, _ = X[(b-1)*stride+w.InP-1], Acc[(b-1)*stride+w.OutP-1]
-	blocks := w.InP / Lane
+	blocks := w.InP / maddStep
 	for j0 := 0; j0 < w.OutP; j0 += gemmColBlock {
 		j1 := min(j0+gemmColBlock, w.OutP)
 		for qi := 0; qi < b; qi++ {
@@ -91,6 +164,38 @@ func gemm16AVX2(X []int16, Acc []int64, b, stride int, w *Weights[int16]) {
 			for j := j0; j < j1; j += outGroup {
 				dot4x16(x, &w.WT[j*w.InP], w.InP, blocks, w.madd, &Acc[qi*stride+j])
 			}
+		}
+	}
+}
+
+// gemm16VNNI is the 16-bit batch GEMM on AVX-512 VNNI: GemmRef's
+// column-blocked walk, four query rows at a time through the register tile —
+// each weight vector loaded once per four rows, each activation vector once
+// per four outputs — and the b mod 4 remainder rows one at a time through
+// the single-row form, so a ragged batch costs its remainder rows the tile's
+// reuse and nothing else.
+//
+//microrec:noalloc
+func gemm16VNNI(X []int16, Acc []int64, b, stride int, w *Weights[int16]) {
+	if w.madd == 0 {
+		GemmRef(X, Acc, b, stride, w)
+		return
+	}
+	if b == 0 {
+		return
+	}
+	// The assembly is unchecked: prove the last row it touches is in range.
+	_, _ = X[(b-1)*stride+w.InP-1], Acc[(b-1)*stride+w.OutP-1]
+	blocks := w.InP / Lane
+	for j0 := 0; j0 < w.OutP; j0 += gemmColBlock {
+		groups := (min(j0+gemmColBlock, w.OutP) - j0) / outGroup
+		wt := &w.WT[j0*w.InP]
+		qi := 0
+		for ; qi+4 <= b; qi += 4 {
+			tile4x16(&X[qi*stride], wt, stride, w.InP, groups, blocks, w.madd, &Acc[qi*stride+j0])
+		}
+		for ; qi < b; qi++ {
+			row4x16(&X[qi*stride], wt, w.InP, groups, blocks, w.madd, &Acc[qi*stride+j0])
 		}
 	}
 }
@@ -114,4 +219,27 @@ func gemm32AVX2(X []int32, Acc []int64, b, stride int, w *Weights[int32]) {
 			}
 		}
 	}
+}
+
+// finishRow16AVX512 is fixedpoint.FinishRow[int16] on AVX-512.
+//
+//microrec:noalloc
+func finishRow16AVX512(e *fixedpoint.Epilogue, acc, bias []int64, relu bool, dst []int16) {
+	if len(acc) == 0 {
+		return
+	}
+	// The assembly is unchecked: prove bias and dst cover every accumulator.
+	_, _ = bias[len(acc)-1], dst[len(acc)-1]
+	finish8x16(&acc[0], &bias[0], &dst[0], len(acc), uint64(e.Shift), e.Half, e.Max, e.Min, e.Floor(relu))
+}
+
+// finishRow32AVX512 is fixedpoint.FinishRow[int32] on AVX-512.
+//
+//microrec:noalloc
+func finishRow32AVX512(e *fixedpoint.Epilogue, acc, bias []int64, relu bool, dst []int32) {
+	if len(acc) == 0 {
+		return
+	}
+	_, _ = bias[len(acc)-1], dst[len(acc)-1]
+	finish8x32(&acc[0], &bias[0], &dst[0], len(acc), uint64(e.Shift), e.Half, e.Max, e.Min, e.Floor(relu))
 }

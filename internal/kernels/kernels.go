@@ -1,16 +1,18 @@
 // Package kernels holds the innermost loops of the serving datapath — the
 // fixed-point batch GEMM, the embedding row-quantize, and software prefetch —
-// in two implementations: a portable pure-Go reference and a build-tagged
-// optimized path (AVX2 assembly on amd64, plus a batched pure-Go quantize).
+// as a portable pure-Go reference plus build-tagged optimized paths (AVX2 and
+// AVX-512 VNNI assembly on amd64, selected by CPUID at init, and a batched
+// pure-Go quantize).
 //
 // The datapath is width-native: activation planes and FC weights are stored
 // at the fixed-point format's width — int16 for a 16-bit format, int32 for a
 // 32-bit one — and everything here is generic over that element type. The
 // paper evaluates its 16- and 32-bit datapaths as different hardware; so does
 // this package: the 16-bit GEMM multiplies int16 pairs into int32 partial
-// sums (VPMADDWD, 16 MACs per instruction), the 32-bit GEMM multiplies int32
-// lanes into int64 (VPMULDQ, 4 per instruction), and a 16-bit model streams a
-// quarter of the bytes a one-size-fits-all int64 layout would.
+// sums (VPDPWSSD, 32 MACs per instruction, or VPMADDWD, 16), the 32-bit GEMM
+// multiplies int32 lanes into int64 (VPMULDQ, 4 per instruction), and a
+// 16-bit model streams a quarter of the bytes a one-size-fits-all int64
+// layout would.
 //
 // The paper's thesis is that recommendation inference is bounded by data
 // movement, not FLOPs, so the inner loops must be shaped for the hardware:
@@ -37,6 +39,7 @@ package kernels
 
 import (
 	"math"
+	"slices"
 	"strings"
 
 	"microrec/internal/fixedpoint"
@@ -46,10 +49,17 @@ import (
 // format's width.
 type Elem = fixedpoint.Raw
 
-// Lane is the element count every stored row is padded to: one 256-bit
-// vector of int16, two of int32. Plane strides and a layer's stored input
-// length are multiples of Lane, so no kernel has an element remainder loop.
-const Lane = 16
+// Lane is the element count every stored row is padded to: one 512-bit
+// vector of int16 (the widest step any kernel takes). Plane strides and a
+// layer's stored input length are multiples of Lane, so no kernel has an
+// element remainder loop.
+const Lane = 32
+
+// maddStep is the shortest step a 16-bit kernel takes per multiply-add
+// instruction: one 256-bit vector of int16. The 512-bit kernel's step is
+// Lane. Either way one step adds two products to every int32 lane, so one
+// cadence (counted in steps) serves both.
+const maddStep = 16
 
 // outGroup is the number of outputs one inner-kernel call produces; a
 // layer's stored output count is padded to it with all-zero weight rows.
@@ -68,10 +78,10 @@ type Weights[T Elem] struct {
 	In, Out   int // logical shape
 	InP, OutP int // stored shape: In rounded up to Lane, Out to outGroup
 	WT        []T // OutP x InP row-major
-	// madd is the 16-bit kernel's widening cadence: how many Lane-wide
-	// VPMADDWD pair sums one int32 lane may absorb before it must be
-	// sign-extended into the int64 accumulators (see maddCadence). Zero
-	// sends the layer through the reference kernel.
+	// madd is the 16-bit kernels' widening cadence: how many multiply-add
+	// steps (VPMADDWD+VPADDD, or VPDPWSSD) one int32 lane may absorb before
+	// it must be sign-extended into int64 (see maddCadence). Zero sends the
+	// layer through the reference kernel.
 	madd int
 }
 
@@ -97,20 +107,23 @@ func Pack[T Elem](in, out int, at func(i, j int) T) Weights[T] {
 			}
 		}
 	}
-	w.madd = maddCadence(maxAbs, w.InP/Lane)
+	w.madd = maddCadence(maxAbs, w.InP/maddStep)
 	return w
 }
 
-// maddCadence returns how many consecutive VPMADDWD results an int32 lane can
-// accumulate exactly for a layer whose largest weight magnitude is maxAbs,
-// capped at blocks (the Lane-wide steps in one dot product).
+// maddCadence returns how many consecutive multiply-add steps an int32 lane
+// can accumulate exactly for a layer whose largest weight magnitude is
+// maxAbs, capped at blocks (the most steps any kernel takes over one dot
+// product).
 //
-// One VPMADDWD lane is x0*w0 + x1*w1 with |x| <= 2^15 (any int16, including
-// stale padding) and |w| <= maxAbs, so its magnitude is at most 2^16*maxAbs;
-// K of them sum to at most K*2^16*maxAbs, which fits an int32 while
-// K <= (2^31-1) / (2^16*maxAbs). A weight saturated at -32768 gives K = 0:
-// a single VPMADDWD can then wrap (-32768*-32768 twice is 2^31), and the
-// layer takes the reference kernel instead.
+// One step adds x0*w0 + x1*w1 to a lane — VPMADDWD forms the pair sum and
+// VPADDD adds it, the non-saturating VPDPWSSD does both at once — with
+// |x| <= 2^15 (any int16, including stale padding) and |w| <= maxAbs, so the
+// addend's magnitude is at most 2^16*maxAbs; K of them sum to at most
+// K*2^16*maxAbs, which fits an int32 while K <= (2^31-1) / (2^16*maxAbs). A
+// weight saturated at -32768 gives K = 0: a single step can then wrap
+// (-32768*-32768 twice is 2^31), and the layer takes the reference kernel
+// instead.
 func maddCadence(maxAbs int64, blocks int) int {
 	if maxAbs == 0 {
 		return blocks
@@ -212,26 +225,78 @@ func GemmRef[T Elem](X []T, Acc []int64, b, stride int, w *Weights[T]) {
 // optimized wrappers so both walk memory in the same order.
 const gemmColBlock = 16
 
-// Dispatch variables, one per element width, assigned once by the
-// build-tagged init functions (and never after). An engine picks the one
-// matching its format's Bits at Build and calls it directly from then on.
-// Under the noasm tag no init runs and the references stay.
+// GemmFunc is the batch GEMM contract GemmRef defines, at one element width.
+type GemmFunc[T Elem] func(X []T, Acc []int64, b, stride int, w *Weights[T])
+
+// FinishFunc is the row epilogue contract fixedpoint.FinishRow defines, at
+// one element width.
+type FinishFunc[T Elem] func(e *fixedpoint.Epilogue, acc, bias []int64, relu bool, dst []T)
+
+// Impl is one named implementation of a kernel contract. The build-tagged
+// init functions register every implementation the build contains, runnable
+// on this host or not, so tests and benchmarks can drive each one by name
+// rather than only the one dispatch picked.
+type Impl[F any] struct {
+	// Name is the feature tag Features reports while Fn is dispatched;
+	// "ref" for the portable reference, which reports nothing.
+	Name string
+	Fn   F
+	// Missing names the CPU feature this host lacks to run Fn; empty means
+	// runnable.
+	Missing string
+}
+
+// Implementation tables, one per contract and width, in ascending order of
+// preference: dispatch takes the last runnable entry. Appended to by the
+// build-tagged init functions and fixed from then on; under the noasm tag
+// only the references are ever listed.
+var (
+	Gemm16Impls   = []Impl[GemmFunc[int16]]{{Name: "ref", Fn: GemmRef[int16]}}
+	Gemm32Impls   = []Impl[GemmFunc[int32]]{{Name: "ref", Fn: GemmRef[int32]}}
+	Finish16Impls = []Impl[FinishFunc[int16]]{{Name: "ref", Fn: fixedpoint.FinishRow[int16]}}
+	Finish32Impls = []Impl[FinishFunc[int32]]{{Name: "ref", Fn: fixedpoint.FinishRow[int32]}}
+)
+
+// Dispatch variables, one per contract and element width, assigned once by
+// the build-tagged init functions (and never after). An engine picks the
+// ones matching its format's Bits at Build and calls them directly from then
+// on. Under the noasm tag no init runs and the references stay.
 var (
 	// Gemm16 is the active batch GEMM over int16 planes and weights.
-	Gemm16 = GemmRef[int16]
+	Gemm16 GemmFunc[int16] = GemmRef[int16]
 	// Gemm32 is the active batch GEMM over int32 planes and weights.
-	Gemm32 = GemmRef[int32]
+	Gemm32 GemmFunc[int32] = GemmRef[int32]
+	// FinishRow16 is the active row epilogue into an int16 plane.
+	FinishRow16 FinishFunc[int16] = fixedpoint.FinishRow[int16]
+	// FinishRow32 is the active row epilogue into an int32 plane.
+	FinishRow32 FinishFunc[int32] = fixedpoint.FinishRow[int32]
 )
+
+// dispatch returns the most preferred runnable implementation in impls and
+// records its feature tag (once: the two epilogue widths share one).
+func dispatch[F any](impls []Impl[F]) F {
+	for i := len(impls) - 1; i > 0; i-- {
+		if impls[i].Missing == "" {
+			if !slices.Contains(featureTags, impls[i].Name) {
+				featureTags = append(featureTags, impls[i].Name)
+			}
+			return impls[i].Fn
+		}
+	}
+	return impls[0].Fn
+}
 
 // featureTags collects the optimized paths the init functions enabled, in
 // registration order; empty means the pure reference path.
 var featureTags []string
 
 // Features reports which kernel paths are live, e.g.
-// "avx2-vpmaddwd16+avx2-vpmuldq32+prefetch-nt+batched-quantize",
-// or "portable" when every kernel is the reference (the noasm build, or a
-// host without the required ISA). Every recorded measurement carries this
-// string, so numbers name the path that produced them.
+// "avx512-vnni16+avx2-vpmuldq32+avx512-epilogue+prefetch-nt+batched-quantize"
+// on a host with AVX-512 VNNI,
+// "avx2-vpmaddwd16+avx2-vpmuldq32+prefetch-nt+batched-quantize" on one with
+// AVX2 only, or "portable" when every kernel is the reference (the noasm
+// build, or a host without the required ISA). Every recorded measurement
+// carries this string, so numbers name the path that produced them.
 func Features() string {
 	if len(featureTags) == 0 {
 		return "portable"

@@ -9,38 +9,55 @@ import (
 	"microrec/internal/fixedpoint"
 )
 
-// Under the noasm tag the dispatch variables still point at the references
-// and these identity tests reduce to ref-vs-ref — that is intentional: the
+// Every identity test below runs once per registered implementation of the
+// contract, as a subtest named after it, and skips — naming the CPU feature —
+// the ones this host cannot run: a green run on a host without AVX-512 says
+// SKIP for those cases, not PASS. Under the noasm tag only the references are
+// registered and the tests reduce to ref-vs-ref — that is intentional: the
 // noasm CI leg proves the portable path itself keeps passing, while the
-// default leg proves the optimized path matches it bit for bit.
+// default leg proves each optimized path matches it bit for bit.
 
-// gemmKernel pairs an element type's dispatched GEMM with a generator of
-// random raws over that type's whole domain — not just the values a
+// gemmKernel pairs an element type's implementation table with a generator
+// of random raws over that type's whole domain — not just the values a
 // calibrated model would produce — so lane-width mistakes in an optimized
 // kernel (a multiply that loses sign or high bits) cannot hide.
 type gemmKernel[T Elem] struct {
 	name string
-	gemm func(X []T, Acc []int64, b, stride int, w *Weights[T])
-	rnd  func(*rand.Rand) T
+	// impls points at the table rather than copying it: package variables
+	// are initialized before the init functions that register the optimized
+	// kernels.
+	impls *[]Impl[GemmFunc[T]]
+	rnd   func(*rand.Rand) T
 }
 
-// The gemm fields read the dispatch variables at call time, not here: package
-// variables are initialized before the init functions that install the
-// optimized kernels.
 var (
-	kernel16 = gemmKernel[int16]{"int16", func(X []int16, Acc []int64, b, stride int, w *Weights[int16]) {
-		Gemm16(X, Acc, b, stride, w)
-	}, func(r *rand.Rand) int16 { return int16(r.Uint32()) }}
-	kernel32 = gemmKernel[int32]{"int32", func(X []int32, Acc []int64, b, stride int, w *Weights[int32]) {
-		Gemm32(X, Acc, b, stride, w)
-	}, func(r *rand.Rand) int32 { return int32(r.Uint32()) }}
+	kernel16 = gemmKernel[int16]{"int16", &Gemm16Impls, func(r *rand.Rand) int16 { return int16(r.Uint32()) }}
+	kernel32 = gemmKernel[int32]{"int32", &Gemm32Impls, func(r *rand.Rand) int32 { return int32(r.Uint32()) }}
 )
 
-// compare runs one packed layer through GemmRef and the dispatched GEMM on
-// the same plane and demands identical accumulators over the logical shape.
-// X is b full rows of stride elements: the caller fills the padding lanes
-// past w.In with garbage, which the zero-padded weights must annihilate.
-func (k gemmKernel[T]) compare(t *testing.T, X []T, b, stride int, w *Weights[T]) {
+// eachImpl runs f as one subtest per implementation in impls.
+func eachImpl[F any](t *testing.T, prefix string, impls []Impl[F], f func(t *testing.T, fn F)) {
+	t.Helper()
+	for _, impl := range impls {
+		t.Run(prefix+"/"+impl.Name, func(t *testing.T) {
+			if impl.Missing != "" {
+				t.Skipf("host lacks %s", impl.Missing)
+			}
+			f(t, impl.Fn)
+		})
+	}
+}
+
+func (k gemmKernel[T]) each(t *testing.T, f func(t *testing.T, gemm GemmFunc[T])) {
+	t.Helper()
+	eachImpl(t, k.name, *k.impls, f)
+}
+
+// compare runs one packed layer through GemmRef and gemm on the same plane
+// and demands identical accumulators over the logical shape. X is b full
+// rows of stride elements: the caller fills the padding lanes past w.In with
+// garbage, which the zero-padded weights must annihilate.
+func (k gemmKernel[T]) compare(t testing.TB, gemm GemmFunc[T], X []T, b, stride int, w *Weights[T]) {
 	t.Helper()
 	// Poison both accumulator planes differently so stale values cannot
 	// fake a match.
@@ -51,7 +68,7 @@ func (k gemmKernel[T]) compare(t *testing.T, X []T, b, stride int, w *Weights[T]
 		opt[i] = -(1<<61 + int64(i))
 	}
 	GemmRef(X, ref, b, stride, w)
-	k.gemm(X, opt, b, stride, w)
+	gemm(X, opt, b, stride, w)
 	for qi := 0; qi < b; qi++ {
 		for j := 0; j < w.Out; j++ {
 			if ref[qi*stride+j] != opt[qi*stride+j] {
@@ -64,7 +81,7 @@ func (k gemmKernel[T]) compare(t *testing.T, X []T, b, stride int, w *Weights[T]
 
 // randomCase packs a random in x out layer and compares on a random plane
 // whose row stride is the smallest legal one plus slack Lane-multiples.
-func (k gemmKernel[T]) randomCase(t *testing.T, rng *rand.Rand, b, in, out, slack int) {
+func (k gemmKernel[T]) randomCase(t *testing.T, gemm GemmFunc[T], rng *rand.Rand, b, in, out, slack int) {
 	t.Helper()
 	w := Pack(in, out, func(i, j int) T { return k.rnd(rng) })
 	stride := max(w.InP, w.OutP) + slack*Lane
@@ -72,7 +89,7 @@ func (k gemmKernel[T]) randomCase(t *testing.T, rng *rand.Rand, b, in, out, slac
 	for i := range X {
 		X[i] = k.rnd(rng)
 	}
-	k.compare(t, X, b, stride, &w)
+	k.compare(t, gemm, X, b, stride, &w)
 }
 
 // TestPackLayout pins the stored layout: transposed, padded to Lane x
@@ -80,7 +97,7 @@ func (k gemmKernel[T]) randomCase(t *testing.T, rng *rand.Rand, b, in, out, slac
 func TestPackLayout(t *testing.T) {
 	const in, out = 19, 6
 	w := Pack(in, out, func(i, j int) int16 { return int16(100*i + j + 1) })
-	if w.In != in || w.Out != out || w.InP != 32 || w.OutP != 8 || len(w.WT) != 8*32 {
+	if w.In != in || w.Out != out || w.InP != Lane || w.OutP != 8 || len(w.WT) != 8*Lane {
 		t.Fatalf("shape: %+v (len %d)", w, len(w.WT))
 	}
 	for j := 0; j < w.OutP; j++ {
@@ -97,8 +114,10 @@ func TestPackLayout(t *testing.T) {
 }
 
 // gemmShapes runs f over the random sweep and the pinned boundary shapes:
-// every ragged row count, input lengths on both sides of a Lane multiple,
-// output counts on both sides of the 4-output group and the 16-column block.
+// every row count around the four-row tile (1..9: no tile, a tile plus each
+// remainder, two tiles, two plus one), input lengths on both sides of a Lane
+// multiple, output counts on both sides of the 4-output group and the
+// 16-column block.
 func gemmShapes(f func(rng *rand.Rand, b, in, out, slack int)) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
@@ -106,7 +125,7 @@ func gemmShapes(f func(rng *rand.Rand, b, in, out, slack int)) {
 	}
 	for _, s := range []struct{ b, in, out int }{
 		{1, 1, 1},
-		{1, 15, 1},  // below one vector
+		{1, 15, 1},  // below one 256-bit vector
 		{1, 16, 1},  // exactly one
 		{1, 17, 1},  // one plus padding
 		{3, 16, 3},  // out below the 4-output group
@@ -117,18 +136,34 @@ func gemmShapes(f func(rng *rand.Rand, b, in, out, slack int)) {
 		{6, 24, 33}, // ragged batch, several column blocks
 		{7, 100, 9},
 		{8, 352, 31},
-		{6, 876, 5}, // the large model's feature width
 	} {
 		f(rng, s.b, s.in, s.out, 0)
 	}
+	for b := 1; b <= 9; b++ {
+		for _, in := range []int{
+			31,  // below one 512-bit vector
+			32,  // exactly one
+			33,  // one plus padding
+			48,  // one and a half: an odd count of 256-bit steps
+			876, // the large model's feature width
+		} {
+			f(rng, b, in, 5, b%2)
+		}
+	}
 }
 
-// TestGemmBitIdentityShapes is the identity property over shapes, for both
-// element types.
+// TestGemmBitIdentityShapes is the identity property over shapes, for every
+// implementation of both element types.
 func TestGemmBitIdentityShapes(t *testing.T) {
-	gemmShapes(func(rng *rand.Rand, b, in, out, slack int) {
-		kernel16.randomCase(t, rng, b, in, out, slack)
-		kernel32.randomCase(t, rng, b, in, out, slack)
+	kernel16.each(t, func(t *testing.T, gemm GemmFunc[int16]) {
+		gemmShapes(func(rng *rand.Rand, b, in, out, slack int) {
+			kernel16.randomCase(t, gemm, rng, b, in, out, slack)
+		})
+	})
+	kernel32.each(t, func(t *testing.T, gemm GemmFunc[int32]) {
+		gemmShapes(func(rng *rand.Rand, b, in, out, slack int) {
+			kernel32.randomCase(t, gemm, rng, b, in, out, slack)
+		})
 	})
 }
 
@@ -144,7 +179,9 @@ func TestGemm32WraparoundIdentity(t *testing.T) {
 	for i := range X {
 		X[i] = extremes[rng.Intn(2)]
 	}
-	kernel32.compare(t, X, b, in, &w)
+	kernel32.each(t, func(t *testing.T, gemm GemmFunc[int32]) {
+		kernel32.compare(t, gemm, X, b, in, &w)
+	})
 }
 
 // TestMaddCadenceIsSafeAndTight checks the overflow proof numerically for
@@ -175,17 +212,18 @@ func TestMaddCadenceIsSafeAndTight(t *testing.T) {
 }
 
 // TestGemm16AdversarialSaturation is the overflow property test for the
-// VPMADDWD kernel: activations and weights at the int16 extremes, rows up to
+// 16-bit kernels: activations and weights at the int16 extremes, rows up to
 // 4096 long, and a weight magnitude chosen to land the widening cadence on
-// every interesting value — every block (K = 1), one short of the row
-// (K = blocks-1, so the last block alone forces a second widening), and no
-// safe cadence (K = 0, the reference fallback). Each case runs sign-aligned
-// planes that drive every int32 lane to its bound in both directions, then
-// random draws from the extreme set.
+// every interesting value for both step sizes (a 4096-long row is 256
+// VPMADDWD steps or 128 VPDPWSSD steps) — every step (K = 1), one short of
+// the row (K = steps-1, so the last step alone forces a second widening),
+// exactly the row, and no safe cadence (K = 0, the reference fallback). Row
+// counts cover the register tile alone, the single-row form alone, and both.
+// Each case runs sign-aligned planes that drive every int32 lane to its
+// bound in both directions, then random draws from the extreme set.
 func TestGemm16AdversarialSaturation(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
 	acts := []int16{-32768, -32767, 0, 32767}
-	for _, c := range []struct {
+	cases := []struct {
 		in       int
 		maxAbs   int16 // largest weight magnitude in the layer
 		wantMadd int
@@ -193,45 +231,89 @@ func TestGemm16AdversarialSaturation(t *testing.T) {
 		{4096, 32767, 1},
 		{4096, 16384, 1},
 		{4096, 16383, 2},
-		{4096, 128, 255},  // blocks = 256
+		{4096, 258, 127},  // one short of the 128 VPDPWSSD steps
+		{4096, 255, 128},  // exactly the VPDPWSSD steps, half the VPMADDWD ones
+		{4096, 128, 255},  // one short of the 256 VPMADDWD steps
 		{4096, 127, 256},  // one widening, lanes within 2^23 of the bound
-		{1008, 521, 62},   // blocks = 63
+		{1008, 1057, 31},  // stored as 1024: one short of 32 VPDPWSSD steps
+		{1008, 521, 62},   // ... and two short of the 64 VPMADDWD steps
 		{352, 55, 22},     // production-small layer 1 at its calibrated bound
-		{4096, -32768, 0}, // saturated negative weight: VPMADDWD itself can wrap
+		{4096, -32768, 0}, // saturated negative weight: one step can wrap
 		{48, -32768, 0},
-	} {
-		for _, b := range []int{1, 3, 6} {
-			const out = 7
-			for _, mode := range []string{"aligned+", "aligned-", "random"} {
-				weights := []int16{c.maxAbs, -c.maxAbs, 0}
-				if c.maxAbs == -32768 {
-					weights = []int16{-32768, 32767, 0}
+	}
+	kernel16.each(t, func(t *testing.T, gemm GemmFunc[int16]) {
+		rng := rand.New(rand.NewSource(5))
+		for _, c := range cases {
+			for _, b := range []int{1, 3, 4, 6, 9} {
+				const out = 7
+				for _, mode := range []string{"aligned+", "aligned-", "random"} {
+					weights := []int16{c.maxAbs, -c.maxAbs, 0}
+					if c.maxAbs == -32768 {
+						weights = []int16{-32768, 32767, 0}
+					}
+					at := func(i, j int) int16 { return weights[rng.Intn(len(weights))] }
+					x := func() int16 { return acts[rng.Intn(len(acts))] }
+					switch mode {
+					case "aligned+": // every product +2^15 * |w|
+						at = func(i, j int) int16 { return -abs16(c.maxAbs) }
+						x = func() int16 { return -32768 }
+					case "aligned-":
+						at = func(i, j int) int16 { return abs16(c.maxAbs) }
+						x = func() int16 { return -32768 }
+					}
+					w := Pack(c.in, out, at)
+					if w.madd != c.wantMadd {
+						t.Fatalf("in=%d maxAbs=%d: cadence %d, want %d", c.in, c.maxAbs, w.madd, c.wantMadd)
+					}
+					stride := w.InP
+					X := make([]int16, b*stride)
+					for i := range X {
+						X[i] = x()
+					}
+					t.Run(fmt.Sprintf("in%d_w%d_b%d_%s", c.in, c.maxAbs, b, mode), func(t *testing.T) {
+						kernel16.compare(t, gemm, X, b, stride, &w)
+					})
 				}
-				at := func(i, j int) int16 { return weights[rng.Intn(len(weights))] }
-				x := func() int16 { return acts[rng.Intn(len(acts))] }
-				switch mode {
-				case "aligned+": // every product +2^15 * |w|
-					at = func(i, j int) int16 { return -abs16(c.maxAbs) }
-					x = func() int16 { return -32768 }
-				case "aligned-":
-					at = func(i, j int) int16 { return abs16(c.maxAbs) }
-					x = func() int16 { return -32768 }
-				}
-				w := Pack(c.in, out, at)
-				if w.madd != c.wantMadd {
-					t.Fatalf("in=%d maxAbs=%d: cadence %d, want %d", c.in, c.maxAbs, w.madd, c.wantMadd)
-				}
-				stride := w.InP
-				X := make([]int16, b*stride)
-				for i := range X {
-					X[i] = x()
-				}
-				t.Run(fmt.Sprintf("in%d_w%d_b%d_%s", c.in, c.maxAbs, b, mode), func(t *testing.T) {
-					kernel16.compare(t, X, b, stride, &w)
-				})
 			}
 		}
-	}
+	})
+}
+
+// FuzzGemm16Identity fuzzes the batch shape, the plane's stride slack and
+// the raw values (vals, read as little-endian int16s and cycled over the
+// weights and then the plane, padding lanes included) and demands that every
+// implementation this host can run equals GemmRef.
+func FuzzGemm16Identity(f *testing.F) {
+	f.Add(uint8(4), uint8(32), uint8(4), uint8(0), []byte{1, 0, 255, 255})
+	f.Add(uint8(6), uint8(47), uint8(17), uint8(1), []byte{0, 128, 255, 127, 3})       // extremes, K = 0
+	f.Add(uint8(9), uint8(255), uint8(5), uint8(2), []byte{0, 64, 1, 192, 255, 63, 7}) // K = 1 with remainder rows
+	f.Add(uint8(1), uint8(0), uint8(0), uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, fb, fin, fout, fslack uint8, vals []byte) {
+		b, in, out, slack := 1+int(fb%9), 1+int(fin), 1+int(fout%40), int(fslack%3)
+		next := 0
+		val := func() int16 {
+			if len(vals) < 2 {
+				return 0
+			}
+			if next+2 > len(vals) {
+				next = 0
+			}
+			v := int16(vals[next]) | int16(vals[next+1])<<8
+			next += 2
+			return v
+		}
+		w := Pack(in, out, func(i, j int) int16 { return val() })
+		stride := max(w.InP, w.OutP) + slack*Lane
+		X := make([]int16, b*stride)
+		for i := range X {
+			X[i] = val()
+		}
+		for _, impl := range Gemm16Impls {
+			if impl.Missing == "" {
+				kernel16.compare(t, impl.Fn, X, b, stride, &w)
+			}
+		}
+	})
 }
 
 // abs16 is |v| saturated to int16 (-32768 stays -32768: the one magnitude
@@ -241,6 +323,87 @@ func abs16(v int16) int16 {
 		return -v
 	}
 	return v
+}
+
+// finishIdentity compares every registered row epilogue of one width against
+// fixedpoint.FinishRow, the definition: accumulators at every rounding and
+// saturation boundary and at the int64 extremes, biases that saturate on
+// their own, ReLU on and off, and row lengths on every residue of the
+// eight-lane vector step. dst is poisoned past the row to catch a store the
+// length does not cover.
+func finishIdentity[T Elem](t *testing.T, name string, formats []fixedpoint.Format, impls []Impl[FinishFunc[T]]) {
+	eachImpl(t, name, impls, func(t *testing.T, finish FinishFunc[T]) {
+		rng := rand.New(rand.NewSource(6))
+		for _, f := range formats {
+			e := f.Epilogue()
+			edge := (e.Max + 1) << e.Shift // the first accumulator that finishes past Max
+			accs := []int64{
+				0, 1, -1, e.Half - 1, e.Half, e.Half + 1, -e.Half + 1, -e.Half, -e.Half - 1,
+				3 * e.Half, -3 * e.Half, // exact .5 raws: round half away from zero
+				edge - e.Half - 1, edge - e.Half, edge, -edge - e.Half + 1, -edge - e.Half, -edge - e.Half - 1,
+				1 << 62, -(1 << 62), 1<<62 - 1, -(1 << 62) + 1, 1<<62 + e.Half, -(1 << 62) - e.Half,
+				math.MaxInt64, math.MaxInt64 - e.Half, math.MaxInt64 - e.Half + 1, math.MinInt64, math.MinInt64 + 1,
+			}
+			biases := []int64{0, 1, -1, e.Max, e.Min, e.Max - 1, e.Min + 1}
+			lengths := []int{64, 100, 1024}
+			for n := 0; n <= 17; n++ {
+				lengths = append(lengths, n)
+			}
+			for _, n := range lengths {
+				acc := make([]int64, n)
+				bias := make([]int64, n+3) // longer than acc is legal
+				for i := range acc {
+					switch rng.Intn(3) {
+					case 0:
+						acc[i] = accs[rng.Intn(len(accs))]
+					case 1: // inside the format's range
+						acc[i] = (rng.Int63n(2*e.Max) - e.Max) << e.Shift >> uint(rng.Intn(4))
+					default: // any magnitude
+						acc[i] = int64(rng.Uint64()) >> uint(rng.Intn(64))
+					}
+				}
+				for i := range bias {
+					if rng.Intn(2) == 0 {
+						bias[i] = biases[rng.Intn(len(biases))]
+					} else {
+						bias[i] = rng.Int63n(2*e.Max) - e.Max
+					}
+				}
+				for _, relu := range []bool{false, true} {
+					want := make([]T, n+5)
+					got := make([]T, n+5)
+					for i := range want {
+						want[i], got[i] = T(-21845), T(-21845)
+					}
+					fixedpoint.FinishRow(&e, acc, bias, relu, want)
+					finish(&e, acc, bias, relu, got)
+					for i := range want {
+						if got[i] != want[i] {
+							a, bi := int64(0), int64(0)
+							if i < n {
+								a, bi = acc[i], bias[i]
+							}
+							t.Fatalf("%v n=%d relu=%v: dst[%d] = %d, want %d (acc %d, bias %d)", f, n, relu, i, got[i], want[i], a, bi)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestFinishRowBitIdentity is the epilogue's identity property, both widths.
+func TestFinishRowBitIdentity(t *testing.T) {
+	var f16, f32 []fixedpoint.Format
+	for _, f := range quantFormats {
+		if f.Bits == 16 {
+			f16 = append(f16, f)
+		} else {
+			f32 = append(f32, f)
+		}
+	}
+	finishIdentity(t, "int16", f16, Finish16Impls)
+	finishIdentity(t, "int32", f32, Finish32Impls)
 }
 
 // quantFormats are the formats the identity tests sweep: the two datapath

@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/rand"
 
+	"microrec/internal/offheap"
 	"microrec/internal/tensor"
 )
 
@@ -315,6 +316,7 @@ type Parameters struct {
 	Spec *Spec
 	// Embeddings[i] is table i's materialised rows, row-major
 	// (ActualRows[i] x Dim). Logical row r maps to r % ActualRows[i].
+	// Materialize keeps large tables outside the Go heap; see Release.
 	Embeddings [][]float32
 	// ActualRows[i] is the materialised row count of table i.
 	ActualRows []int64
@@ -362,7 +364,7 @@ func (s *Spec) Materialize(opts MaterializeOptions) (*Parameters, error) {
 			rows = maxRows
 		}
 		p.ActualRows[i] = rows
-		data := make([]float32, rows*int64(t.Dim))
+		data := offheap.Floats(int(rows) * t.Dim)
 		for j := range data {
 			data[j] = rng.Float32()*2 - 1
 		}
@@ -383,6 +385,19 @@ func (s *Spec) Materialize(opts MaterializeOptions) (*Parameters, error) {
 		p.Biases = append(p.Biases, b)
 	}
 	return p, nil
+}
+
+// Release hands the embedding tables' memory back: Materialize keeps large
+// tables outside the Go heap (see internal/offheap), where the collector
+// cannot reclaim them. Call it once nothing uses the parameters any more —
+// every engine built from them is closed, no row slice is retained; without
+// it the tables stay mapped until the process exits. The tables are gone
+// afterwards (Embeddings' entries are nil); the FC weights are untouched.
+func (p *Parameters) Release() {
+	for i, t := range p.Embeddings {
+		offheap.Free(t)
+		p.Embeddings[i] = nil
+	}
 }
 
 // Row returns the materialised embedding vector for logical row index of

@@ -1,0 +1,45 @@
+// Package offheap allocates the serving tier's large float32 tables outside
+// the Go heap.
+//
+// The collector paces itself on the live heap: at the default GOGC it starts
+// a cycle when the heap has doubled since the last one. An engine's embedding
+// tables and materialised Cartesian products are immutable, pointer-free and
+// live exactly as long as the engine, so they never become garbage — but
+// counted in the live heap, production-small's 180 MB of them entitle the
+// process to another 180 MB of request garbage before a cycle starts, and
+// peak resident memory is the sum. Outside the heap they cost their own size
+// and the collector paces on what actually churns.
+//
+// The price is manual lifetime: memory from Floats must be handed back with
+// Free by its one owner (model.Parameters.Release, core.Engine.Close), and
+// must not be touched afterwards — the collector cannot see slices into it.
+// Memory that is never freed stays mapped until the process exits. Small
+// requests are served from the heap, so tests and small models never meet
+// any of this.
+package offheap
+
+// minMapped is the smallest request, in elements, served from a mapping
+// (1 MiB of float32). Smaller tables gain nothing measurable and would cost
+// a page-granular mapping each.
+const minMapped = 1 << 18
+
+// Floats returns n zeroed float32s: a private anonymous mapping when n is at
+// least minMapped and the platform has one, heap memory otherwise. The
+// result's length and capacity are both n.
+func Floats(n int) []float32 {
+	if n >= minMapped {
+		if f := mapFloats(n); f != nil {
+			return f
+		}
+	}
+	return make([]float32, n)
+}
+
+// Free releases f if it is the whole slice a mapped Floats call returned,
+// and does nothing otherwise (heap memory, a slice already freed) — so an
+// owner can free whatever it holds without knowing where it came from.
+func Free(f []float32) {
+	if len(f) >= minMapped {
+		unmapFloats(f)
+	}
+}

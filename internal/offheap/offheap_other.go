@@ -1,0 +1,9 @@
+//go:build !unix
+
+package offheap
+
+// Without an anonymous-mapping primitive everything comes from the heap.
+
+func mapFloats(n int) []float32 { return nil }
+
+func unmapFloats(f []float32) {}

@@ -128,6 +128,13 @@ type outcome struct {
 	err error
 }
 
+// A request and its reply channel are recycled through requestPool: at
+// serving rates the pair was the tier's only per-request garbage. The
+// ownership rule that makes that safe: a stage's send on done is the last
+// thing it does with the request, and only the Submit that received that
+// send (or whose request never entered the queue) recycles it. A Submit that
+// gave up on ctx.Done() leaves its request to the collector — a stage may
+// still be holding it.
 type request struct {
 	q   embedding.Query
 	enq time.Time
@@ -144,6 +151,18 @@ type request struct {
 	// sampled requests only — it splits queue wait from batch wait).
 	sampled bool
 	flushed time.Time
+}
+
+var requestPool = sync.Pool{New: func() any {
+	return &request{done: make(chan outcome, 1)}
+}}
+
+// recycle returns r to the pool with everything but its (drained) reply
+// channel cleared, so a parked request pins neither its query nor its
+// caller's context.
+func (r *request) recycle() {
+	*r = request{done: r.done}
+	requestPool.Put(r)
 }
 
 // expired returns the error a stale request resolves with at batch-formation
@@ -178,7 +197,7 @@ type Server struct {
 	accepting sync.WaitGroup
 
 	submit  chan *request
-	batches chan []*request
+	batches chan *planeBatch
 	// pipe is the staged executor of the default pipelined drain; nil in
 	// worker-pool mode.
 	pipe *pipeline.Executor
@@ -298,7 +317,7 @@ func New(eng Engine, opts Options) (*Server, error) {
 		clu:         clu,
 		ownsCluster: ownsCluster,
 		submit:      make(chan *request, opts.Admission.QueueDepth),
-		batches:     make(chan []*request, 2*opts.Pipeline.Workers),
+		batches:     make(chan *planeBatch, 2*opts.Pipeline.Workers),
 		// Latencies span µs (warm single-query) to seconds (overload tails);
 		// 1% relative error over [1, 10^7] µs.
 		latencyHist: metrics.NewHistogram(0.01, 1e7),
@@ -361,7 +380,8 @@ func (s *Server) Submit(ctx context.Context, q embedding.Query) (Result, error) 
 	if err := s.eng.ValidateQuery(q); err != nil {
 		return Result{}, fmt.Errorf("%w: %v", ErrInvalidQuery, err)
 	}
-	req := &request{q: q, ctx: ctx, enq: time.Now(), done: make(chan outcome, 1)}
+	req := requestPool.Get().(*request)
+	req.q, req.ctx, req.enq = q, ctx, time.Now()
 	req.sampled = s.rec.Sample()
 	if s.opts.Admission.SLA > 0 {
 		req.deadline = req.enq.Add(s.opts.Admission.SLA)
@@ -370,11 +390,14 @@ func (s *Server) Submit(ctx context.Context, q embedding.Query) (Result, error) 
 		req.deadline = d
 	}
 	if err := s.enqueue(ctx, req); err != nil {
+		req.recycle()
 		return Result{}, err
 	}
 	select {
 	case out := <-req.done:
-		if out.err == nil && !req.deadline.IsZero() && time.Now().After(req.deadline) {
+		deadline := req.deadline
+		req.recycle()
+		if out.err == nil && !deadline.IsZero() && time.Now().After(deadline) {
 			// The batch completed, but past this request's deadline: the
 			// answer is late no matter how quickly the caller drains it.
 			// Deadline-aware dropping minimises these (the work was already
@@ -490,7 +513,7 @@ func (s *Server) batcher() {
 	defer s.wg.Done()
 	defer close(s.batches)
 	var (
-		pending []*request
+		pending *planeBatch // the batch being formed; nil between batches
 		timer   *time.Timer
 		timerC  <-chan time.Time
 	)
@@ -503,11 +526,11 @@ func (s *Server) batcher() {
 	}
 	flush := func() {
 		stopTimer()
-		if len(pending) > 0 {
+		if pending != nil {
 			// Stamp the flush for sampled requests: it splits a span's queue
 			// wait (batch formation) from its batch wait (dispatch to service).
 			var now time.Time
-			for _, r := range pending {
+			for _, r := range pending.reqs {
 				if r.sampled {
 					if now.IsZero() {
 						now = time.Now()
@@ -526,14 +549,17 @@ func (s *Server) batcher() {
 				flush()
 				return
 			}
-			pending = append(pending, req)
-			pending, ok = s.drainQueued(pending)
+			if pending == nil {
+				pending = batchPool.Get().(*planeBatch)
+			}
+			pending.reqs = append(pending.reqs, req)
+			pending.reqs, ok = s.drainQueued(pending.reqs)
 			if !ok {
 				flush()
 				return
 			}
 			switch {
-			case len(pending) >= s.opts.Batching.MaxBatch:
+			case len(pending.reqs) >= s.opts.Batching.MaxBatch:
 				flush()
 			case timerC == nil:
 				timer = time.NewTimer(s.opts.Batching.Window)
@@ -629,9 +655,10 @@ func (s *Server) worker() {
 	var scratch core.BatchScratch
 	queries := make([]embedding.Query, 0, s.opts.Batching.MaxBatch)
 	preds := make([]float32, s.opts.Batching.MaxBatch)
-	for batch := range s.batches {
-		batch = s.dropExpired(batch)
+	for pb := range s.batches {
+		batch := s.dropExpired(pb.reqs)
 		if len(batch) == 0 {
+			pb.release()
 			continue
 		}
 		queries = queries[:0]
@@ -641,14 +668,15 @@ func (s *Server) worker() {
 		if s.prefetch != nil {
 			s.prefetch.PrefetchBatch(queries)
 		}
-		var bt batchTrace
+		bt := &pb.batchTrace
 		bt.serviceStart = time.Now()
 		_, err := s.eng.InferBatchValidated(queries, preds[:len(batch)], &scratch)
 		bt.serviceEnd = time.Now()
 		bt.gather = scratch.GatherObs()
 		s.wpServiceNS.Add(int64(bt.serviceEnd.Sub(bt.serviceStart)))
 		s.wpBatches.Add(1)
-		s.complete(batch, preds[:len(batch)], err, &bt)
+		s.complete(batch, preds[:len(batch)], err, bt)
+		pb.release()
 	}
 }
 
@@ -657,8 +685,8 @@ func (s *Server) worker() {
 // pipelined drain fills it through pipeline.PlaneObserver (plain stores on the
 // stage goroutines, read only after delivery — the executor's channel
 // hand-offs order the accesses); the worker pool stamps its monolithic
-// service window directly. It lives inside the batch's payload (pipelined) or
-// on the worker's stack, so steady-state tracing allocates nothing.
+// service window directly. It lives inside the (pooled) batch, so
+// steady-state tracing allocates nothing.
 type batchTrace struct {
 	stageStart [pipeline.NumStages]time.Time
 	stageEnd   [pipeline.NumStages]time.Time
@@ -679,14 +707,30 @@ func (t *batchTrace) ObserveStage(stage int, start, end time.Time) {
 // ObserveGather implements pipeline.PlaneObserver.
 func (t *batchTrace) ObserveGather(o core.GatherObs) { t.gather = o }
 
-// planeBatch carries a batch through the pipeline executor. The Prepare hook
+// planeBatch is one formed micro-batch, from the batcher through the drain to
+// complete. In pipelined mode it is the plane's payload: the Prepare hook
 // rewrites reqs when it drops expired requests, so the tail-stage Deliver
-// always sees exactly the requests whose queries were gathered. The embedded
-// batchTrace makes the payload a pipeline.PlaneObserver, so the executor's
-// stage loops stamp it as the plane moves through.
+// always sees exactly the requests whose queries were gathered, and the
+// embedded batchTrace makes the payload a pipeline.PlaneObserver, so the
+// executor's stage loops stamp it as the plane moves through. Batches are
+// recycled through batchPool by whoever resolved their last request.
 type planeBatch struct {
 	batchTrace
 	reqs []*request
+}
+
+var batchPool = sync.Pool{New: func() any { return new(planeBatch) }}
+
+// release returns pb to the pool once every request in it has been resolved
+// and nothing else (the executor's plane, the worker) will touch it again.
+// The whole backing array is cleared, not just reqs' current length — the
+// expiry filters shorten reqs in place — because the requests belong to
+// their submitters again.
+func (pb *planeBatch) release() {
+	reqs := pb.reqs[:cap(pb.reqs)]
+	clear(reqs)
+	*pb = planeBatch{reqs: reqs[:0]}
+	batchPool.Put(pb)
 }
 
 // dispatcher drains formed batches into the pipeline executor — the default
@@ -698,14 +742,14 @@ type planeBatch struct {
 func (s *Server) dispatcher() {
 	defer s.wg.Done()
 	queries := make([]embedding.Query, 0, s.opts.Batching.MaxBatch)
-	for batch := range s.batches {
+	for pb := range s.batches {
 		queries = queries[:0]
-		for _, r := range batch {
+		for _, r := range pb.reqs {
 			queries = append(queries, r.q)
 		}
-		pb := &planeBatch{reqs: batch}
 		if err := s.pipe.Submit(queries, pb); err != nil {
-			s.complete(batch, nil, err, nil)
+			s.complete(pb.reqs, nil, err, nil)
+			pb.release()
 		}
 	}
 }
@@ -744,6 +788,7 @@ func (s *Server) prepare(payload interface{}, queries []embedding.Query) []embed
 func (s *Server) deliver(payload interface{}, preds []float32) {
 	pb := payload.(*planeBatch)
 	s.complete(pb.reqs, preds, nil, &pb.batchTrace)
+	pb.release()
 }
 
 // complete finishes one batch: the per-batch timing report, serving metrics,

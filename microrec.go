@@ -367,17 +367,31 @@ type EngineOptions struct {
 }
 
 // NewEngine materialises parameters, runs the placement search and builds a
-// MicroRec engine in one call.
+// MicroRec engine in one call. Close the engine when done with it: large
+// embedding tables and Cartesian products live outside the Go heap, and the
+// engine owns the parameters it materialised here, so only its Close frees
+// them (an engine that is never closed keeps them until the process exits).
 func NewEngine(spec *Spec, opts EngineOptions) (*Engine, error) {
 	params, plan, cfg, err := prepare(spec, opts)
 	if err != nil {
 		return nil, err
 	}
-	return core.Build(params, plan, cfg)
+	eng, err := core.Build(params, plan, cfg)
+	if err != nil {
+		params.Release()
+		return nil, err
+	}
+	// The parameters were materialised for this engine alone, so its Close
+	// is what frees their tables (they live outside the Go heap).
+	eng.OwnParameters()
+	return eng, nil
 }
 
 // NewEngineFromParams builds an engine from existing parameters (e.g. to
-// share materialised tables between engines of different precisions).
+// share materialised tables between engines of different precisions). The
+// parameters stay the caller's: the engine's Close frees only what it built
+// itself, and Parameters.Release frees the tables once every engine built
+// from them is closed.
 func NewEngineFromParams(params *Parameters, opts EngineOptions) (*Engine, error) {
 	_, plan, cfg, err := prepareWithParams(params, opts)
 	if err != nil {

@@ -151,6 +151,82 @@ func TestNewEngineFromParamsSharesTables(t *testing.T) {
 	}
 }
 
+// TestEngineCloseFreesOnlyWhatItOwns pins the ownership rule of the tables
+// that live outside the Go heap (rows are capped high enough here that most
+// tables do): closing an engine built from shared parameters leaves them —
+// and every other engine built from them — intact; Release then drops them;
+// an engine from NewEngine owns its parameters and closes twice harmlessly.
+// A Close that freed shared tables would fault in the second engine.
+func TestEngineCloseFreesOnlyWhatItOwns(t *testing.T) {
+	spec := microrec.SmallProductionModel()
+	const rows = 16384
+	params, err := spec.Materialize(microrec.MaterializeOpts{Seed: 1, MaxRowsPerTable: rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e16, err := microrec.NewEngineFromParams(params, microrec.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e32, err := microrec.NewEngineFromParams(params, microrec.EngineOptions{Precision: microrec.Fixed32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := microrec.NewGenerator(spec, microrec.Uniform, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := gen.Next()
+	want, err := e32.InferOne(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want16, err := e16.InferOne(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e16.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := e32.InferOne(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("after closing a sibling engine: prediction %v, want %v", got, want)
+	}
+	if err := e32.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, tab := range params.Embeddings {
+		if len(tab) == 0 || tab[len(tab)-1] < -1 || tab[len(tab)-1] >= 1 {
+			t.Fatalf("table %d unreadable after both engines closed", i)
+		}
+	}
+	params.Release()
+	params.Release()
+	for i, tab := range params.Embeddings {
+		if tab != nil {
+			t.Errorf("table %d still held after Release", i)
+		}
+	}
+
+	own, err := microrec.NewEngine(spec, microrec.EngineOptions{Seed: 1, MaxRowsPerTable: rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Same seed and cap, so the engine materialised the same parameters.
+	if owned, err := own.InferOne(q); err != nil || owned != want16 {
+		t.Fatalf("owning engine: prediction %v (%v), want %v", owned, err, want16)
+	}
+	if err := own.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := own.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
+}
+
 // TestServerPublicSurface drives the batched serving subsystem through the
 // public API: concurrent Submits coalesce into micro-batches whose
 // predictions match the engine exactly, stats populate, and Close drains.

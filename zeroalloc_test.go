@@ -17,7 +17,8 @@ package microrec_test
 //
 // Rows for build-gated kernels live in a sibling file with a matching
 // constraint (zeroalloc_amd64_test.go), so the table reshapes itself with the
-// build exactly as the source set does. kernels.QuantizeRow has a body per
+// build exactly as the source set does; a row whose kernel needs a CPU
+// feature the host lacks is skipped by name, never silently run on a fallback. kernels.QuantizeRow has a body per
 // build (batched, or the reference under noasm) under one name, so its row
 // is portable.
 
@@ -59,6 +60,9 @@ type allocCase struct {
 	// "<package dir>.<receiver.>name" (e.g. "internal/core.Engine.DenseFromPlane").
 	covers []string
 	run    func()
+	// skip, when set, is why this host cannot execute the row (a kernel
+	// built for a CPU feature it lacks).
+	skip string
 }
 
 // allocQueries mirrors the per-package randomQueries test helpers: n valid
@@ -263,9 +267,9 @@ func zeroallocCases(t *testing.T) []allocCase {
 }
 
 // kernelFixture is one small packed layer and plane pair at element type T,
-// shared by the reference row above and the per-width dispatch rows in
-// zeroalloc_amd64_test.go. The shape is ragged on purpose (in past one
-// vector, out past one 4-output group).
+// shared by the reference row above and the per-implementation rows in
+// zeroalloc_amd64_test.go. The shape is ragged on purpose (rows past one
+// four-row tile, in past one 512-bit vector, out past one 4-output group).
 type kernelFixture[T kernels.Elem] struct {
 	b, stride int
 	x         []T
@@ -274,7 +278,7 @@ type kernelFixture[T kernels.Elem] struct {
 }
 
 func newKernelFixture[T kernels.Elem]() *kernelFixture[T] {
-	const b, in, out = 5, 19, 6
+	const b, in, out = 5, 35, 6
 	k := &kernelFixture[T]{b: b, w: kernels.Pack(in, out, func(i, j int) T { return T((i+j)%5 - 2) })}
 	k.stride = max(k.w.InP, k.w.OutP)
 	k.x = make([]T, b*k.stride)
@@ -298,6 +302,9 @@ func TestNoallocFunctionsAllocationFree(t *testing.T) {
 	for _, c := range append(zeroallocCases(t), zeroallocArch...) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
+			if c.skip != "" {
+				t.Skip(c.skip)
+			}
 			c.run() // warm: ring buffers, lazily-sized scratch, page faults
 			if allocs := testing.AllocsPerRun(100, c.run); allocs != 0 {
 				t.Errorf("%s: %v allocs per run, want 0 (covers %v)", c.name, allocs, c.covers)
