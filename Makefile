@@ -85,8 +85,10 @@ else
 endif
 
 # bench-smoke runs the datapath/serving benchmarks once each — a fast check
-# that the hot paths still execute, used by CI. The kernel microbenchmarks
-# ride along so the SIMD paths are exercised under the bench harness too.
+# that the hot paths still execute, used by CI ('Serve' includes
+# BenchmarkServeLightLoad, whose p50-us is the lightly loaded latency). The
+# kernel microbenchmarks ride along so the SIMD paths are exercised under the
+# bench harness too.
 bench-smoke:
 	$(GO) test -run xxx -bench 'Gather|Serve|EngineInferOne|Pipeline' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench 'GEMMKernel|FinishRow|QuantizeRow' -benchtime 1x -benchmem ./internal/kernels

@@ -218,7 +218,6 @@ func cmdBench(args []string) error {
 	bi := microrec.ReadBuildInfo()
 	rep.BuildInfo = &bi
 	opts := microrec.ServerOptions{
-		Batching: microrec.BatchingOptions{Window: 200 * time.Microsecond},
 		Pipeline: microrec.PipelineOptions{Depth: *pipelineDepth, WorkerPool: *workerPool},
 		Tier:     microrec.TierOptions{Shards: *topo.shards},
 	}

@@ -22,7 +22,6 @@ type loadtestReport struct {
 	Model         string  `json:"model"`
 	SLAMS         float64 `json:"sla_ms"`
 	MaxBatch      int     `json:"max_batch"`
-	WindowUS      float64 `json:"window_us"`
 	QueueDepth    int     `json:"queue_depth"`
 	PipelineDepth int     `json:"pipeline_depth"`
 	// Shards is the scatter/gather tier's shard count (1 = single engine).
@@ -96,7 +95,6 @@ func cmdLoadtest(args []string) error {
 	slaBudget := fs.Duration("sla", 100*time.Millisecond, "per-request deadline and knee criterion")
 	loads := fs.String("loads", "auto", "comma-separated offered qps ladder, or 'auto' to calibrate and sweep 0.25x-2.5x of saturation")
 	batch := fs.Int("batch", 32, "max micro-batch size")
-	window := fs.Duration("window", 200*time.Microsecond, "micro-batch flush window")
 	queue := fs.Int("queue", 64, "submit queue depth (0 = 4x batch); bounds every admitted request's queueing delay")
 	pipelineDepth := fs.Int("pipeline-depth", 3, "plane-ring depth of the pipelined drain")
 	topo := addTopologyFlags(fs)
@@ -145,7 +143,7 @@ func cmdLoadtest(args []string) error {
 	// The loadtest server always sheds: open-loop overload against a
 	// blocking queue just moves the queue into the harness.
 	sopts := microrec.ServerOptions{
-		Batching:  microrec.BatchingOptions{MaxBatch: *batch, Window: *window},
+		Batching:  microrec.BatchingOptions{MaxBatch: *batch},
 		Admission: microrec.AdmissionOptions{QueueDepth: *queue, Shed: true, SLA: *slaBudget},
 		Pipeline:  microrec.PipelineOptions{Depth: *pipelineDepth},
 		Tier:      microrec.TierOptions{Shards: *topo.shards},
@@ -211,7 +209,6 @@ func cmdLoadtest(args []string) error {
 		Model:           spec.Name,
 		SLAMS:           float64(*slaBudget) / float64(time.Millisecond),
 		MaxBatch:        *batch,
-		WindowUS:        float64(*window) / float64(time.Microsecond),
 		QueueDepth:      target.Stats().Admission.QueueCapacity,
 		PipelineDepth:   *pipelineDepth,
 		Shards:          *topo.shards,
@@ -280,16 +277,16 @@ func cmdLoadtest(args []string) error {
 	rep.Tier = tierSnapshot(eng)
 	rep.Router = st.Router
 
-	fmt.Fprintf(progress, "\n%-12s %-12s %-10s %-10s %-10s %-8s %-8s %s\n",
-		"offered-qps", "goodput-qps", "p50-us", "p99-us", "shed-p99", "shed", "expired", "SLA")
+	fmt.Fprintf(progress, "\n%-12s %-12s %-10s %-10s %-10s %-10s %-8s %-8s %s\n",
+		"offered-qps", "goodput-qps", "p50-us", "p99-us", "late-p99", "shed-p99", "shed", "expired", "SLA")
 	for _, p := range sweep.Points {
 		verdict := "MISS"
 		if p.MeetsSLA(*slaBudget, *tol) {
 			verdict = "meets"
 		}
-		fmt.Fprintf(progress, "%-12.0f %-12.0f %-10.0f %-10.0f %-10.0f %-8d %-8d %s\n",
+		fmt.Fprintf(progress, "%-12.0f %-12.0f %-10.0f %-10.0f %-10.0f %-10.0f %-8d %-8d %s\n",
 			p.TargetQPS, p.AdmittedQPS, p.AdmittedLatencyUS.P50, p.AdmittedLatencyUS.P99,
-			p.ShedLatencyUS.P99, p.Shed, p.Expired, verdict)
+			p.LateP99US, p.ShedLatencyUS.P99, p.Shed, p.Expired, verdict)
 	}
 	fmt.Fprintf(progress, "\nknee: %.0f qps meeting the %v SLA (pipesim-predicted capacity %.0f qps)\n",
 		rep.KneeQPS, *slaBudget, rep.PredictedCapacityQPS)

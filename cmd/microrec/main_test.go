@@ -261,7 +261,7 @@ func TestServeMuxStatsAfterBurst(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &raw); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"max_batch", "window_us", "workers", "queries", "batches", "qps", "latency_us", "mean_batch", "batch_occupancy"} {
+	for _, key := range []string{"max_batch", "workers", "queries", "batches", "qps", "latency_us", "mean_batch", "batch_occupancy"} {
 		if _, ok := raw[key]; !ok {
 			t.Errorf("/stats missing %q: %v", key, raw)
 		}
@@ -355,7 +355,7 @@ func TestServeFlagValidation(t *testing.T) {
 		args []string
 	}{
 		{"zero batch", []string{"serve", "-batch", "0"}},
-		{"zero window", []string{"serve", "-window", "0s"}},
+		{"removed window flag", []string{"serve", "-window", "200us"}},
 		{"zero workers", []string{"serve", "-workers", "0"}},
 		{"pipeline depth 1", []string{"serve", "-pipeline-depth", "1"}},
 		{"pipeline depth 0", []string{"serve", "-pipeline-depth", "0"}},
@@ -624,6 +624,12 @@ func TestCmdLoadtest(t *testing.T) {
 		if p.Admitted+p.Shed+p.Expired+p.Failed != p.Offered {
 			t.Errorf("point %d classification leak: %+v", i, p)
 		}
+		if p.LateP99US <= 0 {
+			t.Errorf("point %d reports no generator lateness: %+v", i, p)
+		}
+	}
+	if !strings.Contains(string(data), `"late_p99_us"`) || strings.Contains(string(data), `"window_us"`) {
+		t.Error("loadtest document: want late_p99_us per point and no window_us")
 	}
 	if rep.PredictedCapacityQPS <= 0 {
 		t.Errorf("predicted capacity = %v", rep.PredictedCapacityQPS)

@@ -77,7 +77,12 @@ func newServeMux(eng *microrec.Engine, srv serveTarget, withPprof bool) *http.Se
 			return
 		}
 		var req predictRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPredictBody)).Decode(&req); err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				http.Error(w, fmt.Sprintf("request body over %d bytes", maxPredictBody), http.StatusRequestEntityTooLarge)
+				return
+			}
 			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -180,6 +185,22 @@ func newServeMux(eng *microrec.Engine, srv serveTarget, withPprof bool) *http.Se
 	return mux
 }
 
+// maxPredictBody bounds a /predict request body. The large production
+// model's query is 98 tables of a few indices each, a few KB of JSON; 1 MiB
+// leaves two orders of magnitude for longer lookup lists and still refuses a
+// body that would only be parsed to be rejected.
+const maxPredictBody = 1 << 20
+
+// readHeaderTimeout bounds how long a connection may take to send its request
+// headers, so idle or trickling clients cannot hold connections open forever.
+const readHeaderTimeout = 5 * time.Second
+
+// newHTTPServer wraps the API mux in the server the serve command listens
+// with (split out for tests).
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 func writeJSON(w http.ResponseWriter, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(v); err != nil {
@@ -192,12 +213,11 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	modelName := fs.String("model", "small", "model: small or large")
 	fp32 := fs.Bool("fp32", false, "use the 32-bit datapath")
-	batch := fs.Int("batch", 64, "max micro-batch size")
-	window := fs.Duration("window", 200*time.Microsecond, "micro-batch flush window")
+	batch := fs.Int("batch", 64, "max micro-batch size: a batch is dispatched as soon as the drain can serve it and grows, up to this, only while it cannot")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "engine worker pool size (worker-pool fallback mode only)")
 	pipelineDepth := fs.Int("pipeline-depth", 3, "batch planes in the pipelined drain's in-flight ring (>= 2); per-stage occupancy appears in /stats")
 	workerPool := fs.Bool("worker-pool", false, "drain batches on the flat engine worker pool instead of the staged gather/GEMM pipeline")
-	slaBudget := fs.Duration("sla", 0, "tail-latency budget: validates the window at startup and becomes each request's serving deadline (expired requests are dropped before gather/GEMM; 0 = skip)")
+	slaBudget := fs.Duration("sla", 0, "tail-latency budget: validates the backlog the server can hold at startup and becomes each request's serving deadline (expired requests are dropped before gather/GEMM; 0 = skip)")
 	queue := fs.Int("queue", 0, "submit queue depth (0 = 4x batch); with -shed this bounds every admitted request's queueing delay")
 	shed := fs.Bool("shed", false, "fail fast with 429 + Retry-After when the submit queue is full, instead of blocking on backpressure")
 	hotCache := fs.Int64("hotcache", 0, "live hot-row cache capacity in bytes per replica (0 = off; with -shards, split across per-shard caches); hit rate and effective lookup latency appear in /stats")
@@ -212,9 +232,6 @@ func cmdServe(args []string) error {
 	// explicit zeros here instead of silently remapping them.
 	if *batch < 1 {
 		return fmt.Errorf("serve: -batch must be >= 1 (got %d); use -batch 1 for per-query serving", *batch)
-	}
-	if *window <= 0 {
-		return fmt.Errorf("serve: -window must be > 0 (got %v); for per-query serving use -batch 1, which flushes on every request", *window)
 	}
 	if *workers < 1 {
 		return fmt.Errorf("serve: -workers must be >= 1 (got %d)", *workers)
@@ -249,7 +266,7 @@ func cmdServe(args []string) error {
 		return err
 	}
 	sopts := microrec.ServerOptions{
-		Batching:  microrec.BatchingOptions{MaxBatch: *batch, Window: *window},
+		Batching:  microrec.BatchingOptions{MaxBatch: *batch},
 		Pipeline:  microrec.PipelineOptions{Depth: *pipelineDepth, WorkerPool: *workerPool, Workers: *workers},
 		Admission: microrec.AdmissionOptions{QueueDepth: *queue, Shed: *shed, SLA: *slaBudget},
 		Tier:      microrec.TierOptions{Shards: *topo.shards},
@@ -267,7 +284,7 @@ func cmdServe(args []string) error {
 		defer rt.Close()
 		target, eng = rt, first
 		if *slaBudget > 0 {
-			log.Printf("window %v, SLA budget %v enforced per request on each replica", *window, *slaBudget)
+			log.Printf("SLA budget %v enforced per request on each replica", *slaBudget)
 		}
 	} else {
 		var err error
@@ -284,17 +301,13 @@ func cmdServe(args []string) error {
 		target = srv
 		if *slaBudget > 0 {
 			if err := srv.ValidateSLA(*slaBudget); err != nil {
-				if maxW, werr := srv.MaxWindowUnderSLA(*slaBudget); werr == nil {
-					return fmt.Errorf("batching window violates the SLA budget (largest feasible window: %v): %w",
-						maxW.Round(time.Microsecond), err)
-				}
-				return fmt.Errorf("batching window violates the SLA budget: %w", err)
+				return fmt.Errorf("-batch and -queue violate the SLA budget: %w", err)
 			}
 			if worst, expected, err := srv.AdmittedLatencyBounds(); err == nil {
-				log.Printf("window %v validated against SLA budget %v (worst-case admitted %v cache-cold, expected %v)",
-					*window, *slaBudget, worst.Round(time.Microsecond), expected.Round(time.Microsecond))
+				log.Printf("SLA budget %v validated (worst-case admitted %v cache-cold, expected %v)",
+					*slaBudget, worst.Round(time.Microsecond), expected.Round(time.Microsecond))
 			} else {
-				log.Printf("window %v validated against SLA budget %v", *window, *slaBudget)
+				log.Printf("SLA budget %v validated", *slaBudget)
 			}
 		}
 	}
@@ -323,7 +336,7 @@ func cmdServe(args []string) error {
 	if *pprofOn {
 		endpoints += ", GET /debug/pprof/"
 	}
-	log.Printf("serving %s (%d-bit) on %s — batch %d, window %v, %s%s, tracing 1-in-%d — %s",
-		spec.Name, eng.Config().Precision.Bits, *addr, *batch, *window, drainNote, cacheNote, *traceSample, endpoints)
-	return http.ListenAndServe(*addr, newServeMux(eng, target, *pprofOn))
+	log.Printf("serving %s (%d-bit) on %s — batch %d, %s%s, tracing 1-in-%d — %s",
+		spec.Name, eng.Config().Precision.Bits, *addr, *batch, drainNote, cacheNote, *traceSample, endpoints)
+	return newHTTPServer(*addr, newServeMux(eng, target, *pprofOn)).ListenAndServe()
 }

@@ -39,7 +39,6 @@ func main() {
 	const sla = 100 * time.Millisecond
 	srv, err := microrec.NewServer(eng, microrec.ServerOptions{
 		MaxBatch:   32,
-		Window:     200 * time.Microsecond,
 		QueueDepth: 64,   // two batches of backlog: bounds queueing delay
 		Shed:       true, // queue full -> ErrOverloaded instead of blocking
 		SLA:        sla,  // stale queued requests are dropped, not computed

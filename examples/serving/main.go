@@ -1,8 +1,8 @@
 // Serving: the batched online CTR-prediction subsystem in front of the
 // MicroRec engine — the production serving pattern the paper's latency
 // argument targets (§1, §2.3, §4.1). Concurrent clients submit queries; the
-// server coalesces them into dynamic micro-batches (flush on batch size or
-// deadline window) served by an engine worker pool, so each FC weight matrix
+// server coalesces them into dynamic micro-batches (dispatched as soon as the
+// drain can serve one, growing while it cannot), so each FC weight matrix
 // streams from memory once per batch instead of once per query.
 //
 // Run with: go run ./examples/serving
@@ -50,7 +50,6 @@ func main() {
 	// engine on more cores than the baseline.
 	srv, err := microrec.NewServer(eng, microrec.ServerOptions{
 		MaxBatch: 32,
-		Window:   200 * time.Microsecond,
 		Workers:  1,
 	})
 	if err != nil {
@@ -58,8 +57,9 @@ func main() {
 	}
 	defer srv.Close()
 
-	// The window is validated against a serving latency budget before
-	// traffic arrives (internal/sla's worst-case bound).
+	// The backlog the server can hold is validated against a serving
+	// latency budget before traffic arrives (internal/sla's worst-case
+	// bound).
 	if err := srv.ValidateSLA(100 * time.Millisecond); err != nil {
 		log.Fatal(err)
 	}

@@ -134,9 +134,15 @@ type Result struct {
 	OfferedQPS  float64 `json:"offered_qps"`
 	AdmittedQPS float64 `json:"admitted_qps"`
 	// AdmittedLatencyUS is the latency distribution of admitted requests;
-	// ShedLatencyUS is the fail-fast time of shed requests (µs).
+	// ShedLatencyUS is the fail-fast time of shed requests (µs). Both run
+	// from when the request was due, not from when the generator got round
+	// to sending it, so a generator stall is charged to every request it
+	// delayed instead of being omitted.
 	AdmittedLatencyUS metrics.HistogramSnapshot `json:"admitted_latency_us"`
 	ShedLatencyUS     metrics.HistogramSnapshot `json:"shed_latency_us"`
+	// LateP99US is the p99 of how long after its due time a request was
+	// actually sent (µs): the generator's own share of the latencies above.
+	LateP99US float64 `json:"late_p99_us"`
 }
 
 // MeetsSLA reports whether the run sustained its offered load: some traffic
@@ -156,7 +162,10 @@ func (r Result) MeetsSLA(sla time.Duration, tol float64) bool {
 // Run drives one open-loop run: requests fire at the arrival process's
 // schedule (never waiting for completions; if the runner falls behind it
 // fires immediately, preserving the offered count), each bounded by the SLA
-// as its context deadline. Queries are taken round-robin from qs.
+// as its context deadline. Queries are taken round-robin from qs. A request
+// is timed from its scheduled arrival: the generator sleeps between arrivals,
+// a sleep overshoots by up to a millisecond on an idle host, and timing from
+// the send would leave exactly that stall out of every latency.
 func Run(target Target, qs []embedding.Query, arr Arrivals, opts Options) (Result, error) {
 	if target == nil {
 		return Result{}, fmt.Errorf("loadgen: nil target")
@@ -177,6 +186,7 @@ func Run(target Target, qs []embedding.Query, arr Arrivals, opts Options) (Resul
 	// Range: 1µs to 1e9µs (~17min) covers any latency a run can observe.
 	admittedHist := metrics.NewHistogram(eps, 1e9)
 	shedHist := metrics.NewHistogram(eps, 1e9)
+	lateHist := metrics.NewHistogram(eps, 1e9)
 
 	var (
 		wg                              sync.WaitGroup
@@ -191,13 +201,13 @@ func Run(target Target, qs []embedding.Query, arr Arrivals, opts Options) (Resul
 		}
 		q := qs[i%len(qs)]
 		wg.Add(1)
-		go func(q embedding.Query) {
+		go func(q embedding.Query, due time.Time) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), opts.SLA)
+			ctx, cancel := context.WithDeadline(context.Background(), due.Add(opts.SLA))
 			defer cancel()
-			t0 := time.Now()
+			lateHist.ObserveDuration(time.Since(due))
 			_, err := target.Submit(ctx, q)
-			lat := time.Since(t0)
+			lat := time.Since(due)
 			switch {
 			case err == nil:
 				admitted.Add(1)
@@ -212,7 +222,7 @@ func Run(target Target, qs []embedding.Query, arr Arrivals, opts Options) (Resul
 			default:
 				failed.Add(1)
 			}
-		}(q)
+		}(q, next)
 	}
 	offerSpan := time.Since(start)
 	wg.Wait()
@@ -227,6 +237,7 @@ func Run(target Target, qs []embedding.Query, arr Arrivals, opts Options) (Resul
 		Duration:          total,
 		AdmittedLatencyUS: admittedHist.Snapshot(),
 		ShedLatencyUS:     shedHist.Snapshot(),
+		LateP99US:         lateHist.Snapshot().P99,
 	}
 	if offerSpan > 0 {
 		res.OfferedQPS = float64(opts.Requests) / offerSpan.Seconds()

@@ -120,12 +120,60 @@ func TestRunClassification(t *testing.T) {
 	if res.AdmittedLatencyUS.P50 < 9000 {
 		t.Errorf("admitted p50 = %vµs, want >= ~10ms", res.AdmittedLatencyUS.P50)
 	}
-	// Sheds never touch a slot; generous 5ms bound for scheduler noise.
-	if res.ShedLatencyUS.P99 > 5000 {
-		t.Errorf("shed p99 = %vµs — the fast-fail path blocked", res.ShedLatencyUS.P99)
+	// Sheds never touch a slot: beyond however late the generator sent them,
+	// a generous 5ms bound for scheduler noise.
+	if res.ShedLatencyUS.P99 > res.LateP99US+5000 {
+		t.Errorf("shed p99 = %vµs with the generator %vµs late — the fast-fail path blocked",
+			res.ShedLatencyUS.P99, res.LateP99US)
 	}
 	if res.OfferedQPS <= 0 || res.AdmittedQPS <= 0 {
 		t.Errorf("rates = %v / %v", res.OfferedQPS, res.AdmittedQPS)
+	}
+}
+
+// stallingArrivals schedules every request for the same instant and stalls
+// the generator once, before the arrival numbered stallAt: everything from
+// there on is sent at least stall late.
+type stallingArrivals struct {
+	calls, stallAt int
+	stall          time.Duration
+}
+
+func (a *stallingArrivals) Next() time.Duration {
+	if a.calls++; a.calls == a.stallAt {
+		time.Sleep(a.stall)
+	}
+	return 0
+}
+
+// TestRunTimesFromDueNotFromSend pins the open-loop timing rule: a request is
+// timed from when it was due. A generator that runs late must raise the
+// reported latency by its lateness (and report the lateness itself); timed
+// from the send, the instant target below would read a few microseconds
+// whatever the generator did.
+func TestRunTimesFromDueNotFromSend(t *testing.T) {
+	const stall = 20 * time.Millisecond
+	target := newFakeTarget(64, 0)
+	res, err := Run(target, testQueries, &stallingArrivals{stallAt: 5, stall: stall},
+		Options{Requests: 40, SLA: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Admitted != 40 {
+		t.Fatalf("admitted %d of 40: %+v", res.Admitted, res)
+	}
+	stallUS := float64(stall) / float64(time.Microsecond)
+	// 36 of the 40 requests were due before the stall and sent after it.
+	if res.AdmittedLatencyUS.P50 < 0.98*stallUS {
+		t.Errorf("admitted p50 = %.0f µs behind a %v generator stall: latency is not timed from the due time",
+			res.AdmittedLatencyUS.P50, stall)
+	}
+	if res.LateP99US < 0.98*stallUS {
+		t.Errorf("late_p99_us = %.0f after a %v generator stall", res.LateP99US, stall)
+	}
+	// The four requests sent before the stall were on time.
+	if res.AdmittedLatencyUS.Min > stallUS/2 {
+		t.Errorf("admitted min = %.0f µs: the requests sent before the stall read late too", res.AdmittedLatencyUS.Min)
 	}
 }
 

@@ -9,13 +9,14 @@
 // tail/response — connected by bounded channels, over a ring of N
 // pre-allocated fixed-point batch planes:
 //
-//	Submit ─► free ring ─► [gather] ─► [dense GEMM] ─► [tail ► Deliver] ─┐
-//	             ▲                                                       │
-//	             └────────────────── plane recycled ◄────────────────────┘
+//	Free ─► SubmitOn ─► [gather] ─► [dense GEMM] ─► [tail ► Deliver] ─┐
+//	  ▲                                                               │
+//	  └──────────────────── plane recycled ◄──────────────────────────┘
 //
 // While batch i occupies the GEMM stage, batch i+1's gather is already
 // running on the next plane. The ring bounds the batches in flight, so
-// backpressure propagates from a slow stage back to Submit exactly as in
+// backpressure propagates from a slow stage back to the submitter — which
+// receives a plane from Free before it can submit — exactly as in
 // pipesim's marked-graph model: a ring of N planes is N tokens circulating
 // through the stage graph. The steady-state initiation interval is therefore
 // the slowest stage's service time, not the sum of all stages — Snapshot
@@ -86,7 +87,7 @@ type Options struct {
 	// datapath work entirely; Deliver is not called for such a plane. The
 	// serving layer uses this as its deadline-drop hook — the last
 	// admission point before gather work is committed, after any time the
-	// batch spent blocked waiting for a free plane.
+	// batch spent waiting for a free plane or queued behind the stage.
 	Prepare func(payload interface{}, queries []embedding.Query) []embedding.Query
 	// StatsWindow is the number of recent batches retained for the
 	// per-stage service-time and completion-interval statistics.
@@ -125,9 +126,10 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// plane is one slot of the in-flight ring: a pre-sized fixed-point batch
-// plane plus the batch riding on it.
-type plane struct {
+// Plane is one slot of the in-flight ring: a pre-sized fixed-point batch
+// plane plus the batch riding on it. Callers only carry one from Free to
+// SubmitOn.
+type Plane struct {
 	queries []embedding.Query // batch query headers, cap MaxBatch
 	preds   []float32         // predictions, cap MaxBatch
 	payload interface{}       // caller's batch handle, returned via Deliver
@@ -194,10 +196,10 @@ type Executor struct {
 	closed    bool
 	accepting sync.WaitGroup // in-flight Submits past the closed check
 
-	free    chan *plane
-	gatherQ chan *plane
-	denseQ  chan *plane
-	tailQ   chan *plane
+	free    chan *Plane
+	gatherQ chan *Plane
+	denseQ  chan *Plane
+	tailQ   chan *Plane
 	wg      sync.WaitGroup
 
 	stages [NumStages]stageMeter
@@ -234,10 +236,10 @@ func New(eng StageEngine, opts Options) (*Executor, error) {
 		// Stage channels hold up to Depth planes each, so a full ring never
 		// blocks a send: the only backpressure point is plane acquisition,
 		// which is exactly the marked-graph token discipline.
-		free:     make(chan *plane, opts.Depth),
-		gatherQ:  make(chan *plane, opts.Depth),
-		denseQ:   make(chan *plane, opts.Depth),
-		tailQ:    make(chan *plane, opts.Depth),
+		free:     make(chan *Plane, opts.Depth),
+		gatherQ:  make(chan *Plane, opts.Depth),
+		denseQ:   make(chan *Plane, opts.Depth),
+		tailQ:    make(chan *Plane, opts.Depth),
 		interval: metrics.NewRolling(opts.StatsWindow),
 		start:    time.Now(),
 	}
@@ -245,7 +247,7 @@ func New(eng StageEngine, opts Options) (*Executor, error) {
 		x.stages[i].service = metrics.NewRolling(opts.StatsWindow)
 	}
 	for i := 0; i < opts.Depth; i++ {
-		p := &plane{
+		p := &Plane{
 			queries: make([]embedding.Query, 0, opts.MaxBatch),
 			preds:   make([]float32, opts.MaxBatch),
 		}
@@ -262,12 +264,28 @@ func New(eng StageEngine, opts Options) (*Executor, error) {
 // Options returns the executor's effective (defaulted) options.
 func (x *Executor) Options() Options { return x.opts }
 
-// Submit enqueues one validated micro-batch: it acquires a plane from the
-// ring (blocking while all Depth planes are in flight — the backpressure
-// bound), copies the query headers onto it and hands it to the gather stage.
-// The queries slice is not retained; callers may reuse it as soon as Submit
-// returns. payload is handed back through Deliver with the predictions.
-// Queries must have passed Engine.ValidateQuery at admission.
+// Free is the ring's free-plane channel. A receive acquires a plane, which the
+// receiver must pass to SubmitOn. It is the executor's "can start service
+// now" signal: the serving batcher selects on it next to its submit queue, so
+// a forming batch grows exactly as long as every plane is in flight.
+func (x *Executor) Free() <-chan *Plane { return x.free }
+
+// SubmitOn copies a validated micro-batch's query headers (1 to MaxBatch of
+// them, which passed Engine.ValidateQuery at admission) onto a plane received
+// from Free and hands it to the gather stage. It never blocks — the stage
+// queues hold a full ring. The queries slice is not retained; payload comes
+// back through Deliver with the predictions. SubmitOn takes no part in the
+// closed gate: its caller must have returned before Close is called.
+func (x *Executor) SubmitOn(p *Plane, queries []embedding.Query, payload interface{}) {
+	p.queries = append(p.queries[:0], queries...)
+	p.payload = payload
+	p.entered = time.Now()
+	x.gatherQ <- p
+}
+
+// Submit is the blocking form: it acquires a plane from the ring (waiting
+// while all Depth planes are in flight — the backpressure bound) and submits
+// the batch on it.
 func (x *Executor) Submit(queries []embedding.Query, payload interface{}) error {
 	if len(queries) == 0 {
 		return fmt.Errorf("pipeline: empty batch")
@@ -294,11 +312,7 @@ func (x *Executor) Submit(queries []embedding.Query, payload interface{}) error 
 	// In-flight planes complete independently of this goroutine (the stage
 	// loops keep draining until Close's accepting.Wait returns), so the
 	// acquisition always terminates.
-	p := <-x.free
-	p.queries = append(p.queries[:0], queries...)
-	p.payload = payload
-	p.entered = time.Now()
-	x.gatherQ <- p
+	x.SubmitOn(<-x.free, queries, payload)
 	return nil
 }
 

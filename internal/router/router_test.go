@@ -92,8 +92,12 @@ func newRouter(t testing.TB, p Policy) *Router {
 // fakeEngine mirrors the serving overload tests' deterministic fake: the
 // dense stage sleeps a fixed per-batch service time, so load-policy tests
 // can manufacture slow and fast replicas without depending on host speed.
+//
+// A non-nil gate additionally blocks every batch in its gather stage until
+// the test closes it, which is how the saturation test fills a replica.
 type fakeEngine struct {
 	service time.Duration
+	gate    chan struct{}
 	served  atomic.Uint64
 }
 
@@ -104,8 +108,12 @@ func (e *fakeEngine) ValidateQuery(q embedding.Query) error {
 	return nil
 }
 
-func (e *fakeEngine) EnsurePlane(s *core.BatchScratch, b int)                         {}
-func (e *fakeEngine) GatherIntoPlane(queries []embedding.Query, s *core.BatchScratch) {}
+func (e *fakeEngine) EnsurePlane(s *core.BatchScratch, b int) {}
+func (e *fakeEngine) GatherIntoPlane(queries []embedding.Query, s *core.BatchScratch) {
+	if e.gate != nil {
+		<-e.gate
+	}
+}
 func (e *fakeEngine) DenseFromPlane(b int, s *core.BatchScratch) {
 	time.Sleep(e.service)
 }
@@ -289,6 +297,57 @@ func TestLeastLoadedBoundsOccupancyUnderSkew(t *testing.T) {
 	// the fast replica's, and routing moves on.
 	if peak > 64 {
 		t.Fatalf("slow replica load score peaked at %d; least-loaded should bound it", peak)
+	}
+}
+
+// TestOccupancyAtSaturation fills two shedding replicas behind held planes —
+// queue full, a full batch on offer, every plane occupied — and checks the
+// occupancy /stats reports: it reaches 1.0 on both and never reads above it,
+// so the load score and the capacity it is normalised by count the same
+// things.
+func TestOccupancyAtSaturation(t *testing.T) {
+	rt := newRouter(t, LeastLoaded)
+	gate := make(chan struct{})
+	var wg sync.WaitGroup
+	// Registered after the router's own cleanup, so it runs first: a failed
+	// test must open the gate before Close can drain.
+	t.Cleanup(func() {
+		close(gate)
+		wg.Wait()
+	})
+	opts := fakeOpts()
+	opts.Admission = serving.AdmissionOptions{QueueDepth: 8, Shed: true}
+	for i := 0; i < 2; i++ {
+		if _, err := rt.Add(&fakeEngine{gate: gate}, opts, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full := func() bool {
+		n := 0
+		for _, rs := range rt.Stats().Router.PerReplica {
+			if rs.Occupancy > 1 {
+				t.Errorf("replica %d occupancy %.3f (load score %d) above 1", rs.ID, rs.Occupancy, rs.LoadScore)
+			}
+			if rs.Occupancy == 1 {
+				n++
+			}
+		}
+		return n == 2
+	}
+	// Offer requests until both replicas are full: an admitted one waits
+	// behind the gate, a shed one returns and is simply replaced.
+	for deadline := time.Now().Add(5 * time.Second); !full(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("replicas did not saturate: %+v", rt.Stats().Router.PerReplica)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := rt.Submit(context.Background(), fakeQuery); err != nil && !errors.Is(err, serving.ErrOverloaded) {
+				t.Errorf("unexpected error: %v", err)
+			}
+		}()
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 

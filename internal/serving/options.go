@@ -12,13 +12,17 @@ import (
 // BatchingOptions groups the micro-batcher knobs: how requests coalesce into
 // hardware-sized batches.
 type BatchingOptions struct {
-	// MaxBatch is the flush size: a forming batch is dispatched as soon as
-	// it holds this many queries. Default 64.
+	// MaxBatch is the largest batch the batcher forms. A forming batch is
+	// dispatched as soon as the drain can start serving it (a free plane, or
+	// an idle pool worker) and keeps growing, up to MaxBatch, while it
+	// cannot; at MaxBatch the batcher stops reading the submit queue. For
+	// per-query serving set MaxBatch to 1. Default 64.
 	MaxBatch int
-	// Window is the deadline flush: a forming batch is dispatched at most
-	// this long after its first query arrived, full or not. Default 200µs.
-	// (For per-query serving set MaxBatch to 1; the size flush then fires
-	// on every submit and the window never starts.)
+	// Window was the deadline flush of the timer-driven batcher.
+	//
+	// Deprecated: ignored. No clock takes part in batch formation; the
+	// field stays (with the flat fields below) only for callers that still
+	// set it.
 	Window time.Duration
 	// StatsWindow is the number of recent queries retained for the rolling
 	// latency statistics. Default 4096.
@@ -113,7 +117,7 @@ type RouterOptions struct {
 // mirror each other, so Server.Options() readers can use either during the
 // deprecation window.
 type Options struct {
-	// Batching configures the micro-batcher (flush size and window).
+	// Batching configures the micro-batcher (largest batch).
 	Batching BatchingOptions
 	// Admission configures overload protection (queue bound, shed, SLA).
 	Admission AdmissionOptions
@@ -132,7 +136,7 @@ type Options struct {
 	MaxBatch int
 	// Window is the flat spelling of Batching.Window.
 	//
-	// Deprecated: set Batching.Window.
+	// Deprecated: ignored, like Batching.Window.
 	Window time.Duration
 	// Workers is the flat spelling of Pipeline.Workers.
 	//
@@ -251,9 +255,6 @@ func (o Options) withDefaults() Options {
 	if o.Batching.MaxBatch == 0 {
 		o.Batching.MaxBatch = 64
 	}
-	if o.Batching.Window == 0 {
-		o.Batching.Window = 200 * time.Microsecond
-	}
 	if o.Pipeline.Workers == 0 {
 		o.Pipeline.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -279,9 +280,6 @@ func (o Options) Validate() error {
 	}
 	if o.Batching.MaxBatch < 1 {
 		return fmt.Errorf("serving: max batch %d", o.Batching.MaxBatch)
-	}
-	if o.Batching.Window < 0 {
-		return fmt.Errorf("serving: negative window %v", o.Batching.Window)
 	}
 	if o.Pipeline.Workers < 1 {
 		return fmt.Errorf("serving: %d workers", o.Pipeline.Workers)

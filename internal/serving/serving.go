@@ -1,10 +1,11 @@
 // Package serving implements the batched online-inference subsystem: a
-// dynamic micro-batcher that coalesces concurrent predict requests into
-// hardware-sized batches (flush on max batch size or a deadline window),
-// drained through the staged pipeline executor — gather, dense GEMM and
-// tail/response stages overlapped over a ring of batch planes — with
-// per-request response futures. A flat engine worker pool remains available
-// as a fallback mode (Options.Pipeline.WorkerPool).
+// work-conserving micro-batcher that coalesces concurrent predict requests
+// into hardware-sized batches (a forming batch is dispatched the moment the
+// drain can start serving it, and grows only while it cannot), drained
+// through the staged pipeline executor — gather, dense GEMM and tail/response
+// stages overlapped over a ring of batch planes — with per-request response
+// futures. A flat engine worker pool remains available as a fallback mode
+// (Options.Pipeline.WorkerPool).
 //
 // This is the serving seam the paper argues for (§2.3): per-query serving —
 // one synchronous inference per HTTP request, the TensorFlow-Serving
@@ -12,13 +13,15 @@
 // once per query, while a micro-batch amortises the weight traffic across
 // all queries in flight. The pipelined drain adds the second hardware pillar
 // (§4.1): while batch i occupies the GEMM stage, batch i+1's gather is
-// already running, so memory latency hides behind compute. The window bounds
-// the latency cost of coalescing and can be validated against an SLA budget
+// already running, so memory latency hides behind compute. Coalescing costs a
+// lightly loaded server nothing — an idle drain takes a lone request at once —
+// and the backlog a saturated one can hold is validated against an SLA budget
 // (see internal/sla).
 //
-//	requests ──► Submit ──► micro-batcher ──► dispatcher ──► pipeline executor
-//	   ▲                    (size/window         │          (gather │ GEMM │ tail)
-//	   └──── response futures ◄──────────────────┴──────────────────┘
+//	requests ──► Submit ──► micro-batcher ──free plane──► pipeline executor
+//	   ▲                    (grows while every           (gather │ GEMM │ tail)
+//	   │                     plane is in flight)                 │
+//	   └──── response futures ◄──────────────────────────────────┘
 package serving
 
 import (
@@ -196,11 +199,18 @@ type Server struct {
 	// across a blocking send.
 	accepting sync.WaitGroup
 
-	submit  chan *request
+	submit chan *request
+	// batches is the worker-pool drain's hand-off: unbuffered, so a send
+	// completes only into an idle worker's receive. nil in pipelined mode,
+	// where the batcher submits on a free plane itself.
 	batches chan *planeBatch
 	// pipe is the staged executor of the default pipelined drain; nil in
 	// worker-pool mode.
 	pipe *pipeline.Executor
+	// forming is set while the batcher holds a batch on offer; wpBusy counts
+	// pool workers serving one. Both feed the load score only.
+	forming atomic.Bool
+	wpBusy  atomic.Int32
 	// clu is the sharded tier coordinator when Options.Tier.Shards > 1 (it is
 	// also the server's eng); ownsCluster marks the one New built itself,
 	// which Close must stop after the drain has emptied.
@@ -317,7 +327,6 @@ func New(eng Engine, opts Options) (*Server, error) {
 		clu:         clu,
 		ownsCluster: ownsCluster,
 		submit:      make(chan *request, opts.Admission.QueueDepth),
-		batches:     make(chan *planeBatch, 2*opts.Pipeline.Workers),
 		// Latencies span µs (warm single-query) to seconds (overload tails);
 		// 1% relative error over [1, 10^7] µs.
 		latencyHist: metrics.NewHistogram(0.01, 1e7),
@@ -341,6 +350,7 @@ func New(eng Engine, opts Options) (*Server, error) {
 	}
 	s.replica = int32(opts.Router.ReplicaID)
 	if opts.Pipeline.WorkerPool {
+		s.batches = make(chan *planeBatch)
 		s.wg.Add(1 + opts.Pipeline.Workers)
 		go s.batcher()
 		for i := 0; i < opts.Pipeline.Workers; i++ {
@@ -361,9 +371,8 @@ func New(eng Engine, opts Options) (*Server, error) {
 		return nil, err
 	}
 	s.pipe = pipe
-	s.wg.Add(2)
+	s.wg.Add(1)
 	go s.batcher()
-	go s.dispatcher()
 	return s, nil
 }
 
@@ -471,8 +480,8 @@ func (s *Server) Close() error {
 	// channel after it closes.
 	s.accepting.Wait()
 	close(s.submit)
-	// Batcher flushes and closes s.batches; the dispatcher (or workers)
-	// drains it. Only then may the executor close: every accepted batch has
+	// The batcher dispatches what it still holds and exits (the workers
+	// follow). Only then may the executor close: every accepted batch has
 	// been submitted, and the executor's Close delivers the in-flight ones.
 	s.wg.Wait()
 	var err error
@@ -507,69 +516,60 @@ func (s *Server) drainQueued(pending []*request) ([]*request, bool) {
 	return pending, true
 }
 
-// batcher owns batch formation: flush on size, on window expiry, and on
-// shutdown.
+// batcher owns batch formation and dispatch. It is work-conserving: the drain
+// being able to start service is the flush signal, not a clock. While the
+// forming batch holds at least one request it is on offer — to the plane ring
+// in pipelined mode, to an idle worker's receive in worker-pool mode — and it
+// keeps absorbing arrivals until the offer is taken. An idle server therefore
+// dispatches a lone request at once, a busy one grows the batch for exactly
+// as long as nothing can serve it, and at MaxBatch the batcher stops reading
+// the submit queue, so backpressure reaches the queue Admission.Shed watches.
+// (A runtime timer cannot do this job: armed in an idle process it fires
+// after about 1.1 ms whatever sub-millisecond duration it was given.)
 func (s *Server) batcher() {
 	defer s.wg.Done()
-	defer close(s.batches)
-	var (
-		pending *planeBatch // the batch being formed; nil between batches
-		timer   *time.Timer
-		timerC  <-chan time.Time
-	)
-	stopTimer := func() {
-		if timer != nil {
-			timer.Stop()
-			timer = nil
-			timerC = nil
-		}
+	var free <-chan *pipeline.Plane
+	if s.pipe != nil {
+		free = s.pipe.Free()
+	} else {
+		defer close(s.batches)
 	}
-	flush := func() {
-		stopTimer()
-		if pending != nil {
-			// Stamp the flush for sampled requests: it splits a span's queue
-			// wait (batch formation) from its batch wait (dispatch to service).
-			var now time.Time
-			for _, r := range pending.reqs {
-				if r.sampled {
-					if now.IsZero() {
-						now = time.Now()
-					}
-					r.flushed = now
-				}
-			}
-			s.batches <- pending
-			pending = nil
+	queries := make([]embedding.Query, 0, s.opts.Batching.MaxBatch)
+	pending := batchPool.Get().(*planeBatch)
+	for in := s.submit; in != nil || len(pending.reqs) > 0; {
+		// A nil channel disables its case: no offer while the batch is
+		// empty, no intake once it is full (or the queue has closed).
+		recv, ready, offer := in, free, s.batches
+		if len(pending.reqs) == 0 {
+			ready, offer = nil, nil
+		} else if len(pending.reqs) >= s.opts.Batching.MaxBatch {
+			recv = nil
 		}
-	}
-	for {
 		select {
-		case req, ok := <-s.submit:
+		case req, ok := <-recv:
+			if ok {
+				s.forming.Store(true)
+				pending.reqs, ok = s.drainQueued(append(pending.reqs, req))
+			}
 			if !ok {
-				flush()
-				return
+				in = nil
 			}
-			if pending == nil {
-				pending = batchPool.Get().(*planeBatch)
+			continue
+		case p := <-ready:
+			// The plane copies the query headers, so the local buffer is
+			// reusable at once; the batch rides through the stages as the
+			// plane's payload and resurfaces in deliver. Expiry is the
+			// prepare hook's job, on the gather stage.
+			pending.stampFlushed()
+			queries = queries[:0]
+			for _, r := range pending.reqs {
+				queries = append(queries, r.q)
 			}
-			pending.reqs = append(pending.reqs, req)
-			pending.reqs, ok = s.drainQueued(pending.reqs)
-			if !ok {
-				flush()
-				return
-			}
-			switch {
-			case len(pending.reqs) >= s.opts.Batching.MaxBatch:
-				flush()
-			case timerC == nil:
-				timer = time.NewTimer(s.opts.Batching.Window)
-				timerC = timer.C
-			}
-		case <-timerC:
-			timer = nil
-			timerC = nil
-			flush()
+			s.pipe.SubmitOn(p, queries, pending)
+		case offer <- pending:
 		}
+		s.forming.Store(false)
+		pending = batchPool.Get().(*planeBatch)
 	}
 }
 
@@ -614,12 +614,8 @@ func (s *Server) resolveExpired(r *request, cutoff time.Time) error {
 		}
 		// A dropped request's whole life is queue + batch wait: no stage was
 		// ever entered.
-		if !r.flushed.IsZero() {
-			sp.QueueNS = int64(r.flushed.Sub(r.enq))
-			sp.BatchWaitNS = int64(now.Sub(r.flushed))
-		} else {
-			sp.QueueNS = sp.EndToEndNS
-		}
+		sp.QueueNS = int64(r.flushed.Sub(r.enq))
+		sp.BatchWaitNS = int64(now.Sub(r.flushed))
 		s.rec.Record(sp)
 	}
 	r.done <- outcome{err: err}
@@ -656,27 +652,27 @@ func (s *Server) worker() {
 	queries := make([]embedding.Query, 0, s.opts.Batching.MaxBatch)
 	preds := make([]float32, s.opts.Batching.MaxBatch)
 	for pb := range s.batches {
-		batch := s.dropExpired(pb.reqs)
-		if len(batch) == 0 {
-			pb.release()
-			continue
+		s.wpBusy.Add(1)
+		pb.stampFlushed()
+		if batch := s.dropExpired(pb.reqs); len(batch) > 0 {
+			queries = queries[:0]
+			for _, r := range batch {
+				queries = append(queries, r.q)
+			}
+			if s.prefetch != nil {
+				s.prefetch.PrefetchBatch(queries)
+			}
+			bt := &pb.batchTrace
+			bt.serviceStart = time.Now()
+			_, err := s.eng.InferBatchValidated(queries, preds[:len(batch)], &scratch)
+			bt.serviceEnd = time.Now()
+			bt.gather = scratch.GatherObs()
+			s.wpServiceNS.Add(int64(bt.serviceEnd.Sub(bt.serviceStart)))
+			s.wpBatches.Add(1)
+			s.complete(batch, preds[:len(batch)], err, bt)
 		}
-		queries = queries[:0]
-		for _, r := range batch {
-			queries = append(queries, r.q)
-		}
-		if s.prefetch != nil {
-			s.prefetch.PrefetchBatch(queries)
-		}
-		bt := &pb.batchTrace
-		bt.serviceStart = time.Now()
-		_, err := s.eng.InferBatchValidated(queries, preds[:len(batch)], &scratch)
-		bt.serviceEnd = time.Now()
-		bt.gather = scratch.GatherObs()
-		s.wpServiceNS.Add(int64(bt.serviceEnd.Sub(bt.serviceStart)))
-		s.wpBatches.Add(1)
-		s.complete(batch, preds[:len(batch)], err, bt)
 		pb.release()
+		s.wpBusy.Add(-1)
 	}
 }
 
@@ -733,23 +729,17 @@ func (pb *planeBatch) release() {
 	batchPool.Put(pb)
 }
 
-// dispatcher drains formed batches into the pipeline executor — the default
-// pipelined mode. Submit copies the query headers onto a plane, so the local
-// buffer is reusable immediately; the batch itself rides through the stages
-// as the plane's payload and resurfaces in deliver. Expiry is checked by the
-// prepare hook on the gather stage, not here: Submit can block waiting for a
-// free plane under backpressure, and requests keep aging through that wait.
-func (s *Server) dispatcher() {
-	defer s.wg.Done()
-	queries := make([]embedding.Query, 0, s.opts.Batching.MaxBatch)
-	for pb := range s.batches {
-		queries = queries[:0]
-		for _, r := range pb.reqs {
-			queries = append(queries, r.q)
-		}
-		if err := s.pipe.Submit(queries, pb); err != nil {
-			s.complete(pb.reqs, nil, err, nil)
-			pb.release()
+// stampFlushed stamps the dispatch time on the batch's sampled requests: it
+// splits a span's queue wait (batch formation, including the wait for a plane
+// or worker) from its batch wait (dispatch to service).
+func (pb *planeBatch) stampFlushed() {
+	var now time.Time
+	for _, r := range pb.reqs {
+		if r.sampled {
+			if now.IsZero() {
+				now = time.Now()
+			}
+			r.flushed = now
 		}
 	}
 }
@@ -757,7 +747,7 @@ func (s *Server) dispatcher() {
 // prepare is the executor's gather-stage admission hook: the last moment
 // before a plane's work is committed. It drops expired requests from the
 // batch and filters the plane's query headers in lockstep — batch[i] and
-// queries[i] are index-aligned by construction (the dispatcher built one
+// queries[i] are index-aligned by construction (the batcher built one
 // from the other, and the executor copies queries in order) — so preds
 // indices in deliver stay aligned with the surviving requests.
 func (s *Server) prepare(payload interface{}, queries []embedding.Query) []embedding.Query {
@@ -846,37 +836,28 @@ func (s *Server) recordSpans(batch []*request, bt *batchTrace, now time.Time, er
 			Replica:    s.replica,
 			Verdict:    verdict,
 		}
+		// Both drains stamp flushed at dispatch, before any path reaches here.
 		flushed := r.flushed
-		if flushed.IsZero() {
-			flushed = r.enq
-		}
 		sp.QueueNS = int64(flushed.Sub(r.enq))
-		switch {
-		case bt != nil && !bt.stageStart[pipeline.StageGather].IsZero():
-			// Pipelined drain: batch wait runs from flush to gather entry
-			// (plane acquisition + prepare + prefetch); inter-stage waits are
-			// the gaps between one stage's exit and the next one's entry.
+		if s.pipe != nil {
+			// Pipelined drain: batch wait runs from dispatch to gather entry
+			// (prepare + prefetch); inter-stage waits are the gaps between one
+			// stage's exit and the next one's entry.
 			sp.BatchWaitNS = int64(bt.stageStart[pipeline.StageGather].Sub(flushed))
 			sp.GatherNS = int64(bt.stageEnd[pipeline.StageGather].Sub(bt.stageStart[pipeline.StageGather]))
 			sp.DenseWaitNS = int64(bt.stageStart[pipeline.StageDense].Sub(bt.stageEnd[pipeline.StageGather]))
 			sp.DenseNS = int64(bt.stageEnd[pipeline.StageDense].Sub(bt.stageStart[pipeline.StageDense]))
 			sp.TailWaitNS = int64(bt.stageStart[pipeline.StageTail].Sub(bt.stageEnd[pipeline.StageDense]))
 			sp.TailNS = int64(bt.stageEnd[pipeline.StageTail].Sub(bt.stageStart[pipeline.StageTail]))
-		case bt != nil && !bt.serviceStart.IsZero():
+		} else {
 			// Worker pool: one monolithic service segment.
 			sp.BatchWaitNS = int64(bt.serviceStart.Sub(flushed))
 			sp.ServiceNS = int64(bt.serviceEnd.Sub(bt.serviceStart))
-		default:
-			// No trace (dispatcher-submit failure): everything after the
-			// flush is batch wait.
-			sp.BatchWaitNS = int64(now.Sub(flushed))
 		}
-		if bt != nil {
-			sp.ColdFaults = int32(bt.gather.ColdFaults)
-			sp.Shards = int32(bt.gather.Shards)
-			sp.ShardMaxNS = bt.gather.ShardMaxNS
-			sp.MergeWaitNS = bt.gather.MergeWaitNS
-		}
+		sp.ColdFaults = int32(bt.gather.ColdFaults)
+		sp.Shards = int32(bt.gather.Shards)
+		sp.ShardMaxNS = bt.gather.ShardMaxNS
+		sp.MergeWaitNS = bt.gather.MergeWaitNS
 		s.rec.Record(sp)
 	}
 }
@@ -892,38 +873,45 @@ func (s *Server) Trace(last int, since time.Time) []obs.Span {
 // router's least-loaded score. One channel-length read; safe at any rate.
 func (s *Server) QueueLen() int { return len(s.submit) }
 
-// InFlightBatches counts micro-batches dispatched but not yet delivered: the
-// dispatch channel's backlog plus, in pipelined mode, the executor's occupied
-// planes. (The worker pool exposes no in-service count; its dispatch backlog
-// alone carries the signal.)
+// InFlightBatches counts the micro-batches the replica has committed to: the
+// one on offer in the batcher, if any, plus those in service — occupied
+// planes, or busy pool workers.
 func (s *Server) InFlightBatches() int {
-	n := len(s.batches)
+	n := int(s.wpBusy.Load())
 	if s.pipe != nil {
-		n += s.pipe.InFlight()
+		n = s.pipe.InFlight()
+	}
+	if s.forming.Load() {
+		n++
 	}
 	return n
 }
 
 // LoadScore is the router's least-loaded scoring input, in queued-request
 // units: the submit queue's occupancy plus the in-flight batches weighted by
-// the flush size (a dispatched batch represents up to MaxBatch requests the
-// replica has committed to serve before a newly routed one).
+// the flush size (each stands for up to MaxBatch requests the replica serves
+// before a newly routed one).
 //
 //	score = QueueLen + MaxBatch · InFlightBatches
 func (s *Server) LoadScore() int {
 	return s.QueueLen() + s.opts.Batching.MaxBatch*s.InFlightBatches()
 }
 
-// LoadCapacity is the LoadScore at which the replica is fully occupied —
-// submit queue full and every dispatch slot and plane (or pool worker)
-// holding a full batch. LoadScore/LoadCapacity is the occupancy figure the
-// /stats router section reports per replica.
+// LoadCapacity is the LoadScore of a saturated replica — submit queue full,
+// a full batch on offer and every plane (or pool worker) holding one — so
+// LoadScore/LoadCapacity, the occupancy the /stats router section reports per
+// replica, never exceeds 1.
 func (s *Server) LoadCapacity() int {
-	inFlight := cap(s.batches)
+	return s.opts.Admission.QueueDepth + s.opts.Batching.MaxBatch*(1+s.drainSlots())
+}
+
+// drainSlots is the number of batches the drain serves at once: the plane
+// ring, or the worker pool.
+func (s *Server) drainSlots() int {
 	if s.pipe != nil {
-		inFlight += s.opts.Pipeline.Depth
+		return s.opts.Pipeline.Depth
 	}
-	return s.opts.Admission.QueueDepth + s.opts.Batching.MaxBatch*inFlight
+	return s.opts.Pipeline.Workers
 }
 
 // HotCacheCounts reports the engine's live hot-row cache lifetime hit/miss
@@ -1121,10 +1109,9 @@ type AdmissionStats struct {
 // Stats is a point-in-time view of the server's rolling serving statistics.
 type Stats struct {
 	// Configuration echo. Mode is "pipeline" or "worker-pool".
-	Mode     string  `json:"mode"`
-	MaxBatch int     `json:"max_batch"`
-	WindowUS float64 `json:"window_us"`
-	Workers  int     `json:"workers"`
+	Mode     string `json:"mode"`
+	MaxBatch int    `json:"max_batch"`
+	Workers  int    `json:"workers"`
 	// Lifetime counters.
 	Queries uint64 `json:"queries"`
 	Batches uint64 `json:"batches"`
@@ -1179,7 +1166,6 @@ func (s *Server) Stats() Stats {
 	st := Stats{
 		Mode:     s.Mode(),
 		MaxBatch: s.opts.Batching.MaxBatch,
-		WindowUS: float64(s.opts.Batching.Window) / float64(time.Microsecond),
 		Workers:  s.opts.Pipeline.Workers,
 		Queries:  lat.Total,
 		Batches:  occ.Total,
@@ -1302,21 +1288,21 @@ func (s *Server) RetryAfter() time.Duration {
 	return time.Millisecond
 }
 
-// ValidateSLA checks the server's batching window against a tail-latency
-// budget for any *admitted* query, including the backlog the server itself
-// can hold: full batches in the submit queue, in the dispatch channel and in
-// service, drained by the worker pool (see sla.WorstCaseAdmittedLatencyMS).
-// The full-batch service time comes from the engine's timing model with a
-// cold hot-row cache: admission must hold even before the cache warms (and
-// after any invalidation empties it).
+// ValidateSLA checks a tail-latency budget for any *admitted* query against
+// the backlog the server itself can hold ahead of it: full batches in the
+// submit queue, on offer and in service (see sla.WorstCaseAdmittedLatencyMS).
+// There is no window term — a batch forms only while that backlog is being
+// served, so the formation wait is part of it. The full-batch service time
+// comes from the engine's timing model with a cold hot-row cache: admission
+// must hold even before the cache warms (and after any invalidation empties
+// it).
 func (s *Server) ValidateSLA(budget time.Duration) error {
 	rep, err := s.coldTiming(s.opts.Batching.MaxBatch)
 	if err != nil {
 		return err
 	}
-	windowMS := float64(s.opts.Batching.Window) / float64(time.Millisecond)
 	budgetMS := float64(budget) / float64(time.Millisecond)
-	return sla.ValidateAdmittedWindow(windowMS, rep.MakespanNS/1e6, budgetMS, s.backlogBatches(), s.drainWorkers())
+	return sla.ValidateAdmittedWindow(0, rep.MakespanNS/1e6, budgetMS, s.backlogBatches(), s.drainWorkers())
 }
 
 // AdmittedLatencyBounds returns the worst-case admitted latency (computed
@@ -1333,41 +1319,18 @@ func (s *Server) AdmittedLatencyBounds() (worst, expected time.Duration, err err
 	if err != nil {
 		return 0, 0, err
 	}
-	windowMS := float64(s.opts.Batching.Window) / float64(time.Millisecond)
 	worstMS, expectedMS := sla.AdmittedLatencyBoundsMS(
-		windowMS, cold.MakespanNS/1e6, warm.MakespanNS/1e6, s.backlogBatches(), s.drainWorkers())
+		0, cold.MakespanNS/1e6, warm.MakespanNS/1e6, s.backlogBatches(), s.drainWorkers())
 	return time.Duration(worstMS * float64(time.Millisecond)),
 		time.Duration(expectedMS * float64(time.Millisecond)), nil
 }
 
-// MaxWindowUnderSLA returns the largest flush window that keeps the
-// worst-case admitted latency within the budget, or an error when no window
-// does (the backlog and batch size alone exceed the budget). Like
-// ValidateSLA it uses the cache-cold service time.
-func (s *Server) MaxWindowUnderSLA(budget time.Duration) (time.Duration, error) {
-	rep, err := s.coldTiming(s.opts.Batching.MaxBatch)
-	if err != nil {
-		return 0, err
-	}
-	budgetMS := float64(budget) / float64(time.Millisecond)
-	ms, err := sla.MaxWindowUnderBudget(rep.MakespanNS/1e6, budgetMS, s.backlogBatches(), s.drainWorkers())
-	if err != nil {
-		return 0, err
-	}
-	return time.Duration(ms * float64(time.Millisecond)), nil
-}
-
-// backlogBatches bounds the batches ahead of a freshly admitted query: the
-// submit queue can hold ceil(QueueDepth/MaxBatch) batches, plus — in
-// worker-pool mode — 2*Workers in the dispatch channel and one in service
-// per worker; in pipelined mode the dispatch channel, the dispatcher's hand
-// and the plane ring bound the in-flight batches instead.
+// backlogBatches bounds the batches ahead of a freshly admitted query's own:
+// ceil(QueueDepth/MaxBatch) in the submit queue, the one on offer, and one
+// per plane (or pool worker) in service.
 func (s *Server) backlogBatches() int {
 	queued := (s.opts.Admission.QueueDepth + s.opts.Batching.MaxBatch - 1) / s.opts.Batching.MaxBatch
-	if s.pipe != nil {
-		return queued + 2*s.opts.Pipeline.Workers + 1 + s.opts.Pipeline.Depth
-	}
-	return queued + 3*s.opts.Pipeline.Workers
+	return queued + 1 + s.drainSlots()
 }
 
 // drainWorkers is the batch-drain parallelism the SLA backlog model divides

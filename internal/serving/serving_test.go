@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -66,12 +67,11 @@ func newServer(t testing.TB, eng Engine, opts Options) *Server {
 
 func TestOptionsDefaultsAndValidate(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.MaxBatch != 64 || o.Window != 200*time.Microsecond || o.Workers < 1 || o.QueueDepth != 256 || o.StatsWindow != 4096 {
+	if o.MaxBatch != 64 || o.Workers < 1 || o.QueueDepth != 256 || o.StatsWindow != 4096 {
 		t.Errorf("defaults = %+v", o)
 	}
 	for _, bad := range []Options{
 		{MaxBatch: -1},
-		{Window: -time.Second},
 		{Workers: -2},
 		{QueueDepth: -1},
 		{StatsWindow: -1},
@@ -85,69 +85,114 @@ func TestOptionsDefaultsAndValidate(t *testing.T) {
 	}
 }
 
-// TestSizeFlush fills exactly one max-size batch with an effectively
-// infinite window: only the size trigger can flush it.
-func TestSizeFlush(t *testing.T) {
-	eng := testEngine(t)
-	srv := newServer(t, eng, Options{MaxBatch: 8, Window: time.Hour, Workers: 1})
-	qs := randomQueries(t, eng.Spec(), 8, 1)
-	var wg sync.WaitGroup
-	results := make([]Result, len(qs))
-	for i := range qs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := srv.Submit(context.Background(), qs[i])
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[i] = res
-		}(i)
-	}
-	wg.Wait()
-	for i, res := range results {
-		want, err := eng.InferOne(qs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.CTR != want {
-			t.Errorf("query %d: CTR %v, want %v", i, res.CTR, want)
-		}
-		if res.BatchSize != 8 {
-			t.Errorf("query %d: batch size %d, want 8 (size flush)", i, res.BatchSize)
-		}
-		if res.ModeledLatencyUS <= 0 {
-			t.Errorf("query %d: modeled latency %v", i, res.ModeledLatencyUS)
+// waitFor polls cond until it holds, failing the test after five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(200 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
 		}
 	}
 }
 
-// TestWindowFlush submits fewer queries than MaxBatch and relies on the
-// window deadline to dispatch the partial batch.
-func TestWindowFlush(t *testing.T) {
-	eng := testEngine(t)
-	srv := newServer(t, eng, Options{MaxBatch: 64, Window: 2 * time.Millisecond, Workers: 1})
-	qs := randomQueries(t, eng.Spec(), 3, 2)
-	var wg sync.WaitGroup
-	for i := range qs {
+// holdDrain occupies every plane (or pool worker) of a server on a gated
+// slowEngine with one lone request each, and returns once all of them are in
+// service and nothing is forming: from then on no batch can be dispatched
+// until the test opens the gate. The holders' Submits are joined through wg.
+func holdDrain(t *testing.T, srv *Server, wg *sync.WaitGroup) {
+	t.Helper()
+	for i := 1; i <= srv.drainSlots(); i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			res, err := srv.Submit(context.Background(), qs[i])
-			if err != nil {
+			if res, err := srv.Submit(context.Background(), slowQuery); err != nil || res.BatchSize != 1 {
+				t.Errorf("holder: batch %d, err %v; want a lone request served", res.BatchSize, err)
+			}
+		}()
+		waitFor(t, "a drain slot to be held", func() bool {
+			return !srv.forming.Load() && srv.InFlightBatches() == i
+		})
+	}
+}
+
+// TestSizeFlush holds every plane (or pool worker), so that only the size
+// bound shapes the batches: 3·MaxBatch submitters must coalesce into batches
+// of exactly MaxBatch, the batcher must stop reading the submit queue once
+// its batch is full, and the load score of the saturated server must equal
+// its capacity — occupancy 1.0, never more.
+func TestSizeFlush(t *testing.T) {
+	for _, workerPool := range []bool{false, true} {
+		t.Run(map[bool]string{false: "pipeline", true: "worker-pool"}[workerPool], func(t *testing.T) {
+			const maxBatch, queueDepth = 4, 8
+			eng := &slowEngine{gate: make(chan struct{})}
+			srv := newServer(t, eng, Options{
+				MaxBatch: maxBatch, Window: time.Hour, QueueDepth: queueDepth,
+				PipelineDepth: 2, Workers: 2, WorkerPool: workerPool,
+			})
+			var wg sync.WaitGroup
+			holdDrain(t, srv, &wg)
+			sizes := make(chan int, maxBatch+queueDepth)
+			for i := 0; i < maxBatch+queueDepth; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					res, err := srv.Submit(context.Background(), slowQuery)
+					if err != nil {
+						t.Error(err)
+					}
+					sizes <- res.BatchSize
+				}()
+			}
+			// One full batch on offer, the rest left in the queue.
+			waitFor(t, "the submit queue to fill", func() bool { return srv.QueueLen() == queueDepth })
+			if score, capacity := srv.LoadScore(), srv.LoadCapacity(); score != capacity {
+				t.Errorf("saturated server: load score %d, capacity %d; want occupancy 1.0", score, capacity)
+			}
+			close(eng.gate)
+			wg.Wait()
+			close(sizes)
+			for size := range sizes {
+				if size != maxBatch {
+					t.Errorf("batch size %d behind a held drain, want %d", size, maxBatch)
+				}
+			}
+			if got, want := eng.batches.Load(), uint64(srv.drainSlots()+3); got != want {
+				t.Errorf("engine served %d batches, want %d (the holders and three full batches)", got, want)
+			}
+		})
+	}
+}
+
+// TestIdleServerDispatchesAtOnce pins the work-conserving rule from the other
+// side: an idle drain takes a lone request at once, whatever the (ignored)
+// Batching.Window says, and a burst smaller than MaxBatch is served without
+// anything having to time out.
+func TestIdleServerDispatchesAtOnce(t *testing.T) {
+	eng := testEngine(t)
+	srv := newServer(t, eng, Options{MaxBatch: 64, Window: time.Hour})
+	qs := randomQueries(t, eng.Spec(), 4, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	res, err := srv.Submit(ctx, qs[0])
+	if err != nil {
+		t.Fatalf("lone submit on an idle server: %v", err)
+	}
+	if res.BatchSize != 1 {
+		t.Errorf("lone submit served in a batch of %d", res.BatchSize)
+	}
+	var wg sync.WaitGroup
+	for _, q := range qs[1:] {
+		wg.Add(1)
+		go func(q embedding.Query) {
+			defer wg.Done()
+			if _, err := srv.Submit(ctx, q); err != nil {
 				t.Error(err)
-				return
 			}
-			if res.BatchSize >= 64 {
-				t.Errorf("batch size %d for a 3-query burst", res.BatchSize)
-			}
-		}(i)
+		}(q)
 	}
 	wg.Wait()
-	st := srv.Stats()
-	if st.Queries != 3 || st.Batches == 0 {
-		t.Errorf("stats after window flush: %+v", st)
+	if st := srv.Stats(); st.Queries != 4 || st.Batches == 0 || st.Batches > 4 {
+		t.Errorf("stats after a lone request and a 3-query burst: %+v", st)
 	}
 }
 
@@ -257,25 +302,136 @@ func TestCloseDrainsInFlight(t *testing.T) {
 	}
 }
 
-// TestSubmitContextCancel checks both cancellation points: before enqueue
-// (queue full) and while waiting for the result.
+// TestSubmitContextCancel checks cancellation while a batch waits for a plane:
+// a waiter whose context is already cancelled, or expires meanwhile, gets its
+// context error; the batch it had joined still completes for the others, and
+// the cancelled members are dropped at plane-fill time without reaching the
+// engine.
 func TestSubmitContextCancel(t *testing.T) {
-	eng := testEngine(t)
-	srv := newServer(t, eng, Options{MaxBatch: 4, Window: time.Hour, Workers: 1, QueueDepth: 4})
-	q := randomQueries(t, eng.Spec(), 1, 5)[0]
+	eng := &slowEngine{gate: make(chan struct{})}
+	srv := newServer(t, eng, Options{MaxBatch: 4, Window: time.Hour, QueueDepth: 4, PipelineDepth: 2})
+	var wg sync.WaitGroup
+	holdDrain(t, srv, &wg)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := srv.Submit(ctx, q); !errors.Is(err, context.Canceled) {
+	if _, err := srv.Submit(ctx, slowQuery); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-cancelled submit = %v", err)
 	}
 
-	// A waiter whose context expires while its batch is still forming gets
-	// the context error; the worker later resolves the future harmlessly.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if res, err := srv.Submit(context.Background(), slowQuery); err != nil || res.BatchSize != 1 {
+			t.Errorf("live member of the waiting batch: batch %d, err %v; want it served alone", res.BatchSize, err)
+		}
+	}()
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel2()
-	if _, err := srv.Submit(ctx2, q); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := srv.Submit(ctx2, slowQuery); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("expired waiter = %v", err)
+	}
+	// The live member may not have been admitted yet when the waiter above
+	// gave up; the gate opens only once it is part of the waiting batch.
+	waitFor(t, "the live member to be admitted", func() bool {
+		return srv.Stats().Trace.Arrivals == uint64(srv.drainSlots())+3 && srv.QueueLen() == 0
+	})
+	close(eng.gate)
+	wg.Wait()
+	if got, want := eng.served.Load(), uint64(srv.drainSlots())+1; got != want {
+		t.Errorf("engine served %d queries, want %d (the holders and the live member)", got, want)
+	}
+	// The pre-cancelled submit was dropped only if it won the race into the
+	// queue; the expired waiter always was.
+	if drops := srv.Stats().Admission.CancelDrops; drops < 1 || drops > 2 {
+		t.Errorf("cancel drops = %d, want 1 or 2", drops)
+	}
+}
+
+// TestCloseWhileFormingConserves closes a server whose planes are all held
+// and whose batcher holds a forming batch, with a shedding queue behind it:
+// every submitted request must resolve as exactly one of served, shed,
+// cancelled or refused by the closed server, every admitted one must be
+// delivered, and the server's own counters must agree.
+func TestCloseWhileFormingConserves(t *testing.T) {
+	eng := &slowEngine{gate: make(chan struct{})}
+	srv, err := New(eng, Options{MaxBatch: 4, QueueDepth: 4, PipelineDepth: 2, Shed: true, SLA: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var (
+		wg                             sync.WaitGroup
+		ok, shed, canceled, refused, n atomic.Uint64
+	)
+	submit := func(ctx context.Context) {
+		n.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			switch _, err := srv.Submit(ctx, slowQuery); {
+			case err == nil:
+				ok.Add(1)
+			case errors.Is(err, ErrOverloaded):
+				shed.Add(1)
+			case errors.Is(err, context.Canceled):
+				canceled.Add(1)
+			case errors.Is(err, ErrServerClosed):
+				refused.Add(1)
+			default:
+				t.Errorf("unexpected error: %v", err)
+			}
+		}()
+	}
+	holdDrain(t, srv, &wg)
+	// More than the forming batch and the queue can take, a third of them
+	// cancellable: some are shed, the rest wait behind the held planes.
+	ctx, cancel := context.WithCancel(context.Background())
+	for i := 0; i < 12; i++ {
+		if i%3 == 0 {
+			submit(ctx)
+		} else {
+			submit(context.Background())
+		}
+	}
+	waitFor(t, "every submitter to arrive and a batch to be forming", func() bool {
+		return srv.Stats().Trace.Arrivals == uint64(srv.drainSlots())+12 && srv.forming.Load()
+	})
+	cancel()
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	waitFor(t, "Close to stop admission", func() bool {
+		srv.mu.RLock()
+		defer srv.mu.RUnlock()
+		return srv.closed
+	})
+	for i := 0; i < 3; i++ {
+		submit(context.Background())
+	}
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while every plane was held and a batch was forming", err)
+	default:
+	}
+	close(eng.gate)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if sum := ok.Load() + shed.Load() + canceled.Load() + refused.Load(); sum != n.Load() {
+		t.Errorf("submitted %d = %d ok + %d shed + %d cancelled + %d refused does not hold",
+			n.Load(), ok.Load(), shed.Load(), canceled.Load(), refused.Load())
+	}
+	if refused.Load() < 3 {
+		t.Errorf("%d submits refused by the closed server, want at least the 3 made after Close", refused.Load())
+	}
+	// The holders' own requests were served too; holdDrain checked them.
+	st := srv.Stats()
+	if want := ok.Load() + uint64(srv.drainSlots()); st.Queries != want || eng.served.Load() != want {
+		t.Errorf("%d requests got results; server counted %d, engine served %d", want, st.Queries, eng.served.Load())
+	}
+	if st.Admission.Shed != shed.Load() || st.Admission.CancelDrops != canceled.Load() || st.Admission.DeadlineDrops != 0 {
+		t.Errorf("admission stats %+v; submitters saw %d shed, %d cancelled", st.Admission, shed.Load(), canceled.Load())
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 func fullStats() Stats {
 	return Stats{
 		Mode:     "pipeline",
-		MaxBatch: 64, WindowUS: 200, Workers: 4,
+		MaxBatch: 64, Workers: 4,
 		Queries: 1000, Batches: 20, QPS: 5000,
 		LatencyUS: LatencySummary{Mean: 100, P50: 90, P95: 150, P99: 200, Max: 300},
 		MeanBatch: 50, BatchOccupancy: 0.78,
@@ -236,7 +236,6 @@ var statsSchema = []string{
 	"trace.recorded",
 	"trace.ring_size",
 	"trace.sample_every",
-	"window_us",
 	"workers",
 }
 

@@ -232,14 +232,3 @@ func ValidateAdmittedWindow(windowMS, serviceMS, budgetMS float64, queuedBatches
 func ValidateWindow(windowMS, serviceMS, budgetMS float64) error {
 	return ValidateAdmittedWindow(windowMS, serviceMS, budgetMS, 1, 1)
 }
-
-// MaxWindowUnderBudget returns the largest flush window (ms) whose
-// worst-case admitted latency still fits the budget, or an error when even
-// an immediate flush (window 0) misses it — meaning the backlog and batch
-// size themselves are too large for the SLA.
-func MaxWindowUnderBudget(serviceMS, budgetMS float64, queuedBatches, workers int) (float64, error) {
-	if err := ValidateAdmittedWindow(0, serviceMS, budgetMS, queuedBatches, workers); err != nil {
-		return 0, err
-	}
-	return budgetMS - WorstCaseAdmittedLatencyMS(0, serviceMS, queuedBatches, workers), nil
-}

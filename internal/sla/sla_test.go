@@ -202,27 +202,6 @@ func TestWorstCaseBatchLatencyMS(t *testing.T) {
 	}
 }
 
-func TestMaxWindowUnderBudget(t *testing.T) {
-	w, err := MaxWindowUnderBudget(1.5, 5, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w != 2 {
-		t.Errorf("max window = %v, want 2", w)
-	}
-	// Window w must validate, anything beyond must not.
-	if err := ValidateWindow(w, 1.5, 5); err != nil {
-		t.Errorf("max window rejected: %v", err)
-	}
-	if err := ValidateWindow(w+0.01, 1.5, 5); err == nil {
-		t.Error("beyond-max window accepted")
-	}
-	// Service alone exceeding the budget is unservable at any window.
-	if _, err := MaxWindowUnderBudget(3, 5, 1, 1); err == nil {
-		t.Error("unservable batch accepted")
-	}
-}
-
 func TestWorstCaseAdmittedLatencyMS(t *testing.T) {
 	// No backlog degenerates to window + service.
 	if got := WorstCaseAdmittedLatencyMS(0.2, 1.5, 0, 1); got != 1.7 {

@@ -469,8 +469,10 @@ func PaperCPUModel(modelName string) (CPUModel, error) {
 }
 
 // NewServer starts the batched serving subsystem around an engine: Submit
-// coalesces concurrent queries into micro-batches (flush on batch size or
-// deadline window), drained by default through the staged pipeline executor
+// coalesces concurrent queries into micro-batches (dispatched the moment the
+// drain can serve one, growing up to MaxBatch while it cannot — an idle server
+// answers a lone query at once), drained by default through the staged
+// pipeline executor
 // — gather, dense-GEMM and tail stages overlapped over a ring of
 // ServerOptions.PipelineDepth batch planes, bit-identical to the monolithic
 // datapath — or by a flat engine worker pool when ServerOptions.WorkerPool
