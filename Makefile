@@ -86,7 +86,8 @@ endif
 
 # bench-smoke runs the datapath/serving benchmarks once each — a fast check
 # that the hot paths still execute, used by CI ('Serve' includes
-# BenchmarkServeLightLoad, whose p50-us is the lightly loaded latency). The
+# BenchmarkServeLightLoad, whose p50-us is the lightly loaded latency; 'Gather'
+# includes BenchmarkGatherMiss, the gather over tables a lookup can miss in). The
 # kernel microbenchmarks ride along so the SIMD paths are exercised under the
 # bench harness too.
 bench-smoke:
@@ -105,11 +106,13 @@ benchdiff:
 
 # fuzz-smoke gives each fuzz target a short budget (exactly the CI step):
 # enough to replay the corpus and catch shallow regressions in the histogram
-# quantile math, the obs trace/metrics writers and the 16-bit GEMM kernels
-# (every implementation the host can run against the reference) without
-# stalling the build.
+# quantile math, the obs trace/metrics writers, the 16-bit GEMM kernels
+# (every implementation the host can run against the reference) and the
+# gather's row reduction (reciprocal against remainder) without stalling the
+# build.
 fuzz-smoke:
 	$(GO) test ./internal/kernels -fuzz FuzzGemm16Identity -fuzztime 10s -run '^$$'
+	$(GO) test ./internal/core -fuzz FuzzRowReduce -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/metrics -fuzz FuzzHistogramQuantile -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/obs -fuzz FuzzSpanTraceEvents -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/obs -fuzz FuzzMetricWriter -fuzztime 10s -run '^$$'

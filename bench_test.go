@@ -11,6 +11,7 @@ package microrec_test
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -229,10 +230,13 @@ func BenchmarkGatherOne(b *testing.B) {
 }
 
 // BenchmarkGatherBatch measures the batched gather datapath at batch 64:
-// table-major over the whole batch, sharded by the placement plan's channel
+// blocks over the whole batch, sharded by the placement plan's channel
 // groups, quantizing directly into the fixed-point feature plane. One op is
 // a 64-query batch; the gather loop itself is allocation-free (the handful
 // of reported allocations are the per-batch shard goroutines, <0.2/query).
+//
+// Every row of serveBenchSetup's 256-row tables sits in L1; see
+// BenchmarkGatherMiss for tables a lookup can miss in.
 func BenchmarkGatherBatch(b *testing.B) {
 	eng, qs := serveBenchSetup(b)
 	batch := qs[:64]
@@ -249,6 +253,62 @@ func BenchmarkGatherBatch(b *testing.B) {
 	}
 	b.ReportMetric(float64(64*b.N)/b.Elapsed().Seconds(), "queries/s")
 	b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(64*b.N), "ns/query")
+}
+
+// BenchmarkGatherMiss is BenchmarkGatherBatch where a lookup can miss the
+// cache. serveBenchSetup's 256-row tables keep every row in L1, so the
+// benchmark above times the loop's instructions and cannot see a change to
+// how the gather waits for memory. Here tables are built at the repository
+// benchmark's 262 144-row cap — the small model under Zipf indices (mostly
+// cache hits, a miss every few lookups) and the large model under uniform
+// ones (every lookup a miss) — and a pool of 4 096 queries is walked at batch
+// 1 and batch 64. Reports ns/lookup.
+func BenchmarkGatherMiss(b *testing.B) {
+	for _, m := range []struct {
+		name string
+		spec *microrec.Spec
+		zipf bool
+	}{
+		{"small-zipf", microrec.SmallProductionModel(), true},
+		{"large-uniform", microrec.LargeProductionModel(), false},
+	} {
+		b.Run(m.name, func(b *testing.B) {
+			eng, err := microrec.NewEngine(m.spec, microrec.EngineOptions{Seed: 1, MaxRowsPerTable: 262144})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close()
+			dist := microrec.Uniform
+			if m.zipf {
+				dist = microrec.Zipf
+			}
+			gen, err := microrec.NewGenerator(m.spec, dist, 11)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pool := make([]microrec.Query, 4096)
+			for i := range pool {
+				pool[i] = gen.Next()
+				if err := eng.ValidateQuery(pool[i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for _, size := range []int{1, 64} {
+				b.Run(fmt.Sprintf("b=%d", size), func(b *testing.B) {
+					var plane microrec.BatchScratch
+					eng.EnsurePlane(&plane, size)
+					batches := len(pool) / size
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						lo := i % batches * size
+						eng.GatherIntoPlane(pool[lo:lo+size], &plane)
+					}
+					b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N*size*m.spec.NumLookups()), "ns/lookup")
+				})
+			}
+		})
+	}
 }
 
 // ---- Serving benchmarks: batched vs per-query /predict paths ----

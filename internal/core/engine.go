@@ -263,39 +263,22 @@ func (e *Engine) Gather(q embedding.Query, dst []float32) ([]float32, error) {
 	} else if len(dst) != e.featureLen {
 		return nil, fmt.Errorf("core: dst length %d, want %d", len(dst), e.featureLen)
 	}
-	for ti := range e.gplan.tables {
-		gt := &e.gplan.tables[ti]
-		if gt.mat != nil {
-			dim := gt.dim
-			for r := 0; r < gt.lookups; r++ {
-				var row int64
-				for si := range gt.srcs {
-					src := &gt.srcs[si]
-					row += (q[src.srcID][r] % src.actualRows) * src.stride
-				}
-				var payload []float32
-				if gt.tier != nil {
-					payload = gt.tier.Row(row)
-				} else {
-					payload = gt.mat[row*dim : row*dim+dim]
-				}
-				seg := 0
-				for si := range gt.srcs {
-					src := &gt.srcs[si]
-					off := src.featOff + r*src.dim
-					copy(dst[off:off+src.dim], payload[seg:seg+src.dim])
-					seg += src.dim
-				}
+	qs := [1]embedding.Query{q}
+	var row [1]int64
+	for _, blocks := range e.gplan.tables {
+		for bi := range blocks {
+			blk := &blocks[bi]
+			blk.resolve(qs[:], row[:])
+			var payload []float32
+			if blk.tier != nil {
+				payload = blk.tier.Row(row[0])
+			} else {
+				payload = blk.data[row[0]*int64(blk.dim):][:blk.dim]
 			}
-			continue
-		}
-		for si := range gt.srcs {
-			src := &gt.srcs[si]
-			d64 := int64(src.dim)
-			for r := 0; r < src.lookups; r++ {
-				mrow := q[src.srcID][r] % src.actualRows
-				off := src.featOff + r*src.dim
-				copy(dst[off:off+src.dim], src.data[mrow*d64:mrow*d64+d64])
+			for pi := range blk.parts {
+				p := &blk.parts[pi]
+				copy(dst[p.off:p.off+p.dim], payload)
+				payload = payload[p.dim:]
 			}
 		}
 	}

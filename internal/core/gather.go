@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -13,75 +14,177 @@ import (
 )
 
 // This file implements the batched gather datapath: a gather plan compiled
-// once at Build (per-physical-table feature offsets, materialised-product
-// index scalers, channel-group shards) feeding GatherBatch, which resolves a
-// whole micro-batch's lookups table-major — one pass per physical table
-// across all queries — and quantizes each embedding vector directly into the
-// fixed-point batch buffer (the row loop itself is fixedPath.gatherTables in
-// plane.go, generic over the plane's element width). That eliminates the per-query float feature
-// vector of the original Gather→quantize pipeline and every per-call
-// allocation in the hot loop.
+// once at Build feeding GatherBatch, which resolves a whole micro-batch's
+// lookups and quantizes each embedding vector directly into the fixed-point
+// batch buffer — no per-query float feature vector, no allocation in the hot
+// loop.
+//
+// The plan is a list of lookup *blocks* per physical table. A block is one
+// access stream (a materialised Cartesian product, or one source table on the
+// virtual path) at one lookup round: the row storage, how the batch's logical
+// indices become a row number, and which feature columns the row's pieces
+// land in. The gather (fixedPath.gatherTables in plane.go, generic over the
+// plane's element width) walks a shard's blocks × queries as one sequence, a
+// window of gatherWindow rows at a time: it resolves the window's row numbers
+// and hints all of them toward the cache, and only then reads and converts
+// them.
+//
+// The reason is Little's law. A row that misses the cache costs ≈ 100 ns of
+// DRAM latency however the loop is written; what the loop decides is how many
+// of those 100 ns waits overlap. Hinting one row ahead keeps one fetch in
+// flight (≈ 100 ns per lookup); hinting a window keeps as many in flight as
+// the core has line-fill buffers (ten or so: ≈ 10 ns per lookup). That is the
+// paper's channel parallelism — 32 HBM pseudo-channels serving one item's
+// lookups at once — on the parallelism a CPU core has. The window counts
+// rows, not queries or tables, so a batch of one keeps a whole item's lookups
+// in flight and a batch of 64 is cut into window-sized runs.
 //
 // Sharding mirrors the hardware: the placement plan assigns physical tables
 // to HBM/DDR/on-chip banks that operate in parallel; the plan's bank ("HBM
 // channel") groups are balanced into at most maxGatherShards goroutine
 // shards. Tables write disjoint feature columns, so shards need no locks.
 
+// gatherWindow is W, the number of row fetches the gather keeps in flight:
+// row numbers are resolved and hinted W at a time before any of them is read.
+// A constant, not a knob: chosen from the W × {PREFETCHNTA, PREFETCHT0} sweep
+// recorded in CHANGES.md (PR 15). At 8 the fill buffers run dry between
+// windows (≈ 25 % slower at batch 64); from 32 to 128 the time per lookup is
+// flat with PREFETCHT0, at batch 1 and batch 64, on the small model and the
+// large; 64 is the value in that range at which a full batch's block is
+// exactly one window. (PREFETCHNTA is as good up to 32 and falls off a cliff
+// after: see internal/kernels/prefetch.go.)
+const gatherWindow = 64
+
 // gatherParallelMinBatch is the batch size below which GatherBatch stays on
-// the calling goroutine: for small batches the per-shard spawn overhead
-// exceeds the gather work (which is ~1 µs/query on the small model). The
-// inline path is also strictly allocation-free, which the steady-state
-// zero-alloc test relies on.
+// the calling goroutine: a small batch's gather is a few microseconds (about
+// 2–3 µs per query on the small model, a query being 47 lookups), which the
+// per-shard goroutine spawn and join would double. The inline path is also
+// strictly allocation-free, which the steady-state zero-alloc test relies on.
 const gatherParallelMinBatch = 32
 
 // maxGatherShards caps the goroutines one GatherBatch call fans out to.
 const maxGatherShards = 8
 
-// gatherSource is one source table's slot inside a physical table.
-type gatherSource struct {
-	srcID int // index into the query / spec tables
-	dim   int
-	// lookups is the per-inference lookup count (mirrors the physical
-	// table's; kept here so the virtual path needs no parent access).
-	lookups int
-	// actualRows is the materialised row count: a validated logical index
-	// maps onto storage as idx % actualRows (capacity scaling).
-	actualRows int64
-	// stride is the source's mixed-radix multiplier inside the
-	// materialised product's row index (1 for the last source). Unused on
-	// the virtual path.
-	stride int64
-	// featOff is where this source's lookup round 0 starts in the
-	// concatenated feature vector; round r adds r*dim.
-	featOff int
-	// data is the source table's row-major storage for the virtual path
-	// (nil when the physical table is materialised).
-	data []float32
-	// vecBytes is the byte size of one access on the virtual path.
-	vecBytes int
-	// cacheID is the hot-row cache's key namespace for this access stream.
-	cacheID int
-	// tier, when non-nil, resolves this stream's rows through the tiered
-	// store instead of data (virtual path of a tiered engine).
-	tier *tieredstore.Stream
+// rowMod maps a validated logical index onto a table's materialised rows:
+// idx % rows (capacity scaling — a table capped below its advertised row
+// count wraps). It is the one definition of that mapping; every consumer of a
+// row number goes through gatherBlock.resolve. A 64-bit divide per lookup is
+// ≈ 25 cycles the gather has no use for, so the common cases avoid it: a
+// table that is not capped needs no reduction at all, and one whose advertised
+// row count fits 32 bits (so every validated index does) takes Lemire's
+// reciprocal — two multiplies, exact for every 32-bit index and divisor.
+type rowMod struct {
+	rows  uint64
+	magic uint64 // ⌈2⁶⁴ / rows⌉ mod 2⁶⁴, for rowReciprocal
+	kind  rowModKind
 }
 
-// gatherTable is one physical table's compiled lookup recipe.
-type gatherTable struct {
-	lookups  int
-	vecBytes int       // bytes moved by one materialised access
-	dim      int64     // materialised row length (sum of source dims)
-	mat      []float32 // materialised product rows; nil => virtual path
-	cacheID  int       // cache key namespace of the materialised stream
-	// tier, when non-nil, resolves the materialised rows through the tiered
-	// store instead of mat.
-	tier *tieredstore.Stream
-	srcs []gatherSource
+type rowModKind uint8
+
+const (
+	rowIdentity   rowModKind = iota // not capped: idx < rows already
+	rowReciprocal                   // idx < 2³²: multiply by the precomputed reciprocal
+	rowDivide                       // anything larger: the divide
+)
+
+// newRowMod picks the reduction for a table advertising specRows logical rows
+// (the bound ValidateQuery enforces on idx) and holding rows of them.
+func newRowMod(specRows, rows int64) rowMod {
+	m := rowMod{rows: uint64(rows)}
+	switch {
+	case rows >= specRows:
+		m.kind = rowIdentity
+	case specRows <= 1<<32:
+		m.kind = rowReciprocal
+		m.magic = ^uint64(0)/m.rows + 1 // wraps to 0 for rows == 1, where every index maps to 0
+	default:
+		m.kind = rowDivide
+	}
+	return m
+}
+
+// reduce returns idx % rows for 0 <= idx < specRows.
+//
+//microrec:noalloc
+func (m *rowMod) reduce(idx int64) int64 {
+	switch m.kind {
+	case rowIdentity:
+		return idx
+	case rowReciprocal:
+		// The low 64 bits of magic*idx are the fraction idx/rows scaled to
+		// 2⁶⁴; multiplying that fraction by rows and keeping the integer part
+		// is the remainder.
+		hi, _ := bits.Mul64(m.magic*uint64(idx), m.rows)
+		return int64(hi)
+	}
+	return idx % int64(m.rows)
+}
+
+// gatherPart is one source table's share of a block: how its logical index
+// enters the row number and where its slice of the row lands.
+type gatherPart struct {
+	srcID int // index into the query / spec tables
+	mod   rowMod
+	// stride is the source's mixed-radix multiplier in a materialised
+	// product's row number (the first source varies slowest); 1 for a lone
+	// source.
+	stride int64
+	dim    int
+	// off is the feature column this block's round of the source starts at.
+	off int
+}
+
+// gatherBlock is one access stream at one lookup round.
+type gatherBlock struct {
+	// data is the stream's row-major storage: the materialised product's
+	// rows, or the source table's on the virtual path.
+	data     []float32
+	dim      int // row length: the sum of the parts' dims
+	vecBytes int // bytes one access moves
+	cacheID  int // the stream's key namespace in the hot-row cache and the tier
+	// tier, when non-nil, resolves the stream's rows through the tiered store
+	// instead of data.
+	tier    *tieredstore.Stream
+	round   int // which of the stream's per-inference lookups this block is
+	lookups int // how many the stream has
+	parts   []gatherPart
+}
+
+// resolve writes the row number of each query's lookup in this block to
+// rows[i]: the mixed-radix combination of the parts' reduced indices.
+//
+//microrec:noalloc
+func (blk *gatherBlock) resolve(queries []embedding.Query, rows []int64) {
+	rows = rows[:len(queries)]
+	clear(rows)
+	round := blk.round
+	for _, p := range blk.parts { // copied out: rows could alias the block as far as the compiler knows
+		for i, q := range queries {
+			rows[i] += p.mod.reduce(q[p.srcID][round]) * p.stride
+		}
+	}
+}
+
+// hint starts the fetch of the given rows: one block hint over the DRAM copy
+// or, row by row, over whichever copy the tiered store would serve.
+//
+//microrec:noalloc
+func (blk *gatherBlock) hint(rows []int64) {
+	if blk.tier == nil {
+		kernels.PrefetchRows(blk.data, blk.dim, rows)
+		return
+	}
+	for _, row := range rows {
+		blk.tier.PrefetchRow(row)
+	}
 }
 
 // gatherPlan is the whole model's compiled gather schedule.
 type gatherPlan struct {
-	tables []gatherTable
+	// tables[ti] is physical table ti's blocks in access order: rounds of the
+	// materialised product, or source by source, round by round, on the
+	// virtual path.
+	tables [][]gatherBlock
 	// shards groups physical-table indices by the placement plan's memory
 	// banks, balanced over at most maxGatherShards goroutines.
 	shards [][]int
@@ -95,62 +198,119 @@ type gatherPlan struct {
 	accessesPerItem float64
 }
 
+// gatherSeq is one shard's lookup sequence for one batch: its tables' blocks
+// in order, each block across the whole batch. The gather walks it twice, a
+// window apart — once resolving and hinting rows, once reading them — with a
+// cursor for each walk.
+type gatherSeq struct {
+	plan    *gatherPlan
+	tables  []int
+	queries []embedding.Query
+}
+
+// gatherCursor is a position in a gatherSeq: block bi of the shard's ti-th
+// table, from query qi on. The zero value is the start; ti == len(tables) is
+// the end.
+type gatherCursor struct{ ti, bi, qi int }
+
+// next returns the block under the cursor and its next run of at most max
+// queries [lo, hi), and moves the cursor past them. The cursor must not be at
+// the end. (Every table has a block: a validated spec has no table without
+// a lookup, a validated plan no physical table without a source.)
+//
+//microrec:noalloc
+func (s *gatherSeq) next(c *gatherCursor, max int) (blk *gatherBlock, lo, hi int) {
+	blocks := s.plan.tables[s.tables[c.ti]]
+	blk, lo = &blocks[c.bi], c.qi
+	hi = min(lo+max, len(s.queries))
+	c.qi = hi
+	if hi == len(s.queries) {
+		c.qi = 0
+		if c.bi++; c.bi == len(blocks) {
+			c.bi = 0
+			c.ti++
+		}
+	}
+	return blk, lo, hi
+}
+
+// hintWindow resolves the row numbers of the next len(rows) lookups from the
+// cursor (fewer at the end of the sequence) into rows, hints each block's run
+// of them, and returns how many there were.
+//
+//microrec:noalloc
+func (s *gatherSeq) hintWindow(c *gatherCursor, rows []int64) int {
+	n := 0
+	for n < len(rows) && c.ti < len(s.tables) {
+		blk, lo, hi := s.next(c, len(rows)-n)
+		run := rows[n : n+hi-lo]
+		blk.resolve(s.queries[lo:hi], run)
+		blk.hint(run)
+		n += hi - lo
+	}
+	return n
+}
+
 // compileGatherPlan builds the engine's gather plan from the placement plan,
 // the embedding store and the materialised products. Called once in Build.
 func (e *Engine) compileGatherPlan() (gatherPlan, error) {
 	layout := e.plan.Layout
-	p := gatherPlan{tables: make([]gatherTable, len(layout.Tables))}
+	p := gatherPlan{tables: make([][]gatherBlock, len(layout.Tables))}
 	cacheID := 0
 	var accBytes, accCount float64
 	for pi, pt := range layout.Tables {
-		gt := gatherTable{
-			lookups:  pt.Lookups(),
-			vecBytes: pt.VectorBytes(),
-			dim:      int64(pt.Dim()),
-			srcs:     make([]gatherSource, len(pt.Sources)),
-		}
+		parts := make([]gatherPart, len(pt.Sources))
+		data := make([][]float32, len(pt.Sources))
 		for i, src := range pt.Sources {
 			tab, err := e.store.Table(src.ID)
 			if err != nil {
 				return gatherPlan{}, err
 			}
-			gt.srcs[i] = gatherSource{
-				srcID:      src.ID,
-				dim:        src.Dim,
-				lookups:    src.Lookups,
-				actualRows: tab.Rows(),
-				featOff:    e.featureOffset[src.ID],
-				vecBytes:   src.Dim * 4,
+			parts[i] = gatherPart{
+				srcID:  src.ID,
+				mod:    newRowMod(tab.LogicalRows, tab.Rows()),
+				stride: 1,
+				dim:    src.Dim,
+				off:    e.featureOffset[src.ID],
 			}
+			data[i] = tab.Data()
+		}
+		// stream appends one access stream's blocks, a block per lookup round
+		// (round r of a source lands r*dim columns past round 0).
+		stream := func(rows []float32, lookups int, parts []gatherPart) {
+			blk := gatherBlock{data: rows, cacheID: cacheID, lookups: lookups}
+			for _, part := range parts {
+				blk.dim += part.dim
+			}
+			blk.vecBytes = blk.dim * 4
+			for r := 0; r < lookups; r++ {
+				blk.round = r
+				blk.parts = make([]gatherPart, len(parts))
+				for i, part := range parts {
+					part.off += r * part.dim
+					blk.parts[i] = part
+				}
+				p.tables[pi] = append(p.tables[pi], blk)
+			}
+			cacheID++
+			accBytes += float64(lookups * blk.vecBytes)
+			accCount += float64(lookups)
 		}
 		if m := e.products[pi]; m != nil {
-			gt.mat = m.Data
-			gt.cacheID = cacheID
-			cacheID++
-			// Mixed-radix strides over the materialised source row
-			// counts: the first source varies slowest.
+			// Mixed-radix strides over the materialised source row counts:
+			// the first source varies slowest.
 			stride := int64(1)
-			for i := len(gt.srcs) - 1; i >= 0; i-- {
-				gt.srcs[i].stride = stride
-				stride *= gt.srcs[i].actualRows
+			for i := len(parts) - 1; i >= 0; i-- {
+				parts[i].stride = stride
+				stride *= int64(parts[i].mod.rows)
 			}
-			accBytes += float64(gt.lookups * gt.vecBytes)
-			accCount += float64(gt.lookups)
+			stream(m.Data, pt.Lookups(), parts)
 		} else {
-			for i := range gt.srcs {
-				s := &gt.srcs[i]
-				tab, err := e.store.Table(s.srcID)
-				if err != nil {
-					return gatherPlan{}, err
-				}
-				s.data = tab.Data()
-				s.cacheID = cacheID
-				cacheID++
-				accBytes += float64(s.lookups * s.vecBytes)
-				accCount += float64(s.lookups)
+			// Virtual path: every source is its own stream.
+			for i, src := range pt.Sources {
+				stream(data[i], src.Lookups, parts[i:i+1])
 			}
 		}
-		p.tables[pi] = gt
 	}
 	meanBytes := 0
 	if accCount > 0 {
@@ -169,34 +329,22 @@ func (e *Engine) compileGatherPlan() (gatherPlan, error) {
 // order, so the spec list is already ID-sorted.
 func (e *Engine) attachTier() error {
 	var specs []tieredstore.StreamSpec
-	for ti := range e.gplan.tables {
-		gt := &e.gplan.tables[ti]
-		if gt.mat != nil {
-			specs = append(specs, tieredstore.StreamSpec{
-				ID: gt.cacheID, Data: gt.mat, Dim: int(gt.dim), Lookups: gt.lookups,
-			})
-			continue
-		}
-		for si := range gt.srcs {
-			s := &gt.srcs[si]
-			specs = append(specs, tieredstore.StreamSpec{
-				ID: s.cacheID, Data: s.data, Dim: s.dim, Lookups: s.lookups,
-			})
+	for _, blocks := range e.gplan.tables {
+		for bi := range blocks {
+			if blk := &blocks[bi]; blk.round == 0 {
+				specs = append(specs, tieredstore.StreamSpec{
+					ID: blk.cacheID, Data: blk.data, Dim: blk.dim, Lookups: blk.lookups,
+				})
+			}
 		}
 	}
 	store, err := tieredstore.Open(*e.cfg.ColdTier, specs)
 	if err != nil {
 		return err
 	}
-	for ti := range e.gplan.tables {
-		gt := &e.gplan.tables[ti]
-		if gt.mat != nil {
-			gt.tier = store.Stream(gt.cacheID)
-			continue
-		}
-		for si := range gt.srcs {
-			s := &gt.srcs[si]
-			s.tier = store.Stream(s.cacheID)
+	for _, blocks := range e.gplan.tables {
+		for bi := range blocks {
+			blocks[bi].tier = store.Stream(blocks[bi].cacheID)
 		}
 	}
 	e.tier = store
@@ -323,43 +471,6 @@ func (e *Engine) gatherShard(wg *sync.WaitGroup, tables []int, queries []embeddi
 	e.dp.gatherTables(&e.gplan, tables, queries, s, e.cache)
 }
 
-// matRow resolves one query's materialised-product row index for lookup
-// round r: the mixed-radix combination of the per-source logical indices.
-//
-//microrec:noalloc
-func (gt *gatherTable) matRow(q embedding.Query, r int) int64 {
-	var row int64
-	for si := range gt.srcs {
-		src := &gt.srcs[si]
-		row += (q[src.srcID][r] % src.actualRows) * src.stride
-	}
-	return row
-}
-
-// prefetchMatRow hints the storage of one materialised row toward the cache
-// ahead of its gather: the DRAM copy directly, or the tiered store's backing
-// copy for a tiered engine (which skips rows already pinned hot).
-//
-//microrec:noalloc
-func (gt *gatherTable) prefetchMatRow(row int64) {
-	if gt.tier != nil {
-		gt.tier.PrefetchRow(row)
-		return
-	}
-	kernels.PrefetchNT(gt.mat[row*gt.dim : row*gt.dim+gt.dim])
-}
-
-// prefetchRow is prefetchMatRow for a virtual (single-source) stream.
-//
-//microrec:noalloc
-func (src *gatherSource) prefetchRow(row, dim int64) {
-	if src.tier != nil {
-		src.tier.PrefetchRow(row)
-		return
-	}
-	kernels.PrefetchNT(src.data[row*dim : row*dim+dim])
-}
-
 // ---- live hot-row cache ----
 
 // HotCacheInfo is a snapshot of the engine's live hot-row cache.
@@ -472,36 +583,7 @@ func (e *Engine) PrefetchBatch(queries []embedding.Query) {
 	if e.tier == nil || len(queries) == 0 {
 		return
 	}
-	type ref struct {
-		id  int
-		row int64
-	}
-	var cold []ref
-	for ti := range e.gplan.tables {
-		gt := &e.gplan.tables[ti]
-		if gt.mat != nil {
-			for r := 0; r < gt.lookups; r++ {
-				for _, q := range queries {
-					row := gt.matRow(q, r)
-					if !gt.tier.IsHot(row) {
-						cold = append(cold, ref{gt.cacheID, row})
-					}
-				}
-			}
-			continue
-		}
-		for si := range gt.srcs {
-			src := &gt.srcs[si]
-			for r := 0; r < src.lookups; r++ {
-				for _, q := range queries {
-					mrow := q[src.srcID][r] % src.actualRows
-					if !src.tier.IsHot(mrow) {
-						cold = append(cold, ref{src.cacheID, mrow})
-					}
-				}
-			}
-		}
-	}
+	cold := e.coldRows(queries)
 	if len(cold) == 0 {
 		return
 	}
@@ -517,7 +599,7 @@ func (e *Engine) PrefetchBatch(queries []embedding.Query) {
 			hi = len(cold)
 		}
 		wg.Add(1)
-		go func(refs []ref) {
+		go func(refs []rowRef) {
 			defer wg.Done()
 			for _, c := range refs {
 				e.tier.Prefetch(c.id, c.row)
@@ -525,4 +607,29 @@ func (e *Engine) PrefetchBatch(queries []embedding.Query) {
 		}(cold[lo:hi])
 	}
 	wg.Wait()
+}
+
+// rowRef names one row of one access stream.
+type rowRef struct {
+	id  int
+	row int64
+}
+
+// coldRows lists, in gather order, the (stream, row) pairs of a batch's
+// lookups that the tiered store would serve from the cold file right now.
+func (e *Engine) coldRows(queries []embedding.Query) []rowRef {
+	var cold []rowRef
+	rows := make([]int64, len(queries))
+	for _, blocks := range e.gplan.tables {
+		for bi := range blocks {
+			blk := &blocks[bi]
+			blk.resolve(queries, rows)
+			for _, row := range rows {
+				if !blk.tier.IsHot(row) {
+					cold = append(cold, rowRef{blk.cacheID, row})
+				}
+			}
+		}
+	}
+	return cold
 }

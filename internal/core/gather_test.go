@@ -59,7 +59,7 @@ func TestGatherBatchMatchesGather(t *testing.T) {
 		}
 		e := buildEngine(t, spec, ConfigFor(spec.Name, f), true)
 		var scratch BatchScratch
-		for _, b := range []int{1, 3, 33, 64} {
+		for _, b := range append([]int{3, 33}, windowBatches...) {
 			qs := randomQueries(spec, b, int64(100*b))
 			feats, err := e.GatherBatch(qs, &scratch)
 			if err != nil {
@@ -100,7 +100,7 @@ func TestInferBatchPropertyRandomSpecs(t *testing.T) {
 		if !withCache.HotCacheEnabled() {
 			t.Fatal("hot cache not attached")
 		}
-		for _, b := range []int{1, 2, 5, 8, 31, 64, 67} {
+		for _, b := range append([]int{5, 8, 31, 67}, windowBatches...) {
 			qs := randomQueries(spec, b, int64(trial*1000+b))
 			got, err := plain.InferBatch(qs, nil, nil)
 			if err != nil {
@@ -130,27 +130,34 @@ func TestInferBatchPropertyRandomSpecs(t *testing.T) {
 	}
 }
 
-// TestGatherBatchSteadyStateAllocs pins the amortised cost of the gather's
-// channel-sharded parallel path: the per-batch goroutine fan-out stays well
-// under one allocation per query. The inline path's strict zero-allocation
-// contract is pinned centrally by the consolidated //microrec:noalloc table
-// in the repo root's zeroalloc_test.go.
+// TestGatherBatchSteadyStateAllocs pins the gather's allocations at both ends
+// of the batch range. A batch of one takes the inline path, where the window's
+// index vector must stay on the stack: exactly zero. A batch of 64 takes the
+// channel-sharded parallel path, whose per-batch goroutine fan-out stays well
+// under one allocation per query — and each of whose goroutines has an index
+// vector of its own, which must not show up here either. The inline path's
+// contract is also pinned, function by function, by the //microrec:noalloc
+// table in the repo root's zeroalloc_test.go.
 func TestGatherBatchSteadyStateAllocs(t *testing.T) {
 	spec := model.SmallProduction()
 	e := buildEngine(t, spec, SmallFP16(), true)
 	var scratch BatchScratch
-
-	parallel := randomQueries(spec, 64, 4)
-	if _, err := e.GatherBatch(parallel, &scratch); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := e.GatherBatch(parallel, &scratch); err != nil {
+	for _, b := range []int{1, 64} {
+		qs := randomQueries(spec, b, 4)
+		if _, err := e.GatherBatch(qs, &scratch); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if perQuery := allocs / 64; perQuery >= 1 {
-		t.Errorf("parallel gather: %v allocs per query (%v per batch), want < 1", perQuery, allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := e.GatherBatch(qs, &scratch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if b < gatherParallelMinBatch && allocs != 0 {
+			t.Errorf("inline gather of %d: %v allocs per batch, want 0", b, allocs)
+		}
+		if perQuery := allocs / float64(b); perQuery >= 1 {
+			t.Errorf("gather of %d: %v allocs per query (%v per batch), want < 1", b, perQuery, allocs)
+		}
 	}
 }
 
@@ -198,22 +205,25 @@ func TestGatherBatchParallelShards(t *testing.T) {
 	}
 	f := e.cfg.Precision
 	var scratch BatchScratch
-	b := 2 * gatherParallelMinBatch // well past the inline threshold
-	qs := randomQueries(spec, b, 23)
-	for rep := 0; rep < 3; rep++ {
-		feats, err := e.GatherBatch(qs, &scratch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for qi, q := range qs {
-			want, err := e.Gather(q, nil)
+	// Every size is past the inline threshold; together they put the window's
+	// edge before, on and after a block's end inside each shard.
+	for _, b := range []int{gatherParallelMinBatch, gatherWindow - 1, gatherWindow, gatherWindow + 1, 2*gatherWindow + 3} {
+		qs := randomQueries(spec, b, 23)
+		for rep := 0; rep < 3; rep++ {
+			feats, err := e.GatherBatch(qs, &scratch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for k, v := range want {
-				if got := feats.At(qi, k); got != f.Quantize(float64(v)) {
-					t.Fatalf("rep %d query %d feature %d: parallel %d, want %d",
-						rep, qi, k, got, f.Quantize(float64(v)))
+			for qi, q := range qs {
+				want, err := e.Gather(q, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k, v := range want {
+					if got := feats.At(qi, k); got != f.Quantize(float64(v)) {
+						t.Fatalf("b=%d rep %d query %d feature %d: parallel %d, want %d",
+							b, rep, qi, k, got, f.Quantize(float64(v)))
+					}
 				}
 			}
 		}

@@ -40,9 +40,10 @@ func (e *Engine) PartialSpans(tables []int) ([]ColSpan, error) {
 		if ti < 0 || ti >= len(e.gplan.tables) {
 			return nil, fmt.Errorf("core: physical table %d out of range (engine has %d)", ti, len(e.gplan.tables))
 		}
-		for si := range e.gplan.tables[ti].srcs {
-			src := &e.gplan.tables[ti].srcs[si]
-			spans = append(spans, ColSpan{Off: src.featOff, Len: src.lookups * src.dim})
+		for _, blk := range e.gplan.tables[ti] {
+			for _, p := range blk.parts {
+				spans = append(spans, ColSpan{Off: p.off, Len: p.dim})
+			}
 		}
 	}
 	sort.Slice(spans, func(a, b int) bool { return spans[a].Off < spans[b].Off })

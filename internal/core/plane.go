@@ -138,19 +138,28 @@ func (d *fixedPath[T]) features(s *BatchScratch) Features {
 	return f
 }
 
-// gatherTables runs the table-major gather for one shard's physical tables:
-// for each table (and lookup round) it walks the whole batch, computes the
-// physical row, optionally records the access against the given live hot-row
-// cache, and quantizes the payload straight into each query's feature row at
-// the plane's width (one direct call over constants hoisted at Build, not a
-// per-element Quantize). The walk is prefetch-ahead: while query q's row is
-// being quantized, query q+1's row — already index-resolved one step early —
-// is hinted toward the cache non-temporally, so the random-access row fetch
-// overlaps the copy instead of stalling it (the paper's data-movement thesis
-// applied to a CPU gather). Distinct tables write disjoint feature columns,
-// so shards never overlap. cache is a parameter (not always the engine's)
-// because the cluster tier's partial gathers account against per-shard
-// caches.
+// gatherTables runs the gather for one shard's physical tables. The shard's
+// lookups form one sequence — each table's blocks in order, each block across
+// the whole batch — and the loop takes it gatherWindow rows at a time, in two
+// passes. Pass 1 resolves the window's row numbers into a vector on this
+// goroutine's stack (shards of one batch share the scratch, so it cannot live
+// there) and hints every row's cache lines, a block's run with one call.
+// Pass 2 walks the same window again and, per row, records the access against
+// the given live hot-row cache, takes the payload, and quantizes it straight
+// into the query's feature row at the plane's width. By the time pass 2 reads
+// a row its fetch has been in flight, together with the rest of the window's,
+// for the whole of pass 1: the loop waits for memory once per window, not
+// once per row (gather.go's header has the arithmetic). A window ends where
+// W rows end, not where a block does, so a large batch cuts a block into
+// several windows and a small one packs several blocks — at batch 1 a whole
+// item's lookups — into one.
+//
+// Pass 2 visits lookups in exactly the sequence's order, so the hot cache's
+// counters and recency, the tier's read counters and the cold-fault count are
+// those of a plain serial walk. Distinct tables write disjoint feature
+// columns, so shards never overlap. cache is a parameter (not always the
+// engine's) because the cluster tier's partial gathers account against
+// per-shard caches.
 //
 //microrec:noalloc
 func (d *fixedPath[T]) gatherTables(plan *gatherPlan, tables []int, queries []embedding.Query, s *BatchScratch, cache *hotcache.Live) {
@@ -160,70 +169,35 @@ func (d *fixedPath[T]) gatherTables(plan *gatherPlan, tables []int, queries []em
 	// at the end: shards of one batch share the scratch concurrently, and one
 	// atomic add per shard beats one per row.
 	var cold int64
-	for _, ti := range tables {
-		gt := &plan.tables[ti]
-		if gt.mat != nil {
-			dim := gt.dim
-			for r := 0; r < gt.lookups; r++ {
-				row := gt.matRow(queries[0], r)
-				for qi := range queries {
-					var next int64
-					if qi+1 < len(queries) {
-						next = gt.matRow(queries[qi+1], r)
-						gt.prefetchMatRow(next)
-					}
-					if cache != nil {
-						cache.Lookup(gt.cacheID, row, gt.vecBytes)
-					}
-					var payload []float32
-					if gt.tier != nil {
-						var wasCold bool
-						payload, wasCold = gt.tier.RowTagged(row)
-						if wasCold {
-							cold++
-						}
-					} else {
-						payload = gt.mat[row*dim : row*dim+dim]
-					}
-					out := x[qi*w : qi*w+d.featureLen]
-					seg := 0
-					for si := range gt.srcs {
-						src := &gt.srcs[si]
-						off := src.featOff + r*src.dim
-						kernels.QuantizeRow(&d.quant, payload[seg:seg+src.dim], out[off:off+src.dim])
-						seg += src.dim
-					}
-					row = next
+	seq := gatherSeq{plan: plan, tables: tables, queries: queries}
+	var ahead, cur gatherCursor
+	var rows [gatherWindow]int64
+	for n := seq.hintWindow(&ahead, rows[:]); n > 0; n = seq.hintWindow(&ahead, rows[:]) {
+		for k := 0; k < n; {
+			blk, lo, hi := seq.next(&cur, n-k)
+			dim := int64(blk.dim)
+			for qi := lo; qi < hi; qi++ {
+				row := rows[k]
+				k++
+				if cache != nil {
+					cache.Lookup(blk.cacheID, row, blk.vecBytes)
 				}
-			}
-			continue
-		}
-		for si := range gt.srcs {
-			src := &gt.srcs[si]
-			dim := src.dim
-			d64 := int64(dim)
-			for r := 0; r < src.lookups; r++ {
-				off := src.featOff + r*dim
-				for qi, q := range queries {
-					mrow := q[src.srcID][r] % src.actualRows
-					if qi+1 < len(queries) {
-						next := queries[qi+1][src.srcID][r] % src.actualRows
-						src.prefetchRow(next, d64)
+				var payload []float32
+				if blk.tier != nil {
+					var wasCold bool
+					payload, wasCold = blk.tier.RowTagged(row)
+					if wasCold {
+						cold++
 					}
-					if cache != nil {
-						cache.Lookup(src.cacheID, mrow, src.vecBytes)
-					}
-					var vec []float32
-					if src.tier != nil {
-						var wasCold bool
-						vec, wasCold = src.tier.RowTagged(mrow)
-						if wasCold {
-							cold++
-						}
-					} else {
-						vec = src.data[mrow*d64 : mrow*d64+d64]
-					}
-					kernels.QuantizeRow(&d.quant, vec, x[qi*w+off:qi*w+off+dim])
+				} else {
+					payload = blk.data[row*dim : row*dim+dim]
+				}
+				out := x[qi*w : qi*w+d.featureLen]
+				seg := 0
+				for pi := range blk.parts {
+					p := &blk.parts[pi]
+					kernels.QuantizeRow(&d.quant, payload[seg:seg+p.dim], out[p.off:p.off+p.dim])
+					seg += p.dim
 				}
 			}
 		}

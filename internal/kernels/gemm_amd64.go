@@ -26,10 +26,10 @@ func init() {
 	Gemm32 = dispatch(Gemm32Impls)
 	FinishRow16 = dispatch(Finish16Impls)
 	FinishRow32 = dispatch(Finish32Impls)
-	// The prefetch stub is plain SSE (PREFETCHNTA), available on every
+	// The prefetch hints are plain SSE (PREFETCHT0), available on every
 	// amd64; see prefetch_amd64.go.
-	prefetchLine = prefetchNT
-	featureTags = append(featureTags, "prefetch-nt")
+	prefetchLine = prefetchT0
+	featureTags = append(featureTags, "prefetch-t0")
 }
 
 // cpuid executes CPUID with the given leaf and subleaf; implemented in

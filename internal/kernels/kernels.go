@@ -17,8 +17,8 @@
 // The paper's thesis is that recommendation inference is bounded by data
 // movement, not FLOPs, so the inner loops must be shaped for the hardware:
 // wide lanes for the GEMM inner product, one precomputed scale per engine
-// instead of a per-element quantize call, and prefetch of the next row while
-// the current one is being copied.
+// instead of a per-element quantize call, and a window of row fetches started
+// before any of them is read.
 //
 // Bit-identity is the contract, not an aspiration: every optimized kernel
 // must produce the exact int64 accumulators of the portable reference
@@ -291,9 +291,9 @@ func dispatch[F any](impls []Impl[F]) F {
 var featureTags []string
 
 // Features reports which kernel paths are live, e.g.
-// "avx512-vnni16+avx2-vpmuldq32+avx512-epilogue+prefetch-nt+batched-quantize"
+// "avx512-vnni16+avx2-vpmuldq32+avx512-epilogue+prefetch-t0+batched-quantize"
 // on a host with AVX-512 VNNI,
-// "avx2-vpmaddwd16+avx2-vpmuldq32+prefetch-nt+batched-quantize" on one with
+// "avx2-vpmaddwd16+avx2-vpmuldq32+prefetch-t0+batched-quantize" on one with
 // AVX2 only, or "portable" when every kernel is the reference (the noasm
 // build, or a host without the required ISA). Every recorded measurement
 // carries this string, so numbers name the path that produced them.

@@ -156,10 +156,59 @@ loop32:
 	VZEROUPPER
 	RET
 
-// func prefetchNT(p unsafe.Pointer)
-TEXT ·prefetchNT(SB), NOSPLIT, $0-8
+// func prefetchT0(p unsafe.Pointer)
+TEXT ·prefetchT0(SB), NOSPLIT, $0-8
 	MOVQ       p+0(FP), AX
-	PREFETCHNTA (AX)
+	PREFETCHT0 (AX)
+	RET
+
+// ROWLINES walks the cache lines of n table rows: for each int64 index at
+// (BX), the row starts at SI + index*DX and is DX bytes long; AX steps from
+// the line of its first byte to the line of its last (R8), running OP on each.
+// Clobbers AX, BX, CX, R8.
+#define ROWLINES(OP) \
+	TESTQ CX, CX;          \
+	JZ    done;            \
+row:                       \
+	MOVQ  (BX), AX;        \
+	IMULQ DX, AX;          \
+	ADDQ  SI, AX;          \
+	LEAQ  -1(AX)(DX*1), R8; \
+	ANDQ  $-64, AX;        \
+line:                      \
+	OP;                    \
+	ADDQ  $64, AX;         \
+	CMPQ  AX, R8;          \
+	JLS   line;            \
+	ADDQ  $8, BX;          \
+	DECQ  CX;              \
+	JNZ   row;             \
+done:
+
+#define HINTLINE  PREFETCHT0 (AX)
+#define STORELINE MOVQ AX, (DI); ADDQ $8, DI
+
+// func prefetchRows(base unsafe.Pointer, rowBytes uintptr, rows *int64, n int)
+TEXT ·prefetchRows(SB), NOSPLIT, $0-32
+	MOVQ base+0(FP), SI
+	MOVQ rowBytes+8(FP), DX
+	MOVQ rows+16(FP), BX
+	MOVQ n+24(FP), CX
+	ROWLINES(HINTLINE)
+	RET
+
+// func prefetchRowsLines(base unsafe.Pointer, rowBytes uintptr, rows *int64, n int, out *uintptr) int
+TEXT ·prefetchRowsLines(SB), NOSPLIT, $0-48
+	MOVQ base+0(FP), SI
+	MOVQ rowBytes+8(FP), DX
+	MOVQ rows+16(FP), BX
+	MOVQ n+24(FP), CX
+	MOVQ out+32(FP), DI
+	MOVQ DI, R9
+	ROWLINES(STORELINE)
+	SUBQ R9, DI
+	SHRQ $3, DI
+	MOVQ DI, ret+40(FP)
 	RET
 
 // func cpuid(op, sub uint32) (eax, ebx, ecx, edx uint32)

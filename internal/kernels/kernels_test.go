@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"microrec/internal/fixedpoint"
 )
@@ -477,12 +479,58 @@ func TestQuantizeRowEmpty(t *testing.T) {
 	QuantizeRowRef[int16](fixedpoint.Fixed16, nil, nil)
 }
 
-// TestPrefetchNT exercises the hint path (crash-freedom is the contract:
+// TestPrefetchHints exercises the hint path (crash-freedom is the contract:
 // prefetch must tolerate any resident span and a nil row).
-func TestPrefetchNT(t *testing.T) {
-	PrefetchNT(nil)
+func TestPrefetchHints(t *testing.T) {
+	PrefetchRow(nil)
 	row := make([]float32, 33) // spans 3 cache lines
-	PrefetchNT(row)
+	PrefetchRow(row)
+	PrefetchRows(nil, 4, []int64{0})
+	PrefetchRows(row, 11, nil)
+	PrefetchRows(row, 11, []int64{0, 2, 1})
+}
+
+// linesOf returns the cache lines the n bytes at p touch, first to last.
+func linesOf(p unsafe.Pointer, n int) []uintptr {
+	var lines []uintptr
+	first := uintptr(p) &^ (cacheLineBytes - 1)
+	last := (uintptr(p) + uintptr(n) - 1) &^ (cacheLineBytes - 1)
+	for a := first; a <= last; a += cacheLineBytes {
+		lines = append(lines, a)
+	}
+	return lines
+}
+
+// lineAlignedFloats returns a float32 slice whose first element starts a
+// cache line, so tests can place a row at a chosen offset within a line.
+func lineAlignedFloats(n int) []float32 {
+	buf := make([]float32, n+cacheLineBytes/4)
+	skip := (cacheLineBytes - uintptr(unsafe.Pointer(&buf[0]))%cacheLineBytes) % cacheLineBytes / 4
+	return buf[skip : int(skip)+n]
+}
+
+// TestPrefetchRowHintsEveryLine swaps the line hint for a recorder and checks,
+// for every (offset within a line, row length) pair, that each cache line
+// between the row's first and last byte is hinted exactly once — including
+// the line that holds only the tail of a row that does not start on a line
+// boundary, which a walk in 64-byte steps from the row's start misses.
+func TestPrefetchRowHintsEveryLine(t *testing.T) {
+	var hinted []uintptr
+	saved := prefetchLine
+	prefetchLine = func(p unsafe.Pointer) { hinted = append(hinted, uintptr(p)&^(cacheLineBytes-1)) }
+	defer func() { prefetchLine = saved }()
+
+	buf := lineAlignedFloats(16 + 80)
+	for off := 0; off < 16; off++ { // float offset within the line: bytes 0, 4, ..., 60
+		for n := 1; n <= 80; n++ {
+			row := buf[off : off+n]
+			hinted = hinted[:0]
+			PrefetchRow(row)
+			if want := linesOf(unsafe.Pointer(&row[0]), 4*n); !slices.Equal(hinted, want) {
+				t.Fatalf("row at byte offset %d, %d floats: hinted lines %x, want %x", 4*off, n, hinted, want)
+			}
+		}
+	}
 }
 
 // TestFeaturesNonEmpty pins the Features contract: a non-empty string that

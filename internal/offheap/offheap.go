@@ -16,6 +16,16 @@
 // Memory that is never freed stays mapped until the process exits. Small
 // requests are served from the heap, so tests and small models never meet
 // any of this.
+//
+// Mappings do not ask for transparent huge pages (madvise MADV_HUGEPAGE),
+// although a uniform embedding lookup touches about one 4 KiB page per row
+// and pays a page walk in front of every row fetch. It was measured (PR 15,
+// CHANGES.md): the advice is worth 0–10 % of gather throughput, and on a
+// virtual machine whose hypervisor takes free memory back, the first write to
+// a gigabyte of huge pages took 19–40 s against 4–7 s for small ones — three
+// engine builds in ten went from 2 s to 12–17 s. A table is built once and
+// read for hours, so a long-lived server may want the advice anyway; it is
+// one syscall.Madvise in mapFloats.
 package offheap
 
 // minMapped is the smallest request, in elements, served from a mapping

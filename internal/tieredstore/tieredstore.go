@@ -188,11 +188,12 @@ func (st *Stream) IsHot(row int64) bool {
 // Rows returns the stream's row count.
 func (st *Stream) Rows() int64 { return st.rows }
 
-// PrefetchRow issues a non-temporal cache hint for the copy of the row the
-// next Row call will return — the pinned DRAM vector when hot, the mmap'd
-// cold window otherwise — without touching the read counters. The gather
-// loop calls it one query ahead so the row fetch overlaps the previous
-// query's quantize instead of stalling it. Unlike Store.Prefetch (a
+// PrefetchRow issues a cache hint for the copy of the row the next Row call
+// will return — the pinned DRAM vector when hot, the mmap'd cold window
+// otherwise — without touching the read counters. The gather calls it for
+// every row of a window before it reads any of them, so the window's fetches
+// overlap each other instead of queueing behind the reads. Unlike
+// Store.Prefetch (a
 // page-fault absorber that dereferences the page), this is hint-only:
 // out-of-range rows are ignored and no fault is forced.
 //
@@ -203,11 +204,11 @@ func (st *Stream) PrefetchRow(row int64) {
 	}
 	if m := st.hot.Load(); m != nil {
 		if v, ok := m.rows[row]; ok {
-			kernels.PrefetchNT(v)
+			kernels.PrefetchRow(v)
 			return
 		}
 	}
-	kernels.PrefetchNT(st.cold[row*st.dim : (row+1)*st.dim])
+	kernels.PrefetchRow(st.cold[row*st.dim : (row+1)*st.dim])
 }
 
 // Store is the two-tier backing store for a set of access streams.

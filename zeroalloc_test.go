@@ -166,6 +166,7 @@ func zeroallocCases(t *testing.T) []allocCase {
 	for i := range qsrc {
 		qsrc[i] = float32(i)/16 - 1
 	}
+	hintRows := [3]int64{0, 3, 1} // rows of qsrc read as a 12-float-row table
 
 	return []allocCase{
 		{
@@ -173,11 +174,18 @@ func zeroallocCases(t *testing.T) []allocCase {
 			covers: []string{
 				"internal/core.Engine.GatherIntoPlane",
 				"internal/core.fixedPath.gatherTables",
-				"internal/core.gatherTable.matRow",
-				"internal/core.gatherTable.prefetchMatRow",
-				"internal/core.gatherSource.prefetchRow",
+				"internal/core.gatherSeq.next",
+				"internal/core.gatherSeq.hintWindow",
+				"internal/core.gatherBlock.resolve",
+				"internal/core.gatherBlock.hint",
+				"internal/core.rowMod.reduce",
 			},
-			run: func() { eng.GatherIntoPlane(qs, &gatherScratch) },
+			// Once as a batch and once query by query: a batch of 8 cuts
+			// blocks into windows, a batch of 1 packs blocks into one.
+			run: func() {
+				eng.GatherIntoPlane(qs, &gatherScratch)
+				eng.GatherIntoPlane(qs[:1], &gatherScratch)
+			},
 		},
 		{
 			name: "core/dense-tail",
@@ -251,7 +259,8 @@ func zeroallocCases(t *testing.T) []allocCase {
 				"internal/kernels.GemmRef",
 				"internal/kernels.QuantizeRowRef",
 				"internal/kernels.QuantizeRow",
-				"internal/kernels.PrefetchNT",
+				"internal/kernels.PrefetchRow",
+				"internal/kernels.PrefetchRows",
 				"internal/fixedpoint.FinishRow",
 			},
 			run: func() {
@@ -259,7 +268,8 @@ func zeroallocCases(t *testing.T) []allocCase {
 				kernels.GemmRef(k32.x, k32.acc, k32.b, k32.stride, &k32.w)
 				kernels.QuantizeRowRef(fixedpoint.Fixed16, qsrc, qdst)
 				kernels.QuantizeRow(&quant, qsrc, qdst)
-				kernels.PrefetchNT(qsrc)
+				kernels.PrefetchRow(qsrc)
+				kernels.PrefetchRows(qsrc, 12, hintRows[:])
 				fixedpoint.FinishRow(&finish, k16.acc[:k16.w.Out], k16.acc[:k16.w.Out], true, k16.x)
 			},
 		},
