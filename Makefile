@@ -1,9 +1,8 @@
 GO ?= go
-# Scratch dir for CI-shaped bench runs, so `make benchdiff` never overwrites
-# the committed BENCH_*.json baselines.
+# Scratch dir for the kernel test log written by test-kernels.
 BENCH_SCRATCH ?= /tmp/microrec-bench
 
-.PHONY: build vet vet-custom fmt-check test test-kernels test-noasm test-benchmark race bench bench-json loadtest-json bench-smoke benchdiff obs-smoke fuzz-smoke vulncheck ci
+.PHONY: build vet vet-custom fmt-check test test-kernels test-noasm test-benchmark race bench bench-smoke obs-smoke fuzz-smoke vulncheck ci
 
 build:
 	$(GO) build ./...
@@ -56,34 +55,6 @@ race:
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
-# bench-json measures serving ns/query at batch 1/16/64 (pipelined drain)
-# and writes BENCH_serve.json, so the perf trajectory is tracked across PRs.
-# GOMAXPROCS is pinned to 1 so the committed baseline measures the datapath,
-# not the host's core count — benchdiff refuses candidates whose gomaxprocs
-# differs from the baseline's.
-# Built as a binary (not `go run`) so the document's build_info carries the
-# git revision — `go run` skips VCS stamping and would record "unknown".
-bench-json:
-	mkdir -p $(BENCH_SCRATCH)
-	$(GO) build -o $(BENCH_SCRATCH)/microrec ./cmd/microrec
-	GOMAXPROCS=1 $(BENCH_SCRATCH)/microrec bench -o BENCH_serve.json
-
-# loadtest-json sweeps open-loop offered load through 2.5x saturation and
-# writes BENCH_loadtest.json: the knee (max qps meeting the SLA), per-level
-# admitted-tail latency, and shed fail-fast times — the overload-behaviour
-# trajectory next to bench-json's throughput trajectory.
-# COLD=1 runs the tiered-store configuration instead: the model backed by an
-# mmap'd cold tier 4x the DRAM hot budget, the committed BENCH_loadtest.json
-# shape (demonstrates bounded admitted p99 on a model larger than DRAM).
-loadtest-json:
-	mkdir -p $(BENCH_SCRATCH)
-	$(GO) build -o $(BENCH_SCRATCH)/microrec ./cmd/microrec
-ifeq ($(COLD),1)
-	$(BENCH_SCRATCH)/microrec loadtest -cold-tier tmp -o BENCH_loadtest.json
-else
-	$(BENCH_SCRATCH)/microrec loadtest -o BENCH_loadtest.json
-endif
-
 # bench-smoke runs the datapath/serving benchmarks once each — a fast check
 # that the hot paths still execute, used by CI ('Serve' includes
 # BenchmarkServeLightLoad, whose p50-us is the lightly loaded latency; 'Gather'
@@ -93,16 +64,6 @@ endif
 bench-smoke:
 	$(GO) test -run xxx -bench 'Gather|Serve|EngineInferOne|Pipeline' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench 'GEMMKernel|FinishRow|QuantizeRow' -benchtime 1x -benchmem ./internal/kernels
-
-# benchdiff is the bench-regression gate: regenerate a smoke-scale serve
-# bench into the scratch dir and fail if ns/query regressed >25% against the
-# committed baseline at any batch size (exactly the CI step). The candidate
-# runs under GOMAXPROCS=1 to match the committed baseline's environment;
-# benchdiff fails on a gomaxprocs mismatch rather than comparing across it.
-benchdiff:
-	mkdir -p $(BENCH_SCRATCH)
-	GOMAXPROCS=1 $(GO) run ./cmd/microrec bench -n 512 -o $(BENCH_SCRATCH)/BENCH_serve.json
-	$(GO) run ./cmd/microrec benchdiff -baseline BENCH_serve.json -candidate $(BENCH_SCRATCH)/BENCH_serve.json
 
 # fuzz-smoke gives each fuzz target a short budget (exactly the CI step):
 # enough to replay the corpus and catch shallow regressions in the histogram
@@ -136,4 +97,4 @@ obs-smoke:
 
 # ci mirrors the CI job sequence locally (lint job + test job, one leg), so a
 # red CI reproduces in one command.
-ci: build vet vet-custom fmt-check test test-kernels test-noasm test-benchmark race bench-smoke benchdiff obs-smoke fuzz-smoke vulncheck
+ci: build vet vet-custom fmt-check test test-kernels test-noasm test-benchmark race bench-smoke obs-smoke fuzz-smoke vulncheck

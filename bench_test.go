@@ -353,19 +353,23 @@ func BenchmarkServeUnbatched(b *testing.B) {
 }
 
 // BenchmarkServeBatched measures the micro-batching server under concurrent
-// submitters at batch 64 on the flat worker-pool drain — the PR 2 baseline
-// the pipelined drain is compared against. Weight blocks stream from memory
-// once per batch instead of once per query, and the timing model runs once
-// per batch. A single worker keeps the pair an apples-to-apples batching
-// comparison (the unbatched baseline is one synchronous request stream, so
-// extra workers would conflate parallelism with batching). Reports ns/query
-// (ns/op) and queries/s.
+// submitters at batch 64 on the worker-pool drain, each batch run to
+// completion on one worker's plane. Weight blocks stream from memory once per
+// batch instead of once per query, and the timing model runs once per batch.
+// The workers=1 case keeps the pair with BenchmarkServeUnbatched an
+// apples-to-apples batching comparison (the unbatched baseline is one
+// synchronous request stream, so extra workers would conflate parallelism
+// with batching); workers=2 shows what a second worker adds. Reports
+// ns/query (ns/op) and queries/s.
 func BenchmarkServeBatched(b *testing.B) {
-	benchServeDrain(b, microrec.ServerOptions{
-		MaxBatch:   64,
-		Workers:    1,
-		WorkerPool: true,
-	})
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			benchServeDrain(b, microrec.ServerOptions{
+				Batching: microrec.BatchingOptions{MaxBatch: 64},
+				Pipeline: microrec.PipelineOptions{Depth: workers, WorkerPool: true},
+			})
+		})
+	}
 }
 
 // BenchmarkServePipelined measures the staged pipeline drain at batch 64:
@@ -379,8 +383,8 @@ func BenchmarkServeBatched(b *testing.B) {
 // interleaves rather than overlaps the stages).
 func BenchmarkServePipelined(b *testing.B) {
 	benchServeDrain(b, microrec.ServerOptions{
-		MaxBatch:      64,
-		PipelineDepth: 3,
+		Batching: microrec.BatchingOptions{MaxBatch: 64},
+		Pipeline: microrec.PipelineOptions{Depth: 3},
 	})
 }
 

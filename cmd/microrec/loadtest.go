@@ -12,11 +12,9 @@ import (
 	"microrec"
 )
 
-// loadtestReport is the JSON document `microrec loadtest` emits
-// (BENCH_loadtest.json via `make loadtest-json`): the open-loop sweep's
-// per-level results, the measured knee, and the pipesim-predicted capacity
-// it is judged against — the overload-behaviour trajectory across PRs, next
-// to BENCH_serve.json's throughput trajectory.
+// loadtestReport is the JSON document `microrec loadtest` emits: the
+// open-loop sweep's per-level results, the measured knee, and the
+// pipesim-predicted capacity it is judged against.
 type loadtestReport struct {
 	Benchmark     string  `json:"benchmark"`
 	Model         string  `json:"model"`
@@ -90,7 +88,7 @@ func parseLoadList(s string) ([]float64, error) {
 func cmdLoadtest(args []string) error {
 	fs := newFlagSet("loadtest")
 	modelName := fs.String("model", "small", "model: small or large")
-	out := fs.String("o", "BENCH_loadtest.json", "output JSON path (- for stdout only)")
+	out := fs.String("o", "-", "output JSON path (- writes the JSON to stdout and the table to stderr)")
 	n := fs.Int("n", 2000, "requests offered per load level")
 	slaBudget := fs.Duration("sla", 100*time.Millisecond, "per-request deadline and knee criterion")
 	loads := fs.String("loads", "auto", "comma-separated offered qps ladder, or 'auto' to calibrate and sweep 0.25x-2.5x of saturation")

@@ -8,9 +8,7 @@
 //	microrec plan -model small|large [...]        run the placement search
 //	microrec infer -model small -n 16 [...]       run the engine on queries
 //	microrec serve -addr :8080 -model small       HTTP inference server
-//	microrec bench -o BENCH_serve.json            serving perf per batch size
 //	microrec loadtest -sla 25ms                   open-loop sweep: knee + tail under overload
-//	microrec benchdiff -candidate new.json        bench-regression gate vs the committed baseline
 //	microrec smoke -addr http://localhost:8080    drive traffic, validate /metrics + /trace
 //	microrec version                              build provenance (revision, toolchain, kernels)
 //	microrec list                                 list available experiments
@@ -49,19 +47,15 @@ func run(args []string) error {
 		return cmdTrace(args[1:])
 	case "serve":
 		return cmdServe(args[1:])
-	case "bench":
-		return cmdBench(args[1:])
 	case "loadtest":
 		return cmdLoadtest(args[1:])
-	case "benchdiff":
-		return cmdBenchdiff(args[1:])
 	case "version":
 		return cmdVersion(args[1:])
 	case "smoke":
 		return cmdSmoke(args[1:])
 	case "kernels":
 		// Which optimized datapath kernels this binary selected at init —
-		// the provenance string bench/loadtest documents record. "portable"
+		// the provenance string loadtest documents record. "portable"
 		// means the pure-Go reference path (noasm build, or no CPU support).
 		fmt.Println(microrec.KernelFeatures())
 		return nil
@@ -85,11 +79,8 @@ commands:
   infer            run the accelerator engine on synthetic queries
   serve            start an HTTP inference server (scale with -shards inside
                    one replica, -replicas/-route across replicas)
-  bench            measure serving ns/query per batch size, emit JSON
   loadtest         open-loop load sweep: find the knee (max qps meeting the
-                   SLA), drive past it, emit BENCH_loadtest.json
-  benchdiff        compare a fresh bench JSON against the committed baseline,
-                   fail on ns/query regressions beyond the tolerance (CI gate)
+                   SLA), drive past it, emit a JSON report
   kernels          print which optimized datapath kernels this build selected
   version          print build provenance (git revision, Go toolchain, kernels)
   trace            export a chrome://tracing trace — simulated pipeline timing

@@ -116,7 +116,7 @@ func testMux(t testing.TB, opts microrec.ServerOptions) (*http.ServeMux, *micror
 
 // TestServeMuxPredict covers the happy path of the batched /predict.
 func TestServeMuxPredict(t *testing.T) {
-	mux, _ := testMux(t, microrec.ServerOptions{MaxBatch: 4, Window: 200 * time.Microsecond})
+	mux, _ := testMux(t, microrec.ServerOptions{Batching: microrec.BatchingOptions{MaxBatch: 4}})
 	gen, err := microrec.NewGenerator(microrec.SmallProductionModel(), microrec.Uniform, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestServeMuxPredict(t *testing.T) {
 // TestServeMuxErrors drives every /predict error path through the batched
 // handler.
 func TestServeMuxErrors(t *testing.T) {
-	mux, _ := testMux(t, microrec.ServerOptions{MaxBatch: 4, Window: 200 * time.Microsecond})
+	mux, _ := testMux(t, microrec.ServerOptions{Batching: microrec.BatchingOptions{MaxBatch: 4}})
 	cases := []struct {
 		name   string
 		method string
@@ -191,7 +191,7 @@ func badIndexBody(t testing.TB) string {
 
 // TestServeMuxModelShape golden-checks the /model JSON shape.
 func TestServeMuxModelShape(t *testing.T) {
-	mux, _ := testMux(t, microrec.ServerOptions{MaxBatch: 4})
+	mux, _ := testMux(t, microrec.ServerOptions{Batching: microrec.BatchingOptions{MaxBatch: 4}})
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/model", nil))
 	if rec.Code != 200 {
@@ -225,7 +225,7 @@ func TestServeMuxModelShape(t *testing.T) {
 // TestServeMuxStatsAfterBurst fires a burst of concurrent /predict requests
 // and checks /stats reports non-zero tail latency and batch occupancy.
 func TestServeMuxStatsAfterBurst(t *testing.T) {
-	mux, _ := testMux(t, microrec.ServerOptions{MaxBatch: 8, Window: 300 * time.Microsecond, Workers: 2})
+	mux, _ := testMux(t, microrec.ServerOptions{Batching: microrec.BatchingOptions{MaxBatch: 8}})
 	gen, err := microrec.NewGenerator(microrec.SmallProductionModel(), microrec.Zipf, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +261,7 @@ func TestServeMuxStatsAfterBurst(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &raw); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"max_batch", "workers", "queries", "batches", "qps", "latency_us", "mean_batch", "batch_occupancy"} {
+	for _, key := range []string{"max_batch", "queries", "batches", "qps", "latency_us", "mean_batch", "batch_occupancy"} {
 		if _, ok := raw[key]; !ok {
 			t.Errorf("/stats missing %q: %v", key, raw)
 		}
@@ -290,7 +290,7 @@ func TestServeMuxStatsHotCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := microrec.NewServer(eng, microrec.ServerOptions{MaxBatch: 8, Window: 200 * time.Microsecond, Workers: 2})
+	srv, err := microrec.NewServer(eng, microrec.ServerOptions{Batching: microrec.BatchingOptions{MaxBatch: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,8 +347,8 @@ func TestServeFlagValidationHotCache(t *testing.T) {
 }
 
 // TestServeFlagValidation drives cmdServe's flag rejection paths, including
-// the pipelined-drain flags: depth below 2 without the worker-pool fallback,
-// and nonsense numeric flags.
+// the drain flags: depth below 2 for the pipeline, below 1 for the worker
+// pool, the removed -workers flag, and nonsense numeric flags.
 func TestServeFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -356,9 +356,10 @@ func TestServeFlagValidation(t *testing.T) {
 	}{
 		{"zero batch", []string{"serve", "-batch", "0"}},
 		{"removed window flag", []string{"serve", "-window", "200us"}},
-		{"zero workers", []string{"serve", "-workers", "0"}},
+		{"removed workers flag", []string{"serve", "-workers", "2"}},
 		{"pipeline depth 1", []string{"serve", "-pipeline-depth", "1"}},
 		{"pipeline depth 0", []string{"serve", "-pipeline-depth", "0"}},
+		{"worker pool depth 0", []string{"serve", "-worker-pool", "-pipeline-depth", "0"}},
 		{"negative hotcache", []string{"serve", "-hotcache", "-1"}},
 		{"unknown model", []string{"serve", "-model", "bogus"}},
 		{"unparseable flag", []string{"serve", "-batch", "many"}},
@@ -374,11 +375,12 @@ func TestServeFlagValidation(t *testing.T) {
 
 // TestServeMuxPipelineOptions builds the serving stack exactly as cmdServe
 // does for the accepted flag combinations — the default pipelined drain with
-// an explicit -pipeline-depth, and -worker-pool with -pipeline-depth 1
-// (ignored in that mode) — and checks /stats reflects the drain mode.
+// an explicit -pipeline-depth, and -worker-pool with -pipeline-depth 1 (one
+// worker) — and checks /stats reflects the drain mode.
 func TestServeMuxPipelineOptions(t *testing.T) {
 	mux, _ := testMux(t, microrec.ServerOptions{
-		MaxBatch: 4, Window: 200 * time.Microsecond, PipelineDepth: 4,
+		Batching: microrec.BatchingOptions{MaxBatch: 4},
+		Pipeline: microrec.PipelineOptions{Depth: 4},
 	})
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
@@ -391,8 +393,8 @@ func TestServeMuxPipelineOptions(t *testing.T) {
 	}
 
 	mux, _ = testMux(t, microrec.ServerOptions{
-		MaxBatch: 4, Window: 200 * time.Microsecond, Workers: 1,
-		WorkerPool: true, PipelineDepth: 1,
+		Batching: microrec.BatchingOptions{MaxBatch: 4},
+		Pipeline: microrec.PipelineOptions{WorkerPool: true, Depth: 1},
 	})
 	rec = httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
@@ -408,7 +410,7 @@ func TestServeMuxPipelineOptions(t *testing.T) {
 // TestServeMuxStatsPipelineSection checks the JSON wire shape of the /stats
 // pipeline block after a burst of pipelined /predict traffic.
 func TestServeMuxStatsPipelineSection(t *testing.T) {
-	mux, _ := testMux(t, microrec.ServerOptions{MaxBatch: 8, Window: 300 * time.Microsecond})
+	mux, _ := testMux(t, microrec.ServerOptions{Batching: microrec.BatchingOptions{MaxBatch: 8}})
 	gen, err := microrec.NewGenerator(microrec.SmallProductionModel(), microrec.Zipf, 13)
 	if err != nil {
 		t.Fatal(err)
@@ -456,57 +458,17 @@ func TestServeMuxStatsPipelineSection(t *testing.T) {
 	}
 }
 
-// TestCmdBench runs the bench subcommand at a tiny scale and checks the
-// emitted JSON document's shape and values.
-func TestCmdBench(t *testing.T) {
-	out := t.TempDir() + "/bench.json"
-	if err := run([]string{"bench", "-n", "64", "-batches", "1,4", "-o", out}); err != nil {
-		t.Fatalf("bench: %v", err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep benchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("bench output is not JSON: %v", err)
-	}
-	if rep.Benchmark != "serve" || rep.Model != "production-small" || rep.Mode != "pipeline" {
-		t.Errorf("report header = %+v", rep)
-	}
-	if len(rep.Results) != 2 {
-		t.Fatalf("results = %d, want 2", len(rep.Results))
-	}
-	for i, want := range []int{1, 4} {
-		r := rep.Results[i]
-		if r.Batch != want || r.NSPerQuery <= 0 || r.QueriesPerSec <= 0 {
-			t.Errorf("result %d = %+v", i, r)
-		}
-	}
-
-	// Flag rejection paths.
-	for _, bad := range [][]string{
-		{"bench", "-n", "2"},
-		{"bench", "-batches", "1,zero"},
-		{"bench", "-batches", "0"},
-		{"bench", "-model", "bogus"},
-	} {
-		if err := run(bad); err == nil {
-			t.Errorf("%v: want error", bad)
-		}
-	}
-}
-
 // TestServeMuxOverloadResponses drives /predict into the shed path: a tiny
 // bounded queue with -shed semantics must answer 429 with a Retry-After
 // header once the burst outruns the drain.
 func TestServeMuxOverloadResponses(t *testing.T) {
-	// Workers sizes the internal dispatch channel (2x) even in pipelined
-	// mode; pin it to 1 so the server's total internal buffering stays far
-	// below the burst size and sheds are guaranteed.
+	// One-request batches on two planes behind a one-slot queue keep the
+	// server's total internal buffering far below the burst size, so sheds
+	// are guaranteed.
 	mux, _ := testMux(t, microrec.ServerOptions{
-		MaxBatch: 1, Window: 200 * time.Microsecond, QueueDepth: 1,
-		Workers: 1, PipelineDepth: 2, Shed: true,
+		Batching:  microrec.BatchingOptions{MaxBatch: 1},
+		Admission: microrec.AdmissionOptions{QueueDepth: 1, Shed: true},
+		Pipeline:  microrec.PipelineOptions{Depth: 2},
 	})
 	gen, err := microrec.NewGenerator(microrec.SmallProductionModel(), microrec.Uniform, 9)
 	if err != nil {

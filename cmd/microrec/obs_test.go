@@ -48,7 +48,7 @@ func postBurst(t *testing.T, mux *http.ServeMux, n int) {
 // with the core families, /trace as a trace-event JSON array, and bad /trace
 // parameters are rejected.
 func TestServeMuxMetricsAndTrace(t *testing.T) {
-	mux, _ := testMux(t, microrec.ServerOptions{MaxBatch: 8, Window: 200 * time.Microsecond, TraceSample: 1})
+	mux, _ := testMux(t, microrec.ServerOptions{Batching: microrec.BatchingOptions{MaxBatch: 8}, Trace: microrec.TraceOptions{Sample: 1}})
 	postBurst(t, mux, 32)
 
 	rec := httptest.NewRecorder()
@@ -101,7 +101,7 @@ func TestServeMuxMetricsAndTrace(t *testing.T) {
 // its recorded end-to-end latency within 10% (the flight recorder's residue
 // bound — what makes the trace trustworthy for attributing tail latency).
 func TestLiveTraceSpansSumToLatency(t *testing.T) {
-	mux, _ := testMux(t, microrec.ServerOptions{MaxBatch: 8, Window: 100 * time.Microsecond, TraceSample: 1})
+	mux, _ := testMux(t, microrec.ServerOptions{Batching: microrec.BatchingOptions{MaxBatch: 8}, Trace: microrec.TraceOptions{Sample: 1}})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
@@ -173,7 +173,7 @@ func TestServeMuxPprofGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := microrec.NewServer(eng, microrec.ServerOptions{MaxBatch: 4})
+	srv, err := microrec.NewServer(eng, microrec.ServerOptions{Batching: microrec.BatchingOptions{MaxBatch: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestCmdVersion(t *testing.T) {
 // in-process server — the same path CI's obs-smoke step drives over
 // localhost.
 func TestCmdSmoke(t *testing.T) {
-	mux, _ := testMux(t, microrec.ServerOptions{MaxBatch: 8, Window: 200 * time.Microsecond, TraceSample: 1})
+	mux, _ := testMux(t, microrec.ServerOptions{Batching: microrec.BatchingOptions{MaxBatch: 8}, Trace: microrec.TraceOptions{Sample: 1}})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 	if err := run([]string{"smoke", "-addr", ts.URL, "-n", "32"}); err != nil {

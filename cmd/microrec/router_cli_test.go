@@ -109,47 +109,3 @@ func TestServeMuxRouted(t *testing.T) {
 		t.Fatalf("/metrics lacks the router families (status %d)", rec.Code)
 	}
 }
-
-// TestBenchdiffTopologyGate pins the cross-topology refusal: a routed
-// candidate cannot be judged against a single-replica baseline, matched
-// topologies compare, and a legacy baseline without the replicas field is
-// one and the same as an explicit single replica.
-func TestBenchdiffTopologyGate(t *testing.T) {
-	dir := t.TempDir()
-	single := serveReport(map[int]float64{1: 1000, 16: 500, 64: 300})
-	routed := single
-	routed.Replicas, routed.Route = 2, "affinity"
-
-	base := writeBenchJSON(t, dir, "base.json", single)
-	cand := writeBenchJSON(t, dir, "routed.json", routed)
-	err := cmdBenchdiff([]string{"-baseline", base, "-candidate", cand})
-	if err == nil || !strings.Contains(err.Error(), "replicas") {
-		t.Fatalf("routed-vs-single comparison: %v; want a replicas mismatch refusal", err)
-	}
-	// -allow-env-mismatch still overrides, like every other env skew.
-	if err := cmdBenchdiff([]string{"-baseline", base, "-candidate", cand, "-allow-env-mismatch"}); err != nil {
-		t.Fatalf("explicit override refused: %v", err)
-	}
-
-	// Same replica count but different policies: also not one datapath.
-	other := routed
-	other.Route = "least-loaded"
-	routedBase := writeBenchJSON(t, dir, "routed_base.json", routed)
-	otherCand := writeBenchJSON(t, dir, "other.json", other)
-	if err := cmdBenchdiff([]string{"-baseline", routedBase, "-candidate", otherCand}); err == nil || !strings.Contains(err.Error(), "route") {
-		t.Fatalf("cross-policy comparison: %v; want a route mismatch refusal", err)
-	}
-
-	// Matched routed topologies compare normally.
-	if err := cmdBenchdiff([]string{"-baseline", routedBase, "-candidate", writeBenchJSON(t, dir, "routed2.json", routed)}); err != nil {
-		t.Fatalf("matched routed comparison failed: %v", err)
-	}
-
-	// An explicit -replicas 1 candidate against a legacy baseline (no
-	// replicas field) is the same topology, not a mismatch.
-	one := single
-	one.Replicas = 1
-	if err := cmdBenchdiff([]string{"-baseline", base, "-candidate", writeBenchJSON(t, dir, "one.json", one)}); err != nil {
-		t.Fatalf("replicas=1 vs legacy baseline refused: %v", err)
-	}
-}

@@ -10,7 +10,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
-	"runtime"
 	"strconv"
 	"time"
 
@@ -214,9 +213,8 @@ func cmdServe(args []string) error {
 	modelName := fs.String("model", "small", "model: small or large")
 	fp32 := fs.Bool("fp32", false, "use the 32-bit datapath")
 	batch := fs.Int("batch", 64, "max micro-batch size: a batch is dispatched as soon as the drain can serve it and grows, up to this, only while it cannot")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "engine worker pool size (worker-pool fallback mode only)")
-	pipelineDepth := fs.Int("pipeline-depth", 3, "batch planes in the pipelined drain's in-flight ring (>= 2); per-stage occupancy appears in /stats")
-	workerPool := fs.Bool("worker-pool", false, "drain batches on the flat engine worker pool instead of the staged gather/GEMM pipeline")
+	pipelineDepth := fs.Int("pipeline-depth", 3, "batches in service: planes in the pipelined drain's ring (>= 2; per-stage occupancy appears in /stats), or workers with -worker-pool (>= 1)")
+	workerPool := fs.Bool("worker-pool", false, "run each batch to completion on one of -pipeline-depth workers instead of the staged gather/GEMM pipeline")
 	slaBudget := fs.Duration("sla", 0, "tail-latency budget: validates the backlog the server can hold at startup and becomes each request's serving deadline (expired requests are dropped before gather/GEMM; 0 = skip)")
 	queue := fs.Int("queue", 0, "submit queue depth (0 = 4x batch); with -shed this bounds every admitted request's queueing delay")
 	shed := fs.Bool("shed", false, "fail fast with 429 + Retry-After when the submit queue is full, instead of blocking on backpressure")
@@ -233,8 +231,8 @@ func cmdServe(args []string) error {
 	if *batch < 1 {
 		return fmt.Errorf("serve: -batch must be >= 1 (got %d); use -batch 1 for per-query serving", *batch)
 	}
-	if *workers < 1 {
-		return fmt.Errorf("serve: -workers must be >= 1 (got %d)", *workers)
+	if *pipelineDepth < 1 {
+		return fmt.Errorf("serve: -pipeline-depth must be >= 1 (got %d)", *pipelineDepth)
 	}
 	if !*workerPool && *pipelineDepth < 2 {
 		return fmt.Errorf("serve: -pipeline-depth must be >= 2 (got %d); stage overlap needs two planes, or select -worker-pool", *pipelineDepth)
@@ -267,7 +265,7 @@ func cmdServe(args []string) error {
 	}
 	sopts := microrec.ServerOptions{
 		Batching:  microrec.BatchingOptions{MaxBatch: *batch},
-		Pipeline:  microrec.PipelineOptions{Depth: *pipelineDepth, WorkerPool: *workerPool, Workers: *workers},
+		Pipeline:  microrec.PipelineOptions{Depth: *pipelineDepth, WorkerPool: *workerPool},
 		Admission: microrec.AdmissionOptions{QueueDepth: *queue, Shed: *shed, SLA: *slaBudget},
 		Tier:      microrec.TierOptions{Shards: *topo.shards},
 		Trace:     microrec.TraceOptions{Sample: *traceSample},
@@ -324,7 +322,7 @@ func cmdServe(args []string) error {
 	}
 	drainNote := fmt.Sprintf("pipelined drain, %d planes", *pipelineDepth)
 	if *workerPool {
-		drainNote = fmt.Sprintf("worker pool, %d workers", *workers)
+		drainNote = fmt.Sprintf("worker pool, %d workers", *pipelineDepth)
 	}
 	if *topo.shards > 1 {
 		drainNote += fmt.Sprintf(", %d gather shards", *topo.shards)

@@ -19,7 +19,7 @@ import (
 // http.ListenAndServe let through: a body far larger than any query, and a
 // client that never finishes its request header.
 func TestServeHostileInput(t *testing.T) {
-	mux, _ := testMux(t, microrec.ServerOptions{MaxBatch: 4})
+	mux, _ := testMux(t, microrec.ServerOptions{Batching: microrec.BatchingOptions{MaxBatch: 4}})
 	hs := newHTTPServer("", mux)
 	if hs.ReadHeaderTimeout <= 0 {
 		t.Fatal("serve's http.Server sets no ReadHeaderTimeout")

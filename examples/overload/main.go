@@ -38,10 +38,12 @@ func main() {
 	// meaningful on slow or single-core hosts too.
 	const sla = 100 * time.Millisecond
 	srv, err := microrec.NewServer(eng, microrec.ServerOptions{
-		MaxBatch:   32,
-		QueueDepth: 64,   // two batches of backlog: bounds queueing delay
-		Shed:       true, // queue full -> ErrOverloaded instead of blocking
-		SLA:        sla,  // stale queued requests are dropped, not computed
+		Batching: microrec.BatchingOptions{MaxBatch: 32},
+		Admission: microrec.AdmissionOptions{
+			QueueDepth: 64,   // two batches of backlog: bounds queueing delay
+			Shed:       true, // queue full -> ErrOverloaded instead of blocking
+			SLA:        sla,  // stale queued requests are dropped, not computed
+		},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -45,12 +45,12 @@ func main() {
 	perQuery := time.Since(start)
 
 	// Batched serving: concurrent clients behind the micro-batcher. One
-	// worker keeps the comparison honest — the speedup below comes from
-	// batching (weight-streaming amortisation), not from running the
-	// engine on more cores than the baseline.
+	// worker running each batch to completion keeps the comparison honest —
+	// the speedup below comes from batching (weight-streaming amortisation),
+	// not from running the engine on more cores than the baseline.
 	srv, err := microrec.NewServer(eng, microrec.ServerOptions{
-		MaxBatch: 32,
-		Workers:  1,
+		Batching: microrec.BatchingOptions{MaxBatch: 32},
+		Pipeline: microrec.PipelineOptions{WorkerPool: true, Depth: 1},
 	})
 	if err != nil {
 		log.Fatal(err)

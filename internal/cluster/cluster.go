@@ -366,8 +366,8 @@ func (c *Cluster) TailFromPlane(b int, s *core.BatchScratch, dst []float32) {
 }
 
 // InferBatchValidated runs the monolithic sharded datapath on pre-validated
-// queries: scatter/gather/merge, then the FC stack — the worker-pool drain's
-// entry point, and the serial composition the pipelined stages overlap.
+// queries: scatter/gather/merge, then the FC stack — the serial composition
+// of the stage calls the serving drains make.
 func (c *Cluster) InferBatchValidated(queries []embedding.Query, dst []float32, scratch *core.BatchScratch) ([]float32, error) {
 	b := len(queries)
 	if b == 0 {

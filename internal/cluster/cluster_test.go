@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"microrec/internal/cluster"
 	"microrec/internal/core"
@@ -306,9 +305,8 @@ func TestServerWithShards(t *testing.T) {
 	spec := model.SmallProduction()
 	eng := buildEngine(t, spec, 0)
 	srv, err := serving.New(eng, serving.Options{
-		MaxBatch: 8,
-		Window:   50 * time.Microsecond,
-		Shards:   3,
+		Batching: serving.BatchingOptions{MaxBatch: 8},
+		Tier:     serving.TierOptions{Shards: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +361,7 @@ func TestServerWithShards(t *testing.T) {
 // arbitrary Engine implementation (an overload-test fake, say) is a
 // configuration error, not a silent fallback.
 func TestServerShardsRequiresRealEngine(t *testing.T) {
-	if _, err := serving.New(fakeEngine{}, serving.Options{Shards: 2}); err == nil {
+	if _, err := serving.New(fakeEngine{}, serving.Options{Tier: serving.TierOptions{Shards: 2}}); err == nil {
 		t.Fatal("Shards on a non-core engine did not error")
 	}
 }
@@ -402,6 +400,3 @@ func (fakeEngine) LookupNS() float64                   { return 1 }
 func (fakeEngine) EffectiveLookupNS() float64          { return 1 }
 func (fakeEngine) HotCacheHitRate() (float64, bool)    { return 0, false }
 func (fakeEngine) HotCache() (core.HotCacheInfo, bool) { return core.HotCacheInfo{}, false }
-func (fakeEngine) InferBatchValidated(queries []embedding.Query, dst []float32, scratch *core.BatchScratch) ([]float32, error) {
-	return make([]float32, len(queries)), nil
-}

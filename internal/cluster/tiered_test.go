@@ -143,9 +143,8 @@ func TestServerShardsTieredStats(t *testing.T) {
 	spec := model.SmallProduction()
 	tiered := buildTieredEngine(t, spec, 0)
 	srv, err := serving.New(tiered, serving.Options{
-		Shards:   2,
-		MaxBatch: 8,
-		Window:   100 * time.Microsecond,
+		Batching: serving.BatchingOptions{MaxBatch: 8},
+		Tier:     serving.TierOptions{Shards: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -113,8 +113,7 @@ func (e *Engine) InferBatch(queries []embedding.Query, dst []float32, scratch *B
 }
 
 // InferBatchValidated is InferBatch minus the per-query validation pass, for
-// callers that already validated every query at admission (ValidateQuery) —
-// the serving path validates in Submit, so its batches skip the second pass.
+// callers that already validated every query at admission (ValidateQuery).
 // Passing an unvalidated query is a contract violation: out-of-range indices
 // panic rather than returning an error.
 func (e *Engine) InferBatchValidated(queries []embedding.Query, dst []float32, scratch *BatchScratch) ([]float32, error) {

@@ -39,9 +39,9 @@ func TestLoadtestSmokeEndToEnd(t *testing.T) {
 	// hosts where every stage runs an order of magnitude slower.
 	sla := 250 * time.Millisecond
 	srv, err := serving.New(eng, serving.Options{
-		MaxBatch: 8, Window: 200 * time.Microsecond,
-		QueueDepth: 32, PipelineDepth: 3,
-		Shed: true, SLA: sla,
+		Batching:  serving.BatchingOptions{MaxBatch: 8},
+		Admission: serving.AdmissionOptions{QueueDepth: 32, Shed: true, SLA: sla},
+		Pipeline:  serving.PipelineOptions{Depth: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -117,8 +117,8 @@ func TestLoadtestSmokeEndToEnd(t *testing.T) {
 		t.Errorf("admitted p99 %vµs exceeded the %v SLA under overload", p99, sla)
 	}
 	// Shed requests never wait on the engine: their tail is scheduler noise,
-	// far below the SLA (the committed BENCH_loadtest.json shows sub-ms on
-	// an unloaded host; race-instrumented CI needs the slack).
+	// far below the SLA (sub-ms on an unloaded host; race-instrumented CI
+	// needs the slack).
 	if over.ShedLatencyUS.Count > 0 && over.ShedLatencyUS.P99 > 50000 {
 		t.Errorf("shed p99 %vµs — fast-fail path blocked", over.ShedLatencyUS.P99)
 	}
@@ -151,9 +151,9 @@ func TestLoadShardedServerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := serving.New(eng, serving.Options{
-		MaxBatch: 8, Window: 200 * time.Microsecond,
-		QueueDepth: 32, Shed: true, SLA: 250 * time.Millisecond,
-		Shards: 3,
+		Batching:  serving.BatchingOptions{MaxBatch: 8},
+		Admission: serving.AdmissionOptions{QueueDepth: 32, Shed: true, SLA: 250 * time.Millisecond},
+		Tier:      serving.TierOptions{Shards: 3},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,9 +7,8 @@ import (
 
 // BuildInfo is the build/version provenance record: which commit, toolchain
 // and kernel dispatch produced a binary's numbers. It appears in /stats,
-// /metrics (as an info gauge), the `version` subcommand and both BENCH JSONs,
-// so two perf documents can be compared like for like — benchdiff's
-// -require-same-commit gate reads it.
+// /metrics (as an info gauge), the `version` subcommand and the loadtest
+// report, so two perf documents can be compared like for like.
 type BuildInfo struct {
 	// Revision is the VCS commit the binary was built from; "unknown" when
 	// the build carried no VCS stamp (go test binaries, source archives).

@@ -54,10 +54,7 @@ func VerdictName(v uint8) string {
 // Span is one sampled request's stage decomposition. All stage fields are
 // durations in nanoseconds; adjacent stages are contiguous (each wait starts
 // where the previous stage ended), so their sum tracks EndToEndNS up to the
-// final future-resolution overhead. In pipelined mode the Gather/Dense/Tail
-// triplet (plus the inter-stage waits) is populated; in worker-pool mode the
-// monolithic datapath cannot be split and ServiceNS carries the whole
-// gather+GEMM+tail block instead.
+// final future-resolution overhead. Both drains populate the same segments.
 type Span struct {
 	// ID is the recorder's claim sequence number (1-based, monotone).
 	ID uint64 `json:"id"`
@@ -72,15 +69,12 @@ type Span struct {
 	BatchWaitNS int64 `json:"batch_wait_ns"`
 	// GatherNS / DenseNS / TailNS are the plane's stage service times;
 	// DenseWaitNS / TailWaitNS the inter-stage queue waits between them
-	// (pipelined drain only).
+	// (the pipelined drain's hand-offs; near zero in the worker pool).
 	GatherNS    int64 `json:"gather_ns"`
 	DenseWaitNS int64 `json:"dense_wait_ns"`
 	DenseNS     int64 `json:"dense_ns"`
 	TailWaitNS  int64 `json:"tail_wait_ns"`
 	TailNS      int64 `json:"tail_ns"`
-	// ServiceNS is the worker-pool drain's monolithic batch service time
-	// (0 in pipelined mode, where the stage triplet applies instead).
-	ServiceNS int64 `json:"service_ns"`
 	// ShardMaxNS is the slowest shard's gather service in the scatter round;
 	// MergeWaitNS the last-minus-first shard completion gap (sharded tier
 	// only, 0 on a single engine).
@@ -106,11 +100,11 @@ type Span struct {
 // EndToEndNS (the residue is the future-resolution overhead after the tail).
 func (s Span) StageSumNS() int64 {
 	return s.QueueNS + s.BatchWaitNS + s.GatherNS + s.DenseWaitNS +
-		s.DenseNS + s.TailWaitNS + s.TailNS + s.ServiceNS
+		s.DenseNS + s.TailWaitNS + s.TailNS
 }
 
 // spanWords is the fixed word count of an encoded span (one atomic slot).
-const spanWords = 17
+const spanWords = 16
 
 // encode packs the span into the slot word layout. ID is not stored — the
 // claim sequence that selected the slot is the ID, and decode restores it.
@@ -126,14 +120,13 @@ func (s *Span) encode(w *[spanWords]int64) {
 	w[6] = s.DenseNS
 	w[7] = s.TailWaitNS
 	w[8] = s.TailNS
-	w[9] = s.ServiceNS
-	w[10] = s.ShardMaxNS
-	w[11] = s.MergeWaitNS
-	w[12] = int64(s.Batch)
-	w[13] = int64(s.Shards)
-	w[14] = int64(s.ColdFaults)
-	w[15] = int64(s.Verdict)
-	w[16] = int64(s.Replica)
+	w[9] = s.ShardMaxNS
+	w[10] = s.MergeWaitNS
+	w[11] = int64(s.Batch)
+	w[12] = int64(s.Shards)
+	w[13] = int64(s.ColdFaults)
+	w[14] = int64(s.Verdict)
+	w[15] = int64(s.Replica)
 }
 
 func decodeSpan(id uint64, w *[spanWords]int64) Span {
@@ -148,14 +141,13 @@ func decodeSpan(id uint64, w *[spanWords]int64) Span {
 		DenseNS:     w[6],
 		TailWaitNS:  w[7],
 		TailNS:      w[8],
-		ServiceNS:   w[9],
-		ShardMaxNS:  w[10],
-		MergeWaitNS: w[11],
-		Batch:       int32(w[12]),
-		Shards:      int32(w[13]),
-		ColdFaults:  int32(w[14]),
-		Verdict:     uint8(w[15]),
-		Replica:     int32(w[16]),
+		ShardMaxNS:  w[9],
+		MergeWaitNS: w[10],
+		Batch:       int32(w[11]),
+		Shards:      int32(w[12]),
+		ColdFaults:  int32(w[13]),
+		Verdict:     uint8(w[14]),
+		Replica:     int32(w[15]),
 	}
 }
 

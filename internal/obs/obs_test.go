@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -138,7 +139,7 @@ func TestRecorderConcurrent(t *testing.T) {
 					Start:      v,
 					EndToEndNS: 2 * v,
 					QueueNS:    3 * v,
-					ServiceNS:  4 * v,
+					TailNS:     4 * v,
 				})
 			}
 		}(w)
@@ -154,7 +155,7 @@ func TestRecorderConcurrent(t *testing.T) {
 			default:
 			}
 			for _, s := range r.Snapshot(0, time.Time{}) {
-				if s.EndToEndNS != 2*s.Start || s.QueueNS != 3*s.Start || s.ServiceNS != 4*s.Start {
+				if s.EndToEndNS != 2*s.Start || s.QueueNS != 3*s.Start || s.TailNS != 4*s.Start {
 					readerErr <- fmt.Errorf("torn span leaked: %+v", s)
 					return
 				}
@@ -224,14 +225,34 @@ func TestSpanEventsDecomposition(t *testing.T) {
 	}
 }
 
+// TestSpanEventsWorkerPoolShape pins how a worker-pool span renders: the pool
+// runs a batch's stages back to back, so its span has no inter-stage waits and
+// lays out as the pipeline's five tracks, each stage slice exactly its
+// service time.
 func TestSpanEventsWorkerPoolShape(t *testing.T) {
-	s := Span{ID: 7, Start: 100, EndToEndNS: 500, QueueNS: 100, BatchWaitNS: 50, ServiceNS: 300, Batch: 4}
+	s := Span{ID: 7, Start: 100, EndToEndNS: 700, QueueNS: 100, BatchWaitNS: 50,
+		GatherNS: 200, DenseNS: 150, TailNS: 100, Batch: 4}
 	events := SpanEvents([]Span{s})
-	if len(events) != 3 {
-		t.Fatalf("worker-pool span: %d slices, want 3 (queue, batch-wait, service)", len(events))
+	want := []struct {
+		cat   string
+		tid   int
+		durUS float64
+	}{
+		{"queue", trackQueue, 0.1},
+		{"batch-wait", trackBatchWait, 0.05},
+		{"gather", trackGather, 0.2},
+		{"dense-gemm", trackDense, 0.15},
+		{"tail", trackTail, 0.1},
 	}
-	if events[2].Cat != "service" {
-		t.Fatalf("final slice cat %q, want service", events[2].Cat)
+	if len(events) != len(want) {
+		t.Fatalf("worker-pool span: %d slices, want %d (queue, batch-wait, gather, dense-gemm, tail)", len(events), len(want))
+	}
+	for i, w := range want {
+		ev := events[i]
+		if ev.Cat != w.cat || ev.TID != w.tid || math.Abs(ev.Dur-w.durUS) > 1e-9 {
+			t.Fatalf("slice %d = %s on track %d for %v us, want %s on track %d for %v us",
+				i, ev.Cat, ev.TID, ev.Dur, w.cat, w.tid, w.durUS)
+		}
 	}
 }
 

@@ -44,7 +44,6 @@ const (
 	trackGather
 	trackDense
 	trackTail
-	trackService // worker-pool monolithic service
 )
 
 // spanSegment is one contiguous piece of a span's timeline.
@@ -60,20 +59,13 @@ type spanSegment struct {
 // sliver, keeping the trace readable); the queue and batch-wait segments get
 // their own tracks because they are where overload shows up.
 func (s Span) segments() []spanSegment {
-	segs := []spanSegment{
+	return []spanSegment{
 		{"queue", trackQueue, s.QueueNS},
 		{"batch-wait", trackBatchWait, s.BatchWaitNS},
+		{"gather", trackGather, s.GatherNS},
+		{"dense-gemm", trackDense, s.DenseWaitNS + s.DenseNS},
+		{"tail", trackTail, s.TailWaitNS + s.TailNS},
 	}
-	if s.ServiceNS > 0 {
-		segs = append(segs, spanSegment{"service", trackService, s.ServiceNS})
-		return segs
-	}
-	segs = append(segs,
-		spanSegment{"gather", trackGather, s.GatherNS},
-		spanSegment{"dense-gemm", trackDense, s.DenseWaitNS + s.DenseNS},
-		spanSegment{"tail", trackTail, s.TailWaitNS + s.TailNS},
-	)
-	return segs
 }
 
 // SpanEvents converts flight-recorder spans into trace events: per span, one

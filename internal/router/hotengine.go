@@ -87,11 +87,6 @@ func (h *HotEngine) TailFromPlane(b int, s *core.BatchScratch, dst []float32) {
 // ValidateQuery implements the Engine seam by delegation.
 func (h *HotEngine) ValidateQuery(q embedding.Query) error { return h.Current().ValidateQuery(q) }
 
-// InferBatchValidated implements the Engine seam by delegation.
-func (h *HotEngine) InferBatchValidated(queries []embedding.Query, dst []float32, scratch *core.BatchScratch) ([]float32, error) {
-	return h.Current().InferBatchValidated(queries, dst, scratch)
-}
-
 // TimingAt implements the Engine seam by delegation.
 func (h *HotEngine) TimingAt(items int, lookupNS float64) (core.TimingReport, error) {
 	return h.Current().TimingAt(items, lookupNS)

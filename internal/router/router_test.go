@@ -123,14 +123,6 @@ func (e *fakeEngine) TailFromPlane(b int, s *core.BatchScratch, dst []float32) {
 		dst[i] = 0.5
 	}
 }
-func (e *fakeEngine) InferBatchValidated(queries []embedding.Query, dst []float32, s *core.BatchScratch) ([]float32, error) {
-	time.Sleep(e.service)
-	e.served.Add(uint64(len(queries)))
-	for i := range queries {
-		dst[i] = 0.5
-	}
-	return dst[:len(queries)], nil
-}
 func (e *fakeEngine) TimingAt(items int, lookupNS float64) (core.TimingReport, error) {
 	ns := float64(e.service.Nanoseconds())
 	return core.TimingReport{Items: items, LatencyNS: ns, MakespanNS: ns, LookupNS: lookupNS}, nil

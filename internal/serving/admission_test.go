@@ -12,14 +12,13 @@ import (
 	"microrec/internal/embedding"
 )
 
-// slowEngine is a deterministic Engine fake whose dense stage (and monolithic
-// batch path) sleeps a fixed service time per batch. Overload tests saturate
-// the bounded queue against it without depending on host speed; predictions
-// are the query's first index so results stay checkable.
+// slowEngine is a deterministic Engine fake whose dense stage sleeps a fixed
+// service time per batch. Overload tests saturate the bounded queue against it
+// without depending on host speed; every prediction is 0.5.
 //
 // With gate set it is also a gate engine: every batch blocks in its gather
-// stage (or monolithic call) until the gate yields a token or is closed, so a
-// test holds the drain's planes or workers for exactly as long as it needs.
+// stage until the gate yields a token or is closed, so a test holds the
+// drain's planes or workers for exactly as long as it needs.
 type slowEngine struct {
 	service time.Duration
 	gate    chan struct{}
@@ -56,17 +55,6 @@ func (e *slowEngine) TailFromPlane(b int, s *core.BatchScratch, dst []float32) {
 	}
 }
 
-func (e *slowEngine) InferBatchValidated(queries []embedding.Query, dst []float32, s *core.BatchScratch) ([]float32, error) {
-	e.wait()
-	time.Sleep(e.service)
-	e.batches.Add(1)
-	e.served.Add(uint64(len(queries)))
-	for i := range queries {
-		dst[i] = 0.5
-	}
-	return dst[:len(queries)], nil
-}
-
 func (e *slowEngine) TimingAt(items int, lookupNS float64) (core.TimingReport, error) {
 	ns := float64(e.service.Nanoseconds())
 	return core.TimingReport{Items: items, LatencyNS: ns, MakespanNS: ns, LookupNS: lookupNS}, nil
@@ -81,68 +69,63 @@ func (e *slowEngine) HotCache() (core.HotCacheInfo, bool) {
 
 var slowQuery = embedding.Query{[]int64{1}}
 
-// TestShedUnderOverload saturates a tiny bounded queue against a slow engine
-// and checks the shed path: ErrOverloaded fails fast (well under the service
-// time), the shed counter matches the failures, and every admitted request
-// still completes. Deterministic: the burst arrives in microseconds while
-// the drain needs tens of milliseconds per batch, so the queue must fill.
+// TestShedUnderOverload saturates a tiny bounded queue behind a held drain
+// and checks the shed path: every ErrOverloaded returns while the drain is
+// still held — so shedding never waits on service — the shed counter matches
+// the failures, and every admitted request still completes. Deterministic:
+// with both planes held and MaxBatch 1, exactly one request forms and the
+// queue's two slots fill; the rest of the burst must be shed.
 func TestShedUnderOverload(t *testing.T) {
-	eng := &slowEngine{service: 20 * time.Millisecond}
+	const queueDepth, burst = 2, 64
+	eng := &slowEngine{gate: make(chan struct{})}
 	srv := newServer(t, eng, Options{
-		MaxBatch: 1, Window: 50 * time.Microsecond, Workers: 1,
-		QueueDepth: 2, PipelineDepth: 2, Shed: true,
+		Batching:  BatchingOptions{MaxBatch: 1},
+		Admission: AdmissionOptions{QueueDepth: queueDepth, Shed: true},
+		Pipeline:  PipelineOptions{Depth: 2},
 	})
-	const burst = 64
 	var (
-		wg       sync.WaitGroup
-		admitted atomic.Uint64
-		shed     atomic.Uint64
-		slowShed atomic.Uint64
+		wg, burstWG    sync.WaitGroup
+		admitted, shed atomic.Uint64
+		gateOpen       atomic.Bool
 	)
+	holdDrain(t, srv, &wg)
 	for i := 0; i < burst; i++ {
-		wg.Add(1)
+		burstWG.Add(1)
 		go func() {
-			defer wg.Done()
-			t0 := time.Now()
-			_, err := srv.Submit(context.Background(), slowQuery)
-			switch {
+			defer burstWG.Done()
+			switch _, err := srv.Submit(context.Background(), slowQuery); {
 			case err == nil:
 				admitted.Add(1)
 			case errors.Is(err, ErrOverloaded):
-				shed.Add(1)
-				// "Fast" relative to the 20ms service time; generous bound
-				// for scheduler noise.
-				if time.Since(t0) > 5*time.Millisecond {
-					slowShed.Add(1)
+				if gateOpen.Load() {
+					t.Error("a shed returned only after the drain was released — the shed path waited on service")
 				}
+				shed.Add(1)
 			default:
 				t.Errorf("unexpected error: %v", err)
 			}
 		}()
 	}
+	const wantShed = burst - 1 - queueDepth
+	waitFor(t, "every shed to return while the drain is held", func() bool { return shed.Load() == wantShed })
+	gateOpen.Store(true)
+	close(eng.gate)
+	burstWG.Wait()
 	wg.Wait()
-	if shed.Load() == 0 {
-		t.Fatal("64-query burst into a depth-2 queue at 20ms/batch shed nothing")
-	}
-	if admitted.Load() == 0 {
-		t.Fatal("no request admitted")
-	}
-	if admitted.Load()+shed.Load() != burst {
-		t.Errorf("admitted %d + shed %d != %d", admitted.Load(), shed.Load(), burst)
-	}
-	if slowShed.Load() > 0 {
-		t.Errorf("%d sheds took longer than 5ms — the shed path must not block", slowShed.Load())
+	if admitted.Load() != 1+queueDepth || shed.Load() != wantShed {
+		t.Errorf("admitted %d, shed %d; want %d and %d", admitted.Load(), shed.Load(), 1+queueDepth, wantShed)
 	}
 	st := srv.Stats()
 	if st.Admission.Shed != shed.Load() {
 		t.Errorf("stats shed = %d, submitters saw %d", st.Admission.Shed, shed.Load())
 	}
-	if !st.Admission.Shedding || st.Admission.QueueCapacity != 2 {
+	if !st.Admission.Shedding || st.Admission.QueueCapacity != queueDepth {
 		t.Errorf("admission stats = %+v", st.Admission)
 	}
-	// Every query the engine served corresponds to an admitted submitter.
-	if eng.served.Load() != uint64(admitted.Load()) {
-		t.Errorf("engine served %d queries, %d admitted", eng.served.Load(), admitted.Load())
+	// Every query the engine served corresponds to an admitted submitter
+	// (the burst's or holdDrain's).
+	if want := admitted.Load() + uint64(srv.opts.Pipeline.Depth); eng.served.Load() != want {
+		t.Errorf("engine served %d queries, want %d admitted", eng.served.Load(), want)
 	}
 }
 
@@ -152,8 +135,9 @@ func TestShedUnderOverload(t *testing.T) {
 func TestShedNoDroppedAcceptedOnClose(t *testing.T) {
 	eng := &slowEngine{service: 5 * time.Millisecond}
 	srv, err := New(eng, Options{
-		MaxBatch: 2, Window: 100 * time.Microsecond, Workers: 1,
-		QueueDepth: 4, PipelineDepth: 2, Shed: true,
+		Batching:  BatchingOptions{MaxBatch: 2},
+		Admission: AdmissionOptions{QueueDepth: 4, Shed: true},
+		Pipeline:  PipelineOptions{Depth: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,8 +189,9 @@ func TestShedNoDroppedAcceptedOnClose(t *testing.T) {
 func TestDeadlineDropsSkipWork(t *testing.T) {
 	eng := &slowEngine{service: 30 * time.Millisecond}
 	srv := newServer(t, eng, Options{
-		MaxBatch: 1, Window: 50 * time.Microsecond, Workers: 1,
-		QueueDepth: 32, PipelineDepth: 2, SLA: 5 * time.Millisecond,
+		Batching:  BatchingOptions{MaxBatch: 1},
+		Admission: AdmissionOptions{QueueDepth: 32, SLA: 5 * time.Millisecond},
+		Pipeline:  PipelineOptions{Depth: 2},
 	})
 	const wave = 12
 	var (
@@ -260,8 +245,9 @@ func TestDeadlineDropsSkipWork(t *testing.T) {
 func TestCancelDropsSkipWork(t *testing.T) {
 	eng := &slowEngine{service: 25 * time.Millisecond}
 	srv := newServer(t, eng, Options{
-		MaxBatch: 1, Window: 50 * time.Microsecond, Workers: 1,
-		QueueDepth: 16, PipelineDepth: 2,
+		Batching:  BatchingOptions{MaxBatch: 1},
+		Admission: AdmissionOptions{QueueDepth: 16},
+		Pipeline:  PipelineOptions{Depth: 2},
 	})
 	// Request 0 occupies the engine; a wave queues behind it and is
 	// cancelled while waiting. A wave member may already have passed the
@@ -332,8 +318,9 @@ func TestCancelDropsSkipWork(t *testing.T) {
 func TestSubmitDoesNotHoldLockAcrossSend(t *testing.T) {
 	eng := &slowEngine{service: 10 * time.Millisecond}
 	srv, err := New(eng, Options{
-		MaxBatch: 1, Window: 50 * time.Microsecond, Workers: 1,
-		QueueDepth: 1, PipelineDepth: 2,
+		Batching:  BatchingOptions{MaxBatch: 1},
+		Admission: AdmissionOptions{QueueDepth: 1},
+		Pipeline:  PipelineOptions{Depth: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -368,8 +355,9 @@ func TestSubmitDoesNotHoldLockAcrossSend(t *testing.T) {
 func TestWorkerPoolDeadlineDrops(t *testing.T) {
 	eng := &slowEngine{service: 30 * time.Millisecond}
 	srv := newServer(t, eng, Options{
-		MaxBatch: 1, Window: 50 * time.Microsecond, Workers: 1,
-		QueueDepth: 16, WorkerPool: true, SLA: 5 * time.Millisecond,
+		Batching:  BatchingOptions{MaxBatch: 1},
+		Admission: AdmissionOptions{QueueDepth: 16, SLA: 5 * time.Millisecond},
+		Pipeline:  PipelineOptions{Depth: 1, WorkerPool: true},
 	})
 	const wave = 10
 	var (
@@ -411,11 +399,11 @@ func TestWorkerPoolDeadlineDrops(t *testing.T) {
 
 // TestAdmissionOptionValidation covers the new option edges.
 func TestAdmissionOptionValidation(t *testing.T) {
-	if err := (Options{SLA: -time.Second}).withDefaults().Validate(); err == nil {
+	if err := (Options{Admission: AdmissionOptions{SLA: -time.Second}}).withDefaults().Validate(); err == nil {
 		t.Error("negative SLA: want error")
 	}
 	// Shed with defaults is valid.
-	o := Options{Shed: true}.withDefaults()
+	o := Options{Admission: AdmissionOptions{Shed: true}}.withDefaults()
 	if err := o.Validate(); err != nil {
 		t.Errorf("shed defaults: %v", err)
 	}
@@ -433,7 +421,8 @@ func TestAdmissionOptionValidation(t *testing.T) {
 func TestRetryAfterAndCapacity(t *testing.T) {
 	eng := &slowEngine{service: 20 * time.Millisecond}
 	srv := newServer(t, eng, Options{
-		MaxBatch: 1, Window: 50 * time.Microsecond, Workers: 1, PipelineDepth: 2,
+		Batching: BatchingOptions{MaxBatch: 1},
+		Pipeline: PipelineOptions{Depth: 2},
 	})
 	if got := srv.CapacityQPS(); got != 0 {
 		t.Errorf("capacity before traffic = %v, want 0", got)

@@ -34,12 +34,13 @@ func submitTraced(t *testing.T, s *Server, n int) {
 }
 
 // checkSpanDecomposition asserts the flight recorder's core properties on
-// every served span: non-negative (monotone-boundary) segments and a stage
-// sum within tolerance of the measured end-to-end latency. The residue is the
+// every served span, whichever drain served it: the gather/dense/tail stage
+// triplet, non-negative (monotone-boundary) segments and a stage sum within
+// tolerance of the measured end-to-end latency. The residue is the
 // future-resolution overhead in complete() after the last stage; tolFrac
 // bounds it as a fraction of e2e (with a small absolute floor for µs-scale
 // requests on noisy CI hosts).
-func checkSpanDecomposition(t *testing.T, spans []obs.Span, wantService bool, tolFrac float64) {
+func checkSpanDecomposition(t *testing.T, spans []obs.Span, tolFrac float64) {
 	t.Helper()
 	if len(spans) == 0 {
 		t.Fatal("no spans recorded")
@@ -51,19 +52,14 @@ func checkSpanDecomposition(t *testing.T, spans []obs.Span, wantService bool, to
 		for name, v := range map[string]int64{
 			"queue": sp.QueueNS, "batch_wait": sp.BatchWaitNS,
 			"gather": sp.GatherNS, "dense_wait": sp.DenseWaitNS, "dense": sp.DenseNS,
-			"tail_wait": sp.TailWaitNS, "tail": sp.TailNS, "service": sp.ServiceNS,
-			"e2e": sp.EndToEndNS,
+			"tail_wait": sp.TailWaitNS, "tail": sp.TailNS, "e2e": sp.EndToEndNS,
 		} {
 			if v < 0 {
 				t.Fatalf("span %d: negative %s segment %d ns (stage boundaries not monotone): %+v", sp.ID, name, v, sp)
 			}
 		}
-		if wantService {
-			if sp.ServiceNS == 0 || sp.GatherNS != 0 {
-				t.Fatalf("span %d: worker-pool span should carry ServiceNS only: %+v", sp.ID, sp)
-			}
-		} else if sp.ServiceNS != 0 || sp.GatherNS == 0 || sp.DenseNS == 0 || sp.TailNS == 0 {
-			t.Fatalf("span %d: pipelined span should carry the stage triplet: %+v", sp.ID, sp)
+		if sp.GatherNS == 0 || sp.DenseNS == 0 || sp.TailNS == 0 {
+			t.Fatalf("span %d: span should carry the stage triplet: %+v", sp.ID, sp)
 		}
 		sum := sp.StageSumNS()
 		if sum > sp.EndToEndNS {
@@ -83,7 +79,7 @@ func checkSpanDecomposition(t *testing.T, spans []obs.Span, wantService bool, to
 
 func TestSpanDecompositionPipeline(t *testing.T) {
 	eng := testEngine(t)
-	s := newServer(t, eng, Options{MaxBatch: 8, Window: 100 * time.Microsecond, TraceSample: 1})
+	s := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: 8}, Trace: TraceOptions{Sample: 1}})
 	// Warm-up: the first batch per size pays the one-time pipesim timing run
 	// inside complete(), which would dominate its spans' residue.
 	submitTraced(t, s, 32)
@@ -91,7 +87,7 @@ func TestSpanDecompositionPipeline(t *testing.T) {
 	submitTraced(t, s, 64)
 
 	spans := s.Trace(0, warmedAt)
-	checkSpanDecomposition(t, spans, false, 0.10)
+	checkSpanDecomposition(t, spans, 0.10)
 
 	st := s.rec.Stats()
 	if st.SampleEvery != 1 || st.Recorded == 0 {
@@ -99,18 +95,47 @@ func TestSpanDecompositionPipeline(t *testing.T) {
 	}
 }
 
+// TestSpanDecompositionWorkerPool checks that the worker pool's spans
+// decompose per stage like the pipeline's, with no inter-stage waits: a pool
+// worker runs its batch's stages back to back. Behind the sharded tier the
+// spans also carry the scatter round, whose slowest shard fits inside the
+// gather stage.
 func TestSpanDecompositionWorkerPool(t *testing.T) {
 	eng := testEngine(t)
-	s := newServer(t, eng, Options{MaxBatch: 8, Window: 100 * time.Microsecond, WorkerPool: true, Workers: 2, TraceSample: 1})
-	submitTraced(t, s, 32)
-	warmedAt := time.Now()
-	submitTraced(t, s, 64)
-	checkSpanDecomposition(t, s.Trace(0, warmedAt), true, 0.10)
+	for _, tc := range []struct {
+		name   string
+		shards int
+	}{{"unsharded", 0}, {"shards2", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newServer(t, eng, Options{
+				Batching: BatchingOptions{MaxBatch: 8},
+				Pipeline: PipelineOptions{WorkerPool: true, Depth: 2},
+				Tier:     TierOptions{Shards: tc.shards},
+				Trace:    TraceOptions{Sample: 1},
+			})
+			submitTraced(t, s, 32)
+			warmedAt := time.Now()
+			submitTraced(t, s, 64)
+			spans := s.Trace(0, warmedAt)
+			checkSpanDecomposition(t, spans, 0.10)
+			for _, sp := range spans {
+				if sp.DenseWaitNS != 0 || sp.TailWaitNS != 0 {
+					t.Fatalf("span %d: a pool worker's stages are contiguous, got waits %d / %d ns", sp.ID, sp.DenseWaitNS, sp.TailWaitNS)
+				}
+				if int(sp.Shards) != tc.shards {
+					t.Fatalf("span %d: %d shards, want %d", sp.ID, sp.Shards, tc.shards)
+				}
+				if tc.shards > 0 && (sp.ShardMaxNS <= 0 || sp.ShardMaxNS > sp.GatherNS) {
+					t.Fatalf("span %d: slowest shard %d ns outside the %d ns gather stage", sp.ID, sp.ShardMaxNS, sp.GatherNS)
+				}
+			}
+		})
+	}
 }
 
 func TestTraceSampling(t *testing.T) {
 	eng := testEngine(t)
-	s := newServer(t, eng, Options{MaxBatch: 4, Window: 50 * time.Microsecond, TraceSample: 4})
+	s := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: 4}, Trace: TraceOptions{Sample: 4}})
 	submitTraced(t, s, 64)
 	st := s.Stats()
 	if st.Trace.SampleEvery != 4 {
@@ -130,7 +155,7 @@ var expositionLine = regexp.MustCompile(
 
 func TestWriteMetricsExposition(t *testing.T) {
 	eng := testEngine(t)
-	s := newServer(t, eng, Options{MaxBatch: 8, Window: 100 * time.Microsecond, TraceSample: 1})
+	s := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: 8}, Trace: TraceOptions{Sample: 1}})
 	submitTraced(t, s, 64)
 
 	var buf bytes.Buffer
@@ -172,7 +197,7 @@ func TestWriteMetricsExposition(t *testing.T) {
 
 func TestStatsCarriesBuildInfo(t *testing.T) {
 	eng := testEngine(t)
-	s := newServer(t, eng, Options{MaxBatch: 4})
+	s := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: 4}})
 	st := s.Stats()
 	if st.BuildInfo.Revision == "" || st.BuildInfo.GoVersion == "" {
 		t.Fatalf("build info not populated: %+v", st.BuildInfo)

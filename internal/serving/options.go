@@ -2,7 +2,6 @@ package serving
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"microrec/internal/embedding"
@@ -21,8 +20,7 @@ type BatchingOptions struct {
 	// Window was the deadline flush of the timer-driven batcher.
 	//
 	// Deprecated: ignored. No clock takes part in batch formation; the
-	// field stays (with the flat fields below) only for callers that still
-	// set it.
+	// field stays only for callers that still set it.
 	Window time.Duration
 	// StatsWindow is the number of recent queries retained for the rolling
 	// latency statistics. Default 4096.
@@ -50,22 +48,20 @@ type AdmissionOptions struct {
 	SLA time.Duration
 }
 
-// PipelineOptions groups the drain knobs: the staged pipeline executor (the
-// default) or the flat engine worker pool.
+// PipelineOptions groups the drain knobs. Both drains serve a batch on one
+// pre-sized plane through the same gather, dense and tail stage calls; they
+// differ only in scheduling.
 type PipelineOptions struct {
-	// Depth is the batch-plane ring size of the pipelined drain: the bound
-	// on micro-batches in flight across the gather, GEMM and tail stages.
-	// Minimum 2 (overlap needs two planes). Default 3 — one plane per
-	// stage. Ignored in worker-pool mode.
+	// Depth is the number of batches in service: planes in the pipelined
+	// drain's ring, overlapped across its gather, GEMM and tail stage
+	// goroutines (minimum 2, so two stages can overlap), or workers in the
+	// worker pool, each owning one plane and carrying it through all three
+	// stages (minimum 1). Default 3.
 	Depth int
-	// WorkerPool selects the flat worker-pool drain (each batch runs
-	// gather + GEMM monolithically on one of Workers goroutines) instead of
-	// the default staged pipeline executor.
+	// WorkerPool selects the worker-pool drain (each batch runs to
+	// completion on one of Depth goroutines) instead of the default staged
+	// pipeline executor.
 	WorkerPool bool
-	// Workers is the number of engine workers draining batches in the
-	// worker-pool fallback mode (unused by the pipelined drain, which owns
-	// one goroutine per stage). Default GOMAXPROCS.
-	Workers int
 }
 
 // TierOptions groups the intra-replica scale-out knobs: the sharded
@@ -105,23 +101,14 @@ type RouterOptions struct {
 	ReplicaID int
 }
 
-// Options configures a Server. The zero value gets sensible defaults.
-//
-// Knobs are grouped by concern into the nested sub-structs (Batching,
-// Admission, Pipeline, Tier, Trace, Router). The flat fields below the groups
-// are the pre-grouping spelling, kept for one release as deprecated
-// pass-throughs: a flat field set while its nested twin is zero is copied
-// into the nested field before defaulting, so existing callers keep working
-// unchanged. Setting both spellings to different values is a configuration
-// error caught by Validate. After New (or withDefaults) the two spellings
-// mirror each other, so Server.Options() readers can use either during the
-// deprecation window.
+// Options configures a Server, with knobs grouped by concern. The zero value
+// gets sensible defaults.
 type Options struct {
 	// Batching configures the micro-batcher (largest batch).
 	Batching BatchingOptions
 	// Admission configures overload protection (queue bound, shed, SLA).
 	Admission AdmissionOptions
-	// Pipeline configures the drain (plane ring, or worker-pool fallback).
+	// Pipeline configures the drain (batches in service, and which drain).
 	Pipeline PipelineOptions
 	// Tier configures intra-replica scale-out (gather shards).
 	Tier TierOptions
@@ -129,134 +116,12 @@ type Options struct {
 	Trace TraceOptions
 	// Router carries the server's identity inside the replicated tier.
 	Router RouterOptions
-
-	// MaxBatch is the flat spelling of Batching.MaxBatch.
-	//
-	// Deprecated: set Batching.MaxBatch.
-	MaxBatch int
-	// Window is the flat spelling of Batching.Window.
-	//
-	// Deprecated: ignored, like Batching.Window.
-	Window time.Duration
-	// Workers is the flat spelling of Pipeline.Workers.
-	//
-	// Deprecated: set Pipeline.Workers.
-	Workers int
-	// QueueDepth is the flat spelling of Admission.QueueDepth.
-	//
-	// Deprecated: set Admission.QueueDepth.
-	QueueDepth int
-	// StatsWindow is the flat spelling of Batching.StatsWindow.
-	//
-	// Deprecated: set Batching.StatsWindow.
-	StatsWindow int
-	// WorkerPool is the flat spelling of Pipeline.WorkerPool.
-	//
-	// Deprecated: set Pipeline.WorkerPool.
-	WorkerPool bool
-	// PipelineDepth is the flat spelling of Pipeline.Depth.
-	//
-	// Deprecated: set Pipeline.Depth.
-	PipelineDepth int
-	// SLA is the flat spelling of Admission.SLA.
-	//
-	// Deprecated: set Admission.SLA.
-	SLA time.Duration
-	// Shed is the flat spelling of Admission.Shed.
-	//
-	// Deprecated: set Admission.Shed.
-	Shed bool
-	// Shards is the flat spelling of Tier.Shards.
-	//
-	// Deprecated: set Tier.Shards.
-	Shards int
-	// TraceSample is the flat spelling of Trace.Sample.
-	//
-	// Deprecated: set Trace.Sample.
-	TraceSample int
-
-	// conflictErr remembers a flat-vs-nested disagreement found while
-	// merging; Validate surfaces it.
-	conflictErr error
 }
 
-// mergeInt routes one deprecated flat int (or duration) into its nested twin:
-// the flat value fills a zero nested field; a non-zero disagreement is a
-// configuration error.
-func mergeInt[T int | int64 | time.Duration](dst *T, flat T, name string) error {
-	if flat == 0 {
-		return nil
-	}
-	if *dst == 0 {
-		*dst = flat
-		return nil
-	}
-	if *dst != flat {
-		return fmt.Errorf("serving: %s set to %v via the deprecated flat field but %v via the nested group — set one spelling", name, flat, *dst)
-	}
-	return nil
-}
-
-// merge routes every deprecated flat field into its nested twin and then
-// mirrors the nested values back onto the flat fields, so both spellings
-// agree for the rest of the options' life. Boolean knobs OR (a zero bool is
-// indistinguishable from "unset").
-func (o Options) merge() Options {
-	type pair struct {
-		dst  *int
-		flat int
-		name string
-	}
-	for _, p := range []pair{
-		{&o.Batching.MaxBatch, o.MaxBatch, "MaxBatch"},
-		{&o.Batching.StatsWindow, o.StatsWindow, "StatsWindow"},
-		{&o.Pipeline.Workers, o.Workers, "Workers"},
-		{&o.Pipeline.Depth, o.PipelineDepth, "PipelineDepth"},
-		{&o.Admission.QueueDepth, o.QueueDepth, "QueueDepth"},
-		{&o.Tier.Shards, o.Shards, "Shards"},
-		{&o.Trace.Sample, o.TraceSample, "TraceSample"},
-	} {
-		if err := mergeInt(p.dst, p.flat, p.name); err != nil && o.conflictErr == nil {
-			o.conflictErr = err
-		}
-	}
-	if err := mergeInt(&o.Batching.Window, o.Window, "Window"); err != nil && o.conflictErr == nil {
-		o.conflictErr = err
-	}
-	if err := mergeInt(&o.Admission.SLA, o.SLA, "SLA"); err != nil && o.conflictErr == nil {
-		o.conflictErr = err
-	}
-	o.Pipeline.WorkerPool = o.Pipeline.WorkerPool || o.WorkerPool
-	o.Admission.Shed = o.Admission.Shed || o.Shed
-	return o.mirror()
-}
-
-// mirror copies the nested fields back over the flat pass-throughs.
-func (o Options) mirror() Options {
-	o.MaxBatch = o.Batching.MaxBatch
-	o.Window = o.Batching.Window
-	o.StatsWindow = o.Batching.StatsWindow
-	o.Workers = o.Pipeline.Workers
-	o.PipelineDepth = o.Pipeline.Depth
-	o.WorkerPool = o.Pipeline.WorkerPool
-	o.QueueDepth = o.Admission.QueueDepth
-	o.Shed = o.Admission.Shed
-	o.SLA = o.Admission.SLA
-	o.Shards = o.Tier.Shards
-	o.TraceSample = o.Trace.Sample
-	return o
-}
-
-// withDefaults merges the deprecated flat fields into the nested groups and
-// replaces zero fields with defaults. Both spellings mirror each other in the
-// result.
+// withDefaults replaces zero fields with defaults.
 func (o Options) withDefaults() Options {
-	o = o.merge()
 	if o.Batching.MaxBatch == 0 {
 		o.Batching.MaxBatch = 64
-	}
-	if o.Pipeline.Workers == 0 {
-		o.Pipeline.Workers = runtime.GOMAXPROCS(0)
 	}
 	if o.Admission.QueueDepth == 0 {
 		o.Admission.QueueDepth = 4 * o.Batching.MaxBatch
@@ -270,19 +135,13 @@ func (o Options) withDefaults() Options {
 	if o.Trace.Sample == 0 {
 		o.Trace.Sample = DefaultTraceSample
 	}
-	return o.mirror()
+	return o
 }
 
 // Validate checks the options after defaulting.
 func (o Options) Validate() error {
-	if o.conflictErr != nil {
-		return o.conflictErr
-	}
 	if o.Batching.MaxBatch < 1 {
 		return fmt.Errorf("serving: max batch %d", o.Batching.MaxBatch)
-	}
-	if o.Pipeline.Workers < 1 {
-		return fmt.Errorf("serving: %d workers", o.Pipeline.Workers)
 	}
 	if o.Admission.QueueDepth < 1 {
 		return fmt.Errorf("serving: queue depth %d", o.Admission.QueueDepth)
@@ -293,8 +152,11 @@ func (o Options) Validate() error {
 	if o.Admission.SLA < 0 {
 		return fmt.Errorf("serving: negative SLA %v", o.Admission.SLA)
 	}
+	if o.Pipeline.WorkerPool && o.Pipeline.Depth < 1 {
+		return fmt.Errorf("serving: pipeline depth %d (the worker pool needs >= 1 worker)", o.Pipeline.Depth)
+	}
 	if !o.Pipeline.WorkerPool && o.Pipeline.Depth < 2 {
-		return fmt.Errorf("serving: pipeline depth %d (need >= 2 planes; use Pipeline.WorkerPool for the flat drain)", o.Pipeline.Depth)
+		return fmt.Errorf("serving: pipeline depth %d (need >= 2 planes; use Pipeline.WorkerPool to run batches to completion)", o.Pipeline.Depth)
 	}
 	if o.Tier.Shards < 0 {
 		return fmt.Errorf("serving: shard count %d", o.Tier.Shards)

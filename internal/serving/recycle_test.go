@@ -15,12 +15,13 @@ import (
 // at every point of a request's life — before the queue, in the queue, in a
 // batch, in service — next to submitters that never give up, in both drain
 // modes. A context deadline is also the request's serving deadline, so the
-// drains' expiry filters resolve some of them with an error themselves. Requests and batches are pooled, so the test is the proof of the
-// ownership rule: a stage never touches a request after sending its reply,
-// and a request abandoned on ctx.Done() is never recycled. Under -race a
-// stage reading a request its submitter has already reused is a reported
-// race; without it, a reply computed from another submitter's query, or a
-// stale reply left in a reused channel, shows as a wrong prediction.
+// drains' expiry filter resolves some of them with an error itself. Requests
+// and batches are pooled, so the test is the proof of the ownership rule: a
+// stage never touches a request after sending its reply, and a request
+// abandoned on ctx.Done() is never recycled. Under -race a stage reading a
+// request its submitter has already reused is a reported race; without it, a
+// reply computed from another submitter's query, or a stale reply left in a
+// reused channel, shows as a wrong prediction.
 func TestSubmitRecyclesRequestsSafely(t *testing.T) {
 	eng := testEngine(t)
 	qs := randomQueries(t, eng.Spec(), 48, 11)
@@ -32,19 +33,18 @@ func TestSubmitRecyclesRequestsSafely(t *testing.T) {
 		}
 		want[i] = w
 	}
-	for _, mode := range []struct {
-		name string
-		opts Options
-	}{
-		{"pipelined", Options{MaxBatch: 8, Window: 100 * time.Microsecond, QueueDepth: 16, PipelineDepth: 2}},
-		{"worker-pool", Options{MaxBatch: 8, Window: 100 * time.Microsecond, QueueDepth: 16, Workers: 2, WorkerPool: true}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			srv := newServer(t, eng, mode.opts)
+	for _, drain := range drains {
+		t.Run(drain.name, func(t *testing.T) {
 			const (
+				maxBatch   = 8
 				submitters = 32
 				perG       = 250
 			)
+			srv := newServer(t, eng, Options{
+				Batching:  BatchingOptions{MaxBatch: maxBatch},
+				Admission: AdmissionOptions{QueueDepth: 16},
+				Pipeline:  PipelineOptions{Depth: 2, WorkerPool: drain.workerPool},
+			})
 			var (
 				wg             sync.WaitGroup
 				served, gaveUp atomic.Int64
@@ -69,7 +69,7 @@ func TestSubmitRecyclesRequestsSafely(t *testing.T) {
 								t.Errorf("submitter %d: query %d answered %v, want %v", g, i, res.CTR, want[i])
 								return
 							}
-							if res.BatchSize < 1 || res.BatchSize > mode.opts.MaxBatch {
+							if res.BatchSize < 1 || res.BatchSize > maxBatch {
 								t.Errorf("submitter %d: batch size %d", g, res.BatchSize)
 								return
 							}

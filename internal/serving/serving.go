@@ -4,8 +4,10 @@
 // drain can start serving it, and grows only while it cannot), drained
 // through the staged pipeline executor — gather, dense GEMM and tail/response
 // stages overlapped over a ring of batch planes — with per-request response
-// futures. A flat engine worker pool remains available as a fallback mode
-// (Options.Pipeline.WorkerPool).
+// futures. Options.Pipeline.Depth is the number of batches in service. The
+// worker-pool drain (Options.Pipeline.WorkerPool) serves the same planes
+// through the same stage calls and differs only in scheduling: each of Depth
+// workers owns one plane and carries its batch through all three stages.
 //
 // This is the serving seam the paper argues for (§2.3): per-query serving —
 // one synchronous inference per HTTP request, the TensorFlow-Serving
@@ -73,9 +75,9 @@ var ErrOverloaded = errors.New("serving: overloaded, submit queue full")
 var ErrExpired = errors.New("serving: deadline expired before service")
 
 // Engine is the slice of the inference engine the server drives: admission
-// validation, the monolithic batched datapath (worker-pool mode), the
-// stage-callable plane datapath (pipelined mode, via pipeline.StageEngine)
-// and the timing model behind SLA admission and per-batch reports.
+// validation, the stage-callable plane datapath both drains run (via
+// pipeline.StageEngine) and the timing model behind SLA admission and
+// per-batch reports.
 // *core.Engine implements it; overload tests substitute deterministic slow
 // engines to saturate the queue without depending on host speed.
 //
@@ -88,9 +90,6 @@ type Engine interface {
 	pipeline.StageEngine
 	// ValidateQuery checks a query's shape and index ranges at admission.
 	ValidateQuery(q embedding.Query) error
-	// InferBatchValidated runs the monolithic batched datapath on
-	// pre-validated queries (worker-pool mode).
-	InferBatchValidated(queries []embedding.Query, dst []float32, scratch *core.BatchScratch) ([]float32, error)
 	// TimingAt models a batch's accelerator timing at a lookup latency.
 	TimingAt(items int, lookupNS float64) (core.TimingReport, error)
 	// LookupNS is the plan's cache-cold embedding-lookup latency.
@@ -184,8 +183,8 @@ func (r *request) expired(cutoff time.Time) error {
 }
 
 // Server coalesces concurrent Submit calls into micro-batches and drains
-// them through the staged pipeline executor (or, in fallback mode, a pool of
-// engine workers).
+// them through the staged pipeline executor (or a pool of run-to-completion
+// workers).
 type Server struct {
 	eng  Engine
 	opts Options
@@ -234,8 +233,9 @@ type Server struct {
 	cancelDrops   atomic.Uint64
 	late          atomic.Uint64
 
-	// Worker-pool-mode batch service meter (the pipelined drain meters its
-	// stages inside the executor instead): feeds the deadline-drop headroom.
+	// Worker-pool batch service meter, gather entry to tail exit (the
+	// pipelined drain meters its stages inside the executor instead): feeds
+	// the deadline-drop headroom.
 	wpServiceNS atomic.Int64
 	wpBatches   atomic.Uint64
 
@@ -298,18 +298,12 @@ func New(eng Engine, opts Options) (*Server, error) {
 			}
 			clu = e
 		case *core.Engine:
-			// Per-shard rings sized to the drain's in-flight bound: the
-			// pipelined drain holds PipelineDepth planes, the worker pool
-			// runs Workers batches — one partial per in-flight batch, plus
-			// headroom so a shard can gather ahead of a straggling merge.
-			ringDepth := opts.Pipeline.Depth
-			if opts.Pipeline.WorkerPool {
-				ringDepth = opts.Pipeline.Workers + 1
-			}
+			// Per-shard rings sized to the drain's in-flight bound: one
+			// partial per batch in service.
 			c, err := cluster.New(e, cluster.Options{
 				Shards:    opts.Tier.Shards,
 				MaxBatch:  opts.Batching.MaxBatch,
-				RingDepth: ringDepth,
+				RingDepth: opts.Pipeline.Depth,
 			})
 			if err != nil {
 				return nil, err
@@ -351,9 +345,9 @@ func New(eng Engine, opts Options) (*Server, error) {
 	s.replica = int32(opts.Router.ReplicaID)
 	if opts.Pipeline.WorkerPool {
 		s.batches = make(chan *planeBatch)
-		s.wg.Add(1 + opts.Pipeline.Workers)
+		s.wg.Add(1 + opts.Pipeline.Depth)
 		go s.batcher()
-		for i := 0; i < opts.Pipeline.Workers; i++ {
+		for i := 0; i < opts.Pipeline.Depth; i++ {
 			go s.worker()
 		}
 		return s, nil
@@ -575,8 +569,8 @@ func (s *Server) batcher() {
 
 // serviceHeadroomNS estimates the time a batch entering service now still
 // needs to complete: the pipelined drain's lifetime mean plane service (sum
-// of stage means), or the worker pool's mean monolithic batch time. 0 until
-// traffic has measured it.
+// of stage means), or the worker pool's mean gather-to-tail batch time. 0
+// until traffic has measured it.
 func (s *Server) serviceHeadroomNS() float64 {
 	if s.pipe != nil {
 		return s.pipe.MeanBatchServiceNS()
@@ -590,8 +584,7 @@ func (s *Server) serviceHeadroomNS() float64 {
 
 // resolveExpired classifies one request at service time: nil while it is
 // still worth serving; otherwise its future is resolved with the error, the
-// matching drop counter is bumped, and the error is returned. Shared by both
-// drain modes' plane-fill filters so drop semantics cannot diverge.
+// matching drop counter is bumped, and the error is returned.
 func (s *Server) resolveExpired(r *request, cutoff time.Time) error {
 	err := r.expired(cutoff)
 	if err == nil {
@@ -622,74 +615,58 @@ func (s *Server) resolveExpired(r *request, cutoff time.Time) error {
 	return err
 }
 
-// dropExpired filters a batch at plane-fill time: requests whose context was
-// cancelled after enqueue, or whose serving deadline cannot be met even if
-// service starts immediately (deadline before now + expected service), are
-// resolved with their error and counted — the gather and GEMM cycles they
-// would have occupied go to requests that can still answer in time. This is
-// the wasted-work fix the admission layer exists to exploit: under overload
-// the queue is exactly where stale requests accumulate.
-func (s *Server) dropExpired(batch []*request) []*request {
-	cutoff := time.Now().Add(time.Duration(s.serviceHeadroomNS()))
-	live := batch[:0]
-	for _, r := range batch {
-		if s.resolveExpired(r, cutoff) == nil {
-			live = append(live, r)
-		}
-	}
-	return live
-}
-
-// worker drains batches through the engine's monolithic blocked batch
-// datapath — the worker-pool fallback mode. Each worker owns a private
-// scratch; the engine itself is immutable and shared. Queries were validated
-// once at admission (Submit), so workers use the validated fast path and
-// skip the second shape/range pass. dropExpired runs right before service —
-// this drain has no later admission point.
+// worker is one worker-pool drain goroutine. It owns one plane and carries
+// each batch it receives through the pipelined drain's own steps in sequence
+// — prepare, then the gather, dense and tail stage calls, then deliver — so
+// the two drains differ only in scheduling: run to completion here, one
+// goroutine per stage there.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	var scratch core.BatchScratch
+	var plane core.BatchScratch
+	s.eng.EnsurePlane(&plane, s.opts.Batching.MaxBatch)
 	queries := make([]embedding.Query, 0, s.opts.Batching.MaxBatch)
 	preds := make([]float32, s.opts.Batching.MaxBatch)
 	for pb := range s.batches {
 		s.wpBusy.Add(1)
 		pb.stampFlushed()
-		if batch := s.dropExpired(pb.reqs); len(batch) > 0 {
-			queries = queries[:0]
-			for _, r := range batch {
-				queries = append(queries, r.q)
-			}
-			if s.prefetch != nil {
-				s.prefetch.PrefetchBatch(queries)
-			}
-			bt := &pb.batchTrace
-			bt.serviceStart = time.Now()
-			_, err := s.eng.InferBatchValidated(queries, preds[:len(batch)], &scratch)
-			bt.serviceEnd = time.Now()
-			bt.gather = scratch.GatherObs()
-			s.wpServiceNS.Add(int64(bt.serviceEnd.Sub(bt.serviceStart)))
-			s.wpBatches.Add(1)
-			s.complete(batch, preds[:len(batch)], err, bt)
+		queries = queries[:0]
+		for _, r := range pb.reqs {
+			queries = append(queries, r.q)
 		}
-		pb.release()
+		queries = s.prepare(pb, queries)
+		if b := len(queries); b > 0 {
+			t0 := time.Now()
+			s.eng.GatherIntoPlane(queries, &plane)
+			t1 := time.Now()
+			pb.ObserveStage(pipeline.StageGather, t0, t1)
+			pb.ObserveGather(plane.GatherObs())
+			s.eng.DenseFromPlane(b, &plane)
+			t2 := time.Now()
+			pb.ObserveStage(pipeline.StageDense, t1, t2)
+			s.eng.TailFromPlane(b, &plane, preds[:b])
+			t3 := time.Now()
+			pb.ObserveStage(pipeline.StageTail, t2, t3)
+			s.wpServiceNS.Add(int64(t3.Sub(t0)))
+			s.wpBatches.Add(1)
+			s.deliver(pb, preds[:b])
+		} else {
+			pb.release()
+		}
 		s.wpBusy.Add(-1)
 	}
 }
 
 // batchTrace carries one batch's stage boundary stamps and gather record from
-// the drain to complete(), where sampled requests' spans are assembled. The
-// pipelined drain fills it through pipeline.PlaneObserver (plain stores on the
-// stage goroutines, read only after delivery — the executor's channel
-// hand-offs order the accesses); the worker pool stamps its monolithic
-// service window directly. It lives inside the (pooled) batch, so
+// the drain to complete(), where sampled requests' spans are assembled. Both
+// drains fill it through pipeline.PlaneObserver: the executor's stage loops
+// (plain stores on the stage goroutines, read only after delivery — the
+// executor's channel hand-offs order the accesses), or the pool worker that
+// runs all three stages itself. It lives inside the (pooled) batch, so
 // steady-state tracing allocates nothing.
 type batchTrace struct {
 	stageStart [pipeline.NumStages]time.Time
 	stageEnd   [pipeline.NumStages]time.Time
-	// serviceStart/End bracket the worker pool's monolithic
-	// InferBatchValidated call (zero in pipelined mode).
-	serviceStart, serviceEnd time.Time
-	gather                   core.GatherObs
+	gather     core.GatherObs
 }
 
 // ObserveStage implements pipeline.PlaneObserver.
@@ -704,12 +681,12 @@ func (t *batchTrace) ObserveStage(stage int, start, end time.Time) {
 func (t *batchTrace) ObserveGather(o core.GatherObs) { t.gather = o }
 
 // planeBatch is one formed micro-batch, from the batcher through the drain to
-// complete. In pipelined mode it is the plane's payload: the Prepare hook
-// rewrites reqs when it drops expired requests, so the tail-stage Deliver
-// always sees exactly the requests whose queries were gathered, and the
-// embedded batchTrace makes the payload a pipeline.PlaneObserver, so the
-// executor's stage loops stamp it as the plane moves through. Batches are
-// recycled through batchPool by whoever resolved their last request.
+// complete. In pipelined mode it is the plane's payload. The prepare hook
+// rewrites reqs when it drops expired requests, so deliver always sees
+// exactly the requests whose queries were gathered, and the embedded
+// batchTrace makes the batch a pipeline.PlaneObserver, stamped as its plane
+// moves through the stages. Batches are recycled through batchPool by whoever
+// resolved their last request.
 type planeBatch struct {
 	batchTrace
 	reqs []*request
@@ -720,7 +697,7 @@ var batchPool = sync.Pool{New: func() any { return new(planeBatch) }}
 // release returns pb to the pool once every request in it has been resolved
 // and nothing else (the executor's plane, the worker) will touch it again.
 // The whole backing array is cleared, not just reqs' current length — the
-// expiry filters shorten reqs in place — because the requests belong to
+// expiry filter shortens reqs in place — because the requests belong to
 // their submitters again.
 func (pb *planeBatch) release() {
 	reqs := pb.reqs[:cap(pb.reqs)]
@@ -744,8 +721,8 @@ func (pb *planeBatch) stampFlushed() {
 	}
 }
 
-// prepare is the executor's gather-stage admission hook: the last moment
-// before a plane's work is committed. It drops expired requests from the
+// prepare is the drains' gather-stage admission hook: the last moment before
+// a plane's work is committed. It drops expired requests from the
 // batch and filters the plane's query headers in lockstep — batch[i] and
 // queries[i] are index-aligned by construction (the batcher built one
 // from the other, and the executor copies queries in order) — so preds
@@ -772,23 +749,21 @@ func (s *Server) prepare(payload interface{}, queries []embedding.Query) []embed
 	return kept
 }
 
-// deliver receives completed batches on the executor's tail stage. preds is
+// deliver receives completed batches after their tail stage. preds is
 // plane-owned and only valid during the call; complete resolves every future
 // synchronously (buffered done channels), so nothing outlives it.
 func (s *Server) deliver(payload interface{}, preds []float32) {
 	pb := payload.(*planeBatch)
-	s.complete(pb.reqs, preds, nil, &pb.batchTrace)
+	s.complete(pb.reqs, preds, &pb.batchTrace)
 	pb.release()
 }
 
 // complete finishes one batch: the per-batch timing report, serving metrics,
 // flight-recorder spans for the batch's sampled requests, and the response
-// future of every request. On error all futures carry the error instead.
-func (s *Server) complete(batch []*request, preds []float32, err error, bt *batchTrace) {
-	var rep core.TimingReport
-	if err == nil {
-		rep, err = s.timing(len(batch))
-	}
+// future of every request. If the timing report fails, every future carries
+// that error instead.
+func (s *Server) complete(batch []*request, preds []float32, bt *batchTrace) {
+	rep, err := s.timing(len(batch))
 	// Record stats before resolving any future, so a Stats() call racing a
 	// just-returned Submit always sees the batch.
 	now := time.Now()
@@ -837,23 +812,18 @@ func (s *Server) recordSpans(batch []*request, bt *batchTrace, now time.Time, er
 			Verdict:    verdict,
 		}
 		// Both drains stamp flushed at dispatch, before any path reaches here.
+		// Batch wait runs from dispatch to gather entry (prepare + prefetch);
+		// inter-stage waits are the gaps between one stage's exit and the next
+		// one's entry (zero-width in the worker pool, which runs the stages
+		// back to back).
 		flushed := r.flushed
 		sp.QueueNS = int64(flushed.Sub(r.enq))
-		if s.pipe != nil {
-			// Pipelined drain: batch wait runs from dispatch to gather entry
-			// (prepare + prefetch); inter-stage waits are the gaps between one
-			// stage's exit and the next one's entry.
-			sp.BatchWaitNS = int64(bt.stageStart[pipeline.StageGather].Sub(flushed))
-			sp.GatherNS = int64(bt.stageEnd[pipeline.StageGather].Sub(bt.stageStart[pipeline.StageGather]))
-			sp.DenseWaitNS = int64(bt.stageStart[pipeline.StageDense].Sub(bt.stageEnd[pipeline.StageGather]))
-			sp.DenseNS = int64(bt.stageEnd[pipeline.StageDense].Sub(bt.stageStart[pipeline.StageDense]))
-			sp.TailWaitNS = int64(bt.stageStart[pipeline.StageTail].Sub(bt.stageEnd[pipeline.StageDense]))
-			sp.TailNS = int64(bt.stageEnd[pipeline.StageTail].Sub(bt.stageStart[pipeline.StageTail]))
-		} else {
-			// Worker pool: one monolithic service segment.
-			sp.BatchWaitNS = int64(bt.serviceStart.Sub(flushed))
-			sp.ServiceNS = int64(bt.serviceEnd.Sub(bt.serviceStart))
-		}
+		sp.BatchWaitNS = int64(bt.stageStart[pipeline.StageGather].Sub(flushed))
+		sp.GatherNS = int64(bt.stageEnd[pipeline.StageGather].Sub(bt.stageStart[pipeline.StageGather]))
+		sp.DenseWaitNS = int64(bt.stageStart[pipeline.StageDense].Sub(bt.stageEnd[pipeline.StageGather]))
+		sp.DenseNS = int64(bt.stageEnd[pipeline.StageDense].Sub(bt.stageStart[pipeline.StageDense]))
+		sp.TailWaitNS = int64(bt.stageStart[pipeline.StageTail].Sub(bt.stageEnd[pipeline.StageDense]))
+		sp.TailNS = int64(bt.stageEnd[pipeline.StageTail].Sub(bt.stageStart[pipeline.StageTail]))
 		sp.ColdFaults = int32(bt.gather.ColdFaults)
 		sp.Shards = int32(bt.gather.Shards)
 		sp.ShardMaxNS = bt.gather.ShardMaxNS
@@ -902,16 +872,7 @@ func (s *Server) LoadScore() int {
 // LoadScore/LoadCapacity, the occupancy the /stats router section reports per
 // replica, never exceeds 1.
 func (s *Server) LoadCapacity() int {
-	return s.opts.Admission.QueueDepth + s.opts.Batching.MaxBatch*(1+s.drainSlots())
-}
-
-// drainSlots is the number of batches the drain serves at once: the plane
-// ring, or the worker pool.
-func (s *Server) drainSlots() int {
-	if s.pipe != nil {
-		return s.opts.Pipeline.Depth
-	}
-	return s.opts.Pipeline.Workers
+	return s.opts.Admission.QueueDepth + s.opts.Batching.MaxBatch*(1+s.opts.Pipeline.Depth)
 }
 
 // HotCacheCounts reports the engine's live hot-row cache lifetime hit/miss
@@ -1111,7 +1072,6 @@ type Stats struct {
 	// Configuration echo. Mode is "pipeline" or "worker-pool".
 	Mode     string `json:"mode"`
 	MaxBatch int    `json:"max_batch"`
-	Workers  int    `json:"workers"`
 	// Lifetime counters.
 	Queries uint64 `json:"queries"`
 	Batches uint64 `json:"batches"`
@@ -1166,7 +1126,6 @@ func (s *Server) Stats() Stats {
 	st := Stats{
 		Mode:     s.Mode(),
 		MaxBatch: s.opts.Batching.MaxBatch,
-		Workers:  s.opts.Pipeline.Workers,
 		Queries:  lat.Total,
 		Batches:  occ.Total,
 		QPS:      lat.RatePerSec,
@@ -1330,11 +1289,11 @@ func (s *Server) AdmittedLatencyBounds() (worst, expected time.Duration, err err
 // per plane (or pool worker) in service.
 func (s *Server) backlogBatches() int {
 	queued := (s.opts.Admission.QueueDepth + s.opts.Batching.MaxBatch - 1) / s.opts.Batching.MaxBatch
-	return queued + 1 + s.drainSlots()
+	return queued + 1 + s.opts.Pipeline.Depth
 }
 
 // drainWorkers is the batch-drain parallelism the SLA backlog model divides
-// by: the worker pool drains Workers batches concurrently; the pipeline is
+// by: the worker pool drains Depth batches concurrently; the pipeline is
 // modeled conservatively as one worker with the full (un-overlapped) batch
 // service time — stage overlap only shortens the real drain, so the
 // worst-case admitted bound stays valid.
@@ -1342,5 +1301,5 @@ func (s *Server) drainWorkers() int {
 	if s.pipe != nil {
 		return 1
 	}
-	return s.opts.Pipeline.Workers
+	return s.opts.Pipeline.Depth
 }

@@ -3,6 +3,7 @@ package serving
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -17,15 +18,21 @@ import (
 	"microrec/internal/placement"
 )
 
-// testEngine builds a small (capacity-scaled) production engine.
+// testEngine builds a small (capacity-scaled) Fixed16 production engine.
 func testEngine(t testing.TB) *core.Engine {
+	t.Helper()
+	return buildTestEngine(t, core.SmallFP16())
+}
+
+// buildTestEngine builds the small (capacity-scaled) production model on an
+// accelerator configuration.
+func buildTestEngine(t testing.TB, cfg core.Config) *core.Engine {
 	t.Helper()
 	spec := model.SmallProduction()
 	params, err := spec.Materialize(model.MaterializeOptions{Seed: 1, MaxRowsPerTable: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.SmallFP16()
 	plan, err := placement.Plan(spec, memsim.U280(cfg.OnChipBanks), placement.Options{EnableCartesian: true})
 	if err != nil {
 		t.Fatal(err)
@@ -65,16 +72,22 @@ func newServer(t testing.TB, eng Engine, opts Options) *Server {
 	return s
 }
 
+// drains names both drain modes, for tests that must hold under each.
+var drains = []struct {
+	name       string
+	workerPool bool
+}{{"pipeline", false}, {"worker-pool", true}}
+
 func TestOptionsDefaultsAndValidate(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.MaxBatch != 64 || o.Workers < 1 || o.QueueDepth != 256 || o.StatsWindow != 4096 {
+	if o.Batching.MaxBatch != 64 || o.Pipeline.Depth != 3 || o.Admission.QueueDepth != 256 || o.Batching.StatsWindow != 4096 {
 		t.Errorf("defaults = %+v", o)
 	}
 	for _, bad := range []Options{
-		{MaxBatch: -1},
-		{Workers: -2},
-		{QueueDepth: -1},
-		{StatsWindow: -1},
+		{Batching: BatchingOptions{MaxBatch: -1}},
+		{Pipeline: PipelineOptions{Depth: -2, WorkerPool: true}},
+		{Admission: AdmissionOptions{QueueDepth: -1}},
+		{Batching: BatchingOptions{StatsWindow: -1}},
 	} {
 		if err := bad.withDefaults().Validate(); err == nil {
 			t.Errorf("options %+v: want error", bad)
@@ -101,7 +114,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // until the test opens the gate. The holders' Submits are joined through wg.
 func holdDrain(t *testing.T, srv *Server, wg *sync.WaitGroup) {
 	t.Helper()
-	for i := 1; i <= srv.drainSlots(); i++ {
+	for i := 1; i <= srv.opts.Pipeline.Depth; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -121,13 +134,14 @@ func holdDrain(t *testing.T, srv *Server, wg *sync.WaitGroup) {
 // its batch is full, and the load score of the saturated server must equal
 // its capacity — occupancy 1.0, never more.
 func TestSizeFlush(t *testing.T) {
-	for _, workerPool := range []bool{false, true} {
-		t.Run(map[bool]string{false: "pipeline", true: "worker-pool"}[workerPool], func(t *testing.T) {
+	for _, drain := range drains {
+		t.Run(drain.name, func(t *testing.T) {
 			const maxBatch, queueDepth = 4, 8
 			eng := &slowEngine{gate: make(chan struct{})}
 			srv := newServer(t, eng, Options{
-				MaxBatch: maxBatch, Window: time.Hour, QueueDepth: queueDepth,
-				PipelineDepth: 2, Workers: 2, WorkerPool: workerPool,
+				Batching:  BatchingOptions{MaxBatch: maxBatch},
+				Admission: AdmissionOptions{QueueDepth: queueDepth},
+				Pipeline:  PipelineOptions{Depth: 2, WorkerPool: drain.workerPool},
 			})
 			var wg sync.WaitGroup
 			holdDrain(t, srv, &wg)
@@ -156,7 +170,7 @@ func TestSizeFlush(t *testing.T) {
 					t.Errorf("batch size %d behind a held drain, want %d", size, maxBatch)
 				}
 			}
-			if got, want := eng.batches.Load(), uint64(srv.drainSlots()+3); got != want {
+			if got, want := eng.batches.Load(), uint64(srv.opts.Pipeline.Depth+3); got != want {
 				t.Errorf("engine served %d batches, want %d (the holders and three full batches)", got, want)
 			}
 		})
@@ -169,7 +183,7 @@ func TestSizeFlush(t *testing.T) {
 // anything having to time out.
 func TestIdleServerDispatchesAtOnce(t *testing.T) {
 	eng := testEngine(t)
-	srv := newServer(t, eng, Options{MaxBatch: 64, Window: time.Hour})
+	srv := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: 64, Window: time.Hour}})
 	qs := randomQueries(t, eng.Spec(), 4, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -201,7 +215,7 @@ func TestIdleServerDispatchesAtOnce(t *testing.T) {
 // -race this is the batcher's main integrity test.
 func TestConcurrentSubmitters(t *testing.T) {
 	eng := testEngine(t)
-	srv := newServer(t, eng, Options{MaxBatch: 16, Window: 300 * time.Microsecond, Workers: 4})
+	srv := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: 16}})
 	const (
 		submitters = 24
 		perG       = 20
@@ -254,44 +268,46 @@ func TestConcurrentSubmitters(t *testing.T) {
 // Submit must either return a valid result or ErrServerClosed, and Close
 // must not strand any accepted request.
 func TestCloseDrainsInFlight(t *testing.T) {
+	testCloseDrainsInFlight(t, Options{Batching: BatchingOptions{MaxBatch: 8}}, 4)
+}
+
+// testCloseDrainsInFlight closes the server while 16 submitters are mid-wave.
+// Each submits until it is refused, so Close is guaranteed to land on live
+// traffic however fast the engine serves: every submitter ends on
+// ErrServerClosed, and none sees any other error.
+func testCloseDrainsInFlight(t *testing.T, opts Options, seed int64) {
 	eng := testEngine(t)
-	srv, err := New(eng, Options{MaxBatch: 8, Window: 200 * time.Microsecond, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := randomQueries(t, eng.Spec(), 16, 4)
+	srv := newServer(t, eng, opts)
+	const submitters = 16
+	qs := randomQueries(t, eng.Spec(), submitters, seed)
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	ok, closed := 0, 0
-	for g := 0; g < 16; g++ {
+	var ok, closed atomic.Int64
+	for g := 0; g < submitters; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for rep := 0; rep < 10; rep++ {
+			for {
 				_, err := srv.Submit(context.Background(), qs[g])
-				mu.Lock()
 				switch {
 				case err == nil:
-					ok++
+					ok.Add(1)
 				case errors.Is(err, ErrServerClosed):
-					closed++
+					closed.Add(1)
+					return
 				default:
 					t.Errorf("unexpected error: %v", err)
+					return
 				}
-				mu.Unlock()
 			}
 		}(g)
 	}
-	time.Sleep(2 * time.Millisecond)
+	waitFor(t, "a wave of requests to be served", func() bool { return ok.Load() >= submitters })
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	if ok == 0 {
-		t.Error("no request served before close")
-	}
-	if closed == 0 {
-		t.Error("no request observed the closed server")
+	if n := closed.Load(); n != submitters {
+		t.Errorf("%d of %d submitters observed the closed server", n, submitters)
 	}
 	// Idempotent close; submit after close fails fast.
 	if err := srv.Close(); err != nil {
@@ -309,7 +325,7 @@ func TestCloseDrainsInFlight(t *testing.T) {
 // engine.
 func TestSubmitContextCancel(t *testing.T) {
 	eng := &slowEngine{gate: make(chan struct{})}
-	srv := newServer(t, eng, Options{MaxBatch: 4, Window: time.Hour, QueueDepth: 4, PipelineDepth: 2})
+	srv := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: 4}, Admission: AdmissionOptions{QueueDepth: 4}, Pipeline: PipelineOptions{Depth: 2}})
 	var wg sync.WaitGroup
 	holdDrain(t, srv, &wg)
 
@@ -334,11 +350,11 @@ func TestSubmitContextCancel(t *testing.T) {
 	// The live member may not have been admitted yet when the waiter above
 	// gave up; the gate opens only once it is part of the waiting batch.
 	waitFor(t, "the live member to be admitted", func() bool {
-		return srv.Stats().Trace.Arrivals == uint64(srv.drainSlots())+3 && srv.QueueLen() == 0
+		return srv.Stats().Trace.Arrivals == uint64(srv.opts.Pipeline.Depth)+3 && srv.QueueLen() == 0
 	})
 	close(eng.gate)
 	wg.Wait()
-	if got, want := eng.served.Load(), uint64(srv.drainSlots())+1; got != want {
+	if got, want := eng.served.Load(), uint64(srv.opts.Pipeline.Depth)+1; got != want {
 		t.Errorf("engine served %d queries, want %d (the holders and the live member)", got, want)
 	}
 	// The pre-cancelled submit was dropped only if it won the race into the
@@ -348,14 +364,24 @@ func TestSubmitContextCancel(t *testing.T) {
 	}
 }
 
-// TestCloseWhileFormingConserves closes a server whose planes are all held
-// and whose batcher holds a forming batch, with a shedding queue behind it:
-// every submitted request must resolve as exactly one of served, shed,
-// cancelled or refused by the closed server, every admitted one must be
-// delivered, and the server's own counters must agree.
+// TestCloseWhileFormingConserves closes a server whose planes (or pool
+// workers) are all held and whose batcher holds a forming batch, with a
+// shedding queue behind it: every submitted request must resolve as exactly
+// one of served, shed, cancelled or refused by the closed server, every
+// admitted one must be delivered, and the server's own counters must agree.
 func TestCloseWhileFormingConserves(t *testing.T) {
+	for _, drain := range drains {
+		t.Run(drain.name, func(t *testing.T) { testCloseWhileFormingConserves(t, drain.workerPool) })
+	}
+}
+
+func testCloseWhileFormingConserves(t *testing.T, workerPool bool) {
 	eng := &slowEngine{gate: make(chan struct{})}
-	srv, err := New(eng, Options{MaxBatch: 4, QueueDepth: 4, PipelineDepth: 2, Shed: true, SLA: time.Minute})
+	srv, err := New(eng, Options{
+		Batching:  BatchingOptions{MaxBatch: 4},
+		Admission: AdmissionOptions{QueueDepth: 4, Shed: true, SLA: time.Minute},
+		Pipeline:  PipelineOptions{Depth: 2, WorkerPool: workerPool},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +421,7 @@ func TestCloseWhileFormingConserves(t *testing.T) {
 		}
 	}
 	waitFor(t, "every submitter to arrive and a batch to be forming", func() bool {
-		return srv.Stats().Trace.Arrivals == uint64(srv.drainSlots())+12 && srv.forming.Load()
+		return srv.Stats().Trace.Arrivals == uint64(srv.opts.Pipeline.Depth)+12 && srv.forming.Load()
 	})
 	cancel()
 	closed := make(chan error, 1)
@@ -427,7 +453,7 @@ func TestCloseWhileFormingConserves(t *testing.T) {
 	}
 	// The holders' own requests were served too; holdDrain checked them.
 	st := srv.Stats()
-	if want := ok.Load() + uint64(srv.drainSlots()); st.Queries != want || eng.served.Load() != want {
+	if want := ok.Load() + uint64(srv.opts.Pipeline.Depth); st.Queries != want || eng.served.Load() != want {
 		t.Errorf("%d requests got results; server counted %d, engine served %d", want, st.Queries, eng.served.Load())
 	}
 	if st.Admission.Shed != shed.Load() || st.Admission.CancelDrops != canceled.Load() || st.Admission.DeadlineDrops != 0 {
@@ -439,7 +465,7 @@ func TestCloseWhileFormingConserves(t *testing.T) {
 // a bad query cannot poison its neighbours.
 func TestSubmitRejectsMalformed(t *testing.T) {
 	eng := testEngine(t)
-	srv := newServer(t, eng, Options{MaxBatch: 4, Window: time.Millisecond, Workers: 1})
+	srv := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: 4}})
 	if _, err := srv.Submit(context.Background(), embedding.Query{}); err == nil {
 		t.Error("empty query: want error")
 	}
@@ -458,7 +484,7 @@ func TestSubmitRejectsMalformed(t *testing.T) {
 // timing model.
 func TestValidateSLA(t *testing.T) {
 	eng := testEngine(t)
-	srv := newServer(t, eng, Options{MaxBatch: 8, Window: 100 * time.Microsecond, Workers: 1})
+	srv := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: 8}})
 	// The modeled service time for 8 items is well under a generous budget.
 	if err := srv.ValidateSLA(100 * time.Millisecond); err != nil {
 		t.Errorf("generous budget rejected: %v", err)
@@ -472,35 +498,22 @@ func TestValidateSLA(t *testing.T) {
 // testEngineWithCache builds the test engine with a live hot-row cache.
 func testEngineWithCache(t testing.TB, capacity int64) *core.Engine {
 	t.Helper()
-	spec := model.SmallProduction()
-	params, err := spec.Materialize(model.MaterializeOptions{Seed: 1, MaxRowsPerTable: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := core.SmallFP16()
 	cfg.HotCacheBytes = capacity
-	plan, err := placement.Plan(spec, memsim.U280(cfg.OnChipBanks), placement.Options{EnableCartesian: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := core.Build(params, plan, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng
+	return buildTestEngine(t, cfg)
 }
 
 // TestStatsHotCache checks the serving stats surface the live cache: absent
 // without one, populated (with a warming hit rate and an effective lookup
 // latency below the cold one) when attached.
 func TestStatsHotCache(t *testing.T) {
-	plain := newServer(t, testEngine(t), Options{MaxBatch: 8, Window: 50 * time.Microsecond})
+	plain := newServer(t, testEngine(t), Options{Batching: BatchingOptions{MaxBatch: 8}})
 	if st := plain.Stats(); st.HotCache != nil {
 		t.Error("stats report a hot cache on an engine without one")
 	}
 
 	eng := testEngineWithCache(t, 1<<18)
-	srv := newServer(t, eng, Options{MaxBatch: 8, Window: 50 * time.Microsecond, Workers: 2})
+	srv := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: 8}})
 	qs := randomQueries(t, eng.Spec(), 16, 3)
 	ctx := context.Background()
 	for rep := 0; rep < 4; rep++ {
@@ -539,7 +552,7 @@ func TestStatsHotCache(t *testing.T) {
 // the bounds coincide; with a warm cache the expected latency is no worse
 // than the cold worst case, and the worst case is what ValidateSLA enforces.
 func TestAdmittedLatencyBounds(t *testing.T) {
-	srv := newServer(t, testEngine(t), Options{MaxBatch: 8, Window: 100 * time.Microsecond})
+	srv := newServer(t, testEngine(t), Options{Batching: BatchingOptions{MaxBatch: 8}})
 	worst, expected, err := srv.AdmittedLatencyBounds()
 	if err != nil {
 		t.Fatal(err)
@@ -552,7 +565,7 @@ func TestAdmittedLatencyBounds(t *testing.T) {
 	}
 
 	eng := testEngineWithCache(t, 1<<18)
-	csrv := newServer(t, eng, Options{MaxBatch: 8, Window: 100 * time.Microsecond})
+	csrv := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: 8}})
 	ctx := context.Background()
 	qs := randomQueries(t, eng.Spec(), 8, 9)
 	for rep := 0; rep < 3; rep++ {
@@ -576,7 +589,7 @@ func TestAdmittedLatencyBounds(t *testing.T) {
 // pool, the scenario the -race CI job pins down.
 func TestServeHotCacheRace(t *testing.T) {
 	eng := testEngineWithCache(t, 1<<16)
-	srv := newServer(t, eng, Options{MaxBatch: 16, Window: 100 * time.Microsecond, Workers: 4})
+	srv := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: 16}})
 	ctx := context.Background()
 	qs := randomQueries(t, eng.Spec(), 64, 21)
 	want := make([]float32, len(qs))
@@ -617,26 +630,26 @@ func TestServeHotCacheRace(t *testing.T) {
 }
 
 // TestPipelineModeDefaults checks the default drain is the staged pipeline
-// and that its options validate: depth below 2 is rejected unless the
-// worker-pool fallback is selected.
+// and that its options validate: depth below 2 is rejected unless the worker
+// pool is selected, which needs one worker.
 func TestPipelineModeDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.PipelineDepth != 3 || o.WorkerPool {
+	if o.Pipeline.Depth != 3 || o.Pipeline.WorkerPool {
 		t.Errorf("defaults = %+v, want pipelined drain with depth 3", o)
 	}
-	if err := (Options{PipelineDepth: 1}).withDefaults().Validate(); err == nil {
+	if err := (Options{Pipeline: PipelineOptions{Depth: 1}}).withDefaults().Validate(); err == nil {
 		t.Error("pipeline depth 1: want error")
 	}
-	if err := (Options{PipelineDepth: 1, WorkerPool: true}).withDefaults().Validate(); err != nil {
-		t.Errorf("worker pool ignores pipeline depth: %v", err)
+	if err := (Options{Pipeline: PipelineOptions{Depth: 1, WorkerPool: true}}).withDefaults().Validate(); err != nil {
+		t.Errorf("one pool worker rejected: %v", err)
 	}
 
 	eng := testEngine(t)
-	srv := newServer(t, eng, Options{MaxBatch: 8, Window: 100 * time.Microsecond})
+	srv := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: 8}})
 	if srv.Mode() != "pipeline" {
 		t.Errorf("mode = %q, want pipeline", srv.Mode())
 	}
-	pool := newServer(t, eng, Options{MaxBatch: 8, Window: 100 * time.Microsecond, WorkerPool: true})
+	pool := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: 8}, Pipeline: PipelineOptions{WorkerPool: true}})
 	if pool.Mode() != "worker-pool" {
 		t.Errorf("mode = %q, want worker-pool", pool.Mode())
 	}
@@ -645,36 +658,54 @@ func TestPipelineModeDefaults(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolFallbackServes drives the fallback drain end to end: results
-// stay bit-identical to the per-query datapath and close drains in flight —
-// the PR 2 behaviour, preserved behind the flag.
+// TestWorkerPoolFallbackServes drives both drains end to end over the same
+// queries and checks that they serve one datapath: every CTR is bit-identical
+// to Engine.InferBatch, on a Fixed16 and a Fixed32 engine and behind the
+// sharded tier.
 func TestWorkerPoolFallbackServes(t *testing.T) {
-	eng := testEngine(t)
-	srv := newServer(t, eng, Options{MaxBatch: 8, Window: 200 * time.Microsecond, Workers: 2, WorkerPool: true})
-	qs := randomQueries(t, eng.Spec(), 16, 31)
-	var wg sync.WaitGroup
-	for i := range qs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := srv.Submit(context.Background(), qs[i])
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			want, err := eng.InferOne(qs[i])
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if res.CTR != want {
-				t.Errorf("query %d: CTR %v, want %v", i, res.CTR, want)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if st := srv.Stats(); st.Queries != 16 || st.Mode != "worker-pool" {
-		t.Errorf("stats = %+v", st)
+	fixed16 := testEngine(t)
+	for _, tc := range []struct {
+		name   string
+		eng    *core.Engine
+		shards int
+	}{
+		{"fixed16", fixed16, 0},
+		{"fixed32", buildTestEngine(t, core.SmallFP32()), 0},
+		{"fixed16-shards2", fixed16, 2},
+	} {
+		qs := randomQueries(t, tc.eng.Spec(), 16, 31)
+		want, err := tc.eng.InferBatch(qs, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, drain := range drains {
+			t.Run(tc.name+"/"+drain.name, func(t *testing.T) {
+				srv := newServer(t, tc.eng, Options{
+					Batching: BatchingOptions{MaxBatch: 8},
+					Pipeline: PipelineOptions{Depth: 2, WorkerPool: drain.workerPool},
+					Tier:     TierOptions{Shards: tc.shards},
+				})
+				var wg sync.WaitGroup
+				for i := range qs {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						res, err := srv.Submit(context.Background(), qs[i])
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if math.Float32bits(res.CTR) != math.Float32bits(want[i]) {
+							t.Errorf("query %d: CTR %v, InferBatch %v", i, res.CTR, want[i])
+						}
+					}(i)
+				}
+				wg.Wait()
+				if st := srv.Stats(); st.Queries != uint64(len(qs)) || st.Mode != drain.name {
+					t.Errorf("stats = %+v", st)
+				}
+			})
+		}
 	}
 }
 
@@ -683,7 +714,7 @@ func TestWorkerPoolFallbackServes(t *testing.T) {
 // measured/predicted interval pair once traffic has flowed.
 func TestStatsPipelineSection(t *testing.T) {
 	eng := testEngine(t)
-	srv := newServer(t, eng, Options{MaxBatch: 8, Window: 100 * time.Microsecond, PipelineDepth: 4})
+	srv := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: 8}, Pipeline: PipelineOptions{Depth: 4}})
 	qs := randomQueries(t, eng.Spec(), 16, 37)
 	ctx := context.Background()
 	for rep := 0; rep < 4; rep++ {
@@ -740,51 +771,7 @@ func TestStatsPipelineSection(t *testing.T) {
 // TestCloseDrainsInFlight: closing mid-wave must resolve every accepted
 // request through the remaining stages (run under -race in CI).
 func TestPipelineCloseDrainsInFlight(t *testing.T) {
-	eng := testEngine(t)
-	srv, err := New(eng, Options{MaxBatch: 8, Window: 200 * time.Microsecond, PipelineDepth: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := randomQueries(t, eng.Spec(), 16, 41)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	ok, closed := 0, 0
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for rep := 0; rep < 10; rep++ {
-				_, err := srv.Submit(context.Background(), qs[g])
-				mu.Lock()
-				switch {
-				case err == nil:
-					ok++
-				case errors.Is(err, ErrServerClosed):
-					closed++
-				default:
-					t.Errorf("unexpected error: %v", err)
-				}
-				mu.Unlock()
-			}
-		}(g)
-	}
-	time.Sleep(2 * time.Millisecond)
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if ok == 0 {
-		t.Error("no request served before close")
-	}
-	if closed == 0 {
-		t.Error("no request observed the closed server")
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Submit(context.Background(), qs[0]); !errors.Is(err, ErrServerClosed) {
-		t.Errorf("submit after close = %v, want ErrServerClosed", err)
-	}
+	testCloseDrainsInFlight(t, Options{Batching: BatchingOptions{MaxBatch: 8}, Pipeline: PipelineOptions{Depth: 3}}, 41)
 }
 
 // TestShardsClusterCapacityValidated pins the caller-built-cluster wrap rule:
@@ -797,11 +784,11 @@ func TestShardsClusterCapacityValidated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer clu.Close()
-	if _, err := New(clu, Options{MaxBatch: 8, Shards: 2}); err == nil {
+	if _, err := New(clu, Options{Batching: BatchingOptions{MaxBatch: 8}, Tier: TierOptions{Shards: 2}}); err == nil {
 		t.Fatal("undersized cluster planes accepted")
 	}
 	// A matching capacity is accepted and served on the caller's tier.
-	srv, err := New(clu, Options{MaxBatch: 4, Shards: 2})
+	srv, err := New(clu, Options{Batching: BatchingOptions{MaxBatch: 4}, Tier: TierOptions{Shards: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
 	"microrec/internal/cluster"
 	"microrec/internal/metrics"
@@ -19,8 +18,8 @@ import (
 func fullStats() Stats {
 	return Stats{
 		Mode:     "pipeline",
-		MaxBatch: 64, Workers: 4,
-		Queries: 1000, Batches: 20, QPS: 5000,
+		MaxBatch: 64,
+		Queries:  1000, Batches: 20, QPS: 5000,
 		LatencyUS: LatencySummary{Mean: 100, P50: 90, P95: 150, P99: 200, Max: 300},
 		MeanBatch: 50, BatchOccupancy: 0.78,
 		Admission: AdmissionStats{
@@ -102,8 +101,8 @@ func collectKeys(prefix string, v any, out map[string]bool) {
 // statsSchema is the pinned field-name surface of the /stats JSON document —
 // the serving tier's de-facto API. A failure here means a field was renamed,
 // removed, or added: deliberate changes update this list (and the consumers:
-// dashboards, the loadtest harness, benchdiff's environment gate); accidental
-// ones get caught before they ship.
+// dashboards, the loadtest harness); accidental ones get caught before they
+// ship.
 var statsSchema = []string{
 	"admission",
 	"admission.cancel_drops",
@@ -236,7 +235,6 @@ var statsSchema = []string{
 	"trace.recorded",
 	"trace.ring_size",
 	"trace.sample_every",
-	"workers",
 }
 
 // TestStatsJSONSchemaGolden pins the /stats JSON field names. The document is
@@ -286,7 +284,7 @@ func TestStatsJSONSchemaGolden(t *testing.T) {
 // on the wire but were never added to fullStats.
 func TestStatsLiveMatchesSchema(t *testing.T) {
 	eng := testEngine(t)
-	s := newServer(t, eng, Options{MaxBatch: 8, Window: 100 * time.Microsecond})
+	s := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: 8}})
 	submitTraced(t, s, 16)
 	raw, err := json.Marshal(s.Stats())
 	if err != nil {

@@ -17,11 +17,12 @@
 //     coalesces concurrent predict requests into hardware-sized batches,
 //     drained through a staged pipeline executor whose gather, dense-GEMM
 //     and tail stages overlap over a ring of in-flight batch planes — the
-//     software analogue of the paper's pipelined dataflow (§4.1) — with a
-//     flat engine worker pool as a fallback mode (NewServer), plus
-//     overload protection: a bounded submit queue with fast-fail shedding
-//     and deadline-aware batch formation (ServerOptions.Shed/SLA),
-//   - the sharded serving tier (ServerOptions.Shards): embedding tables
+//     software analogue of the paper's pipelined dataflow (§4.1) — or by a
+//     worker pool that runs each batch through the same stages to
+//     completion (NewServer), plus overload protection: a bounded submit
+//     queue with fast-fail shedding and deadline-aware batch formation
+//     (ServerOptions.Admission),
+//   - the sharded serving tier (ServerOptions.Tier): embedding tables
 //     partitioned across N gather shards by the placement planner's LPT
 //     shard assignment, each micro-batch scattered to the shards and their
 //     partial planes merged before the FC stack runs once — bit-identical
@@ -113,15 +114,11 @@ type (
 	// (one per goroutine).
 	BatchScratch = core.BatchScratch
 	// Server is the batched serving subsystem: a dynamic micro-batcher
-	// drained through the staged pipeline executor (or, in fallback mode,
-	// an engine worker pool) behind response futures.
+	// drained through the staged pipeline executor (or a pool of
+	// run-to-completion workers) behind response futures.
 	Server = serving.Server
 	// ServerOptions configures NewServer. Knobs are grouped into nested
-	// sub-structs (Batching, Admission, Pipeline, Tier, Trace, Router); the
-	// flat top-level fields (MaxBatch, Window, ...) are deprecated
-	// pass-throughs kept for one release — they still work, filling the
-	// nested field they moved to, but setting both spellings to different
-	// values is a validation error.
+	// sub-structs (Batching, Admission, Pipeline, Tier, Trace, Router).
 	ServerOptions = serving.Options
 	// BatchingOptions groups the micro-batcher knobs
 	// (ServerOptions.Batching).
@@ -156,8 +153,8 @@ type (
 	// vs pipesim-predicted steady-state initiation interval.
 	PipelineStats = serving.PipelineStats
 	// ClusterStats is the /stats view of the sharded serving tier
-	// (ServerOptions.Shards > 1): shard partition and per-shard occupancy,
-	// the straggler merge-wait histogram and the imbalance ratio.
+	// (ServerOptions.Tier.Shards > 1): shard partition and per-shard
+	// occupancy, the straggler merge-wait histogram and the imbalance ratio.
 	ClusterStats = serving.ClusterStats
 	// HotCacheInfo is a snapshot of an engine's live hot-row cache
 	// (Engine.HotCache).
@@ -192,7 +189,7 @@ type (
 	PolicyDecisionStats = serving.PolicyDecisionStats
 	// BuildInfo records the binary's provenance — git revision and
 	// cleanliness, Go toolchain, kernel dispatch — as carried in the
-	// build_info section of /stats, /metrics and the BENCH JSONs.
+	// build_info section of /stats, /metrics and the loadtest report.
 	BuildInfo = obs.BuildInfo
 	// TraceSpan is one request's flight-recorder record: per-stage
 	// nanosecond segments, batch context and the serving verdict
@@ -239,13 +236,14 @@ var ErrServerClosed = serving.ErrServerClosed
 var ErrInvalidQuery = serving.ErrInvalidQuery
 
 // ErrOverloaded is Server.Submit's fast-fail shed response when
-// ServerOptions.Shed is set and the bounded submit queue is full (HTTP 429
-// with a Retry-After hint on /predict).
+// ServerOptions.Admission.Shed is set and the bounded submit queue is full
+// (HTTP 429 with a Retry-After hint on /predict).
 var ErrOverloaded = serving.ErrOverloaded
 
-// ErrExpired resolves requests whose serving deadline (ServerOptions.SLA or
-// an earlier context deadline) passed before service: dropped at plane-fill
-// time without spending gather/GEMM work, or completed too late to matter.
+// ErrExpired resolves requests whose serving deadline
+// (ServerOptions.Admission.SLA or an earlier context deadline) passed before
+// service: dropped at plane-fill time without spending gather/GEMM work, or
+// completed too late to matter.
 var ErrExpired = serving.ErrExpired
 
 // ErrNoReplicas is Router.Submit's response when the tier has no active
@@ -304,15 +302,16 @@ func DLRMModel(numTables, dim int) (*Spec, error) { return model.DLRMRMC2(numTab
 func U280(onChipBanks int) MemorySystem { return memsim.U280(onChipBanks) }
 
 // KernelFeatures reports which optimized datapath kernels this build selected
-// at init ("portable" when none): the provenance string bench and loadtest
-// reports record so two perf documents can be compared like for like.
+// at init ("portable" when none): the provenance string the loadtest report
+// and the repository benchmark record so two perf documents can be compared
+// like for like.
 func KernelFeatures() string { return kernels.Features() }
 
 // ReadBuildInfo reports this binary's provenance: the git revision it was
 // built from (when the module was built inside a checkout), whether the tree
 // was dirty, the Go toolchain, and the kernel dispatch string. It is the
-// build_info stamped into /stats, /metrics and the BENCH JSON documents so
-// every measurement names the code that produced it.
+// build_info stamped into /stats, /metrics and the loadtest report so every
+// measurement names the code that produced it.
 func ReadBuildInfo() BuildInfo { return obs.ReadBuild(kernels.Features()) }
 
 // SpanTraceEvents renders flight-recorder spans (Server.Trace) as Chrome
@@ -472,14 +471,14 @@ func PaperCPUModel(modelName string) (CPUModel, error) {
 // coalesces concurrent queries into micro-batches (dispatched the moment the
 // drain can serve one, growing up to MaxBatch while it cannot — an idle server
 // answers a lone query at once), drained by default through the staged
-// pipeline executor
-// — gather, dense-GEMM and tail stages overlapped over a ring of
-// ServerOptions.PipelineDepth batch planes, bit-identical to the monolithic
-// datapath — or by a flat engine worker pool when ServerOptions.WorkerPool
-// is set. With ServerOptions.Shards > 1 the server first wraps the engine in
-// the sharded scatter/gather tier (tables partitioned across shards, partial
-// planes merged before the FC stack; bit-identical by construction). The
-// returned server owns background goroutines; callers must Close it.
+// pipeline executor — gather, dense-GEMM and tail stages overlapped over a
+// ring of ServerOptions.Pipeline.Depth batch planes, bit-identical to the
+// monolithic datapath — or, with ServerOptions.Pipeline.WorkerPool set, by
+// Depth workers that each carry a batch through the same stages on their own
+// plane. With ServerOptions.Tier.Shards > 1 the server first wraps the engine
+// in the sharded scatter/gather tier (tables partitioned across shards,
+// partial planes merged before the FC stack; bit-identical by construction).
+// The returned server owns background goroutines; callers must Close it.
 func NewServer(eng *Engine, opts ServerOptions) (*Server, error) {
 	return serving.New(eng, opts)
 }

@@ -237,9 +237,7 @@ func TestServerPublicSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := microrec.NewServer(eng, microrec.ServerOptions{
-		MaxBatch: 8,
-		Window:   300 * time.Microsecond,
-		Workers:  2,
+		Batching: microrec.BatchingOptions{MaxBatch: 8},
 	})
 	if err != nil {
 		t.Fatal(err)
