@@ -67,12 +67,13 @@ bench-smoke:
 
 # fuzz-smoke gives each fuzz target a short budget (exactly the CI step):
 # enough to replay the corpus and catch shallow regressions in the histogram
-# quantile math, the obs trace/metrics writers, the 16-bit GEMM kernels
-# (every implementation the host can run against the reference) and the
-# gather's row reduction (reciprocal against remainder) without stalling the
-# build.
+# quantile math, the obs trace/metrics writers, the 16- and 32-bit GEMM
+# kernels (every implementation the host can run against the reference) and
+# the gather's row reduction (reciprocal against remainder) without stalling
+# the build.
 fuzz-smoke:
 	$(GO) test ./internal/kernels -fuzz FuzzGemm16Identity -fuzztime 10s -run '^$$'
+	$(GO) test ./internal/kernels -fuzz FuzzGemm32Identity -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/core -fuzz FuzzRowReduce -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/metrics -fuzz FuzzHistogramQuantile -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/obs -fuzz FuzzSpanTraceEvents -fuzztime 10s -run '^$$'

@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"strconv"
 	"time"
 
@@ -75,16 +76,38 @@ func newServeMux(eng *microrec.Engine, srv serveTarget, withPprof bool) *http.Se
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
+		// The body gets as long as the header had, and is read to its end
+		// under that deadline: a reply sent with part of the body unread
+		// first discards the rest, with no bound of its own. On an error the
+		// deadline stays armed, so that discard ends at it.
 		var req predictRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPredictBody)).Decode(&req); err != nil {
+		rc := http.NewResponseController(w)
+		if hs, ok := r.Context().Value(http.ServerContextKey).(*http.Server); ok && hs.ReadHeaderTimeout > 0 {
+			// Errors only where there is no connection (a test recorder).
+			_ = rc.SetReadDeadline(time.Now().Add(hs.ReadHeaderTimeout))
+		}
+		body := http.MaxBytesReader(w, r.Body, maxPredictBody)
+		err := json.NewDecoder(body).Decode(&req)
+		if err == nil {
+			_, err = io.Copy(io.Discard, body)
+		}
+		if err != nil {
 			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
+			switch {
+			case errors.As(err, &tooLarge):
 				http.Error(w, fmt.Sprintf("request body over %d bytes", maxPredictBody), http.StatusRequestEntityTooLarge)
-				return
+			case errors.Is(err, os.ErrDeadlineExceeded):
+				http.Error(w, "request body not received in time", http.StatusRequestTimeout)
+			default:
+				http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 			}
-			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 			return
 		}
+		// Lift the deadline before serving: once the body is done net/http
+		// reads the connection in the background, and the deadline firing
+		// there would cancel the request's context mid-batch. (Errors as
+		// above.)
+		_ = rc.SetReadDeadline(time.Time{})
 		q := make(microrec.Query, len(req.Indices))
 		for i := range req.Indices {
 			q[i] = req.Indices[i]
@@ -192,6 +215,10 @@ const maxPredictBody = 1 << 20
 
 // readHeaderTimeout bounds how long a connection may take to send its request
 // headers, so idle or trickling clients cannot hold connections open forever.
+// /predict gives its body the same time again, read off the serving
+// http.Server. There is no server-wide ReadTimeout: its deadline would stay
+// armed through every handler, and net/http's background read would cancel
+// long ones (a /debug/pprof/profile?seconds=N) when it fired.
 const readHeaderTimeout = 5 * time.Second
 
 // newHTTPServer wraps the API mux in the server the serve command listens

@@ -22,15 +22,19 @@
 	VPMULDQ Z31, a, a;  \
 	VPADDQ  t, a, a
 
-// REDUCE4 sums each of the int32 accumulators a, b, c, d exactly and leaves
-// the four int64 totals in a, split across its 128-bit lanes as
+// WIDEN4 widens the four int32 accumulators a, b, c, d for REDUCE4.
+// Scratch: Z16..Z19.
+#define WIDEN4(a, b, c, d) \
+	WIDEN(a, Z16); \
+	WIDEN(b, Z17); \
+	WIDEN(c, Z18); \
+	WIDEN(d, Z19)
+
+// REDUCE4 sums the eight int64 lanes of each of a, b, c, d and leaves the
+// four totals in a, split across its 128-bit lanes as
 // [a b | a' b' | c d | c' d'] with total(a) = a + a' and so on. Every add is
 // an int64 lane add, which commutes exactly. Scratch: Z16..Z19.
 #define REDUCE4(a, b, c, d) \
-	WIDEN(a, Z16);               \
-	WIDEN(b, Z17);               \
-	WIDEN(c, Z18);               \
-	WIDEN(d, Z19);               \
 	VPUNPCKLQDQ b, a, Z16;       \
 	VPUNPCKHQDQ b, a, Z17;       \
 	VPADDQ      Z17, Z16, a;     \
@@ -140,9 +144,13 @@ tloop:
 	DECQ      BX
 	JNZ       tloop
 
+	WIDEN4(Z0, Z1, Z2, Z3)
 	REDUCE4(Z0, Z1, Z2, Z3)
+	WIDEN4(Z4, Z5, Z6, Z7)
 	REDUCE4(Z4, Z5, Z6, Z7)
+	WIDEN4(Z8, Z9, Z10, Z11)
 	REDUCE4(Z8, Z9, Z10, Z11)
+	WIDEN4(Z12, Z13, Z14, Z15)
 	REDUCE4(Z12, Z13, Z14, Z15)
 	FOLD2(Z0, Z4, Z24)
 	FOLD2(Z8, Z12, Z25)
@@ -243,6 +251,7 @@ rwiden:
 	VPADDD Z5, Z1, Z1
 	VPADDD Z6, Z2, Z2
 	VPADDD Z7, Z3, Z3
+	WIDEN4(Z0, Z1, Z2, Z3)
 	REDUCE4(Z0, Z1, Z2, Z3)
 	FOLD2(Z0, Z0, Z24)
 	TESTQ CX, CX
@@ -256,6 +265,130 @@ rwiden:
 	ADDQ $32, R8
 	DECQ R14
 	JNZ  rgroup
+
+	VZEROUPPER
+	RET
+
+// MUL32(w, s0, s1, s2, s3) adds one step of output w's products with the four
+// activation rows into s0..s3: one plain and one odd-copied-down load of the
+// weight row, eight VPMULDQ, eight VPADDQ. Scratch: Z26..Z31.
+#define MUL32(w, s0, s1, s2, s3) \
+	VMOVDQU64 (w)(AX*1), Z26; \
+	VMOVSHDUP (w)(AX*1), Z27; \
+	VPMULDQ   Z26, Z16, Z28;  \
+	VPMULDQ   Z26, Z17, Z29;  \
+	VPMULDQ   Z26, Z18, Z30;  \
+	VPMULDQ   Z26, Z19, Z31;  \
+	VPADDQ    Z28, s0, s0;    \
+	VPADDQ    Z29, s1, s1;    \
+	VPADDQ    Z30, s2, s2;    \
+	VPADDQ    Z31, s3, s3;    \
+	VPMULDQ   Z27, Z20, Z28;  \
+	VPMULDQ   Z27, Z21, Z29;  \
+	VPMULDQ   Z27, Z22, Z30;  \
+	VPMULDQ   Z27, Z23, Z31;  \
+	VPADDQ    Z28, s0, s0;    \
+	VPADDQ    Z29, s1, s1;    \
+	VPADDQ    Z30, s2, s2;    \
+	VPADDQ    Z31, s3, s3
+
+// func tile4x32(x, w *int32, stride, pitch, groups, blocks int, acc *int64)
+//
+// acc[r*stride + o] = sum_i x[r*stride + i] * w[o*pitch + i]
+// for r in 0..3, o in 0..4*groups, i in 0..16*blocks.
+//
+// VPMULDQ multiplies the low dword of each qword lane into an exact int64:
+// the even elements of a plain load, the odd ones of a VMOVSHDUP load (which
+// copies each odd element down over its even neighbour). Even and odd
+// products add into the same int64 accumulator, whose lane sums commute
+// exactly even under wraparound, so no widening cadence is needed.
+//
+// Register map, per group of four outputs:
+//   Z(4r+o)   int64 sums of (row r, output o)              Z0..Z15
+//   Z16..Z19  the four activation rows of this step (reduction scratch after)
+//   Z20..Z23  the same rows, odd elements copied down
+//   Z24, Z25  int64 totals: rows 0,1 and rows 2,3, four outputs each
+//   Z26..Z31  MUL32's weight vectors and products
+//   SI DI R14 R15  activation rows 0..3      R9..R12  weight rows 0..3
+//   AX  byte offset into every row           DX  pitch in bytes
+//   CX  blocks still to do                   R8  acc for this group
+// groups counts down in its argument slot.
+TEXT ·tile4x32(SB), NOSPLIT, $0-56
+	MOVQ x+0(FP), SI
+	MOVQ w+8(FP), R9
+	MOVQ stride+16(FP), BX
+	MOVQ pitch+24(FP), DX
+	MOVQ acc+48(FP), R8
+
+	LEAQ (SI)(BX*4), DI
+	LEAQ (DI)(BX*4), R14
+	LEAQ (R14)(BX*4), R15
+	SHLQ $2, DX
+	LEAQ (R9)(DX*1), R10
+	LEAQ (R10)(DX*1), R11
+	LEAQ (R11)(DX*1), R12
+
+group32:
+	MOVQ  blocks+40(FP), CX
+	XORQ  AX, AX
+	VPXOR X0, X0, X0
+	VPXOR X1, X1, X1
+	VPXOR X2, X2, X2
+	VPXOR X3, X3, X3
+	VPXOR X4, X4, X4
+	VPXOR X5, X5, X5
+	VPXOR X6, X6, X6
+	VPXOR X7, X7, X7
+	VPXOR X8, X8, X8
+	VPXOR X9, X9, X9
+	VPXOR X10, X10, X10
+	VPXOR X11, X11, X11
+	VPXOR X12, X12, X12
+	VPXOR X13, X13, X13
+	VPXOR X14, X14, X14
+	VPXOR X15, X15, X15
+
+loop32:
+	VMOVDQU64 (SI)(AX*1), Z16
+	VMOVDQU64 (DI)(AX*1), Z17
+	VMOVDQU64 (R14)(AX*1), Z18
+	VMOVDQU64 (R15)(AX*1), Z19
+	VMOVSHDUP (SI)(AX*1), Z20
+	VMOVSHDUP (DI)(AX*1), Z21
+	VMOVSHDUP (R14)(AX*1), Z22
+	VMOVSHDUP (R15)(AX*1), Z23
+	MUL32(R9, Z0, Z4, Z8, Z12)
+	MUL32(R10, Z1, Z5, Z9, Z13)
+	MUL32(R11, Z2, Z6, Z10, Z14)
+	MUL32(R12, Z3, Z7, Z11, Z15)
+	ADDQ $64, AX
+	DECQ CX
+	JNZ  loop32
+
+	VPXORQ Z24, Z24, Z24
+	VPXORQ Z25, Z25, Z25
+	REDUCE4(Z0, Z1, Z2, Z3)
+	REDUCE4(Z4, Z5, Z6, Z7)
+	REDUCE4(Z8, Z9, Z10, Z11)
+	REDUCE4(Z12, Z13, Z14, Z15)
+	FOLD2(Z0, Z4, Z24)
+	FOLD2(Z8, Z12, Z25)
+
+	MOVQ          stride+16(FP), BX
+	SHLQ          $3, BX     // acc row stride in bytes
+	LEAQ          (R8)(BX*2), AX
+	VEXTRACTI64X4 $0, Z24, (R8)
+	VEXTRACTI64X4 $1, Z24, (R8)(BX*1)
+	VEXTRACTI64X4 $0, Z25, (AX)
+	VEXTRACTI64X4 $1, Z25, (AX)(BX*1)
+
+	LEAQ (R9)(DX*4), R9      // next four weight rows
+	LEAQ (R10)(DX*4), R10
+	LEAQ (R11)(DX*4), R11
+	LEAQ (R12)(DX*4), R12
+	ADDQ $32, R8
+	DECQ groups+32(FP)
+	JNZ  group32
 
 	VZEROUPPER
 	RET

@@ -17,7 +17,8 @@ func init() {
 		Impl[GemmFunc[int16]]{"avx2-vpmaddwd16", gemm16AVX2, noAVX2},
 		Impl[GemmFunc[int16]]{"avx512-vnni16", gemm16VNNI, noAVX512})
 	Gemm32Impls = append(Gemm32Impls,
-		Impl[GemmFunc[int32]]{"avx2-vpmuldq32", gemm32AVX2, noAVX2})
+		Impl[GemmFunc[int32]]{"avx2-vpmuldq32", gemm32AVX2, noAVX2},
+		Impl[GemmFunc[int32]]{"avx512-vpmuldq32", gemm32AVX512, noAVX512})
 	Finish16Impls = append(Finish16Impls,
 		Impl[FinishFunc[int16]]{"avx512-epilogue", finishRow16AVX512, noAVX512})
 	Finish32Impls = append(Finish32Impls,
@@ -128,6 +129,17 @@ func tile4x16(x, w *int16, stride, pitch, groups, blocks, cadence int, acc *int6
 //go:noescape
 func row4x16(x, w *int16, pitch, groups, blocks, cadence int, acc *int64)
 
+// tile4x32 is the AVX-512 32-bit tile kernel (avx512_amd64.s): tile4x16's
+// contract over int32 rows, blocks*16 elements long, with no cadence. Per
+// group, sixteen zmm registers each hold one (row, output) pair's eight int64
+// sums; a step of two loads per activation row and two per weight row (plain
+// and VMOVSHDUP, as in dot4x32) feeds 32 VPMULDQ, 256 exact products. Even
+// and odd products share an accumulator: int64 lane sums commute exactly even
+// under wraparound.
+//
+//go:noescape
+func tile4x32(x, w *int32, stride, pitch, groups, blocks int, acc *int64)
+
 // finish8x16 and finish8x32 are the AVX-512 row epilogue (avx512_amd64.s):
 // fixedpoint.FinishRow's arithmetic, eight int64 lanes per step, over n
 // accumulators (a final partial vector is masked), narrowed into int16 or
@@ -216,6 +228,31 @@ func gemm32AVX2(X []int32, Acc []int64, b, stride int, w *Weights[int32]) {
 			x := &X[qi*stride]
 			for j := j0; j < j1; j += outGroup {
 				dot4x32(x, &w.WT[j*w.InP], w.InP, blocks, &Acc[qi*stride+j])
+			}
+		}
+	}
+}
+
+// gemm32AVX512 is the 32-bit batch GEMM on AVX-512: gemm16VNNI's walk, four
+// query rows at a time through the VPMULDQ register tile, and the b mod 4
+// remainder rows one at a time through the AVX2 kernel.
+//
+//microrec:noalloc
+func gemm32AVX512(X []int32, Acc []int64, b, stride int, w *Weights[int32]) {
+	if b == 0 {
+		return
+	}
+	_, _ = X[(b-1)*stride+w.InP-1], Acc[(b-1)*stride+w.OutP-1]
+	for j0 := 0; j0 < w.OutP; j0 += gemmColBlock {
+		j1 := min(j0+gemmColBlock, w.OutP)
+		qi := 0
+		for ; qi+4 <= b; qi += 4 {
+			tile4x32(&X[qi*stride], &w.WT[j0*w.InP], stride, w.InP, (j1-j0)/outGroup, w.InP/16, &Acc[qi*stride+j0])
+		}
+		for ; qi < b; qi++ {
+			x := &X[qi*stride]
+			for j := j0; j < j1; j += outGroup {
+				dot4x32(x, &w.WT[j*w.InP], w.InP, w.InP/8, &Acc[qi*stride+j])
 			}
 		}
 	}

@@ -10,9 +10,9 @@
 // paper evaluates its 16- and 32-bit datapaths as different hardware; so does
 // this package: the 16-bit GEMM multiplies int16 pairs into int32 partial
 // sums (VPDPWSSD, 32 MACs per instruction, or VPMADDWD, 16), the 32-bit GEMM
-// multiplies int32 lanes into int64 (VPMULDQ, 4 per instruction), and a
-// 16-bit model streams a quarter of the bytes a one-size-fits-all int64
-// layout would.
+// multiplies int32 lanes into int64 (VPMULDQ, 8 per zmm instruction, 4 per
+// ymm), and a 16-bit model streams a quarter of the bytes a
+// one-size-fits-all int64 layout would.
 //
 // The paper's thesis is that recommendation inference is bounded by data
 // movement, not FLOPs, so the inner loops must be shaped for the hardware:
@@ -291,7 +291,7 @@ func dispatch[F any](impls []Impl[F]) F {
 var featureTags []string
 
 // Features reports which kernel paths are live, e.g.
-// "avx512-vnni16+avx2-vpmuldq32+avx512-epilogue+prefetch-t0+batched-quantize"
+// "avx512-vnni16+avx512-vpmuldq32+avx512-epilogue+prefetch-t0+batched-quantize"
 // on a host with AVX-512 VNNI,
 // "avx2-vpmaddwd16+avx2-vpmuldq32+prefetch-t0+batched-quantize" on one with
 // AVX2 only, or "portable" when every kernel is the reference (the noasm

@@ -172,17 +172,27 @@ func TestGemmBitIdentityShapes(t *testing.T) {
 // TestGemm32WraparoundIdentity drives int64 accumulators into overflow: raws
 // at the 32-bit extremes over a long row make partial sums wrap. Wrapping
 // addition still commutes, so the kernels must agree bit for bit even here.
+// Row counts 1..9 cover the remainder rows alone, the four-row tile alone (4,
+// 8) and both; each runs on a packed plane and on one with stride slack.
 func TestGemm32WraparoundIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	const b, in, out = 2, 2048, 4
+	const maxB, in, out = 9, 2048, 8
 	extremes := []int32{math.MinInt32, math.MaxInt32}
 	w := Pack(in, out, func(i, j int) int32 { return extremes[rng.Intn(2)] })
-	X := make([]int32, b*in)
-	for i := range X {
-		X[i] = extremes[rng.Intn(2)]
+	strides := []int{in, in + Lane}
+	planes := make([][]int32, len(strides))
+	for s, stride := range strides {
+		planes[s] = make([]int32, maxB*stride)
+		for i := range planes[s] {
+			planes[s][i] = extremes[rng.Intn(2)]
+		}
 	}
 	kernel32.each(t, func(t *testing.T, gemm GemmFunc[int32]) {
-		kernel32.compare(t, gemm, X, b, in, &w)
+		for b := 1; b <= maxB; b++ {
+			for s, stride := range strides {
+				kernel32.compare(t, gemm, planes[s][:b*stride], b, stride, &w)
+			}
+		}
 	})
 }
 
@@ -281,41 +291,58 @@ func TestGemm16AdversarialSaturation(t *testing.T) {
 	})
 }
 
-// FuzzGemm16Identity fuzzes the batch shape, the plane's stride slack and
-// the raw values (vals, read as little-endian int16s and cycled over the
+// fuzz is the body of the GEMM fuzz targets: it takes the batch shape (b
+// 1..9, in 1..256, out 1..40), the plane's stride slack (0..2 Lanes) and the
+// raw values (vals, read as little-endian elements of T and cycled over the
 // weights and then the plane, padding lanes included) and demands that every
 // implementation this host can run equals GemmRef.
+func (k gemmKernel[T]) fuzz(t *testing.T, fb, fin, fout, fslack uint8, vals []byte) {
+	b, in, out, slack := 1+int(fb%9), 1+int(fin), 1+int(fout%40), int(fslack%3)
+	size := int(unsafe.Sizeof(T(0)))
+	next := 0
+	val := func() T {
+		if len(vals) < size {
+			return 0
+		}
+		if next+size > len(vals) {
+			next = 0
+		}
+		var v uint64
+		for i := size - 1; i >= 0; i-- {
+			v = v<<8 | uint64(vals[next+i])
+		}
+		next += size
+		return T(v)
+	}
+	w := Pack(in, out, func(i, j int) T { return val() })
+	stride := max(w.InP, w.OutP) + slack*Lane
+	X := make([]T, b*stride)
+	for i := range X {
+		X[i] = val()
+	}
+	for _, impl := range *k.impls {
+		if impl.Missing == "" {
+			k.compare(t, impl.Fn, X, b, stride, &w)
+		}
+	}
+}
+
+// FuzzGemm16Identity fuzzes every 16-bit GEMM against GemmRef.
 func FuzzGemm16Identity(f *testing.F) {
 	f.Add(uint8(4), uint8(32), uint8(4), uint8(0), []byte{1, 0, 255, 255})
 	f.Add(uint8(6), uint8(47), uint8(17), uint8(1), []byte{0, 128, 255, 127, 3})       // extremes, K = 0
 	f.Add(uint8(9), uint8(255), uint8(5), uint8(2), []byte{0, 64, 1, 192, 255, 63, 7}) // K = 1 with remainder rows
 	f.Add(uint8(1), uint8(0), uint8(0), uint8(0), []byte{})
-	f.Fuzz(func(t *testing.T, fb, fin, fout, fslack uint8, vals []byte) {
-		b, in, out, slack := 1+int(fb%9), 1+int(fin), 1+int(fout%40), int(fslack%3)
-		next := 0
-		val := func() int16 {
-			if len(vals) < 2 {
-				return 0
-			}
-			if next+2 > len(vals) {
-				next = 0
-			}
-			v := int16(vals[next]) | int16(vals[next+1])<<8
-			next += 2
-			return v
-		}
-		w := Pack(in, out, func(i, j int) int16 { return val() })
-		stride := max(w.InP, w.OutP) + slack*Lane
-		X := make([]int16, b*stride)
-		for i := range X {
-			X[i] = val()
-		}
-		for _, impl := range Gemm16Impls {
-			if impl.Missing == "" {
-				kernel16.compare(t, impl.Fn, X, b, stride, &w)
-			}
-		}
-	})
+	f.Fuzz(kernel16.fuzz)
+}
+
+// FuzzGemm32Identity fuzzes every 32-bit GEMM against GemmRef.
+func FuzzGemm32Identity(f *testing.F) {
+	f.Add(uint8(4), uint8(32), uint8(4), uint8(0), []byte{1, 0, 0, 0, 255, 255, 255, 255})
+	f.Add(uint8(6), uint8(47), uint8(17), uint8(1), []byte{0, 0, 0, 128, 255, 255, 255, 127, 3}) // extremes, tile plus remainder
+	f.Add(uint8(8), uint8(255), uint8(39), uint8(2), []byte{0, 0, 0, 128, 0, 0, 0, 128})         // MinInt32 squared, two tiles
+	f.Add(uint8(1), uint8(0), uint8(0), uint8(0), []byte{})
+	f.Fuzz(kernel32.fuzz)
 }
 
 // abs16 is |v| saturated to int16 (-32768 stays -32768: the one magnitude

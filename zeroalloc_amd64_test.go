@@ -23,7 +23,8 @@ func init() {
 		return func() { gemm(k16.x, k16.acc, k16.b, k16.stride, &k16.w) }
 	})...)
 	zeroallocArch = append(zeroallocArch, implCases("gemm32", kernels.Gemm32Impls, map[string]string{
-		"avx2-vpmuldq32": "internal/kernels.gemm32AVX2",
+		"avx2-vpmuldq32":   "internal/kernels.gemm32AVX2",
+		"avx512-vpmuldq32": "internal/kernels.gemm32AVX512",
 	}, func(gemm kernels.GemmFunc[int32]) func() {
 		return func() { gemm(k32.x, k32.acc, k32.b, k32.stride, &k32.w) }
 	})...)
