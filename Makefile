@@ -68,9 +68,9 @@ bench-smoke:
 # fuzz-smoke gives each fuzz target a short budget (exactly the CI step):
 # enough to replay the corpus and catch shallow regressions in the histogram
 # quantile math, the obs trace/metrics writers, the 16- and 32-bit GEMM
-# kernels (every implementation the host can run against the reference) and
-# the gather's row reduction (reciprocal against remainder) without stalling
-# the build.
+# kernels (every implementation the host can run against the reference), the
+# gather's row reduction (reciprocal against remainder) and raw /predict
+# bodies (never a panic or a 500) without stalling the build.
 fuzz-smoke:
 	$(GO) test ./internal/kernels -fuzz FuzzGemm16Identity -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/kernels -fuzz FuzzGemm32Identity -fuzztime 10s -run '^$$'
@@ -78,6 +78,7 @@ fuzz-smoke:
 	$(GO) test ./internal/metrics -fuzz FuzzHistogramQuantile -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/obs -fuzz FuzzSpanTraceEvents -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/obs -fuzz FuzzMetricWriter -fuzztime 10s -run '^$$'
+	$(GO) test ./cmd/microrec -fuzz FuzzPredictRequest -fuzztime 10s -run '^$$'
 
 # vulncheck scans the module against the Go vulnerability database when
 # govulncheck is installed; skipped (with a note) where it isn't — the tool

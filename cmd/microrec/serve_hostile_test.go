@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strings"
 	"testing"
 	"time"
 
@@ -46,7 +45,7 @@ func TestServeHostileInput(t *testing.T) {
 		}
 	}()
 
-	oversized := `{"indices":[[` + strings.Repeat("0,", maxPredictBody/2+512) + `0]]}`
+	oversized := oversizedPredictBody()
 	cases := []struct {
 		name    string
 		request string
@@ -55,10 +54,10 @@ func TestServeHostileInput(t *testing.T) {
 		want int
 	}{
 		{"oversized body", fmt.Sprintf("POST /predict HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n%s", len(oversized), oversized), http.StatusRequestEntityTooLarge},
-		{"malformed body under the limit", "POST /predict HTTP/1.1\r\nHost: t\r\nContent-Length: 4\r\n\r\n{bad", http.StatusBadRequest},
+		{"malformed body under the limit", "POST /predict HTTP/1.1\r\nHost: t\r\nContent-Length: 4\r\n\r\n" + malformedPredictBody, http.StatusBadRequest},
 		{"slow header", "POST /predict HTTP/1.1\r\nHost: t\r\n", 0},
-		{"stalled body", "POST /predict HTTP/1.1\r\nHost: t\r\nContent-Length: 100\r\n\r\n{\"indices\":[[0],", http.StatusRequestTimeout},
-		{"stalled after a complete value", "POST /predict HTTP/1.1\r\nHost: t\r\nContent-Length: 100\r\n\r\n{\"indices\":[]}", http.StatusRequestTimeout},
+		{"stalled body", "POST /predict HTTP/1.1\r\nHost: t\r\nContent-Length: 100\r\n\r\n" + truncatedPredictBody, http.StatusRequestTimeout},
+		{"stalled after a complete value", "POST /predict HTTP/1.1\r\nHost: t\r\nContent-Length: 100\r\n\r\n" + emptyPredictBody, http.StatusRequestTimeout},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

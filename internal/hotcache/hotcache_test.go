@@ -1,6 +1,11 @@
 package hotcache
 
 import (
+	"container/list"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -202,13 +207,210 @@ func TestStatsConsistencyProperty(t *testing.T) {
 	}
 }
 
+func TestNewRejectsCapacityPastSlotRange(t *testing.T) {
+	if _, err := New(maxCapacity); err != nil {
+		t.Errorf("capacity %d: %v", int64(maxCapacity), err)
+	}
+	if _, err := New(maxCapacity + 1); err == nil {
+		t.Errorf("capacity %d: want error (slot numbers are int32)", int64(maxCapacity)+1)
+	}
+}
+
+// refLRU is the container/list LRU that Cache's slab layout replaced, kept
+// as the reference TestCacheMatchesReferenceLRU compares against.
+type refLRU struct {
+	capacity, used int64
+	hits, misses   int64
+	ll             *list.List
+	index          map[refKey]*list.Element
+}
+
+type refKey struct {
+	table int
+	row   int64
+}
+
+type refEntry struct {
+	key   refKey
+	bytes int
+	hits  int64
+}
+
+func newRefLRU(capacity int64) *refLRU {
+	return &refLRU{capacity: capacity, ll: list.New(), index: make(map[refKey]*list.Element)}
+}
+
+func (c *refLRU) Lookup(table int, row int64, bytes int) bool {
+	if bytes <= 0 || int64(bytes) > c.capacity {
+		c.misses++
+		return false
+	}
+	k := refKey{table: table, row: row}
+	if el, ok := c.index[k]; ok {
+		c.ll.MoveToFront(el)
+		c.hits++
+		el.Value.(*refEntry).hits++
+		return true
+	}
+	c.misses++
+	for c.used+int64(bytes) > c.capacity {
+		oldest := c.ll.Back()
+		if oldest == nil {
+			break
+		}
+		ev := oldest.Value.(*refEntry)
+		c.used -= int64(ev.bytes)
+		delete(c.index, ev.key)
+		c.ll.Remove(oldest)
+	}
+	c.index[k] = c.ll.PushFront(&refEntry{key: k, bytes: bytes})
+	c.used += int64(bytes)
+	return false
+}
+
+func (c *refLRU) ForEachEntry(fn func(table int, row int64, bytes int, hits int64)) {
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*refEntry)
+		fn(e.key.table, e.key.row, e.bytes, e.hits)
+	}
+}
+
+func (c *refLRU) Stats() Stats {
+	return Stats{Hits: c.hits, Misses: c.misses, UsedBytes: c.used, Entries: c.ll.Len()}
+}
+
+func (c *refLRU) ResetStats() { c.hits, c.misses = 0, 0 }
+
+type entryRec struct {
+	table int
+	row   int64
+	bytes int
+	hits  int64
+}
+
+// entriesOf records what a ForEachEntry walk reports, in order.
+func entriesOf(forEach func(func(table int, row int64, bytes int, hits int64))) []entryRec {
+	var out []entryRec
+	forEach(func(table int, row int64, bytes int, hits int64) {
+		out = append(out, entryRec{table: table, row: row, bytes: bytes, hits: hits})
+	})
+	return out
+}
+
+// TestCacheMatchesReferenceLRU is the slab cache's equivalence proof by
+// experiment: random streams must give the reference LRU's hit or miss on
+// every call, its Stats after every call, and its MRU→LRU entry sequence
+// with per-entry hits. Trials vary the capacity (down to one byte), the
+// table count, row sizes (uncacheable 0 and > capacity included, and a key
+// looked up again with a different size), uniform and heavy-head row draws,
+// and a ResetStats mid-stream.
+func TestCacheMatchesReferenceLRU(t *testing.T) {
+	const trials, ops = 200, 5000
+	for trial := 0; trial < trials; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		var capacity int64
+		switch rng.Intn(4) {
+		case 0:
+			capacity = 1
+		case 1:
+			capacity = 1 + rng.Int63n(64)
+		case 2:
+			capacity = 1 + rng.Int63n(4096)
+		default:
+			capacity = 1 + rng.Int63n(1<<16)
+		}
+		tables := 1 + rng.Intn(5)
+		rowSpace := 1 + rng.Int63n(2000)
+		// Each table has a usual row size; a few calls use another.
+		sizes := make([]int, tables)
+		for i := range sizes {
+			sizes[i] = 1 + rng.Intn(128)
+		}
+		var draw func() int64
+		if rng.Intn(2) == 0 {
+			draw = func() int64 { return rng.Int63n(rowSpace) }
+		} else {
+			z := rand.NewZipf(rng, 1.1, 1, uint64(rowSpace-1))
+			draw = func() int64 { return int64(z.Uint64()) }
+		}
+		resetAt := rng.Intn(ops)
+
+		got, err := New(capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := newRefLRU(capacity)
+		for op := 0; op < ops; op++ {
+			if op == resetAt {
+				got.ResetStats()
+				want.ResetStats()
+			}
+			table, row := rng.Intn(tables), draw()
+			bytes := sizes[table]
+			switch r := rng.Intn(100); {
+			case r == 0:
+				bytes = 0
+			case r == 1:
+				bytes = int(capacity) + 1 + rng.Intn(8)
+			case r < 5:
+				bytes = 1 + rng.Intn(128)
+			}
+			if g, w := got.Lookup(table, row, bytes), want.Lookup(table, row, bytes); g != w {
+				t.Fatalf("trial %d op %d: Lookup(%d, %d, %d) = %v, reference %v", trial, op, table, row, bytes, g, w)
+			}
+			if g, w := got.Stats(), want.Stats(); g != w {
+				t.Fatalf("trial %d op %d: Stats %+v, reference %+v", trial, op, g, w)
+			}
+			if op%97 == 0 || op == ops-1 {
+				if g, w := entriesOf(got.ForEachEntry), entriesOf(want.ForEachEntry); !reflect.DeepEqual(g, w) {
+					t.Fatalf("trial %d op %d: ForEachEntry differs from the reference:\n got %v\nwant %v", trial, op, g, w)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkLookup drives a cycle of 47×4096 distinct 64-byte rows through
+// 1 MiB of capacity, so every lookup misses and evicts — the cache's most
+// expensive steady state. cache is the bare LRU; live adds the shard hash
+// and an uncontended shard mutex; live-parallel runs the live cache from
+// goroutines on 2 procs, so the lock's share shows under contention.
 func BenchmarkLookup(b *testing.B) {
-	c, err := New(1 << 20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Lookup(i%47, int64(i%4096), 64)
-	}
+	b.Run("cache", func(b *testing.B) {
+		c, err := New(1 << 20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c.Lookup(i%47, int64(i%4096), 64)
+		}
+	})
+	b.Run("live", func(b *testing.B) {
+		l, err := NewLive(1<<20, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			l.Lookup(i%47, int64(i%4096), 64)
+		}
+	})
+	b.Run("live-parallel", func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+		l, err := NewLive(1<<20, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var start atomic.Int64
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			// Goroutines start far apart in the key cycle.
+			i := int(start.Add(1) * 7919)
+			for pb.Next() {
+				l.Lookup(i%47, int64(i%4096), 64)
+				i++
+			}
+		})
+	})
 }

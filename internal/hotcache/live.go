@@ -64,7 +64,7 @@ func NewLive(capacityBytes int64, shards int) (*Live, error) {
 		}
 		c, err := New(cap)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("hotcache: capacity %d over %d shards: %w", capacityBytes, shards, err)
 		}
 		l.shards[i].c = c
 	}
@@ -87,6 +87,8 @@ func (l *Live) shardOf(id int, row int64) *liveShard {
 // Lookup records one access of `bytes` bytes against row `row` of access
 // stream `id`, inserting on miss (see Cache.Lookup). It is safe for
 // concurrent use.
+//
+//microrec:noalloc
 func (l *Live) Lookup(id int, row int64, bytes int) bool {
 	s := l.shardOf(id, row)
 	s.mu.Lock()

@@ -14,6 +14,12 @@ func TestNewLiveValidation(t *testing.T) {
 	if _, err := NewLive(-5, 4); err == nil {
 		t.Error("negative capacity: want error")
 	}
+	if _, err := NewLive(2*maxCapacity, 2); err != nil {
+		t.Errorf("%d bytes over 2 shards: %v", 2*int64(maxCapacity), err)
+	}
+	if _, err := NewLive(2*maxCapacity+1, 2); err == nil {
+		t.Error("a shard past the per-cache limit: want error")
+	}
 	l, err := NewLive(3, 8)
 	if err != nil {
 		t.Fatal(err)

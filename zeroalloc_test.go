@@ -36,6 +36,7 @@ import (
 	"microrec/internal/core"
 	"microrec/internal/embedding"
 	"microrec/internal/fixedpoint"
+	"microrec/internal/hotcache"
 	"microrec/internal/kernels"
 	"microrec/internal/memsim"
 	"microrec/internal/model"
@@ -112,6 +113,40 @@ func zeroallocCases(t *testing.T) []allocCase {
 	eng.EnsurePlane(&gatherScratch, b)
 	preds := make([]float32, b)
 
+	// The cached engine's hot-row cache holds fewer rows than one batch
+	// touches, so every gather both hits and evicts. Repeating the batch makes
+	// the cache's contents periodic within a few passes; the warm-up reaches
+	// that state, after which neither the slab nor the index grows.
+	cachedCfg := cfg
+	cachedCfg.HotCacheBytes = 4 << 10
+	cachedEng, err := core.Build(params, plan, cachedCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cachedScratch core.BatchScratch
+	cachedEng.EnsurePlane(&cachedScratch, b)
+	for i := 0; i < 8; i++ {
+		cachedEng.GatherIntoPlane(qs, &cachedScratch)
+	}
+	warm, _ := cachedEng.HotCache()
+	cachedEng.GatherIntoPlane(qs, &cachedScratch)
+	if st, _ := cachedEng.HotCache(); st.Hits == warm.Hits || st.Misses == warm.Misses || st.Entries != warm.Entries {
+		t.Fatalf("a warm cached gather should hit and evict at constant occupancy: before %+v, after %+v", warm, st)
+	}
+
+	// A full 16-row cache: each run hits the row it keeps most recent, misses
+	// a fresh row (evicting the least recent) and looks up an uncacheable one.
+	const lruRowBytes = 64
+	lru, err := hotcache.New(16 * lruRowBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lruFresh := int64(0)
+	for ; lruFresh < 32; lruFresh++ {
+		lru.Lookup(0, lruFresh, lruRowBytes)
+	}
+	lruHot := lruFresh - 1
+
 	tables := make([]int, eng.PhysicalTables())
 	for i := range tables {
 		tables[i] = i
@@ -185,6 +220,27 @@ func zeroallocCases(t *testing.T) []allocCase {
 			run: func() {
 				eng.GatherIntoPlane(qs, &gatherScratch)
 				eng.GatherIntoPlane(qs[:1], &gatherScratch)
+			},
+		},
+		{
+			// core/gather-inline's gather with the engine's live hot-row
+			// cache attached.
+			name:   "core/gather-cached",
+			covers: []string{"internal/hotcache.Live.Lookup"},
+			run:    func() { cachedEng.GatherIntoPlane(qs, &cachedScratch) },
+		},
+		{
+			name:   "hotcache/lookup",
+			covers: []string{"internal/hotcache.Cache.Lookup"},
+			run: func() {
+				if !lru.Lookup(0, lruHot, lruRowBytes) {
+					t.Fatal("hot row evicted")
+				}
+				if lru.Lookup(0, lruFresh, lruRowBytes) {
+					t.Fatal("fresh row hit")
+				}
+				lruFresh++
+				lru.Lookup(0, lruFresh, 0)
 			},
 		},
 		{
