@@ -295,23 +295,23 @@ func MaterializeProduct(pt PhysicalTable, sources []*embedding.Table) (*Material
 			pt.Name(), rows*dim, MaxMaterializeElements)
 	}
 	m := &Materialized{Table: pt, Data: offheap.Floats(int(rows * dim)), srcRows: srcRows}
-	idx := make([]int64, len(sources))
-	for r := int64(0); r < rows; r++ {
-		// Decompose r into materialised source indices.
-		rem := r
-		for i := len(sources) - 1; i >= 0; i-- {
-			idx[i] = rem % srcRows[i]
-			rem /= srcRows[i]
-		}
-		off := r * dim
+	// An odometer over the sources' rows, the last source fastest: at[i] is
+	// where source i's current row starts in its storage. Rows are a few
+	// floats, so an element loop beats a copy call.
+	at := make([]int, len(sources))
+	for dst := m.Data; len(dst) > 0; {
 		for i, s := range sources {
-			v, err := s.Lookup(idx[i])
-			if err != nil {
-				m.Release()
-				return nil, err
+			row := s.Data()[at[i]:][:s.Dim]
+			for k, v := range row {
+				dst[k] = v
 			}
-			copy(m.Data[off:off+int64(s.Dim)], v)
-			off += int64(s.Dim)
+			dst = dst[len(row):]
+		}
+		for i := len(sources) - 1; i >= 0; i-- {
+			if at[i] += sources[i].Dim; at[i] < len(sources[i].Data()) {
+				break
+			}
+			at[i] = 0
 		}
 	}
 	return m, nil

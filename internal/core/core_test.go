@@ -10,6 +10,7 @@ import (
 	"microrec/internal/memsim"
 	"microrec/internal/model"
 	"microrec/internal/placement"
+	"microrec/internal/tensor"
 )
 
 func buildEngine(t testing.TB, spec *model.Spec, cfg Config, cart bool) *Engine {
@@ -201,6 +202,49 @@ func TestInferOneInRange(t *testing.T) {
 		if p < 0 || p > 1 {
 			t.Errorf("CTR prediction %v outside [0,1]", p)
 		}
+	}
+}
+
+// transposedReference is ReferenceOne's former form: every layer through
+// MatVec over a freshly transposed weight matrix.
+func transposedReference(t *testing.T, e *Engine, q embedding.Query) float32 {
+	x, err := e.Gather(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l := range e.dims {
+		y, err := tensor.MatVec(e.params.Weights[l].Transpose(), x, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range y {
+			y[j] += e.params.Biases[l][j]
+		}
+		if l < len(e.dims)-1 {
+			tensor.ReLU(y)
+		}
+		x = y
+	}
+	out := []float32{x[0]}
+	tensor.Sigmoid(out)
+	return out[0]
+}
+
+// TestReferenceOneMatchesTransposedForm pins the transpose-free float
+// reference bit for bit to the MatVec(Wᵀ, x) form on both production models.
+func TestReferenceOneMatchesTransposedForm(t *testing.T) {
+	for _, spec := range []*model.Spec{model.SmallProduction(), model.LargeProduction()} {
+		e := buildEngine(t, spec, SmallFP16(), true)
+		for i, q := range randomQueries(spec, 16, 5) {
+			got, err := e.ReferenceOne(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := transposedReference(t, e, q); math.Float32bits(got) != math.Float32bits(want) {
+				t.Errorf("%s query %d: ReferenceOne %v, transposed form %v", spec.Name, i, got, want)
+			}
+		}
+		e.Close()
 	}
 }
 

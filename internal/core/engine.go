@@ -125,32 +125,13 @@ func Build(params *model.Parameters, plan *placement.Result, cfg Config) (_ *Eng
 	} else {
 		e.dp = newFixedPath(f, spec, params, kernels.Gemm32, kernels.FinishRow32, func(s *BatchScratch) *[]int32 { return &s.x32 })
 	}
-	// Physically materialise the (capacity-scaled) Cartesian products, as
-	// the DRAM image on the FPGA would hold them; oversized products keep
-	// the virtual per-source path.
-	e.products = make([]*cartesian.Materialized, len(plan.Layout.Tables))
 	defer func() {
 		if err != nil {
 			e.releaseProducts() // they live outside the heap: nothing else would
 		}
 	}()
-	for pi, pt := range plan.Layout.Tables {
-		if !pt.IsProduct() {
-			continue
-		}
-		srcs := make([]*embedding.Table, len(pt.Sources))
-		for i, src := range pt.Sources {
-			tab, err := store.Table(src.ID)
-			if err != nil {
-				return nil, err
-			}
-			srcs[i] = tab
-		}
-		m, err := cartesian.MaterializeProduct(pt, srcs)
-		if err != nil {
-			continue // too large: virtual fallback
-		}
-		e.products[pi] = m
+	if err := e.materializeProducts(); err != nil {
+		return nil, err
 	}
 	if cfg.HotCacheBytes > 0 {
 		live, err := hotcache.NewLive(cfg.HotCacheBytes, 0)
@@ -204,6 +185,43 @@ func (e *Engine) Close() error {
 		e.params.Release()
 	}
 	return err
+}
+
+// materializeProducts physically builds the plan's (capacity-scaled)
+// Cartesian products, as the DRAM image on the FPGA would hold them. They are
+// independent tables, built on up to GOMAXPROCS goroutines; a product too
+// large to materialise stays nil and keeps the virtual per-source path. Every
+// build has finished when it returns, so Build's deferred release sees them
+// all.
+func (e *Engine) materializeProducts() error {
+	e.products = make([]*cartesian.Materialized, len(e.plan.Layout.Tables))
+	var (
+		wg    sync.WaitGroup
+		slots = make(chan struct{}, runtime.GOMAXPROCS(0))
+	)
+	defer wg.Wait()
+	for pi, pt := range e.plan.Layout.Tables {
+		if !pt.IsProduct() {
+			continue
+		}
+		srcs := make([]*embedding.Table, len(pt.Sources))
+		for i, src := range pt.Sources {
+			tab, err := e.store.Table(src.ID)
+			if err != nil {
+				return err
+			}
+			srcs[i] = tab
+		}
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-slots; wg.Done() }()
+			if m, err := cartesian.MaterializeProduct(pt, srcs); err == nil {
+				e.products[pi] = m
+			}
+		}()
+	}
+	return nil
 }
 
 func (e *Engine) releaseProducts() {
@@ -315,7 +333,7 @@ func (e *Engine) ReferenceOne(q embedding.Query) (float32, error) {
 	}
 	x := feat
 	for l := range e.dims {
-		y, err := tensor.MatVec(e.params.Weights[l].Transpose(), x, nil)
+		y, err := tensor.VecMat(x, e.params.Weights[l])
 		if err != nil {
 			return 0, err
 		}
@@ -332,6 +350,13 @@ func (e *Engine) ReferenceOne(q embedding.Query) (float32, error) {
 	return out[0], nil
 }
 
+// inferStrip bounds the queries Infer runs through one scratch at a time. A
+// plane sized for a whole chunk is garbage the size of the batch — 42 MB of
+// activation and accumulator planes for the benchmark's 4 096-query pool on
+// production-small — and a collection during it sets a heap goal that
+// outlives the call.
+const inferStrip = 256
+
 // InferResult bundles predictions with the hardware timing model's report.
 type InferResult struct {
 	Predictions []float32
@@ -342,9 +367,10 @@ type InferResult struct {
 // datapath, and through the timing model as a back-to-back item stream (the
 // accelerator has no batching, §4.1). Queries are validated once at entry;
 // the functional computation then splits the batch across goroutines, each
-// running the blocked batch kernel with its own scratch — the engine is
-// immutable after Build, so concurrent chunks are safe. Predictions are
-// bit-identical to per-query InferOne.
+// running the blocked batch kernel over its chunk in strips of inferStrip
+// queries on its own scratch — the engine is immutable after Build, so
+// concurrent chunks are safe. Predictions are bit-identical to per-query
+// InferOne.
 func (e *Engine) Infer(queries []embedding.Query) (*InferResult, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("core: no queries")
@@ -371,12 +397,17 @@ func (e *Engine) Infer(queries []embedding.Query) (*InferResult, error) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			if _, err := e.inferBatchValidated(queries[lo:hi], preds[lo:hi], nil); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
+			var s BatchScratch
+			for ; lo < hi; lo += inferStrip {
+				end := min(lo+inferStrip, hi)
+				if _, err := e.inferBatchValidated(queries[lo:end], preds[lo:end], &s); err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
+					return
 				}
-				mu.Unlock()
 			}
 		}(lo, hi)
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 
+	"microrec/internal/cartesian"
+	"microrec/internal/embedding"
 	"microrec/internal/model"
 )
 
@@ -18,6 +20,37 @@ func TestProductsAreMaterialized(t *testing.T) {
 	plain := buildEngine(t, spec, SmallFP16(), false)
 	if got := plain.MaterializedProducts(); got != 0 {
 		t.Errorf("plain engine materialized %d products", got)
+	}
+}
+
+// TestConcurrentProductsMatchSerial builds the large model's fourteen
+// products concurrently (under -race, the check that their builds share
+// nothing writable) and holds each to a serial build from the same sources.
+func TestConcurrentProductsMatchSerial(t *testing.T) {
+	e := buildEngine(t, model.LargeProduction(), LargeFP16(), true)
+	defer e.Close()
+	if got := e.MaterializedProducts(); got != 14 {
+		t.Fatalf("materialized products = %d, want 14 (Table 3's merge count)", got)
+	}
+	for pi, m := range e.products {
+		if m == nil {
+			continue
+		}
+		pt := e.plan.Layout.Tables[pi]
+		srcs := make([]*embedding.Table, len(pt.Sources))
+		for i, src := range pt.Sources {
+			srcs[i], _ = e.store.Table(src.ID)
+		}
+		want, err := cartesian.MaterializeProduct(pt, srcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range want.Data {
+			if m.Data[k] != want.Data[k] {
+				t.Fatalf("product %s differs at %d", pt.Name(), k)
+			}
+		}
+		want.Release()
 	}
 }
 
@@ -50,10 +83,12 @@ func TestMaterializedGatherMatchesVirtual(t *testing.T) {
 	}
 }
 
+// TestParallelInferMatchesSequential covers chunks of one to several strips
+// (600 queries: strips of inferStrip and a remainder on one or two workers).
 func TestParallelInferMatchesSequential(t *testing.T) {
 	spec := model.SmallProduction()
 	e := buildEngine(t, spec, SmallFP16(), true)
-	qs := randomQueries(spec, 24, 7)
+	qs := randomQueries(spec, 600, 7)
 	batch, err := e.Infer(qs)
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ package model
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"runtime"
 
 	"microrec/internal/offheap"
 	"microrec/internal/tensor"
@@ -340,8 +340,16 @@ const DefaultMaxRows = 2048
 
 // Materialize creates deterministic parameters for the spec. Embedding values
 // are drawn uniform in [-1, 1); FC weights use scaled uniform (Xavier-style)
-// initialisation so activations stay inside the fixed-point range.
+// initialisation so activations stay inside the fixed-point range. The values
+// are those of rand.New(rand.NewSource(Seed)).Float32()*2 - 1, drawn table by
+// table and then layer by layer (weights, then bias), each scaled as above;
+// the drawing runs on GOMAXPROCS goroutines (see stream.go).
 func (s *Spec) Materialize(opts MaterializeOptions) (*Parameters, error) {
+	return s.materialize(opts, runtime.GOMAXPROCS(0))
+}
+
+// materialize is Materialize with the converter count explicit.
+func (s *Spec) materialize(opts MaterializeOptions, workers int) (*Parameters, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -352,38 +360,30 @@ func (s *Spec) Materialize(opts MaterializeOptions) (*Parameters, error) {
 	if maxRows < 1 {
 		return nil, fmt.Errorf("model: MaxRowsPerTable %d", maxRows)
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
 	p := &Parameters{
 		Spec:       s,
 		Embeddings: make([][]float32, len(s.Tables)),
 		ActualRows: make([]int64, len(s.Tables)),
 	}
+	var segs []segment
 	for i, t := range s.Tables {
 		rows := t.Rows
 		if rows > maxRows {
 			rows = maxRows
 		}
 		p.ActualRows[i] = rows
-		data := offheap.Floats(int(rows) * t.Dim)
-		for j := range data {
-			data[j] = rng.Float32()*2 - 1
-		}
-		p.Embeddings[i] = data
+		p.Embeddings[i] = offheap.Floats(int(rows) * t.Dim)
+		segs = append(segs, segment{p.Embeddings[i], 1})
 	}
 	for _, d := range s.LayerDims() {
 		in, out := d[0], d[1]
 		w := tensor.NewMatrix(in, out)
-		scale := float32(1 / math.Sqrt(float64(in)))
-		for j := range w.Data {
-			w.Data[j] = (rng.Float32()*2 - 1) * scale
-		}
 		b := make([]float32, out)
-		for j := range b {
-			b[j] = (rng.Float32()*2 - 1) * 0.1
-		}
+		segs = append(segs, segment{w.Data, float32(1 / math.Sqrt(float64(in)))}, segment{b, 0.1})
 		p.Weights = append(p.Weights, w)
 		p.Biases = append(p.Biases, b)
 	}
+	fill(opts.Seed, segs, workers)
 	return p, nil
 }
 

@@ -74,7 +74,7 @@ func Calibrate(params *model.Parameters, queries []embedding.Query, width int) (
 		maxIn = math.Max(maxIn, maxAbs32(feat))
 		x := feat
 		for l := range dims {
-			y, err := tensor.MatVec(params.Weights[l].Transpose(), x, nil)
+			y, err := tensor.VecMat(x, params.Weights[l])
 			if err != nil {
 				return Scheme{}, err
 			}
@@ -238,7 +238,7 @@ func (m *Model) Reference(q embedding.Query) (float32, error) {
 	}
 	x := feat
 	for l := range m.dims {
-		y, err := tensor.MatVec(m.params.Weights[l].Transpose(), x, nil)
+		y, err := tensor.VecMat(x, m.params.Weights[l])
 		if err != nil {
 			return 0, err
 		}

@@ -162,6 +162,22 @@ func MatVec(a *Matrix, x []float32, y []float32) ([]float32, error) {
 	return y, nil
 }
 
+// VecMat computes y = xᵀ * A for a length-k vector and a (k x n) matrix.
+// Each y[j] accumulates x[i]*A[i][j] over i ascending from zero: per output,
+// the float32 operations of MatVec(A.Transpose(), x), without the transpose.
+func VecMat(x []float32, a *Matrix) ([]float32, error) {
+	if a.Rows != len(x) {
+		return nil, fmt.Errorf("tensor: VecMat shape mismatch %d*(%dx%d)", len(x), a.Rows, a.Cols)
+	}
+	y := make([]float32, a.Cols)
+	for i, xi := range x {
+		for j, v := range a.Row(i) {
+			y[j] += v * xi
+		}
+	}
+	return y, nil
+}
+
 // AddBias adds bias (length Cols) to every row of m in place.
 func AddBias(m *Matrix, bias []float32) error {
 	if len(bias) != m.Cols {

@@ -126,6 +126,34 @@ func TestMatVec(t *testing.T) {
 	}
 }
 
+// TestVecMatMatchesTransposedMatVec holds VecMat bit for bit to MatVec over
+// the transpose, zeros in x included (a ReLU output has many).
+func TestVecMatMatchesTransposedMatVec(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, sh := range [][2]int{{1, 1}, {3, 2}, {352, 64}, {200, 1}} {
+		a := randomMatrix(rng, sh[0], sh[1])
+		x := make([]float32, sh[0])
+		for i := range x {
+			if rng.Intn(3) > 0 {
+				x[i] = rng.Float32()*4 - 2
+			}
+		}
+		got, err := VecMat(x, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := MatVec(a.Transpose(), x, nil)
+		for j := range want {
+			if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+				t.Fatalf("%dx%d: y[%d] = %v, want %v", sh[0], sh[1], j, got[j], want[j])
+			}
+		}
+	}
+	if _, err := VecMat([]float32{1}, NewMatrix(2, 2)); err == nil {
+		t.Error("VecMat length mismatch: want error")
+	}
+}
+
 func TestTranspose(t *testing.T) {
 	a, _ := FromRows([][]float32{{1, 2, 3}, {4, 5, 6}})
 	at := a.Transpose()

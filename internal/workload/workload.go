@@ -69,11 +69,14 @@ func NewGenerator(spec *model.Spec, dist Distribution, seed int64) (*Generator, 
 // Spec returns the generator's model.
 func (g *Generator) Spec() *model.Spec { return g.spec }
 
-// Next produces one query.
+// Next produces one query. Its per-table index slices share one backing
+// array, table after table, each capped at its own length.
 func (g *Generator) Next() embedding.Query {
 	q := make(embedding.Query, len(g.spec.Tables))
+	all := make([]int64, g.spec.NumLookups())
 	for i, t := range g.spec.Tables {
-		idxs := make([]int64, t.Lookups)
+		idxs := all[:t.Lookups:t.Lookups]
+		all = all[t.Lookups:]
 		for k := range idxs {
 			switch g.dist {
 			case Zipf:

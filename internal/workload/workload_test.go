@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"microrec/internal/embedding"
 	"microrec/internal/model"
 )
 
@@ -124,6 +125,72 @@ func TestMultiLookupModel(t *testing.T) {
 		if len(q[i]) != 4 {
 			t.Errorf("DLRM table %d: %d lookups, want 4", i, len(q[i]))
 		}
+	}
+}
+
+// perTableNext is Next's former layout, one allocation per table.
+func perTableNext(g *Generator) embedding.Query {
+	q := make(embedding.Query, len(g.spec.Tables))
+	for i, t := range g.spec.Tables {
+		idxs := make([]int64, t.Lookups)
+		for k := range idxs {
+			switch g.dist {
+			case Zipf:
+				idxs[k] = int64(g.zipfs[i].Uint64())
+			default:
+				idxs[k] = g.rng.Int63n(t.Rows)
+			}
+		}
+		q[i] = idxs
+	}
+	return q
+}
+
+// TestNextMatchesPerTableLayout holds the one-array query to the layout it
+// replaced: the same draws in the same order, so the same indices, on a
+// single-lookup and a multi-lookup model under both distributions. Each
+// table's slice is capped, so appending to one cannot overwrite the next.
+func TestNextMatchesPerTableLayout(t *testing.T) {
+	rmc2, err := model.DLRMRMC2(8, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []*model.Spec{model.LargeProduction(), rmc2} {
+		for _, dist := range []Distribution{Uniform, Zipf} {
+			g, err := NewGenerator(spec, dist, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := NewGenerator(spec, dist, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n := 0; n < 50; n++ {
+				q, want := g.Next(), perTableNext(ref)
+				for i := range want {
+					if len(q[i]) != len(want[i]) || cap(q[i]) != len(want[i]) {
+						t.Fatalf("%s %v query %d table %d: len %d cap %d, want %d", spec.Name, dist, n, i, len(q[i]), cap(q[i]), len(want[i]))
+					}
+					for k := range want[i] {
+						if q[i][k] != want[i][k] {
+							t.Fatalf("%s %v query %d table %d lookup %d: %d, want %d", spec.Name, dist, n, i, k, q[i][k], want[i][k])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNextAllocatesTwice pins Next at two allocations, the table slice and
+// the one index array, whatever the table count.
+func TestNextAllocatesTwice(t *testing.T) {
+	g, err := NewGenerator(model.LargeProduction(), Uniform, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { g.Next() }); n != 2 {
+		t.Errorf("Next allocates %v times, want 2", n)
 	}
 }
 
