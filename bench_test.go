@@ -376,11 +376,12 @@ func BenchmarkServeBatched(b *testing.B) {
 // the micro-batcher feeds a ring of batch planes whose gather, dense-GEMM
 // and tail stages run on separate goroutines, so batch i+1's channel-
 // parallel gather overlaps batch i's GEMM. Besides ns/query (ns/op) and
-// queries/s it reports the executor's measured steady-state batch interval
-// next to pipesim's prediction for the same measured stage times and the
-// serial (un-overlapped) sum — interval-us below serial-us is the gather/
-// GEMM overlap at work (on multi-core hosts; a single-core runner
-// interleaves rather than overlaps the stages).
+// queries/s it reports the drain's measured steady-state batch interval next
+// to the server's closed-form prediction over the same measured stage times
+// and the serial (un-overlapped) sum — interval-us below serial-us is the
+// gather/GEMM overlap at work (on multi-core hosts; a single-core runner
+// interleaves rather than overlaps the stages). BenchmarkServeBatched reports
+// the same three for the worker pool, so the drains compare side by side.
 func BenchmarkServePipelined(b *testing.B) {
 	benchServeDrain(b, microrec.ServerOptions{
 		Batching: microrec.BatchingOptions{MaxBatch: 64},
@@ -483,7 +484,7 @@ func benchServeDrain(b *testing.B, opts microrec.ServerOptions) {
 	b.ReportMetric(st.MeanBatch, "mean-batch")
 	if st.Pipeline != nil {
 		b.ReportMetric(st.Pipeline.MeasuredIntervalUS, "interval-us")
-		b.ReportMetric(st.Pipeline.PredictedIntervalUS, "sim-interval-us")
+		b.ReportMetric(st.Pipeline.PredictedIntervalUS, "pred-interval-us")
 		b.ReportMetric(st.Pipeline.SerialIntervalUS, "serial-us")
 	}
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // loadtestReport is the JSON document `microrec loadtest` emits: the
-// open-loop sweep's per-level results, the measured knee, and the
-// pipesim-predicted capacity it is judged against.
+// open-loop sweep's per-level results, the measured knee, and the server's
+// predicted capacity it is judged against.
 type loadtestReport struct {
 	Benchmark     string  `json:"benchmark"`
 	Model         string  `json:"model"`
@@ -45,9 +45,10 @@ type loadtestReport struct {
 	Points []microrec.LoadPoint `json:"points"`
 	// KneeQPS is the highest offered rate that met the SLA.
 	KneeQPS float64 `json:"knee_qps"`
-	// PredictedCapacityQPS is pipesim's capacity estimate over the measured
-	// stage times (Server.CapacityQPS) after the sweep — the model the
-	// measured knee is cross-checked against.
+	// PredictedCapacityQPS is the server's capacity estimate after the sweep
+	// (Server.CapacityQPS: MaxBatch over the closed-form batch interval on
+	// the measured stage times, in either drain) — the model the measured
+	// knee is cross-checked against.
 	PredictedCapacityQPS float64 `json:"predicted_capacity_qps"`
 	// Admission echoes the server's final admission counters.
 	Admission microrec.AdmissionStats `json:"admission"`
@@ -286,7 +287,7 @@ func cmdLoadtest(args []string) error {
 			p.TargetQPS, p.AdmittedQPS, p.AdmittedLatencyUS.P50, p.AdmittedLatencyUS.P99,
 			p.LateP99US, p.ShedLatencyUS.P99, p.Shed, p.Expired, verdict)
 	}
-	fmt.Fprintf(progress, "\nknee: %.0f qps meeting the %v SLA (pipesim-predicted capacity %.0f qps)\n",
+	fmt.Fprintf(progress, "\nknee: %.0f qps meeting the %v SLA (predicted capacity %.0f qps)\n",
 		rep.KneeQPS, *slaBudget, rep.PredictedCapacityQPS)
 	if rep.Router != nil {
 		fmt.Fprintf(progress, "router: %d replicas, policy %s, aggregate hot-cache hit rate %.3f (baseline %.3f, lift %+.3f)\n",

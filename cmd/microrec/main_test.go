@@ -376,7 +376,7 @@ func TestServeFlagValidation(t *testing.T) {
 // TestServeMuxPipelineOptions builds the serving stack exactly as cmdServe
 // does for the accepted flag combinations — the default pipelined drain with
 // an explicit -pipeline-depth, and -worker-pool with -pipeline-depth 1 (one
-// worker) — and checks /stats reflects the drain mode.
+// worker) — and checks /stats reflects the drain mode and depth.
 func TestServeMuxPipelineOptions(t *testing.T) {
 	mux, _ := testMux(t, microrec.ServerOptions{
 		Batching: microrec.BatchingOptions{MaxBatch: 4},
@@ -402,7 +402,7 @@ func TestServeMuxPipelineOptions(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Mode != "worker-pool" || st.Pipeline != nil {
+	if st.Mode != "worker-pool" || st.Pipeline == nil || st.Pipeline.Depth != 1 {
 		t.Errorf("worker-pool /stats = %+v", st)
 	}
 }

@@ -119,7 +119,7 @@ func newServeMux(eng *microrec.Engine, srv serveTarget, withPprof bool) *http.Se
 				http.Error(w, err.Error(), http.StatusBadRequest)
 			case errors.Is(err, microrec.ErrOverloaded):
 				// Load shed: tell the client when a queue slot should free
-				// (the pipesim-predicted steady-state batch interval,
+				// (the predicted steady-state batch interval,
 				// rounded up to the header's whole-second granularity).
 				retry := int(math.Ceil(srv.RetryAfter().Seconds()))
 				if retry < 1 {

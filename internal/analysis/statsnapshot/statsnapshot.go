@@ -13,8 +13,8 @@
 // calls on receiver-rooted paths — s.BoundNS(), s.latencyUS.Snapshot());
 // the report phase takes the transitive closure and flags any snapshot
 // method whose acquisition events name the same mutex path twice.
-// TryLock is not an acquisition: a try-lock single-flight (the serving
-// tier's predictor refresh) opts out of blocking and of this rule.
+// TryLock is not an acquisition: a try-lock single-flight opts out of
+// blocking and of this rule.
 // Indexed paths (s.shards[i].mu) are not tracked — per-shard aggregation
 // under per-shard locks is a different, legitimate pattern.
 package statsnapshot

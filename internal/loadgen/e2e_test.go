@@ -16,7 +16,7 @@ import (
 // TestLoadtestSmokeEndToEnd drives a real shedding server open-loop past
 // saturation: it calibrates the achievable rate with a deliberately
 // overloaded burst, sweeps a ladder through 8x that rate, and asserts the
-// measured knee stays at or below the pipesim-predicted capacity while the
+// measured knee stays at or below the server's predicted capacity while the
 // admitted tail holds through overload — the acceptance shape of the
 // `microrec loadtest` subcommand, in miniature.
 func TestLoadtestSmokeEndToEnd(t *testing.T) {
@@ -93,15 +93,15 @@ func TestLoadtestSmokeEndToEnd(t *testing.T) {
 		t.Fatalf("no load level met the SLA; points: %+v", sweep.Points)
 	}
 
-	// The knee cannot exceed what the pipeline can sustain: pipesim's
-	// predicted capacity over the measured stage times bounds it (slack for
+	// The knee cannot exceed what the pipeline can sustain: the predicted
+	// capacity over the measured stage times bounds it (slack for
 	// measurement noise on a shared CI host).
 	predicted := srv.CapacityQPS()
 	if predicted <= 0 {
-		t.Fatal("no pipesim capacity prediction after traffic")
+		t.Fatal("no capacity prediction after traffic")
 	}
 	if sweep.KneeQPS > 1.25*predicted {
-		t.Errorf("knee %v qps exceeds pipesim-predicted capacity %v qps", sweep.KneeQPS, predicted)
+		t.Errorf("knee %v qps exceeds predicted capacity %v qps", sweep.KneeQPS, predicted)
 	}
 
 	// Past-saturation behaviour: the top rung must shed rather than let the

@@ -8,14 +8,16 @@ import (
 // Rolling is a fixed-capacity, thread-safe ring of timestamped observations.
 // It backs the serving /stats endpoint: the ring keeps the most recent N
 // samples, and Snapshot summarises them (order statistics plus an arrival
-// rate over the retained span).
+// rate over the retained span). A running sum of the retained samples makes
+// Mean O(1), cheap enough for a per-request reader.
 type Rolling struct {
 	mu    sync.Mutex
 	vals  []float64
 	times []time.Time
-	head  int    // next write position
-	n     int    // live samples, <= len(vals)
-	total uint64 // lifetime observation count
+	head  int     // next write position
+	n     int     // live samples, <= len(vals)
+	total uint64  // lifetime observation count
+	sum   float64 // sum of the live samples
 }
 
 // NewRolling creates a ring retaining the last `capacity` observations.
@@ -33,6 +35,10 @@ func NewRolling(capacity int) *Rolling {
 // roughly monotone (the rate estimate divides by the retained span).
 func (r *Rolling) Observe(now time.Time, v float64) {
 	r.mu.Lock()
+	if r.n == len(r.vals) {
+		r.sum -= r.vals[r.head] // the sample being overwritten leaves the window
+	}
+	r.sum += v
 	r.vals[r.head] = v
 	r.times[r.head] = now
 	r.head = (r.head + 1) % len(r.vals)
@@ -41,6 +47,18 @@ func (r *Rolling) Observe(now time.Time, v float64) {
 	}
 	r.total++
 	r.mu.Unlock()
+}
+
+// Mean is the mean of the retained samples (0 when empty), kept as a running
+// sum so it costs no sort. Integer-valued samples (nanosecond durations) sum
+// exactly, so it then equals Snapshot's Summary.Mean bit for bit.
+func (r *Rolling) Mean() float64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.n == 0 {
+		return 0
+	}
+	return r.sum / float64(r.n)
 }
 
 // RollingSnapshot is a point-in-time view of a Rolling window.

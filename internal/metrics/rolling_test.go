@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -72,6 +73,26 @@ func TestRollingRateSmallN(t *testing.T) {
 	one.Observe(base, 9)
 	if got := one.Snapshot(base.Add(time.Second)).RatePerSec; got != 0 {
 		t.Errorf("1 sample: rate = %v, want 0", got)
+	}
+}
+
+// TestRollingMeanMatchesSummary pins the running-sum mean against the sorted
+// summary's, exactly, on nanosecond-valued samples before and long after the
+// ring wraps: the samples leaving the window must leave the sum with them.
+func TestRollingMeanMatchesSummary(t *testing.T) {
+	r := NewRolling(16)
+	if got := r.Mean(); got != 0 {
+		t.Fatalf("empty mean = %v, want 0", got)
+	}
+	rng := rand.New(rand.NewSource(3))
+	base := time.Unix(0, 0)
+	for i := 0; i < 200; i++ {
+		// Durations from about a microsecond to a second, so a stale sample
+		// left in the sum would show.
+		r.Observe(base.Add(time.Duration(i)*time.Millisecond), float64(rng.Int63n(int64(1)<<(10+rng.Intn(21)))))
+		if got, want := r.Mean(), r.Snapshot(base).Summary.Mean; got != want {
+			t.Fatalf("after %d samples: Mean %v, Summarize mean %v", i+1, got, want)
+		}
 	}
 }
 

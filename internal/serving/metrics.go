@@ -58,31 +58,30 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	m.Counter("microrec_deadline_drops_total", "Requests dropped at plane fill: deadline unmeetable.", float64(adm.DeadlineDrops))
 	m.Counter("microrec_cancel_drops_total", "Requests dropped at plane fill: context cancelled.", float64(adm.CancelDrops))
 	m.Counter("microrec_late_completions_total", "Requests served past their deadline.", float64(adm.LateCompletions))
-	m.Gauge("microrec_knee_qps", "Estimated serving capacity (pipesim-predicted knee).", adm.KneeQPS)
+	m.Gauge("microrec_knee_qps", "Estimated serving capacity (MaxBatch per predicted batch interval).", adm.KneeQPS)
 	m.Gauge("microrec_retry_after_ms", "Backoff hint handed to shed clients.", adm.RetryAfterMS)
 	if adm.SLAMS > 0 {
 		m.Gauge("microrec_sla_ms", "Per-request serving deadline.", adm.SLAMS)
 	}
 
-	// Pipelined drain: per-stage occupancy and the measured vs predicted
-	// steady-state initiation interval.
-	if p := st.Pipeline; p != nil {
-		m.Gauge("microrec_pipeline_depth", "Batch-plane ring size.", float64(p.Depth))
-		m.Gauge("microrec_pipeline_in_flight", "Planes currently occupied.", float64(p.InFlight))
-		m.Counter("microrec_pipeline_completed_total", "Batches delivered by the pipeline.", float64(p.Completed))
-		m.Gauge("microrec_pipeline_measured_interval_us", "Measured steady-state initiation interval.", p.MeasuredIntervalUS)
-		m.Gauge("microrec_pipeline_predicted_interval_us", "Pipesim-predicted initiation interval.", p.PredictedIntervalUS)
-		m.Gauge("microrec_pipeline_serial_interval_us", "Sum of mean stage times (non-overlapped interval).", p.SerialIntervalUS)
-		sb := m.Family("microrec_stage_batches_total", "Batches served per pipeline stage.", "counter")
-		sm := m.Family("microrec_stage_mean_service_us", "Rolling mean stage service time.", "gauge")
-		sp := m.Family("microrec_stage_p99_service_us", "Rolling p99 stage service time.", "gauge")
-		so := m.Family("microrec_stage_occupancy", "Fraction of recent wall time the stage was busy.", "gauge")
-		for _, stg := range p.Stages {
-			sb.Obs(float64(stg.Batches), "stage", stg.Name)
-			sm.Obs(stg.MeanServiceUS, "stage", stg.Name)
-			sp.Obs(stg.P99ServiceUS, "stage", stg.Name)
-			so.Obs(stg.Occupancy, "stage", stg.Name)
-		}
+	// Drain service meter (either drain): per-stage occupancy and the
+	// measured vs predicted steady-state batch interval.
+	p := st.Pipeline
+	m.Gauge("microrec_pipeline_depth", "Batches in service at once (planes, or pool workers).", float64(p.Depth))
+	m.Gauge("microrec_pipeline_in_flight", "Batches currently in service.", float64(p.InFlight))
+	m.Counter("microrec_pipeline_completed_total", "Batches delivered by the drain.", float64(p.Completed))
+	m.Gauge("microrec_pipeline_measured_interval_us", "Measured steady-state batch interval.", p.MeasuredIntervalUS)
+	m.Gauge("microrec_pipeline_predicted_interval_us", "Predicted steady-state batch interval (closed form over mean stage times).", p.PredictedIntervalUS)
+	m.Gauge("microrec_pipeline_serial_interval_us", "Sum of mean stage times (non-overlapped interval).", p.SerialIntervalUS)
+	sb := m.Family("microrec_stage_batches_total", "Batches served per drain stage.", "counter")
+	sm := m.Family("microrec_stage_mean_service_us", "Rolling mean stage service time.", "gauge")
+	sp := m.Family("microrec_stage_p99_service_us", "Rolling p99 stage service time.", "gauge")
+	so := m.Family("microrec_stage_occupancy", "Fraction of recent wall time the stage was busy.", "gauge")
+	for _, stg := range p.Stages {
+		sb.Obs(float64(stg.Batches), "stage", stg.Name)
+		sm.Obs(stg.MeanServiceUS, "stage", stg.Name)
+		sp.Obs(stg.P99ServiceUS, "stage", stg.Name)
+		so.Obs(stg.Occupancy, "stage", stg.Name)
 	}
 
 	// Sharded tier: straggler merge waits and per-shard gather occupancy.

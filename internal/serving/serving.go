@@ -8,6 +8,8 @@
 // worker-pool drain (Options.Pipeline.WorkerPool) serves the same planes
 // through the same stage calls and differs only in scheduling: each of Depth
 // workers owns one plane and carries its batch through all three stages.
+// Either way the server meters each delivered batch's stage times itself
+// (serviceMeter): headroom, capacity, Retry-After and /stats all read it.
 //
 // This is the serving seam the paper argues for (§2.3): per-query serving —
 // one synchronous inference per HTTP request, the TensorFlow-Serving
@@ -233,17 +235,8 @@ type Server struct {
 	cancelDrops   atomic.Uint64
 	late          atomic.Uint64
 
-	// Worker-pool batch service meter, gather entry to tail exit (the
-	// pipelined drain meters its stages inside the executor instead): feeds
-	// the deadline-drop headroom.
-	wpServiceNS atomic.Int64
-	wpBatches   atomic.Uint64
-
-	// Cached pipesim prediction (see predictedIntervalNS): every shed 429's
-	// Retry-After reads it, so it must not cost a simulation per rejection.
-	predMu sync.Mutex // single-flight refresh
-	predNS atomic.Int64
-	predAt atomic.Int64 // unix nanos of the last successful refresh
+	// meter is the per-stage service meter both drains feed from deliver.
+	meter *serviceMeter
 
 	latencyUS *metrics.Rolling // per-query wall latency, µs
 	occupancy *metrics.Rolling // dispatched batch sizes
@@ -326,6 +319,7 @@ func New(eng Engine, opts Options) (*Server, error) {
 		latencyHist: metrics.NewHistogram(0.01, 1e7),
 		latencyUS:   metrics.NewRolling(opts.Batching.StatsWindow),
 		occupancy:   metrics.NewRolling(opts.Batching.StatsWindow),
+		meter:       newServiceMeter(opts.Pipeline.Depth, !opts.Pipeline.WorkerPool),
 		rec:         obs.NewRecorder(traceRingSize, opts.Trace.Sample),
 		buildInfo:   obs.ReadBuild(kernels.Features()),
 		timingCache: make(map[timingKey]core.TimingReport),
@@ -567,21 +561,6 @@ func (s *Server) batcher() {
 	}
 }
 
-// serviceHeadroomNS estimates the time a batch entering service now still
-// needs to complete: the pipelined drain's lifetime mean plane service (sum
-// of stage means), or the worker pool's mean gather-to-tail batch time. 0
-// until traffic has measured it.
-func (s *Server) serviceHeadroomNS() float64 {
-	if s.pipe != nil {
-		return s.pipe.MeanBatchServiceNS()
-	}
-	n := s.wpBatches.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(s.wpServiceNS.Load()) / float64(n)
-}
-
 // resolveExpired classifies one request at service time: nil while it is
 // still worth serving; otherwise its future is resolved with the error, the
 // matching drop counter is bumped, and the error is returned.
@@ -644,10 +623,7 @@ func (s *Server) worker() {
 			t2 := time.Now()
 			pb.ObserveStage(pipeline.StageDense, t1, t2)
 			s.eng.TailFromPlane(b, &plane, preds[:b])
-			t3 := time.Now()
-			pb.ObserveStage(pipeline.StageTail, t2, t3)
-			s.wpServiceNS.Add(int64(t3.Sub(t0)))
-			s.wpBatches.Add(1)
+			pb.ObserveStage(pipeline.StageTail, t2, time.Now())
 			s.deliver(pb, preds[:b])
 		} else {
 			pb.release()
@@ -656,14 +632,16 @@ func (s *Server) worker() {
 	}
 }
 
-// batchTrace carries one batch's stage boundary stamps and gather record from
-// the drain to complete(), where sampled requests' spans are assembled. Both
-// drains fill it through pipeline.PlaneObserver: the executor's stage loops
-// (plain stores on the stage goroutines, read only after delivery — the
-// executor's channel hand-offs order the accesses), or the pool worker that
-// runs all three stages itself. It lives inside the (pooled) batch, so
-// steady-state tracing allocates nothing.
+// batchTrace carries one batch's dispatch and stage boundary stamps and its
+// gather record from the drain to deliver, where the service meter reads the
+// stamps and complete() assembles sampled requests' spans. Both drains fill
+// it through pipeline.PlaneObserver: the executor's stage loops (plain stores
+// on the stage goroutines, read only after delivery — the executor's channel
+// hand-offs order the accesses), or the pool worker that runs all three
+// stages itself. It lives inside the (pooled) batch, so steady-state tracing
+// and metering allocate nothing.
 type batchTrace struct {
+	dispatched time.Time
 	stageStart [pipeline.NumStages]time.Time
 	stageEnd   [pipeline.NumStages]time.Time
 	gather     core.GatherObs
@@ -706,17 +684,15 @@ func (pb *planeBatch) release() {
 	batchPool.Put(pb)
 }
 
-// stampFlushed stamps the dispatch time on the batch's sampled requests: it
-// splits a span's queue wait (batch formation, including the wait for a plane
-// or worker) from its batch wait (dispatch to service).
+// stampFlushed stamps the batch's dispatch time, which floors the service
+// meter's interval gap, and copies it to the batch's sampled requests, where
+// it splits a span's queue wait (batch formation, including the wait for a
+// plane or worker) from its batch wait (dispatch to service).
 func (pb *planeBatch) stampFlushed() {
-	var now time.Time
+	pb.dispatched = time.Now()
 	for _, r := range pb.reqs {
 		if r.sampled {
-			if now.IsZero() {
-				now = time.Now()
-			}
-			r.flushed = now
+			r.flushed = pb.dispatched
 		}
 	}
 }
@@ -729,7 +705,7 @@ func (pb *planeBatch) stampFlushed() {
 // indices in deliver stay aligned with the surviving requests.
 func (s *Server) prepare(payload interface{}, queries []embedding.Query) []embedding.Query {
 	pb := payload.(*planeBatch)
-	cutoff := time.Now().Add(time.Duration(s.serviceHeadroomNS()))
+	cutoff := time.Now().Add(time.Duration(s.meter.meanBatchNS()))
 	live := pb.reqs[:0]
 	kept := queries[:0]
 	for i, r := range pb.reqs {
@@ -749,11 +725,13 @@ func (s *Server) prepare(payload interface{}, queries []embedding.Query) []embed
 	return kept
 }
 
-// deliver receives completed batches after their tail stage. preds is
-// plane-owned and only valid during the call; complete resolves every future
-// synchronously (buffered done channels), so nothing outlives it.
+// deliver receives completed batches after their tail stage and meters each
+// before complete resolves any future, so a Stats call racing a just-returned
+// Submit sees the batch. preds is plane-owned and only valid during the call;
+// complete resolves every future synchronously, so nothing outlives it.
 func (s *Server) deliver(payload interface{}, preds []float32) {
 	pb := payload.(*planeBatch)
+	s.meter.record(&pb.batchTrace)
 	s.complete(pb.reqs, preds, &pb.batchTrace)
 	pb.release()
 }
@@ -844,17 +822,22 @@ func (s *Server) Trace(last int, since time.Time) []obs.Span {
 func (s *Server) QueueLen() int { return len(s.submit) }
 
 // InFlightBatches counts the micro-batches the replica has committed to: the
-// one on offer in the batcher, if any, plus those in service — occupied
-// planes, or busy pool workers.
+// one on offer in the batcher, if any, plus those in service.
 func (s *Server) InFlightBatches() int {
-	n := int(s.wpBusy.Load())
-	if s.pipe != nil {
-		n = s.pipe.InFlight()
-	}
+	n := s.inService()
 	if s.forming.Load() {
 		n++
 	}
 	return n
+}
+
+// inService counts the batches in service: occupied planes, or busy pool
+// workers.
+func (s *Server) inService() int {
+	if s.pipe != nil {
+		return s.pipe.InFlight()
+	}
+	return int(s.wpBusy.Load())
 }
 
 // LoadScore is the router's least-loaded scoring input, in queued-request
@@ -946,11 +929,6 @@ type HotCacheStats struct {
 	EffectiveLookupNS float64 `json:"effective_lookup_ns"`
 	ColdLookupNS      float64 `json:"cold_lookup_ns"`
 }
-
-// PipelineStats is the serving-side view of the staged pipeline executor:
-// ring depth, in-flight batch count, per-stage occupancy/service times and
-// the measured vs pipesim-predicted steady-state initiation interval.
-type PipelineStats = pipeline.Snapshot
 
 // ClusterStats is the serving-side view of the sharded tier: shard count and
 // partition, per-shard occupancy, the straggler merge-wait histogram and the
@@ -1061,7 +1039,7 @@ type AdmissionStats struct {
 	// ErrExpired like drops, but their gather/GEMM cycles were spent.
 	LateCompletions uint64 `json:"late_completions"`
 	// KneeQPS is the current capacity estimate (see Server.CapacityQPS);
-	// 0 until the pipelined drain has measured its stages.
+	// 0 until the drain has served a batch.
 	KneeQPS float64 `json:"knee_qps"`
 	// RetryAfterMS is the backoff hint handed to shed clients.
 	RetryAfterMS float64 `json:"retry_after_ms"`
@@ -1083,8 +1061,9 @@ type Stats struct {
 	// Admission reports the admission gate: queue pressure, shed and
 	// deadline-drop counters, and the knee estimate.
 	Admission AdmissionStats `json:"admission"`
-	// Pipeline reports the staged executor when the server runs the
-	// pipelined drain (nil in worker-pool mode).
+	// Pipeline reports the drain's service meter: batches in service,
+	// per-stage service times and the batch interval (either drain; nil only
+	// in a router-merged snapshot without a primary replica).
 	Pipeline *PipelineStats `json:"pipeline,omitempty"`
 	// Cluster reports the sharded tier when Options.Tier.Shards > 1 (nil on a
 	// single engine).
@@ -1118,11 +1097,16 @@ func (s *Server) Mode() string {
 	return "worker-pool"
 }
 
-// Stats snapshots the rolling serving statistics.
+// Stats snapshots the rolling serving statistics. The pipeline section, knee
+// estimate and Retry-After hint come from one read of the service meter.
 func (s *Server) Stats() Stats {
 	now := time.Now()
 	lat := s.latencyUS.Snapshot(now)
 	occ := s.occupancy.Snapshot(now)
+	pl, means := s.meter.snapshot(now)
+	predNS := s.meter.predictNS(means)
+	pl.Depth, pl.MaxBatch, pl.InFlight = s.opts.Pipeline.Depth, s.opts.Batching.MaxBatch, s.inService()
+	pl.PredictedIntervalUS = predNS / 1e3
 	st := Stats{
 		Mode:     s.Mode(),
 		MaxBatch: s.opts.Batching.MaxBatch,
@@ -1149,13 +1133,10 @@ func (s *Server) Stats() Stats {
 			DeadlineDrops:   s.deadlineDrops.Load(),
 			CancelDrops:     s.cancelDrops.Load(),
 			LateCompletions: s.late.Load(),
-			KneeQPS:         s.CapacityQPS(),
-			RetryAfterMS:    float64(s.RetryAfter()) / float64(time.Millisecond),
+			KneeQPS:         s.capacityQPS(predNS),
+			RetryAfterMS:    float64(s.retryAfter(predNS)) / float64(time.Millisecond),
 		},
-	}
-	if s.pipe != nil {
-		snap := s.pipe.Snapshot()
-		st.Pipeline = &snap
+		Pipeline: pl,
 	}
 	if s.clu != nil {
 		cs := s.clu.Stats()
@@ -1184,62 +1165,31 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// predictedTTL bounds how often the pipesim prediction is recomputed: the
-// figure feeds every shed response's Retry-After and the /stats knee
-// estimate, and one recompute runs a discrete-event simulation plus
-// per-stage window sorts under the stage meters' locks — far too heavy to
-// pay per rejection during a shed storm, which is exactly when it is read
-// the most.
-const predictedTTL = 250 * time.Millisecond
-
-// predictedIntervalNS returns the pipelined drain's pipesim-predicted
-// steady-state batch interval, cached for predictedTTL with a single-flight
-// refresh. 0 in worker-pool mode and until every stage has served traffic
-// (warm-up recomputes are cheap: the simulator is skipped while any stage
-// window is empty).
-func (s *Server) predictedIntervalNS() float64 {
-	if s.pipe == nil {
-		return 0
-	}
-	now := time.Now().UnixNano()
-	if cached := s.predNS.Load(); cached > 0 && now-s.predAt.Load() < int64(predictedTTL) {
-		return float64(cached)
-	}
-	if !s.predMu.TryLock() {
-		// Another goroutine is refreshing; serve the stale value.
-		return float64(s.predNS.Load())
-	}
-	defer s.predMu.Unlock()
-	ns := s.pipe.PredictedIntervalNS()
-	if ns > 0 {
-		s.predNS.Store(int64(ns))
-		s.predAt.Store(now)
-	}
-	return ns
-}
-
 // CapacityQPS estimates the server's steady-state serving capacity — the
 // knee the open-loop load harness measures — as MaxBatch queries per
-// steady-state batch interval, where the interval is pipesim's predicted
-// initiation interval over the pipelined drain's measured stage service
-// times. It returns 0 until every stage has served traffic, and always in
-// worker-pool mode (which has no stage meters to feed the simulator).
-func (s *Server) CapacityQPS() float64 {
-	ns := s.predictedIntervalNS()
-	if ns <= 0 {
+// predicted steady-state batch interval, the closed form over the service
+// meter's rolling mean stage times. It returns 0 until the drain has served
+// a batch.
+func (s *Server) CapacityQPS() float64 { return s.capacityQPS(s.meter.predictNS(s.meter.means())) }
+
+func (s *Server) capacityQPS(intervalNS float64) float64 {
+	if intervalNS <= 0 {
 		return 0
 	}
-	return float64(s.opts.Batching.MaxBatch) * 1e9 / ns
+	return float64(s.opts.Batching.MaxBatch) * 1e9 / intervalNS
 }
 
 // RetryAfter is the backoff hint a shedding server hands rejected clients:
-// one pipesim-predicted steady-state batch interval — the time until the
-// drain frees the next queue slot. Before any traffic has measured the
-// stages (or in worker-pool mode) it falls back to the timing model's
-// cache-cold full-batch makespan, and to 1ms if even that is unavailable.
-func (s *Server) RetryAfter() time.Duration {
-	if ns := s.predictedIntervalNS(); ns > 0 {
-		return time.Duration(ns)
+// one predicted steady-state batch interval — the time until the drain frees
+// the next queue slot. Before the drain has served a batch it falls back to
+// the timing model's cache-cold full-batch makespan, and to 1ms if even that
+// is unavailable. It reads three O(1) rolling means, so every shed response
+// can afford it.
+func (s *Server) RetryAfter() time.Duration { return s.retryAfter(s.meter.predictNS(s.meter.means())) }
+
+func (s *Server) retryAfter(intervalNS float64) time.Duration {
+	if intervalNS > 0 {
+		return time.Duration(intervalNS)
 	}
 	if rep, err := s.coldTiming(s.opts.Batching.MaxBatch); err == nil && rep.MakespanNS > 0 {
 		return time.Duration(rep.MakespanNS)

@@ -653,8 +653,8 @@ func TestPipelineModeDefaults(t *testing.T) {
 	if pool.Mode() != "worker-pool" {
 		t.Errorf("mode = %q, want worker-pool", pool.Mode())
 	}
-	if st := pool.Stats(); st.Pipeline != nil || st.Mode != "worker-pool" {
-		t.Errorf("worker-pool stats carry a pipeline section: %+v", st)
+	if st := pool.Stats(); st.Pipeline == nil || st.Pipeline.Depth != 3 || st.Mode != "worker-pool" {
+		t.Errorf("worker-pool stats miss the pipeline section: %+v", st)
 	}
 }
 
@@ -709,12 +709,18 @@ func TestWorkerPoolFallbackServes(t *testing.T) {
 	}
 }
 
-// TestStatsPipelineSection checks /stats' pipeline block: depth, in-flight
-// bound, per-stage counters that agree with the batch count, and the
-// measured/predicted interval pair once traffic has flowed.
+// TestStatsPipelineSection checks /stats' pipeline block in both drains:
+// depth, in-flight bound, per-stage counters that agree with the batch count,
+// and the measured/predicted interval pair once traffic has flowed.
 func TestStatsPipelineSection(t *testing.T) {
 	eng := testEngine(t)
-	srv := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: 8}, Pipeline: PipelineOptions{Depth: 4}})
+	for _, drain := range drains {
+		t.Run(drain.name, func(t *testing.T) { testStatsPipelineSection(t, eng, drain.workerPool) })
+	}
+}
+
+func testStatsPipelineSection(t *testing.T, eng *core.Engine, workerPool bool) {
+	srv := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: 8}, Pipeline: PipelineOptions{Depth: 4, WorkerPool: workerPool}})
 	qs := randomQueries(t, eng.Spec(), 16, 37)
 	ctx := context.Background()
 	for rep := 0; rep < 4; rep++ {
@@ -731,7 +737,7 @@ func TestStatsPipelineSection(t *testing.T) {
 		wg.Wait()
 	}
 	st := srv.Stats()
-	if st.Mode != "pipeline" || st.Pipeline == nil {
+	if st.Mode != srv.Mode() || st.Pipeline == nil {
 		t.Fatalf("stats missing pipeline section: %+v", st)
 	}
 	p := st.Pipeline
@@ -758,8 +764,8 @@ func TestStatsPipelineSection(t *testing.T) {
 			t.Errorf("stage %s occupancy %v", stage.Name, stage.Occupancy)
 		}
 	}
-	if p.PredictedIntervalUS <= 0 {
-		t.Errorf("predicted interval %v us after traffic", p.PredictedIntervalUS)
+	if p.PredictedIntervalUS <= 0 || p.MeasuredIntervalUS <= 0 {
+		t.Errorf("intervals after traffic: predicted %v us, measured %v us", p.PredictedIntervalUS, p.MeasuredIntervalUS)
 	}
 	if p.SerialIntervalUS < p.PredictedIntervalUS {
 		t.Errorf("serial interval %v us below overlapped prediction %v us",

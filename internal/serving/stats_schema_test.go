@@ -9,7 +9,6 @@ import (
 	"microrec/internal/cluster"
 	"microrec/internal/metrics"
 	"microrec/internal/obs"
-	"microrec/internal/pipeline"
 )
 
 // fullStats builds a Stats value with every optional section present and
@@ -29,7 +28,7 @@ func fullStats() Stats {
 		},
 		Pipeline: &PipelineStats{
 			Depth: 3, MaxBatch: 64, InFlight: 2, Completed: 20,
-			Stages: []pipeline.StageSnapshot{
+			Stages: []StageStats{
 				{Name: "gather", Batches: 20, MeanServiceUS: 40, P99ServiceUS: 60, Occupancy: 0.5},
 			},
 			MeasuredIntervalUS: 50, PredictedIntervalUS: 48, SerialIntervalUS: 120,

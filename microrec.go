@@ -148,9 +148,9 @@ type (
 	// percentiles, QPS, batch occupancy, pipeline stage occupancy,
 	// hot-row cache behaviour).
 	ServerStats = serving.Stats
-	// PipelineStats is the /stats view of the staged pipeline executor:
-	// ring depth, in-flight batches, per-stage occupancy and the measured
-	// vs pipesim-predicted steady-state initiation interval.
+	// PipelineStats is the /stats view of the drain's service meter, in
+	// either drain: batches in service, per-stage occupancy and the
+	// measured vs predicted steady-state batch interval.
 	PipelineStats = serving.PipelineStats
 	// ClusterStats is the /stats view of the sharded serving tier
 	// (ServerOptions.Tier.Shards > 1): shard partition and per-shard

@@ -277,9 +277,7 @@ func zeroallocCases(t *testing.T) []allocCase {
 				"internal/pipeline.Executor.tailLoop",
 			},
 			run: func() {
-				if err := x.Submit(pipeQs, payload); err != nil {
-					t.Fatal(err)
-				}
+				x.SubmitOn(<-x.Free(), pipeQs, payload)
 				<-done
 			},
 		},
