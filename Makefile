@@ -60,13 +60,12 @@ bench:
 # BenchmarkServeLightLoad, whose p50-us is the lightly loaded latency; 'Gather'
 # includes BenchmarkGatherMiss, the gather over tables a lookup can miss in). The
 # kernel microbenchmarks ride along so the SIMD paths are exercised under the
-# bench harness too, and so do the engine build's two bulk steps: parameter
-# materialisation (production-large at the benchmark's row cap) and product
-# materialisation.
+# bench harness too, and so does the engine build's bulk step: parameter
+# materialisation (production-large at the benchmark's row cap).
 bench-smoke:
 	$(GO) test -run xxx -bench 'Gather|Serve|EngineInferOne|Pipeline' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench 'GEMMKernel|FinishRow|QuantizeRow' -benchtime 1x -benchmem ./internal/kernels
-	$(GO) test -run xxx -bench 'Materialize' -benchtime 1x -benchmem ./internal/model ./internal/cartesian
+	$(GO) test -run xxx -bench 'Materialize' -benchtime 1x -benchmem ./internal/model
 
 # fuzz-smoke gives each fuzz target a short budget (exactly the CI step):
 # enough to replay the corpus and catch shallow regressions in the histogram

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"microrec"
 )
@@ -108,11 +107,14 @@ func TestLiveTraceSpansSumToLatency(t *testing.T) {
 	// Warm up: the first batch per size pays the one-time timing-model run,
 	// which would dominate those spans' residue.
 	postBurst(t, mux, 32)
-	warmedAt := time.Now()
-	postBurst(t, mux, 64)
+	const burst = 64
+	postBurst(t, mux, burst)
 
-	// Scrape only the post-warmup window via the server-side seconds filter.
-	resp, err := http.Get(fmt.Sprintf("%s/trace?seconds=%g", ts.URL, time.Since(warmedAt).Seconds()))
+	// Scrape exactly the post-warmup burst: at Sample 1 every request records
+	// its span before its reply is sent, so the newest burst spans are the
+	// burst's. (A trailing ?seconds= window measured on the client starts as
+	// late as the scrape arrives, and misses the burst when that is slow.)
+	resp, err := http.Get(fmt.Sprintf("%s/trace?last=%d", ts.URL, burst))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +162,8 @@ func TestLiveTraceSpansSumToLatency(t *testing.T) {
 		}
 		checked++
 	}
-	if checked == 0 {
-		t.Fatal("no post-warmup requests verified")
+	if checked != burst {
+		t.Fatalf("verified %d post-warmup requests, want %d", checked, burst)
 	}
 }
 

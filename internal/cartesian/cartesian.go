@@ -6,15 +6,19 @@
 // table with rA*rB rows of dA+dB dims; entry (i, j) is the concatenation
 // A[i] ++ B[j]. Looking up the pair (i, j) becomes a single access at row
 // i*rB + j. Products generalise to k tables with mixed-radix indexing.
+//
+// This package is the plan's side of the idea: which tables merge, how a
+// product's rows are numbered, and what it costs in storage and accesses —
+// what placement, the timing model and Table 3 consume. Nothing here builds a
+// product's rows: the CPU engine reads merged sources from their own tables,
+// where a second copy would only cost memory.
 package cartesian
 
 import (
 	"fmt"
 	"strings"
 
-	"microrec/internal/embedding"
 	"microrec/internal/model"
-	"microrec/internal/offheap"
 )
 
 // PhysicalTable is a unit of memory allocation: either a single source table
@@ -255,89 +259,4 @@ func (l *Layout) AccessesPerInference() int {
 		n += t.Lookups()
 	}
 	return n
-}
-
-// Materialized is a functionally materialised product table: its rows are
-// physically laid out as concatenations of source rows, proving the data
-// structure (as the FPGA's DRAM image would hold it).
-type Materialized struct {
-	Table PhysicalTable
-	// Data is row-major (Rows x Dim) for the materialised (capacity-scaled)
-	// source rows.
-	Data []float32
-	// srcRows are the materialised per-source row counts.
-	srcRows []int64
-}
-
-// MaxMaterializeElements bounds product materialisation; beyond it the lazy
-// view must be used.
-const MaxMaterializeElements = 1 << 26 // 256 MB of float32
-
-// MaterializeProduct physically builds a product table from source embedding
-// tables (capacity-scaled storage). The resulting rows follow the same
-// mixed-radix order as Index applied to materialised indices.
-func MaterializeProduct(pt PhysicalTable, sources []*embedding.Table) (*Materialized, error) {
-	if len(sources) != len(pt.Sources) {
-		return nil, fmt.Errorf("cartesian: %d source tables for %d-way product", len(sources), len(pt.Sources))
-	}
-	rows := int64(1)
-	srcRows := make([]int64, len(sources))
-	for i, s := range sources {
-		if s.Dim != pt.Sources[i].Dim {
-			return nil, fmt.Errorf("cartesian: source %d dim %d, want %d", i, s.Dim, pt.Sources[i].Dim)
-		}
-		srcRows[i] = s.Rows()
-		rows *= s.Rows()
-	}
-	dim := int64(pt.Dim())
-	if rows*dim > MaxMaterializeElements {
-		return nil, fmt.Errorf("cartesian: product %q needs %d elements, exceeds materialisation cap %d",
-			pt.Name(), rows*dim, MaxMaterializeElements)
-	}
-	m := &Materialized{Table: pt, Data: offheap.Floats(int(rows * dim)), srcRows: srcRows}
-	// An odometer over the sources' rows, the last source fastest: at[i] is
-	// where source i's current row starts in its storage. Rows are a few
-	// floats, so an element loop beats a copy call.
-	at := make([]int, len(sources))
-	for dst := m.Data; len(dst) > 0; {
-		for i, s := range sources {
-			row := s.Data()[at[i]:][:s.Dim]
-			for k, v := range row {
-				dst[k] = v
-			}
-			dst = dst[len(row):]
-		}
-		for i := len(sources) - 1; i >= 0; i-- {
-			if at[i] += sources[i].Dim; at[i] < len(sources[i].Data()) {
-				break
-			}
-			at[i] = 0
-		}
-	}
-	return m, nil
-}
-
-// Release hands the product's memory back: large products live outside the
-// Go heap (see internal/offheap). The owner — the engine that materialised it
-// — calls it once nothing reads the product any more; Data is nil afterwards.
-func (m *Materialized) Release() {
-	offheap.Free(m.Data)
-	m.Data = nil
-}
-
-// Lookup returns the materialised product row for per-source materialised
-// indices.
-func (m *Materialized) Lookup(indices []int64) ([]float32, error) {
-	if len(indices) != len(m.srcRows) {
-		return nil, fmt.Errorf("cartesian: %d indices for %d sources", len(indices), len(m.srcRows))
-	}
-	var r int64
-	for i, idx := range indices {
-		if idx < 0 || idx >= m.srcRows[i] {
-			return nil, fmt.Errorf("cartesian: materialised index %d out of range (%d rows)", idx, m.srcRows[i])
-		}
-		r = r*m.srcRows[i] + idx
-	}
-	dim := int64(m.Table.Dim())
-	return m.Data[r*dim : (r+1)*dim], nil
 }

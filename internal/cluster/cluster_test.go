@@ -44,7 +44,8 @@ func buildEngine(t testing.TB, spec *model.Spec, hotCacheBytes int64) *core.Engi
 
 // randomSpec mirrors the core property tests' generator: varying table
 // counts, dims, lookup cadences, dense tails and tower shapes exercise the
-// shard partition across product strides, virtual fallbacks and span shapes.
+// shard partition across merged physical tables, lookup rounds and span
+// shapes.
 func randomSpec(rng *rand.Rand, name string) *model.Spec {
 	nt := 3 + rng.Intn(5)
 	tables := make([]model.TableSpec, nt)

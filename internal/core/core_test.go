@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -156,37 +157,67 @@ func TestBuildPipelineErrors(t *testing.T) {
 	}
 }
 
+// TestEngineGatherMatchesStore pins the engine's gather to the plain
+// spec-order store gather on both production models at both widths: the float
+// reference equals the store's feature vector whether or not the plan merges
+// tables, and the quantized planes of a merged and an unmerged plan are
+// bit-identical, so the engine cannot tell a Cartesian plan from an unmerged
+// one.
 func TestEngineGatherMatchesStore(t *testing.T) {
-	spec := model.SmallProduction()
-	e := buildEngine(t, spec, SmallFP16(), true)
-	qs := randomQueries(spec, 5, 7)
-	// The engine's physical-layout gather must equal the plain
-	// spec-order store gather: Cartesian merging is invisible to the
-	// feature vector.
-	params, err := spec.Materialize(model.MaterializeOptions{Seed: 1, MaxRowsPerTable: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := embedding.NewStore(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range qs {
-		got, err := e.Gather(q, nil)
+	for _, spec := range []*model.Spec{model.SmallProduction(), model.LargeProduction()} {
+		params, err := spec.Materialize(model.MaterializeOptions{Seed: 1, MaxRowsPerTable: 256})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := store.Gather(q, nil)
+		store, err := embedding.NewStore(params)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("gather length %d vs %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("gather[%d] = %v, want %v", i, got[i], want[i])
-			}
+		qs := randomQueries(spec, 5, 7)
+		for _, f := range []fixedpoint.Format{fixedpoint.Fixed16, fixedpoint.Fixed32} {
+			t.Run(fmt.Sprintf("%s/%dbit", spec.Name, f.Bits), func(t *testing.T) {
+				cfg := ConfigFor(spec.Name, f)
+				merged := buildEngine(t, spec, cfg, true)
+				plain := buildEngine(t, spec, cfg, false)
+				if merged.plan.Layout.NumMerged() == 0 {
+					t.Fatal("the plan merges no tables; test is vacuous")
+				}
+				for _, e := range []*Engine{merged, plain} {
+					for _, q := range qs {
+						got, err := e.Gather(q, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := store.Gather(q, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(got) != len(want) {
+							t.Fatalf("gather length %d vs %d", len(got), len(want))
+						}
+						for i := range got {
+							if got[i] != want[i] {
+								t.Fatalf("gather[%d] = %v, want %v", i, got[i], want[i])
+							}
+						}
+					}
+				}
+				a, err := merged.GatherBatch(qs, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := plain.GatherBatch(qs, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for qi := range qs {
+					for k := 0; k < merged.featureLen; k++ {
+						if a.At(qi, k) != b.At(qi, k) {
+							t.Fatalf("query %d feature %d: merged plan %d, unmerged %d", qi, k, a.At(qi, k), b.At(qi, k))
+						}
+					}
+				}
+			})
 		}
 	}
 }

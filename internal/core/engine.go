@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 
-	"microrec/internal/cartesian"
 	"microrec/internal/embedding"
 	"microrec/internal/hotcache"
 	"microrec/internal/kernels"
@@ -39,11 +38,6 @@ type Engine struct {
 	dp   datapath
 	dims [][2]int
 
-	// products holds the physically materialised Cartesian tables, one
-	// per physical table (nil for single tables and for products too
-	// large to materialise, which fall back to virtual per-source reads).
-	products []*cartesian.Materialized
-
 	// gplan is the compiled batched-gather schedule (see gather.go).
 	gplan gatherPlan
 	// cache is the optional live hot-row cache (Config.HotCacheBytes).
@@ -74,7 +68,7 @@ type oneScratch struct {
 
 // Build assembles an engine from materialised parameters, a placement plan
 // for the same model, and an accelerator configuration.
-func Build(params *model.Parameters, plan *placement.Result, cfg Config) (_ *Engine, err error) {
+func Build(params *model.Parameters, plan *placement.Result, cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -125,14 +119,6 @@ func Build(params *model.Parameters, plan *placement.Result, cfg Config) (_ *Eng
 	} else {
 		e.dp = newFixedPath(f, spec, params, kernels.Gemm32, kernels.FinishRow32, func(s *BatchScratch) *[]int32 { return &s.x32 })
 	}
-	defer func() {
-		if err != nil {
-			e.releaseProducts() // they live outside the heap: nothing else would
-		}
-	}()
-	if err := e.materializeProducts(); err != nil {
-		return nil, err
-	}
 	if cfg.HotCacheBytes > 0 {
 		live, err := hotcache.NewLive(cfg.HotCacheBytes, 0)
 		if err != nil {
@@ -169,67 +155,20 @@ func Build(params *model.Parameters, plan *placement.Result, cfg Config) (_ *Eng
 
 // Close releases what the engine holds outside the Go heap: its tiered
 // backing store (stopping the placement sweep and removing the cold-tier
-// file), its materialised Cartesian products, and — if it was given them
-// with OwnParameters — its model parameters' embedding tables. Large tables
-// are not heap memory (see internal/offheap), so an engine that is never
-// closed keeps them mapped until the process exits. Callers must have
-// stopped every in-flight inference first, and must not use the engine
-// afterwards. Closing twice is harmless.
+// file) and — if it was given them with OwnParameters — its model parameters'
+// embedding tables. Large tables are not heap memory (see internal/offheap),
+// so an engine that is never closed keeps them mapped until the process
+// exits. Callers must have stopped every in-flight inference first, and must
+// not use the engine afterwards. Closing twice is harmless.
 func (e *Engine) Close() error {
 	var err error
 	if e.tier != nil {
 		err = e.tier.Close()
 	}
-	e.releaseProducts()
 	if e.ownsParams {
 		e.params.Release()
 	}
 	return err
-}
-
-// materializeProducts physically builds the plan's (capacity-scaled)
-// Cartesian products, as the DRAM image on the FPGA would hold them. They are
-// independent tables, built on up to GOMAXPROCS goroutines; a product too
-// large to materialise stays nil and keeps the virtual per-source path. Every
-// build has finished when it returns, so Build's deferred release sees them
-// all.
-func (e *Engine) materializeProducts() error {
-	e.products = make([]*cartesian.Materialized, len(e.plan.Layout.Tables))
-	var (
-		wg    sync.WaitGroup
-		slots = make(chan struct{}, runtime.GOMAXPROCS(0))
-	)
-	defer wg.Wait()
-	for pi, pt := range e.plan.Layout.Tables {
-		if !pt.IsProduct() {
-			continue
-		}
-		srcs := make([]*embedding.Table, len(pt.Sources))
-		for i, src := range pt.Sources {
-			tab, err := e.store.Table(src.ID)
-			if err != nil {
-				return err
-			}
-			srcs[i] = tab
-		}
-		slots <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer func() { <-slots; wg.Done() }()
-			if m, err := cartesian.MaterializeProduct(pt, srcs); err == nil {
-				e.products[pi] = m
-			}
-		}()
-	}
-	return nil
-}
-
-func (e *Engine) releaseProducts() {
-	for _, m := range e.products {
-		if m != nil {
-			m.Release()
-		}
-	}
 }
 
 // OwnParameters declares that nothing but this engine uses the parameters it
@@ -237,18 +176,6 @@ func (e *Engine) releaseProducts() {
 // materialises parameters only to build one engine, calls it; engines that
 // share parameters (NewEngineFromParams) leave them to their caller.
 func (e *Engine) OwnParameters() { e.ownsParams = true }
-
-// MaterializedProducts reports how many Cartesian products are physically
-// materialised (vs. served by the virtual per-source fallback).
-func (e *Engine) MaterializedProducts() int {
-	n := 0
-	for _, m := range e.products {
-		if m != nil {
-			n++
-		}
-	}
-	return n
-}
 
 // Spec returns the engine's model.
 func (e *Engine) Spec() *model.Spec { return e.spec }
@@ -267,11 +194,9 @@ func (e *Engine) Config() Config { return e.cfg }
 func (e *Engine) LookupNS() float64 { return e.pipelineNS + e.TierBoundNS() }
 
 // Gather resolves one query into the concatenated float feature vector,
-// walking the compiled gather plan over the *physical* layout: one access per
-// physical table retrieves the vectors of all its merged sources (the
-// Cartesian-product payoff), which are then scattered to their spec-order
-// feature positions. It is the float reference of the quantized GatherBatch
-// path and performs no hot-cache accounting.
+// walking the compiled gather plan: each block's row is copied to its
+// spec-order feature position. It is the float reference of the quantized
+// GatherBatch path and performs no hot-cache accounting.
 func (e *Engine) Gather(q embedding.Query, dst []float32) ([]float32, error) {
 	if err := e.ValidateQuery(q); err != nil {
 		return nil, err
@@ -293,11 +218,7 @@ func (e *Engine) Gather(q embedding.Query, dst []float32) ([]float32, error) {
 			} else {
 				payload = blk.data[row[0]*int64(blk.dim):][:blk.dim]
 			}
-			for pi := range blk.parts {
-				p := &blk.parts[pi]
-				copy(dst[p.off:p.off+p.dim], payload)
-				payload = payload[p.dim:]
-			}
+			copy(dst[blk.off:blk.off+blk.dim], payload)
 		}
 	}
 	return dst, nil

@@ -20,14 +20,17 @@ import (
 // loop.
 //
 // The plan is a list of lookup *blocks* per physical table. A block is one
-// access stream (a materialised Cartesian product, or one source table on the
-// virtual path) at one lookup round: the row storage, how the batch's logical
-// indices become a row number, and which feature columns the row's pieces
-// land in. The gather (fixedPath.gatherTables in plane.go, generic over the
-// plane's element width) walks a shard's blocks × queries as one sequence, a
-// window of gatherWindow rows at a time: it resolves the window's row numbers
-// and hints all of them toward the cache, and only then reads and converts
-// them.
+// source table at one lookup round: the row storage, how the batch's logical
+// indices become a row number, and which feature columns the row lands in. A
+// physical table of the placement plan that merges several sources into a
+// Cartesian product holds their blocks side by side: the accelerator reads a
+// product row in one access from banked memory, but on a CPU the product
+// would be a second, DRAM-sized copy of sources that stay in cache, so the
+// engine never builds one and reads each source where it is. The gather
+// (fixedPath.gatherTables in plane.go, generic over the plane's element
+// width) walks a shard's blocks × queries as one sequence, a window of
+// gatherWindow rows at a time: it resolves the window's row numbers and hints
+// all of them toward the cache, and only then reads and converts them.
 //
 // The reason is Little's law. A row that misses the cache costs ≈ 100 ns of
 // DRAM latency however the loop is written; what the loop decides is how many
@@ -120,48 +123,31 @@ func (m *rowMod) reduce(idx int64) int64 {
 	return idx % int64(m.rows)
 }
 
-// gatherPart is one source table's share of a block: how its logical index
-// enters the row number and where its slice of the row lands.
-type gatherPart struct {
-	srcID int // index into the query / spec tables
-	mod   rowMod
-	// stride is the source's mixed-radix multiplier in a materialised
-	// product's row number (the first source varies slowest); 1 for a lone
-	// source.
-	stride int64
-	dim    int
-	// off is the feature column this block's round of the source starts at.
-	off int
-}
-
-// gatherBlock is one access stream at one lookup round.
+// gatherBlock is one source table at one lookup round.
 type gatherBlock struct {
-	// data is the stream's row-major storage: the materialised product's
-	// rows, or the source table's on the virtual path.
-	data     []float32
-	dim      int // row length: the sum of the parts' dims
+	data  []float32 // the source table's row-major storage
+	srcID int       // index into the query / spec tables
+	mod   rowMod
+	dim   int // row length
+	// off is the feature column this round of the source starts at.
+	off      int
 	vecBytes int // bytes one access moves
-	cacheID  int // the stream's key namespace in the hot-row cache and the tier
-	// tier, when non-nil, resolves the stream's rows through the tiered store
+	cacheID  int // the source's key namespace in the hot-row cache and the tier
+	// tier, when non-nil, resolves the source's rows through the tiered store
 	// instead of data.
-	tier    *tieredstore.Stream
-	round   int // which of the stream's per-inference lookups this block is
-	lookups int // how many the stream has
-	parts   []gatherPart
+	tier  *tieredstore.Stream
+	round int // which of the source's per-inference lookups this block is
 }
 
 // resolve writes the row number of each query's lookup in this block to
-// rows[i]: the mixed-radix combination of the parts' reduced indices.
+// rows[i].
 //
 //microrec:noalloc
 func (blk *gatherBlock) resolve(queries []embedding.Query, rows []int64) {
 	rows = rows[:len(queries)]
-	clear(rows)
-	round := blk.round
-	for _, p := range blk.parts { // copied out: rows could alias the block as far as the compiler knows
-		for i, q := range queries {
-			rows[i] += p.mod.reduce(q[p.srcID][round]) * p.stride
-		}
+	mod, src, round := blk.mod, blk.srcID, blk.round // copied out: rows could alias the block as far as the compiler knows
+	for i, q := range queries {
+		rows[i] = mod.reduce(q[src][round])
 	}
 }
 
@@ -181,21 +167,17 @@ func (blk *gatherBlock) hint(rows []int64) {
 
 // gatherPlan is the whole model's compiled gather schedule.
 type gatherPlan struct {
-	// tables[ti] is physical table ti's blocks in access order: rounds of the
-	// materialised product, or source by source, round by round, on the
-	// virtual path.
+	// tables[ti] is physical table ti's blocks in access order: source by
+	// source, round by round.
 	tables [][]gatherBlock
 	// shards groups physical-table indices by the placement plan's memory
 	// banks, balanced over at most maxGatherShards goroutines.
 	shards [][]int
-	// hitScale is the modeled on-chip/DRAM per-access latency ratio: a
-	// hot-row cache hit costs hitScale of a DRAM access, so the effective
-	// lookup latency is pipelineNS*(1 - hitRate*(1-hitScale)).
+	// hitScale is the modeled accelerator's on-chip/DRAM per-access latency
+	// ratio at the plan's mean access size (a product row is one access
+	// there): a hot-row cache hit costs hitScale of a DRAM access, so the
+	// effective lookup latency is pipelineNS*(1 - hitRate*(1-hitScale)).
 	hitScale float64
-	// accessesPerItem is the total embedding-row accesses one inference
-	// performs across every stream — the multiplier the tiered store's
-	// per-access cold penalty scales by.
-	accessesPerItem float64
 }
 
 // gatherSeq is one shard's lookup sequence for one batch: its tables' blocks
@@ -251,79 +233,50 @@ func (s *gatherSeq) hintWindow(c *gatherCursor, rows []int64) int {
 	return n
 }
 
-// compileGatherPlan builds the engine's gather plan from the placement plan,
-// the embedding store and the materialised products. Called once in Build.
+// compileGatherPlan builds the engine's gather plan from the placement plan
+// and the embedding store. Called once in Build.
 func (e *Engine) compileGatherPlan() (gatherPlan, error) {
 	layout := e.plan.Layout
 	p := gatherPlan{tables: make([][]gatherBlock, len(layout.Tables))}
 	cacheID := 0
 	var accBytes, accCount float64
 	for pi, pt := range layout.Tables {
-		parts := make([]gatherPart, len(pt.Sources))
-		data := make([][]float32, len(pt.Sources))
-		for i, src := range pt.Sources {
+		// One block per source and lookup round; round r of a source lands
+		// r*dim columns past round 0.
+		for _, src := range pt.Sources {
 			tab, err := e.store.Table(src.ID)
 			if err != nil {
 				return gatherPlan{}, err
 			}
-			parts[i] = gatherPart{
-				srcID:  src.ID,
-				mod:    newRowMod(tab.LogicalRows, tab.Rows()),
-				stride: 1,
-				dim:    src.Dim,
-				off:    e.featureOffset[src.ID],
+			blk := gatherBlock{
+				data:     tab.Data(),
+				srcID:    src.ID,
+				mod:      newRowMod(tab.LogicalRows, tab.Rows()),
+				dim:      src.Dim,
+				vecBytes: src.Dim * 4,
+				cacheID:  cacheID,
 			}
-			data[i] = tab.Data()
-		}
-		// stream appends one access stream's blocks, a block per lookup round
-		// (round r of a source lands r*dim columns past round 0).
-		stream := func(rows []float32, lookups int, parts []gatherPart) {
-			blk := gatherBlock{data: rows, cacheID: cacheID, lookups: lookups}
-			for _, part := range parts {
-				blk.dim += part.dim
-			}
-			blk.vecBytes = blk.dim * 4
-			for r := 0; r < lookups; r++ {
+			for r := 0; r < src.Lookups; r++ {
 				blk.round = r
-				blk.parts = make([]gatherPart, len(parts))
-				for i, part := range parts {
-					part.off += r * part.dim
-					blk.parts[i] = part
-				}
+				blk.off = e.featureOffset[src.ID] + r*src.Dim
 				p.tables[pi] = append(p.tables[pi], blk)
 			}
 			cacheID++
-			accBytes += float64(lookups * blk.vecBytes)
-			accCount += float64(lookups)
 		}
-		if m := e.products[pi]; m != nil {
-			// Mixed-radix strides over the materialised source row counts:
-			// the first source varies slowest.
-			stride := int64(1)
-			for i := len(parts) - 1; i >= 0; i-- {
-				parts[i].stride = stride
-				stride *= int64(parts[i].mod.rows)
-			}
-			stream(m.Data, pt.Lookups(), parts)
-		} else {
-			// Virtual path: every source is its own stream.
-			for i, src := range pt.Sources {
-				stream(data[i], src.Lookups, parts[i:i+1])
-			}
-		}
+		accBytes += float64(pt.Lookups() * pt.VectorBytes())
+		accCount += float64(pt.Lookups())
 	}
 	meanBytes := 0
 	if accCount > 0 {
 		meanBytes = int(accBytes / accCount)
 	}
 	p.hitScale = memsim.OnChipTiming.AccessNS(meanBytes) / memsim.HBMTiming.AccessNS(meanBytes)
-	p.accessesPerItem = accCount
 	p.shards = e.shardByChannelGroup()
 	return p, nil
 }
 
-// attachTier opens the tiered backing store over every compiled access
-// stream and points the gather plan's row resolution at it. Called from
+// attachTier opens the tiered backing store over every source table, one
+// stream each, and points the gather plan's row resolution at it. Called from
 // Build after compileGatherPlan when Config.ColdTier is set. The stream IDs
 // are the plan's cacheIDs, which compileGatherPlan assigns densely in table
 // order, so the spec list is already ID-sorted.
@@ -333,7 +286,7 @@ func (e *Engine) attachTier() error {
 		for bi := range blocks {
 			if blk := &blocks[bi]; blk.round == 0 {
 				specs = append(specs, tieredstore.StreamSpec{
-					ID: blk.cacheID, Data: blk.data, Dim: blk.dim, Lookups: blk.lookups,
+					ID: blk.cacheID, Data: blk.data, Dim: blk.dim, Lookups: e.spec.Tables[blk.srcID].Lookups,
 				})
 			}
 		}
@@ -531,8 +484,9 @@ func (e *Engine) HotCacheHitRate() (rate float64, ok bool) {
 // cache warms. Without a cache or cold tier it equals LookupNS.
 //
 // With a tiered store attached, the observed cold-read fraction adds a
-// tier-weighted penalty: accessesPerItem * (1 - cacheHitRate) *
-// coldReadRate * coldLatencyNS. The on-chip cache fronts the tier, so only
+// tier-weighted penalty: lookups * (1 - cacheHitRate) * coldReadRate *
+// coldLatencyNS, where lookups is the spec's row reads per inference (the
+// tier serves source rows). The on-chip cache fronts the tier, so only
 // cache misses pay a backing-store access; treating the two rates as
 // independent is an approximation that underestimates correlation between
 // cache-missing and cold rows (both are tail rows), which the conservative
@@ -544,7 +498,7 @@ func (e *Engine) EffectiveLookupNS() float64 {
 	}
 	ns := e.effectiveLookupNS(hr)
 	if e.tier != nil {
-		ns += e.gplan.accessesPerItem * (1 - hr) * e.tier.ColdReadRate() * e.tier.ColdLatencyNS()
+		ns += float64(e.spec.NumLookups()) * (1 - hr) * e.tier.ColdReadRate() * e.tier.ColdLatencyNS()
 	}
 	return ns
 }

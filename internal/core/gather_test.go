@@ -12,7 +12,7 @@ import (
 
 // randomSpec generates a small random model: table counts, dims, lookup
 // cadences, dense tails and tower shapes all vary, so the batched gather's
-// product strides, virtual fallbacks and GEMM tails are exercised across
+// merged physical tables, lookup rounds and GEMM tails are exercised across
 // geometries no hand-written fixture would cover.
 func randomSpec(rng *rand.Rand, name string) *model.Spec {
 	nt := 3 + rng.Intn(5)

@@ -3,83 +3,48 @@ package core
 import (
 	"testing"
 
-	"microrec/internal/cartesian"
-	"microrec/internal/embedding"
+	"microrec/internal/memsim"
 	"microrec/internal/model"
+	"microrec/internal/offheap"
+	"microrec/internal/placement"
 )
 
-func TestProductsAreMaterialized(t *testing.T) {
-	// The small model's plan merges 5 pairs; the capacity-scaled products
-	// are small enough that all of them materialise physically.
-	spec := model.SmallProduction()
-	e := buildEngine(t, spec, SmallFP16(), true)
-	if got := e.MaterializedProducts(); got != 5 {
-		t.Errorf("materialized products = %d, want 5 (Table 3's merge count)", got)
+// TestBuildMapsNothingBeyondParameters pins the engine's footprint at the
+// benchmark's row cap: building production-large with Cartesian planning on
+// maps no table memory beyond its parameters' own (the gather reads merged
+// sources where they are), and Close on an engine that owns its parameters
+// hands every mapped byte back.
+func TestBuildMapsNothingBeyondParameters(t *testing.T) {
+	spec, cfg := model.LargeProduction(), LargeFP16()
+	before := offheap.MappedBytes()
+	params, err := spec.Materialize(model.MaterializeOptions{Seed: 1, MaxRowsPerTable: 262144})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Without Cartesian there is nothing to materialise.
-	plain := buildEngine(t, spec, SmallFP16(), false)
-	if got := plain.MaterializedProducts(); got != 0 {
-		t.Errorf("plain engine materialized %d products", got)
+	tables := offheap.MappedBytes()
+	if tables == before {
+		t.Skip("no anonymous mappings on this platform")
 	}
-}
-
-// TestConcurrentProductsMatchSerial builds the large model's fourteen
-// products concurrently (under -race, the check that their builds share
-// nothing writable) and holds each to a serial build from the same sources.
-func TestConcurrentProductsMatchSerial(t *testing.T) {
-	e := buildEngine(t, model.LargeProduction(), LargeFP16(), true)
-	defer e.Close()
-	if got := e.MaterializedProducts(); got != 14 {
-		t.Fatalf("materialized products = %d, want 14 (Table 3's merge count)", got)
+	plan, err := placement.Plan(spec, memsim.U280(cfg.OnChipBanks), placement.Options{EnableCartesian: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for pi, m := range e.products {
-		if m == nil {
-			continue
-		}
-		pt := e.plan.Layout.Tables[pi]
-		srcs := make([]*embedding.Table, len(pt.Sources))
-		for i, src := range pt.Sources {
-			srcs[i], _ = e.store.Table(src.ID)
-		}
-		want, err := cartesian.MaterializeProduct(pt, srcs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := range want.Data {
-			if m.Data[k] != want.Data[k] {
-				t.Fatalf("product %s differs at %d", pt.Name(), k)
-			}
-		}
-		want.Release()
+	if plan.Layout.NumMerged() == 0 {
+		t.Fatal("the plan merges no tables; test is vacuous")
 	}
-}
-
-func TestMaterializedGatherMatchesVirtual(t *testing.T) {
-	// Force the virtual fallback by clearing the materialised tables and
-	// compare against the materialised path: they must agree bit-exactly.
-	spec := model.SmallProduction()
-	e := buildEngine(t, spec, SmallFP16(), true)
-	if e.MaterializedProducts() == 0 {
-		t.Fatal("no products materialised; test is vacuous")
+	e, err := Build(params, plan, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	virtual := buildEngine(t, spec, SmallFP16(), true)
-	for i := range virtual.products {
-		virtual.products[i] = nil
+	e.OwnParameters()
+	if grew := offheap.MappedBytes() - tables; grew != 0 {
+		t.Errorf("Build mapped %d bytes beyond the parameters' %d", grew, tables-before)
 	}
-	for _, q := range randomQueries(spec, 10, 99) {
-		a, err := e.Gather(q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := virtual.Gather(q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := range a {
-			if a[k] != b[k] {
-				t.Fatalf("materialized and virtual gathers differ at %d", k)
-			}
-		}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if left := offheap.MappedBytes() - before; left != 0 {
+		t.Errorf("%d bytes stay mapped after Close", left)
 	}
 }
 

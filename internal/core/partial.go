@@ -23,8 +23,9 @@ type ColSpan struct {
 	Len int
 }
 
-// PhysicalTables reports the number of physical tables in the engine's
-// compiled gather plan (Cartesian products count once). Table indices in
+// PhysicalTables reports the number of physical tables in the placement plan
+// the engine's gather plan is indexed by (a merged Cartesian group counts
+// once; the gather reads each of its sources on its own). Table indices in
 // [0, PhysicalTables) are the currency of the partial-gather entry points and
 // of placement.ShardTables.
 func (e *Engine) PhysicalTables() int { return len(e.gplan.tables) }
@@ -41,9 +42,7 @@ func (e *Engine) PartialSpans(tables []int) ([]ColSpan, error) {
 			return nil, fmt.Errorf("core: physical table %d out of range (engine has %d)", ti, len(e.gplan.tables))
 		}
 		for _, blk := range e.gplan.tables[ti] {
-			for _, p := range blk.parts {
-				spans = append(spans, ColSpan{Off: p.off, Len: p.dim})
-			}
+			spans = append(spans, ColSpan{Off: blk.off, Len: blk.dim})
 		}
 	}
 	sort.Slice(spans, func(a, b int) bool { return spans[a].Off < spans[b].Off })

@@ -193,12 +193,7 @@ func (d *fixedPath[T]) gatherTables(plan *gatherPlan, tables []int, queries []em
 					payload = blk.data[row*dim : row*dim+dim]
 				}
 				out := x[qi*w : qi*w+d.featureLen]
-				seg := 0
-				for pi := range blk.parts {
-					p := &blk.parts[pi]
-					kernels.QuantizeRow(&d.quant, payload[seg:seg+p.dim], out[p.off:p.off+p.dim])
-					seg += p.dim
-				}
+				kernels.QuantizeRow(&d.quant, payload, out[blk.off:blk.off+blk.dim])
 			}
 		}
 	}

@@ -49,6 +49,29 @@ func randomPlacement(store *tieredstore.Store, rng *rand.Rand, frac float64) {
 	}
 }
 
+// TestTierStreamsAreSourceTables pins what the cold tier holds when the plan
+// merges tables: one stream per source table, so the cold file is exactly the
+// parameters' table bytes, with no product copy.
+func TestTierStreamsAreSourceTables(t *testing.T) {
+	spec := model.SmallProduction()
+	e := buildEngine(t, spec, tierTestConfig(-1), true)
+	defer e.Close()
+	if e.plan.Layout.NumMerged() == 0 {
+		t.Fatal("the plan merges no tables; test is vacuous")
+	}
+	store := e.TierStore()
+	if got := store.Streams(); got != len(spec.Tables) {
+		t.Errorf("%d tier streams for %d source tables", got, len(spec.Tables))
+	}
+	var want int64
+	for _, tab := range e.params.Embeddings {
+		want += int64(len(tab)) * 4
+	}
+	if got := store.TotalBytes(); got != want {
+		t.Errorf("cold file holds %d bytes, the tables %d", got, want)
+	}
+}
+
 // TestTierBitIdentityRandomPlacements is the tentpole property test: gather
 // and inference output must be bit-identical to the all-DRAM engine across
 // random hot/cold placements, including the all-cold store.

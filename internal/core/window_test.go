@@ -28,10 +28,7 @@ func serialWalk(e *Engine, queries []embedding.Query, ref *hotcache.Live) (looku
 			for bi := range e.gplan.tables[ti] {
 				blk := &e.gplan.tables[ti][bi]
 				for _, q := range queries {
-					var row int64
-					for _, p := range blk.parts {
-						row += q[p.srcID][blk.round] % int64(p.mod.rows) * p.stride
-					}
+					row := q[blk.srcID][blk.round] % int64(blk.mod.rows)
 					ref.Lookup(blk.cacheID, row, blk.vecBytes)
 					lookups++
 					if blk.tier != nil && !blk.tier.IsHot(row) {
@@ -167,7 +164,7 @@ func TestPrefetchBatchNamesTheGathersRows(t *testing.T) {
 	qs := randomQueries(spec, gatherWindow+1, 29)
 
 	refs := e.coldRows(qs)
-	if want := len(qs) * int(e.gplan.accessesPerItem); len(refs) != want {
+	if want := len(qs) * spec.NumLookups(); len(refs) != want {
 		t.Fatalf("prefetch names %d rows for %d lookups", len(refs), want)
 	}
 	if _, err := e.GatherBatch(qs, nil); err != nil {

@@ -3,15 +3,15 @@
 //
 // The collector paces itself on the live heap: at the default GOGC it starts
 // a cycle when the heap has doubled since the last one. An engine's embedding
-// tables and materialised Cartesian products are immutable, pointer-free and
-// live exactly as long as the engine, so they never become garbage — but
-// counted in the live heap, production-small's 180 MB of them entitle the
-// process to another 180 MB of request garbage before a cycle starts, and
-// peak resident memory is the sum. Outside the heap they cost their own size
+// tables are immutable, pointer-free and live exactly as long as the engine,
+// so they never become garbage — but counted in the live heap,
+// production-small's 140 MB of them entitle the process to another 140 MB of
+// request garbage before a cycle starts, and peak resident memory is the sum. Outside the heap they cost their own size
 // and the collector paces on what actually churns.
 //
 // The price is manual lifetime: memory from Floats must be handed back with
-// Free by its one owner (model.Parameters.Release, core.Engine.Close), and
+// Free by its one owner (model.Parameters.Release, which core.Engine.Close
+// calls for parameters it owns), and
 // must not be touched afterwards — the collector cannot see slices into it.
 // Memory that is never freed stays mapped until the process exits. Small
 // requests are served from the heap, so tests and small models never meet
@@ -53,3 +53,8 @@ func Free(f []float32) {
 		unmapFloats(f)
 	}
 }
+
+// MappedBytes returns the bytes held in live mappings: every Floats result
+// that came from a mapping and has not been freed. Heap-served requests do
+// not count. Tests use it to pin what an owner maps and frees.
+func MappedBytes() int64 { return mappedBytes() }

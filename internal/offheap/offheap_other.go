@@ -7,3 +7,5 @@ package offheap
 func mapFloats(n int) []float32 { return nil }
 
 func unmapFloats(f []float32) {}
+
+func mappedBytes() int64 { return 0 }

@@ -71,6 +71,28 @@ func TestMappedMemoryStaysOutOfTheHeap(t *testing.T) {
 	Free(f)
 }
 
+// TestMappedBytesCountsLiveMappings checks the registry sum: a mapped
+// allocation adds its bytes, a heap-served one adds none, and Free takes them
+// away again.
+func TestMappedBytesCountsLiveMappings(t *testing.T) {
+	probe := mapFloats(minMapped)
+	if probe == nil {
+		t.Skip("no anonymous mappings on this platform")
+	}
+	unmapFloats(probe)
+	before := MappedBytes()
+	f := Floats(minMapped + 5)
+	small := Floats(minMapped - 1)
+	if got := MappedBytes() - before; got != int64(len(f))*4 {
+		t.Errorf("MappedBytes grew %d, want %d", got, len(f)*4)
+	}
+	Free(f)
+	Free(small)
+	if got := MappedBytes(); got != before {
+		t.Errorf("after Free MappedBytes = %d, want %d", got, before)
+	}
+}
+
 // TestConcurrentAllocFree exercises the registry under -race.
 func TestConcurrentAllocFree(t *testing.T) {
 	var wg sync.WaitGroup

@@ -39,3 +39,13 @@ func unmapFloats(f []float32) {
 		_ = syscall.Munmap(b)
 	}
 }
+
+func mappedBytes() int64 {
+	mu.Lock()
+	defer mu.Unlock()
+	var n int64
+	for _, b := range mappings {
+		n += int64(len(b))
+	}
+	return n
+}

@@ -330,8 +330,10 @@ func WriteTraceEvents(w io.Writer, events []TraceEvent) error {
 type EngineOptions struct {
 	// Precision selects the datapath format; zero value means Fixed16.
 	Precision Format
-	// DisableCartesian turns off table merging (the paper's "HBM only"
-	// configuration).
+	// DisableCartesian turns off table merging in the placement plan (the
+	// paper's "HBM only" configuration). It changes the modelled accelerator
+	// only (lookup latency, timing reports, the plan); the CPU gather reads
+	// the source tables either way.
 	DisableCartesian bool
 	// Seed drives deterministic parameter materialisation.
 	Seed int64
@@ -367,9 +369,9 @@ type EngineOptions struct {
 
 // NewEngine materialises parameters, runs the placement search and builds a
 // MicroRec engine in one call. Close the engine when done with it: large
-// embedding tables and Cartesian products live outside the Go heap, and the
-// engine owns the parameters it materialised here, so only its Close frees
-// them (an engine that is never closed keeps them until the process exits).
+// embedding tables live outside the Go heap, and the engine owns the
+// parameters it materialised here, so only its Close frees them (an engine
+// that is never closed keeps them until the process exits).
 func NewEngine(spec *Spec, opts EngineOptions) (*Engine, error) {
 	params, plan, cfg, err := prepare(spec, opts)
 	if err != nil {
