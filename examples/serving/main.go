@@ -84,8 +84,8 @@ func main() {
 	fmt.Printf("serving %s to %d concurrent clients\n\n", spec.Name, clients)
 	for i := 0; i < 3; i++ {
 		r := results[i]
-		fmt.Printf("client %d: CTR %.4f  (batch of %d, served in %v, modeled FPGA latency %.1f µs)\n",
-			i, r.CTR, r.BatchSize, r.WallTime.Round(time.Microsecond), r.ModeledLatencyUS)
+		fmt.Printf("client %d: CTR %.4f  (batch of %d, served in %v)\n",
+			i, r.CTR, r.BatchSize, r.WallTime.Round(time.Microsecond))
 	}
 	st := srv.Stats()
 	fmt.Printf("\n/stats: %d queries in %d batches — mean batch %.1f (occupancy %.0f%%), p99 latency %.0f µs, %.0f qps\n",

@@ -150,11 +150,10 @@ type shard struct {
 // its storage, not copies — so the tier costs planes and caches, not a second
 // parameter image.
 type Cluster struct {
-	eng      *core.Engine
-	opts     Options
-	shards   []*shard
-	coldNS   float64 // max over shards: the tier's cold lookup bound
-	hitScale float64
+	eng    *core.Engine
+	opts   Options
+	shards []*shard
+	coldNS float64 // max over shards: the tier's cold lookup bound
 
 	mu     sync.Mutex
 	closed bool
@@ -182,9 +181,8 @@ func New(eng *core.Engine, opts Options) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{
-		eng:      eng,
-		opts:     opts,
-		hitScale: eng.CacheHitScale(),
+		eng:  eng,
+		opts: opts,
 		// Merge waits span sub-µs (balanced shards) to ms (stragglers under
 		// contention); 1% relative error over [1, 10s] in µs.
 		mergeWaitUS: metrics.NewHistogram(0.01, 1e7),
@@ -426,27 +424,6 @@ func (c *Cluster) TimingAt(items int, lookupNS float64) (core.TimingReport, erro
 // worst shard, not the average.
 func (c *Cluster) LookupNS() float64 { return c.coldNS + c.eng.TierBoundNS() }
 
-// EffectiveLookupNS is the tier's lookup latency at the shards' current
-// hot-row cache hit rates: each shard's cold latency shrinks with its own hit
-// rate (hits cost the on-chip fraction of a DRAM access), and the tier still
-// waits for the slowest shard. On a tiered engine the current
-// residency-weighted cold-tier bound rides on top — it shrinks as the sweep
-// promotes rows, so the figure tracks warm-up without ever understating the
-// backing-store term.
-func (c *Cluster) EffectiveLookupNS() float64 {
-	var worst float64
-	for _, sh := range c.shards {
-		ns := sh.coldNS
-		if sh.cache != nil {
-			ns *= 1 - sh.cache.HitRate()*(1-c.hitScale)
-		}
-		if ns > worst {
-			worst = ns
-		}
-	}
-	return worst + c.eng.TierBoundNS()
-}
-
 // Tier delegates the tiered-store snapshot to the underlying engine; ok is
 // false on an all-DRAM engine.
 func (c *Cluster) Tier() (tieredstore.Snapshot, bool) { return c.eng.Tier() }
@@ -456,32 +433,8 @@ func (c *Cluster) Tier() (tieredstore.Snapshot, bool) { return c.eng.Tier() }
 // round benefits every shard's gather.
 func (c *Cluster) PrefetchBatch(queries []embedding.Query) { c.eng.PrefetchBatch(queries) }
 
-// HotCacheHitRate is the tier-wide hit rate over a coherent snapshot of
-// every shard cache's counters; ok is false when caching is disabled.
-func (c *Cluster) HotCacheHitRate() (float64, bool) {
-	var hits, misses int64
-	attached := false
-	for _, sh := range c.shards {
-		if sh.cache == nil {
-			continue
-		}
-		attached = true
-		st := sh.cache.Stats()
-		hits += st.Hits
-		misses += st.Misses
-	}
-	if !attached {
-		return 0, false
-	}
-	if hits+misses == 0 {
-		return 0, true
-	}
-	return float64(hits) / float64(hits+misses), true
-}
-
 // HotCache aggregates the shard caches into one snapshot; ok is false when
-// caching is disabled. EffectiveLookupNS carries the tier's max-over-shards
-// figure, so /stats reads the same bound serving decisions use.
+// caching is disabled.
 func (c *Cluster) HotCache() (core.HotCacheInfo, bool) {
 	var info core.HotCacheInfo
 	attached := false
@@ -503,7 +456,6 @@ func (c *Cluster) HotCache() (core.HotCacheInfo, bool) {
 	if total := info.Hits + info.Misses; total > 0 {
 		info.HitRate = float64(info.Hits) / float64(total)
 	}
-	info.EffectiveLookupNS = c.EffectiveLookupNS()
 	return info, true
 }
 
@@ -540,10 +492,8 @@ type Stats struct {
 	// Batches is the lifetime count of scatter/gather rounds.
 	Batches uint64 `json:"batches"`
 	// ColdLookupNS is the tier's max-over-shards cache-cold lookup latency
-	// (the SLA admission bound); EffectiveLookupNS the same figure at the
-	// current shard cache hit rates.
-	ColdLookupNS      float64 `json:"cold_lookup_ns"`
-	EffectiveLookupNS float64 `json:"effective_lookup_ns"`
+	// (the SLA admission bound, before any cold-tier term).
+	ColdLookupNS float64 `json:"cold_lookup_ns"`
 	// MergeWaitUS is the distribution of coordinator straggler waits: per
 	// batch, the gap between the first and last shard completion. A balanced
 	// partition keeps the tail near zero; a skewed one shows up here before
@@ -561,14 +511,13 @@ type Stats struct {
 func (c *Cluster) Stats() Stats {
 	now := time.Now()
 	st := Stats{
-		Shards:            len(c.shards),
-		RingDepth:         c.opts.RingDepth,
-		Batches:           c.batches.Load(),
-		ColdLookupNS:      c.coldNS,
-		EffectiveLookupNS: c.EffectiveLookupNS(),
-		MergeWaitUS:       c.mergeWaitUS.Snapshot(),
-		ImbalanceRatio:    c.imbalance.Snapshot(now).Summary.Mean,
-		PerShard:          make([]ShardStats, len(c.shards)),
+		Shards:         len(c.shards),
+		RingDepth:      c.opts.RingDepth,
+		Batches:        c.batches.Load(),
+		ColdLookupNS:   c.coldNS,
+		MergeWaitUS:    c.mergeWaitUS.Snapshot(),
+		ImbalanceRatio: c.imbalance.Snapshot(now).Summary.Mean,
+		PerShard:       make([]ShardStats, len(c.shards)),
 	}
 	for i, sh := range c.shards {
 		s := sh.service.Snapshot(now)

@@ -49,16 +49,16 @@ type Config struct {
 	// given byte capacity in front of the modeled DRAM lookup path (the
 	// memory-side caching the paper positions as complementary work, §6).
 	// The cache is functionally transparent — it never changes
-	// predictions — but its observed hit rate scales the modeled
-	// embedding-lookup latency (Engine.EffectiveLookupNS).
+	// predictions; its counters are reported (Engine.HotCache) and its
+	// residency feeds the tiered store's promotion sweep.
 	HotCacheBytes int64
 	// ColdTier, when non-nil, backs every embedding access stream with a
 	// two-tier store: frequency-hot rows pinned in a DRAM budget, the full
 	// row set in an mmap'd cold file with a modeled per-access latency
 	// (internal/tieredstore). Functionally transparent by construction —
 	// both tiers hold identical float32 bits — while LookupNS gains the
-	// residency-weighted cold bound and EffectiveLookupNS the observed
-	// cold-read penalty. Engines built with a cold tier must be Closed.
+	// residency-weighted cold bound. Engines built with a cold tier must be
+	// Closed.
 	ColdTier *tieredstore.Config
 }
 

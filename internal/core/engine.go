@@ -190,7 +190,7 @@ func (e *Engine) Config() Config { return e.cfg }
 // cold (or absent) hot-row cache — the conservative figure SLA admission
 // uses. With a tiered store attached it adds the residency-weighted
 // cold-tier bound, which at admission time (empty hot tier) is the fully
-// cold figure. See EffectiveLookupNS for the live-adjusted value.
+// cold figure.
 func (e *Engine) LookupNS() float64 { return e.pipelineNS + e.TierBoundNS() }
 
 // Gather resolves one query into the concatenated float feature vector,
@@ -336,7 +336,7 @@ func (e *Engine) Infer(queries []embedding.Query) (*InferResult, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	rep, err := e.cfg.Simulate(e.spec, e.EffectiveLookupNS(), len(queries))
+	rep, err := e.cfg.Simulate(e.spec, e.LookupNS(), len(queries))
 	if err != nil {
 		return nil, err
 	}
@@ -344,16 +344,13 @@ func (e *Engine) Infer(queries []embedding.Query) (*InferResult, error) {
 }
 
 // Timing runs only the timing model for `items` inferences (no functional
-// computation), useful for large sweeps. The lookup stage runs at the
-// engine's current effective lookup latency — identical to the cold plan
-// latency unless a live hot-row cache is attached and warm.
+// computation), useful for large sweeps. The lookup stage runs at LookupNS.
 func (e *Engine) Timing(items int) (TimingReport, error) {
-	return e.TimingAt(items, e.EffectiveLookupNS())
+	return e.TimingAt(items, e.LookupNS())
 }
 
 // TimingAt runs the timing model with an explicit embedding-lookup latency,
-// letting callers pin the lookup stage (e.g. SLA admission uses the
-// cache-cold LookupNS; dashboards use EffectiveLookupNS).
+// letting callers pin the lookup stage.
 func (e *Engine) TimingAt(items int, lookupNS float64) (TimingReport, error) {
 	return e.cfg.Simulate(e.spec, lookupNS, items)
 }

@@ -9,7 +9,6 @@ import (
 
 	"microrec/internal/embedding"
 	"microrec/internal/kernels"
-	"microrec/internal/memsim"
 	"microrec/internal/tieredstore"
 )
 
@@ -173,11 +172,6 @@ type gatherPlan struct {
 	// shards groups physical-table indices by the placement plan's memory
 	// banks, balanced over at most maxGatherShards goroutines.
 	shards [][]int
-	// hitScale is the modeled accelerator's on-chip/DRAM per-access latency
-	// ratio at the plan's mean access size (a product row is one access
-	// there): a hot-row cache hit costs hitScale of a DRAM access, so the
-	// effective lookup latency is pipelineNS*(1 - hitRate*(1-hitScale)).
-	hitScale float64
 }
 
 // gatherSeq is one shard's lookup sequence for one batch: its tables' blocks
@@ -239,7 +233,6 @@ func (e *Engine) compileGatherPlan() (gatherPlan, error) {
 	layout := e.plan.Layout
 	p := gatherPlan{tables: make([][]gatherBlock, len(layout.Tables))}
 	cacheID := 0
-	var accBytes, accCount float64
 	for pi, pt := range layout.Tables {
 		// One block per source and lookup round; round r of a source lands
 		// r*dim columns past round 0.
@@ -263,14 +256,7 @@ func (e *Engine) compileGatherPlan() (gatherPlan, error) {
 			}
 			cacheID++
 		}
-		accBytes += float64(pt.Lookups() * pt.VectorBytes())
-		accCount += float64(pt.Lookups())
 	}
-	meanBytes := 0
-	if accCount > 0 {
-		meanBytes = int(accBytes / accCount)
-	}
-	p.hitScale = memsim.OnChipTiming.AccessNS(meanBytes) / memsim.HBMTiming.AccessNS(meanBytes)
 	p.shards = e.shardByChannelGroup()
 	return p, nil
 }
@@ -435,9 +421,6 @@ type HotCacheInfo struct {
 	Misses        int64
 	// HitRate is Hits/(Hits+Misses), 0 when idle.
 	HitRate float64
-	// EffectiveLookupNS is the modeled per-inference lookup latency at the
-	// current hit rate (LookupNS when the cache is cold or idle).
-	EffectiveLookupNS float64
 }
 
 // HotCacheEnabled reports whether a live hot-row cache is attached
@@ -451,56 +434,14 @@ func (e *Engine) HotCache() (info HotCacheInfo, ok bool) {
 		return HotCacheInfo{}, false
 	}
 	st := e.cache.Stats()
-	hr := st.HitRate()
 	return HotCacheInfo{
-		CapacityBytes:     e.cache.CapacityBytes(),
-		UsedBytes:         st.UsedBytes,
-		Entries:           st.Entries,
-		Hits:              st.Hits,
-		Misses:            st.Misses,
-		HitRate:           hr,
-		EffectiveLookupNS: e.effectiveLookupNS(hr),
+		CapacityBytes: e.cache.CapacityBytes(),
+		UsedBytes:     st.UsedBytes,
+		Entries:       st.Entries,
+		Hits:          st.Hits,
+		Misses:        st.Misses,
+		HitRate:       st.HitRate(),
 	}, true
-}
-
-func (e *Engine) effectiveLookupNS(hitRate float64) float64 {
-	return e.pipelineNS * (1 - hitRate*(1-e.gplan.hitScale))
-}
-
-// HotCacheHitRate returns the live cache's current hit rate, aggregated
-// coherently under the cache's shard locks — read once per batch by the
-// serving tier, which is cheap next to the gather itself; ok is false when
-// no cache is attached.
-func (e *Engine) HotCacheHitRate() (rate float64, ok bool) {
-	if e.cache == nil {
-		return 0, false
-	}
-	return e.cache.HitRate(), true
-}
-
-// EffectiveLookupNS returns the modeled per-inference embedding-lookup
-// latency at the live hot-row cache's current hit rate: a hit costs the
-// on-chip fraction of a DRAM access, so the plan latency shrinks as the
-// cache warms. Without a cache or cold tier it equals LookupNS.
-//
-// With a tiered store attached, the observed cold-read fraction adds a
-// tier-weighted penalty: lookups * (1 - cacheHitRate) * coldReadRate *
-// coldLatencyNS, where lookups is the spec's row reads per inference (the
-// tier serves source rows). The on-chip cache fronts the tier, so only
-// cache misses pay a backing-store access; treating the two rates as
-// independent is an approximation that underestimates correlation between
-// cache-missing and cold rows (both are tail rows), which the conservative
-// admission bound (LookupNS) covers.
-func (e *Engine) EffectiveLookupNS() float64 {
-	hr := 0.0
-	if e.cache != nil {
-		hr = e.cache.HitRate()
-	}
-	ns := e.effectiveLookupNS(hr)
-	if e.tier != nil {
-		ns += float64(e.spec.NumLookups()) * (1 - hr) * e.tier.ColdReadRate() * e.tier.ColdLatencyNS()
-	}
-	return ns
 }
 
 // ---- tiered backing store ----

@@ -293,11 +293,10 @@ func TestHotCacheConcurrentWorkers(t *testing.T) {
 						return
 					}
 				}
-				if _, ok := e.HotCache(); !ok {
-					t.Error("hot cache vanished")
+				if info, ok := e.HotCache(); !ok || info.HitRate < 0 || info.HitRate > 1 {
+					t.Errorf("hot cache snapshot %+v ok=%v", info, ok)
 					return
 				}
-				_ = e.EffectiveLookupNS()
 			}
 		}(int64(w))
 	}
@@ -306,43 +305,7 @@ func TestHotCacheConcurrentWorkers(t *testing.T) {
 	if !ok {
 		t.Fatal("no cache info")
 	}
-	if info.Hits == 0 {
-		t.Error("repeated identical batches should hit the cache")
-	}
-	if info.EffectiveLookupNS >= e.LookupNS() {
-		t.Errorf("warm cache: effective lookup %v should beat cold %v", info.EffectiveLookupNS, e.LookupNS())
-	}
-}
-
-// TestEffectiveLookupNS checks the hit-rate scaling of the modeled lookup
-// latency: cold == plan latency, warm strictly faster, floor at the on-chip
-// fraction.
-func TestEffectiveLookupNS(t *testing.T) {
-	spec := oddSpec()
-	cfg := ConfigFor(spec.Name, SmallFP16().Precision)
-	plain := buildEngine(t, spec, cfg, true)
-	if got := plain.EffectiveLookupNS(); got != plain.LookupNS() {
-		t.Errorf("no cache: effective %v != cold %v", got, plain.LookupNS())
-	}
-	if _, ok := plain.HotCache(); ok {
-		t.Error("no cache expected")
-	}
-	cfg.HotCacheBytes = 1 << 20
-	e := buildEngine(t, spec, cfg, true)
-	if got := e.EffectiveLookupNS(); got != e.LookupNS() {
-		t.Errorf("idle cache: effective %v != cold %v", got, e.LookupNS())
-	}
-	qs := randomQueries(spec, 48, 5)
-	for rep := 0; rep < 4; rep++ {
-		if _, err := e.InferBatch(qs, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eff := e.EffectiveLookupNS()
-	if eff >= e.LookupNS() {
-		t.Errorf("warm cache: effective %v should beat cold %v", eff, e.LookupNS())
-	}
-	if floor := e.LookupNS() * e.gplan.hitScale; eff < floor-1e-9 {
-		t.Errorf("effective %v below on-chip floor %v", eff, floor)
+	if info.Hits == 0 || info.HitRate <= 0 {
+		t.Errorf("repeated identical batches should hit the cache: %+v", info)
 	}
 }

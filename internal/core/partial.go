@@ -90,9 +90,3 @@ func (e *Engine) ZeroDenseTail(b int, s *BatchScratch) { e.dp.zeroDenseTail(b, s
 func (e *Engine) MergePartialPlane(b int, spans []ColSpan, src, dst *BatchScratch) {
 	e.dp.mergePartial(b, spans, src, dst)
 }
-
-// CacheHitScale is the modeled on-chip/DRAM per-access latency ratio of the
-// engine's gather plan: a hot-row cache hit costs this fraction of a DRAM
-// access. The cluster tier uses it to model per-shard effective lookup
-// latency from per-shard cache hit rates, mirroring effectiveLookupNS.
-func (e *Engine) CacheHitScale() float64 { return e.gplan.hitScale }

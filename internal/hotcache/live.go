@@ -14,8 +14,8 @@ const DefaultLiveShards = 8
 // Live is a thread-safe hot-row cache fronting the engine's batched gather
 // datapath. Where Simulate replays a recorded query stream offline, Live is
 // wired into the real inference path: every physical-table access the gather
-// unit resolves is recorded against it, and the observed hit rate drives the
-// engine's modeled effective lookup latency (EffectiveLookupNS).
+// unit resolves is recorded against it, and its counters are what /stats
+// reports as the engine's hit rate.
 //
 // The cache is sharded by a hash of the (access stream, row) key, each shard
 // a mutex-protected LRU holding an equal slice of the byte capacity, so one
@@ -98,8 +98,8 @@ func (l *Live) Lookup(id int, row int64, bytes int) bool {
 }
 
 // HitRate returns hits/(hits+misses) (0 when idle), aggregated one shard at
-// a time under the shard locks. The serving path reads it once per batch, so
-// the brief per-shard lock hold is negligible next to the gather itself.
+// a time under the shard locks. Stats snapshots read it, not the per-batch
+// path.
 func (l *Live) HitRate() float64 {
 	return l.Stats().HitRate()
 }

@@ -13,13 +13,12 @@ import (
 // HotEngine adapts any serving.Engine into a serving.Reloadable one: every
 // seam method delegates through an atomic pointer, and Reload swaps the
 // delegate under live traffic — the in-place model-refresh path
-// Router.Reload drives. The replacement must be timing- and
-// geometry-compatible with the engine it replaces (refreshed parameters, not
-// a different architecture): the server memoises timing reports and sizes
-// planes per batch, and neither is re-derived on reload. A reload takes
-// effect at stage-call granularity — a plane gathered by the old engine may
-// finish its FC stack on the new one, which the compatibility contract makes
-// benign.
+// Router.Reload drives. The replacement must be geometry-compatible with the
+// engine it replaces (refreshed parameters, not a different architecture):
+// the server sizes planes per batch and does not re-derive them on reload. A
+// reload takes effect at stage-call granularity — a plane gathered by the old
+// engine may finish its FC stack on the new one, which the compatibility
+// contract makes benign.
 //
 // Capability forwarding: HotEngine always implements the optional Tiered and
 // Prefetcher capabilities, reporting ok=false (and a no-op prefetch) while
@@ -94,12 +93,6 @@ func (h *HotEngine) TimingAt(items int, lookupNS float64) (core.TimingReport, er
 
 // LookupNS implements the Engine seam by delegation.
 func (h *HotEngine) LookupNS() float64 { return h.Current().LookupNS() }
-
-// EffectiveLookupNS implements the Engine seam by delegation.
-func (h *HotEngine) EffectiveLookupNS() float64 { return h.Current().EffectiveLookupNS() }
-
-// HotCacheHitRate implements the Engine seam by delegation.
-func (h *HotEngine) HotCacheHitRate() (float64, bool) { return h.Current().HotCacheHitRate() }
 
 // HotCache implements the Engine seam by delegation.
 func (h *HotEngine) HotCache() (core.HotCacheInfo, bool) { return h.Current().HotCache() }

@@ -128,8 +128,6 @@ func (e *fakeEngine) TimingAt(items int, lookupNS float64) (core.TimingReport, e
 	return core.TimingReport{Items: items, LatencyNS: ns, MakespanNS: ns, LookupNS: lookupNS}, nil
 }
 func (e *fakeEngine) LookupNS() float64                   { return 1000 }
-func (e *fakeEngine) EffectiveLookupNS() float64          { return 1000 }
-func (e *fakeEngine) HotCacheHitRate() (float64, bool)    { return 0, false }
 func (e *fakeEngine) HotCache() (core.HotCacheInfo, bool) { return core.HotCacheInfo{}, false }
 
 var fakeQuery = embedding.Query{[]int64{1}}

@@ -60,9 +60,7 @@ func (e *slowEngine) TimingAt(items int, lookupNS float64) (core.TimingReport, e
 	return core.TimingReport{Items: items, LatencyNS: ns, MakespanNS: ns, LookupNS: lookupNS}, nil
 }
 
-func (e *slowEngine) LookupNS() float64                { return 1000 }
-func (e *slowEngine) EffectiveLookupNS() float64       { return 1000 }
-func (e *slowEngine) HotCacheHitRate() (float64, bool) { return 0, false }
+func (e *slowEngine) LookupNS() float64 { return 1000 }
 func (e *slowEngine) HotCache() (core.HotCacheInfo, bool) {
 	return core.HotCacheInfo{}, false
 }

@@ -110,7 +110,6 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		m.Gauge("microrec_hotcache_hit_rate", "Live hot-row cache hit rate.", hc.HitRate)
 		m.Gauge("microrec_hotcache_used_bytes", "Hot-row cache bytes in use.", float64(hc.UsedBytes))
 		m.Gauge("microrec_hotcache_capacity_bytes", "Hot-row cache capacity.", float64(hc.CapacityBytes))
-		m.Gauge("microrec_effective_lookup_ns", "Modeled lookup latency at the current hit rate.", hc.EffectiveLookupNS)
 	}
 
 	// Tiered store residency and read split.

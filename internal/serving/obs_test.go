@@ -80,8 +80,8 @@ func checkSpanDecomposition(t *testing.T, spans []obs.Span, tolFrac float64) {
 func TestSpanDecompositionPipeline(t *testing.T) {
 	eng := testEngine(t)
 	s := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: 8}, Trace: TraceOptions{Sample: 1}})
-	// Warm-up: the first batch per size pays the one-time pipesim timing run
-	// inside complete(), which would dominate its spans' residue.
+	// Warm-up: the first batches pay one-time costs (first touch of the
+	// planes' pages, cold caches) that would dominate their spans' residue.
 	submitTraced(t, s, 32)
 	warmedAt := time.Now()
 	submitTraced(t, s, 64)

@@ -205,9 +205,9 @@ type Prefetcher interface {
 // Reloadable is the optional capability of an engine that can hot-swap the
 // model it serves: Reload atomically replaces the serving datapath with
 // next's, under live traffic, without a server restart. The replacement must
-// be timing-compatible (same spec geometry and placement shape — refreshed
-// parameters, not a different architecture): the server memoises timing
-// reports per batch size and does not re-derive them on reload. The
+// be geometry-compatible (same spec geometry and placement shape — refreshed
+// parameters, not a different architecture): the server sizes planes per
+// batch and does not re-derive them on reload. The
 // replicated router tier uses it for in-place model swaps; engines without it
 // are swapped at replica granularity instead (drain + replace, Router.Swap).
 type Reloadable interface {

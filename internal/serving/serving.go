@@ -20,7 +20,7 @@
 // already running, so memory latency hides behind compute. Coalescing costs a
 // lightly loaded server nothing — an idle drain takes a lone request at once —
 // and the backlog a saturated one can hold is validated against an SLA budget
-// (see internal/sla).
+// (ValidateSLA).
 //
 //	requests ──► Submit ──► micro-batcher ──free plane──► pipeline executor
 //	   ▲                    (grows while every           (gather │ GEMM │ tail)
@@ -43,7 +43,6 @@ import (
 	"microrec/internal/metrics"
 	"microrec/internal/obs"
 	"microrec/internal/pipeline"
-	"microrec/internal/sla"
 	"microrec/internal/tieredstore"
 )
 
@@ -78,8 +77,8 @@ var ErrExpired = errors.New("serving: deadline expired before service")
 
 // Engine is the slice of the inference engine the server drives: admission
 // validation, the stage-callable plane datapath both drains run (via
-// pipeline.StageEngine) and the timing model behind SLA admission and
-// per-batch reports.
+// pipeline.StageEngine), the cache-cold timing model behind SLA admission and
+// the live hot-row cache snapshot /stats reports.
 // *core.Engine implements it; overload tests substitute deterministic slow
 // engines to saturate the queue without depending on host speed.
 //
@@ -96,11 +95,6 @@ type Engine interface {
 	TimingAt(items int, lookupNS float64) (core.TimingReport, error)
 	// LookupNS is the plan's cache-cold embedding-lookup latency.
 	LookupNS() float64
-	// EffectiveLookupNS is the lookup latency at the current hot-row cache
-	// hit rate (equal to LookupNS without a cache).
-	EffectiveLookupNS() float64
-	// HotCacheHitRate reports the live cache's hit rate, if one is attached.
-	HotCacheHitRate() (float64, bool)
 	// HotCache snapshots the live cache, if one is attached.
 	HotCache() (core.HotCacheInfo, bool)
 }
@@ -114,13 +108,11 @@ var (
 	_ Prefetcher = (*core.Engine)(nil)
 )
 
-// Result is one query's response: the prediction plus the modeled
-// accelerator latency and the observed serving-side latency.
+// Result is one query's response: the prediction plus the observed
+// serving-side latency.
 type Result struct {
 	// CTR is the predicted click-through rate in [0, 1].
 	CTR float32
-	// ModeledLatencyUS is the accelerator's modeled single-item latency.
-	ModeledLatencyUS float64
 	// WallTime is the observed submit-to-response latency.
 	WallTime time.Duration
 	// BatchSize is the size of the micro-batch that served this query.
@@ -248,22 +240,7 @@ type Server struct {
 	// binary's provenance, surfaced in /stats and /metrics.
 	rec       *obs.Recorder
 	buildInfo obs.BuildInfo
-
-	timingMu    sync.Mutex
-	timingCache map[timingKey]core.TimingReport
 }
-
-// timingKey caches timing reports per batch size. With a live hot-row cache
-// attached, the lookup stage's latency tracks the observed hit rate, so the
-// key also carries the hit rate bucketed to whole percent (reports within a
-// bucket are indistinguishable at serving granularity). coldPct marks the
-// cache-cold reports SLA admission uses.
-type timingKey struct {
-	items  int
-	hitPct int
-}
-
-const coldPct = -1
 
 // New starts a server around an engine (in production *core.Engine; the
 // Engine seam lets overload tests drive deterministic fakes). The returned
@@ -322,7 +299,6 @@ func New(eng Engine, opts Options) (*Server, error) {
 		meter:       newServiceMeter(opts.Pipeline.Depth, !opts.Pipeline.WorkerPool),
 		rec:         obs.NewRecorder(traceRingSize, opts.Trace.Sample),
 		buildInfo:   obs.ReadBuild(kernels.Features()),
-		timingCache: make(map[timingKey]core.TimingReport),
 	}
 	// The capability assertions run on the possibly cluster-wrapped engine so
 	// the sharded tier's delegating hooks are the ones engaged. Both hooks
@@ -736,34 +712,24 @@ func (s *Server) deliver(payload interface{}, preds []float32) {
 	pb.release()
 }
 
-// complete finishes one batch: the per-batch timing report, serving metrics,
-// flight-recorder spans for the batch's sampled requests, and the response
-// future of every request. If the timing report fails, every future carries
-// that error instead.
+// complete finishes one batch: serving metrics, flight-recorder spans for
+// the batch's sampled requests, and the response future of every request.
 func (s *Server) complete(batch []*request, preds []float32, bt *batchTrace) {
-	rep, err := s.timing(len(batch))
 	// Record stats before resolving any future, so a Stats() call racing a
 	// just-returned Submit always sees the batch.
 	now := time.Now()
 	s.occupancy.Observe(now, float64(len(batch)))
-	if err == nil {
-		for _, r := range batch {
-			lat := now.Sub(r.enq).Seconds() * 1e6
-			s.latencyUS.Observe(now, lat)
-			s.latencyHist.Observe(lat)
-		}
+	for _, r := range batch {
+		lat := now.Sub(r.enq).Seconds() * 1e6
+		s.latencyUS.Observe(now, lat)
+		s.latencyHist.Observe(lat)
 	}
-	s.recordSpans(batch, bt, now, err)
+	s.recordSpans(batch, bt, now)
 	for i, r := range batch {
-		if err != nil {
-			r.done <- outcome{err: err}
-			continue
-		}
 		r.done <- outcome{res: Result{
-			CTR:              preds[i],
-			ModeledLatencyUS: rep.LatencyNS / 1e3,
-			WallTime:         now.Sub(r.enq),
-			BatchSize:        len(batch),
+			CTR:       preds[i],
+			WallTime:  now.Sub(r.enq),
+			BatchSize: len(batch),
 		}}
 	}
 }
@@ -773,11 +739,7 @@ func (s *Server) complete(batch []*request, preds []float32, bt *batchTrace) {
 // and the rolling latency window agree exactly. The stage segments come from
 // the batch trace and are shared by every request in the batch — a request's
 // span is its own queue/batch waits followed by the batch's service timeline.
-func (s *Server) recordSpans(batch []*request, bt *batchTrace, now time.Time, err error) {
-	verdict := obs.VerdictOK
-	if err != nil {
-		verdict = obs.VerdictError
-	}
+func (s *Server) recordSpans(batch []*request, bt *batchTrace, now time.Time) {
 	for _, r := range batch {
 		if !r.sampled {
 			continue
@@ -787,7 +749,7 @@ func (s *Server) recordSpans(batch []*request, bt *batchTrace, now time.Time, er
 			EndToEndNS: int64(now.Sub(r.enq)),
 			Batch:      int32(len(batch)),
 			Replica:    s.replica,
-			Verdict:    verdict,
+			Verdict:    obs.VerdictOK,
 		}
 		// Both drains stamp flushed at dispatch, before any path reaches here.
 		// Batch wait runs from dispatch to gather entry (prepare + prefetch);
@@ -873,40 +835,6 @@ func (s *Server) HotCacheCounts() (hits, misses int64, ok bool) {
 // BuildInfo returns the binary's build provenance as surfaced in /stats.
 func (s *Server) BuildInfo() obs.BuildInfo { return s.buildInfo }
 
-// timing returns the modeled timing report for a batch size at the engine's
-// current effective lookup latency, cached per (size, hit-rate bucket) — the
-// report is deterministic in those inputs at percent granularity. The bucket
-// comes from a coherent snapshot of the cache's per-shard counters (one
-// brief lock acquisition per shard), cheap enough for a per-batch call.
-func (s *Server) timing(items int) (core.TimingReport, error) {
-	key := timingKey{items: items}
-	if hr, ok := s.eng.HotCacheHitRate(); ok {
-		key.hitPct = int(hr*100 + 0.5)
-	}
-	return s.timingFor(key, s.eng.EffectiveLookupNS())
-}
-
-// coldTiming returns the timing report with a cold hot-row cache (the plan's
-// unassisted lookup latency). SLA admission must use this: a warm cache
-// improves the expected latency, never the worst-case bound.
-func (s *Server) coldTiming(items int) (core.TimingReport, error) {
-	return s.timingFor(timingKey{items: items, hitPct: coldPct}, s.eng.LookupNS())
-}
-
-// timingFor memoises one timing-model run per key.
-func (s *Server) timingFor(key timingKey, lookupNS float64) (core.TimingReport, error) {
-	s.timingMu.Lock()
-	defer s.timingMu.Unlock()
-	if rep, ok := s.timingCache[key]; ok {
-		return rep, nil
-	}
-	rep, err := s.eng.TimingAt(key.items, lookupNS)
-	if err == nil {
-		s.timingCache[key] = rep
-	}
-	return rep, err
-}
-
 // LatencySummary is the rolling latency distribution in µs.
 type LatencySummary struct {
 	Mean float64 `json:"mean"`
@@ -924,10 +852,6 @@ type HotCacheStats struct {
 	Hits          int64   `json:"hits"`
 	Misses        int64   `json:"misses"`
 	HitRate       float64 `json:"hit_rate"`
-	// EffectiveLookupNS is the modeled embedding-lookup latency at the
-	// current hit rate; ColdLookupNS is the uncached plan latency.
-	EffectiveLookupNS float64 `json:"effective_lookup_ns"`
-	ColdLookupNS      float64 `json:"cold_lookup_ns"`
 }
 
 // ClusterStats is the serving-side view of the sharded tier: shard count and
@@ -1152,14 +1076,12 @@ func (s *Server) Stats() Stats {
 	}
 	if info, ok := s.eng.HotCache(); ok {
 		st.HotCache = &HotCacheStats{
-			CapacityBytes:     info.CapacityBytes,
-			UsedBytes:         info.UsedBytes,
-			Entries:           info.Entries,
-			Hits:              info.Hits,
-			Misses:            info.Misses,
-			HitRate:           info.HitRate,
-			EffectiveLookupNS: info.EffectiveLookupNS,
-			ColdLookupNS:      s.eng.LookupNS(),
+			CapacityBytes: info.CapacityBytes,
+			UsedBytes:     info.UsedBytes,
+			Entries:       info.Entries,
+			Hits:          info.Hits,
+			Misses:        info.Misses,
+			HitRate:       info.HitRate,
 		}
 	}
 	return st
@@ -1191,47 +1113,62 @@ func (s *Server) retryAfter(intervalNS float64) time.Duration {
 	if intervalNS > 0 {
 		return time.Duration(intervalNS)
 	}
-	if rep, err := s.coldTiming(s.opts.Batching.MaxBatch); err == nil && rep.MakespanNS > 0 {
-		return time.Duration(rep.MakespanNS)
+	if ns, err := s.coldMakespanNS(); err == nil && ns > 0 {
+		return time.Duration(ns)
 	}
 	return time.Millisecond
 }
 
+// coldMakespanNS is the one figure serving keeps of the accelerator timing
+// model: the full-batch makespan with a cold hot-row cache (the plan's
+// unassisted lookup latency). Admission must hold before the cache warms and
+// after any invalidation empties it. Each call runs the model; the callers
+// are startup checks and the pre-first-batch Retry-After fallback.
+func (s *Server) coldMakespanNS() (float64, error) {
+	rep, err := s.eng.TimingAt(s.opts.Batching.MaxBatch, s.eng.LookupNS())
+	return rep.MakespanNS, err
+}
+
 // ValidateSLA checks a tail-latency budget for any *admitted* query against
 // the backlog the server itself can hold ahead of it: full batches in the
-// submit queue, on offer and in service (see sla.WorstCaseAdmittedLatencyMS).
-// There is no window term — a batch forms only while that backlog is being
-// served, so the formation wait is part of it. The full-batch service time
-// comes from the engine's timing model with a cold hot-row cache: admission
-// must hold even before the cache warms (and after any invalidation empties
-// it).
+// submit queue, on offer and in service (see admittedBoundNS). There is no
+// window term — a batch forms only while that backlog is being served, so the
+// formation wait is part of it.
 func (s *Server) ValidateSLA(budget time.Duration) error {
-	rep, err := s.coldTiming(s.opts.Batching.MaxBatch)
+	if budget <= 0 {
+		return fmt.Errorf("serving: latency budget %v", budget)
+	}
+	worst, err := s.admittedBoundNS()
 	if err != nil {
 		return err
 	}
-	budgetMS := float64(budget) / float64(time.Millisecond)
-	return sla.ValidateAdmittedWindow(0, rep.MakespanNS/1e6, budgetMS, s.backlogBatches(), s.drainWorkers())
+	if worst > float64(budget) {
+		return fmt.Errorf("serving: worst-case admitted latency %v (%d queued batches on %d workers) exceeds budget %v",
+			time.Duration(worst), s.backlogBatches(), s.drainWorkers(), budget)
+	}
+	return nil
 }
 
-// AdmittedLatencyBounds returns the worst-case admitted latency (computed
-// from the cache-cold full-batch service time, the figure ValidateSLA
-// enforces) alongside the expected latency at the engine's current effective
-// lookup latency — identical without a hot-row cache, and an increasingly
-// tighter pair as the cache warms.
-func (s *Server) AdmittedLatencyBounds() (worst, expected time.Duration, err error) {
-	cold, err := s.coldTiming(s.opts.Batching.MaxBatch)
+// AdmittedLatencyBound returns the worst-case latency of any admitted query:
+// the figure ValidateSLA enforces.
+func (s *Server) AdmittedLatencyBound() (time.Duration, error) {
+	ns, err := s.admittedBoundNS()
+	return time.Duration(ns), err
+}
+
+// admittedBoundNS bounds the latency of a freshly admitted query: the
+// backlog ahead of it drains in ceil(backlog/workers) rounds of cache-cold
+// full-batch service, then its own batch is served.
+//
+//	bound = (ceil(backlogBatches/drainWorkers) + 1) · coldMakespanNS
+func (s *Server) admittedBoundNS() (float64, error) {
+	ns, err := s.coldMakespanNS()
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	warm, err := s.timing(s.opts.Batching.MaxBatch)
-	if err != nil {
-		return 0, 0, err
-	}
-	worstMS, expectedMS := sla.AdmittedLatencyBoundsMS(
-		0, cold.MakespanNS/1e6, warm.MakespanNS/1e6, s.backlogBatches(), s.drainWorkers())
-	return time.Duration(worstMS * float64(time.Millisecond)),
-		time.Duration(expectedMS * float64(time.Millisecond)), nil
+	workers := s.drainWorkers()
+	rounds := (s.backlogBatches() + workers - 1) / workers
+	return float64(rounds+1) * ns, nil
 }
 
 // backlogBatches bounds the batches ahead of a freshly admitted query's own:

@@ -3,8 +3,11 @@ package serving
 import (
 	"context"
 	"errors"
+	"go/build"
 	"math"
 	"math/rand"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -504,8 +507,7 @@ func testEngineWithCache(t testing.TB, capacity int64) *core.Engine {
 }
 
 // TestStatsHotCache checks the serving stats surface the live cache: absent
-// without one, populated (with a warming hit rate and an effective lookup
-// latency below the cold one) when attached.
+// without one, populated (with hits from repeated queries) when attached.
 func TestStatsHotCache(t *testing.T) {
 	plain := newServer(t, testEngine(t), Options{Batching: BatchingOptions{MaxBatch: 8}})
 	if st := plain.Stats(); st.HotCache != nil {
@@ -543,44 +545,125 @@ func TestStatsHotCache(t *testing.T) {
 	if hc.Hits == 0 {
 		t.Error("repeated queries should produce hits")
 	}
-	if hc.EffectiveLookupNS >= hc.ColdLookupNS {
-		t.Errorf("warm cache: effective %v should beat cold %v", hc.EffectiveLookupNS, hc.ColdLookupNS)
+	if want := float64(hc.Hits) / float64(hc.Hits+hc.Misses); hc.HitRate != want {
+		t.Errorf("hit rate %v, want hits/(hits+misses) = %v", hc.HitRate, want)
 	}
 }
 
-// TestAdmittedLatencyBounds checks the cold/expected pair: without a cache
-// the bounds coincide; with a warm cache the expected latency is no worse
-// than the cold worst case, and the worst case is what ValidateSLA enforces.
-func TestAdmittedLatencyBounds(t *testing.T) {
-	srv := newServer(t, testEngine(t), Options{Batching: BatchingOptions{MaxBatch: 8}})
-	worst, expected, err := srv.AdmittedLatencyBounds()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if worst != expected {
-		t.Errorf("no cache: worst %v != expected %v", worst, expected)
-	}
-	if worst <= 0 {
-		t.Errorf("worst-case bound %v should be positive", worst)
-	}
+// timingCountEngine is a slowEngine that counts timing-model runs; its
+// makespan is the slowEngine's fixed service time.
+type timingCountEngine struct {
+	slowEngine
+	timings atomic.Int64
+}
 
-	eng := testEngineWithCache(t, 1<<18)
-	csrv := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: 8}})
-	ctx := context.Background()
-	qs := randomQueries(t, eng.Spec(), 8, 9)
-	for rep := 0; rep < 3; rep++ {
-		for _, q := range qs {
-			if _, err := csrv.Submit(ctx, q); err != nil {
+func (e *timingCountEngine) TimingAt(items int, lookupNS float64) (core.TimingReport, error) {
+	e.timings.Add(1)
+	return e.slowEngine.TimingAt(items, lookupNS)
+}
+
+// TestServingRunsNoTimingModel pins that serving batches never runs the
+// accelerator timing model, in either drain and at any batch size, and that
+// each admission-bound query runs it exactly once. The bound is
+// (ceil(backlog/workers) + 1) · makespan, with a backlog of
+// ceil(QueueDepth/MaxBatch) queued batches, one on offer and Depth in
+// service; the pipeline drains on one worker, the pool on Depth.
+func TestServingRunsNoTimingModel(t *testing.T) {
+	const service = 200 * time.Microsecond
+	for _, d := range drains {
+		t.Run(d.name, func(t *testing.T) {
+			eng := &timingCountEngine{slowEngine: slowEngine{service: service}}
+			srv := newServer(t, eng, Options{
+				Batching:  BatchingOptions{MaxBatch: 8},
+				Admission: AdmissionOptions{QueueDepth: 20},
+				Pipeline:  PipelineOptions{Depth: 2, WorkerPool: d.workerPool},
+			})
+			ctx := context.Background()
+			sizes := map[int]bool{}
+			for burst := 1; len(sizes) < 3 && burst <= 64; burst++ {
+				var (
+					wg sync.WaitGroup
+					mu sync.Mutex
+				)
+				for i := 0; i < burst%16+1; i++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						res, err := srv.Submit(ctx, slowQuery)
+						if err != nil {
+							t.Errorf("submit: %v", err)
+							return
+						}
+						mu.Lock()
+						sizes[res.BatchSize] = true
+						mu.Unlock()
+					}()
+				}
+				wg.Wait()
+			}
+			if len(sizes) < 3 {
+				t.Fatalf("served batch sizes %v, want at least 3 distinct", sizes)
+			}
+			if n := eng.timings.Load(); n != 0 {
+				t.Fatalf("serving batches of sizes %v ran the timing model %d times, want 0", sizes, n)
+			}
+
+			rounds := 6 // backlog ceil(20/8) + 1 + 2 on one worker
+			if d.workerPool {
+				rounds = 3 // the same backlog of 6 on 2 workers
+			}
+			want := time.Duration(rounds+1) * service
+			bound, err := srv.AdmittedLatencyBound()
+			if err != nil {
 				t.Fatal(err)
+			}
+			if bound != want {
+				t.Errorf("admitted bound %v, want %v", bound, want)
+			}
+			if n := eng.timings.Load(); n != 1 {
+				t.Fatalf("AdmittedLatencyBound ran the timing model %d times, want 1", n)
+			}
+			if err := srv.ValidateSLA(want); err != nil {
+				t.Errorf("budget equal to the bound rejected: %v", err)
+			}
+			if err := srv.ValidateSLA(want - time.Nanosecond); err == nil {
+				t.Error("budget below the bound accepted")
+			}
+			if n := eng.timings.Load(); n != 3 {
+				t.Fatalf("two ValidateSLA calls ran the timing model %d times in all, want 3", n)
+			}
+		})
+	}
+}
+
+// TestServingDoesNotImportSLA pins the serving stack's independence from the
+// offline SLA models: no package internal/serving transitively imports is
+// internal/sla.
+func TestServingDoesNotImportSLA(t *testing.T) {
+	seen := map[string]bool{}
+	var walk func(path string)
+	walk = func(path string) {
+		if seen[path] {
+			return
+		}
+		seen[path] = true
+		dir := filepath.Join("..", "..", strings.TrimPrefix(path, "microrec/"))
+		pkg, err := build.Default.ImportDir(dir, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for _, imp := range pkg.Imports {
+			if strings.HasPrefix(imp, "microrec/") {
+				walk(imp)
 			}
 		}
 	}
-	cworst, cexpected, err := csrv.AdmittedLatencyBounds()
-	if err != nil {
-		t.Fatal(err)
+	walk("microrec/internal/serving")
+	if !seen["microrec/internal/core"] {
+		t.Fatalf("import walk never reached internal/core (saw %d packages); the walk is broken", len(seen))
 	}
-	if cexpected > cworst {
-		t.Errorf("expected %v exceeds cache-cold worst case %v", cexpected, cworst)
+	if seen["microrec/internal/sla"] {
+		t.Error("internal/serving transitively imports internal/sla")
 	}
 }
 

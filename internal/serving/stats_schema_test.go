@@ -35,7 +35,7 @@ func fullStats() Stats {
 		},
 		Cluster: &ClusterStats{
 			Shards: 2, RingDepth: 2, Batches: 20,
-			ColdLookupNS: 900, EffectiveLookupNS: 700,
+			ColdLookupNS: 900,
 			MergeWaitUS: metrics.HistogramSnapshot{
 				Count: 20, Mean: 5, Min: 1, Max: 20, P50: 4, P95: 10, P99: 15, P999: 19,
 			},
@@ -47,7 +47,7 @@ func fullStats() Stats {
 		},
 		HotCache: &HotCacheStats{
 			CapacityBytes: 1 << 20, UsedBytes: 1 << 19, Entries: 100, Hits: 900,
-			Misses: 100, HitRate: 0.9, EffectiveLookupNS: 700, ColdLookupNS: 900,
+			Misses: 100, HitRate: 0.9,
 		},
 		Tiers: &TierStats{
 			Path: "/tmp/cold.bin", ColdLatencyNS: 2000, HotBudgetBytes: 1 << 20,
@@ -124,7 +124,6 @@ var statsSchema = []string{
 	"cluster",
 	"cluster.batches",
 	"cluster.cold_lookup_ns",
-	"cluster.effective_lookup_ns",
 	"cluster.imbalance_ratio",
 	"cluster.merge_wait_us",
 	"cluster.merge_wait_us.count",
@@ -148,8 +147,6 @@ var statsSchema = []string{
 	"cluster.shards",
 	"hotcache",
 	"hotcache.capacity_bytes",
-	"hotcache.cold_lookup_ns",
-	"hotcache.effective_lookup_ns",
 	"hotcache.entries",
 	"hotcache.hit_rate",
 	"hotcache.hits",

@@ -156,79 +156,3 @@ func SimulateQueue(m cpu.Model, arrivalsPerSec float64, queries int, pol Policy,
 		SLAViolations:    violations,
 	}, nil
 }
-
-// ItemServeLatencyMS returns the accelerator-side per-query latency in ms
-// for comparison columns: item-at-a-time service has no batching delay, so
-// under moderate load the query latency is just the pipeline latency.
-func ItemServeLatencyMS(latencyNS float64) float64 { return latencyNS / 1e6 }
-
-// Micro-batch window validation. A dynamic micro-batcher (flush on max batch
-// size or a deadline window) bounds the per-query latency under light load:
-// in the worst case a query arrives just after a batch departs, waits its
-// full window for the batch to fill, and is then served behind one still
-// in-flight batch, i.e. window + 2*service(maxBatch). Under saturation a
-// server also holds queued work ahead of a newly admitted query;
-// WorstCaseAdmittedLatencyMS extends the bound with that backlog.
-
-// WorstCaseBatchLatencyMS returns the micro-batcher's light-load worst-case
-// per-query latency bound (window + 2*service: one in-flight batch ahead)
-// for a flush window and a full-batch service time, both in ms.
-func WorstCaseBatchLatencyMS(windowMS, serviceMS float64) float64 {
-	return WorstCaseAdmittedLatencyMS(windowMS, serviceMS, 1, 1)
-}
-
-// WorstCaseAdmittedLatencyMS bounds the latency of any *admitted* query for
-// a server that can hold up to queuedBatches full batches of backlog
-// (forming, queued and in service) ahead of the query's own batch, drained
-// by `workers` parallel workers: the query waits its window, the backlog
-// drains in ceil(queuedBatches/workers) rounds of service, then its own
-// batch is served.
-func WorstCaseAdmittedLatencyMS(windowMS, serviceMS float64, queuedBatches, workers int) float64 {
-	if workers < 1 {
-		workers = 1
-	}
-	if queuedBatches < 0 {
-		queuedBatches = 0
-	}
-	drain := math.Ceil(float64(queuedBatches) / float64(workers))
-	return windowMS + (drain+1)*serviceMS
-}
-
-// AdmittedLatencyBoundsMS returns the pair of admitted-latency figures a
-// cache-fronted server reports: the worst case computed from the cache-cold
-// full-batch service time (the bound admission control must enforce — a
-// hot-row cache improves the expectation, never the bound, since it can be
-// cold at startup or after invalidation) and the expected latency at the
-// currently observed warm service time. Without a cache the two coincide.
-func AdmittedLatencyBoundsMS(windowMS, coldServiceMS, warmServiceMS float64, queuedBatches, workers int) (worstMS, expectedMS float64) {
-	return WorstCaseAdmittedLatencyMS(windowMS, coldServiceMS, queuedBatches, workers),
-		WorstCaseAdmittedLatencyMS(windowMS, warmServiceMS, queuedBatches, workers)
-}
-
-// ValidateAdmittedWindow checks a batching window against a tail-latency
-// budget including admission backlog (see WorstCaseAdmittedLatencyMS).
-func ValidateAdmittedWindow(windowMS, serviceMS, budgetMS float64, queuedBatches, workers int) error {
-	if windowMS < 0 {
-		return fmt.Errorf("sla: negative window %v ms", windowMS)
-	}
-	if serviceMS < 0 {
-		return fmt.Errorf("sla: negative service time %v ms", serviceMS)
-	}
-	if budgetMS <= 0 {
-		return fmt.Errorf("sla: latency budget %v ms", budgetMS)
-	}
-	worst := WorstCaseAdmittedLatencyMS(windowMS, serviceMS, queuedBatches, workers)
-	if worst > budgetMS {
-		return fmt.Errorf("sla: worst-case admitted latency %.3f ms (window %.3f + %d queued batches on %d workers at %.3f ms/batch) exceeds budget %.3f ms",
-			worst, windowMS, queuedBatches, workers, serviceMS, budgetMS)
-	}
-	return nil
-}
-
-// ValidateWindow checks a batching window against a tail-latency budget
-// under the light-load bound, given the full-batch service time, all in ms.
-// It returns nil when the worst-case bound fits the budget and a
-// descriptive error otherwise.
-func ValidateWindow(windowMS, serviceMS, budgetMS float64) error {
-	return ValidateAdmittedWindow(windowMS, serviceMS, budgetMS, 1, 1)
-}

@@ -163,137 +163,3 @@ func TestOverloadDetectedViaViolations(t *testing.T) {
 		t.Errorf("only %d/%d violations under overload", res.SLAViolations, res.Queries)
 	}
 }
-
-func TestItemServeLatencyMS(t *testing.T) {
-	if got := ItemServeLatencyMS(17900); got != 0.0179 {
-		t.Errorf("ItemServeLatencyMS = %v", got)
-	}
-}
-
-func BenchmarkSimulateQueue(b *testing.B) {
-	m := cpu.PaperSmall()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := SimulateQueue(m, 10000, 2000, Policy{MaxBatch: 512, TimeoutMS: 10}, 50, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func TestValidateWindow(t *testing.T) {
-	// 0.2ms window + 2*1.5ms service = 3.2ms fits a 5ms budget.
-	if err := ValidateWindow(0.2, 1.5, 5); err != nil {
-		t.Errorf("fitting window rejected: %v", err)
-	}
-	// 3ms window + 2*1.5ms service = 6ms misses a 5ms budget.
-	if err := ValidateWindow(3, 1.5, 5); err == nil {
-		t.Error("oversized window accepted")
-	}
-	for _, bad := range [][3]float64{{-1, 1, 5}, {1, -1, 5}, {1, 1, 0}} {
-		if err := ValidateWindow(bad[0], bad[1], bad[2]); err == nil {
-			t.Errorf("ValidateWindow(%v) accepted", bad)
-		}
-	}
-}
-
-func TestWorstCaseBatchLatencyMS(t *testing.T) {
-	if got := WorstCaseBatchLatencyMS(0.2, 1.5); got != 3.2 {
-		t.Errorf("worst case = %v, want 3.2", got)
-	}
-}
-
-func TestWorstCaseAdmittedLatencyMS(t *testing.T) {
-	// No backlog degenerates to window + service.
-	if got := WorstCaseAdmittedLatencyMS(0.2, 1.5, 0, 1); got != 1.7 {
-		t.Errorf("no backlog = %v, want 1.7", got)
-	}
-	// 7 queued batches on 1 worker: window + (7+1)*service.
-	if got := WorstCaseAdmittedLatencyMS(0.2, 1.5, 7, 1); got != 0.2+8*1.5 {
-		t.Errorf("7 queued / 1 worker = %v", got)
-	}
-	// 7 queued batches on 4 workers drain in ceil(7/4)=2 rounds.
-	if got := WorstCaseAdmittedLatencyMS(0.2, 1.5, 7, 4); got != 0.2+3*1.5 {
-		t.Errorf("7 queued / 4 workers = %v", got)
-	}
-	// Degenerate inputs clamp instead of exploding.
-	if got := WorstCaseAdmittedLatencyMS(0.2, 1.5, -3, 0); got != 1.7 {
-		t.Errorf("clamped = %v, want 1.7", got)
-	}
-}
-
-func TestValidateAdmittedWindow(t *testing.T) {
-	// The light-load bound fits a 5ms budget, but 7 batches of backlog on
-	// one worker must not.
-	if err := ValidateAdmittedWindow(0.2, 1.5, 5, 0, 1); err != nil {
-		t.Errorf("no backlog rejected: %v", err)
-	}
-	if err := ValidateAdmittedWindow(0.2, 1.5, 5, 7, 1); err == nil {
-		t.Error("backlogged config accepted")
-	}
-	// More workers drain the same backlog inside the budget.
-	if err := ValidateAdmittedWindow(0.2, 1.5, 13, 7, 8); err != nil {
-		t.Errorf("parallel drain rejected: %v", err)
-	}
-	for _, bad := range [][3]float64{{-1, 1, 5}, {1, -1, 5}, {1, 1, 0}} {
-		if err := ValidateAdmittedWindow(bad[0], bad[1], bad[2], 1, 1); err == nil {
-			t.Errorf("ValidateAdmittedWindow(%v) accepted", bad)
-		}
-	}
-}
-
-func TestAdmittedLatencyBoundsMS(t *testing.T) {
-	// Equal cold/warm service: bounds coincide (the no-cache case).
-	worst, expected := AdmittedLatencyBoundsMS(1, 5, 5, 2, 1)
-	if worst != expected {
-		t.Errorf("equal service: worst %v != expected %v", worst, expected)
-	}
-	if want := WorstCaseAdmittedLatencyMS(1, 5, 2, 1); worst != want {
-		t.Errorf("worst %v, want %v", worst, want)
-	}
-	// A warm cache shrinks the expectation, never the bound.
-	worst, expected = AdmittedLatencyBoundsMS(1, 5, 3, 2, 1)
-	if expected >= worst {
-		t.Errorf("warm service 3 vs cold 5: expected %v should beat worst %v", expected, worst)
-	}
-	if want := WorstCaseAdmittedLatencyMS(1, 3, 2, 1); expected != want {
-		t.Errorf("expected %v, want %v", expected, want)
-	}
-}
-
-// TestAdmittedLatencyBoundsPipelineMode pins the bounds in the serving
-// layer's pipelined-drain model: the pipeline is treated conservatively as a
-// single drain worker (workers=1) with the full un-overlapped batch service
-// time. With ring depth 1 batch of backlog the bound is window + 2*service
-// (the classic one-in-flight form), and deeper backlogs grow linearly — one
-// full service round per queued batch, since one "worker" drains them.
-func TestAdmittedLatencyBoundsPipelineMode(t *testing.T) {
-	const window, cold, warm = 0.2, 4.0, 2.5
-	// Depth-1 backlog, pipeline drain (workers=1).
-	worst, expected := AdmittedLatencyBoundsMS(window, cold, warm, 1, 1)
-	if want := window + 2*cold; worst != want {
-		t.Fatalf("depth-1 worst %v, want window+2*service = %v", worst, want)
-	}
-	if want := window + 2*warm; expected != want {
-		t.Fatalf("depth-1 expected %v, want %v", expected, want)
-	}
-	if expected >= worst {
-		t.Fatalf("warm expectation %v must beat cold bound %v", expected, worst)
-	}
-	// The pipelined drain's single conservative worker: each extra queued
-	// batch adds exactly one cold service to the worst case.
-	prevWorst := worst
-	for backlog := 2; backlog <= 5; backlog++ {
-		w, _ := AdmittedLatencyBoundsMS(window, cold, warm, backlog, 1)
-		if diff := w - prevWorst; diff != cold {
-			t.Fatalf("backlog %d: bound grew by %v, want one service (%v)", backlog, diff, cold)
-		}
-		prevWorst = w
-	}
-	// Sanity against the worker-pool model: with enough workers the same
-	// backlog drains in one round, so the pipeline-mode bound dominates.
-	poolWorst, _ := AdmittedLatencyBoundsMS(window, cold, warm, 5, 5)
-	pipeWorst, _ := AdmittedLatencyBoundsMS(window, cold, warm, 5, 1)
-	if pipeWorst <= poolWorst {
-		t.Fatalf("pipeline-mode bound %v not conservative vs pool %v", pipeWorst, poolWorst)
-	}
-}

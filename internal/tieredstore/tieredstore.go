@@ -578,20 +578,6 @@ func (s *Store) boundNSLocked() float64 {
 	return ns
 }
 
-// ColdReadRate returns the observed fraction of row reads served by the cold
-// tier (1 when idle — conservative until traffic arrives).
-func (s *Store) ColdReadRate() float64 {
-	var hot, cold int64
-	for _, st := range s.streams {
-		hot += st.hotReads.Load()
-		cold += st.coldReads.Load()
-	}
-	if hot+cold == 0 {
-		return 1
-	}
-	return float64(cold) / float64(hot+cold)
-}
-
 // Snapshot is a point-in-time view of the store for /stats and reports.
 type Snapshot struct {
 	Path           string  `json:"path"`

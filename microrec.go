@@ -141,8 +141,8 @@ type (
 	// (HotEngine). Optional capabilities — tiered storage, prefetch, hot
 	// reload — are discovered by interface assertion, not configuration.
 	ServingEngine = serving.Engine
-	// ServeResult is one served query's prediction plus modeled-vs-wall
-	// latency.
+	// ServeResult is one served query's prediction, its observed wall
+	// latency and the size of the batch that served it.
 	ServeResult = serving.Result
 	// ServerStats is a rolling snapshot of serving statistics (latency
 	// percentiles, QPS, batch occupancy, pipeline stage occupancy,
@@ -345,8 +345,8 @@ type EngineOptions struct {
 	UseLPTAllocator bool
 	// HotCacheBytes, when positive, attaches a live hot-row cache of the
 	// given byte capacity to the engine's gather datapath. The cache never
-	// changes predictions; its hit rate scales the modeled embedding-lookup
-	// latency (Engine.EffectiveLookupNS, surfaced in /stats).
+	// changes predictions; its hits, misses and hit rate are surfaced in
+	// /stats.
 	HotCacheBytes int64
 	// ColdTier attaches the tiered embedding backing store: frequent rows
 	// pinned in a DRAM hot tier, the full row set in an mmap'd cold file
