@@ -309,3 +309,53 @@ func TestHotCacheConcurrentWorkers(t *testing.T) {
 		t.Errorf("repeated identical batches should hit the cache: %+v", info)
 	}
 }
+
+// TestTimingIgnoresHotCache pins that the timing model prices lookups at the
+// plan's cache-cold latency: a warm hot-row cache changes neither Timing nor
+// Infer's report, which match an uncached engine's on the same plan.
+func TestTimingIgnoresHotCache(t *testing.T) {
+	spec := model.SmallProduction()
+	cfg := SmallFP16()
+	plain := buildEngine(t, spec, cfg, true)
+	cfg.HotCacheBytes = 1 << 18
+	e := buildEngine(t, spec, cfg, true)
+	if e.LookupNS() != plain.LookupNS() {
+		t.Fatalf("cached engine lookup %v, uncached %v", e.LookupNS(), plain.LookupNS())
+	}
+	qs := randomQueries(spec, 48, 5)
+	for rep := 0; rep < 4; rep++ {
+		if _, err := e.InferBatch(qs, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if info, ok := e.HotCache(); !ok || info.Hits == 0 {
+		t.Fatalf("cache did not warm: %+v ok=%v", info, ok)
+	}
+	for _, items := range []int{1, 8, 48} {
+		got, err := e.Timing(items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := plain.Timing(items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%d items: warm-cache timing %+v, uncached %+v", items, got, want)
+		}
+		if cold, err := e.TimingAt(items, e.LookupNS()); err != nil || got != cold {
+			t.Errorf("%d items: Timing %+v, TimingAt(LookupNS) %+v (err %v)", items, got, cold, err)
+		}
+	}
+	got, err := e.Infer(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.Infer(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Timing != want.Timing {
+		t.Errorf("Infer timing with a warm cache %+v, uncached %+v", got.Timing, want.Timing)
+	}
+}

@@ -636,6 +636,127 @@ func TestServingRunsNoTimingModel(t *testing.T) {
 	}
 }
 
+// TestAdmittedLatencyBounds checks the bound on the real engine: it prices the
+// cache-cold full-batch makespan, so a hot-row cache leaves it unchanged
+// whether cold or warm — a warm cache improves the expectation, never the
+// bound, since it can be cold at startup or after invalidation.
+func TestAdmittedLatencyBounds(t *testing.T) {
+	opts := Options{Batching: BatchingOptions{MaxBatch: 8}}
+	plain := testEngine(t)
+	rep, err := plain.TimingAt(8, plain.LookupNS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Default queue depth 32 and depth 3: a backlog of 4 + 1 + 3 batches on
+	// the pipeline's single conservative worker.
+	want := time.Duration(9 * rep.MakespanNS)
+	bound, err := newServer(t, plain, opts).AdmittedLatencyBound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bound <= 0 || bound != want {
+		t.Errorf("no cache: bound %v, want 9 cold makespans = %v", bound, want)
+	}
+
+	eng := testEngineWithCache(t, 1<<18)
+	srv := newServer(t, eng, opts)
+	cold, err := srv.AdmittedLatencyBound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold != bound {
+		t.Errorf("cold cache: bound %v, want the uncached %v", cold, bound)
+	}
+	ctx := context.Background()
+	qs := randomQueries(t, eng.Spec(), 8, 9)
+	for rep := 0; rep < 3; rep++ {
+		for _, q := range qs {
+			if _, err := srv.Submit(ctx, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if info, ok := eng.HotCache(); !ok || info.Hits == 0 {
+		t.Fatalf("cache did not warm: %+v ok=%v", info, ok)
+	}
+	warm, err := srv.AdmittedLatencyBound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm != cold {
+		t.Errorf("warm cache moved the bound: %v, cold %v", warm, cold)
+	}
+}
+
+// TestAdmittedLatencyBoundsPipelineMode pins the backlog model of both
+// drains. The pipeline is treated conservatively as a single drain worker
+// with the full un-overlapped batch service time, so each extra queued batch
+// adds exactly one service to its bound; the worker pool drains Depth batches
+// per round, so with the same backlog the pipeline-mode bound dominates.
+func TestAdmittedLatencyBoundsPipelineMode(t *testing.T) {
+	const service = time.Millisecond
+	for _, tc := range []struct {
+		name                        string
+		maxBatch, queueDepth, depth int
+		poolRounds                  int
+	}{
+		// backlog = ceil(queueDepth/maxBatch) + 1 + depth
+		{"one-queued-batch", 8, 8, 2, 2},        // backlog 4 on 2 workers
+		{"partial-batch-rounds-up", 8, 9, 2, 3}, // backlog 5 on 2 workers
+		{"deep-queue", 4, 64, 3, 7},             // backlog 20 on 3 workers
+		{"deep-pipeline", 16, 32, 6, 2},         // backlog 9 on 6 workers
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bound := func(queueDepth int, workerPool bool) time.Duration {
+				t.Helper()
+				srv := newServer(t, &slowEngine{service: service}, Options{
+					Batching:  BatchingOptions{MaxBatch: tc.maxBatch},
+					Admission: AdmissionOptions{QueueDepth: queueDepth},
+					Pipeline:  PipelineOptions{Depth: tc.depth, WorkerPool: workerPool},
+				})
+				b, err := srv.AdmittedLatencyBound()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			backlog := (tc.queueDepth+tc.maxBatch-1)/tc.maxBatch + 1 + tc.depth
+			pipe := bound(tc.queueDepth, false)
+			if want := time.Duration(backlog+1) * service; pipe != want {
+				t.Errorf("pipeline bound %v, want (%d+1) services = %v", pipe, backlog, want)
+			}
+			pool := bound(tc.queueDepth, true)
+			if want := time.Duration(tc.poolRounds+1) * service; pool != want {
+				t.Errorf("worker-pool bound %v, want (%d+1) services = %v", pool, tc.poolRounds, want)
+			}
+			if pipe < pool {
+				t.Errorf("pipeline-mode bound %v not conservative vs pool %v", pipe, pool)
+			}
+			// One more full batch of queue depth is one more queued batch.
+			if grown := bound(tc.queueDepth+tc.maxBatch, false); grown-pipe != service {
+				t.Errorf("one more queued batch grew the pipeline bound by %v, want one service (%v)", grown-pipe, service)
+			}
+		})
+	}
+}
+
+// TestValidateSLARejectsNonPositiveBudget checks that a budget no query can
+// meet is refused before the timing model runs.
+func TestValidateSLARejectsNonPositiveBudget(t *testing.T) {
+	for _, budget := range []time.Duration{0, -time.Millisecond} {
+		t.Run(budget.String(), func(t *testing.T) {
+			eng := &timingCountEngine{slowEngine: slowEngine{service: time.Microsecond}}
+			srv := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: 8}})
+			if err := srv.ValidateSLA(budget); err == nil {
+				t.Errorf("budget %v accepted", budget)
+			}
+			if n := eng.timings.Load(); n != 0 {
+				t.Errorf("rejecting budget %v ran the timing model %d times, want 0", budget, n)
+			}
+		})
+	}
+}
+
 // TestServingDoesNotImportSLA pins the serving stack's independence from the
 // offline SLA models: no package internal/serving transitively imports is
 // internal/sla.

@@ -163,3 +163,13 @@ func TestOverloadDetectedViaViolations(t *testing.T) {
 		t.Errorf("only %d/%d violations under overload", res.SLAViolations, res.Queries)
 	}
 }
+
+func BenchmarkSimulateQueue(b *testing.B) {
+	m := cpu.PaperSmall()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := SimulateQueue(m, 10000, 2000, Policy{MaxBatch: 512, TimeoutMS: 10}, 50, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
