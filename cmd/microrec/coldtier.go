@@ -9,31 +9,23 @@ import (
 
 // addColdTierFlags registers the tiered embedding-store flags shared by
 // serve, bench and loadtest. The returned apply validates the flags into the
-// engine options; cmd prefixes its error messages. -hot-bytes and
-// -cold-latency-ns are rejected without -cold-tier instead of being silently
-// ignored — there is no hot/cold split to budget on an all-DRAM engine.
+// engine options; cmd prefixes its error messages. -hot-bytes is rejected
+// without -cold-tier instead of being silently ignored — there is no hot/cold
+// split to budget on an all-DRAM engine.
 func addColdTierFlags(fs *flag.FlagSet, cmd string) func(*microrec.EngineOptions) error {
 	coldTier := fs.String("cold-tier", "", "tiered embedding store: back all rows with an mmap'd cold file at this path ('tmp' = unnamed temp file, removed on close) and pin frequent rows in a DRAM hot tier; per-tier stats appear in /stats.tiers")
-	coldLat := fs.Float64("cold-latency-ns", 0, "modeled per-access cold-tier latency in ns (0 = default 20000, NVMe read scale); requires -cold-tier")
 	hotBytes := fs.Int64("hot-bytes", 0, "DRAM hot-tier byte budget (0 = a quarter of the model's embedding bytes, so the model is 4x the hot tier; negative = all-cold); requires -cold-tier")
 	return func(o *microrec.EngineOptions) error {
 		if *coldTier == "" {
 			if *hotBytes != 0 {
 				return fmt.Errorf("%s: -hot-bytes requires -cold-tier", cmd)
 			}
-			if *coldLat != 0 {
-				return fmt.Errorf("%s: -cold-latency-ns requires -cold-tier", cmd)
-			}
 			return nil
-		}
-		if *coldLat < 0 {
-			return fmt.Errorf("%s: -cold-latency-ns must be >= 0 (got %v)", cmd, *coldLat)
 		}
 		o.ColdTier = true
 		if *coldTier != "tmp" {
 			o.ColdTierPath = *coldTier
 		}
-		o.ColdLatencyNS = *coldLat
 		o.HotTierBytes = *hotBytes
 		return nil
 	}

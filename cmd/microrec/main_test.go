@@ -621,3 +621,14 @@ func TestServeFlagValidationAdmission(t *testing.T) {
 		}
 	}
 }
+
+// TestServeRefusesUnmeetableSLA checks serve times its admission bound
+// before listening and refuses a budget no full batch can meet. The listen
+// address is invalid, so a server that wrongly passed validation fails fast
+// instead of serving.
+func TestServeRefusesUnmeetableSLA(t *testing.T) {
+	err := run([]string{"serve", "-addr", "127.0.0.1:-1", "-sla", "1us"})
+	if err == nil || !strings.Contains(err.Error(), "violate the SLA budget") {
+		t.Fatalf("serve -sla 1us: err %v, want one naming the violated SLA budget", err)
+	}
+}

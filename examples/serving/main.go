@@ -58,8 +58,8 @@ func main() {
 	defer srv.Close()
 
 	// The backlog the server can hold is validated against a serving
-	// latency budget before traffic arrives (internal/sla's worst-case
-	// bound).
+	// latency budget before traffic arrives: the server times one full
+	// batch on this host and bounds the worst-case admitted latency by it.
 	if err := srv.ValidateSLA(100 * time.Millisecond); err != nil {
 		log.Fatal(err)
 	}

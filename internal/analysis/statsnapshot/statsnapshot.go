@@ -2,15 +2,15 @@
 // coherent: a snapshot must not assemble its result from more than one
 // acquisition of the same mutex. Two acquisitions mean another writer can
 // slip between them, and the "snapshot" pairs numbers no real instant ever
-// exhibited — counters that don't add up, a bound computed against one
-// placement map reported next to row counts from another. PR 6's torn
-// hotcache stats were the runtime-visible version; the tieredstore
-// Store.Snapshot fixed in this PR (BoundNS locking s.mu, then Snapshot
-// locking it again for the row counts) was this analyzer's first find.
+// exhibited — counters that don't add up, a figure computed against one
+// placement map reported next to row counts from another. Torn hotcache
+// stats were the runtime-visible version; the analyzer's first find was a
+// tieredstore Store.Snapshot that called a locking accessor for one
+// placement-derived figure, then locked s.mu again for the row counts.
 //
 // The check is interprocedural: the collect phase records, for every
 // method, which receiver-rooted mutexes it acquires (directly or through
-// calls on receiver-rooted paths — s.BoundNS(), s.latencyUS.Snapshot());
+// calls on receiver-rooted paths — s.Bound(), s.latencyUS.Snapshot());
 // the report phase takes the transitive closure and flags any snapshot
 // method whose acquisition events name the same mutex path twice.
 // TryLock is not an acquisition: a try-lock single-flight opts out of

@@ -25,8 +25,9 @@
 // pipeline.StageEngine), so the micro-batcher, the staged pipeline executor,
 // SLA admission and the overload layer all drive a sharded tier exactly as
 // they drive a single engine — GatherIntoPlane is simply the scatter/gather
-// round. SLA admission stays conservative automatically: LookupNS reports the
-// max-over-shards cold lookup latency.
+// round. SLA admission times a real batch through that same round, so the
+// bound it enforces carries the straggler wait and the merge, not a model of
+// them.
 //
 // Each shard owns a pipeline.PlaneRing of pre-allocated partial planes and a
 // per-shard hot-row cache, and the coordinator merges partials in completion
@@ -46,10 +47,15 @@ import (
 	"microrec/internal/embedding"
 	"microrec/internal/hotcache"
 	"microrec/internal/metrics"
+	"microrec/internal/model"
 	"microrec/internal/pipeline"
 	"microrec/internal/placement"
 	"microrec/internal/tieredstore"
 )
+
+// statsWindow is the number of recent batches retained for the rolling
+// per-shard service and imbalance statistics.
+const statsWindow = 512
 
 // Options configures a Cluster. The zero value of every field but Shards gets
 // a sensible default.
@@ -71,9 +77,6 @@ type Options struct {
 	// across shards (each shard caches only its own tables' rows). 0 inherits
 	// the engine's Config().HotCacheBytes; negative disables caching.
 	HotCacheBytes int64
-	// StatsWindow is the number of recent batches retained for the rolling
-	// per-shard service statistics. Default 512.
-	StatsWindow int
 }
 
 // withDefaults returns o with zero fields replaced by defaults.
@@ -83,9 +86,6 @@ func (o Options) withDefaults(eng *core.Engine) Options {
 	}
 	if o.RingDepth == 0 {
 		o.RingDepth = 2
-	}
-	if o.StatsWindow == 0 {
-		o.StatsWindow = 512
 	}
 	if o.HotCacheBytes == 0 {
 		o.HotCacheBytes = eng.Config().HotCacheBytes
@@ -103,9 +103,6 @@ func (o Options) Validate() error {
 	}
 	if o.RingDepth < 1 {
 		return fmt.Errorf("cluster: ring depth %d", o.RingDepth)
-	}
-	if o.StatsWindow < 1 {
-		return fmt.Errorf("cluster: stats window %d", o.StatsWindow)
 	}
 	return nil
 }
@@ -133,7 +130,6 @@ type shard struct {
 	id     int
 	tables []int
 	spans  []core.ColSpan
-	coldNS float64 // modeled per-inference lookup latency of this subset
 	cache  *hotcache.Live
 	ring   *pipeline.PlaneRing
 	tasks  chan scatterTask
@@ -145,7 +141,7 @@ type shard struct {
 
 // Cluster is the sharded tier's coordinator. It implements the serving
 // layer's Engine seam over a single built *core.Engine: the FC stack, the
-// timing model and validation delegate to the engine; only the gather is
+// spec and validation delegate to the engine; only the gather is
 // scattered. The engine stays immutable and shared — shards are views onto
 // its storage, not copies — so the tier costs planes and caches, not a second
 // parameter image.
@@ -153,7 +149,6 @@ type Cluster struct {
 	eng    *core.Engine
 	opts   Options
 	shards []*shard
-	coldNS float64 // max over shards: the tier's cold lookup bound
 
 	mu     sync.Mutex
 	closed bool
@@ -186,7 +181,7 @@ func New(eng *core.Engine, opts Options) (*Cluster, error) {
 		// Merge waits span sub-µs (balanced shards) to ms (stragglers under
 		// contention); 1% relative error over [1, 10s] in µs.
 		mergeWaitUS: metrics.NewHistogram(0.01, 1e7),
-		imbalance:   metrics.NewRolling(opts.StatsWindow),
+		imbalance:   metrics.NewRolling(statsWindow),
 	}
 	cacheTotal := opts.HotCacheBytes
 	if cacheTotal < 0 {
@@ -198,10 +193,6 @@ func New(eng *core.Engine, opts Options) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		coldNS, err := eng.Plan().SubsetLatencyNS(tables)
-		if err != nil {
-			return nil, err
-		}
 		ring, err := pipeline.NewPlaneRing(eng, opts.RingDepth, opts.MaxBatch)
 		if err != nil {
 			return nil, err
@@ -210,10 +201,9 @@ func New(eng *core.Engine, opts Options) (*Cluster, error) {
 			id:      i,
 			tables:  tables,
 			spans:   spans,
-			coldNS:  coldNS,
 			ring:    ring,
 			tasks:   make(chan scatterTask, opts.RingDepth),
-			service: metrics.NewRolling(opts.StatsWindow),
+			service: metrics.NewRolling(statsWindow),
 		}
 		if perShardCache > 0 {
 			live, err := hotcache.NewLive(perShardCache, 0)
@@ -221,9 +211,6 @@ func New(eng *core.Engine, opts Options) (*Cluster, error) {
 				return nil, err
 			}
 			sh.cache = live
-		}
-		if coldNS > c.coldNS {
-			c.coldNS = coldNS
 		}
 		c.shards = append(c.shards, sh)
 	}
@@ -406,23 +393,8 @@ func (c *Cluster) InferBatch(queries []embedding.Query, dst []float32, scratch *
 	return c.InferBatchValidated(queries, dst, scratch)
 }
 
-// TimingAt delegates to the engine's timing model: the FC pipeline is the
-// engine's, and the caller pins the lookup stage (SLA admission passes
-// LookupNS — the max-over-shards bound).
-func (c *Cluster) TimingAt(items int, lookupNS float64) (core.TimingReport, error) {
-	return c.eng.TimingAt(items, lookupNS)
-}
-
-// LookupNS is the tier's cache-cold lookup latency: the slowest shard's
-// modeled subset latency. Shards gather in parallel, so the tier waits for
-// the straggler — max over shards, never the sum — and each shard's figure is
-// at most the single engine's (removing tables never slows a bank). On a
-// tiered engine the residency-weighted cold-tier bound is added on top:
-// every shard resolves rows through the same backing store, so a cold row
-// stalls whichever shard owns it and the straggler wait absorbs it. SLA
-// admission uses this bound, so sharded admission is conservative against the
-// worst shard, not the average.
-func (c *Cluster) LookupNS() float64 { return c.coldNS + c.eng.TierBoundNS() }
+// Spec delegates to the engine: the shards serve views of its model.
+func (c *Cluster) Spec() *model.Spec { return c.eng.Spec() }
 
 // Tier delegates the tiered-store snapshot to the underlying engine; ok is
 // false on an all-DRAM engine.
@@ -466,8 +438,6 @@ type ShardStats struct {
 	ID int `json:"id"`
 	// Tables is the number of physical tables this shard owns.
 	Tables int `json:"tables"`
-	// ColdLookupNS is the shard's modeled cache-cold lookup latency.
-	ColdLookupNS float64 `json:"cold_lookup_ns"`
 	// Batches is the lifetime count of scatter rounds served.
 	Batches uint64 `json:"batches"`
 	// MeanServiceUS / P99ServiceUS summarise the rolling per-batch gather
@@ -491,9 +461,6 @@ type Stats struct {
 	RingDepth int `json:"ring_depth"`
 	// Batches is the lifetime count of scatter/gather rounds.
 	Batches uint64 `json:"batches"`
-	// ColdLookupNS is the tier's max-over-shards cache-cold lookup latency
-	// (the SLA admission bound, before any cold-tier term).
-	ColdLookupNS float64 `json:"cold_lookup_ns"`
 	// MergeWaitUS is the distribution of coordinator straggler waits: per
 	// batch, the gap between the first and last shard completion. A balanced
 	// partition keeps the tail near zero; a skewed one shows up here before
@@ -514,7 +481,6 @@ func (c *Cluster) Stats() Stats {
 		Shards:         len(c.shards),
 		RingDepth:      c.opts.RingDepth,
 		Batches:        c.batches.Load(),
-		ColdLookupNS:   c.coldNS,
 		MergeWaitUS:    c.mergeWaitUS.Snapshot(),
 		ImbalanceRatio: c.imbalance.Snapshot(now).Summary.Mean,
 		PerShard:       make([]ShardStats, len(c.shards)),
@@ -528,7 +494,6 @@ func (c *Cluster) Stats() Stats {
 		st.PerShard[i] = ShardStats{
 			ID:            sh.id,
 			Tables:        len(sh.tables),
-			ColdLookupNS:  sh.coldNS,
 			Batches:       sh.batches.Load(),
 			MeanServiceUS: s.Summary.Mean / 1e3,
 			P99ServiceUS:  s.Summary.P99 / 1e3,

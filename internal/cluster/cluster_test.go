@@ -166,40 +166,6 @@ func TestShardedBitIdentityWithCaches(t *testing.T) {
 	}
 }
 
-// TestLookupBoundsMaxOverShards pins the SLA-admission story: the tier's
-// cold lookup latency is the slowest shard's subset latency, and never
-// exceeds the single engine's (removing tables never slows a bank).
-func TestLookupBoundsMaxOverShards(t *testing.T) {
-	eng := buildEngine(t, model.SmallProduction(), 0)
-	for _, shards := range []int{1, 2, 4} {
-		c, err := cluster.New(eng, cluster.Options{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts, err := placement.ShardTables(eng.Plan(), shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wantMax float64
-		for _, tables := range parts {
-			ns, err := eng.Plan().SubsetLatencyNS(tables)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ns > wantMax {
-				wantMax = ns
-			}
-		}
-		if got := c.LookupNS(); got != wantMax {
-			t.Fatalf("shards=%d: LookupNS %v, want max-over-shards %v", shards, got, wantMax)
-		}
-		if c.LookupNS() > eng.LookupNS() {
-			t.Fatalf("shards=%d: tier bound %v exceeds single-engine %v", shards, c.LookupNS(), eng.LookupNS())
-		}
-		c.Close()
-	}
-}
-
 // TestClusterStats checks the tier's metrics: every scatter round counted on
 // the coordinator and on every shard, merge waits recorded, and the
 // imbalance ratio within [1, shards].
@@ -227,8 +193,8 @@ func TestClusterStats(t *testing.T) {
 	if st.ImbalanceRatio < 1 || st.ImbalanceRatio > float64(st.Shards) {
 		t.Fatalf("imbalance ratio %v outside [1, %d]", st.ImbalanceRatio, st.Shards)
 	}
-	if st.ColdLookupNS <= 0 || st.ColdLookupNS != c.LookupNS() {
-		t.Fatalf("stats cold lookup %v vs LookupNS %v", st.ColdLookupNS, c.LookupNS())
+	if c.Spec() != eng.Spec() {
+		t.Fatal("cluster Spec does not delegate to the engine")
 	}
 	tables := 0
 	for _, sh := range st.PerShard {
@@ -386,8 +352,5 @@ func (fakeEngine) GatherIntoPlane(queries []embedding.Query, s *core.BatchScratc
 func (fakeEngine) DenseFromPlane(b int, s *core.BatchScratch)                      {}
 func (fakeEngine) TailFromPlane(b int, s *core.BatchScratch, dst []float32)        {}
 func (fakeEngine) ValidateQuery(q embedding.Query) error                           { return nil }
-func (fakeEngine) TimingAt(items int, lookupNS float64) (core.TimingReport, error) {
-	return core.TimingReport{}, nil
-}
-func (fakeEngine) LookupNS() float64                   { return 1 }
-func (fakeEngine) HotCache() (core.HotCacheInfo, bool) { return core.HotCacheInfo{}, false }
+func (fakeEngine) Spec() *model.Spec                                               { return nil }
+func (fakeEngine) HotCache() (core.HotCacheInfo, bool)                             { return core.HotCacheInfo{}, false }

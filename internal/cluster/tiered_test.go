@@ -94,13 +94,10 @@ func TestShardedTieredBitIdentity(t *testing.T) {
 				}
 			}
 		}
-		// The tier's admission bound must carry the cold-tier term on top of
-		// the max-over-shards subset latency.
-		if got, want := c.LookupNS(), tiered.TierBoundNS(); got <= want {
-			t.Fatalf("shards=%d: cluster LookupNS %v not above tier bound %v", shards, got, want)
-		}
-		if _, ok := c.Tier(); !ok {
-			t.Fatalf("shards=%d: cluster does not surface the tier", shards)
+		// The last repin pinned every row: the cluster's tier snapshot must
+		// show the promotion.
+		if snap, ok := c.Tier(); !ok || snap.ColdRows != 0 || snap.HotRows == 0 {
+			t.Fatalf("shards=%d: cluster tier snapshot %+v ok=%v, want every row hot", shards, snap, ok)
 		}
 		if err := c.Close(); err != nil {
 			t.Fatal(err)

@@ -54,11 +54,9 @@ type Config struct {
 	HotCacheBytes int64
 	// ColdTier, when non-nil, backs every embedding access stream with a
 	// two-tier store: frequency-hot rows pinned in a DRAM budget, the full
-	// row set in an mmap'd cold file with a modeled per-access latency
-	// (internal/tieredstore). Functionally transparent by construction —
-	// both tiers hold identical float32 bits — while LookupNS gains the
-	// residency-weighted cold bound. Engines built with a cold tier must be
-	// Closed.
+	// row set in an mmap'd cold file (internal/tieredstore). Functionally
+	// transparent by construction — both tiers hold identical float32 bits.
+	// Engines built with a cold tier must be Closed.
 	ColdTier *tieredstore.Config
 }
 

@@ -186,12 +186,11 @@ func (e *Engine) Plan() *placement.Result { return e.plan }
 // Config returns the engine's build configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// LookupNS returns the modeled per-inference embedding-lookup latency with a
-// cold (or absent) hot-row cache — the conservative figure SLA admission
-// uses. With a tiered store attached it adds the residency-weighted
-// cold-tier bound, which at admission time (empty hot tier) is the fully
-// cold figure.
-func (e *Engine) LookupNS() float64 { return e.pipelineNS + e.TierBoundNS() }
+// LookupNS returns the placement plan's modeled per-inference
+// embedding-lookup latency with a cold (or absent) hot-row cache — the
+// lookup stage of the accelerator timing model behind Infer, Timing and
+// TracePipeline.
+func (e *Engine) LookupNS() float64 { return e.pipelineNS }
 
 // Gather resolves one query into the concatenated float feature vector,
 // walking the compiled gather plan: each block's row is copied to its
@@ -346,13 +345,7 @@ func (e *Engine) Infer(queries []embedding.Query) (*InferResult, error) {
 // Timing runs only the timing model for `items` inferences (no functional
 // computation), useful for large sweeps. The lookup stage runs at LookupNS.
 func (e *Engine) Timing(items int) (TimingReport, error) {
-	return e.TimingAt(items, e.LookupNS())
-}
-
-// TimingAt runs the timing model with an explicit embedding-lookup latency,
-// letting callers pin the lookup stage.
-func (e *Engine) TimingAt(items int, lookupNS float64) (TimingReport, error) {
-	return e.cfg.Simulate(e.spec, lookupNS, items)
+	return e.cfg.Simulate(e.spec, e.LookupNS(), items)
 }
 
 // TracePipeline is the SIMULATED tracer: it runs `items` inferences through

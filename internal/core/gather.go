@@ -271,9 +271,7 @@ func (e *Engine) attachTier() error {
 	for _, blocks := range e.gplan.tables {
 		for bi := range blocks {
 			if blk := &blocks[bi]; blk.round == 0 {
-				specs = append(specs, tieredstore.StreamSpec{
-					ID: blk.cacheID, Data: blk.data, Dim: blk.dim, Lookups: e.spec.Tables[blk.srcID].Lookups,
-				})
+				specs = append(specs, tieredstore.StreamSpec{ID: blk.cacheID, Data: blk.data, Dim: blk.dim})
 			}
 		}
 	}
@@ -457,15 +455,6 @@ func (e *Engine) Tier() (tieredstore.Snapshot, bool) {
 		return tieredstore.Snapshot{}, false
 	}
 	return e.tier.Snapshot(), true
-}
-
-// TierBoundNS returns the residency-weighted per-inference cold-tier
-// latency bound (0 for an all-DRAM engine). See tieredstore.Store.BoundNS.
-func (e *Engine) TierBoundNS() float64 {
-	if e.tier == nil {
-		return 0
-	}
-	return e.tier.BoundNS()
 }
 
 // PrefetchBatch touches the cold-tier pages a batch's gather will read,

@@ -343,8 +343,8 @@ func TestTimingIgnoresHotCache(t *testing.T) {
 		if got != want {
 			t.Errorf("%d items: warm-cache timing %+v, uncached %+v", items, got, want)
 		}
-		if cold, err := e.TimingAt(items, e.LookupNS()); err != nil || got != cold {
-			t.Errorf("%d items: Timing %+v, TimingAt(LookupNS) %+v (err %v)", items, got, cold, err)
+		if got.LookupNS != e.LookupNS() {
+			t.Errorf("%d items: Timing prices lookups at %v, want LookupNS %v", items, got.LookupNS, e.LookupNS())
 		}
 	}
 	got, err := e.Infer(qs)

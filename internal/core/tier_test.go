@@ -185,8 +185,9 @@ func TestTierBitIdentityUnderChurn(t *testing.T) {
 }
 
 // TestTierSweepEndToEnd drives skewed traffic through the engine, sweeps,
-// and checks rows promote, the timing terms move the right way, and
-// predictions stay bit-identical afterwards.
+// and checks rows promote, the cold row count shrinks, the timing model's
+// lookup figure stays the plan's, and predictions stay bit-identical
+// afterwards.
 func TestTierSweepEndToEnd(t *testing.T) {
 	spec := model.SmallProduction()
 	ref := buildEngine(t, spec, SmallFP16(), true)
@@ -194,12 +195,12 @@ func TestTierSweepEndToEnd(t *testing.T) {
 	defer tiered.Close()
 	store := tiered.TierStore()
 
-	coldBound := tiered.TierBoundNS()
-	if coldBound <= 0 {
-		t.Fatal("empty hot tier must carry a positive cold bound")
+	before, _ := tiered.Tier()
+	if before.HotRows != 0 || before.ColdRows <= 0 {
+		t.Fatalf("a fresh store must start all cold: %+v", before)
 	}
-	if got, want := tiered.LookupNS(), ref.LookupNS()+coldBound; got != want {
-		t.Fatalf("LookupNS %v, want pipeline %v + bound %v", got, ref.LookupNS(), want-ref.LookupNS())
+	if got, want := tiered.LookupNS(), ref.LookupNS(); got != want {
+		t.Fatalf("tiered LookupNS %v, want the plan's %v", got, want)
 	}
 
 	// Skewed stream: a handful of hot queries repeated, so the live cache
@@ -221,8 +222,8 @@ func TestTierSweepEndToEnd(t *testing.T) {
 	if snap.HotBytes > snap.HotBudgetBytes {
 		t.Fatalf("hot bytes %d exceed budget %d", snap.HotBytes, snap.HotBudgetBytes)
 	}
-	if tiered.TierBoundNS() >= coldBound {
-		t.Fatalf("bound did not shrink after promotion: %v >= %v", tiered.TierBoundNS(), coldBound)
+	if snap.ColdRows >= before.ColdRows {
+		t.Fatalf("cold rows did not shrink after promotion: %d >= %d", snap.ColdRows, before.ColdRows)
 	}
 
 	// Post-sweep traffic must hit the hot tier and stay bit-identical.

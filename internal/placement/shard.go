@@ -3,8 +3,6 @@ package placement
 import (
 	"fmt"
 	"sort"
-
-	"microrec/internal/memsim"
 )
 
 // This file extends a placement plan one level up: given the plan's physical
@@ -107,31 +105,4 @@ func (r *Result) LocalityOrder(shard []int) []int {
 		return shard[a] < shard[b]
 	})
 	return shard
-}
-
-// SubsetLatencyNS evaluates the plan's memory system over only the listed
-// physical tables' loads, returning the modeled per-inference lookup latency
-// of a shard owning exactly those tables. For the full table set it equals
-// Report.LatencyNS; for a partition, the max over shards is the cluster
-// tier's cold lookup bound (each shard still ≤ the single-engine figure,
-// since removing tables never slows a bank).
-func (r *Result) SubsetLatencyNS(tables []int) (float64, error) {
-	loads := make([]memsim.BankLoad, len(r.System.Banks))
-	for _, ti := range tables {
-		if ti < 0 || ti >= len(r.Layout.Tables) {
-			return 0, fmt.Errorf("placement: physical table %d out of range (plan has %d)", ti, len(r.Layout.Tables))
-		}
-		t := r.Layout.Tables[ti]
-		bi := r.BankOf[ti]
-		loads[bi].Accesses = append(loads[bi].Accesses, memsim.Access{
-			Bytes: t.VectorBytes(),
-			Count: t.Lookups(),
-		})
-		loads[bi].Bytes += t.Bytes()
-	}
-	rep, err := r.System.Evaluate(loads)
-	if err != nil {
-		return 0, err
-	}
-	return rep.LatencyNS, nil
 }

@@ -1,7 +1,6 @@
 package placement
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -97,58 +96,11 @@ func TestShardTablesBalance(t *testing.T) {
 	}
 }
 
-// TestSubsetLatencyNS checks the shard-latency model: the full table set
-// reproduces the plan's own lookup latency, each subset of a partition is no
-// slower than the full set, and the subsets' max is positive.
-func TestSubsetLatencyNS(t *testing.T) {
-	plan := planFor(t, model.SmallProduction())
-	all := make([]int, len(plan.Layout.Tables))
-	for i := range all {
-		all[i] = i
-	}
-	full, err := plan.SubsetLatencyNS(all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(full-plan.Report.LatencyNS) > 1e-9 {
-		t.Fatalf("full-set subset latency %v, plan reports %v", full, plan.Report.LatencyNS)
-	}
-	shards, err := ShardTables(plan, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var worst float64
-	for si, s := range shards {
-		ns, err := plan.SubsetLatencyNS(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ns <= 0 {
-			t.Fatalf("shard %d latency %v", si, ns)
-		}
-		if ns > full+1e-9 {
-			t.Fatalf("shard %d latency %v exceeds full-set %v", si, ns, full)
-		}
-		if ns > worst {
-			worst = ns
-		}
-	}
-	if worst <= 0 {
-		t.Fatal("no shard latency measured")
-	}
-}
-
 // TestShardTablesErrors covers the argument contract.
 func TestShardTablesErrors(t *testing.T) {
 	plan := planFor(t, model.SmallProduction())
 	if _, err := ShardTables(plan, 0); err == nil {
 		t.Fatal("n=0 did not error")
-	}
-	if _, err := plan.SubsetLatencyNS([]int{-1}); err == nil {
-		t.Fatal("negative table index did not error")
-	}
-	if _, err := plan.SubsetLatencyNS([]int{len(plan.Layout.Tables)}); err == nil {
-		t.Fatal("out-of-range table index did not error")
 	}
 	if _, err := plan.TableCostNS(-1); err == nil {
 		t.Fatal("TableCostNS(-1) did not error")

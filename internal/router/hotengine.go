@@ -6,6 +6,7 @@ import (
 
 	"microrec/internal/core"
 	"microrec/internal/embedding"
+	"microrec/internal/model"
 	"microrec/internal/serving"
 	"microrec/internal/tieredstore"
 )
@@ -86,13 +87,8 @@ func (h *HotEngine) TailFromPlane(b int, s *core.BatchScratch, dst []float32) {
 // ValidateQuery implements the Engine seam by delegation.
 func (h *HotEngine) ValidateQuery(q embedding.Query) error { return h.Current().ValidateQuery(q) }
 
-// TimingAt implements the Engine seam by delegation.
-func (h *HotEngine) TimingAt(items int, lookupNS float64) (core.TimingReport, error) {
-	return h.Current().TimingAt(items, lookupNS)
-}
-
-// LookupNS implements the Engine seam by delegation.
-func (h *HotEngine) LookupNS() float64 { return h.Current().LookupNS() }
+// Spec implements the Engine seam by delegation.
+func (h *HotEngine) Spec() *model.Spec { return h.Current().Spec() }
 
 // HotCache implements the Engine seam by delegation.
 func (h *HotEngine) HotCache() (core.HotCacheInfo, bool) { return h.Current().HotCache() }

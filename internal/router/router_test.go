@@ -123,12 +123,15 @@ func (e *fakeEngine) TailFromPlane(b int, s *core.BatchScratch, dst []float32) {
 		dst[i] = 0.5
 	}
 }
-func (e *fakeEngine) TimingAt(items int, lookupNS float64) (core.TimingReport, error) {
-	ns := float64(e.service.Nanoseconds())
-	return core.TimingReport{Items: items, LatencyNS: ns, MakespanNS: ns, LookupNS: lookupNS}, nil
-}
-func (e *fakeEngine) LookupNS() float64                   { return 1000 }
+func (e *fakeEngine) Spec() *model.Spec                   { return fakeSpec }
 func (e *fakeEngine) HotCache() (core.HotCacheInfo, bool) { return core.HotCacheInfo{}, false }
+
+// fakeSpec is the one-table model fakeQuery fits.
+var fakeSpec = &model.Spec{
+	Name:   "fake",
+	Tables: []model.TableSpec{{ID: 0, Name: "t", Rows: 2, Dim: 1, Lookups: 1}},
+	Hidden: []int{1},
+}
 
 var fakeQuery = embedding.Query{[]int64{1}}
 

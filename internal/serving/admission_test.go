@@ -10,6 +10,7 @@ import (
 
 	"microrec/internal/core"
 	"microrec/internal/embedding"
+	"microrec/internal/model"
 )
 
 // slowEngine is a deterministic Engine fake whose dense stage sleeps a fixed
@@ -55,14 +56,18 @@ func (e *slowEngine) TailFromPlane(b int, s *core.BatchScratch, dst []float32) {
 	}
 }
 
-func (e *slowEngine) TimingAt(items int, lookupNS float64) (core.TimingReport, error) {
-	ns := float64(e.service.Nanoseconds())
-	return core.TimingReport{Items: items, LatencyNS: ns, MakespanNS: ns, LookupNS: lookupNS}, nil
-}
+func (e *slowEngine) Spec() *model.Spec { return slowSpec }
 
-func (e *slowEngine) LookupNS() float64 { return 1000 }
 func (e *slowEngine) HotCache() (core.HotCacheInfo, bool) {
 	return core.HotCacheInfo{}, false
+}
+
+// slowSpec is the one-table model slowQuery fits; admission calibration draws
+// its batch from it.
+var slowSpec = &model.Spec{
+	Name:   "slow",
+	Tables: []model.TableSpec{{ID: 0, Name: "t", Rows: 2, Dim: 1, Lookups: 1}},
+	Hidden: []int{1},
 }
 
 var slowQuery = embedding.Query{[]int64{1}}
@@ -431,9 +436,9 @@ func TestRetryAfterAndCapacity(t *testing.T) {
 			if got := srv.CapacityQPS(); got != 0 {
 				t.Errorf("capacity before traffic = %v, want 0", got)
 			}
-			// RetryAfter falls back to the fake's modeled makespan (20ms).
-			if ra := srv.RetryAfter(); ra != 20*time.Millisecond {
-				t.Errorf("cold retry-after = %v, want 20ms (modeled makespan)", ra)
+			// Before the first batch RetryAfter falls back to 1ms.
+			if ra := srv.RetryAfter(); ra != time.Millisecond {
+				t.Errorf("cold retry-after = %v, want the 1ms fallback", ra)
 			}
 			for i := 0; i < 6; i++ {
 				if _, err := srv.Submit(context.Background(), slowQuery); err != nil {

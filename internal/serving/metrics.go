@@ -125,7 +125,6 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		m.Counter("microrec_tier_promotions_total", "Rows promoted to the hot tier.", float64(t.Promotions))
 		m.Counter("microrec_tier_demotions_total", "Rows demoted to the cold tier.", float64(t.Demotions))
 		m.Counter("microrec_tier_prefetches_total", "Cold rows prefetched at plane fill.", float64(t.Prefetches))
-		m.Gauge("microrec_tier_bound_ns", "Residency-weighted per-inference cold-tier latency bound.", t.BoundNS)
 	}
 
 	// Flight recorder.

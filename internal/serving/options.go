@@ -22,9 +22,6 @@ type BatchingOptions struct {
 	// Deprecated: ignored. No clock takes part in batch formation; the
 	// field stays only for callers that still set it.
 	Window time.Duration
-	// StatsWindow is the number of recent queries retained for the rolling
-	// latency statistics. Default 4096.
-	StatsWindow int
 }
 
 // AdmissionOptions groups the overload-protection knobs: the bounded submit
@@ -74,9 +71,9 @@ type TierOptions struct {
 	// once — bit-identical to single-engine service by construction. The
 	// server wraps the engine in an internal/cluster coordinator it owns
 	// (requires a *core.Engine or a caller-built *cluster.Cluster); SLA
-	// admission then uses the tier's max-over-shards lookup bound, and
-	// /stats gains a "cluster" section. 0 or 1 serves on the engine
-	// directly.
+	// admission then times its calibration batch through the scatter/gather
+	// round, and /stats gains a "cluster" section. 0 or 1 serves on the
+	// engine directly.
 	Shards int
 }
 
@@ -126,9 +123,6 @@ func (o Options) withDefaults() Options {
 	if o.Admission.QueueDepth == 0 {
 		o.Admission.QueueDepth = 4 * o.Batching.MaxBatch
 	}
-	if o.Batching.StatsWindow == 0 {
-		o.Batching.StatsWindow = 4096
-	}
 	if o.Pipeline.Depth == 0 {
 		o.Pipeline.Depth = 3
 	}
@@ -145,9 +139,6 @@ func (o Options) Validate() error {
 	}
 	if o.Admission.QueueDepth < 1 {
 		return fmt.Errorf("serving: queue depth %d", o.Admission.QueueDepth)
-	}
-	if o.Batching.StatsWindow < 1 {
-		return fmt.Errorf("serving: stats window %d", o.Batching.StatsWindow)
 	}
 	if o.Admission.SLA < 0 {
 		return fmt.Errorf("serving: negative SLA %v", o.Admission.SLA)
@@ -193,10 +184,10 @@ type Tiered interface {
 
 // Prefetcher is the optional capability to pre-fault the rows a batch will
 // gather. The drains call it at plane-fill time — after the deadline-drop
-// filter, before the gather commits — so a cold row's modeled fault is
-// absorbed while filling that plane only instead of serialising into the
-// gather. The server engages it only on engines whose Tiered capability
-// reports an attached store.
+// filter, before the gather commits — so a cold row's page fault is absorbed
+// while filling that plane only instead of serialising into the gather; SLA
+// calibration calls it the same way. The server engages it only on engines
+// whose Tiered capability reports an attached store.
 type Prefetcher interface {
 	// PrefetchBatch touches the cold rows a batch will gather.
 	PrefetchBatch(queries []embedding.Query)

@@ -10,6 +10,9 @@
 // workers owns one plane and carries its batch through all three stages.
 // Either way the server meters each delivered batch's stage times itself
 // (serviceMeter): headroom, capacity, Retry-After and /stats all read it.
+// SLA admission reads the same host clock: it times one real full batch
+// through the engine seam (calibratedBatchNS). No accelerator or storage
+// model takes part in serving.
 //
 // This is the serving seam the paper argues for (§2.3): per-query serving —
 // one synchronous inference per HTTP request, the TensorFlow-Serving
@@ -41,9 +44,11 @@ import (
 	"microrec/internal/embedding"
 	"microrec/internal/kernels"
 	"microrec/internal/metrics"
+	"microrec/internal/model"
 	"microrec/internal/obs"
 	"microrec/internal/pipeline"
 	"microrec/internal/tieredstore"
+	"microrec/internal/workload"
 )
 
 // traceRingSize is the flight recorder's span ring capacity. 4096 spans ≈
@@ -54,6 +59,18 @@ const traceRingSize = 4096
 // DefaultTraceSample is the default head-sampling rate of the flight
 // recorder: one request in 8 is recorded.
 const DefaultTraceSample = 8
+
+// statsWindow is the number of recent queries the rolling latency and
+// occupancy statistics retain.
+const statsWindow = 4096
+
+// Admission calibration: SLA admission times calibrationPasses runs of one
+// full batch of uniform queries drawn with calibrationSeed and keeps the
+// slowest.
+const (
+	calibrationPasses = 3
+	calibrationSeed   = 1
+)
 
 // ErrServerClosed is returned by Submit after Close.
 var ErrServerClosed = errors.New("serving: server closed")
@@ -77,8 +94,8 @@ var ErrExpired = errors.New("serving: deadline expired before service")
 
 // Engine is the slice of the inference engine the server drives: admission
 // validation, the stage-callable plane datapath both drains run (via
-// pipeline.StageEngine), the cache-cold timing model behind SLA admission and
-// the live hot-row cache snapshot /stats reports.
+// pipeline.StageEngine), the model spec SLA admission draws its calibration
+// batch from, and the live hot-row cache snapshot /stats reports.
 // *core.Engine implements it; overload tests substitute deterministic slow
 // engines to saturate the queue without depending on host speed.
 //
@@ -91,10 +108,8 @@ type Engine interface {
 	pipeline.StageEngine
 	// ValidateQuery checks a query's shape and index ranges at admission.
 	ValidateQuery(q embedding.Query) error
-	// TimingAt models a batch's accelerator timing at a lookup latency.
-	TimingAt(items int, lookupNS float64) (core.TimingReport, error)
-	// LookupNS is the plan's cache-cold embedding-lookup latency.
-	LookupNS() float64
+	// Spec is the served model; admission calibration draws queries from it.
+	Spec() *model.Spec
 	// HotCache snapshots the live cache, if one is attached.
 	HotCache() (core.HotCacheInfo, bool)
 }
@@ -229,6 +244,11 @@ type Server struct {
 
 	// meter is the per-stage service meter both drains feed from deliver.
 	meter *serviceMeter
+	// calibrate guards the one timed full batch behind SLA admission; batchNS
+	// and batchErr hold its result (see calibratedBatchNS).
+	calibrate sync.Once
+	batchNS   float64
+	batchErr  error
 
 	latencyUS *metrics.Rolling // per-query wall latency, µs
 	occupancy *metrics.Rolling // dispatched batch sizes
@@ -294,8 +314,8 @@ func New(eng Engine, opts Options) (*Server, error) {
 		// Latencies span µs (warm single-query) to seconds (overload tails);
 		// 1% relative error over [1, 10^7] µs.
 		latencyHist: metrics.NewHistogram(0.01, 1e7),
-		latencyUS:   metrics.NewRolling(opts.Batching.StatsWindow),
-		occupancy:   metrics.NewRolling(opts.Batching.StatsWindow),
+		latencyUS:   metrics.NewRolling(statsWindow),
+		occupancy:   metrics.NewRolling(statsWindow),
 		meter:       newServiceMeter(opts.Pipeline.Depth, !opts.Pipeline.WorkerPool),
 		rec:         obs.NewRecorder(traceRingSize, opts.Trace.Sample),
 		buildInfo:   obs.ReadBuild(kernels.Features()),
@@ -693,7 +713,7 @@ func (s *Server) prepare(payload interface{}, queries []embedding.Query) []embed
 	pb.reqs = live
 	// Warm the cold tier for the surviving queries before the gather stage
 	// commits: the prefetch fans the plane's cold rows out here, so a cold
-	// row's modeled fault stalls only this plane's fill while the GEMM stage
+	// row's page fault stalls only this plane's fill while the GEMM stage
 	// keeps draining earlier planes.
 	if s.prefetch != nil && len(kept) > 0 {
 		s.prefetch.PrefetchBatch(kept)
@@ -860,8 +880,7 @@ type HotCacheStats struct {
 type ClusterStats = cluster.Stats
 
 // TierStats is the serving-side view of the tiered backing store: per-tier
-// residency, read split, promotion/demotion counters and the current
-// cold-latency bound.
+// residency, read split and promotion/demotion counters.
 type TierStats = tieredstore.Snapshot
 
 // BuildInfo is the binary's build/version provenance (git revision, Go
@@ -977,7 +996,7 @@ type Stats struct {
 	// Lifetime counters.
 	Queries uint64 `json:"queries"`
 	Batches uint64 `json:"batches"`
-	// Rolling-window statistics (last StatsWindow queries).
+	// Rolling-window statistics (last 4096 queries).
 	QPS            float64        `json:"qps"`
 	LatencyUS      LatencySummary `json:"latency_us"`
 	MeanBatch      float64        `json:"mean_batch"`
@@ -1007,7 +1026,7 @@ type Stats struct {
 	Trace TraceStats `json:"trace"`
 	// LatencyHistUS summarises the lifetime log-bucketed latency histogram
 	// behind the /metrics _bucket series (the rolling LatencyUS above covers
-	// only the last StatsWindow queries).
+	// only the last 4096 queries).
 	LatencyHistUS metrics.HistogramSnapshot `json:"latency_hist_us"`
 	// BuildInfo is the binary's build/version provenance.
 	BuildInfo BuildInfo `json:"build_info"`
@@ -1103,42 +1122,28 @@ func (s *Server) capacityQPS(intervalNS float64) float64 {
 
 // RetryAfter is the backoff hint a shedding server hands rejected clients:
 // one predicted steady-state batch interval — the time until the drain frees
-// the next queue slot. Before the drain has served a batch it falls back to
-// the timing model's cache-cold full-batch makespan, and to 1ms if even that
-// is unavailable. It reads three O(1) rolling means, so every shed response
-// can afford it.
+// the next queue slot — or 1ms before the drain has served a batch. It reads
+// three O(1) rolling means and never calls the engine, so every shed
+// response can afford it, even while the engine is stalled.
 func (s *Server) RetryAfter() time.Duration { return s.retryAfter(s.meter.predictNS(s.meter.means())) }
 
 func (s *Server) retryAfter(intervalNS float64) time.Duration {
 	if intervalNS > 0 {
 		return time.Duration(intervalNS)
 	}
-	if ns, err := s.coldMakespanNS(); err == nil && ns > 0 {
-		return time.Duration(ns)
-	}
 	return time.Millisecond
-}
-
-// coldMakespanNS is the one figure serving keeps of the accelerator timing
-// model: the full-batch makespan with a cold hot-row cache (the plan's
-// unassisted lookup latency). Admission must hold before the cache warms and
-// after any invalidation empties it. Each call runs the model; the callers
-// are startup checks and the pre-first-batch Retry-After fallback.
-func (s *Server) coldMakespanNS() (float64, error) {
-	rep, err := s.eng.TimingAt(s.opts.Batching.MaxBatch, s.eng.LookupNS())
-	return rep.MakespanNS, err
 }
 
 // ValidateSLA checks a tail-latency budget for any *admitted* query against
 // the backlog the server itself can hold ahead of it: full batches in the
-// submit queue, on offer and in service (see admittedBoundNS). There is no
+// submit queue, on offer and in service (see admittedNS). There is no
 // window term — a batch forms only while that backlog is being served, so the
 // formation wait is part of it.
 func (s *Server) ValidateSLA(budget time.Duration) error {
 	if budget <= 0 {
 		return fmt.Errorf("serving: latency budget %v", budget)
 	}
-	worst, err := s.admittedBoundNS()
+	worst, err := s.admittedNS()
 	if err != nil {
 		return err
 	}
@@ -1152,23 +1157,66 @@ func (s *Server) ValidateSLA(budget time.Duration) error {
 // AdmittedLatencyBound returns the worst-case latency of any admitted query:
 // the figure ValidateSLA enforces.
 func (s *Server) AdmittedLatencyBound() (time.Duration, error) {
-	ns, err := s.admittedBoundNS()
+	ns, err := s.admittedNS()
 	return time.Duration(ns), err
 }
 
-// admittedBoundNS bounds the latency of a freshly admitted query: the
-// backlog ahead of it drains in ceil(backlog/workers) rounds of cache-cold
-// full-batch service, then its own batch is served.
+// admittedNS bounds the latency of a freshly admitted query: the
+// backlog ahead of it drains in ceil(backlog/workers) rounds of full-batch
+// service, then its own batch is served.
 //
-//	bound = (ceil(backlogBatches/drainWorkers) + 1) · coldMakespanNS
-func (s *Server) admittedBoundNS() (float64, error) {
-	ns, err := s.coldMakespanNS()
+//	bound = (ceil(backlogBatches/drainWorkers) + 1) · calibratedBatchNS
+func (s *Server) admittedNS() (float64, error) {
+	ns, err := s.calibratedBatchNS()
 	if err != nil {
 		return 0, err
 	}
 	workers := s.drainWorkers()
 	rounds := (s.backlogBatches() + workers - 1) / workers
 	return float64(rounds+1) * ns, nil
+}
+
+// calibratedBatchNS is the full-batch service time SLA admission prices the
+// backlog with, measured on this host the first time it is needed: MaxBatch
+// uniform queries, validated like any Submit, run calibrationPasses times
+// through the same stage calls a drain makes — the cold-row prefetch when the
+// tier hooks are engaged, then gather, dense and tail — on a private plane.
+// The slowest pass is kept, so a first pass against a cold cache or cold
+// pages sets the figure; its lookups count in the hot-row cache like any
+// batch's. It runs once per server; concurrent callers wait for it.
+func (s *Server) calibratedBatchNS() (float64, error) {
+	s.calibrate.Do(func() { s.batchNS, s.batchErr = s.timeBatch() })
+	return s.batchNS, s.batchErr
+}
+
+func (s *Server) timeBatch() (float64, error) {
+	b := s.opts.Batching.MaxBatch
+	gen, err := workload.NewGenerator(s.eng.Spec(), workload.Uniform, calibrationSeed)
+	if err != nil {
+		return 0, fmt.Errorf("serving: calibration batch: %w", err)
+	}
+	queries := make([]embedding.Query, b)
+	for i := range queries {
+		queries[i] = gen.Next()
+		if err := s.eng.ValidateQuery(queries[i]); err != nil {
+			return 0, fmt.Errorf("serving: calibration query %d: %w", i, err)
+		}
+	}
+	var plane core.BatchScratch
+	s.eng.EnsurePlane(&plane, b)
+	preds := make([]float32, b)
+	var slowest time.Duration
+	for pass := 0; pass < calibrationPasses; pass++ {
+		start := time.Now()
+		if s.prefetch != nil {
+			s.prefetch.PrefetchBatch(queries)
+		}
+		s.eng.GatherIntoPlane(queries, &plane)
+		s.eng.DenseFromPlane(b, &plane)
+		s.eng.TailFromPlane(b, &plane, preds)
+		slowest = max(slowest, time.Since(start))
+	}
+	return float64(slowest), nil
 }
 
 // backlogBatches bounds the batches ahead of a freshly admitted query's own:

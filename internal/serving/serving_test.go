@@ -6,7 +6,9 @@ import (
 	"go/build"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -83,14 +85,13 @@ var drains = []struct {
 
 func TestOptionsDefaultsAndValidate(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Batching.MaxBatch != 64 || o.Pipeline.Depth != 3 || o.Admission.QueueDepth != 256 || o.Batching.StatsWindow != 4096 {
+	if o.Batching.MaxBatch != 64 || o.Pipeline.Depth != 3 || o.Admission.QueueDepth != 256 {
 		t.Errorf("defaults = %+v", o)
 	}
 	for _, bad := range []Options{
 		{Batching: BatchingOptions{MaxBatch: -1}},
 		{Pipeline: PipelineOptions{Depth: -2, WorkerPool: true}},
 		{Admission: AdmissionOptions{QueueDepth: -1}},
-		{Batching: BatchingOptions{StatsWindow: -1}},
 	} {
 		if err := bad.withDefaults().Validate(); err == nil {
 			t.Errorf("options %+v: want error", bad)
@@ -483,18 +484,20 @@ func TestSubmitRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestValidateSLA exercises the window-vs-budget check through the engine's
-// timing model.
+// TestValidateSLA exercises the budget check on the real engine: a budget
+// equal to the admitted bound is accepted, one nanosecond less is refused.
 func TestValidateSLA(t *testing.T) {
 	eng := testEngine(t)
 	srv := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: 8}})
-	// The modeled service time for 8 items is well under a generous budget.
-	if err := srv.ValidateSLA(100 * time.Millisecond); err != nil {
-		t.Errorf("generous budget rejected: %v", err)
+	bound, err := srv.AdmittedLatencyBound()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A sub-window budget must fail.
-	if err := srv.ValidateSLA(50 * time.Microsecond); err == nil {
-		t.Error("impossible budget accepted")
+	if err := srv.ValidateSLA(bound); err != nil {
+		t.Errorf("budget equal to the bound %v rejected: %v", bound, err)
+	}
+	if err := srv.ValidateSLA(bound - time.Nanosecond); err == nil {
+		t.Errorf("budget 1ns below the bound %v accepted", bound)
 	}
 }
 
@@ -550,123 +553,222 @@ func TestStatsHotCache(t *testing.T) {
 	}
 }
 
-// timingCountEngine is a slowEngine that counts timing-model runs; its
-// makespan is the slowEngine's fixed service time.
-type timingCountEngine struct {
-	slowEngine
-	timings atomic.Int64
+// countingEngine is a seam fake over slowSpec that counts every seam call,
+// validates queries strictly against the spec, and records the batch size of
+// every stage call. Each of its three stages sleeps `stage`; with gate set,
+// gathers block until the gate closes.
+type countingEngine struct {
+	stage time.Duration
+	gate  chan struct{}
+
+	calls                  atomic.Int64 // every seam call
+	rejected               atomic.Int64 // queries ValidateQuery refused
+	gathers, denses, tails atomic.Int64
+
+	mu    sync.Mutex
+	sizes []int // batch size of every gather, dense and tail call
 }
 
-func (e *timingCountEngine) TimingAt(items int, lookupNS float64) (core.TimingReport, error) {
-	e.timings.Add(1)
-	return e.slowEngine.TimingAt(items, lookupNS)
+func (e *countingEngine) record(b int) {
+	e.calls.Add(1)
+	e.mu.Lock()
+	e.sizes = append(e.sizes, b)
+	e.mu.Unlock()
+	time.Sleep(e.stage)
 }
 
-// TestServingRunsNoTimingModel pins that serving batches never runs the
-// accelerator timing model, in either drain and at any batch size, and that
-// each admission-bound query runs it exactly once. The bound is
-// (ceil(backlog/workers) + 1) · makespan, with a backlog of
+func (e *countingEngine) ValidateQuery(q embedding.Query) error {
+	e.calls.Add(1)
+	if len(q) != 1 || len(q[0]) != 1 || q[0][0] < 0 || q[0][0] >= slowSpec.Tables[0].Rows {
+		e.rejected.Add(1)
+		return errors.New("countingEngine: query does not fit slowSpec")
+	}
+	return nil
+}
+
+func (e *countingEngine) EnsurePlane(s *core.BatchScratch, b int) { e.calls.Add(1) }
+
+func (e *countingEngine) GatherIntoPlane(queries []embedding.Query, s *core.BatchScratch) {
+	if e.gate != nil {
+		<-e.gate
+	}
+	e.gathers.Add(1)
+	e.record(len(queries))
+}
+
+func (e *countingEngine) DenseFromPlane(b int, s *core.BatchScratch) {
+	e.denses.Add(1)
+	e.record(b)
+}
+
+func (e *countingEngine) TailFromPlane(b int, s *core.BatchScratch, dst []float32) {
+	e.tails.Add(1)
+	e.record(b)
+	for i := range dst[:b] {
+		dst[i] = 0.5
+	}
+}
+
+func (e *countingEngine) Spec() *model.Spec {
+	e.calls.Add(1)
+	return slowSpec
+}
+
+func (e *countingEngine) HotCache() (core.HotCacheInfo, bool) {
+	e.calls.Add(1)
+	return core.HotCacheInfo{}, false
+}
+
+// TestCalibrationRunsOnce pins SLA admission's calibration: 8 concurrent
+// ValidateSLA callers share one calibration of exactly calibrationPasses
+// gather, dense and tail calls, each on MaxBatch queries that all pass
+// ValidateQuery.
+func TestCalibrationRunsOnce(t *testing.T) {
+	const maxBatch = 8
+	eng := &countingEngine{}
+	srv := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: maxBatch}})
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := srv.ValidateSLA(time.Hour); err != nil {
+				t.Errorf("ValidateSLA: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if g, d, tl := eng.gathers.Load(), eng.denses.Load(), eng.tails.Load(); g != calibrationPasses || d != calibrationPasses || tl != calibrationPasses {
+		t.Fatalf("calibration ran %d gathers, %d denses, %d tails; want %d of each", g, d, tl, calibrationPasses)
+	}
+	if n := eng.rejected.Load(); n != 0 {
+		t.Fatalf("%d calibration queries failed ValidateQuery", n)
+	}
+	for _, b := range eng.sizes {
+		if b != maxBatch {
+			t.Fatalf("calibration stage sizes %v, want every one %d", eng.sizes, maxBatch)
+		}
+	}
+}
+
+// TestAdmittedBoundIsCalibratedBatch pins the bound formula in both drains:
+// the calibrated figure S is at least the fake's three stage sleeps, and the
+// bound is (ceil(backlog/workers) + 1) · S, with a backlog of
 // ceil(QueueDepth/MaxBatch) queued batches, one on offer and Depth in
-// service; the pipeline drains on one worker, the pool on Depth.
-func TestServingRunsNoTimingModel(t *testing.T) {
-	const service = 200 * time.Microsecond
+// service; the pipeline drains on one worker, the pool on Depth. A budget
+// equal to the bound passes and one 1ns below it fails.
+func TestAdmittedBoundIsCalibratedBatch(t *testing.T) {
+	const stage = 200 * time.Microsecond
 	for _, d := range drains {
 		t.Run(d.name, func(t *testing.T) {
-			eng := &timingCountEngine{slowEngine: slowEngine{service: service}}
+			eng := &countingEngine{stage: stage}
 			srv := newServer(t, eng, Options{
 				Batching:  BatchingOptions{MaxBatch: 8},
 				Admission: AdmissionOptions{QueueDepth: 20},
 				Pipeline:  PipelineOptions{Depth: 2, WorkerPool: d.workerPool},
 			})
-			ctx := context.Background()
-			sizes := map[int]bool{}
-			for burst := 1; len(sizes) < 3 && burst <= 64; burst++ {
-				var (
-					wg sync.WaitGroup
-					mu sync.Mutex
-				)
-				for i := 0; i < burst%16+1; i++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						res, err := srv.Submit(ctx, slowQuery)
-						if err != nil {
-							t.Errorf("submit: %v", err)
-							return
-						}
-						mu.Lock()
-						sizes[res.BatchSize] = true
-						mu.Unlock()
-					}()
-				}
-				wg.Wait()
-			}
-			if len(sizes) < 3 {
-				t.Fatalf("served batch sizes %v, want at least 3 distinct", sizes)
-			}
-			if n := eng.timings.Load(); n != 0 {
-				t.Fatalf("serving batches of sizes %v ran the timing model %d times, want 0", sizes, n)
-			}
-
-			rounds := 6 // backlog ceil(20/8) + 1 + 2 on one worker
-			if d.workerPool {
-				rounds = 3 // the same backlog of 6 on 2 workers
-			}
-			want := time.Duration(rounds+1) * service
 			bound, err := srv.AdmittedLatencyBound()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bound != want {
-				t.Errorf("admitted bound %v, want %v", bound, want)
+			batchNS, err := srv.calibratedBatchNS()
+			if err != nil {
+				t.Fatal(err)
 			}
-			if n := eng.timings.Load(); n != 1 {
-				t.Fatalf("AdmittedLatencyBound ran the timing model %d times, want 1", n)
+			if batchNS < float64(3*stage) {
+				t.Errorf("calibrated batch %v, below the %v of sleeps in its stages", time.Duration(batchNS), 3*stage)
 			}
-			if err := srv.ValidateSLA(want); err != nil {
+			rounds := 6 // backlog ceil(20/8) + 1 + 2 on one worker
+			if d.workerPool {
+				rounds = 3 // the same backlog of 6 on 2 workers
+			}
+			if want := time.Duration(float64(rounds+1) * batchNS); bound != want {
+				t.Errorf("admitted bound %v, want %d × %v = %v", bound, rounds+1, time.Duration(batchNS), want)
+			}
+			if err := srv.ValidateSLA(bound); err != nil {
 				t.Errorf("budget equal to the bound rejected: %v", err)
 			}
-			if err := srv.ValidateSLA(want - time.Nanosecond); err == nil {
+			if err := srv.ValidateSLA(bound - time.Nanosecond); err == nil {
 				t.Error("budget below the bound accepted")
 			}
-			if n := eng.timings.Load(); n != 3 {
-				t.Fatalf("two ValidateSLA calls ran the timing model %d times in all, want 3", n)
+			if n := eng.gathers.Load(); n != calibrationPasses {
+				t.Errorf("three admission calls ran %d gathers, want one calibration of %d", n, calibrationPasses)
 			}
 		})
 	}
 }
 
-// TestAdmittedLatencyBounds checks the bound on the real engine: it prices the
-// cache-cold full-batch makespan, so a hot-row cache leaves it unchanged
-// whether cold or warm — a warm cache improves the expectation, never the
-// bound, since it can be cold at startup or after invalidation.
+// TestRetryAfterDoesNotTouchEngine pins that the shed path's backoff hint
+// never calls the engine: with every drain slot blocked in GatherIntoPlane
+// and no batch served yet, RetryAfter returns the 1ms fallback and the
+// engine sees no call.
+func TestRetryAfterDoesNotTouchEngine(t *testing.T) {
+	for _, d := range drains {
+		t.Run(d.name, func(t *testing.T) {
+			eng := &countingEngine{gate: make(chan struct{})}
+			srv := newServer(t, eng, Options{
+				Batching:  BatchingOptions{MaxBatch: 1},
+				Admission: AdmissionOptions{Shed: true},
+				Pipeline:  PipelineOptions{Depth: 2, WorkerPool: d.workerPool},
+			})
+			var wg sync.WaitGroup
+			holdDrain(t, srv, &wg)
+			before := eng.calls.Load()
+			if ra := srv.RetryAfter(); ra != time.Millisecond {
+				t.Errorf("retry-after before the first batch = %v, want 1ms", ra)
+			}
+			if n := eng.calls.Load() - before; n != 0 {
+				t.Errorf("RetryAfter made %d engine calls, want 0", n)
+			}
+			close(eng.gate)
+			wg.Wait()
+		})
+	}
+}
+
+// TestEngineSeamMethodSet pins the serving.Engine seam to the plane stage
+// calls, admission validation, the spec and the hot-cache snapshot: no timing
+// model rides on it.
+func TestEngineSeamMethodSet(t *testing.T) {
+	want := []string{"DenseFromPlane", "EnsurePlane", "GatherIntoPlane", "HotCache", "Spec", "TailFromPlane", "ValidateQuery"}
+	typ := reflect.TypeOf((*Engine)(nil)).Elem()
+	var got []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		got = append(got, typ.Method(i).Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("serving.Engine methods %v, want %v", got, want)
+	}
+}
+
+// TestAdmittedLatencyBounds checks the bound on the real engine, with and
+// without a hot-row cache: a budget equal to the bound is accepted and one
+// 1ns below it refused, and warming the cache leaves the bound where the
+// one calibration put it.
 func TestAdmittedLatencyBounds(t *testing.T) {
 	opts := Options{Batching: BatchingOptions{MaxBatch: 8}}
-	plain := testEngine(t)
-	rep, err := plain.TimingAt(8, plain.LookupNS())
-	if err != nil {
-		t.Fatal(err)
+	check := func(name string, srv *Server) time.Duration {
+		t.Helper()
+		bound, err := srv.AdmittedLatencyBound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bound <= 0 {
+			t.Fatalf("%s: bound %v", name, bound)
+		}
+		if err := srv.ValidateSLA(bound); err != nil {
+			t.Errorf("%s: budget equal to the bound rejected: %v", name, err)
+		}
+		if err := srv.ValidateSLA(bound - time.Nanosecond); err == nil {
+			t.Errorf("%s: budget 1ns below the bound accepted", name)
+		}
+		return bound
 	}
-	// Default queue depth 32 and depth 3: a backlog of 4 + 1 + 3 batches on
-	// the pipeline's single conservative worker.
-	want := time.Duration(9 * rep.MakespanNS)
-	bound, err := newServer(t, plain, opts).AdmittedLatencyBound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bound <= 0 || bound != want {
-		t.Errorf("no cache: bound %v, want 9 cold makespans = %v", bound, want)
-	}
+	check("no cache", newServer(t, testEngine(t), opts))
 
 	eng := testEngineWithCache(t, 1<<18)
 	srv := newServer(t, eng, opts)
-	cold, err := srv.AdmittedLatencyBound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold != bound {
-		t.Errorf("cold cache: bound %v, want the uncached %v", cold, bound)
-	}
+	cold := check("cold cache", srv)
 	ctx := context.Background()
 	qs := randomQueries(t, eng.Spec(), 8, 9)
 	for rep := 0; rep < 3; rep++ {
@@ -679,11 +781,7 @@ func TestAdmittedLatencyBounds(t *testing.T) {
 	if info, ok := eng.HotCache(); !ok || info.Hits == 0 {
 		t.Fatalf("cache did not warm: %+v ok=%v", info, ok)
 	}
-	warm, err := srv.AdmittedLatencyBound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm != cold {
+	if warm := check("warm cache", srv); warm != cold {
 		t.Errorf("warm cache moved the bound: %v, cold %v", warm, cold)
 	}
 }
@@ -691,8 +789,8 @@ func TestAdmittedLatencyBounds(t *testing.T) {
 // TestAdmittedLatencyBoundsPipelineMode pins the backlog model of both
 // drains. The pipeline is treated conservatively as a single drain worker
 // with the full un-overlapped batch service time, so each extra queued batch
-// adds exactly one service to its bound; the worker pool drains Depth batches
-// per round, so with the same backlog the pipeline-mode bound dominates.
+// adds exactly one calibrated batch to its bound; the worker pool drains
+// Depth batches per round.
 func TestAdmittedLatencyBoundsPipelineMode(t *testing.T) {
 	const service = time.Millisecond
 	for _, tc := range []struct {
@@ -707,7 +805,10 @@ func TestAdmittedLatencyBoundsPipelineMode(t *testing.T) {
 		{"deep-pipeline", 16, 32, 6, 2},         // backlog 9 on 6 workers
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			bound := func(queueDepth int, workerPool bool) time.Duration {
+			// check builds a server and asserts its bound is `batches`
+			// calibrated full batches, each at least the fake's service, and
+			// that ValidateSLA enforces exactly that bound.
+			check := func(queueDepth int, workerPool bool, batches int) {
 				t.Helper()
 				srv := newServer(t, &slowEngine{service: service}, Options{
 					Batching:  BatchingOptions{MaxBatch: tc.maxBatch},
@@ -718,48 +819,55 @@ func TestAdmittedLatencyBoundsPipelineMode(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return b
+				batchNS, err := srv.calibratedBatchNS()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if batchNS < float64(service) {
+					t.Errorf("calibrated batch %v below the fake's %v service", time.Duration(batchNS), service)
+				}
+				if want := time.Duration(float64(batches) * batchNS); b != want {
+					t.Errorf("queue %d pool=%v: bound %v, want %d batches of %v = %v",
+						queueDepth, workerPool, b, batches, time.Duration(batchNS), want)
+				}
+				if err := srv.ValidateSLA(b); err != nil {
+					t.Errorf("queue %d pool=%v: budget equal to the bound rejected: %v", queueDepth, workerPool, err)
+				}
+				if err := srv.ValidateSLA(b - time.Nanosecond); err == nil {
+					t.Errorf("queue %d pool=%v: budget 1ns below the bound accepted", queueDepth, workerPool)
+				}
 			}
 			backlog := (tc.queueDepth+tc.maxBatch-1)/tc.maxBatch + 1 + tc.depth
-			pipe := bound(tc.queueDepth, false)
-			if want := time.Duration(backlog+1) * service; pipe != want {
-				t.Errorf("pipeline bound %v, want (%d+1) services = %v", pipe, backlog, want)
-			}
-			pool := bound(tc.queueDepth, true)
-			if want := time.Duration(tc.poolRounds+1) * service; pool != want {
-				t.Errorf("worker-pool bound %v, want (%d+1) services = %v", pool, tc.poolRounds, want)
-			}
-			if pipe < pool {
-				t.Errorf("pipeline-mode bound %v not conservative vs pool %v", pipe, pool)
-			}
+			check(tc.queueDepth, false, backlog+1)
+			check(tc.queueDepth, true, tc.poolRounds+1)
 			// One more full batch of queue depth is one more queued batch.
-			if grown := bound(tc.queueDepth+tc.maxBatch, false); grown-pipe != service {
-				t.Errorf("one more queued batch grew the pipeline bound by %v, want one service (%v)", grown-pipe, service)
-			}
+			check(tc.queueDepth+tc.maxBatch, false, backlog+2)
 		})
 	}
 }
 
 // TestValidateSLARejectsNonPositiveBudget checks that a budget no query can
-// meet is refused before the timing model runs.
+// meet is refused before calibration runs.
 func TestValidateSLARejectsNonPositiveBudget(t *testing.T) {
 	for _, budget := range []time.Duration{0, -time.Millisecond} {
 		t.Run(budget.String(), func(t *testing.T) {
-			eng := &timingCountEngine{slowEngine: slowEngine{service: time.Microsecond}}
+			eng := &countingEngine{}
 			srv := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: 8}})
 			if err := srv.ValidateSLA(budget); err == nil {
 				t.Errorf("budget %v accepted", budget)
 			}
-			if n := eng.timings.Load(); n != 0 {
-				t.Errorf("rejecting budget %v ran the timing model %d times, want 0", budget, n)
+			if n := eng.gathers.Load(); n != 0 {
+				t.Errorf("rejecting budget %v ran %d calibration gathers, want 0", budget, n)
 			}
 		})
 	}
 }
 
 // TestServingDoesNotImportSLA pins the serving stack's independence from the
-// offline SLA models: no package internal/serving transitively imports is
-// internal/sla.
+// offline models: no package internal/serving transitively imports is
+// internal/sla, and no non-test source of the serving, router, cluster or
+// tieredstore packages names the accelerator timing model or a modelled
+// cold-tier latency.
 func TestServingDoesNotImportSLA(t *testing.T) {
 	seen := map[string]bool{}
 	var walk func(path string)
@@ -785,6 +893,27 @@ func TestServingDoesNotImportSLA(t *testing.T) {
 	}
 	if seen["microrec/internal/sla"] {
 		t.Error("internal/serving transitively imports internal/sla")
+	}
+	banned := []string{"TimingAt", "TimingReport", "LookupNS", "ColdLatencyNS", "BoundNS"}
+	for _, pkg := range []string{"serving", "router", "cluster", "tieredstore"} {
+		files, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("internal/%s: no sources (err %v)", pkg, err)
+		}
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, word := range banned {
+				if strings.Contains(string(src), word) {
+					t.Errorf("%s mentions %s", f, word)
+				}
+			}
+		}
 	}
 }
 

@@ -35,13 +35,12 @@ func fullStats() Stats {
 		},
 		Cluster: &ClusterStats{
 			Shards: 2, RingDepth: 2, Batches: 20,
-			ColdLookupNS: 900,
 			MergeWaitUS: metrics.HistogramSnapshot{
 				Count: 20, Mean: 5, Min: 1, Max: 20, P50: 4, P95: 10, P99: 15, P999: 19,
 			},
 			ImbalanceRatio: 1.2,
 			PerShard: []cluster.ShardStats{
-				{ID: 0, Tables: 13, ColdLookupNS: 900, Batches: 20,
+				{ID: 0, Tables: 13, Batches: 20,
 					MeanServiceUS: 20, P99ServiceUS: 30, Occupancy: 0.4, CacheHitRate: 0.9},
 			},
 		},
@@ -50,10 +49,10 @@ func fullStats() Stats {
 			Misses: 100, HitRate: 0.9,
 		},
 		Tiers: &TierStats{
-			Path: "/tmp/cold.bin", ColdLatencyNS: 2000, HotBudgetBytes: 1 << 20,
+			Path: "/tmp/cold.bin", HotBudgetBytes: 1 << 20,
 			TotalBytes: 1 << 22, HotRows: 100, ColdRows: 900, HotBytes: 1 << 19,
 			HotReads: 800, ColdReads: 200, HotReadRate: 0.8,
-			Promotions: 50, Demotions: 10, Sweeps: 5, Prefetches: 40, BoundNS: 1500,
+			Promotions: 50, Demotions: 10, Sweeps: 5, Prefetches: 40,
 		},
 		Router: &RouterStats{
 			Policy: "affinity", Replicas: 3, Drained: 1,
@@ -123,7 +122,6 @@ var statsSchema = []string{
 	"build_info.revision",
 	"cluster",
 	"cluster.batches",
-	"cluster.cold_lookup_ns",
 	"cluster.imbalance_ratio",
 	"cluster.merge_wait_us",
 	"cluster.merge_wait_us.count",
@@ -137,7 +135,6 @@ var statsSchema = []string{
 	"cluster.per_shard",
 	"cluster.per_shard.batches",
 	"cluster.per_shard.cache_hit_rate",
-	"cluster.per_shard.cold_lookup_ns",
 	"cluster.per_shard.id",
 	"cluster.per_shard.mean_service_us",
 	"cluster.per_shard.occupancy",
@@ -211,8 +208,6 @@ var statsSchema = []string{
 	"router.policy",
 	"router.replicas",
 	"tiers",
-	"tiers.bound_ns",
-	"tiers.cold_latency_ns",
 	"tiers.cold_reads",
 	"tiers.cold_rows",
 	"tiers.demotions",

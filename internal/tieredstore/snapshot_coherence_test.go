@@ -10,27 +10,22 @@ import (
 )
 
 // TestSnapshotCoherentUnderPlacementChurn is the regression test for the
-// microrec-vet statsnapshot finding on Store.Snapshot: BoundNS was computed
-// through the public BoundNS() wrapper (one s.mu acquisition) while the
-// row/byte counts were read under a second acquisition, so a placement
-// published between the two produced a snapshot pairing a bound from one
-// placement with row counts from another. The store here has a single
-// stream flipping between all-hot and all-cold — every placement change is
-// a full state transition, so any snapshot whose bound and counts straddle
-// one is directly incoherent: the bound must be zero exactly when no rows
-// are cold, and must equal the fully-cold bound exactly when no rows are
-// hot. Post-fix both values come from a single acquisition (boundNSLocked
-// inside the same critical section), so every snapshot satisfies the
-// invariant.
+// microrec-vet statsnapshot finding on Store.Snapshot: a snapshot once read
+// part of its placement-derived fields under one s.mu acquisition and the
+// rest under a second, so a placement published between the two produced a
+// snapshot no real instant ever exhibited. The store here has a single
+// stream flipping between all-hot and all-cold — every placement change is a
+// full state transition — and every snapshot must pair its hot-row count
+// with the hot bytes that placement pins: HotBytes == HotRows × dim × 4. Both
+// come from one acquisition, so every snapshot satisfies the invariant.
 //
-// The stale window between the two acquisitions is a handful of
-// instructions, so catching it needs the mutator parked on the mutex when
-// the first one releases. With a single P the mutator only runs on async
-// preemption and the window is never hit; raising GOMAXPROCS puts the
-// mutator and readers on their own OS threads, where kernel preemption and
-// the mutex's starvation-mode handoff interleave them often enough that the
-// time-bound loop below observes the mix every pre-fix run, even on a
-// one-core host (measured ≥14 incoherent snapshots per 2s window).
+// A stale window between two acquisitions is a handful of instructions, so
+// catching one needs the mutator parked on the mutex when the first one
+// releases. With a single P the mutator only runs on async preemption and
+// the window is never hit; raising GOMAXPROCS puts the mutator and readers
+// on their own OS threads, where kernel preemption and the mutex's
+// starvation-mode handoff interleave them often enough that the time-bound
+// loop below observes the mix, even on a one-core host.
 func TestSnapshotCoherentUnderPlacementChurn(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const (
@@ -43,7 +38,7 @@ func TestSnapshotCoherentUnderPlacementChurn(t *testing.T) {
 	for i := range data {
 		data[i] = rng.Float32()*2 - 1
 	}
-	spec := StreamSpec{ID: 0, Data: data, Dim: dim, Lookups: 2}
+	spec := StreamSpec{ID: 0, Data: data, Dim: dim}
 	s, err := Open(Config{SweepEvery: -1, HotBytes: 1 << 30}, []StreamSpec{spec})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +49,6 @@ func TestSnapshotCoherentUnderPlacementChurn(t *testing.T) {
 	for r := range allRows {
 		allRows[r] = int64(r)
 	}
-	fullColdBound := float64(spec.Lookups) * s.ColdLatencyNS()
 
 	stop := make(chan struct{})
 	var mutator sync.WaitGroup
@@ -75,7 +69,6 @@ func TestSnapshotCoherentUnderPlacementChurn(t *testing.T) {
 		}
 	}()
 
-	const eps = 1e-9
 	deadline := time.Now().Add(2 * time.Second)
 	violations := make(chan string, readers)
 	var rg sync.WaitGroup
@@ -85,12 +78,9 @@ func TestSnapshotCoherentUnderPlacementChurn(t *testing.T) {
 			defer rg.Done()
 			for time.Now().Before(deadline) {
 				snap := s.Snapshot()
-				switch {
-				case snap.ColdRows == 0 && snap.BoundNS > eps:
-					violations <- fmt.Sprintf("snapshot pairs ColdRows=0 with BoundNS=%v (bound from a stale placement)", snap.BoundNS)
-					return
-				case snap.HotRows == 0 && snap.BoundNS < fullColdBound-eps:
-					violations <- fmt.Sprintf("snapshot pairs HotRows=0 with BoundNS=%v, want fully-cold bound %v", snap.BoundNS, fullColdBound)
+				if snap.HotBytes != snap.HotRows*dim*4 || snap.HotRows+snap.ColdRows != rows {
+					violations <- fmt.Sprintf("snapshot pairs HotRows=%d ColdRows=%d with HotBytes=%d (counts from two placements)",
+						snap.HotRows, snap.ColdRows, snap.HotBytes)
 					return
 				}
 			}

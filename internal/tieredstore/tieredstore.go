@@ -1,15 +1,15 @@
 // Package tieredstore implements a two-tier embedding backing store: hot
 // rows are pinned in DRAM while the full row set lives in an mmap'd cold
-// file with a modeled per-access latency, in the style of the repo's
-// dramsim/memsim timing models.
+// file, read through the page cache.
 //
 // The motivation is the frequency skew of production embedding traffic
 // (RecFlash, RecSSD): the hot minority of rows absorbs most accesses, so
 // pinning them in a DRAM budget far smaller than the model lets tables grow
-// well past machine memory while the long tail pays a bounded, modeled
-// cold-tier latency. Placement is decided by per-row access frequency
-// harvested from the live hot-row cache (hotcache.Live residency plus
-// per-entry hit counts) by a background promote/demote sweep with
+// well past machine memory while the long tail pays whatever the cold file's
+// reads cost on the serving host — serving admission times a real batch
+// rather than modelling that cost. Placement is decided by per-row access
+// frequency harvested from the live hot-row cache (hotcache.Live residency
+// plus per-entry hit counts) by a background promote/demote sweep with
 // hysteresis.
 //
 // Bit-identity by construction: the cold file holds the exact float32 bits
@@ -35,9 +35,6 @@ import (
 
 // Defaults applied by Config.withDefaults.
 const (
-	// DefaultColdLatencyNS models one cold-tier row access: NVMe-read scale,
-	// two orders of magnitude above the DRAM lookup path.
-	DefaultColdLatencyNS = 20000
 	// DefaultPromoteMinHits is the per-entry hit count a resident row needs
 	// before the sweep considers it hot.
 	DefaultPromoteMinHits = 2
@@ -54,9 +51,6 @@ type Config struct {
 	// owns the file either way — it is created (truncated) at Open and
 	// removed at Close — so the path must be unique per store.
 	Path string
-	// ColdLatencyNS is the modeled latency of one cold-tier row access
-	// (DefaultColdLatencyNS when 0).
-	ColdLatencyNS float64
 	// HotBytes is the DRAM hot-tier byte budget. When 0 it defaults to a
 	// quarter of the tierable bytes — i.e. the model is 4x larger than the
 	// hot tier out of the box. Explicit all-cold operation is HotBytes < 0
@@ -74,9 +68,6 @@ type Config struct {
 
 // Validate rejects nonsense configurations.
 func (c Config) Validate() error {
-	if c.ColdLatencyNS < 0 {
-		return fmt.Errorf("tieredstore: negative cold latency %v ns", c.ColdLatencyNS)
-	}
 	if c.PromoteMinHits < 0 {
 		return fmt.Errorf("tieredstore: negative promote threshold %d", c.PromoteMinHits)
 	}
@@ -87,9 +78,6 @@ func (c Config) Validate() error {
 }
 
 func (c Config) withDefaults(totalBytes int64) Config {
-	if c.ColdLatencyNS == 0 {
-		c.ColdLatencyNS = DefaultColdLatencyNS
-	}
 	if c.HotBytes == 0 {
 		c.HotBytes = totalBytes / 4
 	}
@@ -109,14 +97,12 @@ func (c Config) withDefaults(totalBytes int64) Config {
 }
 
 // StreamSpec describes one access stream to back: a row-major float32
-// payload, its row length, and the per-inference lookup count against it
-// (for the latency bound). IDs must be dense 0..n-1 in slice order — they
+// payload and its row length. IDs must be dense 0..n-1 in slice order — they
 // are the gather plan's cache/access-stream IDs.
 type StreamSpec struct {
-	ID      int
-	Data    []float32
-	Dim     int
-	Lookups int
+	ID   int
+	Data []float32
+	Dim  int
 }
 
 // hotEntry is one pinned row in the sweep's master state.
@@ -139,7 +125,6 @@ type Stream struct {
 	id       int
 	dim      int64
 	rows     int64
-	lookups  int
 	vecBytes int64
 	cold     []float32 // this stream's window of the mmap'd cold file
 	hot      atomic.Pointer[hotMap]
@@ -304,7 +289,6 @@ func Open(cfg Config, specs []StreamSpec) (*Store, error) {
 			id:       i,
 			dim:      int64(sp.Dim),
 			rows:     n / int64(sp.Dim),
-			lookups:  sp.Lookups,
 			vecBytes: int64(sp.Dim) * 4,
 			cold:     cold[off : off+n],
 		}
@@ -329,9 +313,6 @@ func (s *Store) Path() string { return s.path }
 
 // TotalBytes returns the tierable bytes (the whole cold file).
 func (s *Store) TotalBytes() int64 { return s.totalBytes }
-
-// ColdLatencyNS returns the modeled per-access cold-tier latency.
-func (s *Store) ColdLatencyNS() float64 { return s.cfg.ColdLatencyNS }
 
 // HotBudgetBytes returns the (defaulted) DRAM hot-tier budget.
 func (s *Store) HotBudgetBytes() int64 { return s.cfg.HotBytes }
@@ -554,57 +535,28 @@ func (s *Store) Prefetch(id int, row int64) bool {
 	return true
 }
 
-// BoundNS returns the residency-weighted per-inference cold-tier latency
-// bound: for each stream, its per-inference lookups times the fraction of
-// rows NOT pinned hot times the modeled cold latency. With an empty hot tier
-// (startup) this is the fully cold bound SLA admission memoizes; it is
-// conservative under skew, since pinned rows absorb far more than their
-// row-count share of accesses.
-func (s *Store) BoundNS() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.boundNSLocked()
-}
-
-// boundNSLocked computes the bound against the current master placement.
-// Callers hold s.mu — Snapshot uses this so the bound and the row counts it
-// reports come from the same placement, not two acquisitions apart.
-func (s *Store) boundNSLocked() float64 {
-	var ns float64
-	for id, st := range s.streams {
-		coldFrac := 1 - float64(len(s.master[id]))/float64(st.rows)
-		ns += float64(st.lookups) * coldFrac * s.cfg.ColdLatencyNS
-	}
-	return ns
-}
-
 // Snapshot is a point-in-time view of the store for /stats and reports.
 type Snapshot struct {
-	Path           string  `json:"path"`
-	ColdLatencyNS  float64 `json:"cold_latency_ns"`
-	HotBudgetBytes int64   `json:"hot_budget_bytes"`
-	TotalBytes     int64   `json:"total_bytes"`
-	HotRows        int64   `json:"hot_rows"`
-	ColdRows       int64   `json:"cold_rows"`
-	HotBytes       int64   `json:"hot_bytes"`
-	HotReads       int64   `json:"hot_reads"`
-	ColdReads      int64   `json:"cold_reads"`
+	Path           string `json:"path"`
+	HotBudgetBytes int64  `json:"hot_budget_bytes"`
+	TotalBytes     int64  `json:"total_bytes"`
+	HotRows        int64  `json:"hot_rows"`
+	ColdRows       int64  `json:"cold_rows"`
+	HotBytes       int64  `json:"hot_bytes"`
+	HotReads       int64  `json:"hot_reads"`
+	ColdReads      int64  `json:"cold_reads"`
 	// HotReadRate is HotReads/(HotReads+ColdReads), 0 when idle.
 	HotReadRate float64 `json:"hot_read_rate"`
 	Promotions  int64   `json:"promotions"`
 	Demotions   int64   `json:"demotions"`
 	Sweeps      int64   `json:"sweeps"`
 	Prefetches  int64   `json:"prefetches"`
-	// BoundNS is the current residency-weighted per-inference cold-tier
-	// latency bound (see Store.BoundNS).
-	BoundNS float64 `json:"bound_ns"`
 }
 
 // Snapshot summarises the store.
 func (s *Store) Snapshot() Snapshot {
 	snap := Snapshot{
 		Path:           s.path,
-		ColdLatencyNS:  s.cfg.ColdLatencyNS,
 		HotBudgetBytes: s.cfg.HotBytes,
 		TotalBytes:     s.totalBytes,
 		Promotions:     s.promotions.Load(),
@@ -612,13 +564,11 @@ func (s *Store) Snapshot() Snapshot {
 		Sweeps:         s.sweeps.Load(),
 		Prefetches:     s.prefetches.Load(),
 	}
-	// One acquisition covers the bound AND the row/byte counts: computing
-	// BoundNS through its public wrapper took s.mu separately, so a sweep
-	// publishing a new placement between the two locks could pair a bound
-	// from one placement with row counts from another (statsnapshot's bug
-	// class — a snapshot no real instant ever exhibited).
+	// One acquisition covers the row and byte counts, so a sweep publishing
+	// a new placement cannot pair one placement's hot rows with another's
+	// hot bytes (statsnapshot's bug class — a snapshot no real instant ever
+	// exhibited).
 	s.mu.Lock()
-	snap.BoundNS = s.boundNSLocked()
 	for id, st := range s.streams {
 		snap.HotRows += int64(len(s.master[id]))
 		snap.ColdRows += st.rows - int64(len(s.master[id]))

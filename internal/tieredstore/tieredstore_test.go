@@ -14,14 +14,14 @@ import (
 func testSpecs(t *testing.T) []StreamSpec {
 	t.Helper()
 	rng := rand.New(rand.NewSource(3))
-	mk := func(id, rows, dim, lookups int) StreamSpec {
+	mk := func(id, rows, dim int) StreamSpec {
 		data := make([]float32, rows*dim)
 		for i := range data {
 			data[i] = rng.Float32()*2 - 1
 		}
-		return StreamSpec{ID: id, Data: data, Dim: dim, Lookups: lookups}
+		return StreamSpec{ID: id, Data: data, Dim: dim}
 	}
-	return []StreamSpec{mk(0, 64, 4, 2), mk(1, 32, 8, 1)}
+	return []StreamSpec{mk(0, 64, 4), mk(1, 32, 8)}
 }
 
 func openTest(t *testing.T, cfg Config) (*Store, []StreamSpec) {
@@ -200,25 +200,6 @@ func TestCloseRemovesFile(t *testing.T) {
 	}
 }
 
-// TestBoundNS checks the residency-weighted latency bound: fully cold at
-// startup, shrinking as rows pin.
-func TestBoundNS(t *testing.T) {
-	s, _ := openTest(t, Config{ColdLatencyNS: 1000})
-	// Stream 0: 2 lookups, stream 1: 1 lookup — all cold.
-	if got, want := s.BoundNS(), 3000.0; got != want {
-		t.Fatalf("cold bound %v, want %v", got, want)
-	}
-	// Pin half of stream 0's 64 rows: its term halves.
-	rows := make([]int64, 32)
-	for i := range rows {
-		rows[i] = int64(i)
-	}
-	s.SetPlacement(0, rows)
-	if got, want := s.BoundNS(), 2.0*0.5*1000+1000; got != want {
-		t.Fatalf("half-hot bound %v, want %v", got, want)
-	}
-}
-
 // TestPrefetchAndCounters checks Prefetch touches only cold rows and the
 // read counters split by tier.
 func TestPrefetchAndCounters(t *testing.T) {
@@ -281,7 +262,7 @@ func TestOpenValidation(t *testing.T) {
 	if _, err := Open(Config{SweepEvery: -1}, []StreamSpec{{ID: 0, Data: []float32{1, 2, 3}, Dim: 2}}); err == nil {
 		t.Error("ragged payload accepted")
 	}
-	if _, err := Open(Config{ColdLatencyNS: -1, SweepEvery: -1}, testSpecs(t)); err == nil {
-		t.Error("negative cold latency accepted")
+	if _, err := Open(Config{PromoteMinHits: -1, SweepEvery: -1}, testSpecs(t)); err == nil {
+		t.Error("negative promote threshold accepted")
 	}
 }

@@ -136,10 +136,11 @@ type (
 	// ServerRouterOptions is the per-server replica identity group
 	// (ServerOptions.Router); NewRouter stamps it on the servers it builds.
 	ServerRouterOptions = serving.RouterOptions
-	// ServingEngine is the engine seam the serving subsystem batches over:
-	// *Engine implements it, and so does any stage-compatible wrapper
-	// (HotEngine). Optional capabilities — tiered storage, prefetch, hot
-	// reload — are discovered by interface assertion, not configuration.
+	// ServingEngine is the engine seam the serving subsystem batches over —
+	// the plane stage calls, query validation, the model spec and the hot-row
+	// cache snapshot: *Engine implements it, and so does any stage-compatible
+	// wrapper (HotEngine). Optional capabilities — tiered storage, prefetch,
+	// hot reload — are discovered by interface assertion, not configuration.
 	ServingEngine = serving.Engine
 	// ServeResult is one served query's prediction, its observed wall
 	// latency and the size of the batch that served it.
@@ -160,8 +161,8 @@ type (
 	// (Engine.HotCache).
 	HotCacheInfo = core.HotCacheInfo
 	// TierStats is the /stats view of the tiered embedding backing store
-	// (EngineOptions.ColdTier): per-tier residency, read split,
-	// promotion/demotion counters and the current cold-latency bound.
+	// (EngineOptions.ColdTier): per-tier residency, read split and
+	// promotion/demotion counters.
 	TierStats = serving.TierStats
 	// AdmissionStats is the /stats view of the admission gate: queue
 	// pressure, shed/drop counters and the knee (capacity) estimate.
@@ -349,18 +350,15 @@ type EngineOptions struct {
 	// /stats.
 	HotCacheBytes int64
 	// ColdTier attaches the tiered embedding backing store: frequent rows
-	// pinned in a DRAM hot tier, the full row set in an mmap'd cold file
-	// with a modeled per-access latency, placement driven by a background
-	// frequency sweep harvesting the live hot-row cache. Bit-identical to
-	// all-DRAM by construction — only the timing model changes. Engines
-	// built with a cold tier must be Closed (Engine.Close removes the file).
+	// pinned in a DRAM hot tier, the full row set in an mmap'd cold file,
+	// placement driven by a background frequency sweep harvesting the live
+	// hot-row cache. Bit-identical to all-DRAM by construction; only the
+	// host's read cost changes, which SLA admission measures. Engines built
+	// with a cold tier must be Closed (Engine.Close removes the file).
 	ColdTier bool
 	// ColdTierPath is the cold-tier file path; empty means an unnamed temp
 	// file. Ignored unless ColdTier is set.
 	ColdTierPath string
-	// ColdLatencyNS overrides the modeled per-access cold-tier latency in
-	// nanoseconds; 0 means the default (20µs, NVMe read scale).
-	ColdLatencyNS float64
 	// HotTierBytes is the DRAM hot-tier byte budget; 0 means a quarter of
 	// the model's embedding bytes (the "model 4x larger than DRAM" demo
 	// shape), negative means all-cold. Ignored unless ColdTier is set.
@@ -420,11 +418,7 @@ func prepareWithParams(params *Parameters, opts EngineOptions) (*Parameters, *Pl
 	cfg := core.ConfigFor(params.Spec.Name, prec)
 	cfg.HotCacheBytes = opts.HotCacheBytes
 	if opts.ColdTier {
-		cfg.ColdTier = &tieredstore.Config{
-			Path:          opts.ColdTierPath,
-			ColdLatencyNS: opts.ColdLatencyNS,
-			HotBytes:      opts.HotTierBytes,
-		}
+		cfg.ColdTier = &tieredstore.Config{Path: opts.ColdTierPath, HotBytes: opts.HotTierBytes}
 	}
 	alloc := placement.RoundRobin
 	if opts.UseLPTAllocator {

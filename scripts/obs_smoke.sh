@@ -16,7 +16,7 @@ BIN="${TMPDIR:-/tmp}/microrec-obs-smoke"
 
 "$GO" build -o "$BIN" ./cmd/microrec
 
-"$BIN" serve -addr "127.0.0.1:$PORT" -batch 8 -trace-sample 1 -pprof &
+"$BIN" serve -addr "127.0.0.1:$PORT" -batch 8 -sla 1s -trace-sample 1 -pprof &
 SERVER=$!
 trap 'kill "$SERVER" 2>/dev/null || true' EXIT
 

@@ -167,7 +167,7 @@ func zeroallocCases(t *testing.T) []allocCase {
 	}
 	ts, err := tieredstore.Open(
 		tieredstore.Config{SweepEvery: -1, HotBytes: 1 << 30},
-		[]tieredstore.StreamSpec{{ID: 0, Data: tsData, Dim: tsDim, Lookups: 1}},
+		[]tieredstore.StreamSpec{{ID: 0, Data: tsData, Dim: tsDim}},
 	)
 	if err != nil {
 		t.Fatal(err)
