@@ -1,14 +1,11 @@
 package microrec_test
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
 	"microrec"
 	"microrec/internal/cpu"
-	"microrec/internal/embedding"
-	"microrec/internal/model"
 )
 
 // TestEnginesAgreeOnPredictions is the cross-system consistency check: the
@@ -137,49 +134,5 @@ func TestEndToEndPaperStory(t *testing.T) {
 	speedup := fpgaThroughput / cpuThroughput
 	if speedup < 2.5 {
 		t.Errorf("steady-state speedup %.2fx below the paper's 2.5x floor", speedup)
-	}
-}
-
-// TestSerializedParametersProduceSameEngine round-trips parameters through
-// the wire format and checks the rebuilt engine predicts identically.
-func TestSerializedParametersProduceSameEngine(t *testing.T) {
-	spec := microrec.SmallProductionModel()
-	params, err := spec.Materialize(microrec.MaterializeOpts{Seed: 5, MaxRowsPerTable: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := model.SaveParameters(&buf, params); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := model.LoadParameters(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := microrec.NewEngineFromParams(params, microrec.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := microrec.NewEngineFromParams(loaded, microrec.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := microrec.NewGenerator(spec, microrec.Uniform, 41)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		q := gen.Next()
-		pa, err := a.InferOne(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pb, err := b.InferOne(embedding.Query(q))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pa != pb {
-			t.Fatalf("query %d: original %v vs deserialized %v", i, pa, pb)
-		}
 	}
 }

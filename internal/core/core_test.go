@@ -243,13 +243,14 @@ func transposedReference(t *testing.T, e *Engine, q embedding.Query) float32 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	weights, biases := e.params.Layers()
 	for l := range e.dims {
-		y, err := tensor.MatVec(e.params.Weights[l].Transpose(), x, nil)
+		y, err := tensor.MatVec(weights[l].Transpose(), x, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for j := range y {
-			y[j] += e.params.Biases[l][j]
+			y[j] += biases[l][j]
 		}
 		if l < len(e.dims)-1 {
 			tensor.ReLU(y)

@@ -17,14 +17,13 @@ import (
 )
 
 // Engine is a built MicroRec accelerator instance: a placement plan bound to
-// materialised parameters, quantized weights, and the timing model. It
-// computes real CTR predictions in the configured fixed-point format while
-// reporting the calibrated hardware timing.
+// materialised parameters — embedding tables and FC weights stored in the
+// configured fixed-point format — and the timing model. It computes real CTR
+// predictions in that format while reporting the calibrated hardware timing.
 type Engine struct {
 	cfg    Config
 	spec   *model.Spec
 	plan   *placement.Result
-	store  *embedding.Store
 	params *model.Parameters
 
 	// featureOffset[srcID] is where source table srcID's vectors start in
@@ -32,9 +31,9 @@ type Engine struct {
 	featureOffset []int
 	featureLen    int
 
-	// dp is the width-native datapath: the quantized FC tower and every
-	// loop that reads or writes an activation plane, instantiated at the
-	// format's storage width (see plane.go).
+	// dp is the width-native datapath: the quantized embedding tables and FC
+	// tower and every loop that reads or writes an activation plane,
+	// instantiated at the format's storage width (see plane.go).
 	dp   datapath
 	dims [][2]int
 
@@ -54,7 +53,7 @@ type Engine struct {
 
 	pipelineNS float64 // cached cold-cache lookup latency from the plan
 
-	// ownsParams makes Close release params' embedding tables (see
+	// ownsParams makes Close release params' checkpoints (see
 	// OwnParameters).
 	ownsParams bool
 }
@@ -67,7 +66,11 @@ type oneScratch struct {
 }
 
 // Build assembles an engine from materialised parameters, a placement plan
-// for the same model, and an accelerator configuration.
+// for the same model, and an accelerator configuration. It stores the
+// embedding tables at the format's width: in DRAM, or in the cold file of
+// Config.ColdTier's store. If nothing has run the parameters' stream yet,
+// that fill is its one pass; otherwise the tables are regenerated from the
+// stream's checkpoints.
 func Build(params *model.Parameters, plan *placement.Result, cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -83,15 +86,10 @@ func Build(params *model.Parameters, plan *placement.Result, cfg Config) (*Engin
 	if err := plan.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid plan: %w", err)
 	}
-	store, err := embedding.NewStore(params)
-	if err != nil {
-		return nil, err
-	}
 	e := &Engine{
 		cfg:        cfg,
 		spec:       spec,
 		plan:       plan,
-		store:      store,
 		params:     params,
 		dims:       spec.LayerDims(),
 		pipelineNS: plan.Report.LatencyNS,
@@ -107,18 +105,11 @@ func Build(params *model.Parameters, plan *placement.Result, cfg Config) (*Engin
 	if got := spec.FeatureLen(); e.featureLen != got {
 		return nil, fmt.Errorf("core: feature length mismatch %d vs %d", e.featureLen, got)
 	}
-	for l, w := range params.Weights {
-		if in, out := e.dims[l][0], e.dims[l][1]; len(w.Data) != in*out {
-			return nil, fmt.Errorf("core: layer %d weights have %d values, want %d", l, len(w.Data), in*out)
-		}
+	gplan, cacheOf, err := e.compileGatherPlan()
+	if err != nil {
+		return nil, err
 	}
-	// The format's width selects the datapath, once: planes, weights and
-	// kernels are int16 for a 16-bit format and int32 for a 32-bit one.
-	if f := cfg.Precision; f.Bits == 16 {
-		e.dp = newFixedPath(f, spec, params, kernels.Gemm16, kernels.FinishRow16, func(s *BatchScratch) *[]int16 { return &s.x16 })
-	} else {
-		e.dp = newFixedPath(f, spec, params, kernels.Gemm32, kernels.FinishRow32, func(s *BatchScratch) *[]int32 { return &s.x32 })
-	}
+	e.gplan = gplan
 	if cfg.HotCacheBytes > 0 {
 		live, err := hotcache.NewLive(cfg.HotCacheBytes, 0)
 		if err != nil {
@@ -126,13 +117,17 @@ func Build(params *model.Parameters, plan *placement.Result, cfg Config) (*Engin
 		}
 		e.cache = live
 	}
-	if e.gplan, err = e.compileGatherPlan(); err != nil {
+	// The format's width selects the datapath, once: tables, planes, weights
+	// and kernels are int16 for a 16-bit format and int32 for a 32-bit one.
+	if f := cfg.Precision; f.Bits == 16 {
+		e.dp, e.tier, err = newFixedPath(f, spec, params, cfg.ColdTier, cacheOf, kernels.Gemm16, kernels.FinishRow16, func(s *BatchScratch) *[]int16 { return &s.x16 })
+	} else {
+		e.dp, e.tier, err = newFixedPath(f, spec, params, cfg.ColdTier, cacheOf, kernels.Gemm32, kernels.FinishRow32, func(s *BatchScratch) *[]int32 { return &s.x32 })
+	}
+	if err != nil {
 		return nil, err
 	}
-	if cfg.ColdTier != nil {
-		if err := e.attachTier(); err != nil {
-			return nil, err
-		}
+	if e.tier != nil {
 		if e.cache == nil {
 			// Tiered placement is harvested from the live cache, so a tiered
 			// engine needs one: default to the hot-tier budget (floored so an
@@ -153,15 +148,17 @@ func Build(params *model.Parameters, plan *placement.Result, cfg Config) (*Engin
 	return e, nil
 }
 
-// Close releases what the engine holds outside the Go heap: its tiered
-// backing store (stopping the placement sweep and removing the cold-tier
-// file) and — if it was given them with OwnParameters — its model parameters'
-// embedding tables. Large tables are not heap memory (see internal/offheap),
-// so an engine that is never closed keeps them mapped until the process
-// exits. Callers must have stopped every in-flight inference first, and must
-// not use the engine afterwards. Closing twice is harmless.
+// Close releases what the engine holds outside the Go heap: its embedding
+// tables, its tiered backing store (stopping the placement sweep and
+// removing the cold-tier file) and — if it was given them with
+// OwnParameters — its model parameters' checkpoints. Large tables are not
+// heap memory (see internal/offheap), so an engine that is never closed
+// keeps them mapped until the process exits. Callers must have stopped every
+// in-flight inference first, and must not use the engine afterwards.
+// Closing twice is harmless.
 func (e *Engine) Close() error {
 	var err error
+	e.dp.release()
 	if e.tier != nil {
 		err = e.tier.Close()
 	}
@@ -192,10 +189,11 @@ func (e *Engine) Config() Config { return e.cfg }
 // TracePipeline.
 func (e *Engine) LookupNS() float64 { return e.pipelineNS }
 
-// Gather resolves one query into the concatenated float feature vector,
-// walking the compiled gather plan: each block's row is copied to its
-// spec-order feature position. It is the float reference of the quantized
-// GatherBatch path and performs no hot-cache accounting.
+// Gather resolves one query into the concatenated float feature vector
+// (spec order, lookup-minor), reading every row as the parameters' float —
+// regenerated from the stream's checkpoints (model.Parameters.ReadRows), not
+// from the engine's quantized tables. It is the float reference of the
+// quantized GatherBatch path and performs no hot-cache accounting.
 func (e *Engine) Gather(q embedding.Query, dst []float32) ([]float32, error) {
 	if err := e.ValidateQuery(q); err != nil {
 		return nil, err
@@ -205,20 +203,15 @@ func (e *Engine) Gather(q embedding.Query, dst []float32) ([]float32, error) {
 	} else if len(dst) != e.featureLen {
 		return nil, fmt.Errorf("core: dst length %d, want %d", len(dst), e.featureLen)
 	}
-	qs := [1]embedding.Query{q}
-	var row [1]int64
-	for _, blocks := range e.gplan.tables {
-		for bi := range blocks {
-			blk := &blocks[bi]
-			blk.resolve(qs[:], row[:])
-			var payload []float32
-			if blk.tier != nil {
-				payload = blk.tier.Row(row[0])
-			} else {
-				payload = blk.data[row[0]*int64(blk.dim):][:blk.dim]
-			}
-			copy(dst[blk.off:blk.off+blk.dim], payload)
+	reads := make([]model.RowRead, 0, e.spec.NumLookups())
+	for t, ts := range e.spec.Tables {
+		for r, idx := range q[t] {
+			off := e.featureOffset[t] + r*ts.Dim
+			reads = append(reads, model.RowRead{Table: t, Index: idx, Dst: dst[off : off+ts.Dim]})
 		}
+	}
+	if err := e.params.ReadRows(reads); err != nil {
+		return nil, err
 	}
 	return dst, nil
 }
@@ -252,13 +245,14 @@ func (e *Engine) ReferenceOne(q embedding.Query) (float32, error) {
 		return 0, err
 	}
 	x := feat
+	weights, biases := e.params.Layers()
 	for l := range e.dims {
-		y, err := tensor.VecMat(x, e.params.Weights[l])
+		y, err := tensor.VecMat(x, weights[l])
 		if err != nil {
 			return 0, err
 		}
 		for j := range y {
-			y[j] += e.params.Biases[l][j]
+			y[j] += biases[l][j]
 		}
 		if l < len(e.dims)-1 {
 			tensor.ReLU(y)

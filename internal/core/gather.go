@@ -8,15 +8,15 @@ import (
 	"sync"
 
 	"microrec/internal/embedding"
-	"microrec/internal/kernels"
 	"microrec/internal/tieredstore"
 )
 
 // This file implements the batched gather datapath: a gather plan compiled
 // once at Build feeding GatherBatch, which resolves a whole micro-batch's
-// lookups and quantizes each embedding vector directly into the fixed-point
-// batch buffer — no per-query float feature vector, no allocation in the hot
-// loop.
+// lookups and copies each embedding vector — stored at the datapath's width,
+// quantized once when the tables were filled — straight into the
+// fixed-point batch buffer: no conversion, no per-query float feature
+// vector, no allocation in the hot loop.
 //
 // The plan is a list of lookup *blocks* per physical table. A block is one
 // source table at one lookup round: the row storage, how the batch's logical
@@ -29,7 +29,7 @@ import (
 // (fixedPath.gatherTables in plane.go, generic over the plane's element
 // width) walks a shard's blocks × queries as one sequence, a window of
 // gatherWindow rows at a time: it resolves the window's row numbers and hints
-// all of them toward the cache, and only then reads and converts them.
+// all of them toward the cache, and only then reads and copies them.
 //
 // The reason is Little's law. A row that misses the cache costs ≈ 100 ns of
 // DRAM latency however the loop is written; what the loop decides is how many
@@ -122,20 +122,17 @@ func (m *rowMod) reduce(idx int64) int64 {
 	return idx % int64(m.rows)
 }
 
-// gatherBlock is one source table at one lookup round.
+// gatherBlock is one source table at one lookup round. Its rows are the
+// datapath's (fixedPath.tables or .tier).
 type gatherBlock struct {
-	data  []float32 // the source table's row-major storage
-	srcID int       // index into the query / spec tables
+	srcID int // index into the query / spec tables, and the datapath's tables
 	mod   rowMod
 	dim   int // row length
 	// off is the feature column this round of the source starts at.
 	off      int
 	vecBytes int // bytes one access moves
 	cacheID  int // the source's key namespace in the hot-row cache and the tier
-	// tier, when non-nil, resolves the source's rows through the tiered store
-	// instead of data.
-	tier  *tieredstore.Stream
-	round int // which of the source's per-inference lookups this block is
+	round    int // which of the source's per-inference lookups this block is
 }
 
 // resolve writes the row number of each query's lookup in this block to
@@ -147,20 +144,6 @@ func (blk *gatherBlock) resolve(queries []embedding.Query, rows []int64) {
 	mod, src, round := blk.mod, blk.srcID, blk.round // copied out: rows could alias the block as far as the compiler knows
 	for i, q := range queries {
 		rows[i] = mod.reduce(q[src][round])
-	}
-}
-
-// hint starts the fetch of the given rows: one block hint over the DRAM copy
-// or, row by row, over whichever copy the tiered store would serve.
-//
-//microrec:noalloc
-func (blk *gatherBlock) hint(rows []int64) {
-	if blk.tier == nil {
-		kernels.PrefetchRows(blk.data, blk.dim, rows)
-		return
-	}
-	for _, row := range rows {
-		blk.tier.PrefetchRow(row)
 	}
 }
 
@@ -210,41 +193,29 @@ func (s *gatherSeq) next(c *gatherCursor, max int) (blk *gatherBlock, lo, hi int
 	return blk, lo, hi
 }
 
-// hintWindow resolves the row numbers of the next len(rows) lookups from the
-// cursor (fewer at the end of the sequence) into rows, hints each block's run
-// of them, and returns how many there were.
-//
-//microrec:noalloc
-func (s *gatherSeq) hintWindow(c *gatherCursor, rows []int64) int {
-	n := 0
-	for n < len(rows) && c.ti < len(s.tables) {
-		blk, lo, hi := s.next(c, len(rows)-n)
-		run := rows[n : n+hi-lo]
-		blk.resolve(s.queries[lo:hi], run)
-		blk.hint(run)
-		n += hi - lo
-	}
-	return n
-}
-
 // compileGatherPlan builds the engine's gather plan from the placement plan
-// and the embedding store. Called once in Build.
-func (e *Engine) compileGatherPlan() (gatherPlan, error) {
+// and the parameters' table sizes. Called once in Build. It also returns the
+// cacheID each source table got (srcID → cacheID), which names the source's
+// stream in a tiered store.
+func (e *Engine) compileGatherPlan() (gatherPlan, []int, error) {
 	layout := e.plan.Layout
 	p := gatherPlan{tables: make([][]gatherBlock, len(layout.Tables))}
+	cacheOf := make([]int, len(e.spec.Tables))
+	for i := range cacheOf {
+		cacheOf[i] = -1
+	}
 	cacheID := 0
 	for pi, pt := range layout.Tables {
 		// One block per source and lookup round; round r of a source lands
 		// r*dim columns past round 0.
 		for _, src := range pt.Sources {
-			tab, err := e.store.Table(src.ID)
-			if err != nil {
-				return gatherPlan{}, err
+			if src.ID < 0 || src.ID >= len(cacheOf) || cacheOf[src.ID] >= 0 {
+				return gatherPlan{}, nil, fmt.Errorf("core: plan reads source table %d twice or out of range", src.ID)
 			}
+			cacheOf[src.ID] = cacheID
 			blk := gatherBlock{
-				data:     tab.Data(),
 				srcID:    src.ID,
-				mod:      newRowMod(tab.LogicalRows, tab.Rows()),
+				mod:      newRowMod(e.spec.Tables[src.ID].Rows, e.params.ActualRows[src.ID]),
 				dim:      src.Dim,
 				vecBytes: src.Dim * 4,
 				cacheID:  cacheID,
@@ -257,35 +228,13 @@ func (e *Engine) compileGatherPlan() (gatherPlan, error) {
 			cacheID++
 		}
 	}
+	for src, id := range cacheOf {
+		if id < 0 {
+			return gatherPlan{}, nil, fmt.Errorf("core: plan never reads source table %d", src)
+		}
+	}
 	p.shards = e.shardByChannelGroup()
-	return p, nil
-}
-
-// attachTier opens the tiered backing store over every source table, one
-// stream each, and points the gather plan's row resolution at it. Called from
-// Build after compileGatherPlan when Config.ColdTier is set. The stream IDs
-// are the plan's cacheIDs, which compileGatherPlan assigns densely in table
-// order, so the spec list is already ID-sorted.
-func (e *Engine) attachTier() error {
-	var specs []tieredstore.StreamSpec
-	for _, blocks := range e.gplan.tables {
-		for bi := range blocks {
-			if blk := &blocks[bi]; blk.round == 0 {
-				specs = append(specs, tieredstore.StreamSpec{ID: blk.cacheID, Data: blk.data, Dim: blk.dim})
-			}
-		}
-	}
-	store, err := tieredstore.Open(*e.cfg.ColdTier, specs)
-	if err != nil {
-		return err
-	}
-	for _, blocks := range e.gplan.tables {
-		for bi := range blocks {
-			blocks[bi].tier = store.Stream(blocks[bi].cacheID)
-		}
-	}
-	e.tier = store
-	return nil
+	return p, cacheOf, nil
 }
 
 // shardByChannelGroup groups physical tables by their assigned memory bank
@@ -508,8 +457,9 @@ func (e *Engine) coldRows(queries []embedding.Query) []rowRef {
 		for bi := range blocks {
 			blk := &blocks[bi]
 			blk.resolve(queries, rows)
+			st := e.tier.Stream(blk.cacheID)
 			for _, row := range rows {
-				if !blk.tier.IsHot(row) {
+				if !st.IsHot(row) {
 					cold = append(cold, rowRef{blk.cacheID, row})
 				}
 			}

@@ -1,46 +1,91 @@
 package core
 
 import (
+	"path/filepath"
 	"testing"
 
 	"microrec/internal/memsim"
 	"microrec/internal/model"
 	"microrec/internal/offheap"
 	"microrec/internal/placement"
+	"microrec/internal/tieredstore"
 )
 
 // TestBuildMapsNothingBeyondParameters pins the engine's footprint at the
-// benchmark's row cap: building production-large with Cartesian planning on
-// maps no table memory beyond its parameters' own (the gather reads merged
-// sources where they are), and Close on an engine that owns its parameters
-// hands every mapped byte back.
+// benchmark's row cap, on production-large with Cartesian planning on:
+// Materialize maps nothing; Build maps exactly the source tables at the
+// datapath's width (no float table, no product copy: the gather reads merged
+// sources where they are) plus the parameter stream's checkpoints; an engine
+// of the other width built from the same parameters adds exactly its own
+// tables; a tiered engine keeps no table in DRAM at all; and Close hands
+// every byte back — the checkpoints with the engine that owns the
+// parameters.
 func TestBuildMapsNothingBeyondParameters(t *testing.T) {
-	spec, cfg := model.LargeProduction(), LargeFP16()
+	spec := model.LargeProduction()
 	before := offheap.MappedBytes()
 	params, err := spec.Materialize(model.MaterializeOptions{Seed: 1, MaxRowsPerTable: 262144})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables := offheap.MappedBytes()
-	if tables == before {
-		t.Skip("no anonymous mappings on this platform")
+	if grew := offheap.MappedBytes() - before; grew != 0 {
+		t.Errorf("Materialize mapped %d bytes", grew)
 	}
-	plan, err := placement.Plan(spec, memsim.U280(cfg.OnChipBanks), placement.Options{EnableCartesian: true})
+	// tableBytes is what the tables map at an element width.
+	tableBytes := func(width int64) (n int64) {
+		for i, ts := range spec.Tables {
+			elems := params.ActualRows[i] * int64(ts.Dim)
+			if elems*width >= 1<<20 {
+				n += elems * width
+			}
+		}
+		return n
+	}
+	plan, err := placement.Plan(spec, memsim.U280(LargeFP16().OnChipBanks), placement.Options{EnableCartesian: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Layout.NumMerged() == 0 {
 		t.Fatal("the plan merges no tables; test is vacuous")
 	}
-	e, err := Build(params, plan, cfg)
+	e16, err := Build(params, plan, LargeFP16())
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.OwnParameters()
-	if grew := offheap.MappedBytes() - tables; grew != 0 {
-		t.Errorf("Build mapped %d bytes beyond the parameters' %d", grew, tables-before)
+	if tableBytes(2) == 0 {
+		t.Skip("no anonymous mappings on this platform")
 	}
-	if err := e.Close(); err != nil {
+	checkpoints := params.CheckpointBytes()
+	if checkpoints < 1<<20 {
+		t.Fatalf("checkpoints hold %d bytes: below the mapping threshold, test is vacuous", checkpoints)
+	}
+	if got, want := offheap.MappedBytes()-before, tableBytes(2)+checkpoints; got != want {
+		t.Errorf("Fixed16 Build mapped %d bytes, want tables %d + checkpoints %d", got, tableBytes(2), checkpoints)
+	}
+
+	e32, err := Build(params, plan, LargeFP32())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := offheap.MappedBytes()-before, tableBytes(2)+tableBytes(4)+checkpoints; got != want {
+		t.Errorf("a Fixed32 engine beside it: %d bytes mapped, want %d", got, want)
+	}
+	if err := e32.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := LargeFP16()
+	cfg.ColdTier = &tieredstore.Config{Path: filepath.Join(t.TempDir(), "cold.bin"), SweepEvery: -1}
+	tiered, err := Build(params, plan, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := offheap.MappedBytes()-before, tableBytes(2)+checkpoints; got != want {
+		t.Errorf("a tiered engine beside it: %d bytes mapped, want %d (no DRAM tables)", got, want)
+	}
+	if err := tiered.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e16.OwnParameters()
+	if err := e16.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if left := offheap.MappedBytes() - before; left != 0 {
@@ -76,5 +121,55 @@ func TestParallelInferPropagatesErrors(t *testing.T) {
 	qs[5][0] = []int64{spec.Tables[0].Rows + 10}
 	if _, err := e.Infer(qs); err == nil {
 		t.Error("bad query in batch: want error")
+	}
+}
+
+// TestWidthsFromOneParameters builds engines of both widths from one
+// Parameters, in both orders — so one fills its tables in the stream's one
+// pass and the other refills them from the checkpoints — plus a tiered
+// engine, whose cold file is written by a refill. Every gathered feature
+// must be exactly the format's Quantize of the float the parameters
+// regenerate for that row (Engine.Gather).
+func TestWidthsFromOneParameters(t *testing.T) {
+	spec := model.SmallProduction()
+	plan, err := placement.Plan(spec, memsim.U280(SmallFP16().OnChipBanks), placement.Options{EnableCartesian: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := randomQueries(spec, 24, 11)
+	for _, order := range [][]Config{{SmallFP16(), SmallFP32()}, {SmallFP32(), SmallFP16()}} {
+		params, err := spec.Materialize(model.MaterializeOptions{Seed: 7, MaxRowsPerTable: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tiered := order[0]
+		tiered.ColdTier = &tieredstore.Config{Path: filepath.Join(t.TempDir(), "cold.bin"), SweepEvery: -1}
+		for _, cfg := range append(order, tiered) {
+			e, err := Build(params, plan, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := cfg.Precision
+			feats, err := e.GatherBatch(qs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for qi, q := range qs {
+				floats, err := e.Gather(q, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k, v := range floats {
+					if got, want := feats.At(qi, k), f.Quantize(float64(v)); got != want {
+						t.Fatalf("%d-bit (tiered %v): query %d feature %d = %d, Quantize(%v) = %d",
+							f.Bits, cfg.ColdTier != nil, qi, k, got, v, want)
+					}
+				}
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		params.Release()
 	}
 }

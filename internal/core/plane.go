@@ -1,17 +1,26 @@
 package core
 
 import (
+	"cmp"
+	"io"
+	"sync"
+	"unsafe"
+
 	"microrec/internal/embedding"
 	"microrec/internal/fixedpoint"
 	"microrec/internal/hotcache"
 	"microrec/internal/kernels"
 	"microrec/internal/model"
+	"microrec/internal/offheap"
+	"microrec/internal/tieredstore"
 )
 
 // This file is the width-native half of the engine: everything that touches
-// an activation plane or an FC weight is generic over the element type the
-// fixed-point format stores — int16 for a 16-bit format, int32 for a 32-bit
-// one — and lives on fixedPath[T]. Build instantiates it once, by the
+// an embedding table, an activation plane or an FC weight is generic over
+// the element type the fixed-point format stores — int16 for a 16-bit
+// format, int32 for a 32-bit one — and lives on fixedPath[T]. The embedding
+// tables are stored at that width too, each value quantized once when the
+// tables are filled, so the gather copies rows and converts nothing. Build instantiates it once, by the
 // format's Bits, behind the datapath interface; the rest of the engine (and
 // everything above it) is width-agnostic and holds planes only as opaque
 // BatchScratch values.
@@ -27,12 +36,12 @@ type datapath interface {
 	mergePartial(b int, spans []ColSpan, src, dst *BatchScratch)
 	dense(b int, s *BatchScratch)
 	tail(b int, s *BatchScratch, dst []float32)
+	release()
 }
 
-// fixedPath is the datapath at one element width: the quantized FC tower
-// packed for that width's GEMM kernel, and the hoisted constants of the two
-// per-element conversions (float → raw in the gather, accumulator → raw
-// after each GEMM).
+// fixedPath is the datapath at one element width: the embedding tables and
+// the quantized FC tower at that width, and the hoisted constants of the
+// accumulator → raw conversion after each GEMM.
 type fixedPath[T kernels.Elem] struct {
 	format fixedpoint.Format
 	// stride is the row stride of every plane: the widest activation row
@@ -42,7 +51,13 @@ type fixedPath[T kernels.Elem] struct {
 	featureLen int
 	denseOff   int // where the dense tail starts in a feature row
 
-	quant  kernels.Quantizer
+	// tables[src] is source table src's rows, row-major, quantized
+	// (offheap.Make; nil for a tiered engine). tier[id] is the rows of the
+	// source whose gather blocks carry cacheID id, in the tiered store
+	// instead (nil for an all-DRAM engine).
+	tables [][]T
+	tier   []*tieredstore.Stream
+
 	finish fixedpoint.Epilogue
 	layers []kernels.Weights[T] // transposed, zero-padded (see kernels.Pack)
 	biases [][]int64            // raw, added to finished accumulators
@@ -56,23 +71,37 @@ type fixedPath[T kernels.Elem] struct {
 	plane     func(*BatchScratch) *[]T
 }
 
-// newFixedPath quantizes and packs the FC tower for element type T.
+// newFixedPath stores the embedding tables at element type T — in DRAM, or,
+// when tier is set, in a tiered store's cold file (returned; source table t
+// is stream streamOf[t]) — and then quantizes and packs the FC tower. The
+// tables come first: if nothing has run the parameters' stream yet, filling
+// them is its one pass, which also materialises the FC tower.
 func newFixedPath[T kernels.Elem](
-	f fixedpoint.Format, spec *model.Spec, params *model.Parameters,
+	f fixedpoint.Format, spec *model.Spec, params *model.Parameters, tier *tieredstore.Config, streamOf []int,
 	gemm kernels.GemmFunc[T], finishRow kernels.FinishFunc[T],
 	plane func(*BatchScratch) *[]T,
-) *fixedPath[T] {
+) (*fixedPath[T], *tieredstore.Store, error) {
 	d := &fixedPath[T]{
 		format:     f,
 		featureLen: spec.FeatureLen(),
 		denseOff:   spec.FeatureLen() - spec.DenseDim,
-		quant:      kernels.NewQuantizer(f),
 		finish:     f.Epilogue(),
 		gemm:       gemm,
 		finishRow:  finishRow,
 		plane:      plane,
 	}
+	var store *tieredstore.Store
+	var err error
+	if tier == nil {
+		err = d.fillTables(params)
+	} else {
+		store, err = d.openTier(*tier, params, streamOf)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
 	width := d.featureLen
+	weights, biases := params.Layers()
 	for l, dim := range spec.LayerDims() {
 		in, out := dim[0], dim[1]
 		if out > width {
@@ -80,18 +109,92 @@ func newFixedPath[T kernels.Elem](
 		}
 		// Source weights are in x out row-major; Pack stores them
 		// transposed so output j's weights are contiguous.
-		w := params.Weights[l].Data
+		w := weights[l].Data
 		d.layers = append(d.layers, kernels.Pack(in, out, func(i, j int) T {
 			return T(f.Quantize(float64(w[i*out+j])))
 		}))
-		bias := make([]int64, len(params.Biases[l]))
-		for i, v := range params.Biases[l] {
+		bias := make([]int64, len(biases[l]))
+		for i, v := range biases[l] {
 			bias[i] = f.Quantize(float64(v))
 		}
 		d.biases = append(d.biases, bias)
 	}
 	d.stride = kernels.RoundUp(width)
-	return d
+	return d, store, nil
+}
+
+// fillTables quantizes every embedding table into DRAM at width T, each
+// value exactly f.Quantize of its float (kernels.QuantizeRow).
+func (d *fixedPath[T]) fillTables(params *model.Parameters) error {
+	spec := params.Spec
+	d.tables = make([][]T, len(spec.Tables))
+	for t, ts := range spec.Tables {
+		d.tables[t] = offheap.Make[T](int(params.ActualRows[t]) * ts.Dim)
+	}
+	q := kernels.NewQuantizer(d.format)
+	err := params.FillTables(func(t, off int, vals []float32) {
+		kernels.QuantizeRow(&q, vals, d.tables[t][off:])
+	})
+	if err != nil {
+		d.release()
+	}
+	return err
+}
+
+// openTier writes every embedding table, quantized to width T, into the
+// tiered store's cold file — source table t as stream streamOf[t] —
+// straight from the parameters' fill, so no DRAM copy of a table exists at
+// any point.
+func (d *fixedPath[T]) openTier(cfg tieredstore.Config, params *model.Parameters, streamOf []int) (*tieredstore.Store, error) {
+	spec := params.Spec
+	specs := make([]tieredstore.StreamSpec, len(spec.Tables))
+	for t, ts := range spec.Tables {
+		id := streamOf[t]
+		specs[id] = tieredstore.StreamSpec{ID: id, Rows: params.ActualRows[t], Dim: ts.Dim}
+	}
+	var zero T
+	size := int64(unsafe.Sizeof(zero))
+	q := kernels.NewQuantizer(d.format)
+	store, err := tieredstore.Open(cfg, int(size), specs, func(f io.WriterAt, offsets []int64) error {
+		var (
+			mu    sync.Mutex
+			first error
+		)
+		bufs := sync.Pool{New: func() any { return new([]T) }}
+		err := params.FillTables(func(t, off int, vals []float32) {
+			buf := bufs.Get().(*[]T)
+			if cap(*buf) < len(vals) {
+				*buf = make([]T, len(vals))
+			}
+			raw := (*buf)[:len(vals)]
+			kernels.QuantizeRow(&q, vals, raw)
+			_, err := f.WriteAt(unsafe.Slice((*byte)(unsafe.Pointer(&raw[0])), int64(len(raw))*size), offsets[streamOf[t]]+int64(off)*size)
+			bufs.Put(buf)
+			if err != nil {
+				mu.Lock()
+				first = cmp.Or(first, err)
+				mu.Unlock()
+			}
+		})
+		return cmp.Or(err, first)
+	})
+	if err != nil {
+		return nil, err
+	}
+	d.tier = make([]*tieredstore.Stream, store.Streams())
+	for id := range d.tier {
+		d.tier[id] = store.Stream(id)
+	}
+	return store, nil
+}
+
+// release hands the DRAM tables back (see offheap). The tiered store, which
+// the engine owns, is closed by the engine.
+func (d *fixedPath[T]) release() {
+	for t, tab := range d.tables {
+		offheap.Free(tab)
+		d.tables[t] = nil
+	}
 }
 
 // ensure sizes the scratch's buffers for b rows of this engine's stride.
@@ -138,6 +241,39 @@ func (d *fixedPath[T]) features(s *BatchScratch) Features {
 	return f
 }
 
+// hint starts the fetch of the given rows of a block: one block hint over
+// the DRAM table or, row by row, over whichever copy the tiered store would
+// serve.
+//
+//microrec:noalloc
+func (d *fixedPath[T]) hint(blk *gatherBlock, rows []int64) {
+	if d.tier == nil {
+		kernels.PrefetchRows(d.tables[blk.srcID], blk.dim, rows)
+		return
+	}
+	st := d.tier[blk.cacheID]
+	for _, row := range rows {
+		st.PrefetchRow(row)
+	}
+}
+
+// hintWindow resolves the row numbers of the next len(rows) lookups of s
+// from the cursor (fewer at the end of the sequence) into rows, hints each
+// block's run of them, and returns how many there were.
+//
+//microrec:noalloc
+func (d *fixedPath[T]) hintWindow(s *gatherSeq, c *gatherCursor, rows []int64) int {
+	n := 0
+	for n < len(rows) && c.ti < len(s.tables) {
+		blk, lo, hi := s.next(c, len(rows)-n)
+		run := rows[n : n+hi-lo]
+		blk.resolve(s.queries[lo:hi], run)
+		d.hint(blk, run)
+		n += hi - lo
+	}
+	return n
+}
+
 // gatherTables runs the gather for one shard's physical tables. The shard's
 // lookups form one sequence — each table's blocks in order, each block across
 // the whole batch — and the loop takes it gatherWindow rows at a time, in two
@@ -145,8 +281,8 @@ func (d *fixedPath[T]) features(s *BatchScratch) Features {
 // goroutine's stack (shards of one batch share the scratch, so it cannot live
 // there) and hints every row's cache lines, a block's run with one call.
 // Pass 2 walks the same window again and, per row, records the access against
-// the given live hot-row cache, takes the payload, and quantizes it straight
-// into the query's feature row at the plane's width. By the time pass 2 reads
+// the given live hot-row cache and copies the row — already at the plane's
+// width — into the query's feature row. By the time pass 2 reads
 // a row its fetch has been in flight, together with the rest of the window's,
 // for the whole of pass 1: the loop waits for memory once per window, not
 // once per row (gather.go's header has the arithmetic). A window ends where
@@ -172,28 +308,34 @@ func (d *fixedPath[T]) gatherTables(plan *gatherPlan, tables []int, queries []em
 	seq := gatherSeq{plan: plan, tables: tables, queries: queries}
 	var ahead, cur gatherCursor
 	var rows [gatherWindow]int64
-	for n := seq.hintWindow(&ahead, rows[:]); n > 0; n = seq.hintWindow(&ahead, rows[:]) {
+	for n := d.hintWindow(&seq, &ahead, rows[:]); n > 0; n = d.hintWindow(&seq, &ahead, rows[:]) {
 		for k := 0; k < n; {
 			blk, lo, hi := seq.next(&cur, n-k)
 			dim := int64(blk.dim)
+			var data []T
+			var st *tieredstore.Stream
+			if d.tier != nil {
+				st = d.tier[blk.cacheID]
+			} else {
+				data = d.tables[blk.srcID]
+			}
 			for qi := lo; qi < hi; qi++ {
 				row := rows[k]
 				k++
 				if cache != nil {
 					cache.Lookup(blk.cacheID, row, blk.vecBytes)
 				}
-				var payload []float32
-				if blk.tier != nil {
+				var payload []T
+				if st != nil {
 					var wasCold bool
-					payload, wasCold = blk.tier.RowTagged(row)
+					payload, wasCold = tieredstore.RowTagged[T](st, row)
 					if wasCold {
 						cold++
 					}
 				} else {
-					payload = blk.data[row*dim : row*dim+dim]
+					payload = data[row*dim : row*dim+dim]
 				}
-				out := x[qi*w : qi*w+d.featureLen]
-				kernels.QuantizeRow(&d.quant, payload, out[blk.off:blk.off+blk.dim])
+				copy(x[qi*w+blk.off:qi*w+blk.off+blk.dim], payload)
 			}
 		}
 	}

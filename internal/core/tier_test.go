@@ -51,7 +51,7 @@ func randomPlacement(store *tieredstore.Store, rng *rand.Rand, frac float64) {
 
 // TestTierStreamsAreSourceTables pins what the cold tier holds when the plan
 // merges tables: one stream per source table, so the cold file is exactly the
-// parameters' table bytes, with no product copy.
+// parameters' tables at the datapath's width, with no product copy.
 func TestTierStreamsAreSourceTables(t *testing.T) {
 	spec := model.SmallProduction()
 	e := buildEngine(t, spec, tierTestConfig(-1), true)
@@ -64,8 +64,8 @@ func TestTierStreamsAreSourceTables(t *testing.T) {
 		t.Errorf("%d tier streams for %d source tables", got, len(spec.Tables))
 	}
 	var want int64
-	for _, tab := range e.params.Embeddings {
-		want += int64(len(tab)) * 4
+	for i, ts := range spec.Tables {
+		want += e.params.ActualRows[i] * int64(ts.Dim) * 2 // Fixed16
 	}
 	if got := store.TotalBytes(); got != want {
 		t.Errorf("cold file holds %d bytes, the tables %d", got, want)

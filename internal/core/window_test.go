@@ -31,7 +31,7 @@ func serialWalk(e *Engine, queries []embedding.Query, ref *hotcache.Live) (looku
 					row := q[blk.srcID][blk.round] % int64(blk.mod.rows)
 					ref.Lookup(blk.cacheID, row, blk.vecBytes)
 					lookups++
-					if blk.tier != nil && !blk.tier.IsHot(row) {
+					if e.tier != nil && !e.tier.Stream(blk.cacheID).IsHot(row) {
 						cold++
 					}
 				}

@@ -31,11 +31,12 @@ func NewEngine(params *model.Parameters) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	weights, biases := params.Layers()
 	return &Engine{
 		spec:    params.Spec,
 		store:   store,
-		weights: params.Weights,
-		biases:  params.Biases,
+		weights: weights,
+		biases:  biases,
 		dims:    params.Spec.LayerDims(),
 	}, nil
 }

@@ -1,7 +1,9 @@
-// Package embedding implements the functional embedding-table storage used by
-// both the CPU baseline and the accelerator model: flat row-major float32
-// arrays with gather and concatenation, the operations behind the paper's
-// "embedding layer" (§2.2).
+// Package embedding implements float embedding-table storage for the float
+// CPU baseline and the quantization studies: flat row-major float32 arrays
+// with gather and concatenation, the operations behind the paper's
+// "embedding layer" (§2.2). It also defines Query, every engine's input. The
+// accelerator engine stores its tables at its datapath's width instead
+// (internal/core).
 package embedding
 
 import (
@@ -57,13 +59,6 @@ func (t *Table) Lookup(index int64) ([]float32, error) {
 // Bytes returns the materialised storage footprint.
 func (t *Table) Bytes() int64 { return int64(len(t.data)) * model.FloatBytes }
 
-// Data returns the table's materialised row-major storage (Rows()*Dim
-// float32s). The slice aliases internal storage and must be treated as
-// read-only. It exists for the engine's compiled gather plan, which resolves
-// materialised rows directly without per-lookup validation; all other callers
-// should use Lookup.
-func (t *Table) Data() []float32 { return t.data }
-
 // Store holds a model's embedding tables indexed by table ID and implements
 // the gather-and-concatenate step of the embedding layer.
 type Store struct {
@@ -73,10 +68,15 @@ type Store struct {
 	featureLen int
 }
 
-// NewStore builds a Store from materialised model parameters.
+// NewStore builds a Store of whole float tables from materialised model
+// parameters (Parameters.FloatTables: heap memory, meant for small row caps).
 func NewStore(p *model.Parameters) (*Store, error) {
-	s := &Store{tables: make([]*Table, len(p.Embeddings))}
-	for i, data := range p.Embeddings {
+	tables, err := p.FloatTables()
+	if err != nil {
+		return nil, err
+	}
+	s := &Store{tables: make([]*Table, len(tables))}
+	for i, data := range tables {
 		spec := p.Spec.Tables[i]
 		t, err := NewTable(spec.Name, spec.Dim, spec.Rows, data)
 		if err != nil {

@@ -479,3 +479,123 @@ TEXT ·finish8x32(SB), NOSPLIT, $0-72
 	VPBROADCASTQ lo+56(FP), Z4
 	VPBROADCASTQ floor+64(FP), Z5
 	FINISHLOOP(VPMOVQD, $32)
+
+// QUANT8 converts eight float32 at (SI) under K1 to eight rounded, clamped
+// int32 in Y0, exactly as Format.Quantize: widen (exact), scale by 2^Frac
+// (exact), round half to even, clamp to [lo, hi] (Z3, Z2), and zero every
+// NaN lane — K2 is K1's ordered lanes; VMINPD would turn a NaN into hi. The
+// clamped values are integers inside the width, so the truncating narrow is
+// exact.
+#define QUANT8 \
+	VCVTPS2PD.Z  (SI), K1, Z0; \
+	VCMPPD       $7, Z0, Z0, K1, K2; \
+	VMULPD       Z1, Z0, Z0; \
+	VRNDSCALEPD  $0, Z0, Z0; \
+	VMINPD       Z2, Z0, Z0; \
+	VMAXPD       Z3, Z0, Z0; \
+	VCVTTPD2DQ.Z Z0, K2, Y0
+
+// QUANTLOOP is the loop shared by the two storage widths: STORE writes Y0's
+// eight int32 lanes at the width under K1, DSTEP the bytes they take. A
+// final partial vector is loaded, and stored, under the mask K1 of its n
+// mod 8 low lanes. Expects SI src, DI dst, CX n, Z1 scale, Z2 hi, Z3 lo.
+#define QUANTLOOP(STORE, DSTEP) \
+	MOVL        $0xFF, AX;      \
+	KMOVW       AX, K1;         \
+	CMPQ        CX, $8;         \
+	JLT         tail;           \
+loop:                           \
+	QUANT8;                     \
+	STORE       Y0, K1, (DI);   \
+	ADDQ        $32, SI;        \
+	ADDQ        DSTEP, DI;      \
+	SUBQ        $8, CX;         \
+	CMPQ        CX, $8;         \
+	JGE         loop;           \
+tail:                           \
+	TESTQ       CX, CX;         \
+	JZ          done;           \
+	MOVL        $1, AX;         \
+	SHLL        CX, AX;         \
+	DECL        AX;             \
+	KMOVW       AX, K1;         \
+	QUANT8;                     \
+	STORE       Y0, K1, (DI);   \
+done:                           \
+	VZEROUPPER;                 \
+	RET
+
+// func quantize8x16(src *float32, dst *int16, n int, scale, hi, lo float64)
+TEXT ·quantize8x16(SB), NOSPLIT, $0-48
+	MOVQ         src+0(FP), SI
+	MOVQ         dst+8(FP), DI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSD scale+24(FP), Z1
+	VBROADCASTSD hi+32(FP), Z2
+	VBROADCASTSD lo+40(FP), Z3
+	QUANTLOOP(VPMOVDW, $16)
+
+// func quantize8x32(src *float32, dst *int32, n int, scale, hi, lo float64)
+TEXT ·quantize8x32(SB), NOSPLIT, $0-48
+	MOVQ         src+0(FP), SI
+	MOVQ         dst+8(FP), DI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSD scale+24(FP), Z1
+	VBROADCASTSD hi+32(FP), Z2
+	VBROADCASTSD lo+40(FP), Z3
+	QUANTLOOP(VMOVDQU32, $32)
+
+// UNIT8 turns the eight raw draws at (SI) under K1 into eight float32 in
+// Y0, each (u*2 - 1) * scale for u math/rand's Float32 of the draw, with
+// the scalar code's operations and roundings: the low 63 bits (Z1) to
+// float64 (round to nearest, as CVTSI2SDQ), times 2⁻⁶³ (Z2, exact), to
+// float32 (round to nearest, as CVTSD2SS), doubled, less one (Y3), times
+// scale (Y4).
+#define UNIT8 \
+	VPANDQ.Z     (SI), Z1, K1, Z0; \
+	VCVTQQ2PD    Z0, Z0; \
+	VMULPD       Z2, Z0, Z0; \
+	VCVTPD2PS    Z0, Y0; \
+	VADDPS       Y0, Y0, Y0; \
+	VSUBPS       Y3, Y0, Y0; \
+	VMULPS       Y4, Y0, Y0
+
+// func unit8(draws *uint64, dst *float32, n int, scale float32)
+//
+// A final partial vector is loaded, and stored, under the mask K1 of its
+// n mod 8 low lanes.
+TEXT ·unit8(SB), NOSPLIT, $0-28
+	MOVQ         draws+0(FP), SI
+	MOVQ         dst+8(FP), DI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSS scale+24(FP), Y4
+	MOVQ         $0x7fffffffffffffff, AX
+	VPBROADCASTQ AX, Z1
+	MOVQ         $0x3c00000000000000, AX
+	VPBROADCASTQ AX, Z2
+	MOVL         $0x3f800000, AX
+	VPBROADCASTD AX, Y3
+	MOVL         $0xFF, AX
+	KMOVW        AX, K1
+	CMPQ         CX, $8
+	JLT          tail
+loop:
+	UNIT8
+	VMOVUPS      Y0, K1, (DI)
+	ADDQ         $64, SI
+	ADDQ         $32, DI
+	SUBQ         $8, CX
+	CMPQ         CX, $8
+	JGE          loop
+tail:
+	TESTQ        CX, CX
+	JZ           done
+	MOVL         $1, AX
+	SHLL         CX, AX
+	DECL         AX
+	KMOVW        AX, K1
+	UNIT8
+	VMOVUPS      Y0, K1, (DI)
+done:
+	VZEROUPPER
+	RET

@@ -27,6 +27,14 @@ func init() {
 	Gemm32 = dispatch(Gemm32Impls)
 	FinishRow16 = dispatch(Finish16Impls)
 	FinishRow32 = dispatch(Finish32Impls)
+	if cpu.avx512vnni {
+		quantizeVec16, quantizeVec32 = quantize8x16, quantize8x32
+		featureTags = append(featureTags, "avx512-quantize")
+	}
+	if cpu.avx512vnni && cpu.avx512dq {
+		unitVec = unit8
+		featureTags = append(featureTags, "avx512dq-unit")
+	}
 	// The prefetch hints are plain SSE (PREFETCHT0), available on every
 	// amd64; see prefetch_amd64.go.
 	prefetchLine = prefetchT0
@@ -51,6 +59,8 @@ type cpuFeatureSet struct {
 	// both halves of the ZMM state (ZMM0-15 upper halves, ZMM16-31) enabled
 	// in XCR0 — the same dance for 512-bit registers.
 	avx512vnni bool
+	// avx512dq: additionally AVX512DQ (the int64 → float64 conversion).
+	avx512dq bool
 }
 
 func cpuFeatures() (f cpuFeatureSet) {
@@ -72,11 +82,13 @@ func cpuFeatures() (f cpuFeatureSet) {
 		avx2Bit     = 1 << 5
 		avx512Bits  = 1<<16 | 1<<30 | 1<<31 // F, BW, VL
 		vnniBit     = 1 << 11
+		dqBit       = 1 << 17
 		zmmStateSet = 0xE6 // XMM, YMM, opmask, ZMM_Hi256, Hi16_ZMM
 	)
 	f.avx2 = ebx7&avx2Bit != 0
 	f.avx512vnni = f.avx2 && xcr0&zmmStateSet == zmmStateSet &&
 		ebx7&avx512Bits == avx512Bits && ecx7&vnniBit != 0
+	f.avx512dq = f.avx512vnni && ebx7&dqBit != 0
 	return f
 }
 
@@ -147,6 +159,15 @@ func tile4x32(x, w *int32, stride, pitch, groups, blocks int, acc *int64)
 //
 //go:noescape
 func finish8x16(acc, bias *int64, dst *int16, n int, shift uint64, half, hi, lo, floor int64)
+
+//go:noescape
+func unit8(draws *uint64, dst *float32, n int, scale float32)
+
+//go:noescape
+func quantize8x16(src *float32, dst *int16, n int, scale, hi, lo float64)
+
+//go:noescape
+func quantize8x32(src *float32, dst *int32, n int, scale, hi, lo float64)
 
 //go:noescape
 func finish8x32(acc, bias *int64, dst *int32, n int, shift uint64, half, hi, lo, floor int64)

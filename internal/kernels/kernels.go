@@ -291,8 +291,8 @@ func dispatch[F any](impls []Impl[F]) F {
 var featureTags []string
 
 // Features reports which kernel paths are live, e.g.
-// "avx512-vnni16+avx512-vpmuldq32+avx512-epilogue+prefetch-t0+batched-quantize"
-// on a host with AVX-512 VNNI,
+// "avx512-vnni16+avx512-vpmuldq32+avx512-epilogue+avx512-quantize+avx512dq-unit+prefetch-t0+batched-quantize"
+// on a host with AVX-512 VNNI and DQ,
 // "avx2-vpmaddwd16+avx2-vpmuldq32+prefetch-t0+batched-quantize" on one with
 // AVX2 only, or "portable" when every kernel is the reference (the noasm
 // build, or a host without the required ISA). Every recorded measurement

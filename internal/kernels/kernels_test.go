@@ -499,6 +499,65 @@ func TestQuantizeRowBitIdentity(t *testing.T) {
 	}
 }
 
+// TestQuantizeRowLengths covers every run length around the vector width,
+// so each partial final vector (the AVX-512 loop's masked tail) meets the
+// reference, with a NaN and both saturations inside the run.
+func TestQuantizeRowLengths(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 0; n <= 33; n++ {
+		src := make([]float32, n)
+		for i := range src {
+			src[i] = float32(rng.Float64()*4 - 2)
+		}
+		if n > 3 {
+			src[1], src[2], src[3] = float32(math.NaN()), 1e9, -1e9
+		}
+		quantizeIdentity[int16](t, fixedpoint.Fixed16, src)
+		quantizeIdentity[int32](t, fixedpoint.Fixed32, src)
+	}
+}
+
+// TestUnitFloatsBitIdentity holds UnitFloats to its reference over the
+// draws where the conversions round (around every power of two the 63-bit
+// value crosses, the top of the range, the high bit that is not part of
+// it) and random ones, at every length to 33 and several scales.
+func TestUnitFloatsBitIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	draws := []uint64{0, 1, 1<<63 - 1, 1 << 63, 1<<64 - 1, 1<<63 - 1<<38 - 1<<9, 1<<63 - 1<<38 - 1<<9 - 1}
+	for e := 0; e < 63; e++ {
+		for _, d := range []int64{-1, 0, 1} {
+			draws = append(draws, uint64(int64(1)<<e+d), uint64(int64(1)<<e+d)|1<<63)
+		}
+	}
+	for len(draws) < 2000 {
+		draws = append(draws, rng.Uint64())
+	}
+	for _, scale := range []float32{1, 0.1, 0.03125, -3} {
+		want := make([]float32, len(draws))
+		got := make([]float32, len(draws))
+		UnitFloatsRef(draws, scale, want)
+		UnitFloats(draws, scale, got)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("scale %v: draw %#x -> %v, reference %v", scale, draws[i], got[i], want[i])
+			}
+		}
+		for n := 0; n <= 33; n++ {
+			out := make([]float32, n+1)
+			out[n] = 42 // past the run: must survive
+			UnitFloats(draws[:n], scale, out)
+			for i := 0; i < n; i++ {
+				if math.Float32bits(out[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("scale %v length %d: element %d = %v, want %v", scale, n, i, out[i], want[i])
+				}
+			}
+			if out[n] != 42 {
+				t.Fatalf("length %d: wrote past the run", n)
+			}
+		}
+	}
+}
+
 // TestQuantizeRowEmpty ensures the kernels accept zero-length rows.
 func TestQuantizeRowEmpty(t *testing.T) {
 	q := NewQuantizer(fixedpoint.Fixed16)
@@ -509,10 +568,11 @@ func TestQuantizeRowEmpty(t *testing.T) {
 // TestPrefetchHints exercises the hint path (crash-freedom is the contract:
 // prefetch must tolerate any resident span and a nil row).
 func TestPrefetchHints(t *testing.T) {
-	PrefetchRow(nil)
+	PrefetchRow[float32](nil)
 	row := make([]float32, 33) // spans 3 cache lines
 	PrefetchRow(row)
-	PrefetchRows(nil, 4, []int64{0})
+	PrefetchRows[float32](nil, 4, []int64{0})
+	PrefetchRows(make([]int16, 64), 12, []int64{0, 4})
 	PrefetchRows(row, 11, nil)
 	PrefetchRows(row, 11, []int64{0, 2, 1})
 }

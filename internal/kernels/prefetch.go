@@ -27,7 +27,7 @@ const cacheLineBytes = 64
 var prefetchLine = func(p unsafe.Pointer) {}
 
 // PrefetchRow hints every cache line one embedding row (or any contiguous
-// float32 span) touches for a near-future read. Rows are rarely line-aligned
+// span of fixed-size elements) touches for a near-future read. Rows are rarely line-aligned
 // (a 12-float row is 48 bytes; any row after a 4-float neighbour starts
 // mid-line), so the walk goes line by line from the line of the first byte to
 // the line of the last, not in 64-byte steps from the row's start — which
@@ -40,7 +40,7 @@ var prefetchLine = func(p unsafe.Pointer) {}
 // issuing one for a not-yet-resident mmap page is safe.
 //
 //microrec:noalloc
-func PrefetchRow(row []float32) {
+func PrefetchRow[T any](row []T) {
 	if len(row) == 0 {
 		return
 	}
@@ -55,7 +55,7 @@ func PrefetchRow(row []float32) {
 }
 
 // PrefetchRows hints every cache line touched by rows[i] of a row-major
-// table of dim-float rows, for each i, in one call: the gather resolves a
+// table of dim-element rows, for each i, in one call: the gather resolves a
 // window of row indices first and hands each block's run of them over whole,
 // so the hints issue back to back and the memory system has all of them
 // outstanding at once. The per-row contract is PrefetchRow's — each line in
@@ -64,7 +64,7 @@ func PrefetchRow(row []float32) {
 // without an optimized path (other architectures, the noasm tag).
 //
 //microrec:noalloc
-func PrefetchRows(data []float32, dim int, rows []int64) {
+func PrefetchRows[T any](data []T, dim int, rows []int64) {
 	if len(rows) == 0 || dim <= 0 || len(data) == 0 {
 		return
 	}

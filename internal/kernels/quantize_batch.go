@@ -2,6 +2,16 @@
 
 package kernels
 
+import "unsafe"
+
+// quantizeVec16 and quantizeVec32, when an architecture's init sets them,
+// are QuantizeRow for n > 0 elements at each width, vectorized (the AVX-512
+// path in avx512_amd64.s): hi and lo are the clamp bounds as float64.
+var (
+	quantizeVec16 func(src *float32, dst *int16, n int, scale, hi, lo float64)
+	quantizeVec32 func(src *float32, dst *int32, n int, scale, hi, lo float64)
+)
+
 func init() {
 	featureTags = append(featureTags, "batched-quantize")
 }
@@ -14,11 +24,13 @@ func init() {
 // only work for non-negative v: sums just below 2^52 have a 0.5 ULP.)
 const rtBias = 1<<52 + 1<<51
 
-// QuantizeRow converts one contiguous float32 row straight into a plane row
-// at the format's width, len(dst) >= len(src). It is a direct call into a
-// loop over hoisted constants, replacing the per-element Format.Quantize
-// (which re-derives the scale, runs a NaN test through math, and rounds by
-// exponent surgery).
+// QuantizeRow converts one contiguous float32 run straight into a run at the
+// format's width, len(dst) >= len(src): the engine quantizes its embedding
+// tables through it once, when they are filled. On a host with AVX-512 it is
+// the vector loop (quantizeVec16/32, eight elements an instruction);
+// otherwise a loop over hoisted constants, replacing the per-element
+// Format.Quantize (which re-derives the scale, runs a NaN test through math,
+// and rounds by exponent surgery).
 //
 // Bit-identity with QuantizeRowRef:
 //   - float32→float64 conversion and scaling by 2^Frac are both exact, so v
@@ -33,6 +45,14 @@ const rtBias = 1<<52 + 1<<51
 func QuantizeRow[T Elem](q *Quantizer, src []float32, dst []T) {
 	scale, maxF, minF := q.scale, q.maxF, q.minF
 	dst = dst[:len(src)]
+	if len(src) > 0 && quantizeVec16 != nil {
+		if unsafe.Sizeof(dst[0]) == 2 {
+			quantizeVec16(&src[0], (*int16)(unsafe.Pointer(&dst[0])), len(src), scale, maxF, minF)
+		} else {
+			quantizeVec32(&src[0], (*int32)(unsafe.Pointer(&dst[0])), len(src), scale, maxF, minF)
+		}
+		return
+	}
 	for i, x := range src {
 		v := float64(x) * scale
 		if v != v { // NaN quantizes to zero

@@ -11,11 +11,15 @@
 package model
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"runtime"
+	"sort"
+	"sync"
 
-	"microrec/internal/offheap"
 	"microrec/internal/tensor"
 )
 
@@ -161,6 +165,33 @@ func (s *Spec) Clone() *Spec {
 	c.Tables = append([]TableSpec(nil), s.Tables...)
 	c.Hidden = append([]int(nil), s.Hidden...)
 	return &c
+}
+
+// SaveSpec writes the spec as indented JSON, the portable form a serving
+// fleet ships around. Parameters need no file: a spec, a seed and a row cap
+// regenerate them bit for bit (see Materialize).
+func SaveSpec(w io.Writer, s *Spec) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(s); err != nil {
+		return fmt.Errorf("model: encoding spec: %w", err)
+	}
+	return nil
+}
+
+// LoadSpec reads a JSON spec and validates it.
+func LoadSpec(r io.Reader) (*Spec, error) {
+	var s Spec
+	if err := json.NewDecoder(r).Decode(&s); err != nil {
+		return nil, fmt.Errorf("model: decoding spec: %w", err)
+	}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return &s, nil
 }
 
 // tableGroup is a helper for building specs: count tables of identical shape.
@@ -311,19 +342,36 @@ func (s *Spec) WithLookupRounds(rounds int) (*Spec, error) {
 	return c, nil
 }
 
-// Parameters holds materialised (possibly capacity-scaled) model parameters.
+// Parameters are a model's materialised (possibly capacity-scaled)
+// parameters as a seed-addressable stream. The FC tower is resident; the
+// embedding tables are not. Every table value is a position of the seed's
+// stream (see stream.go), and Parameters keeps the stream's checkpoints, not
+// its values: an engine stores its tables at its datapath's width
+// (FillTables), and a float reader regenerates the rows it asks for
+// (ReadRows, Row). Nothing holds a float copy of a table unless a caller
+// asks for one (FloatTables).
+//
+// The stream runs once, the first time anything needs it — the first
+// FillTables, whose tables it writes in the same pass, or the first read of
+// a row or a layer. Parameters are safe for concurrent use.
 type Parameters struct {
 	Spec *Spec
-	// Embeddings[i] is table i's materialised rows, row-major
-	// (ActualRows[i] x Dim). Logical row r maps to r % ActualRows[i].
-	// Materialize keeps large tables outside the Go heap; see Release.
-	Embeddings [][]float32
-	// ActualRows[i] is the materialised row count of table i.
+	// ActualRows[i] is the materialised row count of table i. Logical row r
+	// maps to r % ActualRows[i].
 	ActualRows []int64
-	// Weights[l] is FC layer l's (in x out) weight matrix; Biases[l] its
+
+	seed    int64
+	workers int   // converter goroutines per pass
+	starts  []int // starts[i]: table i's first stream position; starts[n]: the FC tower's
+	// mu guards the stream's state: ran, gone, cp and the FC tower below.
+	mu   sync.RWMutex
+	ran  bool         // the stream has run
+	gone bool         // Released
+	cp   *checkpoints // set by the run; nil after Release
+	// weights[l] is FC layer l's (in x out) weight matrix; biases[l] its
 	// output bias. The last layer is the single-logit output layer.
-	Weights []*tensor.Matrix
-	Biases  [][]float32
+	weights []*tensor.Matrix
+	biases  [][]float32
 }
 
 // MaterializeOptions controls parameter materialisation.
@@ -343,7 +391,8 @@ const DefaultMaxRows = 2048
 // initialisation so activations stay inside the fixed-point range. The values
 // are those of rand.New(rand.NewSource(Seed)).Float32()*2 - 1, drawn table by
 // table and then layer by layer (weights, then bias), each scaled as above;
-// the drawing runs on GOMAXPROCS goroutines (see stream.go).
+// the drawing runs on GOMAXPROCS goroutines (see stream.go). Materialize
+// itself only sizes the tables: it draws nothing and maps nothing.
 func (s *Spec) Materialize(opts MaterializeOptions) (*Parameters, error) {
 	return s.materialize(opts, runtime.GOMAXPROCS(0))
 }
@@ -362,55 +411,212 @@ func (s *Spec) materialize(opts MaterializeOptions, workers int) (*Parameters, e
 	}
 	p := &Parameters{
 		Spec:       s,
-		Embeddings: make([][]float32, len(s.Tables)),
 		ActualRows: make([]int64, len(s.Tables)),
+		seed:       opts.Seed,
+		workers:    workers,
+		starts:     make([]int, len(s.Tables)+1),
 	}
-	var segs []segment
 	for i, t := range s.Tables {
-		rows := t.Rows
-		if rows > maxRows {
-			rows = maxRows
-		}
-		p.ActualRows[i] = rows
-		p.Embeddings[i] = offheap.Floats(int(rows) * t.Dim)
-		segs = append(segs, segment{p.Embeddings[i], 1})
+		p.ActualRows[i] = min(t.Rows, maxRows)
+		p.starts[i+1] = p.starts[i] + int(p.ActualRows[i])*t.Dim
 	}
-	for _, d := range s.LayerDims() {
-		in, out := d[0], d[1]
-		w := tensor.NewMatrix(in, out)
-		b := make([]float32, out)
-		segs = append(segs, segment{w.Data, float32(1 / math.Sqrt(float64(in)))}, segment{b, 0.1})
-		p.Weights = append(p.Weights, w)
-		p.Biases = append(p.Biases, b)
-	}
-	fill(opts.Seed, segs, workers)
 	return p, nil
 }
 
-// Release hands the embedding tables' memory back: Materialize keeps large
-// tables outside the Go heap (see internal/offheap), where the collector
-// cannot reclaim them. Call it once nothing uses the parameters any more —
-// every engine built from them is closed, no row slice is retained; without
-// it the tables stay mapped until the process exits. The tables are gone
-// afterwards (Embeddings' entries are nil); the FC weights are untouched.
-func (p *Parameters) Release() {
-	for i, t := range p.Embeddings {
-		offheap.Free(t)
-		p.Embeddings[i] = nil
+// errReleased is what a Parameters reader gets after Release.
+var errReleased = errors.New("model: parameters released")
+
+// TableSink receives embedding values as the stream produces them: vals are
+// table t's values from element off on (row-major: row r, column c is
+// element r*Dim + c). Calls for disjoint ranges run concurrently, one per
+// converter goroutine; vals is valid only during the call.
+type TableSink func(t, off int, vals []float32)
+
+// FillTables hands every embedding table's values to sink, each exactly
+// once. The first fill is the stream's one pass: it writes the tables,
+// records the checkpoints and materialises the FC tower together. Every
+// later fill regenerates the tables from the checkpoints, block by block on
+// every core. Fills of one Parameters run one at a time.
+func (p *Parameters) FillTables(sink TableSink) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch {
+	case p.gone:
+		return errReleased
+	case !p.ran:
+		p.run(sink)
+	default:
+		p.cp.refill(p.tableSegments(sink), p.workers)
 	}
+	return nil
 }
 
+// tableSegments are the stream's table segments, each handing its values to
+// sink (none when sink is nil).
+func (p *Parameters) tableSegments(sink TableSink) []segment {
+	segs := make([]segment, len(p.Spec.Tables))
+	for t := range segs {
+		segs[t] = segment{n: p.starts[t+1] - p.starts[t], scale: 1}
+		if sink != nil {
+			segs[t].put = func(off int, vals []float32) { sink(t, off, vals) }
+		}
+	}
+	return segs
+}
+
+// run is the stream's one pass: tables through sink, then the FC tower,
+// recording the tables' checkpoints. Callers hold p.mu.
+func (p *Parameters) run(sink TableSink) {
+	segs := p.tableSegments(sink)
+	for _, d := range p.Spec.LayerDims() {
+		in, out := d[0], d[1]
+		w := tensor.NewMatrix(in, out)
+		b := make([]float32, out)
+		segs = append(segs,
+			segment{n: len(w.Data), scale: float32(1 / math.Sqrt(float64(in))), put: func(off int, vals []float32) { copy(w.Data[off:], vals) }},
+			segment{n: out, scale: 0.1, put: func(off int, vals []float32) { copy(b[off:], vals) }})
+		p.weights = append(p.weights, w)
+		p.biases = append(p.biases, b)
+	}
+	record := p.starts[len(p.Spec.Tables)]
+	if p.gone {
+		record = 0 // released before it ran: nothing may read a row
+	}
+	p.cp = fill(p.seed, segs, p.workers, record)
+	p.ran = true
+}
+
+// ensureRun runs the stream if nothing has yet.
+func (p *Parameters) ensureRun() {
+	p.mu.Lock()
+	if !p.ran {
+		p.run(nil)
+	}
+	p.mu.Unlock()
+}
+
+// Layers returns the FC tower: weights[l] is layer l's (in x out) weight
+// matrix, biases[l] its output bias; the last layer is the single-logit
+// output layer. They are resident and shared — callers must not modify
+// them.
+func (p *Parameters) Layers() (weights []*tensor.Matrix, biases [][]float32) {
+	p.ensureRun()
+	return p.weights, p.biases
+}
+
+// Release hands the checkpoints' memory back: they live outside the Go heap
+// (see internal/offheap), where the collector cannot reclaim them. Call it
+// once nothing reads the parameters' tables any more — no fill or row read
+// in flight, no engine built from them that will still read a float row
+// (Engine.Gather, ReferenceOne); without it the checkpoints stay mapped until
+// the process exits. The FC tower is untouched. Releasing twice is harmless.
+func (p *Parameters) Release() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.cp != nil {
+		p.cp.release()
+		p.cp = nil
+	}
+	p.gone = true
+}
+
+// RowRead asks for one embedding row: the Dim values of table Table's
+// logical row Index (wrapping through the capacity-scaled storage), written
+// to Dst.
+type RowRead struct {
+	Table int
+	Index int64
+	Dst   []float32
+}
+
+// position validates a read and returns its first stream position.
+func (p *Parameters) position(r RowRead) (int, error) {
+	if r.Table < 0 || r.Table >= len(p.Spec.Tables) {
+		return 0, fmt.Errorf("model: table %d out of range", r.Table)
+	}
+	spec := p.Spec.Tables[r.Table]
+	if r.Index < 0 || r.Index >= spec.Rows {
+		return 0, fmt.Errorf("model: row %d out of range for table %q (%d rows)", r.Index, spec.Name, spec.Rows)
+	}
+	if len(r.Dst) != spec.Dim {
+		return 0, fmt.Errorf("model: row of table %q has %d values, destination %d", spec.Name, spec.Dim, len(r.Dst))
+	}
+	return p.starts[r.Table] + int(r.Index%p.ActualRows[r.Table])*spec.Dim, nil
+}
+
+// ReadRows regenerates the requested rows from the stream's checkpoints.
+// Reads are served in stream order, so rows in one block share its
+// regeneration, and each block is extended only as far as its last row.
+func (p *Parameters) ReadRows(reads []RowRead) error {
+	pos := make([]int, len(reads))
+	order := make([]int, len(reads))
+	for i, r := range reads {
+		var err error
+		if pos[i], err = p.position(r); err != nil {
+			return err
+		}
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return pos[order[a]] < pos[order[b]] })
+	p.ensureRun()
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	if p.gone {
+		return errReleased
+	}
+	buf := readerBufs.Get().(*[]uint64)
+	defer readerBufs.Put(buf)
+	r := reader{buf: *buf, k: -1}
+	for _, i := range order {
+		r.read(p.cp, pos[i], reads[i].Dst)
+	}
+	return nil
+}
+
+// readerBufs recycles ReadRows' block buffers (a quarter megabyte each).
+var readerBufs = sync.Pool{New: func() any {
+	b := make([]uint64, lagLong+blockDraws)
+	return &b
+}}
+
 // Row returns the materialised embedding vector for logical row index of
-// table i (wrapping through the capacity-scaled storage).
+// table i (wrapping through the capacity-scaled storage), regenerated into a
+// fresh slice.
 func (p *Parameters) Row(table int, index int64) ([]float32, error) {
-	if table < 0 || table >= len(p.Embeddings) {
+	if table < 0 || table >= len(p.Spec.Tables) {
 		return nil, fmt.Errorf("model: table %d out of range", table)
 	}
-	spec := p.Spec.Tables[table]
-	if index < 0 || index >= spec.Rows {
-		return nil, fmt.Errorf("model: row %d out of range for table %q (%d rows)", index, spec.Name, spec.Rows)
+	dst := make([]float32, p.Spec.Tables[table].Dim)
+	if err := p.ReadRows([]RowRead{{Table: table, Index: index, Dst: dst}}); err != nil {
+		return nil, err
 	}
-	r := index % p.ActualRows[table]
-	dim := int64(spec.Dim)
-	return p.Embeddings[table][r*dim : (r+1)*dim], nil
+	return dst, nil
+}
+
+// FloatTables returns every embedding table as row-major float32 in heap
+// memory (table i holds ActualRows[i] x Dim values), regenerated from the
+// stream. It is for the callers that need whole float tables — the float
+// CPU baseline and the quantization studies, on small row caps; engines
+// store their tables at their own width instead.
+func (p *Parameters) FloatTables() ([][]float32, error) {
+	tables := make([][]float32, len(p.Spec.Tables))
+	for t := range tables {
+		tables[t] = make([]float32, p.starts[t+1]-p.starts[t])
+	}
+	err := p.FillTables(func(t, off int, vals []float32) { copy(tables[t][off:], vals) })
+	if err != nil {
+		return nil, err
+	}
+	return tables, nil
+}
+
+// CheckpointBytes returns the memory the stream's checkpoints hold (zero
+// before the stream has run and after Release).
+func (p *Parameters) CheckpointBytes() int64 {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	if p.cp == nil {
+		return 0
+	}
+	return p.cp.bytes()
 }

@@ -1,7 +1,9 @@
 package model
 
 import (
+	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -174,9 +176,10 @@ func TestMaterializeDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Embeddings {
-		for j := range a.Embeddings[i] {
-			if a.Embeddings[i][j] != b.Embeddings[i][j] {
+	ta, tb := floatTables(t, a), floatTables(t, b)
+	for i := range ta {
+		for j := range ta[i] {
+			if ta[i][j] != tb[i][j] {
 				t.Fatalf("embedding table %d differs at %d between same-seed materialisations", i, j)
 			}
 		}
@@ -185,7 +188,8 @@ func TestMaterializeDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Embeddings[0][0] == c.Embeddings[0][0] && a.Embeddings[0][1] == c.Embeddings[0][1] {
+	tc := floatTables(t, c)
+	if ta[0][0] == tc[0][0] && ta[0][1] == tc[0][1] {
 		t.Error("different seeds produced identical leading values")
 	}
 }
@@ -204,8 +208,8 @@ func TestMaterializeCapsRows(t *testing.T) {
 		if p.ActualRows[i] != wantRows {
 			t.Errorf("table %d ActualRows = %d, want %d", i, p.ActualRows[i], wantRows)
 		}
-		if int64(len(p.Embeddings[i])) != wantRows*int64(t2.Dim) {
-			t.Errorf("table %d storage = %d floats", i, len(p.Embeddings[i]))
+		if tabs := floatTables(t, p); int64(len(tabs[i])) != wantRows*int64(t2.Dim) {
+			t.Errorf("table %d storage = %d floats", i, len(tabs[i]))
 		}
 	}
 	if _, err := s.Materialize(MaterializeOptions{MaxRowsPerTable: -1}); err == nil {
@@ -220,15 +224,16 @@ func TestMaterializeWeightShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	dims := s.LayerDims()
-	if len(p.Weights) != len(dims) {
-		t.Fatalf("weights = %d layers, want %d", len(p.Weights), len(dims))
+	weights, biases := p.Layers()
+	if len(weights) != len(dims) {
+		t.Fatalf("weights = %d layers, want %d", len(weights), len(dims))
 	}
 	for l, d := range dims {
-		if p.Weights[l].Rows != d[0] || p.Weights[l].Cols != d[1] {
-			t.Errorf("layer %d weight %dx%d, want %dx%d", l, p.Weights[l].Rows, p.Weights[l].Cols, d[0], d[1])
+		if weights[l].Rows != d[0] || weights[l].Cols != d[1] {
+			t.Errorf("layer %d weight %dx%d, want %dx%d", l, weights[l].Rows, weights[l].Cols, d[0], d[1])
 		}
-		if len(p.Biases[l]) != d[1] {
-			t.Errorf("layer %d bias length %d, want %d", l, len(p.Biases[l]), d[1])
+		if len(biases[l]) != d[1] {
+			t.Errorf("layer %d bias length %d, want %d", l, len(biases[l]), d[1])
 		}
 	}
 }
@@ -265,6 +270,16 @@ func TestRowWrapsLogicalIndex(t *testing.T) {
 	}
 }
 
+// floatTables is p.FloatTables for a test.
+func floatTables(t *testing.T, p *Parameters) [][]float32 {
+	t.Helper()
+	tabs, err := p.FloatTables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tabs
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	s := SmallProduction()
 	c := s.Clone()
@@ -281,7 +296,8 @@ func TestWeightInitBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for l, w := range p.Weights {
+	weights, _ := p.Layers()
+	for l, w := range weights {
 		bound := float32(1/math.Sqrt(float64(w.Rows))) + 1e-6
 		for _, v := range w.Data {
 			if v > bound || v < -bound {
@@ -317,5 +333,42 @@ func TestBytesProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestSpecJSONRoundTrip(t *testing.T) {
+	s := SmallProduction()
+	var buf bytes.Buffer
+	if err := SaveSpec(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadSpec(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Name != s.Name || len(got.Tables) != len(s.Tables) || got.FeatureLen() != s.FeatureLen() {
+		t.Errorf("round trip lost data: %+v", got)
+	}
+	for i := range s.Tables {
+		if got.Tables[i] != s.Tables[i] {
+			t.Fatalf("table %d differs: %+v vs %+v", i, got.Tables[i], s.Tables[i])
+		}
+	}
+}
+
+func TestSaveSpecRejectsInvalid(t *testing.T) {
+	var buf bytes.Buffer
+	if err := SaveSpec(&buf, &Spec{Name: "bad"}); err == nil {
+		t.Error("invalid spec: want error")
+	}
+}
+
+func TestLoadSpecRejectsBadInput(t *testing.T) {
+	if _, err := LoadSpec(strings.NewReader("{not json")); err == nil {
+		t.Error("bad json: want error")
+	}
+	// Valid JSON but invalid spec (no tables).
+	if _, err := LoadSpec(strings.NewReader(`{"Name":"x","Hidden":[8]}`)); err == nil {
+		t.Error("spec without tables: want error")
 	}
 }

@@ -1,4 +1,5 @@
-// Package offheap allocates the serving tier's large float32 tables outside
+// Package offheap allocates the serving tier's large tables — embedding
+// tables at the datapath's width, the parameter stream's checkpoints — outside
 // the Go heap.
 //
 // The collector paces itself on the live heap: at the default GOGC it starts
@@ -9,10 +10,10 @@
 // request garbage before a cycle starts, and peak resident memory is the sum. Outside the heap they cost their own size
 // and the collector paces on what actually churns.
 //
-// The price is manual lifetime: memory from Floats must be handed back with
-// Free by its one owner (model.Parameters.Release, which core.Engine.Close
-// calls for parameters it owns), and
-// must not be touched afterwards — the collector cannot see slices into it.
+// The price is manual lifetime: memory from Make must be handed back with
+// Free by its one owner (core.Engine.Close for its tables,
+// model.Parameters.Release for the checkpoints), and must not be touched
+// afterwards — the collector cannot see slices into it.
 // Memory that is never freed stays mapped until the process exits. Small
 // requests are served from the heap, so tests and small models never meet
 // any of this.
@@ -25,36 +26,51 @@
 // a gigabyte of huge pages took 19–40 s against 4–7 s for small ones — three
 // engine builds in ten went from 2 s to 12–17 s. A table is built once and
 // read for hours, so a long-lived server may want the advice anyway; it is
-// one syscall.Madvise in mapFloats.
+// one syscall.Madvise in mapBytes.
 package offheap
 
-// minMapped is the smallest request, in elements, served from a mapping
-// (1 MiB of float32). Smaller tables gain nothing measurable and would cost
-// a page-granular mapping each.
-const minMapped = 1 << 18
+import "unsafe"
 
-// Floats returns n zeroed float32s: a private anonymous mapping when n is at
-// least minMapped and the platform has one, heap memory otherwise. The
-// result's length and capacity are both n.
-func Floats(n int) []float32 {
-	if n >= minMapped {
-		if f := mapFloats(n); f != nil {
-			return f
+// Elem is what a mapping may hold: pointer-free fixed-size words.
+type Elem interface {
+	~int16 | ~int32 | ~float32 | ~uint64
+}
+
+// minMapped is the smallest request, in bytes, served from a mapping
+// (1 MiB). Smaller tables gain nothing measurable and would cost a
+// page-granular mapping each.
+const minMapped = 1 << 20
+
+// mapped reports whether a request of n elements of T is served from a
+// mapping (where the platform has one) rather than the heap.
+func mapped[T Elem](n int) bool {
+	var zero T
+	return n*int(unsafe.Sizeof(zero)) >= minMapped
+}
+
+// Make returns n zeroed elements of T: a private anonymous mapping when they
+// take at least minMapped bytes and the platform has one, heap memory
+// otherwise. The result's length and capacity are both n.
+func Make[T Elem](n int) []T {
+	if mapped[T](n) {
+		var zero T
+		if b := mapBytes(n * int(unsafe.Sizeof(zero))); b != nil {
+			return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
 		}
 	}
-	return make([]float32, n)
+	return make([]T, n)
 }
 
-// Free releases f if it is the whole slice a mapped Floats call returned,
-// and does nothing otherwise (heap memory, a slice already freed) — so an
-// owner can free whatever it holds without knowing where it came from.
-func Free(f []float32) {
-	if len(f) >= minMapped {
-		unmapFloats(f)
+// Free releases s if it is the whole slice a mapped Make call returned, and
+// does nothing otherwise (heap memory, a slice already freed) — so an owner
+// can free whatever it holds without knowing where it came from.
+func Free[T Elem](s []T) {
+	if mapped[T](len(s)) {
+		unmapBytes(unsafe.Pointer(&s[0]))
 	}
 }
 
-// MappedBytes returns the bytes held in live mappings: every Floats result
+// MappedBytes returns the bytes held in live mappings: every Make result
 // that came from a mapping and has not been freed. Heap-served requests do
 // not count. Tests use it to pin what an owner maps and frees.
 func MappedBytes() int64 { return mappedBytes() }

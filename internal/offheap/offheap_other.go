@@ -2,10 +2,12 @@
 
 package offheap
 
+import "unsafe"
+
 // Without an anonymous-mapping primitive everything comes from the heap.
 
-func mapFloats(n int) []float32 { return nil }
+func mapBytes(n int) []byte { return nil }
 
-func unmapFloats(f []float32) {}
+func unmapBytes(p unsafe.Pointer) {}
 
 func mappedBytes() int64 { return 0 }

@@ -4,13 +4,30 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
+
+// minFloats is the smallest float32 request served from a mapping.
+const minFloats = minMapped / 4
+
+// Floats is Make at the width most of these tests use.
+func Floats(n int) []float32 { return Make[float32](n) }
+
+// mappingWorks reports whether the platform maps anonymous memory.
+func mappingWorks() bool {
+	b := mapBytes(minMapped)
+	if b == nil {
+		return false
+	}
+	unmapBytes(unsafe.Pointer(&b[0]))
+	return true
+}
 
 // TestFloatsZeroedAndWritable covers both sides of the size threshold: the
 // memory is zeroed, of the requested length and capacity, writable end to
 // end, and Free accepts it.
 func TestFloatsZeroedAndWritable(t *testing.T) {
-	for _, n := range []int{0, 1, minMapped - 1, minMapped, minMapped + 1, 3*minMapped + 17} {
+	for _, n := range []int{0, 1, minFloats - 1, minFloats, minFloats + 1, 3*minFloats + 17} {
 		f := Floats(n)
 		if len(f) != n || cap(f) != n {
 			t.Fatalf("Floats(%d): len %d cap %d", n, len(f), cap(f))
@@ -34,13 +51,13 @@ func TestFloatsZeroedAndWritable(t *testing.T) {
 // slices of any size, a sub-slice of a mapping, and a second Free are all
 // no-ops rather than faults.
 func TestFreeIgnoresWhatItDidNotMap(t *testing.T) {
-	Free(nil)
+	Free[float32](nil)
 	Free(make([]float32, 8))
-	heap := make([]float32, 2*minMapped)
+	heap := make([]float32, 2*minFloats)
 	Free(heap)
 	heap[0] = 1 // still ours
 
-	f := Floats(2 * minMapped)
+	f := Floats(2 * minFloats)
 	Free(f[1:]) // not the slice Floats returned: ignored
 	f[0] = 1    // so the mapping is still there
 	Free(f)
@@ -50,11 +67,9 @@ func TestFreeIgnoresWhatItDidNotMap(t *testing.T) {
 // TestMappedMemoryStaysOutOfTheHeap is the point of the package: a large
 // allocation does not move the collector's live-heap accounting.
 func TestMappedMemoryStaysOutOfTheHeap(t *testing.T) {
-	probe := mapFloats(minMapped)
-	if probe == nil {
+	if !mappingWorks() {
 		t.Skip("no anonymous mappings on this platform")
 	}
-	unmapFloats(probe)
 	const n = 16 << 20 // 64 MiB
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -75,14 +90,12 @@ func TestMappedMemoryStaysOutOfTheHeap(t *testing.T) {
 // allocation adds its bytes, a heap-served one adds none, and Free takes them
 // away again.
 func TestMappedBytesCountsLiveMappings(t *testing.T) {
-	probe := mapFloats(minMapped)
-	if probe == nil {
+	if !mappingWorks() {
 		t.Skip("no anonymous mappings on this platform")
 	}
-	unmapFloats(probe)
 	before := MappedBytes()
-	f := Floats(minMapped + 5)
-	small := Floats(minMapped - 1)
+	f := Floats(minFloats + 5)
+	small := Floats(minFloats - 1)
 	if got := MappedBytes() - before; got != int64(len(f))*4 {
 		t.Errorf("MappedBytes grew %d, want %d", got, len(f)*4)
 	}
@@ -101,11 +114,34 @@ func TestConcurrentAllocFree(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				f := Floats(minMapped + i)
+				f := Floats(minFloats + i)
 				f[len(f)-1] = 1
 				Free(f)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// TestMakeAtEveryWidth maps each element type the engine stores at the same
+// byte threshold: what is mapped depends on bytes, not on element count.
+func TestMakeAtEveryWidth(t *testing.T) {
+	if !mappingWorks() {
+		t.Skip("no anonymous mappings on this platform")
+	}
+	before := MappedBytes()
+	a, b, c := Make[int16](minMapped/2), Make[int32](minMapped/4), Make[uint64](minMapped/8-1)
+	if !mapped[int16](len(a)) || !mapped[int32](len(b)) || mapped[uint64](len(c)) {
+		t.Fatal("mapped disagrees with the byte threshold")
+	}
+	if got := MappedBytes() - before; got != 2*minMapped {
+		t.Errorf("MappedBytes grew %d, want %d", got, 2*minMapped)
+	}
+	a[len(a)-1], b[len(b)-1] = -1, -1
+	Free(a)
+	Free(b)
+	Free(c)
+	if got := MappedBytes(); got != before {
+		t.Errorf("after Free MappedBytes = %d, want %d", got, before)
+	}
 }

@@ -8,30 +8,28 @@ import (
 	"unsafe"
 )
 
-// mappings records every live mapping by the address of its first element,
-// so Free can tell a mapping from heap memory and unmap exactly what was
-// mapped.
+// mappings records every live mapping by the address of its first byte, so
+// Free can tell a mapping from heap memory and unmap exactly what was mapped.
 var (
 	mu       sync.Mutex
-	mappings = map[*float32][]byte{}
+	mappings = map[unsafe.Pointer][]byte{}
 )
 
-func mapFloats(n int) []float32 {
-	b, err := syscall.Mmap(-1, 0, n*4, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+func mapBytes(n int) []byte {
+	b, err := syscall.Mmap(-1, 0, n, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		return nil // address space or a limit ran out: fall back to the heap
 	}
-	f := unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), n)
 	mu.Lock()
-	mappings[&f[0]] = b
+	mappings[unsafe.Pointer(&b[0])] = b
 	mu.Unlock()
-	return f
+	return b
 }
 
-func unmapFloats(f []float32) {
+func unmapBytes(p unsafe.Pointer) {
 	mu.Lock()
-	b, ok := mappings[&f[0]]
-	delete(mappings, &f[0])
+	b, ok := mappings[p]
+	delete(mappings, p)
 	mu.Unlock()
 	if ok {
 		// Munmap fails only for arguments that do not describe a mapping;

@@ -64,6 +64,7 @@ func Calibrate(params *model.Parameters, queries []embedding.Query, width int) (
 		return Scheme{}, err
 	}
 	dims := params.Spec.LayerDims()
+	weights, biases := params.Layers()
 	maxIn := 0.0
 	maxAct := make([]float64, len(dims))
 	for qi, q := range queries {
@@ -74,12 +75,12 @@ func Calibrate(params *model.Parameters, queries []embedding.Query, width int) (
 		maxIn = math.Max(maxIn, maxAbs32(feat))
 		x := feat
 		for l := range dims {
-			y, err := tensor.VecMat(x, params.Weights[l])
+			y, err := tensor.VecMat(x, weights[l])
 			if err != nil {
 				return Scheme{}, err
 			}
 			for j := range y {
-				y[j] += params.Biases[l][j]
+				y[j] += biases[l][j]
 			}
 			if l < len(dims)-1 {
 				tensor.ReLU(y)
@@ -95,7 +96,7 @@ func Calibrate(params *model.Parameters, queries []embedding.Query, width int) (
 		return Scheme{}, err
 	}
 	for l := range dims {
-		wMax := maxAbsMatrix(params.Weights[l])
+		wMax := maxAbsMatrix(weights[l])
 		wf, err := fixedpoint.FormatFor(width, math.Max(wMax, 1e-3))
 		if err != nil {
 			return Scheme{}, err
@@ -150,17 +151,18 @@ func New(params *model.Parameters, s Scheme) (*Model, error) {
 		return nil, err
 	}
 	m := &Model{scheme: s, params: params, store: store, dims: dims}
+	weights, biases := params.Layers()
 	for l := range dims {
 		wf := s.Weights[l]
-		w := params.Weights[l]
+		w := weights[l]
 		raw := make([]int64, len(w.Data))
 		for i, v := range w.Data {
 			raw[i] = wf.Quantize(float64(v))
 		}
 		m.weights = append(m.weights, raw)
 		af := s.Activations[l]
-		braw := make([]int64, len(params.Biases[l]))
-		for i, v := range params.Biases[l] {
+		braw := make([]int64, len(biases[l]))
+		for i, v := range biases[l] {
 			braw[i] = af.Quantize(float64(v))
 		}
 		m.biases = append(m.biases, braw)
@@ -237,13 +239,14 @@ func (m *Model) Reference(q embedding.Query) (float32, error) {
 		return 0, err
 	}
 	x := feat
+	weights, biases := m.params.Layers()
 	for l := range m.dims {
-		y, err := tensor.VecMat(x, m.params.Weights[l])
+		y, err := tensor.VecMat(x, weights[l])
 		if err != nil {
 			return 0, err
 		}
 		for j := range y {
-			y[j] += m.params.Biases[l][j]
+			y[j] += biases[l][j]
 		}
 		if l < len(m.dims)-1 {
 			tensor.ReLU(y)

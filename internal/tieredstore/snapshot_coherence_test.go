@@ -34,16 +34,11 @@ func TestSnapshotCoherentUnderPlacementChurn(t *testing.T) {
 		readers = 4
 	)
 	rng := rand.New(rand.NewSource(7))
-	data := make([]float32, rows*dim)
+	data := make([]int32, rows*dim)
 	for i := range data {
-		data[i] = rng.Float32()*2 - 1
+		data[i] = rng.Int31()
 	}
-	spec := StreamSpec{ID: 0, Data: data, Dim: dim}
-	s, err := Open(Config{SweepEvery: -1, HotBytes: 1 << 30}, []StreamSpec{spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
+	s := openStreams(t, Config{SweepEvery: -1, HotBytes: 1 << 30}, []testStream{{StreamSpec{ID: 0, Rows: rows, Dim: dim}, data}})
 
 	allRows := make([]int64, rows)
 	for r := range allRows {

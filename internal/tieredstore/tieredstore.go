@@ -12,16 +12,20 @@
 // plus per-entry hit counts) by a background promote/demote sweep with
 // hysteresis.
 //
-// Bit-identity by construction: the cold file holds the exact float32 bits
-// of every stream's rows, and a promotion copies those bits into the DRAM
-// hot tier, so a gather reads identical values whichever tier serves the
-// row — placement can change under a running batch without perturbing a
-// single prediction.
+// Rows are stored at the element type of the engine that owns the store —
+// int16 or int32 fixed-point words, each row quantized once when the file
+// is written — and read back through the generic Row and RowTagged.
+//
+// Bit-identity by construction: the cold file holds the exact bits of every
+// stream's rows, and a promotion copies those bits into the DRAM hot tier,
+// so a gather reads identical values whichever tier serves the row —
+// placement can change under a running batch without perturbing a single
+// prediction.
 package tieredstore
 
 import (
 	"fmt"
-	"math"
+	"io"
 	"os"
 	"sort"
 	"sync"
@@ -96,18 +100,23 @@ func (c Config) withDefaults(totalBytes int64) Config {
 	return c
 }
 
-// StreamSpec describes one access stream to back: a row-major float32
-// payload and its row length. IDs must be dense 0..n-1 in slice order — they
-// are the gather plan's cache/access-stream IDs.
+// StreamSpec describes one access stream to back: Rows rows of Dim
+// elements. IDs must be dense 0..n-1 in slice order — they are the gather
+// plan's cache/access-stream IDs.
 type StreamSpec struct {
 	ID   int
-	Data []float32
+	Rows int64
 	Dim  int
+}
+
+// Elem is a stream's element type: the engine's fixed-point word.
+type Elem interface {
+	~int16 | ~int32
 }
 
 // hotEntry is one pinned row in the sweep's master state.
 type hotEntry struct {
-	vec  []float32
+	vec  []byte
 	idle int // consecutive sweeps without a harvest sighting
 }
 
@@ -116,39 +125,38 @@ type hotEntry struct {
 // superseded map stays valid for any gather still holding it, which is what
 // makes mid-batch demotion safe.
 type hotMap struct {
-	rows map[int64][]float32
+	rows map[int64][]byte
 }
 
 // Stream is one access stream's view of the store: the gather datapath
 // resolves rows through it instead of the original DRAM slice.
 type Stream struct {
 	id       int
-	dim      int64
+	dim      int64 // elements a row
 	rows     int64
 	vecBytes int64
-	cold     []float32 // this stream's window of the mmap'd cold file
+	cold     []byte // this stream's window of the mmap'd cold file
 	hot      atomic.Pointer[hotMap]
 
 	hotReads  atomic.Int64
 	coldReads atomic.Int64
 }
 
-// Row returns row `row` of the stream: the pinned DRAM copy when the row is
-// hot, otherwise a slice of the mmap'd cold file. Both hold identical
-// float32 bits. Wait-free and allocation-free.
+// RowTagged returns row `row` of the stream as elements of T, which must be
+// the element type the store was opened for — the pinned DRAM copy when the
+// row is hot, otherwise a slice of the mmap'd cold file; both hold identical
+// bits — and whether it came from the cold file, for callers that attribute
+// cold-tier faults to the batch that suffered them (the flight recorder's
+// per-span cold_faults count). Wait-free and allocation-free.
 //
 //microrec:noalloc
-func (st *Stream) Row(row int64) []float32 {
-	v, _ := st.RowTagged(row)
-	return v
+func RowTagged[T Elem](st *Stream, row int64) ([]T, bool) {
+	b, cold := st.rowTagged(row)
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), st.dim), cold
 }
 
-// RowTagged is Row plus a cold flag, for callers that attribute cold-tier
-// faults to the batch that suffered them (the flight recorder's per-span
-// cold_faults count). Same wait-free, allocation-free path.
-//
 //microrec:noalloc
-func (st *Stream) RowTagged(row int64) ([]float32, bool) {
+func (st *Stream) rowTagged(row int64) ([]byte, bool) {
 	if m := st.hot.Load(); m != nil {
 		if v, ok := m.rows[row]; ok {
 			st.hotReads.Add(1)
@@ -156,7 +164,12 @@ func (st *Stream) RowTagged(row int64) ([]float32, bool) {
 		}
 	}
 	st.coldReads.Add(1)
-	return st.cold[row*st.dim : (row+1)*st.dim], true
+	return st.coldRow(row), true
+}
+
+// coldRow is the cold file's copy of a row.
+func (st *Stream) coldRow(row int64) []byte {
+	return st.cold[row*st.vecBytes : (row+1)*st.vecBytes]
 }
 
 // IsHot reports whether the row is currently pinned (placement may change at
@@ -193,7 +206,16 @@ func (st *Stream) PrefetchRow(row int64) {
 			return
 		}
 	}
-	kernels.PrefetchRow(st.cold[row*st.dim : (row+1)*st.dim])
+	kernels.PrefetchRow(st.coldRow(row))
+}
+
+// pin copies a row out of the cold file into DRAM. The copy's backing words
+// are 8-byte aligned, so it reads as any element type.
+func (st *Stream) pin(row int64) []byte {
+	words := make([]uint64, (st.vecBytes+7)/8)
+	vec := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), st.vecBytes)
+	copy(vec, st.coldRow(row))
+	return vec
 }
 
 // Store is the two-tier backing store for a set of access streams.
@@ -222,35 +244,35 @@ type Store struct {
 	done chan struct{}
 }
 
-// floatBytes views a float32 slice as raw bytes (host endianness — the cold
-// file is process-private scratch, written and mapped by the same process).
-func floatBytes(f []float32) []byte {
-	if len(f) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&f[0])), len(f)*4)
-}
-
-// Open creates the cold-tier file, writes every stream's payload into it,
-// maps it read-only, and starts the background placement sweep (unless
-// cfg.SweepEvery < 0). The caller must Close the store to stop the sweep,
-// unmap, and remove the file.
-func Open(cfg Config, specs []StreamSpec) (*Store, error) {
+// Open creates the cold-tier file sized for every stream's rows at
+// elemBytes bytes an element, has fill write them into it, maps it
+// read-only, and starts the background placement sweep (unless
+// cfg.SweepEvery < 0). fill gets the file and each stream's byte offset in
+// it: stream i's rows go row-major from offsets[i] on, in host byte order
+// (the file is process-private scratch, written and mapped by the same
+// process), through any number of concurrent WriteAt calls. The caller must
+// Close the store to stop the sweep, unmap, and remove the file.
+func Open(cfg Config, elemBytes int, specs []StreamSpec, fill func(f io.WriterAt, offsets []int64) error) (*Store, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("tieredstore: no streams")
 	}
+	if elemBytes != 2 && elemBytes != 4 {
+		return nil, fmt.Errorf("tieredstore: %d-byte elements", elemBytes)
+	}
 	var total int64
+	offsets := make([]int64, len(specs))
 	for i, sp := range specs {
 		if sp.ID != i {
 			return nil, fmt.Errorf("tieredstore: stream %d has ID %d, want dense IDs", i, sp.ID)
 		}
-		if sp.Dim <= 0 || len(sp.Data) == 0 || len(sp.Data)%sp.Dim != 0 {
-			return nil, fmt.Errorf("tieredstore: stream %d: %d floats, dim %d", i, len(sp.Data), sp.Dim)
+		if sp.Dim <= 0 || sp.Rows <= 0 {
+			return nil, fmt.Errorf("tieredstore: stream %d: %d rows of dim %d", i, sp.Rows, sp.Dim)
 		}
-		total += int64(len(sp.Data)) * 4
+		offsets[i] = total
+		total += sp.Rows * int64(sp.Dim) * int64(elemBytes)
 	}
 	cfg = cfg.withDefaults(total)
 
@@ -267,32 +289,31 @@ func Open(cfg Config, specs []StreamSpec) (*Store, error) {
 		return nil, fmt.Errorf("tieredstore: cold file: %w", err)
 	}
 	s := &Store{cfg: cfg, path: f.Name(), f: f, totalBytes: total}
-	for _, sp := range specs {
-		if _, err := f.Write(floatBytes(sp.Data)); err != nil {
-			f.Close()
-			os.Remove(s.path)
-			return nil, fmt.Errorf("tieredstore: write cold file: %w", err)
-		}
-	}
-	if s.mapped, err = mapFile(f, int(total)); err != nil {
+	fail := func(what string, err error) (*Store, error) {
 		f.Close()
 		os.Remove(s.path)
-		return nil, fmt.Errorf("tieredstore: map cold file: %w", err)
+		return nil, fmt.Errorf("tieredstore: %s cold file: %w", what, err)
 	}
-	cold := unsafe.Slice((*float32)(unsafe.Pointer(&s.mapped[0])), total/4)
-	off := int64(0)
+	if err := f.Truncate(total); err != nil {
+		return fail("size", err)
+	}
+	if err := fill(f, offsets); err != nil {
+		return fail("write", err)
+	}
+	if s.mapped, err = mapFile(f, int(total)); err != nil {
+		return fail("map", err)
+	}
 	s.streams = make([]*Stream, len(specs))
 	s.master = make([]map[int64]*hotEntry, len(specs))
 	for i, sp := range specs {
-		n := int64(len(sp.Data))
+		vecBytes := int64(sp.Dim) * int64(elemBytes)
 		s.streams[i] = &Stream{
 			id:       i,
 			dim:      int64(sp.Dim),
-			rows:     n / int64(sp.Dim),
-			vecBytes: int64(sp.Dim) * 4,
-			cold:     cold[off : off+n],
+			rows:     sp.Rows,
+			vecBytes: vecBytes,
+			cold:     s.mapped[offsets[i] : offsets[i]+sp.Rows*vecBytes],
 		}
-		off += n
 	}
 	if cfg.SweepEvery > 0 {
 		s.stop = make(chan struct{})
@@ -425,9 +446,7 @@ func (s *Store) SweepNow() {
 		}
 		ent := c.ent
 		if ent == nil {
-			vec := make([]float32, st.dim)
-			copy(vec, st.cold[c.row*st.dim:(c.row+1)*st.dim])
-			ent = &hotEntry{vec: vec}
+			ent = &hotEntry{vec: st.pin(c.row)}
 			promoted++
 		}
 		if newMaster[c.id] == nil {
@@ -458,7 +477,7 @@ func (s *Store) publishLocked(newMaster []map[int64]*hotEntry, usedBytes int64) 
 			st.hot.Store(nil)
 			continue
 		}
-		pub := make(map[int64][]float32, len(m))
+		pub := make(map[int64][]byte, len(m))
 		for row, ent := range m {
 			pub[row] = ent.vec
 		}
@@ -492,9 +511,7 @@ func (s *Store) SetPlacement(id int, rows []int64) {
 			m[row] = e
 			continue
 		}
-		vec := make([]float32, st.dim)
-		copy(vec, st.cold[row*st.dim:(row+1)*st.dim])
-		m[row] = &hotEntry{vec: vec}
+		m[row] = &hotEntry{vec: st.pin(row)}
 	}
 	next := make([]map[int64]*hotEntry, len(s.streams))
 	copy(next, s.master)
@@ -520,16 +537,16 @@ func (s *Store) Prefetch(id int, row int64) bool {
 	if st.IsHot(row) {
 		return false
 	}
-	// Touch one float per page the row spans, not just the first: a row
+	// Touch one byte per page the row spans, not just the first: a row
 	// crossing a page boundary would otherwise still fault synchronously in
 	// the gather for its tail pages.
-	const floatsPerPage = 4096 / 4
-	lo, hi := row*st.dim, (row+1)*st.dim
+	const pageBytes = 4096
+	b := st.coldRow(row)
 	var acc int64
-	for i := lo; i < hi; i += floatsPerPage {
-		acc += int64(math.Float32bits(st.cold[i]))
+	for i := 0; i < len(b); i += pageBytes {
+		acc += int64(b[i])
 	}
-	acc += int64(math.Float32bits(st.cold[hi-1]))
+	acc += int64(b[len(b)-1])
 	s.prefetchSink.Add(acc)
 	s.prefetches.Add(1)
 	return true

@@ -1,39 +1,84 @@
 package tieredstore
 
 import (
-	"math"
+	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"testing"
+	"unsafe"
 
 	"microrec/internal/hotcache"
 )
 
-// testSpecs builds two deterministic streams: stream 0 with 64 rows of dim
-// 4, stream 1 with 32 rows of dim 8.
-func testSpecs(t *testing.T) []StreamSpec {
-	t.Helper()
-	rng := rand.New(rand.NewSource(3))
-	mk := func(id, rows, dim int) StreamSpec {
-		data := make([]float32, rows*dim)
-		for i := range data {
-			data[i] = rng.Float32()*2 - 1
-		}
-		return StreamSpec{ID: id, Data: data, Dim: dim}
-	}
-	return []StreamSpec{mk(0, 64, 4), mk(1, 32, 8)}
+// testStream is a stream's spec and the int32 rows it holds (4-byte
+// elements, so a dim-4 row is 16 bytes).
+type testStream struct {
+	spec StreamSpec
+	data []int32
 }
 
-func openTest(t *testing.T, cfg Config) (*Store, []StreamSpec) {
+// testSpecs builds two deterministic streams: stream 0 with 64 rows of dim
+// 4, stream 1 with 32 rows of dim 8.
+func testSpecs(t *testing.T) []testStream {
 	t.Helper()
-	specs := testSpecs(t)
-	cfg.SweepEvery = -1 // tests drive sweeps explicitly
-	s, err := Open(cfg, specs)
+	rng := rand.New(rand.NewSource(3))
+	mk := func(id, rows, dim int) testStream {
+		data := make([]int32, rows*dim)
+		for i := range data {
+			data[i] = rng.Int31() - 1<<30
+		}
+		return testStream{StreamSpec{ID: id, Rows: int64(rows), Dim: dim}, data}
+	}
+	return []testStream{mk(0, 64, 4), mk(1, 32, 8)}
+}
+
+// writeStreams is an Open fill that writes each stream's rows at its offset,
+// one row a WriteAt, out of order, as concurrent converters would.
+func writeStreams(streams []testStream) func(io.WriterAt, []int64) error {
+	return func(f io.WriterAt, offsets []int64) error {
+		for i := len(streams) - 1; i >= 0; i-- {
+			st := streams[i]
+			rowBytes := st.spec.Dim * 4
+			b := unsafe.Slice((*byte)(unsafe.Pointer(&st.data[0])), len(st.data)*4)
+			for r := int(st.spec.Rows) - 1; r >= 0; r-- {
+				if _, err := f.WriteAt(b[r*rowBytes:(r+1)*rowBytes], offsets[i]+int64(r*rowBytes)); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+}
+
+func openStreams(t *testing.T, cfg Config, streams []testStream) *Store {
+	t.Helper()
+	specs := make([]StreamSpec, len(streams))
+	for i, st := range streams {
+		specs[i] = st.spec
+	}
+	s, err := Open(cfg, 4, specs, writeStreams(streams))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	return s, specs
+	return s
+}
+
+func openTest(t *testing.T, cfg Config) (*Store, []testStream) {
+	t.Helper()
+	streams := testSpecs(t)
+	cfg.SweepEvery = -1 // tests drive sweeps explicitly
+	return openStreams(t, cfg, streams), streams
+}
+
+// specsOf lists the streams' specs.
+func specsOf(streams []testStream) []StreamSpec {
+	specs := make([]StreamSpec, len(streams))
+	for i, st := range streams {
+		specs[i] = st.spec
+	}
+	return specs
 }
 
 // TestColdReadsBitIdentical checks every row read back from the mmap'd cold
@@ -42,14 +87,13 @@ func TestColdReadsBitIdentical(t *testing.T) {
 	s, specs := openTest(t, Config{})
 	for id, sp := range specs {
 		st := s.Stream(id)
-		if st.Rows() != int64(len(sp.Data)/sp.Dim) {
+		if st.Rows() != sp.spec.Rows {
 			t.Fatalf("stream %d rows %d", id, st.Rows())
 		}
 		for row := int64(0); row < st.Rows(); row++ {
-			got := st.Row(row)
-			for k := 0; k < sp.Dim; k++ {
-				want := sp.Data[int(row)*sp.Dim+k]
-				if math.Float32bits(got[k]) != math.Float32bits(want) {
+			got, _ := RowTagged[int32](st, row)
+			for k := 0; k < sp.spec.Dim; k++ {
+				if want := sp.data[int(row)*sp.spec.Dim+k]; got[k] != want {
 					t.Fatalf("stream %d row %d[%d]: %v != %v", id, row, k, got[k], want)
 				}
 			}
@@ -62,10 +106,9 @@ func TestColdReadsBitIdentical(t *testing.T) {
 		t.Fatal("placement not applied")
 	}
 	for row := int64(0); row < st.Rows(); row++ {
-		got := st.Row(row)
-		for k := 0; k < specs[0].Dim; k++ {
-			want := specs[0].Data[int(row)*specs[0].Dim+k]
-			if math.Float32bits(got[k]) != math.Float32bits(want) {
+		got, _ := RowTagged[int32](st, row)
+		for k := 0; k < specs[0].spec.Dim; k++ {
+			if want := specs[0].data[int(row)*specs[0].spec.Dim+k]; got[k] != want {
 				t.Fatalf("post-placement row %d[%d]: %v != %v", row, k, got[k], want)
 			}
 		}
@@ -165,8 +208,9 @@ func TestSweepHysteresis(t *testing.T) {
 // TestCloseRemovesFile pins the cleanup contract for both temp and explicit
 // paths, and that Close is idempotent.
 func TestCloseRemovesFile(t *testing.T) {
-	specs := testSpecs(t)
-	s, err := Open(Config{SweepEvery: -1}, specs)
+	streams := testSpecs(t)
+	specs := specsOf(streams)
+	s, err := Open(Config{SweepEvery: -1}, 4, specs, writeStreams(streams))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +229,7 @@ func TestCloseRemovesFile(t *testing.T) {
 	}
 
 	explicit := t.TempDir() + "/cold.bin"
-	s2, err := Open(Config{Path: explicit, SweepEvery: -1}, specs)
+	s2, err := Open(Config{Path: explicit, SweepEvery: -1}, 4, specs, writeStreams(streams))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,8 +259,8 @@ func TestPrefetchAndCounters(t *testing.T) {
 		t.Error("out-of-range prefetch accepted")
 	}
 	st := s.Stream(0)
-	st.Row(3)
-	st.Row(4)
+	RowTagged[int32](st, 3)
+	RowTagged[int32](st, 4)
 	snap := s.Snapshot()
 	if snap.HotReads != 1 || snap.ColdReads != 1 || snap.Prefetches != 1 {
 		t.Errorf("reads hot=%d cold=%d prefetches=%d, want 1/1/1", snap.HotReads, snap.ColdReads, snap.Prefetches)
@@ -232,7 +276,7 @@ func TestHotBytesDefault(t *testing.T) {
 	s, specs := openTest(t, Config{})
 	var total int64
 	for _, sp := range specs {
-		total += int64(len(sp.Data)) * 4
+		total += int64(len(sp.data)) * 4
 	}
 	if got := s.HotBudgetBytes(); got != total/4 {
 		t.Fatalf("default hot budget %d, want %d", got, total/4)
@@ -241,28 +285,71 @@ func TestHotBytesDefault(t *testing.T) {
 		t.Fatalf("total bytes %d, want %d", s.TotalBytes(), total)
 	}
 	// Explicit all-cold: negative budget normalises to zero.
-	s2, err := Open(Config{HotBytes: -1, SweepEvery: -1}, testSpecs(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
+	s2 := openStreams(t, Config{HotBytes: -1, SweepEvery: -1}, testSpecs(t))
 	if s2.HotBudgetBytes() != 0 {
 		t.Fatalf("all-cold budget %d", s2.HotBudgetBytes())
 	}
 }
 
-// TestOpenValidation covers the spec/config error paths.
+// TestOpenValidation covers the spec/config error paths, and a fill that
+// fails: Open reports it and leaves no file behind.
 func TestOpenValidation(t *testing.T) {
-	if _, err := Open(Config{SweepEvery: -1}, nil); err == nil {
+	streams := testSpecs(t)
+	specs, fill := specsOf(streams), writeStreams(streams)
+	if _, err := Open(Config{SweepEvery: -1}, 4, nil, fill); err == nil {
 		t.Error("no streams accepted")
 	}
-	if _, err := Open(Config{SweepEvery: -1}, []StreamSpec{{ID: 1, Data: []float32{1}, Dim: 1}}); err == nil {
+	if _, err := Open(Config{SweepEvery: -1}, 4, []StreamSpec{{ID: 1, Rows: 1, Dim: 1}}, fill); err == nil {
 		t.Error("non-dense IDs accepted")
 	}
-	if _, err := Open(Config{SweepEvery: -1}, []StreamSpec{{ID: 0, Data: []float32{1, 2, 3}, Dim: 2}}); err == nil {
-		t.Error("ragged payload accepted")
+	if _, err := Open(Config{SweepEvery: -1}, 4, []StreamSpec{{ID: 0, Rows: 0, Dim: 2}}, fill); err == nil {
+		t.Error("empty stream accepted")
 	}
-	if _, err := Open(Config{PromoteMinHits: -1, SweepEvery: -1}, testSpecs(t)); err == nil {
+	if _, err := Open(Config{SweepEvery: -1}, 8, specs, fill); err == nil {
+		t.Error("8-byte elements accepted")
+	}
+	if _, err := Open(Config{PromoteMinHits: -1, SweepEvery: -1}, 4, specs, fill); err == nil {
 		t.Error("negative promote threshold accepted")
+	}
+	path := t.TempDir() + "/cold.bin"
+	boom := errors.New("boom")
+	_, err := Open(Config{Path: path, SweepEvery: -1}, 4, specs, func(io.WriterAt, []int64) error { return boom })
+	if !errors.Is(err, boom) {
+		t.Errorf("failing fill: error %v", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("cold file survives a failed Open: %v", err)
+	}
+}
+
+// TestInt16Rows reads a 2-byte-element store back through both tiers.
+func TestInt16Rows(t *testing.T) {
+	data := make([]int16, 10*3)
+	for i := range data {
+		data[i] = int16(i*997 - 15000)
+	}
+	spec := StreamSpec{ID: 0, Rows: 10, Dim: 3}
+	s, err := Open(Config{SweepEvery: -1}, 2, []StreamSpec{spec}, func(f io.WriterAt, offsets []int64) error {
+		_, err := f.WriteAt(unsafe.Slice((*byte)(unsafe.Pointer(&data[0])), len(data)*2), offsets[0])
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.TotalBytes() != int64(len(data))*2 {
+		t.Fatalf("total bytes %d", s.TotalBytes())
+	}
+	s.SetPlacement(0, []int64{1, 7})
+	for row := int64(0); row < 10; row++ {
+		got, cold := RowTagged[int16](s.Stream(0), row)
+		if cold == (row == 1 || row == 7) {
+			t.Errorf("row %d: cold %v", row, cold)
+		}
+		for k, v := range got {
+			if want := data[row*3+int64(k)]; v != want {
+				t.Fatalf("row %d[%d] = %d, want %d", row, k, v, want)
+			}
+		}
 	}
 }

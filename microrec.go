@@ -81,7 +81,10 @@ type (
 	Spec = model.Spec
 	// TableSpec describes one embedding table.
 	TableSpec = model.TableSpec
-	// Parameters holds materialised model parameters.
+	// Parameters holds materialised model parameters: the FC tower, and
+	// the embedding tables as a seed-addressable stream (checkpoints, from
+	// which an engine fills its tables at its width and float rows are
+	// regenerated).
 	Parameters = model.Parameters
 	// Query is one inference's sparse input: per-table row indices.
 	Query = embedding.Query
@@ -366,10 +369,11 @@ type EngineOptions struct {
 }
 
 // NewEngine materialises parameters, runs the placement search and builds a
-// MicroRec engine in one call. Close the engine when done with it: large
-// embedding tables live outside the Go heap, and the engine owns the
-// parameters it materialised here, so only its Close frees them (an engine
-// that is never closed keeps them until the process exits).
+// MicroRec engine in one call. Close the engine when done with it: its large
+// embedding tables and the parameters' checkpoints live outside the Go heap,
+// and the engine owns the parameters it materialised here, so only its Close
+// frees them (an engine that is never closed keeps them until the process
+// exits).
 func NewEngine(spec *Spec, opts EngineOptions) (*Engine, error) {
 	params, plan, cfg, err := prepare(spec, opts)
 	if err != nil {
@@ -381,16 +385,17 @@ func NewEngine(spec *Spec, opts EngineOptions) (*Engine, error) {
 		return nil, err
 	}
 	// The parameters were materialised for this engine alone, so its Close
-	// is what frees their tables (they live outside the Go heap).
+	// is what frees their checkpoints (they live outside the Go heap).
 	eng.OwnParameters()
 	return eng, nil
 }
 
 // NewEngineFromParams builds an engine from existing parameters (e.g. to
-// share materialised tables between engines of different precisions). The
+// build engines of different precisions from one stream: the first fills
+// its tables in the stream's one pass, the others from its checkpoints). The
 // parameters stay the caller's: the engine's Close frees only what it built
-// itself, and Parameters.Release frees the tables once every engine built
-// from them is closed.
+// itself (its tables), and Parameters.Release frees the checkpoints once
+// nothing reads a float row from them any more.
 func NewEngineFromParams(params *Parameters, opts EngineOptions) (*Engine, error) {
 	_, plan, cfg, err := prepareWithParams(params, opts)
 	if err != nil {

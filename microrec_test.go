@@ -151,12 +151,13 @@ func TestNewEngineFromParamsSharesTables(t *testing.T) {
 	}
 }
 
-// TestEngineCloseFreesOnlyWhatItOwns pins the ownership rule of the tables
-// that live outside the Go heap (rows are capped high enough here that most
-// tables do): closing an engine built from shared parameters leaves them —
-// and every other engine built from them — intact; Release then drops them;
-// an engine from NewEngine owns its parameters and closes twice harmlessly.
-// A Close that freed shared tables would fault in the second engine.
+// TestEngineCloseFreesOnlyWhatItOwns pins the ownership rule of the memory
+// that lives outside the Go heap (rows are capped high enough here that most
+// tables do): every engine owns its tables at its own width, so closing one
+// leaves every other engine built from the same parameters intact, and the
+// parameters' checkpoints too — their rows stay readable until Release
+// drops them; an engine from NewEngine owns its parameters and closes twice
+// harmlessly.
 func TestEngineCloseFreesOnlyWhatItOwns(t *testing.T) {
 	spec := microrec.SmallProductionModel()
 	const rows = 16384
@@ -198,17 +199,16 @@ func TestEngineCloseFreesOnlyWhatItOwns(t *testing.T) {
 	if err := e32.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for i, tab := range params.Embeddings {
-		if len(tab) == 0 || tab[len(tab)-1] < -1 || tab[len(tab)-1] >= 1 {
-			t.Fatalf("table %d unreadable after both engines closed", i)
+	for i := range spec.Tables {
+		row, err := params.Row(i, params.ActualRows[i]-1)
+		if err != nil || row[len(row)-1] < -1 || row[len(row)-1] >= 1 {
+			t.Fatalf("table %d unreadable after both engines closed: %v", i, err)
 		}
 	}
 	params.Release()
 	params.Release()
-	for i, tab := range params.Embeddings {
-		if tab != nil {
-			t.Errorf("table %d still held after Release", i)
-		}
+	if _, err := params.Row(0, 0); err == nil {
+		t.Error("rows still readable after Release")
 	}
 
 	own, err := microrec.NewEngine(spec, microrec.EngineOptions{Seed: 1, MaxRowsPerTable: rows})

@@ -18,15 +18,17 @@ package microrec_test
 // Rows for build-gated kernels live in a sibling file with a matching
 // constraint (zeroalloc_amd64_test.go), so the table reshapes itself with the
 // build exactly as the source set does; a row whose kernel needs a CPU
-// feature the host lacks is skipped by name, never silently run on a fallback. kernels.QuantizeRow has a body per
-// build (batched, or the reference under noasm) under one name, so its row
-// is portable.
+// feature the host lacks is skipped by name, never silently run on a fallback.
+// kernels.QuantizeRow and kernels.UnitFloats choose their path (AVX-512,
+// batched scalar, or the reference under noasm) inside one name, so their
+// row is portable.
 
 import (
 	"go/ast"
 	"go/build"
 	"go/parser"
 	"go/token"
+	"io"
 	"io/fs"
 	"math/rand"
 	"path/filepath"
@@ -161,13 +163,10 @@ func zeroallocCases(t *testing.T) []allocCase {
 		tsRows = 64
 		tsDim  = 8
 	)
-	tsData := make([]float32, tsRows*tsDim)
-	for i := range tsData {
-		tsData[i] = float32(i)
-	}
 	ts, err := tieredstore.Open(
-		tieredstore.Config{SweepEvery: -1, HotBytes: 1 << 30},
-		[]tieredstore.StreamSpec{{ID: 0, Data: tsData, Dim: tsDim}},
+		tieredstore.Config{SweepEvery: -1, HotBytes: 1 << 30}, 4,
+		[]tieredstore.StreamSpec{{ID: 0, Rows: tsRows, Dim: tsDim}},
+		func(io.WriterAt, []int64) error { return nil }, // zero rows
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -179,6 +178,20 @@ func zeroallocCases(t *testing.T) []allocCase {
 	}
 	ts.SetPlacement(0, hotHalf) // rows 0..31 hot, 32..63 cold: exercise both tiers
 	stream := ts.Stream(0)
+
+	// The tiered engine's gather reads half its rows hot and half cold.
+	tieredCfg := cfg
+	tieredCfg.ColdTier = &tieredstore.Config{SweepEvery: -1, HotBytes: 1 << 30}
+	tieredEng, err := core.Build(params, plan, tieredCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tieredEng.Close() })
+	for id := 0; id < tieredEng.TierStore().Streams(); id++ {
+		tieredEng.TierStore().SetPlacement(id, hotHalf)
+	}
+	var tieredScratch core.BatchScratch
+	tieredEng.EnsurePlane(&tieredScratch, b)
 
 	done := make(chan struct{}, 1)
 	x, err := pipeline.New(eng, pipeline.Options{
@@ -202,6 +215,10 @@ func zeroallocCases(t *testing.T) []allocCase {
 		qsrc[i] = float32(i)/16 - 1
 	}
 	hintRows := [3]int64{0, 3, 1} // rows of qsrc read as a 12-float-row table
+	unitDraws := make([]uint64, 11)
+	for i := range unitDraws {
+		unitDraws[i] = uint64(i) << 59
+	}
 
 	return []allocCase{
 		{
@@ -210,9 +227,9 @@ func zeroallocCases(t *testing.T) []allocCase {
 				"internal/core.Engine.GatherIntoPlane",
 				"internal/core.fixedPath.gatherTables",
 				"internal/core.gatherSeq.next",
-				"internal/core.gatherSeq.hintWindow",
+				"internal/core.fixedPath.hintWindow",
 				"internal/core.gatherBlock.resolve",
-				"internal/core.gatherBlock.hint",
+				"internal/core.fixedPath.hint",
 				"internal/core.rowMod.reduce",
 			},
 			// Once as a batch and once query by query: a batch of 8 cuts
@@ -221,6 +238,14 @@ func zeroallocCases(t *testing.T) []allocCase {
 				eng.GatherIntoPlane(qs, &gatherScratch)
 				eng.GatherIntoPlane(qs[:1], &gatherScratch)
 			},
+		},
+		{
+			// core/gather-inline's gather on a tiered engine: each row is
+			// copied, at the plane's width, from the hot tier or the cold
+			// file.
+			name:   "core/gather-tiered",
+			covers: []string{"internal/tieredstore.RowTagged", "internal/tieredstore.Stream.rowTagged"},
+			run:    func() { tieredEng.GatherIntoPlane(qs, &tieredScratch) },
 		},
 		{
 			// core/gather-inline's gather with the engine's live hot-row
@@ -297,13 +322,11 @@ func zeroallocCases(t *testing.T) []allocCase {
 		{
 			name: "tieredstore/row-access",
 			covers: []string{
-				"internal/tieredstore.Stream.Row",
-				"internal/tieredstore.Stream.RowTagged",
 				"internal/tieredstore.Stream.PrefetchRow",
 			},
 			run: func() {
-				rowSink = stream.Row(2)           // hot tier
-				rowSink, _ = stream.RowTagged(40) // cold tier
+				rowSink, _ = tieredstore.RowTagged[int32](stream, 2)  // hot tier
+				rowSink, _ = tieredstore.RowTagged[int32](stream, 40) // cold tier
 				stream.PrefetchRow(41)
 			},
 		},
@@ -313,6 +336,8 @@ func zeroallocCases(t *testing.T) []allocCase {
 				"internal/kernels.GemmRef",
 				"internal/kernels.QuantizeRowRef",
 				"internal/kernels.QuantizeRow",
+				"internal/kernels.UnitFloatsRef",
+				"internal/kernels.UnitFloats",
 				"internal/kernels.PrefetchRow",
 				"internal/kernels.PrefetchRows",
 				"internal/fixedpoint.FinishRow",
@@ -322,6 +347,8 @@ func zeroallocCases(t *testing.T) []allocCase {
 				kernels.GemmRef(k32.x, k32.acc, k32.b, k32.stride, &k32.w)
 				kernels.QuantizeRowRef(fixedpoint.Fixed16, qsrc, qdst)
 				kernels.QuantizeRow(&quant, qsrc, qdst)
+				kernels.UnitFloatsRef(unitDraws, 1, qsrc[:len(unitDraws)])
+				kernels.UnitFloats(unitDraws, 1, qsrc[:len(unitDraws)])
 				kernels.PrefetchRow(qsrc)
 				kernels.PrefetchRows(qsrc, 12, hintRows[:])
 				fixedpoint.FinishRow(&finish, k16.acc[:k16.w.Out], k16.acc[:k16.w.Out], true, k16.x)
@@ -356,7 +383,7 @@ func newKernelFixture[T kernels.Elem]() *kernelFixture[T] {
 // Sinks keep results live so the runners cannot be dead-code-eliminated.
 var (
 	spanSink uint64
-	rowSink  []float32
+	rowSink  []int32
 )
 
 // TestNoallocFunctionsAllocationFree is the consolidated AllocsPerRun pin:
