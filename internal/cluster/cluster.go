@@ -289,8 +289,8 @@ func (c *Cluster) EnsurePlane(s *core.BatchScratch, b int) { c.eng.EnsurePlane(s
 // shard, zero the coordinator plane's dense tail while the shards gather,
 // then merge each partial's feature columns as it completes — fast shards'
 // columns land while stragglers still gather. The merged plane is
-// bit-identical to the engine's monolithic gather: every value was produced
-// by the same quantize loop over the same tables, and the spans of a
+// bit-identical to the engine's monolithic gather: every value was copied
+// by the same row-copy loop from the same tables, and the spans of a
 // partition exactly cover the embedding region. Queries must have passed
 // ValidateQuery and the plane must be sized for len(queries) (the
 // StageEngine contract).

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"microrec/internal/embedding"
 )
@@ -34,8 +33,10 @@ type GatherObs struct {
 // BatchScratch holds the reusable buffers of the batched datapath. A scratch
 // is owned by one goroutine at a time; distinct goroutines must use distinct
 // scratches (the engine itself stays immutable and shareable). Scratches are
-// never copied by value — the embedded atomic pins that contract.
+// never copied by value — the noCopy field lets vet's copylocks check pin
+// that contract.
 type BatchScratch struct {
+	_ noCopy
 	// The activation plane, batch x stride at the engine's element width:
 	// gathered features, then each layer's output finished in place. Only
 	// the field matching the engine's format is sized.
@@ -44,12 +45,15 @@ type BatchScratch struct {
 	// acc is the batch x stride plane of exact wide GEMM accumulators.
 	acc []int64
 
-	// coldFaults accumulates tiered-store cold reads across the gather's
-	// shard goroutines (atomic because shards of one batch add concurrently);
-	// the gather entry point resets it and folds the total into obs.
-	coldFaults atomic.Int64
-	obs        GatherObs
+	obs GatherObs
 }
+
+// noCopy is a zero-size marker whose Lock method makes vet's copylocks check
+// report any copy of the struct that holds it.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // GatherObs returns the observability record of the scratch's most recent
 // gather. Valid between a gather's return and the next gather on the scratch.
@@ -145,11 +149,10 @@ func (e *Engine) inferBatchValidated(queries []embedding.Query, dst []float32, s
 }
 
 // GatherIntoPlane is the pipeline's first stage: the batched table-major
-// gather, quantizing each embedding vector directly into the plane's feature
-// rows (no intermediate float plane). Queries must have passed ValidateQuery
-// and the plane must be sized (EnsurePlane or a prior stage run) for at least
-// len(queries); the call then performs no validation and no allocation beyond
-// the sharded gather's goroutine fan-out.
+// gather, copying each embedding row, stored at the plane's width, directly
+// into the plane's feature rows. Queries must have passed ValidateQuery and
+// the plane must be sized (EnsurePlane or a prior stage run) for at least
+// len(queries); the call then performs no validation and no allocation.
 //
 //microrec:noalloc
 func (e *Engine) GatherIntoPlane(queries []embedding.Query, s *BatchScratch) {

@@ -55,7 +55,8 @@ type Config struct {
 	// ColdTier, when non-nil, backs every embedding access stream with a
 	// two-tier store: frequency-hot rows pinned in a DRAM budget, the full
 	// row set in an mmap'd cold file (internal/tieredstore). Functionally
-	// transparent by construction — both tiers hold identical float32 bits.
+	// transparent by construction — both tiers hold the same rows, stored at
+	// the datapath's width.
 	// Engines built with a cold tier must be Closed.
 	ColdTier *tieredstore.Config
 }

@@ -3,9 +3,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sort"
-	"sync"
 
 	"microrec/internal/embedding"
 	"microrec/internal/tieredstore"
@@ -27,9 +24,10 @@ import (
 // would be a second, DRAM-sized copy of sources that stay in cache, so the
 // engine never builds one and reads each source where it is. The gather
 // (fixedPath.gatherTables in plane.go, generic over the plane's element
-// width) walks a shard's blocks × queries as one sequence, a window of
-// gatherWindow rows at a time: it resolves the window's row numbers and hints
-// all of them toward the cache, and only then reads and copies them.
+// width) walks every table's blocks × queries as one sequence on the calling
+// goroutine, a window of gatherWindow rows at a time: it resolves the
+// window's row numbers and hints all of them toward the cache, and only then
+// reads and copies them.
 //
 // The reason is Little's law. A row that misses the cache costs ≈ 100 ns of
 // DRAM latency however the loop is written; what the loop decides is how many
@@ -40,11 +38,6 @@ import (
 // lookups at once — on the parallelism a CPU core has. The window counts
 // rows, not queries or tables, so a batch of one keeps a whole item's lookups
 // in flight and a batch of 64 is cut into window-sized runs.
-//
-// Sharding mirrors the hardware: the placement plan assigns physical tables
-// to HBM/DDR/on-chip banks that operate in parallel; the plan's bank ("HBM
-// channel") groups are balanced into at most maxGatherShards goroutine
-// shards. Tables write disjoint feature columns, so shards need no locks.
 
 // gatherWindow is W, the number of row fetches the gather keeps in flight:
 // row numbers are resolved and hinted W at a time before any of them is read.
@@ -56,16 +49,6 @@ import (
 // exactly one window. (PREFETCHNTA is as good up to 32 and falls off a cliff
 // after: see internal/kernels/prefetch.go.)
 const gatherWindow = 64
-
-// gatherParallelMinBatch is the batch size below which GatherBatch stays on
-// the calling goroutine: a small batch's gather is a few microseconds (about
-// 2–3 µs per query on the small model, a query being 47 lookups), which the
-// per-shard goroutine spawn and join would double. The inline path is also
-// strictly allocation-free, which the steady-state zero-alloc test relies on.
-const gatherParallelMinBatch = 32
-
-// maxGatherShards caps the goroutines one GatherBatch call fans out to.
-const maxGatherShards = 8
 
 // rowMod maps a validated logical index onto a table's materialised rows:
 // idx % rows (capacity scaling — a table capped below its advertised row
@@ -152,22 +135,22 @@ type gatherPlan struct {
 	// tables[ti] is physical table ti's blocks in access order: source by
 	// source, round by round.
 	tables [][]gatherBlock
-	// shards groups physical-table indices by the placement plan's memory
-	// banks, balanced over at most maxGatherShards goroutines.
-	shards [][]int
+	// all is every physical table's index, in index order: the sequence a
+	// whole-batch gather walks.
+	all []int
 }
 
-// gatherSeq is one shard's lookup sequence for one batch: its tables' blocks
-// in order, each block across the whole batch. The gather walks it twice, a
-// window apart — once resolving and hinting rows, once reading them — with a
-// cursor for each walk.
+// gatherSeq is the lookup sequence of some physical tables for one batch:
+// their blocks in order, each block across the whole batch. The gather walks
+// it twice, a window apart — once resolving and hinting rows, once reading
+// them — with a cursor for each walk.
 type gatherSeq struct {
 	plan    *gatherPlan
 	tables  []int
 	queries []embedding.Query
 }
 
-// gatherCursor is a position in a gatherSeq: block bi of the shard's ti-th
+// gatherCursor is a position in a gatherSeq: block bi of the sequence's ti-th
 // table, from query qi on. The zero value is the start; ti == len(tables) is
 // the end.
 type gatherCursor struct{ ti, bi, qi int }
@@ -217,7 +200,7 @@ func (e *Engine) compileGatherPlan() (gatherPlan, []int, error) {
 				srcID:    src.ID,
 				mod:      newRowMod(e.spec.Tables[src.ID].Rows, e.params.ActualRows[src.ID]),
 				dim:      src.Dim,
-				vecBytes: src.Dim * 4,
+				vecBytes: src.Dim * e.cfg.Precision.Bits / 8,
 				cacheID:  cacheID,
 			}
 			for r := 0; r < src.Lookups; r++ {
@@ -233,87 +216,20 @@ func (e *Engine) compileGatherPlan() (gatherPlan, []int, error) {
 			return gatherPlan{}, nil, fmt.Errorf("core: plan never reads source table %d", src)
 		}
 	}
-	p.shards = e.shardByChannelGroup()
+	p.all = make([]int, len(layout.Tables))
+	for ti := range p.all {
+		p.all[ti] = ti
+	}
 	return p, cacheOf, nil
 }
 
-// shardByChannelGroup groups physical tables by their assigned memory bank
-// and balances the bank groups over at most maxGatherShards shards by
-// estimated per-bank access cost (longest-processing-time greedy) — the
-// software analogue of the paper's parallel HBM channels.
-func (e *Engine) shardByChannelGroup() [][]int {
-	layout := e.plan.Layout
-	byBank := make(map[int][]int)
-	for ti := range layout.Tables {
-		b := e.plan.BankOf[ti]
-		byBank[b] = append(byBank[b], ti)
-	}
-	type group struct {
-		tables []int
-		cost   float64
-	}
-	groups := make([]group, 0, len(byBank))
-	for b, tables := range byBank {
-		g := group{tables: tables}
-		for _, ti := range tables {
-			pt := layout.Tables[ti]
-			g.cost += float64(pt.Lookups()) * e.plan.System.Banks[b].Timing.AccessNS(pt.VectorBytes())
-		}
-		groups = append(groups, g)
-	}
-	// Deterministic order: largest cost first, ties by first table index.
-	sort.SliceStable(groups, func(a, b int) bool {
-		if groups[a].cost != groups[b].cost {
-			return groups[a].cost > groups[b].cost
-		}
-		return groups[a].tables[0] < groups[b].tables[0]
-	})
-	n := maxGatherShards
-	if p := runtime.GOMAXPROCS(0); p < n {
-		n = p
-	}
-	if len(groups) < n {
-		n = len(groups)
-	}
-	if n < 1 {
-		n = 1
-	}
-	shards := make([][]int, n)
-	costs := make([]float64, n)
-	for _, g := range groups {
-		best := 0
-		for i := 1; i < n; i++ {
-			if costs[i] < costs[best] {
-				best = i
-			}
-		}
-		shards[best] = append(shards[best], g.tables...)
-		costs[best] += g.cost
-	}
-	// Drop empty shards (possible when there are fewer groups than n), and
-	// put each survivor in memory-locality order: bank-grouped, index-sorted,
-	// so a shard goroutine streams one bank's address range at a time.
-	out := shards[:0]
-	for _, s := range shards {
-		if len(s) > 0 {
-			out = append(out, e.plan.LocalityOrder(s))
-		}
-	}
-	return out
-}
-
-// GatherShards reports how many parallel channel-group shards the compiled
-// gather plan uses.
-func (e *Engine) GatherShards() int { return len(e.gplan.shards) }
-
 // GatherBatch resolves a whole micro-batch's embedding lookups table-major —
-// one pass per physical table across all queries, sharded across goroutines
-// by the placement plan's channel groups for batches of at least
-// gatherParallelMinBatch — quantizing every vector directly into the
-// scratch's fixed-point feature rows. It returns a view of the quantized
-// feature matrix backed by the scratch (valid until the scratch's next use):
-// feats.At(qi, k) for k below the model's feature length, the dense tail
-// zeroed. The values are bit-identical to quantizing Gather's float output.
+// one pass per physical table across all queries, on the calling goroutine —
+// copying every row, stored at the datapath's width, straight into the
+// scratch's fixed-point feature rows. It returns a view of the feature matrix
+// backed by the scratch (valid until the scratch's next use): feats.At(qi, k)
+// for k below the model's feature length, the dense tail zeroed. The values
+// are bit-identical to quantizing Gather's float output.
 func (e *Engine) GatherBatch(queries []embedding.Query, scratch *BatchScratch) (feats Features, err error) {
 	if len(queries) == 0 {
 		return Features{}, fmt.Errorf("core: no queries")
@@ -329,32 +245,17 @@ func (e *Engine) GatherBatch(queries []embedding.Query, scratch *BatchScratch) (
 	return e.dp.features(scratch), nil
 }
 
-// gatherBatchValidated is the hot gather path. Queries must already have
-// passed ValidateQuery; the loop performs no validation and no allocation.
+// gatherBatchValidated is the hot gather path: one walk over every physical
+// table on the calling goroutine, at every batch size. Queries must already
+// have passed ValidateQuery; the loop performs no validation and no
+// allocation.
+//
+//microrec:noalloc
 func (e *Engine) gatherBatchValidated(queries []embedding.Query, s *BatchScratch) {
-	b := len(queries)
-	s.coldFaults.Store(0)
 	// The scratch is reused, so zero the dense tail of every feature row;
 	// the embedding region is fully overwritten by the table passes.
-	e.ZeroDenseTail(b, s)
-	if b < gatherParallelMinBatch || len(e.gplan.shards) <= 1 {
-		for _, shard := range e.gplan.shards {
-			e.dp.gatherTables(&e.gplan, shard, queries, s, e.cache)
-		}
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(len(e.gplan.shards))
-		for _, shard := range e.gplan.shards {
-			go e.gatherShard(&wg, shard, queries, s)
-		}
-		wg.Wait()
-	}
-	s.obs = GatherObs{ColdFaults: s.coldFaults.Load()}
-}
-
-func (e *Engine) gatherShard(wg *sync.WaitGroup, tables []int, queries []embedding.Query, s *BatchScratch) {
-	defer wg.Done()
-	e.dp.gatherTables(&e.gplan, tables, queries, s, e.cache)
+	e.ZeroDenseTail(len(queries), s)
+	s.obs = GatherObs{ColdFaults: e.dp.gatherTables(&e.gplan, e.gplan.all, queries, s, e.cache)}
 }
 
 // ---- live hot-row cache ----
@@ -406,40 +307,18 @@ func (e *Engine) Tier() (tieredstore.Snapshot, bool) {
 	return e.tier.Snapshot(), true
 }
 
-// PrefetchBatch touches the cold-tier pages a batch's gather will read,
-// fanning the page faults over a few goroutines. The serving tier calls it
-// from the pipeline's gather-stage Prepare hook, so a cold row's fault is
-// absorbed while filling that plane only — the other in-flight planes'
-// compute stages keep draining. Queries must already be validated; no-op
-// for an all-DRAM engine.
+// PrefetchBatch touches the cold-tier pages a batch's gather will read. The
+// serving tier calls it from the pipeline's gather-stage Prepare hook, so a
+// cold row's fault is absorbed while filling that plane only — the other
+// in-flight planes' compute stages keep draining. Queries must already be
+// validated; no-op for an all-DRAM engine.
 func (e *Engine) PrefetchBatch(queries []embedding.Query) {
-	if e.tier == nil || len(queries) == 0 {
+	if e.tier == nil {
 		return
 	}
-	cold := e.coldRows(queries)
-	if len(cold) == 0 {
-		return
+	for _, c := range e.coldRows(queries) {
+		e.tier.Prefetch(c.id, c.row)
 	}
-	workers := 4
-	if len(cold) < 64 {
-		workers = 1
-	}
-	chunk := (len(cold) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(cold); lo += chunk {
-		hi := lo + chunk
-		if hi > len(cold) {
-			hi = len(cold)
-		}
-		wg.Add(1)
-		go func(refs []rowRef) {
-			defer wg.Done()
-			for _, c := range refs {
-				e.tier.Prefetch(c.id, c.row)
-			}
-		}(cold[lo:hi])
-	}
-	wg.Wait()
 }
 
 // rowRef names one row of one access stream.

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"microrec/internal/fixedpoint"
 	"microrec/internal/model"
 )
 
@@ -131,11 +132,8 @@ func TestInferBatchPropertyRandomSpecs(t *testing.T) {
 }
 
 // TestGatherBatchSteadyStateAllocs pins the gather's allocations at both ends
-// of the batch range. A batch of one takes the inline path, where the window's
-// index vector must stay on the stack: exactly zero. A batch of 64 takes the
-// channel-sharded parallel path, whose per-batch goroutine fan-out stays well
-// under one allocation per query — and each of whose goroutines has an index
-// vector of its own, which must not show up here either. The inline path's
+// of the batch range: none. The gather is one walk on the calling goroutine at
+// every batch size, and the window's index vector stays on its stack. The
 // contract is also pinned, function by function, by the //microrec:noalloc
 // table in the repo root's zeroalloc_test.go.
 func TestGatherBatchSteadyStateAllocs(t *testing.T) {
@@ -152,84 +150,116 @@ func TestGatherBatchSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if b < gatherParallelMinBatch && allocs != 0 {
-			t.Errorf("inline gather of %d: %v allocs per batch, want 0", b, allocs)
-		}
-		if perQuery := allocs / float64(b); perQuery >= 1 {
-			t.Errorf("gather of %d: %v allocs per query (%v per batch), want < 1", b, perQuery, allocs)
+		if allocs != 0 {
+			t.Errorf("gather of %d: %v allocs per batch, want 0", b, allocs)
 		}
 	}
 }
 
-// TestGatherShardsCoverAllTables checks the channel-group sharding: every
-// physical table appears in exactly one shard, and the shard count respects
-// the cap.
-func TestGatherShardsCoverAllTables(t *testing.T) {
-	for _, spec := range []*model.Spec{model.SmallProduction(), model.LargeProduction(), oddSpec()} {
-		e := buildEngine(t, spec, ConfigFor(spec.Name, SmallFP16().Precision), true)
-		seen := make(map[int]int)
-		for si, shard := range e.gplan.shards {
-			if len(shard) == 0 {
-				t.Errorf("%s: shard %d is empty", spec.Name, si)
-			}
-			for _, ti := range shard {
-				if prev, dup := seen[ti]; dup {
-					t.Errorf("%s: table %d in shards %d and %d", spec.Name, ti, prev, si)
-				}
-				seen[ti] = si
-			}
-		}
-		if len(seen) != len(e.plan.Layout.Tables) {
-			t.Errorf("%s: shards cover %d of %d physical tables", spec.Name, len(seen), len(e.plan.Layout.Tables))
-		}
-		if got := e.GatherShards(); got > maxGatherShards {
-			t.Errorf("%s: %d shards, cap %d", spec.Name, got, maxGatherShards)
-		}
-	}
-}
-
-// TestGatherBatchParallelShards forces a multi-shard gather plan (the shard
-// count is capped by GOMAXPROCS, which is 1 on single-core CI boxes) and
-// checks the goroutine fan-out path produces the same bits as the per-query
-// gather — with a live hot cache attached so the sharded cache is hammered
-// from the gather goroutines too (run under -race).
-func TestGatherBatchParallelShards(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
+// TestHotCacheChargesRowsAtElementWidth checks that the live hot-row cache is
+// charged the bytes a row occupies at the datapath's width — dim × 2 at
+// Fixed16, dim × 4 at Fixed32 — so a cache sized in those bytes (a tiered
+// engine's default, its hot budget) holds as many rows as the budget does.
+func TestHotCacheChargesRowsAtElementWidth(t *testing.T) {
 	spec := model.SmallProduction()
-	cfg := SmallFP16()
-	cfg.HotCacheBytes = 1 << 16
-	e := buildEngine(t, spec, cfg, true)
-	if e.GatherShards() < 2 {
-		t.Fatalf("want a multi-shard plan, got %d shards", e.GatherShards())
-	}
-	f := e.cfg.Precision
-	var scratch BatchScratch
-	// Every size is past the inline threshold; together they put the window's
-	// edge before, on and after a block's end inside each shard.
-	for _, b := range []int{gatherParallelMinBatch, gatherWindow - 1, gatherWindow, gatherWindow + 1, 2*gatherWindow + 3} {
-		qs := randomQueries(spec, b, 23)
-		for rep := 0; rep < 3; rep++ {
-			feats, err := e.GatherBatch(qs, &scratch)
-			if err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		name      string
+		precision fixedpoint.Format
+	}{
+		{"fp16", SmallFP16().Precision},
+		{"fp32", SmallFP32().Precision},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := tc.precision
+			cfg := ConfigFor(spec.Name, f)
+			cfg.HotCacheBytes = 1 << 22
+			e := buildEngine(t, spec, cfg, true)
+			qs := randomQueries(spec, 8, 13)
+			type key struct {
+				src int
+				row int64
 			}
-			for qi, q := range qs {
-				want, err := e.Gather(q, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for k, v := range want {
-					if got := feats.At(qi, k); got != f.Quantize(float64(v)) {
-						t.Fatalf("b=%d rep %d query %d feature %d: parallel %d, want %d",
-							b, rep, qi, k, got, f.Quantize(float64(v)))
+			distinct := make(map[key]bool)
+			var want int64
+			for _, q := range qs {
+				for src, idxs := range q {
+					for _, idx := range idxs {
+						k := key{src, idx % e.params.ActualRows[src]}
+						if !distinct[k] {
+							distinct[k] = true
+							want += int64(spec.Tables[src].Dim * f.Bits / 8)
+						}
 					}
 				}
 			}
+			if _, err := e.GatherBatch(qs, nil); err != nil {
+				t.Fatal(err)
+			}
+			info, _ := e.HotCache()
+			if info.Entries != len(distinct) {
+				t.Fatalf("cache holds %d rows, the batch read %d distinct ones", info.Entries, len(distinct))
+			}
+			if info.UsedBytes != want {
+				t.Errorf("cache charged %d bytes for %d rows, want %d", info.UsedBytes, len(distinct), want)
+			}
+		})
+	}
+}
+
+// TestGatherPlanWalksEveryTable checks the compiled gather plan: one
+// sequence naming every physical table once, in index order, each with at
+// least one block to read.
+func TestGatherPlanWalksEveryTable(t *testing.T) {
+	for _, spec := range []*model.Spec{model.SmallProduction(), model.LargeProduction(), oddSpec()} {
+		e := buildEngine(t, spec, ConfigFor(spec.Name, SmallFP16().Precision), true)
+		n := len(e.plan.Layout.Tables)
+		if len(e.gplan.tables) != n || len(e.gplan.all) != n {
+			t.Fatalf("%s: plan has %d tables and walks %d, layout has %d",
+				spec.Name, len(e.gplan.tables), len(e.gplan.all), n)
+		}
+		for i, ti := range e.gplan.all {
+			if ti != i {
+				t.Fatalf("%s: position %d of the walk is table %d", spec.Name, i, ti)
+			}
+			if len(e.gplan.tables[ti]) == 0 {
+				t.Errorf("%s: table %d has no blocks", spec.Name, ti)
+			}
 		}
 	}
-	if info, ok := e.HotCache(); !ok || info.Hits == 0 {
-		t.Errorf("repeated batches through the sharded cache should hit (info=%+v)", info)
+}
+
+// TestGatherIgnoresGOMAXPROCS checks that nothing in the gather follows the
+// host's core count: engines built and run under GOMAXPROCS 1 and 4 compile
+// the same plan, gather the same bits and leave their hot-row caches with the
+// same counters.
+func TestGatherIgnoresGOMAXPROCS(t *testing.T) {
+	spec := model.SmallProduction()
+	cfg := SmallFP16()
+	cfg.HotCacheBytes = 1 << 12
+	qs := randomQueries(spec, 2*gatherWindow+3, 29)
+	run := func(procs int) (*Engine, []int16, HotCacheInfo) {
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
+		e := buildEngine(t, spec, cfg, true)
+		var s BatchScratch
+		if _, err := e.GatherBatch(qs, &s); err != nil {
+			t.Fatal(err)
+		}
+		info, _ := e.HotCache()
+		return e, append([]int16(nil), s.x16...), info
+	}
+	e1, x1, c1 := run(1)
+	e4, x4, c4 := run(4)
+	if fmt.Sprint(e1.gplan.all) != fmt.Sprint(e4.gplan.all) {
+		t.Errorf("plans differ: %v under 1, %v under 4", e1.gplan.all, e4.gplan.all)
+	}
+	for i := range x1 {
+		if x1[i] != x4[i] {
+			t.Fatalf("plane word %d: %d under 1, %d under 4", i, x1[i], x4[i])
+		}
+	}
+	if c1 != c4 {
+		t.Errorf("cache %+v under 1, %+v under 4", c1, c4)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // columns into its own plane (MergePartialPlane). Physical tables write
 // disjoint feature columns, so the merged plane is bit-identical to a
 // monolithic GatherIntoPlane over the same queries by construction: the same
-// quantize loop produced every value, and the merge only moves bits.
+// row-copy loop produced every value, and the merge only moves bits.
 
 // ColSpan is a contiguous range of feature-vector columns.
 type ColSpan struct {
@@ -60,7 +60,8 @@ func (e *Engine) PartialSpans(tables []int) ([]ColSpan, error) {
 }
 
 // GatherPartialIntoPlane gathers only the listed physical tables into the
-// plane's feature rows, quantizing exactly as the monolithic gather would.
+// plane's feature rows, copying each row exactly as the monolithic gather
+// would.
 // Accesses are recorded against cache when non-nil (the cluster tier passes a
 // per-shard cache; nil disables accounting). Queries must have passed
 // ValidateQuery and the plane must be sized (EnsurePlane) for at least
@@ -70,9 +71,7 @@ func (e *Engine) PartialSpans(tables []int) ([]ColSpan, error) {
 //
 //microrec:noalloc
 func (e *Engine) GatherPartialIntoPlane(tables []int, queries []embedding.Query, s *BatchScratch, cache *hotcache.Live) {
-	s.coldFaults.Store(0)
-	e.dp.gatherTables(&e.gplan, tables, queries, s, cache)
-	s.obs = GatherObs{ColdFaults: s.coldFaults.Load()}
+	s.obs = GatherObs{ColdFaults: e.dp.gatherTables(&e.gplan, tables, queries, s, cache)}
 }
 
 // ZeroDenseTail zeroes the dense tail of the plane's first b feature rows —

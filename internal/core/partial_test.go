@@ -125,6 +125,44 @@ func TestPartialGatherMergeMatchesMonolithic(t *testing.T) {
 	}
 }
 
+// TestPartialGatherColdFaults checks the cold-fault count a partial gather
+// leaves in its scratch: on a tiered engine with part of every stream pinned
+// hot, the counts of a partition's subsets add up to the monolithic gather's.
+func TestPartialGatherColdFaults(t *testing.T) {
+	spec := model.SmallProduction()
+	e := buildEngine(t, spec, tierTestConfig(-1), true)
+	defer e.Close()
+	store := e.TierStore()
+	for id := 0; id < store.Streams(); id++ {
+		var hot []int64
+		for r := int64(0); r < store.Stream(id).Rows(); r += 2 {
+			hot = append(hot, r)
+		}
+		store.SetPlacement(id, hot)
+	}
+	rng := rand.New(rand.NewSource(17))
+	for _, b := range []int{1, 7, 64} {
+		qs := randomQueries(spec, b, int64(b))
+		var whole BatchScratch
+		e.EnsurePlane(&whole, b)
+		e.GatherIntoPlane(qs, &whole)
+		want := whole.GatherObs().ColdFaults
+		if want == 0 {
+			t.Fatalf("b=%d: the monolithic gather read no cold rows", b)
+		}
+		var sum int64
+		var partial BatchScratch
+		e.EnsurePlane(&partial, b)
+		for _, tables := range randomPartition(rng, e.PhysicalTables(), 3) {
+			e.GatherPartialIntoPlane(tables, qs, &partial, nil)
+			sum += partial.GatherObs().ColdFaults
+		}
+		if sum != want {
+			t.Errorf("b=%d: partial gathers report %d cold faults, the monolithic gather %d", b, sum, want)
+		}
+	}
+}
+
 // TestPartialSpansErrors covers the index contract.
 func TestPartialSpansErrors(t *testing.T) {
 	e := buildEngine(t, model.SmallProduction(), SmallFP16(), true)

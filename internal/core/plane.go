@@ -31,7 +31,7 @@ import (
 type datapath interface {
 	ensure(s *BatchScratch, b int)
 	features(s *BatchScratch) Features
-	gatherTables(plan *gatherPlan, tables []int, queries []embedding.Query, s *BatchScratch, cache *hotcache.Live)
+	gatherTables(plan *gatherPlan, tables []int, queries []embedding.Query, s *BatchScratch, cache *hotcache.Live) (coldFaults int64)
 	zeroDenseTail(b int, s *BatchScratch)
 	mergePartial(b int, spans []ColSpan, src, dst *BatchScratch)
 	dense(b int, s *BatchScratch)
@@ -274,15 +274,15 @@ func (d *fixedPath[T]) hintWindow(s *gatherSeq, c *gatherCursor, rows []int64) i
 	return n
 }
 
-// gatherTables runs the gather for one shard's physical tables. The shard's
-// lookups form one sequence — each table's blocks in order, each block across
-// the whole batch — and the loop takes it gatherWindow rows at a time, in two
-// passes. Pass 1 resolves the window's row numbers into a vector on this
-// goroutine's stack (shards of one batch share the scratch, so it cannot live
-// there) and hints every row's cache lines, a block's run with one call.
-// Pass 2 walks the same window again and, per row, records the access against
-// the given live hot-row cache and copies the row — already at the plane's
-// width — into the query's feature row. By the time pass 2 reads
+// gatherTables gathers the given physical tables into the plane and returns
+// how many of the rows it read the tiered store served from the cold file.
+// The tables' lookups form one sequence — each table's blocks in order, each
+// block across the whole batch — and the loop takes it gatherWindow rows at a
+// time, in two passes. Pass 1 resolves the window's row numbers into a vector
+// on the stack and hints every row's cache lines, a block's run with one
+// call. Pass 2 walks the same window again and, per row, records the access
+// against the given live hot-row cache and copies the row — already at the
+// plane's width — into the query's feature row. By the time pass 2 reads
 // a row its fetch has been in flight, together with the rest of the window's,
 // for the whole of pass 1: the loop waits for memory once per window, not
 // once per row (gather.go's header has the arithmetic). A window ends where
@@ -292,19 +292,14 @@ func (d *fixedPath[T]) hintWindow(s *gatherSeq, c *gatherCursor, rows []int64) i
 //
 // Pass 2 visits lookups in exactly the sequence's order, so the hot cache's
 // counters and recency, the tier's read counters and the cold-fault count are
-// those of a plain serial walk. Distinct tables write disjoint feature
-// columns, so shards never overlap. cache is a parameter (not always the
+// those of a plain serial walk. cache is a parameter (not always the
 // engine's) because the cluster tier's partial gathers account against
 // per-shard caches.
 //
 //microrec:noalloc
-func (d *fixedPath[T]) gatherTables(plan *gatherPlan, tables []int, queries []embedding.Query, s *BatchScratch, cache *hotcache.Live) {
+func (d *fixedPath[T]) gatherTables(plan *gatherPlan, tables []int, queries []embedding.Query, s *BatchScratch, cache *hotcache.Live) (coldFaults int64) {
 	x := *d.plane(s)
 	w := d.stride
-	// Cold-tier faults accumulate in a local and fold into the scratch once
-	// at the end: shards of one batch share the scratch concurrently, and one
-	// atomic add per shard beats one per row.
-	var cold int64
 	seq := gatherSeq{plan: plan, tables: tables, queries: queries}
 	var ahead, cur gatherCursor
 	var rows [gatherWindow]int64
@@ -330,7 +325,7 @@ func (d *fixedPath[T]) gatherTables(plan *gatherPlan, tables []int, queries []em
 					var wasCold bool
 					payload, wasCold = tieredstore.RowTagged[T](st, row)
 					if wasCold {
-						cold++
+						coldFaults++
 					}
 				} else {
 					payload = data[row*dim : row*dim+dim]
@@ -339,9 +334,7 @@ func (d *fixedPath[T]) gatherTables(plan *gatherPlan, tables []int, queries []em
 			}
 		}
 	}
-	if cold != 0 {
-		s.coldFaults.Add(cold)
-	}
+	return coldFaults
 }
 
 //microrec:noalloc

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"runtime"
 	"sort"
 	"testing"
 
@@ -17,23 +15,21 @@ import (
 // per window, and a batch that cuts every block into three ragged windows.
 var windowBatches = []int{1, 2, gatherWindow - 1, gatherWindow, gatherWindow + 1, 2*gatherWindow + 3}
 
-// serialWalk replays a gather's lookups the obvious way — shard by shard,
-// table by table, block by block, query by query, one row at a time with a
-// plain remainder — recording each against ref and counting the rows the
-// tier would serve cold. It is what the windowed gather must be
-// indistinguishable from, to the cache, the tier and the flight recorder.
+// serialWalk replays a gather's lookups the obvious way — table by table,
+// block by block, query by query, one row at a time with a plain remainder —
+// recording each against ref and counting the rows the tier would serve cold.
+// It is what the windowed gather must be indistinguishable from, to the
+// cache, the tier and the flight recorder.
 func serialWalk(e *Engine, queries []embedding.Query, ref *hotcache.Live) (lookups, cold int64) {
-	for _, shard := range e.gplan.shards {
-		for _, ti := range shard {
-			for bi := range e.gplan.tables[ti] {
-				blk := &e.gplan.tables[ti][bi]
-				for _, q := range queries {
-					row := q[blk.srcID][blk.round] % int64(blk.mod.rows)
-					ref.Lookup(blk.cacheID, row, blk.vecBytes)
-					lookups++
-					if e.tier != nil && !e.tier.Stream(blk.cacheID).IsHot(row) {
-						cold++
-					}
+	for ti := range e.gplan.tables {
+		for bi := range e.gplan.tables[ti] {
+			blk := &e.gplan.tables[ti][bi]
+			for _, q := range queries {
+				row := q[blk.srcID][blk.round] % int64(blk.mod.rows)
+				ref.Lookup(blk.cacheID, row, blk.vecBytes)
+				lookups++
+				if e.tier != nil && !e.tier.Stream(blk.cacheID).IsHot(row) {
+					cold++
 				}
 			}
 		}
@@ -41,46 +37,26 @@ func serialWalk(e *Engine, queries []embedding.Query, ref *hotcache.Live) (looku
 	return lookups, cold
 }
 
-// withProcs builds under a chosen GOMAXPROCS, which is what decides how many
-// shards a gather plan gets: 1 keeps every batch on the inline path, 4 sends
-// batches of gatherParallelMinBatch and up through the goroutine fan-out.
-func withProcs(t *testing.T, procs int, build func() *Engine) *Engine {
-	t.Helper()
-	prev := runtime.GOMAXPROCS(procs)
-	defer runtime.GOMAXPROCS(prev)
-	e := build()
-	if sharded := procs > 1; sharded != (e.GatherShards() > 1) {
-		t.Fatalf("GOMAXPROCS %d built a plan of %d shards", procs, e.GatherShards())
-	}
-	return e
-}
-
 // TestGatherWindowKeepsSerialOrder pins what the two-pass gather promises
 // besides the bits (which TestGatherBatchMatchesGather covers): the hot-row
-// cache sees the same lookups in the same order as a serial walk. Inline, the
-// cache is small enough to evict on every batch, so its counters depend on
-// the order of every lookup; through the shard fan-out the interleaving
-// between shards is free, so the cache is large enough not to evict and the
-// counters depend on each shard's own order only. Both widths. Run under
-// -race: every shard goroutine resolves into its own index vector.
+// cache sees the same lookups in the same order as a serial walk, at every
+// batch size. The cache holds far fewer rows than the walk reads, so it
+// evicts, and its counters depend on the order of every lookup. Both widths.
 func TestGatherWindowKeepsSerialOrder(t *testing.T) {
 	spec := model.SmallProduction()
+	const cacheBytes = 1 << 12
 	for _, tc := range []struct {
-		name       string
-		procs      int
-		cacheBytes int64
-		precision  fixedpoint.Format
+		name      string
+		precision fixedpoint.Format
 	}{
-		{"inline-fp16", 1, 1 << 12, SmallFP16().Precision},
-		{"inline-fp32", 1, 1 << 12, SmallFP32().Precision},
-		{"sharded-fp16", 4, 1 << 24, SmallFP16().Precision},
-		{"sharded-fp32", 4, 1 << 24, SmallFP32().Precision},
+		{"fp16", SmallFP16().Precision},
+		{"fp32", SmallFP32().Precision},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := ConfigFor(spec.Name, tc.precision)
-			cfg.HotCacheBytes = tc.cacheBytes
-			e := withProcs(t, tc.procs, func() *Engine { return buildEngine(t, spec, cfg, true) })
-			ref, err := hotcache.NewLive(tc.cacheBytes, 0)
+			cfg.HotCacheBytes = cacheBytes
+			e := buildEngine(t, spec, cfg, true)
+			ref, err := hotcache.NewLive(cacheBytes, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,52 +80,47 @@ func TestGatherWindowKeepsSerialOrder(t *testing.T) {
 
 // TestGatherWindowTierCounters is the same promise for a tiered engine: the
 // batch's cold-fault count, the tier's hot and cold read counters and the
-// cache counters equal a serial walk's, with part of every stream pinned hot
-// — inline and through the shard fan-out.
+// cache counters equal a serial walk's, with part of every stream pinned hot.
 func TestGatherWindowTierCounters(t *testing.T) {
 	spec := model.SmallProduction()
-	for _, procs := range []int{1, 4} {
-		t.Run(fmt.Sprintf("procs-%d", procs), func(t *testing.T) {
-			e := withProcs(t, procs, func() *Engine { return buildEngine(t, spec, tierTestConfig(-1), true) })
-			defer e.Close()
-			store := e.TierStore()
-			for id := 0; id < store.Streams(); id++ {
-				var hot []int64
-				for r := int64(0); r < store.Stream(id).Rows(); r += 3 {
-					hot = append(hot, r)
-				}
-				store.SetPlacement(id, hot)
-			}
-			ref, err := hotcache.NewLive(e.cache.CapacityBytes(), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var scratch BatchScratch
-			for _, b := range windowBatches {
-				qs := randomQueries(spec, b, int64(11*b))
-				before, _ := e.Tier()
-				if _, err := e.GatherBatch(qs, &scratch); err != nil {
-					t.Fatal(err)
-				}
-				after, _ := e.Tier()
-				lookups, cold := serialWalk(e, qs, ref)
-				if cold == 0 || cold == lookups {
-					t.Fatalf("b=%d: walk saw %d cold of %d lookups; want a mix", b, cold, lookups)
-				}
-				if got := scratch.GatherObs().ColdFaults; got != cold {
-					t.Errorf("b=%d: gather reports %d cold faults, serial walk %d", b, got, cold)
-				}
-				if got := after.ColdReads - before.ColdReads; got != cold {
-					t.Errorf("b=%d: tier counted %d cold reads, serial walk %d", b, got, cold)
-				}
-				if got := after.HotReads - before.HotReads; got != lookups-cold {
-					t.Errorf("b=%d: tier counted %d hot reads, serial walk %d", b, got, lookups-cold)
-				}
-				if got, want := e.cache.Stats(), ref.Stats(); got != want {
-					t.Errorf("b=%d: cache after the gather %+v, after a serial walk %+v", b, got, want)
-				}
-			}
-		})
+	e := buildEngine(t, spec, tierTestConfig(-1), true)
+	defer e.Close()
+	store := e.TierStore()
+	for id := 0; id < store.Streams(); id++ {
+		var hot []int64
+		for r := int64(0); r < store.Stream(id).Rows(); r += 3 {
+			hot = append(hot, r)
+		}
+		store.SetPlacement(id, hot)
+	}
+	ref, err := hotcache.NewLive(e.cache.CapacityBytes(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scratch BatchScratch
+	for _, b := range windowBatches {
+		qs := randomQueries(spec, b, int64(11*b))
+		before, _ := e.Tier()
+		if _, err := e.GatherBatch(qs, &scratch); err != nil {
+			t.Fatal(err)
+		}
+		after, _ := e.Tier()
+		lookups, cold := serialWalk(e, qs, ref)
+		if cold == 0 || cold == lookups {
+			t.Fatalf("b=%d: walk saw %d cold of %d lookups; want a mix", b, cold, lookups)
+		}
+		if got := scratch.GatherObs().ColdFaults; got != cold {
+			t.Errorf("b=%d: gather reports %d cold faults, serial walk %d", b, got, cold)
+		}
+		if got := after.ColdReads - before.ColdReads; got != cold {
+			t.Errorf("b=%d: tier counted %d cold reads, serial walk %d", b, got, cold)
+		}
+		if got := after.HotReads - before.HotReads; got != lookups-cold {
+			t.Errorf("b=%d: tier counted %d hot reads, serial walk %d", b, got, lookups-cold)
+		}
+		if got, want := e.cache.Stats(), ref.Stats(); got != want {
+			t.Errorf("b=%d: cache after the gather %+v, after a serial walk %+v", b, got, want)
+		}
 	}
 }
 

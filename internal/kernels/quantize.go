@@ -3,9 +3,9 @@ package kernels
 import "microrec/internal/fixedpoint"
 
 // Quantizer is a format's float→raw conversion with the scale and the
-// saturation bounds derived once: the gather quantizes a few elements per
-// call, tens of thousands of calls per batch, so re-deriving them from the
-// Format each time (as Format.Quantize does) costs more than the conversion.
+// saturation bounds derived once: the table fill quantizes one row per call,
+// a call per row of every table, so re-deriving them from the Format each
+// time (as Format.Quantize does) costs more than the conversion.
 // An engine builds one at Build and passes it to QuantizeRow.
 type Quantizer struct {
 	f              fixedpoint.Format

@@ -79,30 +79,3 @@ func ShardTables(r *Result, n int) ([][]int, error) {
 	}
 	return shards, nil
 }
-
-// LocalityOrder sorts one shard's physical-table indices in place into
-// memory-locality order: tables grouped by their assigned bank (ascending),
-// then by table index within the bank. A gather goroutine walking the shard
-// in this order streams each bank's tables back to back instead of
-// ping-ponging between banks' address ranges, which keeps the hardware
-// prefetchers on one region at a time — the software analogue of issuing a
-// channel's requests consecutively. Out-of-range indices (which Validate
-// would reject anyway) sort last by index, so the call never panics on
-// malformed input. Returns the slice for chaining.
-func (r *Result) LocalityOrder(shard []int) []int {
-	nb := len(r.System.Banks)
-	bank := func(ti int) int {
-		if ti < 0 || ti >= len(r.BankOf) {
-			return nb
-		}
-		return r.BankOf[ti]
-	}
-	sort.SliceStable(shard, func(a, b int) bool {
-		ba, bb := bank(shard[a]), bank(shard[b])
-		if ba != bb {
-			return ba < bb
-		}
-		return shard[a] < shard[b]
-	})
-	return shard
-}

@@ -87,10 +87,9 @@ func allocQueries(spec *model.Spec, n int, seed int64) []embedding.Query {
 	return qs
 }
 
-// zeroallocCases builds the portable rows. The batch of 8 stays below the
-// sharded gather's parallel threshold so the gather runners take the
-// strictly allocation-free inline path (the parallel path's amortised
-// goroutine fan-out is pinned separately in internal/core's gather tests).
+// zeroallocCases builds the portable rows. Most gather rows run a batch of 8;
+// core/gather-b64 runs a full batch of 64, which the gather walks on the
+// calling goroutine just the same.
 func zeroallocCases(t *testing.T) []allocCase {
 	t.Helper()
 	spec := model.SmallProduction()
@@ -113,6 +112,9 @@ func zeroallocCases(t *testing.T) []allocCase {
 
 	var gatherScratch core.BatchScratch
 	eng.EnsurePlane(&gatherScratch, b)
+	qs64 := allocQueries(spec, 64, 4)
+	var scratch64 core.BatchScratch
+	eng.EnsurePlane(&scratch64, len(qs64))
 	preds := make([]float32, b)
 
 	// The cached engine's hot-row cache holds fewer rows than one batch
@@ -222,7 +224,7 @@ func zeroallocCases(t *testing.T) []allocCase {
 
 	return []allocCase{
 		{
-			name: "core/gather-inline",
+			name: "core/gather",
 			covers: []string{
 				"internal/core.Engine.GatherIntoPlane",
 				"internal/core.fixedPath.gatherTables",
@@ -240,7 +242,14 @@ func zeroallocCases(t *testing.T) []allocCase {
 			},
 		},
 		{
-			// core/gather-inline's gather on a tiered engine: each row is
+			// core/gather's gather at a full batch of 64: every block is
+			// one whole window, and the walk stays on this goroutine.
+			name:   "core/gather-b64",
+			covers: []string{"internal/core.Engine.gatherBatchValidated"},
+			run:    func() { eng.GatherIntoPlane(qs64, &scratch64) },
+		},
+		{
+			// core/gather's gather on a tiered engine: each row is
 			// copied, at the plane's width, from the hot tier or the cold
 			// file.
 			name:   "core/gather-tiered",
@@ -248,7 +257,7 @@ func zeroallocCases(t *testing.T) []allocCase {
 			run:    func() { tieredEng.GatherIntoPlane(qs, &tieredScratch) },
 		},
 		{
-			// core/gather-inline's gather with the engine's live hot-row
+			// core/gather's gather with the engine's live hot-row
 			// cache attached.
 			name:   "core/gather-cached",
 			covers: []string{"internal/hotcache.Live.Lookup"},
