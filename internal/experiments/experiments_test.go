@@ -259,6 +259,24 @@ func TestFigure7Shape(t *testing.T) {
 	}
 }
 
+// TestFigure7RenderIsDeterministic renders Figure 7 several times: the
+// breakpoint notes come in series order, so every render is the same bytes.
+func TestFigure7RenderIsDeterministic(t *testing.T) {
+	var first string
+	for i := 0; i < 8; i++ {
+		tables, err := RunFigure7(Options{Items: 2000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := tables[0].String()
+		if i == 0 {
+			first = out
+		} else if out != first {
+			t.Fatalf("render %d differs from the first:\n%s\nfirst:\n%s", i, out, first)
+		}
+	}
+}
+
 func TestTableRenderingIncludesPaperNotes(t *testing.T) {
 	tables, err := RunTable3(Options{})
 	if err != nil {

@@ -92,10 +92,14 @@ func RunFigure7(opts Options) ([]*metrics.Table, error) {
 			metrics.FmtSI(p.ItemsPerS),
 			p.Bottleneck)
 	}
+	// One note per model, in series order: ranging over the breakpoint map
+	// would order them at random.
 	bp := Figure7Breakpoint(points)
-	for m, rounds := range bp {
-		t.AddNote("%s tolerates %d rounds without throughput loss (paper: %d)",
-			m, rounds, PaperFigure7Breakpoints[m])
+	for _, p := range points {
+		if p.Rounds == 1 {
+			t.AddNote("%s tolerates %d rounds without throughput loss (paper: %d)",
+				p.Model, bp[p.Model], PaperFigure7Breakpoints[p.Model])
+		}
 	}
 	return []*metrics.Table{t}, nil
 }
