@@ -1,8 +1,10 @@
 GO ?= go
 # Scratch dir for the kernel test log written by test-kernels.
 BENCH_SCRATCH ?= /tmp/microrec-bench
+# Where loadtest-smoke writes its three JSON reports.
+LOADTEST_OUT ?= /tmp/microrec-loadtest
 
-.PHONY: build vet vet-custom fmt-check test test-kernels test-noasm test-benchmark race bench bench-smoke obs-smoke fuzz-smoke vulncheck ci
+.PHONY: build vet vet-custom fmt-check test test-procs test-kernels test-noasm test-benchmark race bench bench-smoke loadtest-smoke obs-smoke fuzz-smoke vulncheck ci
 
 build:
 	$(GO) build ./...
@@ -21,6 +23,13 @@ fmt-check:
 
 test: build
 	$(GO) test ./...
+
+# test-procs reruns the engine and the sharded tier at one and at four procs.
+# The gather is one walk on the calling goroutine and the tier partitions the
+# model's tables itself, so predictions, cache and tier counters and the
+# partition must not depend on the host's core count.
+test-procs:
+	$(GO) test -cpu 1,4 ./internal/core ./internal/cluster
 
 # test-kernels names the kernel paths this host dispatched and runs the
 # kernel tests verbosely, one subtest per registered implementation: on a
@@ -67,6 +76,17 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'GEMMKernel|FinishRow|QuantizeRow' -benchtime 1x -benchmem ./internal/kernels
 	$(GO) test -run xxx -bench 'Materialize' -benchtime 1x -benchmem ./internal/model
 
+# loadtest-smoke drives the open-loop load harness end to end three ways: one
+# server; two replicas behind the affinity router, each with a small hot-row
+# cache (calibrated under round-robin, swept under affinity, so the report
+# carries the router section and the hit-rate lift); and an engine whose every
+# lookup resolves through the tiered store's mmap'd cold file.
+loadtest-smoke:
+	mkdir -p $(LOADTEST_OUT)
+	$(GO) run ./cmd/microrec loadtest -n 400 -o $(LOADTEST_OUT)/loadtest.json
+	$(GO) run ./cmd/microrec loadtest -n 400 -replicas 2 -route affinity -hotcache 262144 -o $(LOADTEST_OUT)/loadtest_routed.json
+	$(GO) run ./cmd/microrec loadtest -n 400 -cold-tier tmp -o $(LOADTEST_OUT)/loadtest_cold.json
+
 # fuzz-smoke gives each fuzz target a short budget (exactly the CI step):
 # enough to replay the corpus and catch shallow regressions in the histogram
 # quantile math, the obs trace/metrics writers, the 16- and 32-bit GEMM
@@ -101,4 +121,4 @@ obs-smoke:
 
 # ci mirrors the CI job sequence locally (lint job + test job, one leg), so a
 # red CI reproduces in one command.
-ci: build vet vet-custom fmt-check test test-kernels test-noasm test-benchmark race bench-smoke obs-smoke fuzz-smoke vulncheck
+ci: build vet vet-custom fmt-check test test-procs test-kernels test-noasm test-benchmark race bench-smoke loadtest-smoke obs-smoke fuzz-smoke vulncheck

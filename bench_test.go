@@ -334,8 +334,8 @@ func serveBenchSetup(b *testing.B) (*microrec.Engine, []microrec.Query) {
 }
 
 // BenchmarkServeUnbatched measures the seed's per-query serving pattern —
-// one synchronous InferOne plus a single-item timing report per request, the
-// TensorFlow-Serving-style baseline the paper criticises. Reports ns/query
+// one synchronous InferOne per request, the TensorFlow-Serving-style baseline
+// the paper criticises. Reports ns/query
 // (ns/op) and queries/s.
 func BenchmarkServeUnbatched(b *testing.B) {
 	eng, qs := serveBenchSetup(b)
@@ -345,9 +345,6 @@ func BenchmarkServeUnbatched(b *testing.B) {
 		if _, err := eng.InferOne(qs[i%len(qs)]); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := eng.Timing(1); err != nil {
-			b.Fatal(err)
-		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 }
@@ -355,7 +352,7 @@ func BenchmarkServeUnbatched(b *testing.B) {
 // BenchmarkServeBatched measures the micro-batching server under concurrent
 // submitters at batch 64 on the worker-pool drain, each batch run to
 // completion on one worker's plane. Weight blocks stream from memory once per
-// batch instead of once per query, and the timing model runs once per batch.
+// batch instead of once per query.
 // The workers=1 case keeps the pair with BenchmarkServeUnbatched an
 // apples-to-apples batching comparison (the unbatched baseline is one
 // synchronous request stream, so extra workers would conflate parallelism

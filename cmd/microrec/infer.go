@@ -16,7 +16,7 @@ func cmdInfer(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	spec, _, err := specByName(*modelName)
+	spec, err := specByName(*modelName)
 	if err != nil {
 		return err
 	}
@@ -47,8 +47,15 @@ func cmdInfer(args []string) error {
 	for i, p := range res.Predictions {
 		fmt.Printf("query %3d: CTR %.4f\n", i, p)
 	}
-	tm := res.Timing
-	fmt.Printf("\nmodeled hardware timing (%s, %d-bit):\n", spec.Name, eng.Config().Precision.Bits)
+	acc, err := microrec.NewAcceleratorModel(spec, microrec.AcceleratorOptions{Precision: opts.Precision})
+	if err != nil {
+		return err
+	}
+	tm, err := acc.Timing(len(queries))
+	if err != nil {
+		return err
+	}
+	fmt.Printf("\nmodeled hardware timing (%s, %d-bit):\n", spec.Name, acc.Config.Precision.Bits)
 	fmt.Printf("  single-item latency: %.1f µs\n", tm.LatencyNS/1e3)
 	fmt.Printf("  embedding lookup:    %.0f ns\n", tm.LookupNS)
 	fmt.Printf("  steady throughput:   %.3g items/s (bottleneck: %s)\n",

@@ -131,7 +131,7 @@ func cmdLoadtest(args []string) error {
 		}
 	}
 
-	spec, _, err := specByName(*modelName)
+	spec, err := specByName(*modelName)
 	if err != nil {
 		return err
 	}

@@ -76,7 +76,7 @@ func usage() {
 commands:
   exp <name|all>   regenerate a paper table/figure (see 'microrec list')
   plan             run the table-combination + allocation search
-  infer            run the accelerator engine on synthetic queries
+  infer            run the engine on synthetic queries + the modelled FPGA timing
   serve            start an HTTP inference server (scale with -shards inside
                    one replica, -replicas/-route across replicas)
   loadtest         open-loop load sweep: find the knee (max qps meeting the

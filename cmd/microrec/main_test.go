@@ -201,10 +201,13 @@ func TestServeMuxModelShape(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &raw); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"name", "tables", "feature_len", "precision_bits", "lookup_ns"} {
+	for _, key := range []string{"name", "tables", "feature_len", "precision_bits"} {
 		if _, ok := raw[key]; !ok {
 			t.Errorf("/model missing %q: %v", key, raw)
 		}
+	}
+	if _, ok := raw["lookup_ns"]; ok {
+		t.Errorf("/model reports the modelled accelerator's lookup_ns: %v", raw)
 	}
 	var info modelInfoResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {

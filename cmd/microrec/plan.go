@@ -3,21 +3,21 @@ package main
 import (
 	"fmt"
 
-	"microrec/internal/core"
-	"microrec/internal/memsim"
+	"microrec/internal/accel"
+	"microrec/internal/fixedpoint"
 	"microrec/internal/metrics"
 	"microrec/internal/model"
 	"microrec/internal/placement"
 )
 
-func specByName(name string) (*model.Spec, int, error) {
+func specByName(name string) (*model.Spec, error) {
 	switch name {
 	case "small":
-		return model.SmallProduction(), core.SmallFP16().OnChipBanks, nil
+		return model.SmallProduction(), nil
 	case "large":
-		return model.LargeProduction(), core.LargeFP16().OnChipBanks, nil
+		return model.LargeProduction(), nil
 	default:
-		return nil, 0, fmt.Errorf("unknown model %q (want small or large)", name)
+		return nil, fmt.Errorf("unknown model %q (want small or large)", name)
 	}
 }
 
@@ -30,7 +30,7 @@ func cmdPlan(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	spec, banks, err := specByName(*modelName)
+	spec, err := specByName(*modelName)
 	if err != nil {
 		return err
 	}
@@ -38,14 +38,14 @@ func cmdPlan(args []string) error {
 	if *lpt {
 		alloc = placement.LPT
 	}
-	sys := memsim.U280(banks)
-	res, err := placement.Plan(spec, sys, placement.Options{
+	acc, err := accel.New(spec, accel.ConfigFor(spec.Name, fixedpoint.Fixed16), placement.Options{
 		EnableCartesian: !*noCart,
 		Allocator:       alloc,
 	})
 	if err != nil {
 		return err
 	}
+	res, sys := acc.Plan, acc.Plan.System
 	fmt.Printf("model:            %s (%d tables, %s)\n", spec.Name, len(spec.Tables),
 		metrics.FmtBytes(spec.TotalBytes()))
 	fmt.Printf("allocator:        %v\n", alloc)

@@ -36,7 +36,6 @@ type modelInfoResponse struct {
 	Tables     int    `json:"tables"`
 	FeatureLen int    `json:"feature_len"`
 	Precision  int    `json:"precision_bits"`
-	LookupNS   int64  `json:"lookup_ns"`
 }
 
 // serveTarget is the serving surface the HTTP API fronts: a single batched
@@ -195,7 +194,6 @@ func newServeMux(eng *microrec.Engine, srv serveTarget, withPprof bool) *http.Se
 			Tables:     len(spec.Tables),
 			FeatureLen: spec.FeatureLen(),
 			Precision:  eng.Config().Precision.Bits,
-			LookupNS:   int64(eng.LookupNS()),
 		})
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -276,7 +274,7 @@ func cmdServe(args []string) error {
 	if *traceSample < 1 {
 		return fmt.Errorf("serve: -trace-sample must be >= 1 (got %d); use 1 to trace every request", *traceSample)
 	}
-	spec, _, err := specByName(*modelName)
+	spec, err := specByName(*modelName)
 	if err != nil {
 		return err
 	}

@@ -38,7 +38,7 @@ func cmdSmoke(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	spec, _, err := specByName(*modelName)
+	spec, err := specByName(*modelName)
 	if err != nil {
 		return err
 	}

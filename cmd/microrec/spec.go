@@ -15,7 +15,7 @@ func cmdSpec(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	spec, _, err := specByName(*modelName)
+	spec, err := specByName(*modelName)
 	if err != nil {
 		return err
 	}

@@ -10,9 +10,9 @@ import (
 )
 
 // cmdTrace exports a chrome://tracing / Perfetto trace. The default path is a
-// SIMULATION: it replays the pipesim timing model of the accelerator pipeline
-// (the same recurrence the placement search and SLA validation evaluate) —
-// no real requests are involved. With -live it instead scrapes GET /trace
+// SIMULATION: it replays the accelerator model's stage pipeline
+// (internal/accel, over the placement plan's lookup latency) — no real
+// requests are involved. With -live it instead scrapes GET /trace
 // from a running `microrec serve` instance, which renders the flight
 // recorder's spans of actual served requests. Both paths emit the identical
 // trace-event JSON format (shared writer in internal/obs).
@@ -32,15 +32,15 @@ func cmdTrace(args []string) error {
 	if *live {
 		return traceLive(*addr, *out, *last, *seconds)
 	}
-	spec, _, err := specByName(*modelName)
+	spec, err := specByName(*modelName)
 	if err != nil {
 		return err
 	}
-	opts := microrec.EngineOptions{Seed: 1, MaxRowsPerTable: 64}
+	var opts microrec.AcceleratorOptions
 	if *fp32 {
 		opts.Precision = microrec.Fixed32
 	}
-	eng, err := microrec.NewEngine(spec, opts)
+	acc, err := microrec.NewAcceleratorModel(spec, opts)
 	if err != nil {
 		return err
 	}
@@ -48,7 +48,7 @@ func cmdTrace(args []string) error {
 	if err != nil {
 		return err
 	}
-	rep, traceErr := eng.TracePipeline(*items, f)
+	rep, traceErr := acc.TracePipeline(*items, f)
 	if closeErr := f.Close(); traceErr == nil {
 		traceErr = closeErr
 	}

@@ -1,4 +1,4 @@
-package core
+package accel
 
 import (
 	"fmt"
@@ -103,7 +103,7 @@ func AXIWidthTradeoff(axiBits int, base Config) (fifoBRAM int, clockMHz float64,
 	switch axiBits {
 	case 32, 64, 128, 256, 512:
 	default:
-		return 0, 0, fmt.Errorf("core: unsupported AXI width %d", axiBits)
+		return 0, 0, fmt.Errorf("accel: unsupported AXI width %d", axiBits)
 	}
 	// FIFO storage grows linearly with width; the paper reports >half of
 	// all BRAM at 512-bit.

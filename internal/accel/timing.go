@@ -1,4 +1,4 @@
-package core
+package accel
 
 import (
 	"fmt"
@@ -45,7 +45,7 @@ func (c Config) BuildPipeline(spec *model.Spec, lookupNS float64) (*pipesim.Pipe
 	dims := spec.LayerDims()
 	hidden := dims[:len(dims)-1]
 	if len(hidden) != len(c.PEsPerLayer) {
-		return nil, fmt.Errorf("core: config has %d PE layers, model has %d hidden layers",
+		return nil, fmt.Errorf("accel: config has %d PE layers, model has %d hidden layers",
 			len(c.PEsPerLayer), len(hidden))
 	}
 	cyc := c.CycleNS()
@@ -146,18 +146,21 @@ func (c Config) Simulate(spec *model.Spec, lookupNS float64, items int) (TimingR
 	if err != nil {
 		return TimingReport{}, err
 	}
+	return report(p, res, spec, lookupNS, items), nil
+}
+
+func report(p *pipesim.Pipeline, res pipesim.Result, spec *model.Spec, lookupNS float64, items int) TimingReport {
 	_, bottleneck := p.Bottleneck()
-	ops := float64(spec.OpsPerItem()) * float64(items)
 	return TimingReport{
 		Items:                 items,
 		LatencyNS:             p.FillLatencyNS(),
 		SteadyIntervalNS:      p.BottleneckIntervalNS(),
 		MakespanNS:            res.MakespanNS,
 		ThroughputItemsPerSec: res.ThroughputPerSec,
-		ThroughputGOPs:        ops / res.MakespanNS,
+		ThroughputGOPs:        float64(spec.OpsPerItem()) * float64(items) / res.MakespanNS,
 		LookupNS:              lookupNS,
 		BottleneckStage:       bottleneck,
-	}, nil
+	}
 }
 
 // SteadyThroughputItemsPerSec returns the asymptotic throughput implied by

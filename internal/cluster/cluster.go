@@ -1,21 +1,20 @@
 // Package cluster implements the sharded serving tier: the model's embedding
-// tables are partitioned across N gather shards (balanced by the placement
-// plan's LPT shard assignment), each admitted micro-batch is scattered to
-// every shard, each shard gathers its table subset into a shard-local partial
-// plane, and the coordinator merges the partials' feature columns into one
-// plane before the FC stack runs once. Physical tables write disjoint feature
-// columns, so the merged plane — and therefore every prediction — is
-// bit-identical to the single-engine InferBatch by construction.
+// tables are partitioned across N gather shards (balanced by bytes gathered
+// per query), each admitted micro-batch is scattered to every shard, each
+// shard gathers its table subset into a shard-local partial plane, and the
+// coordinator merges the partials' feature columns into one plane before the
+// FC stack runs once. Tables write disjoint feature columns, so the merged
+// plane — and therefore every prediction — is bit-identical to the
+// single-engine InferBatch by construction.
 //
-// This is MicroRec's channel-parallelism argument applied one level up:
-// inside one engine the placement plan spreads tables across memory banks so
-// lookups resolve in parallel; across the tier, ShardTables spreads the same
-// tables across engine shards so each shard's gather is a fraction of the
-// whole, and the tier's lookup latency is the slowest shard's (max over
-// shards), not the sum. The fan-out/fan-in plane protocol — scatter the
-// query headers, gather partial planes, merge column spans — is the seam a
-// future multi-node backend replaces with RPC while keeping the coordinator
-// unchanged.
+// This is MicroRec's channel-parallelism argument applied one level up: the
+// accelerator spreads tables across memory banks so lookups resolve in
+// parallel; the tier spreads them across engine shards so each shard's gather
+// is a fraction of the whole, and the tier's gather time is the slowest
+// shard's (max over shards), not the sum. The fan-out/fan-in plane protocol —
+// scatter the query headers, gather partial planes, merge column spans — is
+// the seam a future multi-node backend replaces with RPC while keeping the
+// coordinator unchanged.
 //
 //	            ┌─► shard 0: gather tables₀ ─► partial plane ─┐
 //	micro-batch ├─► shard 1: gather tables₁ ─► partial plane ─┼─► merge ─► dense GEMM ─► tail
@@ -39,6 +38,7 @@ package cluster
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,7 +49,6 @@ import (
 	"microrec/internal/metrics"
 	"microrec/internal/model"
 	"microrec/internal/pipeline"
-	"microrec/internal/placement"
 	"microrec/internal/tieredstore"
 )
 
@@ -61,8 +60,8 @@ const statsWindow = 512
 // a sensible default.
 type Options struct {
 	// Shards is the requested shard count (>= 1). The effective count is
-	// capped at the engine's physical table count; Shards == 1 still runs
-	// the scatter/gather protocol over one shard (useful for testing the
+	// capped at the model's table count; Shards == 1 still runs the
+	// scatter/gather protocol over one shard (useful for testing the
 	// protocol, but NewServer callers should prefer the plain engine).
 	Shards int
 	// MaxBatch is the partial-plane capacity — the largest micro-batch one
@@ -123,9 +122,9 @@ type shardDone struct {
 	doneAt    time.Time
 }
 
-// shard is one gather replica: a disjoint physical-table subset, the feature
-// columns those tables write, a ring of partial planes, and an optional
-// private hot-row cache over its own tables' access streams.
+// shard is one gather replica: a disjoint table subset, the feature columns
+// those tables write, a ring of partial planes, and an optional private
+// hot-row cache over its own tables' access streams.
 type shard struct {
 	id     int
 	tables []int
@@ -159,10 +158,10 @@ type Cluster struct {
 	imbalance   *metrics.Rolling
 }
 
-// New partitions the engine's physical tables with placement.ShardTables and
-// starts one gather worker per shard. The returned cluster owns background
-// goroutines; callers must Close it after all inference calls have returned
-// (a serving.Server created with Options.Shards does this itself).
+// New partitions the model's tables with shardTables and starts one gather
+// worker per shard. The returned cluster owns background goroutines; callers
+// must Close it after all inference calls have returned (a serving.Server
+// created with Options.Shards does this itself).
 func New(eng *core.Engine, opts Options) (*Cluster, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("cluster: nil engine")
@@ -171,10 +170,7 @@ func New(eng *core.Engine, opts Options) (*Cluster, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	parts, err := placement.ShardTables(eng.Plan(), opts.Shards)
-	if err != nil {
-		return nil, err
-	}
+	parts := shardTables(eng.Spec(), opts.Shards)
 	c := &Cluster{
 		eng:  eng,
 		opts: opts,
@@ -231,8 +227,42 @@ func New(eng *core.Engine, opts Options) (*Cluster, error) {
 	return c, nil
 }
 
+// shardTables partitions the model's tables into at most n shards, balancing
+// the bytes each shard gathers per query with a longest-processing-time
+// greedy: largest table first onto the least-loaded shard, ties to the lower
+// table and shard index. A table gathers lookups × row bytes a query, and a
+// row is dim elements of the one datapath width, so lookups × dim orders and
+// balances the tables alike. With fewer tables than n there is one shard per
+// table, so no shard is empty. Each shard lists its tables in ascending
+// order.
+func shardTables(spec *model.Spec, n int) [][]int {
+	n = min(n, len(spec.Tables))
+	cost := func(t int) int { return spec.Tables[t].Lookups * spec.Tables[t].Dim }
+	order := make([]int, len(spec.Tables))
+	for t := range order {
+		order[t] = t
+	}
+	sort.SliceStable(order, func(a, b int) bool { return cost(order[a]) > cost(order[b]) })
+	shards := make([][]int, n)
+	load := make([]int, n)
+	for _, t := range order {
+		best := 0
+		for i := 1; i < n; i++ {
+			if load[i] < load[best] {
+				best = i
+			}
+		}
+		shards[best] = append(shards[best], t)
+		load[best] += cost(t)
+	}
+	for _, s := range shards {
+		sort.Ints(s)
+	}
+	return shards
+}
+
 // Shards reports the effective shard count (requested, capped at the
-// engine's physical table count).
+// model's table count).
 func (c *Cluster) Shards() int { return len(c.shards) }
 
 // Options returns the cluster's effective (defaulted) options.
@@ -436,7 +466,7 @@ func (c *Cluster) HotCache() (core.HotCacheInfo, bool) {
 // ShardStats is one shard's point-in-time view.
 type ShardStats struct {
 	ID int `json:"id"`
-	// Tables is the number of physical tables this shard owns.
+	// Tables is the number of tables this shard owns.
 	Tables int `json:"tables"`
 	// Batches is the lifetime count of scatter rounds served.
 	Batches uint64 `json:"batches"`

@@ -10,9 +10,8 @@ import (
 	"microrec/internal/cluster"
 	"microrec/internal/core"
 	"microrec/internal/embedding"
-	"microrec/internal/memsim"
+	"microrec/internal/fixedpoint"
 	"microrec/internal/model"
-	"microrec/internal/placement"
 	"microrec/internal/serving"
 )
 
@@ -29,13 +28,9 @@ func buildEngine(t testing.TB, spec *model.Spec, hotCacheBytes int64) *core.Engi
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.ConfigFor(spec.Name, core.SmallFP16().Precision)
+	cfg := core.Config{Precision: fixedpoint.Fixed16}
 	cfg.HotCacheBytes = hotCacheBytes
-	plan, err := placement.Plan(spec, memsim.U280(cfg.OnChipBanks), placement.Options{EnableCartesian: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := core.Build(params, plan, cfg)
+	eng, err := core.Build(params, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +201,8 @@ func TestClusterStats(t *testing.T) {
 		}
 		tables += sh.Tables
 	}
-	if tables != eng.PhysicalTables() {
-		t.Fatalf("shards own %d tables, engine has %d", tables, eng.PhysicalTables())
+	if tables != len(eng.Spec().Tables) {
+		t.Fatalf("shards own %d tables, engine has %d", tables, len(eng.Spec().Tables))
 	}
 }
 

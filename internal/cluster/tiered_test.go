@@ -8,9 +8,8 @@ import (
 
 	"microrec/internal/cluster"
 	"microrec/internal/core"
-	"microrec/internal/memsim"
+	"microrec/internal/fixedpoint"
 	"microrec/internal/model"
-	"microrec/internal/placement"
 	"microrec/internal/serving"
 	"microrec/internal/tieredstore"
 )
@@ -31,13 +30,9 @@ func buildTieredEngine(t testing.TB, spec *model.Spec, hotBytes int64) *core.Eng
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.ConfigFor(spec.Name, core.SmallFP16().Precision)
+	cfg := core.Config{Precision: fixedpoint.Fixed16}
 	cfg.ColdTier = &tieredstore.Config{HotBytes: hotBytes, SweepEvery: -1}
-	plan, err := placement.Plan(spec, memsim.U280(cfg.OnChipBanks), placement.Options{EnableCartesian: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := core.Build(params, plan, cfg)
+	eng, err := core.Build(params, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

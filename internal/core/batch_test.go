@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"microrec/internal/fixedpoint"
 	"microrec/internal/model"
 )
 
@@ -30,8 +31,8 @@ func oddSpec() *model.Spec {
 func TestInferBatchMatchesInferOne(t *testing.T) {
 	specs := []*model.Spec{model.SmallProduction(), oddSpec()}
 	for _, spec := range specs {
-		cfg := ConfigFor(spec.Name, SmallFP16().Precision)
-		e := buildEngine(t, spec, cfg, true)
+		cfg := Config{Precision: fixedpoint.Fixed16}
+		e := buildEngine(t, spec, cfg)
 		for _, b := range []int{1, 2, 3, 4, 5, 7, 8, 64, 67} {
 			qs := randomQueries(spec, b, int64(b))
 			got, err := e.InferBatch(qs, nil, nil)
@@ -56,7 +57,7 @@ func TestInferBatchMatchesInferOne(t *testing.T) {
 // activations would show up here).
 func TestInferBatchScratchReuse(t *testing.T) {
 	spec := oddSpec()
-	e := buildEngine(t, spec, ConfigFor(spec.Name, SmallFP16().Precision), true)
+	e := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
 	var scratch BatchScratch
 	for _, b := range []int{5, 64, 3, 1, 32} {
 		qs := randomQueries(spec, b, int64(100+b))
@@ -83,8 +84,8 @@ func TestInferBatchScratchReuse(t *testing.T) {
 // Predictions must match a fresh scratch bit for bit.
 func TestScratchReuseAcrossEngines(t *testing.T) {
 	wideSpec, narrowSpec := model.SmallProduction(), oddSpec()
-	wide := buildEngine(t, wideSpec, ConfigFor(wideSpec.Name, SmallFP16().Precision), true)
-	narrow := buildEngine(t, narrowSpec, ConfigFor(narrowSpec.Name, SmallFP32().Precision), true)
+	wide := buildEngine(t, wideSpec, Config{Precision: fixedpoint.Fixed16})
+	narrow := buildEngine(t, narrowSpec, Config{Precision: fixedpoint.Fixed32})
 	var shared BatchScratch
 	for step, v := range []struct {
 		e *Engine
@@ -119,7 +120,7 @@ func TestScratchReuseAcrossEngines(t *testing.T) {
 // TestInferBatchErrors covers argument validation and per-query failures.
 func TestInferBatchErrors(t *testing.T) {
 	spec := model.SmallProduction()
-	e := buildEngine(t, spec, SmallFP16(), true)
+	e := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
 	if _, err := e.InferBatch(nil, nil, nil); err == nil {
 		t.Error("empty batch: want error")
 	}
@@ -139,7 +140,7 @@ func TestInferBatchErrors(t *testing.T) {
 // TestValidateQuery checks shape and range validation without inference.
 func TestValidateQuery(t *testing.T) {
 	spec := model.SmallProduction()
-	e := buildEngine(t, spec, SmallFP16(), true)
+	e := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
 	q := randomQueries(spec, 1, 9)[0]
 	if err := e.ValidateQuery(q); err != nil {
 		t.Fatalf("valid query rejected: %v", err)
@@ -164,7 +165,7 @@ func TestValidateQuery(t *testing.T) {
 // path the serving worker pool relies on (run under -race).
 func TestInferBatchConcurrent(t *testing.T) {
 	spec := model.SmallProduction()
-	e := buildEngine(t, spec, SmallFP16(), true)
+	e := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
 	qs := randomQueries(spec, 16, 5)
 	want, err := e.InferBatch(qs, nil, nil)
 	if err != nil {

@@ -1,8 +1,10 @@
-// Package core implements the MicroRec accelerator itself (§3, §4): the
-// embedding lookup unit over the hybrid memory system, the deeply pipelined
-// DNN computation units, and the end-to-end inference engine that combines
-// functional fixed-point computation with a calibrated cycle-level timing
-// model of the Alveo U280 design.
+// Package core is the CPU engine: it stores the model's embedding tables at
+// the fixed-point datapath's width, gathers a batch's lookups into a plane
+// (optionally through a live hot-row cache and a tiered backing store), and
+// runs the FC tower over the plane with the SIMD GEMM kernels. It computes
+// predictions and times nothing; the FPGA design the paper builds — its
+// placement plan, Cartesian products, deep pipeline and resource budget — is
+// modelled in internal/accel.
 package core
 
 import (
@@ -12,45 +14,16 @@ import (
 	"microrec/internal/tieredstore"
 )
 
-// Config describes one accelerator build, mirroring the implementation
-// parameters of §4 and the appendix.
+// Config describes one engine build.
 type Config struct {
 	// Precision is the datapath fixed-point format (16- or 32-bit, §5.3).
 	Precision fixedpoint.Format
-	// ClockMHz is the achieved clock after place-and-route (Table 6:
-	// 120–140 MHz depending on model and precision).
-	ClockMHz float64
-	// PEsPerLayer is the number of GEMM processing elements instantiated
-	// for each hidden layer: (128, 128, 32) for both production models
-	// (appendix).
-	PEsPerLayer []int
-	// LanesPerPE is the number of parallel multipliers feeding each PE's
-	// add tree (§4.3). Calibrated: 12 at 16-bit, 6 at 32-bit.
-	LanesPerPE int
-	// ChunkOverheadCycles is the add-tree drain + pipeline overhead paid
-	// per output chunk.
-	ChunkOverheadCycles int
-	// BroadcastWidth is the elements-per-cycle of the input feature
-	// broadcast stage (§4.3).
-	BroadcastWidth int
-	// GatherWidth is the elements-per-cycle of the result gathering stage.
-	GatherWidth int
-	// FIFODepth is the depth of the inter-stage FIFOs (§4.1).
-	FIFODepth int
-	// OnChipBanks is the number of single-table on-chip lookup banks the
-	// build instantiates (8 for the small model, 16 for the large).
-	OnChipBanks int
-	// HostStreamGBps, when positive, models streaming input features from
-	// the host over PCIe at the given bandwidth as an extra pipeline
-	// stage. Zero reproduces the paper's prototype, which caches input
-	// features on the FPGA (footnote 2).
-	HostStreamGBps float64
 	// HotCacheBytes, when positive, attaches a live hot-row cache of the
-	// given byte capacity in front of the modeled DRAM lookup path (the
-	// memory-side caching the paper positions as complementary work, §6).
-	// The cache is functionally transparent — it never changes
-	// predictions; its counters are reported (Engine.HotCache) and its
-	// residency feeds the tiered store's promotion sweep.
+	// given byte capacity in front of the tables (the memory-side caching
+	// the paper positions as complementary work, §6). The cache is
+	// functionally transparent — it never changes predictions; its counters
+	// are reported (Engine.HotCache) and its residency feeds the tiered
+	// store's promotion sweep.
 	HotCacheBytes int64
 	// ColdTier, when non-nil, backs every embedding access stream with a
 	// two-tier store: frequency-hot rows pinned in a DRAM budget, the full
@@ -66,35 +39,6 @@ func (c Config) Validate() error {
 	if err := c.Precision.Validate(); err != nil {
 		return err
 	}
-	if c.ClockMHz <= 0 {
-		return fmt.Errorf("core: clock %v MHz", c.ClockMHz)
-	}
-	if len(c.PEsPerLayer) == 0 {
-		return fmt.Errorf("core: no PE layers configured")
-	}
-	for i, n := range c.PEsPerLayer {
-		if n <= 0 {
-			return fmt.Errorf("core: layer %d has %d PEs", i, n)
-		}
-	}
-	if c.LanesPerPE <= 0 {
-		return fmt.Errorf("core: %d lanes per PE", c.LanesPerPE)
-	}
-	if c.ChunkOverheadCycles < 0 {
-		return fmt.Errorf("core: negative chunk overhead")
-	}
-	if c.BroadcastWidth <= 0 || c.GatherWidth <= 0 {
-		return fmt.Errorf("core: broadcast/gather widths must be positive")
-	}
-	if c.FIFODepth < 0 {
-		return fmt.Errorf("core: negative FIFO depth")
-	}
-	if c.OnChipBanks < 0 {
-		return fmt.Errorf("core: negative on-chip bank count")
-	}
-	if c.HostStreamGBps < 0 {
-		return fmt.Errorf("core: negative host-stream bandwidth")
-	}
 	if c.HotCacheBytes < 0 {
 		return fmt.Errorf("core: negative hot-cache capacity")
 	}
@@ -104,61 +48,4 @@ func (c Config) Validate() error {
 		}
 	}
 	return nil
-}
-
-// CycleNS returns the duration of one clock cycle in nanoseconds.
-func (c Config) CycleNS() float64 { return 1e3 / c.ClockMHz }
-
-// Build targets, matching Table 6's four configurations.
-
-// SmallFP16 is the small production model at 16-bit fixed point, 120 MHz.
-func SmallFP16() Config { return makeConfig(fixedpoint.Fixed16, 120, 8) }
-
-// SmallFP32 is the small production model at 32-bit fixed point, 140 MHz.
-func SmallFP32() Config { return makeConfig(fixedpoint.Fixed32, 140, 8) }
-
-// LargeFP16 is the large production model at 16-bit fixed point, 120 MHz.
-func LargeFP16() Config { return makeConfig(fixedpoint.Fixed16, 120, 16) }
-
-// LargeFP32 is the large production model at 32-bit fixed point, 135 MHz.
-func LargeFP32() Config { return makeConfig(fixedpoint.Fixed32, 135, 16) }
-
-func makeConfig(f fixedpoint.Format, clockMHz float64, onChipBanks int) Config {
-	cfg := Config{
-		Precision:      f,
-		ClockMHz:       clockMHz,
-		PEsPerLayer:    []int{128, 128, 32},
-		BroadcastWidth: 4,
-		GatherWidth:    4,
-		FIFODepth:      4,
-		OnChipBanks:    onChipBanks,
-	}
-	if f.Bits == 16 {
-		cfg.LanesPerPE = 12
-		cfg.ChunkOverheadCycles = 8
-	} else {
-		cfg.LanesPerPE = 6
-		cfg.ChunkOverheadCycles = 7
-	}
-	return cfg
-}
-
-// ConfigFor returns the calibrated build for a model name and precision,
-// defaulting to a small-model-style build with the requested on-chip banks
-// for custom models.
-func ConfigFor(modelName string, precision fixedpoint.Format) Config {
-	switch {
-	case modelName == "production-small" && precision.Bits == 16:
-		return SmallFP16()
-	case modelName == "production-small" && precision.Bits == 32:
-		return SmallFP32()
-	case modelName == "production-large" && precision.Bits == 16:
-		return LargeFP16()
-	case modelName == "production-large" && precision.Bits == 32:
-		return LargeFP32()
-	case precision.Bits == 32:
-		return makeConfig(precision, 135, 8)
-	default:
-		return makeConfig(precision, 120, 8)
-	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 
@@ -10,20 +9,16 @@ import (
 	"microrec/internal/hotcache"
 	"microrec/internal/kernels"
 	"microrec/internal/model"
-	"microrec/internal/pipesim"
-	"microrec/internal/placement"
 	"microrec/internal/tensor"
 	"microrec/internal/tieredstore"
 )
 
-// Engine is a built MicroRec accelerator instance: a placement plan bound to
-// materialised parameters — embedding tables and FC weights stored in the
-// configured fixed-point format — and the timing model. It computes real CTR
-// predictions in that format while reporting the calibrated hardware timing.
+// Engine is a built CPU inference engine: materialised parameters with the
+// embedding tables and FC weights stored in the configured fixed-point format.
+// It computes CTR predictions in that format.
 type Engine struct {
 	cfg    Config
 	spec   *model.Spec
-	plan   *placement.Result
 	params *model.Parameters
 
 	// featureOffset[srcID] is where source table srcID's vectors start in
@@ -51,8 +46,6 @@ type Engine struct {
 	// is otherwise immutable after Build.
 	onePool sync.Pool
 
-	pipelineNS float64 // cached cold-cache lookup latency from the plan
-
 	// ownsParams makes Close release params' checkpoints (see
 	// OwnParameters).
 	ownsParams bool
@@ -65,34 +58,24 @@ type oneScratch struct {
 	out [1]float32
 }
 
-// Build assembles an engine from materialised parameters, a placement plan
-// for the same model, and an accelerator configuration. It stores the
-// embedding tables at the format's width: in DRAM, or in the cold file of
-// Config.ColdTier's store. If nothing has run the parameters' stream yet,
+// Build assembles an engine from materialised parameters and a
+// configuration. It stores the embedding tables at the format's width: in
+// DRAM, or in the cold file of Config.ColdTier's store. If nothing has run the parameters' stream yet,
 // that fill is its one pass; otherwise the tables are regenerated from the
 // stream's checkpoints.
-func Build(params *model.Parameters, plan *placement.Result, cfg Config) (*Engine, error) {
+func Build(params *model.Parameters, cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if params == nil || plan == nil {
-		return nil, fmt.Errorf("core: nil parameters or plan")
+	if params == nil {
+		return nil, fmt.Errorf("core: nil parameters")
 	}
 	spec := params.Spec
-	if plan.Layout.Spec != spec {
-		return nil, fmt.Errorf("core: plan is for model %q, parameters for %q",
-			plan.Layout.Spec.Name, spec.Name)
-	}
-	if err := plan.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid plan: %w", err)
-	}
 	e := &Engine{
-		cfg:        cfg,
-		spec:       spec,
-		plan:       plan,
-		params:     params,
-		dims:       spec.LayerDims(),
-		pipelineNS: plan.Report.LatencyNS,
+		cfg:    cfg,
+		spec:   spec,
+		params: params,
+		dims:   spec.LayerDims(),
 	}
 	e.onePool.New = func() interface{} { return new(oneScratch) }
 	e.featureOffset = make([]int, len(spec.Tables))
@@ -105,11 +88,8 @@ func Build(params *model.Parameters, plan *placement.Result, cfg Config) (*Engin
 	if got := spec.FeatureLen(); e.featureLen != got {
 		return nil, fmt.Errorf("core: feature length mismatch %d vs %d", e.featureLen, got)
 	}
-	gplan, cacheOf, err := e.compileGatherPlan()
-	if err != nil {
-		return nil, err
-	}
-	e.gplan = gplan
+	e.gplan = e.compileGatherPlan()
+	var err error
 	if cfg.HotCacheBytes > 0 {
 		live, err := hotcache.NewLive(cfg.HotCacheBytes, 0)
 		if err != nil {
@@ -120,9 +100,9 @@ func Build(params *model.Parameters, plan *placement.Result, cfg Config) (*Engin
 	// The format's width selects the datapath, once: tables, planes, weights
 	// and kernels are int16 for a 16-bit format and int32 for a 32-bit one.
 	if f := cfg.Precision; f.Bits == 16 {
-		e.dp, e.tier, err = newFixedPath(f, spec, params, cfg.ColdTier, cacheOf, kernels.Gemm16, kernels.FinishRow16, func(s *BatchScratch) *[]int16 { return &s.x16 })
+		e.dp, e.tier, err = newFixedPath(f, spec, params, cfg.ColdTier, kernels.Gemm16, kernels.FinishRow16, func(s *BatchScratch) *[]int16 { return &s.x16 })
 	} else {
-		e.dp, e.tier, err = newFixedPath(f, spec, params, cfg.ColdTier, cacheOf, kernels.Gemm32, kernels.FinishRow32, func(s *BatchScratch) *[]int32 { return &s.x32 })
+		e.dp, e.tier, err = newFixedPath(f, spec, params, cfg.ColdTier, kernels.Gemm32, kernels.FinishRow32, func(s *BatchScratch) *[]int32 { return &s.x32 })
 	}
 	if err != nil {
 		return nil, err
@@ -177,17 +157,8 @@ func (e *Engine) OwnParameters() { e.ownsParams = true }
 // Spec returns the engine's model.
 func (e *Engine) Spec() *model.Spec { return e.spec }
 
-// Plan returns the engine's placement.
-func (e *Engine) Plan() *placement.Result { return e.plan }
-
 // Config returns the engine's build configuration.
 func (e *Engine) Config() Config { return e.cfg }
-
-// LookupNS returns the placement plan's modeled per-inference
-// embedding-lookup latency with a cold (or absent) hot-row cache — the
-// lookup stage of the accelerator timing model behind Infer, Timing and
-// TracePipeline.
-func (e *Engine) LookupNS() float64 { return e.pipelineNS }
 
 // Gather resolves one query into the concatenated float feature vector
 // (spec order, lookup-minor), reading every row as the parameters' float —
@@ -271,19 +242,16 @@ func (e *Engine) ReferenceOne(q embedding.Query) (float32, error) {
 // outlives the call.
 const inferStrip = 256
 
-// InferResult bundles predictions with the hardware timing model's report.
+// InferResult holds a batch's predictions.
 type InferResult struct {
 	Predictions []float32
-	Timing      TimingReport
 }
 
-// Infer runs a batch of queries: functionally through the fixed-point
-// datapath, and through the timing model as a back-to-back item stream (the
-// accelerator has no batching, §4.1). Queries are validated once at entry;
-// the functional computation then splits the batch across goroutines, each
-// running the blocked batch kernel over its chunk in strips of inferStrip
-// queries on its own scratch — the engine is immutable after Build, so
-// concurrent chunks are safe. Predictions are bit-identical to per-query
+// Infer runs a batch of queries through the fixed-point datapath. Queries are
+// validated once at entry; the computation then splits the batch across
+// goroutines, each running the blocked batch kernel over its chunk in strips
+// of inferStrip queries on its own scratch — the engine is immutable after
+// Build, so concurrent chunks are safe. Predictions are bit-identical to per-query
 // InferOne.
 func (e *Engine) Infer(queries []embedding.Query) (*InferResult, error) {
 	if len(queries) == 0 {
@@ -329,47 +297,5 @@ func (e *Engine) Infer(queries []embedding.Query) (*InferResult, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	rep, err := e.cfg.Simulate(e.spec, e.LookupNS(), len(queries))
-	if err != nil {
-		return nil, err
-	}
-	return &InferResult{Predictions: preds, Timing: rep}, nil
-}
-
-// Timing runs only the timing model for `items` inferences (no functional
-// computation), useful for large sweeps. The lookup stage runs at LookupNS.
-func (e *Engine) Timing(items int) (TimingReport, error) {
-	return e.cfg.Simulate(e.spec, e.LookupNS(), items)
-}
-
-// TracePipeline is the SIMULATED tracer: it runs `items` inferences through
-// the pipesim timing model (no functional computation, no live traffic) and
-// writes a Chrome-trace JSON of every modeled stage occupancy to w (open it
-// in chrome://tracing or Perfetto to inspect pipeline balance). For traces of
-// real requests use the serving tier's flight recorder instead — GET /trace
-// on a running server, or `microrec trace -live`. Both writers share the
-// trace-event format code in internal/obs, so the outputs load identically.
-func (e *Engine) TracePipeline(items int, w io.Writer) (TimingReport, error) {
-	p, err := e.cfg.BuildPipeline(e.spec, e.pipelineNS)
-	if err != nil {
-		return TimingReport{}, err
-	}
-	events, res, err := p.Trace(items)
-	if err != nil {
-		return TimingReport{}, err
-	}
-	if err := pipesim.ChromeTrace(w, events); err != nil {
-		return TimingReport{}, err
-	}
-	_, bottleneck := p.Bottleneck()
-	return TimingReport{
-		Items:                 items,
-		LatencyNS:             p.FillLatencyNS(),
-		SteadyIntervalNS:      p.BottleneckIntervalNS(),
-		MakespanNS:            res.MakespanNS,
-		ThroughputItemsPerSec: res.ThroughputPerSec,
-		ThroughputGOPs:        float64(e.spec.OpsPerItem()) * float64(items) / res.MakespanNS,
-		LookupNS:              e.pipelineNS,
-		BottleneckStage:       bottleneck,
-	}, nil
+	return &InferResult{Predictions: preds}, nil
 }

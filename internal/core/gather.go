@@ -15,19 +15,17 @@ import (
 // fixed-point batch buffer: no conversion, no per-query float feature
 // vector, no allocation in the hot loop.
 //
-// The plan is a list of lookup *blocks* per physical table. A block is one
-// source table at one lookup round: the row storage, how the batch's logical
-// indices become a row number, and which feature columns the row lands in. A
-// physical table of the placement plan that merges several sources into a
-// Cartesian product holds their blocks side by side: the accelerator reads a
-// product row in one access from banked memory, but on a CPU the product
-// would be a second, DRAM-sized copy of sources that stay in cache, so the
-// engine never builds one and reads each source where it is. The gather
-// (fixedPath.gatherTables in plane.go, generic over the plane's element
-// width) walks every table's blocks × queries as one sequence on the calling
-// goroutine, a window of gatherWindow rows at a time: it resolves the
-// window's row numbers and hints all of them toward the cache, and only then
-// reads and copies them.
+// The plan is a list of lookup *blocks* per table, in spec order. A block is
+// one table at one lookup round: the row storage, how the batch's logical
+// indices become a row number, and which feature columns the row lands in.
+// (The accelerator merges small tables into Cartesian products it reads in
+// one access from banked memory; on a CPU a product would be a second,
+// DRAM-sized copy of tables that stay in cache, so the engine reads each
+// table where it is.) The gather (fixedPath.gatherTables in plane.go, generic
+// over the plane's element width) walks every table's blocks × queries as one
+// sequence on the calling goroutine, a window of gatherWindow rows at a time:
+// it resolves the window's row numbers and hints all of them toward the
+// cache, and only then reads and copies them.
 //
 // The reason is Little's law. A row that misses the cache costs ≈ 100 ns of
 // DRAM latency however the loop is written; what the loop decides is how many
@@ -108,13 +106,14 @@ func (m *rowMod) reduce(idx int64) int64 {
 // gatherBlock is one source table at one lookup round. Its rows are the
 // datapath's (fixedPath.tables or .tier).
 type gatherBlock struct {
-	srcID int // index into the query / spec tables, and the datapath's tables
+	// srcID indexes the query, the spec's and the datapath's tables, and is
+	// the table's key namespace in the hot-row cache and its tier stream.
+	srcID int
 	mod   rowMod
 	dim   int // row length
 	// off is the feature column this round of the source starts at.
 	off      int
 	vecBytes int // bytes one access moves
-	cacheID  int // the source's key namespace in the hot-row cache and the tier
 	round    int // which of the source's per-inference lookups this block is
 }
 
@@ -132,15 +131,14 @@ func (blk *gatherBlock) resolve(queries []embedding.Query, rows []int64) {
 
 // gatherPlan is the whole model's compiled gather schedule.
 type gatherPlan struct {
-	// tables[ti] is physical table ti's blocks in access order: source by
-	// source, round by round.
+	// tables[t] is table t's blocks, round by round.
 	tables [][]gatherBlock
-	// all is every physical table's index, in index order: the sequence a
-	// whole-batch gather walks.
+	// all is every table's index, in spec order: the sequence a whole-batch
+	// gather walks.
 	all []int
 }
 
-// gatherSeq is the lookup sequence of some physical tables for one batch:
+// gatherSeq is the lookup sequence of some tables for one batch:
 // their blocks in order, each block across the whole batch. The gather walks
 // it twice, a window apart — once resolving and hinting rows, once reading
 // them — with a cursor for each walk.
@@ -158,7 +156,7 @@ type gatherCursor struct{ ti, bi, qi int }
 // next returns the block under the cursor and its next run of at most max
 // queries [lo, hi), and moves the cursor past them. The cursor must not be at
 // the end. (Every table has a block: a validated spec has no table without
-// a lookup, a validated plan no physical table without a source.)
+// a lookup.)
 //
 //microrec:noalloc
 func (s *gatherSeq) next(c *gatherCursor, max int) (blk *gatherBlock, lo, hi int) {
@@ -176,55 +174,31 @@ func (s *gatherSeq) next(c *gatherCursor, max int) (blk *gatherBlock, lo, hi int
 	return blk, lo, hi
 }
 
-// compileGatherPlan builds the engine's gather plan from the placement plan
-// and the parameters' table sizes. Called once in Build. It also returns the
-// cacheID each source table got (srcID → cacheID), which names the source's
-// stream in a tiered store.
-func (e *Engine) compileGatherPlan() (gatherPlan, []int, error) {
-	layout := e.plan.Layout
-	p := gatherPlan{tables: make([][]gatherBlock, len(layout.Tables))}
-	cacheOf := make([]int, len(e.spec.Tables))
-	for i := range cacheOf {
-		cacheOf[i] = -1
-	}
-	cacheID := 0
-	for pi, pt := range layout.Tables {
-		// One block per source and lookup round; round r of a source lands
-		// r*dim columns past round 0.
-		for _, src := range pt.Sources {
-			if src.ID < 0 || src.ID >= len(cacheOf) || cacheOf[src.ID] >= 0 {
-				return gatherPlan{}, nil, fmt.Errorf("core: plan reads source table %d twice or out of range", src.ID)
-			}
-			cacheOf[src.ID] = cacheID
-			blk := gatherBlock{
-				srcID:    src.ID,
-				mod:      newRowMod(e.spec.Tables[src.ID].Rows, e.params.ActualRows[src.ID]),
-				dim:      src.Dim,
-				vecBytes: src.Dim * e.cfg.Precision.Bits / 8,
-				cacheID:  cacheID,
-			}
-			for r := 0; r < src.Lookups; r++ {
-				blk.round = r
-				blk.off = e.featureOffset[src.ID] + r*src.Dim
-				p.tables[pi] = append(p.tables[pi], blk)
-			}
-			cacheID++
+// compileGatherPlan builds the engine's gather plan from the spec and the
+// parameters' table sizes: the source tables in spec order, each one's
+// lookup rounds in order. Called once in Build.
+func (e *Engine) compileGatherPlan() gatherPlan {
+	n := len(e.spec.Tables)
+	p := gatherPlan{tables: make([][]gatherBlock, n), all: make([]int, n)}
+	for t, ts := range e.spec.Tables {
+		p.all[t] = t
+		// Round r of a table lands r*dim columns past round 0.
+		for r := 0; r < ts.Lookups; r++ {
+			p.tables[t] = append(p.tables[t], gatherBlock{
+				srcID:    t,
+				mod:      newRowMod(ts.Rows, e.params.ActualRows[t]),
+				dim:      ts.Dim,
+				off:      e.featureOffset[t] + r*ts.Dim,
+				vecBytes: ts.Dim * e.cfg.Precision.Bits / 8,
+				round:    r,
+			})
 		}
 	}
-	for src, id := range cacheOf {
-		if id < 0 {
-			return gatherPlan{}, nil, fmt.Errorf("core: plan never reads source table %d", src)
-		}
-	}
-	p.all = make([]int, len(layout.Tables))
-	for ti := range p.all {
-		p.all[ti] = ti
-	}
-	return p, cacheOf, nil
+	return p
 }
 
 // GatherBatch resolves a whole micro-batch's embedding lookups table-major —
-// one pass per physical table across all queries, on the calling goroutine —
+// one pass per table across all queries, on the calling goroutine —
 // copying every row, stored at the datapath's width, straight into the
 // scratch's fixed-point feature rows. It returns a view of the feature matrix
 // backed by the scratch (valid until the scratch's next use): feats.At(qi, k)
@@ -245,8 +219,8 @@ func (e *Engine) GatherBatch(queries []embedding.Query, scratch *BatchScratch) (
 	return e.dp.features(scratch), nil
 }
 
-// gatherBatchValidated is the hot gather path: one walk over every physical
-// table on the calling goroutine, at every batch size. Queries must already
+// gatherBatchValidated is the hot gather path: one walk over every table on
+// the calling goroutine, at every batch size. Queries must already
 // have passed ValidateQuery; the loop performs no validation and no
 // allocation.
 //
@@ -336,10 +310,10 @@ func (e *Engine) coldRows(queries []embedding.Query) []rowRef {
 		for bi := range blocks {
 			blk := &blocks[bi]
 			blk.resolve(queries, rows)
-			st := e.tier.Stream(blk.cacheID)
+			st := e.tier.Stream(blk.srcID)
 			for _, row := range rows {
 				if !st.IsHot(row) {
-					cold = append(cold, rowRef{blk.cacheID, row})
+					cold = append(cold, rowRef{blk.srcID, row})
 				}
 			}
 		}

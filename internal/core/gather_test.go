@@ -54,11 +54,11 @@ func TestGatherBatchMatchesGather(t *testing.T) {
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("%s: invalid spec: %v", spec.Name, err)
 		}
-		f := SmallFP16().Precision
+		f := fixedpoint.Fixed16
 		if si%2 == 1 {
-			f = SmallFP32().Precision
+			f = fixedpoint.Fixed32
 		}
-		e := buildEngine(t, spec, ConfigFor(spec.Name, f), true)
+		e := buildEngine(t, spec, Config{Precision: f})
 		var scratch BatchScratch
 		for _, b := range append([]int{3, 33}, windowBatches...) {
 			qs := randomQueries(spec, b, int64(100*b))
@@ -90,14 +90,14 @@ func TestInferBatchPropertyRandomSpecs(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 6; trial++ {
 		spec := randomSpec(rng, fmt.Sprintf("prop-%d", trial))
-		cfg := ConfigFor(spec.Name, SmallFP16().Precision)
+		cfg := Config{Precision: fixedpoint.Fixed16}
 		if trial%2 == 1 {
-			cfg.Precision = SmallFP32().Precision
+			cfg.Precision = fixedpoint.Fixed32
 		}
 		cached := cfg
 		cached.HotCacheBytes = 1 << 16
-		plain := buildEngine(t, spec, cfg, true)
-		withCache := buildEngine(t, spec, cached, true)
+		plain := buildEngine(t, spec, cfg)
+		withCache := buildEngine(t, spec, cached)
 		if !withCache.HotCacheEnabled() {
 			t.Fatal("hot cache not attached")
 		}
@@ -138,7 +138,7 @@ func TestInferBatchPropertyRandomSpecs(t *testing.T) {
 // table in the repo root's zeroalloc_test.go.
 func TestGatherBatchSteadyStateAllocs(t *testing.T) {
 	spec := model.SmallProduction()
-	e := buildEngine(t, spec, SmallFP16(), true)
+	e := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
 	var scratch BatchScratch
 	for _, b := range []int{1, 64} {
 		qs := randomQueries(spec, b, 4)
@@ -166,14 +166,14 @@ func TestHotCacheChargesRowsAtElementWidth(t *testing.T) {
 		name      string
 		precision fixedpoint.Format
 	}{
-		{"fp16", SmallFP16().Precision},
-		{"fp32", SmallFP32().Precision},
+		{"fp16", fixedpoint.Fixed16},
+		{"fp32", fixedpoint.Fixed32},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := tc.precision
-			cfg := ConfigFor(spec.Name, f)
+			cfg := Config{Precision: f}
 			cfg.HotCacheBytes = 1 << 22
-			e := buildEngine(t, spec, cfg, true)
+			e := buildEngine(t, spec, cfg)
 			qs := randomQueries(spec, 8, 13)
 			type key struct {
 				src int
@@ -207,22 +207,28 @@ func TestHotCacheChargesRowsAtElementWidth(t *testing.T) {
 }
 
 // TestGatherPlanWalksEveryTable checks the compiled gather plan: one
-// sequence naming every physical table once, in index order, each with at
-// least one block to read.
+// sequence naming every table once, in spec order, each with one block per
+// lookup round reading that table.
 func TestGatherPlanWalksEveryTable(t *testing.T) {
 	for _, spec := range []*model.Spec{model.SmallProduction(), model.LargeProduction(), oddSpec()} {
-		e := buildEngine(t, spec, ConfigFor(spec.Name, SmallFP16().Precision), true)
-		n := len(e.plan.Layout.Tables)
+		e := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
+		n := len(spec.Tables)
 		if len(e.gplan.tables) != n || len(e.gplan.all) != n {
-			t.Fatalf("%s: plan has %d tables and walks %d, layout has %d",
+			t.Fatalf("%s: plan has %d tables and walks %d, spec has %d",
 				spec.Name, len(e.gplan.tables), len(e.gplan.all), n)
 		}
 		for i, ti := range e.gplan.all {
 			if ti != i {
 				t.Fatalf("%s: position %d of the walk is table %d", spec.Name, i, ti)
 			}
-			if len(e.gplan.tables[ti]) == 0 {
-				t.Errorf("%s: table %d has no blocks", spec.Name, ti)
+			blocks := e.gplan.tables[ti]
+			if len(blocks) != spec.Tables[ti].Lookups {
+				t.Errorf("%s: table %d has %d blocks, %d lookups", spec.Name, ti, len(blocks), spec.Tables[ti].Lookups)
+			}
+			for r, blk := range blocks {
+				if blk.srcID != ti || blk.round != r {
+					t.Errorf("%s: table %d block %d reads table %d round %d", spec.Name, ti, r, blk.srcID, blk.round)
+				}
 			}
 		}
 	}
@@ -234,13 +240,13 @@ func TestGatherPlanWalksEveryTable(t *testing.T) {
 // same counters.
 func TestGatherIgnoresGOMAXPROCS(t *testing.T) {
 	spec := model.SmallProduction()
-	cfg := SmallFP16()
+	cfg := Config{Precision: fixedpoint.Fixed16}
 	cfg.HotCacheBytes = 1 << 12
 	qs := randomQueries(spec, 2*gatherWindow+3, 29)
 	run := func(procs int) (*Engine, []int16, HotCacheInfo) {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
-		e := buildEngine(t, spec, cfg, true)
+		e := buildEngine(t, spec, cfg)
 		var s BatchScratch
 		if _, err := e.GatherBatch(qs, &s); err != nil {
 			t.Fatal(err)
@@ -267,7 +273,7 @@ func TestGatherIgnoresGOMAXPROCS(t *testing.T) {
 // batches with the failing query named.
 func TestGatherBatchValidation(t *testing.T) {
 	spec := model.SmallProduction()
-	e := buildEngine(t, spec, SmallFP16(), true)
+	e := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
 	if _, err := e.GatherBatch(nil, nil); err == nil {
 		t.Error("empty batch: want error")
 	}
@@ -297,9 +303,9 @@ func contains(s, sub string) bool {
 // throughout (run under -race in CI).
 func TestHotCacheConcurrentWorkers(t *testing.T) {
 	spec := model.SmallProduction()
-	cfg := SmallFP16()
+	cfg := Config{Precision: fixedpoint.Fixed16}
 	cfg.HotCacheBytes = 1 << 18
-	e := buildEngine(t, spec, cfg, true)
+	e := buildEngine(t, spec, cfg)
 	qs := randomQueries(spec, 64, 17)
 	want, err := e.InferBatch(qs, nil, nil)
 	if err != nil {
@@ -337,55 +343,5 @@ func TestHotCacheConcurrentWorkers(t *testing.T) {
 	}
 	if info.Hits == 0 || info.HitRate <= 0 {
 		t.Errorf("repeated identical batches should hit the cache: %+v", info)
-	}
-}
-
-// TestTimingIgnoresHotCache pins that the timing model prices lookups at the
-// plan's cache-cold latency: a warm hot-row cache changes neither Timing nor
-// Infer's report, which match an uncached engine's on the same plan.
-func TestTimingIgnoresHotCache(t *testing.T) {
-	spec := model.SmallProduction()
-	cfg := SmallFP16()
-	plain := buildEngine(t, spec, cfg, true)
-	cfg.HotCacheBytes = 1 << 18
-	e := buildEngine(t, spec, cfg, true)
-	if e.LookupNS() != plain.LookupNS() {
-		t.Fatalf("cached engine lookup %v, uncached %v", e.LookupNS(), plain.LookupNS())
-	}
-	qs := randomQueries(spec, 48, 5)
-	for rep := 0; rep < 4; rep++ {
-		if _, err := e.InferBatch(qs, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if info, ok := e.HotCache(); !ok || info.Hits == 0 {
-		t.Fatalf("cache did not warm: %+v ok=%v", info, ok)
-	}
-	for _, items := range []int{1, 8, 48} {
-		got, err := e.Timing(items)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := plain.Timing(items)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("%d items: warm-cache timing %+v, uncached %+v", items, got, want)
-		}
-		if got.LookupNS != e.LookupNS() {
-			t.Errorf("%d items: Timing prices lookups at %v, want LookupNS %v", items, got.LookupNS, e.LookupNS())
-		}
-	}
-	got, err := e.Infer(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := plain.Infer(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Timing != want.Timing {
-		t.Errorf("Infer timing with a warm cache %+v, uncached %+v", got.Timing, want.Timing)
 	}
 }

@@ -4,18 +4,15 @@ import (
 	"path/filepath"
 	"testing"
 
-	"microrec/internal/memsim"
+	"microrec/internal/fixedpoint"
 	"microrec/internal/model"
 	"microrec/internal/offheap"
-	"microrec/internal/placement"
 	"microrec/internal/tieredstore"
 )
 
 // TestBuildMapsNothingBeyondParameters pins the engine's footprint at the
-// benchmark's row cap, on production-large with Cartesian planning on:
-// Materialize maps nothing; Build maps exactly the source tables at the
-// datapath's width (no float table, no product copy: the gather reads merged
-// sources where they are) plus the parameter stream's checkpoints; an engine
+// benchmark's row cap, on production-large: Materialize maps nothing; Build
+// maps exactly the tables at the datapath's width (no float table) plus the parameter stream's checkpoints; an engine
 // of the other width built from the same parameters adds exactly its own
 // tables; a tiered engine keeps no table in DRAM at all; and Close hands
 // every byte back — the checkpoints with the engine that owns the
@@ -40,14 +37,7 @@ func TestBuildMapsNothingBeyondParameters(t *testing.T) {
 		}
 		return n
 	}
-	plan, err := placement.Plan(spec, memsim.U280(LargeFP16().OnChipBanks), placement.Options{EnableCartesian: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Layout.NumMerged() == 0 {
-		t.Fatal("the plan merges no tables; test is vacuous")
-	}
-	e16, err := Build(params, plan, LargeFP16())
+	e16, err := Build(params, Config{Precision: fixedpoint.Fixed16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +52,7 @@ func TestBuildMapsNothingBeyondParameters(t *testing.T) {
 		t.Errorf("Fixed16 Build mapped %d bytes, want tables %d + checkpoints %d", got, tableBytes(2), checkpoints)
 	}
 
-	e32, err := Build(params, plan, LargeFP32())
+	e32, err := Build(params, Config{Precision: fixedpoint.Fixed32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,9 +62,9 @@ func TestBuildMapsNothingBeyondParameters(t *testing.T) {
 	if err := e32.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cfg := LargeFP16()
+	cfg := Config{Precision: fixedpoint.Fixed16}
 	cfg.ColdTier = &tieredstore.Config{Path: filepath.Join(t.TempDir(), "cold.bin"), SweepEvery: -1}
-	tiered, err := Build(params, plan, cfg)
+	tiered, err := Build(params, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +87,7 @@ func TestBuildMapsNothingBeyondParameters(t *testing.T) {
 // (600 queries: strips of inferStrip and a remainder on one or two workers).
 func TestParallelInferMatchesSequential(t *testing.T) {
 	spec := model.SmallProduction()
-	e := buildEngine(t, spec, SmallFP16(), true)
+	e := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
 	qs := randomQueries(spec, 600, 7)
 	batch, err := e.Infer(qs)
 	if err != nil {
@@ -116,7 +106,7 @@ func TestParallelInferMatchesSequential(t *testing.T) {
 
 func TestParallelInferPropagatesErrors(t *testing.T) {
 	spec := model.SmallProduction()
-	e := buildEngine(t, spec, SmallFP16(), true)
+	e := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
 	qs := randomQueries(spec, 8, 7)
 	qs[5][0] = []int64{spec.Tables[0].Rows + 10}
 	if _, err := e.Infer(qs); err == nil {
@@ -132,12 +122,8 @@ func TestParallelInferPropagatesErrors(t *testing.T) {
 // regenerate for that row (Engine.Gather).
 func TestWidthsFromOneParameters(t *testing.T) {
 	spec := model.SmallProduction()
-	plan, err := placement.Plan(spec, memsim.U280(SmallFP16().OnChipBanks), placement.Options{EnableCartesian: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	qs := randomQueries(spec, 24, 11)
-	for _, order := range [][]Config{{SmallFP16(), SmallFP32()}, {SmallFP32(), SmallFP16()}} {
+	for _, order := range [][]Config{{Config{Precision: fixedpoint.Fixed16}, Config{Precision: fixedpoint.Fixed32}}, {Config{Precision: fixedpoint.Fixed32}, Config{Precision: fixedpoint.Fixed16}}} {
 		params, err := spec.Materialize(model.MaterializeOptions{Seed: 7, MaxRowsPerTable: 4096})
 		if err != nil {
 			t.Fatal(err)
@@ -145,7 +131,7 @@ func TestWidthsFromOneParameters(t *testing.T) {
 		tiered := order[0]
 		tiered.ColdTier = &tieredstore.Config{Path: filepath.Join(t.TempDir(), "cold.bin"), SweepEvery: -1}
 		for _, cfg := range append(order, tiered) {
-			e, err := Build(params, plan, cfg)
+			e, err := Build(params, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

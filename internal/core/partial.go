@@ -10,10 +10,10 @@ import (
 
 // This file exposes the gather datapath in table-subset pieces — the entry
 // points the sharded cluster tier is built on. A shard owns a subset of the
-// engine's physical tables; it gathers that subset into a shard-local plane
-// (GatherPartialIntoPlane), and the coordinator copies each shard's feature
-// columns into its own plane (MergePartialPlane). Physical tables write
-// disjoint feature columns, so the merged plane is bit-identical to a
+// model's tables (indices into Spec().Tables); it gathers that subset into a
+// shard-local plane (GatherPartialIntoPlane), and the coordinator copies each
+// shard's feature columns into its own plane (MergePartialPlane). Tables
+// write disjoint feature columns, so the merged plane is bit-identical to a
 // monolithic GatherIntoPlane over the same queries by construction: the same
 // row-copy loop produced every value, and the merge only moves bits.
 
@@ -23,23 +23,16 @@ type ColSpan struct {
 	Len int
 }
 
-// PhysicalTables reports the number of physical tables in the placement plan
-// the engine's gather plan is indexed by (a merged Cartesian group counts
-// once; the gather reads each of its sources on its own). Table indices in
-// [0, PhysicalTables) are the currency of the partial-gather entry points and
-// of placement.ShardTables.
-func (e *Engine) PhysicalTables() int { return len(e.gplan.tables) }
-
 // PartialSpans returns the merged, ascending feature-column spans written by
-// the listed physical tables' gathers. Adjacent and overlapping spans are
+// the listed tables' gathers. Adjacent and overlapping spans are
 // coalesced, so a merge loop touches each byte once. The spans of disjoint
-// table subsets never overlap; the spans of a partition of all physical
-// tables exactly cover [0, featureLen-denseDim).
+// table subsets never overlap; the spans of a partition of all tables exactly
+// cover [0, featureLen-denseDim).
 func (e *Engine) PartialSpans(tables []int) ([]ColSpan, error) {
 	var spans []ColSpan
 	for _, ti := range tables {
 		if ti < 0 || ti >= len(e.gplan.tables) {
-			return nil, fmt.Errorf("core: physical table %d out of range (engine has %d)", ti, len(e.gplan.tables))
+			return nil, fmt.Errorf("core: table %d out of range (model has %d)", ti, len(e.gplan.tables))
 		}
 		for _, blk := range e.gplan.tables[ti] {
 			spans = append(spans, ColSpan{Off: blk.off, Len: blk.dim})
@@ -59,7 +52,7 @@ func (e *Engine) PartialSpans(tables []int) ([]ColSpan, error) {
 	return merged, nil
 }
 
-// GatherPartialIntoPlane gathers only the listed physical tables into the
+// GatherPartialIntoPlane gathers only the listed tables into the
 // plane's feature rows, copying each row exactly as the monolithic gather
 // would.
 // Accesses are recorded against cache when non-nil (the cluster tier passes a

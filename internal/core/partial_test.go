@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"microrec/internal/fixedpoint"
 	"microrec/internal/model"
 )
 
@@ -33,8 +34,8 @@ func TestPartialSpansCoverEmbeddingRegion(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 5; trial++ {
 		spec := randomSpec(rng, fmt.Sprintf("span-%d", trial))
-		e := buildEngine(t, spec, ConfigFor(spec.Name, SmallFP16().Precision), true)
-		nt := e.PhysicalTables()
+		e := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
+		nt := len(e.Spec().Tables)
 		for _, k := range []int{1, 2, 3} {
 			parts := randomPartition(rng, nt, k)
 			covered := make([]int, e.featureLen)
@@ -77,12 +78,12 @@ func TestPartialGatherMergeMatchesMonolithic(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 5; trial++ {
 		spec := randomSpec(rng, fmt.Sprintf("pmerge-%d", trial))
-		f := SmallFP16().Precision
+		f := fixedpoint.Fixed16
 		if trial%2 == 1 {
-			f = SmallFP32().Precision
+			f = fixedpoint.Fixed32
 		}
-		e := buildEngine(t, spec, ConfigFor(spec.Name, f), true)
-		nt := e.PhysicalTables()
+		e := buildEngine(t, spec, Config{Precision: f})
+		nt := len(e.Spec().Tables)
 		for _, b := range []int{1, 5, 33} {
 			qs := randomQueries(spec, b, int64(trial*100+b))
 			var want BatchScratch
@@ -130,7 +131,7 @@ func TestPartialGatherMergeMatchesMonolithic(t *testing.T) {
 // hot, the counts of a partition's subsets add up to the monolithic gather's.
 func TestPartialGatherColdFaults(t *testing.T) {
 	spec := model.SmallProduction()
-	e := buildEngine(t, spec, tierTestConfig(-1), true)
+	e := buildEngine(t, spec, tierTestConfig(-1))
 	defer e.Close()
 	store := e.TierStore()
 	for id := 0; id < store.Streams(); id++ {
@@ -153,7 +154,7 @@ func TestPartialGatherColdFaults(t *testing.T) {
 		var sum int64
 		var partial BatchScratch
 		e.EnsurePlane(&partial, b)
-		for _, tables := range randomPartition(rng, e.PhysicalTables(), 3) {
+		for _, tables := range randomPartition(rng, len(e.Spec().Tables), 3) {
 			e.GatherPartialIntoPlane(tables, qs, &partial, nil)
 			sum += partial.GatherObs().ColdFaults
 		}
@@ -165,11 +166,11 @@ func TestPartialGatherColdFaults(t *testing.T) {
 
 // TestPartialSpansErrors covers the index contract.
 func TestPartialSpansErrors(t *testing.T) {
-	e := buildEngine(t, model.SmallProduction(), SmallFP16(), true)
+	e := buildEngine(t, model.SmallProduction(), Config{Precision: fixedpoint.Fixed16})
 	if _, err := e.PartialSpans([]int{-1}); err == nil {
 		t.Fatal("negative table index did not error")
 	}
-	if _, err := e.PartialSpans([]int{e.PhysicalTables()}); err == nil {
+	if _, err := e.PartialSpans([]int{len(e.Spec().Tables)}); err == nil {
 		t.Fatal("out-of-range table index did not error")
 	}
 }

@@ -52,9 +52,8 @@ type fixedPath[T kernels.Elem] struct {
 	denseOff   int // where the dense tail starts in a feature row
 
 	// tables[src] is source table src's rows, row-major, quantized
-	// (offheap.Make; nil for a tiered engine). tier[id] is the rows of the
-	// source whose gather blocks carry cacheID id, in the tiered store
-	// instead (nil for an all-DRAM engine).
+	// (offheap.Make; nil for a tiered engine). tier[src] is the same rows in
+	// the tiered store instead (nil for an all-DRAM engine).
 	tables [][]T
 	tier   []*tieredstore.Stream
 
@@ -73,11 +72,11 @@ type fixedPath[T kernels.Elem] struct {
 
 // newFixedPath stores the embedding tables at element type T — in DRAM, or,
 // when tier is set, in a tiered store's cold file (returned; source table t
-// is stream streamOf[t]) — and then quantizes and packs the FC tower. The
+// is stream t) — and then quantizes and packs the FC tower. The
 // tables come first: if nothing has run the parameters' stream yet, filling
 // them is its one pass, which also materialises the FC tower.
 func newFixedPath[T kernels.Elem](
-	f fixedpoint.Format, spec *model.Spec, params *model.Parameters, tier *tieredstore.Config, streamOf []int,
+	f fixedpoint.Format, spec *model.Spec, params *model.Parameters, tier *tieredstore.Config,
 	gemm kernels.GemmFunc[T], finishRow kernels.FinishFunc[T],
 	plane func(*BatchScratch) *[]T,
 ) (*fixedPath[T], *tieredstore.Store, error) {
@@ -95,7 +94,7 @@ func newFixedPath[T kernels.Elem](
 	if tier == nil {
 		err = d.fillTables(params)
 	} else {
-		store, err = d.openTier(*tier, params, streamOf)
+		store, err = d.openTier(*tier, params)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -142,15 +141,14 @@ func (d *fixedPath[T]) fillTables(params *model.Parameters) error {
 }
 
 // openTier writes every embedding table, quantized to width T, into the
-// tiered store's cold file — source table t as stream streamOf[t] —
+// tiered store's cold file — source table t as stream t —
 // straight from the parameters' fill, so no DRAM copy of a table exists at
 // any point.
-func (d *fixedPath[T]) openTier(cfg tieredstore.Config, params *model.Parameters, streamOf []int) (*tieredstore.Store, error) {
+func (d *fixedPath[T]) openTier(cfg tieredstore.Config, params *model.Parameters) (*tieredstore.Store, error) {
 	spec := params.Spec
 	specs := make([]tieredstore.StreamSpec, len(spec.Tables))
 	for t, ts := range spec.Tables {
-		id := streamOf[t]
-		specs[id] = tieredstore.StreamSpec{ID: id, Rows: params.ActualRows[t], Dim: ts.Dim}
+		specs[t] = tieredstore.StreamSpec{ID: t, Rows: params.ActualRows[t], Dim: ts.Dim}
 	}
 	var zero T
 	size := int64(unsafe.Sizeof(zero))
@@ -168,7 +166,7 @@ func (d *fixedPath[T]) openTier(cfg tieredstore.Config, params *model.Parameters
 			}
 			raw := (*buf)[:len(vals)]
 			kernels.QuantizeRow(&q, vals, raw)
-			_, err := f.WriteAt(unsafe.Slice((*byte)(unsafe.Pointer(&raw[0])), int64(len(raw))*size), offsets[streamOf[t]]+int64(off)*size)
+			_, err := f.WriteAt(unsafe.Slice((*byte)(unsafe.Pointer(&raw[0])), int64(len(raw))*size), offsets[t]+int64(off)*size)
 			bufs.Put(buf)
 			if err != nil {
 				mu.Lock()
@@ -251,7 +249,7 @@ func (d *fixedPath[T]) hint(blk *gatherBlock, rows []int64) {
 		kernels.PrefetchRows(d.tables[blk.srcID], blk.dim, rows)
 		return
 	}
-	st := d.tier[blk.cacheID]
+	st := d.tier[blk.srcID]
 	for _, row := range rows {
 		st.PrefetchRow(row)
 	}
@@ -274,7 +272,7 @@ func (d *fixedPath[T]) hintWindow(s *gatherSeq, c *gatherCursor, rows []int64) i
 	return n
 }
 
-// gatherTables gathers the given physical tables into the plane and returns
+// gatherTables gathers the given tables into the plane and returns
 // how many of the rows it read the tiered store served from the cold file.
 // The tables' lookups form one sequence — each table's blocks in order, each
 // block across the whole batch — and the loop takes it gatherWindow rows at a
@@ -310,7 +308,7 @@ func (d *fixedPath[T]) gatherTables(plan *gatherPlan, tables []int, queries []em
 			var data []T
 			var st *tieredstore.Stream
 			if d.tier != nil {
-				st = d.tier[blk.cacheID]
+				st = d.tier[blk.srcID]
 			} else {
 				data = d.tables[blk.srcID]
 			}
@@ -318,7 +316,7 @@ func (d *fixedPath[T]) gatherTables(plan *gatherPlan, tables []int, queries []em
 				row := rows[k]
 				k++
 				if cache != nil {
-					cache.Lookup(blk.cacheID, row, blk.vecBytes)
+					cache.Lookup(blk.srcID, row, blk.vecBytes)
 				}
 				var payload []T
 				if st != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"microrec/internal/fixedpoint"
 	"microrec/internal/model"
 	"microrec/internal/tieredstore"
 )
@@ -15,7 +16,7 @@ import (
 // tierTestConfig returns a build config with a manual-sweep cold tier (tests
 // drive placement explicitly for determinism).
 func tierTestConfig(hotBytes int64) Config {
-	cfg := SmallFP16()
+	cfg := Config{Precision: fixedpoint.Fixed16}
 	cfg.ColdTier = &tieredstore.Config{
 		HotBytes:   hotBytes,
 		SweepEvery: -1,
@@ -49,16 +50,13 @@ func randomPlacement(store *tieredstore.Store, rng *rand.Rand, frac float64) {
 	}
 }
 
-// TestTierStreamsAreSourceTables pins what the cold tier holds when the plan
-// merges tables: one stream per source table, so the cold file is exactly the
-// parameters' tables at the datapath's width, with no product copy.
+// TestTierStreamsAreSourceTables pins what the cold tier holds: one stream per
+// table, so the cold file is exactly the parameters' tables at the datapath's
+// width.
 func TestTierStreamsAreSourceTables(t *testing.T) {
 	spec := model.SmallProduction()
-	e := buildEngine(t, spec, tierTestConfig(-1), true)
+	e := buildEngine(t, spec, tierTestConfig(-1))
 	defer e.Close()
-	if e.plan.Layout.NumMerged() == 0 {
-		t.Fatal("the plan merges no tables; test is vacuous")
-	}
 	store := e.TierStore()
 	if got := store.Streams(); got != len(spec.Tables) {
 		t.Errorf("%d tier streams for %d source tables", got, len(spec.Tables))
@@ -77,8 +75,8 @@ func TestTierStreamsAreSourceTables(t *testing.T) {
 // random hot/cold placements, including the all-cold store.
 func TestTierBitIdentityRandomPlacements(t *testing.T) {
 	spec := model.SmallProduction()
-	ref := buildEngine(t, spec, SmallFP16(), true)
-	tiered := buildEngine(t, spec, tierTestConfig(-1), true) // all-cold budget
+	ref := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
+	tiered := buildEngine(t, spec, tierTestConfig(-1)) // all-cold budget
 	defer tiered.Close()
 	store := tiered.TierStore()
 	if store == nil {
@@ -136,8 +134,8 @@ func TestTierBitIdentityRandomPlacements(t *testing.T) {
 // holding an old map still reads valid, identical bits).
 func TestTierBitIdentityUnderChurn(t *testing.T) {
 	spec := model.SmallProduction()
-	ref := buildEngine(t, spec, SmallFP16(), true)
-	tiered := buildEngine(t, spec, tierTestConfig(0), true)
+	ref := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
+	tiered := buildEngine(t, spec, tierTestConfig(0))
 	defer tiered.Close()
 	store := tiered.TierStore()
 
@@ -185,22 +183,18 @@ func TestTierBitIdentityUnderChurn(t *testing.T) {
 }
 
 // TestTierSweepEndToEnd drives skewed traffic through the engine, sweeps,
-// and checks rows promote, the cold row count shrinks, the timing model's
-// lookup figure stays the plan's, and predictions stay bit-identical
-// afterwards.
+// and checks rows promote, the cold row count shrinks, and predictions stay
+// bit-identical afterwards.
 func TestTierSweepEndToEnd(t *testing.T) {
 	spec := model.SmallProduction()
-	ref := buildEngine(t, spec, SmallFP16(), true)
-	tiered := buildEngine(t, spec, tierTestConfig(0), true)
+	ref := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
+	tiered := buildEngine(t, spec, tierTestConfig(0))
 	defer tiered.Close()
 	store := tiered.TierStore()
 
 	before, _ := tiered.Tier()
 	if before.HotRows != 0 || before.ColdRows <= 0 {
 		t.Fatalf("a fresh store must start all cold: %+v", before)
-	}
-	if got, want := tiered.LookupNS(), ref.LookupNS(); got != want {
-		t.Fatalf("tiered LookupNS %v, want the plan's %v", got, want)
 	}
 
 	// Skewed stream: a handful of hot queries repeated, so the live cache
@@ -248,7 +242,7 @@ func TestTierSweepEndToEnd(t *testing.T) {
 // rows of a batch.
 func TestTierPrefetchBatch(t *testing.T) {
 	spec := model.SmallProduction()
-	tiered := buildEngine(t, spec, tierTestConfig(0), true)
+	tiered := buildEngine(t, spec, tierTestConfig(0))
 	defer tiered.Close()
 
 	queries := randomQueries(spec, 8, 11)
@@ -268,7 +262,7 @@ func TestTierPrefetchBatch(t *testing.T) {
 // twice; all-DRAM engines are no-ops.
 func TestTierEngineClose(t *testing.T) {
 	spec := model.SmallProduction()
-	tiered := buildEngine(t, spec, tierTestConfig(0), true)
+	tiered := buildEngine(t, spec, tierTestConfig(0))
 	path := tiered.TierStore().Path()
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("cold file missing while open: %v", err)
@@ -283,7 +277,7 @@ func TestTierEngineClose(t *testing.T) {
 		t.Errorf("second Close: %v", err)
 	}
 
-	ref := buildEngine(t, spec, SmallFP16(), true)
+	ref := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
 	if err := ref.Close(); err != nil {
 		t.Errorf("all-DRAM Close: %v", err)
 	}

@@ -26,9 +26,9 @@ func serialWalk(e *Engine, queries []embedding.Query, ref *hotcache.Live) (looku
 			blk := &e.gplan.tables[ti][bi]
 			for _, q := range queries {
 				row := q[blk.srcID][blk.round] % int64(blk.mod.rows)
-				ref.Lookup(blk.cacheID, row, blk.vecBytes)
+				ref.Lookup(blk.srcID, row, blk.vecBytes)
 				lookups++
-				if e.tier != nil && !e.tier.Stream(blk.cacheID).IsHot(row) {
+				if e.tier != nil && !e.tier.Stream(blk.srcID).IsHot(row) {
 					cold++
 				}
 			}
@@ -49,13 +49,13 @@ func TestGatherWindowKeepsSerialOrder(t *testing.T) {
 		name      string
 		precision fixedpoint.Format
 	}{
-		{"fp16", SmallFP16().Precision},
-		{"fp32", SmallFP32().Precision},
+		{"fp16", fixedpoint.Fixed16},
+		{"fp32", fixedpoint.Fixed32},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := ConfigFor(spec.Name, tc.precision)
+			cfg := Config{Precision: tc.precision}
 			cfg.HotCacheBytes = cacheBytes
-			e := buildEngine(t, spec, cfg, true)
+			e := buildEngine(t, spec, cfg)
 			ref, err := hotcache.NewLive(cacheBytes, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -83,7 +83,7 @@ func TestGatherWindowKeepsSerialOrder(t *testing.T) {
 // cache counters equal a serial walk's, with part of every stream pinned hot.
 func TestGatherWindowTierCounters(t *testing.T) {
 	spec := model.SmallProduction()
-	e := buildEngine(t, spec, tierTestConfig(-1), true)
+	e := buildEngine(t, spec, tierTestConfig(-1))
 	defer e.Close()
 	store := e.TierStore()
 	for id := 0; id < store.Streams(); id++ {
@@ -130,7 +130,7 @@ func TestGatherWindowTierCounters(t *testing.T) {
 // gather then records against the hot-row cache, one per lookup.
 func TestPrefetchBatchNamesTheGathersRows(t *testing.T) {
 	spec := model.SmallProduction()
-	e := buildEngine(t, spec, tierTestConfig(-1), true)
+	e := buildEngine(t, spec, tierTestConfig(-1))
 	defer e.Close()
 	qs := randomQueries(spec, gatherWindow+1, 29)
 

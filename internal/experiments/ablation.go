@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"microrec/internal/accel"
 	"microrec/internal/core"
 	"microrec/internal/memsim"
 	"microrec/internal/metrics"
@@ -25,8 +26,8 @@ func RunAllocatorAblation(opts Options) ([]*metrics.Table, error) {
 		spec  *model.Spec
 		banks int
 	}{
-		{model.SmallProduction(), core.SmallFP16().OnChipBanks},
-		{model.LargeProduction(), core.LargeFP16().OnChipBanks},
+		{model.SmallProduction(), accel.SmallFP16().OnChipBanks},
+		{model.LargeProduction(), accel.LargeFP16().OnChipBanks},
 	} {
 		for _, cart := range []bool{false, true} {
 			rr, err := planFor(target.spec, target.banks, cart, placement.RoundRobin)
@@ -97,10 +98,10 @@ func RunQuantAblation(opts Options) ([]*metrics.Table, error) {
 		"Model", "Precision", "Max |err|", "Mean |err|")
 	for _, target := range []struct {
 		spec *model.Spec
-		cfgs []core.Config
+		cfgs []accel.Config
 	}{
-		{model.SmallProduction(), []core.Config{core.SmallFP16(), core.SmallFP32()}},
-		{model.LargeProduction(), []core.Config{core.LargeFP16(), core.LargeFP32()}},
+		{model.SmallProduction(), []accel.Config{accel.SmallFP16(), accel.SmallFP32()}},
+		{model.LargeProduction(), []accel.Config{accel.LargeFP16(), accel.LargeFP32()}},
 	} {
 		params, err := target.spec.Materialize(model.MaterializeOptions{Seed: opts.Seed, MaxRowsPerTable: 256})
 		if err != nil {
@@ -115,11 +116,7 @@ func RunQuantAblation(opts Options) ([]*metrics.Table, error) {
 			return nil, err
 		}
 		for _, cfg := range target.cfgs {
-			plan, err := planFor(target.spec, cfg.OnChipBanks, true, opts.Allocator)
-			if err != nil {
-				return nil, err
-			}
-			eng, err := core.Build(params, plan, cfg)
+			eng, err := core.Build(params, core.Config{Precision: cfg.Precision})
 			if err != nil {
 				return nil, err
 			}

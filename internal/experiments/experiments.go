@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"microrec/internal/core"
+	"microrec/internal/accel"
 	"microrec/internal/cpu"
 	"microrec/internal/fixedpoint"
 	"microrec/internal/memsim"
@@ -34,17 +34,17 @@ func (o Options) withDefaults() Options {
 // productionCase bundles one (model, precision) evaluation target.
 type productionCase struct {
 	Spec *model.Spec
-	Cfg  core.Config
+	Cfg  accel.Config
 	CPU  cpu.Model
 }
 
 func productionCases() []productionCase {
 	small, large := model.SmallProduction(), model.LargeProduction()
 	return []productionCase{
-		{small, core.SmallFP16(), cpu.PaperSmall()},
-		{small, core.SmallFP32(), cpu.PaperSmall()},
-		{large, core.LargeFP16(), cpu.PaperLarge()},
-		{large, core.LargeFP32(), cpu.PaperLarge()},
+		{small, accel.SmallFP16(), cpu.PaperSmall()},
+		{small, accel.SmallFP32(), cpu.PaperSmall()},
+		{large, accel.LargeFP16(), cpu.PaperLarge()},
+		{large, accel.LargeFP32(), cpu.PaperLarge()},
 	}
 }
 
@@ -147,10 +147,10 @@ func RunFigure3(opts Options) ([]*metrics.Table, error) {
 func precisionLabel(f fixedpoint.Format) string { return fmt.Sprintf("fp%d", f.Bits) }
 
 // configFor maps (model name, precision bits) to the calibrated build.
-func configFor(modelName string, bits int) core.Config {
+func configFor(modelName string, bits int) accel.Config {
 	f := fixedpoint.Fixed16
 	if bits == 32 {
 		f = fixedpoint.Fixed32
 	}
-	return core.ConfigFor(modelName, f)
+	return accel.ConfigFor(modelName, f)
 }

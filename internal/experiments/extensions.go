@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"microrec/internal/core"
+	"microrec/internal/accel"
 	"microrec/internal/fixedpoint"
 	"microrec/internal/hotcache"
 	"microrec/internal/memsim"
@@ -26,8 +26,8 @@ func RunRule2Ablation(opts Options) ([]*metrics.Table, error) {
 		spec  *model.Spec
 		banks int
 	}{
-		{model.SmallProduction(), core.SmallFP16().OnChipBanks},
-		{model.LargeProduction(), core.LargeFP16().OnChipBanks},
+		{model.SmallProduction(), accel.SmallFP16().OnChipBanks},
+		{model.LargeProduction(), accel.LargeFP16().OnChipBanks},
 	} {
 		for _, arity := range []int{2, 3} {
 			res, err := placement.Plan(target.spec, memsim.U280(target.banks), placement.Options{
@@ -57,7 +57,7 @@ func RunRule2Ablation(opts Options) ([]*metrics.Table, error) {
 func RunHostStream(opts Options) ([]*metrics.Table, error) {
 	opts = opts.withDefaults()
 	spec := model.SmallProduction()
-	base := core.SmallFP16()
+	base := accel.SmallFP16()
 	plan, err := planFor(spec, base.OnChipBanks, true, opts.Allocator)
 	if err != nil {
 		return nil, err

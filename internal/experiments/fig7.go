@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"microrec/internal/core"
+	"microrec/internal/accel"
 	"microrec/internal/metrics"
 	"microrec/internal/model"
 )
@@ -31,10 +31,10 @@ func Figure7Series(opts Options, maxRounds int) ([]Figure7Point, error) {
 	var out []Figure7Point
 	for _, target := range []struct {
 		spec *model.Spec
-		cfg  core.Config
+		cfg  accel.Config
 	}{
-		{model.SmallProduction(), core.SmallFP16()},
-		{model.LargeProduction(), core.LargeFP16()},
+		{model.SmallProduction(), accel.SmallFP16()},
+		{model.LargeProduction(), accel.LargeFP16()},
 	} {
 		base, err := planFor(target.spec, target.cfg.OnChipBanks, true, opts.Allocator)
 		if err != nil {

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"microrec/internal/core"
+	"microrec/internal/accel"
 	"microrec/internal/cpu"
 	"microrec/internal/metrics"
 	"microrec/internal/sla"
@@ -20,10 +20,10 @@ func RunSLA(opts Options) ([]*metrics.Table, error) {
 		"Model", "SLA (ms)", "Max batch", "CPU latency (ms)", "CPU throughput (items/s)", "MicroRec latency")
 	for _, target := range []struct {
 		m   cpu.Model
-		cfg core.Config
+		cfg accel.Config
 	}{
-		{cpu.PaperSmall(), core.SmallFP16()},
-		{cpu.PaperLarge(), core.LargeFP16()},
+		{cpu.PaperSmall(), accel.SmallFP16()},
+		{cpu.PaperLarge(), accel.LargeFP16()},
 	} {
 		plan, err := planFor(target.m.Spec, target.cfg.OnChipBanks, true, opts.Allocator)
 		if err != nil {

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"microrec/internal/core"
+	"microrec/internal/accel"
 	"microrec/internal/metrics"
 	"microrec/internal/model"
 )
@@ -29,8 +29,8 @@ func Table3Rows(opts Options) ([]Table3Row, error) {
 		spec  *model.Spec
 		banks int
 	}{
-		{model.SmallProduction(), core.SmallFP16().OnChipBanks},
-		{model.LargeProduction(), core.LargeFP16().OnChipBanks},
+		{model.SmallProduction(), accel.SmallFP16().OnChipBanks},
+		{model.LargeProduction(), accel.LargeFP16().OnChipBanks},
 	} {
 		var baseLatency float64
 		for _, cart := range []bool{false, true} {

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"microrec/internal/core"
+	"microrec/internal/accel"
 	"microrec/internal/cpu"
 	"microrec/internal/metrics"
 	"microrec/internal/model"
@@ -33,8 +33,8 @@ func Table4Results(opts Options) ([]Table4Result, error) {
 		banks int
 		cpum  cpu.Model
 	}{
-		{model.SmallProduction(), core.SmallFP16().OnChipBanks, cpu.PaperSmall()},
-		{model.LargeProduction(), core.LargeFP16().OnChipBanks, cpu.PaperLarge()},
+		{model.SmallProduction(), accel.SmallFP16().OnChipBanks, cpu.PaperSmall()},
+		{model.LargeProduction(), accel.LargeFP16().OnChipBanks, cpu.PaperLarge()},
 	} {
 		res := Table4Result{
 			Model:   target.spec.Name,

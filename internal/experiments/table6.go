@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"microrec/internal/core"
+	"microrec/internal/accel"
 	"microrec/internal/memsim"
 	"microrec/internal/metrics"
 	"microrec/internal/model"
@@ -64,11 +64,11 @@ func RunTable6(opts Options) ([]*metrics.Table, error) {
 func RunAXI(opts Options) ([]*metrics.Table, error) {
 	opts = opts.withDefaults()
 	spec := model.SmallProduction()
-	base := core.SmallFP16()
+	base := accel.SmallFP16()
 	t := metrics.NewTable("Appendix: AXI interface width trade-off (small model, fp16)",
 		"AXI bits", "FIFO BRAM18K", "share of U280 BRAM", "Clock (MHz)", "Lookup (ns)", "Throughput (items/s)")
 	for _, width := range []int{32, 64, 128, 256, 512} {
-		fifo, clock, err := core.AXIWidthTradeoff(width, base)
+		fifo, clock, err := accel.AXIWidthTradeoff(width, base)
 		if err != nil {
 			return nil, err
 		}
@@ -95,7 +95,7 @@ func RunAXI(opts Options) ([]*metrics.Table, error) {
 		}
 		t.AddRow(fmt.Sprint(width),
 			fmt.Sprint(fifo),
-			metrics.FmtPct(float64(fifo)/core.U280BRAM18K),
+			metrics.FmtPct(float64(fifo)/accel.U280BRAM18K),
 			metrics.FmtF(clock, 0),
 			metrics.FmtF(plan.Report.LatencyNS, 0),
 			metrics.FmtSI(rep.SteadyThroughputItemsPerSec()))

@@ -6,9 +6,8 @@ import (
 
 	"microrec/internal/core"
 	"microrec/internal/embedding"
-	"microrec/internal/memsim"
+	"microrec/internal/fixedpoint"
 	"microrec/internal/model"
-	"microrec/internal/placement"
 	"microrec/internal/serving"
 	"microrec/internal/workload"
 )
@@ -25,12 +24,8 @@ func TestLoadtestSmokeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.SmallFP16()
-	plan, err := placement.Plan(spec, memsim.U280(cfg.OnChipBanks), placement.Options{EnableCartesian: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := core.Build(params, plan, cfg)
+	cfg := core.Config{Precision: fixedpoint.Fixed16}
+	eng, err := core.Build(params, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,12 +136,8 @@ func TestLoadShardedServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.SmallFP16()
-	plan, err := placement.Plan(spec, memsim.U280(cfg.OnChipBanks), placement.Options{EnableCartesian: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := core.Build(params, plan, cfg)
+	cfg := core.Config{Precision: fixedpoint.Fixed16}
+	eng, err := core.Build(params, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,8 @@ import (
 
 	"microrec/internal/core"
 	"microrec/internal/embedding"
-	"microrec/internal/memsim"
+	"microrec/internal/fixedpoint"
 	"microrec/internal/model"
-	"microrec/internal/placement"
 )
 
 // buildEngine assembles a real engine for a spec (capacity-scaled).
@@ -21,11 +20,7 @@ func buildEngine(t testing.TB, spec *model.Spec, cfg core.Config) *core.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := placement.Plan(spec, memsim.U280(cfg.OnChipBanks), placement.Options{EnableCartesian: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := core.Build(params, plan, cfg)
+	eng, err := core.Build(params, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,9 +124,9 @@ func TestExecutorBitIdentityRandomSpecs(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 6; trial++ {
 		spec := randomSpec(rng, fmt.Sprintf("pipe-%d", trial))
-		cfg := core.ConfigFor(spec.Name, core.SmallFP16().Precision)
+		cfg := core.Config{Precision: fixedpoint.Fixed16}
 		if trial%2 == 1 {
-			cfg.Precision = core.SmallFP32().Precision
+			cfg.Precision = fixedpoint.Fixed32
 		}
 		eng := buildEngine(t, spec, cfg)
 		col := newCollector(64)
@@ -258,7 +253,7 @@ func TestStagesOverlap(t *testing.T) {
 // exactly once, and Close is idempotent. Run under -race this is the
 // executor's shutdown integrity test.
 func TestCloseDrainsInFlightUnderLoad(t *testing.T) {
-	eng := buildEngine(t, model.SmallProduction(), core.SmallFP16())
+	eng := buildEngine(t, model.SmallProduction(), core.Config{Precision: fixedpoint.Fixed16})
 	var delivered atomic64
 	x, err := New(eng, Options{
 		Depth:    4,

@@ -13,10 +13,9 @@ import (
 
 	"microrec/internal/core"
 	"microrec/internal/embedding"
+	"microrec/internal/fixedpoint"
 	"microrec/internal/loadgen"
-	"microrec/internal/memsim"
 	"microrec/internal/model"
-	"microrec/internal/placement"
 	"microrec/internal/serving"
 	"microrec/internal/workload"
 )
@@ -53,13 +52,9 @@ func buildEngine(t testing.TB, spec *model.Spec, hotCacheBytes int64, seed int64
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.ConfigFor(spec.Name, core.SmallFP16().Precision)
+	cfg := core.Config{Precision: fixedpoint.Fixed16}
 	cfg.HotCacheBytes = hotCacheBytes
-	plan, err := placement.Plan(spec, memsim.U280(cfg.OnChipBanks), placement.Options{EnableCartesian: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := core.Build(params, plan, cfg)
+	eng, err := core.Build(params, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

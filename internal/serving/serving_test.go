@@ -18,15 +18,14 @@ import (
 	"microrec/internal/cluster"
 	"microrec/internal/core"
 	"microrec/internal/embedding"
-	"microrec/internal/memsim"
+	"microrec/internal/fixedpoint"
 	"microrec/internal/model"
-	"microrec/internal/placement"
 )
 
 // testEngine builds a small (capacity-scaled) Fixed16 production engine.
 func testEngine(t testing.TB) *core.Engine {
 	t.Helper()
-	return buildTestEngine(t, core.SmallFP16())
+	return buildTestEngine(t, core.Config{Precision: fixedpoint.Fixed16})
 }
 
 // buildTestEngine builds the small (capacity-scaled) production model on an
@@ -38,11 +37,7 @@ func buildTestEngine(t testing.TB, cfg core.Config) *core.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := placement.Plan(spec, memsim.U280(cfg.OnChipBanks), placement.Options{EnableCartesian: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := core.Build(params, plan, cfg)
+	eng, err := core.Build(params, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +499,7 @@ func TestValidateSLA(t *testing.T) {
 // testEngineWithCache builds the test engine with a live hot-row cache.
 func testEngineWithCache(t testing.TB, capacity int64) *core.Engine {
 	t.Helper()
-	cfg := core.SmallFP16()
+	cfg := core.Config{Precision: fixedpoint.Fixed16}
 	cfg.HotCacheBytes = capacity
 	return buildTestEngine(t, cfg)
 }
@@ -863,12 +858,10 @@ func TestValidateSLARejectsNonPositiveBudget(t *testing.T) {
 	}
 }
 
-// TestServingDoesNotImportSLA pins the serving stack's independence from the
-// offline models: no package internal/serving transitively imports is
-// internal/sla, and no non-test source of the serving, router, cluster or
-// tieredstore packages names the accelerator timing model or a modelled
-// cold-tier latency.
-func TestServingDoesNotImportSLA(t *testing.T) {
+// importClosure walks the non-test imports of a package of this module and
+// returns every package of the module it reaches, itself included.
+func importClosure(t *testing.T, root string) map[string]bool {
+	t.Helper()
 	seen := map[string]bool{}
 	var walk func(path string)
 	walk = func(path string) {
@@ -887,7 +880,17 @@ func TestServingDoesNotImportSLA(t *testing.T) {
 			}
 		}
 	}
-	walk("microrec/internal/serving")
+	walk(root)
+	return seen
+}
+
+// TestServingDoesNotImportSLA pins the serving stack's independence from the
+// offline models: no package internal/serving transitively imports is
+// internal/sla, and no non-test source of the serving, router, cluster or
+// tieredstore packages names the accelerator timing model or a modelled
+// cold-tier latency.
+func TestServingDoesNotImportSLA(t *testing.T) {
+	seen := importClosure(t, "microrec/internal/serving")
 	if !seen["microrec/internal/core"] {
 		t.Fatalf("import walk never reached internal/core (saw %d packages); the walk is broken", len(seen))
 	}
@@ -912,6 +915,25 @@ func TestServingDoesNotImportSLA(t *testing.T) {
 				if strings.Contains(string(src), word) {
 					t.Errorf("%s mentions %s", f, word)
 				}
+			}
+		}
+	}
+}
+
+// TestCoreAndServingDoNotReachTheAcceleratorModel pins the split between the
+// CPU engine and the model of the FPGA it reproduces: neither internal/core
+// nor internal/serving reaches, directly or transitively, the accelerator
+// model or the placement, Cartesian-product, memory and pipeline models it
+// is built from.
+func TestCoreAndServingDoNotReachTheAcceleratorModel(t *testing.T) {
+	for _, root := range []string{"microrec/internal/core", "microrec/internal/serving"} {
+		seen := importClosure(t, root)
+		if !seen["microrec/internal/model"] {
+			t.Fatalf("%s: import walk never reached internal/model (saw %d packages); the walk is broken", root, len(seen))
+		}
+		for _, pkg := range []string{"accel", "placement", "cartesian", "memsim", "pipesim"} {
+			if seen["microrec/internal/"+pkg] {
+				t.Errorf("%s reaches internal/%s", root, pkg)
 			}
 		}
 	}
@@ -1003,7 +1025,7 @@ func TestWorkerPoolFallbackServes(t *testing.T) {
 		shards int
 	}{
 		{"fixed16", fixed16, 0},
-		{"fixed32", buildTestEngine(t, core.SmallFP32()), 0},
+		{"fixed32", buildTestEngine(t, core.Config{Precision: fixedpoint.Fixed32}), 0},
 		{"fixed16-shards2", fixed16, 2},
 	} {
 		qs := randomQueries(t, tc.eng.Spec(), 16, 31)

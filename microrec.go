@@ -7,10 +7,12 @@
 //
 //   - model specifications (the paper's two production-scale models, the
 //     Facebook DLRM-RMC2 benchmark class, or custom specs),
-//   - the placement planner (Algorithm 1: Cartesian-product table
-//     combination plus hybrid-memory allocation),
-//   - the MicroRec engine: functional fixed-point CTR inference with a
-//     calibrated cycle-level timing model of the Alveo U280 design,
+//   - the MicroRec engine: fixed-point CTR inference on the CPU, its
+//     embedding tables stored at the datapath's width,
+//   - the accelerator model (NewAcceleratorModel): the placement planner
+//     (Algorithm 1: Cartesian-product table combination plus hybrid-memory
+//     allocation) feeding a calibrated cycle-level timing model of the
+//     Alveo U280 design,
 //   - a real multi-core CPU baseline engine plus the calibrated analytic
 //     model of the paper's TensorFlow-Serving testbed, and
 //   - the batched serving subsystem: a dynamic micro-batcher that
@@ -23,8 +25,8 @@
 //     queue with fast-fail shedding and deadline-aware batch formation
 //     (ServerOptions.Admission),
 //   - the sharded serving tier (ServerOptions.Tier): embedding tables
-//     partitioned across N gather shards by the placement planner's LPT
-//     shard assignment, each micro-batch scattered to the shards and their
+//     partitioned across N gather shards balanced by the bytes each gathers,
+//     each micro-batch scattered to the shards and their
 //     partial planes merged before the FC stack runs once — bit-identical
 //     to single-engine inference, with per-shard hot-row caches, plane
 //     rings and straggler-aware merge metrics in /stats, and
@@ -46,7 +48,10 @@
 //	gen, err := microrec.NewGenerator(spec, microrec.Uniform, 42)
 //	queries, err := gen.Batch(64)
 //	res, err := eng.Infer(queries)
-//	fmt.Println(res.Predictions[0], res.Timing.LatencyNS)
+//	fmt.Println(res.Predictions[0])
+//	acc, err := microrec.NewAcceleratorModel(spec, microrec.AcceleratorOptions{})
+//	rep, err := acc.Timing(len(queries))
+//	fmt.Println(rep.LatencyNS)
 //
 // See DESIGN.md for the architecture and EXPERIMENTS.md for the
 // paper-vs-measured record of every table and figure.
@@ -57,6 +62,7 @@ import (
 	"io"
 	"time"
 
+	"microrec/internal/accel"
 	"microrec/internal/core"
 	"microrec/internal/cpu"
 	"microrec/internal/embedding"
@@ -88,16 +94,20 @@ type (
 	Parameters = model.Parameters
 	// Query is one inference's sparse input: per-table row indices.
 	Query = embedding.Query
-	// Engine is the MicroRec accelerator instance.
+	// Engine is the CPU inference engine (NewEngine).
 	Engine = core.Engine
-	// InferResult bundles predictions with modeled hardware timing.
+	// InferResult holds a batch's predictions (Engine.Infer).
 	InferResult = core.InferResult
+	// AcceleratorModel is a modelled MicroRec FPGA build: a model's
+	// placement plan and build configuration, with the timing model over
+	// them (NewAcceleratorModel).
+	AcceleratorModel = accel.Model
 	// TimingReport is the accelerator timing summary.
-	TimingReport = core.TimingReport
+	TimingReport = accel.TimingReport
 	// AcceleratorConfig is an accelerator build description.
-	AcceleratorConfig = core.Config
+	AcceleratorConfig = accel.Config
 	// Resources is an FPGA resource-utilisation estimate.
-	Resources = core.Resources
+	Resources = accel.Resources
 	// PlacementResult is a table-combination + bank-allocation plan.
 	PlacementResult = placement.Result
 	// CPUEngine is the real multi-goroutine CPU baseline engine.
@@ -203,8 +213,8 @@ type (
 	// sampling rate, arrivals seen vs spans recorded.
 	TraceStats = obs.Stats
 	// TraceEvent is one Chrome trace-event format slice — the wire format
-	// shared by GET /trace (live spans) and `microrec trace` (pipesim
-	// simulation).
+	// shared by GET /trace (live spans) and `microrec trace` (the
+	// accelerator model's simulated pipeline).
 	TraceEvent = obs.TraceEvent
 	// Arrivals is an open-loop arrival process (inter-arrival gaps) for
 	// the load harness.
@@ -281,7 +291,7 @@ const (
 	Zipf = workload.Zipf
 )
 
-// Fixed-point precisions of the accelerator datapath.
+// Fixed-point precisions of the datapath.
 var (
 	// Fixed16 is the 16-bit datapath (Table 2's "FPGA fp16").
 	Fixed16 = fixedpoint.Fixed16
@@ -334,19 +344,11 @@ func WriteTraceEvents(w io.Writer, events []TraceEvent) error {
 type EngineOptions struct {
 	// Precision selects the datapath format; zero value means Fixed16.
 	Precision Format
-	// DisableCartesian turns off table merging in the placement plan (the
-	// paper's "HBM only" configuration). It changes the modelled accelerator
-	// only (lookup latency, timing reports, the plan); the CPU gather reads
-	// the source tables either way.
-	DisableCartesian bool
 	// Seed drives deterministic parameter materialisation.
 	Seed int64
 	// MaxRowsPerTable caps materialised embedding rows (capacity
 	// scaling); zero means the library default.
 	MaxRowsPerTable int64
-	// UseLPTAllocator swaps the paper-faithful round-robin DRAM
-	// allocation for the cost-balancing LPT strategy.
-	UseLPTAllocator bool
 	// HotCacheBytes, when positive, attaches a live hot-row cache of the
 	// given byte capacity to the engine's gather datapath. The cache never
 	// changes predictions; its hits, misses and hit rate are surfaced in
@@ -368,18 +370,35 @@ type EngineOptions struct {
 	HotTierBytes int64
 }
 
-// NewEngine materialises parameters, runs the placement search and builds a
-// MicroRec engine in one call. Close the engine when done with it: its large
-// embedding tables and the parameters' checkpoints live outside the Go heap,
-// and the engine owns the parameters it materialised here, so only its Close
-// frees them (an engine that is never closed keeps them until the process
-// exits).
+func (o EngineOptions) config() core.Config {
+	cfg := core.Config{Precision: orFixed16(o.Precision), HotCacheBytes: o.HotCacheBytes}
+	if o.ColdTier {
+		cfg.ColdTier = &tieredstore.Config{Path: o.ColdTierPath, HotBytes: o.HotTierBytes}
+	}
+	return cfg
+}
+
+func orFixed16(f Format) Format {
+	if f == (Format{}) {
+		return Fixed16
+	}
+	return f
+}
+
+// NewEngine materialises parameters and builds a MicroRec engine in one
+// call. Close the engine when done with it: its large embedding tables and
+// the parameters' checkpoints live outside the Go heap, and the engine owns
+// the parameters it materialised here, so only its Close frees them (an
+// engine that is never closed keeps them until the process exits).
 func NewEngine(spec *Spec, opts EngineOptions) (*Engine, error) {
-	params, plan, cfg, err := prepare(spec, opts)
+	params, err := spec.Materialize(model.MaterializeOptions{
+		Seed:            opts.Seed,
+		MaxRowsPerTable: opts.MaxRowsPerTable,
+	})
 	if err != nil {
 		return nil, err
 	}
-	eng, err := core.Build(params, plan, cfg)
+	eng, err := core.Build(params, opts.config())
 	if err != nil {
 		params.Release()
 		return nil, err
@@ -397,50 +416,36 @@ func NewEngine(spec *Spec, opts EngineOptions) (*Engine, error) {
 // itself (its tables), and Parameters.Release frees the checkpoints once
 // nothing reads a float row from them any more.
 func NewEngineFromParams(params *Parameters, opts EngineOptions) (*Engine, error) {
-	_, plan, cfg, err := prepareWithParams(params, opts)
-	if err != nil {
-		return nil, err
-	}
-	return core.Build(params, plan, cfg)
+	return core.Build(params, opts.config())
 }
 
-func prepare(spec *Spec, opts EngineOptions) (*Parameters, *PlacementResult, AcceleratorConfig, error) {
-	params, err := spec.Materialize(model.MaterializeOptions{
-		Seed:            opts.Seed,
-		MaxRowsPerTable: opts.MaxRowsPerTable,
-	})
-	if err != nil {
-		return nil, nil, AcceleratorConfig{}, err
-	}
-	return prepareWithParams(params, opts)
+// AcceleratorOptions configures NewAcceleratorModel.
+type AcceleratorOptions struct {
+	// Precision selects the datapath format, and with the model the
+	// calibrated Table 6 build; zero value means Fixed16.
+	Precision Format
+	// DisableCartesian turns off table merging in the placement plan (the
+	// paper's "HBM only" configuration).
+	DisableCartesian bool
+	// UseLPTAllocator swaps the paper-faithful round-robin DRAM
+	// allocation for the cost-balancing LPT strategy.
+	UseLPTAllocator bool
 }
 
-func prepareWithParams(params *Parameters, opts EngineOptions) (*Parameters, *PlacementResult, AcceleratorConfig, error) {
-	prec := opts.Precision
-	if prec == (Format{}) {
-		prec = Fixed16
-	}
-	cfg := core.ConfigFor(params.Spec.Name, prec)
-	cfg.HotCacheBytes = opts.HotCacheBytes
-	if opts.ColdTier {
-		cfg.ColdTier = &tieredstore.Config{Path: opts.ColdTierPath, HotBytes: opts.HotTierBytes}
-	}
+// NewAcceleratorModel runs the placement search (Algorithm 1) for spec on
+// the U280 and returns the modelled accelerator build: its plan, its Table 6
+// configuration, and the timing model over them (Timing, TracePipeline).
+func NewAcceleratorModel(spec *Spec, opts AcceleratorOptions) (*AcceleratorModel, error) {
 	alloc := placement.RoundRobin
 	if opts.UseLPTAllocator {
 		alloc = placement.LPT
 	}
-	plan, err := placement.Plan(params.Spec, memsim.U280(cfg.OnChipBanks), placement.Options{
-		EnableCartesian: !opts.DisableCartesian,
-		Allocator:       alloc,
-	})
-	if err != nil {
-		return nil, nil, AcceleratorConfig{}, err
-	}
-	return params, plan, cfg, nil
+	cfg := accel.ConfigFor(spec.Name, orFixed16(opts.Precision))
+	return accel.New(spec, cfg, placement.Options{EnableCartesian: !opts.DisableCartesian, Allocator: alloc})
 }
 
 // PlanModel runs only the placement search (Algorithm 1) and returns the
-// resulting plan, for inspection or custom engine assembly.
+// resulting plan, for inspection.
 func PlanModel(spec *Spec, sys MemorySystem, enableCartesian bool) (*PlacementResult, error) {
 	return placement.Plan(spec, sys, placement.Options{EnableCartesian: enableCartesian})
 }

@@ -35,9 +35,6 @@ func TestQuickstartFlow(t *testing.T) {
 			t.Errorf("CTR %v outside [0,1]", p)
 		}
 	}
-	if res.Timing.LatencyNS <= 0 || res.Timing.ThroughputItemsPerSec <= 0 {
-		t.Errorf("timing report degenerate: %+v", res.Timing)
-	}
 }
 
 func TestEngineOptionsPrecision(t *testing.T) {
@@ -55,26 +52,38 @@ func TestEngineOptionsPrecision(t *testing.T) {
 	if e16.Config().Precision.Bits != 16 || e32.Config().Precision.Bits != 32 {
 		t.Error("precision option not honored")
 	}
-	// fp32 runs at a different clock per Table 6.
-	if e16.Config().ClockMHz == e32.Config().ClockMHz {
-		t.Error("fp16/fp32 clocks should differ (Table 6)")
-	}
 }
 
-func TestDisableCartesian(t *testing.T) {
+func TestAcceleratorModelOptions(t *testing.T) {
 	spec := microrec.SmallProductionModel()
-	with, err := microrec.NewEngine(spec, microrec.EngineOptions{Seed: 1, MaxRowsPerTable: 64})
-	if err != nil {
-		t.Fatal(err)
+	model := func(opts microrec.AcceleratorOptions) *microrec.AcceleratorModel {
+		t.Helper()
+		m, err := microrec.NewAcceleratorModel(spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	without, err := microrec.NewEngine(spec, microrec.EngineOptions{
-		Seed: 1, MaxRowsPerTable: 64, DisableCartesian: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	with, without := model(microrec.AcceleratorOptions{}), model(microrec.AcceleratorOptions{DisableCartesian: true})
+	if with.Plan.Layout.AccessesPerInference() >= without.Plan.Layout.AccessesPerInference() {
+		t.Error("Cartesian plan does not reduce accesses")
 	}
 	if with.LookupNS() >= without.LookupNS() {
 		t.Errorf("Cartesian lookup %.0f ns >= plain %.0f ns", with.LookupNS(), without.LookupNS())
+	}
+	if lpt := model(microrec.AcceleratorOptions{UseLPTAllocator: true}); lpt.LookupNS() > with.LookupNS() {
+		t.Errorf("LPT allocator lookup %.0f ns > round-robin %.0f ns", lpt.LookupNS(), with.LookupNS())
+	}
+	// fp32 runs at a different clock per Table 6.
+	if fp32 := model(microrec.AcceleratorOptions{Precision: microrec.Fixed32}); fp32.Config.ClockMHz == with.Config.ClockMHz {
+		t.Error("fp16/fp32 clocks should differ (Table 6)")
+	}
+	rep, err := with.Timing(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Items != 8 || rep.LatencyNS <= 0 || rep.ThroughputItemsPerSec <= 0 {
+		t.Errorf("timing report degenerate: %+v", rep)
 	}
 }
 

@@ -40,11 +40,9 @@ import (
 	"microrec/internal/fixedpoint"
 	"microrec/internal/hotcache"
 	"microrec/internal/kernels"
-	"microrec/internal/memsim"
 	"microrec/internal/model"
 	"microrec/internal/obs"
 	"microrec/internal/pipeline"
-	"microrec/internal/placement"
 	"microrec/internal/tieredstore"
 )
 
@@ -93,16 +91,12 @@ func allocQueries(spec *model.Spec, n int, seed int64) []embedding.Query {
 func zeroallocCases(t *testing.T) []allocCase {
 	t.Helper()
 	spec := model.SmallProduction()
-	cfg := core.SmallFP16()
+	cfg := core.Config{Precision: fixedpoint.Fixed16}
 	params, err := spec.Materialize(model.MaterializeOptions{Seed: 1, MaxRowsPerTable: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := placement.Plan(spec, memsim.U280(cfg.OnChipBanks), placement.Options{EnableCartesian: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := core.Build(params, plan, cfg)
+	eng, err := core.Build(params, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +117,7 @@ func zeroallocCases(t *testing.T) []allocCase {
 	// that state, after which neither the slab nor the index grows.
 	cachedCfg := cfg
 	cachedCfg.HotCacheBytes = 4 << 10
-	cachedEng, err := core.Build(params, plan, cachedCfg)
+	cachedEng, err := core.Build(params, cachedCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +145,7 @@ func zeroallocCases(t *testing.T) []allocCase {
 	}
 	lruHot := lruFresh - 1
 
-	tables := make([]int, eng.PhysicalTables())
+	tables := make([]int, len(eng.Spec().Tables))
 	for i := range tables {
 		tables[i] = i
 	}
@@ -184,7 +178,7 @@ func zeroallocCases(t *testing.T) []allocCase {
 	// The tiered engine's gather reads half its rows hot and half cold.
 	tieredCfg := cfg
 	tieredCfg.ColdTier = &tieredstore.Config{SweepEvery: -1, HotBytes: 1 << 30}
-	tieredEng, err := core.Build(params, plan, tieredCfg)
+	tieredEng, err := core.Build(params, tieredCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
