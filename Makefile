@@ -77,14 +77,14 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'Materialize' -benchtime 1x -benchmem ./internal/model
 
 # loadtest-smoke drives the open-loop load harness end to end three ways: one
-# server; two replicas behind the affinity router, each with a small hot-row
-# cache (calibrated under round-robin, swept under affinity, so the report
-# carries the router section and the hit-rate lift); and an engine whose every
-# lookup resolves through the tiered store's mmap'd cold file.
+# server; two tiered replicas behind the affinity router (calibrated under
+# round-robin, swept under affinity, so the report carries the router section
+# and the lift in the tiers' frequency-window hit rate); and an engine whose
+# every lookup resolves through the tiered store's mmap'd cold file.
 loadtest-smoke:
 	mkdir -p $(LOADTEST_OUT)
 	$(GO) run ./cmd/microrec loadtest -n 400 -o $(LOADTEST_OUT)/loadtest.json
-	$(GO) run ./cmd/microrec loadtest -n 400 -replicas 2 -route affinity -hotcache 262144 -o $(LOADTEST_OUT)/loadtest_routed.json
+	$(GO) run ./cmd/microrec loadtest -n 400 -replicas 2 -route affinity -cold-tier tmp -o $(LOADTEST_OUT)/loadtest_routed.json
 	$(GO) run ./cmd/microrec loadtest -n 400 -cold-tier tmp -o $(LOADTEST_OUT)/loadtest_cold.json
 
 # fuzz-smoke gives each fuzz target a short budget (exactly the CI step):

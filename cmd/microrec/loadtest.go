@@ -59,8 +59,8 @@ type loadtestReport struct {
 	// Router echoes the replicated tier's post-sweep scoreboard when the
 	// run used -replicas > 1: per-replica occupancy, routing decisions per
 	// policy, and — on -route affinity runs, which calibrate under
-	// round-robin before switching — the aggregate hot-cache hit-rate lift
-	// over the round-robin baseline.
+	// round-robin before switching — the aggregate frequency-window hit-rate
+	// lift over the round-robin baseline (with -cold-tier).
 	Router *microrec.RouterStats `json:"router,omitempty"`
 }
 
@@ -97,7 +97,6 @@ func cmdLoadtest(args []string) error {
 	queue := fs.Int("queue", 64, "submit queue depth (0 = 4x batch); bounds every admitted request's queueing delay")
 	pipelineDepth := fs.Int("pipeline-depth", 3, "plane-ring depth of the pipelined drain")
 	topo := addTopologyFlags(fs)
-	hotCache := fs.Int64("hotcache", 0, "live hot-row cache capacity in bytes per replica (0 = off); with -route affinity this is the cache whose aggregate hit-rate lift the report records")
 	tol := fs.Float64("tol", 0.01, "loss fraction (shed+expired) still counted as meeting the SLA")
 	zipf := fs.Bool("zipf", true, "Zipfian query skew (false = uniform)")
 	seed := fs.Int64("seed", 21, "deterministic arrival + workload seed")
@@ -117,9 +116,6 @@ func cmdLoadtest(args []string) error {
 	if *queue < 0 {
 		return fmt.Errorf("loadtest: -queue must be >= 0 (got %d)", *queue)
 	}
-	if *hotCache < 0 {
-		return fmt.Errorf("loadtest: -hotcache must be >= 0 bytes (got %d)", *hotCache)
-	}
 	if err := topo.validate("loadtest"); err != nil {
 		return err
 	}
@@ -135,7 +131,7 @@ func cmdLoadtest(args []string) error {
 	if err != nil {
 		return err
 	}
-	engOpts := microrec.EngineOptions{Seed: 1, MaxRowsPerTable: 4096, HotCacheBytes: *hotCache}
+	engOpts := microrec.EngineOptions{Seed: 1, MaxRowsPerTable: 4096}
 	if err := applyColdTier(&engOpts); err != nil {
 		return err
 	}
@@ -290,7 +286,7 @@ func cmdLoadtest(args []string) error {
 	fmt.Fprintf(progress, "\nknee: %.0f qps meeting the %v SLA (predicted capacity %.0f qps)\n",
 		rep.KneeQPS, *slaBudget, rep.PredictedCapacityQPS)
 	if rep.Router != nil {
-		fmt.Fprintf(progress, "router: %d replicas, policy %s, aggregate hot-cache hit rate %.3f (baseline %.3f, lift %+.3f)\n",
+		fmt.Fprintf(progress, "router: %d replicas, policy %s, aggregate frequency-window hit rate %.3f (baseline %.3f, lift %+.3f)\n",
 			rep.Router.Replicas, rep.Router.Policy, rep.Router.AggregateHitRate,
 			rep.Router.BaselineHitRate, rep.Router.HitRateDelta)
 	}

@@ -284,15 +284,16 @@ func TestServeMuxStatsAfterBurst(t *testing.T) {
 	}
 }
 
-// TestServeMuxStatsHotCache enables the live hot-row cache (the -hotcache
-// flag's engine option) and checks /stats surfaces its hit rate and
-// effective lookup latency.
+// TestServeMuxStatsHotCache serves a tiered engine (the -cold-tier flag's
+// engine options) and checks /stats surfaces its frequency window's hit rate
+// as the hotcache section, sized by HotCacheBytes.
 func TestServeMuxStatsHotCache(t *testing.T) {
 	spec := microrec.SmallProductionModel()
-	eng, err := microrec.NewEngine(spec, microrec.EngineOptions{Seed: 1, MaxRowsPerTable: 64, HotCacheBytes: 1 << 18})
+	eng, err := microrec.NewEngine(spec, microrec.EngineOptions{Seed: 1, MaxRowsPerTable: 64, ColdTier: true, HotCacheBytes: 1 << 18})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
 	srv, err := microrec.NewServer(eng, microrec.ServerOptions{Batching: microrec.BatchingOptions{MaxBatch: 8}})
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +309,7 @@ func TestServeMuxStatsHotCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Repeat one query so the cache warms deterministically.
+	// Repeat one query so the window warms deterministically.
 	for i := 0; i < 6; i++ {
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest("POST", "/predict", strings.NewReader(string(body))))
@@ -330,18 +331,24 @@ func TestServeMuxStatsHotCache(t *testing.T) {
 		t.Fatalf("/stats missing hotcache section: %s", rec.Body.String())
 	}
 	if st.HotCache.Hits == 0 {
-		t.Error("repeated query produced no cache hits")
+		t.Error("repeated query produced no window hits")
 	}
 	if st.HotCache.HitRate <= 0 || st.HotCache.HitRate > 1 {
 		t.Errorf("hit rate %v out of (0, 1]", st.HotCache.HitRate)
 	}
+	if st.HotCache.CapacityBytes != 1<<18 {
+		t.Errorf("window capacity %d, want HotCacheBytes %d", st.HotCache.CapacityBytes, 1<<18)
+	}
 }
 
-// TestServeFlagValidationHotCache checks cmdServe rejects a negative cache
-// capacity.
+// TestServeFlagValidationHotCache checks -hotcache is gone from serve and
+// loadtest: the only hot-row residency is the cold tier's, whose window
+// -cold-tier sizes from its hot budget.
 func TestServeFlagValidationHotCache(t *testing.T) {
-	if err := run([]string{"serve", "-hotcache", "-1"}); err == nil {
-		t.Error("negative -hotcache: want error")
+	for _, cmd := range []string{"serve", "loadtest"} {
+		if err := run([]string{cmd, "-hotcache", "262144"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s -hotcache: error %v, want an undefined flag", cmd, err)
+		}
 	}
 }
 
@@ -359,7 +366,6 @@ func TestServeFlagValidation(t *testing.T) {
 		{"pipeline depth 1", []string{"serve", "-pipeline-depth", "1"}},
 		{"pipeline depth 0", []string{"serve", "-pipeline-depth", "0"}},
 		{"worker pool depth 0", []string{"serve", "-worker-pool", "-pipeline-depth", "0"}},
-		{"negative hotcache", []string{"serve", "-hotcache", "-1"}},
 		{"unknown model", []string{"serve", "-model", "bogus"}},
 		{"unparseable flag", []string{"serve", "-batch", "many"}},
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -12,7 +13,7 @@ import (
 )
 
 // parseTopology runs the shared topology flags through a throwaway FlagSet,
-// mirroring how serve/bench/loadtest consume them.
+// mirroring how serve/loadtest consume them.
 func parseTopology(t *testing.T, args ...string) *topology {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -107,5 +108,37 @@ func TestServeMuxRouted(t *testing.T) {
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "microrec_router_replicas 2") {
 		t.Fatalf("/metrics lacks the router families (status %d)", rec.Code)
+	}
+}
+
+// TestLoadtestRoutedTiered runs the routed affinity loadtest on tiered
+// replicas, as make loadtest-smoke does: the report still carries the router
+// section, with a pooled frequency-window hit rate measured after the
+// round-robin baseline, and the first replica's tier.
+func TestLoadtestRoutedTiered(t *testing.T) {
+	out := t.TempDir() + "/loadtest_routed.json"
+	if err := run([]string{"loadtest", "-n", "60", "-loads", "300,600", "-sla", "100ms", "-batch", "8",
+		"-replicas", "2", "-route", "affinity", "-cold-tier", "tmp", "-o", out}); err != nil {
+		t.Fatalf("loadtest: %v", err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep loadtestReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("loadtest output is not JSON: %v", err)
+	}
+	if rep.Router == nil {
+		t.Fatalf("routed tiered report has no router section: %s", data)
+	}
+	if rep.Router.Replicas != 2 || rep.Router.Policy != string(microrec.RouteAffinity) {
+		t.Errorf("router section: %d replicas, policy %q", rep.Router.Replicas, rep.Router.Policy)
+	}
+	if rep.Router.AggregateHitRate <= 0 || rep.Router.AggregateHitRate > 1 {
+		t.Errorf("aggregate_hit_rate %v, want in (0, 1]", rep.Router.AggregateHitRate)
+	}
+	if rep.Tier == nil || rep.Tier.ColdReads+rep.Tier.HotReads == 0 {
+		t.Errorf("report tier section %+v, want the first replica's reads", rep.Tier)
 	}
 }

@@ -240,7 +240,6 @@ func cmdServe(args []string) error {
 	slaBudget := fs.Duration("sla", 0, "tail-latency budget: validates the backlog the server can hold at startup and becomes each request's serving deadline (expired requests are dropped before gather/GEMM; 0 = skip)")
 	queue := fs.Int("queue", 0, "submit queue depth (0 = 4x batch); with -shed this bounds every admitted request's queueing delay")
 	shed := fs.Bool("shed", false, "fail fast with 429 + Retry-After when the submit queue is full, instead of blocking on backpressure")
-	hotCache := fs.Int64("hotcache", 0, "live hot-row cache capacity in bytes per replica (0 = off; with -shards, split across per-shard caches); hits, misses and hit rate appear in /stats")
 	topo := addTopologyFlags(fs)
 	traceSample := fs.Int("trace-sample", microrec.DefaultTraceSample, "flight-recorder head sampling: record every Nth request's span (1 = every request, visible at GET /trace)")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/")
@@ -259,9 +258,6 @@ func cmdServe(args []string) error {
 	if !*workerPool && *pipelineDepth < 2 {
 		return fmt.Errorf("serve: -pipeline-depth must be >= 2 (got %d); stage overlap needs two planes, or select -worker-pool", *pipelineDepth)
 	}
-	if *hotCache < 0 {
-		return fmt.Errorf("serve: -hotcache must be >= 0 bytes (got %d)", *hotCache)
-	}
 	if *queue < 0 {
 		return fmt.Errorf("serve: -queue must be >= 0 (got %d)", *queue)
 	}
@@ -278,7 +274,7 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := microrec.EngineOptions{Seed: 1, MaxRowsPerTable: 4096, HotCacheBytes: *hotCache}
+	opts := microrec.EngineOptions{Seed: 1, MaxRowsPerTable: 4096}
 	if *fp32 {
 		opts.Precision = microrec.Fixed32
 	}
@@ -331,9 +327,6 @@ func cmdServe(args []string) error {
 		}
 	}
 	cacheNote := ""
-	if *hotCache > 0 {
-		cacheNote = fmt.Sprintf(", hot-row cache %d B", *hotCache)
-	}
 	if tier := tierSnapshot(eng); tier != nil {
 		cacheNote += fmt.Sprintf(", tiered store (hot budget %d B of %d B)", tier.HotBudgetBytes, tier.TotalBytes)
 	}

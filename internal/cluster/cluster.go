@@ -28,12 +28,12 @@
 // bound it enforces carries the straggler wait and the merge, not a model of
 // them.
 //
-// Each shard owns a pipeline.PlaneRing of pre-allocated partial planes and a
-// per-shard hot-row cache, and the coordinator merges partials in completion
-// order, so a fast shard's columns land while stragglers still gather; the
-// merge-wait histogram (last minus first shard completion) and the per-batch
-// imbalance ratio (max/mean shard service) quantify how balanced the
-// partition really is under live traffic.
+// Each shard owns a pipeline.PlaneRing of pre-allocated partial planes, and
+// the coordinator merges partials in completion order, so a fast shard's
+// columns land while stragglers still gather; the merge-wait histogram (last
+// minus first shard completion) and the per-batch imbalance ratio (max/mean
+// shard service) quantify how balanced the partition really is under live
+// traffic.
 package cluster
 
 import (
@@ -45,7 +45,6 @@ import (
 
 	"microrec/internal/core"
 	"microrec/internal/embedding"
-	"microrec/internal/hotcache"
 	"microrec/internal/metrics"
 	"microrec/internal/model"
 	"microrec/internal/pipeline"
@@ -72,22 +71,15 @@ type Options struct {
 	// in-flight batch while the coordinator still merges its previous one).
 	// Default 2.
 	RingDepth int
-	// HotCacheBytes is the tier's total hot-row cache capacity, split evenly
-	// across shards (each shard caches only its own tables' rows). 0 inherits
-	// the engine's Config().HotCacheBytes; negative disables caching.
-	HotCacheBytes int64
 }
 
 // withDefaults returns o with zero fields replaced by defaults.
-func (o Options) withDefaults(eng *core.Engine) Options {
+func (o Options) withDefaults() Options {
 	if o.MaxBatch == 0 {
 		o.MaxBatch = 64
 	}
 	if o.RingDepth == 0 {
 		o.RingDepth = 2
-	}
-	if o.HotCacheBytes == 0 {
-		o.HotCacheBytes = eng.Config().HotCacheBytes
 	}
 	return o
 }
@@ -123,13 +115,11 @@ type shardDone struct {
 }
 
 // shard is one gather replica: a disjoint table subset, the feature columns
-// those tables write, a ring of partial planes, and an optional private
-// hot-row cache over its own tables' access streams.
+// those tables write, and a ring of partial planes.
 type shard struct {
 	id     int
 	tables []int
 	spans  []core.ColSpan
-	cache  *hotcache.Live
 	ring   *pipeline.PlaneRing
 	tasks  chan scatterTask
 
@@ -142,8 +132,9 @@ type shard struct {
 // layer's Engine seam over a single built *core.Engine: the FC stack, the
 // spec and validation delegate to the engine; only the gather is
 // scattered. The engine stays immutable and shared — shards are views onto
-// its storage, not copies — so the tier costs planes and caches, not a second
-// parameter image.
+// its storage, not copies — so the tier costs planes, not a second parameter
+// image. On a tiered engine every shard reads through the engine's one store,
+// whose frequency window records the reads of all of them.
 type Cluster struct {
 	eng    *core.Engine
 	opts   Options
@@ -166,7 +157,7 @@ func New(eng *core.Engine, opts Options) (*Cluster, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("cluster: nil engine")
 	}
-	opts = opts.withDefaults(eng)
+	opts = opts.withDefaults()
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -179,11 +170,6 @@ func New(eng *core.Engine, opts Options) (*Cluster, error) {
 		mergeWaitUS: metrics.NewHistogram(0.01, 1e7),
 		imbalance:   metrics.NewRolling(statsWindow),
 	}
-	cacheTotal := opts.HotCacheBytes
-	if cacheTotal < 0 {
-		cacheTotal = 0
-	}
-	perShardCache := cacheTotal / int64(len(parts))
 	for i, tables := range parts {
 		spans, err := eng.PartialSpans(tables)
 		if err != nil {
@@ -201,24 +187,7 @@ func New(eng *core.Engine, opts Options) (*Cluster, error) {
 			tasks:   make(chan scatterTask, opts.RingDepth),
 			service: metrics.NewRolling(statsWindow),
 		}
-		if perShardCache > 0 {
-			live, err := hotcache.NewLive(perShardCache, 0)
-			if err != nil {
-				return nil, err
-			}
-			sh.cache = live
-		}
 		c.shards = append(c.shards, sh)
-	}
-	// On a tiered engine the shard caches observe all gather traffic (the
-	// coordinator's own cache sees none), so they must feed the placement
-	// harvest or the sweep would demote everything under sharded serving.
-	if store := eng.TierStore(); store != nil {
-		for _, sh := range c.shards {
-			if sh.cache != nil {
-				store.AddSource(sh.cache)
-			}
-		}
 	}
 	c.wg.Add(len(c.shards))
 	for _, sh := range c.shards {
@@ -297,7 +266,7 @@ func (c *Cluster) shardWorker(sh *shard) {
 	for t := range sh.tasks {
 		p := sh.ring.Acquire()
 		t0 := time.Now()
-		c.eng.GatherPartialIntoPlane(sh.tables, t.queries, p, sh.cache)
+		c.eng.GatherPartialIntoPlane(sh.tables, t.queries, p)
 		now := time.Now()
 		d := now.Sub(t0)
 		sh.batches.Add(1)
@@ -426,40 +395,14 @@ func (c *Cluster) InferBatch(queries []embedding.Query, dst []float32, scratch *
 // Spec delegates to the engine: the shards serve views of its model.
 func (c *Cluster) Spec() *model.Spec { return c.eng.Spec() }
 
-// Tier delegates the tiered-store snapshot to the underlying engine; ok is
-// false on an all-DRAM engine.
-func (c *Cluster) Tier() (tieredstore.Snapshot, bool) { return c.eng.Tier() }
+// Tier delegates to the underlying engine's tiered store, nil on an all-DRAM
+// engine.
+func (c *Cluster) Tier() *tieredstore.Store { return c.eng.Tier() }
 
 // PrefetchBatch delegates the cold-row prefetch pass to the engine: shards
 // read rows through the same backing store, so warming it before the scatter
 // round benefits every shard's gather.
 func (c *Cluster) PrefetchBatch(queries []embedding.Query) { c.eng.PrefetchBatch(queries) }
-
-// HotCache aggregates the shard caches into one snapshot; ok is false when
-// caching is disabled.
-func (c *Cluster) HotCache() (core.HotCacheInfo, bool) {
-	var info core.HotCacheInfo
-	attached := false
-	for _, sh := range c.shards {
-		if sh.cache == nil {
-			continue
-		}
-		attached = true
-		st := sh.cache.Stats()
-		info.CapacityBytes += sh.cache.CapacityBytes()
-		info.UsedBytes += st.UsedBytes
-		info.Entries += st.Entries
-		info.Hits += st.Hits
-		info.Misses += st.Misses
-	}
-	if !attached {
-		return core.HotCacheInfo{}, false
-	}
-	if total := info.Hits + info.Misses; total > 0 {
-		info.HitRate = float64(info.Hits) / float64(total)
-	}
-	return info, true
-}
 
 // ---- stats ----
 
@@ -477,9 +420,6 @@ type ShardStats struct {
 	// Occupancy is the fraction of recent wall time the shard spent
 	// gathering (rolling batch rate x mean service, capped at 1).
 	Occupancy float64 `json:"occupancy"`
-	// CacheHitRate is the shard's private hot-row cache hit rate (absent
-	// when caching is disabled).
-	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
 }
 
 // Stats is the /stats "cluster" section: the shard partition, the
@@ -528,9 +468,6 @@ func (c *Cluster) Stats() Stats {
 			MeanServiceUS: s.Summary.Mean / 1e3,
 			P99ServiceUS:  s.Summary.P99 / 1e3,
 			Occupancy:     occ,
-		}
-		if sh.cache != nil {
-			st.PerShard[i].CacheHitRate = sh.cache.HitRate()
 		}
 	}
 	return st

@@ -22,15 +22,13 @@ var _ serving.Engine = (*cluster.Cluster)(nil)
 
 // buildEngine assembles a real engine for a spec (capacity-scaled),
 // mirroring the core and pipeline test helpers.
-func buildEngine(t testing.TB, spec *model.Spec, hotCacheBytes int64) *core.Engine {
+func buildEngine(t testing.TB, spec *model.Spec) *core.Engine {
 	t.Helper()
 	params, err := spec.Materialize(model.MaterializeOptions{Seed: 1, MaxRowsPerTable: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.Config{Precision: fixedpoint.Fixed16}
-	cfg.HotCacheBytes = hotCacheBytes
-	eng, err := core.Build(params, cfg)
+	eng, err := core.Build(params, core.Config{Precision: fixedpoint.Fixed16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +92,7 @@ func TestShardedBitIdentityProperty(t *testing.T) {
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("trial %d: invalid spec: %v", trial, err)
 		}
-		eng := buildEngine(t, spec, 0)
+		eng := buildEngine(t, spec)
 		var scratch core.BatchScratch
 		for _, shards := range []int{1, 2, 3, 4} {
 			c, err := cluster.New(eng, cluster.Options{Shards: shards})
@@ -125,48 +123,12 @@ func TestShardedBitIdentityProperty(t *testing.T) {
 	}
 }
 
-// TestShardedBitIdentityWithCaches re-checks bit identity with per-shard
-// hot-row caches attached: caches model latency, never values.
-func TestShardedBitIdentityWithCaches(t *testing.T) {
-	spec := model.SmallProduction()
-	eng := buildEngine(t, spec, 0)
-	c, err := cluster.New(eng, cluster.Options{Shards: 4, HotCacheBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var scratch core.BatchScratch
-	for round := 0; round < 3; round++ { // repeats so cache hits occur
-		qs := randomQueries(spec, 32, 7)
-		want, err := eng.InferBatch(qs, nil, &scratch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.InferBatch(qs, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("round %d query %d: sharded %v, single-engine %v", round, i, got[i], want[i])
-			}
-		}
-	}
-	info, ok := c.HotCache()
-	if !ok || info.CapacityBytes <= 0 || info.Hits == 0 {
-		t.Fatalf("aggregated cache info %+v ok=%v", info, ok)
-	}
-	if info.HitRate <= 0 {
-		t.Fatalf("repeated identical batches produced hit rate %v, want > 0", info.HitRate)
-	}
-}
-
 // TestClusterStats checks the tier's metrics: every scatter round counted on
 // the coordinator and on every shard, merge waits recorded, and the
 // imbalance ratio within [1, shards].
 func TestClusterStats(t *testing.T) {
 	spec := model.SmallProduction()
-	eng := buildEngine(t, spec, 0)
+	eng := buildEngine(t, spec)
 	c, err := cluster.New(eng, cluster.Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +173,7 @@ func TestClusterStats(t *testing.T) {
 // is the tier's data-race check.
 func TestClusterConcurrentInfer(t *testing.T) {
 	spec := model.SmallProduction()
-	eng := buildEngine(t, spec, 0)
+	eng := buildEngine(t, spec)
 	c, err := cluster.New(eng, cluster.Options{Shards: 4, RingDepth: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +219,7 @@ func TestClusterConcurrentInfer(t *testing.T) {
 // direct engine inference) and the /stats cluster section.
 func TestServerWithShards(t *testing.T) {
 	spec := model.SmallProduction()
-	eng := buildEngine(t, spec, 0)
+	eng := buildEngine(t, spec)
 	srv, err := serving.New(eng, serving.Options{
 		Batching: serving.BatchingOptions{MaxBatch: 8},
 		Tier:     serving.TierOptions{Shards: 3},
@@ -322,7 +284,7 @@ func TestServerShardsRequiresRealEngine(t *testing.T) {
 
 // TestClusterCloseIdempotent double-closes and checks error-free idempotence.
 func TestClusterCloseIdempotent(t *testing.T) {
-	eng := buildEngine(t, model.SmallProduction(), 0)
+	eng := buildEngine(t, model.SmallProduction())
 	c, err := cluster.New(eng, cluster.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -348,4 +310,3 @@ func (fakeEngine) DenseFromPlane(b int, s *core.BatchScratch)                   
 func (fakeEngine) TailFromPlane(b int, s *core.BatchScratch, dst []float32)        {}
 func (fakeEngine) ValidateQuery(q embedding.Query) error                           { return nil }
 func (fakeEngine) Spec() *model.Spec                                               { return nil }
-func (fakeEngine) HotCache() (core.HotCacheInfo, bool)                             { return core.HotCacheInfo{}, false }

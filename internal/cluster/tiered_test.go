@@ -46,9 +46,9 @@ func buildTieredEngine(t testing.TB, spec *model.Spec, hotBytes int64) *core.Eng
 // all-DRAM single engine.
 func TestShardedTieredBitIdentity(t *testing.T) {
 	spec := model.SmallProduction()
-	ref := buildEngine(t, spec, 0)
+	ref := buildEngine(t, spec)
 	tiered := buildTieredEngine(t, spec, 0)
-	store := tiered.TierStore()
+	store := tiered.Tier()
 	if store == nil {
 		t.Fatal("no tier store attached")
 	}
@@ -67,7 +67,7 @@ func TestShardedTieredBitIdentity(t *testing.T) {
 	}
 	var scratch core.BatchScratch
 	for _, shards := range []int{1, 2, 3, 4} {
-		c, err := cluster.New(tiered, cluster.Options{Shards: shards, HotCacheBytes: 1 << 18})
+		c, err := cluster.New(tiered, cluster.Options{Shards: shards})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -91,8 +91,8 @@ func TestShardedTieredBitIdentity(t *testing.T) {
 		}
 		// The last repin pinned every row: the cluster's tier snapshot must
 		// show the promotion.
-		if snap, ok := c.Tier(); !ok || snap.ColdRows != 0 || snap.HotRows == 0 {
-			t.Fatalf("shards=%d: cluster tier snapshot %+v ok=%v, want every row hot", shards, snap, ok)
+		if snap := c.Tier().Snapshot(); snap.ColdRows != 0 || snap.HotRows == 0 {
+			t.Fatalf("shards=%d: cluster tier snapshot %+v, want every row hot", shards, snap)
 		}
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
@@ -100,29 +100,30 @@ func TestShardedTieredBitIdentity(t *testing.T) {
 	}
 }
 
-// TestShardedTieredSweepHarvest checks the per-shard caches feed the
-// placement sweep: traffic served only through the cluster still promotes
-// rows (the coordinator engine's own cache sees no gather traffic).
+// TestShardedTieredSweepHarvest checks every shard's reads land in the
+// store's one frequency window and feed the placement sweep: traffic served
+// only through the cluster still promotes rows.
 func TestShardedTieredSweepHarvest(t *testing.T) {
 	spec := model.SmallProduction()
 	tiered := buildTieredEngine(t, spec, 0)
-	store := tiered.TierStore()
-	c, err := cluster.New(tiered, cluster.Options{Shards: 3, HotCacheBytes: 1 << 20})
+	store := tiered.Tier()
+	c, err := cluster.New(tiered, cluster.Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	qs := randomQueries(spec, 8, 3)
-	for round := 0; round < 30; round++ {
+	const rounds = 30
+	for round := 0; round < rounds; round++ {
 		if _, err := c.InferBatch(qs, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	store.SweepNow()
-	snap, ok := c.Tier()
-	if !ok {
-		t.Fatal("tier not surfaced")
+	if w := store.Snapshot().Window; w.Hits+w.Misses != int64(rounds*len(qs)*spec.NumLookups()) || w.Hits == 0 {
+		t.Fatalf("window %+v: want all %d reads of the three shards, hits among them", w, rounds*len(qs)*spec.NumLookups())
 	}
+	store.SweepNow()
+	snap := c.Tier().Snapshot()
 	if snap.HotRows == 0 || snap.Promotions == 0 {
 		t.Fatalf("sharded traffic harvested nothing: %+v", snap)
 	}

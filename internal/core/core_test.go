@@ -10,6 +10,7 @@ import (
 	"microrec/internal/fixedpoint"
 	"microrec/internal/model"
 	"microrec/internal/tensor"
+	"microrec/internal/tieredstore"
 )
 
 func buildEngine(t testing.TB, spec *model.Spec, cfg Config) *Engine {
@@ -221,7 +222,7 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build(nil, Config{Precision: fixedpoint.Fixed16}); err == nil {
 		t.Error("nil params: want error")
 	}
-	if _, err := Build(params, Config{Precision: fixedpoint.Fixed16, HotCacheBytes: -1}); err == nil {
+	if _, err := Build(params, Config{Precision: fixedpoint.Fixed16, ColdTier: &tieredstore.Config{WindowBytes: -1}}); err == nil {
 		t.Error("invalid config: want error")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"microrec/internal/embedding"
-	"microrec/internal/hotcache"
 	"microrec/internal/kernels"
 	"microrec/internal/model"
 	"microrec/internal/tensor"
@@ -34,11 +33,10 @@ type Engine struct {
 
 	// gplan is the compiled batched-gather schedule (see gather.go).
 	gplan gatherPlan
-	// cache is the optional live hot-row cache (Config.HotCacheBytes).
-	cache *hotcache.Live
 	// tier is the optional tiered backing store (Config.ColdTier): hot rows
-	// pinned in DRAM, the full row set in an mmap'd cold file. Engines with
-	// a tier must be Closed.
+	// pinned in DRAM, the full row set in an mmap'd cold file, placed from
+	// the reads it records in its frequency window. Engines with a tier must
+	// be Closed.
 	tier *tieredstore.Store
 
 	// onePool recycles the batch-of-one scratch InferOne runs on, keeping
@@ -90,13 +88,6 @@ func Build(params *model.Parameters, cfg Config) (*Engine, error) {
 	}
 	e.gplan = e.compileGatherPlan()
 	var err error
-	if cfg.HotCacheBytes > 0 {
-		live, err := hotcache.NewLive(cfg.HotCacheBytes, 0)
-		if err != nil {
-			return nil, err
-		}
-		e.cache = live
-	}
 	// The format's width selects the datapath, once: tables, planes, weights
 	// and kernels are int16 for a 16-bit format and int32 for a 32-bit one.
 	if f := cfg.Precision; f.Bits == 16 {
@@ -106,24 +97,6 @@ func Build(params *model.Parameters, cfg Config) (*Engine, error) {
 	}
 	if err != nil {
 		return nil, err
-	}
-	if e.tier != nil {
-		if e.cache == nil {
-			// Tiered placement is harvested from the live cache, so a tiered
-			// engine needs one: default to the hot-tier budget (floored so an
-			// all-cold budget still leaves a usable harvest window).
-			capacity := e.tier.HotBudgetBytes()
-			if capacity < 1<<20 {
-				capacity = 1 << 20
-			}
-			live, err := hotcache.NewLive(capacity, 0)
-			if err != nil {
-				e.tier.Close()
-				return nil, err
-			}
-			e.cache = live
-		}
-		e.tier.AddSource(e.cache)
 	}
 	return e, nil
 }
@@ -164,7 +137,8 @@ func (e *Engine) Config() Config { return e.cfg }
 // (spec order, lookup-minor), reading every row as the parameters' float —
 // regenerated from the stream's checkpoints (model.Parameters.ReadRows), not
 // from the engine's quantized tables. It is the float reference of the
-// quantized GatherBatch path and performs no hot-cache accounting.
+// quantized GatherBatch path and records nothing in a tiered store's
+// frequency window.
 func (e *Engine) Gather(q embedding.Query, dst []float32) ([]float32, error) {
 	if err := e.ValidateQuery(q); err != nil {
 		return nil, err
@@ -190,8 +164,8 @@ func (e *Engine) Gather(q embedding.Query, dst []float32) ([]float32, error) {
 // InferOne runs one query through the fixed-point datapath and returns the
 // predicted CTR in [0, 1]. It shares the batched gather + GEMM datapath as a
 // batch of one (bit-identical by construction) on a pooled scratch, so the
-// single-query path is allocation-free in steady state and feeds the live
-// hot-row cache like any other traffic.
+// single-query path is allocation-free in steady state and feeds a tiered
+// store's frequency window like any other traffic.
 func (e *Engine) InferOne(q embedding.Query) (float32, error) {
 	if err := e.ValidateQuery(q); err != nil {
 		return 0, err

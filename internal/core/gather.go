@@ -229,94 +229,34 @@ func (e *Engine) gatherBatchValidated(queries []embedding.Query, s *BatchScratch
 	// The scratch is reused, so zero the dense tail of every feature row;
 	// the embedding region is fully overwritten by the table passes.
 	e.ZeroDenseTail(len(queries), s)
-	s.obs = GatherObs{ColdFaults: e.dp.gatherTables(&e.gplan, e.gplan.all, queries, s, e.cache)}
-}
-
-// ---- live hot-row cache ----
-
-// HotCacheInfo is a snapshot of the engine's live hot-row cache.
-type HotCacheInfo struct {
-	CapacityBytes int64
-	UsedBytes     int64
-	Entries       int
-	Hits          int64
-	Misses        int64
-	// HitRate is Hits/(Hits+Misses), 0 when idle.
-	HitRate float64
-}
-
-// HotCacheEnabled reports whether a live hot-row cache is attached
-// (Config.HotCacheBytes > 0 at Build).
-func (e *Engine) HotCacheEnabled() bool { return e.cache != nil }
-
-// HotCache snapshots the live hot-row cache; ok is false when none is
-// attached.
-func (e *Engine) HotCache() (info HotCacheInfo, ok bool) {
-	if e.cache == nil {
-		return HotCacheInfo{}, false
-	}
-	st := e.cache.Stats()
-	return HotCacheInfo{
-		CapacityBytes: e.cache.CapacityBytes(),
-		UsedBytes:     st.UsedBytes,
-		Entries:       st.Entries,
-		Hits:          st.Hits,
-		Misses:        st.Misses,
-		HitRate:       st.HitRate(),
-	}, true
+	s.obs = GatherObs{ColdFaults: e.dp.gatherTables(&e.gplan, e.gplan.all, queries, s)}
 }
 
 // ---- tiered backing store ----
 
-// TierStore returns the engine's tiered backing store, nil when the engine
-// is all-DRAM. The cluster tier uses it to register its per-shard caches as
-// placement-harvest sources.
-func (e *Engine) TierStore() *tieredstore.Store { return e.tier }
-
-// Tier snapshots the tiered store; ok is false for an all-DRAM engine.
-func (e *Engine) Tier() (tieredstore.Snapshot, bool) {
-	if e.tier == nil {
-		return tieredstore.Snapshot{}, false
-	}
-	return e.tier.Snapshot(), true
-}
+// Tier returns the engine's tiered backing store, nil for an all-DRAM engine.
+// Its Snapshot is what /stats reports, and its frequency window the hot-row
+// counters.
+func (e *Engine) Tier() *tieredstore.Store { return e.tier }
 
 // PrefetchBatch touches the cold-tier pages a batch's gather will read. The
 // serving tier calls it from the pipeline's gather-stage Prepare hook, so a
 // cold row's fault is absorbed while filling that plane only — the other
 // in-flight planes' compute stages keep draining. Queries must already be
-// validated; no-op for an all-DRAM engine.
+// validated; no-op for an all-DRAM engine. It walks the gather's blocks in
+// the gather's order and leaves the store to skip the rows it holds hot.
+//
+//microrec:noalloc
 func (e *Engine) PrefetchBatch(queries []embedding.Query) {
 	if e.tier == nil {
 		return
 	}
-	for _, c := range e.coldRows(queries) {
-		e.tier.Prefetch(c.id, c.row)
-	}
-}
-
-// rowRef names one row of one access stream.
-type rowRef struct {
-	id  int
-	row int64
-}
-
-// coldRows lists, in gather order, the (stream, row) pairs of a batch's
-// lookups that the tiered store would serve from the cold file right now.
-func (e *Engine) coldRows(queries []embedding.Query) []rowRef {
-	var cold []rowRef
-	rows := make([]int64, len(queries))
 	for _, blocks := range e.gplan.tables {
 		for bi := range blocks {
 			blk := &blocks[bi]
-			blk.resolve(queries, rows)
-			st := e.tier.Stream(blk.srcID)
-			for _, row := range rows {
-				if !st.IsHot(row) {
-					cold = append(cold, rowRef{blk.srcID, row})
-				}
+			for _, q := range queries {
+				e.tier.Prefetch(blk.srcID, blk.mod.reduce(q[blk.srcID][blk.round]))
 			}
 		}
 	}
-	return cold
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"microrec/internal/fixedpoint"
+	"microrec/internal/hotcache"
 	"microrec/internal/model"
 )
 
@@ -84,8 +85,9 @@ func TestGatherBatchMatchesGather(t *testing.T) {
 
 // TestInferBatchPropertyRandomSpecs is the end-to-end property test: across
 // random model geometries and batch sizes, the batched gather + blocked GEMM
-// datapath is bit-identical to per-query InferOne — with and without a live
-// hot-row cache attached (the cache must never change predictions).
+// datapath is bit-identical to per-query InferOne — from DRAM tables and
+// from an all-cold tiered store that records every read in its frequency
+// window (neither may change predictions).
 func TestInferBatchPropertyRandomSpecs(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 6; trial++ {
@@ -94,22 +96,18 @@ func TestInferBatchPropertyRandomSpecs(t *testing.T) {
 		if trial%2 == 1 {
 			cfg.Precision = fixedpoint.Fixed32
 		}
-		cached := cfg
-		cached.HotCacheBytes = 1 << 16
 		plain := buildEngine(t, spec, cfg)
-		withCache := buildEngine(t, spec, cached)
-		if !withCache.HotCacheEnabled() {
-			t.Fatal("hot cache not attached")
-		}
+		tiered := buildEngine(t, spec, windowTestConfig(cfg.Precision, 1<<16))
+		defer tiered.Close()
 		for _, b := range append([]int{5, 8, 31, 67}, windowBatches...) {
 			qs := randomQueries(spec, b, int64(trial*1000+b))
 			got, err := plain.InferBatch(qs, nil, nil)
 			if err != nil {
 				t.Fatalf("%s b=%d: %v", spec.Name, b, err)
 			}
-			gotCached, err := withCache.InferBatch(qs, nil, nil)
+			gotTiered, err := tiered.InferBatch(qs, nil, nil)
 			if err != nil {
-				t.Fatalf("%s b=%d cached: %v", spec.Name, b, err)
+				t.Fatalf("%s b=%d tiered: %v", spec.Name, b, err)
 			}
 			for i, q := range qs {
 				want, err := plain.InferOne(q)
@@ -119,14 +117,14 @@ func TestInferBatchPropertyRandomSpecs(t *testing.T) {
 				if got[i] != want {
 					t.Fatalf("%s b=%d query %d: batch %v, one-at-a-time %v", spec.Name, b, i, got[i], want)
 				}
-				if gotCached[i] != want {
-					t.Fatalf("%s b=%d query %d: cached engine %v, want %v (cache must be transparent)",
-						spec.Name, b, i, gotCached[i], want)
+				if gotTiered[i] != want {
+					t.Fatalf("%s b=%d query %d: tiered engine %v, want %v (the tier must be transparent)",
+						spec.Name, b, i, gotTiered[i], want)
 				}
 			}
 		}
-		if info, ok := withCache.HotCache(); !ok || info.Hits+info.Misses == 0 {
-			t.Fatalf("%s: cache saw no traffic (info=%+v ok=%v)", spec.Name, info, ok)
+		if w := tiered.Tier().Snapshot().Window; w.Hits+w.Misses == 0 {
+			t.Fatalf("%s: window saw no traffic (%+v)", spec.Name, w)
 		}
 	}
 }
@@ -156,10 +154,10 @@ func TestGatherBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestHotCacheChargesRowsAtElementWidth checks that the live hot-row cache is
-// charged the bytes a row occupies at the datapath's width — dim × 2 at
-// Fixed16, dim × 4 at Fixed32 — so a cache sized in those bytes (a tiered
-// engine's default, its hot budget) holds as many rows as the budget does.
+// TestHotCacheChargesRowsAtElementWidth checks that a tiered engine's
+// frequency window is charged the bytes a row occupies at the datapath's
+// width — dim × 2 at Fixed16, dim × 4 at Fixed32 — so a window sized in those
+// bytes (by default the hot budget) holds as many rows as the budget does.
 func TestHotCacheChargesRowsAtElementWidth(t *testing.T) {
 	spec := model.SmallProduction()
 	for _, tc := range []struct {
@@ -171,9 +169,8 @@ func TestHotCacheChargesRowsAtElementWidth(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := tc.precision
-			cfg := Config{Precision: f}
-			cfg.HotCacheBytes = 1 << 22
-			e := buildEngine(t, spec, cfg)
+			e := buildEngine(t, spec, windowTestConfig(f, 1<<22))
+			defer e.Close()
 			qs := randomQueries(spec, 8, 13)
 			type key struct {
 				src int
@@ -195,12 +192,12 @@ func TestHotCacheChargesRowsAtElementWidth(t *testing.T) {
 			if _, err := e.GatherBatch(qs, nil); err != nil {
 				t.Fatal(err)
 			}
-			info, _ := e.HotCache()
-			if info.Entries != len(distinct) {
-				t.Fatalf("cache holds %d rows, the batch read %d distinct ones", info.Entries, len(distinct))
+			w := e.Tier().Snapshot().Window
+			if w.Entries != len(distinct) {
+				t.Fatalf("window holds %d rows, the batch read %d distinct ones", w.Entries, len(distinct))
 			}
-			if info.UsedBytes != want {
-				t.Errorf("cache charged %d bytes for %d rows, want %d", info.UsedBytes, len(distinct), want)
+			if w.UsedBytes != want {
+				t.Errorf("window charged %d bytes for %d rows, want %d", w.UsedBytes, len(distinct), want)
 			}
 		})
 	}
@@ -236,23 +233,22 @@ func TestGatherPlanWalksEveryTable(t *testing.T) {
 
 // TestGatherIgnoresGOMAXPROCS checks that nothing in the gather follows the
 // host's core count: engines built and run under GOMAXPROCS 1 and 4 compile
-// the same plan, gather the same bits and leave their hot-row caches with the
-// same counters.
+// the same plan, gather the same bits and leave their tiers' frequency
+// windows with the same counters.
 func TestGatherIgnoresGOMAXPROCS(t *testing.T) {
 	spec := model.SmallProduction()
-	cfg := Config{Precision: fixedpoint.Fixed16}
-	cfg.HotCacheBytes = 1 << 12
+	cfg := windowTestConfig(fixedpoint.Fixed16, 1<<12)
 	qs := randomQueries(spec, 2*gatherWindow+3, 29)
-	run := func(procs int) (*Engine, []int16, HotCacheInfo) {
+	run := func(procs int) (*Engine, []int16, hotcache.Stats) {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
 		e := buildEngine(t, spec, cfg)
+		defer e.Close()
 		var s BatchScratch
 		if _, err := e.GatherBatch(qs, &s); err != nil {
 			t.Fatal(err)
 		}
-		info, _ := e.HotCache()
-		return e, append([]int16(nil), s.x16...), info
+		return e, append([]int16(nil), s.x16...), e.Tier().Window().Stats()
 	}
 	e1, x1, c1 := run(1)
 	e4, x4, c4 := run(4)
@@ -265,7 +261,7 @@ func TestGatherIgnoresGOMAXPROCS(t *testing.T) {
 		}
 	}
 	if c1 != c4 {
-		t.Errorf("cache %+v under 1, %+v under 4", c1, c4)
+		t.Errorf("window %+v under 1, %+v under 4", c1, c4)
 	}
 }
 
@@ -297,15 +293,14 @@ func contains(s, sub string) bool {
 	return false
 }
 
-// TestHotCacheConcurrentWorkers drives one shared engine with a live hot-row
-// cache from concurrent goroutines mixing batched inference and stats reads —
-// the serving worker-pool pattern — and checks predictions stay bit-identical
-// throughout (run under -race in CI).
+// TestHotCacheConcurrentWorkers drives one shared tiered engine from
+// concurrent goroutines mixing batched inference and stats reads of its
+// frequency window — the serving worker-pool pattern — and checks predictions
+// stay bit-identical throughout (run under -race in CI).
 func TestHotCacheConcurrentWorkers(t *testing.T) {
 	spec := model.SmallProduction()
-	cfg := Config{Precision: fixedpoint.Fixed16}
-	cfg.HotCacheBytes = 1 << 18
-	e := buildEngine(t, spec, cfg)
+	e := buildEngine(t, spec, windowTestConfig(fixedpoint.Fixed16, 1<<18))
+	defer e.Close()
 	qs := randomQueries(spec, 64, 17)
 	want, err := e.InferBatch(qs, nil, nil)
 	if err != nil {
@@ -329,19 +324,15 @@ func TestHotCacheConcurrentWorkers(t *testing.T) {
 						return
 					}
 				}
-				if info, ok := e.HotCache(); !ok || info.HitRate < 0 || info.HitRate > 1 {
-					t.Errorf("hot cache snapshot %+v ok=%v", info, ok)
+				if w := e.Tier().Snapshot().Window; w.HitRate < 0 || w.HitRate > 1 {
+					t.Errorf("window snapshot %+v", w)
 					return
 				}
 			}
 		}(int64(w))
 	}
 	wg.Wait()
-	info, ok := e.HotCache()
-	if !ok {
-		t.Fatal("no cache info")
-	}
-	if info.Hits == 0 || info.HitRate <= 0 {
-		t.Errorf("repeated identical batches should hit the cache: %+v", info)
+	if w := e.Tier().Snapshot().Window; w.Hits == 0 || w.HitRate <= 0 {
+		t.Errorf("repeated identical batches should hit the window: %+v", w)
 	}
 }

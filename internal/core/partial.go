@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"microrec/internal/embedding"
-	"microrec/internal/hotcache"
 )
 
 // This file exposes the gather datapath in table-subset pieces — the entry
@@ -54,17 +53,16 @@ func (e *Engine) PartialSpans(tables []int) ([]ColSpan, error) {
 
 // GatherPartialIntoPlane gathers only the listed tables into the
 // plane's feature rows, copying each row exactly as the monolithic gather
-// would.
-// Accesses are recorded against cache when non-nil (the cluster tier passes a
-// per-shard cache; nil disables accounting). Queries must have passed
+// would — on a tiered engine, each read recorded in the store's frequency
+// window like any other gather's. Queries must have passed
 // ValidateQuery and the plane must be sized (EnsurePlane) for at least
 // len(queries); the call performs no validation, no allocation, and does not
 // touch columns outside the listed tables' spans — in particular the dense
 // tail, which the coordinator owns (ZeroDenseTail).
 //
 //microrec:noalloc
-func (e *Engine) GatherPartialIntoPlane(tables []int, queries []embedding.Query, s *BatchScratch, cache *hotcache.Live) {
-	s.obs = GatherObs{ColdFaults: e.dp.gatherTables(&e.gplan, tables, queries, s, cache)}
+func (e *Engine) GatherPartialIntoPlane(tables []int, queries []embedding.Query, s *BatchScratch) {
+	s.obs = GatherObs{ColdFaults: e.dp.gatherTables(&e.gplan, tables, queries, s)}
 }
 
 // ZeroDenseTail zeroes the dense tail of the plane's first b feature rows —

@@ -110,7 +110,7 @@ func TestPartialGatherMergeMatchesMonolithic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e.GatherPartialIntoPlane(tables, qs, &partial, nil)
+				e.GatherPartialIntoPlane(tables, qs, &partial)
 				e.MergePartialPlane(b, spans, &partial, &merged)
 			}
 			got, mono := e.dp.features(&merged), e.dp.features(&want)
@@ -133,7 +133,7 @@ func TestPartialGatherColdFaults(t *testing.T) {
 	spec := model.SmallProduction()
 	e := buildEngine(t, spec, tierTestConfig(-1))
 	defer e.Close()
-	store := e.TierStore()
+	store := e.Tier()
 	for id := 0; id < store.Streams(); id++ {
 		var hot []int64
 		for r := int64(0); r < store.Stream(id).Rows(); r += 2 {
@@ -155,7 +155,7 @@ func TestPartialGatherColdFaults(t *testing.T) {
 		var partial BatchScratch
 		e.EnsurePlane(&partial, b)
 		for _, tables := range randomPartition(rng, len(e.Spec().Tables), 3) {
-			e.GatherPartialIntoPlane(tables, qs, &partial, nil)
+			e.GatherPartialIntoPlane(tables, qs, &partial)
 			sum += partial.GatherObs().ColdFaults
 		}
 		if sum != want {

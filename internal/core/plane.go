@@ -8,7 +8,6 @@ import (
 
 	"microrec/internal/embedding"
 	"microrec/internal/fixedpoint"
-	"microrec/internal/hotcache"
 	"microrec/internal/kernels"
 	"microrec/internal/model"
 	"microrec/internal/offheap"
@@ -31,7 +30,7 @@ import (
 type datapath interface {
 	ensure(s *BatchScratch, b int)
 	features(s *BatchScratch) Features
-	gatherTables(plan *gatherPlan, tables []int, queries []embedding.Query, s *BatchScratch, cache *hotcache.Live) (coldFaults int64)
+	gatherTables(plan *gatherPlan, tables []int, queries []embedding.Query, s *BatchScratch) (coldFaults int64)
 	zeroDenseTail(b int, s *BatchScratch)
 	mergePartial(b int, spans []ColSpan, src, dst *BatchScratch)
 	dense(b int, s *BatchScratch)
@@ -278,9 +277,10 @@ func (d *fixedPath[T]) hintWindow(s *gatherSeq, c *gatherCursor, rows []int64) i
 // block across the whole batch — and the loop takes it gatherWindow rows at a
 // time, in two passes. Pass 1 resolves the window's row numbers into a vector
 // on the stack and hints every row's cache lines, a block's run with one
-// call. Pass 2 walks the same window again and, per row, records the access
-// against the given live hot-row cache and copies the row — already at the
-// plane's width — into the query's feature row. By the time pass 2 reads
+// call. Pass 2 walks the same window again and, per row, reads the row —
+// from the DRAM table, or through the tiered store, which records the read
+// in its frequency window — and copies it, already at the plane's width,
+// into the query's feature row. By the time pass 2 reads
 // a row its fetch has been in flight, together with the rest of the window's,
 // for the whole of pass 1: the loop waits for memory once per window, not
 // once per row (gather.go's header has the arithmetic). A window ends where
@@ -288,14 +288,12 @@ func (d *fixedPath[T]) hintWindow(s *gatherSeq, c *gatherCursor, rows []int64) i
 // several windows and a small one packs several blocks — at batch 1 a whole
 // item's lookups — into one.
 //
-// Pass 2 visits lookups in exactly the sequence's order, so the hot cache's
-// counters and recency, the tier's read counters and the cold-fault count are
-// those of a plain serial walk. cache is a parameter (not always the
-// engine's) because the cluster tier's partial gathers account against
-// per-shard caches.
+// Pass 2 visits lookups in exactly the sequence's order, so on a tiered
+// engine the store's frequency window (which records every read), its read
+// counters and the cold-fault count are those of a plain serial walk.
 //
 //microrec:noalloc
-func (d *fixedPath[T]) gatherTables(plan *gatherPlan, tables []int, queries []embedding.Query, s *BatchScratch, cache *hotcache.Live) (coldFaults int64) {
+func (d *fixedPath[T]) gatherTables(plan *gatherPlan, tables []int, queries []embedding.Query, s *BatchScratch) (coldFaults int64) {
 	x := *d.plane(s)
 	w := d.stride
 	seq := gatherSeq{plan: plan, tables: tables, queries: queries}
@@ -315,9 +313,6 @@ func (d *fixedPath[T]) gatherTables(plan *gatherPlan, tables []int, queries []em
 			for qi := lo; qi < hi; qi++ {
 				row := rows[k]
 				k++
-				if cache != nil {
-					cache.Lookup(blk.srcID, row, blk.vecBytes)
-				}
 				var payload []T
 				if st != nil {
 					var wasCold bool

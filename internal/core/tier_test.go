@@ -57,7 +57,7 @@ func TestTierStreamsAreSourceTables(t *testing.T) {
 	spec := model.SmallProduction()
 	e := buildEngine(t, spec, tierTestConfig(-1))
 	defer e.Close()
-	store := e.TierStore()
+	store := e.Tier()
 	if got := store.Streams(); got != len(spec.Tables) {
 		t.Errorf("%d tier streams for %d source tables", got, len(spec.Tables))
 	}
@@ -78,7 +78,7 @@ func TestTierBitIdentityRandomPlacements(t *testing.T) {
 	ref := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
 	tiered := buildEngine(t, spec, tierTestConfig(-1)) // all-cold budget
 	defer tiered.Close()
-	store := tiered.TierStore()
+	store := tiered.Tier()
 	if store == nil {
 		t.Fatal("no tier store attached")
 	}
@@ -137,7 +137,7 @@ func TestTierBitIdentityUnderChurn(t *testing.T) {
 	ref := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
 	tiered := buildEngine(t, spec, tierTestConfig(0))
 	defer tiered.Close()
-	store := tiered.TierStore()
+	store := tiered.Tier()
 
 	queries := randomQueries(spec, 48, 5)
 	want, err := ref.Infer(queries)
@@ -190,15 +190,15 @@ func TestTierSweepEndToEnd(t *testing.T) {
 	ref := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
 	tiered := buildEngine(t, spec, tierTestConfig(0))
 	defer tiered.Close()
-	store := tiered.TierStore()
+	store := tiered.Tier()
 
-	before, _ := tiered.Tier()
+	before := store.Snapshot()
 	if before.HotRows != 0 || before.ColdRows <= 0 {
 		t.Fatalf("a fresh store must start all cold: %+v", before)
 	}
 
-	// Skewed stream: a handful of hot queries repeated, so the live cache
-	// accumulates per-entry hits for a small row set.
+	// Skewed stream: a handful of hot queries repeated, so the store's
+	// frequency window accumulates per-entry hits for a small row set.
 	hot := randomQueries(spec, 4, 7)
 	for i := 0; i < 200; i++ {
 		if _, err := tiered.InferOne(hot[i%len(hot)]); err != nil {
@@ -206,10 +206,7 @@ func TestTierSweepEndToEnd(t *testing.T) {
 		}
 	}
 	store.SweepNow()
-	snap, ok := tiered.Tier()
-	if !ok {
-		t.Fatal("Tier() not ok on a tiered engine")
-	}
+	snap := store.Snapshot()
 	if snap.HotRows == 0 || snap.Promotions == 0 {
 		t.Fatalf("sweep pinned nothing: %+v", snap)
 	}
@@ -232,7 +229,7 @@ func TestTierSweepEndToEnd(t *testing.T) {
 	if !bitsEqual(got.Predictions, want.Predictions) {
 		t.Fatal("post-sweep predictions diverge")
 	}
-	snap2, _ := tiered.Tier()
+	snap2 := store.Snapshot()
 	if snap2.HotReads <= snap.HotReads {
 		t.Fatalf("no hot-tier reads after promotion: %+v", snap2)
 	}
@@ -246,9 +243,9 @@ func TestTierPrefetchBatch(t *testing.T) {
 	defer tiered.Close()
 
 	queries := randomQueries(spec, 8, 11)
-	before, _ := tiered.Tier()
+	before := tiered.Tier().Snapshot()
 	tiered.PrefetchBatch(queries)
-	after, _ := tiered.Tier()
+	after := tiered.Tier().Snapshot()
 	if after.Prefetches <= before.Prefetches {
 		t.Fatalf("no cold rows prefetched: %+v", after)
 	}
@@ -263,7 +260,7 @@ func TestTierPrefetchBatch(t *testing.T) {
 func TestTierEngineClose(t *testing.T) {
 	spec := model.SmallProduction()
 	tiered := buildEngine(t, spec, tierTestConfig(0))
-	path := tiered.TierStore().Path()
+	path := tiered.Tier().Path()
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("cold file missing while open: %v", err)
 	}
@@ -281,7 +278,7 @@ func TestTierEngineClose(t *testing.T) {
 	if err := ref.Close(); err != nil {
 		t.Errorf("all-DRAM Close: %v", err)
 	}
-	if _, ok := ref.Tier(); ok {
+	if ref.Tier() != nil {
 		t.Error("all-DRAM engine reports a tier")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"microrec/internal/fixedpoint"
 	"microrec/internal/hotcache"
 	"microrec/internal/model"
+	"microrec/internal/tieredstore"
 )
 
 // windowBatches are the batch sizes at the gather window's edges: a window
@@ -19,7 +20,7 @@ var windowBatches = []int{1, 2, gatherWindow - 1, gatherWindow, gatherWindow + 1
 // block by block, query by query, one row at a time with a plain remainder —
 // recording each against ref and counting the rows the tier would serve cold.
 // It is what the windowed gather must be indistinguishable from, to the
-// cache, the tier and the flight recorder.
+// tier's frequency window, its read counters and the flight recorder.
 func serialWalk(e *Engine, queries []embedding.Query, ref *hotcache.Live) (lookups, cold int64) {
 	for ti := range e.gplan.tables {
 		for bi := range e.gplan.tables[ti] {
@@ -28,7 +29,7 @@ func serialWalk(e *Engine, queries []embedding.Query, ref *hotcache.Live) (looku
 				row := q[blk.srcID][blk.round] % int64(blk.mod.rows)
 				ref.Lookup(blk.srcID, row, blk.vecBytes)
 				lookups++
-				if e.tier != nil && !e.tier.Stream(blk.srcID).IsHot(row) {
+				if !e.tier.Stream(blk.srcID).IsHot(row) {
 					cold++
 				}
 			}
@@ -37,14 +38,21 @@ func serialWalk(e *Engine, queries []embedding.Query, ref *hotcache.Live) (looku
 	return lookups, cold
 }
 
+// windowTestConfig is an all-cold tiered engine at the given width whose
+// frequency window holds windowBytes.
+func windowTestConfig(f fixedpoint.Format, windowBytes int64) Config {
+	return Config{Precision: f, ColdTier: &tieredstore.Config{HotBytes: -1, SweepEvery: -1, WindowBytes: windowBytes}}
+}
+
 // TestGatherWindowKeepsSerialOrder pins what the two-pass gather promises
-// besides the bits (which TestGatherBatchMatchesGather covers): the hot-row
-// cache sees the same lookups in the same order as a serial walk, at every
-// batch size. The cache holds far fewer rows than the walk reads, so it
-// evicts, and its counters depend on the order of every lookup. Both widths.
+// besides the bits (which TestGatherBatchMatchesGather covers): the tier's
+// frequency window sees the same reads in the same order as a serial walk,
+// at every batch size. The window holds far fewer rows than the walk reads,
+// so it evicts, and its counters depend on the order of every read. Both
+// widths.
 func TestGatherWindowKeepsSerialOrder(t *testing.T) {
 	spec := model.SmallProduction()
-	const cacheBytes = 1 << 12
+	const windowBytes = 1 << 12
 	for _, tc := range []struct {
 		name      string
 		precision fixedpoint.Format
@@ -53,10 +61,9 @@ func TestGatherWindowKeepsSerialOrder(t *testing.T) {
 		{"fp32", fixedpoint.Fixed32},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Precision: tc.precision}
-			cfg.HotCacheBytes = cacheBytes
-			e := buildEngine(t, spec, cfg)
-			ref, err := hotcache.NewLive(cacheBytes, 0)
+			e := buildEngine(t, spec, windowTestConfig(tc.precision, windowBytes))
+			defer e.Close()
+			ref, err := hotcache.NewLive(windowBytes, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,8 +74,8 @@ func TestGatherWindowKeepsSerialOrder(t *testing.T) {
 					t.Fatal(err)
 				}
 				serialWalk(e, qs, ref)
-				if got, want := e.cache.Stats(), ref.Stats(); got != want {
-					t.Fatalf("b=%d: cache after the gather %+v, after a serial walk %+v", b, got, want)
+				if got, want := e.tier.Window().Stats(), ref.Stats(); got != want {
+					t.Fatalf("b=%d: window after the gather %+v, after a serial walk %+v", b, got, want)
 				}
 			}
 			if st := ref.Stats(); st.Hits == 0 || st.Misses == 0 {
@@ -78,14 +85,14 @@ func TestGatherWindowKeepsSerialOrder(t *testing.T) {
 	}
 }
 
-// TestGatherWindowTierCounters is the same promise for a tiered engine: the
-// batch's cold-fault count, the tier's hot and cold read counters and the
-// cache counters equal a serial walk's, with part of every stream pinned hot.
+// TestGatherWindowTierCounters is the same promise with part of every stream
+// pinned hot: the batch's cold-fault count, the tier's hot and cold read
+// counters and its frequency window equal a serial walk's.
 func TestGatherWindowTierCounters(t *testing.T) {
 	spec := model.SmallProduction()
 	e := buildEngine(t, spec, tierTestConfig(-1))
 	defer e.Close()
-	store := e.TierStore()
+	store := e.Tier()
 	for id := 0; id < store.Streams(); id++ {
 		var hot []int64
 		for r := int64(0); r < store.Stream(id).Rows(); r += 3 {
@@ -93,18 +100,18 @@ func TestGatherWindowTierCounters(t *testing.T) {
 		}
 		store.SetPlacement(id, hot)
 	}
-	ref, err := hotcache.NewLive(e.cache.CapacityBytes(), 0)
+	ref, err := hotcache.NewLive(store.Window().CapacityBytes(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var scratch BatchScratch
 	for _, b := range windowBatches {
 		qs := randomQueries(spec, b, int64(11*b))
-		before, _ := e.Tier()
+		before := store.Snapshot()
 		if _, err := e.GatherBatch(qs, &scratch); err != nil {
 			t.Fatal(err)
 		}
-		after, _ := e.Tier()
+		after := store.Snapshot()
 		lookups, cold := serialWalk(e, qs, ref)
 		if cold == 0 || cold == lookups {
 			t.Fatalf("b=%d: walk saw %d cold of %d lookups; want a mix", b, cold, lookups)
@@ -118,55 +125,68 @@ func TestGatherWindowTierCounters(t *testing.T) {
 		if got := after.HotReads - before.HotReads; got != lookups-cold {
 			t.Errorf("b=%d: tier counted %d hot reads, serial walk %d", b, got, lookups-cold)
 		}
-		if got, want := e.cache.Stats(), ref.Stats(); got != want {
-			t.Errorf("b=%d: cache after the gather %+v, after a serial walk %+v", b, got, want)
+		if got, want := store.Window().Stats(), ref.Stats(); got != want {
+			t.Errorf("b=%d: window after the gather %+v, after a serial walk %+v", b, got, want)
 		}
 	}
 }
 
 // TestPrefetchBatchNamesTheGathersRows checks the plane-fill prefetch and the
-// gather agree on which rows a batch reads: on an all-cold tiered engine the
-// (stream, row) pairs PrefetchBatch would touch are exactly the keys the
-// gather then records against the hot-row cache, one per lookup.
+// gather agree on which rows a batch reads. On an all-cold tiered engine the
+// prefetch touches one row per lookup; once every row the gather left in the
+// tier's frequency window is pinned it touches none, so every row it names is
+// one the gather read; and with one window entry per stream unpinned again it
+// touches each of those as often as the gather read it (the entry's hits plus
+// its first miss).
 func TestPrefetchBatchNamesTheGathersRows(t *testing.T) {
 	spec := model.SmallProduction()
 	e := buildEngine(t, spec, tierTestConfig(-1))
 	defer e.Close()
+	store := e.Tier()
 	qs := randomQueries(spec, gatherWindow+1, 29)
+	prefetched := func() int64 {
+		before := store.Snapshot().Prefetches
+		e.PrefetchBatch(qs)
+		return store.Snapshot().Prefetches - before
+	}
 
-	refs := e.coldRows(qs)
-	if want := len(qs) * spec.NumLookups(); len(refs) != want {
-		t.Fatalf("prefetch names %d rows for %d lookups", len(refs), want)
+	if got, want := prefetched(), int64(len(qs)*spec.NumLookups()); got != want {
+		t.Fatalf("prefetch touched %d rows for %d lookups", got, want)
 	}
 	if _, err := e.GatherBatch(qs, nil); err != nil {
 		t.Fatal(err)
 	}
-	var gathered []rowRef
-	e.cache.ForEachEntry(func(id int, row int64, bytes int, hits int64) {
-		gathered = append(gathered, rowRef{id, row})
+	if w := store.Window().Stats(); w.Hits+w.Misses != int64(len(qs)*spec.NumLookups()) || w.Misses != int64(w.Entries) {
+		t.Fatalf("window %+v: want one lookup per read and no eviction", w)
+	}
+	type entry struct {
+		row   int64
+		reads int64
+	}
+	entries := make([][]entry, store.Streams())
+	store.Window().ForEachEntry(func(id int, row int64, bytes int, hits int64) {
+		entries[id] = append(entries[id], entry{row, hits + 1})
 	})
-	byKey := func(s []rowRef) func(a, b int) bool {
-		return func(a, b int) bool {
-			if s[a].id != s[b].id {
-				return s[a].id < s[b].id
-			}
-			return s[a].row < s[b].row
+	pin := func(id int, es []entry) {
+		rows := make([]int64, len(es))
+		for i, en := range es {
+			rows[i] = en.row
 		}
+		store.SetPlacement(id, rows)
 	}
-	sort.Slice(refs, byKey(refs))
-	distinct := refs[:0]
-	for i, r := range refs {
-		if i == 0 || r != refs[i-1] {
-			distinct = append(distinct, r)
-		}
+	for id, es := range entries {
+		pin(id, es)
 	}
-	sort.Slice(gathered, byKey(gathered))
-	if len(distinct) != len(gathered) {
-		t.Fatalf("prefetch names %d distinct rows, the gather read %d", len(distinct), len(gathered))
+	if got := prefetched(); got != 0 {
+		t.Fatalf("with every window entry pinned the prefetch touched %d rows", got)
 	}
-	for i := range distinct {
-		if distinct[i] != gathered[i] {
-			t.Fatalf("row %d: prefetch names %+v, the gather read %+v", i, distinct[i], gathered[i])
-		}
+	var want int64
+	for id, es := range entries {
+		sort.Slice(es, func(a, b int) bool { return es[a].row < es[b].row })
+		pin(id, es[1:])
+		want += es[0].reads
+	}
+	if got := prefetched(); got != want {
+		t.Fatalf("with one window entry per stream cold the prefetch touched %d rows, the gather read them %d times", got, want)
 	}
 }

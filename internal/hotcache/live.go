@@ -6,16 +6,16 @@ import (
 )
 
 // DefaultLiveShards is the shard count NewLive uses when the caller passes 0.
-// Eight shards keep lock contention negligible for the engine's gather
-// goroutines (which are themselves capped well below typical core counts)
-// while keeping the aggregate LRU close to a single global one.
+// Eight shards keep lock contention negligible for the goroutines that gather
+// through one tiered store (a server's drain and its gather shards) while
+// keeping the aggregate LRU close to a single global one.
 const DefaultLiveShards = 8
 
-// Live is a thread-safe hot-row cache fronting the engine's batched gather
-// datapath. Where Simulate replays a recorded query stream offline, Live is
-// wired into the real inference path: every physical-table access the gather
-// unit resolves is recorded against it, and its counters are what /stats
-// reports as the engine's hit rate.
+// Live is a thread-safe hot-row cache over the real inference path: the
+// tiered store (internal/tieredstore) keeps one as its frequency window.
+// Where Simulate replays a recorded query stream offline, every row the
+// store serves is recorded against a Live, and its counters are what /stats
+// reports as the tier's hit rate.
 //
 // The cache is sharded by a hash of the (access stream, row) key, each shard
 // a mutex-protected LRU holding an equal slice of the byte capacity, so one
@@ -95,13 +95,6 @@ func (l *Live) Lookup(id int, row int64, bytes int) bool {
 	hit := s.c.Lookup(id, row, bytes)
 	s.mu.Unlock()
 	return hit
-}
-
-// HitRate returns hits/(hits+misses) (0 when idle), aggregated one shard at
-// a time under the shard locks. Stats snapshots read it, not the per-batch
-// path.
-func (l *Live) HitRate() float64 {
-	return l.Stats().HitRate()
 }
 
 // Stats aggregates a snapshot over all shards, one shard at a time under the

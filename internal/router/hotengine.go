@@ -22,7 +22,7 @@ import (
 // contract makes benign.
 //
 // Capability forwarding: HotEngine always implements the optional Tiered and
-// Prefetcher capabilities, reporting ok=false (and a no-op prefetch) while
+// Prefetcher capabilities, reporting no store (and a no-op prefetch) while
 // the current delegate lacks them — the pattern the capability docs on the
 // Engine seam prescribe for wrappers.
 type HotEngine struct {
@@ -90,15 +90,12 @@ func (h *HotEngine) ValidateQuery(q embedding.Query) error { return h.Current().
 // Spec implements the Engine seam by delegation.
 func (h *HotEngine) Spec() *model.Spec { return h.Current().Spec() }
 
-// HotCache implements the Engine seam by delegation.
-func (h *HotEngine) HotCache() (core.HotCacheInfo, bool) { return h.Current().HotCache() }
-
-// Tier forwards the delegate's Tiered capability (ok=false when absent).
-func (h *HotEngine) Tier() (tieredstore.Snapshot, bool) {
+// Tier forwards the delegate's Tiered capability (nil when absent).
+func (h *HotEngine) Tier() *tieredstore.Store {
 	if te, ok := h.Current().(serving.Tiered); ok {
 		return te.Tier()
 	}
-	return tieredstore.Snapshot{}, false
+	return nil
 }
 
 // PrefetchBatch forwards the delegate's Prefetcher capability (no-op when

@@ -19,9 +19,9 @@ const (
 	// replicas under skewed or bursty arrivals.
 	LeastLoaded Policy = "least-loaded"
 	// Affinity routes by a hash of the query's embedding keys (rendezvous
-	// hashing over the active replicas), so each replica's hot-row cache
-	// specializes on a slice of the key space: N caches of size C behave
-	// like one ~N·C cache on a skewed workload.
+	// hashing over the active replicas), so each replica's tiered store
+	// specializes on a slice of the key space: N frequency windows of size C
+	// behave like one ~N·C window on a skewed workload.
 	Affinity Policy = "affinity"
 )
 

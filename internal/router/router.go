@@ -8,9 +8,9 @@
 // still touches every batch, while replicas serve disjoint batches in
 // parallel. The affinity policy additionally exploits production traffic
 // skew: routing by a hash of the query's embedding keys partitions the key
-// space across the replicas' hot-row caches, turning N caches of size C into
-// an effective ~N·C cache (the hit-rate lift is measured and reported in the
-// /stats "router" section).
+// space across the replicas' tiered stores, so N frequency windows (and DRAM
+// hot tiers) of size C behave like one of ~N·C (the hit-rate lift is
+// measured and reported in the /stats "router" section).
 //
 // The hot path is lock-free: membership is a copy-on-write replica set
 // behind an atomic pointer, and each routing decision is a set load, a
@@ -383,10 +383,10 @@ func (rt *Router) Reload(id int, next serving.Engine) error {
 	return rl.Reload(next)
 }
 
-// MarkHitRateBaseline snapshots the replicas' pooled hot-cache counters as
-// the affinity-lift baseline: after the mark, the /stats router section's
-// aggregate_hit_rate covers only post-mark traffic and hit_rate_delta is its
-// lift over the pre-mark pooled rate. The loadtest harness marks the
+// MarkHitRateBaseline snapshots the replicas' pooled frequency-window
+// counters as the affinity-lift baseline: after the mark, the /stats router
+// section's aggregate_hit_rate covers only post-mark traffic and
+// hit_rate_delta is its lift over the pre-mark pooled rate. The loadtest harness marks the
 // baseline between its round-robin calibration phase and the affinity run.
 func (rt *Router) MarkHitRateBaseline() {
 	hits, lookups := rt.pooledCounts()
@@ -402,7 +402,8 @@ func (rt *Router) MarkHitRateBaseline() {
 	rt.baseMu.Unlock()
 }
 
-// pooledCounts sums the members' lifetime hot-cache hit/lookup counters.
+// pooledCounts sums the members' lifetime frequency-window hit/lookup
+// counters.
 func (rt *Router) pooledCounts() (hits, lookups int64) {
 	for _, rep := range rt.set.Load().all {
 		if h, m, ok := rep.srv.HotCacheCounts(); ok {
@@ -560,14 +561,14 @@ func (rt *Router) WriteMetrics(w io.Writer) error {
 	}
 	routed := m.Family("microrec_router_replica_routed_total", "Requests routed per replica.", "counter")
 	occ := m.Family("microrec_router_replica_occupancy", "Replica load score over load capacity.", "gauge")
-	hr := m.Family("microrec_router_replica_hit_rate", "Per-replica hot-row cache hit rate.", "gauge")
+	hr := m.Family("microrec_router_replica_hit_rate", "Per-replica frequency-window hit rate.", "gauge")
 	for _, r := range rs.PerReplica {
 		id := fmt.Sprintf("%d", r.ID)
 		routed.Obs(float64(r.Routed), "replica", id)
 		occ.Obs(r.Occupancy, "replica", id)
 		hr.Obs(r.HitRate, "replica", id)
 	}
-	m.Gauge("microrec_router_aggregate_hit_rate", "Pooled hot-cache hit rate across replicas (post-mark when a baseline is set).", rs.AggregateHitRate)
+	m.Gauge("microrec_router_aggregate_hit_rate", "Pooled frequency-window hit rate across replicas (post-mark when a baseline is set).", rs.AggregateHitRate)
 	m.Gauge("microrec_router_hit_rate_delta", "Aggregate hit-rate lift over the marked baseline.", rs.HitRateDelta)
 	return m.Err()
 }

@@ -17,6 +17,7 @@ import (
 	"microrec/internal/loadgen"
 	"microrec/internal/model"
 	"microrec/internal/serving"
+	"microrec/internal/tieredstore"
 	"microrec/internal/workload"
 )
 
@@ -26,7 +27,7 @@ import (
 var _ loadgen.Target = (*Router)(nil)
 
 // testSpec is a small custom model: cheap to materialise per replica, with
-// enough tables/lookups that queries hash well and the hot caches see a
+// enough tables/lookups that queries hash well and the frequency windows see a
 // non-trivial row space.
 func testSpec() *model.Spec {
 	tables := make([]model.TableSpec, 4)
@@ -45,15 +46,19 @@ func testSpec() *model.Spec {
 // buildEngine assembles a real engine over testSpec, mirroring the cluster
 // test helper. seed controls the materialised parameters: equal seeds give
 // bit-identical engines (the replica homogeneity the tier assumes), distinct
-// seeds model a new parameter snapshot for swap/reload tests.
-func buildEngine(t testing.TB, spec *model.Spec, hotCacheBytes int64, seed int64) *core.Engine {
+// seeds model a new parameter snapshot for swap/reload tests. A positive
+// windowBytes builds an all-cold tiered engine whose frequency window holds
+// that many bytes (its caller must Close it); 0 an all-DRAM one.
+func buildEngine(t testing.TB, spec *model.Spec, windowBytes int64, seed int64) *core.Engine {
 	t.Helper()
 	params, err := spec.Materialize(model.MaterializeOptions{Seed: seed, MaxRowsPerTable: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := core.Config{Precision: fixedpoint.Fixed16}
-	cfg.HotCacheBytes = hotCacheBytes
+	if windowBytes > 0 {
+		cfg.ColdTier = &tieredstore.Config{HotBytes: -1, SweepEvery: -1, WindowBytes: windowBytes}
+	}
 	eng, err := core.Build(params, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -118,8 +123,7 @@ func (e *fakeEngine) TailFromPlane(b int, s *core.BatchScratch, dst []float32) {
 		dst[i] = 0.5
 	}
 }
-func (e *fakeEngine) Spec() *model.Spec                   { return fakeSpec }
-func (e *fakeEngine) HotCache() (core.HotCacheInfo, bool) { return core.HotCacheInfo{}, false }
+func (e *fakeEngine) Spec() *model.Spec { return fakeSpec }
 
 // fakeSpec is the one-table model fakeQuery fits.
 var fakeSpec = &model.Spec{
@@ -166,7 +170,7 @@ func TestQueryHashStableAndSpread(t *testing.T) {
 // TestRendezvousMinimalRemap is the property the affinity policy buys from
 // rendezvous hashing: draining one replica re-homes only the keys whose
 // maximum weight was on it; every other key keeps its replica (and so its
-// warm cache).
+// warm window and hot tier).
 func TestRendezvousMinimalRemap(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ids := []int{1, 2, 3}
@@ -410,8 +414,8 @@ func TestRoutedBitIdenticalToSingleReplica(t *testing.T) {
 }
 
 // measureHitRate drives a 3-replica tier over a Zipf pool under one policy
-// and returns the post-warmup pooled hit rate. Each replica's hot cache is
-// sized to roughly half the pool's whole row working set: a replica serving
+// and returns the post-warmup pooled hit rate. Each replica's frequency
+// window is sized to roughly half the pool's whole row working set: a replica serving
 // the full key space cycles an LRU it cannot hold, while a replica serving
 // an affinity slice holds its share with room to spare — the N·C effect the
 // affinity policy exists to buy.
@@ -422,7 +426,7 @@ func measureHitRate(t *testing.T, policy Policy, spec *model.Spec, pool []embedd
 		eng := buildEngine(t, spec, capacity, 1)
 		if _, err := rt.Add(eng, serving.Options{
 			Batching: serving.BatchingOptions{MaxBatch: 1},
-		}, nil); err != nil {
+		}, eng.Close); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -452,24 +456,25 @@ func measureHitRate(t *testing.T, policy Policy, spec *model.Spec, pool []embedd
 }
 
 // workingSetBytes probes the pool's whole-row working set: one oversized
-// cache, one pass, read back the used bytes.
+// window, one pass, read back the used bytes.
 func workingSetBytes(t *testing.T, spec *model.Spec, pool []embedding.Query) int64 {
 	t.Helper()
 	probe := buildEngine(t, spec, 16<<20, 1)
+	defer probe.Close()
 	if _, err := probe.Infer(pool); err != nil {
 		t.Fatal(err)
 	}
-	info, ok := probe.HotCache()
-	if !ok || info.UsedBytes == 0 {
-		t.Fatal("probe engine has no usable hot cache")
+	w := probe.Tier().Snapshot().Window
+	if w.UsedBytes == 0 {
+		t.Fatal("probe engine's window recorded nothing")
 	}
-	return info.UsedBytes
+	return w.UsedBytes
 }
 
 // TestAffinityBeatsRoundRobinOnZipf is the acceptance property: on a
 // Zipf-skewed workload over 3 replicas, hot-key affinity's aggregate
-// hot-cache hit rate must beat round-robin's — the measured form of the
-// effective N·C cache argument.
+// frequency-window hit rate must beat round-robin's — the measured form of
+// the effective N·C window argument.
 func TestAffinityBeatsRoundRobinOnZipf(t *testing.T) {
 	spec := testSpec()
 	pool := zipfPool(t, spec, 360, 7)
@@ -496,7 +501,7 @@ func TestHitRateDeltaAfterPolicySwitch(t *testing.T) {
 		eng := buildEngine(t, spec, capacity, 1)
 		if _, err := rt.Add(eng, serving.Options{
 			Batching: serving.BatchingOptions{MaxBatch: 1},
-		}, nil); err != nil {
+		}, eng.Close); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -58,10 +58,6 @@ func (e *slowEngine) TailFromPlane(b int, s *core.BatchScratch, dst []float32) {
 
 func (e *slowEngine) Spec() *model.Spec { return slowSpec }
 
-func (e *slowEngine) HotCache() (core.HotCacheInfo, bool) {
-	return core.HotCacheInfo{}, false
-}
-
 // slowSpec is the one-table model slowQuery fits; admission calibration draws
 // its batch from it.
 var slowSpec = &model.Spec{

@@ -105,11 +105,11 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		}
 	}
 
-	// Hot-row cache.
+	// The tiered store's frequency window.
 	if hc := st.HotCache; hc != nil {
-		m.Gauge("microrec_hotcache_hit_rate", "Live hot-row cache hit rate.", hc.HitRate)
-		m.Gauge("microrec_hotcache_used_bytes", "Hot-row cache bytes in use.", float64(hc.UsedBytes))
-		m.Gauge("microrec_hotcache_capacity_bytes", "Hot-row cache capacity.", float64(hc.CapacityBytes))
+		m.Gauge("microrec_hotcache_hit_rate", "Tiered store frequency-window hit rate.", hc.HitRate)
+		m.Gauge("microrec_hotcache_used_bytes", "Frequency-window bytes in use.", float64(hc.UsedBytes))
+		m.Gauge("microrec_hotcache_capacity_bytes", "Frequency-window capacity.", float64(hc.CapacityBytes))
 	}
 
 	// Tiered store residency and read split.

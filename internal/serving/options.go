@@ -172,14 +172,14 @@ func (o Options) Validate() error {
 // Tiered and Prefetcher; internal/router's HotEngine implements Reloadable.
 
 // Tiered is the optional capability of an engine backed by the tiered
-// embedding store (core.Config.ColdTier): a tier snapshot for the /stats
-// "tiers" section. An engine may implement the method and still report
-// ok=false (no store attached, all-DRAM); the server engages the tier hooks
-// only when a store is attached.
+// embedding store (core.Config.ColdTier): the store whose snapshot fills the
+// /stats "tiers" section and whose frequency window fills its "hotcache"
+// section. An engine may implement the method and still return nil (no store
+// attached, all-DRAM); the server engages the tier hooks only when a store is
+// attached.
 type Tiered interface {
-	// Tier snapshots the tiered backing store; ok is false on an all-DRAM
-	// engine.
-	Tier() (snap tieredstore.Snapshot, ok bool)
+	// Tier returns the tiered backing store, nil on an all-DRAM engine.
+	Tier() *tieredstore.Store
 }
 
 // Prefetcher is the optional capability to pre-fault the rows a batch will

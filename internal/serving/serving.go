@@ -94,8 +94,8 @@ var ErrExpired = errors.New("serving: deadline expired before service")
 
 // Engine is the slice of the inference engine the server drives: admission
 // validation, the stage-callable plane datapath both drains run (via
-// pipeline.StageEngine), the model spec SLA admission draws its calibration
-// batch from, and the live hot-row cache snapshot /stats reports.
+// pipeline.StageEngine) and the model spec SLA admission draws its
+// calibration batch from.
 // *core.Engine implements it; overload tests substitute deterministic slow
 // engines to saturate the queue without depending on host speed.
 //
@@ -110,8 +110,6 @@ type Engine interface {
 	ValidateQuery(q embedding.Query) error
 	// Spec is the served model; admission calibration draws queries from it.
 	Spec() *model.Spec
-	// HotCache snapshots the live cache, if one is attached.
-	HotCache() (core.HotCacheInfo, bool)
 }
 
 // Compile-time capability checks: the production engine implements the
@@ -322,10 +320,10 @@ func New(eng Engine, opts Options) (*Server, error) {
 	}
 	// The capability assertions run on the possibly cluster-wrapped engine so
 	// the sharded tier's delegating hooks are the ones engaged. Both hooks
-	// key off the Tiered snapshot reporting an attached store: an all-DRAM
+	// key off the Tiered capability reporting an attached store: an all-DRAM
 	// engine pays no prefetch pass even if it implements Prefetcher.
 	if te, ok := eng.(Tiered); ok {
-		if _, attached := te.Tier(); attached {
+		if te.Tier() != nil {
 			s.tiered = te
 			if pf, ok := eng.(Prefetcher); ok {
 				s.prefetch = pf
@@ -840,16 +838,26 @@ func (s *Server) LoadCapacity() int {
 	return s.opts.Admission.QueueDepth + s.opts.Batching.MaxBatch*(1+s.opts.Pipeline.Depth)
 }
 
-// HotCacheCounts reports the engine's live hot-row cache lifetime hit/miss
-// counters; ok is false without a cache. The router's affinity hit-rate
-// baseline needs the raw counters — a rate alone cannot be windowed into a
-// since-mark delta.
+// HotCacheCounts reports the lifetime hit/miss counters of the tiered
+// store's frequency window; ok is false on an all-DRAM engine. The router's
+// affinity hit-rate baseline needs the raw counters — a rate alone cannot be
+// windowed into a since-mark delta.
 func (s *Server) HotCacheCounts() (hits, misses int64, ok bool) {
-	info, ok := s.eng.HotCache()
-	if !ok {
+	st := s.tierStore()
+	if st == nil {
 		return 0, 0, false
 	}
-	return info.Hits, info.Misses, true
+	w := st.Window().Stats()
+	return w.Hits, w.Misses, true
+}
+
+// tierStore is the engine's tiered store, nil when the tier hooks are not
+// engaged.
+func (s *Server) tierStore() *tieredstore.Store {
+	if s.tiered == nil {
+		return nil
+	}
+	return s.tiered.Tier()
 }
 
 // BuildInfo returns the binary's build provenance as surfaced in /stats.
@@ -864,15 +872,9 @@ type LatencySummary struct {
 	Max  float64 `json:"max"`
 }
 
-// HotCacheStats is the serving-side view of the engine's live hot-row cache.
-type HotCacheStats struct {
-	CapacityBytes int64   `json:"capacity_bytes"`
-	UsedBytes     int64   `json:"used_bytes"`
-	Entries       int     `json:"entries"`
-	Hits          int64   `json:"hits"`
-	Misses        int64   `json:"misses"`
-	HitRate       float64 `json:"hit_rate"`
-}
+// HotCacheStats is the serving-side view of the tiered store's frequency
+// window: capacity, occupancy and the hits and misses of the rows read.
+type HotCacheStats = tieredstore.WindowStats
 
 // ClusterStats is the serving-side view of the sharded tier: shard count and
 // partition, per-shard occupancy, the straggler merge-wait histogram and the
@@ -915,8 +917,9 @@ type ReplicaStats struct {
 	Queries uint64  `json:"queries"`
 	QPS     float64 `json:"qps"`
 	P99US   float64 `json:"p99_us"`
-	// HitRate is the replica's live hot-row cache hit rate (0 without a
-	// cache) — the per-replica view behind the affinity lift.
+	// HitRate is the hit rate of the replica's tiered-store frequency window
+	// (0 on an all-DRAM engine) — the per-replica view behind the affinity
+	// lift.
 	HitRate float64 `json:"hit_rate"`
 }
 
@@ -945,7 +948,7 @@ type RouterStats struct {
 	Decisions []PolicyDecisionStats `json:"decisions"`
 	// PerReplica is the per-replica scoreboard, ordered by replica id.
 	PerReplica []ReplicaStats `json:"per_replica"`
-	// AggregateHitRate is the replicas' pooled hot-cache hit rate
+	// AggregateHitRate is the replicas' pooled frequency-window hit rate
 	// (sum hits / sum lookups). BaselineHitRate and HitRateDelta are
 	// populated once a baseline mark is set (Router.MarkHitRateBaseline):
 	// baseline is the pooled rate before the mark, aggregate then covers
@@ -1011,8 +1014,8 @@ type Stats struct {
 	// Cluster reports the sharded tier when Options.Tier.Shards > 1 (nil on a
 	// single engine).
 	Cluster *ClusterStats `json:"cluster,omitempty"`
-	// HotCache reports the engine's live hot-row cache when one is
-	// attached (nil otherwise).
+	// HotCache reports the tiered store's frequency window (nil on
+	// all-DRAM engines).
 	HotCache *HotCacheStats `json:"hotcache,omitempty"`
 	// Tiers reports the tiered backing store when one is attached (nil on
 	// all-DRAM engines).
@@ -1088,20 +1091,10 @@ func (s *Server) Stats() Stats {
 	if st.MaxBatch > 0 {
 		st.BatchOccupancy = st.MeanBatch / float64(st.MaxBatch)
 	}
-	if s.tiered != nil {
-		if snap, ok := s.tiered.Tier(); ok {
-			st.Tiers = &snap
-		}
-	}
-	if info, ok := s.eng.HotCache(); ok {
-		st.HotCache = &HotCacheStats{
-			CapacityBytes: info.CapacityBytes,
-			UsedBytes:     info.UsedBytes,
-			Entries:       info.Entries,
-			Hits:          info.Hits,
-			Misses:        info.Misses,
-			HitRate:       info.HitRate,
-		}
+	if store := s.tierStore(); store != nil {
+		snap := store.Snapshot()
+		window := snap.Window
+		st.Tiers, st.HotCache = &snap, &window
 	}
 	return st
 }
@@ -1181,9 +1174,10 @@ func (s *Server) admittedNS() (float64, error) {
 // uniform queries, validated like any Submit, run calibrationPasses times
 // through the same stage calls a drain makes — the cold-row prefetch when the
 // tier hooks are engaged, then gather, dense and tail — on a private plane.
-// The slowest pass is kept, so a first pass against a cold cache or cold
-// pages sets the figure; its lookups count in the hot-row cache like any
-// batch's. It runs once per server; concurrent callers wait for it.
+// The slowest pass is kept, so a first pass against cold caches or cold
+// pages sets the figure; on a tiered engine its reads count in the store's
+// frequency window like any batch's. It runs once per server; concurrent
+// callers wait for it.
 func (s *Server) calibratedBatchNS() (float64, error) {
 	s.calibrate.Do(func() { s.batchNS, s.batchErr = s.timeBatch() })
 	return s.batchNS, s.batchErr

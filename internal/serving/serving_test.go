@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,6 +21,7 @@ import (
 	"microrec/internal/embedding"
 	"microrec/internal/fixedpoint"
 	"microrec/internal/model"
+	"microrec/internal/tieredstore"
 )
 
 // testEngine builds a small (capacity-scaled) Fixed16 production engine.
@@ -496,23 +498,28 @@ func TestValidateSLA(t *testing.T) {
 	}
 }
 
-// testEngineWithCache builds the test engine with a live hot-row cache.
-func testEngineWithCache(t testing.TB, capacity int64) *core.Engine {
+// tieredTestEngine builds the test engine on an all-cold tiered store whose
+// frequency window holds windowBytes, closed when the test ends.
+func tieredTestEngine(t testing.TB, windowBytes int64) *core.Engine {
 	t.Helper()
-	cfg := core.Config{Precision: fixedpoint.Fixed16}
-	cfg.HotCacheBytes = capacity
-	return buildTestEngine(t, cfg)
+	eng := buildTestEngine(t, core.Config{
+		Precision: fixedpoint.Fixed16,
+		ColdTier:  &tieredstore.Config{HotBytes: -1, SweepEvery: -1, WindowBytes: windowBytes},
+	})
+	t.Cleanup(func() { eng.Close() })
+	return eng
 }
 
-// TestStatsHotCache checks the serving stats surface the live cache: absent
-// without one, populated (with hits from repeated queries) when attached.
+// TestStatsHotCache checks the serving stats surface the tiered store's
+// frequency window: absent on an all-DRAM engine, populated (with hits from
+// repeated queries) on a tiered one.
 func TestStatsHotCache(t *testing.T) {
 	plain := newServer(t, testEngine(t), Options{Batching: BatchingOptions{MaxBatch: 8}})
 	if st := plain.Stats(); st.HotCache != nil {
-		t.Error("stats report a hot cache on an engine without one")
+		t.Error("stats report a hot cache on an all-DRAM engine")
 	}
 
-	eng := testEngineWithCache(t, 1<<18)
+	eng := tieredTestEngine(t, 1<<18)
 	srv := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: 8}})
 	qs := randomQueries(t, eng.Spec(), 16, 3)
 	ctx := context.Background()
@@ -607,11 +614,6 @@ func (e *countingEngine) TailFromPlane(b int, s *core.BatchScratch, dst []float3
 func (e *countingEngine) Spec() *model.Spec {
 	e.calls.Add(1)
 	return slowSpec
-}
-
-func (e *countingEngine) HotCache() (core.HotCacheInfo, bool) {
-	e.calls.Add(1)
-	return core.HotCacheInfo{}, false
 }
 
 // TestCalibrationRunsOnce pins SLA admission's calibration: 8 concurrent
@@ -722,10 +724,10 @@ func TestRetryAfterDoesNotTouchEngine(t *testing.T) {
 }
 
 // TestEngineSeamMethodSet pins the serving.Engine seam to the plane stage
-// calls, admission validation, the spec and the hot-cache snapshot: no timing
-// model rides on it.
+// calls, admission validation and the spec: no timing model and no hot-row
+// residency rides on it.
 func TestEngineSeamMethodSet(t *testing.T) {
-	want := []string{"DenseFromPlane", "EnsurePlane", "GatherIntoPlane", "HotCache", "Spec", "TailFromPlane", "ValidateQuery"}
+	want := []string{"DenseFromPlane", "EnsurePlane", "GatherIntoPlane", "Spec", "TailFromPlane", "ValidateQuery"}
 	typ := reflect.TypeOf((*Engine)(nil)).Elem()
 	var got []string
 	for i := 0; i < typ.NumMethod(); i++ {
@@ -736,10 +738,10 @@ func TestEngineSeamMethodSet(t *testing.T) {
 	}
 }
 
-// TestAdmittedLatencyBounds checks the bound on the real engine, with and
-// without a hot-row cache: a budget equal to the bound is accepted and one
-// 1ns below it refused, and warming the cache leaves the bound where the
-// one calibration put it.
+// TestAdmittedLatencyBounds checks the bound on the real engine, all-DRAM
+// and tiered: a budget equal to the bound is accepted and one 1ns below it
+// refused, and warming the tier's frequency window leaves the bound where
+// the one calibration put it.
 func TestAdmittedLatencyBounds(t *testing.T) {
 	opts := Options{Batching: BatchingOptions{MaxBatch: 8}}
 	check := func(name string, srv *Server) time.Duration {
@@ -759,11 +761,11 @@ func TestAdmittedLatencyBounds(t *testing.T) {
 		}
 		return bound
 	}
-	check("no cache", newServer(t, testEngine(t), opts))
+	check("all-DRAM", newServer(t, testEngine(t), opts))
 
-	eng := testEngineWithCache(t, 1<<18)
+	eng := tieredTestEngine(t, 1<<18)
 	srv := newServer(t, eng, opts)
-	cold := check("cold cache", srv)
+	cold := check("cold window", srv)
 	ctx := context.Background()
 	qs := randomQueries(t, eng.Spec(), 8, 9)
 	for rep := 0; rep < 3; rep++ {
@@ -773,11 +775,11 @@ func TestAdmittedLatencyBounds(t *testing.T) {
 			}
 		}
 	}
-	if info, ok := eng.HotCache(); !ok || info.Hits == 0 {
-		t.Fatalf("cache did not warm: %+v ok=%v", info, ok)
+	if w := eng.Tier().Snapshot().Window; w.Hits == 0 {
+		t.Fatalf("window did not warm: %+v", w)
 	}
-	if warm := check("warm cache", srv); warm != cold {
-		t.Errorf("warm cache moved the bound: %v, cold %v", warm, cold)
+	if warm := check("warm window", srv); warm != cold {
+		t.Errorf("warm window moved the bound: %v, cold %v", warm, cold)
 	}
 }
 
@@ -859,8 +861,10 @@ func TestValidateSLARejectsNonPositiveBudget(t *testing.T) {
 }
 
 // importClosure walks the non-test imports of a package of this module and
-// returns every package of the module it reaches, itself included.
-func importClosure(t *testing.T, root string) map[string]bool {
+// returns every package of the module it reaches, itself included. The walk
+// records but does not enter the packages listed in owners, so what they
+// import on their own behalf is left out.
+func importClosure(t *testing.T, root string, owners ...string) map[string]bool {
 	t.Helper()
 	seen := map[string]bool{}
 	var walk func(path string)
@@ -869,6 +873,9 @@ func importClosure(t *testing.T, root string) map[string]bool {
 			return
 		}
 		seen[path] = true
+		if slices.Contains(owners, path) {
+			return
+		}
 		dir := filepath.Join("..", "..", strings.TrimPrefix(path, "microrec/"))
 		pkg, err := build.Default.ImportDir(dir, 0)
 		if err != nil {
@@ -939,11 +946,28 @@ func TestCoreAndServingDoNotReachTheAcceleratorModel(t *testing.T) {
 	}
 }
 
-// TestServeHotCacheRace drives a cache-fronted server with many concurrent
-// submitters while polling Stats — the shared live cache under the worker
-// pool, the scenario the -race CI job pins down.
+// TestOnlyTheTierReachesTheHotRowCache pins the one residency mechanism: the
+// frequency window (internal/hotcache) is owned by the tiered store, so core,
+// cluster, serving and router reach it only through internal/tieredstore —
+// none of them, nor anything else they import, imports it directly.
+func TestOnlyTheTierReachesTheHotRowCache(t *testing.T) {
+	for _, pkg := range []string{"core", "cluster", "serving", "router"} {
+		root := "microrec/internal/" + pkg
+		seen := importClosure(t, root, "microrec/internal/tieredstore")
+		if !seen["microrec/internal/tieredstore"] {
+			t.Fatalf("%s: import walk never reached internal/tieredstore (saw %d packages); the walk is broken", root, len(seen))
+		}
+		if seen["microrec/internal/hotcache"] {
+			t.Errorf("%s reaches internal/hotcache other than through internal/tieredstore", root)
+		}
+	}
+}
+
+// TestServeHotCacheRace drives a tiered server with many concurrent
+// submitters while polling Stats — the store's shared frequency window under
+// the pipelined drain, the scenario the -race CI job pins down.
 func TestServeHotCacheRace(t *testing.T) {
-	eng := testEngineWithCache(t, 1<<16)
+	eng := tieredTestEngine(t, 1<<16)
 	srv := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: 16}})
 	ctx := context.Background()
 	qs := randomQueries(t, eng.Spec(), 64, 21)
@@ -980,7 +1004,7 @@ func TestServeHotCacheRace(t *testing.T) {
 	wg.Wait()
 	st := srv.Stats()
 	if st.HotCache == nil || st.HotCache.Hits == 0 {
-		t.Error("expected cache hits under repeated concurrent traffic")
+		t.Error("expected window hits under repeated concurrent traffic")
 	}
 }
 

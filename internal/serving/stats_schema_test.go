@@ -41,7 +41,7 @@ func fullStats() Stats {
 			ImbalanceRatio: 1.2,
 			PerShard: []cluster.ShardStats{
 				{ID: 0, Tables: 13, Batches: 20,
-					MeanServiceUS: 20, P99ServiceUS: 30, Occupancy: 0.4, CacheHitRate: 0.9},
+					MeanServiceUS: 20, P99ServiceUS: 30, Occupancy: 0.4},
 			},
 		},
 		HotCache: &HotCacheStats{
@@ -134,7 +134,6 @@ var statsSchema = []string{
 	"cluster.merge_wait_us.p999",
 	"cluster.per_shard",
 	"cluster.per_shard.batches",
-	"cluster.per_shard.cache_hit_rate",
 	"cluster.per_shard.id",
 	"cluster.per_shard.mean_service_us",
 	"cluster.per_shard.occupancy",

@@ -7,14 +7,14 @@
 // pinning them in a DRAM budget far smaller than the model lets tables grow
 // well past machine memory while the long tail pays whatever the cold file's
 // reads cost on the serving host — serving admission times a real batch
-// rather than modelling that cost. Placement is decided by per-row access
-// frequency harvested from the live hot-row cache (hotcache.Live residency
-// plus per-entry hit counts) by a background promote/demote sweep with
-// hysteresis.
+// rather than modelling that cost. Placement follows the store's own access
+// counts: every row read is a lookup in a bounded LRU frequency window (a
+// hotcache.Live the store owns), and a background promote/demote sweep with
+// hysteresis pins the rows the window holds with the most hits.
 //
 // Rows are stored at the element type of the engine that owns the store —
 // int16 or int32 fixed-point words, each row quantized once when the file
-// is written — and read back through the generic Row and RowTagged.
+// is written — and read back through the generic RowTagged.
 //
 // Bit-identity by construction: the cold file holds the exact bits of every
 // stream's rows, and a promotion copies those bits into the DRAM hot tier,
@@ -68,6 +68,11 @@ type Config struct {
 	// DefaultSweepEvery; negative disables the background loop entirely
 	// (tests drive placement via SweepNow/SetPlacement).
 	SweepEvery time.Duration
+	// WindowBytes is the byte capacity of the frequency window every row
+	// read is recorded in, charged the bytes a row occupies. 0 means the hot
+	// budget, floored at 1 MiB so an all-cold budget still leaves a usable
+	// window.
+	WindowBytes int64
 }
 
 // Validate rejects nonsense configurations.
@@ -77,6 +82,9 @@ func (c Config) Validate() error {
 	}
 	if c.DemoteAfter < 0 {
 		return fmt.Errorf("tieredstore: negative demote-after %d", c.DemoteAfter)
+	}
+	if c.WindowBytes < 0 {
+		return fmt.Errorf("tieredstore: negative window capacity %d", c.WindowBytes)
 	}
 	return nil
 }
@@ -96,6 +104,9 @@ func (c Config) withDefaults(totalBytes int64) Config {
 	}
 	if c.SweepEvery == 0 {
 		c.SweepEvery = DefaultSweepEvery
+	}
+	if c.WindowBytes == 0 {
+		c.WindowBytes = max(c.HotBytes, 1<<20)
 	}
 	return c
 }
@@ -135,8 +146,9 @@ type Stream struct {
 	dim      int64 // elements a row
 	rows     int64
 	vecBytes int64
-	cold     []byte // this stream's window of the mmap'd cold file
+	cold     []byte // this stream's slice of the mmap'd cold file
 	hot      atomic.Pointer[hotMap]
+	window   *hotcache.Live // the store's frequency window
 
 	hotReads  atomic.Int64
 	coldReads atomic.Int64
@@ -147,7 +159,10 @@ type Stream struct {
 // row is hot, otherwise a slice of the mmap'd cold file; both hold identical
 // bits — and whether it came from the cold file, for callers that attribute
 // cold-tier faults to the batch that suffered them (the flight recorder's
-// per-span cold_faults count). Wait-free and allocation-free.
+// per-span cold_faults count). The read is recorded in the store's frequency
+// window first, so the window sees reads in the order callers make them.
+// Allocation-free; the tier lookup is wait-free, the window's one shard
+// lock is not.
 //
 //microrec:noalloc
 func RowTagged[T Elem](st *Stream, row int64) ([]T, bool) {
@@ -157,6 +172,7 @@ func RowTagged[T Elem](st *Stream, row int64) ([]T, bool) {
 
 //microrec:noalloc
 func (st *Stream) rowTagged(row int64) ([]byte, bool) {
+	st.window.Lookup(st.id, row, int(st.vecBytes))
 	if m := st.hot.Load(); m != nil {
 		if v, ok := m.rows[row]; ok {
 			st.hotReads.Add(1)
@@ -186,14 +202,14 @@ func (st *Stream) IsHot(row int64) bool {
 // Rows returns the stream's row count.
 func (st *Stream) Rows() int64 { return st.rows }
 
-// PrefetchRow issues a cache hint for the copy of the row the next Row call
-// will return — the pinned DRAM vector when hot, the mmap'd cold window
-// otherwise — without touching the read counters. The gather calls it for
-// every row of a window before it reads any of them, so the window's fetches
-// overlap each other instead of queueing behind the reads. Unlike
-// Store.Prefetch (a
-// page-fault absorber that dereferences the page), this is hint-only:
-// out-of-range rows are ignored and no fault is forced.
+// PrefetchRow issues a cache hint for the copy of the row the next RowTagged
+// call will return — the pinned DRAM vector when hot, the mmap'd cold file
+// otherwise — without touching the read counters or the frequency window.
+// The gather hints every row of its window of fetches before it reads any of
+// them, so the fetches overlap each other instead of queueing behind the
+// reads. Unlike Store.Prefetch (a page-fault absorber that dereferences the
+// page), this is hint-only: out-of-range rows are ignored and no fault is
+// forced.
 //
 //microrec:noalloc
 func (st *Stream) PrefetchRow(row int64) {
@@ -227,8 +243,10 @@ type Store struct {
 	streams    []*Stream
 	totalBytes int64
 
+	// window records every row read; the sweep harvests it.
+	window *hotcache.Live
+
 	mu       sync.Mutex
-	sources  []*hotcache.Live
 	master   []map[int64]*hotEntry // per stream, sweep-owned
 	hotBytes int64
 	closed   bool
@@ -275,11 +293,12 @@ func Open(cfg Config, elemBytes int, specs []StreamSpec, fill func(f io.WriterAt
 		total += sp.Rows * int64(sp.Dim) * int64(elemBytes)
 	}
 	cfg = cfg.withDefaults(total)
+	window, err := hotcache.NewLive(cfg.WindowBytes, 0)
+	if err != nil {
+		return nil, err
+	}
 
-	var (
-		f   *os.File
-		err error
-	)
+	var f *os.File
 	if cfg.Path == "" {
 		f, err = os.CreateTemp("", "microrec-coldtier-*.bin")
 	} else {
@@ -288,7 +307,7 @@ func Open(cfg Config, elemBytes int, specs []StreamSpec, fill func(f io.WriterAt
 	if err != nil {
 		return nil, fmt.Errorf("tieredstore: cold file: %w", err)
 	}
-	s := &Store{cfg: cfg, path: f.Name(), f: f, totalBytes: total}
+	s := &Store{cfg: cfg, path: f.Name(), f: f, totalBytes: total, window: window}
 	fail := func(what string, err error) (*Store, error) {
 		f.Close()
 		os.Remove(s.path)
@@ -313,6 +332,7 @@ func Open(cfg Config, elemBytes int, specs []StreamSpec, fill func(f io.WriterAt
 			rows:     sp.Rows,
 			vecBytes: vecBytes,
 			cold:     s.mapped[offsets[i] : offsets[i]+sp.Rows*vecBytes],
+			window:   s.window,
 		}
 	}
 	if cfg.SweepEvery > 0 {
@@ -338,17 +358,10 @@ func (s *Store) TotalBytes() int64 { return s.totalBytes }
 // HotBudgetBytes returns the (defaulted) DRAM hot-tier budget.
 func (s *Store) HotBudgetBytes() int64 { return s.cfg.HotBytes }
 
-// AddSource registers a live hot-row cache whose residency and per-entry hit
-// counts the placement sweep harvests. The engine registers its own cache;
-// the cluster tier additionally registers its per-shard caches.
-func (s *Store) AddSource(l *hotcache.Live) {
-	if l == nil {
-		return
-	}
-	s.mu.Lock()
-	s.sources = append(s.sources, l)
-	s.mu.Unlock()
-}
+// Window returns the store's frequency window: every row read through
+// RowTagged is a lookup in it, and the placement sweep harvests its
+// residency and per-entry hit counts.
+func (s *Store) Window() *hotcache.Live { return s.window }
 
 func (s *Store) loop() {
 	t := time.NewTicker(s.cfg.SweepEvery)
@@ -370,10 +383,10 @@ type streamRow struct {
 }
 
 // SweepNow runs one synchronous promote/demote pass: harvest row frequencies
-// from the registered caches, score rows, and repin the hot tier within the
+// from the frequency window, score rows, and repin the hot tier within the
 // byte budget.
 //
-// Policy: a row qualifies when it is resident in a source cache with at
+// Policy: a row qualifies when it is resident in the window with at
 // least PromoteMinHits per-entry hits (LRU residency is the recency filter,
 // accumulated hits the frequency signal). Qualifying rows rank by hits;
 // already-pinned rows that fell out of the harvest keep their pin at the
@@ -389,13 +402,9 @@ func (s *Store) SweepNow() {
 	s.sweeps.Add(1)
 
 	cand := make(map[streamRow]int64)
-	for _, src := range s.sources {
-		src.ForEachEntry(func(id int, row int64, bytes int, hits int64) {
-			if id >= 0 && id < len(s.streams) {
-				cand[streamRow{id, row}] += hits
-			}
-		})
-	}
+	s.window.ForEachEntry(func(id int, row int64, bytes int, hits int64) {
+		cand[streamRow{id, row}] = hits
+	})
 
 	type scored struct {
 		streamRow
@@ -526,6 +535,8 @@ func (s *Store) SetPlacement(id int, rows []int64) {
 // Prefetch touches the cold copy of one row so its page is faulted in before
 // the synchronous gather needs it. Hot rows are skipped. Returns true when a
 // cold touch happened.
+//
+//microrec:noalloc
 func (s *Store) Prefetch(id int, row int64) bool {
 	if id < 0 || id >= len(s.streams) {
 		return false
@@ -552,6 +563,18 @@ func (s *Store) Prefetch(id int, row int64) bool {
 	return true
 }
 
+// WindowStats is a snapshot of the store's frequency window: its capacity and
+// occupancy, and the lifetime hits and misses of the reads recorded in it.
+type WindowStats struct {
+	CapacityBytes int64 `json:"capacity_bytes"`
+	UsedBytes     int64 `json:"used_bytes"`
+	Entries       int   `json:"entries"`
+	Hits          int64 `json:"hits"`
+	Misses        int64 `json:"misses"`
+	// HitRate is Hits/(Hits+Misses), 0 when idle.
+	HitRate float64 `json:"hit_rate"`
+}
+
 // Snapshot is a point-in-time view of the store for /stats and reports.
 type Snapshot struct {
 	Path           string `json:"path"`
@@ -568,6 +591,9 @@ type Snapshot struct {
 	Demotions   int64   `json:"demotions"`
 	Sweeps      int64   `json:"sweeps"`
 	Prefetches  int64   `json:"prefetches"`
+	// Window is the frequency window. /stats reports it as its own
+	// "hotcache" section, not inside "tiers".
+	Window WindowStats `json:"-"`
 }
 
 // Snapshot summarises the store.
@@ -600,6 +626,15 @@ func (s *Store) Snapshot() Snapshot {
 	snap.HotReads, snap.ColdReads = hot, cold
 	if hot+cold > 0 {
 		snap.HotReadRate = float64(hot) / float64(hot+cold)
+	}
+	w := s.window.Stats()
+	snap.Window = WindowStats{
+		CapacityBytes: s.window.CapacityBytes(),
+		UsedBytes:     w.UsedBytes,
+		Entries:       w.Entries,
+		Hits:          w.Hits,
+		Misses:        w.Misses,
+		HitRate:       w.HitRate(),
 	}
 	return snap
 }

@@ -115,36 +115,30 @@ func TestColdReadsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepPromotesByFrequency drives traffic through a source cache and
-// checks the sweep pins the frequent rows, within the byte budget, ranked by
-// hits.
+// TestSweepPromotesByFrequency reads rows through the store and checks the
+// sweep pins the frequent ones the window recorded, within the byte budget,
+// ranked by hits.
 func TestSweepPromotesByFrequency(t *testing.T) {
 	// Budget for exactly 3 rows of stream 0 (dim 4 => 16 bytes each).
 	s, _ := openTest(t, Config{HotBytes: 48, PromoteMinHits: 2, DemoteAfter: 1})
-	cache, err := hotcache.NewLive(1<<16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.AddSource(cache)
 	// Rows 5, 6, 7 of stream 0 get 10/5/3 hits; row 8 only 1 (below the
 	// threshold); row 9 of stream 1 gets 20 hits but each of its rows costs
 	// 32 bytes.
-	touch := func(id int, row int64, n int) {
+	read := func(id int, row int64, n int) {
 		for i := 0; i < n; i++ {
-			cache.Lookup(id, row, 16)
+			RowTagged[int32](s.Stream(id), row)
 		}
 	}
-	touch(0, 5, 11) // 1 miss + 10 hits
-	touch(0, 6, 6)
-	touch(0, 7, 4)
-	touch(0, 8, 2) // 1 hit: below PromoteMinHits
-	touch(1, 9, 21)
+	read(0, 5, 11) // 1 miss + 10 hits
+	read(0, 6, 6)
+	read(0, 7, 4)
+	read(0, 8, 2) // 1 hit: below PromoteMinHits
+	read(1, 9, 21)
 
 	s.SweepNow()
 	st0, st1 := s.Stream(0), s.Stream(1)
 	// Ranking: (1,9) 20 hits = 32 bytes, then (0,5) 10 hits = 16 bytes;
-	// (0,6) would overflow the 48-byte budget... 32+16=48, so (0,6)/(0,7)
-	// are out.
+	// 32+16 fills the 48-byte budget, so (0,6)/(0,7) are out.
 	if !st1.IsHot(9) {
 		t.Error("highest-frequency row not pinned")
 	}
@@ -161,43 +155,47 @@ func TestSweepPromotesByFrequency(t *testing.T) {
 	if snap.Promotions != 2 || snap.HotRows != 2 {
 		t.Errorf("promotions %d hot rows %d, want 2/2", snap.Promotions, snap.HotRows)
 	}
+	// The window charged each row the bytes it occupies.
+	if w := snap.Window; w.Entries != 5 || w.UsedBytes != 4*16+32 || w.Hits != 10+5+3+1+20 {
+		t.Errorf("window %+v, want 5 entries, 96 bytes, 39 hits", w)
+	}
 }
 
 // TestSweepHysteresis checks a pinned row survives DemoteAfter sweeps
 // without traffic before demotion.
 func TestSweepHysteresis(t *testing.T) {
-	s, _ := openTest(t, Config{HotBytes: 1 << 16, PromoteMinHits: 2, DemoteAfter: 2})
-	cache, err := hotcache.NewLive(64, 1) // tiny: row falls out of the LRU fast
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.AddSource(cache)
+	// One 16-byte row per window shard: a row falls out of the window as
+	// soon as another row of its shard is read.
+	s, _ := openTest(t, Config{HotBytes: 1 << 16, PromoteMinHits: 2, DemoteAfter: 2, WindowBytes: hotcache.DefaultLiveShards * 16})
+	st := s.Stream(0)
 	for i := 0; i < 5; i++ {
-		cache.Lookup(0, 12, 16)
+		RowTagged[int32](st, 12)
 	}
 	s.SweepNow()
-	if !s.Stream(0).IsHot(12) {
+	if !st.IsHot(12) {
 		t.Fatal("frequent row not promoted")
 	}
-	// Evict row 12 from the cache: the harvest no longer sees it.
-	for i := 0; i < 8; i++ {
-		cache.Lookup(0, int64(40+i), 16)
+	// Read every other row of stream 0 once: row 12 leaves the window, and
+	// none of its successors has a hit to be promoted with.
+	for row := int64(0); row < st.Rows(); row++ {
+		if row != 12 {
+			RowTagged[int32](st, row)
+		}
 	}
-	if cache.Lookup(0, 12, 16) {
-		t.Fatal("test premise broken: row 12 still cache-resident")
-	}
-	// Remove the fresh rows too so nothing else promotes/interferes; the
-	// lookup above re-inserted row 12, so evict again with big rows.
-	cache.Lookup(0, 50, 64)
+	s.Window().ForEachEntry(func(id int, row int64, bytes int, hits int64) {
+		if id == 0 && row == 12 {
+			t.Fatal("test premise broken: row 12 still in the window")
+		}
+	})
 
 	for i := 1; i <= 2; i++ {
 		s.SweepNow()
-		if !s.Stream(0).IsHot(12) {
+		if !st.IsHot(12) {
 			t.Fatalf("row demoted after %d idle sweeps, hysteresis is %d", i, 2)
 		}
 	}
 	s.SweepNow() // third idle sweep: past the band
-	if s.Stream(0).IsHot(12) {
+	if st.IsHot(12) {
 		t.Fatal("row still pinned past the hysteresis band")
 	}
 	if d := s.Snapshot().Demotions; d < 1 {
@@ -270,8 +268,8 @@ func TestPrefetchAndCounters(t *testing.T) {
 	}
 }
 
-// TestHotBytesDefault checks the 4x default: an unset budget becomes a
-// quarter of the tierable bytes.
+// TestHotBytesDefault checks the 4x default — an unset budget becomes a
+// quarter of the tierable bytes — and the frequency window's default.
 func TestHotBytesDefault(t *testing.T) {
 	s, specs := openTest(t, Config{})
 	var total int64
@@ -288,6 +286,19 @@ func TestHotBytesDefault(t *testing.T) {
 	s2 := openStreams(t, Config{HotBytes: -1, SweepEvery: -1}, testSpecs(t))
 	if s2.HotBudgetBytes() != 0 {
 		t.Fatalf("all-cold budget %d", s2.HotBudgetBytes())
+	}
+	// The window defaults to the hot budget, floored at 1 MiB; an explicit
+	// capacity is kept.
+	if got := s.Window().CapacityBytes(); got != 1<<20 {
+		t.Errorf("default window %d bytes, want 1 MiB", got)
+	}
+	s3 := openStreams(t, Config{HotBytes: 4 << 20, SweepEvery: -1}, testSpecs(t))
+	if got := s3.Window().CapacityBytes(); got != 4<<20 {
+		t.Errorf("window under a 4 MiB budget %d bytes, want the budget", got)
+	}
+	s4 := openStreams(t, Config{WindowBytes: 4096, SweepEvery: -1}, testSpecs(t))
+	if got := s4.Window().CapacityBytes(); got != 4096 {
+		t.Errorf("explicit window %d bytes, want 4096", got)
 	}
 }
 
@@ -310,6 +321,9 @@ func TestOpenValidation(t *testing.T) {
 	}
 	if _, err := Open(Config{PromoteMinHits: -1, SweepEvery: -1}, 4, specs, fill); err == nil {
 		t.Error("negative promote threshold accepted")
+	}
+	if _, err := Open(Config{WindowBytes: -1, SweepEvery: -1}, 4, specs, fill); err == nil {
+		t.Error("negative window capacity accepted")
 	}
 	path := t.TempDir() + "/cold.bin"
 	boom := errors.New("boom")

@@ -28,14 +28,14 @@
 //     partitioned across N gather shards balanced by the bytes each gathers,
 //     each micro-batch scattered to the shards and their
 //     partial planes merged before the FC stack runs once — bit-identical
-//     to single-engine inference, with per-shard hot-row caches, plane
-//     rings and straggler-aware merge metrics in /stats, and
+//     to single-engine inference, with per-shard plane rings and
+//     straggler-aware merge metrics in /stats, and
 //   - the replicated serving tier (NewRouter): N independent server
 //     replicas — each a full batching/pipeline composition around its own
 //     engine — fronted by a router with pluggable policies (round-robin,
-//     least-loaded, hot-key affinity via rendezvous hashing, so N hot-row
-//     caches of size C behave like one ~N·C cache), per-replica
-//     health/drain, and hot model swap under live traffic, and
+//     least-loaded, hot-key affinity via rendezvous hashing, so N tiered
+//     stores' frequency windows of size C behave like one ~N·C window),
+//     per-replica health/drain, and hot model swap under live traffic, and
 //   - the open-loop load harness (RunLoad, SweepLoad): Poisson and
 //     trace-driven arrival processes that drive the server past saturation
 //     and locate the knee — the highest offered rate meeting the tail SLA.
@@ -150,17 +150,17 @@ type (
 	// (ServerOptions.Router); NewRouter stamps it on the servers it builds.
 	ServerRouterOptions = serving.RouterOptions
 	// ServingEngine is the engine seam the serving subsystem batches over —
-	// the plane stage calls, query validation, the model spec and the hot-row
-	// cache snapshot: *Engine implements it, and so does any stage-compatible
-	// wrapper (HotEngine). Optional capabilities — tiered storage, prefetch,
-	// hot reload — are discovered by interface assertion, not configuration.
+	// the plane stage calls, query validation and the model spec: *Engine
+	// implements it, and so does any stage-compatible wrapper (HotEngine).
+	// Optional capabilities — tiered storage, prefetch, hot reload — are
+	// discovered by interface assertion, not configuration.
 	ServingEngine = serving.Engine
 	// ServeResult is one served query's prediction, its observed wall
 	// latency and the size of the batch that served it.
 	ServeResult = serving.Result
 	// ServerStats is a rolling snapshot of serving statistics (latency
-	// percentiles, QPS, batch occupancy, pipeline stage occupancy,
-	// hot-row cache behaviour).
+	// percentiles, QPS, batch occupancy, pipeline stage occupancy and, on a
+	// tiered engine, the tier and its frequency window).
 	ServerStats = serving.Stats
 	// PipelineStats is the /stats view of the drain's service meter, in
 	// either drain: batches in service, per-stage occupancy and the
@@ -170,9 +170,11 @@ type (
 	// (ServerOptions.Tier.Shards > 1): shard partition and per-shard
 	// occupancy, the straggler merge-wait histogram and the imbalance ratio.
 	ClusterStats = serving.ClusterStats
-	// HotCacheInfo is a snapshot of an engine's live hot-row cache
-	// (Engine.HotCache).
-	HotCacheInfo = core.HotCacheInfo
+	// HotCacheInfo is a snapshot of a tiered engine's frequency window —
+	// the LRU every row read is recorded in and the placement sweep pins
+	// rows from — as ServerStats.HotCache reports it. An all-DRAM engine has
+	// none.
+	HotCacheInfo = serving.HotCacheStats
 	// TierStats is the /stats view of the tiered embedding backing store
 	// (EngineOptions.ColdTier): per-tier residency, read split and
 	// promotion/demotion counters.
@@ -278,8 +280,8 @@ const (
 	// score (queue depth + in-flight batch weight).
 	RouteLeastLoaded = router.LeastLoaded
 	// RouteAffinity routes by a rendezvous hash of the query's embedding
-	// keys, so each replica's hot-row cache specializes on a slice of the
-	// key space (N caches of size C ≈ one N·C cache).
+	// keys, so each replica's tiered store specializes on a slice of the
+	// key space (N frequency windows of size C ≈ one N·C window).
 	RouteAffinity = router.Affinity
 )
 
@@ -349,17 +351,18 @@ type EngineOptions struct {
 	// MaxRowsPerTable caps materialised embedding rows (capacity
 	// scaling); zero means the library default.
 	MaxRowsPerTable int64
-	// HotCacheBytes, when positive, attaches a live hot-row cache of the
-	// given byte capacity to the engine's gather datapath. The cache never
-	// changes predictions; its hits, misses and hit rate are surfaced in
-	// /stats.
+	// HotCacheBytes is the byte capacity of the cold tier's frequency
+	// window: the LRU every row read is recorded in, whose hits and misses
+	// /stats reports as its "hotcache" section and whose most-hit rows the
+	// placement sweep pins. 0 means the hot-tier budget, floored at 1 MiB.
+	// Ignored unless ColdTier is set.
 	HotCacheBytes int64
 	// ColdTier attaches the tiered embedding backing store: frequent rows
 	// pinned in a DRAM hot tier, the full row set in an mmap'd cold file,
-	// placement driven by a background frequency sweep harvesting the live
-	// hot-row cache. Bit-identical to all-DRAM by construction; only the
-	// host's read cost changes, which SLA admission measures. Engines built
-	// with a cold tier must be Closed (Engine.Close removes the file).
+	// placement driven by a background sweep over the store's own frequency
+	// window (HotCacheBytes). Bit-identical to all-DRAM by construction; only
+	// the host's read cost changes, which SLA admission measures. Engines
+	// built with a cold tier must be Closed (Engine.Close removes the file).
 	ColdTier bool
 	// ColdTierPath is the cold-tier file path; empty means an unnamed temp
 	// file. Ignored unless ColdTier is set.
@@ -371,9 +374,9 @@ type EngineOptions struct {
 }
 
 func (o EngineOptions) config() core.Config {
-	cfg := core.Config{Precision: orFixed16(o.Precision), HotCacheBytes: o.HotCacheBytes}
+	cfg := core.Config{Precision: orFixed16(o.Precision)}
 	if o.ColdTier {
-		cfg.ColdTier = &tieredstore.Config{Path: o.ColdTierPath, HotBytes: o.HotTierBytes}
+		cfg.ColdTier = &tieredstore.Config{Path: o.ColdTierPath, HotBytes: o.HotTierBytes, WindowBytes: o.HotCacheBytes}
 	}
 	return cfg
 }

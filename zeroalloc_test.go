@@ -111,27 +111,6 @@ func zeroallocCases(t *testing.T) []allocCase {
 	eng.EnsurePlane(&scratch64, len(qs64))
 	preds := make([]float32, b)
 
-	// The cached engine's hot-row cache holds fewer rows than one batch
-	// touches, so every gather both hits and evicts. Repeating the batch makes
-	// the cache's contents periodic within a few passes; the warm-up reaches
-	// that state, after which neither the slab nor the index grows.
-	cachedCfg := cfg
-	cachedCfg.HotCacheBytes = 4 << 10
-	cachedEng, err := core.Build(params, cachedCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cachedScratch core.BatchScratch
-	cachedEng.EnsurePlane(&cachedScratch, b)
-	for i := 0; i < 8; i++ {
-		cachedEng.GatherIntoPlane(qs, &cachedScratch)
-	}
-	warm, _ := cachedEng.HotCache()
-	cachedEng.GatherIntoPlane(qs, &cachedScratch)
-	if st, _ := cachedEng.HotCache(); st.Hits == warm.Hits || st.Misses == warm.Misses || st.Entries != warm.Entries {
-		t.Fatalf("a warm cached gather should hit and evict at constant occupancy: before %+v, after %+v", warm, st)
-	}
-
 	// A full 16-row cache: each run hits the row it keeps most recent, misses
 	// a fresh row (evicting the least recent) and looks up an uncacheable one.
 	const lruRowBytes = 64
@@ -175,19 +154,35 @@ func zeroallocCases(t *testing.T) []allocCase {
 	ts.SetPlacement(0, hotHalf) // rows 0..31 hot, 32..63 cold: exercise both tiers
 	stream := ts.Stream(0)
 
-	// The tiered engine's gather reads half its rows hot and half cold.
+	// The tiered engine's gather reads half its rows hot and half cold. Its
+	// frequency window holds fewer rows than one batch reads, so every
+	// gather both hits and evicts. Repeating the batch makes the window's
+	// contents periodic within a few passes; the warm-up reaches that state,
+	// after which neither the slab nor the index grows.
 	tieredCfg := cfg
-	tieredCfg.ColdTier = &tieredstore.Config{SweepEvery: -1, HotBytes: 1 << 30}
+	tieredCfg.ColdTier = &tieredstore.Config{SweepEvery: -1, HotBytes: 1 << 30, WindowBytes: 4 << 10}
 	tieredEng, err := core.Build(params, tieredCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tieredEng.Close() })
-	for id := 0; id < tieredEng.TierStore().Streams(); id++ {
-		tieredEng.TierStore().SetPlacement(id, hotHalf)
+	tier := tieredEng.Tier()
+	for id := 0; id < tier.Streams(); id++ {
+		tier.SetPlacement(id, hotHalf)
 	}
 	var tieredScratch core.BatchScratch
 	tieredEng.EnsurePlane(&tieredScratch, b)
+	for i := 0; i < 8; i++ {
+		tieredEng.GatherIntoPlane(qs, &tieredScratch)
+	}
+	warm := tier.Window().Stats()
+	tieredEng.GatherIntoPlane(qs, &tieredScratch)
+	if st := tier.Window().Stats(); st.Hits == warm.Hits || st.Misses == warm.Misses || st.Entries != warm.Entries {
+		t.Fatalf("a warm tiered gather should hit and evict in the window at constant occupancy: before %+v, after %+v", warm, st)
+	}
+	if st := tier.Snapshot(); st.HotReads == 0 || st.ColdReads == 0 {
+		t.Fatalf("the tiered gather should read both tiers: %+v", st)
+	}
 
 	done := make(chan struct{}, 1)
 	x, err := pipeline.New(eng, pipeline.Options{
@@ -244,18 +239,23 @@ func zeroallocCases(t *testing.T) []allocCase {
 		},
 		{
 			// core/gather's gather on a tiered engine: each row is
-			// copied, at the plane's width, from the hot tier or the cold
-			// file.
-			name:   "core/gather-tiered",
-			covers: []string{"internal/tieredstore.RowTagged", "internal/tieredstore.Stream.rowTagged"},
-			run:    func() { tieredEng.GatherIntoPlane(qs, &tieredScratch) },
+			// recorded in the store's frequency window and copied, at the
+			// plane's width, from the hot tier or the cold file.
+			name: "core/gather-tiered",
+			covers: []string{
+				"internal/tieredstore.RowTagged",
+				"internal/tieredstore.Stream.rowTagged",
+				"internal/hotcache.Live.Lookup",
+			},
+			run: func() { tieredEng.GatherIntoPlane(qs, &tieredScratch) },
 		},
 		{
-			// core/gather's gather with the engine's live hot-row
-			// cache attached.
-			name:   "core/gather-cached",
-			covers: []string{"internal/hotcache.Live.Lookup"},
-			run:    func() { cachedEng.GatherIntoPlane(qs, &cachedScratch) },
+			// The serving drains' plane-fill prefetch on the same engine:
+			// the cold half of the batch's rows touched, the hot half
+			// skipped.
+			name:   "core/prefetch-tiered",
+			covers: []string{"internal/core.Engine.PrefetchBatch", "internal/tieredstore.Store.Prefetch"},
+			run:    func() { tieredEng.PrefetchBatch(qs) },
 		},
 		{
 			name:   "hotcache/lookup",
@@ -293,7 +293,7 @@ func zeroallocCases(t *testing.T) []allocCase {
 				"internal/core.fixedPath.zeroDenseTail",
 			},
 			run: func() {
-				eng.GatherPartialIntoPlane(tables, qs, &partialScratch, nil)
+				eng.GatherPartialIntoPlane(tables, qs, &partialScratch)
 				eng.ZeroDenseTail(b, &partialScratch)
 			},
 		},
