@@ -9,8 +9,11 @@ LOADTEST_OUT ?= /tmp/microrec-loadtest
 build:
 	$(GO) build ./...
 
+# The second line vets offheap's no-op huge-page twin, which no Linux build
+# compiles.
 vet:
 	$(GO) vet ./...
+	GOOS=darwin $(GO) vet ./internal/offheap ./internal/core
 
 # vet-custom runs microrec-vet, the repo's own go/analysis suite (lockheld,
 # hotalloc, atomicfield, statsnapshot): the mechanized concurrency and

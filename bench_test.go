@@ -213,10 +213,11 @@ func BenchmarkPlannerLarge(b *testing.B) {
 	}
 }
 
-// ---- Gather benchmarks: per-query scalar vs batched channel-sharded ----
+// ---- Gather benchmarks: per-query float walk vs the batched gather ----
 
-// BenchmarkGatherOne measures the per-query float gather (one query's
-// physical-table walk into the concatenated feature vector).
+// BenchmarkGatherOne measures the per-query float reference gather: one
+// query's rows, each regenerated from the parameters' stream, into the
+// concatenated feature vector.
 func BenchmarkGatherOne(b *testing.B) {
 	eng, qs := serveBenchSetup(b)
 	dst := make([]float32, eng.Spec().FeatureLen())
@@ -230,10 +231,10 @@ func BenchmarkGatherOne(b *testing.B) {
 }
 
 // BenchmarkGatherBatch measures the batched gather datapath at batch 64:
-// blocks over the whole batch, sharded by the placement plan's channel
-// groups, quantizing directly into the fixed-point feature plane. One op is
-// a 64-query batch; the gather loop itself is allocation-free (the handful
-// of reported allocations are the per-batch shard goroutines, <0.2/query).
+// every table's blocks across the whole batch, walked on the calling
+// goroutine a window of rows at a time, each row moved at the datapath's
+// width into the fixed-point feature plane. One op is a 64-query batch; it
+// reports 0 allocs/op.
 //
 // Every row of serveBenchSetup's 256-row tables sits in L1; see
 // BenchmarkGatherMiss for tables a lookup can miss in.

@@ -36,6 +36,17 @@ import (
 // lookups at once — on the parallelism a CPU core has. The window counts
 // rows, not queries or tables, so a batch of one keeps a whole item's lookups
 // in flight and a batch of 64 is cut into window-sized runs.
+//
+// Besides its fetch a row costs a page walk and a move, neither of which
+// the paper's HBM channels pay. The walk: a uniform lookup into hundreds of
+// megabytes of tables lands on a page the TLB does not hold, and the core
+// walks the page table before the fetch can start. In 4 KiB pages
+// production-large's 363 MB of tables at the benchmark's cap are ≈ 89 000
+// translations; in the 2 MiB pages internal/offheap asks for they are ≈ 175,
+// few enough for the TLB to keep. The move: a row is 8 to 256 bytes, and
+// moveRows (rowmove.go) moves a block's run of rows as fixed-size values
+// chosen once by the block's row length, where copy would call memmove once
+// per row.
 
 // gatherWindow is W, the number of row fetches the gather keeps in flight:
 // row numbers are resolved and hinted W at a time before any of them is read.
@@ -113,7 +124,7 @@ type gatherBlock struct {
 	dim   int // row length
 	// off is the feature column this round of the source starts at.
 	off      int
-	vecBytes int // bytes one access moves
+	vecBytes int // bytes one row takes: picks moveRows' case
 	round    int // which of the source's per-inference lookups this block is
 }
 

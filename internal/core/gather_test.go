@@ -12,10 +12,15 @@ import (
 	"microrec/internal/model"
 )
 
+// specDims are the embedding dims randomSpec draws from: every dim whose row
+// is one of moveRows' fixed sizes at 2 or 4 bytes a value, and dims between
+// them whose rows take its copy fallback at both widths.
+var specDims = []int{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 128}
+
 // randomSpec generates a small random model: table counts, dims, lookup
 // cadences, dense tails and tower shapes all vary, so the batched gather's
-// merged physical tables, lookup rounds and GEMM tails are exercised across
-// geometries no hand-written fixture would cover.
+// merged physical tables, lookup rounds, row moves and GEMM tails are
+// exercised across geometries no hand-written fixture would cover.
 func randomSpec(rng *rand.Rand, name string) *model.Spec {
 	nt := 3 + rng.Intn(5)
 	tables := make([]model.TableSpec, nt)
@@ -24,7 +29,7 @@ func randomSpec(rng *rand.Rand, name string) *model.Spec {
 			ID:      i,
 			Name:    fmt.Sprintf("%s-t%d", name, i),
 			Rows:    int64(8 + rng.Intn(300)),
-			Dim:     1 + rng.Intn(12),
+			Dim:     specDims[rng.Intn(len(specDims))],
 			Lookups: 1 + rng.Intn(3),
 		}
 	}
@@ -48,9 +53,10 @@ func randomSpec(rng *rand.Rand, name string) *model.Spec {
 func TestGatherBatchMatchesGather(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	specs := []*model.Spec{model.SmallProduction(), oddSpec()}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 14; i++ {
 		specs = append(specs, randomSpec(rng, fmt.Sprintf("rand-%d", i)))
 	}
+	moves := rowMoves{}
 	for si, spec := range specs {
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("%s: invalid spec: %v", spec.Name, err)
@@ -59,6 +65,7 @@ func TestGatherBatchMatchesGather(t *testing.T) {
 		if si%2 == 1 {
 			f = fixedpoint.Fixed32
 		}
+		moves.add(spec, f.Bits)
 		e := buildEngine(t, spec, Config{Precision: f})
 		var scratch BatchScratch
 		for _, b := range append([]int{3, 33}, windowBatches...) {
@@ -81,52 +88,55 @@ func TestGatherBatchMatchesGather(t *testing.T) {
 			}
 		}
 	}
+	moves.check(t)
 }
 
 // TestInferBatchPropertyRandomSpecs is the end-to-end property test: across
-// random model geometries and batch sizes, the batched gather + blocked GEMM
-// datapath is bit-identical to per-query InferOne — from DRAM tables and
-// from an all-cold tiered store that records every read in its frequency
-// window (neither may change predictions).
+// random model geometries and batch sizes, each at both widths, the batched
+// gather + blocked GEMM datapath is bit-identical to per-query InferOne — from
+// DRAM tables and from an all-cold tiered store that records every read in
+// its frequency window (neither may change predictions).
 func TestInferBatchPropertyRandomSpecs(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 6; trial++ {
+	moves := rowMoves{}
+	for trial := 0; trial < 10; trial++ {
 		spec := randomSpec(rng, fmt.Sprintf("prop-%d", trial))
-		cfg := Config{Precision: fixedpoint.Fixed16}
-		if trial%2 == 1 {
-			cfg.Precision = fixedpoint.Fixed32
-		}
-		plain := buildEngine(t, spec, cfg)
-		tiered := buildEngine(t, spec, windowTestConfig(cfg.Precision, 1<<16))
-		defer tiered.Close()
-		for _, b := range append([]int{5, 8, 31, 67}, windowBatches...) {
-			qs := randomQueries(spec, b, int64(trial*1000+b))
-			got, err := plain.InferBatch(qs, nil, nil)
-			if err != nil {
-				t.Fatalf("%s b=%d: %v", spec.Name, b, err)
-			}
-			gotTiered, err := tiered.InferBatch(qs, nil, nil)
-			if err != nil {
-				t.Fatalf("%s b=%d tiered: %v", spec.Name, b, err)
-			}
-			for i, q := range qs {
-				want, err := plain.InferOne(q)
+		for _, f := range []fixedpoint.Format{fixedpoint.Fixed16, fixedpoint.Fixed32} {
+			name, cfg := fmt.Sprintf("%s/fixed%d", spec.Name, f.Bits), Config{Precision: f}
+			moves.add(spec, f.Bits)
+			plain := buildEngine(t, spec, cfg)
+			tiered := buildEngine(t, spec, windowTestConfig(cfg.Precision, 1<<16))
+			defer tiered.Close()
+			for _, b := range append([]int{5, 8, 31, 67}, windowBatches...) {
+				qs := randomQueries(spec, b, int64(trial*1000+b))
+				got, err := plain.InferBatch(qs, nil, nil)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s b=%d: %v", name, b, err)
 				}
-				if got[i] != want {
-					t.Fatalf("%s b=%d query %d: batch %v, one-at-a-time %v", spec.Name, b, i, got[i], want)
+				gotTiered, err := tiered.InferBatch(qs, nil, nil)
+				if err != nil {
+					t.Fatalf("%s b=%d tiered: %v", name, b, err)
 				}
-				if gotTiered[i] != want {
-					t.Fatalf("%s b=%d query %d: tiered engine %v, want %v (the tier must be transparent)",
-						spec.Name, b, i, gotTiered[i], want)
+				for i, q := range qs {
+					want, err := plain.InferOne(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got[i] != want {
+						t.Fatalf("%s b=%d query %d: batch %v, one-at-a-time %v", name, b, i, got[i], want)
+					}
+					if gotTiered[i] != want {
+						t.Fatalf("%s b=%d query %d: tiered engine %v, want %v (the tier must be transparent)",
+							name, b, i, gotTiered[i], want)
+					}
 				}
 			}
-		}
-		if w := tiered.Tier().Snapshot().Window; w.Hits+w.Misses == 0 {
-			t.Fatalf("%s: window saw no traffic (%+v)", spec.Name, w)
+			if w := tiered.Tier().Snapshot().Window; w.Hits+w.Misses == 0 {
+				t.Fatalf("%s: window saw no traffic (%+v)", name, w)
+			}
 		}
 	}
+	moves.check(t)
 }
 
 // TestGatherBatchSteadyStateAllocs pins the gather's allocations at both ends

@@ -165,7 +165,7 @@ func (d *fixedPath[T]) openTier(cfg tieredstore.Config, params *model.Parameters
 			}
 			raw := (*buf)[:len(vals)]
 			kernels.QuantizeRow(&q, vals, raw)
-			_, err := f.WriteAt(unsafe.Slice((*byte)(unsafe.Pointer(&raw[0])), int64(len(raw))*size), offsets[t]+int64(off)*size)
+			_, err := f.WriteAt(asBytes(raw), offsets[t]+int64(off)*size)
 			bufs.Put(buf)
 			if err != nil {
 				mu.Lock()
@@ -279,8 +279,9 @@ func (d *fixedPath[T]) hintWindow(s *gatherSeq, c *gatherCursor, rows []int64) i
 // on the stack and hints every row's cache lines, a block's run with one
 // call. Pass 2 walks the same window again and, per row, reads the row —
 // from the DRAM table, or through the tiered store, which records the read
-// in its frequency window — and copies it, already at the plane's width,
-// into the query's feature row. By the time pass 2 reads
+// in its frequency window — and moves it, already at the plane's width,
+// into the query's feature row (moveRows: a block's run of DRAM rows in one
+// call, a tiered row on its own). By the time pass 2 reads
 // a row its fetch has been in flight, together with the rest of the window's,
 // for the whole of pass 1: the loop waits for memory once per window, not
 // once per row (gather.go's header has the arithmetic). A window ends where
@@ -294,36 +295,31 @@ func (d *fixedPath[T]) hintWindow(s *gatherSeq, c *gatherCursor, rows []int64) i
 //
 //microrec:noalloc
 func (d *fixedPath[T]) gatherTables(plan *gatherPlan, tables []int, queries []embedding.Query, s *BatchScratch) (coldFaults int64) {
-	x := *d.plane(s)
-	w := d.stride
+	var zero T
+	size := int(unsafe.Sizeof(zero))
+	x := asBytes(*d.plane(s))
+	w := d.stride * size
 	seq := gatherSeq{plan: plan, tables: tables, queries: queries}
 	var ahead, cur gatherCursor
 	var rows [gatherWindow]int64
+	var first [1]int64 // a tiered row arrives on its own: row 0 of a one-row source
 	for n := d.hintWindow(&seq, &ahead, rows[:]); n > 0; n = d.hintWindow(&seq, &ahead, rows[:]) {
 		for k := 0; k < n; {
 			blk, lo, hi := seq.next(&cur, n-k)
-			dim := int64(blk.dim)
-			var data []T
-			var st *tieredstore.Stream
-			if d.tier != nil {
-				st = d.tier[blk.srcID]
-			} else {
-				data = d.tables[blk.srcID]
+			vb, off := blk.vecBytes, blk.off*size
+			if d.tier == nil {
+				moveRows(x[lo*w+off:], w, asBytes(d.tables[blk.srcID]), rows[k:k+hi-lo], vb)
+				k += hi - lo
+				continue
 			}
+			st := d.tier[blk.srcID]
 			for qi := lo; qi < hi; qi++ {
-				row := rows[k]
+				p, wasCold := tieredstore.RowTagged[T](st, rows[k])
 				k++
-				var payload []T
-				if st != nil {
-					var wasCold bool
-					payload, wasCold = tieredstore.RowTagged[T](st, row)
-					if wasCold {
-						coldFaults++
-					}
-				} else {
-					payload = data[row*dim : row*dim+dim]
+				if wasCold {
+					coldFaults++
 				}
-				copy(x[qi*w+blk.off:qi*w+blk.off+blk.dim], payload)
+				moveRows(x[qi*w+off:], w, asBytes(p), first[:], vb)
 			}
 		}
 	}

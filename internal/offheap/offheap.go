@@ -18,15 +18,19 @@
 // requests are served from the heap, so tests and small models never meet
 // any of this.
 //
-// Mappings do not ask for transparent huge pages (madvise MADV_HUGEPAGE),
-// although a uniform embedding lookup touches about one 4 KiB page per row
-// and pays a page walk in front of every row fetch. It was measured (PR 15,
-// CHANGES.md): the advice is worth 0–10 % of gather throughput, and on a
-// virtual machine whose hypervisor takes free memory back, the first write to
-// a gigabyte of huge pages took 19–40 s against 4–7 s for small ones — three
-// engine builds in ten went from 2 s to 12–17 s. A table is built once and
-// read for hours, so a long-lived server may want the advice anyway; it is
-// one syscall.Madvise in mapBytes.
+// Mappings ask for transparent huge pages (madvise MADV_HUGEPAGE, on Linux;
+// offheap_linux.go). A uniform embedding lookup touches about one 4 KiB page
+// per row, and a page the TLB does not hold costs a page walk before the
+// row's fetch can start: production-large's 363 MB of tables at the
+// repository benchmark's cap are ≈ 89 000 small pages but ≈ 175 huge ones.
+// Measured on a 2-vCPU Xeon virtual machine (CHANGES.md): first touch of
+// 400 MB took 0.07–0.41 s with the advice against 0.23–0.30 s without it, and
+// all 400 MB landed in huge pages; the advice alone took production-large's
+// uniform gather at batch 64 from 37–41 to 28–34 ns a lookup
+// (BenchmarkGatherMiss). The advice was once measured the other way: on a
+// virtual machine whose hypervisor took free memory back, the first write to
+// a gigabyte of huge pages took 19–40 s against 4–7 s for small ones. An
+// engine build's setup time is where that would show again.
 package offheap
 
 import "unsafe"

@@ -20,6 +20,7 @@ func mapBytes(n int) []byte {
 	if err != nil {
 		return nil // address space or a limit ran out: fall back to the heap
 	}
+	adviseHuge(b)
 	mu.Lock()
 	mappings[unsafe.Pointer(&b[0])] = b
 	mu.Unlock()
