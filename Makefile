@@ -10,10 +10,12 @@ build:
 	$(GO) build ./...
 
 # The second line vets offheap's no-op huge-page twin, which no Linux build
-# compiles.
+# compiles; the third vets the !unix twins (offheap_other.go, mmap_other.go),
+# which no unix build compiles, darwin included.
 vet:
 	$(GO) vet ./...
 	GOOS=darwin $(GO) vet ./internal/offheap ./internal/core
+	GOOS=windows $(GO) vet ./internal/offheap ./internal/tieredstore ./internal/core
 
 # vet-custom runs microrec-vet, the repo's own go/analysis suite (lockheld,
 # hotalloc, atomicfield, statsnapshot): the mechanized concurrency and

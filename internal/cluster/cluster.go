@@ -399,11 +399,6 @@ func (c *Cluster) Spec() *model.Spec { return c.eng.Spec() }
 // engine.
 func (c *Cluster) Tier() *tieredstore.Store { return c.eng.Tier() }
 
-// PrefetchBatch delegates the cold-row prefetch pass to the engine: shards
-// read rows through the same backing store, so warming it before the scatter
-// round benefits every shard's gather.
-func (c *Cluster) PrefetchBatch(queries []embedding.Query) { c.eng.PrefetchBatch(queries) }
-
 // ---- stats ----
 
 // ShardStats is one shard's point-in-time view.

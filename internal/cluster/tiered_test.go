@@ -15,12 +15,8 @@ import (
 )
 
 // The sharded tier must satisfy the serving layer's optional tier
-// capabilities too, so a tiered sharded deployment gets the prefetch pass and
-// the /stats section.
-var (
-	_ serving.Tiered     = (*cluster.Cluster)(nil)
-	_ serving.Prefetcher = (*cluster.Cluster)(nil)
-)
+// capability too, so a tiered sharded deployment gets the /stats section.
+var _ serving.Tiered = (*cluster.Cluster)(nil)
 
 // buildTieredEngine mirrors buildEngine with a manual-sweep cold tier
 // attached (tests drive placement explicitly).
@@ -131,7 +127,8 @@ func TestShardedTieredSweepHarvest(t *testing.T) {
 
 // TestServerShardsTieredStats runs the full serving stack — micro-batcher,
 // pipelined drain, sharded tier, cold tier — and checks /stats surfaces the
-// tiers section and the prefetch pass ran.
+// tiers section. Served traffic reads each row once, in the gather: no
+// separate prefetch pass touches the store.
 func TestServerShardsTieredStats(t *testing.T) {
 	spec := model.SmallProduction()
 	tiered := buildTieredEngine(t, spec, 0)
@@ -157,8 +154,8 @@ func TestServerShardsTieredStats(t *testing.T) {
 	if st.Tiers == nil {
 		t.Fatal("stats missing tiers section")
 	}
-	if st.Tiers.Prefetches == 0 {
-		t.Fatal("prefetch pass never ran on an all-cold tier")
+	if st.Tiers.Prefetches != 0 {
+		t.Fatalf("served traffic ran %d prefetches; the gather is the only row read", st.Tiers.Prefetches)
 	}
 	if st.Tiers.ColdReads == 0 {
 		t.Fatal("all-cold serving recorded no cold reads")

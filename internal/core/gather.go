@@ -250,12 +250,13 @@ func (e *Engine) gatherBatchValidated(queries []embedding.Query, s *BatchScratch
 // counters.
 func (e *Engine) Tier() *tieredstore.Store { return e.tier }
 
-// PrefetchBatch touches the cold-tier pages a batch's gather will read. The
-// serving tier calls it from the pipeline's gather-stage Prepare hook, so a
-// cold row's fault is absorbed while filling that plane only — the other
-// in-flight planes' compute stages keep draining. Queries must already be
-// validated; no-op for an all-DRAM engine. It walks the gather's blocks in
-// the gather's order and leaves the store to skip the rows it holds hot.
+// PrefetchBatch touches the cold-tier pages a batch's gather will read.
+// Nothing on the serving path calls it: a served batch reads each row once,
+// in the gather. It stays because the repository benchmark's tracer wraps it;
+// a pass that pays would have to run concurrently with real storage latency.
+// Queries must already be validated; no-op for an all-DRAM engine. It walks
+// the gather's blocks in the gather's order and leaves the store to skip the
+// rows it holds hot.
 //
 //microrec:noalloc
 func (e *Engine) PrefetchBatch(queries []embedding.Query) {

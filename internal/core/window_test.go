@@ -131,7 +131,7 @@ func TestGatherWindowTierCounters(t *testing.T) {
 	}
 }
 
-// TestPrefetchBatchNamesTheGathersRows checks the plane-fill prefetch and the
+// TestPrefetchBatchNamesTheGathersRows checks PrefetchBatch and the
 // gather agree on which rows a batch reads. On an all-cold tiered engine the
 // prefetch touches one row per lookup; once every row the gather left in the
 // tier's frequency window is pinned it touches none, so every row it names is

@@ -65,7 +65,7 @@ type Span struct {
 	// QueueNS is enqueue → micro-batch flush (time spent forming a batch).
 	QueueNS int64 `json:"queue_ns"`
 	// BatchWaitNS is flush → service start: plane acquisition under
-	// backpressure, the deadline-drop filter, and the cold-tier prefetch.
+	// backpressure and the deadline-drop filter.
 	BatchWaitNS int64 `json:"batch_wait_ns"`
 	// GatherNS / DenseNS / TailNS are the plane's stage service times;
 	// DenseWaitNS / TailWaitNS the inter-stage queue waits between them

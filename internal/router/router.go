@@ -42,7 +42,7 @@ import (
 // replica drained or closed, or none ever added.
 var ErrNoReplicas = errors.New("router: no active replicas")
 
-// ErrUnknownReplica is returned by Drain/Reload/Swap for an id that is not a
+// ErrUnknownReplica is returned by Drain and Swap for an id that is not a
 // current member.
 var ErrUnknownReplica = errors.New("router: unknown replica id")
 
@@ -55,16 +55,15 @@ const drainPoll = 100 * time.Microsecond
 // decisionsWindow sizes the per-policy rolling decision-rate meters.
 const decisionsWindow = 4096
 
-// Replica is one member of the replicated tier: a serving.Server plus the
+// replica is one member of the replicated tier: a serving.Server plus the
 // router's per-replica scoreboard.
-type Replica struct {
+type replica struct {
 	// id is the replica's 1-based identity, stamped into the server's
 	// Options.Router.ReplicaID (and so onto every span it records). Plain
 	// fields are written once before the replica is published and read-only
 	// after.
 	id     int
 	srv    *serving.Server
-	eng    serving.Engine
 	closer func() error
 
 	// routed counts routing decisions that landed here; inflight the routed
@@ -78,24 +77,18 @@ type Replica struct {
 	draining atomic.Bool
 }
 
-// ID returns the replica's 1-based id.
-func (r *Replica) ID() int { return r.id }
-
-// Server returns the replica's serving server.
-func (r *Replica) Server() *serving.Server { return r.srv }
-
 // replicaSet is one immutable membership snapshot: the hot path loads it with
 // a single atomic pointer read. all holds every current member (including
 // draining ones, which still own in-flight requests); active only the
 // routable ones. Both are ordered by id.
 type replicaSet struct {
-	all    []*Replica
-	active []*Replica
+	all    []*replica
+	active []*replica
 }
 
 // newSet derives a snapshot from a member list, excluding draining replicas
 // from the routable slice.
-func newSet(all []*Replica) *replicaSet {
+func newSet(all []*replica) *replicaSet {
 	s := &replicaSet{all: all}
 	for _, r := range all {
 		if !r.draining.Load() {
@@ -105,7 +98,7 @@ func newSet(all []*Replica) *replicaSet {
 	return s
 }
 
-func (s *replicaSet) find(id int) *Replica {
+func (s *replicaSet) find(id int) *replica {
 	for _, r := range s.all {
 		if r.id == id {
 			return r
@@ -116,7 +109,7 @@ func (s *replicaSet) find(id int) *Replica {
 
 // primary is the replica whose serving stats anchor the merged /stats and
 // /metrics views: the first active one, else the first member.
-func (s *replicaSet) primary() *Replica {
+func (s *replicaSet) primary() *replica {
 	if len(s.active) > 0 {
 		return s.active[0]
 	}
@@ -199,9 +192,9 @@ func (rt *Router) Add(eng serving.Engine, sopts serving.Options, closer func() e
 		return 0, err
 	}
 	rt.nextID = id
-	rep := &Replica{id: id, srv: srv, eng: eng, closer: closer}
+	rep := &replica{id: id, srv: srv, closer: closer}
 	cur := rt.set.Load()
-	rt.set.Store(newSet(append(append([]*Replica{}, cur.all...), rep)))
+	rt.set.Store(newSet(append(append([]*replica{}, cur.all...), rep)))
 	return id, nil
 }
 
@@ -237,7 +230,7 @@ func (rt *Router) Submit(ctx context.Context, q embedding.Query) (serving.Result
 }
 
 // pick applies one policy to the active slice (never empty here).
-func (rt *Router) pick(pcode int, active []*Replica, q embedding.Query) *Replica {
+func (rt *Router) pick(pcode int, active []*replica, q embedding.Query) *replica {
 	switch pcode {
 	case leastLoadedIdx:
 		best, bestScore := active[0], rt.loadScore(active[0])
@@ -265,7 +258,7 @@ func (rt *Router) pick(pcode int, active []*Replica, q embedding.Query) *Replica
 // serving load (queue depth + flush-size-weighted in-flight batches) plus the
 // routed requests not yet inside the server — so a burst of simultaneous
 // decisions spreads even before the first one reaches a submit queue.
-func (rt *Router) loadScore(r *Replica) int {
+func (rt *Router) loadScore(r *replica) int {
 	return r.srv.LoadScore() + int(r.inflight.Load())
 }
 
@@ -322,7 +315,7 @@ func (rt *Router) Drain(ctx context.Context, id int) error {
 	}
 	rt.mu.Lock()
 	cur := rt.set.Load()
-	members := make([]*Replica, 0, len(cur.all))
+	members := make([]*replica, 0, len(cur.all))
 	for _, r := range cur.all {
 		if r.id != id {
 			members = append(members, r)
@@ -337,7 +330,7 @@ func (rt *Router) Drain(ctx context.Context, id int) error {
 // awaitIdle polls a draining replica's in-flight counter to zero. No router
 // lock is held across the wait — membership changes and the Submit hot path
 // proceed throughout.
-func (rt *Router) awaitIdle(ctx context.Context, rep *Replica) error {
+func (rt *Router) awaitIdle(ctx context.Context, rep *replica) error {
 	for rep.inflight.Load() != 0 {
 		select {
 		case <-ctx.Done():
@@ -348,11 +341,11 @@ func (rt *Router) awaitIdle(ctx context.Context, rep *Replica) error {
 	return nil
 }
 
-// Swap replaces replica id with a fresh replica serving eng — the
-// model-upgrade path for engines without the Reloadable capability. The
-// replacement joins the routable set before the old replica starts draining,
-// so the tier's capacity never dips, and the drain guarantees zero dropped
-// admitted requests. Returns the replacement's id.
+// Swap replaces replica id with a fresh replica serving eng — the tier's one
+// model-replacement path. The replacement joins the routable set before the
+// old replica starts draining, so the tier's capacity never dips, and the
+// drain guarantees zero dropped admitted requests. Returns the replacement's
+// id.
 func (rt *Router) Swap(ctx context.Context, id int, eng serving.Engine, sopts serving.Options, closer func() error) (int, error) {
 	if rt.set.Load().find(id) == nil {
 		return 0, fmt.Errorf("%w: %d", ErrUnknownReplica, id)
@@ -365,22 +358,6 @@ func (rt *Router) Swap(ctx context.Context, id int, eng serving.Engine, sopts se
 		return newID, err
 	}
 	return newID, nil
-}
-
-// Reload hot-swaps replica id's model in place through the engine's
-// serving.Reloadable capability — no drain, no new server; the replica keeps
-// its caches, meters and id. Engines without the capability (bare
-// *core.Engine) must be swapped at replica granularity instead (Swap).
-func (rt *Router) Reload(id int, next serving.Engine) error {
-	rep := rt.set.Load().find(id)
-	if rep == nil {
-		return fmt.Errorf("%w: %d", ErrUnknownReplica, id)
-	}
-	rl, ok := rep.eng.(serving.Reloadable)
-	if !ok {
-		return fmt.Errorf("router: replica %d engine %T is not serving.Reloadable (use Swap)", id, rep.eng)
-	}
-	return rl.Reload(next)
 }
 
 // MarkHitRateBaseline snapshots the replicas' pooled frequency-window

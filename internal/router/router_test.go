@@ -46,7 +46,7 @@ func testSpec() *model.Spec {
 // buildEngine assembles a real engine over testSpec, mirroring the cluster
 // test helper. seed controls the materialised parameters: equal seeds give
 // bit-identical engines (the replica homogeneity the tier assumes), distinct
-// seeds model a new parameter snapshot for swap/reload tests. A positive
+// seeds model a new parameter snapshot for swap tests. A positive
 // windowBytes builds an all-cold tiered engine whose frequency window holds
 // that many bytes (its caller must Close it); 0 an all-DRAM one.
 func buildEngine(t testing.TB, spec *model.Spec, windowBytes int64, seed int64) *core.Engine {
@@ -659,59 +659,6 @@ func TestSwapReplacesModelUnderTraffic(t *testing.T) {
 	}
 	if res.CTR != wantRes.Predictions[0] {
 		t.Fatalf("post-swap CTR %v; want new model's %v", res.CTR, wantRes.Predictions[0])
-	}
-}
-
-// TestHotEngineReload exercises the in-place model swap path: a replica
-// whose engine carries the Reloadable capability switches parameter
-// snapshots with no drain and no new server.
-func TestHotEngineReload(t *testing.T) {
-	spec := testSpec()
-	engA := buildEngine(t, spec, 0, 1)
-	engB := buildEngine(t, spec, 0, 2)
-	pool := zipfPool(t, spec, 8, 5)
-
-	hot, err := NewHotEngine(engA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := newRouter(t, RoundRobin)
-	id, err := rt.Add(hot, serving.Options{Batching: serving.BatchingOptions{MaxBatch: 4, Window: 50 * time.Microsecond}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err := rt.Submit(context.Background(), pool[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantA, err := engA.Infer(pool[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before.CTR != wantA.Predictions[0] {
-		t.Fatalf("pre-reload CTR %v; want %v", before.CTR, wantA.Predictions[0])
-	}
-	if err := rt.Reload(id, engB); err != nil {
-		t.Fatal(err)
-	}
-	after, err := rt.Submit(context.Background(), pool[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantB, err := engB.Infer(pool[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.CTR != wantB.Predictions[0] {
-		t.Fatalf("post-reload CTR %v; want new model's %v", after.CTR, wantB.Predictions[0])
-	}
-	// A bare engine lacks the capability and must be pointed at Swap.
-	id2, err := rt.Add(engA, serving.Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Reload(id2, engB); err == nil || !strings.Contains(err.Error(), "Reloadable") {
-		t.Fatalf("reload of a non-reloadable engine: %v", err)
 	}
 }
 

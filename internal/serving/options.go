@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"microrec/internal/embedding"
 	"microrec/internal/tieredstore"
 )
 
@@ -161,49 +160,22 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Optional engine capabilities.
+// Optional engine capability.
 //
 // The Engine interface is the mandatory seam every serving engine implements.
-// The capabilities below are optional: the server (and the replicated router
-// tier) discover them by interface assertion at construction and engage the
-// matching hooks only when present. Fakes and alternative backends opt in by
-// implementing the named interface — never by accidentally matching an
-// undocumented type assertion. *core.Engine and *cluster.Cluster implement
-// Tiered and Prefetcher; internal/router's HotEngine implements Reloadable.
+// Tiered is its one optional capability: the server discovers it by interface
+// assertion at construction and reports the store only when one is attached.
+// Fakes and alternative backends opt in by implementing the named interface —
+// never by accidentally matching an undocumented type assertion.
+// *core.Engine and *cluster.Cluster implement it.
 
 // Tiered is the optional capability of an engine backed by the tiered
 // embedding store (core.Config.ColdTier): the store whose snapshot fills the
 // /stats "tiers" section and whose frequency window fills its "hotcache"
 // section. An engine may implement the method and still return nil (no store
-// attached, all-DRAM); the server engages the tier hooks only when a store is
+// attached, all-DRAM); the server reports the tier only when a store is
 // attached.
 type Tiered interface {
 	// Tier returns the tiered backing store, nil on an all-DRAM engine.
 	Tier() *tieredstore.Store
-}
-
-// Prefetcher is the optional capability to pre-fault the rows a batch will
-// gather. The drains call it at plane-fill time — after the deadline-drop
-// filter, before the gather commits — so a cold row's page fault is absorbed
-// while filling that plane only instead of serialising into the gather; SLA
-// calibration calls it the same way. The server engages it only on engines
-// whose Tiered capability reports an attached store.
-type Prefetcher interface {
-	// PrefetchBatch touches the cold rows a batch will gather.
-	PrefetchBatch(queries []embedding.Query)
-}
-
-// Reloadable is the optional capability of an engine that can hot-swap the
-// model it serves: Reload atomically replaces the serving datapath with
-// next's, under live traffic, without a server restart. The replacement must
-// be geometry-compatible (same spec geometry and placement shape — refreshed
-// parameters, not a different architecture): the server sizes planes per
-// batch and does not re-derive them on reload. The
-// replicated router tier uses it for in-place model swaps; engines without it
-// are swapped at replica granularity instead (drain + replace, Router.Swap).
-type Reloadable interface {
-	// Reload replaces the served model with next. It returns an error (and
-	// leaves the current model serving) when next is not a compatible
-	// engine.
-	Reload(next Engine) error
 }

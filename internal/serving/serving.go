@@ -99,11 +99,10 @@ var ErrExpired = errors.New("serving: deadline expired before service")
 // *core.Engine implements it; overload tests substitute deterministic slow
 // engines to saturate the queue without depending on host speed.
 //
-// Engine is the mandatory seam. Engines may additionally implement the named
-// optional capabilities declared in options.go — Tiered and Prefetcher (tiered
-// backing store + cold-row prefetch), Reloadable (hot model swap) — which the
-// server and the replicated router tier discover by interface assertion and
-// engage only when present.
+// Engine is the mandatory seam. An engine may additionally implement the one
+// optional capability declared in options.go, Tiered (an attached tiered
+// backing store), which the server discovers by interface assertion and
+// reports in /stats only when a store is attached.
 type Engine interface {
 	pipeline.StageEngine
 	// ValidateQuery checks a query's shape and index ranges at admission.
@@ -112,14 +111,11 @@ type Engine interface {
 	Spec() *model.Spec
 }
 
-// Compile-time capability checks: the production engine implements the
-// optional tier capabilities explicitly (the sharded tier's twin assertions
-// live in internal/cluster's tests — serving cannot import cluster's test
+// Compile-time capability check: the production engine implements the
+// optional tier capability explicitly (the sharded tier's twin assertion
+// lives in internal/cluster's tests — serving cannot import cluster's test
 // package without a cycle).
-var (
-	_ Tiered     = (*core.Engine)(nil)
-	_ Prefetcher = (*core.Engine)(nil)
-)
+var _ Tiered = (*core.Engine)(nil)
 
 // Result is one query's response: the prediction plus the observed
 // serving-side latency.
@@ -223,11 +219,8 @@ type Server struct {
 	clu         *cluster.Cluster
 	ownsCluster bool
 	// tiered is non-nil when the engine's Tiered capability reports an
-	// attached backing store (/stats gains a "tiers" section); prefetch is
-	// the matching Prefetcher capability, engaged alongside it so the drains
-	// run the cold-row prefetch pass at plane-fill time.
-	tiered   Tiered
-	prefetch Prefetcher
+	// attached backing store (/stats gains a "tiers" section).
+	tiered Tiered
 	// replica is this server's 1-based id inside the replicated router tier
 	// (Options.Router.ReplicaID), stamped on every flight-recorder span;
 	// 0 on an unrouted server.
@@ -318,17 +311,10 @@ func New(eng Engine, opts Options) (*Server, error) {
 		rec:         obs.NewRecorder(traceRingSize, opts.Trace.Sample),
 		buildInfo:   obs.ReadBuild(kernels.Features()),
 	}
-	// The capability assertions run on the possibly cluster-wrapped engine so
-	// the sharded tier's delegating hooks are the ones engaged. Both hooks
-	// key off the Tiered capability reporting an attached store: an all-DRAM
-	// engine pays no prefetch pass even if it implements Prefetcher.
-	if te, ok := eng.(Tiered); ok {
-		if te.Tier() != nil {
-			s.tiered = te
-			if pf, ok := eng.(Prefetcher); ok {
-				s.prefetch = pf
-			}
-		}
+	// The capability assertion runs on the possibly cluster-wrapped engine so
+	// the sharded tier's delegating Tier is the one engaged.
+	if te, ok := eng.(Tiered); ok && te.Tier() != nil {
+		s.tiered = te
 	}
 	s.replica = int32(opts.Router.ReplicaID)
 	if opts.Pipeline.WorkerPool {
@@ -709,13 +695,6 @@ func (s *Server) prepare(payload interface{}, queries []embedding.Query) []embed
 		}
 	}
 	pb.reqs = live
-	// Warm the cold tier for the surviving queries before the gather stage
-	// commits: the prefetch fans the plane's cold rows out here, so a cold
-	// row's page fault stalls only this plane's fill while the GEMM stage
-	// keeps draining earlier planes.
-	if s.prefetch != nil && len(kept) > 0 {
-		s.prefetch.PrefetchBatch(kept)
-	}
 	return kept
 }
 
@@ -770,7 +749,7 @@ func (s *Server) recordSpans(batch []*request, bt *batchTrace, now time.Time) {
 			Verdict:    obs.VerdictOK,
 		}
 		// Both drains stamp flushed at dispatch, before any path reaches here.
-		// Batch wait runs from dispatch to gather entry (prepare + prefetch);
+		// Batch wait runs from dispatch to gather entry (through prepare);
 		// inter-stage waits are the gaps between one stage's exit and the next
 		// one's entry (zero-width in the worker pool, which runs the stages
 		// back to back).
@@ -1172,8 +1151,8 @@ func (s *Server) admittedNS() (float64, error) {
 // calibratedBatchNS is the full-batch service time SLA admission prices the
 // backlog with, measured on this host the first time it is needed: MaxBatch
 // uniform queries, validated like any Submit, run calibrationPasses times
-// through the same stage calls a drain makes — the cold-row prefetch when the
-// tier hooks are engaged, then gather, dense and tail — on a private plane.
+// through the same stage calls a drain makes — gather, dense and tail — on a
+// private plane.
 // The slowest pass is kept, so a first pass against cold caches or cold
 // pages sets the figure; on a tiered engine its reads count in the store's
 // frequency window like any batch's. It runs once per server; concurrent
@@ -1202,9 +1181,6 @@ func (s *Server) timeBatch() (float64, error) {
 	var slowest time.Duration
 	for pass := 0; pass < calibrationPasses; pass++ {
 		start := time.Now()
-		if s.prefetch != nil {
-			s.prefetch.PrefetchBatch(queries)
-		}
 		s.eng.GatherIntoPlane(queries, &plane)
 		s.eng.DenseFromPlane(b, &plane)
 		s.eng.TailFromPlane(b, &plane, preds)

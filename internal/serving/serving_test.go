@@ -3,7 +3,10 @@ package serving
 import (
 	"context"
 	"errors"
+	"go/ast"
 	"go/build"
+	"go/parser"
+	"go/token"
 	"math"
 	"math/rand"
 	"os"
@@ -735,6 +738,70 @@ func TestEngineSeamMethodSet(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("serving.Engine methods %v, want %v", got, want)
+	}
+}
+
+// TestEngineSeamHasOneOptionalCapability pins the seam's optional surface:
+// beside Engine, the package declares exactly one interface an engine may
+// implement, Tiered, and it carries only Tier. Anything else the serving
+// path needs from an engine is a stage call on Engine itself.
+func TestEngineSeamHasOneOptionalCapability(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range pkgs["serving"].Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok {
+				if _, ok := ts.Type.(*ast.InterfaceType); ok {
+					got = append(got, ts.Name.Name)
+				}
+			}
+			return true
+		})
+	}
+	slices.Sort(got)
+	if want := []string{"Engine", "Tiered"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("internal/serving declares interfaces %v, want %v", got, want)
+	}
+	typ := reflect.TypeOf((*Tiered)(nil)).Elem()
+	if typ.NumMethod() != 1 || typ.Method(0).Name != "Tier" {
+		t.Fatalf("serving.Tiered has %d methods, want only Tier", typ.NumMethod())
+	}
+}
+
+// TestServedTrafficDoesNotPrefetch checks that a tiered server reads each
+// row once, in the gather: neither drain nor the SLA calibration batch runs a
+// separate prefetch pass over the store.
+func TestServedTrafficDoesNotPrefetch(t *testing.T) {
+	for _, d := range drains {
+		t.Run(d.name, func(t *testing.T) {
+			eng := tieredTestEngine(t, 1<<16)
+			srv := newServer(t, eng, Options{
+				Batching: BatchingOptions{MaxBatch: 8},
+				Pipeline: PipelineOptions{WorkerPool: d.workerPool},
+			})
+			if _, err := srv.AdmittedLatencyBound(); err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			for _, q := range randomQueries(t, eng.Spec(), 24, 11) {
+				if _, err := srv.Submit(ctx, q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := srv.Stats()
+			if st.Tiers == nil || st.Tiers.ColdReads == 0 {
+				t.Fatalf("tiered server recorded no cold reads: %+v", st.Tiers)
+			}
+			if st.Tiers.Prefetches != 0 {
+				t.Fatalf("served traffic ran %d prefetches, want 0", st.Tiers.Prefetches)
+			}
+		})
 	}
 }
 

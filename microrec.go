@@ -35,7 +35,8 @@
 //     engine — fronted by a router with pluggable policies (round-robin,
 //     least-loaded, hot-key affinity via rendezvous hashing, so N tiered
 //     stores' frequency windows of size C behave like one ~N·C window),
-//     per-replica health/drain, and hot model swap under live traffic, and
+//     per-replica health/drain, and model replacement under live traffic
+//     (Router.Swap: drain one replica, serve from a fresh one), and
 //   - the open-loop load harness (RunLoad, SweepLoad): Poisson and
 //     trace-driven arrival processes that drive the server past saturation
 //     and locate the knee — the highest offered rate meeting the tail SLA.
@@ -151,9 +152,8 @@ type (
 	ServerRouterOptions = serving.RouterOptions
 	// ServingEngine is the engine seam the serving subsystem batches over —
 	// the plane stage calls, query validation and the model spec: *Engine
-	// implements it, and so does any stage-compatible wrapper (HotEngine).
-	// Optional capabilities — tiered storage, prefetch, hot reload — are
-	// discovered by interface assertion, not configuration.
+	// implements it. Its one optional capability, an attached tiered store,
+	// is discovered by interface assertion, not configuration.
 	ServingEngine = serving.Engine
 	// ServeResult is one served query's prediction, its observed wall
 	// latency and the size of the batch that served it.
@@ -184,16 +184,13 @@ type (
 	AdmissionStats = serving.AdmissionStats
 	// Router is the replicated serving tier: N independent servers behind
 	// one Submit seam, with pluggable routing policies, per-replica
-	// health/drain and hot model swap (NewRouter).
+	// health/drain and drain-and-replace model swap (NewRouter).
 	Router = router.Router
 	// RouterOptions configures NewRouter (the initial routing policy).
 	RouterOptions = router.Options
 	// RoutePolicy selects how the router picks a replica per query
 	// (RouteRoundRobin, RouteLeastLoaded, RouteAffinity).
 	RoutePolicy = router.Policy
-	// HotEngine wraps a ServingEngine so its model can be swapped in place
-	// under live traffic (NewHotEngine, Router.Reload).
-	HotEngine = router.HotEngine
 	// RouterStats is the /stats "router" section: active policy, routing
 	// decisions/sec per policy, the per-replica scoreboard and the affinity
 	// hit-rate lift.
@@ -266,7 +263,7 @@ var ErrExpired = serving.ErrExpired
 // replicas (all drained or none added).
 var ErrNoReplicas = router.ErrNoReplicas
 
-// ErrUnknownReplica reports a Drain/Swap/Reload naming a replica id the
+// ErrUnknownReplica reports a Drain or Swap naming a replica id the
 // router does not hold.
 var ErrUnknownReplica = router.ErrUnknownReplica
 
@@ -495,7 +492,7 @@ func NewServer(eng *Engine, opts ServerOptions) (*Server, error) {
 // NewRouter builds an empty replicated serving tier with the given routing
 // policy (zero value: round-robin). Replicas are added with Router.Add —
 // each a full serving composition around its own engine — and can be
-// drained, swapped to a new model, or hot-reloaded under live traffic. The
+// drained or swapped to a new model under live traffic. The
 // router satisfies the same Submit/Stats/Trace/WriteMetrics surface as a
 // single Server, so the HTTP mux and the load harness drive either.
 func NewRouter(opts RouterOptions) (*Router, error) { return router.New(opts) }
@@ -505,13 +502,6 @@ func ParseRoutePolicy(s string) (RoutePolicy, error) { return router.ParsePolicy
 
 // RoutePolicies lists the supported routing policies.
 func RoutePolicies() []RoutePolicy { return router.Policies() }
-
-// NewHotEngine wraps an engine for in-place model reload: the wrapper is a
-// full ServingEngine whose delegate Router.Reload (or any holder of the
-// serving.Reloadable capability) can swap under live traffic. The
-// replacement must be timing- and geometry-compatible (refreshed
-// parameters, not a different architecture).
-func NewHotEngine(eng ServingEngine) (*HotEngine, error) { return router.NewHotEngine(eng) }
 
 // NewGenerator builds a deterministic workload generator.
 func NewGenerator(spec *Spec, dist workload.Distribution, seed int64) (*Generator, error) {

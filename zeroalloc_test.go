@@ -250,9 +250,9 @@ func zeroallocCases(t *testing.T) []allocCase {
 			run: func() { tieredEng.GatherIntoPlane(qs, &tieredScratch) },
 		},
 		{
-			// The serving drains' plane-fill prefetch on the same engine:
-			// the cold half of the batch's rows touched, the hot half
-			// skipped.
+			// The engine's prefetch on the same engine (the repository
+			// benchmark's tracer wraps it): the cold half of the batch's
+			// rows touched, the hot half skipped.
 			name:   "core/prefetch-tiered",
 			covers: []string{"internal/core.Engine.PrefetchBatch", "internal/tieredstore.Store.Prefetch"},
 			run:    func() { tieredEng.PrefetchBatch(qs) },
