@@ -29,12 +29,15 @@ fmt-check:
 test: build
 	$(GO) test ./...
 
-# test-procs reruns the engine and the sharded tier at one and at four procs.
-# The gather is one walk on the calling goroutine and the tier partitions the
-# model's tables itself, so predictions, cache and tier counters and the
-# partition must not depend on the host's core count.
+# test-procs reruns the engine, the sharded tier, the server and the router
+# at one and at four procs. The gather is one walk on the calling goroutine
+# and the tier partitions the model's tables itself, so predictions, cache and
+# tier counters and the partition must not depend on the host's core count.
+# The server's drains own their scheduling (the dense stage's yield before it
+# parks, stage overlap, the pool's run-to-completion workers), so serving and
+# routing must hold on one core as on four.
 test-procs:
-	$(GO) test -cpu 1,4 ./internal/core ./internal/cluster
+	$(GO) test -cpu 1,4 ./internal/core ./internal/cluster ./internal/serving ./internal/router
 
 # test-kernels names the kernel paths this host dispatched and runs the
 # kernel tests verbosely, one subtest per registered implementation: on a

@@ -20,16 +20,16 @@
 //	micro-batch ├─► shard 1: gather tables₁ ─► partial plane ─┼─► merge ─► dense GEMM ─► tail
 //	 (scatter)  └─► shard 2: gather tables₂ ─► partial plane ─┘  (fan-in, straggler-timed)
 //
-// A Cluster implements the serving layer's Engine seam (and therefore
-// pipeline.StageEngine), so the micro-batcher, the staged pipeline executor,
-// SLA admission and the overload layer all drive a sharded tier exactly as
-// they drive a single engine — GatherIntoPlane is simply the scatter/gather
-// round. SLA admission times a real batch through that same round, so the
-// bound it enforces carries the straggler wait and the merge, not a model of
-// them.
+// A Cluster implements the serving layer's Engine seam, so the
+// micro-batcher, both drains, SLA admission and the overload layer all drive
+// a sharded tier exactly as they drive a single engine — GatherIntoPlane is
+// simply the scatter/gather round. SLA admission times a real batch through
+// that same round, so the bound it enforces carries the straggler wait and
+// the merge, not a model of them.
 //
-// Each shard owns a pipeline.PlaneRing of pre-allocated partial planes, and
-// the coordinator merges partials in completion order, so a fast shard's
+// Each shard owns a ring of RingDepth pre-allocated partial planes (a
+// channel of free planes: the bound on its outstanding partials), and the
+// coordinator merges partials in completion order, so a fast shard's
 // columns land while stragglers still gather; the merge-wait histogram (last
 // minus first shard completion) and the per-batch imbalance ratio (max/mean
 // shard service) quantify how balanced the partition really is under live
@@ -47,7 +47,6 @@ import (
 	"microrec/internal/embedding"
 	"microrec/internal/metrics"
 	"microrec/internal/model"
-	"microrec/internal/pipeline"
 	"microrec/internal/tieredstore"
 )
 
@@ -115,12 +114,12 @@ type shardDone struct {
 }
 
 // shard is one gather replica: a disjoint table subset, the feature columns
-// those tables write, and a ring of partial planes.
+// those tables write, and its ring of free partial planes.
 type shard struct {
 	id     int
 	tables []int
 	spans  []core.ColSpan
-	ring   *pipeline.PlaneRing
+	free   chan *core.BatchScratch
 	tasks  chan scatterTask
 
 	batches atomic.Uint64
@@ -175,17 +174,18 @@ func New(eng *core.Engine, opts Options) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		ring, err := pipeline.NewPlaneRing(eng, opts.RingDepth, opts.MaxBatch)
-		if err != nil {
-			return nil, err
-		}
 		sh := &shard{
 			id:      i,
 			tables:  tables,
 			spans:   spans,
-			ring:    ring,
+			free:    make(chan *core.BatchScratch, opts.RingDepth),
 			tasks:   make(chan scatterTask, opts.RingDepth),
 			service: metrics.NewRolling(statsWindow),
+		}
+		for range opts.RingDepth {
+			p := new(core.BatchScratch)
+			eng.EnsurePlane(p, opts.MaxBatch)
+			sh.free <- p
 		}
 		c.shards = append(c.shards, sh)
 	}
@@ -240,7 +240,7 @@ func (c *Cluster) Options() Options { return c.opts }
 // Close stops the shard workers. It must be called after every in-flight
 // inference has returned: GatherIntoPlane has no error path, so a
 // scatter/gather round racing Close would panic on the closed task channels.
-// The serving layer guarantees this ordering (executor drained first). It is
+// The serving layer guarantees this ordering (its drain empties first). It is
 // idempotent.
 func (c *Cluster) Close() error {
 	c.mu.Lock()
@@ -257,14 +257,14 @@ func (c *Cluster) Close() error {
 	return nil
 }
 
-// shardWorker serves one shard's scatter tasks in order: acquire a partial
-// plane from the shard's ring (the token bound on outstanding partials),
-// gather the shard's table subset, report completion. The plane returns to
-// the ring only after the coordinator has merged it.
+// shardWorker serves one shard's scatter tasks in order: take a free partial
+// plane from the shard's ring (blocking while all are out), gather the
+// shard's table subset, report completion. The plane returns to the ring
+// only after the coordinator has merged it (release).
 func (c *Cluster) shardWorker(sh *shard) {
 	defer c.wg.Done()
 	for t := range sh.tasks {
-		p := sh.ring.Acquire()
+		p := <-sh.free
 		t0 := time.Now()
 		c.eng.GatherPartialIntoPlane(sh.tables, t.queries, p)
 		now := time.Now()
@@ -276,7 +276,18 @@ func (c *Cluster) shardWorker(sh *shard) {
 	}
 }
 
-// ---- serving.Engine / pipeline.StageEngine ----
+// release returns a merged partial plane to its shard's ring. A plane the
+// ring did not hand out overfills it and panics: the ring is a token pool,
+// not a free list.
+func (sh *shard) release(p *core.BatchScratch) {
+	select {
+	case sh.free <- p:
+	default:
+		panic("cluster: partial plane released without a matching take")
+	}
+}
+
+// ---- serving.Engine ----
 
 // ValidateQuery delegates admission validation to the engine.
 func (c *Cluster) ValidateQuery(q embedding.Query) error { return c.eng.ValidateQuery(q) }
@@ -292,7 +303,7 @@ func (c *Cluster) EnsurePlane(s *core.BatchScratch, b int) { c.eng.EnsurePlane(s
 // by the same row-copy loop from the same tables, and the spans of a
 // partition exactly cover the embedding region. Queries must have passed
 // ValidateQuery and the plane must be sized for len(queries) (the
-// StageEngine contract).
+// serving.Engine contract).
 func (c *Cluster) GatherIntoPlane(queries []embedding.Query, s *core.BatchScratch) {
 	b := len(queries)
 	done := make(chan shardDone, len(c.shards))
@@ -318,7 +329,7 @@ func (c *Cluster) GatherIntoPlane(queries []embedding.Query, s *core.BatchScratc
 		}
 		c.eng.MergePartialPlane(b, d.sh.spans, d.plane, s)
 		coldFaults += d.plane.GatherObs().ColdFaults
-		d.sh.ring.Release(d.plane)
+		d.sh.release(d.plane)
 		if d.serviceNS > maxNS {
 			maxNS = d.serviceNS
 		}

@@ -16,12 +16,12 @@ import (
 )
 
 // The cluster must satisfy the serving layer's whole engine seam: that is
-// what lets the micro-batcher, pipeline executor, SLA admission and overload
+// what lets the micro-batcher, both drains, SLA admission and overload
 // layer drive a sharded tier unchanged.
 var _ serving.Engine = (*cluster.Cluster)(nil)
 
 // buildEngine assembles a real engine for a spec (capacity-scaled),
-// mirroring the core and pipeline test helpers.
+// mirroring the core and serving test helpers.
 func buildEngine(t testing.TB, spec *model.Spec) *core.Engine {
 	t.Helper()
 	params, err := spec.Materialize(model.MaterializeOptions{Seed: 1, MaxRowsPerTable: 128})
@@ -214,8 +214,8 @@ func TestClusterConcurrentInfer(t *testing.T) {
 	}
 }
 
-// TestServerWithShards runs the full serving stack — micro-batcher, pipeline
-// executor, sharded tier — end to end and checks both the predictions (vs
+// TestServerWithShards runs the full serving stack — micro-batcher, staged
+// drain, sharded tier — end to end and checks both the predictions (vs
 // direct engine inference) and the /stats cluster section.
 func TestServerWithShards(t *testing.T) {
 	spec := model.SmallProduction()

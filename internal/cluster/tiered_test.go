@@ -126,7 +126,7 @@ func TestShardedTieredSweepHarvest(t *testing.T) {
 }
 
 // TestServerShardsTieredStats runs the full serving stack — micro-batcher,
-// pipelined drain, sharded tier, cold tier — and checks /stats surfaces the
+// staged drain, sharded tier, cold tier — and checks /stats surfaces the
 // tiers section. Served traffic reads each row once, in the gather: no
 // separate prefetch pass touches the store.
 func TestServerShardsTieredStats(t *testing.T) {

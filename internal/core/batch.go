@@ -65,8 +65,8 @@ func (s *BatchScratch) SetGatherObs(o GatherObs) { s.obs = o }
 
 // EnsurePlane sizes a scratch (a zero value, or one last used by any other
 // engine) to hold batches of up to b queries on this engine, so later stage
-// calls on it never allocate. The staged pipeline executor uses this to
-// pre-allocate its ring of batch planes at construction.
+// calls on it never allocate. The serving drains use this to pre-allocate
+// their batch planes at construction.
 func (e *Engine) EnsurePlane(s *BatchScratch, b int) { e.dp.ensure(s, b) }
 
 // ValidateQuery checks a query's shape and index ranges against the model
@@ -128,9 +128,9 @@ func (e *Engine) InferBatchValidated(queries []embedding.Query, dst []float32, s
 }
 
 // inferBatchValidated is the validated hot path, composed of the three stage
-// entry points the pipelined executor also drives (gather plane → hidden GEMM
+// entry points the serving drains also drive (gather plane → hidden GEMM
 // tower → output tail). Running them back-to-back here IS the monolithic
-// datapath, so the pipelined path is bit-identical by construction.
+// datapath, so both drains are bit-identical by construction.
 func (e *Engine) inferBatchValidated(queries []embedding.Query, dst []float32, scratch *BatchScratch) ([]float32, error) {
 	b := len(queries)
 	if dst == nil {

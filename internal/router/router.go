@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"microrec/internal/embedding"
-	"microrec/internal/metrics"
 	"microrec/internal/obs"
 	"microrec/internal/serving"
 )
@@ -51,9 +50,6 @@ var ErrUnknownReplica = errors.New("router: unknown replica id")
 // replica's Submit is a few hundred nanoseconds, so the counter settles
 // within one or two polls.
 const drainPoll = 100 * time.Microsecond
-
-// decisionsWindow sizes the per-policy rolling decision-rate meters.
-const decisionsWindow = 4096
 
 // replica is one member of the replicated tier: a serving.Server plus the
 // router's per-replica scoreboard.
@@ -141,10 +137,8 @@ type Router struct {
 	rr      atomic.Uint64
 	drained atomic.Uint64
 
-	// Per-policy decision scoreboard: lifetime totals plus rolling rates
-	// (the decisions/sec figure in /stats).
+	// Per-policy decision scoreboard: lifetime totals.
 	decisions [numPolicies]atomic.Uint64
-	decRate   [numPolicies]*metrics.Rolling
 
 	// Affinity-lift baseline mark (MarkHitRateBaseline): the pooled
 	// hit/lookup counters and rate at the mark, so the post-mark aggregate
@@ -169,9 +163,6 @@ func New(opts Options) (*Router, error) {
 	}
 	rt := &Router{}
 	rt.policy.Store(int32(idx))
-	for i := range rt.decRate {
-		rt.decRate[i] = metrics.NewRolling(decisionsWindow)
-	}
 	rt.set.Store(&replicaSet{})
 	return rt, nil
 }
@@ -221,7 +212,6 @@ func (rt *Router) Submit(ctx context.Context, q embedding.Query) (serving.Result
 			continue
 		}
 		rt.decisions[pcode].Add(1)
-		rt.decRate[pcode].Observe(time.Now(), 1)
 		rep.routed.Add(1)
 		res, err := rep.srv.Submit(ctx, q)
 		rep.inflight.Add(-1)
@@ -398,7 +388,6 @@ func (rt *Router) pooledCounts() (hits, lookups int64) {
 // per-replica breakdown.
 func (rt *Router) Stats() serving.Stats {
 	set := rt.set.Load()
-	now := time.Now()
 	var st serving.Stats
 	if p := set.primary(); p != nil {
 		st = p.srv.Stats()
@@ -417,7 +406,6 @@ func (rt *Router) Stats() serving.Stats {
 		rs.Decisions = append(rs.Decisions, serving.PolicyDecisionStats{
 			Policy: string(name),
 			Total:  total,
-			PerSec: rt.decRate[i].Snapshot(now).RatePerSec,
 		})
 	}
 	var hits, lookups int64
@@ -531,10 +519,8 @@ func (rt *Router) WriteMetrics(w io.Writer) error {
 	m.Gauge("microrec_router_replicas", "Routable replica count.", float64(rs.Replicas))
 	m.Counter("microrec_router_drained_total", "Replicas drained under live traffic.", float64(rs.Drained))
 	dec := m.Family("microrec_router_decisions_total", "Routing decisions per policy.", "counter")
-	rate := m.Family("microrec_router_decisions_per_sec", "Rolling routing decision rate per policy.", "gauge")
 	for _, d := range rs.Decisions {
 		dec.Obs(float64(d.Total), "policy", d.Policy)
-		rate.Obs(d.PerSec, "policy", d.Policy)
 	}
 	routed := m.Family("microrec_router_replica_routed_total", "Requests routed per replica.", "counter")
 	occ := m.Family("microrec_router_replica_occupancy", "Replica load score over load capacity.", "gauge")

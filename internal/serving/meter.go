@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"microrec/internal/metrics"
-	"microrec/internal/pipeline"
 )
 
 // meterWindow is the number of recent batches the service meter's rolling
@@ -14,17 +13,17 @@ import (
 const meterWindow = 512
 
 // stageNames label the drain's stages in /stats and /metrics.
-var stageNames = [pipeline.NumStages]string{"gather", "dense-gemm", "tail"}
+var stageNames = [numStages]string{"gather", "dense-gemm", "tail"}
 
 // serviceMeter is the server's one instrument for batch service time. Both
-// drains feed it from deliver with the stage stamps every batch's trace
+// drains feed it from the tail step with the stage stamps every batch
 // already carries.
 type serviceMeter struct {
 	// Lifetime delivered batches and their summed stage time, read per batch
 	// by the deadline-drop headroom.
 	completed atomic.Uint64
 	busyNS    atomic.Int64
-	stage     [pipeline.NumStages]*metrics.Rolling // per-batch service, ns
+	stage     [numStages]*metrics.Rolling // per-batch service, ns
 	// interval holds per-completion busy gaps, ns: completion minus the later
 	// of the previous completion and the batch's dispatch. The dispatch floor
 	// leaves out idle time waiting for arrivals (load, not the drain), so the
@@ -34,7 +33,7 @@ type serviceMeter struct {
 	mu       sync.Mutex // guards lastDone: pool workers deliver concurrently
 	lastDone time.Time
 	depth    int  // batches in service at once
-	staged   bool // one goroutine per stage (the pipelined drain)
+	staged   bool // one goroutine per stage (the staged drain)
 }
 
 func newServiceMeter(depth int, staged bool) *serviceMeter {
@@ -45,21 +44,21 @@ func newServiceMeter(depth int, staged bool) *serviceMeter {
 	return m
 }
 
-// record meters one delivered batch from its trace's stage stamps.
-func (m *serviceMeter) record(bt *batchTrace) {
+// record meters one served batch from its stage stamps.
+func (m *serviceMeter) record(pb *planeBatch) {
 	var busy time.Duration
 	for i, w := range m.stage {
-		d := bt.stageEnd[i].Sub(bt.stageStart[i])
+		d := pb.stageEnd[i].Sub(pb.stageStart[i])
 		busy += d
-		w.Observe(bt.stageEnd[i], float64(d))
+		w.Observe(pb.stageEnd[i], float64(d))
 	}
 	m.busyNS.Add(int64(busy))
 	m.completed.Add(1)
-	done := bt.stageEnd[pipeline.StageTail]
+	done := pb.stageEnd[stageTail]
 	m.mu.Lock()
 	from := m.lastDone
-	if from.Before(bt.dispatched) {
-		from = bt.dispatched
+	if from.Before(pb.dispatched) {
+		from = pb.dispatched
 	}
 	if done.After(m.lastDone) {
 		m.lastDone = done
@@ -83,7 +82,7 @@ func (m *serviceMeter) meanBatchNS() float64 {
 }
 
 // means returns each stage's rolling mean service time, ns.
-func (m *serviceMeter) means() (ns [pipeline.NumStages]float64) {
+func (m *serviceMeter) means() (ns [numStages]float64) {
 	for i, w := range m.stage {
 		ns[i] = w.Mean()
 	}
@@ -93,10 +92,10 @@ func (m *serviceMeter) means() (ns [pipeline.NumStages]float64) {
 // snapshot fills the meter's part of the pipeline section — completions,
 // per-stage statistics, the measured and serial intervals — and returns the
 // stage means it read.
-func (m *serviceMeter) snapshot(now time.Time) (p *PipelineStats, means [pipeline.NumStages]float64) {
+func (m *serviceMeter) snapshot(now time.Time) (p *PipelineStats, means [numStages]float64) {
 	p = &PipelineStats{
 		Completed:          m.completed.Load(),
-		Stages:             make([]StageStats, pipeline.NumStages),
+		Stages:             make([]StageStats, numStages),
 		MeasuredIntervalUS: m.interval.Snapshot(now).Summary.Mean / 1e3,
 	}
 	for i, w := range m.stage {
@@ -122,7 +121,7 @@ func (m *serviceMeter) snapshot(now time.Time) (p *PipelineStats, means [pipelin
 // so its interval is also at least the slowest stage: max(max_i s_i,
 // Σ/depth). The second term is the plane ring binding before any stage does,
 // which at three stages happens only at depth 2.
-func (m *serviceMeter) predictNS(means [pipeline.NumStages]float64) float64 {
+func (m *serviceMeter) predictNS(means [numStages]float64) float64 {
 	var sum, slowest float64
 	for _, s := range means {
 		sum += s

@@ -11,7 +11,6 @@ import (
 
 	"microrec/internal/core"
 	"microrec/internal/embedding"
-	"microrec/internal/pipeline"
 	"microrec/internal/pipesim"
 )
 
@@ -24,8 +23,8 @@ func TestIntervalClosedFormMatchesPipesim(t *testing.T) {
 	for depth := 3; depth <= 6; depth++ {
 		m := &serviceMeter{depth: depth, staged: true}
 		for trial := 0; trial < 500; trial++ {
-			var means [pipeline.NumStages]float64
-			stages := make([]pipesim.Stage, pipeline.NumStages)
+			var means [numStages]float64
+			stages := make([]pipesim.Stage, numStages)
 			for i := range means {
 				means[i] = 1e3 + rng.Float64()*1e7
 				if trial%10 == 0 {
@@ -37,7 +36,7 @@ func TestIntervalClosedFormMatchesPipesim(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := p.Simulate(4 * pipesim.DefaultFIFODepth * pipeline.NumStages)
+			res, err := p.Simulate(4 * pipesim.DefaultFIFODepth * numStages)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,16 +47,19 @@ func TestIntervalClosedFormMatchesPipesim(t *testing.T) {
 	}
 }
 
-// evenEngine is a slowEngine whose gather and tail sleep as long as its dense
-// stage: three equal stages.
-type evenEngine struct{ slowEngine }
-
-func (e *evenEngine) GatherIntoPlane(queries []embedding.Query, s *core.BatchScratch) {
-	time.Sleep(e.service)
+// sleepEngine is a slowEngine whose gather and tail stages also sleep, each
+// for its own service time (dense sleeps slowEngine.service).
+type sleepEngine struct {
+	slowEngine
+	gather, tail time.Duration
 }
 
-func (e *evenEngine) TailFromPlane(b int, s *core.BatchScratch, dst []float32) {
-	time.Sleep(e.service)
+func (e *sleepEngine) GatherIntoPlane(queries []embedding.Query, s *core.BatchScratch) {
+	time.Sleep(e.gather)
+}
+
+func (e *sleepEngine) TailFromPlane(b int, s *core.BatchScratch, dst []float32) {
+	time.Sleep(e.tail)
 	e.slowEngine.TailFromPlane(b, s, dst)
 }
 
@@ -72,7 +74,8 @@ func TestCapacityAtDepth2(t *testing.T) {
 	}
 	for _, drain := range drains {
 		t.Run(drain.name, func(t *testing.T) {
-			eng := &evenEngine{slowEngine{service: 3 * time.Millisecond}}
+			const stage = 3 * time.Millisecond
+			eng := &sleepEngine{slowEngine{service: stage}, stage, stage}
 			srv := newServer(t, eng, Options{
 				Batching: BatchingOptions{MaxBatch: 1},
 				Pipeline: PipelineOptions{Depth: 2, WorkerPool: drain.workerPool},

@@ -45,10 +45,10 @@ type AdmissionOptions struct {
 }
 
 // PipelineOptions groups the drain knobs. Both drains serve a batch on one
-// pre-sized plane through the same gather, dense and tail stage calls; they
+// pre-sized plane through the same gather, dense and tail stage steps; they
 // differ only in scheduling.
 type PipelineOptions struct {
-	// Depth is the number of batches in service: planes in the pipelined
+	// Depth is the number of batches in service: planes in the staged
 	// drain's ring, overlapped across its gather, GEMM and tail stage
 	// goroutines (minimum 2, so two stages can overlap), or workers in the
 	// worker pool, each owning one plane and carrying it through all three
@@ -56,7 +56,7 @@ type PipelineOptions struct {
 	Depth int
 	// WorkerPool selects the worker-pool drain (each batch runs to
 	// completion on one of Depth goroutines) instead of the default staged
-	// pipeline executor.
+	// drain.
 	WorkerPool bool
 }
 

@@ -1,34 +1,33 @@
 // Package serving implements the batched online-inference subsystem: a
 // work-conserving micro-batcher that coalesces concurrent predict requests
 // into hardware-sized batches (a forming batch is dispatched the moment the
-// drain can start serving it, and grows only while it cannot), drained
-// through the staged pipeline executor — gather, dense GEMM and tail/response
-// stages overlapped over a ring of batch planes — with per-request response
-// futures. Options.Pipeline.Depth is the number of batches in service. The
-// worker-pool drain (Options.Pipeline.WorkerPool) serves the same planes
-// through the same stage calls and differs only in scheduling: each of Depth
-// workers owns one plane and carries its batch through all three stages.
-// Either way the server meters each delivered batch's stage times itself
-// (serviceMeter): headroom, capacity, Retry-After and /stats all read it.
-// SLA admission reads the same host clock: it times one real full batch
-// through the engine seam (calibratedBatchNS). No accelerator or storage
-// model takes part in serving.
+// drain can start serving it, and grows only while it cannot), drained by the
+// server's own staged drain — gather, dense GEMM and tail stages overlapped
+// over a ring of batch planes — with per-request response futures.
+// Options.Pipeline.Depth is the number of batches in service. The worker-pool
+// drain (Options.Pipeline.WorkerPool) calls the same three stage steps
+// (drain.go) and differs only in scheduling: each of Depth workers owns one
+// plane and carries its batch through all three steps back to back. Either
+// way the tail step meters each batch's stage times (serviceMeter):
+// headroom, capacity, Retry-After and /stats all read it. SLA admission reads
+// the same host clock: it times one real full batch through the engine seam
+// (calibratedBatchNS). No accelerator or storage model takes part in serving.
 //
 // This is the serving seam the paper argues for (§2.3): per-query serving —
 // one synchronous inference per HTTP request, the TensorFlow-Serving
 // baseline's pattern — leaves the engine streaming every FC weight matrix
 // once per query, while a micro-batch amortises the weight traffic across
-// all queries in flight. The pipelined drain adds the second hardware pillar
+// all queries in flight. The staged drain adds the second hardware pillar
 // (§4.1): while batch i occupies the GEMM stage, batch i+1's gather is
 // already running, so memory latency hides behind compute. Coalescing costs a
 // lightly loaded server nothing — an idle drain takes a lone request at once —
 // and the backlog a saturated one can hold is validated against an SLA budget
 // (ValidateSLA).
 //
-//	requests ──► Submit ──► micro-batcher ──free plane──► pipeline executor
-//	   ▲                    (grows while every           (gather │ GEMM │ tail)
-//	   │                     plane is in flight)                 │
-//	   └──── response futures ◄──────────────────────────────────┘
+//	requests ──► Submit ──► micro-batcher ──free plane──► staged drain
+//	   ▲                    (grows while every          (gather │ GEMM │ tail)
+//	   │                     plane is in flight)                  │
+//	   └──── response futures ◄───────────────────────────────────┘
 package serving
 
 import (
@@ -46,7 +45,6 @@ import (
 	"microrec/internal/metrics"
 	"microrec/internal/model"
 	"microrec/internal/obs"
-	"microrec/internal/pipeline"
 	"microrec/internal/tieredstore"
 	"microrec/internal/workload"
 )
@@ -92,10 +90,9 @@ var ErrOverloaded = errors.New("serving: overloaded, submit queue full")
 // cycles on an answer nobody is waiting for.
 var ErrExpired = errors.New("serving: deadline expired before service")
 
-// Engine is the slice of the inference engine the server drives: admission
-// validation, the stage-callable plane datapath both drains run (via
-// pipeline.StageEngine) and the model spec SLA admission draws its
-// calibration batch from.
+// Engine is the slice of the inference engine the server drives: the four
+// plane calls both drains' stage steps make, admission validation and the
+// model spec SLA admission draws its calibration batch from.
 // *core.Engine implements it; overload tests substitute deterministic slow
 // engines to saturate the queue without depending on host speed.
 //
@@ -104,7 +101,16 @@ var ErrExpired = errors.New("serving: deadline expired before service")
 // backing store), which the server discovers by interface assertion and
 // reports in /stats only when a store is attached.
 type Engine interface {
-	pipeline.StageEngine
+	// EnsurePlane sizes a plane for batches of up to b queries.
+	EnsurePlane(s *core.BatchScratch, b int)
+	// GatherIntoPlane resolves a validated batch's embedding lookups into
+	// the plane's fixed-point feature rows.
+	GatherIntoPlane(queries []embedding.Query, s *core.BatchScratch)
+	// DenseFromPlane runs the hidden FC tower on a gathered plane.
+	DenseFromPlane(b int, s *core.BatchScratch)
+	// TailFromPlane runs the output layer and sigmoid, writing one
+	// prediction per query into dst.
+	TailFromPlane(b int, s *core.BatchScratch, dst []float32)
 	// ValidateQuery checks a query's shape and index ranges at admission.
 	ValidateQuery(q embedding.Query) error
 	// Spec is the served model; admission calibration draws queries from it.
@@ -186,8 +192,7 @@ func (r *request) expired(cutoff time.Time) error {
 }
 
 // Server coalesces concurrent Submit calls into micro-batches and drains
-// them through the staged pipeline executor (or a pool of run-to-completion
-// workers).
+// them through its staged drain (or a pool of run-to-completion workers).
 type Server struct {
 	eng  Engine
 	opts Options
@@ -203,12 +208,11 @@ type Server struct {
 
 	submit chan *request
 	// batches is the worker-pool drain's hand-off: unbuffered, so a send
-	// completes only into an idle worker's receive. nil in pipelined mode,
-	// where the batcher submits on a free plane itself.
+	// completes only into an idle worker's receive. nil in the staged drain.
 	batches chan *planeBatch
-	// pipe is the staged executor of the default pipelined drain; nil in
-	// worker-pool mode.
-	pipe *pipeline.Executor
+	// free is the staged drain's ring of idle planes, and gatherQ, denseQ and
+	// tailQ its stage queues (drain.go); all nil in the worker pool.
+	free, gatherQ, denseQ, tailQ chan *plane
 	// forming is set while the batcher holds a batch on offer; wpBusy counts
 	// pool workers serving one. Both feed the load score only.
 	forming atomic.Bool
@@ -233,7 +237,7 @@ type Server struct {
 	cancelDrops   atomic.Uint64
 	late          atomic.Uint64
 
-	// meter is the per-stage service meter both drains feed from deliver.
+	// meter is the per-stage service meter both drains feed from the tail step.
 	meter *serviceMeter
 	// calibrate guards the one timed full batch behind SLA admission; batchNS
 	// and batchErr hold its result (see calibratedBatchNS).
@@ -317,30 +321,27 @@ func New(eng Engine, opts Options) (*Server, error) {
 		s.tiered = te
 	}
 	s.replica = int32(opts.Router.ReplicaID)
+	depth := opts.Pipeline.Depth
 	if opts.Pipeline.WorkerPool {
 		s.batches = make(chan *planeBatch)
-		s.wg.Add(1 + opts.Pipeline.Depth)
+		s.wg.Add(1 + depth)
 		go s.batcher()
-		for i := 0; i < opts.Pipeline.Depth; i++ {
+		for i := 0; i < depth; i++ {
 			go s.worker()
 		}
 		return s, nil
 	}
-	pipe, err := pipeline.New(eng, pipeline.Options{
-		Depth:    opts.Pipeline.Depth,
-		MaxBatch: opts.Batching.MaxBatch,
-		Deliver:  s.deliver,
-		Prepare:  s.prepare,
-	})
-	if err != nil {
-		if ownsCluster {
-			_ = clu.Close()
-		}
-		return nil, err
+	// Every queue holds the whole ring, so no stage's send ever blocks.
+	s.free, s.gatherQ = make(chan *plane, depth), make(chan *plane, depth)
+	s.denseQ, s.tailQ = make(chan *plane, depth), make(chan *plane, depth)
+	for i := 0; i < depth; i++ {
+		s.free <- s.newPlane()
 	}
-	s.pipe = pipe
-	s.wg.Add(1)
+	s.wg.Add(4)
 	go s.batcher()
+	go s.gatherLoop()
+	go s.denseLoop()
+	go s.tailLoop()
 	return s, nil
 }
 
@@ -431,8 +432,8 @@ func (s *Server) enqueue(ctx context.Context, req *request) error {
 }
 
 // Close stops accepting queries, drains every in-flight request — through
-// the remaining pipeline stages in pipelined mode — and waits for the
-// background goroutines to exit. No accepted request is dropped. It is
+// the remaining stages in the staged drain — and waits for the background
+// goroutines to exit. No accepted request is dropped. It is
 // idempotent.
 func (s *Server) Close() error {
 	s.mu.Lock()
@@ -448,22 +449,16 @@ func (s *Server) Close() error {
 	// channel after it closes.
 	s.accepting.Wait()
 	close(s.submit)
-	// The batcher dispatches what it still holds and exits (the workers
-	// follow). Only then may the executor close: every accepted batch has
-	// been submitted, and the executor's Close delivers the in-flight ones.
+	// The batcher dispatches what it still holds and closes its hand-off;
+	// the workers, or the stage loops one after another, serve what they
+	// hold and exit.
 	s.wg.Wait()
-	var err error
-	if s.pipe != nil {
-		err = s.pipe.Close()
-	}
 	// Only now is the drain empty — no worker or stage can issue another
 	// scatter round — so an owned sharded tier's workers may stop.
 	if s.ownsCluster {
-		if cerr := s.clu.Close(); err == nil {
-			err = cerr
-		}
+		return s.clu.Close()
 	}
-	return err
+	return nil
 }
 
 // drainQueued non-blockingly moves already-queued requests into pending, up
@@ -482,63 +477,6 @@ func (s *Server) drainQueued(pending []*request) ([]*request, bool) {
 		}
 	}
 	return pending, true
-}
-
-// batcher owns batch formation and dispatch. It is work-conserving: the drain
-// being able to start service is the flush signal, not a clock. While the
-// forming batch holds at least one request it is on offer — to the plane ring
-// in pipelined mode, to an idle worker's receive in worker-pool mode — and it
-// keeps absorbing arrivals until the offer is taken. An idle server therefore
-// dispatches a lone request at once, a busy one grows the batch for exactly
-// as long as nothing can serve it, and at MaxBatch the batcher stops reading
-// the submit queue, so backpressure reaches the queue Admission.Shed watches.
-// (A runtime timer cannot do this job: armed in an idle process it fires
-// after about 1.1 ms whatever sub-millisecond duration it was given.)
-func (s *Server) batcher() {
-	defer s.wg.Done()
-	var free <-chan *pipeline.Plane
-	if s.pipe != nil {
-		free = s.pipe.Free()
-	} else {
-		defer close(s.batches)
-	}
-	queries := make([]embedding.Query, 0, s.opts.Batching.MaxBatch)
-	pending := batchPool.Get().(*planeBatch)
-	for in := s.submit; in != nil || len(pending.reqs) > 0; {
-		// A nil channel disables its case: no offer while the batch is
-		// empty, no intake once it is full (or the queue has closed).
-		recv, ready, offer := in, free, s.batches
-		if len(pending.reqs) == 0 {
-			ready, offer = nil, nil
-		} else if len(pending.reqs) >= s.opts.Batching.MaxBatch {
-			recv = nil
-		}
-		select {
-		case req, ok := <-recv:
-			if ok {
-				s.forming.Store(true)
-				pending.reqs, ok = s.drainQueued(append(pending.reqs, req))
-			}
-			if !ok {
-				in = nil
-			}
-			continue
-		case p := <-ready:
-			// The plane copies the query headers, so the local buffer is
-			// reusable at once; the batch rides through the stages as the
-			// plane's payload and resurfaces in deliver. Expiry is the
-			// prepare hook's job, on the gather stage.
-			pending.stampFlushed()
-			queries = queries[:0]
-			for _, r := range pending.reqs {
-				queries = append(queries, r.q)
-			}
-			s.pipe.SubmitOn(p, queries, pending)
-		case offer <- pending:
-		}
-		s.forming.Store(false)
-		pending = batchPool.Get().(*planeBatch)
-	}
 }
 
 // resolveExpired classifies one request at service time: nil while it is
@@ -574,154 +512,21 @@ func (s *Server) resolveExpired(r *request, cutoff time.Time) error {
 	return err
 }
 
-// worker is one worker-pool drain goroutine. It owns one plane and carries
-// each batch it receives through the pipelined drain's own steps in sequence
-// — prepare, then the gather, dense and tail stage calls, then deliver — so
-// the two drains differ only in scheduling: run to completion here, one
-// goroutine per stage there.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	var plane core.BatchScratch
-	s.eng.EnsurePlane(&plane, s.opts.Batching.MaxBatch)
-	queries := make([]embedding.Query, 0, s.opts.Batching.MaxBatch)
-	preds := make([]float32, s.opts.Batching.MaxBatch)
-	for pb := range s.batches {
-		s.wpBusy.Add(1)
-		pb.stampFlushed()
-		queries = queries[:0]
-		for _, r := range pb.reqs {
-			queries = append(queries, r.q)
-		}
-		queries = s.prepare(pb, queries)
-		if b := len(queries); b > 0 {
-			t0 := time.Now()
-			s.eng.GatherIntoPlane(queries, &plane)
-			t1 := time.Now()
-			pb.ObserveStage(pipeline.StageGather, t0, t1)
-			pb.ObserveGather(plane.GatherObs())
-			s.eng.DenseFromPlane(b, &plane)
-			t2 := time.Now()
-			pb.ObserveStage(pipeline.StageDense, t1, t2)
-			s.eng.TailFromPlane(b, &plane, preds[:b])
-			pb.ObserveStage(pipeline.StageTail, t2, time.Now())
-			s.deliver(pb, preds[:b])
-		} else {
-			pb.release()
-		}
-		s.wpBusy.Add(-1)
-	}
-}
-
-// batchTrace carries one batch's dispatch and stage boundary stamps and its
-// gather record from the drain to deliver, where the service meter reads the
-// stamps and complete() assembles sampled requests' spans. Both drains fill
-// it through pipeline.PlaneObserver: the executor's stage loops (plain stores
-// on the stage goroutines, read only after delivery — the executor's channel
-// hand-offs order the accesses), or the pool worker that runs all three
-// stages itself. It lives inside the (pooled) batch, so steady-state tracing
-// and metering allocate nothing.
-type batchTrace struct {
-	dispatched time.Time
-	stageStart [pipeline.NumStages]time.Time
-	stageEnd   [pipeline.NumStages]time.Time
-	gather     core.GatherObs
-}
-
-// ObserveStage implements pipeline.PlaneObserver.
-func (t *batchTrace) ObserveStage(stage int, start, end time.Time) {
-	if stage >= 0 && stage < pipeline.NumStages {
-		t.stageStart[stage] = start
-		t.stageEnd[stage] = end
-	}
-}
-
-// ObserveGather implements pipeline.PlaneObserver.
-func (t *batchTrace) ObserveGather(o core.GatherObs) { t.gather = o }
-
-// planeBatch is one formed micro-batch, from the batcher through the drain to
-// complete. In pipelined mode it is the plane's payload. The prepare hook
-// rewrites reqs when it drops expired requests, so deliver always sees
-// exactly the requests whose queries were gathered, and the embedded
-// batchTrace makes the batch a pipeline.PlaneObserver, stamped as its plane
-// moves through the stages. Batches are recycled through batchPool by whoever
-// resolved their last request.
-type planeBatch struct {
-	batchTrace
-	reqs []*request
-}
-
-var batchPool = sync.Pool{New: func() any { return new(planeBatch) }}
-
-// release returns pb to the pool once every request in it has been resolved
-// and nothing else (the executor's plane, the worker) will touch it again.
-// The whole backing array is cleared, not just reqs' current length — the
-// expiry filter shortens reqs in place — because the requests belong to
-// their submitters again.
-func (pb *planeBatch) release() {
-	reqs := pb.reqs[:cap(pb.reqs)]
-	clear(reqs)
-	*pb = planeBatch{reqs: reqs[:0]}
-	batchPool.Put(pb)
-}
-
-// stampFlushed stamps the batch's dispatch time, which floors the service
-// meter's interval gap, and copies it to the batch's sampled requests, where
-// it splits a span's queue wait (batch formation, including the wait for a
-// plane or worker) from its batch wait (dispatch to service).
-func (pb *planeBatch) stampFlushed() {
-	pb.dispatched = time.Now()
-	for _, r := range pb.reqs {
-		if r.sampled {
-			r.flushed = pb.dispatched
-		}
-	}
-}
-
-// prepare is the drains' gather-stage admission hook: the last moment before
-// a plane's work is committed. It drops expired requests from the
-// batch and filters the plane's query headers in lockstep — batch[i] and
-// queries[i] are index-aligned by construction (the batcher built one
-// from the other, and the executor copies queries in order) — so preds
-// indices in deliver stay aligned with the surviving requests.
-func (s *Server) prepare(payload interface{}, queries []embedding.Query) []embedding.Query {
-	pb := payload.(*planeBatch)
-	cutoff := time.Now().Add(time.Duration(s.meter.meanBatchNS()))
-	live := pb.reqs[:0]
-	kept := queries[:0]
-	for i, r := range pb.reqs {
-		if s.resolveExpired(r, cutoff) == nil {
-			live = append(live, r)
-			kept = append(kept, queries[i])
-		}
-	}
-	pb.reqs = live
-	return kept
-}
-
-// deliver receives completed batches after their tail stage and meters each
-// before complete resolves any future, so a Stats call racing a just-returned
-// Submit sees the batch. preds is plane-owned and only valid during the call;
-// complete resolves every future synchronously, so nothing outlives it.
-func (s *Server) deliver(payload interface{}, preds []float32) {
-	pb := payload.(*planeBatch)
-	s.meter.record(&pb.batchTrace)
-	s.complete(pb.reqs, preds, &pb.batchTrace)
-	pb.release()
-}
-
-// complete finishes one batch: serving metrics, flight-recorder spans for
-// the batch's sampled requests, and the response future of every request.
-func (s *Server) complete(batch []*request, preds []float32, bt *batchTrace) {
+// complete finishes one served batch: serving metrics, flight-recorder spans
+// for its sampled requests, and the response future of every request. preds
+// is plane-owned and only valid during the call.
+func (s *Server) complete(pb *planeBatch, preds []float32) {
 	// Record stats before resolving any future, so a Stats() call racing a
 	// just-returned Submit always sees the batch.
 	now := time.Now()
+	batch := pb.reqs
 	s.occupancy.Observe(now, float64(len(batch)))
 	for _, r := range batch {
 		lat := now.Sub(r.enq).Seconds() * 1e6
 		s.latencyUS.Observe(now, lat)
 		s.latencyHist.Observe(lat)
 	}
-	s.recordSpans(batch, bt, now)
+	s.recordSpans(pb, now)
 	for i, r := range batch {
 		r.done <- outcome{res: Result{
 			CTR:       preds[i],
@@ -734,37 +539,38 @@ func (s *Server) complete(batch []*request, preds []float32, bt *batchTrace) {
 // recordSpans writes the batch's sampled requests into the flight recorder.
 // now is the same stamp the latency metrics observed, so a span's EndToEndNS
 // and the rolling latency window agree exactly. The stage segments come from
-// the batch trace and are shared by every request in the batch — a request's
-// span is its own queue/batch waits followed by the batch's service timeline.
-func (s *Server) recordSpans(batch []*request, bt *batchTrace, now time.Time) {
-	for _, r := range batch {
+// the batch's stamps and are shared by every request in the batch — a
+// request's span is its own queue/batch waits followed by the batch's service
+// timeline.
+func (s *Server) recordSpans(pb *planeBatch, now time.Time) {
+	start, end := &pb.stageStart, &pb.stageEnd
+	for _, r := range pb.reqs {
 		if !r.sampled {
 			continue
 		}
 		sp := obs.Span{
 			Start:      r.enq.UnixNano(),
 			EndToEndNS: int64(now.Sub(r.enq)),
-			Batch:      int32(len(batch)),
+			Batch:      int32(len(pb.reqs)),
 			Replica:    s.replica,
 			Verdict:    obs.VerdictOK,
 		}
 		// Both drains stamp flushed at dispatch, before any path reaches here.
-		// Batch wait runs from dispatch to gather entry (through prepare);
-		// inter-stage waits are the gaps between one stage's exit and the next
-		// one's entry (zero-width in the worker pool, which runs the stages
-		// back to back).
+		// Batch wait runs from dispatch to gather entry; inter-stage waits are
+		// the gaps between one stage's exit and the next one's entry
+		// (zero-width in the worker pool, which runs the steps back to back).
 		flushed := r.flushed
 		sp.QueueNS = int64(flushed.Sub(r.enq))
-		sp.BatchWaitNS = int64(bt.stageStart[pipeline.StageGather].Sub(flushed))
-		sp.GatherNS = int64(bt.stageEnd[pipeline.StageGather].Sub(bt.stageStart[pipeline.StageGather]))
-		sp.DenseWaitNS = int64(bt.stageStart[pipeline.StageDense].Sub(bt.stageEnd[pipeline.StageGather]))
-		sp.DenseNS = int64(bt.stageEnd[pipeline.StageDense].Sub(bt.stageStart[pipeline.StageDense]))
-		sp.TailWaitNS = int64(bt.stageStart[pipeline.StageTail].Sub(bt.stageEnd[pipeline.StageDense]))
-		sp.TailNS = int64(bt.stageEnd[pipeline.StageTail].Sub(bt.stageStart[pipeline.StageTail]))
-		sp.ColdFaults = int32(bt.gather.ColdFaults)
-		sp.Shards = int32(bt.gather.Shards)
-		sp.ShardMaxNS = bt.gather.ShardMaxNS
-		sp.MergeWaitNS = bt.gather.MergeWaitNS
+		sp.BatchWaitNS = int64(start[stageGather].Sub(flushed))
+		sp.GatherNS = int64(end[stageGather].Sub(start[stageGather]))
+		sp.DenseWaitNS = int64(start[stageDense].Sub(end[stageGather]))
+		sp.DenseNS = int64(end[stageDense].Sub(start[stageDense]))
+		sp.TailWaitNS = int64(start[stageTail].Sub(end[stageDense]))
+		sp.TailNS = int64(end[stageTail].Sub(start[stageTail]))
+		sp.ColdFaults = int32(pb.gather.ColdFaults)
+		sp.Shards = int32(pb.gather.Shards)
+		sp.ShardMaxNS = pb.gather.ShardMaxNS
+		sp.MergeWaitNS = pb.gather.MergeWaitNS
 		s.rec.Record(sp)
 	}
 }
@@ -793,10 +599,10 @@ func (s *Server) InFlightBatches() int {
 // inService counts the batches in service: occupied planes, or busy pool
 // workers.
 func (s *Server) inService() int {
-	if s.pipe != nil {
-		return s.pipe.InFlight()
+	if s.opts.Pipeline.WorkerPool {
+		return int(s.wpBusy.Load())
 	}
-	return int(s.wpBusy.Load())
+	return s.opts.Pipeline.Depth - len(s.free)
 }
 
 // LoadScore is the router's least-loaded scoring input, in queued-request
@@ -907,10 +713,8 @@ type ReplicaStats struct {
 // comparison does this) leaves both policies' volumes visible.
 type PolicyDecisionStats struct {
 	Policy string `json:"policy"`
-	// Total is the lifetime decision count; PerSec the rolling decision
-	// rate over the router's stats window.
-	Total  uint64  `json:"total"`
-	PerSec float64 `json:"per_sec"`
+	// Total is the lifetime decision count.
+	Total uint64 `json:"total"`
 }
 
 // RouterStats is the /stats "router" section: the replicated tier's routing
@@ -1016,10 +820,10 @@ type Stats struct {
 
 // Mode reports the server's drain mode: "pipeline" or "worker-pool".
 func (s *Server) Mode() string {
-	if s.pipe != nil {
-		return "pipeline"
+	if s.opts.Pipeline.WorkerPool {
+		return "worker-pool"
 	}
-	return "worker-pool"
+	return "pipeline"
 }
 
 // Stats snapshots the rolling serving statistics. The pipeline section, knee
@@ -1203,8 +1007,8 @@ func (s *Server) backlogBatches() int {
 // service time — stage overlap only shortens the real drain, so the
 // worst-case admitted bound stays valid.
 func (s *Server) drainWorkers() int {
-	if s.pipe != nil {
-		return 1
+	if s.opts.Pipeline.WorkerPool {
+		return s.opts.Pipeline.Depth
 	}
-	return s.opts.Pipeline.Depth
+	return 1
 }

@@ -57,7 +57,7 @@ func fullStats() Stats {
 		Router: &RouterStats{
 			Policy: "affinity", Replicas: 3, Drained: 1,
 			Decisions: []PolicyDecisionStats{
-				{Policy: "round-robin", Total: 500, PerSec: 100},
+				{Policy: "round-robin", Total: 500},
 			},
 			PerReplica: []ReplicaStats{
 				{ID: 1, State: "active", Routed: 400, InFlight: 2,
@@ -186,7 +186,6 @@ var statsSchema = []string{
 	"router.aggregate_hit_rate",
 	"router.baseline_hit_rate",
 	"router.decisions",
-	"router.decisions.per_sec",
 	"router.decisions.policy",
 	"router.decisions.total",
 	"router.drained",

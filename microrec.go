@@ -17,10 +17,10 @@
 //     model of the paper's TensorFlow-Serving testbed, and
 //   - the batched serving subsystem: a dynamic micro-batcher that
 //     coalesces concurrent predict requests into hardware-sized batches,
-//     drained through a staged pipeline executor whose gather, dense-GEMM
-//     and tail stages overlap over a ring of in-flight batch planes — the
+//     drained by the server's staged drain, whose gather, dense-GEMM and
+//     tail stages overlap over a ring of in-flight batch planes — the
 //     software analogue of the paper's pipelined dataflow (§4.1) — or by a
-//     worker pool that runs each batch through the same stages to
+//     worker pool that runs each batch through the same stage steps to
 //     completion (NewServer), plus overload protection: a bounded submit
 //     queue with fast-fail shedding and deadline-aware batch formation
 //     (ServerOptions.Admission),
@@ -128,8 +128,8 @@ type (
 	// (one per goroutine).
 	BatchScratch = core.BatchScratch
 	// Server is the batched serving subsystem: a dynamic micro-batcher
-	// drained through the staged pipeline executor (or a pool of
-	// run-to-completion workers) behind response futures.
+	// drained through its staged drain (or a pool of run-to-completion
+	// workers) behind response futures.
 	Server = serving.Server
 	// ServerOptions configures NewServer. Knobs are grouped into nested
 	// sub-structs (Batching, Admission, Pipeline, Tier, Trace, Router).
@@ -192,7 +192,7 @@ type (
 	// (RouteRoundRobin, RouteLeastLoaded, RouteAffinity).
 	RoutePolicy = router.Policy
 	// RouterStats is the /stats "router" section: active policy, routing
-	// decisions/sec per policy, the per-replica scoreboard and the affinity
+	// decisions per policy, the per-replica scoreboard and the affinity
 	// hit-rate lift.
 	RouterStats = serving.RouterStats
 	// ReplicaStats is one replica's row in RouterStats.PerReplica.
@@ -476,12 +476,11 @@ func PaperCPUModel(modelName string) (CPUModel, error) {
 // NewServer starts the batched serving subsystem around an engine: Submit
 // coalesces concurrent queries into micro-batches (dispatched the moment the
 // drain can serve one, growing up to MaxBatch while it cannot — an idle server
-// answers a lone query at once), drained by default through the staged
-// pipeline executor — gather, dense-GEMM and tail stages overlapped over a
-// ring of ServerOptions.Pipeline.Depth batch planes, bit-identical to the
-// monolithic datapath — or, with ServerOptions.Pipeline.WorkerPool set, by
-// Depth workers that each carry a batch through the same stages on their own
-// plane. With ServerOptions.Tier.Shards > 1 the server first wraps the engine
+// answers a lone query at once), drained by default through the server's
+// staged drain — gather, dense-GEMM and tail stages overlapped over a ring of
+// ServerOptions.Pipeline.Depth batch planes, bit-identical to the monolithic
+// datapath — or, with ServerOptions.Pipeline.WorkerPool set, by Depth workers
+// that each call the same three stage steps back to back on their own plane. With ServerOptions.Tier.Shards > 1 the server first wraps the engine
 // in the sharded scatter/gather tier (tables partitioned across shards,
 // partial planes merged before the FC stack; bit-identical by construction).
 // The returned server owns background goroutines; callers must Close it.

@@ -24,6 +24,7 @@ package microrec_test
 // row is portable.
 
 import (
+	"context"
 	"go/ast"
 	"go/build"
 	"go/parser"
@@ -42,7 +43,7 @@ import (
 	"microrec/internal/kernels"
 	"microrec/internal/model"
 	"microrec/internal/obs"
-	"microrec/internal/pipeline"
+	"microrec/internal/serving"
 	"microrec/internal/tieredstore"
 )
 
@@ -184,18 +185,20 @@ func zeroallocCases(t *testing.T) []allocCase {
 		t.Fatalf("the tiered gather should read both tiers: %+v", st)
 	}
 
-	done := make(chan struct{}, 1)
-	x, err := pipeline.New(eng, pipeline.Options{
-		Depth:    3,
-		MaxBatch: 16,
-		Deliver:  func(payload interface{}, preds []float32) { done <- struct{}{} },
+	srv, err := serving.New(eng, serving.Options{
+		Batching: serving.BatchingOptions{MaxBatch: 16},
+		Pipeline: serving.PipelineOptions{Depth: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { x.Close() })
-	pipeQs := allocQueries(spec, 16, 5)
-	payload := new(int)
+	t.Cleanup(func() { srv.Close() })
+	srvQ := allocQueries(spec, 1, 5)[0]
+	var srvSkip string
+	if raceEnabled {
+		// Requests and batches are recycled through sync.Pools.
+		srvSkip = "sync.Pool drops puts under -race"
+	}
 
 	k16, k32 := newKernelFixture[int16](), newKernelFixture[int32]()
 	quant := kernels.NewQuantizer(fixedpoint.Fixed16)
@@ -298,16 +301,23 @@ func zeroallocCases(t *testing.T) []allocCase {
 			},
 		},
 		{
-			name: "pipeline/round-trip",
+			// One query through the staged drain: batcher, the three stage
+			// loops and the stage steps they call, and the response future.
+			name: "serving/staged-round-trip",
 			covers: []string{
-				"internal/pipeline.Executor.gatherLoop",
-				"internal/pipeline.Executor.denseLoop",
-				"internal/pipeline.Executor.tailLoop",
+				"internal/serving.Server.gatherLoop",
+				"internal/serving.Server.denseLoop",
+				"internal/serving.Server.tailLoop",
+				"internal/serving.Server.gather",
+				"internal/serving.Server.dense",
+				"internal/serving.Server.tail",
 			},
 			run: func() {
-				x.SubmitOn(<-x.Free(), pipeQs, payload)
-				<-done
+				if _, err := srv.Submit(context.Background(), srvQ); err != nil {
+					t.Fatal(err)
+				}
 			},
+			skip: srvSkip,
 		},
 		{
 			name: "obs/span-record",
