@@ -18,8 +18,9 @@ vet:
 	GOOS=windows $(GO) vet ./internal/offheap ./internal/tieredstore ./internal/core
 
 # vet-custom runs microrec-vet, the repo's own go/analysis suite (lockheld,
-# hotalloc, atomicfield, statsnapshot): the mechanized concurrency and
-# zero-alloc invariants of the datapath. Exit 2 = findings.
+# hotalloc, atomicfield, statsnapshot, deadexport): the mechanized
+# concurrency and zero-alloc invariants of the datapath, and no internal
+# export that only tests call. Exit 2 = findings.
 vet-custom:
 	$(GO) run ./cmd/microrec-vet ./...
 

@@ -1,10 +1,11 @@
-// Command microrec-vet is the repo's custom multichecker: it runs the four
+// Command microrec-vet is the repo's custom multichecker: it runs the five
 // microrec-specific analyzers — lockheld, hotalloc, atomicfield,
-// statsnapshot — over the packages named on the command line (default
-// ./...) and exits non-zero if any invariant is violated. It is wired into
-// `make vet-custom` (part of `make ci`) and the CI lint job, so the
-// concurrency and zero-alloc properties the datapath depends on are
-// machine-checked on every commit instead of re-proven in review.
+// statsnapshot, deadexport — over the packages named on the command line
+// (default ./...) and exits non-zero if any invariant is violated. It is
+// wired into `make vet-custom` (part of `make ci`) and the CI lint job, so
+// the concurrency and zero-alloc properties the datapath depends on are
+// machine-checked on every commit instead of re-proven in review, and an
+// internal export that only tests call cannot creep back in.
 //
 // Usage:
 //
@@ -22,6 +23,7 @@ import (
 
 	"microrec/internal/analysis"
 	"microrec/internal/analysis/atomicfield"
+	"microrec/internal/analysis/deadexport"
 	"microrec/internal/analysis/hotalloc"
 	"microrec/internal/analysis/lockheld"
 	"microrec/internal/analysis/statsnapshot"
@@ -32,6 +34,7 @@ var analyzers = []*analysis.Analyzer{
 	hotalloc.Analyzer,
 	atomicfield.Analyzer,
 	statsnapshot.Analyzer,
+	deadexport.Analyzer,
 }
 
 func main() {

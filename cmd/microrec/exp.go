@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"os"
 
+	"microrec/internal/accel"
 	"microrec/internal/experiments"
-	"microrec/internal/placement"
 )
 
 func cmdList() error {
@@ -31,7 +31,7 @@ func cmdExp(args []string) error {
 	}
 	opts := experiments.Options{Items: *items, Seed: *seed}
 	if *lpt {
-		opts.Allocator = placement.LPT
+		opts.Allocator = accel.LPT
 	}
 	var runners []experiments.Runner
 	if name == "all" {

@@ -7,7 +7,6 @@ import (
 	"microrec/internal/fixedpoint"
 	"microrec/internal/metrics"
 	"microrec/internal/model"
-	"microrec/internal/placement"
 )
 
 func specByName(name string) (*model.Spec, error) {
@@ -34,11 +33,11 @@ func cmdPlan(args []string) error {
 	if err != nil {
 		return err
 	}
-	alloc := placement.RoundRobin
+	alloc := accel.RoundRobin
 	if *lpt {
-		alloc = placement.LPT
+		alloc = accel.LPT
 	}
-	acc, err := accel.New(spec, accel.ConfigFor(spec.Name, fixedpoint.Fixed16), placement.Options{
+	acc, err := accel.New(spec, accel.ConfigFor(spec.Name, fixedpoint.Fixed16), accel.Options{
 		EnableCartesian: !*noCart,
 		Allocator:       alloc,
 	})

@@ -1,12 +1,13 @@
 package accel
 
 import (
+	"fmt"
+	"io"
+	"math"
 	"testing"
 
 	"microrec/internal/fixedpoint"
-	"microrec/internal/memsim"
 	"microrec/internal/model"
-	"microrec/internal/placement"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -81,7 +82,7 @@ func TestThroughputMatchesTable2(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			m, err := New(c.spec, c.cfg, placement.Options{EnableCartesian: true})
+			m, err := New(c.spec, c.cfg, Options{EnableCartesian: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,11 +91,11 @@ func TestThroughputMatchesTable2(t *testing.T) {
 				t.Fatal(err)
 			}
 			items := rep.SteadyThroughputItemsPerSec()
-			if !memsim.ApproxEqual(items, c.wantItems, 0.12) {
+			if !approxEqual(items, c.wantItems, 0.12) {
 				t.Errorf("throughput %.3g items/s, paper %.3g (>12%% off)", items, c.wantItems)
 			}
 			latUS := rep.LatencyNS / 1e3
-			if !memsim.ApproxEqual(latUS, c.wantLatUS, 0.12) {
+			if !approxEqual(latUS, c.wantLatUS, 0.12) {
 				t.Errorf("latency %.1f µs, paper %.1f (>12%% off)", latUS, c.wantLatUS)
 			}
 		})
@@ -139,7 +140,7 @@ func TestResourcesMatchTable6(t *testing.T) {
 				t.Fatal(err)
 			}
 			check := func(label string, g, w int, tol float64) {
-				if !memsim.ApproxEqual(float64(g), float64(w), tol) {
+				if !approxEqual(float64(g), float64(w), tol) {
 					t.Errorf("%s: modeled %d, paper %d (>%.0f%% off)", label, g, w, tol*100)
 				}
 			}
@@ -190,7 +191,7 @@ func TestAXIWidthTradeoff(t *testing.T) {
 
 func BenchmarkTimingModelSmall(b *testing.B) {
 	spec := model.SmallProduction()
-	m, err := New(spec, SmallFP16(), placement.Options{EnableCartesian: true})
+	m, err := New(spec, SmallFP16(), Options{EnableCartesian: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -200,5 +201,97 @@ func BenchmarkTimingModelSmall(b *testing.B) {
 		if _, err := m.Timing(2048); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// approxEqual reports whether a and b agree within relative tolerance relTol.
+func approxEqual(a, b, relTol float64) bool {
+	if a == b {
+		return true
+	}
+	return math.Abs(a-b)/math.Max(math.Abs(a), math.Abs(b)) <= relTol
+}
+
+// presets pairs each Table 6 build with the production model it targets.
+var presets = []struct {
+	name string
+	spec func() *model.Spec
+	cfg  Config
+}{
+	{"small-fp16", model.SmallProduction, SmallFP16()},
+	{"small-fp32", model.SmallProduction, SmallFP32()},
+	{"large-fp16", model.LargeProduction, LargeFP16()},
+	{"large-fp32", model.LargeProduction, LargeFP32()},
+}
+
+// TestBuildPipelineFigure6Stages pins the stage chain of Figure 6 for every
+// preset: the lookup stage at the given latency, broadcast / GEMM / gather
+// per hidden layer, then the output layer and the sigmoid; host streaming,
+// when modelled, comes first.
+func TestBuildPipelineFigure6Stages(t *testing.T) {
+	for _, pr := range presets {
+		t.Run(pr.name, func(t *testing.T) {
+			spec := pr.spec()
+			want := []string{"lookup"}
+			for l := range spec.Hidden {
+				for _, part := range []string{"broadcast", "gemm", "gather"} {
+					want = append(want, fmt.Sprintf("fc%d-%s", l+1, part))
+				}
+			}
+			want = append(want, "output", "sigmoid")
+			for _, hostGBps := range []float64{0, 12} {
+				cfg := pr.cfg
+				cfg.HostStreamGBps = hostGBps
+				p, err := cfg.BuildPipeline(spec, 400)
+				if err != nil {
+					t.Fatal(err)
+				}
+				names := want
+				if hostGBps > 0 {
+					names = append([]string{"host-stream"}, want...)
+				}
+				if len(p.stages) != len(names) {
+					t.Fatalf("host %v GB/s: %d stages, want %d", hostGBps, len(p.stages), len(names))
+				}
+				for i, st := range p.stages {
+					if st.Name != names[i] {
+						t.Errorf("host %v GB/s: stage %d is %q, want %q", hostGBps, i, st.Name, names[i])
+					}
+					if st.FIFODepth != cfg.FIFODepth {
+						t.Errorf("stage %q FIFO depth %d, want the build's %d", st.Name, st.FIFODepth, cfg.FIFODepth)
+					}
+				}
+				if lk := p.stages[len(names)-len(want)]; lk.LatencyNS != 400 || lk.IntervalNS != 400 {
+					t.Errorf("lookup stage %+v, want latency and interval 400 ns", lk)
+				}
+			}
+		})
+	}
+}
+
+// TestTracePipelineMatchesTiming holds the traced run to the untraced one:
+// writing the Chrome trace must not change a number of the report.
+func TestTracePipelineMatchesTiming(t *testing.T) {
+	for _, pr := range presets {
+		t.Run(pr.name, func(t *testing.T) {
+			m, err := New(pr.spec(), pr.cfg, Options{EnableCartesian: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := m.Timing(64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			traced, err := m.TracePipeline(64, io.Discard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plain != traced {
+				t.Errorf("TracePipeline report %+v differs from Timing %+v", traced, plain)
+			}
+			if plain.LookupNS != m.Plan.Report.LatencyNS {
+				t.Errorf("timing prices lookups at %v ns, plan says %v", plain.LookupNS, m.Plan.Report.LatencyNS)
+			}
+		})
 	}
 }

@@ -1,9 +1,8 @@
-package placement
+package accel
 
 import (
 	"testing"
 
-	"microrec/internal/memsim"
 	"microrec/internal/model"
 )
 
@@ -20,10 +19,10 @@ func TestProductArityValidation(t *testing.T) {
 func TestTripleProducts(t *testing.T) {
 	// Nine tiny tables, three DRAM banks, no on-chip: triples can collapse
 	// nine tables into three products -> one round.
-	sys := memsim.System{Banks: []memsim.Bank{
-		{Kind: memsim.HBM, Capacity: 1 << 26, Timing: memsim.HBMTiming},
-		{Kind: memsim.HBM, Capacity: 1 << 26, Timing: memsim.HBMTiming},
-		{Kind: memsim.HBM, Capacity: 1 << 26, Timing: memsim.HBMTiming},
+	sys := System{Banks: []Bank{
+		{Kind: HBM, Capacity: 1 << 26, Timing: HBMTiming},
+		{Kind: HBM, Capacity: 1 << 26, Timing: HBMTiming},
+		{Kind: HBM, Capacity: 1 << 26, Timing: HBMTiming},
 	}}
 	spec := tinySpec(10, 12, 14, 16, 18, 20, 22, 24, 26)
 	res, err := Plan(spec, sys, Options{EnableCartesian: true, ProductArity: 3})
@@ -48,7 +47,7 @@ func TestRule2PairsBeatTriplesOnProduction(t *testing.T) {
 	// fast — at equal lookup latency the pairwise plan must use no more
 	// storage than the triple plan.
 	spec := model.SmallProduction()
-	sys := memsim.U280(8)
+	sys := U280(8)
 	pairs, err := Plan(spec, sys, Options{EnableCartesian: true, ProductArity: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +70,7 @@ func TestArity2MatchesOriginalPairing(t *testing.T) {
 	// The generalised grouping must reproduce the exact smallest-largest
 	// pairing on the production model (Table 3's n=10 -> 5 pairs).
 	spec := model.SmallProduction()
-	sys := memsim.U280(8)
+	sys := U280(8)
 	res, err := Plan(spec, sys, Options{EnableCartesian: true})
 	if err != nil {
 		t.Fatal(err)

@@ -1,18 +1,19 @@
-// Package cartesian implements the paper's data-structure contribution
-// (§3.3): merging embedding tables by relational Cartesian product so one
-// memory access retrieves several embedding vectors.
+// Cartesian products, the paper's data-structure contribution (§3.3):
+// merging embedding tables by relational Cartesian product so one memory
+// access retrieves several embedding vectors.
 //
 // The product of tables A (rA rows, dA dims) and B (rB rows, dB dims) is a
 // table with rA*rB rows of dA+dB dims; entry (i, j) is the concatenation
 // A[i] ++ B[j]. Looking up the pair (i, j) becomes a single access at row
 // i*rB + j. Products generalise to k tables with mixed-radix indexing.
 //
-// This package is the plan's side of the idea: which tables merge, how a
-// product's rows are numbered, and what it costs in storage and accesses —
-// what placement, the timing model and Table 3 consume. Nothing here builds a
+// This is the plan's side of the idea: which tables merge, how a product's
+// rows are numbered, and what it costs in storage and accesses — what
+// placement, the timing model and Table 3 consume. Nothing here builds a
 // product's rows: the CPU engine reads merged sources from their own tables,
 // where a second copy would only cost memory.
-package cartesian
+
+package accel
 
 import (
 	"fmt"
@@ -41,14 +42,14 @@ func Single(t model.TableSpec) PhysicalTable {
 // one vector from each source, so their retrieval cadences must match.
 func Merge(tables ...model.TableSpec) (PhysicalTable, error) {
 	if len(tables) < 2 {
-		return PhysicalTable{}, fmt.Errorf("cartesian: Merge needs at least 2 tables, got %d", len(tables))
+		return PhysicalTable{}, fmt.Errorf("accel: Merge needs at least 2 tables, got %d", len(tables))
 	}
 	for _, t := range tables {
 		if err := t.Validate(); err != nil {
 			return PhysicalTable{}, err
 		}
 		if t.Lookups != tables[0].Lookups {
-			return PhysicalTable{}, fmt.Errorf("cartesian: lookup count mismatch: %q has %d, %q has %d",
+			return PhysicalTable{}, fmt.Errorf("accel: lookup count mismatch: %q has %d, %q has %d",
 				t.Name, t.Lookups, tables[0].Name, tables[0].Lookups)
 		}
 	}
@@ -120,12 +121,12 @@ func (p PhysicalTable) Overhead() int64 {
 // row-major mixed-radix encoding: the first source varies slowest.
 func (p PhysicalTable) Index(indices []int64) (int64, error) {
 	if len(indices) != len(p.Sources) {
-		return 0, fmt.Errorf("cartesian: %d indices for %d sources", len(indices), len(p.Sources))
+		return 0, fmt.Errorf("accel: %d indices for %d sources", len(indices), len(p.Sources))
 	}
 	var idx int64
 	for i, s := range p.Sources {
 		if indices[i] < 0 || indices[i] >= s.Rows {
-			return 0, fmt.Errorf("cartesian: index %d out of range for source %q (%d rows)", indices[i], s.Name, s.Rows)
+			return 0, fmt.Errorf("accel: index %d out of range for source %q (%d rows)", indices[i], s.Name, s.Rows)
 		}
 		idx = idx*s.Rows + indices[i]
 	}
@@ -136,7 +137,7 @@ func (p PhysicalTable) Index(indices []int64) (int64, error) {
 // per-source indices.
 func (p PhysicalTable) Unindex(row int64) ([]int64, error) {
 	if row < 0 || row >= p.Rows() {
-		return nil, fmt.Errorf("cartesian: row %d out of range (%d rows)", row, p.Rows())
+		return nil, fmt.Errorf("accel: row %d out of range (%d rows)", row, p.Rows())
 	}
 	out := make([]int64, len(p.Sources))
 	for i := len(p.Sources) - 1; i >= 0; i-- {
@@ -158,16 +159,6 @@ type Layout struct {
 	tableOf map[int][2]int
 }
 
-// Identity returns the layout with no merges: one physical table per source.
-func Identity(spec *model.Spec) *Layout {
-	l := &Layout{Spec: spec, tableOf: make(map[int][2]int, len(spec.Tables))}
-	for _, t := range spec.Tables {
-		l.tableOf[t.ID] = [2]int{len(l.Tables), 0}
-		l.Tables = append(l.Tables, Single(t))
-	}
-	return l
-}
-
 // Apply builds a layout from merge groups: each group lists source table IDs
 // to merge (order defines concatenation order); sources not mentioned stay
 // single. A source may appear in at most one group.
@@ -180,16 +171,16 @@ func Apply(spec *model.Spec, groups [][]int) (*Layout, error) {
 	l := &Layout{Spec: spec, tableOf: make(map[int][2]int, len(spec.Tables))}
 	for _, g := range groups {
 		if len(g) < 2 {
-			return nil, fmt.Errorf("cartesian: merge group %v has fewer than 2 tables", g)
+			return nil, fmt.Errorf("accel: merge group %v has fewer than 2 tables", g)
 		}
 		srcs := make([]model.TableSpec, len(g))
 		for i, id := range g {
 			t, ok := byID[id]
 			if !ok {
-				return nil, fmt.Errorf("cartesian: unknown table ID %d", id)
+				return nil, fmt.Errorf("accel: unknown table ID %d", id)
 			}
 			if used[id] {
-				return nil, fmt.Errorf("cartesian: table ID %d appears in multiple groups", id)
+				return nil, fmt.Errorf("accel: table ID %d appears in multiple groups", id)
 			}
 			used[id] = true
 			srcs[i] = t
@@ -217,7 +208,7 @@ func Apply(spec *model.Spec, groups [][]int) (*Layout, error) {
 func (l *Layout) Locate(srcID int) (table, pos int, err error) {
 	loc, ok := l.tableOf[srcID]
 	if !ok {
-		return 0, 0, fmt.Errorf("cartesian: unknown source table %d", srcID)
+		return 0, 0, fmt.Errorf("accel: unknown source table %d", srcID)
 	}
 	return loc[0], loc[1], nil
 }

@@ -1,4 +1,4 @@
-package cartesian
+package accel
 
 import (
 	"testing"

@@ -1,4 +1,4 @@
-package cartesian
+package accel
 
 import (
 	"math/rand"
@@ -185,9 +185,12 @@ func TestApplyErrors(t *testing.T) {
 
 func TestIdentityLayout(t *testing.T) {
 	s, _, _ := spec2(t)
-	l := Identity(s)
+	l, err := Apply(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(l.Tables) != 2 || l.NumMerged() != 0 || l.Overhead() != 0 {
-		t.Errorf("Identity layout wrong: %d tables, %d merged, %d overhead",
+		t.Errorf("layout without merge groups wrong: %d tables, %d merged, %d overhead",
 			len(l.Tables), l.NumMerged(), l.Overhead())
 	}
 	if l.OverheadFraction() != 0 {
@@ -248,12 +251,15 @@ func TestHalvedAccesses(t *testing.T) {
 	// The headline claim of Figure 5: merging two tables turns two memory
 	// accesses into one.
 	s, _, _ := spec2(t)
-	before := Identity(s).AccessesPerInference()
+	unmerged, err := Apply(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	l, err := Apply(s, [][]int{{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := l.AccessesPerInference()
+	before, after := unmerged.AccessesPerInference(), l.AccessesPerInference()
 	if before != 2 || after != 1 {
 		t.Errorf("accesses before/after merge = %d/%d, want 2/1", before, after)
 	}

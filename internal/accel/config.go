@@ -1,8 +1,18 @@
-// Package accel models the MicroRec accelerator (§4 and the appendix): the
-// FPGA build's configuration and the Table 6 presets, its deeply pipelined
-// dataflow as a pipesim stage pipeline fed by the placement plan's lookup
-// latency, and its resource utilisation. It is a model, not an engine: the
-// CPU engine (internal/core) computes predictions and takes none of it.
+// Package accel models the MicroRec accelerator, one FPGA build on an Alveo
+// U280, from its memory system to its deep pipeline. It is a model, not an
+// engine: the CPU engine (internal/core) computes predictions and takes none
+// of it. Its files follow the paper:
+//
+//   - memory.go: the hybrid memory system, its HBM, DDR and on-chip banks
+//     and the cost of one access (§3.2, Table 5);
+//   - cartesian.go: Cartesian products of embedding tables (§3.3);
+//   - placement.go: the table-combination and allocation search of
+//     Algorithm 1 and its exhaustive check (§3.4);
+//   - pipeline.go: the stage pipeline simulator and its Chrome trace (§4.1);
+//   - config.go: a build's parameters and the Table 6 presets (§4, appendix);
+//   - timing.go, model.go: the accelerator's stages fed by the plan's lookup
+//     latency, and Model, which ties a spec, its plan and a build (§4, §5.3);
+//   - resources.go: resource utilisation (appendix, Table 6).
 package accel
 
 import (

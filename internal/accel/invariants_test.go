@@ -1,11 +1,11 @@
-package placement
+package accel
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
-	"microrec/internal/memsim"
 	"microrec/internal/model"
 )
 
@@ -66,14 +66,16 @@ func TestPlanInvariantsOnProductionModels(t *testing.T) {
 	} {
 		for _, cart := range []bool{false, true} {
 			for _, alloc := range []Allocator{RoundRobin, LPT} {
-				res, err := Plan(target.spec, memsim.U280(target.banks), Options{
-					EnableCartesian: cart,
-					Allocator:       alloc,
+				t.Run(fmt.Sprintf("%s/cartesian=%v/%v", target.spec.Name, cart, alloc), func(t *testing.T) {
+					res, err := Plan(target.spec, U280(target.banks), Options{
+						EnableCartesian: cart,
+						Allocator:       alloc,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkPlanInvariants(t, res)
 				})
-				if err != nil {
-					t.Fatalf("%s cart=%v alloc=%v: %v", target.spec.Name, cart, alloc, err)
-				}
-				checkPlanInvariants(t, res)
 			}
 		}
 	}
@@ -82,11 +84,11 @@ func TestPlanInvariantsOnProductionModels(t *testing.T) {
 // Property: random small models always produce invariant-satisfying plans or
 // a clean error (never a corrupt plan).
 func TestPlanInvariantsProperty(t *testing.T) {
-	sys := memsim.System{Banks: []memsim.Bank{
-		{Kind: memsim.HBM, Capacity: 1 << 22, Timing: memsim.HBMTiming},
-		{Kind: memsim.HBM, Capacity: 1 << 22, Timing: memsim.HBMTiming},
-		{Kind: memsim.DDR, Capacity: 1 << 26, Timing: memsim.DDRTiming},
-		{Kind: memsim.OnChip, Capacity: 1 << 12, Timing: memsim.OnChipTiming},
+	sys := System{Banks: []Bank{
+		{Kind: HBM, Capacity: 1 << 22, Timing: HBMTiming},
+		{Kind: HBM, Capacity: 1 << 22, Timing: HBMTiming},
+		{Kind: DDR, Capacity: 1 << 26, Timing: DDRTiming},
+		{Kind: OnChip, Capacity: 1 << 12, Timing: OnChipTiming},
 	}}
 	prop := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))

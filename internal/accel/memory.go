@@ -1,6 +1,6 @@
-// Package memsim models the hybrid memory system of the paper's FPGA
-// platform (§3.2): 32 HBM pseudo-channels, 2 DDR4 channels and a set of
-// on-chip banks, each serving embedding-vector reads independently.
+// The hybrid memory system of the paper's FPGA platform (§3.2): 32 HBM
+// pseudo-channels, 2 DDR4 channels and a set of on-chip banks, each serving
+// embedding-vector reads independently.
 //
 // Timing model. One off-chip access costs
 //
@@ -13,12 +13,10 @@
 // (§3.3's workload-balance argument). The constants are calibrated against
 // the ten measured cells of Table 5 (see DESIGN.md); on-chip banks skip the
 // row/pipe cost and run at roughly one third of the DRAM latency (§3.2.2).
-package memsim
 
-import (
-	"fmt"
-	"math"
-)
+package accel
+
+import "fmt"
 
 // Kind enumerates memory resource classes.
 type Kind int
@@ -113,16 +111,6 @@ func U280(onChipBanks int) System {
 	return System{Banks: banks}
 }
 
-// CPUServer returns the baseline's memory system: an 8-channel DDR server
-// (§5.1). Useful for modelling the CPU side with the same machinery.
-func CPUServer() System {
-	banks := make([]Bank, 8)
-	for i := range banks {
-		banks[i] = Bank{Kind: DDR, Capacity: DDRChannelBytes, Timing: DDRTiming}
-	}
-	return System{Banks: banks}
-}
-
 // OffChipBanks returns the indices of the system's DRAM (HBM+DDR) banks.
 func (s System) OffChipBanks() []int {
 	var out []int
@@ -192,20 +180,20 @@ type Report struct {
 // errors: the placement algorithm must never overcommit a bank.
 func (s System) Evaluate(loads []BankLoad) (Report, error) {
 	if len(loads) != len(s.Banks) {
-		return Report{}, fmt.Errorf("memsim: %d loads for %d banks", len(loads), len(s.Banks))
+		return Report{}, fmt.Errorf("accel: %d loads for %d banks", len(loads), len(s.Banks))
 	}
 	r := Report{PerBankNS: make([]float64, len(loads)), Bottleneck: -1}
 	for i, load := range loads {
 		bank := s.Banks[i]
 		if load.Bytes > bank.Capacity {
-			return Report{}, fmt.Errorf("memsim: bank %d (%v) holds %d bytes, capacity %d",
+			return Report{}, fmt.Errorf("accel: bank %d (%v) holds %d bytes, capacity %d",
 				i, bank.Kind, load.Bytes, bank.Capacity)
 		}
 		var busy float64
 		rounds := 0
 		for _, a := range load.Accesses {
 			if a.Count < 0 || a.Bytes < 0 {
-				return Report{}, fmt.Errorf("memsim: bank %d has negative access spec %+v", i, a)
+				return Report{}, fmt.Errorf("accel: bank %d has negative access spec %+v", i, a)
 			}
 			busy += float64(a.Count) * bank.Timing.AccessNS(a.Bytes)
 			rounds += a.Count
@@ -225,48 +213,9 @@ func (s System) Evaluate(loads []BankLoad) (Report, error) {
 	return r, nil
 }
 
-// StreamStats describes a simulated stream of inferences through the memory
-// system: the lookup stage's initiation interval and makespan.
-type StreamStats struct {
-	// IntervalNS is the steady-state per-item initiation interval: the
-	// slowest bank's busy time per item.
-	IntervalNS float64
-	// MakespanNS is the total time to serve `items` inferences.
-	MakespanNS float64
-}
-
-// SimulateStream models `items` back-to-back inferences. Banks process their
-// per-item accesses serially and independently; the lookup unit can only
-// retire an item once every bank has served it, so the steady-state interval
-// is the maximum per-bank busy time and the makespan is latency of the first
-// item plus (items-1) intervals.
-func (s System) SimulateStream(loads []BankLoad, items int) (StreamStats, error) {
-	if items <= 0 {
-		return StreamStats{}, fmt.Errorf("memsim: items %d", items)
-	}
-	rep, err := s.Evaluate(loads)
-	if err != nil {
-		return StreamStats{}, err
-	}
-	return StreamStats{
-		IntervalNS: rep.LatencyNS,
-		MakespanNS: rep.LatencyNS * float64(items),
-	}, nil
-}
-
 // RoundsLatencyNS is a convenience for the common uniform case: `rounds`
 // serialised accesses of `bytes` each on a bank of the given timing — the
 // quantity behind Table 5 ("one/two rounds of HBM lookup").
 func RoundsLatencyNS(t Timing, rounds, bytes int) float64 {
 	return float64(rounds) * t.AccessNS(bytes)
-}
-
-// ApproxEqual reports whether two latencies agree within relative tolerance,
-// a helper for calibration tests.
-func ApproxEqual(a, b, relTol float64) bool {
-	if a == b {
-		return true
-	}
-	den := math.Max(math.Abs(a), math.Abs(b))
-	return math.Abs(a-b)/den <= relTol
 }

@@ -1,6 +1,7 @@
-package memsim
+package accel
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -46,7 +47,7 @@ func TestHBMTimingMatchesTable5(t *testing.T) {
 	}
 	for _, c := range cases {
 		got := RoundsLatencyNS(HBMTiming, c.rounds, c.dim*4)
-		if !ApproxEqual(got, c.wantNS, 0.06) {
+		if !approxEqual(got, c.wantNS, 0.06) {
 			t.Errorf("%s: modeled %.1f ns, paper %.1f ns (>6%% off)", c.name, got, c.wantNS)
 		}
 	}
@@ -83,18 +84,6 @@ func TestU280Shape(t *testing.T) {
 	}
 	if hbmBytes != 8<<30 {
 		t.Errorf("total HBM = %d, want 8 GB", hbmBytes)
-	}
-}
-
-func TestCPUServerShape(t *testing.T) {
-	s := CPUServer()
-	if len(s.Banks) != 8 {
-		t.Errorf("CPU server channels = %d, want 8 (§5.1)", len(s.Banks))
-	}
-	for _, b := range s.Banks {
-		if b.Kind != DDR {
-			t.Errorf("CPU server bank kind = %v, want DDR", b.Kind)
-		}
 	}
 }
 
@@ -159,21 +148,6 @@ func TestOnChipExcludedFromOffChipRounds(t *testing.T) {
 	}
 	if rep.MaxOffChipRounds != 1 {
 		t.Errorf("MaxOffChipRounds = %d, want 1", rep.MaxOffChipRounds)
-	}
-}
-
-func TestSimulateStream(t *testing.T) {
-	s := System{Banks: []Bank{{Kind: HBM, Capacity: 1 << 20, Timing: Timing{PipeNS: 0, RowNS: 100, PerByteNS: 0}}}}
-	loads := []BankLoad{{Accesses: []Access{{Bytes: 4, Count: 1}}}}
-	st, err := s.SimulateStream(loads, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.IntervalNS != 100 || st.MakespanNS != 1000 {
-		t.Errorf("stream = %+v, want interval 100, makespan 1000", st)
-	}
-	if _, err := s.SimulateStream(loads, 0); err == nil {
-		t.Error("items=0: want error")
 	}
 }
 
@@ -245,5 +219,32 @@ func BenchmarkEvaluateU280(b *testing.B) {
 		if _, err := s.Evaluate(loads); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestMergedAccessBeatsTwoAccesses pins §3.3's argument on the calibrated HBM
+// timing: embedding vectors are so short that row activation dominates an
+// access, so one access to a Cartesian product's concatenated row costs
+// little more than one to either source, and nearly half of two separate
+// accesses. The saving shrinks as vectors grow long enough to amortise the
+// activation.
+func TestMergedAccessBeatsTwoAccesses(t *testing.T) {
+	prevGain := 2.0
+	for _, bytes := range []int{16, 32, 64, 128, 256} {
+		t.Run(fmt.Sprintf("%dB", bytes), func(t *testing.T) {
+			separate := 2 * HBMTiming.AccessNS(bytes)
+			merged := HBMTiming.AccessNS(2 * bytes)
+			gain := separate / merged
+			if gain <= 1 || gain >= 2 {
+				t.Fatalf("merging two %d-byte vectors gains %.3fx, want in (1, 2)", bytes, gain)
+			}
+			if bytes <= 32 && gain < 1.75 {
+				t.Errorf("short %d-byte vectors gain only %.3fx, want almost 2x", bytes, gain)
+			}
+			if gain >= prevGain {
+				t.Errorf("gain %.3fx at %d bytes does not fall below %.3fx at the shorter length", gain, bytes, prevGain)
+			}
+			prevGain = gain
+		})
 	}
 }

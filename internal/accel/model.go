@@ -3,10 +3,7 @@ package accel
 import (
 	"io"
 
-	"microrec/internal/memsim"
 	"microrec/internal/model"
-	"microrec/internal/pipesim"
-	"microrec/internal/placement"
 )
 
 // Model is one modelled accelerator: a model, its placement plan on the
@@ -14,17 +11,17 @@ import (
 // lookup latency is the lookup stage of the timing model.
 type Model struct {
 	Spec   *model.Spec
-	Plan   *placement.Result
+	Plan   *Result
 	Config Config
 }
 
 // New runs the placement search for spec on a U280 with cfg's on-chip banks
 // and returns the modelled build.
-func New(spec *model.Spec, cfg Config, opts placement.Options) (*Model, error) {
+func New(spec *model.Spec, cfg Config, opts Options) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	plan, err := placement.Plan(spec, memsim.U280(cfg.OnChipBanks), opts)
+	plan, err := Plan(spec, U280(cfg.OnChipBanks), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +51,7 @@ func (m *Model) TracePipeline(items int, w io.Writer) (TimingReport, error) {
 	if err != nil {
 		return TimingReport{}, err
 	}
-	if err := pipesim.ChromeTrace(w, events); err != nil {
+	if err := ChromeTrace(w, events); err != nil {
 		return TimingReport{}, err
 	}
 	return report(p, res, m.Spec, m.LookupNS(), items), nil

@@ -1,7 +1,7 @@
-// Package pipesim simulates the deeply pipelined dataflow architecture of
-// §4.1: a linear chain of stages (embedding lookup, per-layer broadcast /
-// GEMM / gather) connected by bounded FIFOs, processing items one by one
-// rather than batch by batch.
+// The deeply pipelined dataflow architecture of §4.1, simulated: a linear
+// chain of stages (embedding lookup, per-layer broadcast / GEMM / gather)
+// connected by bounded FIFOs, processing items one by one rather than batch
+// by batch.
 //
 // Each stage s is characterised by a latency L_s (time one item spends in the
 // stage) and an initiation interval II_s (minimum gap between consecutive
@@ -15,10 +15,14 @@
 // yielding per-item latency, steady-state interval, and batch makespan — the
 // quantities behind the paper's "throughput is not the reciprocal of latency"
 // observation (§5.3).
-package pipesim
+
+package accel
 
 import (
 	"fmt"
+	"io"
+
+	"microrec/internal/obs"
 )
 
 // Stage describes one pipeline stage.
@@ -44,13 +48,13 @@ const DefaultFIFODepth = 4
 // Validate checks the stage parameters.
 func (s Stage) Validate() error {
 	if s.LatencyNS < 0 || s.IntervalNS < 0 {
-		return fmt.Errorf("pipesim: stage %q has negative timing", s.Name)
+		return fmt.Errorf("accel: stage %q has negative timing", s.Name)
 	}
 	if s.IntervalNS > s.LatencyNS && s.LatencyNS > 0 {
-		return fmt.Errorf("pipesim: stage %q interval %.1f exceeds latency %.1f", s.Name, s.IntervalNS, s.LatencyNS)
+		return fmt.Errorf("accel: stage %q interval %.1f exceeds latency %.1f", s.Name, s.IntervalNS, s.LatencyNS)
 	}
 	if s.FIFODepth < 0 {
-		return fmt.Errorf("pipesim: stage %q has negative FIFO depth", s.Name)
+		return fmt.Errorf("accel: stage %q has negative FIFO depth", s.Name)
 	}
 	return nil
 }
@@ -60,10 +64,10 @@ type Pipeline struct {
 	stages []Stage
 }
 
-// New builds a pipeline, validating every stage.
-func New(stages ...Stage) (*Pipeline, error) {
+// NewPipeline builds a pipeline, validating every stage.
+func NewPipeline(stages ...Stage) (*Pipeline, error) {
 	if len(stages) == 0 {
-		return nil, fmt.Errorf("pipesim: empty pipeline")
+		return nil, fmt.Errorf("accel: empty pipeline")
 	}
 	for i := range stages {
 		if err := stages[i].Validate(); err != nil {
@@ -75,9 +79,6 @@ func New(stages ...Stage) (*Pipeline, error) {
 	}
 	return &Pipeline{stages: append([]Stage(nil), stages...)}, nil
 }
-
-// Stages returns a copy of the pipeline's stages.
-func (p *Pipeline) Stages() []Stage { return append([]Stage(nil), p.stages...) }
 
 // FillLatencyNS returns the single-item end-to-end latency: the sum of stage
 // latencies. This is the "16.3–31.0 microseconds" headline quantity of §5.3.
@@ -112,8 +113,8 @@ func (p *Pipeline) Bottleneck() (int, string) {
 	return idx, p.stages[idx].Name
 }
 
-// Result summarises a simulation run.
-type Result struct {
+// PipelineResult summarises a simulation run.
+type PipelineResult struct {
 	// Items processed.
 	Items int
 	// MakespanNS is the completion time of the last item.
@@ -133,15 +134,15 @@ type Result struct {
 // Simulate runs `items` items through the pipeline, injected back-to-back
 // (the host streams features continuously, §3.1). It evaluates the start-time
 // recurrence exactly.
-func (p *Pipeline) Simulate(items int) (Result, error) {
+func (p *Pipeline) Simulate(items int) (PipelineResult, error) {
 	return p.run(items, nil)
 }
 
 // run evaluates the start-time recurrence, optionally reporting every stage
 // occupancy to record (used by Trace).
-func (p *Pipeline) run(items int, record func(StageEvent)) (Result, error) {
+func (p *Pipeline) run(items int, record func(StageEvent)) (PipelineResult, error) {
 	if items <= 0 {
-		return Result{}, fmt.Errorf("pipesim: items %d", items)
+		return PipelineResult{}, fmt.Errorf("accel: items %d", items)
 	}
 	ns := len(p.stages)
 	// start[i][s]: ring buffer over items — we need up to maxDepth history.
@@ -226,7 +227,7 @@ func (p *Pipeline) run(items int, record func(StageEvent)) (Result, error) {
 		hist[0] = last
 		copy(hist[0], cur)
 	}
-	res := Result{
+	res := PipelineResult{
 		Items:            items,
 		MakespanNS:       makespan,
 		FirstItemNS:      firstDone,
@@ -236,4 +237,47 @@ func (p *Pipeline) run(items int, record func(StageEvent)) (Result, error) {
 		ThroughputPerSec: float64(items) / (makespan * 1e-9),
 	}
 	return res, nil
+}
+
+// StageEvent records one item's occupancy of one stage during a simulation.
+type StageEvent struct {
+	Item    int
+	Stage   int
+	Name    string
+	StartNS float64
+	EndNS   float64
+}
+
+// Trace simulates `items` items and records every stage occupancy, for
+// debugging pipeline balance and for visual inspection via ChromeTrace.
+// The timing semantics are identical to Simulate (both evaluate the same
+// recurrence).
+func (p *Pipeline) Trace(items int) ([]StageEvent, PipelineResult, error) {
+	events := make([]StageEvent, 0, items*len(p.stages))
+	res, err := p.run(items, func(e StageEvent) { events = append(events, e) })
+	if err != nil {
+		return nil, PipelineResult{}, err
+	}
+	return events, res, nil
+}
+
+// ChromeTrace writes the events as a chrome://tracing / Perfetto-compatible
+// JSON array. Each stage becomes a track (tid) and each item an event on it.
+// Serialization goes through obs.TraceEvent — the same writer the live tracer
+// (GET /trace) uses — so simulated and live traces share one wire format.
+func ChromeTrace(w io.Writer, events []StageEvent) error {
+	out := make([]obs.TraceEvent, len(events))
+	for i, e := range events {
+		out[i] = obs.TraceEvent{
+			Name: fmt.Sprintf("item %d", e.Item),
+			Cat:  e.Name,
+			Ph:   "X",
+			TS:   e.StartNS / 1e3,
+			Dur:  (e.EndNS - e.StartNS) / 1e3,
+			PID:  0,
+			TID:  e.Stage,
+			Args: map[string]any{"stage": e.Name},
+		}
+	}
+	return obs.WriteTraceEvents(w, out)
 }

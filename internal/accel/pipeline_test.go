@@ -1,4 +1,4 @@
-package pipesim
+package accel
 
 import (
 	"math"
@@ -8,7 +8,7 @@ import (
 
 func mustPipeline(t *testing.T, stages ...Stage) *Pipeline {
 	t.Helper()
-	p, err := New(stages...)
+	p, err := NewPipeline(stages...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,23 +16,23 @@ func mustPipeline(t *testing.T, stages ...Stage) *Pipeline {
 }
 
 func TestNewValidates(t *testing.T) {
-	if _, err := New(); err == nil {
+	if _, err := NewPipeline(); err == nil {
 		t.Error("empty pipeline: want error")
 	}
-	if _, err := New(Stage{Name: "bad", LatencyNS: -1}); err == nil {
+	if _, err := NewPipeline(Stage{Name: "bad", LatencyNS: -1}); err == nil {
 		t.Error("negative latency: want error")
 	}
-	if _, err := New(Stage{Name: "bad", LatencyNS: 5, IntervalNS: 10}); err == nil {
+	if _, err := NewPipeline(Stage{Name: "bad", LatencyNS: 5, IntervalNS: 10}); err == nil {
 		t.Error("interval > latency: want error")
 	}
-	if _, err := New(Stage{Name: "bad", LatencyNS: 5, IntervalNS: 5, FIFODepth: -2}); err == nil {
+	if _, err := NewPipeline(Stage{Name: "bad", LatencyNS: 5, IntervalNS: 5, FIFODepth: -2}); err == nil {
 		t.Error("negative FIFO: want error")
 	}
 }
 
 func TestDefaultFIFOApplied(t *testing.T) {
 	p := mustPipeline(t, Stage{Name: "a", LatencyNS: 1, IntervalNS: 1})
-	if got := p.Stages()[0].FIFODepth; got != DefaultFIFODepth {
+	if got := p.stages[0].FIFODepth; got != DefaultFIFODepth {
 		t.Errorf("FIFODepth = %d, want default %d", got, DefaultFIFODepth)
 	}
 }
@@ -231,7 +231,7 @@ func TestMakespanBoundsProperty(t *testing.T) {
 // Property: per-item latency is always at least the fill latency.
 func TestLatencyFloorProperty(t *testing.T) {
 	prop := func(l1, l2 uint8, n uint8) bool {
-		p, err := New(
+		p, err := NewPipeline(
 			Stage{Name: "a", LatencyNS: float64(l1%40) + 1, IntervalNS: 1},
 			Stage{Name: "b", LatencyNS: float64(l2%40) + 1, IntervalNS: 1},
 		)
@@ -255,7 +255,7 @@ func BenchmarkSimulate11Stage(b *testing.B) {
 	for i := range stages {
 		stages[i] = Stage{Name: "s", LatencyNS: float64(100 + i*10), IntervalNS: float64(50 + i*5), FIFODepth: 4}
 	}
-	p, err := New(stages...)
+	p, err := NewPipeline(stages...)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package pipesim
+package accel
 
 import (
 	"bytes"

@@ -1,20 +1,20 @@
-// Package placement implements the paper's table-combination and
-// memory-allocation search (§3.4): given a model's embedding tables and the
-// FPGA's hybrid memory system, decide which tables to merge via Cartesian
-// products and which bank each resulting physical table lives on, minimising
-// embedding-lookup latency with storage as the tie-breaker.
+// The table-combination and memory-allocation search (§3.4): given a
+// model's embedding tables and the FPGA's hybrid memory system, decide which
+// tables to merge via Cartesian products and which bank each resulting
+// physical table lives on, minimising embedding-lookup latency with storage
+// as the tie-breaker.
 //
 // Two searchers are provided: the O(N²) heuristic of Algorithm 1 (the four
-// rules of §3.4.2) and an exponential brute force (§3.4.1) practical only for
-// small instances, used to validate the heuristic's near-optimality.
-package placement
+// rules of §3.4.2) in Plan, and an exponential brute force (§3.4.1) practical
+// only for small instances, used to validate the heuristic's near-optimality
+// (BruteForce).
+
+package accel
 
 import (
 	"fmt"
 	"sort"
 
-	"microrec/internal/cartesian"
-	"microrec/internal/memsim"
 	"microrec/internal/model"
 )
 
@@ -83,13 +83,13 @@ func (o Options) withDefaults() Options {
 // the evaluated memory behaviour.
 type Result struct {
 	// Layout holds the physical tables after Cartesian merging.
-	Layout *cartesian.Layout
+	Layout *Layout
 	// BankOf maps each physical table index to a bank index in System.
 	BankOf []int
 	// System is the memory system the plan targets.
-	System memsim.System
+	System System
 	// Report is the evaluated per-inference lookup behaviour.
-	Report memsim.Report
+	Report Report
 	// CandidateCount is the number of tables that were Cartesian
 	// candidates (the chosen n).
 	CandidateCount int
@@ -99,7 +99,7 @@ type Result struct {
 func (r *Result) OnChipTables() int {
 	n := 0
 	for _, b := range r.BankOf {
-		if r.System.Banks[b].Kind == memsim.OnChip {
+		if r.System.Banks[b].Kind == OnChip {
 			n++
 		}
 	}
@@ -109,12 +109,12 @@ func (r *Result) OnChipTables() int {
 // DRAMTables counts physical tables placed on HBM or DDR banks.
 func (r *Result) DRAMTables() int { return len(r.BankOf) - r.OnChipTables() }
 
-// Loads converts the assignment into per-bank loads for memsim.
-func (r *Result) Loads() []memsim.BankLoad {
-	loads := make([]memsim.BankLoad, len(r.System.Banks))
+// Loads converts the assignment into per-bank loads for Evaluate.
+func (r *Result) Loads() []BankLoad {
+	loads := make([]BankLoad, len(r.System.Banks))
 	for ti, bi := range r.BankOf {
 		t := r.Layout.Tables[ti]
-		loads[bi].Accesses = append(loads[bi].Accesses, memsim.Access{
+		loads[bi].Accesses = append(loads[bi].Accesses, Access{
 			Bytes: t.VectorBytes(),
 			Count: t.Lookups(),
 		})
@@ -133,22 +133,22 @@ func (r *Result) StorageBytes() int64 { return r.Layout.TotalBytes() }
 // plan (e.g. one deserialized or hand-edited).
 func (r *Result) Validate() error {
 	if r.Layout == nil {
-		return fmt.Errorf("placement: plan has no layout")
+		return fmt.Errorf("accel: plan has no layout")
 	}
 	if len(r.BankOf) != len(r.Layout.Tables) {
-		return fmt.Errorf("placement: assignment covers %d of %d physical tables",
+		return fmt.Errorf("accel: assignment covers %d of %d physical tables",
 			len(r.BankOf), len(r.Layout.Tables))
 	}
 	perBank := make([]int64, len(r.System.Banks))
 	for ti, bi := range r.BankOf {
 		if bi < 0 || bi >= len(r.System.Banks) {
-			return fmt.Errorf("placement: physical table %d assigned to invalid bank %d", ti, bi)
+			return fmt.Errorf("accel: physical table %d assigned to invalid bank %d", ti, bi)
 		}
 		perBank[bi] += r.Layout.Tables[ti].Bytes()
 	}
 	for bi, bytes := range perBank {
 		if bytes > r.System.Banks[bi].Capacity {
-			return fmt.Errorf("placement: bank %d holds %d bytes, capacity %d",
+			return fmt.Errorf("accel: bank %d holds %d bytes, capacity %d",
 				bi, bytes, r.System.Banks[bi].Capacity)
 		}
 	}
@@ -156,25 +156,25 @@ func (r *Result) Validate() error {
 	for _, pt := range r.Layout.Tables {
 		for _, src := range pt.Sources {
 			if seen[src.ID] {
-				return fmt.Errorf("placement: source table %d appears in multiple physical tables", src.ID)
+				return fmt.Errorf("accel: source table %d appears in multiple physical tables", src.ID)
 			}
 			seen[src.ID] = true
 		}
 	}
 	if len(seen) != len(r.Layout.Spec.Tables) {
-		return fmt.Errorf("placement: layout covers %d of %d source tables",
+		return fmt.Errorf("accel: layout covers %d of %d source tables",
 			len(seen), len(r.Layout.Spec.Tables))
 	}
 	return nil
 }
 
 // Plan runs the heuristic search of Algorithm 1.
-func Plan(spec *model.Spec, sys memsim.System, opts Options) (*Result, error) {
+func Plan(spec *model.Spec, sys System, opts Options) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	if len(sys.OffChipBanks()) == 0 {
-		return nil, fmt.Errorf("placement: system has no off-chip banks")
+		return nil, fmt.Errorf("accel: system has no off-chip banks")
 	}
 	opts = opts.withDefaults()
 
@@ -186,7 +186,7 @@ func Plan(spec *model.Spec, sys memsim.System, opts Options) (*Result, error) {
 	}
 
 	if opts.ProductArity < 2 || opts.ProductArity > 4 {
-		return nil, fmt.Errorf("placement: product arity %d (want 2-4)", opts.ProductArity)
+		return nil, fmt.Errorf("accel: product arity %d (want 2-4)", opts.ProductArity)
 	}
 	var best *Result
 	for n := 0; n <= maxN; n++ {
@@ -194,7 +194,7 @@ func Plan(spec *model.Spec, sys memsim.System, opts Options) (*Result, error) {
 		if !ok {
 			continue
 		}
-		layout, err := cartesian.Apply(spec, groups)
+		layout, err := Apply(spec, groups)
 		if err != nil {
 			return nil, err
 		}
@@ -209,7 +209,7 @@ func Plan(spec *model.Spec, sys memsim.System, opts Options) (*Result, error) {
 		}
 	}
 	if best == nil {
-		return nil, fmt.Errorf("placement: no feasible plan for model %q", spec.Name)
+		return nil, fmt.Errorf("accel: no feasible plan for model %q", spec.Name)
 	}
 	return best, nil
 }
@@ -236,7 +236,7 @@ func better(a, b *Result) bool {
 // arities exist for the rule-2 ablation), combining the smallest candidates
 // with the largest (rule 3). Returns false if any product would not fit the
 // largest off-chip bank, making the configuration infeasible.
-func candidateGroups(spec *model.Spec, n int, sys memsim.System, arity int) ([][]int, bool) {
+func candidateGroups(spec *model.Spec, n int, sys System, arity int) ([][]int, bool) {
 	if n < arity {
 		return nil, true // no merging
 	}
@@ -282,7 +282,7 @@ func candidateGroups(spec *model.Spec, n int, sys memsim.System, arity int) ([][
 				return nil, false
 			}
 		}
-		pt, err := cartesian.Merge(members...)
+		pt, err := Merge(members...)
 		if err != nil || pt.Bytes() > maxBank {
 			return nil, false
 		}
@@ -295,7 +295,7 @@ func candidateGroups(spec *model.Spec, n int, sys memsim.System, arity int) ([][
 // the smallest physical tables on chip (capacity- and latency-constrained),
 // then spread the rest over HBM/DDR banks minimising the slowest bank
 // (longest-processing-time greedy).
-func allocate(layout *cartesian.Layout, sys memsim.System, opts Options) (*Result, error) {
+func allocate(layout *Layout, sys System, opts Options) (*Result, error) {
 	nt := len(layout.Tables)
 	bankOf := make([]int, nt)
 	for i := range bankOf {
@@ -327,11 +327,11 @@ func allocate(layout *cartesian.Layout, sys memsim.System, opts Options) (*Resul
 	}
 	var remainingNS float64 // off-chip cost of tables not yet cached
 	for _, t := range layout.Tables {
-		remainingNS += tableCostNS(t, memsim.HBMTiming)
+		remainingNS += tableCostNS(t, HBMTiming)
 	}
 	for _, ti := range order {
 		t := layout.Tables[ti]
-		offCost := tableCostNS(t, memsim.HBMTiming)
+		offCost := tableCostNS(t, HBMTiming)
 		placed := false
 		for i := range onBanks {
 			ob := &onBanks[i]
@@ -384,7 +384,7 @@ func allocate(layout *cartesian.Layout, sys memsim.System, opts Options) (*Resul
 	sort.SliceStable(rest, func(a, b int) bool {
 		ta, tb := layout.Tables[rest[a]], layout.Tables[rest[b]]
 		if opts.Allocator == LPT {
-			return tableCostNS(ta, memsim.HBMTiming) > tableCostNS(tb, memsim.HBMTiming)
+			return tableCostNS(ta, HBMTiming) > tableCostNS(tb, HBMTiming)
 		}
 		return ta.Bytes() > tb.Bytes()
 	})
@@ -415,7 +415,7 @@ func allocate(layout *cartesian.Layout, sys memsim.System, opts Options) (*Resul
 			}
 		}
 		if bestBank < 0 {
-			return nil, fmt.Errorf("placement: table %q (%d bytes) fits no off-chip bank", t.Name(), t.Bytes())
+			return nil, fmt.Errorf("accel: table %q (%d bytes) fits no off-chip bank", t.Name(), t.Bytes())
 		}
 		cost := float64(t.Lookups()) * sys.Banks[offIdx[bestBank]].Timing.AccessNS(t.VectorBytes())
 		offBanks[bestBank].busyNS += cost
@@ -442,6 +442,147 @@ func less2(busyA float64, freeA int64, busyB float64, freeB int64) bool {
 	return freeA > freeB
 }
 
-func tableCostNS(t cartesian.PhysicalTable, tm memsim.Timing) float64 {
+func tableCostNS(t PhysicalTable, tm Timing) float64 {
 	return float64(t.Lookups()) * tm.AccessNS(t.VectorBytes())
+}
+
+// BruteForceLimits bounds the exponential search of §3.4.1 so it stays
+// tractable; beyond them BruteForce refuses to run.
+type BruteForceLimits struct {
+	// MaxTables bounds the model size (pairings grow super-exponentially).
+	MaxTables int
+	// MaxExhaustiveTables bounds exhaustive bank assignment; larger
+	// instances fall back to the greedy allocator for the allocation step
+	// while still enumerating all pairings.
+	MaxExhaustiveTables int
+}
+
+// DefaultBruteForceLimits keeps the search under a second on small instances.
+var DefaultBruteForceLimits = BruteForceLimits{MaxTables: 10, MaxExhaustiveTables: 6}
+
+// BruteForce exhaustively searches all pairings of tables into Cartesian
+// products (including "no product") and, for small instances, all bank
+// assignments, returning the optimal plan under the latency-then-storage
+// objective. It exists to validate the heuristic (§3.4.1 explains why it is
+// infeasible at production scale).
+func BruteForce(spec *model.Spec, sys System, opts Options, limits BruteForceLimits) (*Result, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	if limits.MaxTables == 0 {
+		limits = DefaultBruteForceLimits
+	}
+	if len(spec.Tables) > limits.MaxTables {
+		return nil, fmt.Errorf("accel: brute force limited to %d tables, model has %d",
+			limits.MaxTables, len(spec.Tables))
+	}
+	opts = opts.withDefaults()
+
+	var best *Result
+	consider := func(groups [][]int) error {
+		layout, err := Apply(spec, groups)
+		if err != nil {
+			return err
+		}
+		var res *Result
+		if len(layout.Tables) <= limits.MaxExhaustiveTables {
+			res = exhaustiveAllocate(layout, sys)
+		}
+		if res == nil {
+			r, err := allocate(layout, sys, opts)
+			if err != nil {
+				return nil // infeasible under greedy; skip
+			}
+			res = r
+		}
+		merged := 0
+		for _, g := range groups {
+			merged += len(g)
+		}
+		res.CandidateCount = merged
+		if better(res, best) {
+			best = res
+		}
+		return nil
+	}
+
+	ids := make([]int, len(spec.Tables))
+	for i, t := range spec.Tables {
+		ids[i] = t.ID
+	}
+	if !opts.EnableCartesian {
+		if err := consider(nil); err != nil {
+			return nil, err
+		}
+	} else if err := forEachPairing(ids, nil, consider); err != nil {
+		return nil, err
+	}
+	if best == nil {
+		return nil, fmt.Errorf("accel: brute force found no feasible plan for %q", spec.Name)
+	}
+	return best, nil
+}
+
+// forEachPairing enumerates all partitions of ids into singletons and pairs
+// (involutions), invoking fn with the pair groups of each.
+func forEachPairing(ids []int, groups [][]int, fn func([][]int) error) error {
+	if len(ids) == 0 {
+		return fn(groups)
+	}
+	first, rest := ids[0], ids[1:]
+	// first stays single.
+	if err := forEachPairing(rest, groups, fn); err != nil {
+		return err
+	}
+	// first pairs with each remaining id.
+	for i := range rest {
+		next := make([]int, 0, len(rest)-1)
+		next = append(next, rest[:i]...)
+		next = append(next, rest[i+1:]...)
+		if err := forEachPairing(next, append(groups, []int{first, rest[i]}), fn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// exhaustiveAllocate tries every bank assignment and returns the best
+// feasible one, or nil if none exists (or the instance is too large).
+func exhaustiveAllocate(layout *Layout, sys System) *Result {
+	nt := len(layout.Tables)
+	nb := len(sys.Banks)
+	if nb == 0 || nt == 0 {
+		return nil
+	}
+	// nb^nt assignments; callers bound nt.
+	total := 1
+	for i := 0; i < nt; i++ {
+		total *= nb
+		if total > 1<<20 {
+			return nil
+		}
+	}
+	var best *Result
+	assign := make([]int, nt)
+	for code := 0; code < total; code++ {
+		c := code
+		for i := 0; i < nt; i++ {
+			assign[i] = c % nb
+			c /= nb
+		}
+		res := &Result{
+			Layout: layout,
+			BankOf: append([]int(nil), assign...),
+			System: sys,
+		}
+		rep, err := sys.Evaluate(res.Loads())
+		if err != nil {
+			continue // capacity violation
+		}
+		res.Report = rep
+		if better(res, best) {
+			best = res
+		}
+	}
+	return best
 }

@@ -1,23 +1,23 @@
-package placement
+package accel
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
-	"microrec/internal/memsim"
 	"microrec/internal/model"
 )
 
 // smallSystem is a 4-DRAM-bank, 1-on-chip-bank system for unit tests.
-func smallSystem() memsim.System {
-	banks := []memsim.Bank{
-		{Kind: memsim.HBM, Capacity: 1 << 20, Timing: memsim.HBMTiming},
-		{Kind: memsim.HBM, Capacity: 1 << 20, Timing: memsim.HBMTiming},
-		{Kind: memsim.HBM, Capacity: 1 << 20, Timing: memsim.HBMTiming},
-		{Kind: memsim.DDR, Capacity: 8 << 20, Timing: memsim.DDRTiming},
-		{Kind: memsim.OnChip, Capacity: 4 << 10, Timing: memsim.OnChipTiming},
+func smallSystem() System {
+	banks := []Bank{
+		{Kind: HBM, Capacity: 1 << 20, Timing: HBMTiming},
+		{Kind: HBM, Capacity: 1 << 20, Timing: HBMTiming},
+		{Kind: HBM, Capacity: 1 << 20, Timing: HBMTiming},
+		{Kind: DDR, Capacity: 8 << 20, Timing: DDRTiming},
+		{Kind: OnChip, Capacity: 4 << 10, Timing: OnChipTiming},
 	}
-	return memsim.System{Banks: banks}
+	return System{Banks: banks}
 }
 
 func tinySpec(rows ...int64) *model.Spec {
@@ -69,11 +69,11 @@ func TestPlanCartesianReducesLatencyWhenChannelsAreScarce(t *testing.T) {
 	// Five DRAM tables, three DRAM banks, no on-chip: without merging some
 	// bank serves two tables (two rounds); merging two tiny tables gets
 	// back to one round.
-	sys := memsim.System{Banks: []memsim.Bank{
-		{Kind: memsim.HBM, Capacity: 1 << 26, Timing: memsim.HBMTiming},
-		{Kind: memsim.HBM, Capacity: 1 << 26, Timing: memsim.HBMTiming},
-		{Kind: memsim.HBM, Capacity: 1 << 26, Timing: memsim.HBMTiming},
-		{Kind: memsim.HBM, Capacity: 1 << 26, Timing: memsim.HBMTiming},
+	sys := System{Banks: []Bank{
+		{Kind: HBM, Capacity: 1 << 26, Timing: HBMTiming},
+		{Kind: HBM, Capacity: 1 << 26, Timing: HBMTiming},
+		{Kind: HBM, Capacity: 1 << 26, Timing: HBMTiming},
+		{Kind: HBM, Capacity: 1 << 26, Timing: HBMTiming},
 	}}
 	spec := tinySpec(10, 20, 40000, 50000, 60000)
 	plain, err := Plan(spec, sys, Options{EnableCartesian: false})
@@ -113,7 +113,7 @@ func TestPlanUsesOnChipForSmallestTables(t *testing.T) {
 	}
 	// The on-chip table must be the smallest.
 	for ti, b := range res.BankOf {
-		if res.System.Banks[b].Kind == memsim.OnChip {
+		if res.System.Banks[b].Kind == OnChip {
 			if res.Layout.Tables[ti].Rows() != 10 {
 				t.Errorf("on-chip table has %d rows, want the 10-row table", res.Layout.Tables[ti].Rows())
 			}
@@ -133,7 +133,7 @@ func TestPlanRespectsBankCapacity(t *testing.T) {
 		if tab.Bytes() > res.System.Banks[b].Capacity {
 			t.Errorf("table %q (%d B) overflows bank %d", tab.Name(), tab.Bytes(), b)
 		}
-		if tab.Rows() == 300_000 && res.System.Banks[b].Kind != memsim.DDR {
+		if tab.Rows() == 300_000 && res.System.Banks[b].Kind != DDR {
 			t.Errorf("big table placed on %v, want DDR", res.System.Banks[b].Kind)
 		}
 	}
@@ -147,7 +147,7 @@ func TestPlanErrorWhenNothingFits(t *testing.T) {
 }
 
 func TestPlanNoOffChip(t *testing.T) {
-	sys := memsim.System{Banks: []memsim.Bank{{Kind: memsim.OnChip, Capacity: 1 << 10, Timing: memsim.OnChipTiming}}}
+	sys := System{Banks: []Bank{{Kind: OnChip, Capacity: 1 << 10, Timing: OnChipTiming}}}
 	if _, err := Plan(tinySpec(10), sys, Options{}); err == nil {
 		t.Error("no off-chip banks: want error")
 	}
@@ -185,11 +185,11 @@ func TestHeuristicNearOptimalOnRandomInstances(t *testing.T) {
 	// Compare Algorithm 1 against the exhaustive search on random small
 	// instances; the heuristic must stay within 10% of optimal latency.
 	rng := rand.New(rand.NewSource(2024))
-	sys := memsim.System{Banks: []memsim.Bank{
-		{Kind: memsim.HBM, Capacity: 1 << 24, Timing: memsim.HBMTiming},
-		{Kind: memsim.HBM, Capacity: 1 << 24, Timing: memsim.HBMTiming},
-		{Kind: memsim.HBM, Capacity: 1 << 24, Timing: memsim.HBMTiming},
-		{Kind: memsim.OnChip, Capacity: 2 << 10, Timing: memsim.OnChipTiming},
+	sys := System{Banks: []Bank{
+		{Kind: HBM, Capacity: 1 << 24, Timing: HBMTiming},
+		{Kind: HBM, Capacity: 1 << 24, Timing: HBMTiming},
+		{Kind: HBM, Capacity: 1 << 24, Timing: HBMTiming},
+		{Kind: OnChip, Capacity: 2 << 10, Timing: OnChipTiming},
 	}}
 	for trial := 0; trial < 8; trial++ {
 		n := 4 + rng.Intn(2)
@@ -262,9 +262,9 @@ func TestForEachPairingCounts(t *testing.T) {
 func TestOnChipLatencyConstraint(t *testing.T) {
 	// With co-location allowed, rule 4 must stop stacking tables once the
 	// on-chip bank's serial latency would exceed the off-chip estimate.
-	sys := memsim.System{Banks: []memsim.Bank{
-		{Kind: memsim.HBM, Capacity: 1 << 26, Timing: memsim.HBMTiming},
-		{Kind: memsim.OnChip, Capacity: 1 << 26, Timing: memsim.OnChipTiming},
+	sys := System{Banks: []Bank{
+		{Kind: HBM, Capacity: 1 << 26, Timing: HBMTiming},
+		{Kind: OnChip, Capacity: 1 << 26, Timing: OnChipTiming},
 	}}
 	// Ten equal tiny tables: off-chip estimate is ~10 accesses / 1 bank.
 	rows := make([]int64, 10)
@@ -290,7 +290,7 @@ func TestOnChipLatencyConstraint(t *testing.T) {
 
 func BenchmarkPlanSmallProduction(b *testing.B) {
 	spec := model.SmallProduction()
-	sys := memsim.U280(8)
+	sys := U280(8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -307,6 +307,42 @@ func BenchmarkBruteForce6Tables(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := BruteForce(spec, sys, Options{EnableCartesian: true}, BruteForceLimits{MaxTables: 6, MaxExhaustiveTables: 6}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestPlanReportIsItsLoadsEvaluated checks, for every preset with and
+// without Cartesian products, that a plan's report is exactly the memory
+// system's evaluation of its own bank loads, and that allowing products
+// never yields a slower plan: the search with products enabled also tries
+// merging nothing.
+func TestPlanReportIsItsLoadsEvaluated(t *testing.T) {
+	for _, pr := range presets {
+		spec := pr.spec()
+		sys := U280(pr.cfg.OnChipBanks)
+		var latency [2]float64
+		for i, cart := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/cartesian=%v", pr.name, cart), func(t *testing.T) {
+				res, err := Plan(spec, sys, Options{EnableCartesian: cart})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := sys.Evaluate(res.Loads())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.LatencyNS != res.Report.LatencyNS || rep.MaxRounds != res.Report.MaxRounds ||
+					rep.Bottleneck != res.Report.Bottleneck {
+					t.Errorf("report %+v, evaluating the loads gives %+v", res.Report, rep)
+				}
+				if !cart && res.Layout.NumMerged() != 0 {
+					t.Errorf("%d products with Cartesian merging disabled", res.Layout.NumMerged())
+				}
+				latency[i] = res.Report.LatencyNS
+			})
+		}
+		if latency[1] > latency[0] {
+			t.Errorf("%s: products enabled give %.1f ns, disabled %.1f ns", pr.name, latency[1], latency[0])
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"microrec/internal/model"
-	"microrec/internal/pipesim"
 )
 
 // gemmCycles returns the initiation interval, in cycles, of one FC layer's
@@ -35,7 +34,7 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 // embedding-lookup latency delivered by the memory system (placement report);
 // it forms both the latency and the initiation interval of the lookup stage,
 // since a memory channel cannot overlap accesses of consecutive items.
-func (c Config) BuildPipeline(spec *model.Spec, lookupNS float64) (*pipesim.Pipeline, error) {
+func (c Config) BuildPipeline(spec *model.Spec, lookupNS float64) (*Pipeline, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -49,20 +48,20 @@ func (c Config) BuildPipeline(spec *model.Spec, lookupNS float64) (*pipesim.Pipe
 			len(c.PEsPerLayer), len(hidden))
 	}
 	cyc := c.CycleNS()
-	var stages []pipesim.Stage
+	var stages []Stage
 	if c.HostStreamGBps > 0 {
 		// Input features: one 8-byte (table, index) pair per lookup plus
 		// the dense features. GB/s equals bytes/ns.
 		bytes := float64(spec.NumLookups()*8 + spec.DenseDim*model.FloatBytes)
 		ns := bytes / c.HostStreamGBps
-		stages = append(stages, pipesim.Stage{
+		stages = append(stages, Stage{
 			Name:       "host-stream",
 			LatencyNS:  ns,
 			IntervalNS: ns,
 			FIFODepth:  c.FIFODepth,
 		})
 	}
-	stages = append(stages, pipesim.Stage{
+	stages = append(stages, Stage{
 		Name:       "lookup",
 		LatencyNS:  lookupNS,
 		IntervalNS: lookupNS,
@@ -72,21 +71,21 @@ func (c Config) BuildPipeline(spec *model.Spec, lookupNS float64) (*pipesim.Pipe
 	for l, d := range hidden {
 		in, out := d[0], d[1]
 		bcast := float64(ceilDiv(in, c.BroadcastWidth)+4) * cyc
-		stages = append(stages, pipesim.Stage{
+		stages = append(stages, Stage{
 			Name:       fmt.Sprintf("fc%d-broadcast", l+1),
 			LatencyNS:  bcast,
 			IntervalNS: bcast,
 			FIFODepth:  c.FIFODepth,
 		})
 		ii := float64(gemmCycles(in, out, c.PEsPerLayer[l], c.LanesPerPE, c.ChunkOverheadCycles)) * cyc
-		stages = append(stages, pipesim.Stage{
+		stages = append(stages, Stage{
 			Name:       fmt.Sprintf("fc%d-gemm", l+1),
 			LatencyNS:  ii + treeNS,
 			IntervalNS: ii,
 			FIFODepth:  c.FIFODepth,
 		})
 		gather := float64(ceilDiv(out, c.GatherWidth)+4) * cyc
-		stages = append(stages, pipesim.Stage{
+		stages = append(stages, Stage{
 			Name:       fmt.Sprintf("fc%d-gather", l+1),
 			LatencyNS:  gather,
 			IntervalNS: gather,
@@ -96,20 +95,20 @@ func (c Config) BuildPipeline(spec *model.Spec, lookupNS float64) (*pipesim.Pipe
 	// Output layer: a single dot product on one PE, then the sigmoid LUT.
 	outDim := dims[len(dims)-1]
 	outNS := float64(gemmCycles(outDim[0], outDim[1], 1, c.LanesPerPE, c.ChunkOverheadCycles))*cyc + treeNS
-	stages = append(stages, pipesim.Stage{
+	stages = append(stages, Stage{
 		Name:       "output",
 		LatencyNS:  outNS,
 		IntervalNS: outNS,
 		FIFODepth:  c.FIFODepth,
 	})
 	sigmoidNS := 8 * cyc
-	stages = append(stages, pipesim.Stage{
+	stages = append(stages, Stage{
 		Name:       "sigmoid",
 		LatencyNS:  sigmoidNS,
 		IntervalNS: sigmoidNS,
 		FIFODepth:  c.FIFODepth,
 	})
-	return pipesim.New(stages...)
+	return NewPipeline(stages...)
 }
 
 // TimingReport summarises the accelerator's modeled performance for a run.
@@ -149,7 +148,7 @@ func (c Config) Simulate(spec *model.Spec, lookupNS float64, items int) (TimingR
 	return report(p, res, spec, lookupNS, items), nil
 }
 
-func report(p *pipesim.Pipeline, res pipesim.Result, spec *model.Spec, lookupNS float64, items int) TimingReport {
+func report(p *Pipeline, res PipelineResult, spec *model.Spec, lookupNS float64, items int) TimingReport {
 	_, bottleneck := p.Bottleneck()
 	return TimingReport{
 		Items:                 items,

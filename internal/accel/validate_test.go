@@ -1,9 +1,8 @@
-package placement
+package accel
 
 import (
 	"testing"
 
-	"microrec/internal/memsim"
 	"microrec/internal/model"
 )
 
@@ -12,7 +11,7 @@ import (
 func TestValidateRejectsCorruptPlans(t *testing.T) {
 	spec := model.SmallProduction()
 	fresh := func() *Result {
-		plan, err := Plan(spec, memsim.U280(8), Options{EnableCartesian: true})
+		plan, err := Plan(spec, U280(8), Options{EnableCartesian: true})
 		if err != nil {
 			t.Fatal(err)
 		}

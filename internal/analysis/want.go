@@ -21,8 +21,9 @@ type TB interface {
 // comments in the fixture: every want must be matched by a diagnostic on its
 // line, and every diagnostic must match a want. This is the analysistest
 // contract, so fixtures carry both flagged variants (with wants) and
-// accepted variants (without) of each bug class.
-func RunWant(t TB, analyzers []*Analyzer, pkgdir string) {
+// accepted variants (without) of each bug class. Only the analyzers' tests
+// call it, from their own packages, so deadexport is allowed on it.
+func RunWant(t TB, analyzers []*Analyzer, pkgdir string) { //microrec:allow deadexport
 	t.Helper()
 	prog, err := Load(".", "./"+strings.TrimPrefix(pkgdir, "./"))
 	if err != nil {

@@ -11,7 +11,6 @@
 package cpu
 
 import (
-	"fmt"
 	"math"
 
 	"microrec/internal/model"
@@ -70,24 +69,6 @@ func PaperLarge() Model {
 	return Model{Spec: model.LargeProduction(), Embedding: paperLargeEmbedding, DNN: paperLargeDNN}
 }
 
-// Calibrated extrapolates the baseline model to an arbitrary spec by scaling
-// the small-production constants with the embedding-lookup count (embedding
-// phase) and FC operation count (DNN phase). It is approximate — use the
-// Paper* constructors for the production models.
-func Calibrated(spec *model.Spec) Model {
-	small := model.SmallProduction()
-	embScale := float64(spec.NumLookups()) / float64(small.NumLookups())
-	dnnScale := float64(spec.OpsPerItem()) / float64(small.OpsPerItem())
-	scale := func(p PhaseModel, s float64) PhaseModel {
-		return PhaseModel{BaseMS: p.BaseMS * s, PerItemMS: p.PerItemMS * s, LogMS: p.LogMS * s}
-	}
-	return Model{
-		Spec:      spec,
-		Embedding: scale(paperSmallEmbedding, embScale),
-		DNN:       scale(paperSmallDNN, dnnScale),
-	}
-}
-
 // EmbeddingMS returns the modelled embedding-layer latency for a batch
 // (Table 4's CPU rows).
 func (m Model) EmbeddingMS(batch int) float64 { return m.Embedding.LatencyMS(batch) }
@@ -134,11 +115,3 @@ const FacebookRMC2EmbeddingNSPerItem = 24_200.0
 
 // BatchSizes are the batch sizes the paper sweeps in Tables 2 and 4.
 var BatchSizes = []int{1, 64, 256, 512, 1024, 2048}
-
-// ValidateBatch rejects non-positive batch sizes with a uniform error.
-func ValidateBatch(batch int) error {
-	if batch < 1 {
-		return fmt.Errorf("cpu: batch size %d", batch)
-	}
-	return nil
-}

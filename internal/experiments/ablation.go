@@ -7,10 +7,8 @@ import (
 
 	"microrec/internal/accel"
 	"microrec/internal/core"
-	"microrec/internal/memsim"
 	"microrec/internal/metrics"
 	"microrec/internal/model"
-	"microrec/internal/placement"
 	"microrec/internal/workload"
 )
 
@@ -30,11 +28,11 @@ func RunAllocatorAblation(opts Options) ([]*metrics.Table, error) {
 		{model.LargeProduction(), accel.LargeFP16().OnChipBanks},
 	} {
 		for _, cart := range []bool{false, true} {
-			rr, err := planFor(target.spec, target.banks, cart, placement.RoundRobin)
+			rr, err := planFor(target.spec, target.banks, cart, accel.RoundRobin)
 			if err != nil {
 				return nil, err
 			}
-			lpt, err := planFor(target.spec, target.banks, cart, placement.LPT)
+			lpt, err := planFor(target.spec, target.banks, cart, accel.LPT)
 			if err != nil {
 				return nil, err
 			}
@@ -51,11 +49,11 @@ func RunAllocatorAblation(opts Options) ([]*metrics.Table, error) {
 
 	g := metrics.NewTable("Ablation A1b: heuristic vs brute-force optimality (random 5-table instances)",
 		"Trial", "Heuristic (ns)", "Optimal (ns)", "Gap")
-	sys := memsim.System{Banks: []memsim.Bank{
-		{Kind: memsim.HBM, Capacity: 1 << 24, Timing: memsim.HBMTiming},
-		{Kind: memsim.HBM, Capacity: 1 << 24, Timing: memsim.HBMTiming},
-		{Kind: memsim.HBM, Capacity: 1 << 24, Timing: memsim.HBMTiming},
-		{Kind: memsim.OnChip, Capacity: 2 << 10, Timing: memsim.OnChipTiming},
+	sys := accel.System{Banks: []accel.Bank{
+		{Kind: accel.HBM, Capacity: 1 << 24, Timing: accel.HBMTiming},
+		{Kind: accel.HBM, Capacity: 1 << 24, Timing: accel.HBMTiming},
+		{Kind: accel.HBM, Capacity: 1 << 24, Timing: accel.HBMTiming},
+		{Kind: accel.OnChip, Capacity: 2 << 10, Timing: accel.OnChipTiming},
 	}}
 	rng := rand.New(rand.NewSource(opts.Seed + 77))
 	var worstGap float64
@@ -68,13 +66,13 @@ func RunAllocatorAblation(opts Options) ([]*metrics.Table, error) {
 			}
 		}
 		spec := &model.Spec{Name: fmt.Sprintf("rand-%d", trial), Tables: tables, Hidden: []int{8}}
-		h, err := placement.Plan(spec, sys, placement.Options{EnableCartesian: true, Allocator: placement.LPT})
+		h, err := accel.Plan(spec, sys, accel.Options{EnableCartesian: true, Allocator: accel.LPT})
 		if err != nil {
 			return nil, err
 		}
-		b, err := placement.BruteForce(spec, sys,
-			placement.Options{EnableCartesian: true, Allocator: placement.LPT},
-			placement.BruteForceLimits{MaxTables: 6, MaxExhaustiveTables: 6})
+		b, err := accel.BruteForce(spec, sys,
+			accel.Options{EnableCartesian: true, Allocator: accel.LPT},
+			accel.BruteForceLimits{MaxTables: 6, MaxExhaustiveTables: 6})
 		if err != nil {
 			return nil, err
 		}

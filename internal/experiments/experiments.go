@@ -6,10 +6,8 @@ import (
 	"microrec/internal/accel"
 	"microrec/internal/cpu"
 	"microrec/internal/fixedpoint"
-	"microrec/internal/memsim"
 	"microrec/internal/metrics"
 	"microrec/internal/model"
-	"microrec/internal/placement"
 )
 
 // Options configures experiment runs.
@@ -20,8 +18,8 @@ type Options struct {
 	// Seed drives workload generation where applicable.
 	Seed int64
 	// Allocator selects the placement bank-assignment strategy
-	// (default placement.RoundRobin, the paper-faithful one).
-	Allocator placement.Allocator
+	// (default accel.RoundRobin, the paper-faithful one).
+	Allocator accel.Allocator
 }
 
 func (o Options) withDefaults() Options {
@@ -49,9 +47,9 @@ func productionCases() []productionCase {
 }
 
 // planFor runs the placement search for a model under the given options.
-func planFor(spec *model.Spec, onChipBanks int, cart bool, alloc placement.Allocator) (*placement.Result, error) {
-	sys := memsim.U280(onChipBanks)
-	return placement.Plan(spec, sys, placement.Options{
+func planFor(spec *model.Spec, onChipBanks int, cart bool, alloc accel.Allocator) (*accel.Result, error) {
+	sys := accel.U280(onChipBanks)
+	return accel.Plan(spec, sys, accel.Options{
 		EnableCartesian: cart,
 		Allocator:       alloc,
 	})

@@ -1,10 +1,10 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
-	"microrec/internal/memsim"
 	"microrec/internal/metrics"
 )
 
@@ -51,7 +51,7 @@ func TestTable2SpeedupsMatchPaper(t *testing.T) {
 			got := sum[modelName][prec]
 			for _, b := range []int{64, 256, 512, 1024, 2048} {
 				want := byBatch[b]
-				if !memsim.ApproxEqual(got.Speedup[b], want, 0.20) {
+				if !approxEqual(got.Speedup[b], want, 0.20) {
 					t.Errorf("%s fp%d B=%d speedup = %.2fx, paper %.2fx (>20%% off)",
 						modelName, prec, b, got.Speedup[b], want)
 				}
@@ -120,7 +120,7 @@ func TestTable3MatchesPaperCounts(t *testing.T) {
 		if r.DRAMRounds != ref.DRAMRounds {
 			t.Errorf("%s cart=%v: rounds %d, paper %d", r.Model, r.Cartesian, r.DRAMRounds, ref.DRAMRounds)
 		}
-		if !memsim.ApproxEqual(r.StoragePct, ref.StoragePct, 0.005) {
+		if !approxEqual(r.StoragePct, ref.StoragePct, 0.005) {
 			t.Errorf("%s cart=%v: storage %.1f%%, paper %.1f%%", r.Model, r.Cartesian, r.StoragePct, ref.StoragePct)
 		}
 	}
@@ -141,7 +141,7 @@ func TestTable3LatencyShape(t *testing.T) {
 		if r.LatencyPct >= 100 {
 			t.Errorf("%s: Cartesian latency %.1f%% >= 100%% — no benefit", r.Model, r.LatencyPct)
 		}
-		if !memsim.ApproxEqual(r.LatencyPct, ref.LatencyPct, 0.12) {
+		if !approxEqual(r.LatencyPct, ref.LatencyPct, 0.12) {
 			t.Errorf("%s: latency ratio %.1f%%, paper %.1f%% (>12%% off)", r.Model, r.LatencyPct, ref.LatencyPct)
 		}
 	}
@@ -159,7 +159,7 @@ func TestTable4SpeedupsMatchPaper(t *testing.T) {
 		for cfgName, byBatch := range PaperTable4Speedup[r.Model] {
 			for b, want := range byBatch {
 				got := r.Speedup[cfgName][b]
-				if !memsim.ApproxEqual(got, want, 0.25) {
+				if !approxEqual(got, want, 0.25) {
 					t.Errorf("%s %s B=%d: speedup %.1fx, paper %.1fx (>25%% off)",
 						r.Model, cfgName, b, got, want)
 				}
@@ -182,11 +182,11 @@ func TestTable4Lookups(t *testing.T) {
 	}
 	for _, r := range results {
 		ref := PaperTable4FPGA[r.Model]
-		if !memsim.ApproxEqual(r.CartesianNS, ref["hbm+cartesian"], 0.10) {
+		if !approxEqual(r.CartesianNS, ref["hbm+cartesian"], 0.10) {
 			t.Errorf("%s HBM+Cartesian lookup %.0f ns, paper %.0f (>10%% off)",
 				r.Model, r.CartesianNS, ref["hbm+cartesian"])
 		}
-		if !memsim.ApproxEqual(r.HBMNS, ref["hbm"], 0.20) {
+		if !approxEqual(r.HBMNS, ref["hbm"], 0.20) {
 			t.Errorf("%s HBM lookup %.0f ns, paper %.0f (>20%% off)",
 				r.Model, r.HBMNS, ref["hbm"])
 		}
@@ -207,11 +207,11 @@ func TestTable5MatchesPaper(t *testing.T) {
 	}
 	for _, c := range cells {
 		ref := PaperTable5[c.Tables][c.Dim]
-		if !memsim.ApproxEqual(c.LookupNS, ref.LookupNS, 0.07) {
+		if !approxEqual(c.LookupNS, ref.LookupNS, 0.07) {
 			t.Errorf("%d tables dim %d: %.1f ns, paper %.1f (>7%% off)",
 				c.Tables, c.Dim, c.LookupNS, ref.LookupNS)
 		}
-		if !memsim.ApproxEqual(c.Speedup, ref.Speedup, 0.07) {
+		if !approxEqual(c.Speedup, ref.Speedup, 0.07) {
 			t.Errorf("%d tables dim %d: speedup %.1fx, paper %.1fx (>7%% off)",
 				c.Tables, c.Dim, c.Speedup, ref.Speedup)
 		}
@@ -321,4 +321,12 @@ func BenchmarkRunTable3(b *testing.B) {
 		}
 		benchTables = tb
 	}
+}
+
+// approxEqual reports whether a and b agree within relative tolerance relTol.
+func approxEqual(a, b, relTol float64) bool {
+	if a == b {
+		return true
+	}
+	return math.Abs(a-b)/math.Max(math.Abs(a), math.Abs(b)) <= relTol
 }

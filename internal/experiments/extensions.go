@@ -7,10 +7,8 @@ import (
 	"microrec/internal/accel"
 	"microrec/internal/fixedpoint"
 	"microrec/internal/hotcache"
-	"microrec/internal/memsim"
 	"microrec/internal/metrics"
 	"microrec/internal/model"
-	"microrec/internal/placement"
 	"microrec/internal/quantize"
 	"microrec/internal/workload"
 )
@@ -30,7 +28,7 @@ func RunRule2Ablation(opts Options) ([]*metrics.Table, error) {
 		{model.LargeProduction(), accel.LargeFP16().OnChipBanks},
 	} {
 		for _, arity := range []int{2, 3} {
-			res, err := placement.Plan(target.spec, memsim.U280(target.banks), placement.Options{
+			res, err := accel.Plan(target.spec, accel.U280(target.banks), accel.Options{
 				EnableCartesian: true,
 				Allocator:       opts.Allocator,
 				ProductArity:    arity,
@@ -96,8 +94,8 @@ func RunHotCache(opts Options) ([]*metrics.Table, error) {
 	opts = opts.withDefaults()
 	spec := model.SmallProduction()
 	const queries = 600
-	hitNS := memsim.OnChipTiming.AccessNS(64)
-	missNS := memsim.HBMTiming.AccessNS(64)
+	hitNS := accel.OnChipTiming.AccessNS(64)
+	missNS := accel.HBMTiming.AccessNS(64)
 	t := metrics.NewTable("Extension E1: hot-row cache in front of DRAM lookups (small model)",
 		"Distribution", "Cache", "Hit rate", "Effective access (ns)", "vs no cache")
 	for _, dist := range []workload.Distribution{workload.Zipf, workload.Uniform} {

@@ -1,13 +1,15 @@
-// Package sla models the serving-side tension the paper builds its latency
-// argument on (§2.3): CPU engines need large batches for throughput, but the
-// SLA of tens of milliseconds caps the feasible batch size — while the
-// accelerator serves item-by-item and needs no batching at all (§4.1).
+// The serving-side tension the paper builds its latency argument on (§2.3):
+// CPU engines need large batches for throughput, but the SLA of tens of
+// milliseconds caps the feasible batch size — while the accelerator serves
+// item-by-item and needs no batching at all (§4.1).
 //
-// It provides an SLA-aware batch-size chooser over the calibrated CPU model
-// and a discrete-event simulation of a batching queue (arrivals, batch
-// formation with a timeout, FIFO service), in the spirit of the DeepRecSys
-// scheduler the paper cites (Gupta et al. 2020a).
-package sla
+// This file holds an SLA-aware batch-size chooser over the calibrated CPU
+// model and a discrete-event simulation of the CPU baseline's batching queue
+// (arrivals, batch formation with a timeout, FIFO service), in the spirit of
+// the DeepRecSys scheduler the paper cites (Gupta et al. 2020a). RunSLA
+// (sla.go) prints both.
+
+package experiments
 
 import (
 	"fmt"
@@ -40,8 +42,8 @@ func MaxBatchUnderSLA(m cpu.Model, slaMS float64, maxBatch int) int {
 	return lo
 }
 
-// Policy configures the batching queue.
-type Policy struct {
+// QueuePolicy configures the batching queue.
+type QueuePolicy struct {
 	// MaxBatch is the largest batch the server forms.
 	MaxBatch int
 	// TimeoutMS bounds how long the first query of a forming batch may
@@ -50,18 +52,18 @@ type Policy struct {
 }
 
 // Validate checks the policy.
-func (p Policy) Validate() error {
+func (p QueuePolicy) Validate() error {
 	if p.MaxBatch < 1 {
-		return fmt.Errorf("sla: max batch %d", p.MaxBatch)
+		return fmt.Errorf("experiments: max batch %d", p.MaxBatch)
 	}
 	if p.TimeoutMS < 0 {
-		return fmt.Errorf("sla: negative timeout")
+		return fmt.Errorf("experiments: negative timeout")
 	}
 	return nil
 }
 
-// Result summarises a queue simulation.
-type Result struct {
+// QueueResult summarises a queue simulation.
+type QueueResult struct {
 	// Queries served.
 	Queries int
 	// Latency is the distribution of per-query end-to-end latency
@@ -80,15 +82,15 @@ type Result struct {
 // at the given rate through a single batching server whose service time
 // follows the calibrated CPU model. slaMS, when positive, is only used to
 // count violations.
-func SimulateQueue(m cpu.Model, arrivalsPerSec float64, queries int, pol Policy, slaMS float64, seed int64) (Result, error) {
+func SimulateQueue(m cpu.Model, arrivalsPerSec float64, queries int, pol QueuePolicy, slaMS float64, seed int64) (QueueResult, error) {
 	if err := pol.Validate(); err != nil {
-		return Result{}, err
+		return QueueResult{}, err
 	}
 	if arrivalsPerSec <= 0 {
-		return Result{}, fmt.Errorf("sla: arrival rate %v", arrivalsPerSec)
+		return QueueResult{}, fmt.Errorf("experiments: arrival rate %v", arrivalsPerSec)
 	}
 	if queries < 1 {
-		return Result{}, fmt.Errorf("sla: %d queries", queries)
+		return QueueResult{}, fmt.Errorf("experiments: %d queries", queries)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	// Arrival times in ms.
@@ -133,6 +135,11 @@ func SimulateQueue(m cpu.Model, arrivalsPerSec float64, queries int, pol Policy,
 			break
 		}
 		b := end - idx
+		if b < pol.MaxBatch && deadline > dispatch {
+			// A short batch leaves when its first query's timeout expires:
+			// the server cannot know that no further query arrives first.
+			dispatch = deadline
+		}
 		service := m.EndToEndMS(b)
 		done := dispatch + service
 		for q := idx; q < end; q++ {
@@ -148,7 +155,7 @@ func SimulateQueue(m cpu.Model, arrivalsPerSec float64, queries int, pol Policy,
 		makespan = done
 		idx = end
 	}
-	return Result{
+	return QueueResult{
 		Queries:          queries,
 		Latency:          metrics.Summarize(latencies),
 		MeanBatch:        float64(totalBatch) / float64(batches),

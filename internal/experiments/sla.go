@@ -6,7 +6,6 @@ import (
 	"microrec/internal/accel"
 	"microrec/internal/cpu"
 	"microrec/internal/metrics"
-	"microrec/internal/sla"
 )
 
 // RunSLA quantifies §2.3's serving argument: the CPU baseline must trade
@@ -34,7 +33,7 @@ func RunSLA(opts Options) ([]*metrics.Table, error) {
 			return nil, err
 		}
 		for _, slaMS := range []float64{10, 20, 50, 100} {
-			b := sla.MaxBatchUnderSLA(target.m, slaMS, 8192)
+			b := MaxBatchUnderSLA(target.m, slaMS, 8192)
 			var lat, tp string
 			if b == 0 {
 				lat, tp = "-", "infeasible"
@@ -55,9 +54,9 @@ func RunSLA(opts Options) ([]*metrics.Table, error) {
 	q := metrics.NewTable("Serving study (b): batching-queue tail latency (small model, MaxBatch 2048, timeout 10 ms)",
 		"Offered load (q/s)", "Mean batch", "p50 (ms)", "p99 (ms)", "Throughput (q/s)")
 	m := cpu.PaperSmall()
-	pol := sla.Policy{MaxBatch: 2048, TimeoutMS: 10}
+	pol := QueuePolicy{MaxBatch: 2048, TimeoutMS: 10}
 	for _, rate := range []float64{2000, 10000, 40000, 70000} {
-		res, err := sla.SimulateQueue(m, rate, 4000, pol, 0, opts.Seed)
+		res, err := SimulateQueue(m, rate, 4000, pol, 0, opts.Seed)
 		if err != nil {
 			return nil, err
 		}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 
+	"microrec/internal/accel"
 	"microrec/internal/cpu"
-	"microrec/internal/memsim"
 	"microrec/internal/metrics"
 	"microrec/internal/model"
 )
@@ -38,7 +38,7 @@ func Table5Cells(opts Options) ([]Table5Cell, error) {
 		lookups := spec.NumLookups()
 		rounds := (lookups + hbmChannels - 1) / hbmChannels
 		for _, dim := range PaperTable5Dims {
-			ns := memsim.RoundsLatencyNS(memsim.HBMTiming, rounds, dim*model.FloatBytes)
+			ns := accel.RoundsLatencyNS(accel.HBMTiming, rounds, dim*model.FloatBytes)
 			out = append(out, Table5Cell{
 				Tables:   numTables,
 				Dim:      dim,

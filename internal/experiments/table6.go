@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"microrec/internal/accel"
-	"microrec/internal/memsim"
 	"microrec/internal/metrics"
 	"microrec/internal/model"
-	"microrec/internal/placement"
 )
 
 // RunTable6 renders the resource-utilisation model next to the paper's
@@ -76,13 +74,13 @@ func RunAXI(opts Options) ([]*metrics.Table, error) {
 		cfg.ClockMHz = clock
 		// Wider AXI shortens the streaming part of an access; row
 		// activation and controller latency are unchanged.
-		sys := memsim.U280(base.OnChipBanks)
+		sys := accel.U280(base.OnChipBanks)
 		for i := range sys.Banks {
-			if sys.Banks[i].Kind != memsim.OnChip {
+			if sys.Banks[i].Kind != accel.OnChip {
 				sys.Banks[i].Timing.PerByteNS *= 32.0 / float64(width)
 			}
 		}
-		plan, err := placement.Plan(spec, sys, placement.Options{
+		plan, err := accel.Plan(spec, sys, accel.Options{
 			EnableCartesian: true,
 			Allocator:       opts.Allocator,
 		})

@@ -220,74 +220,6 @@ func roundShift(v int64, s uint) int64 {
 	return -((-v + half) >> s)
 }
 
-// Vector is a fixed-point vector: raw values plus their shared format.
-type Vector struct {
-	Format Format
-	Raw    []int64
-}
-
-// NewVector quantizes xs into a fresh Vector.
-func NewVector(f Format, xs []float64) Vector {
-	raw := make([]int64, len(xs))
-	for i, x := range xs {
-		raw[i] = f.Quantize(x)
-	}
-	return Vector{Format: f, Raw: raw}
-}
-
-// Float64s dequantizes the vector.
-func (v Vector) Float64s() []float64 {
-	out := make([]float64, len(v.Raw))
-	for i, r := range v.Raw {
-		out[i] = v.Format.Dequantize(r)
-	}
-	return out
-}
-
-// Len returns the number of elements.
-func (v Vector) Len() int { return len(v.Raw) }
-
-// Dot computes the dot product of a and b (same format), returning the value
-// rescaled into the format with saturation. The accumulation itself is exact,
-// as in the hardware add tree.
-func Dot(a, b Vector) (int64, error) {
-	if a.Format != b.Format {
-		return 0, fmt.Errorf("fixedpoint: format mismatch %v vs %v", a.Format, b.Format)
-	}
-	if len(a.Raw) != len(b.Raw) {
-		return 0, fmt.Errorf("fixedpoint: length mismatch %d vs %d", len(a.Raw), len(b.Raw))
-	}
-	var acc int64
-	for i := range a.Raw {
-		acc = a.Format.MulAcc(acc, a.Raw[i], b.Raw[i])
-	}
-	return a.Format.Finish(acc), nil
-}
-
-// QuantizeSlice quantizes xs in bulk, writing raw values into dst (allocated
-// if nil) and returning it.
-func QuantizeSlice(f Format, xs []float32, dst []int64) []int64 {
-	if dst == nil {
-		dst = make([]int64, len(xs))
-	}
-	for i, x := range xs {
-		dst[i] = f.Quantize(float64(x))
-	}
-	return dst
-}
-
-// DequantizeSlice converts raw values to float32s, writing into dst
-// (allocated if nil) and returning it.
-func DequantizeSlice(f Format, raw []int64, dst []float32) []float32 {
-	if dst == nil {
-		dst = make([]float32, len(raw))
-	}
-	for i, r := range raw {
-		dst[i] = float32(f.Dequantize(r))
-	}
-	return dst
-}
-
 // ReLU applies max(0, x) elementwise in place on raw values.
 func ReLU(raw []int64) {
 	for i, v := range raw {
@@ -310,28 +242,6 @@ func (f Format) Sigmoid(raw int64) int64 {
 // the representable range (and the saturation error outside it).
 func (f Format) AbsError(x float64) float64 {
 	return math.Abs(x - f.RoundTrip(x))
-}
-
-// Convert rescales a raw value from one format into another, saturating at
-// the destination's range — the requantization step between pipeline stages
-// that use different per-layer formats.
-func Convert(raw int64, from, to Format) int64 {
-	switch {
-	case to.Frac == from.Frac:
-		return to.saturate(raw)
-	case to.Frac > from.Frac:
-		shift := uint(to.Frac - from.Frac)
-		// Detect overflow before shifting left.
-		if raw > to.maxRaw()>>shift {
-			return to.maxRaw()
-		}
-		if raw < to.minRaw()>>shift {
-			return to.minRaw()
-		}
-		return raw << shift
-	default:
-		return to.saturate(roundShift(raw, uint(from.Frac-to.Frac)))
-	}
 }
 
 // FormatFor picks the widest-resolution format of the given bit width that

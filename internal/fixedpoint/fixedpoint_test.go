@@ -132,32 +132,6 @@ func TestRoundShiftSymmetry(t *testing.T) {
 	}
 }
 
-func TestDot(t *testing.T) {
-	f := Fixed16
-	a := NewVector(f, []float64{1, 2, 3})
-	b := NewVector(f, []float64{0.5, -1, 2})
-	got, err := Dot(a, b)
-	if err != nil {
-		t.Fatalf("Dot: %v", err)
-	}
-	want := 1*0.5 - 2 + 3*2.0 // 4.5
-	if math.Abs(f.Dequantize(got)-want) > 2*f.Resolution() {
-		t.Errorf("Dot = %v, want %v", f.Dequantize(got), want)
-	}
-}
-
-func TestDotErrors(t *testing.T) {
-	a := NewVector(Fixed16, []float64{1})
-	b := NewVector(Fixed32, []float64{1})
-	if _, err := Dot(a, b); err == nil {
-		t.Error("Dot with mismatched formats: want error")
-	}
-	c := NewVector(Fixed16, []float64{1, 2})
-	if _, err := Dot(a, c); err == nil {
-		t.Error("Dot with mismatched lengths: want error")
-	}
-}
-
 func TestReLU(t *testing.T) {
 	raw := []int64{-5, 0, 5, -1, 100}
 	ReLU(raw)
@@ -184,24 +158,6 @@ func TestSigmoid(t *testing.T) {
 	}
 }
 
-func TestQuantizeDequantizeSlices(t *testing.T) {
-	xs := []float32{0.25, -0.75, 3.5}
-	raw := QuantizeSlice(Fixed16, xs, nil)
-	back := DequantizeSlice(Fixed16, raw, nil)
-	for i := range xs {
-		if math.Abs(float64(back[i]-xs[i])) > Fixed16.Resolution() {
-			t.Errorf("slice round trip [%d]: got %v, want %v", i, back[i], xs[i])
-		}
-	}
-	// In-place destinations are reused.
-	dst := make([]int64, 3)
-	if got := QuantizeSlice(Fixed16, xs, dst); &got[0] != &dst[0] {
-		t.Error("QuantizeSlice did not reuse dst")
-	}
-}
-
-// Property: quantization error is bounded by half a resolution step inside
-// the representable range.
 func TestQuantizeErrorBoundProperty(t *testing.T) {
 	for _, f := range []Format{Fixed16, Fixed32} {
 		f := f
@@ -244,58 +200,6 @@ func TestSaturationRangeProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: Dot of a vector with a one-hot basis vector recovers the element.
-func TestDotBasisProperty(t *testing.T) {
-	f := Fixed32
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 50; i++ {
-		n := 1 + rng.Intn(64)
-		xs := make([]float64, n)
-		for j := range xs {
-			xs[j] = rng.Float64()*4 - 2
-		}
-		v := NewVector(f, xs)
-		k := rng.Intn(n)
-		basis := make([]float64, n)
-		basis[k] = 1
-		e := NewVector(f, basis)
-		got, err := Dot(v, e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(f.Dequantize(got)-f.RoundTrip(xs[k])) > 2*f.Resolution() {
-			t.Fatalf("basis dot: got %v, want %v", f.Dequantize(got), xs[k])
-		}
-	}
-}
-
-func BenchmarkQuantizeSlice(b *testing.B) {
-	xs := make([]float32, 1024)
-	for i := range xs {
-		xs[i] = float32(i%17) * 0.37
-	}
-	dst := make([]int64, len(xs))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		QuantizeSlice(Fixed16, xs, dst)
-	}
-}
-
-func BenchmarkDot(b *testing.B) {
-	n := 512
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = float64(i%13) * 0.21
-	}
-	v := NewVector(Fixed16, xs)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Dot(v, v); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -373,5 +277,43 @@ func TestFinishRowMatchesComposedCalls(t *testing.T) {
 		} else {
 			finishRowCase[int32](t, f, accs, biases)
 		}
+	}
+}
+
+func TestFormatFor(t *testing.T) {
+	cases := []struct {
+		bits   int
+		maxAbs float64
+		want   Format
+	}{
+		{16, 0.9, Format{16, 14}},
+		{16, 1.5, Format{16, 14}}, // Q1.14 reaches 1.99994
+		{16, 7.9, Format{16, 12}},
+		{16, 100, Format{16, 8}},
+		{32, 7.9, Format{32, 28}},
+		{16, 1e9, Format{16, 1}}, // clamped at minimum resolution
+	}
+	for _, c := range cases {
+		got, err := FormatFor(c.bits, c.maxAbs)
+		if err != nil {
+			t.Fatalf("FormatFor(%d, %v): %v", c.bits, c.maxAbs, err)
+		}
+		if got != c.want {
+			t.Errorf("FormatFor(%d, %v) = %v, want %v", c.bits, c.maxAbs, got, c.want)
+		}
+		// The chosen format must actually represent maxAbs (unless
+		// clamped at the minimum fractional width).
+		if got.Frac > 1 && got.MaxValue() < c.maxAbs {
+			t.Errorf("FormatFor(%d, %v) = %v cannot represent the max", c.bits, c.maxAbs, got)
+		}
+	}
+	if _, err := FormatFor(8, 1); err == nil {
+		t.Error("width 8: want error")
+	}
+	if _, err := FormatFor(16, 0); err == nil {
+		t.Error("maxAbs 0: want error")
+	}
+	if _, err := FormatFor(16, math.NaN()); err == nil {
+		t.Error("NaN: want error")
 	}
 }

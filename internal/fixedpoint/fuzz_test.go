@@ -45,27 +45,3 @@ func FuzzQuantize(f *testing.F) {
 		}
 	})
 }
-
-// FuzzConvert checks that format conversion never leaves the destination
-// range and is value-preserving within a ULP of the coarser format.
-func FuzzConvert(f *testing.F) {
-	f.Add(int64(0), 8, 12)
-	f.Add(int64(1000), 14, 4)
-	f.Add(int64(-32768), 4, 14)
-	f.Fuzz(func(t *testing.T, raw int64, fromFrac, toFrac int) {
-		from := Format{Bits: 16, Frac: fromFrac%13 + 1}
-		to := Format{Bits: 32, Frac: toFrac%29 + 1}
-		raw = from.saturate(raw)
-		got := Convert(raw, from, to)
-		if got > to.maxRaw() || got < to.minRaw() {
-			t.Fatalf("Convert(%d, %v, %v) = %d out of range", raw, from, to, got)
-		}
-		want := from.Dequantize(raw)
-		back := to.Dequantize(got)
-		tol := math.Max(from.Resolution(), to.Resolution())
-		if math.Abs(want) <= to.MaxValue() && math.Abs(back-want) > tol {
-			t.Fatalf("Convert(%d, %v, %v): value %v -> %v drift exceeds ULP %v",
-				raw, from, to, want, back, tol)
-		}
-	})
-}

@@ -27,10 +27,12 @@ func NewQuantizer(f fixedpoint.Format) Quantizer {
 
 // QuantizeRowRef is the portable reference row-quantize and the semantic
 // definition of QuantizeRow: dst[i] = f.Quantize(float64(src[i])), one call
-// per element, len(dst) >= len(src). T must be f's storage width.
+// per element, len(dst) >= len(src). T must be f's storage width. Its one
+// non-test caller is the noasm build's QuantizeRow (quantize_noasm.go), a
+// file microrec-vet does not load, so deadexport is allowed on it.
 //
 //microrec:noalloc
-func QuantizeRowRef[T Elem](f fixedpoint.Format, src []float32, dst []T) {
+func QuantizeRowRef[T Elem](f fixedpoint.Format, src []float32, dst []T) { //microrec:allow deadexport
 	for i, x := range src {
 		dst[i] = T(f.Quantize(float64(x)))
 	}

@@ -39,8 +39,8 @@ type Arrivals interface {
 
 // Poisson is a memoryless open-loop arrival process: exponentially
 // distributed gaps at a fixed offered rate, the standard model for
-// independent user traffic (and the arrival process internal/sla's queue
-// simulation uses).
+// independent user traffic (and the arrival process the CPU baseline's
+// batching-queue simulation in internal/experiments uses).
 type Poisson struct {
 	rng  *rand.Rand
 	mean float64 // mean gap in ns

@@ -70,14 +70,6 @@ func Speedup(baseline, accelerated float64) float64 {
 	return baseline / accelerated
 }
 
-// GOPs converts (operations, seconds) into GOP/s.
-func GOPs(ops float64, seconds float64) float64 {
-	if seconds == 0 {
-		return math.Inf(1)
-	}
-	return ops / seconds / 1e9
-}
-
 // Table renders aligned text tables for experiment output.
 type Table struct {
 	Title  string

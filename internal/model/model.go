@@ -182,18 +182,6 @@ func SaveSpec(w io.Writer, s *Spec) error {
 	return nil
 }
 
-// LoadSpec reads a JSON spec and validates it.
-func LoadSpec(r io.Reader) (*Spec, error) {
-	var s Spec
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("model: decoding spec: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
-
 // tableGroup is a helper for building specs: count tables of identical shape.
 type tableGroup struct {
 	count  int

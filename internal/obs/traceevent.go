@@ -9,7 +9,7 @@ import (
 // TraceEvent is one entry of the Chrome trace-event format ("X" complete
 // events): the JSON shape chrome://tracing and https://ui.perfetto.dev load
 // directly. Both the live tracer (GET /trace, SpanEvents over flight-recorder
-// spans) and the simulated tracer (`microrec trace`, pipesim stage events)
+// spans) and the simulated tracer (`microrec trace`, accel.Pipeline stage events)
 // serialize through this one type, so the two outputs can never drift apart
 // in format.
 type TraceEvent struct {

@@ -76,5 +76,7 @@ func Free[T Elem](s []T) {
 
 // MappedBytes returns the bytes held in live mappings: every Make result
 // that came from a mapping and has not been freed. Heap-served requests do
-// not count. Tests use it to pin what an owner maps and frees.
-func MappedBytes() int64 { return mappedBytes() }
+// not count. Tests use it to pin what an owner maps and frees; its only
+// caller outside this package is internal/core's materialize_test.go, so
+// deadexport is allowed on it.
+func MappedBytes() int64 { return mappedBytes() } //microrec:allow deadexport

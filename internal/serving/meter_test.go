@@ -9,39 +9,40 @@ import (
 	"testing"
 	"time"
 
+	"microrec/internal/accel"
 	"microrec/internal/core"
 	"microrec/internal/embedding"
-	"microrec/internal/pipesim"
 )
 
-// TestIntervalClosedFormMatchesPipesim pins the staged drain's closed form to
-// pipesim's marked-graph recurrence over random stage times at depths 3–6,
-// where the ring does not bind: for stages that are not internally pipelined
-// (latency = interval) the recurrence settles on the slowest stage.
-func TestIntervalClosedFormMatchesPipesim(t *testing.T) {
+// TestIntervalClosedFormMatchesPipelineModel pins the staged drain's closed
+// form to the marked-graph recurrence of the accelerator model's pipeline
+// simulator (accel.Pipeline) over random stage times at depths 3–6, where the
+// ring does not bind: for stages that are not internally pipelined (latency =
+// interval) the recurrence settles on the slowest stage.
+func TestIntervalClosedFormMatchesPipelineModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for depth := 3; depth <= 6; depth++ {
 		m := &serviceMeter{depth: depth, staged: true}
 		for trial := 0; trial < 500; trial++ {
 			var means [numStages]float64
-			stages := make([]pipesim.Stage, numStages)
+			stages := make([]accel.Stage, numStages)
 			for i := range means {
 				means[i] = 1e3 + rng.Float64()*1e7
 				if trial%10 == 0 {
 					means[i] = means[0] // equal stages: a tie for the slowest
 				}
-				stages[i] = pipesim.Stage{Name: stageNames[i], LatencyNS: means[i], IntervalNS: means[i], FIFODepth: depth}
+				stages[i] = accel.Stage{Name: stageNames[i], LatencyNS: means[i], IntervalNS: means[i], FIFODepth: depth}
 			}
-			p, err := pipesim.New(stages...)
+			p, err := accel.NewPipeline(stages...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := p.Simulate(4 * pipesim.DefaultFIFODepth * numStages)
+			res, err := p.Simulate(4 * accel.DefaultFIFODepth * numStages)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got, want := m.predictNS(means), res.SteadyIntervalNS; math.Abs(got-want) > 1e-9*want {
-				t.Fatalf("depth %d, stages %v ns: closed form %v ns, pipesim %v ns", depth, means, got, want)
+				t.Fatalf("depth %d, stages %v ns: closed form %v ns, recurrence %v ns", depth, means, got, want)
 			}
 		}
 	}

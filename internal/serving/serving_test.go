@@ -960,7 +960,8 @@ func importClosure(t *testing.T, root string, owners ...string) map[string]bool 
 
 // TestServingDoesNotImportSLA pins the serving stack's independence from the
 // offline models: no package internal/serving transitively imports is
-// internal/sla, and no non-test source of the serving, router, cluster or
+// internal/experiments, where the CPU baseline's batching-queue model lives,
+// and no non-test source of the serving, router, cluster or
 // tieredstore packages names the accelerator timing model or a modelled
 // cold-tier latency.
 func TestServingDoesNotImportSLA(t *testing.T) {
@@ -968,8 +969,8 @@ func TestServingDoesNotImportSLA(t *testing.T) {
 	if !seen["microrec/internal/core"] {
 		t.Fatalf("import walk never reached internal/core (saw %d packages); the walk is broken", len(seen))
 	}
-	if seen["microrec/internal/sla"] {
-		t.Error("internal/serving transitively imports internal/sla")
+	if seen["microrec/internal/experiments"] {
+		t.Error("internal/serving transitively imports internal/experiments")
 	}
 	banned := []string{"TimingAt", "TimingReport", "LookupNS", "ColdLatencyNS", "BoundNS"}
 	for _, pkg := range []string{"serving", "router", "cluster", "tieredstore"} {
@@ -996,19 +997,17 @@ func TestServingDoesNotImportSLA(t *testing.T) {
 
 // TestCoreAndServingDoNotReachTheAcceleratorModel pins the split between the
 // CPU engine and the model of the FPGA it reproduces: neither internal/core
-// nor internal/serving reaches, directly or transitively, the accelerator
-// model or the placement, Cartesian-product, memory and pipeline models it
-// is built from.
+// nor internal/serving reaches, directly or transitively, internal/accel,
+// which holds the accelerator model with its placement, Cartesian-product,
+// memory and pipeline models.
 func TestCoreAndServingDoNotReachTheAcceleratorModel(t *testing.T) {
 	for _, root := range []string{"microrec/internal/core", "microrec/internal/serving"} {
 		seen := importClosure(t, root)
 		if !seen["microrec/internal/model"] {
 			t.Fatalf("%s: import walk never reached internal/model (saw %d packages); the walk is broken", root, len(seen))
 		}
-		for _, pkg := range []string{"accel", "placement", "cartesian", "memsim", "pipesim"} {
-			if seen["microrec/internal/"+pkg] {
-				t.Errorf("%s reaches internal/%s", root, pkg)
-			}
+		if seen["microrec/internal/accel"] {
+			t.Errorf("%s reaches internal/accel", root)
 		}
 	}
 }

@@ -28,22 +28,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float32) (*Matrix, error) {
-	if len(rows) == 0 {
-		return &Matrix{}, nil
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("tensor: row %d has %d columns, want %d", i, len(r), cols)
-		}
-		copy(m.Row(i), r)
-	}
-	return m, nil
-}
-
 // Row returns a view of row i.
 func (m *Matrix) Row(i int) []float32 {
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
@@ -72,24 +56,6 @@ func (m *Matrix) Transpose() *Matrix {
 		}
 	}
 	return t
-}
-
-// Equal reports whether two matrices have identical shape and elements within
-// tolerance eps.
-func Equal(a, b *Matrix, eps float32) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i := range a.Data {
-		d := a.Data[i] - b.Data[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > eps {
-			return false
-		}
-	}
-	return true
 }
 
 // MatMul computes C = A * B. A is (m x k), B is (k x n), C is (m x n).
@@ -141,30 +107,10 @@ func matMulRange(a, b, c *Matrix, lo, hi int) {
 	}
 }
 
-// MatVec computes y = A * x for a (m x k) matrix and length-k vector.
-func MatVec(a *Matrix, x []float32, y []float32) ([]float32, error) {
-	if a.Cols != len(x) {
-		return nil, fmt.Errorf("tensor: MatVec shape mismatch (%dx%d)*%d", a.Rows, a.Cols, len(x))
-	}
-	if y == nil {
-		y = make([]float32, a.Rows)
-	} else if len(y) != a.Rows {
-		return nil, fmt.Errorf("tensor: MatVec output length %d, want %d", len(y), a.Rows)
-	}
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		var sum float32
-		for j, v := range row {
-			sum += v * x[j]
-		}
-		y[i] = sum
-	}
-	return y, nil
-}
-
 // VecMat computes y = xᵀ * A for a length-k vector and a (k x n) matrix.
 // Each y[j] accumulates x[i]*A[i][j] over i ascending from zero: per output,
-// the float32 operations of MatVec(A.Transpose(), x), without the transpose.
+// the float32 operations of a row-by-row product with A's transpose, without
+// the transpose.
 func VecMat(x []float32, a *Matrix) ([]float32, error) {
 	if a.Rows != len(x) {
 		return nil, fmt.Errorf("tensor: VecMat shape mismatch %d*(%dx%d)", len(x), a.Rows, a.Cols)
@@ -206,37 +152,6 @@ func Sigmoid(xs []float32) {
 	for i, v := range xs {
 		xs[i] = float32(1 / (1 + math.Exp(-float64(v))))
 	}
-}
-
-// Dot returns the dot product of two equal-length vectors.
-func Dot(a, b []float32) (float32, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("tensor: Dot length mismatch %d vs %d", len(a), len(b))
-	}
-	var sum float32
-	for i := range a {
-		sum += a[i] * b[i]
-	}
-	return sum, nil
-}
-
-// MaxAbsDiff returns the largest absolute elementwise difference between two
-// equal-length vectors, useful for accuracy assertions.
-func MaxAbsDiff(a, b []float32) (float32, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("tensor: MaxAbsDiff length mismatch %d vs %d", len(a), len(b))
-	}
-	var m float32
-	for i := range a {
-		d := a[i] - b[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > m {
-			m = d
-		}
-	}
-	return m, nil
 }
 
 // parallelRows splits [0, n) into contiguous chunks, one per worker, and runs

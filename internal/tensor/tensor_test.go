@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -39,23 +40,6 @@ func TestNewMatrixPanicsOnNegative(t *testing.T) {
 	NewMatrix(-1, 2)
 }
 
-func TestFromRows(t *testing.T) {
-	m, err := FromRows([][]float32{{1, 2}, {3, 4}, {5, 6}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Rows != 3 || m.Cols != 2 || m.At(2, 1) != 6 {
-		t.Errorf("FromRows produced %+v", m)
-	}
-	if _, err := FromRows([][]float32{{1, 2}, {3}}); err == nil {
-		t.Error("FromRows with ragged rows: want error")
-	}
-	empty, err := FromRows(nil)
-	if err != nil || empty.Rows != 0 {
-		t.Errorf("FromRows(nil) = %+v, %v", empty, err)
-	}
-}
-
 func TestMatMulMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	shapes := []struct{ m, k, n int }{
@@ -69,7 +53,7 @@ func TestMatMulMatchesNaive(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := naiveMatMul(a, b)
-		if !Equal(got, want, 1e-3) {
+		if !equal(got, want, 1e-3) {
 			t.Errorf("MatMul %dx%dx%d differs from naive", s.m, s.k, s.n)
 		}
 	}
@@ -104,29 +88,12 @@ func TestMatMulReusesOutput(t *testing.T) {
 	if &got.Data[0] != &c.Data[0] {
 		t.Error("MatMul did not reuse provided output")
 	}
-	if !Equal(got, naiveMatMul(a, b), 1e-3) {
+	if !equal(got, naiveMatMul(a, b), 1e-3) {
 		t.Error("MatMul into reused output is wrong")
 	}
 }
 
-func TestMatVec(t *testing.T) {
-	a, _ := FromRows([][]float32{{1, 2, 3}, {4, 5, 6}})
-	y, err := MatVec(a, []float32{1, 1, 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y[0] != 6 || y[1] != 15 {
-		t.Errorf("MatVec = %v, want [6 15]", y)
-	}
-	if _, err := MatVec(a, []float32{1}, nil); err == nil {
-		t.Error("MatVec length mismatch: want error")
-	}
-	if _, err := MatVec(a, []float32{1, 1, 1}, make([]float32, 5)); err == nil {
-		t.Error("MatVec bad output length: want error")
-	}
-}
-
-// TestVecMatMatchesTransposedMatVec holds VecMat bit for bit to MatVec over
+// TestVecMatMatchesTransposedMatVec holds VecMat bit for bit to matVec over
 // the transpose, zeros in x included (a ReLU output has many).
 func TestVecMatMatchesTransposedMatVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
@@ -142,7 +109,7 @@ func TestVecMatMatchesTransposedMatVec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := MatVec(a.Transpose(), x, nil)
+		want := matVec(a.Transpose(), x)
 		for j := range want {
 			if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
 				t.Fatalf("%dx%d: y[%d] = %v, want %v", sh[0], sh[1], j, got[j], want[j])
@@ -155,7 +122,7 @@ func TestVecMatMatchesTransposedMatVec(t *testing.T) {
 }
 
 func TestTranspose(t *testing.T) {
-	a, _ := FromRows([][]float32{{1, 2, 3}, {4, 5, 6}})
+	a, _ := fromRows([][]float32{{1, 2, 3}, {4, 5, 6}})
 	at := a.Transpose()
 	if at.Rows != 3 || at.Cols != 2 || at.At(2, 0) != 3 || at.At(0, 1) != 4 {
 		t.Errorf("Transpose = %+v", at)
@@ -165,13 +132,13 @@ func TestTranspose(t *testing.T) {
 func TestTransposeInvolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randomMatrix(rng, 9, 14)
-	if !Equal(a.Transpose().Transpose(), a, 0) {
+	if !equal(a.Transpose().Transpose(), a, 0) {
 		t.Error("double transpose differs from original")
 	}
 }
 
 func TestAddBias(t *testing.T) {
-	m, _ := FromRows([][]float32{{1, 2}, {3, 4}})
+	m, _ := fromRows([][]float32{{1, 2}, {3, 4}})
 	if err := AddBias(m, []float32{10, 20}); err != nil {
 		t.Fatal(err)
 	}
@@ -196,23 +163,6 @@ func TestReLUAndSigmoid(t *testing.T) {
 	}
 }
 
-func TestDotAndMaxAbsDiff(t *testing.T) {
-	d, err := Dot([]float32{1, 2}, []float32{3, 4})
-	if err != nil || d != 11 {
-		t.Errorf("Dot = %v, %v; want 11", d, err)
-	}
-	if _, err := Dot([]float32{1}, []float32{1, 2}); err == nil {
-		t.Error("Dot length mismatch: want error")
-	}
-	m, err := MaxAbsDiff([]float32{1, 5}, []float32{2, 3})
-	if err != nil || m != 2 {
-		t.Errorf("MaxAbsDiff = %v, %v; want 2", m, err)
-	}
-	if _, err := MaxAbsDiff([]float32{1}, []float32{}); err == nil {
-		t.Error("MaxAbsDiff length mismatch: want error")
-	}
-}
-
 // Property: (A*B)^T == B^T * A^T within float tolerance.
 func TestMatMulTransposeProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -228,7 +178,7 @@ func TestMatMulTransposeProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !Equal(ab.Transpose(), btat, 1e-3) {
+		if !equal(ab.Transpose(), btat, 1e-3) {
 			t.Fatalf("(AB)^T != B^T A^T for %dx%dx%d", m, k, n)
 		}
 	}
@@ -249,7 +199,7 @@ func TestMatMulIdentityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return Equal(out, a, 1e-6)
+		return equal(out, a, 1e-6)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -270,15 +220,50 @@ func BenchmarkMatMul352x1024(b *testing.B) {
 	}
 }
 
-func BenchmarkMatVec1024(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := randomMatrix(rng, 1024, 512)
-	x := make([]float32, 512)
-	y := make([]float32, 1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := MatVec(a, x, y); err != nil {
-			b.Fatal(err)
+// fromRows builds a matrix from a slice of equal-length rows.
+func fromRows(rows [][]float32) (*Matrix, error) {
+	if len(rows) == 0 {
+		return &Matrix{}, nil
+	}
+	cols := len(rows[0])
+	m := NewMatrix(len(rows), cols)
+	for i, r := range rows {
+		if len(r) != cols {
+			return nil, fmt.Errorf("tensor: row %d has %d columns, want %d", i, len(r), cols)
+		}
+		copy(m.Row(i), r)
+	}
+	return m, nil
+}
+
+// equal reports whether two matrices have identical shape and elements within
+// tolerance eps.
+func equal(a, b *Matrix, eps float32) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i := range a.Data {
+		d := a.Data[i] - b.Data[i]
+		if d < 0 {
+			d = -d
+		}
+		if d > eps {
+			return false
 		}
 	}
+	return true
+}
+
+// matVec computes y = A * x for a (m x k) matrix and length-k vector, one
+// row's dot product at a time: the reference VecMat is held to.
+func matVec(a *Matrix, x []float32) []float32 {
+	y := make([]float32, a.Rows)
+	for i := 0; i < a.Rows; i++ {
+		var sum float32
+		for j, v := range a.Row(i) {
+			sum += v * x[j]
+		}
+		y[i] = sum
+	}
+	return y
 }

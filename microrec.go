@@ -70,11 +70,9 @@ import (
 	"microrec/internal/fixedpoint"
 	"microrec/internal/kernels"
 	"microrec/internal/loadgen"
-	"microrec/internal/memsim"
 	"microrec/internal/metrics"
 	"microrec/internal/model"
 	"microrec/internal/obs"
-	"microrec/internal/placement"
 	"microrec/internal/router"
 	"microrec/internal/serving"
 	"microrec/internal/tieredstore"
@@ -110,7 +108,7 @@ type (
 	// Resources is an FPGA resource-utilisation estimate.
 	Resources = accel.Resources
 	// PlacementResult is a table-combination + bank-allocation plan.
-	PlacementResult = placement.Result
+	PlacementResult = accel.Result
 	// CPUEngine is the real multi-goroutine CPU baseline engine.
 	CPUEngine = cpu.Engine
 	// CPUModel is the calibrated analytic model of the paper's baseline.
@@ -118,7 +116,7 @@ type (
 	// Generator produces deterministic query workloads.
 	Generator = workload.Generator
 	// MemorySystem describes a set of memory banks.
-	MemorySystem = memsim.System
+	MemorySystem = accel.System
 	// Format is a fixed-point number format.
 	Format = fixedpoint.Format
 	// MaterializeOpts controls parameter materialisation (seed, capacity
@@ -312,7 +310,7 @@ func DLRMModel(numTables, dim int) (*Spec, error) { return model.DLRMRMC2(numTab
 
 // U280 returns the paper's FPGA memory system: 32 HBM pseudo-channels, 2 DDR4
 // channels and the given number of on-chip table banks.
-func U280(onChipBanks int) MemorySystem { return memsim.U280(onChipBanks) }
+func U280(onChipBanks int) MemorySystem { return accel.U280(onChipBanks) }
 
 // KernelFeatures reports which optimized datapath kernels this build selected
 // at init ("portable" when none): the provenance string the loadtest report
@@ -436,18 +434,18 @@ type AcceleratorOptions struct {
 // the U280 and returns the modelled accelerator build: its plan, its Table 6
 // configuration, and the timing model over them (Timing, TracePipeline).
 func NewAcceleratorModel(spec *Spec, opts AcceleratorOptions) (*AcceleratorModel, error) {
-	alloc := placement.RoundRobin
+	alloc := accel.RoundRobin
 	if opts.UseLPTAllocator {
-		alloc = placement.LPT
+		alloc = accel.LPT
 	}
 	cfg := accel.ConfigFor(spec.Name, orFixed16(opts.Precision))
-	return accel.New(spec, cfg, placement.Options{EnableCartesian: !opts.DisableCartesian, Allocator: alloc})
+	return accel.New(spec, cfg, accel.Options{EnableCartesian: !opts.DisableCartesian, Allocator: alloc})
 }
 
 // PlanModel runs only the placement search (Algorithm 1) and returns the
 // resulting plan, for inspection.
 func PlanModel(spec *Spec, sys MemorySystem, enableCartesian bool) (*PlacementResult, error) {
-	return placement.Plan(spec, sys, placement.Options{EnableCartesian: enableCartesian})
+	return accel.Plan(spec, sys, accel.Options{EnableCartesian: enableCartesian})
 }
 
 // NewCPUEngine materialises parameters and builds the real CPU baseline
@@ -469,7 +467,7 @@ func PaperCPUModel(modelName string) (CPUModel, error) {
 	case "production-large":
 		return cpu.PaperLarge(), nil
 	default:
-		return CPUModel{}, fmt.Errorf("microrec: no calibrated CPU model for %q (use cpu.Calibrated)", modelName)
+		return CPUModel{}, fmt.Errorf("microrec: no calibrated CPU model for %q", modelName)
 	}
 }
 
