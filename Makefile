@@ -20,9 +20,12 @@ vet:
 # vet-custom runs microrec-vet, the repo's own go/analysis suite (lockheld,
 # hotalloc, atomicfield, statsnapshot, deadexport): the mechanized
 # concurrency and zero-alloc invariants of the datapath, and no internal
-# export that only tests call. Exit 2 = findings.
+# export that only tests call. Exit 2 = findings. microrec-vet analyses the
+# build it is built for, so the second pass checks the noasm files
+# (quantize_noasm.go, prefetch_other.go) the default build leaves out.
 vet-custom:
 	$(GO) run ./cmd/microrec-vet ./...
+	$(GO) run -tags noasm ./cmd/microrec-vet ./...
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt required on:"; echo "$$out"; exit 1; fi

@@ -14,12 +14,19 @@
 // Findings print in the standard file:line:col form. A deliberate
 // violation is suppressed in source with //microrec:allow <analyzer> on
 // the reported line.
+//
+// microrec-vet analyses the build it was itself built for: run as
+// `go run -tags noasm ./cmd/microrec-vet ./...` it loads the noasm files
+// (quantize_noasm.go, prefetch_other.go) in place of the files they replace.
+// A file no build of the host compiles is analysed by no pass.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/debug"
+	"strings"
 
 	"microrec/internal/analysis"
 	"microrec/internal/analysis/atomicfield"
@@ -35,6 +42,19 @@ var analyzers = []*analysis.Analyzer{
 	atomicfield.Analyzer,
 	statsnapshot.Analyzer,
 	deadexport.Analyzer,
+}
+
+// buildTags returns the build tags this binary was built with (go build's
+// -tags, recorded in its build info).
+func buildTags() []string {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-tags" && s.Value != "" {
+				return strings.Split(s.Value, ",")
+			}
+		}
+	}
+	return nil
 }
 
 func main() {
@@ -57,7 +77,7 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	prog, err := analysis.Load(".", patterns...)
+	prog, err := analysis.Load(".", buildTags(), patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "microrec-vet:", err)
 		os.Exit(1)

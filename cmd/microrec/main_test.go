@@ -158,8 +158,13 @@ func TestServeMuxErrors(t *testing.T) {
 		{"non-POST", "GET", "", http.StatusMethodNotAllowed},
 		{"malformed JSON", "POST", "{bad json", http.StatusBadRequest},
 		{"wrong table count", "POST", `{"indices":[[0]]}`, http.StatusBadRequest},
+		{"no indices", "POST", `{}`, http.StatusBadRequest},
 		{"empty body", "POST", "", http.StatusBadRequest},
 		{"out-of-range index", "POST", badIndexBody(t), http.StatusBadRequest},
+		// The body decodes in place into the query's one array: a table
+		// with an extra index outgrows its window, and is refused by its
+		// shape.
+		{"extra lookup", "POST", extraLookupBody(), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -187,6 +192,17 @@ func badIndexBody(t testing.TB) string {
 		t.Fatal(err)
 	}
 	return string(body)
+}
+
+// extraLookupBody is a small-model request whose first table has two indices
+// where the model looks up one; every index is in range.
+func extraLookupBody() string {
+	tables := make([]string, len(microrec.SmallProductionModel().Tables))
+	for i := range tables {
+		tables[i] = "[0]"
+	}
+	tables[0] = "[0,0]"
+	return `{"indices":[` + strings.Join(tables, ",") + `]}`
 }
 
 // TestServeMuxModelShape golden-checks the /model JSON shape.

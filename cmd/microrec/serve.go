@@ -20,7 +20,7 @@ import (
 // predictRequest is the JSON body of POST /predict: per-table lookup indices.
 type predictRequest struct {
 	// Indices[t] lists the row indices for table t, in model order.
-	Indices [][]int64 `json:"indices"`
+	Indices microrec.Query `json:"indices"`
 }
 
 type predictResponse struct {
@@ -73,11 +73,17 @@ func newServeMux(eng *microrec.Engine, srv serveTarget, withPprof bool) *http.Se
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
+		// The body decodes in place into a query laid out for the model:
+		// encoding/json appends into a slice's spare capacity by decoding
+		// into the element already there, so each table's indices land in
+		// its window of the query's one array. The query starts at length 0,
+		// so a body without indices has no tables; one of another shape
+		// outgrows or shortens the windows. Submit rejects both by shape.
+		req := predictRequest{Indices: microrec.NewQuery(spec)[:0]}
 		// The body gets as long as the header had, and is read to its end
 		// under that deadline: a reply sent with part of the body unread
 		// first discards the rest, with no bound of its own. On an error the
 		// deadline stays armed, so that discard ends at it.
-		var req predictRequest
 		rc := http.NewResponseController(w)
 		if hs, ok := r.Context().Value(http.ServerContextKey).(*http.Server); ok && hs.ReadHeaderTimeout > 0 {
 			// Errors only where there is no connection (a test recorder).
@@ -105,11 +111,7 @@ func newServeMux(eng *microrec.Engine, srv serveTarget, withPprof bool) *http.Se
 		// there would cancel the request's context mid-batch. (Errors as
 		// above.)
 		_ = rc.SetReadDeadline(time.Time{})
-		q := make(microrec.Query, len(req.Indices))
-		for i := range req.Indices {
-			q[i] = req.Indices[i]
-		}
-		res, err := srv.Submit(r.Context(), q)
+		res, err := srv.Submit(r.Context(), req.Indices)
 		if err != nil {
 			switch {
 			case errors.Is(err, microrec.ErrInvalidQuery):

@@ -14,6 +14,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strings"
 )
 
 // Package is one module package loaded from source with full type
@@ -55,16 +56,23 @@ type listPkg struct {
 }
 
 // Load enumerates the packages matching patterns (relative patterns resolve
-// against dir), compiles export data for every dependency, and type-checks
-// each module package from source in dependency order. Packages outside the
-// module (the standard library) are imported from export data; packages
-// inside it are always built from source so that types.Object identities —
-// and therefore analyzer facts — are consistent program-wide.
-func Load(dir string, patterns ...string) (*Program, error) {
+// against dir) in the build the tags select (none: the default build),
+// compiles export data for every dependency, and type-checks each module
+// package from source in dependency order. Only the files that build
+// compiles are loaded, so a file behind a build tag is analysed only in a
+// load that sets it. Packages outside the module (the standard library) are
+// imported from export data; packages inside it are always built from source
+// so that types.Object identities — and therefore analyzer facts — are
+// consistent program-wide.
+func Load(dir string, tags []string, patterns ...string) (*Program, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"list", "-export", "-json", "-deps", "--"}, patterns...)
+	args := []string{"list", "-export", "-json", "-deps"}
+	if len(tags) > 0 {
+		args = append(args, "-tags="+strings.Join(tags, ","))
+	}
+	args = append(append(args, "--"), patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer

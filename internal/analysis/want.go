@@ -16,16 +16,16 @@ type TB interface {
 }
 
 // RunWant loads the fixture package at pkgdir (relative to the calling
-// test's working directory, conventionally testdata/src/<name>), runs the
-// analyzers over it, and diffs the diagnostics against `// want "regexp"`
-// comments in the fixture: every want must be matched by a diagnostic on its
+// test's working directory, conventionally testdata/src/<name>) in the build
+// the tags select, runs the analyzers over it, and diffs the diagnostics
+// against `// want "regexp"` comments in the fixture: every want must be matched by a diagnostic on its
 // line, and every diagnostic must match a want. This is the analysistest
 // contract, so fixtures carry both flagged variants (with wants) and
 // accepted variants (without) of each bug class. Only the analyzers' tests
 // call it, from their own packages, so deadexport is allowed on it.
-func RunWant(t TB, analyzers []*Analyzer, pkgdir string) { //microrec:allow deadexport
+func RunWant(t TB, analyzers []*Analyzer, pkgdir string, tags ...string) { //microrec:allow deadexport
 	t.Helper()
-	prog, err := Load(".", "./"+strings.TrimPrefix(pkgdir, "./"))
+	prog, err := Load(".", tags, "./"+strings.TrimPrefix(pkgdir, "./"))
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", pkgdir, err)
 	}

@@ -68,13 +68,11 @@ func randomQueries(spec *model.Spec, n int, seed int64) []embedding.Query {
 	rng := rand.New(rand.NewSource(seed))
 	qs := make([]embedding.Query, n)
 	for i := range qs {
-		q := make(embedding.Query, len(spec.Tables))
+		q := embedding.NewQuery(spec)
 		for ti, tab := range spec.Tables {
-			idxs := make([]int64, tab.Lookups)
-			for k := range idxs {
-				idxs[k] = rng.Int63n(tab.Rows)
+			for k := range q[ti] {
+				q[ti][k] = rng.Int63n(tab.Rows)
 			}
-			q[ti] = idxs
 		}
 		qs[i] = q
 	}

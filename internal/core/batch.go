@@ -69,17 +69,24 @@ func (s *BatchScratch) SetGatherObs(o GatherObs) { s.obs = o }
 // their batch planes at construction.
 func (e *Engine) EnsurePlane(s *BatchScratch, b int) { e.dp.ensure(s, b) }
 
-// ValidateQuery checks a query's shape and index ranges against the model
-// without running inference, so servers can reject a malformed query at
-// admission. The validated hot paths (InferBatchValidated, the gather loop)
-// rely on this having been called exactly once per query.
+// ValidateQuery checks a query's shape, layout and index ranges against the
+// model without running inference, so servers can reject a malformed query at
+// admission. The layout is embedding.Query's: one array of indices, table
+// after table, with each table's slice the window of it at the table's
+// offset (embedding.NewQuery builds it). The validated hot paths
+// (InferBatchValidated, the gather loop) rely on this having been called
+// exactly once per query, and read each index from that one array.
 func (e *Engine) ValidateQuery(q embedding.Query) error {
 	if len(q) != len(e.spec.Tables) {
 		return fmt.Errorf("core: query covers %d tables, model has %d", len(q), len(e.spec.Tables))
 	}
+	all := indices(q)
 	for i, t := range e.spec.Tables {
 		if len(q[i]) != t.Lookups {
 			return fmt.Errorf("core: table %q expects %d lookups, query has %d", t.Name, t.Lookups, len(q[i]))
+		}
+		if at := e.indexOffset[i]; at+t.Lookups > len(all) || &q[i][0] != &all[at] {
+			return fmt.Errorf("core: table %q's indices are not at offset %d of the query's one index array (build queries with NewQuery)", t.Name, at)
 		}
 		for _, idx := range q[i] {
 			if idx < 0 || idx >= t.Rows {

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 
+	"microrec/internal/embedding"
 	"microrec/internal/fixedpoint"
 	"microrec/internal/model"
+	"microrec/internal/workload"
 )
 
 // oddSpec is a tiny model whose feature length, hidden widths and batch
@@ -149,7 +153,7 @@ func TestValidateQuery(t *testing.T) {
 		t.Error("short query: want error")
 	}
 	bad := randomQueries(spec, 1, 9)[0]
-	bad[0] = []int64{spec.Tables[0].Rows}
+	bad[0][0] = spec.Tables[0].Rows
 	if err := e.ValidateQuery(bad); err == nil {
 		t.Error("out-of-range index: want error")
 	}
@@ -157,6 +161,96 @@ func TestValidateQuery(t *testing.T) {
 	bad2[2] = append(bad2[2], 0)
 	if err := e.ValidateQuery(bad2); err == nil {
 		t.Error("wrong lookup count: want error")
+	}
+}
+
+// relaidQueries returns q's indices in every layout ValidateQuery must
+// reject, each with the right shape and every index in range (the
+// overlapping windows hold index 0, which every table has).
+func relaidQueries(spec *model.Spec, q embedding.Query) map[string]embedding.Query {
+	n := len(spec.Tables)
+	layouts := map[string]embedding.Query{
+		"separate slices":      make(embedding.Query, n),
+		"tables reversed":      make(embedding.Query, n),
+		"overlapping":          make(embedding.Query, n),
+		"capped after packing": embedding.NewQuery(spec),
+	}
+	reversed, overlap := make([]int64, spec.NumLookups()), make([]int64, spec.NumLookups())
+	end := len(reversed)
+	for t := range spec.Tables {
+		layouts["separate slices"][t] = append([]int64(nil), q[t]...)
+		end -= len(q[t])
+		layouts["tables reversed"][t] = reversed[end : end+len(q[t])]
+		copy(layouts["tables reversed"][t], q[t])
+		layouts["overlapping"][t] = overlap[:len(q[t])] // every window at offset 0, index 0
+		c := layouts["capped after packing"]
+		copy(c[t], q[t])
+		c[t] = c[t][:len(c[t]):len(c[t])]
+	}
+	return layouts
+}
+
+// TestValidateQueryRejectsUnpackedLayouts holds every engine entry point to
+// embedding.Query's layout: a query whose tables are not windows of one
+// array, in table order, at their offsets, is rejected by its layout however
+// valid its shape and indices. A query that shares its array with others
+// (its windows at their offsets from q[0]) is accepted.
+func TestValidateQueryRejectsUnpackedLayouts(t *testing.T) {
+	for _, spec := range []*model.Spec{model.SmallProduction(), oddSpec()} {
+		e := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
+		q := randomQueries(spec, 1, 13)[0]
+		for name, bad := range relaidQueries(spec, q) {
+			err := e.ValidateQuery(bad)
+			if err == nil || !strings.Contains(err.Error(), "one index array") {
+				t.Errorf("%s %s: ValidateQuery = %v, want the layout error", spec.Name, name, err)
+			}
+			if _, err := e.InferOne(bad); err == nil {
+				t.Errorf("%s %s: InferOne accepted it", spec.Name, name)
+			}
+			if _, err := e.GatherBatch([]embedding.Query{q, bad}, nil); err == nil {
+				t.Errorf("%s %s: GatherBatch accepted it", spec.Name, name)
+			}
+		}
+		// Two queries carved from one array: the second's q[0] starts
+		// mid-array, and offsets count from it.
+		shared := make([]int64, 2*spec.NumLookups())
+		var pair [2]embedding.Query
+		for i := range pair {
+			pair[i] = make(embedding.Query, len(spec.Tables))
+			at := i * spec.NumLookups()
+			for ti := range spec.Tables {
+				pair[i][ti] = shared[at : at+len(q[ti])]
+				copy(pair[i][ti], q[ti])
+				at += len(q[ti])
+			}
+			if err := e.ValidateQuery(pair[i]); err != nil {
+				t.Errorf("%s: query %d of a shared array: %v", spec.Name, i, err)
+			}
+		}
+	}
+}
+
+// TestGeneratedQueriesValidate checks that the workload generator's queries
+// pass ValidateQuery on random geometries: the generator and the engine agree
+// on the layout, whatever the tables' lookup counts.
+func TestGeneratedQueriesValidate(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 8; i++ {
+		spec := randomSpec(rng, fmt.Sprintf("gen-%d", i))
+		e := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
+		for _, dist := range []workload.Distribution{workload.Uniform, workload.Zipf} {
+			g, err := workload.NewGenerator(spec, dist, int64(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			qs, err := g.Batch(8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.validateBatch(qs, 0); err != nil {
+				t.Errorf("%s %v: %v", spec.Name, dist, err)
+			}
+		}
 	}
 }
 

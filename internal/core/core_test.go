@@ -30,13 +30,11 @@ func randomQueries(spec *model.Spec, n int, seed int64) []embedding.Query {
 	rng := rand.New(rand.NewSource(seed))
 	qs := make([]embedding.Query, n)
 	for i := range qs {
-		q := make(embedding.Query, len(spec.Tables))
+		q := embedding.NewQuery(spec)
 		for ti, tab := range spec.Tables {
-			idxs := make([]int64, tab.Lookups)
-			for k := range idxs {
-				idxs[k] = rng.Int63n(tab.Rows)
+			for k := range q[ti] {
+				q[ti][k] = rng.Int63n(tab.Rows)
 			}
-			q[ti] = idxs
 		}
 		qs[i] = q
 	}
@@ -247,7 +245,7 @@ func TestGatherQueryErrors(t *testing.T) {
 		t.Error("missing lookups: want error")
 	}
 	q = randomQueries(spec, 1, 1)[0]
-	q[0] = []int64{spec.Tables[0].Rows + 5}
+	q[0][0] = spec.Tables[0].Rows + 5
 	if _, err := e.Gather(q, nil); err == nil {
 		t.Error("out-of-range index: want error")
 	}

@@ -24,6 +24,9 @@ type Engine struct {
 	// the concatenated feature vector (spec order, lookup-minor).
 	featureOffset []int
 	featureLen    int
+	// indexOffset[srcID] is where source table srcID's indices start in a
+	// query's one index array (embedding.Query's layout).
+	indexOffset []int
 
 	// dp is the width-native datapath: the quantized embedding tables and FC
 	// tower and every loop that reads or writes an activation plane,
@@ -77,10 +80,12 @@ func Build(params *model.Parameters, cfg Config) (*Engine, error) {
 	}
 	e.onePool.New = func() interface{} { return new(oneScratch) }
 	e.featureOffset = make([]int, len(spec.Tables))
-	off := 0
+	e.indexOffset = make([]int, len(spec.Tables))
+	off, at := 0, 0
 	for i, t := range spec.Tables {
-		e.featureOffset[i] = off
+		e.featureOffset[i], e.indexOffset[i] = off, at
 		off += t.Dim * t.Lookups
+		at += t.Lookups
 	}
 	e.featureLen = off + spec.DenseDim
 	if got := spec.FeatureLen(); e.featureLen != got {

@@ -37,16 +37,21 @@ import (
 // rows, not queries or tables, so a batch of one keeps a whole item's lookups
 // in flight and a batch of 64 is cut into window-sized runs.
 //
-// Besides its fetch a row costs a page walk and a move, neither of which
-// the paper's HBM channels pay. The walk: a uniform lookup into hundreds of
-// megabytes of tables lands on a page the TLB does not hold, and the core
-// walks the page table before the fetch can start. In 4 KiB pages
-// production-large's 363 MB of tables at the benchmark's cap are ≈ 89 000
-// translations; in the 2 MiB pages internal/offheap asks for they are ≈ 175,
-// few enough for the TLB to keep. The move: a row is 8 to 256 bytes, and
-// moveRows (rowmove.go) moves a block's run of rows as fixed-size values
-// chosen once by the block's row length, where copy would call memmove once
-// per row.
+// Besides its fetch a row costs an index read, a page walk and a move, none
+// of which the paper's HBM channels pay. The index read: a query is one
+// array of indices, table after table (embedding.Query's layout, checked by
+// ValidateQuery), and a block reads its lookup's index at a fixed offset of
+// that array. Read through the per-table slices instead, a production-large
+// query is 98 slice headers (37 cache lines) in front of 13 lines of
+// indices, and a batch of 64 is 150 KB of headers no row needs. The walk: a
+// uniform lookup into hundreds of megabytes of tables lands on a page the
+// TLB does not hold, and the core walks the page table before the fetch can
+// start. In 4 KiB pages production-large's 363 MB of tables at the
+// benchmark's cap are ≈ 89 000 translations; in the 2 MiB pages
+// internal/offheap asks for they are ≈ 175, few enough for the TLB to keep.
+// The move: a row is 8 to 256 bytes, and moveRows (rowmove.go) moves a
+// block's run of rows as fixed-size values chosen once by the block's row
+// length, where copy would call memmove once per row.
 
 // gatherWindow is W, the number of row fetches the gather keeps in flight:
 // row numbers are resolved and hinted W at a time before any of them is read.
@@ -117,16 +122,24 @@ func (m *rowMod) reduce(idx int64) int64 {
 // gatherBlock is one source table at one lookup round. Its rows are the
 // datapath's (fixedPath.tables or .tier).
 type gatherBlock struct {
-	// srcID indexes the query, the spec's and the datapath's tables, and is
-	// the table's key namespace in the hot-row cache and its tier stream.
+	// srcID indexes the spec's and the datapath's tables, and is the table's
+	// key namespace in its tier stream.
 	srcID int
 	mod   rowMod
 	dim   int // row length
 	// off is the feature column this round of the source starts at.
 	off      int
 	vecBytes int // bytes one row takes: picks moveRows' case
-	round    int // which of the source's per-inference lookups this block is
+	// at is this lookup's index in a query's one index array: the source's
+	// offset there plus the round.
+	at int
 }
+
+// indices returns a query's one index array, every table's indices in order
+// (embedding.Query's layout): q[0]'s array, up to its capacity.
+//
+//microrec:noalloc
+func indices(q embedding.Query) []int64 { return q[0][:cap(q[0])] }
 
 // resolve writes the row number of each query's lookup in this block to
 // rows[i].
@@ -134,9 +147,9 @@ type gatherBlock struct {
 //microrec:noalloc
 func (blk *gatherBlock) resolve(queries []embedding.Query, rows []int64) {
 	rows = rows[:len(queries)]
-	mod, src, round := blk.mod, blk.srcID, blk.round // copied out: rows could alias the block as far as the compiler knows
+	mod, at := blk.mod, blk.at // copied out: rows could alias the block as far as the compiler knows
 	for i, q := range queries {
-		rows[i] = mod.reduce(q[src][round])
+		rows[i] = mod.reduce(indices(q)[at])
 	}
 }
 
@@ -201,7 +214,7 @@ func (e *Engine) compileGatherPlan() gatherPlan {
 				dim:      ts.Dim,
 				off:      e.featureOffset[t] + r*ts.Dim,
 				vecBytes: ts.Dim * e.cfg.Precision.Bits / 8,
-				round:    r,
+				at:       e.indexOffset[t] + r,
 			})
 		}
 	}
@@ -267,7 +280,7 @@ func (e *Engine) PrefetchBatch(queries []embedding.Query) {
 		for bi := range blocks {
 			blk := &blocks[bi]
 			for _, q := range queries {
-				e.tier.Prefetch(blk.srcID, blk.mod.reduce(q[blk.srcID][blk.round]))
+				e.tier.Prefetch(blk.srcID, blk.mod.reduce(indices(q)[blk.at]))
 			}
 		}
 	}

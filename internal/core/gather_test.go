@@ -215,7 +215,8 @@ func TestHotCacheChargesRowsAtElementWidth(t *testing.T) {
 
 // TestGatherPlanWalksEveryTable checks the compiled gather plan: one
 // sequence naming every table once, in spec order, each with one block per
-// lookup round reading that table.
+// lookup round reading that table, at consecutive offsets of a query's index
+// array.
 func TestGatherPlanWalksEveryTable(t *testing.T) {
 	for _, spec := range []*model.Spec{model.SmallProduction(), model.LargeProduction(), oddSpec()} {
 		e := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
@@ -224,6 +225,7 @@ func TestGatherPlanWalksEveryTable(t *testing.T) {
 			t.Fatalf("%s: plan has %d tables and walks %d, spec has %d",
 				spec.Name, len(e.gplan.tables), len(e.gplan.all), n)
 		}
+		at := 0
 		for i, ti := range e.gplan.all {
 			if ti != i {
 				t.Fatalf("%s: position %d of the walk is table %d", spec.Name, i, ti)
@@ -233,9 +235,10 @@ func TestGatherPlanWalksEveryTable(t *testing.T) {
 				t.Errorf("%s: table %d has %d blocks, %d lookups", spec.Name, ti, len(blocks), spec.Tables[ti].Lookups)
 			}
 			for r, blk := range blocks {
-				if blk.srcID != ti || blk.round != r {
-					t.Errorf("%s: table %d block %d reads table %d round %d", spec.Name, ti, r, blk.srcID, blk.round)
+				if blk.srcID != ti || blk.at != at {
+					t.Errorf("%s: table %d block %d reads table %d index %d, want index %d", spec.Name, ti, r, blk.srcID, blk.at, at)
 				}
+				at++
 			}
 		}
 	}

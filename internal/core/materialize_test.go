@@ -108,7 +108,7 @@ func TestParallelInferPropagatesErrors(t *testing.T) {
 	spec := model.SmallProduction()
 	e := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
 	qs := randomQueries(spec, 8, 7)
-	qs[5][0] = []int64{spec.Tables[0].Rows + 10}
+	qs[5][0][0] = spec.Tables[0].Rows + 10
 	if _, err := e.Infer(qs); err == nil {
 		t.Error("bad query in batch: want error")
 	}

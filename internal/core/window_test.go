@@ -26,7 +26,7 @@ func serialWalk(e *Engine, queries []embedding.Query, ref *hotcache.Live) (looku
 		for bi := range e.gplan.tables[ti] {
 			blk := &e.gplan.tables[ti][bi]
 			for _, q := range queries {
-				row := q[blk.srcID][blk.round] % int64(blk.mod.rows)
+				row := q[blk.srcID][bi] % int64(blk.mod.rows) // block bi is round bi
 				ref.Lookup(blk.srcID, row, blk.vecBytes)
 				lookups++
 				if !e.tier.Stream(blk.srcID).IsHot(row) {

@@ -103,8 +103,29 @@ func (s *Store) Table(i int) (*Table, error) {
 func (s *Store) FeatureLen() int { return s.featureLen }
 
 // Query is one inference's sparse input: for each table, the logical row
-// indices to retrieve (len == the table's Lookups).
+// indices to retrieve (len == the table's Lookups). A query is one array of
+// indices, table after table: q[t] is the window of that array at table t's
+// offset (the lookups of the tables before it), and the array is q[0]'s up to
+// its capacity. NewQuery builds that layout. The engine (internal/core) reads
+// a query's indices from the one array, never through the per-table slices,
+// and rejects any other layout; the float Store here reads q[t] and accepts
+// any.
 type Query [][]int64
+
+// NewQuery returns a zeroed query shaped and laid out for spec: one array of
+// spec.NumLookups() indices, sliced per table in table order. The windows are
+// not capped, so appending to one overwrites the tables after it; write the
+// indices in place.
+func NewQuery(spec *model.Spec) Query {
+	q := make(Query, len(spec.Tables))
+	all := make([]int64, spec.NumLookups())
+	off := 0
+	for t, ts := range spec.Tables {
+		q[t] = all[off : off+ts.Lookups]
+		off += ts.Lookups
+	}
+	return q
+}
 
 // Gather resolves a query into the concatenated dense feature vector,
 // appending into dst (allocated with the right capacity if nil). The layout

@@ -54,13 +54,11 @@ func randomQueries(t testing.TB, spec *model.Spec, n int, seed int64) []embeddin
 	rng := rand.New(rand.NewSource(seed))
 	qs := make([]embedding.Query, n)
 	for i := range qs {
-		q := make(embedding.Query, len(spec.Tables))
+		q := embedding.NewQuery(spec)
 		for ti, tab := range spec.Tables {
-			idxs := make([]int64, tab.Lookups)
-			for k := range idxs {
-				idxs[k] = rng.Int63n(tab.Rows)
+			for k := range q[ti] {
+				q[ti][k] = rng.Int63n(tab.Rows)
 			}
-			q[ti] = idxs
 		}
 		qs[i] = q
 	}
@@ -466,21 +464,45 @@ func testCloseWhileFormingConserves(t *testing.T, workerPool bool) {
 }
 
 // TestSubmitRejectsMalformed checks validation happens before batching, so
-// a bad query cannot poison its neighbours.
+// a bad query cannot poison its neighbours: a wrong shape, an index out of
+// range, and each layout that is not embedding.Query's one array, table
+// after table (every one of those with the model's shape and in-range
+// indices), are answered ErrInvalidQuery without reaching the batcher.
 func TestSubmitRejectsMalformed(t *testing.T) {
 	eng := testEngine(t)
 	srv := newServer(t, eng, Options{Batching: BatchingOptions{MaxBatch: 4}})
-	if _, err := srv.Submit(context.Background(), embedding.Query{}); err == nil {
-		t.Error("empty query: want error")
+	spec := eng.Spec()
+	q := randomQueries(t, spec, 1, 8)[0]
+	outOfRange := randomQueries(t, spec, 1, 6)[0]
+	outOfRange[0][0] = spec.Tables[0].Rows + 1
+	n := len(spec.Tables)
+	separate, reversed, overlapping := make(embedding.Query, n), make(embedding.Query, n), make(embedding.Query, n)
+	capped := embedding.NewQuery(spec)
+	rev, zeros := make([]int64, spec.NumLookups()), make([]int64, spec.NumLookups())
+	end := len(rev)
+	for ti := range q {
+		separate[ti] = slices.Clone(q[ti])
+		end -= len(q[ti])
+		reversed[ti] = rev[end : end+len(q[ti])]
+		copy(reversed[ti], q[ti])
+		overlapping[ti] = zeros[:len(q[ti])]
+		copy(capped[ti], q[ti])
+		capped[ti] = capped[ti][:len(q[ti]):len(q[ti])]
 	}
-	bad := randomQueries(t, eng.Spec(), 1, 6)[0]
-	bad[0] = []int64{eng.Spec().Tables[0].Rows + 1}
-	if _, err := srv.Submit(context.Background(), bad); err == nil {
-		t.Error("out-of-range query: want error")
+	for name, bad := range map[string]embedding.Query{
+		"empty": {}, "out of range": outOfRange,
+		"separate slices": separate, "tables reversed": reversed,
+		"overlapping": overlapping, "capped after packing": capped,
+	} {
+		if _, err := srv.Submit(context.Background(), bad); !errors.Is(err, ErrInvalidQuery) {
+			t.Errorf("%s: Submit = %v, want ErrInvalidQuery", name, err)
+		}
 	}
-	st := srv.Stats()
-	if st.Queries != 0 {
+	if st := srv.Stats(); st.Queries != 0 {
 		t.Errorf("malformed queries reached the batcher: %+v", st)
+	}
+	if _, err := srv.Submit(context.Background(), q); err != nil {
+		t.Errorf("packed query: %v", err)
 	}
 }
 

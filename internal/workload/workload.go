@@ -69,14 +69,11 @@ func NewGenerator(spec *model.Spec, dist Distribution, seed int64) (*Generator, 
 // Spec returns the generator's model.
 func (g *Generator) Spec() *model.Spec { return g.spec }
 
-// Next produces one query. Its per-table index slices share one backing
-// array, table after table, each capped at its own length.
+// Next produces one query, laid out by embedding.NewQuery.
 func (g *Generator) Next() embedding.Query {
-	q := make(embedding.Query, len(g.spec.Tables))
-	all := make([]int64, g.spec.NumLookups())
+	q := embedding.NewQuery(g.spec)
 	for i, t := range g.spec.Tables {
-		idxs := all[:t.Lookups:t.Lookups]
-		all = all[t.Lookups:]
+		idxs := q[i]
 		for k := range idxs {
 			switch g.dist {
 			case Zipf:
@@ -85,7 +82,6 @@ func (g *Generator) Next() embedding.Query {
 				idxs[k] = g.rng.Int63n(t.Rows)
 			}
 		}
-		q[i] = idxs
 	}
 	return q
 }

@@ -149,7 +149,8 @@ func perTableNext(g *Generator) embedding.Query {
 // TestNextMatchesPerTableLayout holds the one-array query to the layout it
 // replaced: the same draws in the same order, so the same indices, on a
 // single-lookup and a multi-lookup model under both distributions. Each
-// table's slice is capped, so appending to one cannot overwrite the next.
+// table's slice is the window of q[0]'s array at the table's offset
+// (embedding.NewQuery's layout).
 func TestNextMatchesPerTableLayout(t *testing.T) {
 	rmc2, err := model.DLRMRMC2(8, 16)
 	if err != nil {
@@ -167,10 +168,12 @@ func TestNextMatchesPerTableLayout(t *testing.T) {
 			}
 			for n := 0; n < 50; n++ {
 				q, want := g.Next(), perTableNext(ref)
+				all, off := q[0][:cap(q[0])], 0
 				for i := range want {
-					if len(q[i]) != len(want[i]) || cap(q[i]) != len(want[i]) {
-						t.Fatalf("%s %v query %d table %d: len %d cap %d, want %d", spec.Name, dist, n, i, len(q[i]), cap(q[i]), len(want[i]))
+					if len(q[i]) != len(want[i]) || &q[i][0] != &all[off] {
+						t.Fatalf("%s %v query %d table %d: len %d, not the window at offset %d; want len %d", spec.Name, dist, n, i, len(q[i]), off, len(want[i]))
 					}
+					off += len(want[i])
 					for k := range want[i] {
 						if q[i][k] != want[i][k] {
 							t.Fatalf("%s %v query %d table %d lookup %d: %d, want %d", spec.Name, dist, n, i, k, q[i][k], want[i][k])

@@ -91,7 +91,10 @@ type (
 	// which an engine fills its tables at its width and float rows are
 	// regenerated).
 	Parameters = model.Parameters
-	// Query is one inference's sparse input: per-table row indices.
+	// Query is one inference's sparse input: per-table row indices, laid
+	// out as one array, table after table (q[t] is the window at table t's
+	// offset). Build queries with NewQuery or a Generator; an engine rejects
+	// any other layout.
 	Query = embedding.Query
 	// Engine is the CPU inference engine (NewEngine).
 	Engine = core.Engine
@@ -499,6 +502,11 @@ func ParseRoutePolicy(s string) (RoutePolicy, error) { return router.ParsePolicy
 
 // RoutePolicies lists the supported routing policies.
 func RoutePolicies() []RoutePolicy { return router.Policies() }
+
+// NewQuery returns a zeroed query for spec in the layout an engine accepts:
+// one array of indices, sliced per table in table order. Write each table's
+// indices into q[t] in place; appending to q[t] breaks the layout.
+func NewQuery(spec *Spec) Query { return embedding.NewQuery(spec) }
 
 // NewGenerator builds a deterministic workload generator.
 func NewGenerator(spec *Spec, dist workload.Distribution, seed int64) (*Generator, error) {

@@ -73,13 +73,11 @@ func allocQueries(spec *model.Spec, n int, seed int64) []embedding.Query {
 	rng := rand.New(rand.NewSource(seed))
 	qs := make([]embedding.Query, n)
 	for i := range qs {
-		q := make(embedding.Query, len(spec.Tables))
+		q := embedding.NewQuery(spec)
 		for ti, tab := range spec.Tables {
-			idxs := make([]int64, tab.Lookups)
-			for k := range idxs {
-				idxs[k] = rng.Int63n(tab.Rows)
+			for k := range q[ti] {
+				q[ti][k] = rng.Int63n(tab.Rows)
 			}
-			q[ti] = idxs
 		}
 		qs[i] = q
 	}
@@ -231,6 +229,20 @@ func zeroallocCases(t *testing.T) []allocCase {
 			run: func() {
 				eng.GatherIntoPlane(qs, &gatherScratch)
 				eng.GatherIntoPlane(qs[:1], &gatherScratch)
+			},
+		},
+		{
+			// Admission's check of a query's shape, layout and ranges, which
+			// every Submit runs: one pointer compare per table on top of the
+			// length and range checks.
+			name:   "core/validate-query",
+			covers: []string{"internal/core.indices"},
+			run: func() {
+				for _, q := range qs {
+					if err := eng.ValidateQuery(q); err != nil {
+						t.Fatal(err)
+					}
+				}
 			},
 		},
 		{
