@@ -39,9 +39,13 @@ test: build
 # tier counters and the partition must not depend on the host's core count.
 # The server's drains own their scheduling (the dense stage's yield before it
 # parks, stage overlap, the pool's run-to-completion workers), so serving and
-# routing must hold on one core as on four.
+# routing must hold on one core as on four. The second line reruns the two
+# serving tests that once flaked on a loaded host (stage overlap read from
+# the spans; the cancel wave's enqueue wait) ten times at each, so a
+# regression of either shows here.
 test-procs:
 	$(GO) test -cpu 1,4 ./internal/core ./internal/cluster ./internal/serving ./internal/router
+	$(GO) test -count=10 -cpu 1,4 -run '^(TestStagesOverlap|TestCancelDropsSkipWork)$$' ./internal/serving
 
 # test-kernels names the kernel paths this host dispatched and runs the
 # kernel tests verbosely, one subtest per registered implementation: on a

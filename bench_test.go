@@ -156,63 +156,6 @@ func BenchmarkEngineInferOne(b *testing.B) {
 	}
 }
 
-// BenchmarkCPUEngineBatch measures the real CPU baseline at the paper's
-// favoured batch size geometry (batch 256 keeps the benchmark fast while
-// exercising the same code path as 2048).
-func BenchmarkCPUEngineBatch(b *testing.B) {
-	spec := microrec.SmallProductionModel()
-	eng, err := microrec.NewCPUEngine(spec, 1, 256)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen, err := microrec.NewGenerator(spec, microrec.Uniform, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	qs, err := gen.Batch(256)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		preds, err := eng.InferBatch(qs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(preds) != 256 {
-			b.Fatal("short batch")
-		}
-	}
-	b.ReportMetric(float64(256*b.N)/b.Elapsed().Seconds(), "items/s")
-}
-
-// BenchmarkPlannerSmall measures Algorithm 1 on the 47-table model.
-func BenchmarkPlannerSmall(b *testing.B) {
-	spec := microrec.SmallProductionModel()
-	sys := microrec.U280(8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := microrec.PlanModel(spec, sys, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPlannerLarge measures Algorithm 1 on the 98-table model.
-func BenchmarkPlannerLarge(b *testing.B) {
-	spec := microrec.LargeProductionModel()
-	sys := microrec.U280(16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := microrec.PlanModel(spec, sys, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // ---- Gather benchmarks: per-query float walk vs the batched gather ----
 
 // BenchmarkGatherOne measures the per-query float reference gather: one

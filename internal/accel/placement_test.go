@@ -300,6 +300,18 @@ func BenchmarkPlanSmallProduction(b *testing.B) {
 	}
 }
 
+func BenchmarkPlanLargeProduction(b *testing.B) {
+	spec := model.LargeProduction()
+	sys := U280(16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Plan(spec, sys, Options{EnableCartesian: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkBruteForce6Tables(b *testing.B) {
 	spec := tinySpec(10, 20, 300, 4000, 5000, 6000)
 	sys := smallSystem()

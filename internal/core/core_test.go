@@ -41,36 +41,63 @@ func randomQueries(spec *model.Spec, n int, seed int64) []embedding.Query {
 	return qs
 }
 
-// TestEngineGatherMatchesStore pins the engine's float gather to the plain
-// spec-order store gather on both production models at both widths.
-func TestEngineGatherMatchesStore(t *testing.T) {
-	for _, spec := range []*model.Spec{model.SmallProduction(), model.LargeProduction()} {
+// floatTestSpecs are the geometries the float reference is pinned on: both
+// production models and random ones, dense tails included.
+func floatTestSpecs() []*model.Spec {
+	rng := rand.New(rand.NewSource(21))
+	specs := []*model.Spec{model.SmallProduction(), model.LargeProduction()}
+	for i := 0; i < 6; i++ {
+		specs = append(specs, randomSpec(rng, fmt.Sprintf("float-%d", i)))
+	}
+	return specs
+}
+
+// floatTablesGather is the whole-table gather the float features are held
+// to: q's rows read from FloatTables' copy (logical row r at r modulo the
+// materialised rows), spec order, lookup-minor, then the zero dense features.
+func floatTablesGather(p *model.Parameters, tables [][]float32, q embedding.Query) []float32 {
+	out := make([]float32, 0, p.Spec.FeatureLen())
+	for ti, ts := range p.Spec.Tables {
+		for _, idx := range q[ti] {
+			r := int(idx%p.ActualRows[ti]) * ts.Dim
+			out = append(out, tables[ti][r:r+ts.Dim]...)
+		}
+	}
+	return append(out, make([]float32, p.Spec.DenseDim)...)
+}
+
+// TestEngineGatherMatchesFloatTables pins the engine's float gather
+// (model.Parameters.Features, rows regenerated from the stream) bit for bit
+// to a whole-table gather over FloatTables, at both widths.
+func TestEngineGatherMatchesFloatTables(t *testing.T) {
+	for _, spec := range floatTestSpecs() {
 		params, err := spec.Materialize(model.MaterializeOptions{Seed: 1, MaxRowsPerTable: 256})
 		if err != nil {
 			t.Fatal(err)
 		}
-		store, err := embedding.NewStore(params)
+		tables, err := params.FloatTables()
 		if err != nil {
 			t.Fatal(err)
 		}
 		qs := randomQueries(spec, 5, 7)
 		for _, f := range []fixedpoint.Format{fixedpoint.Fixed16, fixedpoint.Fixed32} {
 			t.Run(fmt.Sprintf("%s/%dbit", spec.Name, f.Bits), func(t *testing.T) {
-				e := buildEngine(t, spec, Config{Precision: f})
+				e, err := Build(params, Config{Precision: f})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
 				for _, q := range qs {
 					got, err := e.Gather(q, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := store.Gather(q, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
+					want := floatTablesGather(params, tables, q)
 					if len(got) != len(want) {
 						t.Fatalf("gather length %d vs %d", len(got), len(want))
 					}
 					for i := range got {
-						if got[i] != want[i] {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 							t.Fatalf("gather[%d] = %v, want %v", i, got[i], want[i])
 						}
 					}
@@ -102,12 +129,12 @@ func transposedReference(t *testing.T, e *Engine, q embedding.Query) float32 {
 		t.Fatal(err)
 	}
 	weights, biases := e.params.Layers()
-	for l := range e.dims {
-		y := matVec(weights[l].Transpose(), x)
+	for l, w := range weights {
+		y := matVec(transpose(w), x)
 		for j := range y {
 			y[j] += biases[l][j]
 		}
-		if l < len(e.dims)-1 {
+		if l < len(weights)-1 {
 			tensor.ReLU(y)
 		}
 		x = y
@@ -128,21 +155,36 @@ func matVec(a *tensor.Matrix, x []float32) []float32 {
 	return y
 }
 
-// TestReferenceOneMatchesTransposedForm pins the transpose-free float
-// reference bit for bit to the MatVec(Wᵀ, x) form on both production models.
-func TestReferenceOneMatchesTransposedForm(t *testing.T) {
-	for _, spec := range []*model.Spec{model.SmallProduction(), model.LargeProduction()} {
-		e := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
-		for i, q := range randomQueries(spec, 16, 5) {
-			got, err := e.ReferenceOne(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := transposedReference(t, e, q); math.Float32bits(got) != math.Float32bits(want) {
-				t.Errorf("%s query %d: ReferenceOne %v, transposed form %v", spec.Name, i, got, want)
-			}
+// transpose returns aᵀ.
+func transpose(a *tensor.Matrix) *tensor.Matrix {
+	at := tensor.NewMatrix(a.Cols, a.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j, v := range a.Row(i) {
+			at.Data[j*at.Cols+i] = v
 		}
-		e.Close()
+	}
+	return at
+}
+
+// TestReferenceOneMatchesTransposedForm pins the float reference
+// (model.Parameters.Forward over the engine's Gather) bit for bit to the
+// MatVec(Wᵀ, x) form, at both widths.
+func TestReferenceOneMatchesTransposedForm(t *testing.T) {
+	for _, spec := range floatTestSpecs() {
+		qs := randomQueries(spec, 16, 5)
+		for _, f := range []fixedpoint.Format{fixedpoint.Fixed16, fixedpoint.Fixed32} {
+			e := buildEngine(t, spec, Config{Precision: f})
+			for i, q := range qs {
+				got, err := e.ReferenceOne(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := transposedReference(t, e, q); math.Float32bits(got) != math.Float32bits(want) {
+					t.Errorf("%s %d-bit query %d: ReferenceOne %v, transposed form %v", spec.Name, f.Bits, i, got, want)
+				}
+			}
+			e.Close()
+		}
 	}
 }
 
@@ -252,6 +294,27 @@ func TestGatherQueryErrors(t *testing.T) {
 	q = randomQueries(spec, 1, 1)[0]
 	if _, err := e.Gather(q, make([]float32, 3)); err == nil {
 		t.Error("short dst: want error")
+	}
+}
+
+// TestReferenceOneErrors checks that the float reference rejects the
+// queries the fixed-point path rejects, with an error rather than a
+// prediction.
+func TestReferenceOneErrors(t *testing.T) {
+	spec := model.SmallProduction()
+	e := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
+	if _, err := e.ReferenceOne(embedding.Query{{0}}); err == nil {
+		t.Error("short query: want error")
+	}
+	q := randomQueries(spec, 1, 2)[0]
+	q[1] = append(q[1], 0)
+	if _, err := e.ReferenceOne(q); err == nil {
+		t.Error("extra lookup: want error")
+	}
+	q = randomQueries(spec, 1, 2)[0]
+	q[len(q)-1][0] = -1
+	if _, err := e.ReferenceOne(q); err == nil {
+		t.Error("negative index: want error")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"microrec/internal/embedding"
 	"microrec/internal/kernels"
 	"microrec/internal/model"
-	"microrec/internal/tensor"
 	"microrec/internal/tieredstore"
 )
 
@@ -23,7 +22,6 @@ type Engine struct {
 	// featureOffset[srcID] is where source table srcID's vectors start in
 	// the concatenated feature vector (spec order, lookup-minor).
 	featureOffset []int
-	featureLen    int
 	// indexOffset[srcID] is where source table srcID's indices start in a
 	// query's one index array (embedding.Query's layout).
 	indexOffset []int
@@ -31,8 +29,7 @@ type Engine struct {
 	// dp is the width-native datapath: the quantized embedding tables and FC
 	// tower and every loop that reads or writes an activation plane,
 	// instantiated at the format's storage width (see plane.go).
-	dp   datapath
-	dims [][2]int
+	dp datapath
 
 	// gplan is the compiled batched-gather schedule (see gather.go).
 	gplan gatherPlan
@@ -76,7 +73,6 @@ func Build(params *model.Parameters, cfg Config) (*Engine, error) {
 		cfg:    cfg,
 		spec:   spec,
 		params: params,
-		dims:   spec.LayerDims(),
 	}
 	e.onePool.New = func() interface{} { return new(oneScratch) }
 	e.featureOffset = make([]int, len(spec.Tables))
@@ -86,10 +82,6 @@ func Build(params *model.Parameters, cfg Config) (*Engine, error) {
 		e.featureOffset[i], e.indexOffset[i] = off, at
 		off += t.Dim * t.Lookups
 		at += t.Lookups
-	}
-	e.featureLen = off + spec.DenseDim
-	if got := spec.FeatureLen(); e.featureLen != got {
-		return nil, fmt.Errorf("core: feature length mismatch %d vs %d", e.featureLen, got)
 	}
 	e.gplan = e.compileGatherPlan()
 	var err error
@@ -139,31 +131,15 @@ func (e *Engine) Spec() *model.Spec { return e.spec }
 func (e *Engine) Config() Config { return e.cfg }
 
 // Gather resolves one query into the concatenated float feature vector
-// (spec order, lookup-minor), reading every row as the parameters' float —
-// regenerated from the stream's checkpoints (model.Parameters.ReadRows), not
-// from the engine's quantized tables. It is the float reference of the
-// quantized GatherBatch path and records nothing in a tiered store's
-// frequency window.
+// (spec order, lookup-minor; model.Parameters.Features), every row
+// regenerated from the stream's checkpoints, not read from the engine's
+// quantized tables. It is the float reference of the quantized GatherBatch
+// path and records nothing in a tiered store's frequency window.
 func (e *Engine) Gather(q embedding.Query, dst []float32) ([]float32, error) {
 	if err := e.ValidateQuery(q); err != nil {
 		return nil, err
 	}
-	if dst == nil {
-		dst = make([]float32, e.featureLen)
-	} else if len(dst) != e.featureLen {
-		return nil, fmt.Errorf("core: dst length %d, want %d", len(dst), e.featureLen)
-	}
-	reads := make([]model.RowRead, 0, e.spec.NumLookups())
-	for t, ts := range e.spec.Tables {
-		for r, idx := range q[t] {
-			off := e.featureOffset[t] + r*ts.Dim
-			reads = append(reads, model.RowRead{Table: t, Index: idx, Dst: dst[off : off+ts.Dim]})
-		}
-	}
-	if err := e.params.ReadRows(reads); err != nil {
-		return nil, err
-	}
-	return dst, nil
+	return e.params.Features(q, dst)
 }
 
 // InferOne runs one query through the fixed-point datapath and returns the
@@ -188,30 +164,14 @@ func (e *Engine) InferOne(q embedding.Query) (float32, error) {
 }
 
 // ReferenceOne computes the same prediction in float32 (the software
-// reference used to measure quantization error).
+// reference used to measure quantization error): Gather, then the model's
+// float FC tower (model.Parameters.Forward).
 func (e *Engine) ReferenceOne(q embedding.Query) (float32, error) {
 	feat, err := e.Gather(q, nil)
 	if err != nil {
 		return 0, err
 	}
-	x := feat
-	weights, biases := e.params.Layers()
-	for l := range e.dims {
-		y, err := tensor.VecMat(x, weights[l])
-		if err != nil {
-			return 0, err
-		}
-		for j := range y {
-			y[j] += biases[l][j]
-		}
-		if l < len(e.dims)-1 {
-			tensor.ReLU(y)
-		}
-		x = y
-	}
-	out := []float32{x[0]}
-	tensor.Sigmoid(out)
-	return out[0], nil
+	return e.params.Forward(feat, nil)
 }
 
 // inferStrip bounds the queries Infer runs through one scratch at a time. A

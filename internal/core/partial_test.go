@@ -38,7 +38,7 @@ func TestPartialSpansCoverEmbeddingRegion(t *testing.T) {
 		nt := len(e.Spec().Tables)
 		for _, k := range []int{1, 2, 3} {
 			parts := randomPartition(rng, nt, k)
-			covered := make([]int, e.featureLen)
+			covered := make([]int, e.spec.FeatureLen())
 			for _, tables := range parts {
 				spans, err := e.PartialSpans(tables)
 				if err != nil {
@@ -55,13 +55,13 @@ func TestPartialSpansCoverEmbeddingRegion(t *testing.T) {
 					}
 				}
 			}
-			embEnd := e.featureLen - e.spec.DenseDim
+			embEnd := e.spec.FeatureLen() - e.spec.DenseDim
 			for c := 0; c < embEnd; c++ {
 				if covered[c] != 1 {
 					t.Fatalf("%s k=%d: column %d covered %d times", spec.Name, k, c, covered[c])
 				}
 			}
-			for c := embEnd; c < e.featureLen; c++ {
+			for c := embEnd; c < e.spec.FeatureLen(); c++ {
 				if covered[c] != 0 {
 					t.Fatalf("%s k=%d: dense column %d claimed by a table span", spec.Name, k, c)
 				}
@@ -115,7 +115,7 @@ func TestPartialGatherMergeMatchesMonolithic(t *testing.T) {
 			}
 			got, mono := e.dp.features(&merged), e.dp.features(&want)
 			for qi := 0; qi < b; qi++ {
-				for c := 0; c < e.featureLen; c++ {
+				for c := 0; c < e.spec.FeatureLen(); c++ {
 					if got.At(qi, c) != mono.At(qi, c) {
 						t.Fatalf("%s %v b=%d k=%d query %d col %d: merged %d, monolithic %d",
 							spec.Name, f, b, k, qi, c, got.At(qi, c), mono.At(qi, c))

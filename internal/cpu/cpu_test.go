@@ -2,12 +2,8 @@ package cpu
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"microrec/internal/embedding"
-	"microrec/internal/model"
 )
 
 // TestPaperSmallMatchesTable4 validates the embedding-phase calibration
@@ -121,140 +117,6 @@ func TestThroughputMonotoneProperty(t *testing.T) {
 				t.Errorf("%s: throughput dropped from %.0f to %.0f at B=%d", m.Spec.Name, last, tp, b)
 			}
 			last = tp
-		}
-	}
-}
-
-func testEngine(t testing.TB) (*Engine, *model.Spec) {
-	spec := model.SmallProduction()
-	params, err := spec.Materialize(model.MaterializeOptions{Seed: 3, MaxRowsPerTable: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e, spec
-}
-
-func randomQueries(spec *model.Spec, n int, seed int64) []embedding.Query {
-	rng := rand.New(rand.NewSource(seed))
-	qs := make([]embedding.Query, n)
-	for i := range qs {
-		q := make(embedding.Query, len(spec.Tables))
-		for ti, tab := range spec.Tables {
-			idxs := make([]int64, tab.Lookups)
-			for k := range idxs {
-				idxs[k] = rng.Int63n(tab.Rows)
-			}
-			q[ti] = idxs
-		}
-		qs[i] = q
-	}
-	return qs
-}
-
-func TestEngineInferBatch(t *testing.T) {
-	e, spec := testEngine(t)
-	qs := randomQueries(spec, 17, 1)
-	preds, err := e.InferBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(preds) != 17 {
-		t.Fatalf("predictions = %d", len(preds))
-	}
-	for i, p := range preds {
-		if p < 0 || p > 1 || math.IsNaN(float64(p)) {
-			t.Errorf("prediction[%d] = %v outside [0,1]", i, p)
-		}
-	}
-}
-
-func TestEngineBatchMatchesSingle(t *testing.T) {
-	// Batch inference must equal per-item inference (no cross-item
-	// contamination).
-	e, spec := testEngine(t)
-	qs := randomQueries(spec, 8, 2)
-	batch, err := e.InferBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range qs {
-		single, err := e.InferBatch([]embedding.Query{q})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(float64(batch[i]-single[0])) > 1e-6 {
-			t.Errorf("item %d: batch %v != single %v", i, batch[i], single[0])
-		}
-	}
-}
-
-func TestEngineErrors(t *testing.T) {
-	e, spec := testEngine(t)
-	if _, err := e.InferBatch(nil); err == nil {
-		t.Error("empty batch: want error")
-	}
-	if _, err := NewEngine(nil); err == nil {
-		t.Error("nil params: want error")
-	}
-	q := randomQueries(spec, 1, 1)[0]
-	q[0] = []int64{spec.Tables[0].Rows + 1}
-	if _, err := e.InferBatch([]embedding.Query{q}); err == nil {
-		t.Error("bad index: want error")
-	}
-	if _, err := e.Forward(nil); err == nil {
-		t.Error("nil features: want error")
-	}
-}
-
-func TestEmbedBatchShape(t *testing.T) {
-	e, spec := testEngine(t)
-	qs := randomQueries(spec, 5, 4)
-	m, err := e.EmbedBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Rows != 5 || m.Cols != spec.FeatureLen() {
-		t.Errorf("embed matrix %dx%d, want 5x%d", m.Rows, m.Cols, spec.FeatureLen())
-	}
-	// No row may be all zeros (embeddings are uniform in [-1,1)).
-	for i := 0; i < m.Rows; i++ {
-		allZero := true
-		for _, v := range m.Row(i) {
-			if v != 0 {
-				allZero = false
-				break
-			}
-		}
-		if allZero {
-			t.Errorf("row %d is all zeros — gather failed silently", i)
-		}
-	}
-}
-
-func BenchmarkEngineInferB64(b *testing.B) {
-	e, spec := testEngine(b)
-	qs := randomQueries(spec, 64, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.InferBatch(qs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEngineEmbedB256(b *testing.B) {
-	e, spec := testEngine(b)
-	qs := randomQueries(spec, 256, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.EmbedBatch(qs); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -1,8 +1,8 @@
-// Package cpu provides the CPU-baseline side of the evaluation: a real,
-// multi-goroutine batched inference engine (actual gathers and GEMMs a
-// downstream user can run), and an analytic performance model of the paper's
-// baseline testbed — TensorFlow Serving on a 16-vCPU Xeon E5-2686 v4 with
-// 8-channel DDR4 (§5.1) — calibrated against Tables 2 and 4.
+// Package cpu provides the CPU-baseline side of the evaluation: an analytic
+// performance model of the paper's baseline testbed — TensorFlow Serving on a
+// 16-vCPU Xeon E5-2686 v4 with 8-channel DDR4 (§5.1) — calibrated against
+// Tables 2 and 4. The float model itself is model.Parameters' (Features and
+// Forward); the engine that runs on this host is internal/core.
 //
 // The analytic model exists because the paper's speedups are measured
 // against that specific software stack; reproducing its *numbers* requires

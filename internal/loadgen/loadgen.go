@@ -1,5 +1,5 @@
 // Package loadgen is the open-loop load harness for the serving subsystem:
-// arrival processes (Poisson, trace replay) that offer requests at a
+// arrival processes (Poisson, or any Arrivals) that offer requests at a
 // configured rate *regardless of completions*, plus a runner and a load
 // sweep that locate the knee — the highest offered rate whose admitted-tail
 // latency still meets the SLA.
@@ -57,33 +57,6 @@ func NewPoisson(qps float64, seed int64) (*Poisson, error) {
 
 // Next returns the next exponential gap.
 func (p *Poisson) Next() time.Duration { return time.Duration(p.rng.ExpFloat64() * p.mean) }
-
-// Trace replays a recorded sequence of inter-arrival gaps, cycling when
-// exhausted — the trace-driven process for reproducing captured bursts.
-type Trace struct {
-	gaps []time.Duration
-	i    int
-}
-
-// NewTrace builds a trace process over the given gaps (all non-negative).
-func NewTrace(gaps []time.Duration) (*Trace, error) {
-	if len(gaps) == 0 {
-		return nil, fmt.Errorf("loadgen: empty trace")
-	}
-	for i, g := range gaps {
-		if g < 0 {
-			return nil, fmt.Errorf("loadgen: negative gap %v at trace position %d", g, i)
-		}
-	}
-	return &Trace{gaps: append([]time.Duration(nil), gaps...)}, nil
-}
-
-// Next returns the next recorded gap, cycling.
-func (t *Trace) Next() time.Duration {
-	g := t.gaps[t.i]
-	t.i = (t.i + 1) % len(t.gaps)
-	return g
-}
 
 // Target is the slice of the serving subsystem the runner drives;
 // *serving.Server implements it directly.

@@ -66,27 +66,6 @@ func TestPoissonDeterministicMean(t *testing.T) {
 	}
 }
 
-func TestTraceCyclesAndValidates(t *testing.T) {
-	if _, err := NewTrace(nil); err == nil {
-		t.Error("empty trace: want error")
-	}
-	if _, err := NewTrace([]time.Duration{time.Millisecond, -1}); err == nil {
-		t.Error("negative gap: want error")
-	}
-	gaps := []time.Duration{1 * time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond}
-	tr, err := NewTrace(gaps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rep := 0; rep < 3; rep++ {
-		for i, want := range gaps {
-			if got := tr.Next(); got != want {
-				t.Fatalf("cycle %d position %d: %v, want %v", rep, i, got, want)
-			}
-		}
-	}
-}
-
 // TestRunClassification overloads the loss-system fake 5x past its capacity
 // and checks the runner's accounting: every arrival is classified exactly
 // once, sheds fail fast, and admitted latencies sit at the service time.

@@ -581,11 +581,73 @@ func (p *Parameters) Row(table int, index int64) ([]float32, error) {
 	return dst, nil
 }
 
+// Features resolves one query's indices (q[t]: table t's Lookups row
+// indices) into the float feature vector the FC tower reads: spec order,
+// lookup-minor, every row regenerated through ReadRows, then the dense
+// features, which are zero. dst is allocated when nil and must otherwise hold
+// FeatureLen values. Features and Forward are the model's float reference,
+// the one the fixed-point datapaths are measured against.
+func (p *Parameters) Features(q [][]int64, dst []float32) ([]float32, error) {
+	s := p.Spec
+	if len(q) != len(s.Tables) {
+		return nil, fmt.Errorf("model: query covers %d tables, model has %d", len(q), len(s.Tables))
+	}
+	if dst == nil {
+		dst = make([]float32, s.FeatureLen())
+	} else if len(dst) != s.FeatureLen() {
+		return nil, fmt.Errorf("model: features length %d, want %d", len(dst), s.FeatureLen())
+	}
+	reads := make([]RowRead, 0, s.NumLookups())
+	off := 0
+	for t, ts := range s.Tables {
+		if len(q[t]) != ts.Lookups {
+			return nil, fmt.Errorf("model: table %q expects %d lookups, query has %d", ts.Name, ts.Lookups, len(q[t]))
+		}
+		for _, idx := range q[t] {
+			reads = append(reads, RowRead{Table: t, Index: idx, Dst: dst[off : off+ts.Dim]})
+			off += ts.Dim
+		}
+	}
+	clear(dst[off:])
+	if err := p.ReadRows(reads); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// Forward runs the float32 FC tower over a feature vector (Features) and
+// returns the predicted CTR: each layer is x·W plus bias, ReLU on the hidden
+// layers, and a sigmoid on the final logit. layer, when not nil, sees each
+// layer's output as the next layer reads it (post-ReLU; the logit for the
+// last layer), valid only during the call.
+func (p *Parameters) Forward(feat []float32, layer func(l int, out []float32)) (float32, error) {
+	weights, biases := p.Layers()
+	x := feat
+	for l, w := range weights {
+		y, err := tensor.VecMat(x, w)
+		if err != nil {
+			return 0, fmt.Errorf("model: layer %d: %w", l, err)
+		}
+		for j := range y {
+			y[j] += biases[l][j]
+		}
+		if l < len(weights)-1 {
+			tensor.ReLU(y)
+		}
+		if layer != nil {
+			layer(l, y)
+		}
+		x = y
+	}
+	out := []float32{x[0]}
+	tensor.Sigmoid(out)
+	return out[0], nil
+}
+
 // FloatTables returns every embedding table as row-major float32 in heap
 // memory (table i holds ActualRows[i] x Dim values), regenerated from the
-// stream. It is for the callers that need whole float tables — the float
-// CPU baseline and the quantization studies, on small row caps; engines
-// store their tables at their own width instead.
+// stream: the whole-table oracle the tests hold ReadRows and Features to, on
+// small row caps. Engines store their tables at their own width instead.
 func (p *Parameters) FloatTables() ([][]float32, error) {
 	tables := make([][]float32, len(p.Spec.Tables))
 	for t := range tables {

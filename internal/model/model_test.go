@@ -4,8 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"go/parser"
+	"go/token"
 	"io"
+	"io/fs"
 	"math"
+	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -375,4 +380,335 @@ func loadSpec(r io.Reader) (*Spec, error) {
 		return nil, err
 	}
 	return &s, nil
+}
+
+// referenceSpec is a small model with a dense tail, for the float reference
+// tests.
+func referenceSpec() *Spec {
+	return &Spec{
+		Name: "reference",
+		Tables: []TableSpec{
+			{ID: 0, Name: "a", Rows: 4, Dim: 2, Lookups: 1},
+			{ID: 1, Name: "b", Rows: 1000, Dim: 3, Lookups: 2},
+		},
+		DenseDim: 3,
+		Hidden:   []int{8, 5},
+	}
+}
+
+// TestFeaturesValidatesAndZeroesDense checks that Features rejects a query of
+// the wrong shape, an out-of-range index or a wrong-length destination, and
+// that a reused destination comes back with a zero dense tail.
+func TestFeaturesValidatesAndZeroesDense(t *testing.T) {
+	s := referenceSpec()
+	p, err := s.Materialize(MaterializeOptions{Seed: 1, MaxRowsPerTable: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, q := range map[string][][]int64{
+		"short query":     {{0}},
+		"missing lookups": {{0}, {1}},
+		"index too large": {{4}, {1, 2}},
+		"negative index":  {{0}, {1, -1}},
+	} {
+		if _, err := p.Features(q, nil); err == nil {
+			t.Errorf("%s: want error", name)
+		}
+	}
+	q := [][]int64{{3}, {999, 8}}
+	if _, err := p.Features(q, make([]float32, s.FeatureLen()-1)); err == nil {
+		t.Error("short destination: want error")
+	}
+	want, err := p.Features(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float32, s.FeatureLen())
+	for i := range dst {
+		dst[i] = 7
+	}
+	got, err := p.Features(q, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("features[%d] = %v into a reused destination, %v into a fresh one", i, got[i], want[i])
+		}
+	}
+	for i, v := range want[s.FeatureLen()-s.DenseDim:] {
+		if v != 0 {
+			t.Errorf("dense feature %d = %v, want 0", i, v)
+		}
+	}
+}
+
+// TestForwardLayerCallback checks that Forward's callback sees one output
+// per layer, in order, each of the layer's width — post-ReLU on the hidden
+// layers, the logit last — and that the prediction is the logit's sigmoid,
+// the same with and without the callback.
+func TestForwardLayerCallback(t *testing.T) {
+	s := referenceSpec()
+	p, err := s.Materialize(MaterializeOptions{Seed: 2, MaxRowsPerTable: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feat, err := p.Features([][]int64{{1}, {5, 600}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dims := s.LayerDims()
+	var layers []int
+	var logit float32
+	pred, err := p.Forward(feat, func(l int, out []float32) {
+		layers = append(layers, l)
+		if len(out) != dims[l][1] {
+			t.Errorf("layer %d output has %d values, want %d", l, len(out), dims[l][1])
+		}
+		if l < len(dims)-1 {
+			for j, v := range out {
+				if v < 0 {
+					t.Errorf("layer %d output %d = %v before ReLU", l, j, v)
+				}
+			}
+		} else {
+			logit = out[0]
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(layers) != len(dims) {
+		t.Fatalf("callback saw layers %v, want %d", layers, len(dims))
+	}
+	for i, l := range layers {
+		if l != i {
+			t.Fatalf("callback saw layers %v, want 0..%d in order", layers, len(dims)-1)
+		}
+	}
+	if want := float32(1 / (1 + math.Exp(-float64(logit)))); pred != want {
+		t.Errorf("prediction %v, want sigmoid(logit %v) = %v", pred, logit, want)
+	}
+	bare, err := p.Forward(feat, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float32bits(bare) != math.Float32bits(pred) {
+		t.Errorf("prediction %v without the callback, %v with it", bare, pred)
+	}
+	if _, err := p.Forward(feat[1:], nil); err == nil {
+		t.Error("short feature vector: want error")
+	}
+}
+
+// TestForwardHandComputed pins Forward's arithmetic on a tower whose weights
+// are set by hand: x·W plus bias, ReLU on the hidden layer only (a negative
+// logit reaches the sigmoid unclamped).
+func TestForwardHandComputed(t *testing.T) {
+	s := &Spec{
+		Name:   "hand",
+		Tables: []TableSpec{{ID: 0, Name: "a", Rows: 4, Dim: 2, Lookups: 1}},
+		Hidden: []int{2},
+	}
+	p, err := s.Materialize(MaterializeOptions{Seed: 1, MaxRowsPerTable: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights, biases := p.Layers()
+	// Hidden: h0 = 1·x0 + 2·x1 + 0.5, h1 = -1·x0 + 1·x1 - 4 (ReLU'd to 0).
+	copy(weights[0].Data, []float32{1, -1, 2, 1})
+	copy(biases[0], []float32{0.5, -4})
+	// Logit: 3·h0 - 1·h1 - 20.
+	copy(weights[1].Data, []float32{3, -1})
+	copy(biases[1], []float32{-20})
+	var hidden []float32
+	var logit float32
+	pred, err := p.Forward([]float32{1, 2}, func(l int, out []float32) {
+		if l == 0 {
+			hidden = append(hidden, out...)
+		} else {
+			logit = out[0]
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hidden) != 2 || hidden[0] != 5.5 || hidden[1] != 0 {
+		t.Errorf("hidden layer %v, want [5.5 0]", hidden)
+	}
+	if logit != -3.5 {
+		t.Errorf("logit %v, want -3.5 (no ReLU on the output layer)", logit)
+	}
+	if want := float32(1 / (1 + math.Exp(3.5))); math.Abs(float64(pred-want)) > 1e-7 {
+		t.Errorf("prediction %v, want sigmoid(-3.5) = %v", pred, want)
+	}
+}
+
+// TestGatherReusesDst checks that Features writes into the caller's
+// destination and returns it, and allocates a FeatureLen vector for a nil
+// one.
+func TestGatherReusesDst(t *testing.T) {
+	s := referenceSpec()
+	p, err := s.Materialize(MaterializeOptions{Seed: 1, MaxRowsPerTable: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := [][]int64{{0}, {1, 2}}
+	fresh, err := p.Features(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fresh) != s.FeatureLen() {
+		t.Fatalf("Features(nil dst) has %d values, want %d", len(fresh), s.FeatureLen())
+	}
+	dst := make([]float32, s.FeatureLen())
+	out, err := p.Features(q, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != len(dst) || &out[0] != &dst[0] {
+		t.Error("Features did not return the caller's destination")
+	}
+}
+
+// TestLookupWrapsAndValidates checks the feature vector's lookups: a logical
+// index past the materialised rows reads the row it wraps to (index modulo
+// the materialised rows), and the last logical row is the end of the range.
+func TestLookupWrapsAndValidates(t *testing.T) {
+	s := referenceSpec()
+	p, err := s.Materialize(MaterializeOptions{Seed: 3, MaxRowsPerTable: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.ActualRows[1] != 8 {
+		t.Fatalf("table b holds %d rows, want the cap of 8", p.ActualRows[1])
+	}
+	big, err := p.Features([][]int64{{3}, {999, 10}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := p.Features([][]int64{{3}, {999 % 8, 10 % 8}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range big {
+		if math.Float32bits(big[i]) != math.Float32bits(small[i]) {
+			t.Fatalf("feature %d = %v at the logical indices, %v at the wrapped ones", i, big[i], small[i])
+		}
+	}
+	if _, err := p.Features([][]int64{{3}, {1000, 0}}, nil); err == nil {
+		t.Error("index one past the logical rows: want error")
+	}
+}
+
+// Property: Features is pure and is the spec-order, lookup-minor
+// concatenation of the rows Row reads, followed by the zero dense features.
+func TestGatherDeterministicProperty(t *testing.T) {
+	s := referenceSpec()
+	p, err := s.Materialize(MaterializeOptions{Seed: 4, MaxRowsPerTable: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prop := func(i0 uint16, i1, i2 uint32) bool {
+		q := [][]int64{{int64(i0) % 4}, {int64(i1) % 1000, int64(i2) % 1000}}
+		a, err1 := p.Features(q, nil)
+		b, err2 := p.Features(q, nil)
+		if err1 != nil || err2 != nil {
+			return false
+		}
+		var want []float32
+		for ti := range q {
+			for _, idx := range q[ti] {
+				row, err := p.Row(ti, idx)
+				if err != nil {
+					return false
+				}
+				want = append(want, row...)
+			}
+		}
+		want = append(want, make([]float32, s.DenseDim)...)
+		for i := range want {
+			if math.Float32bits(a[i]) != math.Float32bits(want[i]) || math.Float32bits(b[i]) != math.Float32bits(want[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestFeaturesAfterRelease checks that the float reference loses its rows
+// with the checkpoints and keeps its FC tower: Features fails after Release,
+// and Forward over features read before it returns the same prediction.
+func TestFeaturesAfterRelease(t *testing.T) {
+	s := referenceSpec()
+	p, err := s.Materialize(MaterializeOptions{Seed: 5, MaxRowsPerTable: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := [][]int64{{2}, {7, 500}}
+	feat, err := p.Features(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := p.Forward(feat, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Release()
+	if _, err := p.Features(q, nil); err == nil {
+		t.Error("Features after Release: want error")
+	}
+	after, err := p.Forward(feat, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float32bits(after) != math.Float32bits(before) {
+		t.Errorf("prediction %v after Release, %v before", after, before)
+	}
+}
+
+// TestFloatForwardPassLivesInModel holds the float FC tower to one place:
+// outside internal/model (and tensor itself), no non-test file in the module
+// imports internal/tensor, the float matrix arithmetic Forward runs on.
+func TestFloatForwardPassLivesInModel(t *testing.T) {
+	const tensorPath = `"microrec/internal/tensor"`
+	root := filepath.Join("..", "..")
+	var got []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch rel, _ := filepath.Rel(root, path); rel {
+			case filepath.Join("internal", "model"), filepath.Join("internal", "tensor"), "testdata":
+				return filepath.SkipDir
+			}
+			if strings.HasPrefix(d.Name(), ".") && path != root {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == tensorPath {
+				got = append(got, path)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) > 0 {
+		t.Errorf("non-test files outside internal/model import internal/tensor (a second float forward pass): %v", got)
+	}
 }

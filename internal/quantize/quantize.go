@@ -3,10 +3,12 @@
 // format per precision level (§5.3 evaluates fixed global 16/32-bit
 // datapaths).
 //
-// Calibration runs the float reference model over sample traffic, records
-// per-tensor dynamic ranges, and picks for every tensor the highest-
-// resolution Q-format of the target width that still covers its range. The
-// quantized forward pass then requantizes activations between layers.
+// Calibration runs the model's float reference (model.Parameters.Features
+// and Forward) over sample traffic, records per-tensor dynamic ranges, and
+// picks for every tensor the highest-resolution Q-format of the target width
+// that still covers its range. The quantized forward pass then requantizes
+// activations between layers; its error is measured against the same float
+// reference.
 package quantize
 
 import (
@@ -16,7 +18,6 @@ import (
 	"microrec/internal/embedding"
 	"microrec/internal/fixedpoint"
 	"microrec/internal/model"
-	"microrec/internal/tensor"
 )
 
 // Scheme holds per-tensor formats for one model.
@@ -51,7 +52,8 @@ func (s Scheme) Validate() error {
 }
 
 // Calibrate derives a scheme from sample queries: the float reference model
-// runs over the samples while per-tensor maxima are recorded.
+// (model.Parameters.Features and Forward) runs over the samples while
+// per-tensor maxima are recorded.
 func Calibrate(params *model.Parameters, queries []embedding.Query, width int) (Scheme, error) {
 	if params == nil {
 		return Scheme{}, fmt.Errorf("quantize: nil parameters")
@@ -59,44 +61,30 @@ func Calibrate(params *model.Parameters, queries []embedding.Query, width int) (
 	if len(queries) == 0 {
 		return Scheme{}, fmt.Errorf("quantize: no calibration queries")
 	}
-	store, err := embedding.NewStore(params)
-	if err != nil {
-		return Scheme{}, err
-	}
 	dims := params.Spec.LayerDims()
-	weights, biases := params.Layers()
+	weights, _ := params.Layers()
 	maxIn := 0.0
 	maxAct := make([]float64, len(dims))
+	record := func(l int, out []float32) { maxAct[l] = math.Max(maxAct[l], maxAbs32(out)) }
 	for qi, q := range queries {
-		feat, err := store.Gather(q, nil)
+		feat, err := params.Features(q, nil)
 		if err != nil {
 			return Scheme{}, fmt.Errorf("quantize: query %d: %w", qi, err)
 		}
 		maxIn = math.Max(maxIn, maxAbs32(feat))
-		x := feat
-		for l := range dims {
-			y, err := tensor.VecMat(x, weights[l])
-			if err != nil {
-				return Scheme{}, err
-			}
-			for j := range y {
-				y[j] += biases[l][j]
-			}
-			if l < len(dims)-1 {
-				tensor.ReLU(y)
-			}
-			maxAct[l] = math.Max(maxAct[l], maxAbs32(y))
-			x = y
+		if _, err := params.Forward(feat, record); err != nil {
+			return Scheme{}, err
 		}
 	}
 	s := Scheme{Width: width}
 	// Headroom keeps unseen traffic from saturating immediately.
 	const headroom = 2.0
+	var err error
 	if s.Input, err = fixedpoint.FormatFor(width, math.Max(maxIn, 1e-3)*headroom); err != nil {
 		return Scheme{}, err
 	}
 	for l := range dims {
-		wMax := maxAbsMatrix(weights[l])
+		wMax := maxAbs32(weights[l].Data)
 		wf, err := fixedpoint.FormatFor(width, math.Max(wMax, 1e-3))
 		if err != nil {
 			return Scheme{}, err
@@ -122,13 +110,10 @@ func maxAbs32(xs []float32) float64 {
 	return m
 }
 
-func maxAbsMatrix(m *tensor.Matrix) float64 { return maxAbs32(m.Data) }
-
 // Model is a quantized model instance ready for inference.
 type Model struct {
 	scheme  Scheme
 	params  *model.Parameters
-	store   *embedding.Store
 	dims    [][2]int
 	weights [][]int64 // per layer, raw in scheme.Weights[l]
 	biases  [][]int64 // per layer, raw in scheme.Activations[l]
@@ -146,11 +131,7 @@ func New(params *model.Parameters, s Scheme) (*Model, error) {
 	if len(dims) != len(s.Weights) {
 		return nil, fmt.Errorf("quantize: scheme covers %d layers, model has %d", len(s.Weights), len(dims))
 	}
-	store, err := embedding.NewStore(params)
-	if err != nil {
-		return nil, err
-	}
-	m := &Model{scheme: s, params: params, store: store, dims: dims}
+	m := &Model{scheme: s, params: params, dims: dims}
 	weights, biases := params.Layers()
 	for l := range dims {
 		wf := s.Weights[l]
@@ -173,9 +154,10 @@ func New(params *model.Parameters, s Scheme) (*Model, error) {
 // Scheme returns the model's formats.
 func (m *Model) Scheme() Scheme { return m.scheme }
 
-// Infer runs one query through the per-layer-quantized datapath.
+// Infer runs one query through the per-layer-quantized datapath, from the
+// float features of model.Parameters.Features.
 func (m *Model) Infer(q embedding.Query) (float32, error) {
-	feat, err := m.store.Gather(q, nil)
+	feat, err := m.params.Features(q, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -230,30 +212,4 @@ func rescale(acc int64, shift int) int64 {
 	default:
 		return acc
 	}
-}
-
-// Reference computes the float32 reference prediction for error measurement.
-func (m *Model) Reference(q embedding.Query) (float32, error) {
-	feat, err := m.store.Gather(q, nil)
-	if err != nil {
-		return 0, err
-	}
-	x := feat
-	weights, biases := m.params.Layers()
-	for l := range m.dims {
-		y, err := tensor.VecMat(x, weights[l])
-		if err != nil {
-			return 0, err
-		}
-		for j := range y {
-			y[j] += biases[l][j]
-		}
-		if l < len(m.dims)-1 {
-			tensor.ReLU(y)
-		}
-		x = y
-	}
-	out := []float32{x[0]}
-	tensor.Sigmoid(out)
-	return out[0], nil
 }

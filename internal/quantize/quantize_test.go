@@ -1,6 +1,7 @@
 package quantize
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -30,6 +31,20 @@ func setup(t testing.TB) (*model.Parameters, []embedding.Query, []embedding.Quer
 		t.Fatal(err)
 	}
 	return params, calib, eval
+}
+
+// reference is the model's float prediction for q.
+func reference(t *testing.T, params *model.Parameters, q embedding.Query) float32 {
+	t.Helper()
+	feat, err := params.Features(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := params.Forward(feat, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
 }
 
 func TestCalibrateProducesValidScheme(t *testing.T) {
@@ -64,6 +79,73 @@ func TestCalibrateErrors(t *testing.T) {
 	}
 }
 
+// TestCalibrateCoversObservedRanges checks the formats Calibrate picks
+// against the ranges the float reference reaches on the calibration queries
+// (its per-layer outputs read through Forward's callback): at both widths,
+// every activation format and the input format cover twice the observed
+// maximum, and each is the finest that does — one integer bit fewer would
+// not.
+func TestCalibrateCoversObservedRanges(t *testing.T) {
+	params, calib, _ := setup(t)
+	maxIn := 0.0
+	maxAct := make([]float64, len(params.Spec.LayerDims()))
+	for _, q := range calib {
+		feat, err := params.Features(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxIn = math.Max(maxIn, maxAbs32(feat))
+		if _, err := params.Forward(feat, func(l int, out []float32) {
+			maxAct[l] = math.Max(maxAct[l], maxAbs32(out))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(what string, f fixedpoint.Format, observed float64) {
+		t.Helper()
+		want := 2 * observed
+		span := math.Ldexp(1, f.Bits-1-f.Frac)
+		if span <= want {
+			t.Errorf("%s: %v spans ±%v, below twice the observed %v", what, f, span, observed)
+		}
+		if f.Frac < f.Bits-2 && span/2 > want {
+			t.Errorf("%s: %v spans ±%v, more than needed for twice the observed %v", what, f, span, observed)
+		}
+	}
+	for _, width := range []int{16, 32} {
+		s, err := Calibrate(params, calib, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("%d-bit input", width), s.Input, maxIn)
+		for l, a := range s.Activations {
+			check(fmt.Sprintf("%d-bit layer %d", width, l), a, maxAct[l])
+		}
+	}
+}
+
+// TestInferQueryErrors checks that the quantized datapath rejects a query
+// the float features reject, rather than reading past a table.
+func TestInferQueryErrors(t *testing.T) {
+	params, calib, eval := setup(t)
+	s, err := Calibrate(params, calib, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(params, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Infer(eval[0][:1]); err == nil {
+		t.Error("short query: want error")
+	}
+	q := embedding.NewQuery(params.Spec)
+	q[0][0] = params.Spec.Tables[0].Rows
+	if _, err := m.Infer(q); err == nil {
+		t.Error("out-of-range index: want error")
+	}
+}
+
 func TestQuantizedInferTracksReference(t *testing.T) {
 	params, calib, eval := setup(t)
 	s, err := Calibrate(params, calib, 16)
@@ -80,10 +162,7 @@ func TestQuantizedInferTracksReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := m.Reference(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := reference(t, params, q)
 		if got < 0 || got > 1 {
 			t.Errorf("prediction %v outside [0,1]", got)
 		}
@@ -122,10 +201,7 @@ func TestCalibratedBeatsGlobalFormat(t *testing.T) {
 	}
 	var errCal, errGlob float64
 	for _, q := range eval {
-		ref, err := calibrated.Reference(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := reference(t, params, q)
 		c, err := calibrated.Infer(q)
 		if err != nil {
 			t.Fatal(err)

@@ -252,7 +252,10 @@ func TestCancelDropsSkipWork(t *testing.T) {
 	// cancelled while waiting. A wave member may already have passed the
 	// plane-fill check when the cancel fires (one per plane) — the
 	// conservation law below pins that every other member was dropped
-	// without touching the engine.
+	// without touching the engine. The cancel must wait until every member
+	// is enqueued: one that reaches the admission gate after it may take
+	// its ctx.Done case instead of the queue send and return Canceled
+	// without ever being queued, counted neither as a drop nor as served.
 	var first sync.WaitGroup
 	first.Add(1)
 	go func() {
@@ -261,7 +264,9 @@ func TestCancelDropsSkipWork(t *testing.T) {
 			t.Errorf("head request: %v", err)
 		}
 	}()
-	time.Sleep(2 * time.Millisecond) // head batch is in service
+	waitFor(t, "the head request in service", func() bool {
+		return srv.QueueLen() == 0 && srv.InFlightBatches() == 1
+	})
 	const wave = 8
 	ctx, cancel := context.WithCancel(context.Background())
 	var waveWG sync.WaitGroup
@@ -274,7 +279,11 @@ func TestCancelDropsSkipWork(t *testing.T) {
 			}
 		}()
 	}
-	time.Sleep(2 * time.Millisecond) // the wave is enqueued behind the head
+	// At MaxBatch 1 every enqueued request is queued, on offer or in a
+	// plane: one batch each.
+	waitFor(t, "every wave member enqueued", func() bool {
+		return srv.QueueLen()+srv.InFlightBatches() == wave+1
+	})
 	cancel()
 	waveWG.Wait()
 	first.Wait()

@@ -5,16 +5,14 @@
 //
 // The package exposes the system a downstream user needs:
 //
-//   - model specifications (the paper's two production-scale models, the
-//     Facebook DLRM-RMC2 benchmark class, or custom specs),
+//   - model specifications (the paper's two production-scale models, or
+//     custom specs),
 //   - the MicroRec engine: fixed-point CTR inference on the CPU, its
 //     embedding tables stored at the datapath's width,
 //   - the accelerator model (NewAcceleratorModel): the placement planner
 //     (Algorithm 1: Cartesian-product table combination plus hybrid-memory
 //     allocation) feeding a calibrated cycle-level timing model of the
 //     Alveo U280 design,
-//   - a real multi-core CPU baseline engine plus the calibrated analytic
-//     model of the paper's TensorFlow-Serving testbed, and
 //   - the batched serving subsystem: a dynamic micro-batcher that
 //     coalesces concurrent predict requests into hardware-sized batches,
 //     drained by the server's staged drain, whose gather, dense-GEMM and
@@ -37,9 +35,9 @@
 //     stores' frequency windows of size C behave like one ~N·C window),
 //     per-replica health/drain, and model replacement under live traffic
 //     (Router.Swap: drain one replica, serve from a fresh one), and
-//   - the open-loop load harness (RunLoad, SweepLoad): Poisson and
-//     trace-driven arrival processes that drive the server past saturation
-//     and locate the knee — the highest offered rate meeting the tail SLA.
+//   - the open-loop load harness (RunLoad, SweepLoad): Poisson arrivals (or
+//     any Arrivals process) that drive the server past saturation and
+//     locate the knee — the highest offered rate meeting the tail SLA.
 //
 // Quick start:
 //
@@ -59,13 +57,10 @@
 package microrec
 
 import (
-	"fmt"
 	"io"
-	"time"
 
 	"microrec/internal/accel"
 	"microrec/internal/core"
-	"microrec/internal/cpu"
 	"microrec/internal/embedding"
 	"microrec/internal/fixedpoint"
 	"microrec/internal/kernels"
@@ -112,10 +107,6 @@ type (
 	Resources = accel.Resources
 	// PlacementResult is a table-combination + bank-allocation plan.
 	PlacementResult = accel.Result
-	// CPUEngine is the real multi-goroutine CPU baseline engine.
-	CPUEngine = cpu.Engine
-	// CPUModel is the calibrated analytic model of the paper's baseline.
-	CPUModel = cpu.Model
 	// Generator produces deterministic query workloads.
 	Generator = workload.Generator
 	// MemorySystem describes a set of memory banks.
@@ -307,14 +298,6 @@ func SmallProductionModel() *Spec { return model.SmallProduction() }
 // (98 tables, 876-dim feature, ~15.1 GB; Table 1).
 func LargeProductionModel() *Spec { return model.LargeProduction() }
 
-// DLRMModel returns a Facebook DLRM-RMC2-class model (§5.4.2): numTables
-// small tables, each looked up four times, with the given embedding dim.
-func DLRMModel(numTables, dim int) (*Spec, error) { return model.DLRMRMC2(numTables, dim) }
-
-// U280 returns the paper's FPGA memory system: 32 HBM pseudo-channels, 2 DDR4
-// channels and the given number of on-chip table banks.
-func U280(onChipBanks int) MemorySystem { return accel.U280(onChipBanks) }
-
 // KernelFeatures reports which optimized datapath kernels this build selected
 // at init ("portable" when none): the provenance string the loadtest report
 // and the repository benchmark record so two perf documents can be compared
@@ -445,35 +428,6 @@ func NewAcceleratorModel(spec *Spec, opts AcceleratorOptions) (*AcceleratorModel
 	return accel.New(spec, cfg, accel.Options{EnableCartesian: !opts.DisableCartesian, Allocator: alloc})
 }
 
-// PlanModel runs only the placement search (Algorithm 1) and returns the
-// resulting plan, for inspection.
-func PlanModel(spec *Spec, sys MemorySystem, enableCartesian bool) (*PlacementResult, error) {
-	return accel.Plan(spec, sys, accel.Options{EnableCartesian: enableCartesian})
-}
-
-// NewCPUEngine materialises parameters and builds the real CPU baseline
-// engine.
-func NewCPUEngine(spec *Spec, seed, maxRows int64) (*CPUEngine, error) {
-	params, err := spec.Materialize(model.MaterializeOptions{Seed: seed, MaxRowsPerTable: maxRows})
-	if err != nil {
-		return nil, err
-	}
-	return cpu.NewEngine(params)
-}
-
-// PaperCPUModel returns the calibrated analytic baseline for one of the
-// production models ("production-small" or "production-large").
-func PaperCPUModel(modelName string) (CPUModel, error) {
-	switch modelName {
-	case "production-small":
-		return cpu.PaperSmall(), nil
-	case "production-large":
-		return cpu.PaperLarge(), nil
-	default:
-		return CPUModel{}, fmt.Errorf("microrec: no calibrated CPU model for %q", modelName)
-	}
-}
-
 // NewServer starts the batched serving subsystem around an engine: Submit
 // coalesces concurrent queries into micro-batches (dispatched the moment the
 // drain can serve one, growing up to MaxBatch while it cannot — an idle server
@@ -517,12 +471,6 @@ func NewGenerator(spec *Spec, dist workload.Distribution, seed int64) (*Generato
 // process offering `qps` requests per second.
 func NewPoissonArrivals(qps float64, seed int64) (Arrivals, error) {
 	return loadgen.NewPoisson(qps, seed)
-}
-
-// NewTraceArrivals builds an arrival process replaying recorded
-// inter-arrival gaps, cycling when exhausted.
-func NewTraceArrivals(gaps []time.Duration) (Arrivals, error) {
-	return loadgen.NewTrace(gaps)
 }
 
 // RunLoad drives one open-loop load run against a server: requests fire on

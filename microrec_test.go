@@ -87,47 +87,6 @@ func TestAcceleratorModelOptions(t *testing.T) {
 	}
 }
 
-func TestCPUEngineAndModel(t *testing.T) {
-	spec := microrec.SmallProductionModel()
-	eng, err := microrec.NewCPUEngine(spec, 1, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := microrec.NewGenerator(spec, microrec.Zipf, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs, err := gen.Batch(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	preds, err := eng.InferBatch(qs)
-	if err != nil || len(preds) != 4 {
-		t.Fatalf("CPU batch: %v, %d preds", err, len(preds))
-	}
-	m, err := microrec.PaperCPUModel("production-small")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.EndToEndMS(2048) <= m.EndToEndMS(1) {
-		t.Error("CPU model latency not increasing with batch")
-	}
-	if _, err := microrec.PaperCPUModel("nope"); err == nil {
-		t.Error("unknown model name: want error")
-	}
-}
-
-func TestPlanModel(t *testing.T) {
-	spec := microrec.SmallProductionModel()
-	plan, err := microrec.PlanModel(spec, microrec.U280(8), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Layout.Tables) != 42 {
-		t.Errorf("plan has %d physical tables, want 42 (Table 3)", len(plan.Layout.Tables))
-	}
-}
-
 func TestNewEngineFromParamsSharesTables(t *testing.T) {
 	spec := microrec.SmallProductionModel()
 	params, err := spec.Materialize(microrec.MaterializeOpts{Seed: 1, MaxRowsPerTable: 64})
