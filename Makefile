@@ -20,7 +20,7 @@ vet:
 # vet-custom runs microrec-vet, the repo's own go/analysis suite (lockheld,
 # hotalloc, atomicfield, statsnapshot, deadexport): the mechanized
 # concurrency and zero-alloc invariants of the datapath, and no internal
-# export that only tests call. Exit 2 = findings. microrec-vet analyses the
+# exported function or method that only tests call. Exit 2 = findings. microrec-vet analyses the
 # build it is built for, so the second pass checks the noasm files
 # (quantize_noasm.go, prefetch_other.go) the default build leaves out.
 vet-custom:
@@ -39,13 +39,13 @@ test: build
 # tier counters and the partition must not depend on the host's core count.
 # The server's drains own their scheduling (the dense stage's yield before it
 # parks, stage overlap, the pool's run-to-completion workers), so serving and
-# routing must hold on one core as on four. The second line reruns the two
-# serving tests that once flaked on a loaded host (stage overlap read from
-# the spans; the cancel wave's enqueue wait) ten times at each, so a
-# regression of either shows here.
+# routing must hold on one core as on four. The second line reruns the
+# serving tests of two races that once flaked on a loaded host (stage overlap
+# read from the spans; a cancel against the queue send, at plane fill and at
+# the admission gate) ten times at each, so a regression shows here.
 test-procs:
 	$(GO) test -cpu 1,4 ./internal/core ./internal/cluster ./internal/serving ./internal/router
-	$(GO) test -count=10 -cpu 1,4 -run '^(TestStagesOverlap|TestCancelDropsSkipWork)$$' ./internal/serving
+	$(GO) test -count=10 -cpu 1,4 -run '^(TestStagesOverlap|TestCancelDropsSkipWork|TestGateCancelCounted)$$' ./internal/serving
 
 # test-kernels names the kernel paths this host dispatched and runs the
 # kernel tests verbosely, one subtest per registered implementation: on a

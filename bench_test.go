@@ -173,10 +173,11 @@ func BenchmarkGatherOne(b *testing.B) {
 	}
 }
 
-// BenchmarkGatherBatch measures the batched gather datapath at batch 64:
-// every table's blocks across the whole batch, walked on the calling
-// goroutine a window of rows at a time, each row moved at the datapath's
-// width into the fixed-point feature plane. One op is a 64-query batch; it
+// BenchmarkGatherBatch measures the batched gather datapath at batch 64 —
+// GatherIntoPlane, the stage call the serving drains make: every table's
+// blocks across the whole batch, walked on the calling goroutine a window of
+// rows at a time, each row moved at the datapath's width into the
+// fixed-point feature plane. One op is a 64-query batch; it
 // reports 0 allocs/op.
 //
 // Every row of serveBenchSetup's 256-row tables sits in L1; see
@@ -184,16 +185,17 @@ func BenchmarkGatherOne(b *testing.B) {
 func BenchmarkGatherBatch(b *testing.B) {
 	eng, qs := serveBenchSetup(b)
 	batch := qs[:64]
-	var scratch microrec.BatchScratch
-	if _, err := eng.GatherBatch(batch, &scratch); err != nil {
-		b.Fatal(err)
+	for _, q := range batch {
+		if err := eng.ValidateQuery(q); err != nil {
+			b.Fatal(err)
+		}
 	}
+	var plane microrec.BatchScratch
+	eng.EnsurePlane(&plane, len(batch))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.GatherBatch(batch, &scratch); err != nil {
-			b.Fatal(err)
-		}
+		eng.GatherIntoPlane(batch, &plane)
 	}
 	b.ReportMetric(float64(64*b.N)/b.Elapsed().Seconds(), "queries/s")
 	b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(64*b.N), "ns/query")

@@ -5,7 +5,8 @@
 // wired into `make vet-custom` (part of `make ci`) and the CI lint job, so
 // the concurrency and zero-alloc properties the datapath depends on are
 // machine-checked on every commit instead of re-proven in review, and an
-// internal export that only tests call cannot creep back in.
+// internal exported function or method that only tests call cannot creep
+// back in.
 //
 // Usage:
 //

@@ -105,9 +105,9 @@ func TestThroughputMatchesTable2(t *testing.T) {
 func TestBuildPipelineErrors(t *testing.T) {
 	cfg := SmallFP16()
 	spec := model.SmallProduction()
-	bad := spec.Clone()
+	bad := *spec
 	bad.Hidden = []int{10, 20} // 2 layers vs 3 PE groups
-	if _, err := cfg.BuildPipeline(bad, 400); err == nil {
+	if _, err := cfg.BuildPipeline(&bad, 400); err == nil {
 		t.Error("layer count mismatch: want error")
 	}
 	badCfg := cfg

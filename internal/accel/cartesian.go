@@ -98,55 +98,6 @@ func (p PhysicalTable) Bytes() int64 { return p.Rows() * int64(p.Dim()) * model.
 // VectorBytes returns the byte size transferred by one access.
 func (p PhysicalTable) VectorBytes() int { return p.Dim() * model.FloatBytes }
 
-// SourceBytes returns the summed footprint of the sources, i.e. the storage
-// the product replaces.
-func (p PhysicalTable) SourceBytes() int64 {
-	var n int64
-	for _, s := range p.Sources {
-		n += s.Bytes()
-	}
-	return n
-}
-
-// Overhead returns the extra storage a product costs versus keeping its
-// sources separate (zero for single tables).
-func (p PhysicalTable) Overhead() int64 {
-	if !p.IsProduct() {
-		return 0
-	}
-	return p.Bytes() - p.SourceBytes()
-}
-
-// Index converts per-source row indices into the product's row index using
-// row-major mixed-radix encoding: the first source varies slowest.
-func (p PhysicalTable) Index(indices []int64) (int64, error) {
-	if len(indices) != len(p.Sources) {
-		return 0, fmt.Errorf("accel: %d indices for %d sources", len(indices), len(p.Sources))
-	}
-	var idx int64
-	for i, s := range p.Sources {
-		if indices[i] < 0 || indices[i] >= s.Rows {
-			return 0, fmt.Errorf("accel: index %d out of range for source %q (%d rows)", indices[i], s.Name, s.Rows)
-		}
-		idx = idx*s.Rows + indices[i]
-	}
-	return idx, nil
-}
-
-// Unindex is the inverse of Index: it decomposes a product row index into
-// per-source indices.
-func (p PhysicalTable) Unindex(row int64) ([]int64, error) {
-	if row < 0 || row >= p.Rows() {
-		return nil, fmt.Errorf("accel: row %d out of range (%d rows)", row, p.Rows())
-	}
-	out := make([]int64, len(p.Sources))
-	for i := len(p.Sources) - 1; i >= 0; i-- {
-		out[i] = row % p.Sources[i].Rows
-		row /= p.Sources[i].Rows
-	}
-	return out, nil
-}
-
 // Layout is a model's physical table set after applying a merge plan. It is
 // what the placement algorithm allocates to memory banks.
 type Layout struct {
@@ -154,9 +105,6 @@ type Layout struct {
 	Spec *model.Spec
 	// Tables are the physical tables, each covering one or more sources.
 	Tables []PhysicalTable
-	// tableOf[srcID] locates each source: physical table index and the
-	// position within its Sources slice.
-	tableOf map[int][2]int
 }
 
 // Apply builds a layout from merge groups: each group lists source table IDs
@@ -168,7 +116,7 @@ func Apply(spec *model.Spec, groups [][]int) (*Layout, error) {
 	for _, t := range spec.Tables {
 		byID[t.ID] = t
 	}
-	l := &Layout{Spec: spec, tableOf: make(map[int][2]int, len(spec.Tables))}
+	l := &Layout{Spec: spec}
 	for _, g := range groups {
 		if len(g) < 2 {
 			return nil, fmt.Errorf("accel: merge group %v has fewer than 2 tables", g)
@@ -189,28 +137,14 @@ func Apply(spec *model.Spec, groups [][]int) (*Layout, error) {
 		if err != nil {
 			return nil, err
 		}
-		for i, id := range g {
-			l.tableOf[id] = [2]int{len(l.Tables), i}
-		}
 		l.Tables = append(l.Tables, pt)
 	}
 	for _, t := range spec.Tables {
 		if !used[t.ID] {
-			l.tableOf[t.ID] = [2]int{len(l.Tables), 0}
 			l.Tables = append(l.Tables, Single(t))
 		}
 	}
 	return l, nil
-}
-
-// Locate returns the physical table index holding source table id, and the
-// source's position within that physical table.
-func (l *Layout) Locate(srcID int) (table, pos int, err error) {
-	loc, ok := l.tableOf[srcID]
-	if !ok {
-		return 0, 0, fmt.Errorf("accel: unknown source table %d", srcID)
-	}
-	return loc[0], loc[1], nil
 }
 
 // NumMerged returns how many products the layout contains.
@@ -240,14 +174,4 @@ func (l *Layout) Overhead() int64 { return l.TotalBytes() - l.Spec.TotalBytes() 
 // the quantity Table 3 reports as 103.2% / 101.9% storage.
 func (l *Layout) OverheadFraction() float64 {
 	return float64(l.Overhead()) / float64(l.Spec.TotalBytes())
-}
-
-// AccessesPerInference returns the number of physical memory accesses one
-// inference needs under this layout (the quantity Cartesian products reduce).
-func (l *Layout) AccessesPerInference() int {
-	n := 0
-	for _, t := range l.Tables {
-		n += t.Lookups()
-	}
-	return n
 }

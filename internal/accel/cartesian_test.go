@@ -1,7 +1,6 @@
 package accel
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -40,12 +39,6 @@ func TestMergeBasics(t *testing.T) {
 	if p.Bytes() != 6*6*4 {
 		t.Errorf("Bytes = %d", p.Bytes())
 	}
-	if p.SourceBytes() != (2*2+3*4)*4 {
-		t.Errorf("SourceBytes = %d", p.SourceBytes())
-	}
-	if p.Overhead() != p.Bytes()-p.SourceBytes() {
-		t.Errorf("Overhead = %d", p.Overhead())
-	}
 }
 
 func TestMergeErrors(t *testing.T) {
@@ -67,62 +60,8 @@ func TestMergeErrors(t *testing.T) {
 func TestSingleHasNoOverhead(t *testing.T) {
 	_, a, _ := spec2(t)
 	s := Single(a)
-	if s.IsProduct() || s.Overhead() != 0 || s.Name() != "A" {
-		t.Errorf("Single: %+v overhead %d", s, s.Overhead())
-	}
-}
-
-func TestIndexUnindexRoundTrip(t *testing.T) {
-	_, a, b := spec2(t)
-	c := model.TableSpec{ID: 2, Name: "C", Rows: 5, Dim: 1, Lookups: 1}
-	p, err := Merge(a, b, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[int64]bool)
-	for i := int64(0); i < a.Rows; i++ {
-		for j := int64(0); j < b.Rows; j++ {
-			for k := int64(0); k < c.Rows; k++ {
-				row, err := p.Index([]int64{i, j, k})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if row < 0 || row >= p.Rows() {
-					t.Fatalf("Index(%d,%d,%d) = %d out of range", i, j, k, row)
-				}
-				if seen[row] {
-					t.Fatalf("Index collision at %d", row)
-				}
-				seen[row] = true
-				back, err := p.Unindex(row)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if back[0] != i || back[1] != j || back[2] != k {
-					t.Fatalf("Unindex(%d) = %v, want [%d %d %d]", row, back, i, j, k)
-				}
-			}
-		}
-	}
-	if len(seen) != int(p.Rows()) {
-		t.Errorf("Index covered %d rows of %d", len(seen), p.Rows())
-	}
-}
-
-func TestIndexErrors(t *testing.T) {
-	_, a, b := spec2(t)
-	p, _ := Merge(a, b)
-	if _, err := p.Index([]int64{0}); err == nil {
-		t.Error("short indices: want error")
-	}
-	if _, err := p.Index([]int64{0, 3}); err == nil {
-		t.Error("out-of-range index: want error")
-	}
-	if _, err := p.Unindex(6); err == nil {
-		t.Error("Unindex out of range: want error")
-	}
-	if _, err := p.Unindex(-1); err == nil {
-		t.Error("Unindex(-1): want error")
+	if s.IsProduct() || s.Bytes() != a.Bytes() || s.Name() != "A" {
+		t.Errorf("Single: %+v bytes %d, source %d", s, s.Bytes(), a.Bytes())
 	}
 }
 
@@ -147,26 +86,18 @@ func TestApplyLayout(t *testing.T) {
 	if l.NumMerged() != 1 {
 		t.Errorf("NumMerged = %d, want 1", l.NumMerged())
 	}
-	if l.AccessesPerInference() != 3 {
-		t.Errorf("AccessesPerInference = %d, want 3 (4 lookups -> 3 accesses)", l.AccessesPerInference())
+	if n := accesses(l); n != 3 {
+		t.Errorf("accesses = %d, want 3 (4 lookups -> 3 accesses)", n)
 	}
-	ti, pos, err := l.Locate(3)
-	if err != nil || pos != 1 {
-		t.Errorf("Locate(3) = %d,%d,%v; want pos 1", ti, pos, err)
+	if p := l.Tables[0]; !p.IsProduct() || p.Sources[0].ID != 0 || p.Sources[1].ID != 3 {
+		t.Errorf("first physical table = %q, want the t0 x t3 product", p.Name())
 	}
-	if !l.Tables[ti].IsProduct() {
-		t.Error("Locate(3) does not point at the product")
-	}
-	t1i, _, err := l.Locate(1)
-	if err != nil || l.Tables[t1i].Name() != "t1" {
-		t.Errorf("Locate(1) -> %q, %v", l.Tables[t1i].Name(), err)
+	if l.Tables[1].Name() != "t1" {
+		t.Errorf("second physical table = %q, want t1", l.Tables[1].Name())
 	}
 	// Overhead: product 10 rows x 4 dims = 160 B replaces (2+5)*2*4 = 56 B.
 	if l.Overhead() != 160-56 {
 		t.Errorf("Overhead = %d, want 104", l.Overhead())
-	}
-	if _, _, err := l.Locate(99); err == nil {
-		t.Error("Locate(99): want error")
 	}
 }
 
@@ -198,37 +129,6 @@ func TestIdentityLayout(t *testing.T) {
 	}
 }
 
-// Property: for random shapes, Index is a bijection onto [0, Rows) — spot
-// checked through random probes that Unindex inverts.
-func TestIndexBijectionProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	prop := func(r1, r2 uint8, seed int64) bool {
-		a := model.TableSpec{ID: 0, Name: "a", Rows: int64(r1%50) + 1, Dim: 2, Lookups: 1}
-		b := model.TableSpec{ID: 1, Name: "b", Rows: int64(r2%50) + 1, Dim: 3, Lookups: 1}
-		p, err := Merge(a, b)
-		if err != nil {
-			return false
-		}
-		r := rand.New(rand.NewSource(seed))
-		for n := 0; n < 10; n++ {
-			i, j := r.Int63n(a.Rows), r.Int63n(b.Rows)
-			row, err := p.Index([]int64{i, j})
-			if err != nil {
-				return false
-			}
-			back, err := p.Unindex(row)
-			if err != nil || back[0] != i || back[1] != j {
-				return false
-			}
-		}
-		return true
-	}
-	_ = rng
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: layout storage overhead is always non-negative (a product can
 // never be smaller than its sources since every source row appears at least
 // once).
@@ -240,7 +140,7 @@ func TestOverheadNonNegativeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return p.Overhead() >= 0
+		return p.Bytes() >= a.Bytes()+b.Bytes()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -259,24 +159,18 @@ func TestHalvedAccesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, after := unmerged.AccessesPerInference(), l.AccessesPerInference()
+	before, after := accesses(unmerged), accesses(l)
 	if before != 2 || after != 1 {
 		t.Errorf("accesses before/after merge = %d/%d, want 2/1", before, after)
 	}
 }
 
-func BenchmarkIndex(b *testing.B) {
-	a := model.TableSpec{ID: 0, Name: "a", Rows: 1000, Dim: 4, Lookups: 1}
-	c := model.TableSpec{ID: 1, Name: "b", Rows: 2000, Dim: 4, Lookups: 1}
-	p, err := Merge(a, c)
-	if err != nil {
-		b.Fatal(err)
+// accesses is the number of physical memory accesses one inference needs
+// under l: the quantity Cartesian products reduce.
+func accesses(l *Layout) int {
+	n := 0
+	for _, t := range l.Tables {
+		n += t.Lookups()
 	}
-	idx := []int64{123, 456}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Index(idx); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return n
 }

@@ -9,50 +9,96 @@ import (
 	"microrec/internal/model"
 )
 
-// checkPlanInvariants asserts the structural guarantees every plan must
-// satisfy, regardless of model or options.
-func checkPlanInvariants(t *testing.T, res *Result) {
-	t.Helper()
+// validatePlan checks the structural guarantees every plan must satisfy,
+// regardless of model or options: every physical table on exactly one valid
+// bank, no bank over capacity, every source table in exactly one physical
+// table.
+func validatePlan(res *Result) error {
 	sys := res.System
-	// Every physical table is assigned to exactly one valid bank.
 	if len(res.BankOf) != len(res.Layout.Tables) {
-		t.Fatalf("assignment covers %d of %d tables", len(res.BankOf), len(res.Layout.Tables))
+		return fmt.Errorf("assignment covers %d of %d tables", len(res.BankOf), len(res.Layout.Tables))
 	}
 	perBank := make([]int64, len(sys.Banks))
 	for ti, bi := range res.BankOf {
 		if bi < 0 || bi >= len(sys.Banks) {
-			t.Fatalf("table %d on invalid bank %d", ti, bi)
+			return fmt.Errorf("table %d on invalid bank %d", ti, bi)
 		}
 		perBank[bi] += res.Layout.Tables[ti].Bytes()
 	}
-	// No bank over capacity.
 	for bi, bytes := range perBank {
 		if bytes > sys.Banks[bi].Capacity {
-			t.Errorf("bank %d holds %d bytes, capacity %d", bi, bytes, sys.Banks[bi].Capacity)
+			return fmt.Errorf("bank %d holds %d bytes, capacity %d", bi, bytes, sys.Banks[bi].Capacity)
 		}
 	}
-	// Every source table appears in exactly one physical table.
-	seen := make(map[int]int)
+	seen := make(map[int]bool)
 	for _, pt := range res.Layout.Tables {
 		for _, src := range pt.Sources {
-			seen[src.ID]++
-		}
-	}
-	for id, n := range seen {
-		if n != 1 {
-			t.Errorf("source table %d appears %d times", id, n)
+			if seen[src.ID] {
+				return fmt.Errorf("source table %d appears in more than one physical table", src.ID)
+			}
+			seen[src.ID] = true
 		}
 	}
 	if len(seen) != len(res.Layout.Spec.Tables) {
-		t.Errorf("layout covers %d of %d sources", len(seen), len(res.Layout.Spec.Tables))
+		return fmt.Errorf("layout covers %d of %d sources", len(seen), len(res.Layout.Spec.Tables))
 	}
-	// The report is consistent with the loads.
-	rep, err := sys.Evaluate(res.Loads())
+	return nil
+}
+
+// checkPlanInvariants asserts validatePlan and that the plan's report is
+// its loads evaluated.
+func checkPlanInvariants(t *testing.T, res *Result) {
+	t.Helper()
+	if err := validatePlan(res); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := res.System.Evaluate(res.Loads())
 	if err != nil {
 		t.Fatalf("re-evaluating plan: %v", err)
 	}
 	if rep.LatencyNS != res.Report.LatencyNS {
 		t.Errorf("report latency %.1f != re-evaluated %.1f", res.Report.LatencyNS, rep.LatencyNS)
+	}
+}
+
+// TestValidateRejectsCorruptPlans injects structural faults into an otherwise
+// valid plan and requires validatePlan to refuse each one, so the invariant
+// tests above can fail.
+func TestValidateRejectsCorruptPlans(t *testing.T) {
+	spec := model.SmallProduction()
+	fresh := func(t *testing.T) *Result {
+		plan, err := Plan(spec, U280(8), Options{EnableCartesian: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan
+	}
+	if err := validatePlan(fresh(t)); err != nil {
+		t.Fatalf("valid plan rejected: %v", err)
+	}
+	for name, corrupt := range map[string]func(*Result){
+		"bank out of range": func(p *Result) { p.BankOf[0] = len(p.System.Banks) + 5 },
+		"negative bank":     func(p *Result) { p.BankOf[3] = -1 },
+		"short assignment":  func(p *Result) { p.BankOf = p.BankOf[:2] },
+		"over capacity": func(p *Result) {
+			// Pile every table onto a single 256 KB on-chip bank.
+			onchip := p.System.OnChipBanks()[0]
+			for i := range p.BankOf {
+				p.BankOf[i] = onchip
+			}
+		},
+		"source twice": func(p *Result) {
+			p.Layout.Tables = append(p.Layout.Tables, p.Layout.Tables[0])
+			p.BankOf = append(p.BankOf, p.BankOf[0])
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			plan := fresh(t)
+			corrupt(plan)
+			if err := validatePlan(plan); err == nil {
+				t.Error("validatePlan accepted a corrupt plan")
+			}
+		})
 	}
 }
 
@@ -108,32 +154,7 @@ func TestPlanInvariantsProperty(t *testing.T) {
 		if err != nil {
 			return true // infeasible models may error cleanly
 		}
-		// Inline re-checks (cannot use t.Fatalf inside quick prop).
-		if len(res.BankOf) != len(res.Layout.Tables) {
-			return false
-		}
-		perBank := make([]int64, len(sys.Banks))
-		for ti, bi := range res.BankOf {
-			if bi < 0 || bi >= len(sys.Banks) {
-				return false
-			}
-			perBank[bi] += res.Layout.Tables[ti].Bytes()
-		}
-		for bi, b := range perBank {
-			if b > sys.Banks[bi].Capacity {
-				return false
-			}
-		}
-		seen := make(map[int]bool)
-		for _, pt := range res.Layout.Tables {
-			for _, src := range pt.Sources {
-				if seen[src.ID] {
-					return false
-				}
-				seen[src.ID] = true
-			}
-		}
-		return len(seen) == n
+		return validatePlan(res) == nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

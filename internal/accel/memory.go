@@ -149,15 +149,6 @@ type BankLoad struct {
 	Bytes int64
 }
 
-// Rounds returns the number of serialised accesses per inference.
-func (l BankLoad) Rounds() int {
-	n := 0
-	for _, a := range l.Accesses {
-		n += a.Count
-	}
-	return n
-}
-
 // Report summarises the memory system's per-inference behaviour under a load
 // assignment.
 type Report struct {

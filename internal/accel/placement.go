@@ -127,47 +127,6 @@ func (r *Result) Loads() []BankLoad {
 // overhead).
 func (r *Result) StorageBytes() int64 { return r.Layout.TotalBytes() }
 
-// Validate checks the plan's structural invariants: every physical table
-// assigned to exactly one valid bank, no bank over capacity, and every
-// source table covered exactly once. Engines call this before trusting a
-// plan (e.g. one deserialized or hand-edited).
-func (r *Result) Validate() error {
-	if r.Layout == nil {
-		return fmt.Errorf("accel: plan has no layout")
-	}
-	if len(r.BankOf) != len(r.Layout.Tables) {
-		return fmt.Errorf("accel: assignment covers %d of %d physical tables",
-			len(r.BankOf), len(r.Layout.Tables))
-	}
-	perBank := make([]int64, len(r.System.Banks))
-	for ti, bi := range r.BankOf {
-		if bi < 0 || bi >= len(r.System.Banks) {
-			return fmt.Errorf("accel: physical table %d assigned to invalid bank %d", ti, bi)
-		}
-		perBank[bi] += r.Layout.Tables[ti].Bytes()
-	}
-	for bi, bytes := range perBank {
-		if bytes > r.System.Banks[bi].Capacity {
-			return fmt.Errorf("accel: bank %d holds %d bytes, capacity %d",
-				bi, bytes, r.System.Banks[bi].Capacity)
-		}
-	}
-	seen := make(map[int]bool)
-	for _, pt := range r.Layout.Tables {
-		for _, src := range pt.Sources {
-			if seen[src.ID] {
-				return fmt.Errorf("accel: source table %d appears in multiple physical tables", src.ID)
-			}
-			seen[src.ID] = true
-		}
-	}
-	if len(seen) != len(r.Layout.Spec.Tables) {
-		return fmt.Errorf("accel: layout covers %d of %d source tables",
-			len(seen), len(r.Layout.Spec.Tables))
-	}
-	return nil
-}
-
 // Plan runs the heuristic search of Algorithm 1.
 func Plan(spec *model.Spec, sys System, opts Options) (*Result, error) {
 	if err := spec.Validate(); err != nil {

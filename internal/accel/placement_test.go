@@ -166,15 +166,15 @@ func TestLoadsMatchAssignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	loads := res.Loads()
-	var accesses, bytes int64
+	var n, bytes int64
 	for _, l := range loads {
 		for _, a := range l.Accesses {
-			accesses += int64(a.Count)
+			n += int64(a.Count)
 		}
 		bytes += l.Bytes
 	}
-	if accesses != int64(res.Layout.AccessesPerInference()) {
-		t.Errorf("loads carry %d accesses, layout needs %d", accesses, res.Layout.AccessesPerInference())
+	if want := accesses(res.Layout); n != int64(want) {
+		t.Errorf("loads carry %d accesses, layout needs %d", n, want)
 	}
 	if bytes != res.Layout.TotalBytes() {
 		t.Errorf("loads carry %d bytes, layout has %d", bytes, res.Layout.TotalBytes())

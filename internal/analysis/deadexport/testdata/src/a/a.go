@@ -1,6 +1,7 @@
 // Package a is the deadexport fixture: an internal package (its import path
 // runs through internal/) with one export its own code calls, one that only
-// its test calls, and the shapes the analyzer must leave alone.
+// its test calls, and the shapes the analyzer must leave alone. Methods have
+// their own fixture, package m.
 package a
 
 // Used is called by total below, so it is live.
@@ -15,12 +16,6 @@ func Generic[T any](v T) T { return v }
 
 // Allowed is dead but carries the escape hatch.
 func Allowed() {} //microrec:allow deadexport
-
-// T's method is out of scope: an interface may require it unnamed.
-type T struct{}
-
-// Method has no caller and is not reported.
-func (T) Method() {}
 
 // helper is unexported: the compiler's unused checks are not this one's job.
 func helper() {}

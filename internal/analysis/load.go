@@ -182,6 +182,7 @@ func Load(dir string, tags []string, patterns ...string) (*Program, error) {
 			Uses:       make(map[*ast.Ident]types.Object),
 			Selections: make(map[*ast.SelectorExpr]*types.Selection),
 			Implicits:  make(map[ast.Node]types.Object),
+			Instances:  make(map[*ast.Ident]types.Instance),
 			Scopes:     make(map[ast.Node]*types.Scope),
 		}
 		conf := types.Config{

@@ -5,7 +5,7 @@
 // coordinator merges the partials' feature columns into one plane before the
 // FC stack runs once. Tables write disjoint feature columns, so the merged
 // plane — and therefore every prediction — is bit-identical to the
-// single-engine InferBatch by construction.
+// single engine's stage calls by construction.
 //
 // This is MicroRec's channel-parallelism argument applied one level up: the
 // accelerator spreads tables across memory banks so lookups resolve in
@@ -230,10 +230,6 @@ func shardTables(spec *model.Spec, n int) [][]int {
 	return shards
 }
 
-// Shards reports the effective shard count (requested, capped at the
-// model's table count).
-func (c *Cluster) Shards() int { return len(c.shards) }
-
 // Options returns the cluster's effective (defaulted) options.
 func (c *Cluster) Options() Options { return c.opts }
 
@@ -358,49 +354,6 @@ func (c *Cluster) DenseFromPlane(b int, s *core.BatchScratch) { c.eng.DenseFromP
 // TailFromPlane runs the output layer + sigmoid on the merged plane.
 func (c *Cluster) TailFromPlane(b int, s *core.BatchScratch, dst []float32) {
 	c.eng.TailFromPlane(b, s, dst)
-}
-
-// InferBatchValidated runs the monolithic sharded datapath on pre-validated
-// queries: scatter/gather/merge, then the FC stack — the serial composition
-// of the stage calls the serving drains make.
-func (c *Cluster) InferBatchValidated(queries []embedding.Query, dst []float32, scratch *core.BatchScratch) ([]float32, error) {
-	b := len(queries)
-	if b == 0 {
-		return nil, fmt.Errorf("cluster: no queries")
-	}
-	if b > c.opts.MaxBatch {
-		return nil, fmt.Errorf("cluster: batch %d exceeds plane capacity %d", b, c.opts.MaxBatch)
-	}
-	if dst == nil {
-		dst = make([]float32, b)
-	} else if len(dst) != b {
-		return nil, fmt.Errorf("cluster: dst length %d, want %d", len(dst), b)
-	}
-	if scratch == nil {
-		scratch = &core.BatchScratch{}
-	}
-	c.eng.EnsurePlane(scratch, b)
-	c.GatherIntoPlane(queries, scratch)
-	c.eng.DenseFromPlane(b, scratch)
-	c.eng.TailFromPlane(b, scratch, dst)
-	return dst, nil
-}
-
-// InferBatch validates every query, then runs the sharded datapath. Returns
-// an error after Close.
-func (c *Cluster) InferBatch(queries []embedding.Query, dst []float32, scratch *core.BatchScratch) ([]float32, error) {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return nil, fmt.Errorf("cluster: closed")
-	}
-	for i, q := range queries {
-		if err := c.eng.ValidateQuery(q); err != nil {
-			return nil, fmt.Errorf("cluster: query %d: %w", i, err)
-		}
-	}
-	return c.InferBatchValidated(queries, dst, scratch)
 }
 
 // Spec delegates to the engine: the shards serve views of its model.

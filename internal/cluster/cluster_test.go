@@ -79,10 +79,30 @@ func randomQueries(spec *model.Spec, n int, seed int64) []embedding.Query {
 	return qs
 }
 
+// inferBatch runs a batch through e the way the serving drains do: every
+// query validated, then the three stage calls on one plane (a fresh one when
+// s is nil). A core.Engine and a Cluster both implement the seam it drives.
+func inferBatch(e serving.Engine, qs []embedding.Query, s *core.BatchScratch) ([]float32, error) {
+	for i, q := range qs {
+		if err := e.ValidateQuery(q); err != nil {
+			return nil, fmt.Errorf("query %d: %w", i, err)
+		}
+	}
+	if s == nil {
+		s = &core.BatchScratch{}
+	}
+	dst := make([]float32, len(qs))
+	e.EnsurePlane(s, len(qs))
+	e.GatherIntoPlane(qs, s)
+	e.DenseFromPlane(len(qs), s)
+	e.TailFromPlane(len(qs), s, dst)
+	return dst, nil
+}
+
 // TestShardedBitIdentityProperty is the tier's core contract: for random
 // model specs, shard counts in {1,2,3,4} and random query batches, the
 // sharded scatter/gather/merge datapath produces bit-identical predictions
-// to the single-engine InferBatch.
+// to the single engine's stage calls.
 func TestShardedBitIdentityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 6; trial++ {
@@ -99,11 +119,11 @@ func TestShardedBitIdentityProperty(t *testing.T) {
 			}
 			for _, b := range []int{1, 7, 33, 64} {
 				qs := randomQueries(spec, b, int64(trial*1000+shards*100+b))
-				want, err := eng.InferBatch(qs, nil, &scratch)
+				want, err := inferBatch(eng, qs, &scratch)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := c.InferBatch(qs, nil, nil)
+				got, err := inferBatch(c, qs, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -134,7 +154,7 @@ func TestClusterStats(t *testing.T) {
 	defer c.Close()
 	const rounds = 20
 	for i := 0; i < rounds; i++ {
-		if _, err := c.InferBatch(randomQueries(spec, 8, int64(i)), nil, nil); err != nil {
+		if _, err := inferBatch(c, randomQueries(spec, 8, int64(i)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,7 +199,7 @@ func TestClusterConcurrentInfer(t *testing.T) {
 	defer c.Close()
 	qs := randomQueries(spec, 16, 3)
 	var scratch core.BatchScratch
-	want, err := eng.InferBatch(qs, nil, &scratch)
+	want, err := inferBatch(eng, qs, &scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +211,7 @@ func TestClusterConcurrentInfer(t *testing.T) {
 			defer wg.Done()
 			var sc core.BatchScratch
 			for i := 0; i < 10; i++ {
-				got, err := c.InferBatch(qs, nil, &sc)
+				got, err := inferBatch(c, qs, &sc)
 				if err != nil {
 					errs <- err
 					return
@@ -227,7 +247,7 @@ func TestServerWithShards(t *testing.T) {
 	}
 	qs := randomQueries(spec, 48, 11)
 	var scratch core.BatchScratch
-	want, err := eng.InferBatch(qs, nil, &scratch)
+	want, err := inferBatch(eng, qs, &scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,9 +312,6 @@ func TestClusterCloseIdempotent(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := c.InferBatch(randomQueries(model.SmallProduction(), 1, 1), nil, nil); err == nil {
-		t.Fatal("InferBatch after Close succeeded")
 	}
 }
 

@@ -18,11 +18,15 @@ import (
 // capability too, so a tiered sharded deployment gets the /stats section.
 var _ serving.Tiered = (*cluster.Cluster)(nil)
 
+// tieredRows caps the tables of buildTieredEngine's engines, so a stream's
+// rows are min(table rows, tieredRows).
+const tieredRows = 128
+
 // buildTieredEngine mirrors buildEngine with a manual-sweep cold tier
 // attached (tests drive placement explicitly).
 func buildTieredEngine(t testing.TB, spec *model.Spec, hotBytes int64) *core.Engine {
 	t.Helper()
-	params, err := spec.Materialize(model.MaterializeOptions{Seed: 1, MaxRowsPerTable: 128})
+	params, err := spec.Materialize(model.MaterializeOptions{Seed: 1, MaxRowsPerTable: tieredRows})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,9 +55,8 @@ func TestShardedTieredBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	repin := func(frac float64) {
 		for id := 0; id < store.Streams(); id++ {
-			st := store.Stream(id)
 			var rows []int64
-			for r := int64(0); r < st.Rows(); r++ {
+			for r := int64(0); r < min(spec.Tables[id].Rows, tieredRows); r++ {
 				if rng.Float64() < frac {
 					rows = append(rows, r)
 				}
@@ -70,11 +73,11 @@ func TestShardedTieredBitIdentity(t *testing.T) {
 		for round, frac := range []float64{0, 0.3, 0.9, 1} {
 			repin(frac)
 			qs := randomQueries(spec, 33, int64(shards*100+round))
-			want, err := ref.InferBatch(qs, nil, &scratch)
+			want, err := inferBatch(ref, qs, &scratch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := c.InferBatch(qs, nil, nil)
+			got, err := inferBatch(c, qs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +114,7 @@ func TestShardedTieredSweepHarvest(t *testing.T) {
 	qs := randomQueries(spec, 8, 3)
 	const rounds = 30
 	for round := 0; round < rounds; round++ {
-		if _, err := c.InferBatch(qs, nil, nil); err != nil {
+		if _, err := inferBatch(c, qs, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

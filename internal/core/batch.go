@@ -9,15 +9,16 @@ import (
 // The batched datapath below is the CPU-side analogue of the paper's
 // throughput argument: per-query inference streams every FC weight matrix
 // from memory once per query, while a micro-batch reuses each weight block
-// across the whole batch. Features arrive already quantized from GatherBatch
-// (gather.go); the GEMM itself lives in internal/kernels — a column-blocked
-// fixed-point kernel over the transposed (out x in) weight layout, so every
-// weight access is sequential and each cache-resident block is reused by the
-// whole batch, with a per-width AVX2 path selected at init where the host
-// supports it. The wide accumulators match the per-query GEMV exactly (and
-// the optimized kernels are property-tested bit-identical to the portable
-// reference), so batched predictions are bit-identical to InferOne. The
-// width-native plane code these entry points forward to is in plane.go.
+// across the whole batch. Features arrive already quantized from
+// GatherIntoPlane (gather.go); the GEMM itself lives in internal/kernels — a
+// column-blocked fixed-point kernel over the transposed (out x in) weight
+// layout, so every weight access is sequential and each cache-resident block
+// is reused by the whole batch, with a per-width AVX2 path selected at init
+// where the host supports it. The wide accumulators match the per-query GEMV
+// exactly (and the optimized kernels are property-tested bit-identical to
+// the portable reference), so batched predictions are bit-identical to
+// InferOne. The width-native plane code these entry points forward to is in
+// plane.go.
 
 // GatherObs is the per-batch gather observability record the flight recorder
 // folds into a request span: cold-tier faults suffered by the batch's gather,
@@ -74,7 +75,7 @@ func (e *Engine) EnsurePlane(s *BatchScratch, b int) { e.dp.ensure(s, b) }
 // admission. The layout is embedding.Query's: one array of indices, table
 // after table, with each table's slice the window of it at the table's
 // offset (embedding.NewQuery builds it). The validated hot paths
-// (InferBatchValidated, the gather loop) rely on this having been called
+// (the stage calls, the gather loop) rely on this having been called
 // exactly once per query, and read each index from that one array.
 func (e *Engine) ValidateQuery(q embedding.Query) error {
 	if len(q) != len(e.spec.Tables) {
@@ -97,62 +98,27 @@ func (e *Engine) ValidateQuery(q embedding.Query) error {
 	return nil
 }
 
-// validateBatch runs ValidateQuery over a batch, naming the failing query
-// with indexBase added (so chunked callers report caller-visible indices).
-func (e *Engine) validateBatch(queries []embedding.Query, indexBase int) error {
+// validateBatch runs ValidateQuery over a batch, naming the failing query.
+func (e *Engine) validateBatch(queries []embedding.Query) error {
 	for i, q := range queries {
 		if err := e.ValidateQuery(q); err != nil {
-			return fmt.Errorf("core: query %d: %w", indexBase+i, err)
+			return fmt.Errorf("core: query %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// InferBatch runs a batch of queries through the batched fixed-point
-// datapath, writing predictions into dst (allocated when nil) and returning
-// it. scratch may be nil (buffers are then allocated per call); passing a
-// reused scratch makes the call allocation-free in steady state. Predictions
-// are bit-identical to calling InferOne per query.
-func (e *Engine) InferBatch(queries []embedding.Query, dst []float32, scratch *BatchScratch) ([]float32, error) {
-	if len(queries) == 0 {
-		return nil, fmt.Errorf("core: no queries")
-	}
-	if err := e.validateBatch(queries, 0); err != nil {
-		return nil, err
-	}
-	return e.inferBatchValidated(queries, dst, scratch)
-}
-
-// InferBatchValidated is InferBatch minus the per-query validation pass, for
-// callers that already validated every query at admission (ValidateQuery).
-// Passing an unvalidated query is a contract violation: out-of-range indices
-// panic rather than returning an error.
-func (e *Engine) InferBatchValidated(queries []embedding.Query, dst []float32, scratch *BatchScratch) ([]float32, error) {
-	if len(queries) == 0 {
-		return nil, fmt.Errorf("core: no queries")
-	}
-	return e.inferBatchValidated(queries, dst, scratch)
-}
-
-// inferBatchValidated is the validated hot path, composed of the three stage
-// entry points the serving drains also drive (gather plane → hidden GEMM
-// tower → output tail). Running them back-to-back here IS the monolithic
+// inferBatchValidated is the validated hot path of InferOne and Infer,
+// composed of the three stage entry points the serving drains also drive
+// (gather plane → hidden GEMM tower → output tail), writing one prediction
+// per query into dst. Running them back-to-back here IS the monolithic
 // datapath, so both drains are bit-identical by construction.
-func (e *Engine) inferBatchValidated(queries []embedding.Query, dst []float32, scratch *BatchScratch) ([]float32, error) {
+func (e *Engine) inferBatchValidated(queries []embedding.Query, dst []float32, s *BatchScratch) {
 	b := len(queries)
-	if dst == nil {
-		dst = make([]float32, b)
-	} else if len(dst) != b {
-		return nil, fmt.Errorf("core: dst length %d, want %d", len(dst), b)
-	}
-	if scratch == nil {
-		scratch = &BatchScratch{}
-	}
-	e.dp.ensure(scratch, b)
-	e.GatherIntoPlane(queries, scratch)
-	e.DenseFromPlane(b, scratch)
-	e.TailFromPlane(b, scratch, dst)
-	return dst, nil
+	e.dp.ensure(s, b)
+	e.GatherIntoPlane(queries, s)
+	e.DenseFromPlane(b, s)
+	e.TailFromPlane(b, s, dst)
 }
 
 // GatherIntoPlane is the pipeline's first stage: the batched table-major

@@ -29,6 +29,44 @@ func oddSpec() *model.Spec {
 	}
 }
 
+// inferBatch runs a batch the way the serving drains do: ValidateQuery on
+// every query, then the three stage calls on one plane (a fresh one when s
+// is nil). It returns one prediction per query.
+func inferBatch(e *Engine, qs []embedding.Query, s *BatchScratch) ([]float32, error) {
+	if err := e.validateBatch(qs); err != nil {
+		return nil, err
+	}
+	if s == nil {
+		s = &BatchScratch{}
+	}
+	dst := make([]float32, len(qs))
+	e.inferBatchValidated(qs, dst, s)
+	return dst, nil
+}
+
+// gatherBatch validates a batch and gathers it into s: the first stage call
+// alone, on a plane sized for the batch.
+func gatherBatch(e *Engine, qs []embedding.Query, s *BatchScratch) error {
+	if err := e.validateBatch(qs); err != nil {
+		return err
+	}
+	e.EnsurePlane(s, len(qs))
+	e.GatherIntoPlane(qs, s)
+	return nil
+}
+
+// featureAt reads feature k of query q from a gathered plane, as a raw value
+// of e's format.
+func featureAt(e *Engine, s *BatchScratch, q, k int) int64 {
+	switch d := e.dp.(type) {
+	case *fixedPath[int16]:
+		return int64(s.x16[q*d.stride+k])
+	case *fixedPath[int32]:
+		return int64(s.x32[q*d.stride+k])
+	}
+	panic("core: unknown datapath")
+}
+
 // TestInferBatchMatchesInferOne checks bit-identical predictions between the
 // blocked batch kernel and the per-query datapath, across batch sizes that
 // cover the 4-query and 2-output register-block tails.
@@ -39,7 +77,7 @@ func TestInferBatchMatchesInferOne(t *testing.T) {
 		e := buildEngine(t, spec, cfg)
 		for _, b := range []int{1, 2, 3, 4, 5, 7, 8, 64, 67} {
 			qs := randomQueries(spec, b, int64(b))
-			got, err := e.InferBatch(qs, nil, nil)
+			got, err := inferBatch(e, qs, nil)
 			if err != nil {
 				t.Fatalf("%s b=%d: %v", spec.Name, b, err)
 			}
@@ -65,7 +103,7 @@ func TestInferBatchScratchReuse(t *testing.T) {
 	var scratch BatchScratch
 	for _, b := range []int{5, 64, 3, 1, 32} {
 		qs := randomQueries(spec, b, int64(100+b))
-		got, err := e.InferBatch(qs, nil, &scratch)
+		got, err := inferBatch(e, qs, &scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +146,7 @@ func TestScratchReuseAcrossEngines(t *testing.T) {
 		v.e.GatherIntoPlane(qs, &shared)
 		v.e.DenseFromPlane(v.b, &shared)
 		v.e.TailFromPlane(v.b, &shared, got)
-		want, err := v.e.InferBatch(qs, nil, &BatchScratch{})
+		want, err := inferBatch(v.e, qs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,26 +156,6 @@ func TestScratchReuseAcrossEngines(t *testing.T) {
 					step, v.e.spec.Name, v.b, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-// TestInferBatchErrors covers argument validation and per-query failures.
-func TestInferBatchErrors(t *testing.T) {
-	spec := model.SmallProduction()
-	e := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
-	if _, err := e.InferBatch(nil, nil, nil); err == nil {
-		t.Error("empty batch: want error")
-	}
-	qs := randomQueries(spec, 3, 1)
-	if _, err := e.InferBatch(qs, make([]float32, 2), nil); err == nil {
-		t.Error("short dst: want error")
-	}
-	bad := randomQueries(spec, 3, 1)
-	bad[1] = bad[1][:5] // wrong table count
-	if _, err := e.InferBatch(bad, nil, nil); err == nil {
-		t.Error("malformed query: want error")
-	} else if !strings.Contains(err.Error(), "query 1") {
-		t.Errorf("error should name the failing query: %v", err)
 	}
 }
 
@@ -207,8 +225,8 @@ func TestValidateQueryRejectsUnpackedLayouts(t *testing.T) {
 			if _, err := e.InferOne(bad); err == nil {
 				t.Errorf("%s %s: InferOne accepted it", spec.Name, name)
 			}
-			if _, err := e.GatherBatch([]embedding.Query{q, bad}, nil); err == nil {
-				t.Errorf("%s %s: GatherBatch accepted it", spec.Name, name)
+			if _, err := e.Infer([]embedding.Query{q, bad}); err == nil {
+				t.Errorf("%s %s: Infer accepted it", spec.Name, name)
 			}
 		}
 		// Two queries carved from one array: the second's q[0] starts
@@ -247,7 +265,7 @@ func TestGeneratedQueriesValidate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := e.validateBatch(qs, 0); err != nil {
+			if err := e.validateBatch(qs); err != nil {
 				t.Errorf("%s %v: %v", spec.Name, dist, err)
 			}
 		}
@@ -261,7 +279,7 @@ func TestInferBatchConcurrent(t *testing.T) {
 	spec := model.SmallProduction()
 	e := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
 	qs := randomQueries(spec, 16, 5)
-	want, err := e.InferBatch(qs, nil, nil)
+	want, err := inferBatch(e, qs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +291,7 @@ func TestInferBatchConcurrent(t *testing.T) {
 			defer wg.Done()
 			var scratch BatchScratch
 			for rep := 0; rep < 4; rep++ {
-				got, err := e.InferBatch(qs, nil, &scratch)
+				got, err := inferBatch(e, qs, &scratch)
 				if err != nil {
 					errs <- err
 					return

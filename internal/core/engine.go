@@ -133,8 +133,8 @@ func (e *Engine) Config() Config { return e.cfg }
 // Gather resolves one query into the concatenated float feature vector
 // (spec order, lookup-minor; model.Parameters.Features), every row
 // regenerated from the stream's checkpoints, not read from the engine's
-// quantized tables. It is the float reference of the quantized GatherBatch
-// path and records nothing in a tiered store's frequency window.
+// quantized tables. It is the float reference of the quantized gather and
+// records nothing in a tiered store's frequency window.
 func (e *Engine) Gather(q embedding.Query, dst []float32) ([]float32, error) {
 	if err := e.ValidateQuery(q); err != nil {
 		return nil, err
@@ -153,13 +153,10 @@ func (e *Engine) InferOne(q embedding.Query) (float32, error) {
 	}
 	os := e.onePool.Get().(*oneScratch)
 	os.qs[0] = q
-	_, err := e.inferBatchValidated(os.qs[:], os.out[:], &os.s)
+	e.inferBatchValidated(os.qs[:], os.out[:], &os.s)
 	pred := os.out[0]
 	os.qs[0] = nil
 	e.onePool.Put(os)
-	if err != nil {
-		return 0, err
-	}
 	return pred, nil
 }
 
@@ -196,15 +193,11 @@ func (e *Engine) Infer(queries []embedding.Query) (*InferResult, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("core: no queries")
 	}
-	if err := e.validateBatch(queries, 0); err != nil {
+	if err := e.validateBatch(queries); err != nil {
 		return nil, err
 	}
 	preds := make([]float32, len(queries))
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
+	var wg sync.WaitGroup
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(queries) {
 		workers = len(queries)
@@ -221,20 +214,10 @@ func (e *Engine) Infer(queries []embedding.Query) (*InferResult, error) {
 			var s BatchScratch
 			for ; lo < hi; lo += inferStrip {
 				end := min(lo+inferStrip, hi)
-				if _, err := e.inferBatchValidated(queries[lo:end], preds[lo:end], &s); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
+				e.inferBatchValidated(queries[lo:end], preds[lo:end], &s)
 			}
 		}(lo, hi)
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
 	return &InferResult{Predictions: preds}, nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 
 	"microrec/internal/embedding"
@@ -9,7 +8,7 @@ import (
 )
 
 // This file implements the batched gather datapath: a gather plan compiled
-// once at Build feeding GatherBatch, which resolves a whole micro-batch's
+// once at Build feeding GatherIntoPlane, which resolves a whole micro-batch's
 // lookups and copies each embedding vector — stored at the datapath's width,
 // quantized once when the tables were filled — straight into the
 // fixed-point batch buffer: no conversion, no per-query float feature
@@ -221,28 +220,6 @@ func (e *Engine) compileGatherPlan() gatherPlan {
 	return p
 }
 
-// GatherBatch resolves a whole micro-batch's embedding lookups table-major —
-// one pass per table across all queries, on the calling goroutine —
-// copying every row, stored at the datapath's width, straight into the
-// scratch's fixed-point feature rows. It returns a view of the feature matrix
-// backed by the scratch (valid until the scratch's next use): feats.At(qi, k)
-// for k below the model's feature length, the dense tail zeroed. The values
-// are bit-identical to quantizing Gather's float output.
-func (e *Engine) GatherBatch(queries []embedding.Query, scratch *BatchScratch) (feats Features, err error) {
-	if len(queries) == 0 {
-		return Features{}, fmt.Errorf("core: no queries")
-	}
-	if err := e.validateBatch(queries, 0); err != nil {
-		return Features{}, err
-	}
-	if scratch == nil {
-		scratch = &BatchScratch{}
-	}
-	e.dp.ensure(scratch, len(queries))
-	e.gatherBatchValidated(queries, scratch)
-	return e.dp.features(scratch), nil
-}
-
 // gatherBatchValidated is the hot gather path: one walk over every table on
 // the calling goroutine, at every batch size. Queries must already
 // have passed ValidateQuery; the loop performs no validation and no
@@ -265,14 +242,16 @@ func (e *Engine) Tier() *tieredstore.Store { return e.tier }
 
 // PrefetchBatch touches the cold-tier pages a batch's gather will read.
 // Nothing on the serving path calls it: a served batch reads each row once,
-// in the gather. It stays because the repository benchmark's tracer wraps it;
+// in the gather. It stays because the repository benchmark's tracer wraps it
+// (benchmark/ is its own module, which deadexport cannot see, so the
+// analyzer is allowed on it);
 // a pass that pays would have to run concurrently with real storage latency.
 // Queries must already be validated; no-op for an all-DRAM engine. It walks
 // the gather's blocks in the gather's order and leaves the store to skip the
 // rows it holds hot.
 //
 //microrec:noalloc
-func (e *Engine) PrefetchBatch(queries []embedding.Query) {
+func (e *Engine) PrefetchBatch(queries []embedding.Query) { //microrec:allow deadexport
 	if e.tier == nil {
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"microrec/internal/embedding"
 	"microrec/internal/fixedpoint"
 	"microrec/internal/hotcache"
 	"microrec/internal/model"
@@ -70,8 +71,7 @@ func TestGatherBatchMatchesGather(t *testing.T) {
 		var scratch BatchScratch
 		for _, b := range append([]int{3, 33}, windowBatches...) {
 			qs := randomQueries(spec, b, int64(100*b))
-			feats, err := e.GatherBatch(qs, &scratch)
-			if err != nil {
+			if err := gatherBatch(e, qs, &scratch); err != nil {
 				t.Fatalf("%s b=%d: %v", spec.Name, b, err)
 			}
 			for qi, q := range qs {
@@ -80,7 +80,7 @@ func TestGatherBatchMatchesGather(t *testing.T) {
 					t.Fatal(err)
 				}
 				for k, v := range want {
-					if got := feats.At(qi, k); got != f.Quantize(float64(v)) {
+					if got := featureAt(e, &scratch, qi, k); got != f.Quantize(float64(v)) {
 						t.Fatalf("%s %v b=%d query %d feature %d: batched %d, quantized gather %d",
 							spec.Name, f, b, qi, k, got, f.Quantize(float64(v)))
 					}
@@ -109,11 +109,11 @@ func TestInferBatchPropertyRandomSpecs(t *testing.T) {
 			defer tiered.Close()
 			for _, b := range append([]int{5, 8, 31, 67}, windowBatches...) {
 				qs := randomQueries(spec, b, int64(trial*1000+b))
-				got, err := plain.InferBatch(qs, nil, nil)
+				got, err := inferBatch(plain, qs, nil)
 				if err != nil {
 					t.Fatalf("%s b=%d: %v", name, b, err)
 				}
-				gotTiered, err := tiered.InferBatch(qs, nil, nil)
+				gotTiered, err := inferBatch(tiered, qs, nil)
 				if err != nil {
 					t.Fatalf("%s b=%d tiered: %v", name, b, err)
 				}
@@ -150,11 +150,11 @@ func TestGatherBatchSteadyStateAllocs(t *testing.T) {
 	var scratch BatchScratch
 	for _, b := range []int{1, 64} {
 		qs := randomQueries(spec, b, 4)
-		if _, err := e.GatherBatch(qs, &scratch); err != nil {
+		if err := gatherBatch(e, qs, &scratch); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := e.GatherBatch(qs, &scratch); err != nil {
+			if err := gatherBatch(e, qs, &scratch); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -199,7 +199,7 @@ func TestHotCacheChargesRowsAtElementWidth(t *testing.T) {
 					}
 				}
 			}
-			if _, err := e.GatherBatch(qs, nil); err != nil {
+			if err := gatherBatch(e, qs, &BatchScratch{}); err != nil {
 				t.Fatal(err)
 			}
 			w := e.Tier().Snapshot().Window
@@ -258,7 +258,7 @@ func TestGatherIgnoresGOMAXPROCS(t *testing.T) {
 		e := buildEngine(t, spec, cfg)
 		defer e.Close()
 		var s BatchScratch
-		if _, err := e.GatherBatch(qs, &s); err != nil {
+		if err := gatherBatch(e, qs, &s); err != nil {
 			t.Fatal(err)
 		}
 		return e, append([]int16(nil), s.x16...), e.Tier().Window().Stats()
@@ -278,22 +278,40 @@ func TestGatherIgnoresGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestGatherBatchValidation checks the public GatherBatch rejects malformed
-// batches with the failing query named.
-func TestGatherBatchValidation(t *testing.T) {
+// TestInferBatchErrors checks Infer's batch contract: an empty batch is
+// refused, and a batch holding one malformed query is refused whole, with
+// the failing query named, whatever ValidateQuery found wrong with it.
+func TestInferBatchErrors(t *testing.T) {
 	spec := model.SmallProduction()
 	e := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
-	if _, err := e.GatherBatch(nil, nil); err == nil {
-		t.Error("empty batch: want error")
-	}
-	qs := randomQueries(spec, 3, 1)
-	qs[2] = qs[2][:4]
-	_, err := e.GatherBatch(qs, nil)
-	if err == nil {
-		t.Fatal("malformed query: want error")
-	}
-	if want := "query 2"; !contains(err.Error(), want) {
-		t.Errorf("error %q should name %q", err, want)
+	t.Run("empty batch", func(t *testing.T) {
+		if _, err := e.Infer(nil); err == nil {
+			t.Error("want error")
+		}
+	})
+	for name, corrupt := range map[string]func(q embedding.Query) embedding.Query{
+		"wrong table count":  func(q embedding.Query) embedding.Query { return q[:5] },
+		"index out of range": func(q embedding.Query) embedding.Query { q[0][0] = spec.Tables[0].Rows; return q },
+		"wrong lookup count": func(q embedding.Query) embedding.Query { q[2] = q[2][:0]; return q },
+		"unpacked layout": func(q embedding.Query) embedding.Query {
+			q[3] = append([]int64(nil), q[3]...)
+			return q
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			qs := randomQueries(spec, 3, 1)
+			qs[1] = corrupt(qs[1])
+			res, err := e.Infer(qs)
+			if err == nil {
+				t.Fatal("want error")
+			}
+			if res != nil {
+				t.Errorf("predictions returned for a refused batch: %v", res.Predictions)
+			}
+			if want := "query 1"; !contains(err.Error(), want) {
+				t.Errorf("error %q should name %q", err, want)
+			}
+		})
 	}
 }
 
@@ -315,7 +333,7 @@ func TestHotCacheConcurrentWorkers(t *testing.T) {
 	e := buildEngine(t, spec, windowTestConfig(fixedpoint.Fixed16, 1<<18))
 	defer e.Close()
 	qs := randomQueries(spec, 64, 17)
-	want, err := e.InferBatch(qs, nil, nil)
+	want, err := inferBatch(e, qs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,10 +345,7 @@ func TestHotCacheConcurrentWorkers(t *testing.T) {
 			var scratch BatchScratch
 			preds := make([]float32, len(qs))
 			for rep := 0; rep < 5; rep++ {
-				if _, err := e.InferBatchValidated(qs, preds, &scratch); err != nil {
-					t.Errorf("worker: %v", err)
-					return
-				}
+				e.inferBatchValidated(qs, preds, &scratch)
 				for i := range preds {
 					if preds[i] != want[i] {
 						t.Errorf("worker diverged at query %d", i)

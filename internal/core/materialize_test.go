@@ -16,7 +16,8 @@ import (
 // of the other width built from the same parameters adds exactly its own
 // tables; a tiered engine keeps no table in DRAM at all; and Close hands
 // every byte back — the checkpoints with the engine that owns the
-// parameters.
+// parameters. The checkpoints' size is what stays mapped once the two
+// DRAM engines are closed.
 func TestBuildMapsNothingBeyondParameters(t *testing.T) {
 	spec := model.LargeProduction()
 	before := offheap.MappedBytes()
@@ -44,23 +45,29 @@ func TestBuildMapsNothingBeyondParameters(t *testing.T) {
 	if tableBytes(2) == 0 {
 		t.Skip("no anonymous mappings on this platform")
 	}
-	checkpoints := params.CheckpointBytes()
-	if checkpoints < 1<<20 {
-		t.Fatalf("checkpoints hold %d bytes: below the mapping threshold, test is vacuous", checkpoints)
-	}
-	if got, want := offheap.MappedBytes()-before, tableBytes(2)+checkpoints; got != want {
-		t.Errorf("Fixed16 Build mapped %d bytes, want tables %d + checkpoints %d", got, tableBytes(2), checkpoints)
-	}
-
+	mapped16 := offheap.MappedBytes() - before
 	e32, err := Build(params, Config{Precision: fixedpoint.Fixed32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := offheap.MappedBytes()-before, tableBytes(2)+tableBytes(4)+checkpoints; got != want {
-		t.Errorf("a Fixed32 engine beside it: %d bytes mapped, want %d", got, want)
-	}
+	mapped32 := offheap.MappedBytes() - before
 	if err := e32.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// With both engines closed, what stays mapped is the checkpoints the
+	// first Build's stream pass recorded.
+	if err := e16.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkpoints := offheap.MappedBytes() - before
+	if checkpoints < 1<<20 {
+		t.Fatalf("checkpoints hold %d bytes: below the mapping threshold, test is vacuous", checkpoints)
+	}
+	if want := tableBytes(2) + checkpoints; mapped16 != want {
+		t.Errorf("Fixed16 Build mapped %d bytes, want tables %d + checkpoints %d", mapped16, tableBytes(2), checkpoints)
+	}
+	if want := tableBytes(2) + tableBytes(4) + checkpoints; mapped32 != want {
+		t.Errorf("a Fixed32 engine beside it: %d bytes mapped, want %d", mapped32, want)
 	}
 	cfg := Config{Precision: fixedpoint.Fixed16}
 	cfg.ColdTier = &tieredstore.Config{Path: filepath.Join(t.TempDir(), "cold.bin"), SweepEvery: -1}
@@ -68,14 +75,11 @@ func TestBuildMapsNothingBeyondParameters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := offheap.MappedBytes()-before, tableBytes(2)+checkpoints; got != want {
-		t.Errorf("a tiered engine beside it: %d bytes mapped, want %d (no DRAM tables)", got, want)
+	if got := offheap.MappedBytes() - before; got != checkpoints {
+		t.Errorf("a tiered engine: %d bytes mapped, want the checkpoints' %d (no DRAM tables)", got, checkpoints)
 	}
+	tiered.OwnParameters()
 	if err := tiered.Close(); err != nil {
-		t.Fatal(err)
-	}
-	e16.OwnParameters()
-	if err := e16.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if left := offheap.MappedBytes() - before; left != 0 {
@@ -136,8 +140,8 @@ func TestWidthsFromOneParameters(t *testing.T) {
 				t.Fatal(err)
 			}
 			f := cfg.Precision
-			feats, err := e.GatherBatch(qs, nil)
-			if err != nil {
+			var s BatchScratch
+			if err := gatherBatch(e, qs, &s); err != nil {
 				t.Fatal(err)
 			}
 			for qi, q := range qs {
@@ -146,7 +150,7 @@ func TestWidthsFromOneParameters(t *testing.T) {
 					t.Fatal(err)
 				}
 				for k, v := range floats {
-					if got, want := feats.At(qi, k), f.Quantize(float64(v)); got != want {
+					if got, want := featureAt(e, &s, qi, k), f.Quantize(float64(v)); got != want {
 						t.Fatalf("%d-bit (tiered %v): query %d feature %d = %d, Quantize(%v) = %d",
 							f.Bits, cfg.ColdTier != nil, qi, k, got, v, want)
 					}

@@ -113,12 +113,11 @@ func TestPartialGatherMergeMatchesMonolithic(t *testing.T) {
 				e.GatherPartialIntoPlane(tables, qs, &partial)
 				e.MergePartialPlane(b, spans, &partial, &merged)
 			}
-			got, mono := e.dp.features(&merged), e.dp.features(&want)
 			for qi := 0; qi < b; qi++ {
 				for c := 0; c < e.spec.FeatureLen(); c++ {
-					if got.At(qi, c) != mono.At(qi, c) {
+					if got, mono := featureAt(e, &merged, qi, c), featureAt(e, &want, qi, c); got != mono {
 						t.Fatalf("%s %v b=%d k=%d query %d col %d: merged %d, monolithic %d",
-							spec.Name, f, b, k, qi, c, got.At(qi, c), mono.At(qi, c))
+							spec.Name, f, b, k, qi, c, got, mono)
 					}
 				}
 			}
@@ -136,7 +135,7 @@ func TestPartialGatherColdFaults(t *testing.T) {
 	store := e.Tier()
 	for id := 0; id < store.Streams(); id++ {
 		var hot []int64
-		for r := int64(0); r < store.Stream(id).Rows(); r += 2 {
+		for r := int64(0); r < e.params.ActualRows[id]; r += 2 {
 			hot = append(hot, r)
 		}
 		store.SetPlacement(id, hot)

@@ -29,7 +29,6 @@ import (
 // fixedPath[int32].
 type datapath interface {
 	ensure(s *BatchScratch, b int)
-	features(s *BatchScratch) Features
 	gatherTables(plan *gatherPlan, tables []int, queries []embedding.Query, s *BatchScratch) (coldFaults int64)
 	zeroDenseTail(b int, s *BatchScratch)
 	mergePartial(b int, spans []ColSpan, src, dst *BatchScratch)
@@ -209,33 +208,6 @@ func (d *fixedPath[T]) ensure(s *BatchScratch, b int) {
 		s.acc = make([]int64, n)
 	}
 	s.acc = s.acc[:n]
-}
-
-// Features is a read-only view of a gathered plane's quantized feature rows,
-// at whichever width the engine stores them.
-type Features struct {
-	x16    []int16
-	x32    []int32
-	stride int
-}
-
-// At returns feature k of query q as a raw value of the engine's format.
-func (f Features) At(q, k int) int64 {
-	if f.x16 != nil {
-		return int64(f.x16[q*f.stride+k])
-	}
-	return int64(f.x32[q*f.stride+k])
-}
-
-func (d *fixedPath[T]) features(s *BatchScratch) Features {
-	f := Features{stride: d.stride}
-	switch x := any(*d.plane(s)).(type) {
-	case []int16:
-		f.x16 = x
-	case []int32:
-		f.x32 = x
-	}
-	return f
 }
 
 // hint starts the fetch of the given rows of a block: one block hint over

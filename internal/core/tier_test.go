@@ -36,17 +36,17 @@ func bitsEqual(a, b []float32) bool {
 	return true
 }
 
-// randomPlacement pins a random subset of every stream's rows.
-func randomPlacement(store *tieredstore.Store, rng *rand.Rand, frac float64) {
+// randomPlacement pins a random subset of every stream's rows (stream id is
+// table id, rows[id] rows long).
+func randomPlacement(store *tieredstore.Store, rows []int64, rng *rand.Rand, frac float64) {
 	for id := 0; id < store.Streams(); id++ {
-		st := store.Stream(id)
-		var rows []int64
-		for r := int64(0); r < st.Rows(); r++ {
+		var pinned []int64
+		for r := int64(0); r < rows[id]; r++ {
 			if rng.Float64() < frac {
-				rows = append(rows, r)
+				pinned = append(pinned, r)
 			}
 		}
-		store.SetPlacement(id, rows)
+		store.SetPlacement(id, pinned)
 	}
 }
 
@@ -65,7 +65,7 @@ func TestTierStreamsAreSourceTables(t *testing.T) {
 	for i, ts := range spec.Tables {
 		want += e.params.ActualRows[i] * int64(ts.Dim) * 2 // Fixed16
 	}
-	if got := store.TotalBytes(); got != want {
+	if got := store.Snapshot().TotalBytes; got != want {
 		t.Errorf("cold file holds %d bytes, the tables %d", got, want)
 	}
 }
@@ -98,7 +98,7 @@ func TestTierBitIdentityRandomPlacements(t *testing.T) {
 	// subsets at varying fractions, including everything-hot.
 	for round := 0; round < 6; round++ {
 		if round > 0 {
-			randomPlacement(store, rng, []float64{0.1, 0.5, 0.9, 1.0, 0.25}[round-1])
+			randomPlacement(store, tiered.params.ActualRows, rng, []float64{0.1, 0.5, 0.9, 1.0, 0.25}[round-1])
 		}
 		got, err := tiered.Infer(queries)
 		if err != nil {
@@ -157,7 +157,7 @@ func TestTierBitIdentityUnderChurn(t *testing.T) {
 				return
 			default:
 			}
-			randomPlacement(store, rng, rng.Float64())
+			randomPlacement(store, tiered.params.ActualRows, rng, rng.Float64())
 			for id := 0; id < store.Streams(); id++ {
 				if rng.Intn(3) == 0 {
 					store.SetPlacement(id, nil) // demote everything mid-flight
@@ -260,7 +260,7 @@ func TestTierPrefetchBatch(t *testing.T) {
 func TestTierEngineClose(t *testing.T) {
 	spec := model.SmallProduction()
 	tiered := buildEngine(t, spec, tierTestConfig(0))
-	path := tiered.Tier().Path()
+	path := tiered.Tier().Snapshot().Path
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("cold file missing while open: %v", err)
 	}

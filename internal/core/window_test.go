@@ -70,7 +70,7 @@ func TestGatherWindowKeepsSerialOrder(t *testing.T) {
 			var scratch BatchScratch
 			for _, b := range windowBatches {
 				qs := randomQueries(spec, b, int64(7*b))
-				if _, err := e.GatherBatch(qs, &scratch); err != nil {
+				if err := gatherBatch(e, qs, &scratch); err != nil {
 					t.Fatal(err)
 				}
 				serialWalk(e, qs, ref)
@@ -95,7 +95,7 @@ func TestGatherWindowTierCounters(t *testing.T) {
 	store := e.Tier()
 	for id := 0; id < store.Streams(); id++ {
 		var hot []int64
-		for r := int64(0); r < store.Stream(id).Rows(); r += 3 {
+		for r := int64(0); r < e.params.ActualRows[id]; r += 3 {
 			hot = append(hot, r)
 		}
 		store.SetPlacement(id, hot)
@@ -108,7 +108,7 @@ func TestGatherWindowTierCounters(t *testing.T) {
 	for _, b := range windowBatches {
 		qs := randomQueries(spec, b, int64(11*b))
 		before := store.Snapshot()
-		if _, err := e.GatherBatch(qs, &scratch); err != nil {
+		if err := gatherBatch(e, qs, &scratch); err != nil {
 			t.Fatal(err)
 		}
 		after := store.Snapshot()
@@ -153,7 +153,7 @@ func TestPrefetchBatchNamesTheGathersRows(t *testing.T) {
 	if got, want := prefetched(), int64(len(qs)*spec.NumLookups()); got != want {
 		t.Fatalf("prefetch touched %d rows for %d lookups", got, want)
 	}
-	if _, err := e.GatherBatch(qs, nil); err != nil {
+	if err := gatherBatch(e, qs, &BatchScratch{}); err != nil {
 		t.Fatal(err)
 	}
 	if w := store.Window().Stats(); w.Hits+w.Misses != int64(len(qs)*spec.NumLookups()) || w.Misses != int64(w.Entries) {

@@ -48,19 +48,6 @@ func (f Format) Validate() error {
 // Scale returns 2^Frac as a float64.
 func (f Format) Scale() float64 { return float64(int64(1) << uint(f.Frac)) }
 
-// MaxValue returns the largest representable value.
-func (f Format) MaxValue() float64 {
-	return float64(f.maxRaw()) / f.Scale()
-}
-
-// MinValue returns the most negative representable value.
-func (f Format) MinValue() float64 {
-	return float64(f.minRaw()) / f.Scale()
-}
-
-// Resolution returns the value of one least-significant bit.
-func (f Format) Resolution() float64 { return 1 / f.Scale() }
-
 func (f Format) maxRaw() int64 { return int64(1)<<uint(f.Bits-1) - 1 }
 func (f Format) minRaw() int64 { return -(int64(1) << uint(f.Bits-1)) }
 
@@ -90,12 +77,6 @@ func (f Format) Dequantize(raw int64) float64 {
 	return float64(raw) / f.Scale()
 }
 
-// RoundTrip quantizes and dequantizes x, returning the representable value
-// nearest to x.
-func (f Format) RoundTrip(x float64) float64 {
-	return f.Dequantize(f.Quantize(x))
-}
-
 // saturate clamps a wide accumulator into the storage width.
 func (f Format) saturate(v int64) int64 {
 	if v > f.maxRaw() {
@@ -111,40 +92,17 @@ func (f Format) saturate(v int64) int64 {
 // values of this format.
 func (f Format) Add(a, b int64) int64 { return f.saturate(a + b) }
 
-// Sub returns a-b in the format with saturation.
-func (f Format) Sub(a, b int64) int64 { return f.saturate(a - b) }
-
-// Mul returns a*b rescaled into the format with saturation. The product of
-// two Q.f numbers is a Q.2f number; shifting right by f (with rounding toward
-// nearest) restores the format, exactly like an HLS multiplier followed by a
-// shift.
-func (f Format) Mul(a, b int64) int64 {
-	wide := a * b
-	return f.saturate(roundShift(wide, uint(f.Frac)))
-}
-
-// MulAcc returns acc + a*b where acc is a *wide* (2f-fractional-bit)
-// accumulator; no saturation is applied, matching the exact wide accumulators
-// inside a PE's add tree. Use Finish to rescale the accumulator.
-func (f Format) MulAcc(acc, a, b int64) int64 { return acc + a*b }
-
-// Finish rescales a wide accumulator (2f fractional bits) back into the
-// storage format with saturation.
-func (f Format) Finish(acc int64) int64 {
-	return f.saturate(roundShift(acc, uint(f.Frac)))
-}
-
 // Raw is the storage type of a raw value at a format's width: int16 for a
 // 16-bit format, int32 for a 32-bit one. The scalar operations above work on
 // int64 so one signature serves both; bulk datapath storage (activation
 // planes, weights) is held at this width.
 type Raw interface{ int16 | int32 }
 
-// Epilogue is a format's accumulator-to-activation step — Finish, Add a
-// bias, optionally ReLU, store at the storage width — with the shift and the
+// Epilogue is a format's accumulator-to-activation step — rescale a wide
+// accumulator (2f fractional bits) back into the format, add a bias,
+// optionally ReLU, store at the storage width — with the shift and the
 // saturation bounds derived once, so a row of accumulators is finished by
-// one loop over constants instead of two Format method calls and a second
-// ReLU pass per element. The fields are exported for the vector
+// one loop over constants. The fields are exported for the vector
 // implementations of FinishRow in internal/kernels.
 type Epilogue struct {
 	Shift    uint  // Frac: the rescale is a rounding right shift by it
@@ -173,9 +131,10 @@ func (e *Epilogue) Floor(relu bool) int64 {
 
 // FinishRow finishes one row of wide accumulators into dst:
 //
-//	dst[j] = f.Add(f.Finish(acc[j]), bias[j]), clamped below at 0 when relu
+//	dst[j] = f.Add(sat(acc[j] >> f.Frac), bias[j]), clamped below at 0 when relu
 //
-// bit for bit (each step saturates exactly as the composed calls do). T must
+// where the shift rounds half away from zero and sat clamps to the storage
+// width's bounds. T must
 // be the format's storage width, so the saturated value always fits;
 // len(bias) and len(dst) must be at least len(acc).
 //
@@ -185,7 +144,7 @@ func FinishRow[T Raw](e *Epilogue, acc, bias []int64, relu bool, dst []T) {
 	bias = bias[:len(acc)]
 	dst = dst[:len(acc)]
 	for j, a := range acc {
-		// roundShift (round half away from zero) without a branch on the
+		// The rounding shift (half away from zero) without a branch on the
 		// accumulator's sign, which is a coin flip per element: take |a|,
 		// round, restore the sign. sign is 0 or -1, and (x^sign)-sign
 		// negates x exactly when sign is -1.
@@ -208,18 +167,6 @@ func FinishRow[T Raw](e *Epilogue, acc, bias []int64, relu bool, dst []T) {
 	}
 }
 
-// roundShift shifts v right by s bits rounding half away from zero.
-func roundShift(v int64, s uint) int64 {
-	if s == 0 {
-		return v
-	}
-	half := int64(1) << (s - 1)
-	if v >= 0 {
-		return (v + half) >> s
-	}
-	return -((-v + half) >> s)
-}
-
 // ReLU applies max(0, x) elementwise in place on raw values.
 func ReLU(raw []int64) {
 	for i, v := range raw {
@@ -236,12 +183,6 @@ func ReLU(raw []int64) {
 func (f Format) Sigmoid(raw int64) int64 {
 	x := f.Dequantize(raw)
 	return f.Quantize(1 / (1 + math.Exp(-x)))
-}
-
-// AbsError returns |x - RoundTrip(x)|, the representation error for x inside
-// the representable range (and the saturation error outside it).
-func (f Format) AbsError(x float64) float64 {
-	return math.Abs(x - f.RoundTrip(x))
 }
 
 // FormatFor picks the widest-resolution format of the given bit width that

@@ -29,16 +29,16 @@ func FuzzQuantize(f *testing.F) {
 			}
 			back := fm.Dequantize(raw)
 			switch {
-			case x > fm.MaxValue():
-				if back != fm.MaxValue() {
+			case x > maxValue(fm):
+				if back != maxValue(fm) {
 					t.Fatalf("%v: Quantize(%v) should saturate high, got %v", fm, x, back)
 				}
-			case x < fm.MinValue():
-				if back != fm.MinValue() {
+			case x < minValue(fm):
+				if back != minValue(fm) {
 					t.Fatalf("%v: Quantize(%v) should saturate low, got %v", fm, x, back)
 				}
 			default:
-				if math.Abs(back-x) > fm.Resolution()/2+1e-12 {
+				if math.Abs(back-x) > resolution(fm)/2+1e-12 {
 					t.Fatalf("%v: round trip of %v drifted to %v", fm, x, back)
 				}
 			}

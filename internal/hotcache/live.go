@@ -23,11 +23,10 @@ const DefaultLiveShards = 8
 // concurrent lookups against the same table land on different locks. Hit and
 // miss counts live in the per-shard caches and are only ever touched under
 // the shard lock, so a snapshot reads each shard's (hits, misses) pair
-// coherently — a reader can never observe a hit recorded without its lookup,
-// or a half-applied ResetStats. (An earlier design kept cache-wide totals in
-// atomics updated outside the locks; loading the two counters independently
-// let a stats reader racing traffic or a reset see torn, mutually
-// inconsistent pairs.)
+// coherently — a reader can never observe a hit recorded without its lookup.
+// (An earlier design kept cache-wide totals in atomics updated outside the
+// locks; loading the two counters independently let a stats reader racing
+// traffic see torn, mutually inconsistent pairs.)
 type Live struct {
 	shards   []liveShard
 	capacity int64
@@ -115,18 +114,6 @@ func (l *Live) Stats() Stats {
 		agg.Entries += st.Entries
 	}
 	return agg
-}
-
-// ResetStats clears hit/miss counters, keeping cached contents. Each shard
-// resets under its lock, so a concurrent snapshot sees every shard either
-// before or after its reset — never a half-applied pair.
-func (l *Live) ResetStats() {
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.mu.Lock()
-		s.c.ResetStats()
-		s.mu.Unlock()
-	}
 }
 
 // ForEachEntry enumerates every cached row with its per-entry hit count,

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestNewLiveValidation(t *testing.T) {
@@ -71,22 +70,10 @@ func TestLiveHitMissAggregation(t *testing.T) {
 	if st.UsedBytes != 11*64 {
 		t.Errorf("used %d, want %d", st.UsedBytes, 11*64)
 	}
-	l.ResetStats()
-	st = l.Stats()
-	if st.Hits != 0 || st.Misses != 0 {
-		t.Errorf("after reset: hits=%d misses=%d, want 0/0", st.Hits, st.Misses)
-	}
-	if st.Entries != 11 {
-		t.Errorf("reset should keep contents, entries %d", st.Entries)
-	}
-	// Contents survive: the hot row still hits.
-	if !l.Lookup(0, 7, 64) {
-		t.Error("hot row evicted by ResetStats")
-	}
 }
 
 // TestLiveConcurrent hammers the cache from concurrent goroutines across
-// overlapping streams, interleaving Stats/ResetStats readers — the access
+// overlapping streams, interleaving Stats readers — the access
 // pattern of the engine's sharded gather plus the /stats endpoint (run
 // under -race).
 func TestLiveConcurrent(t *testing.T) {
@@ -121,14 +108,14 @@ func TestLiveConcurrent(t *testing.T) {
 // hit rate computed from it) must observe each shard's (hits, misses) pair under the shard lock,
 // as one consistent snapshot. The pre-fix implementation kept cache-wide
 // atomics updated outside the shard locks and loaded them independently, so a
-// reader racing lookups or a ResetStats could observe wildly torn pairs.
+// reader racing lookups could observe wildly torn pairs.
 //
 // The harness makes tearing detectable as an invariant violation: W writers
 // each strictly alternate a guaranteed hit (their pre-populated row 0, never
 // evicted — capacity exceeds everything ever inserted) with a guaranteed miss
 // (a fresh row each iteration). At any coherent instant each writer has
-// completed at most one more hit than miss, and a racing ResetStats can
-// strand at most one pending miss per writer, so every snapshot must satisfy
+// completed at most one more hit than miss beyond the miss that
+// pre-populated its hot row, so every snapshot must satisfy
 // |hits - misses| <= W. Run under -race.
 func TestLiveStatsCoherent(t *testing.T) {
 	const (
@@ -145,7 +132,6 @@ func TestLiveStatsCoherent(t *testing.T) {
 	for w := 0; w < writers; w++ {
 		l.Lookup(w, 0, rowBytes) // pre-populate each writer's hot row
 	}
-	l.ResetStats()
 
 	var (
 		writerWG, auxWG sync.WaitGroup
@@ -179,17 +165,6 @@ func TestLiveStatsCoherent(t *testing.T) {
 			}
 		}()
 	}
-	// A resetter interleaves ResetStats with live traffic — the race the
-	// issue describes. Post-fix the reset runs under the same shard lock as
-	// lookups and snapshots, so readers still never see a torn pair.
-	auxWG.Add(1)
-	go func() {
-		defer auxWG.Done()
-		for !done.Load() {
-			l.ResetStats()
-			time.Sleep(5 * time.Microsecond)
-		}
-	}()
 
 	writerWG.Wait()
 	done.Store(true)

@@ -477,12 +477,13 @@ func TestQuantizeRowBitIdentity(t *testing.T) {
 			t.Fatalf("bad test format %v: %v", f, err)
 		}
 		scale := f.Scale()
+		hi, lo := f.Dequantize(f.Quantize(math.Inf(1))), f.Dequantize(f.Quantize(math.Inf(-1))) // the format's extremes
 		src := []float32{
 			0, float32(math.Copysign(0, -1)),
 			float32(0.5 / scale), float32(-0.5 / scale), // exact .5 raws
 			float32(1.5 / scale), float32(-1.5 / scale),
-			float32(f.MaxValue()), float32(f.MinValue()),
-			float32(f.MaxValue() * 2), float32(f.MinValue() * 2), // saturate
+			float32(hi), float32(lo),
+			float32(hi * 2), float32(lo * 2), // saturate
 			float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
 			math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
 			math.MaxFloat32, -math.MaxFloat32,

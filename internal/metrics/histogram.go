@@ -200,23 +200,6 @@ func (h *Histogram) quantileLocked(p float64) float64 {
 	return h.max
 }
 
-// Quantile returns the p-quantile of the observations so far (0 when empty);
-// p is clamped to [0, 1].
-func (h *Histogram) Quantile(p float64) float64 {
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.quantileLocked(p)
-}
-
 // CumulativeBucket is one Prometheus-style cumulative histogram bucket:
 // Count observations landed at or below the bucket's upper edge.
 type CumulativeBucket struct {
@@ -245,13 +228,6 @@ func (h *Histogram) CumulativeBuckets() (buckets []CumulativeBucket, sum float64
 		})
 	}
 	return buckets, h.sum, h.count
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
 }
 
 // String renders a compact one-line summary for logs.

@@ -10,8 +10,8 @@ import (
 // observations (including the non-finite bit patterns that used to panic the
 // bucket-index conversion) and checks the quantile invariants that every
 // consumer of a latency summary leans on: quantiles are finite, lie inside
-// the exact observed [min, max], and are monotone in p — both through
-// Quantile and through the Snapshot's fixed p50/p95/p99/p999 ladder.
+// the exact observed [min, max], and are monotone in p — both at arbitrary p
+// (quantileLocked) and through the Snapshot's fixed p50/p95/p99/p999 ladder.
 func FuzzHistogramQuantile(f *testing.F) {
 	seed := func(vals ...float64) []byte {
 		b := make([]byte, 8*len(vals))
@@ -51,18 +51,18 @@ func FuzzHistogramQuantile(f *testing.F) {
 			}
 		}
 		if n == 0 {
-			if q := h.Quantile(0.5); q != 0 {
+			if q := quantile(h, 0.5); q != 0 {
 				t.Fatalf("empty histogram Quantile(0.5) = %v, want 0", q)
 			}
 			return
 		}
-		if got := h.Count(); got != uint64(n) {
+		if got := h.Snapshot().Count; got != uint64(n) {
 			t.Fatalf("Count = %d, want %d", got, n)
 		}
 		ps := []float64{0, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1}
 		prev := math.Inf(-1)
 		for _, p := range ps {
-			q := h.Quantile(p)
+			q := quantile(h, p)
 			if math.IsNaN(q) || math.IsInf(q, 0) {
 				t.Fatalf("Quantile(%v) = %v on %d finite observations", p, q, n)
 			}

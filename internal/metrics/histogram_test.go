@@ -9,12 +9,24 @@ import (
 	"time"
 )
 
+// quantile is the p-quantile of h's observations so far (0 when empty), for
+// any p in [0, 1]: quantileLocked under the lock, as Snapshot reads its
+// fixed ladder.
+func quantile(h *Histogram, p float64) float64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.count == 0 {
+		return 0
+	}
+	return h.quantileLocked(p)
+}
+
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram(0.01, 1e9)
 	if snap := h.Snapshot(); snap != (HistogramSnapshot{}) {
 		t.Errorf("empty snapshot = %+v", snap)
 	}
-	if q := h.Quantile(0.99); q != 0 {
+	if q := quantile(h, 0.99); q != 0 {
 		t.Errorf("empty quantile = %v", q)
 	}
 }
@@ -47,7 +59,7 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 			for _, p := range []float64{0.5, 0.95, 0.99, 0.999} {
 				rank := int(math.Ceil(p*float64(len(samples)))) - 1
 				exact := samples[rank]
-				got := h.Quantile(p)
+				got := quantile(h, p)
 				if relErr := math.Abs(got-exact) / exact; relErr > 2*eps {
 					t.Errorf("p%v: got %v, exact %v (rel err %.4f > %.4f)", p*100, got, exact, relErr, 2*eps)
 				}
@@ -116,7 +128,7 @@ func TestHistogramConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := h.Count(); got != 4000 {
+	if got := h.Snapshot().Count; got != 4000 {
 		t.Errorf("count = %d, want 4000", got)
 	}
 }
@@ -144,10 +156,10 @@ func TestHistogramSingleSample(t *testing.T) {
 				t.Fatalf("v=%v: %s = %v, want exactly the sample", v, name, got)
 			}
 		}
-		if q := h.Quantile(0); q != want {
+		if q := quantile(h, 0); q != want {
 			t.Fatalf("v=%v: Quantile(0) = %v", v, q)
 		}
-		if q := h.Quantile(1); q != want {
+		if q := quantile(h, 1); q != want {
 			t.Fatalf("v=%v: Quantile(1) = %v", v, q)
 		}
 	}
@@ -245,11 +257,11 @@ func TestHistogramSubUnitBucketInterpolation(t *testing.T) {
 	for i := 0; i < n; i++ {
 		h.Observe(0.05 + 0.001*float64(i)) // uniform over [0.05, 0.95]
 	}
-	p50 := h.Quantile(0.5)
+	p50 := quantile(h, 0.5)
 	if p50 < 0.4 || p50 > 0.6 {
 		t.Errorf("p50 = %v for uniform [0.05, 0.95], want ~0.5", p50)
 	}
-	p90 := h.Quantile(0.9)
+	p90 := quantile(h, 0.9)
 	if p90 <= p50 {
 		t.Errorf("p90 %v <= p50 %v inside bucket 0", p90, p50)
 	}
@@ -273,7 +285,7 @@ func TestHistogramRelativeErrorBound(t *testing.T) {
 		for _, p := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999} {
 			rank := int(math.Ceil(p*float64(len(samples)))) - 1
 			exact := samples[rank]
-			got := h.Quantile(p)
+			got := quantile(h, p)
 			if relErr := math.Abs(got-exact) / exact; relErr > 2*eps {
 				t.Errorf("eps=%v p%v: got %v, exact %v (rel err %.5f > %.5f)", eps, p*100, got, exact, relErr, 2*eps)
 			}

@@ -159,14 +159,6 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy of the spec.
-func (s *Spec) Clone() *Spec {
-	c := *s
-	c.Tables = append([]TableSpec(nil), s.Tables...)
-	c.Hidden = append([]int(nil), s.Hidden...)
-	return &c
-}
-
 // SaveSpec writes the spec as indented JSON, the portable form a serving
 // fleet ships around. Parameters need no file: a spec, a seed and a row cap
 // regenerate them bit for bit (see Materialize).
@@ -313,21 +305,6 @@ func DLRMRMC2(numTables, dim int) (*Spec, error) {
 		Tables: tables,
 		Hidden: []int{256, 128, 64},
 	}, nil
-}
-
-// WithLookupRounds returns a copy of the spec with every table's lookup count
-// multiplied by rounds, modelling the multi-round retrieval scenario of
-// Figure 7.
-func (s *Spec) WithLookupRounds(rounds int) (*Spec, error) {
-	if rounds < 1 {
-		return nil, fmt.Errorf("model: lookup rounds %d", rounds)
-	}
-	c := s.Clone()
-	c.Name = fmt.Sprintf("%s-rounds%d", s.Name, rounds)
-	for i := range c.Tables {
-		c.Tables[i].Lookups *= rounds
-	}
-	return c, nil
 }
 
 // Parameters are a model's materialised (possibly capacity-scaled)
@@ -569,8 +546,10 @@ var readerBufs = sync.Pool{New: func() any {
 
 // Row returns the materialised embedding vector for logical row index of
 // table i (wrapping through the capacity-scaled storage), regenerated into a
-// fresh slice.
-func (p *Parameters) Row(table int, index int64) ([]float32, error) {
+// fresh slice. Only tests call it: it is the per-row float reference the
+// core, tensor and facade tests compare the datapath's rows against, so
+// deadexport is allowed on it.
+func (p *Parameters) Row(table int, index int64) ([]float32, error) { //microrec:allow deadexport
 	if table < 0 || table >= len(p.Spec.Tables) {
 		return nil, fmt.Errorf("model: table %d out of range", table)
 	}
@@ -648,7 +627,8 @@ func (p *Parameters) Forward(feat []float32, layer func(l int, out []float32)) (
 // memory (table i holds ActualRows[i] x Dim values), regenerated from the
 // stream: the whole-table oracle the tests hold ReadRows and Features to, on
 // small row caps. Engines store their tables at their own width instead.
-func (p *Parameters) FloatTables() ([][]float32, error) {
+// Only tests call it, as that reference, so deadexport is allowed on it.
+func (p *Parameters) FloatTables() ([][]float32, error) { //microrec:allow deadexport
 	tables := make([][]float32, len(p.Spec.Tables))
 	for t := range tables {
 		tables[t] = make([]float32, p.starts[t+1]-p.starts[t])
@@ -658,15 +638,4 @@ func (p *Parameters) FloatTables() ([][]float32, error) {
 		return nil, err
 	}
 	return tables, nil
-}
-
-// CheckpointBytes returns the memory the stream's checkpoints hold (zero
-// before the stream has run and after Release).
-func (p *Parameters) CheckpointBytes() int64 {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.cp == nil {
-		return 0
-	}
-	return p.cp.bytes()
 }

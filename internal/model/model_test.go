@@ -141,24 +141,6 @@ func TestDLRMRMC2(t *testing.T) {
 	}
 }
 
-func TestWithLookupRounds(t *testing.T) {
-	s := SmallProduction()
-	r3, err := s.WithLookupRounds(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3.NumLookups() != 3*s.NumLookups() {
-		t.Errorf("rounds=3 lookups = %d, want %d", r3.NumLookups(), 3*s.NumLookups())
-	}
-	// Original is untouched.
-	if s.NumLookups() != len(s.Tables) {
-		t.Error("WithLookupRounds mutated the original spec")
-	}
-	if _, err := s.WithLookupRounds(0); err == nil {
-		t.Error("WithLookupRounds(0): want error")
-	}
-}
-
 func TestLayerDims(t *testing.T) {
 	s := SmallProduction()
 	dims := s.LayerDims()
@@ -287,16 +269,6 @@ func floatTables(t *testing.T, p *Parameters) [][]float32 {
 	return tabs
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	s := SmallProduction()
-	c := s.Clone()
-	c.Tables[0].Rows = 999999
-	c.Hidden[0] = 7
-	if s.Tables[0].Rows == 999999 || s.Hidden[0] == 7 {
-		t.Error("Clone shares storage with original")
-	}
-}
-
 func TestWeightInitBounded(t *testing.T) {
 	s := SmallProduction()
 	p, err := s.Materialize(MaterializeOptions{Seed: 2, MaxRowsPerTable: 4})
@@ -314,18 +286,23 @@ func TestWeightInitBounded(t *testing.T) {
 	}
 }
 
-// Property: FeatureLen scales linearly with lookup rounds for any valid round
-// count.
+// Property: with every table looked up r times per inference, FeatureLen
+// and NumLookups scale the embedding part by r and leave the dense tail as
+// it is, and the spec still validates.
 func TestFeatureLenRoundsProperty(t *testing.T) {
 	s := SmallProduction()
-	base := s.FeatureLen()
+	s.DenseDim = 13
+	embed, lookups := s.FeatureLen()-s.DenseDim, s.NumLookups()
 	prop := func(r uint8) bool {
 		rounds := int(r%6) + 1
-		m, err := s.WithLookupRounds(rounds)
-		if err != nil {
-			return false
+		m := *s
+		m.Tables = append([]TableSpec(nil), s.Tables...)
+		for i := range m.Tables {
+			m.Tables[i].Lookups *= rounds
 		}
-		return m.FeatureLen() == base*rounds
+		return m.Validate() == nil &&
+			m.FeatureLen() == s.DenseDim+embed*rounds &&
+			m.NumLookups() == lookups*rounds
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)

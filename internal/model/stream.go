@@ -143,14 +143,6 @@ func (c *checkpoints) release() {
 	c.chunks, c.pos = nil, nil
 }
 
-// bytes is the window storage's footprint.
-func (c *checkpoints) bytes() (n int64) {
-	for _, w := range c.chunks {
-		n += int64(len(w)) * 8
-	}
-	return n
-}
-
 // blocksFor is how many blocks carry the first n stream positions when no
 // draw among them is resampled.
 func blocksFor(n int) int {

@@ -27,7 +27,8 @@ const (
 	// VerdictExpired is a deadline drop: the serving deadline passed before
 	// (or during the wait for) service, no gather/GEMM was spent.
 	VerdictExpired
-	// VerdictCanceled is a context cancellation observed at plane-fill time.
+	// VerdictCanceled is a context cancellation observed before service: at
+	// the admission gate or at plane-fill time.
 	VerdictCanceled
 	// VerdictShed is a fast-fail admission rejection (queue full).
 	VerdictShed
@@ -190,12 +191,6 @@ func NewRecorder(size, sample int) *Recorder {
 		slots:  make([]slot, n),
 	}
 }
-
-// SampleEvery reports the recorder's head-sampling rate (record 1 in N).
-func (r *Recorder) SampleEvery() int { return int(r.sample) }
-
-// RingSize reports the ring's slot count.
-func (r *Recorder) RingSize() int { return len(r.slots) }
 
 // Sample is the head-sampling decision, taken once per request at admission.
 // The unsampled path is one atomic increment plus a modulo — the "few

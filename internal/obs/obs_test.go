@@ -18,11 +18,11 @@ func TestNewRecorderRounding(t *testing.T) {
 		{0, 64}, {1, 64}, {64, 64}, {65, 128}, {4096, 4096}, {5000, 8192},
 	}
 	for _, c := range cases {
-		if got := NewRecorder(c.size, 1).RingSize(); got != c.want {
+		if got := len(NewRecorder(c.size, 1).slots); got != c.want {
 			t.Errorf("NewRecorder(%d): ring size %d, want %d", c.size, got, c.want)
 		}
 	}
-	if got := NewRecorder(64, 0).SampleEvery(); got != 1 {
+	if got := NewRecorder(64, 0).sample; got != 1 {
 		t.Errorf("sample floor: got %d, want 1", got)
 	}
 }

@@ -151,9 +151,6 @@ func New(params *model.Parameters, s Scheme) (*Model, error) {
 	return m, nil
 }
 
-// Scheme returns the model's formats.
-func (m *Model) Scheme() Scheme { return m.scheme }
-
 // Infer runs one query through the per-layer-quantized datapath, from the
 // float features of model.Parameters.Features.
 func (m *Model) Infer(q embedding.Query) (float32, error) {

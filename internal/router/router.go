@@ -14,12 +14,12 @@
 //
 // The hot path is lock-free: membership is a copy-on-write replica set
 // behind an atomic pointer, and each routing decision is a set load, a
-// policy pick and two atomic counters. Membership changes (Add, Drain, Swap)
-// serialize on a mutex that the hot path never touches. Drain removes a
-// replica under live traffic without dropping any admitted request: the
-// replica leaves the routable set first, in-flight routed requests are
-// awaited on a per-replica counter, and only then does the replica's server
-// Close (which itself drains every accepted request).
+// policy pick and two atomic counters. Membership changes (Add, Close)
+// serialize on a mutex that the hot path never touches. Close removes every
+// replica without dropping any admitted request: the replicas leave the
+// routable set first, in-flight routed requests are awaited on a
+// per-replica counter, and only then does each replica's server Close (which
+// itself drains every accepted request).
 package router
 
 import (
@@ -41,11 +41,12 @@ import (
 // replica drained or closed, or none ever added.
 var ErrNoReplicas = errors.New("router: no active replicas")
 
-// ErrUnknownReplica is returned by Drain and Swap for an id that is not a
-// current member.
+// ErrUnknownReplica names an id that is not a current member. Nothing in the
+// router returns it, since replicas leave only when the router closes; the
+// facade still exports it.
 var ErrUnknownReplica = errors.New("router: unknown replica id")
 
-// drainPoll is the interval at which Drain and Close re-check a draining
+// drainPoll is the interval at which Close re-checks a draining
 // replica's in-flight counter. The window between a routing decision and the
 // replica's Submit is a few hundred nanoseconds, so the counter settles
 // within one or two polls.
@@ -64,7 +65,7 @@ type replica struct {
 
 	// routed counts routing decisions that landed here; inflight the routed
 	// requests currently between the decision and Submit's return — the
-	// counter Drain awaits before closing the server.
+	// counter Close awaits before closing the server.
 	routed   atomic.Uint64
 	inflight atomic.Int64
 	// draining flips once, before the replica leaves the routable set; a
@@ -132,10 +133,9 @@ type Router struct {
 	mu     sync.Mutex
 	nextID int
 
-	set     atomic.Pointer[replicaSet]
-	policy  atomic.Int32
-	rr      atomic.Uint64
-	drained atomic.Uint64
+	set    atomic.Pointer[replicaSet]
+	policy atomic.Int32
+	rr     atomic.Uint64
 
 	// Per-policy decision scoreboard: lifetime totals.
 	decisions [numPolicies]atomic.Uint64
@@ -268,58 +268,8 @@ func (rt *Router) PolicyName() string {
 	return string(policyNames[rt.policy.Load()])
 }
 
-// Replicas reports the routable replica count.
-func (rt *Router) Replicas() int { return len(rt.set.Load().active) }
-
-// Drain removes one replica under live traffic without dropping any admitted
-// request: the replica leaves the routable set, the router waits out routed
-// requests still en route to it, and only then does the replica's server
-// Close — which itself drains every request it accepted. ctx bounds the
-// wait; on cancellation the replica stays out of rotation (its in-flight
-// requests complete) but is not closed.
-func (rt *Router) Drain(ctx context.Context, id int) error {
-	rt.mu.Lock()
-	set := rt.set.Load()
-	rep := set.find(id)
-	if rep == nil {
-		rt.mu.Unlock()
-		return fmt.Errorf("%w: %d", ErrUnknownReplica, id)
-	}
-	if rep.draining.Swap(true) {
-		rt.mu.Unlock()
-		return fmt.Errorf("router: replica %d already draining", id)
-	}
-	// Republish with the replica out of the routable slice: no decision made
-	// after this store can pick it.
-	rt.set.Store(newSet(set.all))
-	rt.mu.Unlock()
-
-	if err := rt.awaitIdle(ctx, rep); err != nil {
-		return err
-	}
-	err := rep.srv.Close()
-	if rep.closer != nil {
-		if cerr := rep.closer(); err == nil {
-			err = cerr
-		}
-	}
-	rt.mu.Lock()
-	cur := rt.set.Load()
-	members := make([]*replica, 0, len(cur.all))
-	for _, r := range cur.all {
-		if r.id != id {
-			members = append(members, r)
-		}
-	}
-	rt.set.Store(newSet(members))
-	rt.mu.Unlock()
-	rt.drained.Add(1)
-	return err
-}
-
 // awaitIdle polls a draining replica's in-flight counter to zero. No router
-// lock is held across the wait — membership changes and the Submit hot path
-// proceed throughout.
+// lock is held across the wait — the Submit hot path proceeds throughout.
 func (rt *Router) awaitIdle(ctx context.Context, rep *replica) error {
 	for rep.inflight.Load() != 0 {
 		select {
@@ -329,25 +279,6 @@ func (rt *Router) awaitIdle(ctx context.Context, rep *replica) error {
 		}
 	}
 	return nil
-}
-
-// Swap replaces replica id with a fresh replica serving eng — the tier's one
-// model-replacement path. The replacement joins the routable set before the
-// old replica starts draining, so the tier's capacity never dips, and the
-// drain guarantees zero dropped admitted requests. Returns the replacement's
-// id.
-func (rt *Router) Swap(ctx context.Context, id int, eng serving.Engine, sopts serving.Options, closer func() error) (int, error) {
-	if rt.set.Load().find(id) == nil {
-		return 0, fmt.Errorf("%w: %d", ErrUnknownReplica, id)
-	}
-	newID, err := rt.Add(eng, sopts, closer)
-	if err != nil {
-		return 0, err
-	}
-	if err := rt.Drain(ctx, id); err != nil {
-		return newID, err
-	}
-	return newID, nil
 }
 
 // MarkHitRateBaseline snapshots the replicas' pooled frequency-window
@@ -395,7 +326,6 @@ func (rt *Router) Stats() serving.Stats {
 	rs := &serving.RouterStats{
 		Policy:   rt.PolicyName(),
 		Replicas: len(set.active),
-		Drained:  rt.drained.Load(),
 	}
 	activeIdx := int(rt.policy.Load())
 	for i, name := range policyNames {
@@ -493,14 +423,6 @@ func (rt *Router) CapacityQPS() float64 {
 		qps += rep.srv.CapacityQPS()
 	}
 	return qps
-}
-
-// BuildInfo returns the binary's build provenance (same for every replica).
-func (rt *Router) BuildInfo() obs.BuildInfo {
-	if p := rt.set.Load().primary(); p != nil {
-		return p.srv.BuildInfo()
-	}
-	return obs.BuildInfo{}
 }
 
 // WriteMetrics renders the primary replica's Prometheus exposition followed

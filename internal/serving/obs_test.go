@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"microrec/internal/kernels"
 	"microrec/internal/model"
 	"microrec/internal/obs"
 )
@@ -202,7 +203,7 @@ func TestStatsCarriesBuildInfo(t *testing.T) {
 	if st.BuildInfo.Revision == "" || st.BuildInfo.GoVersion == "" {
 		t.Fatalf("build info not populated: %+v", st.BuildInfo)
 	}
-	if st.BuildInfo != s.BuildInfo() {
-		t.Fatal("Stats build info disagrees with Server.BuildInfo")
+	if want := obs.ReadBuild(kernels.Features()); st.BuildInfo != want {
+		t.Fatalf("Stats build info %+v, want %+v", st.BuildInfo, want)
 	}
 }

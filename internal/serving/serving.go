@@ -34,6 +34,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -345,9 +346,6 @@ func New(eng Engine, opts Options) (*Server, error) {
 	return s, nil
 }
 
-// Options returns the server's effective (defaulted) options.
-func (s *Server) Options() Options { return s.opts }
-
 // Submit enqueues one query and blocks until its micro-batch has been
 // served, the context is cancelled, or the server closes. Malformed queries
 // are rejected immediately without joining a batch. With Options.Admission.Shed set it
@@ -412,14 +410,7 @@ func (s *Server) enqueue(ctx context.Context, req *request) error {
 			return nil
 		default:
 			s.shed.Add(1)
-			if req.sampled {
-				s.rec.Record(obs.Span{
-					Start:      req.enq.UnixNano(),
-					EndToEndNS: int64(time.Since(req.enq)),
-					Replica:    s.replica,
-					Verdict:    obs.VerdictShed,
-				})
-			}
+			s.recordRejected(req, obs.VerdictShed)
 			return ErrOverloaded
 		}
 	}
@@ -427,7 +418,23 @@ func (s *Server) enqueue(ctx context.Context, req *request) error {
 	case s.submit <- req:
 		return nil
 	case <-ctx.Done():
+		// Cancelled while blocked at the gate: never queued, so plane fill
+		// never sees it; count it here.
+		s.cancelDrops.Add(1)
+		s.recordRejected(req, obs.VerdictCanceled)
 		return ctx.Err()
+	}
+}
+
+// recordRejected records the span of a sampled request the gate turned away.
+func (s *Server) recordRejected(req *request, verdict uint8) {
+	if req.sampled {
+		s.rec.Record(obs.Span{
+			Start:      req.enq.UnixNano(),
+			EndToEndNS: int64(time.Since(req.enq)),
+			Replica:    s.replica,
+			Verdict:    verdict,
+		})
 	}
 }
 
@@ -645,9 +652,6 @@ func (s *Server) tierStore() *tieredstore.Store {
 	return s.tiered.Tier()
 }
 
-// BuildInfo returns the binary's build provenance as surfaced in /stats.
-func (s *Server) BuildInfo() obs.BuildInfo { return s.buildInfo }
-
 // LatencySummary is the rolling latency distribution in µs.
 type LatencySummary struct {
 	Mean float64 `json:"mean"`
@@ -758,8 +762,9 @@ type AdmissionStats struct {
 	Shed uint64 `json:"shed"`
 	// DeadlineDrops counts requests dropped at plane-fill time because
 	// their serving deadline could not be met; CancelDrops counts those
-	// dropped because their context was cancelled after enqueue. Neither
-	// spent any gather or GEMM cycles.
+	// whose context was cancelled before service, at the gate (blocked on
+	// a full queue) or at plane fill. Neither spent any gather or GEMM
+	// cycles.
 	DeadlineDrops uint64 `json:"deadline_drops"`
 	CancelDrops   uint64 `json:"cancel_drops"`
 	// LateCompletions counts requests that were served but whose batch
@@ -1002,13 +1007,14 @@ func (s *Server) backlogBatches() int {
 }
 
 // drainWorkers is the batch-drain parallelism the SLA backlog model divides
-// by: the worker pool drains Depth batches concurrently; the pipeline is
-// modeled conservatively as one worker with the full (un-overlapped) batch
-// service time — stage overlap only shortens the real drain, so the
-// worst-case admitted bound stays valid.
+// by: the worker pool drains Depth batches concurrently, but no more than
+// GOMAXPROCS of them run at once; the pipeline is modeled conservatively as
+// one worker with the full (un-overlapped) batch service time — stage
+// overlap only shortens the real drain, so the worst-case admitted bound
+// stays valid.
 func (s *Server) drainWorkers() int {
 	if s.opts.Pipeline.WorkerPool {
-		return s.opts.Pipeline.Depth
+		return min(s.opts.Pipeline.Depth, runtime.GOMAXPROCS(0))
 	}
 	return 1
 }

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -28,6 +29,22 @@ import (
 )
 
 // testEngine builds a small (capacity-scaled) Fixed16 production engine.
+// inferEach is the bit-identity tests' oracle: InferOne per query, which
+// runs the batched datapath as a batch of one and is bit-identical to any
+// batch by construction.
+func inferEach(t testing.TB, eng *core.Engine, qs []embedding.Query) []float32 {
+	t.Helper()
+	out := make([]float32, len(qs))
+	for i, q := range qs {
+		p, err := eng.InferOne(q)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		out[i] = p
+	}
+	return out
+}
+
 func testEngine(t testing.TB) *core.Engine {
 	t.Helper()
 	return buildTestEngine(t, core.Config{Precision: fixedpoint.Fixed16})
@@ -677,8 +694,9 @@ func TestCalibrationRunsOnce(t *testing.T) {
 // the calibrated figure S is at least the fake's three stage sleeps, and the
 // bound is (ceil(backlog/workers) + 1) · S, with a backlog of
 // ceil(QueueDepth/MaxBatch) queued batches, one on offer and Depth in
-// service; the pipeline drains on one worker, the pool on Depth. A budget
-// equal to the bound passes and one 1ns below it fails.
+// service; the pipeline drains on one worker, the pool on
+// min(Depth, GOMAXPROCS). A budget equal to the bound passes and one 1ns
+// below it fails.
 func TestAdmittedBoundIsCalibratedBatch(t *testing.T) {
 	const stage = 200 * time.Microsecond
 	for _, d := range drains {
@@ -702,7 +720,9 @@ func TestAdmittedBoundIsCalibratedBatch(t *testing.T) {
 			}
 			rounds := 6 // backlog ceil(20/8) + 1 + 2 on one worker
 			if d.workerPool {
-				rounds = 3 // the same backlog of 6 on 2 workers
+				// The same backlog of 6 on the workers that can run.
+				workers := min(2, runtime.GOMAXPROCS(0))
+				rounds = (6 + workers - 1) / workers
 			}
 			if want := time.Duration(float64(rounds+1) * batchNS); bound != want {
 				t.Errorf("admitted bound %v, want %d × %v = %v", bound, rounds+1, time.Duration(batchNS), want)
@@ -876,19 +896,18 @@ func TestAdmittedLatencyBounds(t *testing.T) {
 // drains. The pipeline is treated conservatively as a single drain worker
 // with the full un-overlapped batch service time, so each extra queued batch
 // adds exactly one calibrated batch to its bound; the worker pool drains
-// Depth batches per round.
+// min(Depth, GOMAXPROCS) batches per round, the workers that can run at once.
 func TestAdmittedLatencyBoundsPipelineMode(t *testing.T) {
 	const service = time.Millisecond
 	for _, tc := range []struct {
 		name                        string
 		maxBatch, queueDepth, depth int
-		poolRounds                  int
 	}{
 		// backlog = ceil(queueDepth/maxBatch) + 1 + depth
-		{"one-queued-batch", 8, 8, 2, 2},        // backlog 4 on 2 workers
-		{"partial-batch-rounds-up", 8, 9, 2, 3}, // backlog 5 on 2 workers
-		{"deep-queue", 4, 64, 3, 7},             // backlog 20 on 3 workers
-		{"deep-pipeline", 16, 32, 6, 2},         // backlog 9 on 6 workers
+		{"one-queued-batch", 8, 8, 2},        // backlog 4
+		{"partial-batch-rounds-up", 8, 9, 2}, // backlog 5
+		{"deep-queue", 4, 64, 3},             // backlog 20
+		{"deep-pipeline", 16, 32, 6},         // backlog 9
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// check builds a server and asserts its bound is `batches`
@@ -924,8 +943,9 @@ func TestAdmittedLatencyBoundsPipelineMode(t *testing.T) {
 				}
 			}
 			backlog := (tc.queueDepth+tc.maxBatch-1)/tc.maxBatch + 1 + tc.depth
+			workers := min(tc.depth, runtime.GOMAXPROCS(0))
 			check(tc.queueDepth, false, backlog+1)
-			check(tc.queueDepth, true, tc.poolRounds+1)
+			check(tc.queueDepth, true, (backlog+workers-1)/workers+1)
 			// One more full batch of queue depth is one more queued batch.
 			check(tc.queueDepth+tc.maxBatch, false, backlog+2)
 		})
@@ -1127,7 +1147,7 @@ func TestPipelineModeDefaults(t *testing.T) {
 
 // TestWorkerPoolFallbackServes drives both drains end to end over the same
 // queries and checks that they serve one datapath: every CTR is bit-identical
-// to Engine.InferBatch, on a Fixed16 and a Fixed32 engine and behind the
+// to Engine.InferOne, on a Fixed16 and a Fixed32 engine and behind the
 // sharded tier.
 func TestWorkerPoolFallbackServes(t *testing.T) {
 	fixed16 := testEngine(t)
@@ -1141,10 +1161,7 @@ func TestWorkerPoolFallbackServes(t *testing.T) {
 		{"fixed16-shards2", fixed16, 2},
 	} {
 		qs := randomQueries(t, tc.eng.Spec(), 16, 31)
-		want, err := tc.eng.InferBatch(qs, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := inferEach(t, tc.eng, qs)
 		for _, drain := range drains {
 			t.Run(tc.name+"/"+drain.name, func(t *testing.T) {
 				srv := newServer(t, tc.eng, Options{
@@ -1163,7 +1180,7 @@ func TestWorkerPoolFallbackServes(t *testing.T) {
 							return
 						}
 						if math.Float32bits(res.CTR) != math.Float32bits(want[i]) {
-							t.Errorf("query %d: CTR %v, InferBatch %v", i, res.CTR, want[i])
+							t.Errorf("query %d: CTR %v, InferOne %v", i, res.CTR, want[i])
 						}
 					}(i)
 				}
@@ -1273,9 +1290,9 @@ func TestShardsClusterCapacityValidated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The caller still owns the tier: it must remain usable after the
-	// server closed.
+	// server closed (a scatter/gather round on a closed tier would panic).
 	qs := randomQueries(t, eng.Spec(), 2, 1)
-	if _, err := clu.InferBatch(qs, nil, nil); err != nil {
-		t.Fatalf("caller-owned cluster unusable after server close: %v", err)
-	}
+	var plane core.BatchScratch
+	clu.EnsurePlane(&plane, len(qs))
+	clu.GatherIntoPlane(qs, &plane)
 }

@@ -199,9 +199,6 @@ func (st *Stream) IsHot(row int64) bool {
 	return ok
 }
 
-// Rows returns the stream's row count.
-func (st *Stream) Rows() int64 { return st.rows }
-
 // PrefetchRow issues a cache hint for the copy of the row the next RowTagged
 // call will return — the pinned DRAM vector when hot, the mmap'd cold file
 // otherwise — without touching the read counters or the frequency window.
@@ -349,15 +346,6 @@ func (s *Store) Stream(id int) *Stream { return s.streams[id] }
 // Streams returns the stream count.
 func (s *Store) Streams() int { return len(s.streams) }
 
-// Path returns the cold-tier file path.
-func (s *Store) Path() string { return s.path }
-
-// TotalBytes returns the tierable bytes (the whole cold file).
-func (s *Store) TotalBytes() int64 { return s.totalBytes }
-
-// HotBudgetBytes returns the (defaulted) DRAM hot-tier budget.
-func (s *Store) HotBudgetBytes() int64 { return s.cfg.HotBytes }
-
 // Window returns the store's frequency window: every row read through
 // RowTagged is a lookup in it, and the placement sweep harvests its
 // residency and per-entry hit counts.
@@ -498,9 +486,11 @@ func (s *Store) publishLocked(newMaster []map[int64]*hotEntry, usedBytes int64) 
 
 // SetPlacement force-pins exactly the given rows of stream id, replacing its
 // current placement and bypassing the frequency policy and byte budget. Rows
-// out of range are ignored; nil clears the stream's hot set. Test hook for
-// the bit-identity property tests.
-func (s *Store) SetPlacement(id int, rows []int64) {
+// out of range are ignored; nil clears the stream's hot set. Only tests call
+// it: the bit-identity and counter tests of core, cluster and the facade pin
+// a chosen mix of hot and cold rows, which the frequency-driven sweep cannot
+// produce on demand, so deadexport is allowed on it.
+func (s *Store) SetPlacement(id int, rows []int64) { //microrec:allow deadexport
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || id < 0 || id >= len(s.streams) {

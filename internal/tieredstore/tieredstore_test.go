@@ -87,10 +87,10 @@ func TestColdReadsBitIdentical(t *testing.T) {
 	s, specs := openTest(t, Config{})
 	for id, sp := range specs {
 		st := s.Stream(id)
-		if st.Rows() != sp.spec.Rows {
-			t.Fatalf("stream %d rows %d", id, st.Rows())
+		if st.rows != sp.spec.Rows {
+			t.Fatalf("stream %d rows %d", id, st.rows)
 		}
-		for row := int64(0); row < st.Rows(); row++ {
+		for row := int64(0); row < st.rows; row++ {
 			got, _ := RowTagged[int32](st, row)
 			for k := 0; k < sp.spec.Dim; k++ {
 				if want := sp.data[int(row)*sp.spec.Dim+k]; got[k] != want {
@@ -105,7 +105,7 @@ func TestColdReadsBitIdentical(t *testing.T) {
 	if !st.IsHot(31) || st.IsHot(29) {
 		t.Fatal("placement not applied")
 	}
-	for row := int64(0); row < st.Rows(); row++ {
+	for row := int64(0); row < st.rows; row++ {
 		got, _ := RowTagged[int32](st, row)
 		for k := 0; k < specs[0].spec.Dim; k++ {
 			if want := specs[0].data[int(row)*specs[0].spec.Dim+k]; got[k] != want {
@@ -177,7 +177,7 @@ func TestSweepHysteresis(t *testing.T) {
 	}
 	// Read every other row of stream 0 once: row 12 leaves the window, and
 	// none of its successors has a hit to be promoted with.
-	for row := int64(0); row < st.Rows(); row++ {
+	for row := int64(0); row < st.rows; row++ {
 		if row != 12 {
 			RowTagged[int32](st, row)
 		}
@@ -212,7 +212,7 @@ func TestCloseRemovesFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmp := s.Path()
+	tmp := s.path
 	if _, err := os.Stat(tmp); err != nil {
 		t.Fatalf("temp cold file missing while open: %v", err)
 	}
@@ -231,8 +231,8 @@ func TestCloseRemovesFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Path() != explicit {
-		t.Fatalf("path %q", s2.Path())
+	if s2.path != explicit {
+		t.Fatalf("path %q", s2.path)
 	}
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
@@ -276,16 +276,16 @@ func TestHotBytesDefault(t *testing.T) {
 	for _, sp := range specs {
 		total += int64(len(sp.data)) * 4
 	}
-	if got := s.HotBudgetBytes(); got != total/4 {
+	if got := s.cfg.HotBytes; got != total/4 {
 		t.Fatalf("default hot budget %d, want %d", got, total/4)
 	}
-	if s.TotalBytes() != total {
-		t.Fatalf("total bytes %d, want %d", s.TotalBytes(), total)
+	if s.totalBytes != total {
+		t.Fatalf("total bytes %d, want %d", s.totalBytes, total)
 	}
 	// Explicit all-cold: negative budget normalises to zero.
 	s2 := openStreams(t, Config{HotBytes: -1, SweepEvery: -1}, testSpecs(t))
-	if s2.HotBudgetBytes() != 0 {
-		t.Fatalf("all-cold budget %d", s2.HotBudgetBytes())
+	if s2.cfg.HotBytes != 0 {
+		t.Fatalf("all-cold budget %d", s2.cfg.HotBytes)
 	}
 	// The window defaults to the hot budget, floored at 1 MiB; an explicit
 	// capacity is kept.
@@ -351,8 +351,8 @@ func TestInt16Rows(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.TotalBytes() != int64(len(data))*2 {
-		t.Fatalf("total bytes %d", s.TotalBytes())
+	if s.totalBytes != int64(len(data))*2 {
+		t.Fatalf("total bytes %d", s.totalBytes)
 	}
 	s.SetPlacement(0, []int64{1, 7})
 	for row := int64(0); row < 10; row++ {

@@ -66,9 +66,6 @@ func NewGenerator(spec *model.Spec, dist Distribution, seed int64) (*Generator, 
 	return g, nil
 }
 
-// Spec returns the generator's model.
-func (g *Generator) Spec() *model.Spec { return g.spec }
-
 // Next produces one query, laid out by embedding.NewQuery.
 func (g *Generator) Next() embedding.Query {
 	q := embedding.NewQuery(g.spec)

@@ -32,9 +32,8 @@
 //     replicas — each a full batching/pipeline composition around its own
 //     engine — fronted by a router with pluggable policies (round-robin,
 //     least-loaded, hot-key affinity via rendezvous hashing, so N tiered
-//     stores' frequency windows of size C behave like one ~N·C window),
-//     per-replica health/drain, and model replacement under live traffic
-//     (Router.Swap: drain one replica, serve from a fresh one), and
+//     stores' frequency windows of size C behave like one ~N·C window)
+//     and a zero-drop close, and
 //   - the open-loop load harness (RunLoad, SweepLoad): Poisson arrivals (or
 //     any Arrivals process) that drive the server past saturation and
 //     locate the knee — the highest offered rate meeting the tail SLA.
@@ -445,8 +444,8 @@ func NewServer(eng *Engine, opts ServerOptions) (*Server, error) {
 
 // NewRouter builds an empty replicated serving tier with the given routing
 // policy (zero value: round-robin). Replicas are added with Router.Add —
-// each a full serving composition around its own engine — and can be
-// drained or swapped to a new model under live traffic. The
+// each a full serving composition around its own engine — and Close drains
+// them all without dropping an admitted request. The
 // router satisfies the same Submit/Stats/Trace/WriteMetrics surface as a
 // single Server, so the HTTP mux and the load harness drive either.
 func NewRouter(opts RouterOptions) (*Router, error) { return router.New(opts) }
