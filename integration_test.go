@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"microrec"
-	"microrec/internal/cpu"
+	"microrec/internal/experiments"
 )
 
 // TestEnginesAgreeOnPredictions is the cross-precision consistency check:
@@ -49,7 +49,7 @@ func TestEnginesAgreeOnPredictions(t *testing.T) {
 // is sub-2µs, its end-to-end latency tens of microseconds, and throughput
 // beats the CPU's best batch configuration.
 func TestEndToEndPaperStory(t *testing.T) {
-	cpuModel := cpu.PaperLarge()
+	cpuModel := experiments.LargeCPU()
 	b2048 := cpuModel.EndToEndMS(2048)
 	if b2048 < 10 {
 		t.Errorf("CPU batch-2048 latency %.1f ms — expected tens of ms", b2048)

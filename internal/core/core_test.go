@@ -9,7 +9,6 @@ import (
 	"microrec/internal/embedding"
 	"microrec/internal/fixedpoint"
 	"microrec/internal/model"
-	"microrec/internal/tensor"
 	"microrec/internal/tieredstore"
 )
 
@@ -135,17 +134,19 @@ func transposedReference(t *testing.T, e *Engine, q embedding.Query) float32 {
 			y[j] += biases[l][j]
 		}
 		if l < len(weights)-1 {
-			tensor.ReLU(y)
+			for j, v := range y {
+				if v < 0 {
+					y[j] = 0
+				}
+			}
 		}
 		x = y
 	}
-	out := []float32{x[0]}
-	tensor.Sigmoid(out)
-	return out[0]
+	return float32(1 / (1 + math.Exp(-float64(x[0]))))
 }
 
 // matVec computes y = A * x, one row's float32 dot product at a time.
-func matVec(a *tensor.Matrix, x []float32) []float32 {
+func matVec(a *model.Matrix, x []float32) []float32 {
 	y := make([]float32, a.Rows)
 	for i := range y {
 		for j, v := range a.Row(i) {
@@ -156,8 +157,8 @@ func matVec(a *tensor.Matrix, x []float32) []float32 {
 }
 
 // transpose returns aᵀ.
-func transpose(a *tensor.Matrix) *tensor.Matrix {
-	at := tensor.NewMatrix(a.Cols, a.Rows)
+func transpose(a *model.Matrix) *model.Matrix {
+	at := &model.Matrix{Rows: a.Cols, Cols: a.Rows, Data: make([]float32, len(a.Data))}
 	for i := 0; i < a.Rows; i++ {
 		for j, v := range a.Row(i) {
 			at.Data[j*at.Cols+i] = v

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"microrec/internal/accel"
-	"microrec/internal/cpu"
 	"microrec/internal/fixedpoint"
 	"microrec/internal/metrics"
 	"microrec/internal/model"
@@ -33,16 +32,16 @@ func (o Options) withDefaults() Options {
 type productionCase struct {
 	Spec *model.Spec
 	Cfg  accel.Config
-	CPU  cpu.Model
+	CPU  CPUModel
 }
 
 func productionCases() []productionCase {
 	small, large := model.SmallProduction(), model.LargeProduction()
 	return []productionCase{
-		{small, accel.SmallFP16(), cpu.PaperSmall()},
-		{small, accel.SmallFP32(), cpu.PaperSmall()},
-		{large, accel.LargeFP16(), cpu.PaperLarge()},
-		{large, accel.LargeFP32(), cpu.PaperLarge()},
+		{small, accel.SmallFP16(), SmallCPU()},
+		{small, accel.SmallFP32(), SmallCPU()},
+		{large, accel.LargeFP16(), LargeCPU()},
+		{large, accel.LargeFP32(), LargeCPU()},
 	}
 }
 
@@ -128,7 +127,7 @@ func RunModels(opts Options) ([]*metrics.Table, error) {
 func RunFigure3(opts Options) ([]*metrics.Table, error) {
 	t := metrics.NewTable("Figure 3: embedding layer cost during CPU inference",
 		"Model", "Batch", "Embedding (ms)", "End-to-end (ms)", "Embedding share")
-	for _, m := range []cpu.Model{cpu.PaperSmall(), cpu.PaperLarge()} {
+	for _, m := range []CPUModel{SmallCPU(), LargeCPU()} {
 		for _, b := range []int{1, 64} {
 			t.AddRow(m.Spec.Name, fmt.Sprint(b),
 				metrics.FmtF(m.EmbeddingMS(b), 2),

@@ -16,14 +16,13 @@ import (
 	"math"
 	"math/rand"
 
-	"microrec/internal/cpu"
 	"microrec/internal/metrics"
 )
 
 // MaxBatchUnderSLA returns the largest batch size in [1, maxBatch] whose
 // modeled CPU service latency stays within the SLA, or 0 if even B=1 misses
 // it. Service latency grows monotonically with B, so binary search applies.
-func MaxBatchUnderSLA(m cpu.Model, slaMS float64, maxBatch int) int {
+func MaxBatchUnderSLA(m CPUModel, slaMS float64, maxBatch int) int {
 	if maxBatch < 1 || slaMS <= 0 {
 		return 0
 	}
@@ -82,7 +81,7 @@ type QueueResult struct {
 // at the given rate through a single batching server whose service time
 // follows the calibrated CPU model. slaMS, when positive, is only used to
 // count violations.
-func SimulateQueue(m cpu.Model, arrivalsPerSec float64, queries int, pol QueuePolicy, slaMS float64, seed int64) (QueueResult, error) {
+func SimulateQueue(m CPUModel, arrivalsPerSec float64, queries int, pol QueuePolicy, slaMS float64, seed int64) (QueueResult, error) {
 	if err := pol.Validate(); err != nil {
 		return QueueResult{}, err
 	}

@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
-
-	"microrec/internal/cpu"
 )
 
 func TestMaxBatchUnderSLA(t *testing.T) {
-	m := cpu.PaperSmall()
+	m := SmallCPU()
 	// Table 2: B=2048 costs 28.18 ms — so a 30 ms SLA admits ~2048 while
 	// a 10 ms SLA admits far fewer.
 	big := MaxBatchUnderSLA(m, 30, 4096)
@@ -30,7 +28,7 @@ func TestMaxBatchUnderSLA(t *testing.T) {
 }
 
 func TestMaxBatchEdgeCases(t *testing.T) {
-	m := cpu.PaperSmall()
+	m := SmallCPU()
 	if got := MaxBatchUnderSLA(m, 0.001, 1024); got != 0 {
 		t.Errorf("impossible SLA admits B=%d, want 0 (B=1 costs %.2f ms)", got, m.EndToEndMS(1))
 	}
@@ -47,7 +45,7 @@ func TestMaxBatchEdgeCases(t *testing.T) {
 
 // Property: the admitted batch is monotone in the SLA.
 func TestMaxBatchMonotoneProperty(t *testing.T) {
-	m := cpu.PaperLarge()
+	m := LargeCPU()
 	prop := func(a, b uint8) bool {
 		s1, s2 := float64(a)+1, float64(a)+1+float64(b)
 		return MaxBatchUnderSLA(m, s1, 4096) <= MaxBatchUnderSLA(m, s2, 4096)
@@ -62,7 +60,7 @@ func TestMaxBatchMonotoneProperty(t *testing.T) {
 // SLA, and one more query would miss it (or the cap binds).
 func TestMaxBatchUnderSLAIsMaximal(t *testing.T) {
 	const maxBatch = 8192
-	for _, m := range []cpu.Model{cpu.PaperSmall(), cpu.PaperLarge()} {
+	for _, m := range []CPUModel{SmallCPU(), LargeCPU()} {
 		for _, slaMS := range []float64{10, 20, 50, 100} {
 			t.Run(fmt.Sprintf("%s/%gms", m.Spec.Name, slaMS), func(t *testing.T) {
 				b := MaxBatchUnderSLA(m, slaMS, maxBatch)
@@ -85,7 +83,7 @@ func TestMaxBatchUnderSLAIsMaximal(t *testing.T) {
 // none faster than a batch of one, batches respect MaxBatch, and a seed
 // reproduces its run exactly.
 func TestSimulateQueueInvariants(t *testing.T) {
-	m := cpu.PaperSmall()
+	m := SmallCPU()
 	for _, c := range []struct {
 		rate float64
 		pol  QueuePolicy
@@ -143,7 +141,7 @@ func TestPolicyValidate(t *testing.T) {
 }
 
 func TestSimulateQueueBasics(t *testing.T) {
-	m := cpu.PaperSmall()
+	m := SmallCPU()
 	res, err := SimulateQueue(m, 5000, 2000, QueuePolicy{MaxBatch: 256, TimeoutMS: 5}, 50, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +162,7 @@ func TestSimulateQueueBasics(t *testing.T) {
 }
 
 func TestSimulateQueueShortBatchWaitsForTimeout(t *testing.T) {
-	m := cpu.PaperSmall()
+	m := SmallCPU()
 	// A lone query cannot know that nothing follows it: it waits out the
 	// whole timeout before its batch of one is served.
 	res, err := SimulateQueue(m, 1000, 1, QueuePolicy{MaxBatch: 64, TimeoutMS: 10}, 0, 1)
@@ -192,7 +190,7 @@ func TestSimulateQueueShortBatchWaitsForTimeout(t *testing.T) {
 }
 
 func TestSimulateQueueErrors(t *testing.T) {
-	m := cpu.PaperSmall()
+	m := SmallCPU()
 	if _, err := SimulateQueue(m, 0, 10, QueuePolicy{MaxBatch: 1}, 0, 1); err == nil {
 		t.Error("zero rate: want error")
 	}
@@ -211,7 +209,7 @@ func TestBatchingTradeoffAcrossLoadRegimes(t *testing.T) {
 	// (b) at high load, small batches lack throughput (the server
 	//     saturates and the queue — and tail latency — blow up), which is
 	//     exactly why CPU baselines must batch large and eat the latency.
-	m := cpu.PaperSmall()
+	m := SmallCPU()
 	smallPol := QueuePolicy{MaxBatch: 64, TimeoutMS: 2}
 	bigPol := QueuePolicy{MaxBatch: 2048, TimeoutMS: 20}
 
@@ -256,7 +254,7 @@ func TestBatchingTradeoffAcrossLoadRegimes(t *testing.T) {
 func TestOverloadDetectedViaViolations(t *testing.T) {
 	// Offered load beyond the small-batch service capacity must blow the
 	// SLA for most queries.
-	m := cpu.PaperSmall()
+	m := SmallCPU()
 	res, err := SimulateQueue(m, 60000, 3000, QueuePolicy{MaxBatch: 64, TimeoutMS: 1}, 30, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +265,7 @@ func TestOverloadDetectedViaViolations(t *testing.T) {
 }
 
 func BenchmarkSimulateQueue(b *testing.B) {
-	m := cpu.PaperSmall()
+	m := SmallCPU()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := SimulateQueue(m, 10000, 2000, QueuePolicy{MaxBatch: 512, TimeoutMS: 10}, 50, 1); err != nil {

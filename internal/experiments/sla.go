@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"microrec/internal/accel"
-	"microrec/internal/cpu"
 	"microrec/internal/metrics"
 )
 
@@ -18,11 +17,11 @@ func RunSLA(opts Options) ([]*metrics.Table, error) {
 	t := metrics.NewTable("Serving study (a): largest CPU batch and throughput under an SLA",
 		"Model", "SLA (ms)", "Max batch", "CPU latency (ms)", "CPU throughput (items/s)", "MicroRec latency")
 	for _, target := range []struct {
-		m   cpu.Model
+		m   CPUModel
 		cfg accel.Config
 	}{
-		{cpu.PaperSmall(), accel.SmallFP16()},
-		{cpu.PaperLarge(), accel.LargeFP16()},
+		{SmallCPU(), accel.SmallFP16()},
+		{LargeCPU(), accel.LargeFP16()},
 	} {
 		plan, err := planFor(target.m.Spec, target.cfg.OnChipBanks, true, opts.Allocator)
 		if err != nil {
@@ -53,7 +52,7 @@ func RunSLA(opts Options) ([]*metrics.Table, error) {
 	// Part 2: tail latency of a batching queue at increasing offered load.
 	q := metrics.NewTable("Serving study (b): batching-queue tail latency (small model, MaxBatch 2048, timeout 10 ms)",
 		"Offered load (q/s)", "Mean batch", "p50 (ms)", "p99 (ms)", "Throughput (q/s)")
-	m := cpu.PaperSmall()
+	m := SmallCPU()
 	pol := QueuePolicy{MaxBatch: 2048, TimeoutMS: 10}
 	for _, rate := range []float64{2000, 10000, 40000, 70000} {
 		res, err := SimulateQueue(m, rate, 4000, pol, 0, opts.Seed)

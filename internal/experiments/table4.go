@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"microrec/internal/accel"
-	"microrec/internal/cpu"
 	"microrec/internal/metrics"
 	"microrec/internal/model"
 )
@@ -31,10 +30,10 @@ func Table4Results(opts Options) ([]Table4Result, error) {
 	for _, target := range []struct {
 		spec  *model.Spec
 		banks int
-		cpum  cpu.Model
+		cpum  CPUModel
 	}{
-		{model.SmallProduction(), accel.SmallFP16().OnChipBanks, cpu.PaperSmall()},
-		{model.LargeProduction(), accel.LargeFP16().OnChipBanks, cpu.PaperLarge()},
+		{model.SmallProduction(), accel.SmallFP16().OnChipBanks, SmallCPU()},
+		{model.LargeProduction(), accel.LargeFP16().OnChipBanks, LargeCPU()},
 	} {
 		res := Table4Result{
 			Model:   target.spec.Name,

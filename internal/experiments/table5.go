@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"microrec/internal/accel"
-	"microrec/internal/cpu"
 	"microrec/internal/metrics"
 	"microrec/internal/model"
 )
@@ -44,7 +43,7 @@ func Table5Cells(opts Options) ([]Table5Cell, error) {
 				Dim:      dim,
 				Rounds:   rounds,
 				LookupNS: ns,
-				Speedup:  metrics.Speedup(cpu.FacebookRMC2EmbeddingNSPerItem, ns),
+				Speedup:  metrics.Speedup(FacebookRMC2EmbeddingNSPerItem, ns),
 			})
 		}
 	}
@@ -75,7 +74,7 @@ func RunTable5(opts Options) ([]*metrics.Table, error) {
 			metrics.FmtPct(relErr))
 	}
 	t.AddNote("baseline: %.1f µs/item embedding time (2-socket Broadwell, batch 256)",
-		cpu.FacebookRMC2EmbeddingNSPerItem/1e3)
+		FacebookRMC2EmbeddingNSPerItem/1e3)
 	t.AddNote("worst relative error vs paper: %s", metrics.FmtPct(worst))
 	return []*metrics.Table{t}, nil
 }

@@ -19,8 +19,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-
-	"microrec/internal/tensor"
 )
 
 // FloatBytes is the storage width of one embedding element. The paper assumes
@@ -335,7 +333,7 @@ type Parameters struct {
 	cp   *checkpoints // set by the run; nil after Release
 	// weights[l] is FC layer l's (in x out) weight matrix; biases[l] its
 	// output bias. The last layer is the single-logit output layer.
-	weights []*tensor.Matrix
+	weights []*Matrix
 	biases  [][]float32
 }
 
@@ -435,7 +433,7 @@ func (p *Parameters) run(sink TableSink) {
 	segs := p.tableSegments(sink)
 	for _, d := range p.Spec.LayerDims() {
 		in, out := d[0], d[1]
-		w := tensor.NewMatrix(in, out)
+		w := newMatrix(in, out)
 		b := make([]float32, out)
 		segs = append(segs,
 			segment{n: len(w.Data), scale: float32(1 / math.Sqrt(float64(in))), put: func(off int, vals []float32) { copy(w.Data[off:], vals) }},
@@ -464,7 +462,7 @@ func (p *Parameters) ensureRun() {
 // matrix, biases[l] its output bias; the last layer is the single-logit
 // output layer. They are resident and shared — callers must not modify
 // them.
-func (p *Parameters) Layers() (weights []*tensor.Matrix, biases [][]float32) {
+func (p *Parameters) Layers() (weights []*Matrix, biases [][]float32) {
 	p.ensureRun()
 	return p.weights, p.biases
 }
@@ -603,7 +601,7 @@ func (p *Parameters) Forward(feat []float32, layer func(l int, out []float32)) (
 	weights, biases := p.Layers()
 	x := feat
 	for l, w := range weights {
-		y, err := tensor.VecMat(x, w)
+		y, err := vecMat(x, w)
 		if err != nil {
 			return 0, fmt.Errorf("model: layer %d: %w", l, err)
 		}
@@ -611,16 +609,59 @@ func (p *Parameters) Forward(feat []float32, layer func(l int, out []float32)) (
 			y[j] += biases[l][j]
 		}
 		if l < len(weights)-1 {
-			tensor.ReLU(y)
+			relu(y)
 		}
 		if layer != nil {
 			layer(l, y)
 		}
 		x = y
 	}
-	out := []float32{x[0]}
-	tensor.Sigmoid(out)
-	return out[0], nil
+	return float32(1 / (1 + math.Exp(-float64(x[0])))), nil
+}
+
+// Matrix is a dense row-major float32 matrix: an FC layer's weights.
+type Matrix struct {
+	Rows, Cols int
+	Data       []float32 // len == Rows*Cols
+}
+
+// newMatrix allocates a zeroed rows x cols matrix.
+func newMatrix(rows, cols int) *Matrix {
+	if rows < 0 || cols < 0 {
+		panic(fmt.Sprintf("model: negative matrix dimensions %dx%d", rows, cols))
+	}
+	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
+}
+
+// Row returns a view of row i.
+func (m *Matrix) Row(i int) []float32 {
+	return m.Data[i*m.Cols : (i+1)*m.Cols]
+}
+
+// vecMat computes y = xᵀ * A for a length-k vector and a (k x n) matrix.
+// Each y[j] accumulates x[i]*A[i][j] over i ascending from zero: per output,
+// the float32 operations of a row-by-row product with A's transpose, without
+// the transpose.
+func vecMat(x []float32, a *Matrix) ([]float32, error) {
+	if a.Rows != len(x) {
+		return nil, fmt.Errorf("model: vecMat shape mismatch %d*(%dx%d)", len(x), a.Rows, a.Cols)
+	}
+	y := make([]float32, a.Cols)
+	for i, xi := range x {
+		for j, v := range a.Row(i) {
+			y[j] += v * xi
+		}
+	}
+	return y, nil
+}
+
+// relu applies max(0, x) elementwise in place.
+func relu(xs []float32) {
+	for i, v := range xs {
+		if v < 0 {
+			xs[i] = 0
+		}
+	}
 }
 
 // FloatTables returns every embedding table as row-major float32 in heap

@@ -4,13 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"go/parser"
-	"go/token"
 	"io"
-	"io/fs"
 	"math"
-	"path/filepath"
-	"strings"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -647,45 +643,94 @@ func TestFeaturesAfterRelease(t *testing.T) {
 	}
 }
 
-// TestFloatForwardPassLivesInModel holds the float FC tower to one place:
-// outside internal/model (and tensor itself), no non-test file in the module
-// imports internal/tensor, the float matrix arithmetic Forward runs on.
-func TestFloatForwardPassLivesInModel(t *testing.T) {
-	const tensorPath = `"microrec/internal/tensor"`
-	root := filepath.Join("..", "..")
-	var got []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+func TestNewMatrixPanicsOnNegative(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("newMatrix(-1, 2): want panic")
+		}
+	}()
+	newMatrix(-1, 2)
+}
+
+// TestVecMatMatchesTransposedMatVec holds vecMat bit for bit to matVec over
+// the transpose, zeros in x included (a ReLU output has many).
+func TestVecMatMatchesTransposedMatVec(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, sh := range [][2]int{{1, 1}, {3, 2}, {352, 64}, {200, 1}} {
+		a := newMatrix(sh[0], sh[1])
+		for i := range a.Data {
+			a.Data[i] = rng.Float32()*2 - 1
+		}
+		x := make([]float32, sh[0])
+		for i := range x {
+			if rng.Intn(3) > 0 {
+				x[i] = rng.Float32()*4 - 2
+			}
+		}
+		got, err := vecMat(x, a)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		if d.IsDir() {
-			switch rel, _ := filepath.Rel(root, path); rel {
-			case filepath.Join("internal", "model"), filepath.Join("internal", "tensor"), "testdata":
-				return filepath.SkipDir
-			}
-			if strings.HasPrefix(d.Name(), ".") && path != root {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
-		if err != nil {
-			return err
-		}
-		for _, imp := range f.Imports {
-			if imp.Path.Value == tensorPath {
-				got = append(got, path)
+		want := matVec(transpose(a), x)
+		for j := range want {
+			if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+				t.Fatalf("%dx%d: y[%d] = %v, want %v", sh[0], sh[1], j, got[j], want[j])
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if len(got) > 0 {
-		t.Errorf("non-test files outside internal/model import internal/tensor (a second float forward pass): %v", got)
+	if _, err := vecMat([]float32{1}, newMatrix(2, 2)); err == nil {
+		t.Error("vecMat length mismatch: want error")
 	}
+}
+
+// TestMatrixRowIsView checks that Row(i) is row i of Data, not a copy:
+// writes through it land in the matrix.
+func TestMatrixRowIsView(t *testing.T) {
+	m := newMatrix(3, 2)
+	for i := range m.Data {
+		m.Data[i] = float32(i)
+	}
+	r := m.Row(1)
+	if len(r) != 2 || r[0] != 2 || r[1] != 3 {
+		t.Fatalf("Row(1) = %v, want [2 3]", r)
+	}
+	r[1] = 9
+	if m.Data[3] != 9 {
+		t.Error("write through Row(1) did not reach Data")
+	}
+}
+
+// TestReLU checks that relu zeroes negatives and keeps the rest. The
+// sigmoid on the logit is TestForwardHandComputed's.
+func TestReLU(t *testing.T) {
+	xs := []float32{-1, 0, 2}
+	relu(xs)
+	if xs[0] != 0 || xs[1] != 0 || xs[2] != 2 {
+		t.Errorf("relu = %v", xs)
+	}
+}
+
+// matVec computes y = A * x for a (m x k) matrix and length-k vector, one
+// row's dot product at a time: the reference vecMat is held to.
+func matVec(a *Matrix, x []float32) []float32 {
+	y := make([]float32, a.Rows)
+	for i := 0; i < a.Rows; i++ {
+		var sum float32
+		for j, v := range a.Row(i) {
+			sum += v * x[j]
+		}
+		y[i] = sum
+	}
+	return y
+}
+
+// transpose returns aᵀ.
+func transpose(a *Matrix) *Matrix {
+	t := newMatrix(a.Cols, a.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j, v := range a.Row(i) {
+			t.Data[j*t.Cols+i] = v
+		}
+	}
+	return t
 }

@@ -12,12 +12,12 @@
 // hot tiers) of size C behave like one of ~N·C (the hit-rate lift is
 // measured and reported in the /stats "router" section).
 //
-// The hot path is lock-free: membership is a copy-on-write replica set
-// behind an atomic pointer, and each routing decision is a set load, a
-// policy pick and two atomic counters. Membership changes (Add, Close)
-// serialize on a mutex that the hot path never touches. Close removes every
-// replica without dropping any admitted request: the replicas leave the
-// routable set first, in-flight routed requests are awaited on a
+// The hot path is lock-free: membership is a copy-on-write, id-ordered
+// replica slice behind an atomic pointer, and each routing decision is a
+// slice load, a policy pick and two atomic counters. Membership changes
+// (Add, Close) serialize on a mutex that the hot path never touches. Close
+// removes every replica without dropping any admitted request: the replicas
+// leave the routable set first, in-flight routed requests are awaited on a
 // per-replica counter, and only then does each replica's server Close (which
 // itself drains every accepted request).
 package router
@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -37,14 +38,9 @@ import (
 	"microrec/internal/serving"
 )
 
-// ErrNoReplicas is returned by Submit when the routable set is empty — every
-// replica drained or closed, or none ever added.
+// ErrNoReplicas is returned by Submit when the routable set is empty: the
+// router has closed, or no replica was ever added.
 var ErrNoReplicas = errors.New("router: no active replicas")
-
-// ErrUnknownReplica names an id that is not a current member. Nothing in the
-// router returns it, since replicas leave only when the router closes; the
-// facade still exports it.
-var ErrUnknownReplica = errors.New("router: unknown replica id")
 
 // drainPoll is the interval at which Close re-checks a draining
 // replica's in-flight counter. The window between a routing decision and the
@@ -68,52 +64,19 @@ type replica struct {
 	// counter Close awaits before closing the server.
 	routed   atomic.Uint64
 	inflight atomic.Int64
-	// draining flips once, before the replica leaves the routable set; a
-	// Submit that raced the removal re-checks it after registering in
-	// inflight and backs off.
+	// draining flips once, when Close has taken the replica out of the
+	// routable set; a Submit that raced the removal re-checks it after
+	// registering in inflight and backs off.
 	draining atomic.Bool
 }
 
-// replicaSet is one immutable membership snapshot: the hot path loads it with
-// a single atomic pointer read. all holds every current member (including
-// draining ones, which still own in-flight requests); active only the
-// routable ones. Both are ordered by id.
-type replicaSet struct {
-	all    []*replica
-	active []*replica
-}
-
-// newSet derives a snapshot from a member list, excluding draining replicas
-// from the routable slice.
-func newSet(all []*replica) *replicaSet {
-	s := &replicaSet{all: all}
-	for _, r := range all {
-		if !r.draining.Load() {
-			s.active = append(s.active, r)
-		}
-	}
-	return s
-}
-
-func (s *replicaSet) find(id int) *replica {
-	for _, r := range s.all {
-		if r.id == id {
-			return r
-		}
-	}
-	return nil
-}
-
 // primary is the replica whose serving stats anchor the merged /stats and
-// /metrics views: the first active one, else the first member.
-func (s *replicaSet) primary() *replica {
-	if len(s.active) > 0 {
-		return s.active[0]
+// /metrics views: the first member, or nil when there is none.
+func primary(set []*replica) *replica {
+	if len(set) == 0 {
+		return nil
 	}
-	if len(s.all) > 0 {
-		return s.all[0]
-	}
-	return nil
+	return set[0]
 }
 
 // Options configures a Router.
@@ -128,12 +91,15 @@ type Options struct {
 // WriteMetrics), so the HTTP mux, bench and loadtest drive it exactly like a
 // single server.
 type Router struct {
-	// mu serializes membership and drains; the Submit hot path never takes
+	// mu serializes membership changes; the Submit hot path never takes
 	// it. nextID is guarded by mu.
 	mu     sync.Mutex
 	nextID int
 
-	set    atomic.Pointer[replicaSet]
+	// set is the membership snapshot, ordered by id: the hot path loads it
+	// with a single atomic pointer read. Add and Close publish a new slice;
+	// a published one is never written.
+	set    atomic.Pointer[[]*replica]
 	policy atomic.Int32
 	rr     atomic.Uint64
 
@@ -163,7 +129,7 @@ func New(opts Options) (*Router, error) {
 	}
 	rt := &Router{}
 	rt.policy.Store(int32(idx))
-	rt.set.Store(&replicaSet{})
+	rt.set.Store(new([]*replica))
 	return rt, nil
 }
 
@@ -184,25 +150,25 @@ func (rt *Router) Add(eng serving.Engine, sopts serving.Options, closer func() e
 	}
 	rt.nextID = id
 	rep := &replica{id: id, srv: srv, closer: closer}
-	cur := rt.set.Load()
-	rt.set.Store(newSet(append(append([]*replica{}, cur.all...), rep)))
+	next := slices.Concat(*rt.set.Load(), []*replica{rep})
+	rt.set.Store(&next)
 	return id, nil
 }
 
 // Submit routes one query to a replica under the active policy and blocks on
 // that replica's serving future — the load harness's Target seam. A decision
-// that races a drain backs off and re-picks from the updated set, so no
+// that races Close backs off and re-picks from the updated set, so no
 // request is ever committed to a replica that will not serve it.
 func (rt *Router) Submit(ctx context.Context, q embedding.Query) (serving.Result, error) {
 	for {
-		set := rt.set.Load()
-		if len(set.active) == 0 {
+		set := *rt.set.Load()
+		if len(set) == 0 {
 			return serving.Result{}, ErrNoReplicas
 		}
 		pcode := int(rt.policy.Load())
-		rep := rt.pick(pcode, set.active, q)
+		rep := rt.pick(pcode, set, q)
 		// Register in the replica's in-flight count *before* re-checking
-		// draining: a drain flips the flag first and then waits for this
+		// draining: Close flips the flag first and then waits for this
 		// counter, so either we see the flag and back off, or the drain sees
 		// our registration and waits for the server to carry the request to
 		// completion. Requests cannot fall between.
@@ -219,12 +185,12 @@ func (rt *Router) Submit(ctx context.Context, q embedding.Query) (serving.Result
 	}
 }
 
-// pick applies one policy to the active slice (never empty here).
-func (rt *Router) pick(pcode int, active []*replica, q embedding.Query) *replica {
+// pick applies one policy to the member slice (never empty here).
+func (rt *Router) pick(pcode int, set []*replica, q embedding.Query) *replica {
 	switch pcode {
 	case leastLoadedIdx:
-		best, bestScore := active[0], rt.loadScore(active[0])
-		for _, r := range active[1:] {
+		best, bestScore := set[0], rt.loadScore(set[0])
+		for _, r := range set[1:] {
 			if s := rt.loadScore(r); s < bestScore {
 				best, bestScore = r, s
 			}
@@ -232,15 +198,15 @@ func (rt *Router) pick(pcode int, active []*replica, q embedding.Query) *replica
 		return best
 	case affinityIdx:
 		h := queryHash(q)
-		best, bestW := active[0], rendezvousWeight(h, active[0].id)
-		for _, r := range active[1:] {
+		best, bestW := set[0], rendezvousWeight(h, set[0].id)
+		for _, r := range set[1:] {
 			if w := rendezvousWeight(h, r.id); w > bestW {
 				best, bestW = r, w
 			}
 		}
 		return best
 	default: // round-robin
-		return active[int((rt.rr.Add(1)-1)%uint64(len(active)))]
+		return set[int((rt.rr.Add(1)-1)%uint64(len(set)))]
 	}
 }
 
@@ -303,7 +269,7 @@ func (rt *Router) MarkHitRateBaseline() {
 // pooledCounts sums the members' lifetime frequency-window hit/lookup
 // counters.
 func (rt *Router) pooledCounts() (hits, lookups int64) {
-	for _, rep := range rt.set.Load().all {
+	for _, rep := range *rt.set.Load() {
 		if h, m, ok := rep.srv.HotCacheCounts(); ok {
 			hits += h
 			lookups += h + m
@@ -318,14 +284,14 @@ func (rt *Router) pooledCounts() (hits, lookups int64) {
 // are the primary replica's own view; the router section carries the
 // per-replica breakdown.
 func (rt *Router) Stats() serving.Stats {
-	set := rt.set.Load()
+	set := *rt.set.Load()
 	var st serving.Stats
-	if p := set.primary(); p != nil {
+	if p := primary(set); p != nil {
 		st = p.srv.Stats()
 	}
 	rs := &serving.RouterStats{
 		Policy:   rt.PolicyName(),
-		Replicas: len(set.active),
+		Replicas: len(set),
 	}
 	activeIdx := int(rt.policy.Load())
 	for i, name := range policyNames {
@@ -339,12 +305,8 @@ func (rt *Router) Stats() serving.Stats {
 		})
 	}
 	var hits, lookups int64
-	for _, rep := range set.all {
+	for _, rep := range set {
 		ss := rep.srv.Stats()
-		state := "active"
-		if rep.draining.Load() {
-			state = "draining"
-		}
 		score := rep.srv.LoadScore()
 		occ := 0.0
 		if capacity := rep.srv.LoadCapacity(); capacity > 0 {
@@ -360,7 +322,6 @@ func (rt *Router) Stats() serving.Stats {
 		}
 		rs.PerReplica = append(rs.PerReplica, serving.ReplicaStats{
 			ID:               rep.id,
-			State:            state,
 			Routed:           rep.routed.Load(),
 			InFlight:         rep.inflight.Load(),
 			QueueDepth:       rep.srv.QueueLen(),
@@ -395,7 +356,7 @@ func (rt *Router) Stats() serving.Stats {
 // newest `last` when positive — the /trace payload of a routed server.
 func (rt *Router) Trace(last int, since time.Time) []obs.Span {
 	var spans []obs.Span
-	for _, rep := range rt.set.Load().all {
+	for _, rep := range *rt.set.Load() {
 		spans = append(spans, rep.srv.Trace(last, since)...)
 	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
@@ -408,18 +369,18 @@ func (rt *Router) Trace(last int, since time.Time) []obs.Span {
 // RetryAfter is the backoff hint for shed clients: the primary replica's
 // figure (replicas are homogeneous; the hint only needs the right scale).
 func (rt *Router) RetryAfter() time.Duration {
-	if p := rt.set.Load().primary(); p != nil {
+	if p := primary(*rt.set.Load()); p != nil {
 		return p.srv.RetryAfter()
 	}
 	return time.Millisecond
 }
 
 // CapacityQPS is the tier's steady-state capacity estimate: the sum of the
-// active replicas' knees (replicas serve disjoint traffic, so capacities
+// replicas' knees (replicas serve disjoint traffic, so capacities
 // add — the router-level figure the loadtest auto-scaler needs).
 func (rt *Router) CapacityQPS() float64 {
 	var qps float64
-	for _, rep := range rt.set.Load().active {
+	for _, rep := range *rt.set.Load() {
 		qps += rep.srv.CapacityQPS()
 	}
 	return qps
@@ -430,7 +391,7 @@ func (rt *Router) CapacityQPS() float64 {
 // server. Like the single-server exposition, every router figure derives
 // from the same Stats() snapshot /stats serves.
 func (rt *Router) WriteMetrics(w io.Writer) error {
-	if p := rt.set.Load().primary(); p != nil {
+	if p := primary(*rt.set.Load()); p != nil {
 		if err := p.srv.WriteMetrics(w); err != nil {
 			return err
 		}
@@ -439,7 +400,6 @@ func (rt *Router) WriteMetrics(w io.Writer) error {
 	m := obs.NewMetricWriter(w)
 	m.Info("microrec_router_info", "Replicated-tier routing configuration.", "policy", rs.Policy)
 	m.Gauge("microrec_router_replicas", "Routable replica count.", float64(rs.Replicas))
-	m.Counter("microrec_router_drained_total", "Replicas drained under live traffic.", float64(rs.Drained))
 	dec := m.Family("microrec_router_decisions_total", "Routing decisions per policy.", "counter")
 	for _, d := range rs.Decisions {
 		dec.Obs(float64(d.Total), "policy", d.Policy)
@@ -463,11 +423,11 @@ func (rt *Router) WriteMetrics(w io.Writer) error {
 // once the routable set empties.
 func (rt *Router) Close() error {
 	rt.mu.Lock()
-	set := rt.set.Load()
-	rt.set.Store(&replicaSet{})
+	set := *rt.set.Load()
+	rt.set.Store(new([]*replica))
 	rt.mu.Unlock()
 	var err error
-	for _, rep := range set.all {
+	for _, rep := range set {
 		rep.draining.Store(true)
 		if e := rt.awaitIdle(context.Background(), rep); err == nil {
 			err = e

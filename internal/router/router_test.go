@@ -227,10 +227,10 @@ func TestLeastLoadedBoundsOccupancyUnderSkew(t *testing.T) {
 	rt := newRouter(t, LeastLoaded)
 	slow := &fakeEngine{service: 10 * time.Millisecond}
 	fast := &fakeEngine{service: 100 * time.Microsecond}
-	slowID, err := rt.Add(slow, fakeOpts(), nil)
-	if err != nil {
+	if _, err := rt.Add(slow, fakeOpts(), nil); err != nil {
 		t.Fatal(err)
 	}
+	slowRep := (*rt.set.Load())[0]
 	if _, err := rt.Add(fast, fakeOpts(), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -249,15 +249,12 @@ func TestLeastLoadedBoundsOccupancyUnderSkew(t *testing.T) {
 				return
 			case <-time.After(200 * time.Microsecond):
 			}
-			set := rt.set.Load()
-			if rep := set.find(slowID); rep != nil {
-				s := rep.srv.LoadScore()
-				scoreMu.Lock()
-				if s > maxSlowScore {
-					maxSlowScore = s
-				}
-				scoreMu.Unlock()
+			s := slowRep.srv.LoadScore()
+			scoreMu.Lock()
+			if s > maxSlowScore {
+				maxSlowScore = s
 			}
+			scoreMu.Unlock()
 		}
 	}()
 	for g := 0; g < 8; g++ {

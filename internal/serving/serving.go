@@ -689,8 +689,6 @@ type TraceStats = obs.Stats
 type ReplicaStats struct {
 	// ID is the replica's 1-based id (Span.Replica on its traces).
 	ID int `json:"id"`
-	// State is "active", "draining" or "drained".
-	State string `json:"state"`
 	// Routed counts requests the router sent to this replica; InFlight is
 	// the number currently between route and completion.
 	Routed   uint64 `json:"routed"`
@@ -726,11 +724,9 @@ type PolicyDecisionStats struct {
 // itself never fills Stats.Router (an unrouted server reports none).
 type RouterStats struct {
 	// Policy is the active routing policy ("round-robin", "least-loaded",
-	// "affinity"); Replicas the active replica count.
+	// "affinity"); Replicas the member replica count.
 	Policy   string `json:"policy"`
 	Replicas int    `json:"replicas"`
-	// Drained counts replicas removed (or swapped) under live traffic.
-	Drained uint64 `json:"drained"`
 	// Decisions breaks routing decisions down per policy.
 	Decisions []PolicyDecisionStats `json:"decisions"`
 	// PerReplica is the per-replica scoreboard, ordered by replica id.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"go/ast"
-	"go/build"
 	"go/parser"
 	"go/token"
 	"math"
@@ -969,51 +968,12 @@ func TestValidateSLARejectsNonPositiveBudget(t *testing.T) {
 	}
 }
 
-// importClosure walks the non-test imports of a package of this module and
-// returns every package of the module it reaches, itself included. The walk
-// records but does not enter the packages listed in owners, so what they
-// import on their own behalf is left out.
-func importClosure(t *testing.T, root string, owners ...string) map[string]bool {
-	t.Helper()
-	seen := map[string]bool{}
-	var walk func(path string)
-	walk = func(path string) {
-		if seen[path] {
-			return
-		}
-		seen[path] = true
-		if slices.Contains(owners, path) {
-			return
-		}
-		dir := filepath.Join("..", "..", strings.TrimPrefix(path, "microrec/"))
-		pkg, err := build.Default.ImportDir(dir, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		for _, imp := range pkg.Imports {
-			if strings.HasPrefix(imp, "microrec/") {
-				walk(imp)
-			}
-		}
-	}
-	walk(root)
-	return seen
-}
-
 // TestServingDoesNotImportSLA pins the serving stack's independence from the
-// offline models: no package internal/serving transitively imports is
-// internal/experiments, where the CPU baseline's batching-queue model lives,
-// and no non-test source of the serving, router, cluster or
-// tieredstore packages names the accelerator timing model or a modelled
-// cold-tier latency.
+// offline models in source: no non-test file of the serving, router, cluster
+// or tieredstore packages names the accelerator timing model or a modelled
+// cold-tier latency. That no package serving imports reaches
+// internal/experiments is the root package's TestImportsGolden.
 func TestServingDoesNotImportSLA(t *testing.T) {
-	seen := importClosure(t, "microrec/internal/serving")
-	if !seen["microrec/internal/core"] {
-		t.Fatalf("import walk never reached internal/core (saw %d packages); the walk is broken", len(seen))
-	}
-	if seen["microrec/internal/experiments"] {
-		t.Error("internal/serving transitively imports internal/experiments")
-	}
 	banned := []string{"TimingAt", "TimingReport", "LookupNS", "ColdLatencyNS", "BoundNS"}
 	for _, pkg := range []string{"serving", "router", "cluster", "tieredstore"} {
 		files, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
@@ -1033,40 +993,6 @@ func TestServingDoesNotImportSLA(t *testing.T) {
 					t.Errorf("%s mentions %s", f, word)
 				}
 			}
-		}
-	}
-}
-
-// TestCoreAndServingDoNotReachTheAcceleratorModel pins the split between the
-// CPU engine and the model of the FPGA it reproduces: neither internal/core
-// nor internal/serving reaches, directly or transitively, internal/accel,
-// which holds the accelerator model with its placement, Cartesian-product,
-// memory and pipeline models.
-func TestCoreAndServingDoNotReachTheAcceleratorModel(t *testing.T) {
-	for _, root := range []string{"microrec/internal/core", "microrec/internal/serving"} {
-		seen := importClosure(t, root)
-		if !seen["microrec/internal/model"] {
-			t.Fatalf("%s: import walk never reached internal/model (saw %d packages); the walk is broken", root, len(seen))
-		}
-		if seen["microrec/internal/accel"] {
-			t.Errorf("%s reaches internal/accel", root)
-		}
-	}
-}
-
-// TestOnlyTheTierReachesTheHotRowCache pins the one residency mechanism: the
-// frequency window (internal/hotcache) is owned by the tiered store, so core,
-// cluster, serving and router reach it only through internal/tieredstore —
-// none of them, nor anything else they import, imports it directly.
-func TestOnlyTheTierReachesTheHotRowCache(t *testing.T) {
-	for _, pkg := range []string{"core", "cluster", "serving", "router"} {
-		root := "microrec/internal/" + pkg
-		seen := importClosure(t, root, "microrec/internal/tieredstore")
-		if !seen["microrec/internal/tieredstore"] {
-			t.Fatalf("%s: import walk never reached internal/tieredstore (saw %d packages); the walk is broken", root, len(seen))
-		}
-		if seen["microrec/internal/hotcache"] {
-			t.Errorf("%s reaches internal/hotcache other than through internal/tieredstore", root)
 		}
 	}
 }

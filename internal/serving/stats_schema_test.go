@@ -55,12 +55,12 @@ func fullStats() Stats {
 			Promotions: 50, Demotions: 10, Sweeps: 5, Prefetches: 40,
 		},
 		Router: &RouterStats{
-			Policy: "affinity", Replicas: 3, Drained: 1,
+			Policy: "affinity", Replicas: 3,
 			Decisions: []PolicyDecisionStats{
 				{Policy: "round-robin", Total: 500},
 			},
 			PerReplica: []ReplicaStats{
-				{ID: 1, State: "active", Routed: 400, InFlight: 2,
+				{ID: 1, Routed: 400, InFlight: 2,
 					QueueDepth: 3, PipelineInFlight: 1, LoadScore: 67, Occupancy: 0.3,
 					Queries: 400, QPS: 900, P99US: 210, HitRate: 0.85},
 			},
@@ -188,7 +188,6 @@ var statsSchema = []string{
 	"router.decisions",
 	"router.decisions.policy",
 	"router.decisions.total",
-	"router.drained",
 	"router.hit_rate_delta",
 	"router.per_replica",
 	"router.per_replica.hit_rate",
@@ -202,7 +201,6 @@ var statsSchema = []string{
 	"router.per_replica.queries",
 	"router.per_replica.queue_depth",
 	"router.per_replica.routed",
-	"router.per_replica.state",
 	"router.policy",
 	"router.replicas",
 	"tiers",

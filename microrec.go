@@ -174,8 +174,8 @@ type (
 	// pressure, shed/drop counters and the knee (capacity) estimate.
 	AdmissionStats = serving.AdmissionStats
 	// Router is the replicated serving tier: N independent servers behind
-	// one Submit seam, with pluggable routing policies, per-replica
-	// health/drain and drain-and-replace model swap (NewRouter).
+	// one Submit seam, with pluggable routing policies and a Close that
+	// drains every replica without dropping an admitted request (NewRouter).
 	Router = router.Router
 	// RouterOptions configures NewRouter (the initial routing policy).
 	RouterOptions = router.Options
@@ -250,13 +250,9 @@ var ErrOverloaded = serving.ErrOverloaded
 // completed too late to matter.
 var ErrExpired = serving.ErrExpired
 
-// ErrNoReplicas is Router.Submit's response when the tier has no active
-// replicas (all drained or none added).
+// ErrNoReplicas is Router.Submit's response when the tier has no
+// replicas (the router closed, or none added).
 var ErrNoReplicas = router.ErrNoReplicas
-
-// ErrUnknownReplica reports a Drain or Swap naming a replica id the
-// router does not hold.
-var ErrUnknownReplica = router.ErrUnknownReplica
 
 // Routing policies of the replicated serving tier (NewRouter, serve/loadtest
 // -route).
