@@ -85,11 +85,12 @@ bench:
 # BenchmarkServeLightLoad, whose p50-us is the lightly loaded latency; 'Gather'
 # includes BenchmarkGatherMiss, the gather over tables a lookup can miss in). The
 # kernel microbenchmarks ride along so the SIMD paths are exercised under the
-# bench harness too, and so does the engine build's bulk step: parameter
-# materialisation (production-large at the benchmark's row cap).
+# bench harness too, with the peak loops their MACs/ns are read against, and
+# so does the engine build's bulk step: parameter materialisation
+# (production-large at the benchmark's row cap).
 bench-smoke:
 	$(GO) test -run xxx -bench 'Gather|Serve|EngineInferOne|Pipeline' -benchtime 1x -benchmem .
-	$(GO) test -run xxx -bench 'GEMMKernel|FinishRow|QuantizeRow' -benchtime 1x -benchmem ./internal/kernels
+	$(GO) test -run xxx -bench 'GEMMKernel|FinishRow|QuantizeRow|Peak' -benchtime 1x -benchmem ./internal/kernels
 	$(GO) test -run xxx -bench 'Materialize' -benchtime 1x -benchmem ./internal/model
 
 # loadtest-smoke drives the open-loop load harness end to end three ways: one

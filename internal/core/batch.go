@@ -45,6 +45,9 @@ type BatchScratch struct {
 	x32 []int32
 	// acc is the batch x stride plane of exact wide GEMM accumulators.
 	acc []int64
+	// f64 is the batch x stride float64 copy of the activations the 32-bit
+	// GEMM kernels read (see kernels.GemmRef); sized for 32-bit engines only.
+	f64 []float64
 
 	obs GatherObs
 }

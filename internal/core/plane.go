@@ -208,6 +208,12 @@ func (d *fixedPath[T]) ensure(s *BatchScratch, b int) {
 		s.acc = make([]int64, n)
 	}
 	s.acc = s.acc[:n]
+	if d.format.Bits == 32 {
+		if cap(s.f64) < n {
+			s.f64 = make([]float64, n)
+		}
+		s.f64 = s.f64[:n]
+	}
 }
 
 // hint starts the fetch of the given rows of a block: one block hint over
@@ -327,7 +333,7 @@ func (d *fixedPath[T]) mergePartial(b int, spans []ColSpan, src, dst *BatchScrat
 func (d *fixedPath[T]) layer(l, b int, s *BatchScratch, relu bool) {
 	x := *d.plane(s)
 	w := &d.layers[l]
-	d.gemm(x, s.acc, b, d.stride, w)
+	d.gemm(x, s.acc, b, d.stride, w, s.f64)
 	for qi := 0; qi < b; qi++ {
 		row := qi * d.stride
 		d.finishRow(&d.finish, s.acc[row:row+w.Out], d.biases[l], relu, x[row:row+w.Out])

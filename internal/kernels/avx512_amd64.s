@@ -269,126 +269,228 @@ rwiden:
 	VZEROUPPER
 	RET
 
-// MUL32(w, s0, s1, s2, s3) adds one step of output w's products with the four
-// activation rows into s0..s3: one plain and one odd-copied-down load of the
-// weight row, eight VPMULDQ, eight VPADDQ. Scratch: Z26..Z31.
-#define MUL32(w, s0, s1, s2, s3) \
-	VMOVDQU64 (w)(AX*1), Z26; \
-	VMOVSHDUP (w)(AX*1), Z27; \
-	VPMULDQ   Z26, Z16, Z28;  \
-	VPMULDQ   Z26, Z17, Z29;  \
-	VPMULDQ   Z26, Z18, Z30;  \
-	VPMULDQ   Z26, Z19, Z31;  \
-	VPADDQ    Z28, s0, s0;    \
-	VPADDQ    Z29, s1, s1;    \
-	VPADDQ    Z30, s2, s2;    \
-	VPADDQ    Z31, s3, s3;    \
-	VPMULDQ   Z27, Z20, Z28;  \
-	VPMULDQ   Z27, Z21, Z29;  \
-	VPMULDQ   Z27, Z22, Z30;  \
-	VPMULDQ   Z27, Z23, Z31;  \
-	VPADDQ    Z28, s0, s0;    \
-	VPADDQ    Z29, s1, s1;    \
-	VPADDQ    Z30, s2, s2;    \
-	VPADDQ    Z31, s3, s3
+// W4 converts one input step of a weight panel — 32 int32 at (BX), one per
+// output — into four vectors of eight float64, Z24..Z27 (exact: every int32
+// is a float64).
+#define W4 \
+	VCVTDQ2PD (BX), Z24;   \
+	VCVTDQ2PD 32(BX), Z25; \
+	VCVTDQ2PD 64(BX), Z26; \
+	VCVTDQ2PD 96(BX), Z27
 
-// func tile4x32(x, w *int32, stride, pitch, groups, blocks int, acc *int64)
-//
-// acc[r*stride + o] = sum_i x[r*stride + i] * w[o*pitch + i]
-// for r in 0..3, o in 0..4*groups, i in 0..16*blocks.
-//
-// VPMULDQ multiplies the low dword of each qword lane into an exact int64:
-// the even elements of a plain load, the odd ones of a VMOVSHDUP load (which
-// copies each odd element down over its even neighbour). Even and odd
-// products add into the same int64 accumulator, whose lane sums commute
-// exactly even under wraparound, so no widening cadence is needed.
-//
-// Register map, per group of four outputs:
-//   Z(4r+o)   int64 sums of (row r, output o)              Z0..Z15
-//   Z16..Z19  the four activation rows of this step (reduction scratch after)
-//   Z20..Z23  the same rows, odd elements copied down
-//   Z24, Z25  int64 totals: rows 0,1 and rows 2,3, four outputs each
-//   Z26..Z31  MUL32's weight vectors and products
-//   SI DI R14 R15  activation rows 0..3      R9..R12  weight rows 0..3
-//   AX  byte offset into every row           DX  pitch in bytes
-//   CX  blocks still to do                   R8  acc for this group
-// groups counts down in its argument slot.
-TEXT ·tile4x32(SB), NOSPLIT, $0-56
-	MOVQ x+0(FP), SI
-	MOVQ w+8(FP), R9
-	MOVQ stride+16(FP), BX
-	MOVQ pitch+24(FP), DX
-	MOVQ acc+48(FP), R8
+// FROW(f, a, b, c, d) is one activation row's share of a step: its float64
+// at step AX, broadcast, times the four weight vectors, added into the row's
+// accumulators a..d.
+#define FROW(f, a, b, c, d) \
+	VBROADCASTSD (f)(AX*8), Z28; \
+	VFMADD231PD  Z24, Z28, a;    \
+	VFMADD231PD  Z25, Z28, b;    \
+	VFMADD231PD  Z26, Z28, c;    \
+	VFMADD231PD  Z27, Z28, d
 
-	LEAQ (SI)(BX*4), DI
-	LEAQ (DI)(BX*4), R14
-	LEAQ (R14)(BX*4), R15
-	SHLQ $2, DX
+// FLUSH(a, b, c, d) converts one row's four accumulators — exact integers —
+// to int64 and adds them into its 32 int64 sums at (DI).
+#define FLUSH(a, b, c, d) \
+	VCVTPD2QQ a, a;          \
+	VCVTPD2QQ b, b;          \
+	VCVTPD2QQ c, c;          \
+	VCVTPD2QQ d, d;          \
+	VPADDQ    (DI), a, a;    \
+	VPADDQ    64(DI), b, b;  \
+	VPADDQ    128(DI), c, c; \
+	VPADDQ    192(DI), d, d; \
+	VMOVDQU64 a, (DI);       \
+	VMOVDQU64 b, 64(DI);     \
+	VMOVDQU64 c, 128(DI);    \
+	VMOVDQU64 d, 192(DI)
+
+// func fma6x32(f *float64, w *int32, stride, steps, chunk, rows int, acc *int64)
+//
+// acc[r*stride + o] = sum_i f[r*stride + i] * w[i*32 + o]
+// for r in 0..rows (1 <= rows <= 6), o in 0..32, i in 0..steps.
+//
+// An outer product per input step: the panel's 32 weights are converted to
+// float64 once and every row's activation, broadcast, multiplies all of them
+// into that row's four accumulators. The accumulators are float64, so each
+// chunk of at most chunk steps — short enough that every partial sum is an
+// integer float64 holds exactly (fmaChunk) — is converted to int64 and added
+// into acc, which starts at zero. One loop per row count, so a ragged
+// remainder runs the same step with fewer rows.
+//
+// Register map:
+//   Z(4r)..Z(4r+3)  float64 sums of row r, outputs 0..31     Z0..Z23
+//   Z24..Z27        the step's 32 weights as float64
+//   Z28             the step's activation of one row, broadcast
+//   R8..R13  activation rows 0..5        BX  weight row of this step
+//   AX  step index                       CX  steps left in this chunk
+//   SI  steps left after this chunk      DX  row stride in bytes
+//   R14 rows                             R15 chunk
+//   DI  acc row
+TEXT ·fma6x32(SB), NOSPLIT, $0-56
+	MOVQ f+0(FP), R8
+	MOVQ w+8(FP), BX
+	MOVQ stride+16(FP), DX
+	MOVQ steps+24(FP), SI
+	MOVQ chunk+32(FP), R15
+	MOVQ rows+40(FP), R14
+
+	SHLQ $3, DX              // float64 and int64 rows alike
+	LEAQ (R8)(DX*1), R9
 	LEAQ (R9)(DX*1), R10
 	LEAQ (R10)(DX*1), R11
 	LEAQ (R11)(DX*1), R12
+	LEAQ (R12)(DX*1), R13
+	XORQ AX, AX
 
-group32:
-	MOVQ  blocks+40(FP), CX
-	XORQ  AX, AX
-	VPXOR X0, X0, X0
-	VPXOR X1, X1, X1
-	VPXOR X2, X2, X2
-	VPXOR X3, X3, X3
-	VPXOR X4, X4, X4
-	VPXOR X5, X5, X5
-	VPXOR X6, X6, X6
-	VPXOR X7, X7, X7
-	VPXOR X8, X8, X8
-	VPXOR X9, X9, X9
-	VPXOR X10, X10, X10
-	VPXOR X11, X11, X11
-	VPXOR X12, X12, X12
-	VPXOR X13, X13, X13
-	VPXOR X14, X14, X14
-	VPXOR X15, X15, X15
+	VPXORQ  Z0, Z0, Z0
+	MOVQ   acc+48(FP), DI
+	MOVQ   R14, CX
 
-loop32:
-	VMOVDQU64 (SI)(AX*1), Z16
-	VMOVDQU64 (DI)(AX*1), Z17
-	VMOVDQU64 (R14)(AX*1), Z18
-	VMOVDQU64 (R15)(AX*1), Z19
-	VMOVSHDUP (SI)(AX*1), Z20
-	VMOVSHDUP (DI)(AX*1), Z21
-	VMOVSHDUP (R14)(AX*1), Z22
-	VMOVSHDUP (R15)(AX*1), Z23
-	MUL32(R9, Z0, Z4, Z8, Z12)
-	MUL32(R10, Z1, Z5, Z9, Z13)
-	MUL32(R11, Z2, Z6, Z10, Z14)
-	MUL32(R12, Z3, Z7, Z11, Z15)
-	ADDQ $64, AX
+zero:
+	VMOVDQU64 Z0, (DI)
+	VMOVDQU64 Z0, 64(DI)
+	VMOVDQU64 Z0, 128(DI)
+	VMOVDQU64 Z0, 192(DI)
+	ADDQ      DX, DI
+	DECQ      CX
+	JNZ       zero
+
+chunk:
+	MOVQ    R15, CX          // this chunk: min(chunk, remaining) steps
+	CMPQ    SI, CX
+	CMOVQLT SI, CX
+	SUBQ    CX, SI
+	VPXOR   X0, X0, X0
+	VPXOR   X1, X1, X1
+	VPXOR   X2, X2, X2
+	VPXOR   X3, X3, X3
+	VPXOR   X4, X4, X4
+	VPXOR   X5, X5, X5
+	VPXOR   X6, X6, X6
+	VPXOR   X7, X7, X7
+	VPXOR   X8, X8, X8
+	VPXOR   X9, X9, X9
+	VPXOR   X10, X10, X10
+	VPXOR   X11, X11, X11
+	VPXOR   X12, X12, X12
+	VPXOR   X13, X13, X13
+	VPXOR   X14, X14, X14
+	VPXOR   X15, X15, X15
+	VPXORQ  Z16, Z16, Z16
+	VPXORQ  Z17, Z17, Z17
+	VPXORQ  Z18, Z18, Z18
+	VPXORQ  Z19, Z19, Z19
+	VPXORQ  Z20, Z20, Z20
+	VPXORQ  Z21, Z21, Z21
+	VPXORQ  Z22, Z22, Z22
+	VPXORQ  Z23, Z23, Z23
+	CMPQ    R14, $6
+	JEQ     loop6
+	CMPQ    R14, $5
+	JEQ     loop5
+	CMPQ    R14, $4
+	JEQ     loop4
+	CMPQ    R14, $3
+	JEQ     loop3
+	CMPQ    R14, $2
+	JEQ     loop2
+	JMP     loop1
+
+loop6:
+	W4
+	FROW(R8, Z0, Z1, Z2, Z3)
+	FROW(R9, Z4, Z5, Z6, Z7)
+	FROW(R10, Z8, Z9, Z10, Z11)
+	FROW(R11, Z12, Z13, Z14, Z15)
+	FROW(R12, Z16, Z17, Z18, Z19)
+	FROW(R13, Z20, Z21, Z22, Z23)
+	ADDQ $128, BX
+	INCQ AX
 	DECQ CX
-	JNZ  loop32
+	JNZ  loop6
+	JMP  flush
 
-	VPXORQ Z24, Z24, Z24
-	VPXORQ Z25, Z25, Z25
-	REDUCE4(Z0, Z1, Z2, Z3)
-	REDUCE4(Z4, Z5, Z6, Z7)
-	REDUCE4(Z8, Z9, Z10, Z11)
-	REDUCE4(Z12, Z13, Z14, Z15)
-	FOLD2(Z0, Z4, Z24)
-	FOLD2(Z8, Z12, Z25)
+loop5:
+	W4
+	FROW(R8, Z0, Z1, Z2, Z3)
+	FROW(R9, Z4, Z5, Z6, Z7)
+	FROW(R10, Z8, Z9, Z10, Z11)
+	FROW(R11, Z12, Z13, Z14, Z15)
+	FROW(R12, Z16, Z17, Z18, Z19)
+	ADDQ $128, BX
+	INCQ AX
+	DECQ CX
+	JNZ  loop5
+	JMP  flush
 
-	MOVQ          stride+16(FP), BX
-	SHLQ          $3, BX     // acc row stride in bytes
-	LEAQ          (R8)(BX*2), AX
-	VEXTRACTI64X4 $0, Z24, (R8)
-	VEXTRACTI64X4 $1, Z24, (R8)(BX*1)
-	VEXTRACTI64X4 $0, Z25, (AX)
-	VEXTRACTI64X4 $1, Z25, (AX)(BX*1)
+loop4:
+	W4
+	FROW(R8, Z0, Z1, Z2, Z3)
+	FROW(R9, Z4, Z5, Z6, Z7)
+	FROW(R10, Z8, Z9, Z10, Z11)
+	FROW(R11, Z12, Z13, Z14, Z15)
+	ADDQ $128, BX
+	INCQ AX
+	DECQ CX
+	JNZ  loop4
+	JMP  flush
 
-	LEAQ (R9)(DX*4), R9      // next four weight rows
-	LEAQ (R10)(DX*4), R10
-	LEAQ (R11)(DX*4), R11
-	LEAQ (R12)(DX*4), R12
-	ADDQ $32, R8
-	DECQ groups+32(FP)
-	JNZ  group32
+loop3:
+	W4
+	FROW(R8, Z0, Z1, Z2, Z3)
+	FROW(R9, Z4, Z5, Z6, Z7)
+	FROW(R10, Z8, Z9, Z10, Z11)
+	ADDQ $128, BX
+	INCQ AX
+	DECQ CX
+	JNZ  loop3
+	JMP  flush
+
+loop2:
+	W4
+	FROW(R8, Z0, Z1, Z2, Z3)
+	FROW(R9, Z4, Z5, Z6, Z7)
+	ADDQ $128, BX
+	INCQ AX
+	DECQ CX
+	JNZ  loop2
+	JMP  flush
+
+loop1:
+	W4
+	FROW(R8, Z0, Z1, Z2, Z3)
+	ADDQ $128, BX
+	INCQ AX
+	DECQ CX
+	JNZ  loop1
+
+flush:
+	MOVQ acc+48(FP), DI
+	FLUSH(Z0, Z1, Z2, Z3)
+	CMPQ R14, $2
+	JLT  next
+	ADDQ DX, DI
+	FLUSH(Z4, Z5, Z6, Z7)
+	CMPQ R14, $3
+	JLT  next
+	ADDQ DX, DI
+	FLUSH(Z8, Z9, Z10, Z11)
+	CMPQ R14, $4
+	JLT  next
+	ADDQ DX, DI
+	FLUSH(Z12, Z13, Z14, Z15)
+	CMPQ R14, $5
+	JLT  next
+	ADDQ DX, DI
+	FLUSH(Z16, Z17, Z18, Z19)
+	CMPQ R14, $6
+	JLT  next
+	ADDQ DX, DI
+	FLUSH(Z20, Z21, Z22, Z23)
+
+next:
+	TESTQ SI, SI
+	JNZ   chunk
 
 	VZEROUPPER
 	RET
@@ -597,5 +699,127 @@ tail:
 	UNIT8
 	VMOVUPS      Y0, K1, (DI)
 done:
+	VZEROUPPER
+	RET
+
+// The peak loops are the compute ceilings of the GEMM kernels' inner steps,
+// measured on the host: register-only, no loads, enough independent chains
+// to cover each instruction's latency on two 512-bit ports. Each runs n
+// iterations; the MACs an iteration does are in peak_amd64.go.
+
+// func peakVPMULDQ(n int)
+//
+// Eight VPMULDQ+VPADDQ pairs an iteration (8 MACs each: a 32x32->64 product
+// and an int64 add per lane), the retired 32-bit tile's step.
+TEXT ·peakVPMULDQ(SB), NOSPLIT, $0-8
+	MOVQ  n+0(FP), CX
+	VPXORQ Z30, Z30, Z30
+	VPXORQ Z31, Z31, Z31
+	VPXOR X0, X0, X0
+	VPXOR X1, X1, X1
+	VPXOR X2, X2, X2
+	VPXOR X3, X3, X3
+	VPXOR X4, X4, X4
+	VPXOR X5, X5, X5
+	VPXOR X6, X6, X6
+	VPXOR X7, X7, X7
+
+peakmul:
+	VPMULDQ Z30, Z31, Z16
+	VPADDQ  Z16, Z0, Z0
+	VPMULDQ Z30, Z31, Z17
+	VPADDQ  Z17, Z1, Z1
+	VPMULDQ Z30, Z31, Z18
+	VPADDQ  Z18, Z2, Z2
+	VPMULDQ Z30, Z31, Z19
+	VPADDQ  Z19, Z3, Z3
+	VPMULDQ Z30, Z31, Z20
+	VPADDQ  Z20, Z4, Z4
+	VPMULDQ Z30, Z31, Z21
+	VPADDQ  Z21, Z5, Z5
+	VPMULDQ Z30, Z31, Z22
+	VPADDQ  Z22, Z6, Z6
+	VPMULDQ Z30, Z31, Z23
+	VPADDQ  Z23, Z7, Z7
+	DECQ CX
+	JNZ  peakmul
+	VZEROUPPER
+	RET
+
+// func peakFMA(n int)
+//
+// Twelve independent VFMADD231PD an iteration (8 MACs each), the 32-bit
+// FMA kernel's step.
+TEXT ·peakFMA(SB), NOSPLIT, $0-8
+	MOVQ  n+0(FP), CX
+	VPXORQ Z30, Z30, Z30
+	VPXORQ Z31, Z31, Z31
+	VPXOR X0, X0, X0
+	VPXOR X1, X1, X1
+	VPXOR X2, X2, X2
+	VPXOR X3, X3, X3
+	VPXOR X4, X4, X4
+	VPXOR X5, X5, X5
+	VPXOR X6, X6, X6
+	VPXOR X7, X7, X7
+	VPXOR X8, X8, X8
+	VPXOR X9, X9, X9
+	VPXOR X10, X10, X10
+	VPXOR X11, X11, X11
+
+peakfma:
+	VFMADD231PD Z30, Z31, Z0
+	VFMADD231PD Z30, Z31, Z1
+	VFMADD231PD Z30, Z31, Z2
+	VFMADD231PD Z30, Z31, Z3
+	VFMADD231PD Z30, Z31, Z4
+	VFMADD231PD Z30, Z31, Z5
+	VFMADD231PD Z30, Z31, Z6
+	VFMADD231PD Z30, Z31, Z7
+	VFMADD231PD Z30, Z31, Z8
+	VFMADD231PD Z30, Z31, Z9
+	VFMADD231PD Z30, Z31, Z10
+	VFMADD231PD Z30, Z31, Z11
+	DECQ CX
+	JNZ  peakfma
+	VZEROUPPER
+	RET
+
+// func peakVPDPWSSD(n int)
+//
+// Twelve independent VPDPWSSD an iteration (32 MACs each: sixteen int32
+// lanes, two int16 products per lane), the 16-bit VNNI tile's step.
+TEXT ·peakVPDPWSSD(SB), NOSPLIT, $0-8
+	MOVQ  n+0(FP), CX
+	VPXORQ Z30, Z30, Z30
+	VPXORQ Z31, Z31, Z31
+	VPXOR X0, X0, X0
+	VPXOR X1, X1, X1
+	VPXOR X2, X2, X2
+	VPXOR X3, X3, X3
+	VPXOR X4, X4, X4
+	VPXOR X5, X5, X5
+	VPXOR X6, X6, X6
+	VPXOR X7, X7, X7
+	VPXOR X8, X8, X8
+	VPXOR X9, X9, X9
+	VPXOR X10, X10, X10
+	VPXOR X11, X11, X11
+
+peakvnni:
+	VPDPWSSD Z30, Z31, Z0
+	VPDPWSSD Z30, Z31, Z1
+	VPDPWSSD Z30, Z31, Z2
+	VPDPWSSD Z30, Z31, Z3
+	VPDPWSSD Z30, Z31, Z4
+	VPDPWSSD Z30, Z31, Z5
+	VPDPWSSD Z30, Z31, Z6
+	VPDPWSSD Z30, Z31, Z7
+	VPDPWSSD Z30, Z31, Z8
+	VPDPWSSD Z30, Z31, Z9
+	VPDPWSSD Z30, Z31, Z10
+	VPDPWSSD Z30, Z31, Z11
+	DECQ CX
+	JNZ  peakvnni
 	VZEROUPPER
 	RET

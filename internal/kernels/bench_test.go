@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -22,13 +23,20 @@ func benchGemm[T Elem](b *testing.B, k gemmKernel[T]) {
 		{512, 256},  // layer 3
 	} {
 		rng := rand.New(rand.NewSource(1))
-		// Small raws, as calibrated: |w| < 64 keeps the 16-bit kernels on
-		// their one-widening cadence, like every layer of the real models.
-		w := Pack(s.in, s.out, func(i, j int) T { return T(rng.Intn(128) - 64) })
+		// Raws at the production models' magnitudes: a layer's weights are
+		// uniform in ±1/sqrt(in). At 16 bits |w| < 64 keeps the 16-bit
+		// kernels on their one-widening cadence, as on every real layer; at
+		// 32 bits the FMA kernels get the chunk length the real layers get.
+		maxAbs := 64
+		if k.name == "int32" {
+			maxAbs = int(fixedpoint.Fixed32.Scale() / math.Sqrt(float64(s.in)))
+		}
+		w := Pack(s.in, s.out, func(i, j int) T { return T(rng.Intn(2*maxAbs) - maxAbs) })
 		stride := max(w.InP, w.OutP)
 		for _, batch := range []int{1, 6, 64} {
 			X := make([]T, batch*stride)
 			Acc := make([]int64, batch*stride)
+			F := make([]float64, batch*stride)
 			for i := range X {
 				X[i] = T(rng.Intn(1<<14) - 1<<13)
 			}
@@ -39,7 +47,7 @@ func benchGemm[T Elem](b *testing.B, k gemmKernel[T]) {
 						b.Skipf("host lacks %s", impl.Missing)
 					}
 					for n := 0; n < b.N; n++ {
-						impl.Fn(X, Acc, batch, stride, &w)
+						impl.Fn(X, Acc, batch, stride, &w, F)
 					}
 					b.ReportMetric(macs*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MACs/ns")
 				})

@@ -6,19 +6,25 @@ import "microrec/internal/fixedpoint"
 
 func init() {
 	cpu := cpuFeatures()
-	var noAVX2, noAVX512 string
+	var noAVX2, noFMA, noAVX512, noAVX512DQ string
 	if !cpu.avx2 {
 		noAVX2 = "AVX2 with OS-enabled ymm state"
 	}
+	if !cpu.avx2 || !cpu.fma {
+		noFMA = "AVX2+FMA3 with OS-enabled ymm state"
+	}
 	if !cpu.avx512vnni {
 		noAVX512 = "AVX512F+BW+VL+VNNI with OS-enabled opmask and zmm state"
+	}
+	if !cpu.avx512dq {
+		noAVX512DQ = "AVX512F+BW+VL+VNNI+DQ with OS-enabled opmask and zmm state"
 	}
 	Gemm16Impls = append(Gemm16Impls,
 		Impl[GemmFunc[int16]]{"avx2-vpmaddwd16", gemm16AVX2, noAVX2},
 		Impl[GemmFunc[int16]]{"avx512-vnni16", gemm16VNNI, noAVX512})
 	Gemm32Impls = append(Gemm32Impls,
-		Impl[GemmFunc[int32]]{"avx2-vpmuldq32", gemm32AVX2, noAVX2},
-		Impl[GemmFunc[int32]]{"avx512-vpmuldq32", gemm32AVX512, noAVX512})
+		Impl[GemmFunc[int32]]{"avx2-fma32", gemm32AVX2, noFMA},
+		Impl[GemmFunc[int32]]{"avx512-fma32", gemm32AVX512, noAVX512DQ})
 	Finish16Impls = append(Finish16Impls,
 		Impl[FinishFunc[int16]]{"avx512-epilogue", finishRow16AVX512, noAVX512})
 	Finish32Impls = append(Finish32Impls,
@@ -55,11 +61,15 @@ type cpuFeatureSet struct {
 	// context switches (OSXSAVE set, XCR0 enabling both SSE and AVX state) —
 	// the standard dance before touching 256-bit registers.
 	avx2 bool
+	// fma: the CPU supports FMA3 (the float64 fused multiply-add; it uses
+	// the same ymm state as AVX2).
+	fma bool
 	// avx512vnni: additionally AVX512F, BW, VL and VNNI, with the opmask and
 	// both halves of the ZMM state (ZMM0-15 upper halves, ZMM16-31) enabled
 	// in XCR0 — the same dance for 512-bit registers.
 	avx512vnni bool
-	// avx512dq: additionally AVX512DQ (the int64 → float64 conversion).
+	// avx512dq: additionally AVX512DQ (the conversions between int64 and
+	// float64).
 	avx512dq bool
 }
 
@@ -69,7 +79,7 @@ func cpuFeatures() (f cpuFeatureSet) {
 		return f
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
-	const osxsaveBit, avxBit = 1 << 27, 1 << 28
+	const fmaBit, osxsaveBit, avxBit = 1 << 12, 1 << 27, 1 << 28
 	if ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
 		return f
 	}
@@ -86,6 +96,7 @@ func cpuFeatures() (f cpuFeatureSet) {
 		zmmStateSet = 0xE6 // XMM, YMM, opmask, ZMM_Hi256, Hi16_ZMM
 	)
 	f.avx2 = ebx7&avx2Bit != 0
+	f.fma = ecx1&fmaBit != 0
 	f.avx512vnni = f.avx2 && xcr0&zmmStateSet == zmmStateSet &&
 		ebx7&avx512Bits == avx512Bits && ecx7&vnniBit != 0
 	f.avx512dq = f.avx512vnni && ebx7&dqBit != 0
@@ -103,17 +114,6 @@ func cpuFeatures() (f cpuFeatureSet) {
 //
 //go:noescape
 func dot4x16(x, w *int16, pitch, blocks, cadence int, acc *int64)
-
-// dot4x32 is the 32-bit inner kernel (kernels_amd64.s): the same four dot
-// products over int32 rows. VPMULDQ gives the exact signed 32x32->64 product
-// of the even elements of eight; the odd elements come from a second,
-// odd-to-even-duplicating load (VMOVSHDUP) of the same addresses. Eight
-// int64 accumulator vectors — even and odd per row — are reduced at the end;
-// int64 lane sums commute exactly, so the reduction is bit-identical to the
-// scalar ascending-i sum even under wraparound.
-//
-//go:noescape
-func dot4x32(x, w *int32, pitch, blocks int, acc *int64)
 
 // tile4x16 is the AVX-512 VNNI 16-bit tile kernel (avx512_amd64.s): for the
 // four activation rows starting at x (stride elements apart) and the
@@ -141,16 +141,33 @@ func tile4x16(x, w *int16, stride, pitch, groups, blocks, cadence int, acc *int6
 //go:noescape
 func row4x16(x, w *int16, pitch, groups, blocks, cadence int, acc *int64)
 
-// tile4x32 is the AVX-512 32-bit tile kernel (avx512_amd64.s): tile4x16's
-// contract over int32 rows, blocks*16 elements long, with no cadence. Per
-// group, sixteen zmm registers each hold one (row, output) pair's eight int64
-// sums; a step of two loads per activation row and two per weight row (plain
-// and VMOVSHDUP, as in dot4x32) feeds 32 VPMULDQ, 256 exact products. Even
-// and odd products share an accumulator: int64 lane sums commute exactly even
-// under wraparound.
+// fma6x32 is the AVX-512 32-bit kernel (avx512_amd64.s): for the rows
+// (1..6) float64 activation rows starting at f and the weight panel at w
+// (steps rows of panelWidth int32, one per input), all rows*panelWidth
+// sums over steps inputs, written to acc[r*stride+o] for row r and output o.
+// Per step the panel row is converted to four zmm of float64 and each
+// activation row's value, broadcast, feeds four VFMADD231PD into that row's
+// accumulators; every chunk steps (1 <= chunk) and at the end the float64
+// sums are converted to int64 and added into acc. The caller guarantees the
+// chunk keeps every partial sum an integer of magnitude at most 2^53.
 //
 //go:noescape
-func tile4x32(x, w *int32, stride, pitch, groups, blocks int, acc *int64)
+func fma6x32(f *float64, w *int32, stride, steps, chunk, rows int, acc *int64)
+
+// fma6x8 is fma6x32 on AVX2+FMA3 (kernels_amd64.s), over eight consecutive
+// outputs of a panel (w points at the first; a step is still panelWidth
+// int32 long) and with ymm accumulators, written to acc[r*stride+o] for o <
+// 8. Its float64 -> int64 conversion is exact only within ±2^51, so the
+// caller's chunk must keep every partial sum inside that.
+//
+//go:noescape
+func fma6x8(f *float64, w *int32, stride, steps, chunk, rows int, acc *int64)
+
+// toFloat64 converts rows rows of n int32 (n a multiple of 8) at x into
+// float64 at f, both planes stride elements a row (kernels_amd64.s).
+//
+//go:noescape
+func toFloat64(x *int32, f *float64, rows, stride, n int)
 
 // finish8x16 and finish8x32 are the AVX-512 row epilogue (avx512_amd64.s):
 // fixedpoint.FinishRow's arithmetic, eight int64 lanes per step, over n
@@ -179,9 +196,9 @@ func finish8x32(acc, bias *int64, dst *int32, n int, shift uint64, half, hi, lo,
 // four outputs handed to the VPMADDWD kernel over the whole padded row.
 //
 //microrec:noalloc
-func gemm16AVX2(X []int16, Acc []int64, b, stride int, w *Weights[int16]) {
+func gemm16AVX2(X []int16, Acc []int64, b, stride int, w *Weights[int16], F []float64) {
 	if w.madd == 0 {
-		GemmRef(X, Acc, b, stride, w)
+		GemmRef(X, Acc, b, stride, w, F)
 		return
 	}
 	if b == 0 {
@@ -209,9 +226,9 @@ func gemm16AVX2(X []int16, Acc []int64, b, stride int, w *Weights[int16]) {
 // reuse and nothing else.
 //
 //microrec:noalloc
-func gemm16VNNI(X []int16, Acc []int64, b, stride int, w *Weights[int16]) {
+func gemm16VNNI(X []int16, Acc []int64, b, stride int, w *Weights[int16], F []float64) {
 	if w.madd == 0 {
-		GemmRef(X, Acc, b, stride, w)
+		GemmRef(X, Acc, b, stride, w, F)
 		return
 	}
 	if b == 0 {
@@ -233,48 +250,58 @@ func gemm16VNNI(X []int16, Acc []int64, b, stride int, w *Weights[int16]) {
 	}
 }
 
-// gemm32AVX2 is the 32-bit batch GEMM: gemm16AVX2's walk over the VPMULDQ
-// kernel. int64 accumulation needs no cadence.
+// fmaRows is the most activation rows one 32-bit FMA kernel call takes.
+const fmaRows = 6
+
+// gemm32AVX512 is the 32-bit batch GEMM on AVX-512: the activation rows are
+// converted to float64 once, into F, then each weight panel — cache-resident
+// while the whole batch reuses it — is run against six rows at a time
+// through the FMA kernel, the b mod 6 remainder through the same kernel with
+// fewer rows.
 //
 //microrec:noalloc
-func gemm32AVX2(X []int32, Acc []int64, b, stride int, w *Weights[int32]) {
+func gemm32AVX512(X []int32, Acc []int64, b, stride int, w *Weights[int32], F []float64) {
+	if w.fma == 0 {
+		GemmRef(X, Acc, b, stride, w, F)
+		return
+	}
 	if b == 0 {
 		return
 	}
-	_, _ = X[(b-1)*stride+w.InP-1], Acc[(b-1)*stride+w.OutP-1]
-	blocks := w.InP / 8
-	for j0 := 0; j0 < w.OutP; j0 += gemmColBlock {
-		j1 := min(j0+gemmColBlock, w.OutP)
-		for qi := 0; qi < b; qi++ {
-			x := &X[qi*stride]
-			for j := j0; j < j1; j += outGroup {
-				dot4x32(x, &w.WT[j*w.InP], w.InP, blocks, &Acc[qi*stride+j])
-			}
+	// The assembly is unchecked: prove the last row it touches is in range.
+	_, _, _ = X[(b-1)*stride+w.InP-1], F[(b-1)*stride+w.InP-1], Acc[(b-1)*stride+w.OutP-1]
+	toFloat64(&X[0], &F[0], b, stride, w.InP)
+	for j := 0; j < w.OutP; j += panelWidth {
+		panel := &w.WT[w.at(0, j)]
+		for qi := 0; qi < b; qi += fmaRows {
+			fma6x32(&F[qi*stride], panel, stride, w.InP, w.fma, min(fmaRows, b-qi), &Acc[qi*stride+j])
 		}
 	}
 }
 
-// gemm32AVX512 is the 32-bit batch GEMM on AVX-512: gemm16VNNI's walk, four
-// query rows at a time through the VPMULDQ register tile, and the b mod 4
-// remainder rows one at a time through the AVX2 kernel.
+// gemm32AVX2 is gemm32AVX512's walk on AVX2+FMA3, each panel a quarter at a
+// time (sixteen ymm registers hold six rows of eight outputs), in chunks of
+// a quarter of the layer's chunk length: the AVX2 conversion back to int64
+// is exact only within ±2^51, a quarter of the 2^53 the chunk length is
+// derived for. A layer whose chunk length is below four takes the
+// reference.
 //
 //microrec:noalloc
-func gemm32AVX512(X []int32, Acc []int64, b, stride int, w *Weights[int32]) {
+func gemm32AVX2(X []int32, Acc []int64, b, stride int, w *Weights[int32], F []float64) {
+	chunk := w.fma / 4
+	if chunk == 0 {
+		GemmRef(X, Acc, b, stride, w, F)
+		return
+	}
 	if b == 0 {
 		return
 	}
-	_, _ = X[(b-1)*stride+w.InP-1], Acc[(b-1)*stride+w.OutP-1]
-	for j0 := 0; j0 < w.OutP; j0 += gemmColBlock {
-		j1 := min(j0+gemmColBlock, w.OutP)
-		qi := 0
-		for ; qi+4 <= b; qi += 4 {
-			tile4x32(&X[qi*stride], &w.WT[j0*w.InP], stride, w.InP, (j1-j0)/outGroup, w.InP/16, &Acc[qi*stride+j0])
-		}
-		for ; qi < b; qi++ {
-			x := &X[qi*stride]
-			for j := j0; j < j1; j += outGroup {
-				dot4x32(x, &w.WT[j*w.InP], w.InP, w.InP/8, &Acc[qi*stride+j])
-			}
+	_, _, _ = X[(b-1)*stride+w.InP-1], F[(b-1)*stride+w.InP-1], Acc[(b-1)*stride+w.OutP-1]
+	toFloat64(&X[0], &F[0], b, stride, w.InP)
+	for j := 0; j < w.OutP; j += 8 {
+		quarter := &w.WT[w.at(0, j)]
+		for qi := 0; qi < b; qi += fmaRows {
+			fma6x8(&F[qi*stride], quarter, stride, w.InP, chunk, min(fmaRows, b-qi), &Acc[qi*stride+j])
 		}
 	}
 }

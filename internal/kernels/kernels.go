@@ -10,9 +10,10 @@
 // paper evaluates its 16- and 32-bit datapaths as different hardware; so does
 // this package: the 16-bit GEMM multiplies int16 pairs into int32 partial
 // sums (VPDPWSSD, 32 MACs per instruction, or VPMADDWD, 16), the 32-bit GEMM
-// multiplies int32 lanes into int64 (VPMULDQ, 8 per zmm instruction, 4 per
-// ymm), and a 16-bit model streams a quarter of the bytes a
-// one-size-fits-all int64 layout would.
+// converts both operands to float64 and runs on the FMA pipe (VFMADD231PD, 8
+// MACs per zmm instruction, 4 per ymm) in chunks short enough that every
+// partial sum is an exact integer, and a 16-bit model streams a quarter of
+// the bytes a one-size-fits-all int64 layout would.
 //
 // The paper's thesis is that recommendation inference is bounded by data
 // movement, not FLOPs, so the inner loops must be shaped for the hardware:
@@ -22,14 +23,15 @@
 //
 // Bit-identity is the contract, not an aspiration: every optimized kernel
 // must produce the exact int64 accumulators of the portable reference
-// (property tests run both side by side). For the 32-bit GEMM this holds
-// because int64 addition is associative and commutative even under
-// wraparound, so lane reassociation cannot change the sum. For the 16-bit
-// GEMM it holds because the int32 partial sums are widened into int64 lanes
-// before they can overflow — the cadence is derived from the layer's largest
-// weight when the layer is packed (Weights.madd) — so every partial sum is
-// exact and the same associativity argument applies. For the quantize it
-// holds because scaling by a power of two is exact in float64 and the bias
+// (property tests run both side by side). It holds because int64 addition
+// is associative and commutative even under wraparound, so any regrouping of
+// exact partial sums gives the reference's sum. For the 16-bit GEMM the int32
+// partial sums are widened into int64 lanes before they can overflow — the
+// cadence is derived from the layer's largest weight when the layer is packed
+// (Weights.madd). For the 32-bit GEMM the float64 partial sums are converted
+// to int64 before they can leave the range where float64 holds every integer
+// — the chunk length is derived the same way (Weights.fma). For the quantize
+// it holds because scaling by a power of two is exact in float64 and the bias
 // trick reproduces round-half-to-even exactly inside the format's range.
 //
 // Building with the `noasm` tag forces the reference path everywhere (a CI
@@ -41,6 +43,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"microrec/internal/fixedpoint"
 )
@@ -61,45 +64,74 @@ const Lane = 32
 // cadence (counted in steps) serves both.
 const maddStep = 16
 
-// outGroup is the number of outputs one inner-kernel call produces; a
-// layer's stored output count is padded to it with all-zero weight rows.
+// outGroup is the number of outputs one 16-bit inner-kernel call produces; a
+// 16-bit layer's stored output count is padded to it with all-zero weight
+// rows.
 const outGroup = 4
+
+// panelWidth is the output count of one stored 32-bit weight panel: one row
+// of 32 int32, which the FMA kernels convert into four vectors of eight
+// float64 (one zmm each). A 32-bit layer's stored output count is padded to
+// it with all-zero weights.
+const panelWidth = 32
 
 // RoundUp rounds n up to a multiple of Lane.
 func RoundUp(n int) int { return (n + Lane - 1) &^ (Lane - 1) }
 
-// Weights is one FC layer laid out for the GEMM kernels: transposed (one
-// contiguous row per output, so every weight access is sequential), at the
-// format's width, and zero-padded to InP x OutP. A zero weight annihilates
-// whatever stale value sits in an activation row's padding lanes, so the
-// kernels run whole vectors over the padded shape and the result is the sum
-// over the logical shape.
+// Weights is one FC layer laid out for the GEMM kernels, at the format's
+// width and zero-padded to InP x OutP, in panels of P consecutive outputs:
+// weight (i, j) — input i to output j — is
+//
+//	WT[(j/P)*InP*P + i*P + j%P]
+//
+// so a panel is InP rows of P weights, one row per input. A 16-bit layer has
+// P = 1, which is the transposed layout (one contiguous row per output, so
+// the dot-product kernels read every weight sequentially); a 32-bit layer
+// has P = panelWidth, so the outer-product kernels read one panel row per
+// input step. A zero weight annihilates whatever stale value sits in an
+// activation row's padding lanes, so the kernels run whole vectors over the
+// padded shape and the result is the sum over the logical shape.
 type Weights[T Elem] struct {
 	In, Out   int // logical shape
-	InP, OutP int // stored shape: In rounded up to Lane, Out to outGroup
-	WT        []T // OutP x InP row-major
+	InP, OutP int // stored shape: In rounded up to Lane, Out to max(outGroup, P)
+	WT        []T
+	panel     int // P, the outputs per panel: 1 at 16 bits, panelWidth at 32
 	// madd is the 16-bit kernels' widening cadence: how many multiply-add
 	// steps (VPMADDWD+VPADDD, or VPDPWSSD) one int32 lane may absorb before
 	// it must be sign-extended into int64 (see maddCadence). Zero sends the
 	// layer through the reference kernel.
 	madd int
+	// fma is the 32-bit kernels' chunk length L: how many input steps one
+	// float64 accumulator may absorb before it must be converted into int64
+	// (see fmaChunk). Zero sends the layer through the reference kernel.
+	fma int
 }
+
+// at is the index in WT of the weight from input i to output j.
+func (w *Weights[T]) at(i, j int) int {
+	return (j/w.panel)*w.InP*w.panel + i*w.panel + j%w.panel
+}
+
+// col returns WT from output j's first weight on: input i's is
+// col(j)[i*w.panel].
+func (w *Weights[T]) col(j int) []T { return w.WT[w.at(0, j):] }
 
 // Pack lays out one layer. at(i, j) is the raw weight from input i to
 // output j.
 func Pack[T Elem](in, out int, at func(i, j int) T) Weights[T] {
-	w := Weights[T]{
-		In: in, Out: out,
-		InP:  RoundUp(in),
-		OutP: (out + outGroup - 1) &^ (outGroup - 1),
+	w := Weights[T]{In: in, Out: out, InP: RoundUp(in), panel: 1}
+	if unsafe.Sizeof(T(0)) == 4 {
+		w.panel = panelWidth
 	}
+	group := max(outGroup, w.panel)
+	w.OutP = (out + group - 1) / group * group
 	w.WT = make([]T, w.OutP*w.InP)
 	var maxAbs int64
 	for j := 0; j < out; j++ {
-		row := w.WT[j*w.InP : j*w.InP+in]
-		for i := range row {
+		col := w.col(j)
+		for i := 0; i < in; i++ {
 			v := at(i, j)
-			row[i] = v
+			col[i*w.panel] = v
 			if a := int64(v); a > maxAbs {
 				maxAbs = a
 			} else if -a > maxAbs {
@@ -107,7 +139,11 @@ func Pack[T Elem](in, out int, at func(i, j int) T) Weights[T] {
 			}
 		}
 	}
-	w.madd = maddCadence(maxAbs, w.InP/maddStep)
+	if w.panel == 1 {
+		w.madd = maddCadence(maxAbs, w.InP/maddStep)
+	} else {
+		w.fma = fmaChunk(maxAbs, w.InP)
+	}
 	return w
 }
 
@@ -135,24 +171,44 @@ func maddCadence(maxAbs int64, blocks int) int {
 	return int(k)
 }
 
+// fmaChunk returns how many consecutive input steps a float64 accumulator
+// can absorb exactly for a 32-bit layer whose largest weight magnitude is
+// maxAbs, capped at steps (the stored input length).
+//
+// One step adds x*w to an accumulator with |x| <= 2^31 (any int32, including
+// stale padding) and |w| <= maxAbs, so after L steps every partial sum is an
+// integer of magnitude at most L*2^31*maxAbs. float64 holds every integer up
+// to 2^53, and a fused multiply-add rounds only its exact result, so the
+// whole chunk is exact while L <= 2^22 / maxAbs. A weight above 2^22 in
+// magnitude gives L = 0, and the layer takes the reference kernel instead.
+func fmaChunk(maxAbs int64, steps int) int {
+	if maxAbs == 0 {
+		return steps
+	}
+	return int(min(1<<22/maxAbs, int64(steps)))
+}
+
 // GemmRef is the portable reference GEMM and the semantic definition of the
 // operation: for every query row q < b and output j < w.Out,
 //
-//	Acc[q*stride+j] = sum over i < w.In of X[q*stride+i] * w.WT[j*w.InP+i]
+//	Acc[q*stride+j] = sum over i < w.In of X[q*stride+i] * weight(i, j)
 //
-// accumulated exactly in int64 (wrapping addition, which stays associative).
-// X and Acc are flat with a shared row stride >= max(w.InP, w.OutP), so the
-// same buffers serve every layer. It reads only the logical shape; the
-// optimized kernels read the padded one and must agree because the padding
-// weights are zero. Columns w.Out..w.OutP of Acc are unspecified.
+// accumulated exactly in int64 (wrapping addition, which stays associative),
+// with weight(i, j) = w.WT[w.at(i, j)]. X and Acc are flat with a shared row
+// stride >= max(w.InP, w.OutP), so the same buffers serve every layer. It
+// reads only the logical shape; the optimized kernels read the padded one and
+// must agree because the padding weights are zero. Columns w.Out..w.OutP of
+// Acc are unspecified. F is scratch for the kernels that read activations as
+// float64 (the 32-bit ones): at least (b-1)*stride + w.InP elements when T is
+// int32. GemmRef does not touch it.
 //
-// The loop nest is column-blocked so each cache-resident group of weight
-// rows is reused by all b queries, and register-blocked (4 queries x 2
-// outputs) to amortize weight loads.
+// The loop nest is column-blocked so each cache-resident group of weights is
+// reused by all b queries, and register-blocked (4 queries x 2 outputs) to
+// amortize weight loads.
 //
 //microrec:noalloc
-func GemmRef[T Elem](X []T, Acc []int64, b, stride int, w *Weights[T]) {
-	in, out, pitch, WT := w.In, w.Out, w.InP, w.WT
+func GemmRef[T Elem](X []T, Acc []int64, b, stride int, w *Weights[T], F []float64) {
+	in, out, p := w.In, w.Out, w.panel
 	for j0 := 0; j0 < out; j0 += gemmColBlock {
 		j1 := j0 + gemmColBlock
 		if j1 > out {
@@ -171,11 +227,10 @@ func GemmRef[T Elem](X []T, Acc []int64, b, stride int, w *Weights[T]) {
 			j := j0
 			for ; j+2 <= j1; j += 2 {
 				var a00, a01, a10, a11, a20, a21, a30, a31 int64
-				w0 := WT[j*pitch : j*pitch+in]
-				w1 := WT[(j+1)*pitch : (j+1)*pitch+in]
+				w0, w1 := w.col(j), w.col(j+1)
 				for i := 0; i < in; i++ {
-					wa := int64(w0[i])
-					wb := int64(w1[i])
+					wa := int64(w0[i*p])
+					wb := int64(w1[i*p])
 					v0, v1, v2, v3 := int64(x0[i]), int64(x1[i]), int64(x2[i]), int64(x3[i])
 					a00 += v0 * wa
 					a01 += v0 * wb
@@ -193,9 +248,9 @@ func GemmRef[T Elem](X []T, Acc []int64, b, stride int, w *Weights[T]) {
 			}
 			for ; j < j1; j++ {
 				var a0, a1, a2, a3 int64
-				w0 := WT[j*pitch : j*pitch+in]
+				w0 := w.col(j)
 				for i := 0; i < in; i++ {
-					wa := int64(w0[i])
+					wa := int64(w0[i*p])
 					a0 += int64(x0[i]) * wa
 					a1 += int64(x1[i]) * wa
 					a2 += int64(x2[i]) * wa
@@ -209,9 +264,9 @@ func GemmRef[T Elem](X []T, Acc []int64, b, stride int, w *Weights[T]) {
 			yr := Acc[qi*stride : qi*stride+out]
 			for j := j0; j < j1; j++ {
 				var acc int64
-				w0 := WT[j*pitch : j*pitch+in]
+				w0 := w.col(j)
 				for i := 0; i < in; i++ {
-					acc += int64(xr[i]) * int64(w0[i])
+					acc += int64(xr[i]) * int64(w0[i*p])
 				}
 				yr[j] = acc
 			}
@@ -220,13 +275,13 @@ func GemmRef[T Elem](X []T, Acc []int64, b, stride int, w *Weights[T]) {
 }
 
 // gemmColBlock is the number of output columns processed per weight pass; a
-// block of 16 contiguous transposed weight rows stays cache-resident while
-// every query in the batch reuses it. Shared by the reference and the
-// optimized wrappers so both walk memory in the same order.
+// block of 16 outputs' weights stays cache-resident while every query in the
+// batch reuses it. Shared by the reference and the 16-bit wrappers so both
+// walk memory in the same order.
 const gemmColBlock = 16
 
 // GemmFunc is the batch GEMM contract GemmRef defines, at one element width.
-type GemmFunc[T Elem] func(X []T, Acc []int64, b, stride int, w *Weights[T])
+type GemmFunc[T Elem] func(X []T, Acc []int64, b, stride int, w *Weights[T], F []float64)
 
 // FinishFunc is the row epilogue contract fixedpoint.FinishRow defines, at
 // one element width.
@@ -291,10 +346,10 @@ func dispatch[F any](impls []Impl[F]) F {
 var featureTags []string
 
 // Features reports which kernel paths are live, e.g.
-// "avx512-vnni16+avx512-vpmuldq32+avx512-epilogue+avx512-quantize+avx512dq-unit+prefetch-t0+batched-quantize"
+// "avx512-vnni16+avx512-fma32+avx512-epilogue+avx512-quantize+avx512dq-unit+prefetch-t0+batched-quantize"
 // on a host with AVX-512 VNNI and DQ,
-// "avx2-vpmaddwd16+avx2-vpmuldq32+prefetch-t0+batched-quantize" on one with
-// AVX2 only, or "portable" when every kernel is the reference (the noasm
+// "avx2-vpmaddwd16+avx2-fma32+prefetch-t0+batched-quantize" on one with AVX2
+// and FMA3 only, or "portable" when every kernel is the reference (the noasm
 // build, or a host without the required ISA). Every recorded measurement
 // carries this string, so numbers name the path that produced them.
 func Features() string {

@@ -85,74 +85,236 @@ loop16:
 	VZEROUPPER
 	RET
 
-// func dot4x32(x, w *int32, pitch, blocks int, acc *int64)
-//
-// acc[r] = sum_i x[i] * w[r*pitch + i] for r in 0..3, i in 0..8*blocks.
-// VPMULDQ multiplies the low dword of each qword lane, i.e. elements
-// 0,2,4,6 of a plain load; VMOVSHDUP loads the same eight elements with the
-// odd ones copied down into those positions. Y0..Y7 are the even/odd int64
-// accumulators of rows 0..3.
-TEXT ·dot4x32(SB), NOSPLIT, $0-40
-	MOVQ x+0(FP), SI
-	MOVQ w+8(FP), R9
-	MOVQ pitch+16(FP), DX
-	SHLQ $2, DX              // pitch in bytes
-	MOVQ blocks+24(FP), CX
-	MOVQ acc+32(FP), R8
+// W2 converts one input step of a quarter weight panel — 8 int32 at (BX),
+// one per output — into two vectors of four float64, Y12 and Y13.
+#define W2 \
+	VCVTDQ2PD (BX), Y12; \
+	VCVTDQ2PD 16(BX), Y13
 
+// FROW2(f, a, b) is one activation row's share of a step: its float64 at
+// step AX, broadcast, times the two weight vectors, added into a and b.
+#define FROW2(f, a, b) \
+	VBROADCASTSD (f)(AX*8), Y14; \
+	VFMADD231PD  Y12, Y14, a;    \
+	VFMADD231PD  Y13, Y14, b
+
+// FLUSH2(a, b) turns one row's two accumulators into int64 — each holds
+// 2^52 + 2^51 + v for an integer |v| <= 2^51, whose bit pattern less that
+// of 2^52 + 2^51 (Y15) is v — and adds them into its 8 int64 sums at (DI).
+#define FLUSH2(a, b) \
+	VPSUBQ  Y15, a, a;    \
+	VPSUBQ  Y15, b, b;    \
+	VPADDQ  (DI), a, a;   \
+	VPADDQ  32(DI), b, b; \
+	VMOVDQU a, (DI);      \
+	VMOVDQU b, 32(DI)
+
+// func fma6x8(f *float64, w *int32, stride, steps, chunk, rows int, acc *int64)
+//
+// acc[r*stride + o] = sum_i f[r*stride + i] * w[i*32 + o]
+// for r in 0..rows (1 <= rows <= 6), o in 0..8, i in 0..steps.
+//
+// fma6x32 (avx512_amd64.s) on ymm, over a quarter of a weight panel: sixteen
+// registers hold six rows of eight outputs. AVX2 has no float64 -> int64
+// conversion, so every accumulator starts each chunk at 2^52 + 2^51 instead
+// of zero: while the chunk's sum v stays within ±2^51, every partial sum
+// lies in [2^52, 2^53], where float64 holds each integer and the low bits
+// of the pattern are v plus a constant. chunk must be short enough for that
+// (a quarter of fmaChunk's bound).
+//
+// Register map:
+//   Y(2r), Y(2r+1)  float64 sums of row r, outputs 0..7     Y0..Y11
+//   Y12, Y13        the step's 8 weights as float64
+//   Y14             the step's activation of one row, broadcast
+//   Y15             2^52 + 2^51 in every lane
+//   scalar registers as in fma6x32
+TEXT ·fma6x8(SB), NOSPLIT, $0-56
+	MOVQ f+0(FP), R8
+	MOVQ w+8(FP), BX
+	MOVQ stride+16(FP), DX
+	MOVQ steps+24(FP), SI
+	MOVQ chunk+32(FP), R15
+	MOVQ rows+40(FP), R14
+
+	SHLQ $3, DX              // float64 and int64 rows alike
+	LEAQ (R8)(DX*1), R9
 	LEAQ (R9)(DX*1), R10
 	LEAQ (R10)(DX*1), R11
 	LEAQ (R11)(DX*1), R12
-	XORQ AX, AX
+	LEAQ (R12)(DX*1), R13
+
+	MOVQ         $0x4338000000000000, AX
+	MOVQ         AX, X15
+	VPBROADCASTQ X15, Y15
+	XORQ         AX, AX
 
 	VPXOR X0, X0, X0
-	VPXOR X1, X1, X1
-	VPXOR X2, X2, X2
-	VPXOR X3, X3, X3
-	VPXOR X4, X4, X4
-	VPXOR X5, X5, X5
-	VPXOR X6, X6, X6
-	VPXOR X7, X7, X7
+	MOVQ  acc+48(FP), DI
+	MOVQ  R14, CX
 
-loop32:
-	VMOVDQU   (SI)(AX*1), Y8     // x, even elements in multiply position
-	VMOVSHDUP (SI)(AX*1), Y9     // x, odd elements in multiply position
+fzero:
+	VMOVDQU Y0, (DI)
+	VMOVDQU Y0, 32(DI)
+	ADDQ    DX, DI
+	DECQ    CX
+	JNZ     fzero
 
-	VMOVSHDUP (R9)(AX*1), Y11
-	VPMULDQ   (R9)(AX*1), Y8, Y10
-	VPMULDQ   Y11, Y9, Y11
-	VPADDQ    Y10, Y0, Y0
-	VPADDQ    Y11, Y1, Y1
+fchunk:
+	MOVQ    R15, CX          // this chunk: min(chunk, remaining) steps
+	CMPQ    SI, CX
+	CMOVQLT SI, CX
+	SUBQ    CX, SI
+	VMOVDQA Y15, Y0
+	VMOVDQA Y15, Y1
+	VMOVDQA Y15, Y2
+	VMOVDQA Y15, Y3
+	VMOVDQA Y15, Y4
+	VMOVDQA Y15, Y5
+	VMOVDQA Y15, Y6
+	VMOVDQA Y15, Y7
+	VMOVDQA Y15, Y8
+	VMOVDQA Y15, Y9
+	VMOVDQA Y15, Y10
+	VMOVDQA Y15, Y11
+	CMPQ    R14, $6
+	JEQ     floop6
+	CMPQ    R14, $5
+	JEQ     floop5
+	CMPQ    R14, $4
+	JEQ     floop4
+	CMPQ    R14, $3
+	JEQ     floop3
+	CMPQ    R14, $2
+	JEQ     floop2
+	JMP     floop1
 
-	VMOVSHDUP (R10)(AX*1), Y13
-	VPMULDQ   (R10)(AX*1), Y8, Y12
-	VPMULDQ   Y13, Y9, Y13
-	VPADDQ    Y12, Y2, Y2
-	VPADDQ    Y13, Y3, Y3
-
-	VMOVSHDUP (R11)(AX*1), Y11
-	VPMULDQ   (R11)(AX*1), Y8, Y10
-	VPMULDQ   Y11, Y9, Y11
-	VPADDQ    Y10, Y4, Y4
-	VPADDQ    Y11, Y5, Y5
-
-	VMOVSHDUP (R12)(AX*1), Y13
-	VPMULDQ   (R12)(AX*1), Y8, Y12
-	VPMULDQ   Y13, Y9, Y13
-	VPADDQ    Y12, Y6, Y6
-	VPADDQ    Y13, Y7, Y7
-
-	ADDQ $32, AX
+floop6:
+	W2
+	FROW2(R8, Y0, Y1)
+	FROW2(R9, Y2, Y3)
+	FROW2(R10, Y4, Y5)
+	FROW2(R11, Y6, Y7)
+	FROW2(R12, Y8, Y9)
+	FROW2(R13, Y10, Y11)
+	ADDQ $128, BX
+	INCQ AX
 	DECQ CX
-	JNZ  loop32
+	JNZ  floop6
+	JMP  fflush
 
-	// Merge each row's even/odd chains into Y4..Y7 (row 3 first, so no
-	// source is overwritten before it is read), then reduce.
-	VPADDQ Y7, Y6, Y7
-	VPADDQ Y5, Y4, Y6
-	VPADDQ Y3, Y2, Y5
-	VPADDQ Y1, Y0, Y4
-	REDUCE4
+floop5:
+	W2
+	FROW2(R8, Y0, Y1)
+	FROW2(R9, Y2, Y3)
+	FROW2(R10, Y4, Y5)
+	FROW2(R11, Y6, Y7)
+	FROW2(R12, Y8, Y9)
+	ADDQ $128, BX
+	INCQ AX
+	DECQ CX
+	JNZ  floop5
+	JMP  fflush
+
+floop4:
+	W2
+	FROW2(R8, Y0, Y1)
+	FROW2(R9, Y2, Y3)
+	FROW2(R10, Y4, Y5)
+	FROW2(R11, Y6, Y7)
+	ADDQ $128, BX
+	INCQ AX
+	DECQ CX
+	JNZ  floop4
+	JMP  fflush
+
+floop3:
+	W2
+	FROW2(R8, Y0, Y1)
+	FROW2(R9, Y2, Y3)
+	FROW2(R10, Y4, Y5)
+	ADDQ $128, BX
+	INCQ AX
+	DECQ CX
+	JNZ  floop3
+	JMP  fflush
+
+floop2:
+	W2
+	FROW2(R8, Y0, Y1)
+	FROW2(R9, Y2, Y3)
+	ADDQ $128, BX
+	INCQ AX
+	DECQ CX
+	JNZ  floop2
+	JMP  fflush
+
+floop1:
+	W2
+	FROW2(R8, Y0, Y1)
+	ADDQ $128, BX
+	INCQ AX
+	DECQ CX
+	JNZ  floop1
+
+fflush:
+	MOVQ acc+48(FP), DI
+	FLUSH2(Y0, Y1)
+	CMPQ R14, $2
+	JLT  fnext
+	ADDQ DX, DI
+	FLUSH2(Y2, Y3)
+	CMPQ R14, $3
+	JLT  fnext
+	ADDQ DX, DI
+	FLUSH2(Y4, Y5)
+	CMPQ R14, $4
+	JLT  fnext
+	ADDQ DX, DI
+	FLUSH2(Y6, Y7)
+	CMPQ R14, $5
+	JLT  fnext
+	ADDQ DX, DI
+	FLUSH2(Y8, Y9)
+	CMPQ R14, $6
+	JLT  fnext
+	ADDQ DX, DI
+	FLUSH2(Y10, Y11)
+
+fnext:
+	TESTQ SI, SI
+	JNZ   fchunk
+
+	VZEROUPPER
+	RET
+
+// func toFloat64(x *int32, f *float64, rows, stride, n int)
+//
+// f[r*stride + i] = float64(x[r*stride + i]) for r in 0..rows, i in 0..n,
+// n a multiple of 8 (exact: every int32 is a float64).
+TEXT ·toFloat64(SB), NOSPLIT, $0-40
+	MOVQ x+0(FP), SI
+	MOVQ f+8(FP), DI
+	MOVQ rows+16(FP), R8
+	MOVQ stride+24(FP), R9
+	MOVQ n+32(FP), R10
+
+cvtrow:
+	XORQ AX, AX
+
+cvtloop:
+	VCVTDQ2PD (SI)(AX*4), Y0
+	VCVTDQ2PD 16(SI)(AX*4), Y1
+	VMOVUPD   Y0, (DI)(AX*8)
+	VMOVUPD   Y1, 32(DI)(AX*8)
+	ADDQ      $8, AX
+	CMPQ      AX, R10
+	JLT       cvtloop
+
+	LEAQ (SI)(R9*4), SI
+	LEAQ (DI)(R9*8), DI
+	DECQ R8
+	JNZ  cvtrow
+
 	VZEROUPPER
 	RET
 

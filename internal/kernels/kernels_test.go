@@ -22,7 +22,10 @@ import (
 // gemmKernel pairs an element type's implementation table with a generator
 // of random raws over that type's whole domain — not just the values a
 // calibrated model would produce — so lane-width mistakes in an optimized
-// kernel (a multiply that loses sign or high bits) cannot hide.
+// kernel (a multiply that loses sign or high bits) cannot hide. Full-range
+// int32 weights leave the 32-bit FMA kernels no exact chunk (fma = 0), so
+// over kernel32's draws they pin the reference fallback; TestGemm32FMAExact
+// bounds the weights to reach the FMA body.
 type gemmKernel[T Elem] struct {
 	name string
 	// impls points at the table rather than copying it: package variables
@@ -62,20 +65,25 @@ func (k gemmKernel[T]) each(t *testing.T, f func(t *testing.T, gemm GemmFunc[T])
 func (k gemmKernel[T]) compare(t testing.TB, gemm GemmFunc[T], X []T, b, stride int, w *Weights[T]) {
 	t.Helper()
 	// Poison both accumulator planes differently so stale values cannot
-	// fake a match.
+	// fake a match, and the float64 scratch with NaN, which turns any sum
+	// that reads a lane its kernel did not write into a mismatch.
 	ref := make([]int64, b*stride)
 	opt := make([]int64, b*stride)
 	for i := range ref {
 		ref[i] = 1<<62 + int64(i)
 		opt[i] = -(1<<61 + int64(i))
 	}
-	GemmRef(X, ref, b, stride, w)
-	gemm(X, opt, b, stride, w)
+	F := make([]float64, b*stride)
+	for i := range F {
+		F[i] = math.NaN()
+	}
+	GemmRef(X, ref, b, stride, w, nil)
+	gemm(X, opt, b, stride, w, F)
 	for qi := 0; qi < b; qi++ {
 		for j := 0; j < w.Out; j++ {
 			if ref[qi*stride+j] != opt[qi*stride+j] {
-				t.Fatalf("%s b=%d in=%d out=%d stride=%d madd=%d: Acc[%d][%d] = %d (opt) want %d (ref)",
-					k.name, b, w.In, w.Out, stride, w.madd, qi, j, opt[qi*stride+j], ref[qi*stride+j])
+				t.Fatalf("%s b=%d in=%d out=%d stride=%d madd=%d fma=%d: Acc[%d][%d] = %d (opt) want %d (ref)",
+					k.name, b, w.In, w.Out, stride, w.madd, w.fma, qi, j, opt[qi*stride+j], ref[qi*stride+j])
 			}
 		}
 	}
@@ -94,12 +102,12 @@ func (k gemmKernel[T]) randomCase(t *testing.T, gemm GemmFunc[T], rng *rand.Rand
 	k.compare(t, gemm, X, b, stride, &w)
 }
 
-// TestPackLayout pins the stored layout: transposed, padded to Lane x
-// outGroup, padding all zero, logical values in place.
+// TestPackLayout pins the stored 16-bit layout: transposed, padded to Lane
+// x outGroup, padding all zero, logical values in place.
 func TestPackLayout(t *testing.T) {
 	const in, out = 19, 6
 	w := Pack(in, out, func(i, j int) int16 { return int16(100*i + j + 1) })
-	if w.In != in || w.Out != out || w.InP != Lane || w.OutP != 8 || len(w.WT) != 8*Lane {
+	if w.In != in || w.Out != out || w.InP != Lane || w.OutP != 8 || w.panel != 1 || len(w.WT) != 8*Lane {
 		t.Fatalf("shape: %+v (len %d)", w, len(w.WT))
 	}
 	for j := 0; j < w.OutP; j++ {
@@ -112,6 +120,35 @@ func TestPackLayout(t *testing.T) {
 				t.Fatalf("WT[%d][%d] = %d, want %d", j, i, got, want)
 			}
 		}
+	}
+}
+
+// TestPackLayout32 pins the stored 32-bit layout: panels of panelWidth
+// outputs, each InP rows of one weight per output, padded to Lane x
+// panelWidth, padding all zero, logical values in place — and the chunk
+// length taken from the largest weight.
+func TestPackLayout32(t *testing.T) {
+	const in, out = 45, 37 // two panels, the second mostly padding
+	w := Pack(in, out, func(i, j int) int32 { return int32(10000*i + j + 1) })
+	if w.In != in || w.Out != out || w.InP != 2*Lane || w.OutP != 2*panelWidth || w.panel != panelWidth || len(w.WT) != 2*Lane*2*panelWidth {
+		t.Fatalf("shape: %+v (len %d)", w, len(w.WT))
+	}
+	for p := 0; p < w.OutP/panelWidth; p++ {
+		for i := 0; i < w.InP; i++ {
+			for o := 0; o < panelWidth; o++ {
+				j := p*panelWidth + o
+				want := int32(0)
+				if i < in && j < out {
+					want = int32(10000*i + j + 1)
+				}
+				if got := w.WT[(p*w.InP+i)*panelWidth+o]; got != want {
+					t.Fatalf("panel %d row %d lane %d = %d, want %d", p, i, o, got, want)
+				}
+			}
+		}
+	}
+	if want := 1 << 22 / (10000*(in-1) + out); w.fma != want { // 9: not capped by InP
+		t.Fatalf("fma = %d, want %d", w.fma, want)
 	}
 }
 
@@ -172,8 +209,9 @@ func TestGemmBitIdentityShapes(t *testing.T) {
 // TestGemm32WraparoundIdentity drives int64 accumulators into overflow: raws
 // at the 32-bit extremes over a long row make partial sums wrap. Wrapping
 // addition still commutes, so the kernels must agree bit for bit even here.
-// Row counts 1..9 cover the remainder rows alone, the four-row tile alone (4,
-// 8) and both; each runs on a packed plane and on one with stride slack.
+// Weights at the extremes leave the FMA kernels no exact chunk, so this pins
+// their reference fallback (TestGemm32FMAExact pins the FMA body). Row
+// counts 1..9 run on a packed plane and on one with stride slack.
 func TestGemm32WraparoundIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const maxB, in, out = 9, 2048, 8
@@ -194,6 +232,138 @@ func TestGemm32WraparoundIdentity(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestGemm32FMAExact is the exactness property of the 32-bit FMA kernels on
+// weights bounded so that a layer takes the FMA body, not the reference
+// fallback. The largest weight magnitude is exactly ⌊2^22/L⌋ for chunk
+// lengths L from 1 (every step a chunk of its own) through lengths that
+// split a row evenly, unevenly, or not at all. Activations sit at MinInt32
+// and MaxInt32: sign-aligned, so every chunk's sum reaches the ±2^53 bound
+// (±2^51 in the AVX2 form's quarter chunks), and odd, so a sum past the
+// bound could not be exact. Padding lanes and the stride slack between rows
+// hold the same extremes, stale. Row counts 1..13 cover the six-row kernel
+// alone, the remainder alone, both, and two tiles plus one; out = 40 is a
+// full panel plus a ragged one.
+func TestGemm32FMAExact(t *testing.T) {
+	cases := []struct{ in, L, wantFMA int }{
+		{1024, 1, 1},
+		{512, 2, 2},
+		{512, 3, 3}, // below four: the AVX2 form takes the reference
+		{512, 4, 4}, // the AVX2 form's one-step chunks
+		{512, 5, 5},
+		{1024, 300, 300}, // production-small layer 1's bound
+		{512, 362, 362},  // ... and layer 3's
+		{1024, 512, 512}, // two even chunks
+		{1024, 1000, 1000},
+		{100, 362, 128}, // stored as 128: one chunk, capped by the row
+	}
+	const maxB, out = 13, 40
+	type layer struct {
+		name   string
+		w      Weights[int32]
+		X      []int32
+		stride int
+	}
+	var layers []layer
+	rng := rand.New(rand.NewSource(7))
+	for _, c := range cases {
+		maxAbs := int32(1 << 22 / c.L)
+		for _, mode := range []string{"aligned+", "aligned-", "odd", "random"} {
+			var at func(i, j int) int32
+			var x func() int32
+			switch mode {
+			case "aligned+": // every product +2^31 * maxAbs
+				at = func(i, j int) int32 { return -maxAbs }
+				x = func() int32 { return math.MinInt32 }
+			case "aligned-":
+				at = func(i, j int) int32 { return maxAbs }
+				x = func() int32 { return math.MinInt32 }
+			case "odd": // sums near the bound, of either parity
+				at = func(i, j int) int32 {
+					if i == 0 && j == 0 {
+						return maxAbs // pin the largest magnitude
+					}
+					return maxAbs - int32(rng.Intn(2))
+				}
+				x = func() int32 { return math.MaxInt32 }
+			default:
+				acts := []int32{math.MinInt32, math.MaxInt32, 0, 1, -1}
+				at = func(i, j int) int32 {
+					switch {
+					case i == 0 && j == 0:
+						return maxAbs
+					case rng.Intn(2) == 0:
+						return []int32{maxAbs, -maxAbs, 0}[rng.Intn(3)]
+					}
+					return int32(rng.Int63n(2*int64(maxAbs)+1)) - maxAbs
+				}
+				x = func() int32 {
+					if rng.Intn(2) == 0 {
+						return int32(rng.Uint32())
+					}
+					return acts[rng.Intn(len(acts))]
+				}
+			}
+			w := Pack(c.in, out, at)
+			if w.fma != c.wantFMA {
+				t.Fatalf("in=%d maxAbs=%d: chunk %d, want %d", c.in, maxAbs, w.fma, c.wantFMA)
+			}
+			stride := w.InP + Lane
+			X := make([]int32, maxB*stride)
+			for i := range X {
+				X[i] = x()
+			}
+			layers = append(layers, layer{fmt.Sprintf("in%d_L%d_%s", c.in, c.L, mode), w, X, stride})
+		}
+	}
+	kernel32.each(t, func(t *testing.T, gemm GemmFunc[int32]) {
+		for _, l := range layers {
+			t.Run(l.name, func(t *testing.T) {
+				for b := 1; b <= maxB; b++ {
+					kernel32.compare(t, gemm, l.X[:b*l.stride], b, l.stride, &l.w)
+				}
+			})
+		}
+	})
+}
+
+// TestFMAChunkIsSafeAndTight checks the exactness bound numerically: L steps
+// of worst-case products (|x| = 2^31, |w| = maxAbs) stay within 2^53, L+1
+// do not (unless L was capped by the row length), and a weight past 2^22
+// yields no exact chunk at all.
+func TestFMAChunkIsSafeAndTight(t *testing.T) {
+	const steps = 1 << 40 // never the binding cap
+	const bound = 1 << 53
+	check := func(maxAbs int64) {
+		l := int64(fmaChunk(maxAbs, steps))
+		worst := maxAbs << 31
+		if l*worst > bound {
+			t.Fatalf("maxAbs %d: chunk %d reaches %d > 2^53", maxAbs, l, l*worst)
+		}
+		if (l+1)*worst <= bound {
+			t.Fatalf("maxAbs %d: chunk %d is not tight", maxAbs, l)
+		}
+	}
+	for maxAbs := int64(1); maxAbs <= 1<<16; maxAbs++ {
+		check(maxAbs)
+	}
+	for e := 17; e <= 22; e++ {
+		for _, d := range []int64{-1, 0, 1} {
+			check(1<<e + d)
+		}
+	}
+	for _, maxAbs := range []int64{1<<22 + 1, 1 << 30, math.MaxInt32, 1 << 31} {
+		if l := fmaChunk(maxAbs, steps); l != 0 {
+			t.Fatalf("maxAbs %d: chunk %d, want 0 (reference kernel)", maxAbs, l)
+		}
+	}
+	if l := fmaChunk(0, 352); l != 352 {
+		t.Fatalf("all-zero layer: chunk %d, want the row length 352", l)
+	}
+	if l := fmaChunk(13981, 352); l != 300 {
+		t.Fatalf("production-small layer 1: chunk %d, want 300", l)
+	}
 }
 
 // TestMaddCadenceIsSafeAndTight checks the overflow proof numerically for
@@ -336,7 +506,9 @@ func FuzzGemm16Identity(f *testing.F) {
 	f.Fuzz(kernel16.fuzz)
 }
 
-// FuzzGemm32Identity fuzzes every 32-bit GEMM against GemmRef.
+// FuzzGemm32Identity fuzzes every 32-bit GEMM against GemmRef. Weights
+// past 2^22 in magnitude send a layer to the reference fallback; smaller
+// ones, like the first seed's ±1, reach the FMA body.
 func FuzzGemm32Identity(f *testing.F) {
 	f.Add(uint8(4), uint8(32), uint8(4), uint8(0), []byte{1, 0, 0, 0, 255, 255, 255, 255})
 	f.Add(uint8(6), uint8(47), uint8(17), uint8(1), []byte{0, 0, 0, 128, 255, 255, 255, 127, 3}) // extremes, tile plus remainder

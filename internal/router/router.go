@@ -236,15 +236,10 @@ func (rt *Router) PolicyName() string {
 
 // awaitIdle polls a draining replica's in-flight counter to zero. No router
 // lock is held across the wait — the Submit hot path proceeds throughout.
-func (rt *Router) awaitIdle(ctx context.Context, rep *replica) error {
+func (rep *replica) awaitIdle() {
 	for rep.inflight.Load() != 0 {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(drainPoll):
-		}
+		time.Sleep(drainPoll)
 	}
-	return nil
 }
 
 // MarkHitRateBaseline snapshots the replicas' pooled frequency-window
@@ -429,9 +424,7 @@ func (rt *Router) Close() error {
 	var err error
 	for _, rep := range set {
 		rep.draining.Store(true)
-		if e := rt.awaitIdle(context.Background(), rep); err == nil {
-			err = e
-		}
+		rep.awaitIdle()
 		if e := rep.srv.Close(); err == nil {
 			err = e
 		}

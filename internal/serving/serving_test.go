@@ -968,12 +968,13 @@ func TestValidateSLARejectsNonPositiveBudget(t *testing.T) {
 	}
 }
 
-// TestServingDoesNotImportSLA pins the serving stack's independence from the
-// offline models in source: no non-test file of the serving, router, cluster
-// or tieredstore packages names the accelerator timing model or a modelled
-// cold-tier latency. That no package serving imports reaches
-// internal/experiments is the root package's TestImportsGolden.
-func TestServingDoesNotImportSLA(t *testing.T) {
+// TestServingNamesNoModelledTiming pins the serving stack's independence
+// from the offline models in source: no non-test file of the serving,
+// router, cluster or tieredstore packages names the accelerator timing model
+// or a modelled cold-tier latency. That no package serving imports reaches
+// internal/experiments or internal/accel is the root package's
+// TestImportsGolden.
+func TestServingNamesNoModelledTiming(t *testing.T) {
 	banned := []string{"TimingAt", "TimingReport", "LookupNS", "ColdLatencyNS", "BoundNS"}
 	for _, pkg := range []string{"serving", "router", "cluster", "tieredstore"} {
 		files, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))

@@ -15,18 +15,18 @@ import (
 // cannot run it: a function is never listed as covered by a run that
 // executed something else.
 func init() {
-	k16, k32 := newKernelFixture[int16](), newKernelFixture[int32]()
+	k16, k32 := newKernelFixture[int16](fixedpoint.Fixed16), newKernelFixture[int32](fixedpoint.Fixed32)
 	zeroallocArch = append(zeroallocArch, implCases("gemm16", kernels.Gemm16Impls, map[string]string{
 		"avx2-vpmaddwd16": "internal/kernels.gemm16AVX2",
 		"avx512-vnni16":   "internal/kernels.gemm16VNNI",
 	}, func(gemm kernels.GemmFunc[int16]) func() {
-		return func() { gemm(k16.x, k16.acc, k16.b, k16.stride, &k16.w) }
+		return func() { gemm(k16.x, k16.acc, k16.b, k16.stride, &k16.w, k16.f) }
 	})...)
 	zeroallocArch = append(zeroallocArch, implCases("gemm32", kernels.Gemm32Impls, map[string]string{
-		"avx2-vpmuldq32":   "internal/kernels.gemm32AVX2",
-		"avx512-vpmuldq32": "internal/kernels.gemm32AVX512",
+		"avx2-fma32":   "internal/kernels.gemm32AVX2",
+		"avx512-fma32": "internal/kernels.gemm32AVX512",
 	}, func(gemm kernels.GemmFunc[int32]) func() {
-		return func() { gemm(k32.x, k32.acc, k32.b, k32.stride, &k32.w) }
+		return func() { gemm(k32.x, k32.acc, k32.b, k32.stride, &k32.w, k32.f) }
 	})...)
 
 	e16, e32 := fixedpoint.Fixed16.Epilogue(), fixedpoint.Fixed32.Epilogue()

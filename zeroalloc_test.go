@@ -31,6 +31,7 @@ import (
 	"go/token"
 	"io"
 	"io/fs"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -105,6 +106,14 @@ func zeroallocCases(t *testing.T) []allocCase {
 
 	var gatherScratch core.BatchScratch
 	eng.EnsurePlane(&gatherScratch, b)
+	eng32, err := core.Build(params, core.Config{Precision: fixedpoint.Fixed32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng32.Close() })
+	var scratch32 core.BatchScratch
+	eng32.EnsurePlane(&scratch32, b)
+	eng32.GatherIntoPlane(qs, &scratch32)
 	qs64 := allocQueries(spec, 64, 4)
 	var scratch64 core.BatchScratch
 	eng.EnsurePlane(&scratch64, len(qs64))
@@ -198,7 +207,7 @@ func zeroallocCases(t *testing.T) []allocCase {
 		srvSkip = "sync.Pool drops puts under -race"
 	}
 
-	k16, k32 := newKernelFixture[int16](), newKernelFixture[int32]()
+	k16, k32 := newKernelFixture[int16](fixedpoint.Fixed16), newKernelFixture[int32](fixedpoint.Fixed32)
 	quant := kernels.NewQuantizer(fixedpoint.Fixed16)
 	finish := fixedpoint.Fixed16.Epilogue()
 	qsrc := make([]float32, 48)
@@ -301,6 +310,20 @@ func zeroallocCases(t *testing.T) []allocCase {
 			},
 		},
 		{
+			// The same stages on a 32-bit engine, whose GEMM converts the
+			// plane into the float64 plane EnsurePlane sized.
+			name: "core/dense-tail-fixed32",
+			covers: []string{
+				"internal/core.fixedPath.dense",
+				"internal/core.fixedPath.tail",
+				"internal/core.fixedPath.layer",
+			},
+			run: func() {
+				eng32.DenseFromPlane(b, &scratch32)
+				eng32.TailFromPlane(b, &scratch32, preds)
+			},
+		},
+		{
 			name: "core/partial-gather",
 			covers: []string{
 				"internal/core.Engine.GatherPartialIntoPlane",
@@ -368,8 +391,8 @@ func zeroallocCases(t *testing.T) []allocCase {
 				"internal/fixedpoint.FinishRow",
 			},
 			run: func() {
-				kernels.GemmRef(k16.x, k16.acc, k16.b, k16.stride, &k16.w)
-				kernels.GemmRef(k32.x, k32.acc, k32.b, k32.stride, &k32.w)
+				kernels.GemmRef(k16.x, k16.acc, k16.b, k16.stride, &k16.w, k16.f)
+				kernels.GemmRef(k32.x, k32.acc, k32.b, k32.stride, &k32.w, k32.f)
 				kernels.QuantizeRowRef(fixedpoint.Fixed16, qsrc, qdst)
 				kernels.QuantizeRow(&quant, qsrc, qdst)
 				kernels.UnitFloatsRef(unitDraws, 1, qsrc[:len(unitDraws)])
@@ -385,20 +408,28 @@ func zeroallocCases(t *testing.T) []allocCase {
 // kernelFixture is one small packed layer and plane pair at element type T,
 // shared by the reference row above and the per-implementation rows in
 // zeroalloc_amd64_test.go. The shape is ragged on purpose (rows past one
-// four-row tile, in past one 512-bit vector, out past one 4-output group).
+// four-row tile and one six-row tile, in past one 512-bit vector, out past
+// one 4-output group), and the weights are at the production models'
+// magnitudes (±1/sqrt(in), raw), so each kernel runs its real body: the
+// 16-bit kernels on their widening cadence, the 32-bit ones in float64
+// chunks rather than the reference fallback. f is the 32-bit kernels'
+// float64 scratch plane.
 type kernelFixture[T kernels.Elem] struct {
 	b, stride int
 	x         []T
 	acc       []int64
+	f         []float64
 	w         kernels.Weights[T]
 }
 
-func newKernelFixture[T kernels.Elem]() *kernelFixture[T] {
-	const b, in, out = 5, 35, 6
-	k := &kernelFixture[T]{b: b, w: kernels.Pack(in, out, func(i, j int) T { return T((i+j)%5 - 2) })}
+func newKernelFixture[T kernels.Elem](format fixedpoint.Format) *kernelFixture[T] {
+	const b, in, out = 7, 35, 6
+	maxAbs := int(format.Scale() / math.Sqrt(in))
+	k := &kernelFixture[T]{b: b, w: kernels.Pack(in, out, func(i, j int) T { return T((i+j)%(2*maxAbs+1) - maxAbs) })}
 	k.stride = max(k.w.InP, k.w.OutP)
 	k.x = make([]T, b*k.stride)
 	k.acc = make([]int64, b*k.stride)
+	k.f = make([]float64, b*k.stride)
 	for i := range k.x {
 		k.x[i] = T(i%7 - 3)
 	}
