@@ -54,7 +54,7 @@ test-procs:
 test-kernels:
 	$(GO) run ./cmd/microrec kernels
 	mkdir -p $(BENCH_SCRATCH)
-	$(GO) test -v -run 'Gemm|FinishRow|Features' ./internal/kernels > $(BENCH_SCRATCH)/kernel-tests.txt || { cat $(BENCH_SCRATCH)/kernel-tests.txt; exit 1; }
+	$(GO) test -v -run 'Gemm|Layer|FinishRow|Features' ./internal/kernels > $(BENCH_SCRATCH)/kernel-tests.txt || { cat $(BENCH_SCRATCH)/kernel-tests.txt; exit 1; }
 	grep -E '^ *--- [A-Z]+: Test[^/ ]*(/[^/ ]*){0,2} |kernel features|^ok' $(BENCH_SCRATCH)/kernel-tests.txt
 
 # test-noasm forces the portable kernel path (the noasm build tag disables
@@ -83,13 +83,14 @@ bench:
 # bench-smoke runs the datapath/serving benchmarks once each — a fast check
 # that the hot paths still execute, used by CI ('Serve' includes
 # BenchmarkServeLightLoad, whose p50-us is the lightly loaded latency; 'Gather'
-# includes BenchmarkGatherMiss, the gather over tables a lookup can miss in). The
+# includes BenchmarkGatherMiss, the gather over tables a lookup can miss in;
+# 'Dense' is BenchmarkDenseStage, the FC tower alone at both widths). The
 # kernel microbenchmarks ride along so the SIMD paths are exercised under the
 # bench harness too, with the peak loops their MACs/ns are read against, and
 # so does the engine build's bulk step: parameter materialisation
 # (production-large at the benchmark's row cap).
 bench-smoke:
-	$(GO) test -run xxx -bench 'Gather|Serve|EngineInferOne|Pipeline' -benchtime 1x -benchmem .
+	$(GO) test -run xxx -bench 'Gather|Serve|EngineInferOne|Pipeline|Dense' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench 'GEMMKernel|FinishRow|QuantizeRow|Peak' -benchtime 1x -benchmem ./internal/kernels
 	$(GO) test -run xxx -bench 'Materialize' -benchtime 1x -benchmem ./internal/model
 

@@ -21,6 +21,7 @@ import (
 
 	"microrec"
 	"microrec/internal/experiments"
+	"microrec/internal/kernels"
 )
 
 var sinkTables interface{}
@@ -254,6 +255,60 @@ func BenchmarkGatherMiss(b *testing.B) {
 				})
 			}
 		})
+	}
+}
+
+// ---- Dense-stage benchmark: the FC tower on a gathered plane ----
+
+// BenchmarkDenseStage times the dense stage alone — DenseFromPlane and
+// TailFromPlane, the two stage calls after the gather — on production-small
+// at both datapath widths and at the batch sizes where the layer walk
+// changes: one query, the light-load ragged batch, exactly one strip of
+// kernels.StripRows rows, one strip plus a row and the serving batch. The
+// plane is gathered once; each iteration runs the whole FC tower in place
+// over it (the kernels' cost does not depend on the values they read).
+// Reports ns/query and MACs/ns, logical multiply-accumulates over the
+// tower's layer shapes, the unit BenchmarkGEMMKernel and BenchmarkPeak use.
+func BenchmarkDenseStage(b *testing.B) {
+	spec := microrec.SmallProductionModel()
+	var macs float64
+	for _, d := range spec.LayerDims() {
+		macs += float64(d[0] * d[1])
+	}
+	for _, f := range []microrec.Format{microrec.Fixed16, microrec.Fixed32} {
+		eng, err := microrec.NewEngine(spec, microrec.EngineOptions{Precision: f, Seed: 1, MaxRowsPerTable: 256})
+		if err != nil {
+			b.Fatal(err)
+		}
+		gen, err := microrec.NewGenerator(spec, microrec.Zipf, 11)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, size := range []int{1, 6, kernels.StripRows, kernels.StripRows + 1, 64} {
+			b.Run(fmt.Sprintf("%d-bit/b=%d", f.Bits, size), func(b *testing.B) {
+				batch := make([]microrec.Query, size)
+				for i := range batch {
+					batch[i] = gen.Next()
+					if err := eng.ValidateQuery(batch[i]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				var plane microrec.BatchScratch
+				eng.EnsurePlane(&plane, size)
+				eng.GatherIntoPlane(batch, &plane)
+				dst := make([]float32, size)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					eng.DenseFromPlane(size, &plane)
+					eng.TailFromPlane(size, &plane, dst)
+				}
+				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N*size)
+				b.ReportMetric(ns, "ns/query")
+				b.ReportMetric(macs/ns, "MACs/ns")
+			})
+		}
+		eng.Close()
 	}
 }
 

@@ -9,16 +9,16 @@ import (
 // The batched datapath below is the CPU-side analogue of the paper's
 // throughput argument: per-query inference streams every FC weight matrix
 // from memory once per query, while a micro-batch reuses each weight block
-// across the whole batch. Features arrive already quantized from
-// GatherIntoPlane (gather.go); the GEMM itself lives in internal/kernels — a
-// column-blocked fixed-point kernel over the transposed (out x in) weight
-// layout, so every weight access is sequential and each cache-resident block
-// is reused by the whole batch, with a per-width AVX2 path selected at init
-// where the host supports it. The wide accumulators match the per-query GEMV
-// exactly (and the optimized kernels are property-tested bit-identical to
-// the portable reference), so batched predictions are bit-identical to
-// InferOne. The width-native plane code these entry points forward to is in
-// plane.go.
+// across the batch. Features arrive already quantized from GatherIntoPlane
+// (gather.go); each FC layer is one call into internal/kernels
+// (kernels.LayerRef), which walks the batch in strips of up to
+// kernels.StripRows rows, each cache-resident weight block reused by the
+// whole strip, and finishes every strip in place. The kernel is picked by
+// the format's width at Build and by the CPU at init. The wide accumulators
+// match the per-query GEMV exactly (and the optimized kernels are
+// property-tested bit-identical to the portable reference), so batched
+// predictions are bit-identical to InferOne. The width-native plane code
+// these entry points forward to is in plane.go.
 
 // GatherObs is the per-batch gather observability record the flight recorder
 // folds into a request span: cold-tier faults suffered by the batch's gather,
@@ -43,10 +43,11 @@ type BatchScratch struct {
 	// the field matching the engine's format is sized.
 	x16 []int16
 	x32 []int32
-	// acc is the batch x stride plane of exact wide GEMM accumulators.
+	// acc holds one strip's exact wide sums, kernels.StripRows x stride
+	// (fewer rows for a smaller batch), finished before the next strip.
 	acc []int64
-	// f64 is the batch x stride float64 copy of the activations the 32-bit
-	// GEMM kernels read (see kernels.GemmRef); sized for 32-bit engines only.
+	// f64 is the same strip's activations as float64, which the 32-bit
+	// kernels read; sized for 32-bit engines only.
 	f64 []float64
 
 	obs GatherObs
@@ -135,9 +136,9 @@ func (e *Engine) GatherIntoPlane(queries []embedding.Query, s *BatchScratch) {
 	e.gatherBatchValidated(queries, s)
 }
 
-// DenseFromPlane is the pipeline's second stage: the hidden FC tower as
-// blocked GEMMs over a gathered plane, each layer finished in place (bias
-// add + ReLU). It touches only the plane, so distinct planes can occupy the
+// DenseFromPlane is the pipeline's second stage: the hidden FC tower over a
+// gathered plane, each layer one kernel call finished in place (bias add +
+// ReLU). It touches only the plane, so distinct planes can occupy the
 // gather and GEMM stages concurrently.
 //
 //microrec:noalloc

@@ -9,6 +9,7 @@ import (
 
 	"microrec/internal/embedding"
 	"microrec/internal/fixedpoint"
+	"microrec/internal/kernels"
 	"microrec/internal/model"
 	"microrec/internal/workload"
 )
@@ -154,6 +155,49 @@ func TestScratchReuseAcrossEngines(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("step %d (%s, b=%d) query %d: shared scratch %v, fresh scratch %v",
 					step, v.e.spec.Name, v.b, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestLayerScratchIsOneStrip checks that the dense stage's scratch does not
+// grow with the batch: a plane sized for 2 048 rows holds 2 048 activation
+// rows but one strip (kernels.StripRows rows) of int64 sums and, at 32 bits,
+// of float64 activations. The batch, many strips long, must still predict
+// what InferOne does, query for query.
+func TestLayerScratchIsOneStrip(t *testing.T) {
+	const b = 2048
+	for _, f := range []fixedpoint.Format{fixedpoint.Fixed16, fixedpoint.Fixed32} {
+		e := buildEngine(t, oddSpec(), Config{Precision: f})
+		var s BatchScratch
+		e.EnsurePlane(&s, b)
+		var stride, plane int
+		switch d := e.dp.(type) {
+		case *fixedPath[int16]:
+			stride, plane = d.stride, cap(s.x16)
+		case *fixedPath[int32]:
+			stride, plane = d.stride, cap(s.x32)
+		}
+		strip, f64 := kernels.StripRows*stride, 0
+		if f.Bits == 32 {
+			f64 = strip
+		}
+		if plane != b*stride || cap(s.acc) != strip || cap(s.f64) != f64 {
+			t.Fatalf("%v at b=%d, stride %d: plane %d, sums %d, float64 %d elements; want %d, %d, %d",
+				f, b, stride, plane, cap(s.acc), cap(s.f64), b*stride, strip, f64)
+		}
+		qs := randomQueries(e.spec, b, 9)
+		got, err := inferBatch(e, qs, &s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range qs {
+			want, err := e.InferOne(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[i] != want {
+				t.Fatalf("%v query %d: batch %v, one-at-a-time %v", f, i, got[i], want)
 			}
 		}
 	}

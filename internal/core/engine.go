@@ -88,9 +88,9 @@ func Build(params *model.Parameters, cfg Config) (*Engine, error) {
 	// The format's width selects the datapath, once: tables, planes, weights
 	// and kernels are int16 for a 16-bit format and int32 for a 32-bit one.
 	if f := cfg.Precision; f.Bits == 16 {
-		e.dp, e.tier, err = newFixedPath(f, spec, params, cfg.ColdTier, kernels.Gemm16, kernels.FinishRow16, func(s *BatchScratch) *[]int16 { return &s.x16 })
+		e.dp, e.tier, err = newFixedPath(f, spec, params, cfg.ColdTier, kernels.Layer16, func(s *BatchScratch) *[]int16 { return &s.x16 })
 	} else {
-		e.dp, e.tier, err = newFixedPath(f, spec, params, cfg.ColdTier, kernels.Gemm32, kernels.FinishRow32, func(s *BatchScratch) *[]int32 { return &s.x32 })
+		e.dp, e.tier, err = newFixedPath(f, spec, params, cfg.ColdTier, kernels.Layer32, func(s *BatchScratch) *[]int32 { return &s.x32 })
 	}
 	if err != nil {
 		return nil, err
@@ -172,8 +172,8 @@ func (e *Engine) ReferenceOne(q embedding.Query) (float32, error) {
 }
 
 // inferStrip bounds the queries Infer runs through one scratch at a time. A
-// plane sized for a whole chunk is garbage the size of the batch — 42 MB of
-// activation and accumulator planes for the benchmark's 4 096-query pool on
+// plane sized for a whole chunk is garbage the size of the batch — 8 MB of
+// 16-bit activations for the benchmark's 4 096-query pool on
 // production-small — and a collection during it sets a heap goal that
 // outlives the call.
 const inferStrip = 256

@@ -39,7 +39,7 @@ type datapath interface {
 
 // fixedPath is the datapath at one element width: the embedding tables and
 // the quantized FC tower at that width, and the hoisted constants of the
-// accumulator → raw conversion after each GEMM.
+// accumulator → raw conversion that finishes each layer.
 type fixedPath[T kernels.Elem] struct {
 	format fixedpoint.Format
 	// stride is the row stride of every plane: the widest activation row
@@ -56,16 +56,14 @@ type fixedPath[T kernels.Elem] struct {
 	tier   []*tieredstore.Stream
 
 	finish fixedpoint.Epilogue
-	layers []kernels.Weights[T] // transposed, zero-padded (see kernels.Pack)
+	layers []kernels.Weights[T] // zero-padded, in kernels.Pack's panels
 	biases [][]int64            // raw, added to finished accumulators
 
-	// gemm and finishRow are this width's kernels (kernels.Gemm16 and
-	// kernels.FinishRow16, or the 32-bit pair) and plane this width's
-	// activation buffer inside a scratch; all are bound at Build, so no hot
-	// loop dispatches on the width.
-	gemm      kernels.GemmFunc[T]
-	finishRow kernels.FinishFunc[T]
-	plane     func(*BatchScratch) *[]T
+	// fc is this width's layer kernel (kernels.Layer16 or kernels.Layer32)
+	// and plane this width's activation buffer inside a scratch; both are
+	// bound at Build, so no hot loop dispatches on the width.
+	fc    kernels.LayerFunc[T]
+	plane func(*BatchScratch) *[]T
 }
 
 // newFixedPath stores the embedding tables at element type T — in DRAM, or,
@@ -75,16 +73,14 @@ type fixedPath[T kernels.Elem] struct {
 // them is its one pass, which also materialises the FC tower.
 func newFixedPath[T kernels.Elem](
 	f fixedpoint.Format, spec *model.Spec, params *model.Parameters, tier *tieredstore.Config,
-	gemm kernels.GemmFunc[T], finishRow kernels.FinishFunc[T],
-	plane func(*BatchScratch) *[]T,
+	fc kernels.LayerFunc[T], plane func(*BatchScratch) *[]T,
 ) (*fixedPath[T], *tieredstore.Store, error) {
 	d := &fixedPath[T]{
 		format:     f,
 		featureLen: spec.FeatureLen(),
 		denseOff:   spec.FeatureLen() - spec.DenseDim,
 		finish:     f.Epilogue(),
-		gemm:       gemm,
-		finishRow:  finishRow,
+		fc:         fc,
 		plane:      plane,
 	}
 	var store *tieredstore.Store
@@ -104,8 +100,8 @@ func newFixedPath[T kernels.Elem](
 		if out > width {
 			width = out
 		}
-		// Source weights are in x out row-major; Pack stores them
-		// transposed so output j's weights are contiguous.
+		// Source weights are in x out row-major; Pack lays them out in
+		// the kernels' panels.
 		w := weights[l].Data
 		d.layers = append(d.layers, kernels.Pack(in, out, func(i, j int) T {
 			return T(f.Quantize(float64(w[i*out+j])))
@@ -193,10 +189,12 @@ func (d *fixedPath[T]) release() {
 	}
 }
 
-// ensure sizes the scratch's buffers for b rows of this engine's stride.
-// Each buffer is checked on its own: a scratch may arrive from an engine of
-// another width (whose activation plane is a different field) or of another
-// stride, and a capacity that suited that engine says nothing about this one.
+// ensure sizes the scratch's buffers for b rows of this engine's stride: the
+// activation plane b rows, the layer scratch one strip of them (see
+// kernels.StripRows). Each buffer is checked on its own: a scratch may arrive
+// from an engine of another width (whose activation plane is a different
+// field) or of another stride, and a capacity that suited that engine says
+// nothing about this one.
 func (d *fixedPath[T]) ensure(s *BatchScratch, b int) {
 	n := b * d.stride
 	x := d.plane(s)
@@ -204,6 +202,7 @@ func (d *fixedPath[T]) ensure(s *BatchScratch, b int) {
 		*x = make([]T, n)
 	}
 	*x = (*x)[:n]
+	n = min(b, kernels.StripRows) * d.stride
 	if cap(s.acc) < n {
 		s.acc = make([]int64, n)
 	}
@@ -322,22 +321,14 @@ func (d *fixedPath[T]) mergePartial(b int, spans []ColSpan, src, dst *BatchScrat
 	}
 }
 
-// layer runs FC layer l over the plane's first b rows in place: the GEMM
-// reads the activation plane and leaves exact sums in the accumulator plane;
-// only then is each row finished (rescale, saturate, bias, optional ReLU)
-// back over the activations it was computed from. The plane's columns past
-// the layer's output keep stale values, which the next layer's zero-padded
-// weights ignore.
+// layer runs FC layer l over the plane's first b rows in place, in one
+// kernel call (see kernels.LayerRef). The plane's columns past the layer's
+// output keep stale values, which the next layer's zero-padded weights
+// ignore.
 //
 //microrec:noalloc
 func (d *fixedPath[T]) layer(l, b int, s *BatchScratch, relu bool) {
-	x := *d.plane(s)
-	w := &d.layers[l]
-	d.gemm(x, s.acc, b, d.stride, w, s.f64)
-	for qi := 0; qi < b; qi++ {
-		row := qi * d.stride
-		d.finishRow(&d.finish, s.acc[row:row+w.Out], d.biases[l], relu, x[row:row+w.Out])
-	}
+	d.fc(*d.plane(s), b, d.stride, &d.layers[l], d.biases[l], &d.finish, relu, s.acc, s.f64)
 }
 
 //microrec:noalloc

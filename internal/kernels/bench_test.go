@@ -9,10 +9,10 @@ import (
 	"microrec/internal/fixedpoint"
 )
 
-// benchGemm times every registered GEMM of one element type — each under
-// its own name, so the paths are comparable on one host; the ones it cannot
-// run are skipped — on the production-small layer shapes at the batch sizes
-// the serving tier really runs: one query, a ragged light-load batch, and a
+// benchGemm times every registered implementation's GEMM walk of one
+// element type — each under its own name, so the paths are comparable on one
+// host; the ones it cannot run are skipped — on the production-small layer
+// shapes at the batch sizes the serving tier really runs: one query, a ragged light-load batch, and a
 // full batch. MACs/ns counts logical multiply-accumulates (padding is
 // overhead, not work), so the two widths and all paths are directly
 // comparable.
@@ -47,7 +47,7 @@ func benchGemm[T Elem](b *testing.B, k gemmKernel[T]) {
 						b.Skipf("host lacks %s", impl.Missing)
 					}
 					for n := 0; n < b.N; n++ {
-						impl.Fn(X, Acc, batch, stride, &w, F)
+						impl.gemm(X, Acc, batch, stride, &w, F)
 					}
 					b.ReportMetric(macs*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MACs/ns")
 				})
@@ -64,10 +64,11 @@ func BenchmarkGEMMKernel(b *testing.B) {
 	benchGemm(b, kernel32)
 }
 
-// benchFinish times every registered row epilogue of one width at the
-// production-small layer widths; ns/elem is the figure to watch (the dense
-// stage finishes 1792 elements per query).
-func benchFinish[T Elem](b *testing.B, name string, f fixedpoint.Format, impls []Impl[FinishFunc[T]]) {
+// benchFinish times every registered implementation's row epilogue of one
+// width at the production-small layer widths (the AVX2 entries share the
+// reference's); ns/elem is the figure to watch (the dense stage finishes
+// 1792 elements per query).
+func benchFinish[T Elem](b *testing.B, name string, f fixedpoint.Format, impls []Impl[T]) {
 	rng := rand.New(rand.NewSource(3))
 	e := f.Epilogue()
 	for _, n := range []int{1024, 512, 256} {
@@ -86,7 +87,7 @@ func benchFinish[T Elem](b *testing.B, name string, f fixedpoint.Format, impls [
 					b.Skipf("host lacks %s", impl.Missing)
 				}
 				for i := 0; i < b.N; i++ {
-					impl.Fn(&e, acc, bias, true, dst)
+					impl.finish(&e, acc, bias, true, dst)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
 			})
@@ -96,8 +97,8 @@ func benchFinish[T Elem](b *testing.B, name string, f fixedpoint.Format, impls [
 
 // BenchmarkFinishRow measures the row epilogue at both storage widths.
 func BenchmarkFinishRow(b *testing.B) {
-	benchFinish(b, "int16", fixedpoint.Fixed16, Finish16Impls)
-	benchFinish(b, "int32", fixedpoint.Fixed32, Finish32Impls)
+	benchFinish(b, "int16", fixedpoint.Fixed16, Layer16Impls)
+	benchFinish(b, "int32", fixedpoint.Fixed32, Layer32Impls)
 }
 
 // BenchmarkQuantizeRow measures the row-quantize against the reference at

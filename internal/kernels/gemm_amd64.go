@@ -19,20 +19,14 @@ func init() {
 	if !cpu.avx512dq {
 		noAVX512DQ = "AVX512F+BW+VL+VNNI+DQ with OS-enabled opmask and zmm state"
 	}
-	Gemm16Impls = append(Gemm16Impls,
-		Impl[GemmFunc[int16]]{"avx2-vpmaddwd16", gemm16AVX2, noAVX2},
-		Impl[GemmFunc[int16]]{"avx512-vnni16", gemm16VNNI, noAVX512})
-	Gemm32Impls = append(Gemm32Impls,
-		Impl[GemmFunc[int32]]{"avx2-fma32", gemm32AVX2, noFMA},
-		Impl[GemmFunc[int32]]{"avx512-fma32", gemm32AVX512, noAVX512DQ})
-	Finish16Impls = append(Finish16Impls,
-		Impl[FinishFunc[int16]]{"avx512-epilogue", finishRow16AVX512, noAVX512})
-	Finish32Impls = append(Finish32Impls,
-		Impl[FinishFunc[int32]]{"avx512-epilogue", finishRow32AVX512, noAVX512})
-	Gemm16 = dispatch(Gemm16Impls)
-	Gemm32 = dispatch(Gemm32Impls)
-	FinishRow16 = dispatch(Finish16Impls)
-	FinishRow32 = dispatch(Finish32Impls)
+	Layer16Impls = append(Layer16Impls,
+		Impl[int16]{"avx2-vpmaddwd16", noAVX2, gemm16AVX2, fixedpoint.FinishRow[int16]},
+		Impl[int16]{"avx512-vnni16", noAVX512, gemm16VNNI, finishRow16AVX512})
+	Layer32Impls = append(Layer32Impls,
+		Impl[int32]{"avx2-fma32", noFMA, gemm32AVX2, fixedpoint.FinishRow[int32]},
+		Impl[int32]{"avx512-fma32", noAVX512DQ, gemm32AVX512, finishRow32AVX512})
+	Layer16 = dispatch(Layer16Impls)
+	Layer32 = dispatch(Layer32Impls)
 	if cpu.avx512vnni {
 		quantizeVec16, quantizeVec32 = quantize8x16, quantize8x32
 		featureTags = append(featureTags, "avx512-quantize")
@@ -201,9 +195,6 @@ func gemm16AVX2(X []int16, Acc []int64, b, stride int, w *Weights[int16], F []fl
 		GemmRef(X, Acc, b, stride, w, F)
 		return
 	}
-	if b == 0 {
-		return
-	}
 	// The assembly is unchecked: prove the last row it touches is in range.
 	_, _ = X[(b-1)*stride+w.InP-1], Acc[(b-1)*stride+w.OutP-1]
 	blocks := w.InP / maddStep
@@ -229,9 +220,6 @@ func gemm16AVX2(X []int16, Acc []int64, b, stride int, w *Weights[int16], F []fl
 func gemm16VNNI(X []int16, Acc []int64, b, stride int, w *Weights[int16], F []float64) {
 	if w.madd == 0 {
 		GemmRef(X, Acc, b, stride, w, F)
-		return
-	}
-	if b == 0 {
 		return
 	}
 	// The assembly is unchecked: prove the last row it touches is in range.
@@ -265,9 +253,6 @@ func gemm32AVX512(X []int32, Acc []int64, b, stride int, w *Weights[int32], F []
 		GemmRef(X, Acc, b, stride, w, F)
 		return
 	}
-	if b == 0 {
-		return
-	}
 	// The assembly is unchecked: prove the last row it touches is in range.
 	_, _, _ = X[(b-1)*stride+w.InP-1], F[(b-1)*stride+w.InP-1], Acc[(b-1)*stride+w.OutP-1]
 	toFloat64(&X[0], &F[0], b, stride, w.InP)
@@ -291,9 +276,6 @@ func gemm32AVX2(X []int32, Acc []int64, b, stride int, w *Weights[int32], F []fl
 	chunk := w.fma / 4
 	if chunk == 0 {
 		GemmRef(X, Acc, b, stride, w, F)
-		return
-	}
-	if b == 0 {
 		return
 	}
 	_, _, _ = X[(b-1)*stride+w.InP-1], F[(b-1)*stride+w.InP-1], Acc[(b-1)*stride+w.OutP-1]

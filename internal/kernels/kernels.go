@@ -41,7 +41,6 @@ package kernels
 
 import (
 	"math"
-	"slices"
 	"strings"
 	"unsafe"
 
@@ -280,65 +279,91 @@ func GemmRef[T Elem](X []T, Acc []int64, b, stride int, w *Weights[T], F []float
 // walk memory in the same order.
 const gemmColBlock = 16
 
-// GemmFunc is the batch GEMM contract GemmRef defines, at one element width.
-type GemmFunc[T Elem] func(X []T, Acc []int64, b, stride int, w *Weights[T], F []float64)
+// StripRows is the most rows a layer computes at once: a strip's sums are
+// finished before the next strip's GEMM starts, so the layer scratch is one
+// strip, whatever the batch. A multiple of 12, so the 16-bit VNNI tile (4
+// rows) and the 32-bit FMA kernels (6 rows) both divide it; a batch of at
+// most StripRows rows is one strip, the whole-batch walk.
+const StripRows = 24
 
-// FinishFunc is the row epilogue contract fixedpoint.FinishRow defines, at
-// one element width.
-type FinishFunc[T Elem] func(e *fixedpoint.Epilogue, acc, bias []int64, relu bool, dst []T)
+// LayerFunc is the FC layer contract LayerRef defines, at one element width.
+type LayerFunc[T Elem] func(X []T, b, stride int, w *Weights[T], bias []int64, e *fixedpoint.Epilogue, relu bool, acc []int64, F []float64)
 
-// Impl is one named implementation of a kernel contract. The build-tagged
-// init functions register every implementation the build contains, runnable
-// on this host or not, so tests and benchmarks can drive each one by name
-// rather than only the one dispatch picked.
-type Impl[F any] struct {
-	// Name is the feature tag Features reports while Fn is dispatched;
-	// "ref" for the portable reference, which reports nothing.
-	Name string
-	Fn   F
-	// Missing names the CPU feature this host lacks to run Fn; empty means
-	// runnable.
-	Missing string
+// LayerRef is the portable reference FC layer and the definition of one: it
+// leaves X[q*stride+j], for every row q < b and output j < w.Out, the
+// fixedpoint.FinishRow of GemmRef's sum (q, j) with bias[j], strip by strip
+// (Impl.Run). Columns past w.Out keep stale values. acc (the sums) and F
+// (the 32-bit walks' float64 rows) hold min(b, StripRows)*stride elements.
+//
+//microrec:noalloc
+func LayerRef[T Elem](X []T, b, stride int, w *Weights[T], bias []int64, e *fixedpoint.Epilogue, relu bool, acc []int64, F []float64) {
+	ref := Impl[T]{gemm: GemmRef[T], finish: fixedpoint.FinishRow[T]}
+	ref.Run(X, b, stride, w, bias, e, relu, acc, F)
 }
 
-// Implementation tables, one per contract and width, in ascending order of
-// preference: dispatch takes the last runnable entry. Appended to by the
-// build-tagged init functions and fixed from then on; under the noasm tag
-// only the references are ever listed.
+// gemmFunc is the GEMM walk contract GemmRef defines, called with b >= 1.
+type gemmFunc[T Elem] func(X []T, Acc []int64, b, stride int, w *Weights[T], F []float64)
+
+// Impl is one named implementation of the layer contract: a GEMM walk
+// (GemmRef's contract) paired with the row epilogue that finishes its sums
+// (fixedpoint.FinishRow's). The build-tagged init functions register every
+// implementation the build contains, runnable on this host or not, so tests
+// and benchmarks can drive each one by name, not only the one dispatched.
+type Impl[T Elem] struct {
+	// Name is the feature tag Features reports while the implementation is
+	// dispatched ("ref" reports nothing); Missing names the CPU feature this
+	// host lacks to run it, empty when runnable.
+	Name, Missing string
+	gemm          gemmFunc[T]
+	finish        func(e *fixedpoint.Epilogue, acc, bias []int64, relu bool, dst []T)
+}
+
+// Run is the layer walk every implementation shares, a LayerFunc. For each
+// strip of at most StripRows rows the GEMM walk writes the strip's sums into
+// acc, then the epilogue finishes each of the strip's rows back over X. In
+// place is safe: the strip's GEMM has read every input column of its rows
+// before any of them is finished, and no other strip reads them.
+//
+//microrec:noalloc
+func (m *Impl[T]) Run(X []T, b, stride int, w *Weights[T], bias []int64, e *fixedpoint.Epilogue, relu bool, acc []int64, F []float64) {
+	for s := 0; s < b; s += StripRows {
+		x := X[s*stride:]
+		rows := min(StripRows, b-s)
+		m.gemm(x, acc, rows, stride, w, F)
+		for r := 0; r < rows; r++ {
+			m.finish(e, acc[r*stride:r*stride+w.Out], bias, relu, x[r*stride:])
+		}
+	}
+}
+
+// Implementation tables, one per width, in ascending order of preference:
+// dispatch takes the last runnable entry. Appended to by the build-tagged
+// init functions and fixed from then on; under the noasm tag only the
+// references are ever listed.
 var (
-	Gemm16Impls   = []Impl[GemmFunc[int16]]{{Name: "ref", Fn: GemmRef[int16]}}
-	Gemm32Impls   = []Impl[GemmFunc[int32]]{{Name: "ref", Fn: GemmRef[int32]}}
-	Finish16Impls = []Impl[FinishFunc[int16]]{{Name: "ref", Fn: fixedpoint.FinishRow[int16]}}
-	Finish32Impls = []Impl[FinishFunc[int32]]{{Name: "ref", Fn: fixedpoint.FinishRow[int32]}}
+	Layer16Impls = []Impl[int16]{{Name: "ref", gemm: GemmRef[int16], finish: fixedpoint.FinishRow[int16]}}
+	Layer32Impls = []Impl[int32]{{Name: "ref", gemm: GemmRef[int32], finish: fixedpoint.FinishRow[int32]}}
 )
 
-// Dispatch variables, one per contract and element width, assigned once by
-// the build-tagged init functions (and never after). An engine picks the
-// ones matching its format's Bits at Build and calls them directly from then
-// on. Under the noasm tag no init runs and the references stay.
+// Layer16 and Layer32 are the active FC layers over int16 and int32 planes
+// and weights, assigned once by the build-tagged init functions (under the
+// noasm tag none runs and the references stay). An engine binds the one its
+// format's Bits picks at Build.
 var (
-	// Gemm16 is the active batch GEMM over int16 planes and weights.
-	Gemm16 GemmFunc[int16] = GemmRef[int16]
-	// Gemm32 is the active batch GEMM over int32 planes and weights.
-	Gemm32 GemmFunc[int32] = GemmRef[int32]
-	// FinishRow16 is the active row epilogue into an int16 plane.
-	FinishRow16 FinishFunc[int16] = fixedpoint.FinishRow[int16]
-	// FinishRow32 is the active row epilogue into an int32 plane.
-	FinishRow32 FinishFunc[int32] = fixedpoint.FinishRow[int32]
+	Layer16 LayerFunc[int16] = LayerRef[int16]
+	Layer32 LayerFunc[int32] = LayerRef[int32]
 )
 
 // dispatch returns the most preferred runnable implementation in impls and
-// records its feature tag (once: the two epilogue widths share one).
-func dispatch[F any](impls []Impl[F]) F {
+// records its feature tag.
+func dispatch[T Elem](impls []Impl[T]) LayerFunc[T] {
 	for i := len(impls) - 1; i > 0; i-- {
 		if impls[i].Missing == "" {
-			if !slices.Contains(featureTags, impls[i].Name) {
-				featureTags = append(featureTags, impls[i].Name)
-			}
-			return impls[i].Fn
+			featureTags = append(featureTags, impls[i].Name)
+			return impls[i].Run
 		}
 	}
-	return impls[0].Fn
+	return LayerRef[T]
 }
 
 // featureTags collects the optimized paths the init functions enabled, in
@@ -346,7 +371,7 @@ func dispatch[F any](impls []Impl[F]) F {
 var featureTags []string
 
 // Features reports which kernel paths are live, e.g.
-// "avx512-vnni16+avx512-fma32+avx512-epilogue+avx512-quantize+avx512dq-unit+prefetch-t0+batched-quantize"
+// "avx512-vnni16+avx512-fma32+avx512-quantize+avx512dq-unit+prefetch-t0+batched-quantize"
 // on a host with AVX-512 VNNI and DQ,
 // "avx2-vpmaddwd16+avx2-fma32+prefetch-t0+batched-quantize" on one with AVX2
 // and FMA3 only, or "portable" when every kernel is the reference (the noasm

@@ -25,44 +25,46 @@ import (
 // kernel (a multiply that loses sign or high bits) cannot hide. Full-range
 // int32 weights leave the 32-bit FMA kernels no exact chunk (fma = 0), so
 // over kernel32's draws they pin the reference fallback; TestGemm32FMAExact
-// bounds the weights to reach the FMA body.
+// bounds the weights to reach the FMA body. The GEMM and epilogue tests drive
+// each implementation's unexported halves, the layer test the whole layer.
 type gemmKernel[T Elem] struct {
 	name string
 	// impls points at the table rather than copying it: package variables
 	// are initialized before the init functions that register the optimized
 	// kernels.
-	impls *[]Impl[GemmFunc[T]]
+	impls *[]Impl[T]
 	rnd   func(*rand.Rand) T
 }
 
 var (
-	kernel16 = gemmKernel[int16]{"int16", &Gemm16Impls, func(r *rand.Rand) int16 { return int16(r.Uint32()) }}
-	kernel32 = gemmKernel[int32]{"int32", &Gemm32Impls, func(r *rand.Rand) int32 { return int32(r.Uint32()) }}
+	kernel16 = gemmKernel[int16]{"int16", &Layer16Impls, func(r *rand.Rand) int16 { return int16(r.Uint32()) }}
+	kernel32 = gemmKernel[int32]{"int32", &Layer32Impls, func(r *rand.Rand) int32 { return int32(r.Uint32()) }}
 )
 
 // eachImpl runs f as one subtest per implementation in impls.
-func eachImpl[F any](t *testing.T, prefix string, impls []Impl[F], f func(t *testing.T, fn F)) {
+func eachImpl[T Elem](t *testing.T, prefix string, impls []Impl[T], f func(t *testing.T, impl *Impl[T])) {
 	t.Helper()
 	for _, impl := range impls {
 		t.Run(prefix+"/"+impl.Name, func(t *testing.T) {
 			if impl.Missing != "" {
 				t.Skipf("host lacks %s", impl.Missing)
 			}
-			f(t, impl.Fn)
+			f(t, &impl)
 		})
 	}
 }
 
-func (k gemmKernel[T]) each(t *testing.T, f func(t *testing.T, gemm GemmFunc[T])) {
+// each runs f once per implementation's GEMM walk.
+func (k gemmKernel[T]) each(t *testing.T, f func(t *testing.T, gemm gemmFunc[T])) {
 	t.Helper()
-	eachImpl(t, k.name, *k.impls, f)
+	eachImpl(t, k.name, *k.impls, func(t *testing.T, impl *Impl[T]) { f(t, impl.gemm) })
 }
 
 // compare runs one packed layer through GemmRef and gemm on the same plane
 // and demands identical accumulators over the logical shape. X is b full
 // rows of stride elements: the caller fills the padding lanes past w.In with
 // garbage, which the zero-padded weights must annihilate.
-func (k gemmKernel[T]) compare(t testing.TB, gemm GemmFunc[T], X []T, b, stride int, w *Weights[T]) {
+func (k gemmKernel[T]) compare(t testing.TB, gemm gemmFunc[T], X []T, b, stride int, w *Weights[T]) {
 	t.Helper()
 	// Poison both accumulator planes differently so stale values cannot
 	// fake a match, and the float64 scratch with NaN, which turns any sum
@@ -91,7 +93,7 @@ func (k gemmKernel[T]) compare(t testing.TB, gemm GemmFunc[T], X []T, b, stride 
 
 // randomCase packs a random in x out layer and compares on a random plane
 // whose row stride is the smallest legal one plus slack Lane-multiples.
-func (k gemmKernel[T]) randomCase(t *testing.T, gemm GemmFunc[T], rng *rand.Rand, b, in, out, slack int) {
+func (k gemmKernel[T]) randomCase(t *testing.T, gemm gemmFunc[T], rng *rand.Rand, b, in, out, slack int) {
 	t.Helper()
 	w := Pack(in, out, func(i, j int) T { return k.rnd(rng) })
 	stride := max(w.InP, w.OutP) + slack*Lane
@@ -194,12 +196,12 @@ func gemmShapes(f func(rng *rand.Rand, b, in, out, slack int)) {
 // TestGemmBitIdentityShapes is the identity property over shapes, for every
 // implementation of both element types.
 func TestGemmBitIdentityShapes(t *testing.T) {
-	kernel16.each(t, func(t *testing.T, gemm GemmFunc[int16]) {
+	kernel16.each(t, func(t *testing.T, gemm gemmFunc[int16]) {
 		gemmShapes(func(rng *rand.Rand, b, in, out, slack int) {
 			kernel16.randomCase(t, gemm, rng, b, in, out, slack)
 		})
 	})
-	kernel32.each(t, func(t *testing.T, gemm GemmFunc[int32]) {
+	kernel32.each(t, func(t *testing.T, gemm gemmFunc[int32]) {
 		gemmShapes(func(rng *rand.Rand, b, in, out, slack int) {
 			kernel32.randomCase(t, gemm, rng, b, in, out, slack)
 		})
@@ -225,7 +227,7 @@ func TestGemm32WraparoundIdentity(t *testing.T) {
 			planes[s][i] = extremes[rng.Intn(2)]
 		}
 	}
-	kernel32.each(t, func(t *testing.T, gemm GemmFunc[int32]) {
+	kernel32.each(t, func(t *testing.T, gemm gemmFunc[int32]) {
 		for b := 1; b <= maxB; b++ {
 			for s, stride := range strides {
 				kernel32.compare(t, gemm, planes[s][:b*stride], b, stride, &w)
@@ -317,7 +319,7 @@ func TestGemm32FMAExact(t *testing.T) {
 			layers = append(layers, layer{fmt.Sprintf("in%d_L%d_%s", c.in, c.L, mode), w, X, stride})
 		}
 	}
-	kernel32.each(t, func(t *testing.T, gemm GemmFunc[int32]) {
+	kernel32.each(t, func(t *testing.T, gemm gemmFunc[int32]) {
 		for _, l := range layers {
 			t.Run(l.name, func(t *testing.T) {
 				for b := 1; b <= maxB; b++ {
@@ -423,7 +425,7 @@ func TestGemm16AdversarialSaturation(t *testing.T) {
 		{4096, -32768, 0}, // saturated negative weight: one step can wrap
 		{48, -32768, 0},
 	}
-	kernel16.each(t, func(t *testing.T, gemm GemmFunc[int16]) {
+	kernel16.each(t, func(t *testing.T, gemm gemmFunc[int16]) {
 		rng := rand.New(rand.NewSource(5))
 		for _, c := range cases {
 			for _, b := range []int{1, 3, 4, 6, 9} {
@@ -492,7 +494,7 @@ func (k gemmKernel[T]) fuzz(t *testing.T, fb, fin, fout, fslack uint8, vals []by
 	}
 	for _, impl := range *k.impls {
 		if impl.Missing == "" {
-			k.compare(t, impl.Fn, X, b, stride, &w)
+			k.compare(t, impl.gemm, X, b, stride, &w)
 		}
 	}
 }
@@ -526,14 +528,15 @@ func abs16(v int16) int16 {
 	return v
 }
 
-// finishIdentity compares every registered row epilogue of one width against
-// fixedpoint.FinishRow, the definition: accumulators at every rounding and
-// saturation boundary and at the int64 extremes, biases that saturate on
-// their own, ReLU on and off, and row lengths on every residue of the
-// eight-lane vector step. dst is poisoned past the row to catch a store the
+// finishIdentity compares every registered implementation's row epilogue of
+// one width against fixedpoint.FinishRow, the definition: accumulators at
+// every rounding and saturation boundary and at the int64 extremes, biases
+// that saturate on their own, ReLU on and off, and row lengths on every
+// residue of the eight-lane vector step. dst is poisoned past the row to catch a store the
 // length does not cover.
-func finishIdentity[T Elem](t *testing.T, name string, formats []fixedpoint.Format, impls []Impl[FinishFunc[T]]) {
-	eachImpl(t, name, impls, func(t *testing.T, finish FinishFunc[T]) {
+func finishIdentity[T Elem](t *testing.T, name string, formats []fixedpoint.Format, impls []Impl[T]) {
+	eachImpl(t, name, impls, func(t *testing.T, impl *Impl[T]) {
+		finish := impl.finish
 		rng := rand.New(rand.NewSource(6))
 		for _, f := range formats {
 			e := f.Epilogue()
@@ -603,8 +606,86 @@ func TestFinishRowBitIdentity(t *testing.T) {
 			f32 = append(f32, f)
 		}
 	}
-	finishIdentity(t, "int16", f16, Finish16Impls)
-	finishIdentity(t, "int32", f32, Finish32Impls)
+	finishIdentity(t, "int16", f16, Layer16Impls)
+	finishIdentity(t, "int32", f32, Layer32Impls)
+}
+
+// TestLayerBitIdentity compares every registered layer with LayerRef, the
+// definition, over whole layers: batches of one row, a strip short of one
+// row, one strip, one strip plus a row, two strips plus a ragged one and the
+// serving batch; full-range activations (stale padding lanes and stride
+// slack included) and a NaN-poisoned float64 scratch; weights at the
+// production magnitudes, which reach the optimized bodies, and full-range
+// ones, which take the fallbacks. Besides the production epilogues it runs
+// transparent ones — no rounding, no clamp, no ReLU, shifts of 0, 16, 32
+// and 48 bits — whose truncating narrow store carries the sum's bits at that
+// shift into the output, so no wrong bit of a sum can hide behind a
+// saturation. The row past b and every column past w.Out must keep their
+// stale values.
+func TestLayerBitIdentity(t *testing.T) {
+	layerIdentity(t, kernel16, fixedpoint.Fixed16)
+	layerIdentity(t, kernel32, fixedpoint.Fixed32)
+}
+
+func layerIdentity[T Elem](t *testing.T, k gemmKernel[T], f fixedpoint.Format) {
+	type epilogue struct {
+		name string
+		e    fixedpoint.Epilogue
+		relu bool
+	}
+	epilogues := []epilogue{{"production", f.Epilogue(), false}, {"production-relu", f.Epilogue(), true}}
+	for _, shift := range []uint{0, 16, 32, 48} {
+		e := fixedpoint.Epilogue{Shift: shift, Max: math.MaxInt64, Min: math.MinInt64}
+		epilogues = append(epilogues, epilogue{fmt.Sprintf("transparent%d", shift), e, false})
+	}
+	type layer struct {
+		name string
+		w    Weights[T]
+		bias []int64
+	}
+	var layers []layer
+	rng := rand.New(rand.NewSource(8))
+	for _, s := range []struct{ in, out int }{{35, 6}, {100, 70}} {
+		maxAbs := int64(f.Scale() / math.Sqrt(float64(s.in))) // a layer's ±1/sqrt(in)
+		bias := make([]int64, s.out)
+		for j := range bias {
+			bias[j] = rng.Int63n(2*maxAbs+1) - maxAbs
+		}
+		calibrated := Pack(s.in, s.out, func(i, j int) T { return T(rng.Int63n(2*maxAbs+1) - maxAbs) })
+		if calibrated.madd == 0 && calibrated.fma < 4 {
+			t.Fatalf("%dx%d: calibrated weights take the reference walk", s.in, s.out)
+		}
+		full := Pack(s.in, s.out, func(i, j int) T { return k.rnd(rng) })
+		layers = append(layers,
+			layer{fmt.Sprintf("calibrated%dx%d", s.in, s.out), calibrated, bias},
+			layer{fmt.Sprintf("full%dx%d", s.in, s.out), full, bias})
+	}
+	eachImpl(t, k.name, *k.impls, func(t *testing.T, impl *Impl[T]) {
+		for _, l := range layers {
+			stride := max(l.w.InP, l.w.OutP) + Lane
+			for _, b := range []int{1, StripRows - 1, StripRows, StripRows + 1, 2*StripRows + 5, 64} {
+				X := make([]T, (b+1)*stride)
+				for i := range X {
+					X[i] = k.rnd(rng)
+				}
+				n := min(b, StripRows) * stride
+				ref, opt, F := make([]int64, n), make([]int64, n), make([]float64, n)
+				for _, ep := range epilogues {
+					for i := range ref {
+						ref[i], opt[i], F[i] = 1<<62+int64(i), -(1<<61 + int64(i)), math.NaN()
+					}
+					want, got := slices.Clone(X), slices.Clone(X)
+					LayerRef(want, b, stride, &l.w, l.bias, &ep.e, ep.relu, ref, nil)
+					impl.Run(got, b, stride, &l.w, l.bias, &ep.e, ep.relu, opt, F)
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s %s b=%d: X[%d][%d] = %d, want %d", l.name, ep.name, b, i/stride, i%stride, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 // quantFormats are the formats the identity tests sweep: the two datapath

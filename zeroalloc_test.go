@@ -209,7 +209,6 @@ func zeroallocCases(t *testing.T) []allocCase {
 
 	k16, k32 := newKernelFixture[int16](fixedpoint.Fixed16), newKernelFixture[int32](fixedpoint.Fixed32)
 	quant := kernels.NewQuantizer(fixedpoint.Fixed16)
-	finish := fixedpoint.Fixed16.Epilogue()
 	qsrc := make([]float32, 48)
 	qdst := make([]int16, 48)
 	for i := range qsrc {
@@ -382,6 +381,8 @@ func zeroallocCases(t *testing.T) []allocCase {
 			name: "kernels/reference",
 			covers: []string{
 				"internal/kernels.GemmRef",
+				"internal/kernels.LayerRef",
+				"internal/kernels.Impl.Run",
 				"internal/kernels.QuantizeRowRef",
 				"internal/kernels.QuantizeRow",
 				"internal/kernels.UnitFloatsRef",
@@ -391,15 +392,14 @@ func zeroallocCases(t *testing.T) []allocCase {
 				"internal/fixedpoint.FinishRow",
 			},
 			run: func() {
-				kernels.GemmRef(k16.x, k16.acc, k16.b, k16.stride, &k16.w, k16.f)
-				kernels.GemmRef(k32.x, k32.acc, k32.b, k32.stride, &k32.w, k32.f)
+				k16.layer(kernels.LayerRef[int16])
+				k32.layer(kernels.LayerRef[int32])
 				kernels.QuantizeRowRef(fixedpoint.Fixed16, qsrc, qdst)
 				kernels.QuantizeRow(&quant, qsrc, qdst)
 				kernels.UnitFloatsRef(unitDraws, 1, qsrc[:len(unitDraws)])
 				kernels.UnitFloats(unitDraws, 1, qsrc[:len(unitDraws)])
 				kernels.PrefetchRow(qsrc)
 				kernels.PrefetchRows(qsrc, 12, hintRows[:])
-				fixedpoint.FinishRow(&finish, k16.acc[:k16.w.Out], k16.acc[:k16.w.Out], true, k16.x)
 			},
 		},
 	}
@@ -407,33 +407,42 @@ func zeroallocCases(t *testing.T) []allocCase {
 
 // kernelFixture is one small packed layer and plane pair at element type T,
 // shared by the reference row above and the per-implementation rows in
-// zeroalloc_amd64_test.go. The shape is ragged on purpose (rows past one
-// four-row tile and one six-row tile, in past one 512-bit vector, out past
-// one 4-output group), and the weights are at the production models'
-// magnitudes (±1/sqrt(in), raw), so each kernel runs its real body: the
-// 16-bit kernels on their widening cadence, the 32-bit ones in float64
-// chunks rather than the reference fallback. f is the 32-bit kernels'
-// float64 scratch plane.
+// zeroalloc_amd64_test.go. The shape is ragged on purpose (a full strip and
+// then rows past one four-row tile and one six-row tile, in past one 512-bit
+// vector, out past one 4-output group), and the weights are at the
+// production models' magnitudes (±1/sqrt(in), raw), so each kernel runs its
+// real body: the 16-bit kernels on their widening cadence, the 32-bit ones
+// in float64 chunks rather than the reference fallback. acc and f are one
+// strip's scratch.
 type kernelFixture[T kernels.Elem] struct {
 	b, stride int
 	x         []T
 	acc       []int64
 	f         []float64
 	w         kernels.Weights[T]
+	bias      []int64
+	e         fixedpoint.Epilogue
 }
 
 func newKernelFixture[T kernels.Elem](format fixedpoint.Format) *kernelFixture[T] {
-	const b, in, out = 7, 35, 6
+	const b, in, out = kernels.StripRows + 7, 35, 6
 	maxAbs := int(format.Scale() / math.Sqrt(in))
 	k := &kernelFixture[T]{b: b, w: kernels.Pack(in, out, func(i, j int) T { return T((i+j)%(2*maxAbs+1) - maxAbs) })}
 	k.stride = max(k.w.InP, k.w.OutP)
 	k.x = make([]T, b*k.stride)
-	k.acc = make([]int64, b*k.stride)
-	k.f = make([]float64, b*k.stride)
+	k.acc = make([]int64, kernels.StripRows*k.stride)
+	k.f = make([]float64, kernels.StripRows*k.stride)
+	k.bias = make([]int64, out)
+	k.e = format.Epilogue()
 	for i := range k.x {
 		k.x[i] = T(i%7 - 3)
 	}
 	return k
+}
+
+// layer runs the fixture's layer through fc, in place over its plane.
+func (k *kernelFixture[T]) layer(fc kernels.LayerFunc[T]) {
+	fc(k.x, k.b, k.stride, &k.w, k.bias, &k.e, true, k.acc, k.f)
 }
 
 // Sinks keep results live so the runners cannot be dead-code-eliminated.
