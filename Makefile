@@ -54,7 +54,7 @@ test-procs:
 test-kernels:
 	$(GO) run ./cmd/microrec kernels
 	mkdir -p $(BENCH_SCRATCH)
-	$(GO) test -v -run 'Gemm|Layer|FinishRow|Features' ./internal/kernels > $(BENCH_SCRATCH)/kernel-tests.txt || { cat $(BENCH_SCRATCH)/kernel-tests.txt; exit 1; }
+	$(GO) test -v -run 'Gemm|Layer|FinishRow|Extend|Features' ./internal/kernels > $(BENCH_SCRATCH)/kernel-tests.txt || { cat $(BENCH_SCRATCH)/kernel-tests.txt; exit 1; }
 	grep -E '^ *--- [A-Z]+: Test[^/ ]*(/[^/ ]*){0,2} |kernel features|^ok' $(BENCH_SCRATCH)/kernel-tests.txt
 
 # test-noasm forces the portable kernel path (the noasm build tag disables
@@ -86,12 +86,13 @@ bench:
 # includes BenchmarkGatherMiss, the gather over tables a lookup can miss in;
 # 'Dense' is BenchmarkDenseStage, the FC tower alone at both widths). The
 # kernel microbenchmarks ride along so the SIMD paths are exercised under the
-# bench harness too, with the peak loops their MACs/ns are read against, and
+# bench harness too, with the peak loops and memory probes their numbers are
+# read against, and
 # so does the engine build's bulk step: parameter materialisation
 # (production-large at the benchmark's row cap).
 bench-smoke:
 	$(GO) test -run xxx -bench 'Gather|Serve|EngineInferOne|Pipeline|Dense' -benchtime 1x -benchmem .
-	$(GO) test -run xxx -bench 'GEMMKernel|FinishRow|QuantizeRow|Peak' -benchtime 1x -benchmem ./internal/kernels
+	$(GO) test -run xxx -bench 'GEMMKernel|FinishRow|QuantizeRow|Extend|Peak' -benchtime 1x -benchmem ./internal/kernels
 	$(GO) test -run xxx -bench 'Materialize' -benchtime 1x -benchmem ./internal/model
 
 # loadtest-smoke drives the open-loop load harness end to end three ways: one
@@ -109,11 +110,13 @@ loadtest-smoke:
 # enough to replay the corpus and catch shallow regressions in the histogram
 # quantile math, the obs trace/metrics writers, the 16- and 32-bit GEMM
 # kernels (every implementation the host can run against the reference), the
+# parameter stream's recurrence (each path against the reference), the
 # gather's row reduction (reciprocal against remainder) and raw /predict
 # bodies (never a panic or a 500) without stalling the build.
 fuzz-smoke:
 	$(GO) test ./internal/kernels -fuzz FuzzGemm16Identity -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/kernels -fuzz FuzzGemm32Identity -fuzztime 10s -run '^$$'
+	$(GO) test ./internal/kernels -fuzz FuzzExtendIdentity -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/core -fuzz FuzzRowReduce -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/metrics -fuzz FuzzHistogramQuantile -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/obs -fuzz FuzzSpanTraceEvents -fuzztime 10s -run '^$$'

@@ -1,6 +1,7 @@
 //go:build amd64 && !noasm
 
 #include "textflag.h"
+#include "go_asm.h"
 
 // All 512-bit register use in the package lives in the functions below:
 // assembly functions are never asynchronously preempted, so no zmm state is
@@ -699,6 +700,88 @@ tail:
 	UNIT8
 	VMOVUPS      Y0, K1, (DI)
 done:
+	VZEROUPPER
+	RET
+
+// SKIPCOUNT adds one to each lane of cnt whose draw in y Float32 resamples:
+// the low 63 bits (Z13) not below SkipFrom (Z14), compared unsigned into
+// the mask k, under which ones (Z15) are added. t is scratch.
+#define SKIPCOUNT(y, t, k, cnt) \
+	VPANDQ  Z13, y, t;        \
+	VPCMPUQ $5, Z14, t, k;    \
+	VPADDQ  Z15, cnt, k, cnt
+
+// func extend8(buf *uint64, n int) (skips int)
+//
+// Extend over the first n new draws (n > 0, a multiple of 8): eight draws a
+// vector, VPADDQ of the long lag (SI) and the short one (DX), stored at DI
+// and counted by SKIPCOUNT into per-lane counts (Z8, Z9) that are summed
+// once at the end, all in Z0–Z15, which VZEROUPPER leaves clean. Four
+// vectors a step while 32 remain, then one. A step
+// reads draws up to LagLong − LagShort + 31 past its first and writes from
+// LagLong on, so every draw it reads was written by an earlier step.
+TEXT ·extend8(SB), NOSPLIT, $0-24
+	MOVQ         buf+0(FP), SI
+	MOVQ         n+8(FP), CX
+	LEAQ         ((const_LagLong-const_LagShort)*8)(SI), DX
+	LEAQ         (const_LagLong*8)(SI), DI
+	MOVQ         $0x7fffffffffffffff, AX
+	VPBROADCASTQ AX, Z13
+	MOVQ         $const_SkipFrom, AX
+	VPBROADCASTQ AX, Z14
+	VPTERNLOGD   $0xFF, Z15, Z15, Z15
+	VPSRLQ       $63, Z15, Z15
+	VPXORQ       Z8, Z8, Z8
+	VPXORQ       Z9, Z9, Z9
+	CMPQ         CX, $32
+	JLT          one
+
+four:
+	VMOVDQU64    (SI), Z0
+	VMOVDQU64    64(SI), Z1
+	VMOVDQU64    128(SI), Z2
+	VMOVDQU64    192(SI), Z3
+	VPADDQ       (DX), Z0, Z0
+	VPADDQ       64(DX), Z1, Z1
+	VPADDQ       128(DX), Z2, Z2
+	VPADDQ       192(DX), Z3, Z3
+	VMOVDQU64    Z0, (DI)
+	VMOVDQU64    Z1, 64(DI)
+	VMOVDQU64    Z2, 128(DI)
+	VMOVDQU64    Z3, 192(DI)
+	SKIPCOUNT(Z0, Z4, K1, Z8)
+	SKIPCOUNT(Z1, Z5, K2, Z9)
+	SKIPCOUNT(Z2, Z6, K3, Z8)
+	SKIPCOUNT(Z3, Z7, K4, Z9)
+	ADDQ         $256, SI
+	ADDQ         $256, DX
+	ADDQ         $256, DI
+	SUBQ         $32, CX
+	CMPQ         CX, $32
+	JGE          four
+
+one:
+	TESTQ        CX, CX
+	JZ           sum
+	VMOVDQU64    (SI), Z0
+	VPADDQ       (DX), Z0, Z0
+	VMOVDQU64    Z0, (DI)
+	SKIPCOUNT(Z0, Z4, K1, Z8)
+	ADDQ         $64, SI
+	ADDQ         $64, DX
+	ADDQ         $64, DI
+	SUBQ         $8, CX
+	JMP          one
+
+sum:
+	VPADDQ        Z9, Z8, Z8
+	VEXTRACTI64X4 $1, Z8, Y9
+	VPADDQ        Y9, Y8, Y8
+	VEXTRACTI128  $1, Y8, X9
+	VPADDQ        X9, X8, X8
+	VPSHUFD       $0x4e, X8, X9
+	VPADDQ        X9, X8, X8
+	VMOVQ         X8, skips+16(FP)
 	VZEROUPPER
 	RET
 

@@ -29,7 +29,8 @@ func init() {
 	Layer32 = dispatch(Layer32Impls)
 	if cpu.avx512vnni {
 		quantizeVec16, quantizeVec32 = quantize8x16, quantize8x32
-		featureTags = append(featureTags, "avx512-quantize")
+		extendVec = extend8
+		featureTags = append(featureTags, "avx512-quantize", "avx512-extend")
 	}
 	if cpu.avx512vnni && cpu.avx512dq {
 		unitVec = unit8
@@ -170,6 +171,9 @@ func toFloat64(x *int32, f *float64, rows, stride, n int)
 //
 //go:noescape
 func finish8x16(acc, bias *int64, dst *int16, n int, shift uint64, half, hi, lo, floor int64)
+
+//go:noescape
+func extend8(buf *uint64, n int) (skips int)
 
 //go:noescape
 func unit8(draws *uint64, dst *float32, n int, scale float32)

@@ -371,7 +371,7 @@ func dispatch[T Elem](impls []Impl[T]) LayerFunc[T] {
 var featureTags []string
 
 // Features reports which kernel paths are live, e.g.
-// "avx512-vnni16+avx512-fma32+avx512-quantize+avx512dq-unit+prefetch-t0+batched-quantize"
+// "avx512-vnni16+avx512-fma32+avx512-quantize+avx512-extend+avx512dq-unit+prefetch-t0+batched-quantize"
 // on a host with AVX-512 VNNI and DQ,
 // "avx2-vpmaddwd16+avx2-fma32+prefetch-t0+batched-quantize" on one with AVX2
 // and FMA3 only, or "portable" when every kernel is the reference (the noasm

@@ -19,8 +19,9 @@ import (
 // y[n] = y[n-607] + y[n-273] mod 2⁶⁴, and Uint64 returns y[n] itself. The
 // first 607 draws are read through the public API (they encode the seeding);
 // they are the generator's whole state, so every later draw follows from the
-// recurrence alone. Draws within one run of 273 do not depend on each other,
-// which keeps the extension loop free of a per-draw call or a carried chain.
+// recurrence alone (kernels.Extend). Draws within one run of 273 do not
+// depend on each other, which keeps the extension free of a per-draw call or
+// a carried chain, and lets it run eight draws a vector.
 //
 // The same property makes the stream seed-addressable. The pass that first
 // runs it records a checkpoint per block of blockDraws draws — the lagLong
@@ -37,11 +38,9 @@ import (
 // draws; otherwise the value is float32(float64(x)/2⁶³).
 
 const (
-	lagLong  = 607 // the source's register length
-	lagShort = 273 // its tap
+	lagLong  = kernels.LagLong
 	mask63   = 1<<63 - 1
-	// skipFrom is the smallest 63-bit draw Float32 resamples.
-	skipFrom = 1<<63 - 1<<38 - 1<<9
+	skipFrom = kernels.SkipFrom
 	// blockDraws is the draws one block carries to a converter: 256 KiB of
 	// them, small enough to still be in a shared cache when it is read.
 	blockDraws = 1 << 15
@@ -61,22 +60,6 @@ func firstDraws(seed int64, dst []uint64) {
 	for i := range dst {
 		dst[i] = src.Uint64()
 	}
-}
-
-// extend computes buf[lagLong:] from the recurrence, buf[:lagLong] holding
-// the lagLong draws before them, and returns how many of the new draws
-// Float32 resamples.
-func extend(buf []uint64) (skips int) {
-	out := buf[lagLong:]
-	long, short := buf[:len(out)], buf[lagLong-lagShort:][:len(out)]
-	for i := range out {
-		y := long[i] + short[i]
-		out[i] = y
-		if !kept(y) {
-			skips++
-		}
-	}
-	return skips
 }
 
 // segment is one destination of the stream: n consecutive values, each
@@ -200,7 +183,7 @@ func fill(seed int64, segs []segment, workers, record int) *checkpoints {
 		if pos < record {
 			jobs <- job{k: len(cp.pos), pos: pos, window: cp.record(buf[:lagLong], pos)}
 		}
-		skips += extend(buf)
+		skips += kernels.Extend(buf)
 		n := len(draws) - skips
 		if pos+n > record {
 			convert(block{draws: draws, pos: pos, skips: skips}, own, starts, vals)
@@ -319,9 +302,9 @@ func (r *reader) draws(k int, window []uint64, want int) ([]uint64, int) {
 		}
 	}
 	if n := min(max(want-(lagLong-base), 0), blockDraws); n > r.n {
-		// extend works on any window of the buffer: the draws from r.n on
+		// Extend works on any window of the buffer: the draws from r.n on
 		// follow from the lagLong before them.
-		r.skips += extend(r.buf[r.n : lagLong+n])
+		r.skips += kernels.Extend(r.buf[r.n : lagLong+n])
 		r.n = n
 	}
 	d := r.buf[base : lagLong+r.n]

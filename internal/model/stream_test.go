@@ -29,7 +29,7 @@ func eachDraw(seed int64, n int, f func(y uint64)) {
 	firstDraws(seed, buf[:lagLong])
 	draws := buf
 	for {
-		extend(buf)
+		kernels.Extend(buf)
 		for _, y := range draws {
 			if n == 0 {
 				return

@@ -219,6 +219,11 @@ func zeroallocCases(t *testing.T) []allocCase {
 	for i := range unitDraws {
 		unitDraws[i] = uint64(i) << 59
 	}
+	// A window and 45 new draws: five vectors and a scalar tail.
+	streamBuf := make([]uint64, kernels.LagLong+45)
+	for i := range streamBuf[:kernels.LagLong] {
+		streamBuf[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
 
 	return []allocCase{
 		{
@@ -400,6 +405,17 @@ func zeroallocCases(t *testing.T) []allocCase {
 				kernels.UnitFloats(unitDraws, 1, qsrc[:len(unitDraws)])
 				kernels.PrefetchRow(qsrc)
 				kernels.PrefetchRows(qsrc, 12, hintRows[:])
+			},
+		},
+		{
+			name: "kernels/stream-extend",
+			covers: []string{
+				"internal/kernels.ExtendRef",
+				"internal/kernels.Extend",
+			},
+			run: func() {
+				kernels.ExtendRef(streamBuf)
+				kernels.Extend(streamBuf)
 			},
 		},
 	}
