@@ -33,10 +33,9 @@ fmt-check:
 test: build
 	$(GO) test ./...
 
-# test-procs reruns the engine, the sharded tier, the server and the router
-# at one and at four procs. The gather is one walk on the calling goroutine
-# and the tier partitions the model's tables itself, so predictions, cache and
-# tier counters and the partition must not depend on the host's core count.
+# test-procs reruns the engine, the server and the router at one and at four
+# procs. The gather is one walk on the calling goroutine, so predictions,
+# cache and tier counters must not depend on the host's core count.
 # The server's drains own their scheduling (the dense stage's yield before it
 # parks, stage overlap, the pool's run-to-completion workers), so serving and
 # routing must hold on one core as on four. The second line reruns the
@@ -44,7 +43,7 @@ test: build
 # read from the spans; a cancel against the queue send, at plane fill and at
 # the admission gate) ten times at each, so a regression shows here.
 test-procs:
-	$(GO) test -cpu 1,4 ./internal/core ./internal/cluster ./internal/serving ./internal/router
+	$(GO) test -cpu 1,4 ./internal/core ./internal/serving ./internal/router
 	$(GO) test -count=10 -cpu 1,4 -run '^(TestStagesOverlap|TestCancelDropsSkipWork|TestGateCancelCounted)$$' ./internal/serving
 
 # test-kernels names the kernel paths this host dispatched and runs the

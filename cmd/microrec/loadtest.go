@@ -22,8 +22,6 @@ type loadtestReport struct {
 	MaxBatch      int     `json:"max_batch"`
 	QueueDepth    int     `json:"queue_depth"`
 	PipelineDepth int     `json:"pipeline_depth"`
-	// Shards is the scatter/gather tier's shard count (1 = single engine).
-	Shards int `json:"shards"`
 	// Replicas/Route describe the replicated tier when the run used
 	// -replicas > 1 (absent on single-replica runs).
 	Replicas        int     `json:"replicas,omitempty"`
@@ -141,7 +139,6 @@ func cmdLoadtest(args []string) error {
 		Batching:  microrec.BatchingOptions{MaxBatch: *batch},
 		Admission: microrec.AdmissionOptions{QueueDepth: *queue, Shed: true, SLA: *slaBudget},
 		Pipeline:  microrec.PipelineOptions{Depth: *pipelineDepth},
-		Tier:      microrec.TierOptions{Shards: *topo.shards},
 	}
 	var (
 		target loadtestTarget
@@ -206,7 +203,6 @@ func cmdLoadtest(args []string) error {
 		MaxBatch:        *batch,
 		QueueDepth:      target.Stats().Admission.QueueCapacity,
 		PipelineDepth:   *pipelineDepth,
-		Shards:          *topo.shards,
 		RequestsPerLoad: *n,
 		Tolerance:       *tol,
 		GoMaxProcs:      runtime.GOMAXPROCS(0),

@@ -77,8 +77,8 @@ commands:
   exp <name|all>   regenerate a paper table/figure (see 'microrec list')
   plan             run the table-combination + allocation search
   infer            run the engine on synthetic queries + the modelled FPGA timing
-  serve            start an HTTP inference server (scale with -shards inside
-                   one replica, -replicas/-route across replicas)
+  serve            start an HTTP inference server (scale with -replicas/-route
+                   across replicas)
   loadtest         open-loop load sweep: find the knee (max qps meeting the
                    SLA), drive past it, emit a JSON report
   kernels          print which optimized datapath kernels this build selected

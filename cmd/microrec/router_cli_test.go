@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"flag"
+	"io"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -25,7 +26,7 @@ func parseTopology(t *testing.T, args ...string) *topology {
 }
 
 func TestTopologyFlagValidation(t *testing.T) {
-	topo := parseTopology(t, "-replicas", "3", "-route", "affinity", "-shards", "2")
+	topo := parseTopology(t, "-replicas", "3", "-route", "affinity")
 	if err := topo.validate("test"); err != nil {
 		t.Fatal(err)
 	}
@@ -40,6 +41,18 @@ func TestTopologyFlagValidation(t *testing.T) {
 	}
 	if topo = parseTopology(t); topo.validate("test") != nil || topo.routed() {
 		t.Fatal("defaults must validate as a single unrouted replica")
+	}
+}
+
+// TestShardsFlagRemoved checks that -shards, the retired sharded gather
+// tier's flag, is a flag-parse error on the shared topology flags rather than
+// a value serve and loadtest would silently ignore.
+func TestShardsFlagRemoved(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	addTopologyFlags(fs)
+	if err := fs.Parse([]string{"-shards", "2"}); err == nil {
+		t.Fatal("-shards 2 parsed")
 	}
 }
 

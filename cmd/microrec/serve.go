@@ -287,7 +287,6 @@ func cmdServe(args []string) error {
 		Batching:  microrec.BatchingOptions{MaxBatch: *batch},
 		Pipeline:  microrec.PipelineOptions{Depth: *pipelineDepth, WorkerPool: *workerPool},
 		Admission: microrec.AdmissionOptions{QueueDepth: *queue, Shed: *shed, SLA: *slaBudget},
-		Tier:      microrec.TierOptions{Shards: *topo.shards},
 		Trace:     microrec.TraceOptions{Sample: *traceSample},
 	}
 	var (
@@ -338,9 +337,6 @@ func cmdServe(args []string) error {
 	drainNote := fmt.Sprintf("pipelined drain, %d planes", *pipelineDepth)
 	if *workerPool {
 		drainNote = fmt.Sprintf("worker pool, %d workers", *pipelineDepth)
-	}
-	if *topo.shards > 1 {
-		drainNote += fmt.Sprintf(", %d gather shards", *topo.shards)
 	}
 	if topo.routed() {
 		drainNote += fmt.Sprintf(", %d replicas routed %s", *topo.replicas, topo.policy)

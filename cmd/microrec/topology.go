@@ -7,32 +7,22 @@ import (
 	"microrec"
 )
 
-// The serving tier scales along two orthogonal axes, and the flags below are
-// registered together so every command describes them with one vocabulary:
-//
-//   - -shards splits ONE model's embedding tables across N gather shards
-//     inside a single replica (scatter/gather, partial planes merged before
-//     the FC stack) — more lookup bandwidth for one server;
-//   - -replicas runs N complete server replicas — each a full
-//     batching/pipeline composition around its own engine (and its own
-//     -shards gather tier) — behind a router, and -route picks how requests
-//     are spread over them.
-//
-// The two compose: -shards 2 -replicas 3 is three replicas of a two-shard
-// server.
+// The serving tier scales by replication, and the flags below are registered
+// together so every command describes it with one vocabulary: -replicas runs
+// N complete server replicas — each a full batching/pipeline composition
+// around its own engine — behind a router, and -route picks how requests are
+// spread over them.
 type topology struct {
-	shards   *int
 	replicas *int
 	route    *string
 
 	policy microrec.RoutePolicy
 }
 
-// addTopologyFlags registers -shards, -replicas and -route on fs with the
+// addTopologyFlags registers -replicas and -route on fs with the
 // shared help text. Call validate after fs.Parse.
 func addTopologyFlags(fs *flag.FlagSet) *topology {
 	t := &topology{}
-	t.shards = fs.Int("shards", 1, "gather shards inside each replica: embedding tables split across N scatter/gather shards, partial planes merged before the FC stack (1 = single engine); per-shard occupancy appears in /stats.cluster")
 	t.replicas = fs.Int("replicas", 1, "complete server replicas behind the router, each its own engine + batching/pipeline composition (1 = no router); per-replica occupancy appears in /stats.router")
 	t.route = fs.String("route", string(microrec.RouteRoundRobin), "routing policy across -replicas: round-robin, least-loaded (live queue depth + pipeline occupancy), or affinity (hot-key rendezvous hashing, so N hot caches act like one N-times-larger one)")
 	return t
@@ -40,9 +30,6 @@ func addTopologyFlags(fs *flag.FlagSet) *topology {
 
 // validate checks the parsed topology flags and resolves the route policy.
 func (t *topology) validate(cmd string) error {
-	if *t.shards < 1 {
-		return fmt.Errorf("%s: -shards must be >= 1 (got %d)", cmd, *t.shards)
-	}
 	if *t.replicas < 1 {
 		return fmt.Errorf("%s: -replicas must be >= 1 (got %d)", cmd, *t.replicas)
 	}

@@ -66,10 +66,10 @@ func TestCoreAndServingDoNotReachTheAcceleratorModel(t *testing.T) {
 
 // TestOnlyTheTierReachesTheHotRowCache pins the one residency mechanism: the
 // frequency window (internal/hotcache) is owned by the tiered store, so core,
-// cluster, serving and router reach it only through internal/tieredstore.
+// serving and router reach it only through internal/tieredstore.
 // It reads the graph TestImportsGolden pins.
 func TestOnlyTheTierReachesTheHotRowCache(t *testing.T) {
-	checkNoReach(t, importGraph(t), []string{"core", "cluster", "serving", "router"}, "hotcache", "tieredstore")
+	checkNoReach(t, importGraph(t), []string{"core", "serving", "router"}, "hotcache", "tieredstore")
 }
 
 // checkNoReach fails t when a package in from reaches to in graph, directly

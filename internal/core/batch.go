@@ -20,17 +20,6 @@ import (
 // predictions are bit-identical to InferOne. The width-native plane code
 // these entry points forward to is in plane.go.
 
-// GatherObs is the per-batch gather observability record the flight recorder
-// folds into a request span: cold-tier faults suffered by the batch's gather,
-// and — when the gather was a cluster scatter — the scatter width, slowest
-// shard service and merge wait. A single-engine gather leaves Shards at 0.
-type GatherObs struct {
-	ColdFaults  int64
-	Shards      int
-	ShardMaxNS  int64
-	MergeWaitNS int64
-}
-
 // BatchScratch holds the reusable buffers of the batched datapath. A scratch
 // is owned by one goroutine at a time; distinct goroutines must use distinct
 // scratches (the engine itself stays immutable and shareable). Scratches are
@@ -50,7 +39,9 @@ type BatchScratch struct {
 	// kernels read; sized for 32-bit engines only.
 	f64 []float64
 
-	obs GatherObs
+	// coldFaults is the most recent gather's count of rows the tiered store
+	// read from its cold file.
+	coldFaults int64
 }
 
 // noCopy is a zero-size marker whose Lock method makes vet's copylocks check
@@ -60,13 +51,11 @@ type noCopy struct{}
 func (*noCopy) Lock()   {}
 func (*noCopy) Unlock() {}
 
-// GatherObs returns the observability record of the scratch's most recent
-// gather. Valid between a gather's return and the next gather on the scratch.
-func (s *BatchScratch) GatherObs() GatherObs { return s.obs }
-
-// SetGatherObs overwrites the record — the cluster coordinator uses this to
-// replace a partial-gather record with the merged scatter-wide one.
-func (s *BatchScratch) SetGatherObs(o GatherObs) { s.obs = o }
+// ColdFaults returns how many of the rows the scratch's most recent gather
+// read the tiered store served from its cold file — the count the flight
+// recorder folds into a request span. Valid between a gather's return and the
+// next gather on the scratch.
+func (s *BatchScratch) ColdFaults() int64 { return s.coldFaults }
 
 // EnsurePlane sizes a scratch (a zero value, or one last used by any other
 // engine) to hold batches of up to b queries on this engine, so later stage

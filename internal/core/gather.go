@@ -156,24 +156,19 @@ func (blk *gatherBlock) resolve(queries []embedding.Query, rows []int64) {
 type gatherPlan struct {
 	// tables[t] is table t's blocks, round by round.
 	tables [][]gatherBlock
-	// all is every table's index, in spec order: the sequence a whole-batch
-	// gather walks.
-	all []int
 }
 
-// gatherSeq is the lookup sequence of some tables for one batch:
-// their blocks in order, each block across the whole batch. The gather walks
-// it twice, a window apart — once resolving and hinting rows, once reading
-// them — with a cursor for each walk.
+// gatherSeq is one batch's lookup sequence: every table's blocks in spec
+// order, each block across the whole batch. The gather walks it twice, a
+// window apart — once resolving and hinting rows, once reading them — with a
+// cursor for each walk.
 type gatherSeq struct {
 	plan    *gatherPlan
-	tables  []int
 	queries []embedding.Query
 }
 
-// gatherCursor is a position in a gatherSeq: block bi of the sequence's ti-th
-// table, from query qi on. The zero value is the start; ti == len(tables) is
-// the end.
+// gatherCursor is a position in a gatherSeq: block bi of table ti, from query
+// qi on. The zero value is the start; ti == len(plan.tables) is the end.
 type gatherCursor struct{ ti, bi, qi int }
 
 // next returns the block under the cursor and its next run of at most max
@@ -183,7 +178,7 @@ type gatherCursor struct{ ti, bi, qi int }
 //
 //microrec:noalloc
 func (s *gatherSeq) next(c *gatherCursor, max int) (blk *gatherBlock, lo, hi int) {
-	blocks := s.plan.tables[s.tables[c.ti]]
+	blocks := s.plan.tables[c.ti]
 	blk, lo = &blocks[c.bi], c.qi
 	hi = min(lo+max, len(s.queries))
 	c.qi = hi
@@ -202,9 +197,8 @@ func (s *gatherSeq) next(c *gatherCursor, max int) (blk *gatherBlock, lo, hi int
 // lookup rounds in order. Called once in Build.
 func (e *Engine) compileGatherPlan() gatherPlan {
 	n := len(e.spec.Tables)
-	p := gatherPlan{tables: make([][]gatherBlock, n), all: make([]int, n)}
+	p := gatherPlan{tables: make([][]gatherBlock, n)}
 	for t, ts := range e.spec.Tables {
-		p.all[t] = t
 		// Round r of a table lands r*dim columns past round 0.
 		for r := 0; r < ts.Lookups; r++ {
 			p.tables[t] = append(p.tables[t], gatherBlock{
@@ -229,8 +223,8 @@ func (e *Engine) compileGatherPlan() gatherPlan {
 func (e *Engine) gatherBatchValidated(queries []embedding.Query, s *BatchScratch) {
 	// The scratch is reused, so zero the dense tail of every feature row;
 	// the embedding region is fully overwritten by the table passes.
-	e.ZeroDenseTail(len(queries), s)
-	s.obs = GatherObs{ColdFaults: e.dp.gatherTables(&e.gplan, e.gplan.all, queries, s)}
+	e.dp.zeroDenseTail(len(queries), s)
+	s.coldFaults = e.dp.gatherTables(&e.gplan, queries, s)
 }
 
 // ---- tiered backing store ----

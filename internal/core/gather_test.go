@@ -213,24 +213,17 @@ func TestHotCacheChargesRowsAtElementWidth(t *testing.T) {
 	}
 }
 
-// TestGatherPlanWalksEveryTable checks the compiled gather plan: one
-// sequence naming every table once, in spec order, each with one block per
-// lookup round reading that table, at consecutive offsets of a query's index
-// array.
+// TestGatherPlanWalksEveryTable checks the compiled gather plan: every
+// table once, in spec order, each with one block per lookup round reading
+// that table, at consecutive offsets of a query's index array.
 func TestGatherPlanWalksEveryTable(t *testing.T) {
 	for _, spec := range []*model.Spec{model.SmallProduction(), model.LargeProduction(), oddSpec()} {
 		e := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
-		n := len(spec.Tables)
-		if len(e.gplan.tables) != n || len(e.gplan.all) != n {
-			t.Fatalf("%s: plan has %d tables and walks %d, spec has %d",
-				spec.Name, len(e.gplan.tables), len(e.gplan.all), n)
+		if n := len(spec.Tables); len(e.gplan.tables) != n {
+			t.Fatalf("%s: plan has %d tables, spec has %d", spec.Name, len(e.gplan.tables), n)
 		}
 		at := 0
-		for i, ti := range e.gplan.all {
-			if ti != i {
-				t.Fatalf("%s: position %d of the walk is table %d", spec.Name, i, ti)
-			}
-			blocks := e.gplan.tables[ti]
+		for ti, blocks := range e.gplan.tables {
 			if len(blocks) != spec.Tables[ti].Lookups {
 				t.Errorf("%s: table %d has %d blocks, %d lookups", spec.Name, ti, len(blocks), spec.Tables[ti].Lookups)
 			}
@@ -265,8 +258,8 @@ func TestGatherIgnoresGOMAXPROCS(t *testing.T) {
 	}
 	e1, x1, c1 := run(1)
 	e4, x4, c4 := run(4)
-	if fmt.Sprint(e1.gplan.all) != fmt.Sprint(e4.gplan.all) {
-		t.Errorf("plans differ: %v under 1, %v under 4", e1.gplan.all, e4.gplan.all)
+	if fmt.Sprint(e1.gplan.tables) != fmt.Sprint(e4.gplan.tables) {
+		t.Errorf("plans differ: %v under 1, %v under 4", e1.gplan.tables, e4.gplan.tables)
 	}
 	for i := range x1 {
 		if x1[i] != x4[i] {

@@ -29,9 +29,8 @@ import (
 // fixedPath[int32].
 type datapath interface {
 	ensure(s *BatchScratch, b int)
-	gatherTables(plan *gatherPlan, tables []int, queries []embedding.Query, s *BatchScratch) (coldFaults int64)
+	gatherTables(plan *gatherPlan, queries []embedding.Query, s *BatchScratch) (coldFaults int64)
 	zeroDenseTail(b int, s *BatchScratch)
-	mergePartial(b int, spans []ColSpan, src, dst *BatchScratch)
 	dense(b int, s *BatchScratch)
 	tail(b int, s *BatchScratch, dst []float32)
 	release()
@@ -238,7 +237,7 @@ func (d *fixedPath[T]) hint(blk *gatherBlock, rows []int64) {
 //microrec:noalloc
 func (d *fixedPath[T]) hintWindow(s *gatherSeq, c *gatherCursor, rows []int64) int {
 	n := 0
-	for n < len(rows) && c.ti < len(s.tables) {
+	for n < len(rows) && c.ti < len(s.plan.tables) {
 		blk, lo, hi := s.next(c, len(rows)-n)
 		run := rows[n : n+hi-lo]
 		blk.resolve(s.queries[lo:hi], run)
@@ -248,10 +247,10 @@ func (d *fixedPath[T]) hintWindow(s *gatherSeq, c *gatherCursor, rows []int64) i
 	return n
 }
 
-// gatherTables gathers the given tables into the plane and returns
+// gatherTables gathers every table of the plan into the plane and returns
 // how many of the rows it read the tiered store served from the cold file.
-// The tables' lookups form one sequence — each table's blocks in order, each
-// block across the whole batch — and the loop takes it gatherWindow rows at a
+// The lookups form one sequence — each table's blocks in order, each block
+// across the whole batch — and the loop takes it gatherWindow rows at a
 // time, in two passes. Pass 1 resolves the window's row numbers into a vector
 // on the stack and hints every row's cache lines, a block's run with one
 // call. Pass 2 walks the same window again and, per row, reads the row —
@@ -271,12 +270,12 @@ func (d *fixedPath[T]) hintWindow(s *gatherSeq, c *gatherCursor, rows []int64) i
 // counters and the cold-fault count are those of a plain serial walk.
 //
 //microrec:noalloc
-func (d *fixedPath[T]) gatherTables(plan *gatherPlan, tables []int, queries []embedding.Query, s *BatchScratch) (coldFaults int64) {
+func (d *fixedPath[T]) gatherTables(plan *gatherPlan, queries []embedding.Query, s *BatchScratch) (coldFaults int64) {
 	var zero T
 	size := int(unsafe.Sizeof(zero))
 	x := asBytes(*d.plane(s))
 	w := d.stride * size
-	seq := gatherSeq{plan: plan, tables: tables, queries: queries}
+	seq := gatherSeq{plan: plan, queries: queries}
 	var ahead, cur gatherCursor
 	var rows [gatherWindow]int64
 	var first [1]int64 // a tiered row arrives on its own: row 0 of a one-row source
@@ -308,16 +307,6 @@ func (d *fixedPath[T]) zeroDenseTail(b int, s *BatchScratch) {
 	x := *d.plane(s)
 	for qi := 0; qi < b; qi++ {
 		clear(x[qi*d.stride+d.denseOff : qi*d.stride+d.featureLen])
-	}
-}
-
-func (d *fixedPath[T]) mergePartial(b int, spans []ColSpan, src, dst *BatchScratch) {
-	from, to := *d.plane(src), *d.plane(dst)
-	for qi := 0; qi < b; qi++ {
-		base := qi * d.stride
-		for _, sp := range spans {
-			copy(to[base+sp.Off:base+sp.Off+sp.Len], from[base+sp.Off:base+sp.Off+sp.Len])
-		}
 	}
 }
 

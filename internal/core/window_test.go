@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -116,7 +117,7 @@ func TestGatherWindowTierCounters(t *testing.T) {
 		if cold == 0 || cold == lookups {
 			t.Fatalf("b=%d: walk saw %d cold of %d lookups; want a mix", b, cold, lookups)
 		}
-		if got := scratch.GatherObs().ColdFaults; got != cold {
+		if got := scratch.ColdFaults(); got != cold {
 			t.Errorf("b=%d: gather reports %d cold faults, serial walk %d", b, got, cold)
 		}
 		if got := after.ColdReads - before.ColdReads; got != cold {
@@ -128,6 +129,65 @@ func TestGatherWindowTierCounters(t *testing.T) {
 		if got, want := store.Window().Stats(), ref.Stats(); got != want {
 			t.Errorf("b=%d: window after the gather %+v, after a serial walk %+v", b, got, want)
 		}
+	}
+}
+
+// TestColdFaultsArePerGather checks the cold-fault count a scratch reports
+// belongs to its most recent gather alone: on a tiered engine of either width
+// a gather with every row cold faults once per lookup, one with every row
+// pinned reports none, and a cold gather on the same scratch after that
+// reports the full count again, not a sum. An all-DRAM engine never faults.
+func TestColdFaultsArePerGather(t *testing.T) {
+	spec := model.SmallProduction()
+	t.Run("dram", func(t *testing.T) {
+		e := buildEngine(t, spec, Config{Precision: fixedpoint.Fixed16})
+		var scratch BatchScratch
+		if err := gatherBatch(e, randomQueries(spec, 16, 1), &scratch); err != nil {
+			t.Fatal(err)
+		}
+		if got := scratch.ColdFaults(); got != 0 {
+			t.Fatalf("all-DRAM gather reports %d cold faults", got)
+		}
+	})
+	for _, tc := range []struct {
+		name string
+		f    fixedpoint.Format
+	}{{"fixed16", fixedpoint.Fixed16}, {"fixed32", fixedpoint.Fixed32}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tierTestConfig(-1)
+			cfg.Precision = tc.f
+			e := buildEngine(t, spec, cfg)
+			defer e.Close()
+			store := e.Tier()
+			pin := func(all bool) {
+				for id := 0; id < store.Streams(); id++ {
+					var rows []int64
+					for r := int64(0); all && r < e.params.ActualRows[id]; r++ {
+						rows = append(rows, r)
+					}
+					store.SetPlacement(id, rows)
+				}
+			}
+			for _, b := range []int{1, gatherWindow + 1, 2*gatherWindow + 3} {
+				t.Run(fmt.Sprintf("b=%d", b), func(t *testing.T) {
+					qs := randomQueries(spec, b, int64(b))
+					lookups := int64(b * spec.NumLookups())
+					var scratch BatchScratch
+					for _, step := range []struct {
+						hot  bool
+						want int64
+					}{{false, lookups}, {true, 0}, {false, lookups}} {
+						pin(step.hot)
+						if err := gatherBatch(e, qs, &scratch); err != nil {
+							t.Fatal(err)
+						}
+						if got := scratch.ColdFaults(); got != step.want {
+							t.Fatalf("all hot=%v: gather reports %d cold faults, want %d", step.hot, got, step.want)
+						}
+					}
+				})
+			}
+		})
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 
 // DefaultLiveShards is the shard count NewLive uses when the caller passes 0.
 // Eight shards keep lock contention negligible for the goroutines that gather
-// through one tiered store (a server's drain and its gather shards) while
+// through one tiered store (a worker-pool drain runs one per worker) while
 // keeping the aggregate LRU close to a single global one.
 const DefaultLiveShards = 8
 

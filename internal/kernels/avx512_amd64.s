@@ -790,45 +790,6 @@ sum:
 // to cover each instruction's latency on two 512-bit ports. Each runs n
 // iterations; the MACs an iteration does are in peak_amd64.go.
 
-// func peakVPMULDQ(n int)
-//
-// Eight VPMULDQ+VPADDQ pairs an iteration (8 MACs each: a 32x32->64 product
-// and an int64 add per lane), the retired 32-bit tile's step.
-TEXT ·peakVPMULDQ(SB), NOSPLIT, $0-8
-	MOVQ  n+0(FP), CX
-	VPXORQ Z30, Z30, Z30
-	VPXORQ Z31, Z31, Z31
-	VPXOR X0, X0, X0
-	VPXOR X1, X1, X1
-	VPXOR X2, X2, X2
-	VPXOR X3, X3, X3
-	VPXOR X4, X4, X4
-	VPXOR X5, X5, X5
-	VPXOR X6, X6, X6
-	VPXOR X7, X7, X7
-
-peakmul:
-	VPMULDQ Z30, Z31, Z16
-	VPADDQ  Z16, Z0, Z0
-	VPMULDQ Z30, Z31, Z17
-	VPADDQ  Z17, Z1, Z1
-	VPMULDQ Z30, Z31, Z18
-	VPADDQ  Z18, Z2, Z2
-	VPMULDQ Z30, Z31, Z19
-	VPADDQ  Z19, Z3, Z3
-	VPMULDQ Z30, Z31, Z20
-	VPADDQ  Z20, Z4, Z4
-	VPMULDQ Z30, Z31, Z21
-	VPADDQ  Z21, Z5, Z5
-	VPMULDQ Z30, Z31, Z22
-	VPADDQ  Z22, Z6, Z6
-	VPMULDQ Z30, Z31, Z23
-	VPADDQ  Z23, Z7, Z7
-	DECQ CX
-	JNZ  peakmul
-	VZEROUPPER
-	RET
-
 // func peakFMA(n int)
 //
 // Twelve independent VFMADD231PD an iteration (8 MACs each), the 32-bit

@@ -7,6 +7,5 @@ package kernels
 // iterations of a register-only loop of one kernel step's instruction, with
 // enough independent chains to cover its latency on two 512-bit ports.
 // Each needs AVX512F+BW+VL+VNNI.
-func peakVPMULDQ(n int)  // 8 VPMULDQ+VPADDQ pairs an iteration, 64 MACs
 func peakFMA(n int)      // 12 VFMADD231PD an iteration, 96 MACs
 func peakVPDPWSSD(n int) // 12 VPDPWSSD an iteration, 384 MACs

@@ -9,11 +9,10 @@ import (
 )
 
 // BenchmarkPeak measures the compute ceilings of the GEMM kernels' inner
-// steps on this host, in the unit BenchmarkGEMMKernel reports: a 32x32->64
-// VPMULDQ+VPADDQ pair (8 MACs a zmm), the 32-bit FMA kernels' VFMADD231PD
-// (8) and the 16-bit VNNI tile's VPDPWSSD (32). A kernel reads as a fraction
-// of its instruction's peak from one run. The memory ceilings follow
-// (benchMemoryPeaks).
+// steps on this host, in the unit BenchmarkGEMMKernel reports: the 32-bit FMA
+// kernels' VFMADD231PD (8 MACs a zmm) and the 16-bit VNNI tile's VPDPWSSD
+// (32). A kernel reads as a fraction of its instruction's peak from one run.
+// The memory ceilings follow (benchMemoryPeaks).
 func BenchmarkPeak(b *testing.B) {
 	avx512 := cpuFeatures().avx512vnni
 	for _, p := range []struct {
@@ -21,7 +20,6 @@ func BenchmarkPeak(b *testing.B) {
 		run  func(n int)
 		macs int // per iteration
 	}{
-		{"avx512-vpmuldq+vpaddq", peakVPMULDQ, 8 * 8},
 		{"avx512-vfmadd231pd", peakFMA, 12 * 8},
 		{"avx512-vpdpwssd", peakVPDPWSSD, 12 * 32},
 	} {

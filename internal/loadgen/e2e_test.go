@@ -124,66 +124,3 @@ func TestLoadtestSmokeEndToEnd(t *testing.T) {
 		t.Errorf("admission stats after sweep = %+v", st.Admission)
 	}
 }
-
-// TestLoadShardedServerEndToEnd drives the open-loop harness against the
-// sharded scatter/gather tier: the same measurement discipline must hold when
-// Options.Shards partitions the gather, every admitted request must carry a
-// real prediction, and the server's cluster stats must account for every
-// scatter round the run produced.
-func TestLoadShardedServerEndToEnd(t *testing.T) {
-	spec := model.SmallProduction()
-	params, err := spec.Materialize(model.MaterializeOptions{Seed: 1, MaxRowsPerTable: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.Config{Precision: fixedpoint.Fixed16}
-	eng, err := core.Build(params, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := serving.New(eng, serving.Options{
-		Batching:  serving.BatchingOptions{MaxBatch: 8},
-		Admission: serving.AdmissionOptions{QueueDepth: 32, Shed: true, SLA: 250 * time.Millisecond},
-		Tier:      serving.TierOptions{Shards: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	gen, err := workload.NewGenerator(spec, workload.Zipf, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := make([]embedding.Query, 64)
-	for i := range qs {
-		qs[i] = gen.Next()
-	}
-	arr, err := NewPoisson(2000, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(srv, qs, arr, Options{Requests: 300, SLA: 250 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Admitted == 0 {
-		t.Fatalf("sharded server admitted nothing: %+v", res)
-	}
-	st := srv.Stats()
-	if st.Cluster == nil {
-		t.Fatal("sharded server reported no cluster stats")
-	}
-	if st.Cluster.Shards != 3 {
-		t.Fatalf("cluster reports %d shards, want 3", st.Cluster.Shards)
-	}
-	if st.Cluster.Batches == 0 || st.Cluster.MergeWaitUS.Count != st.Cluster.Batches {
-		t.Fatalf("scatter rounds unaccounted: batches %d, merge waits %d",
-			st.Cluster.Batches, st.Cluster.MergeWaitUS.Count)
-	}
-	for _, sh := range st.Cluster.PerShard {
-		if sh.Batches != st.Cluster.Batches {
-			t.Fatalf("shard %d served %d of %d rounds", sh.ID, sh.Batches, st.Cluster.Batches)
-		}
-	}
-}

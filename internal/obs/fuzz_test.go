@@ -18,16 +18,16 @@ func FuzzSpanTraceEvents(f *testing.F) {
 	f.Add(int64(0), int64(10), int64(20), int64(30), int64(5), int64(40), int64(2), int64(8), int64(0), int32(16), int32(0), int64(100))
 	f.Add(int64(1e18), int64(-5), int64(0), int64(0), int64(0), int64(0), int64(0), int64(0), int64(77), int32(1), int32(3), int64(-1))
 	f.Add(int64(-42), int64(math.MaxInt64), int64(math.MinInt64), int64(1), int64(1), int64(1), int64(1), int64(1), int64(0), int32(0), int32(0), int64(0))
-	f.Fuzz(func(t *testing.T, start, queue, batchWait, gather, denseWait, dense, tailWait, tail, mergeWait int64, batch, shards int32, start2 int64) {
+	f.Fuzz(func(t *testing.T, start, queue, batchWait, gather, denseWait, dense, tailWait, tail, tail2 int64, batch, coldFaults int32, start2 int64) {
 		spans := []Span{
 			{
 				ID: 1, Start: start, QueueNS: queue, BatchWaitNS: batchWait,
 				GatherNS: gather, DenseWaitNS: denseWait, DenseNS: dense,
-				TailWaitNS: tailWait, TailNS: tail, MergeWaitNS: mergeWait,
-				Batch: batch, Shards: shards,
+				TailWaitNS: tailWait, TailNS: tail,
+				Batch: batch, ColdFaults: coldFaults,
 				EndToEndNS: queue + batchWait + gather + dense + tail,
 			},
-			{ID: 2, Start: start2, QueueNS: queue, TailNS: mergeWait, Batch: batch},
+			{ID: 2, Start: start2, QueueNS: queue, TailNS: tail2, Batch: batch},
 		}
 		events := SpanEvents(spans)
 		var buf bytes.Buffer

@@ -8,9 +8,9 @@
 // p99 blows past the SLA, *which* stage ate the budget for *which* request.
 // MicroRec's end-to-end claim is that latency decomposes into overlappable
 // stage latencies (§4.1, §5.3); the recorder captures that decomposition per
-// request from live traffic — queue wait, batch wait, gather (with shard
-// scatter/merge detail and cold-tier faults), dense GEMM, tail — into a
-// fixed-size power-of-two ring written lock-free via atomic slot claim.
+// request from live traffic — queue wait, batch wait, gather (with its
+// cold-tier faults), dense GEMM, tail — into a fixed-size power-of-two ring
+// written lock-free via atomic slot claim.
 // Head-sampling (record every Nth request) keeps the unsampled hot path at a
 // single atomic increment.
 package obs
@@ -76,19 +76,12 @@ type Span struct {
 	DenseNS     int64 `json:"dense_ns"`
 	TailWaitNS  int64 `json:"tail_wait_ns"`
 	TailNS      int64 `json:"tail_ns"`
-	// ShardMaxNS is the slowest shard's gather service in the scatter round;
-	// MergeWaitNS the last-minus-first shard completion gap (sharded tier
-	// only, 0 on a single engine).
-	ShardMaxNS  int64 `json:"shard_max_ns"`
-	MergeWaitNS int64 `json:"merge_wait_ns"`
 	// Batch is the size of the micro-batch that carried the request.
 	Batch int32 `json:"batch"`
 	// Replica is the 1-based id of the serving replica that carried the
 	// request when the server runs behind the replicated router tier
 	// (Options.Router.ReplicaID); 0 on an unrouted server.
 	Replica int32 `json:"replica"`
-	// Shards is the scatter width of the gather (0 on a single engine).
-	Shards int32 `json:"shards"`
 	// ColdFaults counts embedding rows the batch's gather read from the
 	// tiered store's cold file.
 	ColdFaults int32 `json:"cold_faults"`
@@ -105,7 +98,7 @@ func (s Span) StageSumNS() int64 {
 }
 
 // spanWords is the fixed word count of an encoded span (one atomic slot).
-const spanWords = 16
+const spanWords = 13
 
 // encode packs the span into the slot word layout. ID is not stored — the
 // claim sequence that selected the slot is the ID, and decode restores it.
@@ -121,13 +114,10 @@ func (s *Span) encode(w *[spanWords]int64) {
 	w[6] = s.DenseNS
 	w[7] = s.TailWaitNS
 	w[8] = s.TailNS
-	w[9] = s.ShardMaxNS
-	w[10] = s.MergeWaitNS
-	w[11] = int64(s.Batch)
-	w[12] = int64(s.Shards)
-	w[13] = int64(s.ColdFaults)
-	w[14] = int64(s.Verdict)
-	w[15] = int64(s.Replica)
+	w[9] = int64(s.Batch)
+	w[10] = int64(s.ColdFaults)
+	w[11] = int64(s.Verdict)
+	w[12] = int64(s.Replica)
 }
 
 func decodeSpan(id uint64, w *[spanWords]int64) Span {
@@ -142,13 +132,10 @@ func decodeSpan(id uint64, w *[spanWords]int64) Span {
 		DenseNS:     w[6],
 		TailWaitNS:  w[7],
 		TailNS:      w[8],
-		ShardMaxNS:  w[9],
-		MergeWaitNS: w[10],
-		Batch:       int32(w[11]),
-		Shards:      int32(w[12]),
-		ColdFaults:  int32(w[13]),
-		Verdict:     uint8(w[14]),
-		Replica:     int32(w[15]),
+		Batch:       int32(w[9]),
+		ColdFaults:  int32(w[10]),
+		Verdict:     uint8(w[11]),
+		Replica:     int32(w[12]),
 	}
 }
 

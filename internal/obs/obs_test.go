@@ -57,10 +57,7 @@ func testSpan(i int) Span {
 		DenseNS:     300,
 		TailWaitNS:  5,
 		TailNS:      150,
-		ShardMaxNS:  180,
-		MergeWaitNS: 20,
 		Batch:       int32(8 + i%8),
-		Shards:      4,
 		ColdFaults:  int32(i % 3),
 		Verdict:     VerdictOK,
 	}
@@ -219,8 +216,8 @@ func TestSpanEventsDecomposition(t *testing.T) {
 		if args["verdict"] != "ok" || args["batch"] == nil || args["e2e_us"] == nil {
 			t.Fatalf("req %d: summary args missing: %+v", id, args)
 		}
-		if args["shards"] == nil || args["merge_wait_us"] == nil {
-			t.Fatalf("req %d: shard args missing on sharded span: %+v", id, args)
+		if args["cold_faults"] == nil {
+			t.Fatalf("req %d: cold-fault arg missing on a span with cold faults: %+v", id, args)
 		}
 	}
 }

@@ -72,7 +72,7 @@ func (s Span) segments() []spanSegment {
 // "X" slice per non-empty timeline segment, laid out contiguously from the
 // span's start. Timestamps are relative to the earliest span's start (Chrome
 // trace ts is unanchored). The first slice of every span carries the span's
-// summary args (e2e_us, batch, verdict, shard and cold-tier detail), so a
+// summary args (e2e_us, batch, verdict, replica and cold-tier detail), so a
 // scraper can join slices back into requests via args.req.
 func SpanEvents(spans []Span) []TraceEvent {
 	if len(spans) == 0 {
@@ -111,11 +111,6 @@ func SpanEvents(spans []Span) []TraceEvent {
 				ev.Args["verdict"] = VerdictName(s.Verdict)
 				if s.Replica > 0 {
 					ev.Args["replica"] = s.Replica
-				}
-				if s.Shards > 0 {
-					ev.Args["shards"] = s.Shards
-					ev.Args["shard_max_us"] = float64(s.ShardMaxNS) / 1e3
-					ev.Args["merge_wait_us"] = float64(s.MergeWaitNS) / 1e3
 				}
 				if s.ColdFaults > 0 {
 					ev.Args["cold_faults"] = s.ColdFaults

@@ -3,14 +3,12 @@
 // gate, pipelined drain) over its own engine — fronted by a router with
 // swappable policies (round-robin, least-loaded, hot-key affinity).
 //
-// Replication is the scale axis the sharded tier (internal/cluster) does not
-// cover: the cluster scatter/gathers *within* one replica, so every shard
-// still touches every batch, while replicas serve disjoint batches in
-// parallel. The affinity policy additionally exploits production traffic
-// skew: routing by a hash of the query's embedding keys partitions the key
-// space across the replicas' tiered stores, so N frequency windows (and DRAM
-// hot tiers) of size C behave like one of ~N·C (the hit-rate lift is
-// measured and reported in the /stats "router" section).
+// Replicas serve disjoint batches in parallel. The affinity policy
+// additionally exploits production traffic skew: routing by a hash of the
+// query's embedding keys partitions the key space across the replicas'
+// tiered stores, so N frequency windows (and DRAM hot tiers) of size C behave
+// like one of ~N·C (the hit-rate lift is measured and reported in the /stats
+// "router" section).
 //
 // The hot path is lock-free: membership is a copy-on-write, id-ordered
 // replica slice behind an atomic pointer, and each routing decision is a

@@ -43,10 +43,10 @@ func testSpec() *model.Spec {
 	return &model.Spec{Name: "router-test", Tables: tables, DenseDim: 4, Hidden: []int{32, 16, 8}}
 }
 
-// buildEngine assembles a real engine over testSpec, mirroring the cluster
-// test helper. seed controls the materialised parameters: equal seeds give
-// bit-identical engines (the replica homogeneity the tier assumes), distinct
-// seeds model a new parameter snapshot for swap tests. A positive
+// buildEngine assembles a real engine over testSpec. seed controls the
+// materialised parameters: equal seeds give bit-identical engines (the
+// replica homogeneity the tier assumes), distinct seeds model a new parameter
+// snapshot for swap tests. A positive
 // windowBytes builds an all-cold tiered engine whose frequency window holds
 // that many bytes (its caller must Close it); 0 an all-DRAM one.
 func buildEngine(t testing.TB, spec *model.Spec, windowBytes int64, seed int64) *core.Engine {

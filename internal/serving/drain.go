@@ -61,9 +61,10 @@ func (s *Server) newPlane() *plane {
 
 // planeBatch is one formed micro-batch, from the batcher through a drain to
 // its futures: the requests still being served, the dispatch stamp, the
-// stage boundary stamps and the gather record. Each stage step writes its own
-// stamps with plain stores — on three goroutines in the staged drain, ordered
-// by the channel hand-offs between them — and the tail step reads them all.
+// stage boundary stamps and the gather's cold-fault count. Each stage step
+// writes its own stamps with plain stores — on three goroutines in the staged
+// drain, ordered by the channel hand-offs between them — and the tail step
+// reads them all.
 // Batches are recycled through batchPool by the step that resolved their last
 // request, so steady-state serving, tracing and metering allocate nothing.
 type planeBatch struct {
@@ -71,7 +72,7 @@ type planeBatch struct {
 	dispatched time.Time
 	stageStart [numStages]time.Time
 	stageEnd   [numStages]time.Time
-	gather     core.GatherObs
+	coldFaults int64
 }
 
 var batchPool = sync.Pool{New: func() any { return new(planeBatch) }}
@@ -255,7 +256,7 @@ func (s *Server) gather(p *plane, t0 time.Time) (time.Time, bool) {
 	s.eng.GatherIntoPlane(p.queries, &p.scratch)
 	t1 := time.Now()
 	pb.stageStart[stageGather], pb.stageEnd[stageGather] = t0, t1
-	pb.gather = p.scratch.GatherObs()
+	pb.coldFaults = p.scratch.ColdFaults()
 	return t1, true
 }
 

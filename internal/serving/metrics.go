@@ -84,27 +84,6 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		so.Obs(stg.Occupancy, "stage", stg.Name)
 	}
 
-	// Sharded tier: straggler merge waits and per-shard gather occupancy.
-	if c := st.Cluster; c != nil {
-		m.Gauge("microrec_cluster_shards", "Effective gather shard count.", float64(c.Shards))
-		m.Counter("microrec_cluster_batches_total", "Scatter/gather rounds.", float64(c.Batches))
-		m.Gauge("microrec_cluster_imbalance_ratio", "Rolling mean per-batch max/mean shard service.", c.ImbalanceRatio)
-		mw := m.Family("microrec_cluster_merge_wait_us", "Coordinator straggler wait (last minus first shard completion).", "summary")
-		mw.Obs(c.MergeWaitUS.P50, "quantile", "0.5")
-		mw.Obs(c.MergeWaitUS.P99, "quantile", "0.99")
-		mw.Sample("microrec_cluster_merge_wait_us_sum", c.MergeWaitUS.Mean*float64(c.MergeWaitUS.Count))
-		mw.Sample("microrec_cluster_merge_wait_us_count", float64(c.MergeWaitUS.Count))
-		shb := m.Family("microrec_shard_batches_total", "Scatter rounds served per shard.", "counter")
-		shm := m.Family("microrec_shard_mean_service_us", "Rolling mean shard gather service time.", "gauge")
-		sho := m.Family("microrec_shard_occupancy", "Fraction of recent wall time the shard was gathering.", "gauge")
-		for _, sh := range c.PerShard {
-			id := strconv.Itoa(sh.ID)
-			shb.Obs(float64(sh.Batches), "shard", id)
-			shm.Obs(sh.MeanServiceUS, "shard", id)
-			sho.Obs(sh.Occupancy, "shard", id)
-		}
-	}
-
 	// The tiered store's frequency window.
 	if hc := st.HotCache; hc != nil {
 		m.Gauge("microrec_hotcache_hit_rate", "Tiered store frequency-window hit rate.", hc.HitRate)

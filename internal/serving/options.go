@@ -60,19 +60,13 @@ type PipelineOptions struct {
 	WorkerPool bool
 }
 
-// TierOptions groups the intra-replica scale-out knobs: the sharded
-// scatter/gather serving tier.
+// TierOptions held the knob of the retired sharded gather tier.
 type TierOptions struct {
-	// Shards, when > 1, runs the sharded serving tier: the engine's
-	// embedding tables are partitioned across that many gather shards
-	// (placement's LPT shard assignment), every micro-batch is scattered to
-	// the shards and their partial planes merged before the FC stack runs
-	// once — bit-identical to single-engine service by construction. The
-	// server wraps the engine in an internal/cluster coordinator it owns
-	// (requires a *core.Engine or a caller-built *cluster.Cluster); SLA
-	// admission then times its calibration batch through the scatter/gather
-	// round, and /stats gains a "cluster" section. 0 or 1 serves on the
-	// engine directly.
+	// Shards was the number of gather shards a replica split its embedding
+	// tables across.
+	//
+	// Deprecated: ignored. Every batch is gathered in one walk on the
+	// engine; the field stays only for callers that still set it.
 	Shards int
 }
 
@@ -106,7 +100,7 @@ type Options struct {
 	Admission AdmissionOptions
 	// Pipeline configures the drain (batches in service, and which drain).
 	Pipeline PipelineOptions
-	// Tier configures intra-replica scale-out (gather shards).
+	// Tier holds the retired gather-shard knob (ignored).
 	Tier TierOptions
 	// Trace configures the flight recorder (head-sampling rate).
 	Trace TraceOptions
@@ -148,9 +142,6 @@ func (o Options) Validate() error {
 	if !o.Pipeline.WorkerPool && o.Pipeline.Depth < 2 {
 		return fmt.Errorf("serving: pipeline depth %d (need >= 2 planes; use Pipeline.WorkerPool to run batches to completion)", o.Pipeline.Depth)
 	}
-	if o.Tier.Shards < 0 {
-		return fmt.Errorf("serving: shard count %d", o.Tier.Shards)
-	}
 	if o.Trace.Sample < 1 {
 		return fmt.Errorf("serving: trace sample %d (1 records every request)", o.Trace.Sample)
 	}
@@ -167,7 +158,7 @@ func (o Options) Validate() error {
 // assertion at construction and reports the store only when one is attached.
 // Fakes and alternative backends opt in by implementing the named interface —
 // never by accidentally matching an undocumented type assertion.
-// *core.Engine and *cluster.Cluster implement it.
+// *core.Engine implements it.
 
 // Tiered is the optional capability of an engine backed by the tiered
 // embedding store (core.Config.ColdTier): the store whose snapshot fills the

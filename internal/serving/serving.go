@@ -39,7 +39,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"microrec/internal/cluster"
 	"microrec/internal/core"
 	"microrec/internal/embedding"
 	"microrec/internal/kernels"
@@ -119,9 +118,7 @@ type Engine interface {
 }
 
 // Compile-time capability check: the production engine implements the
-// optional tier capability explicitly (the sharded tier's twin assertion
-// lives in internal/cluster's tests — serving cannot import cluster's test
-// package without a cycle).
+// optional tier capability explicitly.
 var _ Tiered = (*core.Engine)(nil)
 
 // Result is one query's response: the prediction plus the observed
@@ -218,11 +215,6 @@ type Server struct {
 	// pool workers serving one. Both feed the load score only.
 	forming atomic.Bool
 	wpBusy  atomic.Int32
-	// clu is the sharded tier coordinator when Options.Tier.Shards > 1 (it is
-	// also the server's eng); ownsCluster marks the one New built itself,
-	// which Close must stop after the drain has emptied.
-	clu         *cluster.Cluster
-	ownsCluster bool
 	// tiered is non-nil when the engine's Tiered capability reports an
 	// attached backing store (/stats gains a "tiers" section).
 	tiered Tiered
@@ -269,44 +261,10 @@ func New(eng Engine, opts Options) (*Server, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	var (
-		clu         *cluster.Cluster
-		ownsCluster bool
-	)
-	if opts.Tier.Shards > 1 {
-		switch e := eng.(type) {
-		case *cluster.Cluster:
-			// Caller-built tier: serve on it and surface its stats, but the
-			// caller keeps ownership (and Close responsibility). Its shard
-			// planes must fit this server's batches.
-			if cap := e.Options().MaxBatch; cap < opts.Batching.MaxBatch {
-				return nil, fmt.Errorf("serving: cluster plane capacity %d below MaxBatch %d", cap, opts.Batching.MaxBatch)
-			}
-			clu = e
-		case *core.Engine:
-			// Per-shard rings sized to the drain's in-flight bound: one
-			// partial per batch in service.
-			c, err := cluster.New(e, cluster.Options{
-				Shards:    opts.Tier.Shards,
-				MaxBatch:  opts.Batching.MaxBatch,
-				RingDepth: opts.Pipeline.Depth,
-			})
-			if err != nil {
-				return nil, err
-			}
-			eng = c
-			clu = c
-			ownsCluster = true
-		default:
-			return nil, fmt.Errorf("serving: Options.Tier.Shards needs a *core.Engine or *cluster.Cluster (got %T)", eng)
-		}
-	}
 	s := &Server{
-		eng:         eng,
-		opts:        opts,
-		clu:         clu,
-		ownsCluster: ownsCluster,
-		submit:      make(chan *request, opts.Admission.QueueDepth),
+		eng:    eng,
+		opts:   opts,
+		submit: make(chan *request, opts.Admission.QueueDepth),
 		// Latencies span µs (warm single-query) to seconds (overload tails);
 		// 1% relative error over [1, 10^7] µs.
 		latencyHist: metrics.NewHistogram(0.01, 1e7),
@@ -316,8 +274,6 @@ func New(eng Engine, opts Options) (*Server, error) {
 		rec:         obs.NewRecorder(traceRingSize, opts.Trace.Sample),
 		buildInfo:   obs.ReadBuild(kernels.Features()),
 	}
-	// The capability assertion runs on the possibly cluster-wrapped engine so
-	// the sharded tier's delegating Tier is the one engaged.
 	if te, ok := eng.(Tiered); ok && te.Tier() != nil {
 		s.tiered = te
 	}
@@ -460,11 +416,6 @@ func (s *Server) Close() error {
 	// the workers, or the stage loops one after another, serve what they
 	// hold and exit.
 	s.wg.Wait()
-	// Only now is the drain empty — no worker or stage can issue another
-	// scatter round — so an owned sharded tier's workers may stop.
-	if s.ownsCluster {
-		return s.clu.Close()
-	}
 	return nil
 }
 
@@ -574,10 +525,7 @@ func (s *Server) recordSpans(pb *planeBatch, now time.Time) {
 		sp.DenseNS = int64(end[stageDense].Sub(start[stageDense]))
 		sp.TailWaitNS = int64(start[stageTail].Sub(end[stageDense]))
 		sp.TailNS = int64(end[stageTail].Sub(start[stageTail]))
-		sp.ColdFaults = int32(pb.gather.ColdFaults)
-		sp.Shards = int32(pb.gather.Shards)
-		sp.ShardMaxNS = pb.gather.ShardMaxNS
-		sp.MergeWaitNS = pb.gather.MergeWaitNS
+		sp.ColdFaults = int32(pb.coldFaults)
 		s.rec.Record(sp)
 	}
 }
@@ -664,11 +612,6 @@ type LatencySummary struct {
 // HotCacheStats is the serving-side view of the tiered store's frequency
 // window: capacity, occupancy and the hits and misses of the rows read.
 type HotCacheStats = tieredstore.WindowStats
-
-// ClusterStats is the serving-side view of the sharded tier: shard count and
-// partition, per-shard occupancy, the straggler merge-wait histogram and the
-// imbalance ratio.
-type ClusterStats = cluster.Stats
 
 // TierStats is the serving-side view of the tiered backing store: per-tier
 // residency, read split and promotion/demotion counters.
@@ -795,9 +738,6 @@ type Stats struct {
 	// per-stage service times and the batch interval (either drain; nil only
 	// in a router-merged snapshot without a primary replica).
 	Pipeline *PipelineStats `json:"pipeline,omitempty"`
-	// Cluster reports the sharded tier when Options.Tier.Shards > 1 (nil on a
-	// single engine).
-	Cluster *ClusterStats `json:"cluster,omitempty"`
 	// HotCache reports the tiered store's frequency window (nil on
 	// all-DRAM engines).
 	HotCache *HotCacheStats `json:"hotcache,omitempty"`
@@ -867,10 +807,6 @@ func (s *Server) Stats() Stats {
 			RetryAfterMS:    float64(s.retryAfter(predNS)) / float64(time.Millisecond),
 		},
 		Pipeline: pl,
-	}
-	if s.clu != nil {
-		cs := s.clu.Stats()
-		st.Cluster = &cs
 	}
 	if st.MaxBatch > 0 {
 		st.BatchOccupancy = st.MeanBatch / float64(st.MaxBatch)

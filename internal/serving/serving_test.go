@@ -19,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	"microrec/internal/cluster"
 	"microrec/internal/core"
 	"microrec/internal/embedding"
 	"microrec/internal/fixedpoint"
@@ -970,13 +969,13 @@ func TestValidateSLARejectsNonPositiveBudget(t *testing.T) {
 
 // TestServingNamesNoModelledTiming pins the serving stack's independence
 // from the offline models in source: no non-test file of the serving,
-// router, cluster or tieredstore packages names the accelerator timing model
+// router or tieredstore packages names the accelerator timing model
 // or a modelled cold-tier latency. That no package serving imports reaches
 // internal/experiments or internal/accel is the root package's
 // TestImportsGolden.
 func TestServingNamesNoModelledTiming(t *testing.T) {
 	banned := []string{"TimingAt", "TimingReport", "LookupNS", "ColdLatencyNS", "BoundNS"}
-	for _, pkg := range []string{"serving", "router", "cluster", "tieredstore"} {
+	for _, pkg := range []string{"serving", "router", "tieredstore"} {
 		files, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
 		if err != nil || len(files) == 0 {
 			t.Fatalf("internal/%s: no sources (err %v)", pkg, err)
@@ -1074,8 +1073,9 @@ func TestPipelineModeDefaults(t *testing.T) {
 
 // TestWorkerPoolFallbackServes drives both drains end to end over the same
 // queries and checks that they serve one datapath: every CTR is bit-identical
-// to Engine.InferOne, on a Fixed16 and a Fixed32 engine and behind the
-// sharded tier.
+// to Engine.InferOne, on a Fixed16 and a Fixed32 engine, and with the ignored
+// TierOptions.Shards set, the path the benchmark module's shard probe still
+// takes.
 func TestWorkerPoolFallbackServes(t *testing.T) {
 	fixed16 := testEngine(t)
 	for _, tc := range []struct {
@@ -1189,37 +1189,4 @@ func testStatsPipelineSection(t *testing.T, eng *core.Engine, workerPool bool) {
 // request through the remaining stages (run under -race in CI).
 func TestPipelineCloseDrainsInFlight(t *testing.T) {
 	testCloseDrainsInFlight(t, Options{Batching: BatchingOptions{MaxBatch: 8}, Pipeline: PipelineOptions{Depth: 3}}, 41)
-}
-
-// TestShardsClusterCapacityValidated pins the caller-built-cluster wrap rule:
-// a tier whose shard planes are smaller than the server's MaxBatch would
-// overrun them at gather time, so New must reject the pairing up front.
-func TestShardsClusterCapacityValidated(t *testing.T) {
-	eng := testEngine(t)
-	clu, err := cluster.New(eng, cluster.Options{Shards: 2, MaxBatch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer clu.Close()
-	if _, err := New(clu, Options{Batching: BatchingOptions{MaxBatch: 8}, Tier: TierOptions{Shards: 2}}); err == nil {
-		t.Fatal("undersized cluster planes accepted")
-	}
-	// A matching capacity is accepted and served on the caller's tier.
-	srv, err := New(clu, Options{Batching: BatchingOptions{MaxBatch: 4}, Tier: TierOptions{Shards: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := srv.Stats()
-	if st.Cluster == nil || st.Cluster.Shards != 2 {
-		t.Fatalf("caller-built cluster not surfaced in stats: %+v", st.Cluster)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The caller still owns the tier: it must remain usable after the
-	// server closed (a scatter/gather round on a closed tier would panic).
-	qs := randomQueries(t, eng.Spec(), 2, 1)
-	var plane core.BatchScratch
-	clu.EnsurePlane(&plane, len(qs))
-	clu.GatherIntoPlane(qs, &plane)
 }

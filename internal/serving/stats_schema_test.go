@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"microrec/internal/cluster"
 	"microrec/internal/metrics"
 	"microrec/internal/obs"
 )
@@ -32,17 +31,6 @@ func fullStats() Stats {
 				{Name: "gather", Batches: 20, MeanServiceUS: 40, P99ServiceUS: 60, Occupancy: 0.5},
 			},
 			MeasuredIntervalUS: 50, PredictedIntervalUS: 48, SerialIntervalUS: 120,
-		},
-		Cluster: &ClusterStats{
-			Shards: 2, RingDepth: 2, Batches: 20,
-			MergeWaitUS: metrics.HistogramSnapshot{
-				Count: 20, Mean: 5, Min: 1, Max: 20, P50: 4, P95: 10, P99: 15, P999: 19,
-			},
-			ImbalanceRatio: 1.2,
-			PerShard: []cluster.ShardStats{
-				{ID: 0, Tables: 13, Batches: 20,
-					MeanServiceUS: 20, P99ServiceUS: 30, Occupancy: 0.4},
-			},
 		},
 		HotCache: &HotCacheStats{
 			CapacityBytes: 1 << 20, UsedBytes: 1 << 19, Entries: 100, Hits: 900,
@@ -120,27 +108,6 @@ var statsSchema = []string{
 	"build_info.go_version",
 	"build_info.kernels",
 	"build_info.revision",
-	"cluster",
-	"cluster.batches",
-	"cluster.imbalance_ratio",
-	"cluster.merge_wait_us",
-	"cluster.merge_wait_us.count",
-	"cluster.merge_wait_us.max",
-	"cluster.merge_wait_us.mean",
-	"cluster.merge_wait_us.min",
-	"cluster.merge_wait_us.p50",
-	"cluster.merge_wait_us.p95",
-	"cluster.merge_wait_us.p99",
-	"cluster.merge_wait_us.p999",
-	"cluster.per_shard",
-	"cluster.per_shard.batches",
-	"cluster.per_shard.id",
-	"cluster.per_shard.mean_service_us",
-	"cluster.per_shard.occupancy",
-	"cluster.per_shard.p99_service_us",
-	"cluster.per_shard.tables",
-	"cluster.ring_depth",
-	"cluster.shards",
 	"hotcache",
 	"hotcache.capacity_bytes",
 	"hotcache.entries",
@@ -266,7 +233,7 @@ func TestStatsJSONSchemaGolden(t *testing.T) {
 }
 
 // TestStatsLiveMatchesSchema cross-checks a real server's Stats against the
-// same pinned schema: every key a live (pipelined, untiered, unsharded)
+// same pinned schema: every key a live (pipelined, untiered)
 // snapshot emits must be in the golden list. This catches fields that exist
 // on the wire but were never added to fullStats.
 func TestStatsLiveMatchesSchema(t *testing.T) {

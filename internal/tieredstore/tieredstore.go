@@ -37,17 +37,19 @@ import (
 	"microrec/internal/kernels"
 )
 
-// Defaults applied by Config.withDefaults.
+// The placement hysteresis SweepNow applies.
 const (
-	// DefaultPromoteMinHits is the per-entry hit count a resident row needs
-	// before the sweep considers it hot.
-	DefaultPromoteMinHits = 2
-	// DefaultDemoteAfter is how many consecutive sweeps a pinned row may go
-	// unseen in the harvest before it is demoted (the hysteresis band).
-	DefaultDemoteAfter = 3
-	// DefaultSweepEvery is the background sweep period.
-	DefaultSweepEvery = 200 * time.Millisecond
+	// promoteMinHits is the per-entry hit count a resident row needs before
+	// the sweep considers it hot.
+	promoteMinHits = 2
+	// demoteAfter is how many consecutive sweeps a pinned row may go unseen
+	// in the harvest before it is demoted (the hysteresis band).
+	demoteAfter = 3
 )
+
+// DefaultSweepEvery is the background sweep period Config.withDefaults
+// applies.
+const DefaultSweepEvery = 200 * time.Millisecond
 
 // Config describes one tiered store.
 type Config struct {
@@ -60,10 +62,6 @@ type Config struct {
 	// hot tier out of the box. Explicit all-cold operation is HotBytes < 0
 	// (normalised to a zero budget).
 	HotBytes int64
-	// PromoteMinHits and DemoteAfter tune the placement hysteresis
-	// (defaults above when 0).
-	PromoteMinHits int64
-	DemoteAfter    int
 	// SweepEvery is the background promote/demote period. 0 means
 	// DefaultSweepEvery; negative disables the background loop entirely
 	// (tests drive placement via SweepNow/SetPlacement).
@@ -77,12 +75,6 @@ type Config struct {
 
 // Validate rejects nonsense configurations.
 func (c Config) Validate() error {
-	if c.PromoteMinHits < 0 {
-		return fmt.Errorf("tieredstore: negative promote threshold %d", c.PromoteMinHits)
-	}
-	if c.DemoteAfter < 0 {
-		return fmt.Errorf("tieredstore: negative demote-after %d", c.DemoteAfter)
-	}
 	if c.WindowBytes < 0 {
 		return fmt.Errorf("tieredstore: negative window capacity %d", c.WindowBytes)
 	}
@@ -95,12 +87,6 @@ func (c Config) withDefaults(totalBytes int64) Config {
 	}
 	if c.HotBytes < 0 {
 		c.HotBytes = 0
-	}
-	if c.PromoteMinHits == 0 {
-		c.PromoteMinHits = DefaultPromoteMinHits
-	}
-	if c.DemoteAfter == 0 {
-		c.DemoteAfter = DefaultDemoteAfter
 	}
 	if c.SweepEvery == 0 {
 		c.SweepEvery = DefaultSweepEvery
@@ -375,10 +361,10 @@ type streamRow struct {
 // byte budget.
 //
 // Policy: a row qualifies when it is resident in the window with at
-// least PromoteMinHits per-entry hits (LRU residency is the recency filter,
+// least promoteMinHits per-entry hits (LRU residency is the recency filter,
 // accumulated hits the frequency signal). Qualifying rows rank by hits;
 // already-pinned rows that fell out of the harvest keep their pin at the
-// lowest priority for up to DemoteAfter sweeps (hysteresis), so a row
+// lowest priority for up to demoteAfter sweeps (hysteresis), so a row
 // oscillating around the threshold is not thrashed between tiers, and under
 // budget pressure idle rows are evicted before any active one.
 func (s *Store) SweepNow() {
@@ -405,13 +391,13 @@ func (s *Store) SweepNow() {
 		for row, ent := range m {
 			k := streamRow{id, row}
 			pinned[k] = true
-			if h, ok := cand[k]; ok && h >= s.cfg.PromoteMinHits {
+			if h, ok := cand[k]; ok && h >= promoteMinHits {
 				ent.idle = 0
 				list = append(list, scored{k, h, ent})
 				continue
 			}
 			ent.idle++
-			if ent.idle <= s.cfg.DemoteAfter {
+			if ent.idle <= demoteAfter {
 				// Hysteresis: keep the pin at the lowest priority, so an
 				// oscillating row is not thrashed between tiers but budget
 				// pressure evicts idle rows before active ones.
@@ -420,7 +406,7 @@ func (s *Store) SweepNow() {
 		}
 	}
 	for k, h := range cand {
-		if h >= s.cfg.PromoteMinHits && !pinned[k] {
+		if h >= promoteMinHits && !pinned[k] {
 			list = append(list, scored{k, h, nil})
 		}
 	}
@@ -487,7 +473,7 @@ func (s *Store) publishLocked(newMaster []map[int64]*hotEntry, usedBytes int64) 
 // SetPlacement force-pins exactly the given rows of stream id, replacing its
 // current placement and bypassing the frequency policy and byte budget. Rows
 // out of range are ignored; nil clears the stream's hot set. Only tests call
-// it: the bit-identity and counter tests of core, cluster and the facade pin
+// it: the bit-identity and counter tests of core and the facade pin
 // a chosen mix of hot and cold rows, which the frequency-driven sweep cannot
 // produce on demand, so deadexport is allowed on it.
 func (s *Store) SetPlacement(id int, rows []int64) { //microrec:allow deadexport

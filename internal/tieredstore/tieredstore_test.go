@@ -120,7 +120,7 @@ func TestColdReadsBitIdentical(t *testing.T) {
 // ranked by hits.
 func TestSweepPromotesByFrequency(t *testing.T) {
 	// Budget for exactly 3 rows of stream 0 (dim 4 => 16 bytes each).
-	s, _ := openTest(t, Config{HotBytes: 48, PromoteMinHits: 2, DemoteAfter: 1})
+	s, _ := openTest(t, Config{HotBytes: 48})
 	// Rows 5, 6, 7 of stream 0 get 10/5/3 hits; row 8 only 1 (below the
 	// threshold); row 9 of stream 1 gets 20 hits but each of its rows costs
 	// 32 bytes.
@@ -132,7 +132,7 @@ func TestSweepPromotesByFrequency(t *testing.T) {
 	read(0, 5, 11) // 1 miss + 10 hits
 	read(0, 6, 6)
 	read(0, 7, 4)
-	read(0, 8, 2) // 1 hit: below PromoteMinHits
+	read(0, 8, 2) // 1 hit: below promoteMinHits
 	read(1, 9, 21)
 
 	s.SweepNow()
@@ -161,12 +161,37 @@ func TestSweepPromotesByFrequency(t *testing.T) {
 	}
 }
 
-// TestSweepHysteresis checks a pinned row survives DemoteAfter sweeps
+// TestSweepPromoteThreshold pins the promotion threshold's edge with a
+// budget that fits every row: a row one window hit short of promoteMinHits
+// stays cold, and one with exactly promoteMinHits hits is pinned.
+func TestSweepPromoteThreshold(t *testing.T) {
+	s, _ := openTest(t, Config{HotBytes: 1 << 16})
+	st := s.Stream(0)
+	read := func(row int64, hits int) {
+		for i := 0; i <= hits; i++ { // the first read is the window's miss
+			RowTagged[int32](st, row)
+		}
+	}
+	read(20, promoteMinHits-1)
+	read(21, promoteMinHits)
+	s.SweepNow()
+	if st.IsHot(20) {
+		t.Errorf("row with %d hits pinned, threshold is %d", promoteMinHits-1, promoteMinHits)
+	}
+	if !st.IsHot(21) {
+		t.Errorf("row with %d hits left cold, threshold is %d", promoteMinHits, promoteMinHits)
+	}
+	if p := s.Snapshot().Promotions; p != 1 {
+		t.Errorf("promotions %d, want 1", p)
+	}
+}
+
+// TestSweepHysteresis checks a pinned row survives demoteAfter sweeps
 // without traffic before demotion.
 func TestSweepHysteresis(t *testing.T) {
 	// One 16-byte row per window shard: a row falls out of the window as
 	// soon as another row of its shard is read.
-	s, _ := openTest(t, Config{HotBytes: 1 << 16, PromoteMinHits: 2, DemoteAfter: 2, WindowBytes: hotcache.DefaultLiveShards * 16})
+	s, _ := openTest(t, Config{HotBytes: 1 << 16, WindowBytes: hotcache.DefaultLiveShards * 16})
 	st := s.Stream(0)
 	for i := 0; i < 5; i++ {
 		RowTagged[int32](st, 12)
@@ -188,13 +213,13 @@ func TestSweepHysteresis(t *testing.T) {
 		}
 	})
 
-	for i := 1; i <= 2; i++ {
+	for i := 1; i <= demoteAfter; i++ {
 		s.SweepNow()
 		if !st.IsHot(12) {
-			t.Fatalf("row demoted after %d idle sweeps, hysteresis is %d", i, 2)
+			t.Fatalf("row demoted after %d idle sweeps, hysteresis is %d", i, demoteAfter)
 		}
 	}
-	s.SweepNow() // third idle sweep: past the band
+	s.SweepNow() // one idle sweep more: past the band
 	if st.IsHot(12) {
 		t.Fatal("row still pinned past the hysteresis band")
 	}
@@ -318,9 +343,6 @@ func TestOpenValidation(t *testing.T) {
 	}
 	if _, err := Open(Config{SweepEvery: -1}, 8, specs, fill); err == nil {
 		t.Error("8-byte elements accepted")
-	}
-	if _, err := Open(Config{PromoteMinHits: -1, SweepEvery: -1}, 4, specs, fill); err == nil {
-		t.Error("negative promote threshold accepted")
 	}
 	if _, err := Open(Config{WindowBytes: -1, SweepEvery: -1}, 4, specs, fill); err == nil {
 		t.Error("negative window capacity accepted")

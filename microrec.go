@@ -22,12 +22,6 @@
 //     completion (NewServer), plus overload protection: a bounded submit
 //     queue with fast-fail shedding and deadline-aware batch formation
 //     (ServerOptions.Admission),
-//   - the sharded serving tier (ServerOptions.Tier): embedding tables
-//     partitioned across N gather shards balanced by the bytes each gathers,
-//     each micro-batch scattered to the shards and their
-//     partial planes merged before the FC stack runs once — bit-identical
-//     to single-engine inference, with per-shard plane rings and
-//     straggler-aware merge metrics in /stats, and
 //   - the replicated serving tier (NewRouter): N independent server
 //     replicas — each a full batching/pipeline composition around its own
 //     engine — fronted by a router with pluggable policies (round-robin,
@@ -133,8 +127,8 @@ type (
 	AdmissionOptions = serving.AdmissionOptions
 	// PipelineOptions groups the batch-drain knobs (ServerOptions.Pipeline).
 	PipelineOptions = serving.PipelineOptions
-	// TierOptions groups the scatter/gather sharding knobs
-	// (ServerOptions.Tier).
+	// TierOptions holds the retired gather-shard knob (ServerOptions.Tier),
+	// which the server ignores.
 	TierOptions = serving.TierOptions
 	// TraceOptions groups the flight-recorder knobs (ServerOptions.Trace).
 	TraceOptions = serving.TraceOptions
@@ -157,10 +151,6 @@ type (
 	// either drain: batches in service, per-stage occupancy and the
 	// measured vs predicted steady-state batch interval.
 	PipelineStats = serving.PipelineStats
-	// ClusterStats is the /stats view of the sharded serving tier
-	// (ServerOptions.Tier.Shards > 1): shard partition and per-shard
-	// occupancy, the straggler merge-wait histogram and the imbalance ratio.
-	ClusterStats = serving.ClusterStats
 	// HotCacheInfo is a snapshot of a tiered engine's frequency window —
 	// the LRU every row read is recorded in and the placement sweep pins
 	// rows from — as ServerStats.HotCache reports it. An all-DRAM engine has
@@ -430,9 +420,7 @@ func NewAcceleratorModel(spec *Spec, opts AcceleratorOptions) (*AcceleratorModel
 // staged drain — gather, dense-GEMM and tail stages overlapped over a ring of
 // ServerOptions.Pipeline.Depth batch planes, bit-identical to the monolithic
 // datapath — or, with ServerOptions.Pipeline.WorkerPool set, by Depth workers
-// that each call the same three stage steps back to back on their own plane. With ServerOptions.Tier.Shards > 1 the server first wraps the engine
-// in the sharded scatter/gather tier (tables partitioned across shards,
-// partial planes merged before the FC stack; bit-identical by construction).
+// that each call the same three stage steps back to back on their own plane.
 // The returned server owns background goroutines; callers must Close it.
 func NewServer(eng *Engine, opts ServerOptions) (*Server, error) {
 	return serving.New(eng, opts)

@@ -132,13 +132,6 @@ func zeroallocCases(t *testing.T) []allocCase {
 	}
 	lruHot := lruFresh - 1
 
-	tables := make([]int, len(eng.Spec().Tables))
-	for i := range tables {
-		tables[i] = i
-	}
-	var partialScratch core.BatchScratch
-	eng.EnsurePlane(&partialScratch, b)
-
 	rec := obs.NewRecorder(256, 1)
 	span := obs.Span{Start: 1, EndToEndNS: 9, GatherNS: 3, DenseNS: 4, TailNS: 2, Batch: b}
 
@@ -231,6 +224,7 @@ func zeroallocCases(t *testing.T) []allocCase {
 			covers: []string{
 				"internal/core.Engine.GatherIntoPlane",
 				"internal/core.fixedPath.gatherTables",
+				"internal/core.fixedPath.zeroDenseTail",
 				"internal/core.gatherSeq.next",
 				"internal/core.fixedPath.hintWindow",
 				"internal/core.gatherBlock.resolve",
@@ -325,18 +319,6 @@ func zeroallocCases(t *testing.T) []allocCase {
 			run: func() {
 				eng32.DenseFromPlane(b, &scratch32)
 				eng32.TailFromPlane(b, &scratch32, preds)
-			},
-		},
-		{
-			name: "core/partial-gather",
-			covers: []string{
-				"internal/core.Engine.GatherPartialIntoPlane",
-				"internal/core.Engine.ZeroDenseTail",
-				"internal/core.fixedPath.zeroDenseTail",
-			},
-			run: func() {
-				eng.GatherPartialIntoPlane(tables, qs, &partialScratch)
-				eng.ZeroDenseTail(b, &partialScratch)
 			},
 		},
 		{
