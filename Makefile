@@ -38,12 +38,14 @@ test: build
 # cache and tier counters must not depend on the host's core count.
 # The server's drains own their scheduling (the dense stage's yield before it
 # parks, stage overlap, the pool's run-to-completion workers), so serving and
-# routing must hold on one core as on four. The second line reruns the
+# routing must hold on one core as on four. The tiered store's frequency
+# window and read counters are shared by every goroutine that gathers through
+# it, so they must add up at one proc as at four. The second line reruns the
 # serving tests of two races that once flaked on a loaded host (stage overlap
 # read from the spans; a cancel against the queue send, at plane fill and at
 # the admission gate) ten times at each, so a regression shows here.
 test-procs:
-	$(GO) test -cpu 1,4 ./internal/core ./internal/serving ./internal/router
+	$(GO) test -cpu 1,4 ./internal/core ./internal/serving ./internal/router ./internal/tieredstore
 	$(GO) test -count=10 -cpu 1,4 -run '^(TestStagesOverlap|TestCancelDropsSkipWork|TestGateCancelCounted)$$' ./internal/serving
 
 # test-kernels names the kernel paths this host dispatched and runs the

@@ -2,8 +2,9 @@
 // a field that is accessed through sync/atomic anywhere in the program must
 // never be read or written plainly anywhere else. A single plain load
 // against a field that racing writers update atomically is a data race the
-// race detector only catches when the interleaving cooperates — the torn
-// hotcache.Live.Stats counters fixed in PR 6 were exactly this class.
+// race detector only catches when the interleaving cooperates — torn
+// hit/miss counters in a hot-row cache's stats snapshot were exactly this
+// class.
 //
 // Two shapes are checked:
 //

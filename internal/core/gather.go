@@ -234,27 +234,9 @@ func (e *Engine) gatherBatchValidated(queries []embedding.Query, s *BatchScratch
 // counters.
 func (e *Engine) Tier() *tieredstore.Store { return e.tier }
 
-// PrefetchBatch touches the cold-tier pages a batch's gather will read.
-// Nothing on the serving path calls it: a served batch reads each row once,
-// in the gather. It stays because the repository benchmark's tracer wraps it
-// (benchmark/ is its own module, which deadexport cannot see, so the
-// analyzer is allowed on it);
-// a pass that pays would have to run concurrently with real storage latency.
-// Queries must already be validated; no-op for an all-DRAM engine. It walks
-// the gather's blocks in the gather's order and leaves the store to skip the
-// rows it holds hot.
-//
-//microrec:noalloc
-func (e *Engine) PrefetchBatch(queries []embedding.Query) { //microrec:allow deadexport
-	if e.tier == nil {
-		return
-	}
-	for _, blocks := range e.gplan.tables {
-		for bi := range blocks {
-			blk := &blocks[bi]
-			for _, q := range queries {
-				e.tier.Prefetch(blk.srcID, blk.mod.reduce(indices(q)[blk.at]))
-			}
-		}
-	}
-}
+// PrefetchBatch does nothing. The gather hints a batch's rows itself, a
+// window at a time, and a served batch reads each row once. The method stays
+// only because the repository benchmark's tracer wraps it (benchmark/ is its
+// own module, which deadexport cannot see, so the analyzer is allowed on
+// it); it goes when the tracer stops wrapping it.
+func (e *Engine) PrefetchBatch(queries []embedding.Query) {} //microrec:allow deadexport

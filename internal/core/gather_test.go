@@ -254,7 +254,7 @@ func TestGatherIgnoresGOMAXPROCS(t *testing.T) {
 		if err := gatherBatch(e, qs, &s); err != nil {
 			t.Fatal(err)
 		}
-		return e, append([]int16(nil), s.x16...), e.Tier().Window().Stats()
+		return e, append([]int16(nil), s.x16...), e.Tier().Window()
 	}
 	e1, x1, c1 := run(1)
 	e4, x4, c4 := run(4)

@@ -214,34 +214,38 @@ func (d *fixedPath[T]) ensure(s *BatchScratch, b int) {
 	}
 }
 
-// hint starts the fetch of the given rows of a block: one block hint over
-// the DRAM table or, row by row, over whichever copy the tiered store would
-// serve.
+// hint starts the fetch of the given rows of a block. Over a DRAM table that
+// is one block hint. Over the tiered store it is the store's read of the
+// run, minus the move: Resolve writes the address of each row's copy to srcs
+// and hints them all, and Record enters the reads in the frequency window
+// and the read counters. It returns how many of the rows are cold.
 //
 //microrec:noalloc
-func (d *fixedPath[T]) hint(blk *gatherBlock, rows []int64) {
+func (d *fixedPath[T]) hint(blk *gatherBlock, rows []int64, srcs []unsafe.Pointer) int64 {
 	if d.tier == nil {
 		kernels.PrefetchRows(d.tables[blk.srcID], blk.dim, rows)
-		return
+		return 0
 	}
 	st := d.tier[blk.srcID]
-	for _, row := range rows {
-		st.PrefetchRow(row)
-	}
+	cold := st.Resolve(rows, srcs)
+	st.Record(rows, cold)
+	return int64(cold)
 }
 
 // hintWindow resolves the row numbers of the next len(rows) lookups of s
 // from the cursor (fewer at the end of the sequence) into rows, hints each
-// block's run of them, and returns how many there were.
+// block's run of them (on a tiered engine resolving their copies into the
+// same positions of srcs and adding the cold ones to *cold), and returns how
+// many there were.
 //
 //microrec:noalloc
-func (d *fixedPath[T]) hintWindow(s *gatherSeq, c *gatherCursor, rows []int64) int {
+func (d *fixedPath[T]) hintWindow(s *gatherSeq, c *gatherCursor, rows []int64, srcs []unsafe.Pointer, cold *int64) int {
 	n := 0
 	for n < len(rows) && c.ti < len(s.plan.tables) {
 		blk, lo, hi := s.next(c, len(rows)-n)
 		run := rows[n : n+hi-lo]
 		blk.resolve(s.queries[lo:hi], run)
-		d.hint(blk, run)
+		*cold += d.hint(blk, run, srcs[n:])
 		n += hi - lo
 	}
 	return n
@@ -253,11 +257,12 @@ func (d *fixedPath[T]) hintWindow(s *gatherSeq, c *gatherCursor, rows []int64) i
 // across the whole batch — and the loop takes it gatherWindow rows at a
 // time, in two passes. Pass 1 resolves the window's row numbers into a vector
 // on the stack and hints every row's cache lines, a block's run with one
-// call. Pass 2 walks the same window again and, per row, reads the row —
-// from the DRAM table, or through the tiered store, which records the read
-// in its frequency window — and moves it, already at the plane's width,
-// into the query's feature row (moveRows: a block's run of DRAM rows in one
-// call, a tiered row on its own). By the time pass 2 reads
+// call; on a tiered engine the store resolves the run into the addresses of
+// the copies to read (a second vector on the stack), hints those, and
+// records the run's reads in its frequency window. Pass 2 walks the same
+// window again and moves each block's run of rows, already at the plane's
+// width, into the queries' feature rows in one call (moveRows from the DRAM
+// table, moveSpans from the resolved copies). By the time pass 2 reads
 // a row its fetch has been in flight, together with the rest of the window's,
 // for the whole of pass 1: the loop waits for memory once per window, not
 // once per row (gather.go's header has the arithmetic). A window ends where
@@ -265,7 +270,7 @@ func (d *fixedPath[T]) hintWindow(s *gatherSeq, c *gatherCursor, rows []int64) i
 // several windows and a small one packs several blocks — at batch 1 a whole
 // item's lookups — into one.
 //
-// Pass 2 visits lookups in exactly the sequence's order, so on a tiered
+// Pass 1 visits lookups in exactly the sequence's order, so on a tiered
 // engine the store's frequency window (which records every read), its read
 // counters and the cold-fault count are those of a plain serial walk.
 //
@@ -278,8 +283,8 @@ func (d *fixedPath[T]) gatherTables(plan *gatherPlan, queries []embedding.Query,
 	seq := gatherSeq{plan: plan, queries: queries}
 	var ahead, cur gatherCursor
 	var rows [gatherWindow]int64
-	var first [1]int64 // a tiered row arrives on its own: row 0 of a one-row source
-	for n := d.hintWindow(&seq, &ahead, rows[:]); n > 0; n = d.hintWindow(&seq, &ahead, rows[:]) {
+	var srcs [gatherWindow]unsafe.Pointer // a tiered engine's resolved copies
+	for n := d.hintWindow(&seq, &ahead, rows[:], srcs[:], &coldFaults); n > 0; n = d.hintWindow(&seq, &ahead, rows[:], srcs[:], &coldFaults) {
 		for k := 0; k < n; {
 			blk, lo, hi := seq.next(&cur, n-k)
 			vb, off := blk.vecBytes, blk.off*size
@@ -288,15 +293,8 @@ func (d *fixedPath[T]) gatherTables(plan *gatherPlan, queries []embedding.Query,
 				k += hi - lo
 				continue
 			}
-			st := d.tier[blk.srcID]
-			for qi := lo; qi < hi; qi++ {
-				p, wasCold := tieredstore.RowTagged[T](st, rows[k])
-				k++
-				if wasCold {
-					coldFaults++
-				}
-				moveRows(x[qi*w+off:], w, asBytes(p), first[:], vb)
-			}
+			moveSpans(x[lo*w+off:], w, srcs[k:k+hi-lo], vb)
+			k += hi - lo
 		}
 	}
 	return coldFaults

@@ -16,8 +16,10 @@ import "unsafe"
 // 16 bytes to memmove; a struct of the same size it moves inline. Above 64
 // bytes a single move becomes a call into the runtime's duffcopy, so longer
 // rows move in pieces of 48 or 64 bytes. Check with
-// `go build -gcflags=-S ./internal/core`: the moveEach instances call
-// nothing, and moveRows calls memmove only in its copy fallback.
+// `go build -gcflags=-S ./internal/core`: the moveEach and spanEach
+// instances call nothing, and moveRows and moveSpans call memmove only in
+// their copy fallbacks. (moveSpans is the same moves for the tiered store's
+// rows, which Resolve hands over as addresses rather than row numbers.)
 
 type (
 	bytes8  struct{ _ [8]byte }
@@ -60,6 +62,38 @@ func moveRows(dst []byte, stride int, src []byte, rows []int64, n int) {
 	}
 }
 
+// moveSpans is moveRows for rows that are not in one table: it moves the
+// n bytes at each srcs[i] to dst[i*stride:], with the same fixed-size moves.
+// Each srcs[i] must address n readable bytes (the tiered store's Resolve
+// took each from a whole row's copy). A destination row shorter than n
+// panics before any of its bytes move.
+func moveSpans(dst []byte, stride int, srcs []unsafe.Pointer, n int) {
+	switch n {
+	case 8:
+		spanEach[bytes8](dst, stride, srcs, 1)
+	case 16:
+		spanEach[bytes16](dst, stride, srcs, 1)
+	case 24:
+		spanEach[bytes24](dst, stride, srcs, 1)
+	case 32:
+		spanEach[bytes32](dst, stride, srcs, 1)
+	case 48:
+		spanEach[bytes48](dst, stride, srcs, 1)
+	case 64:
+		spanEach[bytes64](dst, stride, srcs, 1)
+	case 96:
+		spanEach[bytes48](dst, stride, srcs, 2)
+	case 128:
+		spanEach[bytes64](dst, stride, srcs, 2)
+	case 256:
+		spanEach[bytes64](dst, stride, srcs, 4)
+	default:
+		for i, p := range srcs {
+			copy(dst[i*stride:][:n], unsafe.Slice((*byte)(p), n))
+		}
+	}
+}
+
 // moveEach is moveRows for rows of k values of R.
 func moveEach[R bytes8 | bytes16 | bytes24 | bytes32 | bytes48 | bytes64](dst []byte, stride int, src []byte, rows []int64, k int) {
 	var r R
@@ -70,6 +104,20 @@ func moveEach[R bytes8 | bytes16 | bytes24 | bytes32 | bytes48 | bytes64](dst []
 		_, _ = to[n-1], from[n-1]
 		for c := 0; c < n; c += size {
 			*(*R)(unsafe.Pointer(&to[c])) = *(*R)(unsafe.Pointer(&from[c]))
+		}
+	}
+}
+
+// spanEach is moveSpans for rows of k values of R.
+func spanEach[R bytes8 | bytes16 | bytes24 | bytes32 | bytes48 | bytes64](dst []byte, stride int, srcs []unsafe.Pointer, k int) {
+	var r R
+	size := int(unsafe.Sizeof(r))
+	n := k * size
+	for i, p := range srcs {
+		to := dst[i*stride:]
+		_ = to[n-1]
+		for c := 0; c < n; c += size {
+			*(*R)(unsafe.Pointer(&to[c])) = *(*R)(unsafe.Add(p, c))
 		}
 	}
 }

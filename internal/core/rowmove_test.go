@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"microrec/internal/model"
 )
@@ -13,9 +14,10 @@ import (
 // every other length takes its copy fallback.
 var fixedRowBytes = []int{8, 16, 24, 32, 48, 64, 96, 128, 256}
 
-// TestMoveRowsMatchesCopy checks moveRows against copy for every length from
-// 1 to 300 bytes, at several destination offsets and strides: each listed
-// row lands where copy would put it, and no byte around the rows changes.
+// TestMoveRowsMatchesCopy checks moveRows, and moveSpans over the same rows
+// given as addresses, against copy for every length from 1 to 300 bytes, at
+// several destination offsets and strides: each listed row lands where copy
+// would put it, and no byte around the rows changes.
 func TestMoveRowsMatchesCopy(t *testing.T) {
 	const srcRows = 5
 	rows := []int64{3, 0, 4, 4, 1}
@@ -23,6 +25,10 @@ func TestMoveRowsMatchesCopy(t *testing.T) {
 		src := make([]byte, srcRows*n)
 		for i := range src {
 			src[i] = byte(i*131 + 7)
+		}
+		spans := make([]unsafe.Pointer, len(rows))
+		for i, r := range rows {
+			spans[i] = unsafe.Pointer(&src[int(r)*n])
 		}
 		for _, off := range []int{0, 1, 2, 7, 16, 33} {
 			for _, gap := range []int{0, 5, 64} {
@@ -35,6 +41,11 @@ func TestMoveRowsMatchesCopy(t *testing.T) {
 				moveRows(dst[off:], stride, src, rows, n)
 				if !bytes.Equal(dst, want) {
 					t.Fatalf("moveRows of %d-byte rows to offset %d, stride %d differs from copy", n, off, stride)
+				}
+				dst = bytes.Repeat([]byte{0xa5}, len(dst))
+				moveSpans(dst[off:], stride, spans, n)
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("moveSpans of %d-byte rows to offset %d, stride %d differs from copy", n, off, stride)
 				}
 			}
 		}

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"testing"
+	"unsafe"
 
 	"microrec/internal/embedding"
 	"microrec/internal/fixedpoint"
@@ -22,7 +22,7 @@ var windowBatches = []int{1, 2, gatherWindow - 1, gatherWindow, gatherWindow + 1
 // recording each against ref and counting the rows the tier would serve cold.
 // It is what the windowed gather must be indistinguishable from, to the
 // tier's frequency window, its read counters and the flight recorder.
-func serialWalk(e *Engine, queries []embedding.Query, ref *hotcache.Live) (lookups, cold int64) {
+func serialWalk(e *Engine, queries []embedding.Query, ref *hotcache.Cache) (lookups, cold int64) {
 	for ti := range e.gplan.tables {
 		for bi := range e.gplan.tables[ti] {
 			blk := &e.gplan.tables[ti][bi]
@@ -30,9 +30,8 @@ func serialWalk(e *Engine, queries []embedding.Query, ref *hotcache.Live) (looku
 				row := q[blk.srcID][bi] % int64(blk.mod.rows) // block bi is round bi
 				ref.Lookup(blk.srcID, row, blk.vecBytes)
 				lookups++
-				if !e.tier.Stream(blk.srcID).IsHot(row) {
-					cold++
-				}
+				var src [1]unsafe.Pointer
+				cold += int64(e.tier.Stream(blk.srcID).Resolve([]int64{row}, src[:]))
 			}
 		}
 	}
@@ -64,7 +63,7 @@ func TestGatherWindowKeepsSerialOrder(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := buildEngine(t, spec, windowTestConfig(tc.precision, windowBytes))
 			defer e.Close()
-			ref, err := hotcache.NewLive(windowBytes, 0)
+			ref, err := hotcache.New(windowBytes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +74,7 @@ func TestGatherWindowKeepsSerialOrder(t *testing.T) {
 					t.Fatal(err)
 				}
 				serialWalk(e, qs, ref)
-				if got, want := e.tier.Window().Stats(), ref.Stats(); got != want {
+				if got, want := e.tier.Window(), ref.Stats(); got != want {
 					t.Fatalf("b=%d: window after the gather %+v, after a serial walk %+v", b, got, want)
 				}
 			}
@@ -101,7 +100,7 @@ func TestGatherWindowTierCounters(t *testing.T) {
 		}
 		store.SetPlacement(id, hot)
 	}
-	ref, err := hotcache.NewLive(store.Window().CapacityBytes(), 0)
+	ref, err := hotcache.New(store.Snapshot().Window.CapacityBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +125,7 @@ func TestGatherWindowTierCounters(t *testing.T) {
 		if got := after.HotReads - before.HotReads; got != lookups-cold {
 			t.Errorf("b=%d: tier counted %d hot reads, serial walk %d", b, got, lookups-cold)
 		}
-		if got, want := store.Window().Stats(), ref.Stats(); got != want {
+		if got, want := store.Window(), ref.Stats(); got != want {
 			t.Errorf("b=%d: window after the gather %+v, after a serial walk %+v", b, got, want)
 		}
 	}
@@ -188,65 +187,5 @@ func TestColdFaultsArePerGather(t *testing.T) {
 				})
 			}
 		})
-	}
-}
-
-// TestPrefetchBatchNamesTheGathersRows checks PrefetchBatch and the
-// gather agree on which rows a batch reads. On an all-cold tiered engine the
-// prefetch touches one row per lookup; once every row the gather left in the
-// tier's frequency window is pinned it touches none, so every row it names is
-// one the gather read; and with one window entry per stream unpinned again it
-// touches each of those as often as the gather read it (the entry's hits plus
-// its first miss).
-func TestPrefetchBatchNamesTheGathersRows(t *testing.T) {
-	spec := model.SmallProduction()
-	e := buildEngine(t, spec, tierTestConfig(-1))
-	defer e.Close()
-	store := e.Tier()
-	qs := randomQueries(spec, gatherWindow+1, 29)
-	prefetched := func() int64 {
-		before := store.Snapshot().Prefetches
-		e.PrefetchBatch(qs)
-		return store.Snapshot().Prefetches - before
-	}
-
-	if got, want := prefetched(), int64(len(qs)*spec.NumLookups()); got != want {
-		t.Fatalf("prefetch touched %d rows for %d lookups", got, want)
-	}
-	if err := gatherBatch(e, qs, &BatchScratch{}); err != nil {
-		t.Fatal(err)
-	}
-	if w := store.Window().Stats(); w.Hits+w.Misses != int64(len(qs)*spec.NumLookups()) || w.Misses != int64(w.Entries) {
-		t.Fatalf("window %+v: want one lookup per read and no eviction", w)
-	}
-	type entry struct {
-		row   int64
-		reads int64
-	}
-	entries := make([][]entry, store.Streams())
-	store.Window().ForEachEntry(func(id int, row int64, bytes int, hits int64) {
-		entries[id] = append(entries[id], entry{row, hits + 1})
-	})
-	pin := func(id int, es []entry) {
-		rows := make([]int64, len(es))
-		for i, en := range es {
-			rows[i] = en.row
-		}
-		store.SetPlacement(id, rows)
-	}
-	for id, es := range entries {
-		pin(id, es)
-	}
-	if got := prefetched(); got != 0 {
-		t.Fatalf("with every window entry pinned the prefetch touched %d rows", got)
-	}
-	var want int64
-	for id, es := range entries {
-		sort.Slice(es, func(a, b int) bool { return es[a].row < es[b].row })
-		pin(id, es[1:])
-		want += es[0].reads
-	}
-	if got := prefetched(); got != want {
-		t.Fatalf("with one window entry per stream cold the prefetch touched %d rows, the gather read them %d times", got, want)
 	}
 }

@@ -18,10 +18,10 @@ import (
 	"microrec/internal/model"
 )
 
-// maxCapacity bounds one Cache's byte capacity so that its slot numbers fit
-// the int32 links and index buckets (see insert). A Live accepts this much
-// per shard.
-const maxCapacity = math.MaxInt32
+// MaxCapacity bounds one Cache's byte capacity so that its slot numbers fit
+// the int32 links and index buckets (see insert): 2 GiB. The tiered store's
+// frequency window is one Cache, so it bounds that window too.
+const MaxCapacity = math.MaxInt32
 
 // minBuckets is the index's starting size; it doubles as the cache fills.
 const minBuckets = 16
@@ -68,8 +68,8 @@ type Cache struct {
 
 // New creates a cache with the given byte capacity.
 func New(capacityBytes int64) (*Cache, error) {
-	if capacityBytes <= 0 || capacityBytes > maxCapacity {
-		return nil, fmt.Errorf("hotcache: capacity %d outside [1, %d] bytes", capacityBytes, maxCapacity)
+	if capacityBytes <= 0 || capacityBytes > MaxCapacity {
+		return nil, fmt.Errorf("hotcache: capacity %d outside [1, %d] bytes", capacityBytes, MaxCapacity)
 	}
 	c := &Cache{capacity: capacityBytes, slots: make([]slot, 1)}
 	c.rehash(minBuckets)
@@ -103,9 +103,8 @@ func (c *Cache) Lookup(table int, row int64, bytes int) bool {
 	return false
 }
 
-// home is a key's first bucket. The hash multiplies by constants unrelated to
-// Live.shardOf's and keeps the top bits, so the keys one shard receives do
-// not cluster in its index.
+// home is a key's first bucket: the key multiplied by odd constants, top
+// bits kept, so a table's consecutive rows spread over the index.
 func (c *Cache) home(table int, row int64) int {
 	h := (uint64(row) ^ uint64(table)*0xFF51AFD7ED558CCD) * 0x9FB21C651E98DF25
 	return int(h >> c.shift)

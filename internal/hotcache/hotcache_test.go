@@ -4,8 +4,6 @@ import (
 	"container/list"
 	"math/rand"
 	"reflect"
-	"runtime"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -208,11 +206,11 @@ func TestStatsConsistencyProperty(t *testing.T) {
 }
 
 func TestNewRejectsCapacityPastSlotRange(t *testing.T) {
-	if _, err := New(maxCapacity); err != nil {
-		t.Errorf("capacity %d: %v", int64(maxCapacity), err)
+	if _, err := New(MaxCapacity); err != nil {
+		t.Errorf("capacity %d: %v", int64(MaxCapacity), err)
 	}
-	if _, err := New(maxCapacity + 1); err == nil {
-		t.Errorf("capacity %d: want error (slot numbers are int32)", int64(maxCapacity)+1)
+	if _, err := New(MaxCapacity + 1); err == nil {
+		t.Errorf("capacity %d: want error (slot numbers are int32)", int64(MaxCapacity)+1)
 	}
 }
 
@@ -372,45 +370,14 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 
 // BenchmarkLookup drives a cycle of 47×4096 distinct 64-byte rows through
 // 1 MiB of capacity, so every lookup misses and evicts — the cache's most
-// expensive steady state. cache is the bare LRU; live adds the shard hash
-// and an uncontended shard mutex; live-parallel runs the live cache from
-// goroutines on 2 procs, so the lock's share shows under contention.
+// expensive steady state.
 func BenchmarkLookup(b *testing.B) {
-	b.Run("cache", func(b *testing.B) {
-		c, err := New(1 << 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.Lookup(i%47, int64(i%4096), 64)
-		}
-	})
-	b.Run("live", func(b *testing.B) {
-		l, err := NewLive(1<<20, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			l.Lookup(i%47, int64(i%4096), 64)
-		}
-	})
-	b.Run("live-parallel", func(b *testing.B) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-		l, err := NewLive(1<<20, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var start atomic.Int64
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			// Goroutines start far apart in the key cycle.
-			i := int(start.Add(1) * 7919)
-			for pb.Next() {
-				l.Lookup(i%47, int64(i%4096), 64)
-				i++
-			}
-		})
-	})
+	c, err := New(1 << 20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.Lookup(i%47, int64(i%4096), 64)
+	}
 }

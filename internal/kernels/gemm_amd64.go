@@ -38,7 +38,6 @@ func init() {
 	}
 	// The prefetch hints are plain SSE (PREFETCHT0), available on every
 	// amd64; see prefetch_amd64.go.
-	prefetchLine = prefetchT0
 	featureTags = append(featureTags, "prefetch-t0")
 }
 

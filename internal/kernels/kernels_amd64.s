@@ -318,15 +318,9 @@ cvtloop:
 	VZEROUPPER
 	RET
 
-// func prefetchT0(p unsafe.Pointer)
-TEXT ·prefetchT0(SB), NOSPLIT, $0-8
-	MOVQ       p+0(FP), AX
-	PREFETCHT0 (AX)
-	RET
-
-// ROWLINES walks the cache lines of n table rows: for each int64 index at
-// (BX), the row starts at SI + index*DX and is DX bytes long; AX steps from
-// the line of its first byte to the line of its last (R8), running OP on each.
+// ROWLINES walks the cache lines of n rows: for each int64 index at (BX),
+// the row starts at SI + index*DX and is R9 bytes long; AX steps from the
+// line of its first byte to the line of its last (R8), running OP on each.
 // Clobbers AX, BX, CX, R8.
 #define ROWLINES(OP) \
 	TESTQ CX, CX;          \
@@ -335,7 +329,7 @@ row:                       \
 	MOVQ  (BX), AX;        \
 	IMULQ DX, AX;          \
 	ADDQ  SI, AX;          \
-	LEAQ  -1(AX)(DX*1), R8; \
+	LEAQ  -1(AX)(R9*1), R8; \
 	ANDQ  $-64, AX;        \
 line:                      \
 	OP;                    \
@@ -350,27 +344,29 @@ done:
 #define HINTLINE  PREFETCHT0 (AX)
 #define STORELINE MOVQ AX, (DI); ADDQ $8, DI
 
-// func prefetchRows(base unsafe.Pointer, rowBytes uintptr, rows *int64, n int)
-TEXT ·prefetchRows(SB), NOSPLIT, $0-32
+// func prefetchRows(base unsafe.Pointer, stride uintptr, rows *int64, n int, rowBytes uintptr)
+TEXT ·prefetchRows(SB), NOSPLIT, $0-40
 	MOVQ base+0(FP), SI
-	MOVQ rowBytes+8(FP), DX
+	MOVQ stride+8(FP), DX
 	MOVQ rows+16(FP), BX
 	MOVQ n+24(FP), CX
+	MOVQ rowBytes+32(FP), R9
 	ROWLINES(HINTLINE)
 	RET
 
-// func prefetchRowsLines(base unsafe.Pointer, rowBytes uintptr, rows *int64, n int, out *uintptr) int
-TEXT ·prefetchRowsLines(SB), NOSPLIT, $0-48
+// func prefetchRowsLines(base unsafe.Pointer, stride uintptr, rows *int64, n int, rowBytes uintptr, out *uintptr) int
+TEXT ·prefetchRowsLines(SB), NOSPLIT, $0-56
 	MOVQ base+0(FP), SI
-	MOVQ rowBytes+8(FP), DX
+	MOVQ stride+8(FP), DX
 	MOVQ rows+16(FP), BX
 	MOVQ n+24(FP), CX
-	MOVQ out+32(FP), DI
-	MOVQ DI, R9
+	MOVQ rowBytes+32(FP), R9
+	MOVQ out+40(FP), DI
+	MOVQ DI, R10
 	ROWLINES(STORELINE)
-	SUBQ R9, DI
+	SUBQ R10, DI
 	SHRQ $3, DI
-	MOVQ DI, ret+40(FP)
+	MOVQ DI, ret+48(FP)
 	RET
 
 // func cpuid(op, sub uint32) (eax, ebx, ecx, edx uint32)

@@ -20,53 +20,40 @@ const cacheLineBytes = 64
 // the dense stage keeps its weights; dense_sat does not resolve one (27 runs
 // a side: 67.8 k against 64.6 k qps with identical quartiles).
 
-// prefetchLine is the active single-line prefetch, a no-op unless an
-// architecture init installed a real hint instruction. Indirect-call cost is
-// ~2ns, negligible against the ~100ns DRAM access it hides; the no-op
-// default keeps the portable build free of unsafe assumptions.
-var prefetchLine = func(p unsafe.Pointer) {}
-
-// PrefetchRow hints every cache line one embedding row (or any contiguous
-// span of fixed-size elements) touches for a near-future read. Rows are rarely line-aligned
-// (a 12-float row is 48 bytes; any row after a 4-float neighbour starts
-// mid-line), so the walk goes line by line from the line of the first byte to
-// the line of the last, not in 64-byte steps from the row's start — which
-// would leave the tail's line unhinted. The tiered store calls this for the
-// copy of a row its next read will return; the gather hints DRAM-resident
-// tables a block at a time through PrefetchRows.
-//
-// No-op on a nil/empty row, under the noasm tag, and on architectures
-// without a wired hint. Never faults: prefetch instructions are hints, so
-// issuing one for a not-yet-resident mmap page is safe.
-//
-//microrec:noalloc
-func PrefetchRow[T any](row []T) {
-	if len(row) == 0 {
-		return
-	}
-	p := unsafe.Pointer(&row[0])
-	n := uintptr(len(row)) * unsafe.Sizeof(row[0])
-	prefetchLine(p)
-	// The remaining hints land on the line boundaries inside the row, so
-	// every pointer handed out stays within it.
-	for off := cacheLineBytes - uintptr(p)%cacheLineBytes; off < n; off += cacheLineBytes {
-		prefetchLine(unsafe.Add(p, off))
-	}
-}
-
 // PrefetchRows hints every cache line touched by rows[i] of a row-major
 // table of dim-element rows, for each i, in one call: the gather resolves a
 // window of row indices first and hands each block's run of them over whole,
 // so the hints issue back to back and the memory system has all of them
-// outstanding at once. The per-row contract is PrefetchRow's — each line in
-// [&row[0], &row[dim-1]] exactly once — minus the indirect call per line.
-// Rows must be in range for data; like every hint it never faults. No-op
-// without an optimized path (other architectures, the noasm tag).
+// outstanding at once. Rows are rarely line-aligned (a 12-float row is 48
+// bytes; any row after a 4-float neighbour starts mid-line), so each row's
+// walk goes from the line of its first byte to the line of its last, each
+// exactly once, not in 64-byte steps from the row's start — which would leave
+// the tail's line unhinted. Rows must be in range for data. Never faults:
+// prefetch instructions are hints, so issuing one for a not-yet-resident mmap
+// page is safe. No-op without an optimized path (other architectures, the
+// noasm tag).
 //
 //microrec:noalloc
 func PrefetchRows[T any](data []T, dim int, rows []int64) {
 	if len(rows) == 0 || dim <= 0 || len(data) == 0 {
 		return
 	}
-	prefetchRows(unsafe.Pointer(&data[0]), uintptr(dim)*unsafe.Sizeof(data[0]), &rows[0], len(rows))
+	n := uintptr(dim) * unsafe.Sizeof(data[0])
+	prefetchRows(unsafe.Pointer(&data[0]), n, &rows[0], len(rows), n)
+}
+
+// PrefetchSpans is PrefetchRows for rows that are not in one table: it hints
+// every cache line of the n bytes at each spans[i], in one call. The tiered
+// store resolves a run of rows into the copies a read will return, some
+// pinned in DRAM and some in the mmap'd cold file, and hints them all
+// through this. Same walk, same contract.
+//
+//microrec:noalloc
+func PrefetchSpans(spans []unsafe.Pointer, n int) {
+	if len(spans) == 0 || n <= 0 {
+		return
+	}
+	// Each address is the row's "index" into a table at address 0 whose
+	// rows are one byte apart.
+	prefetchRows(nil, 1, (*int64)(unsafe.Pointer(&spans[0])), len(spans), uintptr(n))
 }

@@ -4,19 +4,14 @@ package kernels
 
 import "unsafe"
 
-// prefetchT0 issues PREFETCHT0 for the line containing p; implemented in
-// kernels_amd64.s. Installed as prefetchLine by the amd64 init.
+// prefetchRows is the loop of PrefetchRows and PrefetchSpans: for each of
+// the n indices at rows, one PREFETCHT0 per line of the rowBytes-long row at
+// base + index*stride. Called directly (not through a variable) so the
+// caller's index vector does not escape to the heap. Implemented in
+// kernels_amd64.s.
 //
 //go:noescape
-func prefetchT0(p unsafe.Pointer)
-
-// prefetchRows is PrefetchRows' loop: for each of the n indices at rows, one
-// PREFETCHT0 per line of the rowBytes-long row at base + index*rowBytes.
-// Called directly (not through a variable) so the caller's index vector does
-// not escape to the heap. Implemented in kernels_amd64.s.
-//
-//go:noescape
-func prefetchRows(base unsafe.Pointer, rowBytes uintptr, rows *int64, n int)
+func prefetchRows(base unsafe.Pointer, stride uintptr, rows *int64, n int, rowBytes uintptr)
 
 // prefetchRowsLines runs prefetchRows' address walk but stores each line
 // address to out instead of hinting it, and returns how many it stored; out
@@ -25,4 +20,4 @@ func prefetchRows(base unsafe.Pointer, rowBytes uintptr, rows *int64, n int)
 // instruction leaves no trace of.
 //
 //go:noescape
-func prefetchRowsLines(base unsafe.Pointer, rowBytes uintptr, rows *int64, n int, out *uintptr) int
+func prefetchRowsLines(base unsafe.Pointer, stride uintptr, rows *int64, n int, rowBytes uintptr, out *uintptr) int

@@ -6,4 +6,4 @@ import "unsafe"
 
 // prefetchRows has no portable form: without a hint instruction there is
 // nothing useful to do with the addresses.
-func prefetchRows(base unsafe.Pointer, rowBytes uintptr, rows *int64, n int) {}
+func prefetchRows(base unsafe.Pointer, stride uintptr, rows *int64, n int, rowBytes uintptr) {}

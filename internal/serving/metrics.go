@@ -103,7 +103,6 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		m.Gauge("microrec_tier_hot_bytes", "Bytes pinned in the hot tier.", float64(t.HotBytes))
 		m.Counter("microrec_tier_promotions_total", "Rows promoted to the hot tier.", float64(t.Promotions))
 		m.Counter("microrec_tier_demotions_total", "Rows demoted to the cold tier.", float64(t.Demotions))
-		m.Counter("microrec_tier_prefetches_total", "Cold rows pre-faulted by an explicit prefetch call; served traffic never prefetches.", float64(t.Prefetches))
 	}
 
 	// Flight recorder.

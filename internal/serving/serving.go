@@ -587,7 +587,7 @@ func (s *Server) HotCacheCounts() (hits, misses int64, ok bool) {
 	if st == nil {
 		return 0, 0, false
 	}
-	w := st.Window().Stats()
+	w := st.Window()
 	return w.Hits, w.Misses, true
 }
 

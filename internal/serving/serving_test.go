@@ -814,10 +814,11 @@ func TestEngineSeamHasOneOptionalCapability(t *testing.T) {
 	}
 }
 
-// TestServedTrafficDoesNotPrefetch checks that a tiered server reads each
-// row once, in the gather: neither drain nor the SLA calibration batch runs a
-// separate prefetch pass over the store.
-func TestServedTrafficDoesNotPrefetch(t *testing.T) {
+// TestServedTrafficReadsEachRowOnce checks that a tiered server, under each
+// drain, reads each row a request names once, in the gather: past the SLA
+// calibration's batches, the tier's hot plus cold reads and the frequency
+// window's hits plus misses both grow by exactly the requests' lookups.
+func TestServedTrafficReadsEachRowOnce(t *testing.T) {
 	for _, d := range drains {
 		t.Run(d.name, func(t *testing.T) {
 			eng := tieredTestEngine(t, 1<<16)
@@ -828,20 +829,112 @@ func TestServedTrafficDoesNotPrefetch(t *testing.T) {
 			if _, err := srv.AdmittedLatencyBound(); err != nil {
 				t.Fatal(err)
 			}
-			ctx := context.Background()
-			for _, q := range randomQueries(t, eng.Spec(), 24, 11) {
-				if _, err := srv.Submit(ctx, q); err != nil {
-					t.Fatal(err)
-				}
+			before := srv.Stats()
+			qs := randomQueries(t, eng.Spec(), 24, 11)
+			var wg sync.WaitGroup
+			for _, q := range qs {
+				wg.Add(1)
+				go func(q embedding.Query) {
+					defer wg.Done()
+					if _, err := srv.Submit(context.Background(), q); err != nil {
+						t.Error(err)
+					}
+				}(q)
 			}
+			wg.Wait()
 			st := srv.Stats()
-			if st.Tiers == nil || st.Tiers.ColdReads == 0 {
-				t.Fatalf("tiered server recorded no cold reads: %+v", st.Tiers)
+			if st.Tiers == nil || st.HotCache == nil {
+				t.Fatal("tiered server reports no tier")
 			}
-			if st.Tiers.Prefetches != 0 {
-				t.Fatalf("served traffic ran %d prefetches, want 0", st.Tiers.Prefetches)
+			lookups := int64(len(qs) * eng.Spec().NumLookups())
+			if reads := st.Tiers.HotReads + st.Tiers.ColdReads - before.Tiers.HotReads - before.Tiers.ColdReads; reads != lookups {
+				t.Errorf("%d lookups served, the tier read %d rows", lookups, reads)
+			}
+			if rec := st.HotCache.Hits + st.HotCache.Misses - before.HotCache.Hits - before.HotCache.Misses; rec != lookups {
+				t.Errorf("%d lookups served, the window recorded %d reads", lookups, rec)
+			}
+			if st.Tiers.ColdReads == before.Tiers.ColdReads {
+				t.Error("an all-cold tier served no cold read")
 			}
 		})
+	}
+}
+
+// TestTierReadsConserved gathers through one tiered store from two
+// pool-drain workers and, at the same time, from Engine.Infer's two chunks,
+// and checks that no read was lost or counted twice: the frequency window's
+// hits plus misses, the tier's hot plus cold reads and the gathers' lookups
+// are one number, and the cold faults the gathers reported add up to the
+// cold reads. Under -race it also checks the window's lock and the read
+// counters, which the gathers share run by run.
+func TestTierReadsConserved(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // Engine.Infer cuts a batch into GOMAXPROCS chunks
+	eng := tieredTestEngine(t, 1<<12)               // a window of a few hundred rows: it evicts
+	store, spec := eng.Tier(), eng.Spec()
+	var third []int64
+	for r := int64(0); r < 64; r += 3 { // the test engine's tables hold 64 rows
+		third = append(third, r)
+	}
+	for id := 0; id < store.Streams(); id++ {
+		store.SetPlacement(id, third)
+	}
+	// Engine.Infer reports no cold faults. The placement stays fixed, so a
+	// gather of the same batch reads the same rows from the same tiers.
+	batch := randomQueries(t, spec, 48, 5)
+	var scratch core.BatchScratch
+	eng.EnsurePlane(&scratch, len(batch))
+	eng.GatherIntoPlane(batch, &scratch)
+	inferCold := scratch.ColdFaults()
+
+	srv := newServer(t, eng, Options{
+		Batching: BatchingOptions{MaxBatch: 1}, // each span's cold faults are its own request's
+		Pipeline: PipelineOptions{WorkerPool: true, Depth: 2},
+		Trace:    TraceOptions{Sample: 1},
+	})
+	qs := randomQueries(t, spec, 64, 6)
+	before, window := store.Snapshot(), store.Window()
+	errs := make(chan error, len(qs)+1)
+	var wg sync.WaitGroup
+	wg.Add(1 + len(qs))
+	go func() {
+		defer wg.Done()
+		if _, err := eng.Infer(batch); err != nil {
+			errs <- err
+		}
+	}()
+	for _, q := range qs {
+		go func(q embedding.Query) {
+			defer wg.Done()
+			if _, err := srv.Submit(context.Background(), q); err != nil {
+				errs <- err
+			}
+		}(q)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	after, w := store.Snapshot(), store.Window()
+	lookups := int64((len(qs) + len(batch)) * spec.NumLookups())
+	hot, cold := after.HotReads-before.HotReads, after.ColdReads-before.ColdReads
+	if recorded := w.Hits + w.Misses - window.Hits - window.Misses; recorded != lookups || hot+cold != lookups {
+		t.Fatalf("%d lookups: the window recorded %d, the tier read %d hot + %d cold", lookups, recorded, hot, cold)
+	}
+	if hot == 0 || cold == 0 {
+		t.Fatalf("reads hot=%d cold=%d: want both tiers", hot, cold)
+	}
+	spans := srv.Trace(0, time.Time{})
+	if len(spans) != len(qs) {
+		t.Fatalf("%d spans for %d requests", len(spans), len(qs))
+	}
+	faults := inferCold
+	for _, sp := range spans {
+		faults += int64(sp.ColdFaults)
+	}
+	if faults != cold {
+		t.Fatalf("the gathers reported %d cold faults, the tier counted %d cold reads", faults, cold)
 	}
 }
 

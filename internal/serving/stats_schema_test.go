@@ -40,7 +40,7 @@ func fullStats() Stats {
 			Path: "/tmp/cold.bin", HotBudgetBytes: 1 << 20,
 			TotalBytes: 1 << 22, HotRows: 100, ColdRows: 900, HotBytes: 1 << 19,
 			HotReads: 800, ColdReads: 200, HotReadRate: 0.8,
-			Promotions: 50, Demotions: 10, Sweeps: 5, Prefetches: 40,
+			Promotions: 50, Demotions: 10, Sweeps: 5,
 		},
 		Router: &RouterStats{
 			Policy: "affinity", Replicas: 3,
@@ -180,7 +180,6 @@ var statsSchema = []string{
 	"tiers.hot_reads",
 	"tiers.hot_rows",
 	"tiers.path",
-	"tiers.prefetches",
 	"tiers.promotions",
 	"tiers.sweeps",
 	"tiers.total_bytes",

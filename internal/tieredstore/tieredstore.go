@@ -8,13 +8,15 @@
 // well past machine memory while the long tail pays whatever the cold file's
 // reads cost on the serving host — serving admission times a real batch
 // rather than modelling that cost. Placement follows the store's own access
-// counts: every row read is a lookup in a bounded LRU frequency window (a
-// hotcache.Live the store owns), and a background promote/demote sweep with
+// counts: every row read is a lookup in a bounded LRU frequency window (one
+// hotcache.Cache the store owns), and a background promote/demote sweep with
 // hysteresis pins the rows the window holds with the most hits.
 //
 // Rows are stored at the element type of the engine that owns the store —
 // int16 or int32 fixed-point words, each row quantized once when the file
-// is written — and read back through the generic RowTagged.
+// is written. A reader takes a run of rows at a time: Stream.Resolve finds
+// the copy of each row to read and hints it toward the cache, and
+// Stream.Record enters the run's reads in the window and the read counters.
 //
 // Bit-identity by construction: the cold file holds the exact bits of every
 // stream's rows, and a promotion copies those bits into the DRAM hot tier,
@@ -69,7 +71,10 @@ type Config struct {
 	// WindowBytes is the byte capacity of the frequency window every row
 	// read is recorded in, charged the bytes a row occupies. 0 means the hot
 	// budget, floored at 1 MiB so an all-cold budget still leaves a usable
-	// window.
+	// window. The window is one LRU, which indexes at most
+	// hotcache.MaxCapacity (2 GiB); a larger capacity is clamped to that.
+	// Only the default window of an uncapped production-large, a quarter of
+	// its ≈ 14 GB of tables, reaches it.
 	WindowBytes int64
 }
 
@@ -94,6 +99,7 @@ func (c Config) withDefaults(totalBytes int64) Config {
 	if c.WindowBytes == 0 {
 		c.WindowBytes = max(c.HotBytes, 1<<20)
 	}
+	c.WindowBytes = min(c.WindowBytes, hotcache.MaxCapacity)
 	return c
 }
 
@@ -104,11 +110,6 @@ type StreamSpec struct {
 	ID   int
 	Rows int64
 	Dim  int
-}
-
-// Elem is a stream's element type: the engine's fixed-point word.
-type Elem interface {
-	~int16 | ~int32
 }
 
 // hotEntry is one pinned row in the sweep's master state.
@@ -129,83 +130,65 @@ type hotMap struct {
 // resolves rows through it instead of the original DRAM slice.
 type Stream struct {
 	id       int
-	dim      int64 // elements a row
 	rows     int64
 	vecBytes int64
 	cold     []byte // this stream's slice of the mmap'd cold file
 	hot      atomic.Pointer[hotMap]
-	window   *hotcache.Live // the store's frequency window
+	store    *Store // whose frequency window records the stream's reads
 
 	hotReads  atomic.Int64
 	coldReads atomic.Int64
 }
 
-// RowTagged returns row `row` of the stream as elements of T, which must be
-// the element type the store was opened for — the pinned DRAM copy when the
-// row is hot, otherwise a slice of the mmap'd cold file; both hold identical
-// bits — and whether it came from the cold file, for callers that attribute
-// cold-tier faults to the batch that suffered them (the flight recorder's
-// per-span cold_faults count). The read is recorded in the store's frequency
-// window first, so the window sees reads in the order callers make them.
-// Allocation-free; the tier lookup is wait-free, the window's one shard
-// lock is not.
+// Resolve writes to srcs[i] the address of the copy of rows[i] a read takes
+// now — the pinned DRAM copy when the row is hot, otherwise its bytes in the
+// mmap'd cold file; both hold identical bits — hints every cache line of
+// those copies in one kernel call, and returns how many of them are cold.
+// One placement load serves the run and each row costs one probe of it, so a
+// sweep that publishes meanwhile changes which copy a later run reads, never
+// the bits. A copy stays readable while srcs is live: a pinned copy is heap
+// memory the address keeps reachable, and the cold file stays mapped until
+// Close. Rows must be in range; srcs must have room for them. Reads are not
+// recorded: Record does that. Allocation-free and wait-free.
 //
 //microrec:noalloc
-func RowTagged[T Elem](st *Stream, row int64) ([]T, bool) {
-	b, cold := st.rowTagged(row)
-	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), st.dim), cold
+func (st *Stream) Resolve(rows []int64, srcs []unsafe.Pointer) (cold int) {
+	srcs = srcs[:len(rows)]
+	m := st.hot.Load()
+	for i, row := range rows {
+		if m != nil {
+			if v, ok := m.rows[row]; ok {
+				srcs[i] = unsafe.Pointer(unsafe.SliceData(v))
+				continue
+			}
+		}
+		srcs[i] = unsafe.Pointer(unsafe.SliceData(st.coldRow(row)))
+		cold++
+	}
+	kernels.PrefetchSpans(srcs, int(st.vecBytes))
+	return cold
 }
 
+// Record enters a run of reads in the store's frequency window, in order and
+// under one acquisition of its lock, and adds the run to the read counters:
+// cold of them (Resolve's count) from the cold file, the rest from the hot
+// tier. Allocation-free.
+//
 //microrec:noalloc
-func (st *Stream) rowTagged(row int64) ([]byte, bool) {
-	st.window.Lookup(st.id, row, int(st.vecBytes))
-	if m := st.hot.Load(); m != nil {
-		if v, ok := m.rows[row]; ok {
-			st.hotReads.Add(1)
-			return v, false
-		}
+func (st *Stream) Record(rows []int64, cold int) {
+	s := st.store
+	s.wmu.Lock()
+	for _, row := range rows {
+		s.window.Lookup(st.id, row, int(st.vecBytes))
 	}
-	st.coldReads.Add(1)
-	return st.coldRow(row), true
+	s.wmu.Unlock()
+	st.hotReads.Add(int64(len(rows) - cold))
+	st.coldReads.Add(int64(cold))
 }
 
 // coldRow is the cold file's copy of a row.
 func (st *Stream) coldRow(row int64) []byte {
 	return st.cold[row*st.vecBytes : (row+1)*st.vecBytes]
-}
-
-// IsHot reports whether the row is currently pinned (placement may change at
-// the next sweep).
-func (st *Stream) IsHot(row int64) bool {
-	m := st.hot.Load()
-	if m == nil {
-		return false
-	}
-	_, ok := m.rows[row]
-	return ok
-}
-
-// PrefetchRow issues a cache hint for the copy of the row the next RowTagged
-// call will return — the pinned DRAM vector when hot, the mmap'd cold file
-// otherwise — without touching the read counters or the frequency window.
-// The gather hints every row of its window of fetches before it reads any of
-// them, so the fetches overlap each other instead of queueing behind the
-// reads. Unlike Store.Prefetch (a page-fault absorber that dereferences the
-// page), this is hint-only: out-of-range rows are ignored and no fault is
-// forced.
-//
-//microrec:noalloc
-func (st *Stream) PrefetchRow(row int64) {
-	if row < 0 || row >= st.rows {
-		return
-	}
-	if m := st.hot.Load(); m != nil {
-		if v, ok := m.rows[row]; ok {
-			kernels.PrefetchRow(v)
-			return
-		}
-	}
-	kernels.PrefetchRow(st.coldRow(row))
 }
 
 // pin copies a row out of the cold file into DRAM. The copy's backing words
@@ -226,8 +209,10 @@ type Store struct {
 	streams    []*Stream
 	totalBytes int64
 
-	// window records every row read; the sweep harvests it.
-	window *hotcache.Live
+	// wmu guards window, which records every row read: a reader takes it
+	// once per run (Stream.Record), the sweep once per harvest.
+	wmu    sync.Mutex
+	window *hotcache.Cache
 
 	mu       sync.Mutex
 	master   []map[int64]*hotEntry // per stream, sweep-owned
@@ -237,9 +222,6 @@ type Store struct {
 	promotions atomic.Int64
 	demotions  atomic.Int64
 	sweeps     atomic.Int64
-	prefetches atomic.Int64
-	// prefetchSink keeps prefetch loads observable so they cannot be elided.
-	prefetchSink atomic.Int64
 
 	stop chan struct{}
 	done chan struct{}
@@ -276,7 +258,7 @@ func Open(cfg Config, elemBytes int, specs []StreamSpec, fill func(f io.WriterAt
 		total += sp.Rows * int64(sp.Dim) * int64(elemBytes)
 	}
 	cfg = cfg.withDefaults(total)
-	window, err := hotcache.NewLive(cfg.WindowBytes, 0)
+	window, err := hotcache.New(cfg.WindowBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -311,11 +293,10 @@ func Open(cfg Config, elemBytes int, specs []StreamSpec, fill func(f io.WriterAt
 		vecBytes := int64(sp.Dim) * int64(elemBytes)
 		s.streams[i] = &Stream{
 			id:       i,
-			dim:      int64(sp.Dim),
 			rows:     sp.Rows,
 			vecBytes: vecBytes,
 			cold:     s.mapped[offsets[i] : offsets[i]+sp.Rows*vecBytes],
-			window:   s.window,
+			store:    s,
 		}
 	}
 	if cfg.SweepEvery > 0 {
@@ -332,10 +313,14 @@ func (s *Store) Stream(id int) *Stream { return s.streams[id] }
 // Streams returns the stream count.
 func (s *Store) Streams() int { return len(s.streams) }
 
-// Window returns the store's frequency window: every row read through
-// RowTagged is a lookup in it, and the placement sweep harvests its
-// residency and per-entry hit counts.
-func (s *Store) Window() *hotcache.Live { return s.window }
+// Window returns the counters of the store's frequency window, read under
+// its lock: every row read is a lookup in it, and the placement sweep
+// harvests its residency and per-entry hit counts.
+func (s *Store) Window() hotcache.Stats {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	return s.window.Stats()
+}
 
 func (s *Store) loop() {
 	t := time.NewTicker(s.cfg.SweepEvery)
@@ -376,9 +361,11 @@ func (s *Store) SweepNow() {
 	s.sweeps.Add(1)
 
 	cand := make(map[streamRow]int64)
+	s.wmu.Lock()
 	s.window.ForEachEntry(func(id int, row int64, bytes int, hits int64) {
 		cand[streamRow{id, row}] = hits
 	})
+	s.wmu.Unlock()
 
 	type scored struct {
 		streamRow
@@ -508,37 +495,6 @@ func (s *Store) SetPlacement(id int, rows []int64) { //microrec:allow deadexport
 	s.publishLocked(next, used)
 }
 
-// Prefetch touches the cold copy of one row so its page is faulted in before
-// the synchronous gather needs it. Hot rows are skipped. Returns true when a
-// cold touch happened.
-//
-//microrec:noalloc
-func (s *Store) Prefetch(id int, row int64) bool {
-	if id < 0 || id >= len(s.streams) {
-		return false
-	}
-	st := s.streams[id]
-	if row < 0 || row >= st.rows {
-		return false
-	}
-	if st.IsHot(row) {
-		return false
-	}
-	// Touch one byte per page the row spans, not just the first: a row
-	// crossing a page boundary would otherwise still fault synchronously in
-	// the gather for its tail pages.
-	const pageBytes = 4096
-	b := st.coldRow(row)
-	var acc int64
-	for i := 0; i < len(b); i += pageBytes {
-		acc += int64(b[i])
-	}
-	acc += int64(b[len(b)-1])
-	s.prefetchSink.Add(acc)
-	s.prefetches.Add(1)
-	return true
-}
-
 // WindowStats is a snapshot of the store's frequency window: its capacity and
 // occupancy, and the lifetime hits and misses of the reads recorded in it.
 type WindowStats struct {
@@ -566,7 +522,6 @@ type Snapshot struct {
 	Promotions  int64   `json:"promotions"`
 	Demotions   int64   `json:"demotions"`
 	Sweeps      int64   `json:"sweeps"`
-	Prefetches  int64   `json:"prefetches"`
 	// Window is the frequency window. /stats reports it as its own
 	// "hotcache" section, not inside "tiers".
 	Window WindowStats `json:"-"`
@@ -581,7 +536,6 @@ func (s *Store) Snapshot() Snapshot {
 		Promotions:     s.promotions.Load(),
 		Demotions:      s.demotions.Load(),
 		Sweeps:         s.sweeps.Load(),
-		Prefetches:     s.prefetches.Load(),
 	}
 	// One acquisition covers the row and byte counts, so a sweep publishing
 	// a new placement cannot pair one placement's hot rows with another's
@@ -603,9 +557,9 @@ func (s *Store) Snapshot() Snapshot {
 	if hot+cold > 0 {
 		snap.HotReadRate = float64(hot) / float64(hot+cold)
 	}
-	w := s.window.Stats()
+	w := s.Window()
 	snap.Window = WindowStats{
-		CapacityBytes: s.window.CapacityBytes(),
+		CapacityBytes: s.cfg.WindowBytes,
 		UsedBytes:     w.UsedBytes,
 		Entries:       w.Entries,
 		Hits:          w.Hits,
@@ -616,8 +570,8 @@ func (s *Store) Snapshot() Snapshot {
 }
 
 // Close stops the sweep loop, unmaps the cold file, and removes it. Safe to
-// call twice. Callers must have stopped every reader first: a Row on a
-// closed store reads unmapped memory.
+// call twice. Callers must have stopped every reader first: a copy Resolve
+// found in a closed store's cold file is unmapped memory.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {

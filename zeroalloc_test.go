@@ -36,11 +36,11 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"microrec/internal/core"
 	"microrec/internal/embedding"
 	"microrec/internal/fixedpoint"
-	"microrec/internal/hotcache"
 	"microrec/internal/kernels"
 	"microrec/internal/model"
 	"microrec/internal/obs"
@@ -119,19 +119,6 @@ func zeroallocCases(t *testing.T) []allocCase {
 	eng.EnsurePlane(&scratch64, len(qs64))
 	preds := make([]float32, b)
 
-	// A full 16-row cache: each run hits the row it keeps most recent, misses
-	// a fresh row (evicting the least recent) and looks up an uncacheable one.
-	const lruRowBytes = 64
-	lru, err := hotcache.New(16 * lruRowBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lruFresh := int64(0)
-	for ; lruFresh < 32; lruFresh++ {
-		lru.Lookup(0, lruFresh, lruRowBytes)
-	}
-	lruHot := lruFresh - 1
-
 	rec := obs.NewRecorder(256, 1)
 	span := obs.Span{Start: 1, EndToEndNS: 9, GatherNS: 3, DenseNS: 4, TailNS: 2, Batch: b}
 
@@ -139,8 +126,10 @@ func zeroallocCases(t *testing.T) []allocCase {
 		tsRows = 64
 		tsDim  = 8
 	)
+	// The frequency window holds four rows, so a run that reads a fresh
+	// row evicts.
 	ts, err := tieredstore.Open(
-		tieredstore.Config{SweepEvery: -1, HotBytes: 1 << 30}, 4,
+		tieredstore.Config{SweepEvery: -1, HotBytes: 1 << 30, WindowBytes: 4 * tsDim * 4}, 4,
 		[]tieredstore.StreamSpec{{ID: 0, Rows: tsRows, Dim: tsDim}},
 		func(io.WriterAt, []int64) error { return nil }, // zero rows
 	)
@@ -154,6 +143,13 @@ func zeroallocCases(t *testing.T) []allocCase {
 	}
 	ts.SetPlacement(0, hotHalf) // rows 0..31 hot, 32..63 cold: exercise both tiers
 	stream := ts.Stream(0)
+	resolveRows := []int64{2, 40, 3, 41}
+	var resolved [4]unsafe.Pointer
+	stream.Resolve(resolveRows, resolved[:]) // kernels/reference hints these copies too
+	// Each recorded run hits row 2, which it keeps most recent, and misses a
+	// fresh cold row, evicting the least recent; 32 fresh rows cycle through
+	// a window of four, so none is still there when it comes round again.
+	recordRows := []int64{2, 2, tsRows / 2}
 
 	// The tiered engine's gather reads half its rows hot and half cold. Its
 	// frequency window holds fewer rows than one batch reads, so every
@@ -176,9 +172,9 @@ func zeroallocCases(t *testing.T) []allocCase {
 	for i := 0; i < 8; i++ {
 		tieredEng.GatherIntoPlane(qs, &tieredScratch)
 	}
-	warm := tier.Window().Stats()
+	warm := tier.Window()
 	tieredEng.GatherIntoPlane(qs, &tieredScratch)
-	if st := tier.Window().Stats(); st.Hits == warm.Hits || st.Misses == warm.Misses || st.Entries != warm.Entries {
+	if st := tier.Window(); st.Hits == warm.Hits || st.Misses == warm.Misses || st.Entries != warm.Entries {
 		t.Fatalf("a warm tiered gather should hit and evict in the window at constant occupancy: before %+v, after %+v", warm, st)
 	}
 	if st := tier.Snapshot(); st.HotReads == 0 || st.ColdReads == 0 {
@@ -228,7 +224,6 @@ func zeroallocCases(t *testing.T) []allocCase {
 				"internal/core.gatherSeq.next",
 				"internal/core.fixedPath.hintWindow",
 				"internal/core.gatherBlock.resolve",
-				"internal/core.fixedPath.hint",
 				"internal/core.rowMod.reduce",
 			},
 			// Once as a batch and once query by query: a batch of 8 cuts
@@ -260,37 +255,31 @@ func zeroallocCases(t *testing.T) []allocCase {
 			run:    func() { eng.GatherIntoPlane(qs64, &scratch64) },
 		},
 		{
-			// core/gather's gather on a tiered engine: each row is
-			// recorded in the store's frequency window and copied, at the
-			// plane's width, from the hot tier or the cold file.
-			name: "core/gather-tiered",
-			covers: []string{
-				"internal/tieredstore.RowTagged",
-				"internal/tieredstore.Stream.rowTagged",
-				"internal/hotcache.Live.Lookup",
-			},
-			run: func() { tieredEng.GatherIntoPlane(qs, &tieredScratch) },
+			// core/gather's gather on a tiered engine: each block's run of
+			// rows resolved by the store, hinted and recorded in its
+			// frequency window, then copied, at the plane's width, from the
+			// hot tier or the cold file.
+			name:   "core/gather-tiered",
+			covers: []string{"internal/core.fixedPath.hint"},
+			run:    func() { tieredEng.GatherIntoPlane(qs, &tieredScratch) },
 		},
 		{
-			// The engine's prefetch on the same engine (the repository
-			// benchmark's tracer wraps it): the cold half of the batch's
-			// rows touched, the hot half skipped.
-			name:   "core/prefetch-tiered",
-			covers: []string{"internal/core.Engine.PrefetchBatch", "internal/tieredstore.Store.Prefetch"},
-			run:    func() { tieredEng.PrefetchBatch(qs) },
-		},
-		{
-			name:   "hotcache/lookup",
-			covers: []string{"internal/hotcache.Cache.Lookup"},
+			// The store's resolve of a run, two rows hot and two cold.
+			name:   "tieredstore/resolve",
+			covers: []string{"internal/tieredstore.Stream.Resolve"},
 			run: func() {
-				if !lru.Lookup(0, lruHot, lruRowBytes) {
-					t.Fatal("hot row evicted")
+				if cold := stream.Resolve(resolveRows, resolved[:]); cold != 2 {
+					t.Fatalf("resolve counted %d cold rows, want 2", cold)
 				}
-				if lru.Lookup(0, lruFresh, lruRowBytes) {
-					t.Fatal("fresh row hit")
-				}
-				lruFresh++
-				lru.Lookup(0, lruFresh, 0)
+			},
+		},
+		{
+			// The store's record of a run: a hit, and a miss that evicts.
+			name:   "tieredstore/record",
+			covers: []string{"internal/tieredstore.Stream.Record", "internal/hotcache.Cache.Lookup"},
+			run: func() {
+				stream.Record(recordRows, 1)
+				recordRows[2] = tsRows/2 + (recordRows[2]+1)%(tsRows/2)
 			},
 		},
 		{
@@ -354,17 +343,6 @@ func zeroallocCases(t *testing.T) []allocCase {
 			},
 		},
 		{
-			name: "tieredstore/row-access",
-			covers: []string{
-				"internal/tieredstore.Stream.PrefetchRow",
-			},
-			run: func() {
-				rowSink, _ = tieredstore.RowTagged[int32](stream, 2)  // hot tier
-				rowSink, _ = tieredstore.RowTagged[int32](stream, 40) // cold tier
-				stream.PrefetchRow(41)
-			},
-		},
-		{
 			name: "kernels/reference",
 			covers: []string{
 				"internal/kernels.GemmRef",
@@ -374,8 +352,8 @@ func zeroallocCases(t *testing.T) []allocCase {
 				"internal/kernels.QuantizeRow",
 				"internal/kernels.UnitFloatsRef",
 				"internal/kernels.UnitFloats",
-				"internal/kernels.PrefetchRow",
 				"internal/kernels.PrefetchRows",
+				"internal/kernels.PrefetchSpans",
 				"internal/fixedpoint.FinishRow",
 			},
 			run: func() {
@@ -385,8 +363,8 @@ func zeroallocCases(t *testing.T) []allocCase {
 				kernels.QuantizeRow(&quant, qsrc, qdst)
 				kernels.UnitFloatsRef(unitDraws, 1, qsrc[:len(unitDraws)])
 				kernels.UnitFloats(unitDraws, 1, qsrc[:len(unitDraws)])
-				kernels.PrefetchRow(qsrc)
 				kernels.PrefetchRows(qsrc, 12, hintRows[:])
+				kernels.PrefetchSpans(resolved[:], 4*tsDim)
 			},
 		},
 		{
@@ -446,7 +424,6 @@ func (k *kernelFixture[T]) layer(fc kernels.LayerFunc[T]) {
 // Sinks keep results live so the runners cannot be dead-code-eliminated.
 var (
 	spanSink uint64
-	rowSink  []int32
 )
 
 // TestNoallocFunctionsAllocationFree is the consolidated AllocsPerRun pin:
